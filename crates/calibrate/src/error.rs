@@ -27,6 +27,12 @@ pub enum CalError {
         /// Description of the failure.
         reason: String,
     },
+    /// A grid sweep was asked for with unusable arguments (an empty,
+    /// unsorted or out-of-range axis, or a disk share outside `(0, 1]`).
+    InvalidGrid {
+        /// What was wrong with the request.
+        reason: String,
+    },
     /// An interpolation query fell outside the calibrated grid.
     OutOfGrid {
         /// The requested share.
@@ -66,6 +72,7 @@ impl fmt::Display for CalError {
                 write!(f, "calibrated {name} = {value} is non-physical")
             }
             CalError::CacheIo { reason } => write!(f, "grid cache I/O failed: {reason}"),
+            CalError::InvalidGrid { reason } => write!(f, "invalid calibration grid: {reason}"),
             CalError::OutOfGrid { value, axis } => {
                 write!(
                     f,

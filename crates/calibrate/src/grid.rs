@@ -11,6 +11,19 @@
 //! experiments vary; the disk share is a fixed policy per grid (the 2007
 //! Xen testbed could not throttle disk independently).
 //!
+//! ## One execution per memory point
+//!
+//! A probe's [`dbvirt_vmm::ResourceDemand`] depends on an allocation only through the
+//! buffer-pool size and `work_mem`, both derived from the memory share
+//! ([`DbVmConfig`]); CPU and disk shares decide what that demand *costs*.
+//! A sweep therefore **executes** each probe once per distinct memory
+//! configuration — `M × 10` engine runs for a `C × M` grid, shared out to
+//! one worker per core as claimable tasks on copies of the process-wide
+//! [`ProbeDb::template`] — and then **prices** and fits all `C × M` cells
+//! from those demands, which is arithmetic. Fault injection is untouched:
+//! noise is drawn per cell from the priced seconds, never from the
+//! execution.
+//!
 //! ## Graceful degradation
 //!
 //! Under fault injection (or on a real, flaky VM) individual grid cells
@@ -34,13 +47,15 @@
 //! and summarized by [`CalibrationGrid::health`].
 
 use crate::json::Json;
+use crate::probes::{build_probes, Probe};
 use crate::report::CalibrationReport;
-use crate::runner::{calibrate_with_config, CalibrationConfig};
+use crate::runner::{calibrate_cell, execute_probe, vm_and_config, CalibrationConfig, DemandMemo};
 use crate::vmdb::DbVmConfig;
 use crate::{CalError, ProbeDb};
 use dbvirt_optimizer::OptimizerParams;
-use dbvirt_vmm::{MachineSpec, ResourceVector, VirtualMachine, VmmError};
+use dbvirt_vmm::{MachineSpec, ResourceVector, VmmError};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The parameters the probe system actually measures (everything else in
 /// [`OptimizerParams`] is policy-derived from the memory share).
@@ -151,18 +166,28 @@ pub struct CalibrationGrid {
     reports: Vec<Vec<CalibrationReport>>,
 }
 
-fn validate_axis(points: &[f64], axis: &'static str) -> Result<(), CalError> {
-    if points.is_empty() {
-        return Err(CalError::CacheIo {
-            reason: format!("{axis} axis is empty"),
-        });
+/// What is wrong with a grid's axes or disk share, if anything. Shared by
+/// the sweep (→ [`CalError::InvalidGrid`]) and the cache loader (→
+/// [`CalError::CacheIo`]).
+fn validate_grid_args(
+    cpu_points: &[f64],
+    mem_points: &[f64],
+    disk_share: f64,
+) -> Result<(), String> {
+    for (points, axis) in [(cpu_points, "cpu"), (mem_points, "memory")] {
+        if points.is_empty() {
+            return Err(format!("{axis} axis is empty"));
+        }
+        let sorted = points.windows(2).all(|w| w[0] < w[1]);
+        let in_range = points.iter().all(|&p| p > 0.0 && p <= 1.0);
+        if !sorted || !in_range {
+            return Err(format!(
+                "{axis} axis must be strictly increasing within (0, 1]"
+            ));
+        }
     }
-    let sorted = points.windows(2).all(|w| w[0] < w[1]);
-    let in_range = points.iter().all(|&p| p > 0.0 && p <= 1.0);
-    if !sorted || !in_range {
-        return Err(CalError::CacheIo {
-            reason: format!("{axis} axis must be strictly increasing within (0, 1]"),
-        });
+    if !(disk_share > 0.0 && disk_share <= 1.0) {
+        return Err(format!("disk share {disk_share} out of range"));
     }
     Ok(())
 }
@@ -221,10 +246,73 @@ fn nearest_donors(donors: &[(usize, usize)], c: usize, m: usize) -> Vec<(usize, 
     donors.iter().filter(|d| dist(d) == min).copied().collect()
 }
 
+/// Executes every `(configuration, probe)` pair once and returns the memo
+/// of their demands. Workers claim pairs off a shared counter, each on its
+/// own copy of the probe database; a probe's demand does not depend on
+/// which copy ran it, and outcomes are reduced in ascending pair order, so
+/// the memo (and the error surfaced, if any) is the same at any worker
+/// count.
+fn execute_tasks(
+    template: &ProbeDb,
+    probes: &[Probe],
+    configs: Vec<DbVmConfig>,
+    workers: usize,
+    parent_span: Option<u64>,
+) -> Result<DemandMemo, CalError> {
+    let n_tasks = configs.len() * probes.len();
+    let next = AtomicUsize::new(0);
+    let joined = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.clamp(1, n_tasks.max(1)))
+            .map(|_| {
+                scope.spawn(|| {
+                    // Adopt the sweep span as parent so the engine spans
+                    // from this worker thread nest under the sweep.
+                    let _worker_span =
+                        dbvirt_telemetry::span_with_parent("calibrate.grid_worker", parent_span);
+                    let mut pdb = template.clone();
+                    let mut done = Vec::new();
+                    loop {
+                        let at = next.fetch_add(1, Ordering::Relaxed);
+                        if at >= n_tasks {
+                            break done;
+                        }
+                        let cfg = &configs[at / probes.len()];
+                        let probe = &probes[at % probes.len()];
+                        done.push((at, execute_probe(&mut pdb, probe, cfg)));
+                    }
+                })
+            })
+            .collect();
+        // Join every worker: a scope that is left with an unjoined panicked
+        // thread panics itself.
+        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
+    });
+    let mut done = Vec::with_capacity(n_tasks);
+    for worker in joined {
+        done.extend(worker.map_err(|payload| {
+            let reason = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "panicked".to_string());
+            CalError::ProbeFailed {
+                probe: "<worker>".to_string(),
+                reason,
+            }
+        })?);
+    }
+    done.sort_unstable_by_key(|&(at, _)| at);
+    let mut outcomes = done.into_iter().map(|(_, outcome)| outcome);
+    let mut entries = Vec::with_capacity(configs.len());
+    for cfg in configs {
+        let suite = outcomes.by_ref().take(probes.len());
+        entries.push((cfg, suite.collect::<Result<_, _>>()?));
+    }
+    Ok(DemandMemo { entries })
+}
+
 impl CalibrationGrid {
-    /// Calibrates a grid with clean single-shot measurements, running the
-    /// grid points in parallel (each worker builds its own probe
-    /// database).
+    /// Calibrates a grid with clean single-shot measurements.
     pub fn calibrate(
         machine: MachineSpec,
         cpu_points: Vec<f64>,
@@ -241,7 +329,9 @@ impl CalibrationGrid {
     }
 
     /// Calibrates a grid under an explicit robustness/fault configuration,
-    /// with per-cell graceful degradation (see the module docs).
+    /// with per-cell graceful degradation (see the module docs). Probes are
+    /// executed once per memory point, on one worker per core, and every
+    /// cell is priced from those executions.
     pub fn calibrate_with_config(
         machine: MachineSpec,
         cpu_points: Vec<f64>,
@@ -249,113 +339,82 @@ impl CalibrationGrid {
         disk_share: f64,
         rcfg: &CalibrationConfig,
     ) -> Result<CalibrationGrid, CalError> {
-        validate_axis(&cpu_points, "cpu")?;
-        validate_axis(&mem_points, "memory")?;
-        if !(disk_share > 0.0 && disk_share <= 1.0) {
-            return Err(CalError::CacheIo {
-                reason: format!("disk share {disk_share} out of range"),
-            });
-        }
+        let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
+        CalibrationGrid::sweep(machine, cpu_points, mem_points, disk_share, rcfg, workers)
+    }
 
-        let combos: Vec<(usize, usize)> = (0..cpu_points.len())
-            .flat_map(|c| (0..mem_points.len()).map(move |m| (c, m)))
-            .collect();
+    /// The sweep behind [`CalibrationGrid::calibrate_with_config`] with the
+    /// worker count exposed, so tests can pin that it changes nothing.
+    fn sweep(
+        machine: MachineSpec,
+        cpu_points: Vec<f64>,
+        mem_points: Vec<f64>,
+        disk_share: f64,
+        rcfg: &CalibrationConfig,
+        workers: usize,
+    ) -> Result<CalibrationGrid, CalError> {
+        validate_grid_args(&cpu_points, &mem_points, disk_share)
+            .map_err(|reason| CalError::InvalidGrid { reason })?;
 
         let mut sweep_span = dbvirt_telemetry::span("calibrate.grid_sweep");
-        sweep_span.set_attr("cells", combos.len());
-        let sweep_parent = sweep_span.id();
+        sweep_span.set_attr("cells", cpu_points.len() * mem_points.len());
 
-        type CellOutcome = (usize, usize, Result<crate::runner::Calibration, CalError>);
-        let n_workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .min(combos.len())
-            .max(1);
-        let results: Vec<Result<CellOutcome, CalError>> = std::thread::scope(|scope| {
-            let chunks: Vec<Vec<(usize, usize)>> = combos
-                .chunks(combos.len().div_ceil(n_workers))
-                .map(<[(usize, usize)]>::to_vec)
-                .collect();
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    let cpu_points = &cpu_points;
-                    let mem_points = &mem_points;
-                    let rcfg = *rcfg;
-                    scope.spawn(move || {
-                        // Adopt the sweep span as parent so per-cell spans
-                        // from this worker thread nest under the sweep.
-                        let _worker_span = dbvirt_telemetry::span_with_parent(
-                            "calibrate.grid_worker",
-                            sweep_parent,
-                        );
-                        let mut pdb = ProbeDb::build().map_err(|e| CalError::ProbeFailed {
-                            probe: "<probe-db>".to_string(),
-                            reason: e.to_string(),
-                        })?;
-                        pdb.validate().map_err(|reason| CalError::ProbeFailed {
-                            probe: "<probe-db>".to_string(),
-                            reason,
-                        })?;
-                        let mut out: Vec<CellOutcome> = Vec::new();
-                        for (c, m) in chunk {
-                            let shares = ResourceVector::from_fractions(
-                                cpu_points[c],
-                                mem_points[m],
-                                disk_share,
-                            )
-                            .map_err(|e: VmmError| CalError::ProbeFailed {
-                                probe: "<shares>".to_string(),
-                                reason: e.to_string(),
-                            })?;
-                            match calibrate_with_config(&mut pdb, machine, shares, &rcfg) {
-                                Ok(cal) => out.push((c, m, Ok(cal))),
-                                // Degradable failures are per-cell data, not
-                                // sweep-enders; anything else aborts.
-                                Err(e) if degradable(&e) => out.push((c, m, Err(e))),
-                                Err(e) => return Err(e),
-                            }
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join().expect("worker panicked") {
-                    Ok(v) => v.into_iter().map(Ok).collect::<Vec<_>>(),
-                    Err(e) => vec![Err(e)],
-                })
-                .collect()
-        });
+        // Every cell's allocation, row-major, and the distinct memory
+        // configurations among them (one per memory point: CPU and disk
+        // shares do not reach `DbVmConfig`).
+        let mut cells: Vec<(usize, usize, ResourceVector)> = Vec::new();
+        let mut configs: Vec<DbVmConfig> = Vec::new();
+        for (c, &cpu) in cpu_points.iter().enumerate() {
+            for (m, &mem) in mem_points.iter().enumerate() {
+                let shares = ResourceVector::from_fractions(cpu, mem, disk_share).map_err(
+                    |e: VmmError| CalError::ProbeFailed {
+                        probe: "<shares>".to_string(),
+                        reason: e.to_string(),
+                    },
+                )?;
+                let (_, cfg) = vm_and_config(machine, shares)?;
+                if !configs.contains(&cfg) {
+                    configs.push(cfg);
+                }
+                cells.push((c, m, shares));
+            }
+        }
 
+        // Execute: each (configuration, probe) pair once, whatever the CPU
+        // axis holds and however many workers share the tasks.
+        let template = ProbeDb::template()?;
+        let probes = build_probes(template);
+        let memo = execute_tasks(template, &probes, configs, workers, sweep_span.id())?;
+
+        // Price and fit: pure arithmetic per cell, in row-major order.
         let default = OptimizerParams::postgres_defaults();
         let mut entries = vec![vec![default; mem_points.len()]; cpu_points.len()];
         let mut reports =
             vec![vec![CalibrationReport::pristine(Vec::new()); mem_points.len()]; cpu_points.len()];
         let mut healthy: Vec<(usize, usize)> = Vec::new();
-        let mut failed: Vec<(usize, usize, CalError)> = Vec::new();
-        for r in results {
-            let (c, m, outcome) = r?;
-            match outcome {
+        let mut failed: Vec<(usize, usize, ResourceVector, CalError)> = Vec::new();
+        for (c, m, shares) in cells {
+            match calibrate_cell(machine, shares, &probes, &memo, rcfg) {
                 Ok(cal) => {
                     entries[c][m] = cal.params;
                     reports[c][m] = cal.report;
                     healthy.push((c, m));
                 }
-                Err(e) => failed.push((c, m, e)),
+                // Degradable failures are per-cell data, not sweep-enders;
+                // anything else aborts.
+                Err(e) if degradable(&e) => failed.push((c, m, shares, e)),
+                Err(e) => return Err(e),
             }
         }
         if healthy.is_empty() {
             // No rung of the ladder left: every cell failed, so report the
             // first failure (row-major order) as the sweep's error.
-            let (_, _, e) = failed
+            let (_, _, _, e) = failed
                 .into_iter()
-                .min_by_key(|&(c, m, _)| (c, m))
+                .next()
                 .expect("a non-empty grid has at least one cell");
             return Err(e);
         }
-        healthy.sort_unstable();
 
         // Rung 4a: parameters a healthy cell could not identify (clamped at
         // the floor) are re-filled from the nearest cells that did identify
@@ -388,7 +447,7 @@ impl CalibrationGrid {
         // from their nearest healthy neighbors; memory-derived settings are
         // recomputed from the deployment policy, which needs no
         // measurement.
-        for (c, m, err) in failed {
+        for (c, m, shares, err) in failed {
             let nearest = nearest_donors(&healthy, c, m);
             let mut p = OptimizerParams::postgres_defaults();
             for name in MEASURED_PARAMS {
@@ -400,17 +459,7 @@ impl CalibrationGrid {
                 set_param(&mut p, name, mean);
             }
             p.seq_page_cost = 1.0;
-            let shares = ResourceVector::from_fractions(cpu_points[c], mem_points[m], disk_share)
-                .map_err(|e| CalError::ProbeFailed {
-                probe: "<shares>".to_string(),
-                reason: e.to_string(),
-            })?;
-            let vm =
-                VirtualMachine::new(machine, shares).map_err(|e| CalError::ProbeFailed {
-                    probe: "<setup>".to_string(),
-                    reason: e.to_string(),
-                })?;
-            let cfg = DbVmConfig::for_vm(&vm);
+            let (_, cfg) = vm_and_config(machine, shares)?;
             p.effective_cache_size_pages = cfg.effective_cache_pages as f64;
             p.work_mem_bytes = cfg.work_mem_bytes as f64;
             entries[c][m] = p;
@@ -589,14 +638,29 @@ impl CalibrationGrid {
                 parsed
             }
         };
+        // A cache is only as trustworthy as its file: hold it to the same
+        // axis rules as a sweep, and the matrices to the axes, so lookups
+        // can index without checking.
+        let cpu_points = f64s_from_json(&doc, "cpu_points")?;
+        let mem_points = f64s_from_json(&doc, "mem_points")?;
+        let disk_share = get_num(&doc, "disk_share")?;
+        validate_grid_args(&cpu_points, &mem_points, disk_share).map_err(bad)?;
+        if entries.len() != cpu_points.len() || entries.iter().any(|r| r.len() != mem_points.len())
+        {
+            return Err(bad(format!(
+                "entries are not {} x {} like the axes",
+                cpu_points.len(),
+                mem_points.len()
+            )));
+        }
         Ok(CalibrationGrid {
             machine: machine_from_json(
                 doc.get("machine")
                     .ok_or_else(|| bad("missing machine".to_string()))?,
             )?,
-            cpu_points: f64s_from_json(&doc, "cpu_points")?,
-            mem_points: f64s_from_json(&doc, "mem_points")?,
-            disk_share: get_num(&doc, "disk_share")?,
+            cpu_points,
+            mem_points,
+            disk_share,
             entries,
             reports,
         })
@@ -956,9 +1020,173 @@ mod tests {
     #[test]
     fn invalid_axes_are_rejected() {
         let m = MachineSpec::tiny();
-        assert!(CalibrationGrid::calibrate(m, vec![], vec![0.5], 0.5).is_err());
-        assert!(CalibrationGrid::calibrate(m, vec![0.5, 0.25], vec![0.5], 0.5).is_err());
-        assert!(CalibrationGrid::calibrate(m, vec![0.5], vec![0.5], 0.0).is_err());
+        for (cpu, mem, disk) in [
+            (vec![], vec![0.5], 0.5),
+            (vec![0.5, 0.25], vec![0.5], 0.5),
+            (vec![0.5], vec![0.5, 1.5], 0.5),
+            (vec![0.5], vec![0.5], 0.0),
+        ] {
+            let err = CalibrationGrid::calibrate(m, cpu, mem, disk).unwrap_err();
+            // A bad request is not a cache problem.
+            assert!(matches!(err, CalError::InvalidGrid { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn malformed_caches_are_typed_errors_not_panics() {
+        let doc = Json::parse(&small_grid().to_json().unwrap()).unwrap();
+        let rows = |key: &str| doc.get(key).and_then(Json::as_arr).unwrap().to_vec();
+        let nums = |v: &[f64]| f64s_to_json(v);
+        // The valid cache with one top-level field replaced.
+        let tampered = |field: &str, value: Json| {
+            let mut doc = doc.clone();
+            if let Json::Obj(m) = &mut doc {
+                m.insert(field.to_string(), value);
+            }
+            doc.pretty()
+        };
+
+        // Short `entries` (a truncated file) and a ragged row.
+        let mut short = rows("entries");
+        short.pop();
+        let mut ragged = rows("entries");
+        if let Json::Arr(row) = &mut ragged[1] {
+            row.pop();
+        }
+        // `reports` must follow the axes too, not just `entries`.
+        let mut short_reports = rows("reports");
+        short_reports.pop();
+        for (field, value) in [
+            ("entries", Json::Arr(short)),
+            ("entries", Json::Arr(ragged)),
+            ("reports", Json::Arr(short_reports)),
+            // Unsorted, longer than `entries`, empty, out of range.
+            ("cpu_points", nums(&[0.5, 0.25, 0.75])),
+            ("mem_points", nums(&[0.25, 0.5, 0.75])),
+            ("mem_points", nums(&[])),
+            ("cpu_points", nums(&[0.25, 0.5, 1.5])),
+            ("disk_share", Json::Num(0.0)),
+        ] {
+            let shown = value.pretty();
+            let err = CalibrationGrid::from_json(&tampered(field, value)).unwrap_err();
+            assert!(
+                matches!(err, CalError::CacheIo { .. }),
+                "{field} = {shown}: {err}"
+            );
+        }
+    }
+
+    /// A 4×4 sweep's axes.
+    fn axis4() -> Vec<f64> {
+        vec![0.2, 0.4, 0.6, 0.8]
+    }
+
+    /// Compares through the JSON cache: it carries every parameter and
+    /// report bit, and a dropped probe's NaN seconds equal themselves there.
+    fn assert_same_grid(a: &CalibrationGrid, b: &CalibrationGrid, what: &str) {
+        assert_eq!(a.to_json().unwrap(), b.to_json().unwrap(), "{what}");
+    }
+
+    #[test]
+    fn memoized_sweep_equals_per_cell_calibration() {
+        // The sweep executes probes once per memory point and prices 16
+        // cells from them; calibrating each cell on its own, on a freshly
+        // built database, executes everything again. Same bits either way,
+        // clean and under fault injection (noise is drawn per cell from the
+        // priced seconds).
+        let machine = MachineSpec::paper_testbed();
+        let injector = FaultInjector::new(NoiseModel::uniform_jitter(0.10).with_failures(0.2), 17);
+        for rcfg in [
+            CalibrationConfig::default(),
+            CalibrationConfig::robust().with_injector(injector),
+        ] {
+            let grid =
+                CalibrationGrid::calibrate_with_config(machine, axis4(), axis4(), 0.5, &rcfg)
+                    .unwrap();
+            let mut pdb = ProbeDb::build().unwrap();
+            for (c, &cpu) in axis4().iter().enumerate() {
+                for (m, &mem) in axis4().iter().enumerate() {
+                    let report = grid.report_at(c, m);
+                    assert!(
+                        report.degraded_params.is_empty(),
+                        "cell ({c}, {m}) was neighbor-filled, so it cannot be compared: {report}"
+                    );
+                    let shares = ResourceVector::from_fractions(cpu, mem, 0.5).unwrap();
+                    let cell =
+                        crate::runner::calibrate_with_config(&mut pdb, machine, shares, &rcfg)
+                            .unwrap();
+                    assert_eq!(*grid.at_point(c, m), cell.params, "cell ({c}, {m})");
+                    assert_eq!(
+                        report_to_json(report).pretty(),
+                        report_to_json(&cell.report).pretty(),
+                        "cell ({c}, {m})"
+                    );
+                }
+            }
+            if rcfg.injector.is_some() {
+                let retries = grid.health().total_retries;
+                assert!(retries > 0, "the injector must have bitten");
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_is_bit_identical_at_any_worker_count() {
+        let machine = MachineSpec::paper_testbed();
+        let injector = FaultInjector::new(NoiseModel::uniform_jitter(0.3), 14);
+        let rcfg = CalibrationConfig::robust().with_injector(injector);
+        let sweep = |workers| {
+            CalibrationGrid::sweep(machine, vec![0.25, 0.5, 0.75], axis4(), 0.5, &rcfg, workers)
+                .unwrap()
+        };
+        let one = sweep(1);
+        assert_same_grid(&one, &sweep(2), "1 vs 2 workers");
+        assert_same_grid(&one, &sweep(5), "1 vs 5 workers");
+        // More workers than the 4 × 8 tasks, and none at all, are clamped.
+        assert_same_grid(&one, &sweep(64), "1 vs 64 workers");
+        assert_same_grid(&one, &sweep(0), "1 vs 0 workers");
+    }
+
+    #[test]
+    fn probe_database_is_built_once_per_process() {
+        use std::sync::atomic::Ordering;
+        small_grid();
+        small_grid();
+        crate::calibrate(
+            MachineSpec::paper_testbed(),
+            ResourceVector::from_fractions(0.5, 0.5, 0.5).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(crate::probedb::TEMPLATE_BUILDS.load(Ordering::Relaxed), 1);
+        // And what the sweeps cloned is the database a fresh build gives.
+        let template = ProbeDb::template().unwrap();
+        let fresh = ProbeDb::build().unwrap();
+        assert_eq!(template.db.total_pages(), fresh.db.total_pages());
+        assert_eq!(
+            template.db.table(template.narrow).stats,
+            fresh.db.table(fresh.narrow).stats
+        );
+    }
+
+    #[test]
+    fn a_panicking_worker_is_a_typed_error() {
+        // A configuration no buffer pool accepts makes every worker panic
+        // on the storage layer's own assert.
+        let template = ProbeDb::template().unwrap();
+        let probes = build_probes(template);
+        let zero_pool = DbVmConfig {
+            buffer_pool_pages: 0,
+            work_mem_bytes: 1 << 20,
+            effective_cache_pages: 0,
+        };
+        let err = execute_tasks(template, &probes, vec![zero_pool], 2, None).unwrap_err();
+        match err {
+            CalError::ProbeFailed { probe, reason } => {
+                assert_eq!(probe, "<worker>");
+                assert!(reason.contains("at least one frame"), "{reason}");
+            }
+            other => panic!("expected ProbeFailed, got {other}"),
+        }
     }
 
     #[test]

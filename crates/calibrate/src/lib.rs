@@ -19,9 +19,11 @@
 //!   `cpu_operator_cost` — is probe number one);
 //! * [`solver`] — dense linear least squares via normal equations and
 //!   Gaussian elimination with partial pivoting;
-//! * [`runner`] — [`runner::calibrate`]: probes → measurements → solve →
+//! * [`runner`] — [`runner::calibrate`]: execute the probes under `R`'s
+//!   memory configuration → price the demands at `R`'s shares → solve →
 //!   [`dbvirt_optimizer::OptimizerParams`];
-//! * [`grid`] — [`grid::CalibrationGrid`]: `P(R)` over a share grid with
+//! * [`grid`] — [`grid::CalibrationGrid`]: `P(R)` over a share grid (probes
+//!   executed once per memory point, every cell priced from them) with
 //!   bilinear interpolation for off-grid allocations and a JSON cache, the
 //!   paper's "calibrate once per machine, reuse everywhere" and its
 //!   "reduce the number of calibration experiments" next step;

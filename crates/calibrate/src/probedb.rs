@@ -10,8 +10,10 @@
 //!   giving a very different pages-to-rows ratio (this is what separates
 //!   per-page costs from per-tuple costs in the linear system).
 
+use crate::CalError;
 use dbvirt_engine::{Database, IndexId, TableId};
 use dbvirt_storage::{DataType, Datum, Field, Schema, StorageError, Tuple};
+use std::sync::OnceLock;
 
 /// Rows in the narrow calibration table.
 pub const NARROW_ROWS: i64 = 40_000;
@@ -20,8 +22,13 @@ pub const WIDE_ROWS: i64 = 2_000;
 /// Padding bytes per wide row (few rows per 8 KiB page).
 pub const WIDE_PAD: usize = 1000;
 
+/// How often [`ProbeDb::template`] has built the database in this process.
+#[cfg(test)]
+pub(crate) static TEMPLATE_BUILDS: std::sync::atomic::AtomicUsize =
+    std::sync::atomic::AtomicUsize::new(0);
+
 /// The calibration database plus the catalog ids probes need.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ProbeDb {
     /// The database holding the calibration tables.
     pub db: Database,
@@ -78,6 +85,29 @@ impl ProbeDb {
             wide,
             b_index,
         })
+    }
+
+    /// The process-wide probe database: built and validated on first use,
+    /// immutable afterwards. The build is deterministic, so every caller
+    /// would build the same bytes; grid sweeps `clone` this instead (the
+    /// executor needs `&mut`), and a failed build is remembered rather than
+    /// retried.
+    pub fn template() -> Result<&'static ProbeDb, CalError> {
+        static TEMPLATE: OnceLock<Result<ProbeDb, CalError>> = OnceLock::new();
+        TEMPLATE
+            .get_or_init(|| {
+                #[cfg(test)]
+                TEMPLATE_BUILDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let probe_db = |reason: String| CalError::ProbeFailed {
+                    probe: "<probe-db>".to_string(),
+                    reason,
+                };
+                let pdb = ProbeDb::build().map_err(|e| probe_db(e.to_string()))?;
+                pdb.validate().map_err(probe_db)?;
+                Ok(pdb)
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Checks the physical-layout assumptions the probe design and its

@@ -1,11 +1,16 @@
 //! Running a calibration: probes → measurements → least squares → `P(R)`.
 //!
 //! `calibrate` is the paper's "experimental calibration process, performed
-//! once for each `R`": it configures a simulated VM with the requested
-//! shares, runs each probe on a cold buffer pool sized from the VM's
-//! memory, converts the measured [`dbvirt_vmm::ResourceDemand`]s into
-//! simulated seconds, and solves the overdetermined linear system for the
-//! five time-domain parameters. Memory-derived settings
+//! once for each `R`", in two steps. **Execute**: run each probe on a cold
+//! buffer pool sized from the VM's memory and record the
+//! [`dbvirt_vmm::ResourceDemand`] it generated — the only step that touches
+//! the engine, and one that sees nothing of `R` but its memory
+//! configuration. **Price**: convert those demands into the seconds a VM
+//! with `R`'s shares would have measured (optionally through a
+//! [`FaultInjector`]) and solve the overdetermined linear system for the
+//! five time-domain parameters. A grid sweep executes once per memory
+//! point and prices every cell from that memo; a single calibration is the
+//! same code with a one-entry memo. Memory-derived settings
 //! (`effective_cache_size`, `work_mem`) come from the deployment policy in
 //! [`crate::vmdb`] — they are configured, not measured, just as a DBA sets
 //! them from the machine's known RAM.
@@ -30,14 +35,16 @@
 //! config, the pipeline is bit-identical to the historical noise-free
 //! implementation.
 
-use crate::probes::{build_probes, NUM_UNKNOWNS};
+use crate::probes::{build_probes, CacheState, Probe, NUM_UNKNOWNS};
 use crate::report::{CalibrationReport, ProbeStat};
 use crate::{solver, CalError, DbVmConfig, ProbeDb};
 use dbvirt_engine::{run_plan, CpuCosts};
 use dbvirt_optimizer::OptimizerParams;
 use dbvirt_storage::BufferPool;
 use dbvirt_telemetry as telemetry;
-use dbvirt_vmm::{FaultInjector, MachineSpec, ProbeFault, ResourceVector, VirtualMachine};
+use dbvirt_vmm::{
+    FaultInjector, MachineSpec, ProbeFault, ResourceDemand, ResourceVector, VirtualMachine,
+};
 
 // Calibration telemetry (no-ops until `dbvirt_telemetry::enable()`).
 static TM_PROBE_RUNS: telemetry::Counter = telemetry::Counter::new("calibrate.probe_runs");
@@ -199,27 +206,34 @@ fn median(values: &[f64]) -> f64 {
     }
 }
 
-/// Measures one probe: executes the plan once (the simulator is
-/// deterministic, so the true demand is a constant) and draws `trials`
-/// noisy measurements from the injector, retrying transient faults.
-/// Returns the aggregated seconds, or `None` if every trial was lost.
-fn measure_probe(
+/// The database configuration a VM with `shares` of `spec` runs under, and
+/// the VM itself.
+pub(crate) fn vm_and_config(
+    spec: MachineSpec,
+    shares: ResourceVector,
+) -> Result<(VirtualMachine, DbVmConfig), CalError> {
+    let vm = VirtualMachine::new(spec, shares).map_err(|e| CalError::ProbeFailed {
+        probe: "<setup>".to_string(),
+        reason: e.to_string(),
+    })?;
+    let cfg = DbVmConfig::for_vm(&vm);
+    Ok((vm, cfg))
+}
+
+/// **Execute**: runs one probe's plan under one memory configuration and
+/// returns the physical work it generated. This is the only step of
+/// calibration that touches the engine, and the memory configuration is
+/// the only part of an allocation it can see: CPU and disk shares change
+/// what the demand *costs*, never the demand.
+pub(crate) fn execute_probe(
     pdb: &mut ProbeDb,
-    vm: &VirtualMachine,
+    probe: &Probe,
     cfg: &DbVmConfig,
-    probe: &crate::probes::Probe,
-    probe_idx: usize,
-    context: u64,
-    rcfg: &CalibrationConfig,
-    stat: &mut ProbeStat,
-) -> Result<Option<f64>, CalError> {
-    let mut probe_span = telemetry::span("calibrate.probe");
-    probe_span.set_attr("probe", probe.name);
-    TM_PROBE_RUNS.add(1);
+) -> Result<ResourceDemand, CalError> {
     // Cold cache per probe, as in the paper's controlled measurements;
     // warm probes run once unmeasured first to populate the cache.
     let mut pool = BufferPool::new(cfg.buffer_pool_pages);
-    if probe.cache == crate::probes::CacheState::Warm {
+    let mut run = |what: &str| {
         run_plan(
             &mut pdb.db,
             &mut pool,
@@ -229,21 +243,56 @@ fn measure_probe(
         )
         .map_err(|e| CalError::ProbeFailed {
             probe: probe.name.to_string(),
-            reason: format!("warm-up failed: {e}"),
-        })?;
+            reason: format!("{what}{e}"),
+        })
+    };
+    if probe.cache == CacheState::Warm {
+        run("warm-up failed: ")?;
     }
-    let out = run_plan(
-        &mut pdb.db,
-        &mut pool,
-        &probe.plan,
-        cfg.work_mem_bytes,
-        CpuCosts::default(),
-    )
-    .map_err(|e| CalError::ProbeFailed {
-        probe: probe.name.to_string(),
-        reason: e.to_string(),
-    })?;
-    let (cpu, seq, rand, writes) = vm.demand_seconds_breakdown(&out.demand);
+    Ok(run("")?.demand)
+}
+
+/// The probe suite's demands under each memory configuration executed so
+/// far. A single-cell calibration holds one entry; a grid sweep holds one
+/// per distinct configuration on its memory axis and prices every cell
+/// from it.
+#[derive(Debug)]
+pub(crate) struct DemandMemo {
+    /// Each executed configuration with the suite's demands under it, in
+    /// probe order.
+    pub(crate) entries: Vec<(DbVmConfig, Vec<ResourceDemand>)>,
+}
+
+impl DemandMemo {
+    fn get(&self, cfg: &DbVmConfig) -> Result<&[ResourceDemand], CalError> {
+        self.entries
+            .iter()
+            .find(|(c, _)| c == cfg)
+            .map(|(_, d)| d.as_slice())
+            .ok_or_else(|| CalError::ProbeFailed {
+                probe: "<setup>".to_string(),
+                reason: format!("probes were not executed under {cfg:?}"),
+            })
+    }
+}
+
+/// **Price**: turns one probe's demand into the seconds a VM would have
+/// measured — pure arithmetic on the VM's shares, plus `trials` noisy
+/// draws from the injector with transient faults retried. Returns the
+/// aggregated seconds, or `None` if every trial was lost.
+fn price_probe(
+    vm: &VirtualMachine,
+    demand: &ResourceDemand,
+    probe: &Probe,
+    probe_idx: usize,
+    context: u64,
+    rcfg: &CalibrationConfig,
+    stat: &mut ProbeStat,
+) -> Option<f64> {
+    let mut probe_span = telemetry::span("calibrate.probe");
+    probe_span.set_attr("probe", probe.name);
+    TM_PROBE_RUNS.add(1);
+    let (cpu, seq, rand, writes) = vm.demand_seconds_breakdown(demand);
 
     let Some(injector) = &rcfg.injector else {
         // Clean path: the component sum matches
@@ -253,7 +302,7 @@ fn measure_probe(
         let seconds = cpu + seq + rand + writes;
         telemetry::advance_virtual_secs(seconds);
         TM_PROBE_VIRT_US.record_micros((seconds * 1e6) as u64);
-        return Ok(Some(seconds));
+        return Some(seconds);
     };
 
     let mut samples = Vec::with_capacity(rcfg.trials);
@@ -281,7 +330,7 @@ fn measure_probe(
     probe_span.set_attr("retries", stat.retries);
     if samples.is_empty() {
         probe_span.set_attr("dropped", true);
-        return Ok(None);
+        return None;
     }
     let seconds = aggregate(&mut samples, rcfg.aggregation);
     telemetry::advance_virtual_secs(seconds);
@@ -290,7 +339,7 @@ fn measure_probe(
     } else {
         0
     });
-    Ok(Some(seconds))
+    Some(seconds)
 }
 
 /// The robust fit: solve with condition diagnostics and ridge fallback,
@@ -345,29 +394,49 @@ fn robust_fit(
 }
 
 /// Calibrates `P` for one allocation with explicit robustness knobs,
-/// reusing an existing probe database.
+/// reusing an existing probe database: executes the probe suite under the
+/// allocation's memory configuration, then prices and fits the cell from
+/// that one-entry memo — the same two steps a grid sweep takes.
 pub fn calibrate_with_config(
     pdb: &mut ProbeDb,
     spec: MachineSpec,
     shares: ResourceVector,
     rcfg: &CalibrationConfig,
 ) -> Result<Calibration, CalError> {
+    let probes = build_probes(pdb);
+    let (_, cfg) = vm_and_config(spec, shares)?;
+    let demands = probes
+        .iter()
+        .map(|probe| execute_probe(pdb, probe, &cfg))
+        .collect::<Result<Vec<_>, _>>()?;
+    let memo = DemandMemo {
+        entries: vec![(cfg, demands)],
+    };
+    calibrate_cell(spec, shares, &probes, &memo, rcfg)
+}
+
+/// Prices the memoized demands for one allocation and fits `P` to them.
+/// Never touches the engine; `memo` must hold the allocation's memory
+/// configuration.
+pub(crate) fn calibrate_cell(
+    spec: MachineSpec,
+    shares: ResourceVector,
+    probes: &[Probe],
+    memo: &DemandMemo,
+    rcfg: &CalibrationConfig,
+) -> Result<Calibration, CalError> {
     let mut cell_span = telemetry::span("calibrate.cell");
     cell_span.set_attr("cpu_share", shares.cpu().fraction());
     cell_span.set_attr("mem_share", shares.memory().fraction());
     cell_span.set_attr("disk_share", shares.disk().fraction());
-    let vm = VirtualMachine::new(spec, shares).map_err(|e| CalError::ProbeFailed {
-        probe: "<setup>".to_string(),
-        reason: e.to_string(),
-    })?;
-    let cfg = DbVmConfig::for_vm(&vm);
-    let probes = build_probes(pdb);
+    let (vm, cfg) = vm_and_config(spec, shares)?;
+    let demands = memo.get(&cfg)?;
     let context = share_context(&shares);
 
     let mut design: Vec<Vec<f64>> = Vec::with_capacity(probes.len());
     let mut measured: Vec<f64> = Vec::with_capacity(probes.len());
     let mut stats: Vec<ProbeStat> = Vec::with_capacity(probes.len());
-    for (pi, probe) in probes.iter().enumerate() {
+    for (pi, (probe, demand)) in probes.iter().zip(demands).enumerate() {
         let mut stat = ProbeStat {
             name: probe.name.to_string(),
             trials: 0,
@@ -376,7 +445,7 @@ pub fn calibrate_with_config(
             dropped: false,
             seconds: f64::NAN,
         };
-        match measure_probe(pdb, &vm, &cfg, probe, pi, context, rcfg, &mut stat)? {
+        match price_probe(&vm, demand, probe, pi, context, rcfg, &mut stat) {
             Some(seconds) => {
                 stat.seconds = seconds;
                 design.push(probe.coeffs.to_vec());
@@ -474,16 +543,10 @@ pub fn calibrate_with(
     calibrate_with_config(pdb, spec, shares, &CalibrationConfig::default())
 }
 
-/// Calibrates `P` for one allocation, building a fresh probe database.
+/// Calibrates `P` for one allocation on a private copy of the process-wide
+/// probe database.
 pub fn calibrate(spec: MachineSpec, shares: ResourceVector) -> Result<OptimizerParams, CalError> {
-    let mut pdb = ProbeDb::build().map_err(|e| CalError::ProbeFailed {
-        probe: "<probe-db>".to_string(),
-        reason: e.to_string(),
-    })?;
-    pdb.validate().map_err(|reason| CalError::ProbeFailed {
-        probe: "<probe-db>".to_string(),
-        reason,
-    })?;
+    let mut pdb = ProbeDb::template()?.clone();
     Ok(calibrate_with(&mut pdb, spec, shares)?.params)
 }
 

@@ -27,7 +27,7 @@ impl fmt::Display for IndexId {
 }
 
 /// Catalog entry for a table.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TableMeta {
     /// Table name (unique within the database).
     pub name: String,
@@ -42,7 +42,7 @@ pub struct TableMeta {
 }
 
 /// Catalog entry for an index.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IndexMeta {
     /// Index name.
     pub name: String,
@@ -80,7 +80,8 @@ impl IndexMeta {
 }
 
 /// A database: disk, catalog, heaps, and indexes, all owned together.
-#[derive(Debug, Default)]
+/// `clone` is a deep copy of every page and index node.
+#[derive(Debug, Clone, Default)]
 pub struct Database {
     disk: DiskManager,
     tables: Vec<TableMeta>,

@@ -39,7 +39,7 @@ type LevelEntry = (usize, (Datum, TupleId));
 type InsertSplit = Option<((Datum, TupleId), usize)>;
 
 /// A B+tree index over one column of a heap table.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BPlusTree {
     file: FileId,
     nodes: Vec<Node>,

@@ -44,7 +44,7 @@ pub struct TupleId {
 }
 
 /// The persistent store: every file's pages.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct DiskManager {
     files: Vec<Vec<Page>>,
 }

@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# perf/ is a workspace of its own, so the two commands above never compile
+# it: build the benchmark against this checkout's crates and run its unit
+# tests, so a signature change under crates/ cannot silently break it.
+CARGO_TARGET_DIR=target cargo build --release --offline --manifest-path perf/Cargo.toml
+CARGO_TARGET_DIR=target cargo test -q --release --offline --manifest-path perf/Cargo.toml
+
 # Telemetry smoke gate: the instrumented consolidation scenario must
 # produce a structurally valid snapshot (zero leaked spans, >= 95% root
 # coverage) and both exporter artifacts (see scripts/trace.sh).
