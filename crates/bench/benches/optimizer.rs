@@ -2,7 +2,7 @@
 //! performs by the dozen must be cheap.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dbvirt_optimizer::{plan_query, whatif, OptimizerParams};
+use dbvirt_optimizer::{plan_query, whatif, OptimizerParams, PreparedWorkload};
 use dbvirt_tpch::{TpchConfig, TpchDb, TpchQuery};
 use std::hint::black_box;
 
@@ -28,13 +28,24 @@ fn bench_planner(c: &mut Criterion) {
         });
     });
 
-    // The full what-if workload estimate the search loop calls.
+    // The full what-if workload estimate from scratch: analyse + price.
     let workload: Vec<_> = TpchQuery::all().iter().map(|q| q.plan(&t)).collect();
     c.bench_function("whatif/all_nine_queries", |b| {
         b.iter(|| {
             let secs = whatif::estimate_workload_seconds(&t.db, &workload, &params).unwrap();
             black_box(secs);
         });
+    });
+
+    // Its two halves: what a search pays once per workload...
+    c.bench_function("whatif/analyse_all_nine_queries", |b| {
+        b.iter(|| black_box(PreparedWorkload::analyse(&t.db, &workload).unwrap()));
+    });
+
+    // ...and what it pays per allocation cell.
+    let prepared = PreparedWorkload::analyse(&t.db, &workload).unwrap();
+    c.bench_function("whatif/prepared_all_nine_queries", |b| {
+        b.iter(|| black_box(prepared.estimate_seconds(black_box(&params)).unwrap()));
     });
 }
 

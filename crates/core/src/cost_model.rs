@@ -2,7 +2,6 @@
 
 use crate::{CoreError, DesignProblem};
 use dbvirt_calibrate::CalibrationGrid;
-use dbvirt_optimizer::whatif::estimate_workload_seconds;
 use dbvirt_vmm::ResourceVector;
 
 /// Anything that can price a workload under a candidate allocation.
@@ -28,7 +27,9 @@ pub trait CostModel: Sync {
 
 /// The paper's cost model: look up (or interpolate) the calibrated `P(R)`
 /// and re-optimize the workload under it, summing estimated execution
-/// times. Nothing is executed.
+/// times. Nothing is executed. The model holds no per-workload state: what
+/// can be reused across cells — the workload's `P`-free analysis — lives
+/// with the [`crate::WorkloadSpec`] it is a function of.
 #[derive(Debug)]
 pub struct CalibratedCostModel<'g> {
     grid: &'g CalibrationGrid,
@@ -54,8 +55,7 @@ impl CostModel for CalibratedCostModel<'_> {
         shares: ResourceVector,
     ) -> Result<f64, CoreError> {
         let params = self.grid.params_for(shares)?;
-        let w = &problem.workloads[w_idx];
-        Ok(estimate_workload_seconds(w.db, &w.queries, &params)?)
+        Ok(problem.workloads[w_idx].estimate_seconds(&params)?)
     }
 }
 

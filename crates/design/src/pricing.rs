@@ -25,10 +25,10 @@ use crate::DesignError;
 use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_core::search::CostCache;
 use dbvirt_engine::Database;
-use dbvirt_optimizer::{plan_query_with_indexes, HypoIndex, LogicalPlan};
+use dbvirt_optimizer::{HypoIndex, LogicalPlan, OptError, PreparedQuery};
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::ResourceVector;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// What-if prices answered from the shared cache.
 static TM_CACHE_HITS: telemetry::Counter = telemetry::Counter::new("design.cache_hits");
@@ -85,6 +85,11 @@ pub struct VmPricer<'a> {
     pub menus: Vec<ConfigMenu>,
     /// Global query-index base for cache keys.
     pub offset: usize,
+    /// `prepared[q][k]`: query `q` analysed with config `k` offered as
+    /// hypothetical indexes, filled by the first price of the pair — every
+    /// further cell only prices it. A pure function of the pair, so the
+    /// serial and pre-warmed tables stay identical.
+    prepared: Vec<Vec<OnceLock<Result<PreparedQuery, OptError>>>>,
 }
 
 impl<'a> VmPricer<'a> {
@@ -96,13 +101,36 @@ impl<'a> VmPricer<'a> {
         offset: usize,
     ) -> VmPricer<'a> {
         let menus = config_menus(&cands);
+        let prepared = menus
+            .iter()
+            .map(|menu| menu.configs.iter().map(|_| OnceLock::new()).collect())
+            .collect();
         VmPricer {
             db,
             queries,
             cands,
             menus,
             offset,
+            prepared,
         }
+    }
+
+    /// Query `q` analysed with exactly config `config`'s candidates offered
+    /// as hypothetical indexes.
+    fn prepared(&self, q: usize, config: usize) -> Result<&PreparedQuery, OptError> {
+        self.prepared[q][config]
+            .get_or_init(|| {
+                let hypo: Vec<HypoIndex> = self.menus[q].configs[config]
+                    .iter()
+                    .map(|&c| HypoIndex {
+                        table: self.cands.candidates[c].table,
+                        columns: self.cands.candidates[c].columns.clone(),
+                    })
+                    .collect();
+                PreparedQuery::analyse(self.db, &self.queries[q], &hypo)
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 }
 
@@ -172,15 +200,8 @@ impl<'g> DesignPricer<'g> {
         }
         TM_WHATIF_CALLS.add(1);
         let params = self.grid.params_for(self.shares(cpu, mem)?)?;
-        let hypo: Vec<HypoIndex> = vm.menus[q].configs[config]
-            .iter()
-            .map(|&c| HypoIndex {
-                table: vm.cands.candidates[c].table,
-                columns: vm.cands.candidates[c].columns.clone(),
-            })
-            .collect();
-        let planned = plan_query_with_indexes(vm.db, &vm.queries[q], &params, &hypo)?;
-        let cost = planned.est_seconds(&params);
+        params.validate()?;
+        let cost = vm.prepared(q, config)?.est_seconds(&params)?;
         self.cache.insert(key, cost);
         Ok(cost)
     }
@@ -339,6 +360,50 @@ mod tests {
         // use the empty config.
         assert_eq!(pricer.workload_cost(&vm, 1, 2, 1).unwrap(), indexed);
         assert_eq!(pricer.workload_cost(&vm, 0, 2, 1).unwrap(), empty);
+    }
+
+    /// Every `(config, cell)` the pricer answers from a config analysed
+    /// once equals planning the query afresh with that config's indexes
+    /// under that cell's `P(R)`.
+    #[test]
+    fn prices_equal_fresh_what_if_planning_bit_for_bit() {
+        use dbvirt_optimizer::{plan_query_with_indexes, HypoIndex};
+        let (db, mut queries) = fixture();
+        let t = db.table_id("t").unwrap();
+        queries.push(LogicalPlan::scan_filtered(
+            t,
+            Expr::and(
+                Expr::eq(Expr::col(1), Expr::int(7)),
+                Expr::lt(Expr::col(0), Expr::int(4_000)),
+            ),
+        ));
+        let grid = grid();
+        let cands = enumerate_candidates(&db, &queries, 16);
+        let vm = VmPricer::new(&db, &queries, cands, 0);
+        let pricer = DesignPricer::new(&grid, 4, 0.5);
+        let mut priced = 0;
+        for (q, query) in queries.iter().enumerate() {
+            assert!(vm.menus[q].configs.len() > 1, "query {q} has no candidate");
+            for (k, config) in vm.menus[q].configs.iter().enumerate() {
+                let hypo: Vec<HypoIndex> = config
+                    .iter()
+                    .map(|&c| HypoIndex {
+                        table: vm.cands.candidates[c].table,
+                        columns: vm.cands.candidates[c].columns.clone(),
+                    })
+                    .collect();
+                for (cpu, mem) in [(1, 1), (2, 1), (1, 3), (3, 3)] {
+                    let params = grid.params_for(pricer.shares(cpu, mem).unwrap()).unwrap();
+                    let fresh = plan_query_with_indexes(&db, query, &params, &hypo)
+                        .unwrap()
+                        .est_seconds(&params);
+                    let got = pricer.price(&vm, q, k, cpu, mem).unwrap();
+                    assert_eq!(got.to_bits(), fresh.to_bits(), "q{q} config {k} cell ({cpu},{mem})");
+                    priced += 1;
+                }
+            }
+        }
+        assert_eq!(pricer.evaluations(), priced);
     }
 
     #[test]

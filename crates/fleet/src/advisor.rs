@@ -28,7 +28,7 @@
 //! single-machine cache contract.
 
 use crate::placement::build;
-use crate::solver::{evaluate_cell, FleetSolver};
+use crate::solver::{cell_problem, evaluate_cell, FleetSolver};
 use crate::{
     greedy, local_search, lp, CurrentPlacement, FleetConfig, FleetCostCache, FleetError,
     FleetProblem, LocalSearchStats, LpBound, MachineClasses, Placement, RebalanceDelta,
@@ -304,19 +304,16 @@ impl<'m> FleetAdvisor<'m> {
         span.set_attr("workers", workers);
 
         let warm_task = |&(class, vm): &(usize, usize)| -> Result<(), FleetError> {
+            // One problem per task, built when its first cold cell turns up.
+            let mut dp = None;
             for c in lo..=rect_hi {
                 for mu in lo..=rect_hi {
                     if self.cache.get(class, vm, c, mu).is_none() {
-                        let cost = evaluate_cell(
-                            &self.classes,
-                            &self.models,
-                            problem,
-                            self.config,
-                            class,
-                            vm,
-                            c,
-                            mu,
-                        )?;
+                        let dp = match &dp {
+                            Some(dp) => dp,
+                            None => dp.insert(cell_problem(&self.classes, problem, class, vm)?),
+                        };
+                        let cost = evaluate_cell(self.models[class], dp, self.config, c, mu)?;
                         self.cache.insert(class, vm, c, mu, cost);
                     }
                 }

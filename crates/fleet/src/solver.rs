@@ -14,7 +14,7 @@ use dbvirt_core::search::{run_search_cached, SearchAlgorithm, SearchConfig};
 use dbvirt_core::{CostModel, DesignProblem, WorkloadSpec};
 use dbvirt_vmm::ResourceVector;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// The outcome of solving one machine's share split for a VM subset.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,6 +45,9 @@ pub(crate) struct FleetSolver<'s, 'a> {
     rect_hi: u32,
     cache: &'s FleetCostCache,
     snapshots: Vec<ClassSnapshot>,
+    /// The single-VM problem of each `(class, vm)` a cell lookup missed
+    /// for, built on the pair's first miss.
+    cell_problems: RefCell<HashMap<(usize, usize), DesignProblem<'a>>>,
     memo: RefCell<HashMap<(usize, Vec<usize>), MachineSolve>>,
     solves: Cell<usize>,
     memo_hits: Cell<usize>,
@@ -75,6 +78,7 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
             rect_hi,
             cache,
             snapshots,
+            cell_problems: RefCell::new(HashMap::new()),
             memo: RefCell::new(HashMap::new()),
             solves: Cell::new(0),
             memo_hits: Cell::new(0),
@@ -99,16 +103,12 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
         if let Some(cost) = self.cache.get(class, vm, cpu, mem) {
             return Ok(cost);
         }
-        let cost = evaluate_cell(
-            self.classes,
-            self.models,
-            self.problem,
-            self.cfg,
-            class,
-            vm,
-            cpu,
-            mem,
-        )?;
+        let mut problems = self.cell_problems.borrow_mut();
+        let dp = match problems.entry((class, vm)) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(cell_problem(self.classes, self.problem, class, vm)?),
+        };
+        let cost = evaluate_cell(self.models[class], dp, self.cfg, cpu, mem)?;
         self.cache.insert(class, vm, cpu, mem, cost);
         Ok(cost)
     }
@@ -202,32 +202,39 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
     }
 }
 
-/// Evaluates one `(class, vm, cell)` what-if cost directly against the
-/// class's cost model, via a single-workload [`DesignProblem`]. Used by
-/// the pre-warm sweep and by [`FleetSolver::cell_cost`] misses; both paths
-/// produce bitwise-identical values because the model is a pure function
-/// of `(machine spec, workload, shares)`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_cell(
+/// The single-workload [`DesignProblem`] that prices VM `vm` alone on a
+/// machine of class `class`. Build it once per `(class, vm)` and evaluate
+/// every cell against it: the workload's analysis is cached inside.
+pub(crate) fn cell_problem<'a>(
     classes: &MachineClasses,
-    models: &[&dyn CostModel],
-    problem: &FleetProblem<'_>,
-    cfg: FleetConfig,
+    problem: &FleetProblem<'a>,
     class: usize,
     vm: usize,
+) -> Result<DesignProblem<'a>, FleetError> {
+    let spec = &problem.vms[vm];
+    Ok(DesignProblem::new(
+        classes.specs[class],
+        vec![WorkloadSpec::new(spec.name.clone(), spec.db, spec.queries.clone())],
+    )?)
+}
+
+/// Evaluates one `(class, vm, cell)` what-if cost directly against the
+/// class's cost model, via the pair's [`cell_problem`]. Used by the
+/// pre-warm sweep and by [`FleetSolver::cell_cost`] misses; both paths
+/// produce bitwise-identical values because the model is a pure function
+/// of `(machine spec, workload, shares)`.
+pub(crate) fn evaluate_cell(
+    model: &dyn CostModel,
+    cell_problem: &DesignProblem<'_>,
+    cfg: FleetConfig,
     cpu: u32,
     mem: u32,
 ) -> Result<f64, FleetError> {
-    let spec = &problem.vms[vm];
-    let dp = DesignProblem::new(
-        classes.specs[class],
-        vec![WorkloadSpec::new(spec.name.clone(), spec.db, spec.queries.clone())],
-    )?;
     let units = cfg.units as f64;
     let shares = ResourceVector::from_fractions(
         cpu as f64 / units,
         mem as f64 / units,
         cfg.disk_share,
     )?;
-    Ok(models[class].cost(&dp, 0, shares)?)
+    Ok(model.cost(cell_problem, 0, shares)?)
 }

@@ -74,7 +74,7 @@ pub fn prefix_range_selectivity(stats: &TableStats, col: usize, prefix: &str) ->
 
 /// Extracts `(column, op, literal)` from a comparison, normalizing
 /// `literal op column` to `column op' literal`.
-fn as_col_cmp(expr: &Expr) -> Option<(usize, CmpOp, &Datum)> {
+pub(crate) fn as_col_cmp(expr: &Expr) -> Option<(usize, CmpOp, &Datum)> {
     let Expr::Cmp { op, lhs, rhs } = expr else {
         return None;
     };
@@ -130,8 +130,8 @@ fn default_for_op(op: CmpOp) -> f64 {
     }
 }
 
-/// Splits a conjunction into conjuncts.
-fn split_and<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
+/// Splits a conjunction into its top-level conjuncts.
+pub(crate) fn split_and<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
     match expr {
         Expr::And(l, r) => {
             split_and(l, out);
@@ -147,34 +147,28 @@ fn split_and<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
 /// `addRangeClause` behaviour, without which `lo <= x AND x < hi` badly
 /// overestimates narrow windows (e.g. TPC-H date ranges).
 fn conjunction_selectivity(conjuncts: &[&Expr], stats: &TableStats) -> f64 {
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     // Per column: tightest lower bound, tightest upper bound (as
-    // fraction_below positions).
+    // fraction_below positions). Ordered by column: the factors below are
+    // multiplied in map order, and a float product depends on its order.
     struct Range {
         lo: Option<f64>,
         hi: Option<f64>,
-        count: usize,
     }
-    let mut ranges: HashMap<usize, Range> = HashMap::new();
+    let mut ranges: BTreeMap<usize, Range> = BTreeMap::new();
     let mut sel = 1.0;
     for c in conjuncts {
         if let Some((col, op, lit)) = as_col_cmp(c) {
             if let Some(h) = stats.columns.get(col).and_then(|cs| cs.histogram.as_ref()) {
                 let below = h.fraction_below(lit);
-                let entry = ranges.entry(col).or_insert(Range {
-                    lo: None,
-                    hi: None,
-                    count: 0,
-                });
+                let entry = ranges.entry(col).or_insert(Range { lo: None, hi: None });
                 match op {
                     CmpOp::Gt | CmpOp::Ge => {
                         entry.lo = Some(entry.lo.map_or(below, |x: f64| x.max(below)));
-                        entry.count += 1;
                         continue;
                     }
                     CmpOp::Lt | CmpOp::Le => {
                         entry.hi = Some(entry.hi.map_or(below, |x: f64| x.min(below)));
-                        entry.count += 1;
                         continue;
                     }
                     _ => {}
@@ -194,6 +188,17 @@ fn conjunction_selectivity(conjuncts: &[&Expr], stats: &TableStats) -> f64 {
         sel *= clamp01(combined * nonnull);
     }
     clamp01(sel)
+}
+
+/// [`filter_selectivity`] of the conjunction of `terms`, none of which is
+/// itself an `AND` — what `Expr::and_all(terms)` would estimate to, without
+/// building it.
+pub(crate) fn conjuncts_selectivity(terms: &[&Expr], stats: &TableStats) -> f64 {
+    match terms {
+        [] => 1.0,
+        [term] => filter_selectivity(term, stats),
+        _ => conjunction_selectivity(terms, stats),
+    }
 }
 
 /// Estimated selectivity of `expr` as a filter over a base table with
@@ -309,10 +314,15 @@ pub fn join_output_rows(
 /// NDVs, clamped to the input row count (PostgreSQL's
 /// `estimate_num_groups` without correlation knowledge).
 pub fn num_groups(input_rows: f64, ndvs: &[f64]) -> f64 {
-    if ndvs.is_empty() {
+    num_groups_of(input_rows, ndvs.iter().copied())
+}
+
+/// [`num_groups`] over NDVs produced on the fly.
+pub(crate) fn num_groups_of(input_rows: f64, ndvs: impl ExactSizeIterator<Item = f64>) -> f64 {
+    if ndvs.len() == 0 {
         return 1.0;
     }
-    let product: f64 = ndvs.iter().map(|&n| n.max(1.0)).product();
+    let product: f64 = ndvs.map(|n| n.max(1.0)).product();
     product.min(input_rows.max(1.0))
 }
 
@@ -364,6 +374,43 @@ mod tests {
         );
         let sel = filter_selectivity(&e, &s);
         assert!((sel - 0.05).abs() < 0.02, "got {sel}");
+    }
+
+    /// Four ranged columns: the per-column factors multiply in ascending
+    /// column order, every time — not in a hash map's per-instance order,
+    /// which used to move the product's last bits between calls.
+    #[test]
+    fn conjunction_multiplies_ranged_columns_in_column_order() {
+        let moduli = [997, 1009, 499, 251];
+        let tuples: Vec<Tuple> = (0..4000i64)
+            .map(|i| Tuple::new(moduli.iter().map(|m| Datum::Int(i * 7 % m)).collect()))
+            .collect();
+        let s = stats::analyze(tuples.iter(), 4, 40);
+        // Written in descending column order, so no map order is the
+        // textual one by accident.
+        let bounds = [(3, 17, 201), (2, 33, 411), (1, 101, 876), (0, 58, 930)];
+        let e = Expr::and_all(
+            bounds
+                .iter()
+                .flat_map(|&(c, lo, hi)| {
+                    [
+                        Expr::ge(Expr::col(c), Expr::int(lo)),
+                        Expr::lt(Expr::col(c), Expr::int(hi)),
+                    ]
+                })
+                .collect(),
+        );
+        let mut expected = 1.0;
+        for &(c, lo, hi) in bounds.iter().rev() {
+            let h = s.columns[c].histogram.as_ref().unwrap();
+            let width = h.fraction_below(&Datum::Int(hi)) - h.fraction_below(&Datum::Int(lo));
+            expected *= clamp01(clamp01(width) * (1.0 - s.columns[c].null_frac));
+        }
+        let expected = clamp01(expected);
+        assert!(expected > 0.0 && expected < 1.0);
+        for _ in 0..1000 {
+            assert_eq!(filter_selectivity(&e, &s).to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

@@ -23,10 +23,12 @@
 //! * [`planner`] — access-path selection, Selinger-style dynamic-
 //!   programming join ordering for inner-join chains, and physical
 //!   operator choice, producing the same [`dbvirt_engine::PhysicalPlan`]s
-//!   the executor runs;
+//!   the executor runs — in three stages split where `P` enters: analyse
+//!   (once per query, [`PreparedQuery`]), price (per `P`, numbers only),
+//!   materialise (once, for callers that execute);
 //! * [`whatif`] — `estimate_workload_seconds(db, workload, P)`: the
 //!   function the virtualization design problem's `Cost(W, R)` is built
-//!   from.
+//!   from, and [`PreparedWorkload`], its analysed-once form.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,5 +44,5 @@ pub mod whatif;
 pub use error::OptError;
 pub use logical::{JoinCondition, LogicalPlan};
 pub use params::OptimizerParams;
-pub use planner::{plan_query, plan_query_with_indexes, HypoIndex, PlannedQuery};
-pub use whatif::{estimate_query_seconds, estimate_workload_seconds};
+pub use planner::{plan_query, plan_query_with_indexes, HypoIndex, PlannedQuery, PreparedQuery};
+pub use whatif::{estimate_query_seconds, estimate_workload_seconds, PreparedWorkload};

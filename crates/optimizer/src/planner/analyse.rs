@@ -1,0 +1,421 @@
+//! **Analyse**: `(catalog + statistics, logical plan, hypothetical indexes)`
+//! → a [`PreparedQuery`], everything about the query that does not depend on
+//! the parameter vector `P`.
+//!
+//! The paper's what-if mode rests on one observation: when the resource
+//! allocation changes, only `P` changes — "access paths and statistics stay
+//! fixed". Everything computed here is therefore computed once per query
+//! and reused for every `P(R)` the search prices:
+//!
+//! | fixed by `(db, query, hypo)` — kept here | decided per `P` — [`super::price`] |
+//! |---|---|
+//! | filter and index-range selectivities, base rows, scan output rows | which access path wins |
+//! | page counts, tuple widths, the query's cache working set | whether a seq scan pays page I/O (cache cutoff) |
+//! | index menus, B+tree geometry, key bounds, residual operator counts | the join order — and through it every intermediate row count and width sum |
+//! | join relations, edges, per-column NDVs | whether the restoring projection is needed |
+//! | operator counts of filters, projections, aggregates | hash vs sort aggregation; sort and hash-join spills |
+
+use super::access::{self, PathKind, Residual};
+use super::HypoIndex;
+use crate::cost::ArmStats;
+use crate::{card, LogicalPlan, OptError};
+use dbvirt_engine::{Database, Expr, JoinType, TableId};
+use dbvirt_storage::{TableStats, PAGE_SIZE};
+
+/// A query analysed once, ready to be priced under any number of parameter
+/// vectors: per scan the sequential-scan operands and every index
+/// candidate's geometry, selectivity and residual-operator count; per
+/// inner-join tree the relations, edges and per-column NDVs; per
+/// aggregate/filter/project/sort their operator counts and fixed widths.
+/// Owned and `P`-free — a pure function of `(db, query, hypothetical
+/// indexes)`, so it can be cached wherever the query lives and shared
+/// across threads.
+#[derive(Debug, Clone)]
+pub struct PreparedQuery {
+    pub(super) root: Node,
+}
+
+/// NDV of a column feeding a join or grouping: the base column's
+/// `n_distinct` (floored at 1) when provenance and statistics reach it,
+/// `None` when they do not — pricing then assumes the column distinct and
+/// substitutes its input's row estimate, which only it knows.
+pub(super) type Ndv = Option<f64>;
+
+/// One logical operator with its `P`-free costing operands.
+#[derive(Debug, Clone)]
+pub(super) enum Node {
+    Scan(Scan),
+    /// A maximal tree of inner equi-joins, flattened for join ordering.
+    InnerJoins(JoinTree),
+    /// A left/semi/anti join: an ordering barrier, always a hash join, with
+    /// the `(left, right)` NDVs of each condition.
+    OuterJoin(Box<Node>, Box<Node>, Vec<(Ndv, Ndv)>, JoinType),
+    /// A single-input operator over its input.
+    Unary(Box<Node>, Op),
+}
+
+#[derive(Debug, Clone)]
+pub(super) enum Op {
+    /// Grouping-column NDVs, aggregate count, operators in their arguments.
+    Aggregate {
+        group_by: Vec<Ndv>,
+        n_aggs: f64,
+        arg_ops: f64,
+    },
+    Filter {
+        selectivity: f64,
+        ops: f64,
+    },
+    /// Operators in the expressions, and how many expressions.
+    Project {
+        ops: f64,
+        arity: usize,
+    },
+    Sort,
+    Limit(f64),
+}
+
+/// A base-table scan: the sequential scan's operands plus one entry per
+/// index access path, in comparison order.
+#[derive(Debug, Clone)]
+pub(super) struct Scan {
+    pub pages: f64,
+    pub rows: f64,
+    pub width: f64,
+    pub out_rows: f64,
+    pub filter_ops: f64,
+    /// Summed heap pages of every distinct base table the whole query
+    /// touches.
+    pub working_set_pages: f64,
+    pub paths: Vec<PathCost>,
+}
+
+/// The costing operands of one [`access::AccessPath`].
+#[derive(Debug, Clone)]
+pub(super) struct PathCost {
+    pub kind: PathKind,
+    /// Geometry and selectivity of each index range the path probes.
+    pub arms: Vec<ArmStats>,
+    pub combined: f64,
+    pub residual_ops: f64,
+}
+
+/// A flattened inner-join tree: leaf relations in logical (left-to-right)
+/// order and the equi-join edges between them.
+#[derive(Debug, Clone)]
+pub(super) struct JoinTree {
+    pub relations: Vec<Node>,
+    /// `offsets[i]..offsets[i + 1]` are relation `i`'s columns in the
+    /// tree's logical output.
+    pub offsets: Vec<usize>,
+    pub edges: Vec<JoinEdge>,
+}
+
+/// One equi-join condition between two relations of a [`JoinTree`].
+#[derive(Debug, Clone, Copy)]
+pub(super) struct JoinEdge {
+    pub left_rel: usize,
+    pub right_rel: usize,
+    pub left_ndv: Ndv,
+    pub right_ndv: Ndv,
+    /// The joined columns, as positions in the tree's logical output.
+    pub left_col: usize,
+    pub right_col: usize,
+}
+
+/// Provenance of each output column of a node: `(table, column)` for base
+/// columns, `None` for derived values. Needed only while analysing.
+type Origins = Vec<Option<(TableId, usize)>>;
+
+/// Statistics with no columns: every estimator falls back to its PostgreSQL
+/// default constant. Used for predicates over derived schemas.
+fn empty_stats() -> TableStats {
+    TableStats {
+        n_rows: 0,
+        n_pages: 0,
+        columns: Vec::new(),
+    }
+}
+
+pub(super) fn table_stats(db: &Database, table: TableId) -> Result<&TableStats, OptError> {
+    db.table(table)
+        .stats
+        .as_ref()
+        .ok_or_else(|| OptError::MissingStats {
+            table: db.table(table).name.clone(),
+        })
+}
+
+/// Summed heap pages of every distinct base table a plan touches — the
+/// query's steady-state cache working set.
+fn working_set_pages(db: &Database, plan: &LogicalPlan, seen: &mut Vec<TableId>) -> f64 {
+    match plan {
+        LogicalPlan::Scan { table, .. } => {
+            if seen.contains(table) {
+                0.0
+            } else {
+                seen.push(*table);
+                db.table(*table)
+                    .stats
+                    .as_ref()
+                    .map_or(0.0, |s| s.n_pages as f64)
+            }
+        }
+        LogicalPlan::Join { left, right, .. } => {
+            working_set_pages(db, left, seen) + working_set_pages(db, right, seen)
+        }
+        LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => working_set_pages(db, input, seen),
+    }
+}
+
+/// The leaf relations of an inner-join tree, in logical order.
+pub(super) fn join_leaves<'p>(plan: &'p LogicalPlan, out: &mut Vec<&'p LogicalPlan>) {
+    match plan {
+        LogicalPlan::Join {
+            left,
+            right,
+            join_type: JoinType::Inner,
+            ..
+        } => {
+            join_leaves(left, out);
+            join_leaves(right, out);
+        }
+        leaf => out.push(leaf),
+    }
+}
+
+struct Analyser<'a> {
+    db: &'a Database,
+    hypo: &'a [HypoIndex],
+    working_set_pages: f64,
+}
+
+impl Analyser<'_> {
+    /// NDV of output column `col` of a node with provenance `origins`.
+    fn ndv(&self, origins: &Origins, col: usize) -> Ndv {
+        let (table, base_col) = origins.get(col).copied().flatten()?;
+        let stats = self.db.table(table).stats.as_ref()?;
+        Some((stats.columns.get(base_col)?.n_distinct as f64).max(1.0))
+    }
+
+    fn scan(&self, table: TableId, filter: &Option<Expr>) -> Result<(Node, Origins), OptError> {
+        let stats = table_stats(self.db, table)?;
+        let pages = stats.n_pages as f64;
+        let rows = stats.n_rows as f64;
+        let width = if rows > 0.0 {
+            (pages * PAGE_SIZE as f64 / rows).clamp(8.0, 512.0)
+        } else {
+            64.0
+        };
+        let sel = filter
+            .as_ref()
+            .map_or(1.0, |f| card::filter_selectivity(f, stats));
+        let filter_ops = filter.as_ref().map_or(0.0, |f| f.num_operators() as f64);
+
+        let candidates = filter.as_ref().map_or(Vec::new(), |filter| {
+            access::access_paths(self.db, self.hypo, table, stats, filter)
+        });
+        let paths = candidates
+            .into_iter()
+            .map(|path| PathCost {
+                kind: path.kind,
+                arms: path.probes.iter().map(|probe| probe.stats).collect(),
+                combined: path.combined,
+                residual_ops: match path.residual {
+                    Residual::Terms(terms) => terms.iter().map(|e| e.num_operators() as f64).sum(),
+                    Residual::WholeFilter => filter_ops,
+                },
+            })
+            .collect();
+        let arity = self.db.table(table).schema.len();
+        Ok((
+            Node::Scan(Scan {
+                pages,
+                rows,
+                width,
+                out_rows: (rows * sel).max(0.0),
+                filter_ops,
+                working_set_pages: self.working_set_pages,
+                paths,
+            }),
+            (0..arity).map(|c| Some((table, c))).collect(),
+        ))
+    }
+
+    /// Flattens a tree of inner equi-joins into leaf relations plus edges
+    /// (as column pairs in the tree's logical output). Non-inner joins and
+    /// non-join nodes become opaque leaves. Returns the subtree's arity.
+    fn flatten(
+        &self,
+        plan: &LogicalPlan,
+        tree: &mut JoinTree,
+        origins: &mut Origins,
+        edges: &mut Vec<(usize, usize)>,
+    ) -> Result<usize, OptError> {
+        let offset = origins.len();
+        match plan {
+            LogicalPlan::Join {
+                left,
+                right,
+                on,
+                join_type: JoinType::Inner,
+            } => {
+                let left_width = self.flatten(left, tree, origins, edges)?;
+                let right_width = self.flatten(right, tree, origins, edges)?;
+                for c in on {
+                    edges.push((offset + c.left_col, offset + left_width + c.right_col));
+                }
+                Ok(left_width + right_width)
+            }
+            leaf => {
+                let (node, leaf_origins) = self.node(leaf)?;
+                tree.relations.push(node);
+                origins.extend(leaf_origins);
+                tree.offsets.push(origins.len());
+                Ok(origins.len() - offset)
+            }
+        }
+    }
+
+    fn inner_joins(&self, plan: &LogicalPlan) -> Result<(Node, Origins), OptError> {
+        let mut tree = JoinTree {
+            relations: Vec::new(),
+            offsets: vec![0],
+            edges: Vec::new(),
+        };
+        let mut origins = Origins::new();
+        let mut edges = Vec::new();
+        self.flatten(plan, &mut tree, &mut origins, &mut edges)?;
+        let relation_of = |col: usize| tree.offsets.partition_point(|&o| o <= col) - 1;
+        tree.edges = edges
+            .into_iter()
+            // A condition on a column no relation has can never connect two.
+            .filter(|&(left_col, right_col)| left_col.max(right_col) < origins.len())
+            .map(|(left_col, right_col)| JoinEdge {
+                left_rel: relation_of(left_col),
+                right_rel: relation_of(right_col),
+                left_ndv: self.ndv(&origins, left_col),
+                right_ndv: self.ndv(&origins, right_col),
+                left_col,
+                right_col,
+            })
+            .collect();
+        Ok((Node::InnerJoins(tree), origins))
+    }
+
+    fn node(&self, plan: &LogicalPlan) -> Result<(Node, Origins), OptError> {
+        match plan {
+            LogicalPlan::Scan { table, filter } => self.scan(*table, filter),
+            LogicalPlan::Join {
+                join_type: JoinType::Inner,
+                ..
+            } => self.inner_joins(plan),
+            LogicalPlan::Join {
+                left,
+                right,
+                on,
+                join_type,
+            } => {
+                if on.is_empty() {
+                    return Err(OptError::BadPlan {
+                        reason: "join without conditions".to_string(),
+                    });
+                }
+                let (left, mut origins) = self.node(left)?;
+                let (right, right_origins) = self.node(right)?;
+                let on = on
+                    .iter()
+                    .map(|c| {
+                        (
+                            self.ndv(&origins, c.left_col),
+                            self.ndv(&right_origins, c.right_col),
+                        )
+                    })
+                    .collect();
+                if join_type.emits_right() {
+                    origins.extend(right_origins);
+                }
+                let node = Node::OuterJoin(Box::new(left), Box::new(right), on, *join_type);
+                Ok((node, origins))
+            }
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => {
+                let (input, child_origins) = self.node(input)?;
+                let mut origins: Origins = group_by
+                    .iter()
+                    .map(|&c| child_origins.get(c).copied().flatten())
+                    .collect();
+                origins.extend(std::iter::repeat_n(None, aggs.len()));
+                let op = Op::Aggregate {
+                    group_by: group_by
+                        .iter()
+                        .map(|&c| self.ndv(&child_origins, c))
+                        .collect(),
+                    n_aggs: aggs.len() as f64,
+                    arg_ops: aggs
+                        .iter()
+                        .map(|a| a.arg.as_ref().map_or(0.0, |e| e.num_operators() as f64))
+                        .sum(),
+                };
+                Ok((Node::Unary(Box::new(input), op), origins))
+            }
+            LogicalPlan::Project { input, exprs } => {
+                let (input, child_origins) = self.node(input)?;
+                let origins = exprs
+                    .iter()
+                    .map(|(e, _)| match e {
+                        Expr::Column(c) => child_origins.get(*c).copied().flatten(),
+                        _ => None,
+                    })
+                    .collect();
+                let op = Op::Project {
+                    ops: exprs.iter().map(|(e, _)| e.num_operators() as f64).sum(),
+                    arity: exprs.len(),
+                };
+                Ok((Node::Unary(Box::new(input), op), origins))
+            }
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => {
+                let (input, origins) = self.node(input)?;
+                let op = match plan {
+                    LogicalPlan::Filter { predicate, .. } => Op::Filter {
+                        selectivity: card::filter_selectivity(predicate, &empty_stats()),
+                        ops: predicate.num_operators() as f64,
+                    },
+                    LogicalPlan::Limit { limit, .. } => Op::Limit(*limit as f64),
+                    _ => Op::Sort,
+                };
+                Ok((Node::Unary(Box::new(input), op), origins))
+            }
+        }
+    }
+}
+
+impl PreparedQuery {
+    /// Analyses `plan` against `db`'s catalog and statistics, offering
+    /// `hypo` as hypothetical indexes beside the real ones (ids numbered
+    /// past the catalog, in declaration order). Touches no data and no
+    /// parameter vector.
+    pub fn analyse(
+        db: &Database,
+        plan: &LogicalPlan,
+        hypo: &[HypoIndex],
+    ) -> Result<PreparedQuery, OptError> {
+        let analyser = Analyser {
+            db,
+            hypo,
+            working_set_pages: working_set_pages(db, plan, &mut Vec::new()),
+        };
+        Ok(PreparedQuery {
+            root: analyser.node(plan)?.0,
+        })
+    }
+}

@@ -5,9 +5,9 @@
 //! `R_i`, re-optimize every query of the workload under that `P` (access
 //! paths and statistics unchanged, nothing executed), and sum the
 //! estimated execution times. This module is that operation, as a small
-//! API over the planner.
+//! API over the planner's analyse and price stages — no plan is built.
 
-use crate::{plan_query, LogicalPlan, OptError, OptimizerParams};
+use crate::{LogicalPlan, OptError, OptimizerParams, PreparedQuery};
 use dbvirt_engine::Database;
 
 /// Estimated execution time of one query under `params`, in seconds.
@@ -19,8 +19,9 @@ pub fn estimate_query_seconds(
     query: &LogicalPlan,
     params: &OptimizerParams,
 ) -> Result<f64, OptError> {
-    let planned = plan_query(db, query, params)?;
-    Ok(planned.est_seconds(params))
+    params.validate()?;
+    let prepared = PreparedQuery::analyse(db, query, &[])?;
+    Ok(params.units_to_seconds(prepared.cost_units_unchecked(params)))
 }
 
 /// Estimated execution time of a whole workload (a sequence of queries)
@@ -31,10 +32,42 @@ pub fn estimate_workload_seconds(
     workload: &[LogicalPlan],
     params: &OptimizerParams,
 ) -> Result<f64, OptError> {
-    workload
-        .iter()
-        .map(|q| estimate_query_seconds(db, q, params))
-        .sum()
+    params.validate()?;
+    Ok(PreparedWorkload::analyse(db, workload)?.sum_seconds(params))
+}
+
+/// A workload analysed once (see [`PreparedQuery`]): what a design search
+/// keeps per workload so that each candidate allocation costs one pricing
+/// pass — `P(R)` in, seconds out — instead of a re-optimization.
+#[derive(Debug, Clone)]
+pub struct PreparedWorkload {
+    queries: Vec<PreparedQuery>,
+}
+
+impl PreparedWorkload {
+    /// Analyses every query of `workload` against `db`, in order.
+    pub fn analyse(db: &Database, workload: &[LogicalPlan]) -> Result<PreparedWorkload, OptError> {
+        let queries = workload
+            .iter()
+            .map(|q| PreparedQuery::analyse(db, q, &[]))
+            .collect::<Result<_, _>>()?;
+        Ok(PreparedWorkload { queries })
+    }
+
+    /// [`estimate_workload_seconds`] of the analysed workload under
+    /// `params`, bit for bit.
+    pub fn estimate_seconds(&self, params: &OptimizerParams) -> Result<f64, OptError> {
+        params.validate()?;
+        Ok(self.sum_seconds(params))
+    }
+
+    /// The per-query estimates under validated `params`, summed in order.
+    fn sum_seconds(&self, params: &OptimizerParams) -> f64 {
+        self.queries
+            .iter()
+            .map(|q| params.units_to_seconds(q.cost_units_unchecked(params)))
+            .sum()
+    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,14 @@ cargo test -q
 CARGO_TARGET_DIR=target cargo build --release --offline --manifest-path perf/Cargo.toml
 CARGO_TARGET_DIR=target cargo test -q --release --offline --manifest-path perf/Cargo.toml
 
+# ...and run each of its workloads once, briefly, the way the benchmark
+# driver does: a failed correctness check, a panic, or a round that does not
+# reproduce round 0's fingerprints makes the run exit non-zero (~30 s in
+# all; the JSON results land in the ignored perf/out/).
+for workload in cold_advise whatif_sweep fleet_place control_loop joint_design; do
+  perf/run.sh --workload "$workload" --seconds 1 --trace 0 > /dev/null
+done
+
 # Telemetry smoke gate: the instrumented consolidation scenario must
 # produce a structurally valid snapshot (zero leaked spans, >= 95% root
 # coverage) and both exporter artifacts (see scripts/trace.sh).

@@ -255,4 +255,103 @@ proptest! {
         prop_assert_eq!(&got_small, &expect);
         prop_assert_eq!(&got_large, &expect);
     }
+
+    /// Whatever the parameter vector makes the planner choose — seq scan,
+    /// single or composite index scan, index intersection or union, either
+    /// join order with or without the restoring projection — the plan it
+    /// materialises returns the reference rows in the logical column order.
+    #[test]
+    fn prop_any_parameter_vector_plans_to_the_reference_rows(
+        values in prop::collection::vec((0i64..40, 0i64..200), 100..400),
+        point in 0i64..40,
+        lo in 0i64..200,
+        span in 1i64..60,
+        p in prop::collection::vec(0.0f64..1.0, 5..6),
+    ) {
+        let rows: Vec<(i64, i64, String)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, (a, b))| (*a, *b, format!("s{}", i % 5)))
+            .collect();
+        let borrowed: Vec<(i64, i64, &str)> =
+            rows.iter().map(|(a, b, s)| (*a, *b, s.as_str())).collect();
+        let mut db = build_db(&borrowed);
+        let t = db.table_id("t1").unwrap();
+        db.create_index("t1_a", t, 0).unwrap();
+        db.create_index_multi("t1_a_b", t, &[0, 1]).unwrap();
+        let dim = db.create_table(
+            "dim",
+            Schema::new(vec![Field::new("k", DataType::Int), Field::new("x", DataType::Int)]),
+        );
+        db.insert_rows(dim, (0..40).map(|k| Tuple::new(vec![Datum::Int(k), Datum::Int(k * k)])))
+            .unwrap();
+        db.analyze_all().unwrap();
+
+        // Log-spaced over both sides of every cutoff: page costs 0.1-1000,
+        // cache 1-10^4 pages, work_mem 256 B-256 KiB, operator cost /10-x10.
+        let params = OptimizerParams {
+            seq_page_cost: 10f64.powf(p[0] * 4.0 - 1.0),
+            random_page_cost: 10f64.powf(p[1] * 4.0 - 1.0),
+            effective_cache_size_pages: 10f64.powf(p[2] * 4.0),
+            work_mem_bytes: 256.0 * 10f64.powf(p[3] * 3.0),
+            cpu_operator_cost: 0.0025 * 10f64.powf(p[4] * 2.0 - 1.0),
+            ..OptimizerParams::default()
+        };
+        let in_range = Expr::and(
+            Expr::ge(Expr::col(1), Expr::int(lo)),
+            Expr::lt(Expr::col(1), Expr::int(lo + span)),
+        );
+        let predicates = [
+            Expr::and(Expr::eq(Expr::col(0), Expr::int(point)), in_range.clone()),
+            Expr::or(
+                Expr::eq(Expr::col(0), Expr::int(point)),
+                Expr::eq(Expr::col(1), Expr::int(lo)),
+            ),
+            in_range,
+        ];
+        let key = |t: &Tuple| {
+            (
+                t.get(0).as_int().unwrap(),
+                t.get(1).as_int().unwrap(),
+                t.get(2).as_str().unwrap().to_string(),
+            )
+        };
+        let mut execute = |plan: &LogicalPlan| {
+            let planned = plan_query(&db, plan, &params).unwrap();
+            let mut pool = BufferPool::new(64);
+            run_plan(&mut db, &mut pool, &planned.physical, 1 << 16, CpuCosts::default())
+                .unwrap()
+                .rows
+        };
+        for pred in predicates {
+            let mut expect = reference_filter(&rows, &pred);
+            expect.sort();
+
+            let mut got: Vec<_> = execute(&LogicalPlan::scan_filtered(t, pred.clone()))
+                .iter()
+                .map(key)
+                .collect();
+            got.sort();
+            prop_assert_eq!(&got, &expect);
+
+            // dim first, the big side second: the cheapest order probes with
+            // t1, so the logical column order has to be restored.
+            let joined = LogicalPlan::scan(dim).join(
+                LogicalPlan::scan_filtered(t, pred),
+                vec![JoinCondition { left_col: 0, right_col: 0 }],
+            );
+            let mut got: Vec<_> = execute(&joined)
+                .iter()
+                .map(|row| {
+                    let k = row.get(0).as_int().unwrap();
+                    assert_eq!(row.get(1).as_int(), Some(k * k));
+                    assert_eq!(row.get(2).as_int(), Some(k));
+                    let t1 = Tuple::new(vec![row.get(2).clone(), row.get(3).clone(), row.get(4).clone()]);
+                    key(&t1)
+                })
+                .collect();
+            got.sort();
+            prop_assert_eq!(&got, &expect);
+        }
+    }
 }
