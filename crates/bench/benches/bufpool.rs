@@ -62,9 +62,13 @@ fn bench_bufpool(c: &mut Criterion) {
     c.bench_function("bufpool/heap_scan_page_decode", |b| {
         let mut pool = BufferPool::new(n_pages as usize + 1);
         b.iter(|| {
-            let tuples = heap
-                .read_page_tuples(&mut disk, &mut pool, 0, AccessPattern::Sequential)
+            let page = heap
+                .fetch_page(&mut disk, &mut pool, 0, AccessPattern::Sequential)
                 .unwrap();
+            let tuples: Vec<Tuple> = page
+                .records()
+                .map(|record| Tuple::decode(record.unwrap().1).unwrap())
+                .collect();
             black_box(tuples.len());
         });
     });

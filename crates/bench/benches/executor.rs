@@ -70,6 +70,27 @@ fn bench_operators(c: &mut Criterion) {
         b.iter(|| black_box(execute(&mut db, &plan)));
     });
 
+    // The three shapes a borrowing consumer is built for: a filter that
+    // keeps nothing, an aggregate that reads no column, and one that reads
+    // two — none of them needs a decoded row (see the allocation budget in
+    // crates/engine/tests/alloc_budget.rs).
+    c.bench_function("exec/seq_scan_selective_50k", |b| {
+        let plan = PhysicalPlan::SeqScan {
+            table: t,
+            filter: Some(Expr::lt(Expr::col(0), Expr::int(0))),
+        };
+        b.iter(|| black_box(execute(&mut db, &plan)));
+    });
+
+    c.bench_function("exec/global_agg_over_scan_50k", |b| {
+        let plan = PhysicalPlan::HashAgg {
+            input: scan(),
+            group_by: vec![],
+            aggs: vec![AggExpr::count_star("n")],
+        };
+        b.iter(|| black_box(execute(&mut db, &plan)));
+    });
+
     c.bench_function("exec/hash_join_50k_x_50k_keys", |b| {
         let plan = PhysicalPlan::HashJoin {
             left: scan(),
@@ -81,7 +102,7 @@ fn bench_operators(c: &mut Criterion) {
         b.iter(|| black_box(execute(&mut db, &plan)));
     });
 
-    c.bench_function("exec/hash_agg_3_groups", |b| {
+    c.bench_function("exec/grouped_agg_over_scan_50k", |b| {
         let plan = PhysicalPlan::HashAgg {
             input: scan(),
             group_by: vec![2],

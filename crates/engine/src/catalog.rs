@@ -2,7 +2,8 @@
 //! all storage-level objects.
 
 use dbvirt_storage::{
-    stats, BPlusTree, DiskManager, HeapFile, Schema, StorageError, TableStats, Tuple,
+    stats, BPlusTree, DiskManager, HeapFile, Row, Schema, StorageError, TableStats, Tuple,
+    TupleView,
 };
 use std::fmt;
 
@@ -68,12 +69,15 @@ impl IndexMeta {
 
     /// The B+tree key for one table row: the raw datum for single-column
     /// indexes, the memcomparable encoding for composites.
-    pub fn key_for(&self, tuple: &Tuple) -> dbvirt_storage::Datum {
+    pub fn key_for<R: Row + ?Sized>(&self, row: &R) -> dbvirt_storage::Datum {
         if self.columns.len() == 1 {
-            tuple.get(self.columns[0]).clone()
+            row.col(self.columns[0]).to_datum()
         } else {
-            let values: Vec<dbvirt_storage::Datum> =
-                self.columns.iter().map(|&c| tuple.get(c).clone()).collect();
+            let values: Vec<dbvirt_storage::Datum> = self
+                .columns
+                .iter()
+                .map(|&c| row.col(c).to_datum())
+                .collect();
             dbvirt_storage::keyenc::encode_key(&values)
         }
     }
@@ -170,16 +174,18 @@ impl Database {
         };
         let heap = meta.heap;
         let mut entries = Vec::new();
+        let mut fields = Vec::new();
         for page_no in 0..heap.num_pages(&self.disk) {
             let pid = dbvirt_storage::PageId {
                 file: heap.file_id(),
                 page_no,
             };
             let page = self.disk.read_page(pid)?;
-            for (slot, bytes) in page.records() {
-                let tuple = Tuple::decode(bytes)?;
+            for record in page.records() {
+                let (slot, bytes) = record?;
+                let view = TupleView::parse(bytes, &mut fields)?;
                 entries.push((
-                    index_meta.key_for(&tuple),
+                    index_meta.key_for(&view),
                     dbvirt_storage::TupleId { page_no, slot },
                 ));
             }
@@ -202,8 +208,8 @@ impl Database {
                 file: heap.file_id(),
                 page_no,
             };
-            for (_, bytes) in self.disk.read_page(pid)?.records() {
-                tuples.push(Tuple::decode(bytes)?);
+            for record in self.disk.read_page(pid)?.records() {
+                tuples.push(Tuple::decode(record?.1)?);
             }
         }
         let table_stats = stats::analyze(tuples.iter(), arity, heap.num_pages(&self.disk));
@@ -366,6 +372,39 @@ mod tests {
             std::ops::Bound::Excluded(&hi),
         );
         assert_eq!(hits.len(), 50);
+    }
+
+    #[test]
+    fn a_slot_pointing_outside_its_page_is_an_error_not_a_missing_row() {
+        use crate::{run_plan, CpuCosts, EngineError, PhysicalPlan};
+        use dbvirt_storage::{BufferPool, Page, PageId, PAGE_SIZE};
+
+        let mut db = Database::new();
+        let t = db.create_table("t", schema());
+        db.insert_rows(t, (0..100).map(row)).unwrap();
+        // Point slot 3 of page 0 (directory entries grow back from the page
+        // end: offset u16, length u16, little-endian) past the page end.
+        let pid = PageId {
+            file: db.table(t).heap.file_id(),
+            page_no: 0,
+        };
+        let mut image = *db.disk().read_page(pid).unwrap().as_bytes();
+        let entry = PAGE_SIZE - 4 * (3 + 1);
+        image[entry..entry + 2].copy_from_slice(&(PAGE_SIZE as u16 - 2).to_le_bytes());
+        *db.disk_mut().page_mut(pid).unwrap() = Page::from_bytes(image);
+
+        let corrupt = |e: &StorageError| matches!(e, StorageError::CorruptPage { .. });
+        assert!(corrupt(&db.analyze_table(t).unwrap_err()));
+        assert!(corrupt(&db.create_index("t_id", t, 0).unwrap_err()));
+        let scan = PhysicalPlan::SeqScan {
+            table: t,
+            filter: None,
+        };
+        let mut pool = BufferPool::new(8);
+        match run_plan(&mut db, &mut pool, &scan, 1 << 20, CpuCosts::default()) {
+            Err(EngineError::Storage(e)) => assert!(corrupt(&e), "{e}"),
+            other => panic!("scan over a corrupt slot returned {other:?}"),
+        }
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! Aggregation operators: hash aggregation and sorted-input aggregation.
+//!
+//! Neither keeps its input: both pull rows through `for_each_row` and read
+//! only the columns their grouping keys and aggregate arguments name, so a
+//! scan feeding an aggregate never decodes a row.
 
-use crate::runtime::ExecContext;
-use crate::{AggExpr, AggFunc};
-use dbvirt_storage::{Datum, Tuple};
+use super::for_each_row;
+use crate::runtime::{EngineError, ExecContext};
+use crate::{AggExpr, AggFunc, PhysicalPlan};
+use dbvirt_storage::{Datum, DatumRef, Row, Tuple};
 use std::collections::HashMap;
 
 /// Running state of one aggregate.
@@ -28,20 +33,21 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, func: AggFunc, value: Option<Datum>) {
+    fn update(&mut self, func: AggFunc, value: Option<DatumRef<'_>>) {
         match (self, func) {
             (AggState::Count(n), AggFunc::CountStar) => *n += 1,
             (AggState::Count(n), AggFunc::Count) => {
-                if matches!(&value, Some(v) if !v.is_null()) {
+                if value.is_some_and(|v| !v.is_null()) {
                     *n += 1;
                 }
             }
             (AggState::Sum(si, sf, saw_float, seen), _) => match value {
-                Some(Datum::Int(v)) => {
-                    *si += v;
+                Some(DatumRef::Int(v)) => {
+                    // Wraps like `Expr::Arith` on the same values does.
+                    *si = si.wrapping_add(v);
                     *seen = true;
                 }
-                Some(Datum::Float(v)) => {
+                Some(DatumRef::Float(v)) => {
                     *sf += v;
                     *saw_float = true;
                     *seen = true;
@@ -49,28 +55,31 @@ impl AggState {
                 _ => {}
             },
             (AggState::Avg(sum, n), _) => {
-                if let Some(v) = value.as_ref().and_then(Datum::as_float) {
+                if let Some(v) = value.and_then(DatumRef::as_float) {
                     *sum += v;
                     *n += 1;
                 }
             }
-            (AggState::Min(cur), _) => {
-                if let Some(v) = value.filter(|v| !v.is_null()) {
-                    let replace = cur.as_ref().is_none_or(|c| v.total_cmp(c).is_lt());
-                    if replace {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            (AggState::Max(cur), _) => {
-                if let Some(v) = value.filter(|v| !v.is_null()) {
-                    let replace = cur.as_ref().is_none_or(|c| v.total_cmp(c).is_gt());
-                    if replace {
-                        *cur = Some(v);
-                    }
-                }
-            }
+            (AggState::Min(cur), _) => Self::keep_extreme(cur, value, std::cmp::Ordering::Less),
+            (AggState::Max(cur), _) => Self::keep_extreme(cur, value, std::cmp::Ordering::Greater),
             (AggState::Count(_), _) => unreachable!("count state with non-count func"),
+        }
+    }
+
+    /// Replaces `cur` with `value` if it is non-NULL and compares `wanted`
+    /// against it; only a value that wins is copied out of its row.
+    fn keep_extreme(
+        cur: &mut Option<Datum>,
+        value: Option<DatumRef<'_>>,
+        wanted: std::cmp::Ordering,
+    ) {
+        if let Some(v) = value.filter(|v| !v.is_null()) {
+            let replace = cur
+                .as_ref()
+                .is_none_or(|c| v.total_cmp(DatumRef::of(c)) == wanted);
+            if replace {
+                *cur = Some(v.to_datum());
+            }
         }
     }
 
@@ -98,19 +107,28 @@ impl AggState {
     }
 }
 
+/// One group: its key values and the running state of each aggregate.
+type Group = (Vec<Datum>, Vec<AggState>);
+
 fn make_states(aggs: &[AggExpr]) -> Vec<AggState> {
     aggs.iter().map(|a| AggState::new(a.func)).collect()
 }
 
-fn update_states(states: &mut [AggState], aggs: &[AggExpr], row: &Tuple) {
+fn new_group(group_by: &[usize], aggs: &[AggExpr], row: &dyn Row) -> Group {
+    (
+        group_by.iter().map(|&c| row.col(c).to_datum()).collect(),
+        make_states(aggs),
+    )
+}
+
+fn update_states(states: &mut [AggState], aggs: &[AggExpr], row: &dyn Row) {
     for (state, agg) in states.iter_mut().zip(aggs) {
-        let value = agg.arg.as_ref().map(|e| e.eval(row));
+        let value = agg.arg.as_ref().map(|e| e.eval_ref(row));
         state.update(agg.func, value);
     }
 }
 
-fn finish_group(group: Vec<Datum>, states: Vec<AggState>) -> Tuple {
-    let mut values = group;
+fn finish_group((mut values, states): Group) -> Tuple {
     values.extend(states.into_iter().map(AggState::finish));
     Tuple::new(values)
 }
@@ -127,100 +145,101 @@ fn charge(ctx: &mut ExecContext<'_>, rows: usize, aggs: &[AggExpr], hashed: bool
     ctx.charge_cpu(per_row * rows as f64);
 }
 
+/// A global aggregate: exactly one output row, even for empty input.
+fn global_agg(
+    ctx: &mut ExecContext<'_>,
+    input: &PhysicalPlan,
+    aggs: &[AggExpr],
+) -> Result<Vec<Tuple>, EngineError> {
+    let mut rows_in = 0;
+    let mut states = make_states(aggs);
+    for_each_row(ctx, input, &mut |row| {
+        rows_in += 1;
+        update_states(&mut states, aggs, row);
+    })?;
+    charge(ctx, rows_in, aggs, false);
+    Ok(vec![finish_group((Vec::new(), states))])
+}
+
 /// Hash aggregation: one group per distinct key, any input order.
 pub fn hash_agg(
     ctx: &mut ExecContext<'_>,
-    rows: Vec<Tuple>,
+    input: &PhysicalPlan,
     group_by: &[usize],
     aggs: &[AggExpr],
-) -> Vec<Tuple> {
-    charge(ctx, rows.len(), aggs, !group_by.is_empty());
-
+) -> Result<Vec<Tuple>, EngineError> {
     if group_by.is_empty() {
-        // Global aggregate: exactly one output row, even for empty input.
-        let mut states = make_states(aggs);
-        for row in &rows {
-            update_states(&mut states, aggs, row);
-        }
-        return vec![finish_group(Vec::new(), states)];
+        return global_agg(ctx, input, aggs);
     }
 
-    let mut groups: HashMap<bytes::Bytes, (Vec<Datum>, Vec<AggState>)> = HashMap::new();
-    let mut order: Vec<bytes::Bytes> = Vec::new();
-    for row in &rows {
-        let key_tuple = row.project(group_by);
-        let key = key_tuple.encode();
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            (key_tuple.into_values(), make_states(aggs))
-        });
-        update_states(&mut entry.1, aggs, row);
-    }
-    // Deterministic output: first-seen group order.
-    //
-    // Infallibility: `order` gains a key only inside the `or_insert_with`
-    // above, i.e. exactly when that key is first inserted into `groups`,
-    // and nothing removes from `groups` until this drain — so every
-    // `remove` finds its entry. (The executor's materializing signatures
-    // return plain `Vec<Tuple>`; a broken invariant here is a bug, not a
-    // runtime condition worth an `EngineError` variant.)
-    order
-        .into_iter()
-        .map(|k| {
-            let (group, states) = groups.remove(&k).expect("group recorded on insert");
-            finish_group(group, states)
-        })
-        .collect()
+    // Groups in first-seen order (the deterministic output order), found
+    // through the field encoding of their key columns. The key is built in
+    // one buffer reused for every row and copied only when it opens a group.
+    let mut rows_in = 0;
+    let mut groups: Vec<Group> = Vec::new();
+    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut key = Vec::new();
+    for_each_row(ctx, input, &mut |row| {
+        rows_in += 1;
+        key.clear();
+        for &c in group_by {
+            row.col(c).encode_into(&mut key);
+        }
+        let group = match index.get(key.as_slice()) {
+            Some(&group) => group,
+            None => {
+                index.insert(key.clone(), groups.len());
+                groups.push(new_group(group_by, aggs, row));
+                groups.len() - 1
+            }
+        };
+        update_states(&mut groups[group].1, aggs, row);
+    })?;
+    charge(ctx, rows_in, aggs, true);
+    Ok(groups.into_iter().map(finish_group).collect())
 }
 
 /// Aggregation over input sorted by the grouping columns: constant memory,
 /// no hashing.
 pub fn sort_agg(
     ctx: &mut ExecContext<'_>,
-    rows: Vec<Tuple>,
+    input: &PhysicalPlan,
     group_by: &[usize],
     aggs: &[AggExpr],
-) -> Vec<Tuple> {
-    charge(ctx, rows.len(), aggs, false);
-
+) -> Result<Vec<Tuple>, EngineError> {
     if group_by.is_empty() {
-        let mut states = make_states(aggs);
-        for row in &rows {
-            update_states(&mut states, aggs, row);
-        }
-        return vec![finish_group(Vec::new(), states)];
+        return global_agg(ctx, input, aggs);
     }
 
+    let mut rows_in = 0;
     let mut out = Vec::new();
-    let mut current: Option<(Vec<Datum>, Vec<AggState>)> = None;
-    for row in &rows {
-        let key: Vec<Datum> = group_by.iter().map(|&c| row.get(c).clone()).collect();
-        let same = current.as_ref().is_some_and(|(k, _)| {
-            k.iter()
-                .zip(&key)
-                .all(|(a, b)| a.total_cmp(b) == std::cmp::Ordering::Equal)
+    let mut current: Option<Group> = None;
+    for_each_row(ctx, input, &mut |row| {
+        rows_in += 1;
+        let same = current.as_ref().is_some_and(|(key, _)| {
+            key.iter()
+                .zip(group_by)
+                .all(|(k, &c)| DatumRef::of(k).total_cmp(row.col(c)) == std::cmp::Ordering::Equal)
         });
         if !same {
-            if let Some((group, states)) = current.take() {
-                out.push(finish_group(group, states));
+            if let Some(group) = current.take() {
+                out.push(finish_group(group));
             }
         }
-        // On a group change `current` was just drained, so this inserts
-        // the new group; otherwise it reuses the live one. Either way the
-        // slot is occupied — no unwrap needed.
-        let (_, states) = current.get_or_insert_with(|| (key, make_states(aggs)));
+        // On a group change `current` was just drained, so this opens the
+        // new group; otherwise it reuses the live one.
+        let (_, states) = current.get_or_insert_with(|| new_group(group_by, aggs, row));
         update_states(states, aggs, row);
-    }
-    if let Some((group, states)) = current {
-        out.push(finish_group(group, states));
-    }
-    out
+    })?;
+    out.extend(current.map(finish_group));
+    charge(ctx, rows_in, aggs, false);
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::tests_support::{context, small_db};
+    use crate::runtime::tests_support::{context, scan_of, small_db};
     use crate::Expr;
 
     fn rows(data: &[(&str, i64)]) -> Vec<Tuple> {
@@ -239,12 +258,26 @@ mod tests {
         ]
     }
 
+    /// The shared signature of [`hash_agg`] and [`sort_agg`].
+    type AggOp = fn(
+        &mut ExecContext<'_>,
+        &PhysicalPlan,
+        &[usize],
+        &[AggExpr],
+    ) -> Result<Vec<Tuple>, EngineError>;
+
+    /// Runs `op` over `input` loaded into a scratch table.
+    fn run(op: AggOp, input: Vec<Tuple>, group_by: &[usize], aggs: &[AggExpr]) -> Vec<Tuple> {
+        let (mut db, mut pool) = small_db(1);
+        let input = scan_of(&mut db, input);
+        let mut ctx = context(&mut db, &mut pool);
+        op(&mut ctx, &input, group_by, aggs).unwrap()
+    }
+
     #[test]
     fn hash_agg_groups_correctly() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         let input = rows(&[("a", 1), ("b", 10), ("a", 3), ("b", 20), ("a", 5)]);
-        let mut out = hash_agg(&mut ctx, input, &[0], &aggs());
+        let mut out = run(hash_agg, input, &[0], &aggs());
         out.sort_by(|x, y| x.get(0).total_cmp(y.get(0)));
         assert_eq!(out.len(), 2);
         let a = &out[0];
@@ -257,22 +290,26 @@ mod tests {
     }
 
     #[test]
+    fn hash_agg_emits_groups_in_first_seen_order() {
+        let input = rows(&[("b", 1), ("c", 1), ("a", 1), ("c", 1), ("b", 1)]);
+        let out = run(hash_agg, input, &[0], &[AggExpr::count_star("n")]);
+        let keys: Vec<&str> = out.iter().map(|t| t.get(0).as_str().unwrap()).collect();
+        assert_eq!(keys, ["b", "c", "a"]);
+    }
+
+    #[test]
     fn sort_agg_matches_hash_agg_on_sorted_input() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         let mut input = rows(&[("a", 1), ("b", 10), ("a", 3), ("c", 7), ("b", 20)]);
         input.sort_by(|x, y| x.get(0).total_cmp(y.get(0)));
-        let via_sort = sort_agg(&mut ctx, input.clone(), &[0], &aggs());
-        let mut via_hash = hash_agg(&mut ctx, input, &[0], &aggs());
+        let via_sort = run(sort_agg, input.clone(), &[0], &aggs());
+        let mut via_hash = run(hash_agg, input, &[0], &aggs());
         via_hash.sort_by(|x, y| x.get(0).total_cmp(y.get(0)));
         assert_eq!(via_sort, via_hash);
     }
 
     #[test]
     fn global_aggregate_on_empty_input() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
-        let out = hash_agg(&mut ctx, vec![], &[], &aggs());
+        let out = run(hash_agg, vec![], &[], &aggs());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get(0), &Datum::Int(0)); // count(*) = 0
         assert_eq!(out[0].get(1), &Datum::Null); // sum of nothing
@@ -281,16 +318,12 @@ mod tests {
 
     #[test]
     fn grouped_aggregate_on_empty_input_is_empty() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
-        assert!(hash_agg(&mut ctx, vec![], &[0], &aggs()).is_empty());
-        assert!(sort_agg(&mut ctx, vec![], &[0], &aggs()).is_empty());
+        assert!(run(hash_agg, vec![], &[0], &aggs()).is_empty());
+        assert!(run(sort_agg, vec![], &[0], &aggs()).is_empty());
     }
 
     #[test]
     fn count_ignores_nulls_but_count_star_does_not() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         let input = vec![
             Tuple::new(vec![Datum::str("a"), Datum::Int(1)]),
             Tuple::new(vec![Datum::str("a"), Datum::Null]),
@@ -300,7 +333,7 @@ mod tests {
             AggExpr::new(AggFunc::Count, Expr::col(1), "nonnull"),
             AggExpr::new(AggFunc::Sum, Expr::col(1), "sum"),
         ];
-        let out = hash_agg(&mut ctx, input, &[0], &aggs);
+        let out = run(hash_agg, input, &[0], &aggs);
         assert_eq!(out[0].get(1), &Datum::Int(2));
         assert_eq!(out[0].get(2), &Datum::Int(1));
         assert_eq!(out[0].get(3), &Datum::Int(1), "sum skips NULLs");
@@ -308,21 +341,32 @@ mod tests {
 
     #[test]
     fn sum_widens_to_float_on_mixed_input() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         let input = vec![
             Tuple::new(vec![Datum::str("a"), Datum::Int(1)]),
             Tuple::new(vec![Datum::str("a"), Datum::Float(0.5)]),
         ];
         let aggs = vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "s")];
-        let out = hash_agg(&mut ctx, input, &[0], &aggs);
+        let out = run(hash_agg, input, &[0], &aggs);
         assert_eq!(out[0].get(1), &Datum::Float(1.5));
+    }
+
+    /// Runs under both `cargo test` (overflow checks on) and
+    /// `cargo test --release` (off): neither may panic, both must wrap.
+    #[test]
+    fn integer_sum_wraps_past_i64_max_like_arith_does() {
+        let input = rows(&[("a", i64::MAX), ("a", 2)]);
+        let aggs = vec![AggExpr::new(AggFunc::Sum, Expr::col(1), "s")];
+        let wrapped = Datum::Int(i64::MIN + 1);
+        for op in [hash_agg as AggOp, sort_agg] {
+            assert_eq!(run(op, input.clone(), &[0], &aggs)[0].get(1), &wrapped);
+            assert_eq!(run(op, input.clone(), &[], &aggs)[0].get(0), &wrapped);
+        }
+        let row = Tuple::new(vec![Datum::Int(i64::MAX), Datum::Int(2)]);
+        assert_eq!(Expr::add(Expr::col(0), Expr::col(1)).eval(&row), wrapped);
     }
 
     #[test]
     fn agg_over_expression_argument() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         let input = rows(&[("a", 2), ("a", 3)]);
         // sum(v * 10)
         let aggs = vec![AggExpr::new(
@@ -330,7 +374,7 @@ mod tests {
             Expr::mul(Expr::col(1), Expr::int(10)),
             "s",
         )];
-        let out = hash_agg(&mut ctx, input, &[0], &aggs);
+        let out = run(hash_agg, input, &[0], &aggs);
         assert_eq!(out[0].get(1), &Datum::Int(50));
     }
 }

@@ -2,8 +2,29 @@
 
 use crate::runtime::ExecContext;
 use crate::{Expr, JoinType};
-use dbvirt_storage::{Datum, Tuple};
+use dbvirt_storage::{Datum, DatumRef, Row, Tuple};
 use std::collections::HashMap;
+
+/// Two rows seen as their concatenation, so a join predicate can be
+/// evaluated before — and for a pair it rejects, instead of — building the
+/// joined tuple.
+struct Joined<'a> {
+    left: &'a Tuple,
+    right: &'a Tuple,
+}
+
+impl Row for Joined<'_> {
+    fn col(&self, idx: usize) -> DatumRef<'_> {
+        match idx.checked_sub(self.left.arity()) {
+            None => self.left.col(idx),
+            Some(right_idx) => self.right.col(right_idx),
+        }
+    }
+
+    fn to_tuple(&self) -> Tuple {
+        self.left.concat(self.right)
+    }
+}
 
 /// Hash key for a set of join columns; `None` when any key column is NULL
 /// (NULL never matches in an equi-join).
@@ -181,14 +202,14 @@ pub fn nested_loop_join(
     for l in &left {
         let mut matched = false;
         for r in &right {
-            let joined = l.concat(r);
+            let joined = Joined { left: l, right: r };
             let pass = predicate.is_none_or(|p| p.eval_bool(&joined) == Some(true));
             if !pass {
                 continue;
             }
             matched = true;
             match join_type {
-                JoinType::Inner | JoinType::Left => out.push(joined),
+                JoinType::Inner | JoinType::Left => out.push(joined.to_tuple()),
                 JoinType::Semi => {
                     out.push(l.clone());
                     break;

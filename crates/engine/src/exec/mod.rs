@@ -1,7 +1,13 @@
-//! The executor: materializing physical operators with demand metering.
+//! The executor: physical operators with demand metering.
 //!
-//! Operators execute bottom-up, each returning a fully materialized
-//! `Vec<Tuple>`. All physical work is charged as it happens: CPU cycles via
+//! [`execute`] runs a plan bottom-up and returns its output as a
+//! `Vec<Tuple>`. Operators that keep their input (sort, the joins, limit)
+//! take their children's output that way; operators that only look at each
+//! input row once (filter, project, the aggregates) pull borrowed rows
+//! through `for_each_row`, which a scan child serves straight off the
+//! buffer-pool page without decoding them.
+//!
+//! All physical work is charged as it happens: CPU cycles via
 //! [`crate::ExecContext::charge_cpu`] and page I/O via the buffer pool the
 //! context carries. This is what makes an execution a *measurement*: the
 //! accumulated [`dbvirt_vmm::ResourceDemand`] is converted to simulated
@@ -13,7 +19,7 @@ mod scan;
 mod sort;
 
 use crate::runtime::{EngineError, ExecContext};
-use crate::{Expr, PhysicalPlan};
+use crate::PhysicalPlan;
 use dbvirt_storage::Tuple;
 use dbvirt_telemetry as telemetry;
 
@@ -48,36 +54,74 @@ pub fn execute(ctx: &mut ExecContext<'_>, plan: &PhysicalPlan) -> Result<Vec<Tup
     result
 }
 
+/// Feeds every output row of `input` to `sink`, borrowed. This is how the
+/// operators that do not keep their input — filter, project, the
+/// aggregates, the nested-loop join — pull rows: a scan child pushes views
+/// straight off the buffer-pool page, so a row its consumer only looks at
+/// is never decoded; any other child is executed and iterated.
+///
+/// The sink runs while the page is borrowed from the pool, so it cannot
+/// touch `ctx`: consumers accumulate in locals and charge afterwards —
+/// which also keeps every `charge_cpu` in child-then-consumer order, as if
+/// the child had been materialised first.
+pub(crate) fn for_each_row(
+    ctx: &mut ExecContext<'_>,
+    input: &PhysicalPlan,
+    sink: &mut scan::RowSink<'_>,
+) -> Result<(), EngineError> {
+    match input {
+        PhysicalPlan::SeqScan { .. }
+        | PhysicalPlan::IndexScan { .. }
+        | PhysicalPlan::IndexAnd { .. }
+        | PhysicalPlan::IndexOr { .. } => {
+            let mut op_span = telemetry::span(op_name(input));
+            let rows_out = scan::scan(ctx, input, sink)?;
+            op_span.set_attr("rows_out", rows_out);
+        }
+        other => {
+            for row in execute(ctx, other)? {
+                sink(&row);
+            }
+        }
+    }
+    Ok(())
+}
+
 fn execute_inner(
     ctx: &mut ExecContext<'_>,
     plan: &PhysicalPlan,
 ) -> Result<Vec<Tuple>, EngineError> {
     match plan {
-        PhysicalPlan::SeqScan { table, filter } => scan::seq_scan(ctx, *table, filter.as_ref()),
-        PhysicalPlan::IndexScan {
-            table,
-            index,
-            lo,
-            hi,
-            filter,
-        } => scan::index_scan(ctx, *table, *index, lo, hi, filter.as_ref()),
-        PhysicalPlan::IndexAnd {
-            table,
-            arms,
-            filter,
-        } => scan::index_and_scan(ctx, *table, arms, filter.as_ref()),
-        PhysicalPlan::IndexOr {
-            table,
-            arms,
-            filter,
-        } => scan::index_or_scan(ctx, *table, arms, filter.as_ref()),
+        PhysicalPlan::SeqScan { .. }
+        | PhysicalPlan::IndexScan { .. }
+        | PhysicalPlan::IndexAnd { .. }
+        | PhysicalPlan::IndexOr { .. } => {
+            let mut rows = Vec::new();
+            scan::scan(ctx, plan, &mut |row| rows.push(row.to_tuple()))?;
+            Ok(rows)
+        }
         PhysicalPlan::Filter { input, predicate } => {
-            let rows = execute(ctx, input)?;
-            Ok(apply_filter(ctx, rows, predicate))
+            let ops = predicate.num_operators() as f64;
+            let per_row = ops * ctx.costs.per_operator + ctx.costs.per_tuple;
+            let (mut rows_in, mut rows) = (0usize, Vec::new());
+            for_each_row(ctx, input, &mut |row| {
+                rows_in += 1;
+                if predicate.eval_bool(row) == Some(true) {
+                    rows.push(row.to_tuple());
+                }
+            })?;
+            ctx.charge_cpu(per_row * rows_in as f64);
+            Ok(rows)
         }
         PhysicalPlan::Project { input, exprs } => {
-            let rows = execute(ctx, input)?;
-            Ok(project(ctx, rows, exprs))
+            let ops: f64 = exprs.iter().map(|(e, _)| e.num_operators() as f64).sum();
+            let per_row = ops * ctx.costs.per_operator + ctx.costs.per_tuple;
+            let mut rows = Vec::new();
+            for_each_row(ctx, input, &mut |row| {
+                rows.push(Tuple::new(exprs.iter().map(|(e, _)| e.eval(row)).collect()));
+            })?;
+            ctx.charge_cpu(per_row * rows.len() as f64);
+            Ok(rows)
         }
         PhysicalPlan::Sort { input, keys } => {
             let rows = execute(ctx, input)?;
@@ -142,45 +186,11 @@ fn execute_inner(
             input,
             group_by,
             aggs,
-        } => {
-            let rows = execute(ctx, input)?;
-            Ok(agg::hash_agg(ctx, rows, group_by, aggs))
-        }
+        } => agg::hash_agg(ctx, input, group_by, aggs),
         PhysicalPlan::SortAgg {
             input,
             group_by,
             aggs,
-        } => {
-            let rows = execute(ctx, input)?;
-            Ok(agg::sort_agg(ctx, rows, group_by, aggs))
-        }
+        } => agg::sort_agg(ctx, input, group_by, aggs),
     }
-}
-
-/// Applies a predicate, charging its operator evaluations.
-pub(crate) fn apply_filter(
-    ctx: &mut ExecContext<'_>,
-    rows: Vec<Tuple>,
-    predicate: &Expr,
-) -> Vec<Tuple> {
-    let ops = predicate.num_operators() as f64;
-    let per_row = ops * ctx.costs.per_operator + ctx.costs.per_tuple;
-    ctx.charge_cpu(per_row * rows.len() as f64);
-    rows.into_iter()
-        .filter(|t| predicate.eval_bool(t) == Some(true))
-        .collect()
-}
-
-/// Evaluates a projection list, charging its operator evaluations.
-pub(crate) fn project(
-    ctx: &mut ExecContext<'_>,
-    rows: Vec<Tuple>,
-    exprs: &[(Expr, String)],
-) -> Vec<Tuple> {
-    let ops: f64 = exprs.iter().map(|(e, _)| e.num_operators() as f64).sum();
-    let per_row = ops * ctx.costs.per_operator + ctx.costs.per_tuple;
-    ctx.charge_cpu(per_row * rows.len() as f64);
-    rows.into_iter()
-        .map(|t| Tuple::new(exprs.iter().map(|(e, _)| e.eval(&t)).collect()))
-        .collect()
 }

@@ -1,107 +1,148 @@
 //! Scan operators: sequential heap scans, B+tree index scans, and
 //! multi-index intersection/union scans.
+//!
+//! A scan is a row *source*: it looks at each record where it lies on the
+//! buffer-pool page (a [`TupleView`]), evaluates the pushed-down filter
+//! there, and pushes the rows that pass to its consumer's sink still
+//! borrowed. Whether a row is ever decoded is the consumer's business.
 
 use crate::runtime::{EngineError, ExecContext};
-use crate::IndexArm;
-use crate::{Expr, IndexId, TableId};
-use dbvirt_storage::{AccessPattern, Datum, Tuple, TupleId};
+use crate::{Expr, IndexArm, IndexId, PhysicalPlan, TableId};
+use dbvirt_storage::{AccessPattern, Datum, HeapFile, Row, TupleId, TupleView};
 use std::ops::Bound;
 
+/// What a scan pushes its surviving rows into.
+pub(crate) type RowSink<'s> = dyn FnMut(&dyn Row) + 's;
+
+/// Runs one of the four scan operators, returning how many rows it pushed
+/// to `sink`.
+pub(crate) fn scan(
+    ctx: &mut ExecContext<'_>,
+    plan: &PhysicalPlan,
+    sink: &mut RowSink<'_>,
+) -> Result<usize, EngineError> {
+    match plan {
+        PhysicalPlan::SeqScan { table, filter } => seq_scan(ctx, *table, filter.as_ref(), sink),
+        PhysicalPlan::IndexScan {
+            table,
+            index,
+            lo,
+            hi,
+            filter,
+        } => index_scan(ctx, *table, *index, lo, hi, filter.as_ref(), sink),
+        PhysicalPlan::IndexAnd {
+            table,
+            arms,
+            filter,
+        } => multi_index_scan(ctx, *table, arms, filter.as_ref(), true, sink),
+        PhysicalPlan::IndexOr {
+            table,
+            arms,
+            filter,
+        } => multi_index_scan(ctx, *table, arms, filter.as_ref(), false, sink),
+        other => Err(EngineError::Plan(format!(
+            "{} is not a scan",
+            other.node_name()
+        ))),
+    }
+}
+
+/// Checks one record where it lies and pushes it to `sink` if the filter
+/// keeps it; returns whether it did. Every record is checked in full —
+/// field count, tags, lengths, string bodies — whether or not it is kept.
+fn offer(
+    record: &[u8],
+    fields: &mut Vec<usize>,
+    filter: Option<&Expr>,
+    sink: &mut RowSink<'_>,
+) -> Result<bool, EngineError> {
+    let view = TupleView::parse(record, fields)?;
+    let keep = filter.is_none_or(|f| f.eval_bool(&view) == Some(true));
+    if keep {
+        sink(&view);
+    }
+    Ok(keep)
+}
+
 /// Full heap scan with an optional pushed-down filter.
-pub fn seq_scan(
+fn seq_scan(
     ctx: &mut ExecContext<'_>,
     table: TableId,
     filter: Option<&Expr>,
-) -> Result<Vec<Tuple>, EngineError> {
+    sink: &mut RowSink<'_>,
+) -> Result<usize, EngineError> {
     let costs = ctx.costs;
     let filter_ops = filter.map_or(0.0, |f| f.num_operators() as f64);
-    let mut out = Vec::new();
+    let mut rows_out = 0;
     let mut cpu = 0.0;
+    let mut fields = Vec::new();
 
     let heap = ctx.db.table(table).heap;
-    let n_pages = {
-        let (disk, _, _) = ctx.db.disk_and_catalog();
-        heap.num_pages(disk)
-    };
+    let n_pages = heap.num_pages(ctx.db.disk());
     for page_no in 0..n_pages {
-        let tuples = {
-            let (disk, _, _) = ctx.db.disk_and_catalog();
-            heap.read_page_tuples(disk, ctx.pool, page_no, AccessPattern::Sequential)?
-        };
+        let page = heap.fetch_page(
+            ctx.db.disk_mut(),
+            ctx.pool,
+            page_no,
+            AccessPattern::Sequential,
+        )?;
         cpu += costs.per_page;
-        for tuple in tuples {
+        for record in page.records() {
+            let (_, record) = record?;
             cpu += costs.per_tuple + filter_ops * costs.per_operator;
-            let keep = filter.is_none_or(|f| f.eval_bool(&tuple) == Some(true));
-            if keep {
-                out.push(tuple);
-            }
+            rows_out += usize::from(offer(record, &mut fields, filter, sink)?);
         }
     }
     ctx.charge_cpu(cpu);
-    Ok(out)
+    Ok(rows_out)
+}
+
+/// Fetches `tids` from the heap in the order given, offering each record to
+/// the residual filter and the sink; `cpu` is the charge accumulated by the
+/// index probes that produced them.
+fn fetch_tids(
+    ctx: &mut ExecContext<'_>,
+    heap: HeapFile,
+    tids: Vec<TupleId>,
+    mut cpu: f64,
+    filter: Option<&Expr>,
+    sink: &mut RowSink<'_>,
+) -> Result<usize, EngineError> {
+    let costs = ctx.costs;
+    let filter_ops = filter.map_or(0.0, |f| f.num_operators() as f64);
+    let mut rows_out = 0;
+    let mut fields = Vec::new();
+    for tid in tids {
+        let record = heap.fetch(ctx.db.disk_mut(), ctx.pool, tid)?;
+        cpu += costs.per_tuple + filter_ops * costs.per_operator;
+        rows_out += usize::from(offer(record, &mut fields, filter, sink)?);
+    }
+    ctx.charge_cpu(cpu);
+    Ok(rows_out)
 }
 
 /// Index range scan: B+tree traversal, then heap fetches in **tuple-id
 /// order** (so the output ordering — and therefore every downstream
 /// float accumulation — is bit-identical to a filtered sequential scan),
 /// then the residual filter.
-pub fn index_scan(
+fn index_scan(
     ctx: &mut ExecContext<'_>,
     table: TableId,
     index: IndexId,
     lo: &Bound<Datum>,
     hi: &Bound<Datum>,
     filter: Option<&Expr>,
-) -> Result<Vec<Tuple>, EngineError> {
-    let costs = ctx.costs;
-    let filter_ops = filter.map_or(0.0, |f| f.num_operators() as f64);
+    sink: &mut RowSink<'_>,
+) -> Result<usize, EngineError> {
     let heap = ctx.db.table(table).heap;
-
     let entries = {
         let (disk, _, trees) = ctx.db.disk_and_catalog();
         trees[index.0].range_metered(disk, ctx.pool, lo.as_ref(), hi.as_ref())?
     };
     let mut tids: Vec<TupleId> = entries.iter().map(|(_, tid)| *tid).collect();
     tids.sort_unstable();
-    let mut cpu = entries.len() as f64 * costs.per_index_tuple;
-    let mut out = Vec::with_capacity(tids.len());
-    for tid in tids {
-        let tuple = {
-            let (disk, _, _) = ctx.db.disk_and_catalog();
-            heap.fetch(disk, ctx.pool, tid)?
-        };
-        cpu += costs.per_tuple + filter_ops * costs.per_operator;
-        let keep = filter.is_none_or(|f| f.eval_bool(&tuple) == Some(true));
-        if keep {
-            out.push(tuple);
-        }
-    }
-    ctx.charge_cpu(cpu);
-    Ok(out)
-}
-
-/// Index intersection scan: probe every arm's key range, intersect the
-/// resulting TID sets, fetch each surviving heap tuple once (in TID
-/// order), apply the residual filter.
-pub fn index_and_scan(
-    ctx: &mut ExecContext<'_>,
-    table: TableId,
-    arms: &[IndexArm],
-    filter: Option<&Expr>,
-) -> Result<Vec<Tuple>, EngineError> {
-    multi_index_scan(ctx, table, arms, filter, true)
-}
-
-/// Index union scan: probe every arm's key range, union (dedup) the TID
-/// sets, fetch each surviving heap tuple once (in TID order), apply the
-/// residual filter.
-pub fn index_or_scan(
-    ctx: &mut ExecContext<'_>,
-    table: TableId,
-    arms: &[IndexArm],
-    filter: Option<&Expr>,
-) -> Result<Vec<Tuple>, EngineError> {
-    multi_index_scan(ctx, table, arms, filter, false)
+    let cpu = entries.len() as f64 * ctx.costs.per_index_tuple;
+    fetch_tids(ctx, heap, tids, cpu, filter, sink)
 }
 
 fn merge_tids(acc: Vec<TupleId>, arm: Vec<TupleId>, intersect: bool) -> Vec<TupleId> {
@@ -140,15 +181,18 @@ fn merge_tids(acc: Vec<TupleId>, arm: Vec<TupleId>, intersect: bool) -> Vec<Tupl
     out
 }
 
+/// Index intersection (`intersect`) or union scan: probe every arm's key
+/// range, intersect or union (dedup) the resulting TID sets, fetch each
+/// surviving heap tuple once (in TID order), apply the residual filter.
 fn multi_index_scan(
     ctx: &mut ExecContext<'_>,
     table: TableId,
     arms: &[IndexArm],
     filter: Option<&Expr>,
     intersect: bool,
-) -> Result<Vec<Tuple>, EngineError> {
+    sink: &mut RowSink<'_>,
+) -> Result<usize, EngineError> {
     let costs = ctx.costs;
-    let filter_ops = filter.map_or(0.0, |f| f.num_operators() as f64);
     let heap = ctx.db.table(table).heap;
 
     let mut tids: Option<Vec<TupleId>> = None;
@@ -169,28 +213,78 @@ fn multi_index_scan(
             Some(acc) => merge_tids(acc, arm_tids, intersect),
         });
     }
-
-    let tids = tids.unwrap_or_default();
-    let mut out = Vec::with_capacity(tids.len());
-    for tid in tids {
-        let tuple = {
-            let (disk, _, _) = ctx.db.disk_and_catalog();
-            heap.fetch(disk, ctx.pool, tid)?
-        };
-        cpu += costs.per_tuple + filter_ops * costs.per_operator;
-        let keep = filter.is_none_or(|f| f.eval_bool(&tuple) == Some(true));
-        if keep {
-            out.push(tuple);
-        }
-    }
-    ctx.charge_cpu(cpu);
-    Ok(out)
+    fetch_tids(ctx, heap, tids.unwrap_or_default(), cpu, filter, sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::execute;
     use crate::runtime::tests_support::{context, small_db};
+    use dbvirt_storage::Tuple;
+
+    // Each scan collected through `execute`, under the operator's name.
+
+    fn seq_scan(
+        ctx: &mut ExecContext<'_>,
+        table: TableId,
+        filter: Option<&Expr>,
+    ) -> Result<Vec<Tuple>, EngineError> {
+        let filter = filter.cloned();
+        execute(ctx, &PhysicalPlan::SeqScan { table, filter })
+    }
+
+    fn index_scan(
+        ctx: &mut ExecContext<'_>,
+        table: TableId,
+        index: IndexId,
+        lo: &Bound<Datum>,
+        hi: &Bound<Datum>,
+        filter: Option<&Expr>,
+    ) -> Result<Vec<Tuple>, EngineError> {
+        let plan = PhysicalPlan::IndexScan {
+            table,
+            index,
+            lo: lo.clone(),
+            hi: hi.clone(),
+            filter: filter.cloned(),
+        };
+        execute(ctx, &plan)
+    }
+
+    fn index_and_scan(
+        ctx: &mut ExecContext<'_>,
+        table: TableId,
+        arms: &[IndexArm],
+        filter: Option<&Expr>,
+    ) -> Result<Vec<Tuple>, EngineError> {
+        let (arms, filter) = (arms.to_vec(), filter.cloned());
+        execute(
+            ctx,
+            &PhysicalPlan::IndexAnd {
+                table,
+                arms,
+                filter,
+            },
+        )
+    }
+
+    fn index_or_scan(
+        ctx: &mut ExecContext<'_>,
+        table: TableId,
+        arms: &[IndexArm],
+        filter: Option<&Expr>,
+    ) -> Result<Vec<Tuple>, EngineError> {
+        let (arms, filter) = (arms.to_vec(), filter.cloned());
+        execute(
+            ctx,
+            &PhysicalPlan::IndexOr {
+                table,
+                arms,
+                filter,
+            },
+        )
+    }
 
     #[test]
     fn seq_scan_reads_every_row_and_charges_io() {

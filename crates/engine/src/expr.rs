@@ -1,6 +1,6 @@
 //! Scalar expressions with SQL three-valued semantics.
 
-use dbvirt_storage::{DataType, Datum, Schema, Tuple};
+use dbvirt_storage::{DataType, Datum, DatumRef, Row, Schema};
 use std::fmt;
 
 /// Comparison operators.
@@ -286,117 +286,116 @@ impl Expr {
         )
     }
 
-    /// Evaluates the expression against a tuple.
-    pub fn eval(&self, tuple: &Tuple) -> Datum {
+    /// Evaluates the expression against a row without allocating: a string
+    /// result is borrowed from the column or the literal it came from.
+    /// `AND`/`OR` stop at a deciding left operand, which cannot change the
+    /// value of a pure expression.
+    pub fn eval_ref<'a, R: Row + ?Sized>(&'a self, row: &'a R) -> DatumRef<'a> {
+        use DatumRef::{Bool, Float, Int, Null};
         match self {
-            Expr::Column(i) => tuple.get(*i).clone(),
-            Expr::Literal(d) => d.clone(),
-            Expr::Cmp { op, lhs, rhs } => {
-                let (a, b) = (lhs.eval(tuple), rhs.eval(tuple));
-                match a.sql_cmp(&b) {
-                    Some(ord) => Datum::Bool(op.test(ord)),
-                    None => Datum::Null,
-                }
-            }
-            Expr::And(l, r) => match (l.eval(tuple).as_bool(), r.eval(tuple).as_bool()) {
-                (Some(false), _) | (_, Some(false)) => Datum::Bool(false),
-                (Some(true), Some(true)) => Datum::Bool(true),
-                _ => Datum::Null,
+            Expr::Column(i) => row.col(*i),
+            Expr::Literal(d) => DatumRef::of(d),
+            Expr::Cmp { op, lhs, rhs } => match lhs.eval_ref(row).sql_cmp(rhs.eval_ref(row)) {
+                Some(ord) => Bool(op.test(ord)),
+                None => Null,
             },
-            Expr::Or(l, r) => match (l.eval(tuple).as_bool(), r.eval(tuple).as_bool()) {
-                (Some(true), _) | (_, Some(true)) => Datum::Bool(true),
-                (Some(false), Some(false)) => Datum::Bool(false),
-                _ => Datum::Null,
+            Expr::And(l, r) => match l.eval_ref(row).as_bool() {
+                Some(false) => Bool(false),
+                l => match (l, r.eval_ref(row).as_bool()) {
+                    (_, Some(false)) => Bool(false),
+                    (Some(true), Some(true)) => Bool(true),
+                    _ => Null,
+                },
             },
-            Expr::Not(e) => match e.eval(tuple).as_bool() {
-                Some(b) => Datum::Bool(!b),
-                None => Datum::Null,
+            Expr::Or(l, r) => match l.eval_ref(row).as_bool() {
+                Some(true) => Bool(true),
+                l => match (l, r.eval_ref(row).as_bool()) {
+                    (_, Some(true)) => Bool(true),
+                    (Some(false), Some(false)) => Bool(false),
+                    _ => Null,
+                },
+            },
+            Expr::Not(e) => match e.eval_ref(row).as_bool() {
+                Some(b) => Bool(!b),
+                None => Null,
             },
             Expr::Arith { op, lhs, rhs } => {
-                let (a, b) = (lhs.eval(tuple), rhs.eval(tuple));
+                let (a, b) = (lhs.eval_ref(row), rhs.eval_ref(row));
                 if a.is_null() || b.is_null() {
-                    return Datum::Null;
+                    return Null;
                 }
                 // Integer arithmetic stays integral except division.
-                if let (Datum::Int(x), Datum::Int(y)) = (&a, &b) {
+                if let (Int(x), Int(y)) = (a, b) {
                     return match op {
-                        BinOp::Add => Datum::Int(x.wrapping_add(*y)),
-                        BinOp::Sub => Datum::Int(x.wrapping_sub(*y)),
-                        BinOp::Mul => Datum::Int(x.wrapping_mul(*y)),
-                        BinOp::Div => {
-                            if *y == 0 {
-                                Datum::Null
-                            } else {
-                                Datum::Float(*x as f64 / *y as f64)
-                            }
-                        }
+                        BinOp::Add => Int(x.wrapping_add(y)),
+                        BinOp::Sub => Int(x.wrapping_sub(y)),
+                        BinOp::Mul => Int(x.wrapping_mul(y)),
+                        BinOp::Div if y == 0 => Null,
+                        BinOp::Div => Float(x as f64 / y as f64),
                     };
                 }
                 match (a.as_float(), b.as_float()) {
                     (Some(x), Some(y)) => match op {
-                        BinOp::Add => Datum::Float(x + y),
-                        BinOp::Sub => Datum::Float(x - y),
-                        BinOp::Mul => Datum::Float(x * y),
-                        BinOp::Div => {
-                            if y == 0.0 {
-                                Datum::Null
-                            } else {
-                                Datum::Float(x / y)
-                            }
-                        }
+                        BinOp::Add => Float(x + y),
+                        BinOp::Sub => Float(x - y),
+                        BinOp::Mul => Float(x * y),
+                        BinOp::Div if y == 0.0 => Null,
+                        BinOp::Div => Float(x / y),
                     },
-                    _ => Datum::Null,
+                    _ => Null,
                 }
             }
             Expr::Like {
                 expr,
                 pattern,
                 negated,
-            } => match expr.eval(tuple) {
-                Datum::Str(s) => {
-                    let m = like_match(pattern.as_bytes(), s.as_bytes());
-                    Datum::Bool(m != *negated)
-                }
-                _ => Datum::Null,
+            } => match expr.eval_ref(row) {
+                DatumRef::Str(s) => Bool(like_match(pattern.as_bytes(), s.as_bytes()) != *negated),
+                _ => Null,
             },
             Expr::InList { expr, list } => {
-                let v = expr.eval(tuple);
+                let v = expr.eval_ref(row);
                 if v.is_null() {
-                    return Datum::Null;
+                    return Null;
                 }
                 let mut saw_null = false;
                 for item in list {
-                    match v.sql_cmp(item) {
-                        Some(std::cmp::Ordering::Equal) => return Datum::Bool(true),
+                    match v.sql_cmp(DatumRef::of(item)) {
+                        Some(std::cmp::Ordering::Equal) => return Bool(true),
                         None => saw_null = true,
                         _ => {}
                     }
                 }
                 if saw_null {
-                    Datum::Null
+                    Null
                 } else {
-                    Datum::Bool(false)
+                    Bool(false)
                 }
             }
-            Expr::IsNull { expr, negated } => Datum::Bool(expr.eval(tuple).is_null() != *negated),
+            Expr::IsNull { expr, negated } => Bool(expr.eval_ref(row).is_null() != *negated),
             Expr::Case {
                 branches,
                 else_expr,
             } => {
                 for (cond, value) in branches {
-                    if cond.eval(tuple).as_bool() == Some(true) {
-                        return value.eval(tuple);
+                    if cond.eval_ref(row).as_bool() == Some(true) {
+                        return value.eval_ref(row);
                     }
                 }
-                else_expr.as_ref().map_or(Datum::Null, |e| e.eval(tuple))
+                else_expr.as_ref().map_or(Null, |e| e.eval_ref(row))
             }
         }
     }
 
+    /// Evaluates the expression against a row, copying the result out.
+    pub fn eval<R: Row + ?Sized>(&self, row: &R) -> Datum {
+        self.eval_ref(row).to_datum()
+    }
+
     /// Evaluates as a filter predicate: `Some(true)` passes, anything else
     /// (false or NULL) filters the row out.
-    pub fn eval_bool(&self, tuple: &Tuple) -> Option<bool> {
-        self.eval(tuple).as_bool()
+    pub fn eval_bool<R: Row + ?Sized>(&self, row: &R) -> Option<bool> {
+        self.eval_ref(row).as_bool()
     }
 
     /// Number of operator applications in the expression tree — the unit
@@ -620,6 +619,7 @@ impl AggExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbvirt_storage::Tuple;
 
     fn t(values: Vec<Datum>) -> Tuple {
         Tuple::new(values)

@@ -16,8 +16,8 @@
 //! * [`PhysicalPlan`] — the physical algebra (sequential and index scans,
 //!   filter, project, sort, limit, hash/merge/nested-loop joins with
 //!   inner/left/semi/anti variants, hash and sorted aggregation);
-//! * [`exec`] — the executor: materializing operators that do the physical
-//!   work and meter it;
+//! * [`exec`] — the executor: operators that do the physical work and meter
+//!   it, reading rows where they lie on the page until one must be kept;
 //! * [`ExecContext`] / [`run_plan`] — the runtime tying a database, a
 //!   buffer pool (sized from the VM's memory share), a `work_mem` budget,
 //!   and the CPU cost constants together.

@@ -176,6 +176,22 @@ pub(crate) mod tests_support {
         (db, BufferPool::new(64))
     }
 
+    /// Loads `rows` into a fresh table of `db` and returns the plan that
+    /// scans it: how a unit test hands a borrowing operator its input.
+    pub fn scan_of(db: &mut Database, rows: Vec<Tuple>) -> PhysicalPlan {
+        let fields = rows.first().map_or(Vec::new(), |row| {
+            let kind = |d: &Datum| d.data_type().unwrap_or(DataType::Int);
+            let field = |(i, d)| Field::new(format!("c{i}"), kind(d));
+            row.values().iter().enumerate().map(field).collect()
+        });
+        let table = db.create_table(format!("input{}", db.num_tables()), Schema::new(fields));
+        db.insert_rows(table, rows).unwrap();
+        PhysicalPlan::SeqScan {
+            table,
+            filter: None,
+        }
+    }
+
     /// A context over the fixtures with 1 MiB of `work_mem`.
     pub fn context<'a>(db: &'a mut Database, pool: &'a mut BufferPool) -> ExecContext<'a> {
         ExecContext::new(db, pool, 1 << 20)

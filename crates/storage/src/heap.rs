@@ -165,46 +165,37 @@ impl HeapFile {
         })
     }
 
-    /// Reads all tuples of one heap page through the buffer pool, charging
-    /// the access to `pool`'s demand tracker.
-    pub fn read_page_tuples(
+    /// Fetches one heap page through the buffer pool, charging the access to
+    /// `pool`'s demand tracker. The page stays borrowed from the pool, so a
+    /// scan can look at its records in place.
+    pub fn fetch_page<'p>(
         &self,
         disk: &mut DiskManager,
-        pool: &mut BufferPool,
+        pool: &'p mut BufferPool,
         page_no: u32,
         pattern: crate::AccessPattern,
-    ) -> Result<Vec<Tuple>, StorageError> {
+    ) -> Result<&'p Page, StorageError> {
         let pid = PageId {
             file: self.file,
             page_no,
         };
-        let page = pool.fetch(disk, pid, pattern)?;
-        page.records()
-            .map(|(_, bytes)| Tuple::decode(bytes))
-            .collect()
+        pool.fetch(disk, pid, pattern)
     }
 
-    /// Fetches one tuple by id through the buffer pool (random access, as in
-    /// an index-scan heap lookup).
-    pub fn fetch(
+    /// Fetches one record by id through the buffer pool (random access, as
+    /// in an index-scan heap lookup), still encoded.
+    pub fn fetch<'p>(
         &self,
         disk: &mut DiskManager,
-        pool: &mut BufferPool,
+        pool: &'p mut BufferPool,
         tid: TupleId,
-    ) -> Result<Tuple, StorageError> {
-        let pid = PageId {
-            file: self.file,
-            page_no: tid.page_no,
-        };
-        let page = pool.fetch(disk, pid, crate::AccessPattern::Random)?;
-        let bytes = page
-            .get(tid.slot)
-            .map_err(|_| StorageError::TupleNotFound {
-                file: self.file.0,
-                page: tid.page_no,
-                slot: tid.slot,
-            })?;
-        Tuple::decode(bytes)
+    ) -> Result<&'p [u8], StorageError> {
+        let page = self.fetch_page(disk, pool, tid.page_no, crate::AccessPattern::Random)?;
+        page.get(tid.slot).map_err(|_| StorageError::TupleNotFound {
+            file: self.file.0,
+            page: tid.page_no,
+            slot: tid.slot,
+        })
     }
 }
 
@@ -242,10 +233,13 @@ mod tests {
         let mut pool = BufferPool::new(16);
         let mut seen = Vec::new();
         for page_no in 0..heap.num_pages(&disk) {
-            let tuples = heap
-                .read_page_tuples(&mut disk, &mut pool, page_no, AccessPattern::Sequential)
+            let page = heap
+                .fetch_page(&mut disk, &mut pool, page_no, AccessPattern::Sequential)
                 .unwrap();
-            seen.extend(tuples.into_iter().map(|t| t.get(0).as_int().unwrap()));
+            for record in page.records() {
+                let tuple = Tuple::decode(record.unwrap().1).unwrap();
+                seen.push(tuple.get(0).as_int().unwrap());
+            }
         }
         assert_eq!(seen, (0..500).collect::<Vec<_>>());
     }
@@ -258,8 +252,8 @@ mod tests {
             .map(|i| heap.insert(&mut disk, &tuple(i)).unwrap())
             .collect();
         let mut pool = BufferPool::new(8);
-        let t = heap.fetch(&mut disk, &mut pool, tids[123]).unwrap();
-        assert_eq!(t.get(0), &Datum::Int(123));
+        let bytes = heap.fetch(&mut disk, &mut pool, tids[123]).unwrap();
+        assert_eq!(Tuple::decode(bytes).unwrap().get(0), &Datum::Int(123));
         // Missing slot.
         let bogus = TupleId {
             page_no: 0,

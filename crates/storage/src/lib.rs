@@ -4,9 +4,12 @@
 //! database engine above it performs *real* physical work that the VMM
 //! simulator can meter:
 //!
-//! * [`Datum`], [`DataType`], [`Schema`] — the value model;
+//! * [`Datum`], [`DatumRef`], [`DataType`], [`Schema`] — the value model,
+//!   owned and borrowed;
 //! * [`Tuple`] — byte-serialized rows ([`Tuple`] round-trips through a
-//!   compact tagged format);
+//!   compact tagged format); [`TupleView`] — the one reader of that format,
+//!   which checks a record once and then reads columns in place; [`Row`] —
+//!   what either of them looks like to an expression;
 //! * [`Page`] — 8 KiB slotted pages with a slot directory;
 //! * [`HeapFile`] / [`DiskManager`] — append-only heap tables over pages;
 //! * [`BufferPool`] — a clock-sweep page cache whose capacity is set from
@@ -39,5 +42,5 @@ pub use error::StorageError;
 pub use heap::{DiskManager, FileId, HeapFile, PageId, TupleId};
 pub use page::{Page, PAGE_SIZE};
 pub use stats::{ColumnStats, Histogram, TableStats};
-pub use tuple::Tuple;
-pub use types::{DataType, Datum, Field, Schema};
+pub use tuple::{Row, Tuple, TupleView};
+pub use types::{DataType, Datum, DatumRef, Field, Schema};

@@ -53,6 +53,20 @@ impl Page {
         page
     }
 
+    /// Wraps a raw page image as read from a device. Nothing is checked
+    /// here: [`Page::get`] and [`Page::records`] validate each slot they
+    /// are asked for.
+    pub fn from_bytes(data: [u8; PAGE_SIZE]) -> Page {
+        Page {
+            data: Box::new(data),
+        }
+    }
+
+    /// The raw page image.
+    pub fn as_bytes(&self) -> &[u8; PAGE_SIZE] {
+        &self.data
+    }
+
     fn get_u16(&self, off: usize) -> u16 {
         u16::from_le_bytes([self.data[off], self.data[off + 1]])
     }
@@ -111,6 +125,22 @@ impl Page {
         Ok(Some(slot))
     }
 
+    /// The `(offset, length)` directory entry of `slot`.
+    fn slot_entry(&self, slot: u16) -> (usize, usize) {
+        let dir = self.slot_dir_off(slot);
+        (self.get_u16(dir) as usize, self.get_u16(dir + 2) as usize)
+    }
+
+    /// The bytes a live directory entry points at, or an error if they do
+    /// not lie inside the page.
+    fn record_at(&self, slot: u16, off: usize, len: usize) -> Result<&[u8], StorageError> {
+        self.data
+            .get(off..off + len)
+            .ok_or_else(|| StorageError::CorruptPage {
+                reason: format!("slot {slot} points outside the page"),
+            })
+    }
+
     /// Returns the record in `slot`, or an error if the slot is missing or
     /// deleted.
     pub fn get(&self, slot: u16) -> Result<&[u8], StorageError> {
@@ -119,25 +149,23 @@ impl Page {
                 reason: format!("slot {slot} out of range ({})", self.slot_count()),
             });
         }
-        let dir = self.slot_dir_off(slot);
-        let off = self.get_u16(dir) as usize;
-        let len = self.get_u16(dir + 2) as usize;
+        let (off, len) = self.slot_entry(slot);
         if len == 0 {
             return Err(StorageError::CorruptPage {
                 reason: format!("slot {slot} is deleted"),
             });
         }
-        if off + len > PAGE_SIZE {
-            return Err(StorageError::CorruptPage {
-                reason: format!("slot {slot} points outside the page"),
-            });
-        }
-        Ok(&self.data[off..off + len])
+        self.record_at(slot, off, len)
     }
 
-    /// Iterates over `(slot, record)` pairs of live records.
-    pub fn records(&self) -> impl Iterator<Item = (u16, &[u8])> {
-        (0..self.slot_count()).filter_map(move |slot| self.get(slot).ok().map(|r| (slot, r)))
+    /// Iterates over `(slot, record)` pairs of live records. Deleted
+    /// (zero-length) slots are skipped; a slot that points outside the page
+    /// is an error, the same one [`Page::get`] reports for it.
+    pub fn records(&self) -> impl Iterator<Item = Result<(u16, &[u8]), StorageError>> {
+        (0..self.slot_count()).filter_map(move |slot| {
+            let (off, len) = self.slot_entry(slot);
+            (len > 0).then(|| self.record_at(slot, off, len).map(|r| (slot, r)))
+        })
     }
 }
 
@@ -198,8 +226,29 @@ mod tests {
         for i in 0..5u8 {
             p.insert(&[i]).unwrap().unwrap();
         }
-        let collected: Vec<u8> = p.records().map(|(_, r)| r[0]).collect();
+        let collected: Vec<u8> = p.records().map(|r| r.unwrap().1[0]).collect();
         assert_eq!(collected, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn records_skips_deleted_slots_and_reports_out_of_range_ones() {
+        let mut p = Page::new();
+        for i in 0..3u8 {
+            p.insert(&[i; 8]).unwrap().unwrap();
+        }
+        // Delete slot 1: zero its length.
+        let dir = p.slot_dir_off(1);
+        p.set_u16(dir + 2, 0);
+        let live: Vec<u16> = p.records().map(|r| r.unwrap().0).collect();
+        assert_eq!(live, vec![0, 2]);
+        // Point slot 2 past the end of the page.
+        let dir = p.slot_dir_off(2);
+        p.set_u16(dir, (PAGE_SIZE - 4) as u16);
+        let seen: Vec<_> = p.records().collect();
+        assert_eq!(seen.len(), 2);
+        assert_eq!(seen[0].as_ref().unwrap().0, 0);
+        assert_eq!(seen[1], Err(p.get(2).unwrap_err()));
+        assert!(matches!(seen[1], Err(StorageError::CorruptPage { .. })));
     }
 
     #[test]

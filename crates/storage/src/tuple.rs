@@ -3,9 +3,27 @@
 //! Tuples are stored in pages as a compact tagged byte format:
 //! a `u16` field count, then per field a 1-byte type tag followed by the
 //! payload (fixed-width for numerics, length-prefixed for strings).
+//!
+//! [`TupleView`] is the one reader of that format: it walks a record once,
+//! checking every tag, length and string body, and then reads columns in
+//! place. [`Tuple::decode`] is that walk followed by [`Row::to_tuple`].
 
-use crate::{Datum, StorageError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::{Datum, DatumRef, StorageError};
+use bytes::Bytes;
+
+/// Anything an expression can read columns from: an owned [`Tuple`], a
+/// [`TupleView`] over page bytes, or a pair of rows seen as their
+/// concatenation.
+pub trait Row {
+    /// The value of column `idx`.
+    ///
+    /// # Panics
+    /// Panics if `idx` is out of range, as [`Tuple::get`] does.
+    fn col(&self, idx: usize) -> DatumRef<'_>;
+
+    /// Copies the row out as an owned tuple.
+    fn to_tuple(&self) -> Tuple;
+}
 
 /// A row: an ordered list of datums, serializable to page bytes.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -64,33 +82,12 @@ impl Tuple {
 
     /// Serializes the tuple to bytes.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        buf.put_u16(self.values.len() as u16);
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        buf.extend_from_slice(&(self.values.len() as u16).to_be_bytes());
         for v in &self.values {
-            match v {
-                Datum::Null => buf.put_u8(TAG_NULL),
-                Datum::Int(x) => {
-                    buf.put_u8(TAG_INT);
-                    buf.put_i64(*x);
-                }
-                Datum::Float(x) => {
-                    buf.put_u8(TAG_FLOAT);
-                    buf.put_f64(*x);
-                }
-                Datum::Str(s) => {
-                    buf.put_u8(TAG_STR);
-                    buf.put_u32(s.len() as u32);
-                    buf.put_slice(s.as_bytes());
-                }
-                Datum::Date(d) => {
-                    buf.put_u8(TAG_DATE);
-                    buf.put_i32(*d);
-                }
-                Datum::Bool(false) => buf.put_u8(TAG_BOOL_FALSE),
-                Datum::Bool(true) => buf.put_u8(TAG_BOOL_TRUE),
-            }
+            DatumRef::of(v).encode_into(&mut buf);
         }
-        buf.freeze()
+        Bytes::from(buf)
     }
 
     /// Exact size of [`Tuple::encode`]'s output, in bytes.
@@ -108,65 +105,156 @@ impl Tuple {
     }
 
     /// Deserializes a tuple from bytes produced by [`Tuple::encode`].
-    pub fn decode(mut bytes: &[u8]) -> Result<Tuple, StorageError> {
+    pub fn decode(bytes: &[u8]) -> Result<Tuple, StorageError> {
+        Ok(TupleView::parse(bytes, &mut Vec::new())?.to_tuple())
+    }
+}
+
+impl Row for Tuple {
+    fn col(&self, idx: usize) -> DatumRef<'_> {
+        DatumRef::of(&self.values[idx])
+    }
+
+    fn to_tuple(&self) -> Tuple {
+        self.clone()
+    }
+}
+
+impl DatumRef<'_> {
+    /// Appends this value's field encoding (tag, then payload) to `buf`.
+    /// Two values encode to the same bytes exactly when they are the same
+    /// kind with the same bits, which is what makes the encoding usable as
+    /// a grouping key.
+    pub fn encode_into(self, buf: &mut Vec<u8>) {
+        match self {
+            DatumRef::Null => buf.push(TAG_NULL),
+            DatumRef::Int(x) => {
+                buf.push(TAG_INT);
+                buf.extend_from_slice(&x.to_be_bytes());
+            }
+            DatumRef::Float(x) => {
+                buf.push(TAG_FLOAT);
+                buf.extend_from_slice(&x.to_be_bytes());
+            }
+            DatumRef::Str(s) => {
+                buf.push(TAG_STR);
+                buf.extend_from_slice(&(s.len() as u32).to_be_bytes());
+                buf.extend_from_slice(s.as_bytes());
+            }
+            DatumRef::Date(d) => {
+                buf.push(TAG_DATE);
+                buf.extend_from_slice(&d.to_be_bytes());
+            }
+            DatumRef::Bool(false) => buf.push(TAG_BOOL_FALSE),
+            DatumRef::Bool(true) => buf.push(TAG_BOOL_TRUE),
+        }
+    }
+}
+
+/// A checked, undecoded record: the bytes of one encoded tuple plus the
+/// offset of each field's tag, found by walking the record once.
+///
+/// The offsets live in a buffer the caller owns and reuses from record to
+/// record, so looking at a row allocates nothing; a column is decoded only
+/// when [`Row::col`] asks for it, and a string column is a `&str`
+/// into the record itself.
+#[derive(Debug, Clone, Copy)]
+pub struct TupleView<'a> {
+    bytes: &'a [u8],
+    /// Offset in `bytes` of each field's tag byte.
+    fields: &'a [usize],
+}
+
+/// The `N` bytes at `bytes[at..]`, or `None` if the record ends first.
+fn array_at<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
+    bytes.get(at..)?.get(..N)?.try_into().ok()
+}
+
+impl<'a> TupleView<'a> {
+    /// Walks one record produced by [`Tuple::encode`], checking the field
+    /// count, every tag, every payload length and every string body, and
+    /// recording where each field starts in `fields` (cleared first).
+    /// Bytes after the last field are ignored.
+    pub fn parse(
+        bytes: &'a [u8],
+        fields: &'a mut Vec<usize>,
+    ) -> Result<TupleView<'a>, StorageError> {
         let corrupt = |reason: &str| StorageError::CorruptTuple {
             reason: reason.to_string(),
         };
-        if bytes.remaining() < 2 {
-            return Err(corrupt("missing field count"));
-        }
-        let n = bytes.get_u16() as usize;
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            if bytes.remaining() < 1 {
-                return Err(corrupt("missing field tag"));
-            }
-            let tag = bytes.get_u8();
-            let datum = match tag {
-                TAG_NULL => Datum::Null,
-                TAG_INT => {
-                    if bytes.remaining() < 8 {
-                        return Err(corrupt("truncated int"));
-                    }
-                    Datum::Int(bytes.get_i64())
-                }
-                TAG_FLOAT => {
-                    if bytes.remaining() < 8 {
-                        return Err(corrupt("truncated float"));
-                    }
-                    Datum::Float(bytes.get_f64())
-                }
+        let n = array_at(bytes, 0).ok_or_else(|| corrupt("missing field count"))?;
+        fields.clear();
+        let mut at = 2;
+        for _ in 0..u16::from_be_bytes(n) {
+            let tag = *bytes.get(at).ok_or_else(|| corrupt("missing field tag"))?;
+            fields.push(at);
+            at += 1;
+            let payload = bytes.len() - at;
+            at += match tag {
+                TAG_NULL | TAG_BOOL_FALSE | TAG_BOOL_TRUE => 0,
+                TAG_INT if payload < 8 => return Err(corrupt("truncated int")),
+                TAG_FLOAT if payload < 8 => return Err(corrupt("truncated float")),
+                TAG_INT | TAG_FLOAT => 8,
+                TAG_DATE if payload < 4 => return Err(corrupt("truncated date")),
+                TAG_DATE => 4,
                 TAG_STR => {
-                    if bytes.remaining() < 4 {
-                        return Err(corrupt("truncated string length"));
-                    }
-                    let len = bytes.get_u32() as usize;
-                    if bytes.remaining() < len {
-                        return Err(corrupt("truncated string body"));
-                    }
-                    let s = std::str::from_utf8(&bytes[..len])
-                        .map_err(|_| corrupt("invalid utf-8"))?
-                        .to_string();
-                    bytes.advance(len);
-                    Datum::Str(s)
+                    let len =
+                        array_at(bytes, at).ok_or_else(|| corrupt("truncated string length"))?;
+                    let len = u32::from_be_bytes(len) as usize;
+                    let body = bytes[at + 4..]
+                        .get(..len)
+                        .ok_or_else(|| corrupt("truncated string body"))?;
+                    std::str::from_utf8(body).map_err(|_| corrupt("invalid utf-8"))?;
+                    4 + len
                 }
-                TAG_DATE => {
-                    if bytes.remaining() < 4 {
-                        return Err(corrupt("truncated date"));
-                    }
-                    Datum::Date(bytes.get_i32())
-                }
-                TAG_BOOL_FALSE => Datum::Bool(false),
-                TAG_BOOL_TRUE => Datum::Bool(true),
                 other => {
                     return Err(StorageError::CorruptTuple {
                         reason: format!("unknown tag {other}"),
                     })
                 }
             };
-            values.push(datum);
         }
-        Ok(Tuple { values })
+        Ok(TupleView { bytes, fields })
+    }
+
+    /// Number of columns.
+    pub fn arity(&self) -> usize {
+        self.fields.len()
+    }
+}
+
+impl Row for TupleView<'_> {
+    fn col(&self, idx: usize) -> DatumRef<'_> {
+        // `parse` checked every length and string body read below.
+        const CHECKED: &str = "parse checked this payload";
+        let tag = self.fields[idx];
+        let payload = tag + 1;
+        match self.bytes[tag] {
+            TAG_NULL => DatumRef::Null,
+            TAG_INT => DatumRef::Int(i64::from_be_bytes(
+                array_at(self.bytes, payload).expect(CHECKED),
+            )),
+            TAG_FLOAT => DatumRef::Float(f64::from_be_bytes(
+                array_at(self.bytes, payload).expect(CHECKED),
+            )),
+            TAG_STR => {
+                let len = u32::from_be_bytes(array_at(self.bytes, payload).expect(CHECKED));
+                let body = &self.bytes[payload + 4..][..len as usize];
+                DatumRef::Str(std::str::from_utf8(body).expect(CHECKED))
+            }
+            TAG_DATE => DatumRef::Date(i32::from_be_bytes(
+                array_at(self.bytes, payload).expect(CHECKED),
+            )),
+            TAG_BOOL_FALSE => DatumRef::Bool(false),
+            TAG_BOOL_TRUE => DatumRef::Bool(true),
+            tag => unreachable!("parse rejects tag {tag}"),
+        }
+    }
+
+    fn to_tuple(&self) -> Tuple {
+        Tuple {
+            values: (0..self.arity()).map(|i| self.col(i).to_datum()).collect(),
+        }
     }
 }
 

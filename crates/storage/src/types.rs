@@ -116,12 +116,92 @@ impl Datum {
     /// compare cross-type by value; other cross-type comparisons are
     /// `None`.
     pub fn sql_cmp(&self, other: &Datum) -> Option<Ordering> {
+        DatumRef::of(self).sql_cmp(DatumRef::of(other))
+    }
+
+    /// Total order used for sorting and B+tree keys: NULLs sort first, then
+    /// within-type value order; across incomparable types, a stable
+    /// type-rank order. Never returns "unknown", unlike [`Datum::sql_cmp`].
+    pub fn total_cmp(&self, other: &Datum) -> Ordering {
+        DatumRef::of(self).total_cmp(DatumRef::of(other))
+    }
+}
+
+/// A borrowed [`Datum`]: the same six kinds, `Copy`, with a string that
+/// points into whatever owns the bytes — a tuple, an expression literal or a
+/// record on a buffer-pool page. Comparisons are defined here once;
+/// [`Datum::sql_cmp`] and [`Datum::total_cmp`] go through them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DatumRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// 64-bit signed integer.
+    Int(i64),
+    /// 64-bit IEEE float.
+    Float(f64),
+    /// UTF-8 string, borrowed.
+    Str(&'a str),
+    /// Date as days since the Unix epoch.
+    Date(i32),
+    /// Boolean.
+    Bool(bool),
+}
+
+impl<'a> DatumRef<'a> {
+    /// Borrows an owned datum.
+    pub fn of(d: &'a Datum) -> DatumRef<'a> {
+        match d {
+            Datum::Null => DatumRef::Null,
+            Datum::Int(v) => DatumRef::Int(*v),
+            Datum::Float(v) => DatumRef::Float(*v),
+            Datum::Str(s) => DatumRef::Str(s),
+            Datum::Date(d) => DatumRef::Date(*d),
+            Datum::Bool(b) => DatumRef::Bool(*b),
+        }
+    }
+
+    /// Copies the value out (the one place a string is allocated).
+    pub fn to_datum(self) -> Datum {
+        match self {
+            DatumRef::Null => Datum::Null,
+            DatumRef::Int(v) => Datum::Int(v),
+            DatumRef::Float(v) => Datum::Float(v),
+            DatumRef::Str(s) => Datum::Str(s.to_string()),
+            DatumRef::Date(d) => Datum::Date(d),
+            DatumRef::Bool(b) => Datum::Bool(b),
+        }
+    }
+
+    /// True if the datum is NULL.
+    pub fn is_null(self) -> bool {
+        matches!(self, DatumRef::Null)
+    }
+
+    /// The float value; integers widen to float (SQL numeric coercion).
+    pub fn as_float(self) -> Option<f64> {
+        match self {
+            DatumRef::Float(v) => Some(v),
+            DatumRef::Int(v) => Some(v as f64),
+            _ => None,
+        }
+    }
+
+    /// The boolean value, if this is a `Bool`.
+    pub fn as_bool(self) -> Option<bool> {
+        match self {
+            DatumRef::Bool(b) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// SQL comparison, as [`Datum::sql_cmp`].
+    pub fn sql_cmp(self, other: DatumRef<'_>) -> Option<Ordering> {
         match (self, other) {
-            (Datum::Null, _) | (_, Datum::Null) => None,
-            (Datum::Int(a), Datum::Int(b)) => Some(a.cmp(b)),
-            (Datum::Date(a), Datum::Date(b)) => Some(a.cmp(b)),
-            (Datum::Bool(a), Datum::Bool(b)) => Some(a.cmp(b)),
-            (Datum::Str(a), Datum::Str(b)) => Some(a.as_str().cmp(b.as_str())),
+            (DatumRef::Null, _) | (_, DatumRef::Null) => None,
+            (DatumRef::Int(a), DatumRef::Int(b)) => Some(a.cmp(&b)),
+            (DatumRef::Date(a), DatumRef::Date(b)) => Some(a.cmp(&b)),
+            (DatumRef::Bool(a), DatumRef::Bool(b)) => Some(a.cmp(&b)),
+            (DatumRef::Str(a), DatumRef::Str(b)) => Some(a.cmp(b)),
             (a, b) => {
                 let (x, y) = (a.as_float()?, b.as_float()?);
                 x.partial_cmp(&y)
@@ -129,24 +209,22 @@ impl Datum {
         }
     }
 
-    /// Total order used for sorting and B+tree keys: NULLs sort first, then
-    /// within-type value order; across incomparable types, a stable
-    /// type-rank order. Never returns "unknown", unlike [`Datum::sql_cmp`].
-    pub fn total_cmp(&self, other: &Datum) -> Ordering {
-        fn rank(d: &Datum) -> u8 {
+    /// Total order, as [`Datum::total_cmp`].
+    pub fn total_cmp(self, other: DatumRef<'_>) -> Ordering {
+        fn rank(d: DatumRef<'_>) -> u8 {
             match d {
-                Datum::Null => 0,
-                Datum::Bool(_) => 1,
-                Datum::Int(_) | Datum::Float(_) => 2,
-                Datum::Date(_) => 3,
-                Datum::Str(_) => 4,
+                DatumRef::Null => 0,
+                DatumRef::Bool(_) => 1,
+                DatumRef::Int(_) | DatumRef::Float(_) => 2,
+                DatumRef::Date(_) => 3,
+                DatumRef::Str(_) => 4,
             }
         }
         match (self, other) {
-            (Datum::Null, Datum::Null) => Ordering::Equal,
-            (Datum::Float(a), Datum::Float(b)) => a.total_cmp(b),
-            (Datum::Int(a), Datum::Float(b)) => (*a as f64).total_cmp(b),
-            (Datum::Float(a), Datum::Int(b)) => a.total_cmp(&(*b as f64)),
+            (DatumRef::Null, DatumRef::Null) => Ordering::Equal,
+            (DatumRef::Float(a), DatumRef::Float(b)) => a.total_cmp(&b),
+            (DatumRef::Int(a), DatumRef::Float(b)) => (a as f64).total_cmp(&b),
+            (DatumRef::Float(a), DatumRef::Int(b)) => a.total_cmp(&(b as f64)),
             _ => match rank(self).cmp(&rank(other)) {
                 Ordering::Equal => self.sql_cmp(other).unwrap_or(Ordering::Equal),
                 o => o,
