@@ -74,6 +74,37 @@ fn bench_search(c: &mut Criterion) {
     }
 }
 
+/// The DP kernel where its combinatorics dominate: 8 workloads over 12
+/// units is 8 x 25 cells to price and a few thousand transitions to relax, against
+/// the 8-unit rows above where the tables are most of the work.
+fn bench_dp_kernel(c: &mut Criterion) {
+    let db = dummy_db();
+    let t = db.table_id("t").unwrap();
+    let n = 8;
+    let workloads: Vec<WorkloadSpec<'_>> = (0..n)
+        .map(|i| WorkloadSpec::new(format!("w{i}"), &db, vec![LogicalPlan::scan(t)]))
+        .collect();
+    let problem = DesignProblem::new(MachineSpec::paper_testbed(), workloads).unwrap();
+    let model = Synthetic {
+        weights: (0..n)
+            .map(|i| (1.0 + i as f64, 8.0 - i as f64 * 0.8))
+            .collect(),
+    };
+    let config = SearchConfig::for_workloads(12, n);
+    c.bench_function("search/dynamic-programming_8workloads_12units", |b| {
+        b.iter(|| {
+            let rec = run_search(
+                SearchAlgorithm::DynamicProgramming,
+                &problem,
+                &model,
+                config,
+            )
+            .unwrap();
+            black_box(rec.total_cost);
+        });
+    });
+}
+
 /// Serial vs parallel what-if evaluation on the calibrated model: every
 /// run starts from a cold cache, so DP pays for its full cost table and
 /// the parallel precompute's speedup is visible end to end.
@@ -111,5 +142,10 @@ fn bench_parallel_whatif(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_search, bench_parallel_whatif);
+criterion_group!(
+    benches,
+    bench_search,
+    bench_dp_kernel,
+    bench_parallel_whatif
+);
 criterion_main!(benches);

@@ -35,6 +35,7 @@ mod exhaustive;
 mod greedy;
 
 pub use cache::{CellKey, CostCache};
+pub use dynprog::{solve as solve_dp, DpSolution};
 
 use crate::{CoreError, CostModel, DesignProblem};
 use dbvirt_telemetry as telemetry;
@@ -115,9 +116,9 @@ impl SearchConfig {
     }
 
     fn validate(&self, n: usize) -> Result<(), CoreError> {
-        if self.units == 0 || self.min_units == 0 {
+        if self.units == 0 || self.min_units == 0 || n == 0 {
             return Err(CoreError::BadProblem {
-                reason: "units and min_units must be positive".to_string(),
+                reason: "units, min_units and the workload count must be positive".to_string(),
             });
         }
         if self.cpu_budget > self.units || self.mem_budget > self.units {
@@ -326,31 +327,12 @@ impl<'p, 'm> ParallelEvaluator<'p, 'm> {
         }
     }
 
-    /// The exact cell set a serial DP or exhaustive search evaluates: for
-    /// `n ≥ 2` every workload's full feasible rectangle
-    /// `[min_units, budget − (n−1)·min_units]` per resource (both
-    /// enumerate every feasible per-workload cell), for `n = 1` the single
-    /// whole-budget cell. Precomputing it in parallel therefore leaves the
+    /// The exact cell set a DP or exhaustive search evaluates (both
+    /// enumerate every feasible per-workload cell), in the order the DP
+    /// prices it. Precomputing it in parallel therefore leaves the
     /// evaluation count identical to a serial run.
     fn full_table_cells(&self) -> Vec<CellKey> {
-        let n = self.problem.num_workloads();
-        let cfg = self.config;
-        if n == 1 {
-            return vec![(0, cfg.cpu_budget, cfg.mem_budget)];
-        }
-        let lo = cfg.min_units;
-        let reserve = cfg.min_units * (n as u32 - 1);
-        let (cpu_hi, mem_hi) = (cfg.cpu_budget - reserve, cfg.mem_budget - reserve);
-        let mut cells =
-            Vec::with_capacity(n * (cpu_hi - lo + 1) as usize * (mem_hi - lo + 1) as usize);
-        for w in 0..n {
-            for c in lo..=cpu_hi {
-                for m in lo..=mem_hi {
-                    cells.push((w, c, m));
-                }
-            }
-        }
-        cells
+        dynprog::table_cells(&self.config, self.problem.num_workloads()).collect()
     }
 
     /// Total cost of a full unit assignment, summed in workload order.
@@ -826,6 +808,63 @@ mod tests {
                     &parallel,
                     &format!("{} n={n} units={units} threads={threads}", alg.name()),
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The DP kernel against ground truth: on random separable models
+        /// under random SLO weights, floors and sub-budgets it finds the
+        /// exhaustive optimum to the bit, identically at every parallelism
+        /// and when called directly; a floor that does not fit the budget
+        /// is a typed error, not an index out of bounds.
+        #[test]
+        fn dp_kernel_matches_exhaustive_on_random_separable_models(
+            weights in prop::collection::vec((0.05f64..16.0, 0.05f64..16.0), 1..6),
+            slo in prop::collection::vec(0.25f64..4.0, 5..6),
+            units in 4u32..13,
+            min_units in 1u32..3,
+            (cpu_cut, mem_cut) in (0u32..3, 0u32..3),
+        ) {
+            let db = dummy_db();
+            let n = weights.len();
+            let mut problem = dummy_problem(&db, n);
+            for (w, &weight) in problem.workloads.iter_mut().zip(&slo) {
+                w.weight = weight;
+            }
+            let model = SyntheticModel { weights };
+            let mut cfg = SearchConfig::for_workloads(units, n)
+                .with_budgets(units - cpu_cut, units - mem_cut);
+            cfg.min_units = min_units;
+            let dp = |parallelism| run_search(
+                SearchAlgorithm::DynamicProgramming,
+                &problem,
+                &model,
+                cfg.with_parallelism(parallelism),
+            );
+            let eval = ParallelEvaluator::new(&problem, &model, cfg);
+            let by_hand = solve_dp(n, &cfg, |w, c, m| eval.cost(w, c, m));
+
+            let floor = min_units * n as u32;
+            if floor > cfg.cpu_budget || floor > cfg.mem_budget {
+                for result in [dp(1).map(|_| ()), dp(0).map(|_| ()), by_hand.map(|_| ())] {
+                    prop_assert!(matches!(result, Err(CoreError::BadProblem { .. })));
+                }
+                continue;
+            }
+            let context = format!("n={n} units={units} min={min_units} cfg={cfg:?}");
+            let exhaustive = run_search(SearchAlgorithm::Exhaustive, &problem, &model, cfg).unwrap();
+            let serial = dp(1).unwrap();
+            assert_eq!(serial.objective.to_bits(), exhaustive.objective.to_bits(), "{context}");
+            assert_eq!(serial.evaluations, exhaustive.evaluations, "{context}");
+            assert_bit_identical(&serial, &dp(0).unwrap(), &context);
+            let solution = by_hand.unwrap();
+            assert_eq!(solution.objective.to_bits(), serial.objective.to_bits(), "{context}");
+            for (w, &(c, m)) in solution.assignment.iter().enumerate() {
+                let row = serial.allocation.row(w);
+                assert_eq!(eval.shares(c, m).unwrap().cpu(), row.cpu(), "{context}");
+                assert_eq!(eval.shares(c, m).unwrap().memory(), row.memory(), "{context}");
             }
         }
     }

@@ -7,9 +7,9 @@
 //! 1. **Pre-warm** — every `(class, VM, cell)` what-if cost the exact
 //!    solves can touch is evaluated into the shared [`FleetCostCache`],
 //!    sharded across [`FleetConfig::parallelism`] worker threads. This is
-//!    the *only* parallel stage; everything after it is pure cache
-//!    lookups, which is why placements are bit-identical at every
-//!    parallelism setting.
+//!    the *only* parallel stage; everything after it reads a dense copy
+//!    of that rectangle ([`crate::WarmTables`]), which is why placements
+//!    are bit-identical at every parallelism setting.
 //! 2. **Greedy seed** ([`crate::greedy`]) — demand-sorted best-fit
 //!    bin-packing by marginal modeled cost.
 //! 3. **Local search** ([`crate::local_search`]) — move/swap descent,
@@ -27,7 +27,7 @@
 //! `(database, queries)` across requests (weights may vary), mirroring the
 //! single-machine cache contract.
 
-use crate::placement::build;
+use crate::placement::{build, Fnv};
 use crate::solver::{cell_problem, evaluate_cell, FleetSolver};
 use crate::{
     greedy, local_search, lp, CurrentPlacement, FleetConfig, FleetCostCache, FleetError,
@@ -86,18 +86,12 @@ impl FleetReport {
     /// bound, and the gap. Cache warmth and solve counts are deliberately
     /// excluded — they vary with request order, the answer must not.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= *b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(&self.placement.fingerprint().to_le_bytes());
-        eat(&self.greedy_placement.fingerprint().to_le_bytes());
-        eat(&self.lp.bound.to_bits().to_le_bytes());
-        eat(&self.optimality_gap.to_bits().to_le_bytes());
-        h
+        let mut h = Fnv::new();
+        h.eat(&self.placement.fingerprint().to_le_bytes());
+        h.eat(&self.greedy_placement.fingerprint().to_le_bytes());
+        h.eat(&self.lp.bound.to_bits().to_le_bytes());
+        h.eat(&self.optimality_gap.to_bits().to_le_bytes());
+        h.0
     }
 }
 

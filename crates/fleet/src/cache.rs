@@ -17,16 +17,15 @@
 //! `(class, vm, cell)` and each `(vm, cell)` key lives in exactly one
 //! shard, so lookups are bitwise identical at any worker count.
 //!
-//! Per-machine solves run through `run_search_cached`, whose cache keys
-//! are *local* workload indices within that machine's `DesignProblem`.
-//! Sharing the fleet cache directly would therefore collide (local
-//! workload 0 is a different VM on every machine), so each solve gets a
-//! fresh local [`CostCache`] *seeded* from a snapshot of the fleet cache,
-//! re-keyed from global VM indices to local workload positions. Seeding is
-//! sound because cached costs are pure functions of `(class, vm, cell)`.
+//! The sharded store is what persists across requests and threads; what a
+//! request *reads* is a [`WarmTables`] copy of its warm rectangle, taken
+//! once after its pre-warm sweep: one dense table per `(class, vm)`,
+//! because that pair is all a cell's cost depends on, so the same table
+//! serves every machine subset the VM is ever priced in. The tables hold
+//! unweighted costs, like the store — the SLO weight is the request's,
+//! not the VM's, and is applied at read.
 
 use dbvirt_core::search::CostCache;
-use std::sync::Arc;
 
 /// VM shards per class store. Each shard is a full [`CostCache`] (which
 /// is itself internally hash-sharded), so the effective lock partition is
@@ -38,7 +37,7 @@ const VM_SHARDS: usize = 16;
 /// fill it together.
 pub struct FleetCostCache {
     /// `per_class[class][vm % VM_SHARDS]` holds VM `vm`'s cells.
-    per_class: Vec<Vec<Arc<CostCache>>>,
+    per_class: Vec<Vec<CostCache>>,
 }
 
 impl FleetCostCache {
@@ -46,7 +45,7 @@ impl FleetCostCache {
     pub fn new(n_classes: usize) -> FleetCostCache {
         FleetCostCache {
             per_class: (0..n_classes)
-                .map(|_| (0..VM_SHARDS).map(|_| Arc::new(CostCache::new())).collect())
+                .map(|_| (0..VM_SHARDS).map(|_| CostCache::new()).collect())
                 .collect(),
         }
     }
@@ -80,55 +79,59 @@ impl FleetCostCache {
             .sum()
     }
 
-    /// A deterministic per-VM snapshot of one class's cells, used to seed
-    /// local solve caches without re-walking the sharded store per solve.
-    /// The snapshot is dense — indexed by VM, O(1) per lookup — so
-    /// thousand-VM solves never hash.
-    pub fn snapshot_class(&self, class: usize) -> ClassSnapshot {
-        let shards = &self.per_class[class];
-        let num_vms = shards
-            .iter()
-            .flat_map(|s| s.entries())
-            .map(|((vm, _, _), _)| vm + 1)
-            .max()
-            .unwrap_or(0);
-        let mut by_vm: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); num_vms];
-        // Each VM's cells live in exactly one shard, and `entries()` is
-        // sorted by `(vm, cpu, mem)` — so every per-VM list comes out
-        // sorted, which `cell_cost`'s binary search relies on.
-        for shard in shards {
-            for ((vm, c, m), cost) in shard.entries() {
-                by_vm[vm].push((c, m, cost));
+    /// Copies the warm rectangle (`lo ..= hi` units of each resource) of
+    /// VMs `0..num_vms` on every class into dense tables. Cells the store
+    /// does not hold stay cold in the copy.
+    pub fn warm_tables(&self, num_vms: usize, lo: u32, hi: u32) -> WarmTables {
+        let side = (hi + 1 - lo) as usize;
+        let mut cells = Vec::with_capacity(self.per_class.len() * num_vms * side * side);
+        for class in 0..self.per_class.len() {
+            for vm in 0..num_vms {
+                let shard = self.shard(class, vm);
+                for c in lo..=hi {
+                    for m in lo..=hi {
+                        cells.push(shard.get(&(vm, c, m)).unwrap_or(COLD));
+                    }
+                }
             }
         }
-        ClassSnapshot { by_vm }
+        WarmTables {
+            lo,
+            side,
+            num_vms,
+            cells,
+        }
     }
 }
 
-/// An immutable snapshot of one class's cached cells, dense by VM index.
-/// Each VM's cell list is sorted by `(cpu, mem)` (see
-/// [`FleetCostCache::snapshot_class`]).
-pub struct ClassSnapshot {
-    by_vm: Vec<Vec<(u32, u32, f64)>>,
+/// Marks a cell the store did not hold when the tables were copied. A
+/// model that really prices a cell at NaN only loses the O(1) path: the
+/// fallback lookup returns that same NaN.
+const COLD: f64 = f64::NAN;
+
+/// One request's warm rectangle, dense by `(class, vm, cpu, mem)`: an
+/// O(1) array read per cell, no hashing and no locks.
+pub struct WarmTables {
+    lo: u32,
+    side: usize,
+    num_vms: usize,
+    /// `cells[((class · num_vms + vm) · side + cpu − lo) · side + mem − lo]`.
+    cells: Vec<f64>,
 }
 
-impl ClassSnapshot {
-    /// The cached cells of one VM (empty slice if none).
-    pub fn cells(&self, vm: usize) -> &[(u32, u32, f64)] {
-        self.by_vm.get(vm).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Builds a fresh local [`CostCache`] for a per-machine solve over
-    /// `vms` (ascending global indices): every known cell of `vms[w]` is
-    /// inserted under local workload index `w`.
-    pub fn seed_local(&self, vms: &[usize]) -> Arc<CostCache> {
-        let local = CostCache::new();
-        for (w, &vm) in vms.iter().enumerate() {
-            for &(c, m, cost) in self.cells(vm) {
-                local.insert((w, c, m), cost);
-            }
+impl WarmTables {
+    /// The unweighted cost of `(class, vm, cpu, mem)`; `None` for a cell
+    /// outside the rectangle or cold when the tables were copied.
+    pub fn get(&self, class: usize, vm: usize, cpu: u32, mem: u32) -> Option<f64> {
+        let (c, m) = (
+            cpu.checked_sub(self.lo)? as usize,
+            mem.checked_sub(self.lo)? as usize,
+        );
+        if vm >= self.num_vms || c >= self.side || m >= self.side {
+            return None;
         }
-        Arc::new(local)
+        let at = ((class * self.num_vms + vm) * self.side + c) * self.side + m;
+        self.cells.get(at).copied().filter(|cost| !cost.is_nan())
     }
 }
 
@@ -137,50 +140,51 @@ mod tests {
     use super::*;
 
     #[test]
-    fn seeding_rekeys_global_vms_to_local_workloads() {
+    fn warm_tables_copy_the_rectangle_per_class_and_vm() {
         let cache = FleetCostCache::new(2);
-        assert!(cache.insert(0, 5, 1, 2, 10.0));
-        assert!(cache.insert(0, 5, 2, 2, 8.0));
-        assert!(cache.insert(0, 9, 1, 2, 3.0));
-        assert!(cache.insert(1, 5, 1, 2, 99.0)); // other class: must not leak
-        assert!(!cache.insert(0, 5, 1, 2, 10.0)); // dedup
-        assert_eq!(cache.evaluations(), 4);
+        assert!(cache.insert(0, 1, 1, 2, 10.0));
+        assert!(cache.insert(0, 1, 2, 2, 8.0));
+        assert!(cache.insert(0, 2, 1, 2, 3.0));
+        assert!(cache.insert(1, 1, 1, 2, 99.0)); // other class: must not leak
+        assert!(cache.insert(0, 1, 3, 1, 7.0)); // outside the rectangle
+        assert!(!cache.insert(0, 1, 1, 2, 10.0)); // dedup
+        assert_eq!(cache.evaluations(), 5);
 
-        let snap = cache.snapshot_class(0);
-        let local = snap.seed_local(&[5, 9]);
-        assert_eq!(local.get(&(0, 1, 2)), Some(10.0));
-        assert_eq!(local.get(&(0, 2, 2)), Some(8.0));
-        assert_eq!(local.get(&(1, 1, 2)), Some(3.0));
-        assert_eq!(local.get(&(0, 99, 99)), None);
-        // Subset ordering defines the local index.
-        let local = snap.seed_local(&[9]);
-        assert_eq!(local.get(&(0, 1, 2)), Some(3.0));
+        let tables = cache.warm_tables(3, 1, 2);
+        assert_eq!(tables.get(0, 1, 1, 2), Some(10.0));
+        assert_eq!(tables.get(0, 1, 2, 2), Some(8.0));
+        assert_eq!(tables.get(0, 2, 1, 2), Some(3.0));
+        assert_eq!(tables.get(1, 1, 1, 2), Some(99.0));
+        assert_eq!(tables.get(1, 2, 1, 2), None); // cold on this class
+        assert_eq!(tables.get(0, 0, 1, 1), None); // never warmed
+                                                  // Outside the rectangle or the VM range: a miss, never a wrong
+                                                  // neighbour and never an index out of bounds.
+        assert_eq!(tables.get(0, 1, 3, 1), None);
+        assert_eq!(tables.get(0, 1, 0, 2), None);
+        assert_eq!(tables.get(0, 1, 1, 3), None);
+        assert_eq!(tables.get(0, 3, 1, 2), None);
+        assert_eq!(tables.get(2, 0, 1, 1), None);
     }
 
     #[test]
-    fn vm_sharding_is_invisible_to_lookups_and_snapshots() {
+    fn vm_sharding_is_invisible_to_lookups_and_tables() {
         // VMs that collide modulo VM_SHARDS and VMs that don't: every key
-        // resolves to its own value, and snapshots stay per-VM sorted.
+        // resolves to its own value, in the store and in the copy.
         let cache = FleetCostCache::new(1);
-        let vms = [0, 1, 15, 16, 17, 31, 32, 1000];
+        let vms = [0, 1, 15, 16, 17, 31, 32, 100];
         for (i, &vm) in vms.iter().enumerate() {
             assert!(cache.insert(0, vm, 2, 1, i as f64));
             assert!(cache.insert(0, vm, 1, 1, 100.0 + i as f64));
         }
         assert_eq!(cache.evaluations(), 2 * vms.len());
+        let tables = cache.warm_tables(101, 1, 2);
         for (i, &vm) in vms.iter().enumerate() {
             assert_eq!(cache.get(0, vm, 2, 1), Some(i as f64));
             assert_eq!(cache.get(0, vm, 1, 1), Some(100.0 + i as f64));
+            assert_eq!(tables.get(0, vm, 2, 1), Some(i as f64));
+            assert_eq!(tables.get(0, vm, 1, 1), Some(100.0 + i as f64));
+            assert_eq!(tables.get(0, vm, 2, 2), None);
         }
-        let snap = cache.snapshot_class(0);
-        for (i, &vm) in vms.iter().enumerate() {
-            // Sorted by (cpu, mem): the (1,1) cell precedes (2,1).
-            assert_eq!(
-                snap.cells(vm),
-                &[(1, 1, 100.0 + i as f64), (2, 1, i as f64)]
-            );
-        }
-        assert_eq!(snap.cells(999), &[]); // never warmed, dense hole
-        assert_eq!(snap.cells(5000), &[]); // beyond the snapshot
+        assert_eq!(tables.get(0, 99, 1, 1), None); // never warmed, dense hole
     }
 }

@@ -12,14 +12,27 @@ use crate::migrate::vm_migration_seconds;
 use crate::solver::FleetSolver;
 use crate::{CurrentPlacement, FleetError};
 
-/// Inserts `i` into sorted `v`, returning the new vector.
-pub(crate) fn insert_sorted(v: &[usize], i: usize) -> Vec<usize> {
-    let at = v.partition_point(|&x| x < i);
-    let mut out = Vec::with_capacity(v.len() + 1);
-    out.extend_from_slice(&v[..at]);
-    out.push(i);
-    out.extend_from_slice(&v[at..]);
-    out
+/// Overwrites `out` with sorted `base` minus `remove` plus `insert`, in
+/// one pass — candidate subsets are built thousands of times per request
+/// into the same buffers.
+pub(crate) fn edit_sorted(
+    out: &mut Vec<usize>,
+    base: &[usize],
+    remove: Option<usize>,
+    insert: Option<usize>,
+) {
+    out.clear();
+    let mut pending = insert;
+    for &x in base {
+        if Some(x) == remove {
+            continue;
+        }
+        if pending.is_some_and(|i| i < x) {
+            out.extend(pending.take());
+        }
+        out.push(x);
+    }
+    out.extend(pending);
 }
 
 /// Produces the greedy seed assignment (`machine_of`).
@@ -46,13 +59,14 @@ pub(crate) fn seed(
     let mut residents: Vec<Vec<usize>> = vec![Vec::new(); m_count];
     let mut objective = vec![0.0f64; m_count];
     let mut machine_of = vec![usize::MAX; n];
+    let mut cand = Vec::new();
     for &i in &order {
-        let mut best: Option<(f64, usize, Vec<usize>, f64)> = None;
+        let mut best: Option<(f64, usize, f64)> = None;
         for m in 0..m_count {
             if residents[m].len() >= cap {
                 continue;
             }
-            let cand = insert_sorted(&residents[m], i);
+            edit_sorted(&mut cand, &residents[m], None, Some(i));
             let solve = solver.solve(m, &cand)?;
             let mut delta = solve.objective - objective[m];
             if let Some(reference) = reference {
@@ -63,23 +77,46 @@ pub(crate) fn seed(
                     reference,
                     i,
                     m,
-                    solve.units_of[w],
+                    solve.assignment[w],
                 )? / solver.cfg.migration_horizon_runs;
             }
             // Strict `<` keeps the first (lowest-index) machine on ties.
             if best.as_ref().map_or(true, |b| delta < b.0) {
-                best = Some((delta, m, cand, solve.objective));
+                best = Some((delta, m, solve.objective));
             }
         }
-        let (_, m, cand, obj) = best.ok_or_else(|| FleetError::Infeasible {
+        let (_, m, obj) = best.ok_or_else(|| FleetError::Infeasible {
             reason: format!(
                 "no machine below the {cap}-VM cap left for VM {i} ({} VMs, {m_count} machines)",
                 n
             ),
         })?;
-        residents[m] = cand;
+        let at = residents[m].partition_point(|&x| x < i);
+        residents[m].insert(at, i);
         objective[m] = obj;
         machine_of[i] = m;
     }
     Ok(machine_of)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::edit_sorted;
+
+    #[test]
+    fn edits_keep_the_subset_sorted() {
+        let mut out = vec![99];
+        let mut edit = |base: &[usize], remove, insert| {
+            edit_sorted(&mut out, base, remove, insert);
+            out.clone()
+        };
+        assert_eq!(edit(&[], None, Some(4)), [4]);
+        assert_eq!(edit(&[2, 5, 9], None, Some(1)), [1, 2, 5, 9]);
+        assert_eq!(edit(&[2, 5, 9], None, Some(7)), [2, 5, 7, 9]);
+        assert_eq!(edit(&[2, 5, 9], None, Some(11)), [2, 5, 9, 11]);
+        assert_eq!(edit(&[2, 5, 9], Some(5), None), [2, 9]);
+        assert_eq!(edit(&[2, 5, 9], Some(2), Some(6)), [5, 6, 9]);
+        assert_eq!(edit(&[2, 5, 9], Some(9), Some(3)), [2, 3, 5]);
+        assert_eq!(edit(&[4], Some(4), None), []);
+    }
 }

@@ -22,6 +22,7 @@
 //! [`crate::placement::build`], so candidate-delta float drift never
 //! accumulates into the incumbent.
 
+use crate::greedy::edit_sorted;
 use crate::migrate::vm_migration_seconds;
 use crate::placement::{build, residents_of, Placement};
 use crate::solver::FleetSolver;
@@ -84,11 +85,6 @@ fn machine_migration(
     Ok(total)
 }
 
-/// Removes `i` from sorted `v`, returning the new vector.
-fn remove_sorted(v: &[usize], i: usize) -> Vec<usize> {
-    v.iter().copied().filter(|&x| x != i).collect()
-}
-
 /// Deterministic splitmix64 stream for swap sampling. The seed is a pure
 /// function of the fleet shape and the round index, so the sampled
 /// neighborhood is identical across runs, machines, and parallelism
@@ -127,6 +123,8 @@ pub(crate) fn improve(
         swap_candidates_sampled: 0,
     };
     let mut incumbent = start;
+    // The two touched machines' candidate subsets, rebuilt per candidate.
+    let (mut vms_a, mut vms_b) = (Vec::new(), Vec::new());
 
     while stats.rounds < solver.cfg.max_rounds {
         let residents = residents_of(&incumbent.machine_of, m_count);
@@ -136,35 +134,23 @@ pub(crate) fn improve(
         let mut total_migration = 0.0;
         for m in 0..m_count {
             let solve = solver.solve(m, &residents[m])?;
-            migration[m] = machine_migration(solver, reference, m, &residents[m], &solve.units_of)?;
+            migration[m] = machine_migration(solver, reference, m, &residents[m], &solve.assignment)?;
             total_migration += migration[m];
         }
 
         let mut best: Option<(f64, Step)> = None;
-        let consider = |step: Step,
+        let mut consider = |step: Step,
                             stats: &mut LocalSearchStats,
                             best: &mut Option<(f64, Step)>|
          -> Result<(), FleetError> {
-            let (ma, mb, vms_a, vms_b) = match step {
-                Step::Move { vm, to } => {
-                    let from = incumbent.machine_of[vm];
-                    (
-                        from,
-                        to,
-                        remove_sorted(&residents[from], vm),
-                        crate::greedy::insert_sorted(&residents[to], vm),
-                    )
-                }
-                Step::Swap { a, b } => {
-                    let (ma, mb) = (incumbent.machine_of[a], incumbent.machine_of[b]);
-                    (
-                        ma,
-                        mb,
-                        crate::greedy::insert_sorted(&remove_sorted(&residents[ma], a), b),
-                        crate::greedy::insert_sorted(&remove_sorted(&residents[mb], b), a),
-                    )
-                }
+            // VM `x` leaves machine `ma` for `mb`; a swap sends `y` back.
+            let (x, mb, y) = match step {
+                Step::Move { vm, to } => (vm, to, None),
+                Step::Swap { a, b } => (a, incumbent.machine_of[b], Some(b)),
             };
+            let ma = incumbent.machine_of[x];
+            edit_sorted(&mut vms_a, &residents[ma], Some(x), y);
+            edit_sorted(&mut vms_b, &residents[mb], y, Some(x));
             let solve_a = solver.solve(ma, &vms_a)?;
             let solve_b = solver.solve(mb, &vms_b)?;
             let steady = incumbent.steady_objective
@@ -173,8 +159,8 @@ pub(crate) fn improve(
                 + solve_a.objective
                 + solve_b.objective;
             let mig = total_migration - migration[ma] - migration[mb]
-                + machine_migration(solver, reference, ma, &vms_a, &solve_a.units_of)?
-                + machine_migration(solver, reference, mb, &vms_b, &solve_b.units_of)?;
+                + machine_migration(solver, reference, ma, &vms_a, &solve_a.assignment)?
+                + machine_migration(solver, reference, mb, &vms_b, &solve_b.assignment)?;
             let total = steady + mig / horizon;
             stats.candidates_evaluated += 1;
             if best.as_ref().map_or(incumbent.total_objective > total, |b| total < b.0) {

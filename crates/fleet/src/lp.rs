@@ -55,24 +55,25 @@ pub(crate) fn lower_bound(
     let lo = solver.cfg.min_units;
     let side = (rect_hi - lo + 1) as usize;
 
-    // Dense weighted cost tables: table[class][i][(c-lo)*side + (m-lo)].
+    // Dense weighted cost tables: table[class][i * cells + (c-lo)*side + (m-lo)].
+    let cells = side * side;
     let num_classes = solver.classes.num_classes();
-    let mut table = vec![vec![0.0f64; side * side * n]; num_classes];
+    let mut table = vec![Vec::new(); num_classes];
     for (class, t) in table.iter_mut().enumerate() {
         for i in 0..n {
             let w = solver.weight(i);
             for c in lo..=rect_hi {
                 for mu in lo..=rect_hi {
-                    let at = i * side * side
-                        + (c - lo) as usize * side
-                        + (mu - lo) as usize;
-                    t[at] = w * solver.cell_cost(class, i, c, mu)?;
+                    t.push(w * solver.cell_cost(class, i, c, mu)?);
                 }
             }
         }
     }
 
     let mut lambda = vec![[0.0f64; 2]; m_count];
+    // This iteration's price rows, `λ[m]·c` and `λ[m]·mu` per unit count.
+    let mut price = vec![[0.0f64; 2]; m_count * side];
+    let mut load = vec![[0.0f64; 2]; m_count];
     let mut best = f64::NEG_INFINITY;
     let mut theta = 1.0f64;
     let mut since_improved = 0usize;
@@ -81,22 +82,27 @@ pub(crate) fn lower_bound(
 
     for _ in 0..solver.cfg.lp_iterations {
         iterations += 1;
+        for (m, lam) in lambda.iter().enumerate() {
+            for (k, p) in price[m * side..][..side].iter_mut().enumerate() {
+                let u = (lo + k as u32) as f64;
+                *p = [lam[0] * u, lam[1] * u];
+            }
+        }
         // Separable inner minimization: each VM picks its cheapest
         // (machine, cell) under the current prices. Strict `<` keeps the
         // first minimizer in (machine, cpu, mem) order — deterministic.
         let mut value = 0.0f64;
-        let mut load = vec![[0.0f64; 2]; m_count];
+        load.fill([0.0; 2]);
         for i in 0..n {
             let mut min_val = f64::INFINITY;
-            let mut min_at = (0usize, 0u32, 0u32);
+            let mut min_at = (0usize, 0usize, 0usize);
             for m in 0..m_count {
-                let t = &table[classes[m]];
-                for c in lo..=rect_hi {
-                    for mu in lo..=rect_hi {
-                        let at = i * side * side
-                            + (c - lo) as usize * side
-                            + (mu - lo) as usize;
-                        let v = t[at] + lambda[m][0] * c as f64 + lambda[m][1] * mu as f64;
+                let t = &table[classes[m]][i * cells..][..cells];
+                let prices = &price[m * side..][..side];
+                for (c, row) in t.chunks_exact(side).enumerate() {
+                    let cpu_price = prices[c][0];
+                    for (mu, (&cost, p)) in row.iter().zip(prices).enumerate() {
+                        let v = cost + cpu_price + p[1];
                         if v < min_val {
                             min_val = v;
                             min_at = (m, c, mu);
@@ -105,8 +111,8 @@ pub(crate) fn lower_bound(
                 }
             }
             value += min_val;
-            load[min_at.0][0] += min_at.1 as f64;
-            load[min_at.0][1] += min_at.2 as f64;
+            load[min_at.0][0] += (lo + min_at.1 as u32) as f64;
+            load[min_at.0][1] += (lo + min_at.2 as u32) as f64;
         }
         for lam in &lambda {
             value -= (lam[0] + lam[1]) * units;

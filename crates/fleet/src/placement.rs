@@ -52,24 +52,35 @@ impl Placement {
     /// units, and the bit-exact objectives. Serial and parallel runs of
     /// the advisor must produce identical fingerprints.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= *b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = Fnv::new();
         for &m in &self.machine_of {
-            eat(&(m as u64).to_le_bytes());
+            h.eat(&(m as u64).to_le_bytes());
         }
         for &(c, m) in &self.units_of {
-            eat(&c.to_le_bytes());
-            eat(&m.to_le_bytes());
+            h.eat(&c.to_le_bytes());
+            h.eat(&m.to_le_bytes());
         }
-        eat(&self.steady_objective.to_bits().to_le_bytes());
-        eat(&self.migration_seconds.to_bits().to_le_bytes());
-        eat(&self.total_objective.to_bits().to_le_bytes());
-        h
+        h.eat(&self.steady_objective.to_bits().to_le_bytes());
+        h.eat(&self.migration_seconds.to_bits().to_le_bytes());
+        h.eat(&self.total_objective.to_bits().to_le_bytes());
+        h.0
+    }
+}
+
+/// FNV-1a over little-endian bytes: the one hash behind every fleet
+/// fingerprint (placements, reports, simulations).
+pub(crate) struct Fnv(pub u64);
+
+impl Fnv {
+    pub fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub fn eat(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= *b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
     }
 }
 
@@ -102,7 +113,7 @@ pub(crate) fn build(
         let solve = solver.solve(m, vms)?;
         per_machine_objective[m] = solve.objective;
         for (w, &vm) in vms.iter().enumerate() {
-            units_of[vm] = solve.units_of[w];
+            units_of[vm] = solve.assignment[w];
         }
     }
     let steady_objective: f64 = per_machine_objective.iter().sum();

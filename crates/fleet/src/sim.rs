@@ -14,7 +14,7 @@
 //! `parallelism` setting (the driver's slot-reduction contract), and
 //! identical across processes because every input is.
 
-use crate::placement::residents_of;
+use crate::placement::{residents_of, Fnv};
 use crate::{FleetConfig, FleetError, FleetProblem, Placement};
 use dbvirt_vmm::sched::{co_schedule_fleet, MachineSim, SchedMode, SchedStats, VmJob, VmOutcome};
 use dbvirt_vmm::{AllocationMatrix, ResourceVector};
@@ -52,22 +52,16 @@ impl FleetSimReport {
     /// simulations of the same placement must produce identical
     /// fingerprints.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = Fnv::new();
         for o in &self.outcomes {
-            eat(o.completion.as_micros());
+            h.eat(&o.completion.as_micros().to_le_bytes());
             for t in &o.query_completions {
-                eat(t.as_micros());
+                h.eat(&t.as_micros().to_le_bytes());
             }
         }
-        eat(self.simulated_total.to_bits());
-        eat(self.predicted_total.to_bits());
-        h
+        h.eat(&self.simulated_total.to_bits().to_le_bytes());
+        h.eat(&self.predicted_total.to_bits().to_le_bytes());
+        h.0
     }
 }
 

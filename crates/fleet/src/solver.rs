@@ -1,42 +1,27 @@
-//! Per-machine what-if solves over the shared warm cache.
+//! Per-machine what-if solves over the request's warm tables.
 //!
 //! Every placement candidate is priced by *re-solving* the machines it
-//! touches: the VM subset on a machine becomes a single-machine
-//! [`DesignProblem`] and the exact dynamic program from `dbvirt-core`
-//! chooses the residents' shares. Solves are memoized by
+//! touches: the residents' rows of the request's [`WarmTables`], times
+//! their SLO weights, go straight into `dbvirt-core`'s DP kernel
+//! ([`solve_dp`]), which chooses the residents' shares — the same code,
+//! candidate order and tie-breaks as a single-machine
+//! `run_search(DynamicProgramming)`, without building a problem, a cache
+//! or a span per candidate. Solves are memoized by
 //! `(machine class, VM subset)` — two machines of the same class hosting
-//! the same VMs have identical optimal share splits — and each solve runs
-//! against a local cache seeded from the fleet-wide store (see
-//! [`crate::FleetCostCache`] for why the keys must be re-mapped).
+//! the same VMs have identical optimal share splits — and handed out
+//! shared, not cloned.
 
-use crate::{ClassSnapshot, FleetConfig, FleetCostCache, FleetError, FleetProblem, MachineClasses};
-use dbvirt_core::search::{run_search_cached, SearchAlgorithm, SearchConfig};
+use crate::{FleetConfig, FleetCostCache, FleetError, FleetProblem, MachineClasses, WarmTables};
+use dbvirt_core::search::{solve_dp, DpSolution, SearchConfig};
 use dbvirt_core::{CostModel, DesignProblem, WorkloadSpec};
 use dbvirt_vmm::ResourceVector;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::{Entry, HashMap};
-
-/// The outcome of solving one machine's share split for a VM subset.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct MachineSolve {
-    /// Weighted steady-state objective contributed by this machine.
-    pub objective: f64,
-    /// `(cpu units, mem units)` per resident, parallel to the subset.
-    pub units_of: Vec<(u32, u32)>,
-}
-
-impl MachineSolve {
-    fn empty() -> MachineSolve {
-        MachineSolve {
-            objective: 0.0,
-            units_of: Vec::new(),
-        }
-    }
-}
+use std::rc::Rc;
 
 /// Prices machines and cells for one placement request. Single-threaded
 /// by design: all parallelism lives in the pre-warm sweep, so every path
-/// through here is a deterministic cache lookup plus pure arithmetic.
+/// through here is a deterministic table read plus pure arithmetic.
 pub(crate) struct FleetSolver<'s, 'a> {
     pub problem: &'s FleetProblem<'a>,
     pub classes: &'s MachineClasses,
@@ -44,21 +29,22 @@ pub(crate) struct FleetSolver<'s, 'a> {
     pub cfg: FleetConfig,
     rect_hi: u32,
     cache: &'s FleetCostCache,
-    snapshots: Vec<ClassSnapshot>,
+    tables: WarmTables,
     /// The single-VM problem of each `(class, vm)` a cell lookup missed
     /// for, built on the pair's first miss.
     cell_problems: RefCell<HashMap<(usize, usize), DesignProblem<'a>>>,
-    memo: RefCell<HashMap<(usize, Vec<usize>), MachineSolve>>,
+    /// `memo[class][subset]`.
+    memo: RefCell<Vec<HashMap<Vec<usize>, Rc<DpSolution>>>>,
     solves: Cell<usize>,
     memo_hits: Cell<usize>,
 }
 
 impl<'s, 'a> FleetSolver<'s, 'a> {
-    /// Builds a solver over a snapshot of the shared cache. The snapshot
-    /// is taken once per request, *after* that request's pre-warm sweep,
-    /// so it covers every cell the solves below will touch. `rect_hi` is
-    /// the request's warm-rectangle ceiling: no solve may hand any VM more
-    /// units of either resource.
+    /// Builds a solver over a copy of the shared cache's warm rectangle.
+    /// The copy is taken once per request, *after* that request's pre-warm
+    /// sweep, so it covers every cell the solves below will touch.
+    /// `rect_hi` is the request's warm-rectangle ceiling: no solve may hand
+    /// any VM more units of either resource.
     pub fn new(
         problem: &'s FleetProblem<'a>,
         classes: &'s MachineClasses,
@@ -67,9 +53,6 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
         rect_hi: u32,
         cache: &'s FleetCostCache,
     ) -> FleetSolver<'s, 'a> {
-        let snapshots = (0..classes.num_classes())
-            .map(|k| cache.snapshot_class(k))
-            .collect();
         FleetSolver {
             problem,
             classes,
@@ -77,9 +60,9 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
             cfg,
             rect_hi,
             cache,
-            snapshots,
+            tables: cache.warm_tables(problem.num_vms(), cfg.min_units, rect_hi),
             cell_problems: RefCell::new(HashMap::new()),
-            memo: RefCell::new(HashMap::new()),
+            memo: RefCell::new(vec![HashMap::new(); classes.num_classes()]),
             solves: Cell::new(0),
             memo_hits: Cell::new(0),
         }
@@ -91,14 +74,13 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
     }
 
     /// The unweighted cost of VM `vm` at `(cpu, mem)` units on machine
-    /// class `class`. Reads the snapshot first, then the live cache, and
-    /// only as a last resort calls the cost model (inserting the result so
-    /// the miss is paid once). The returned value is identical on every
+    /// class `class`. Reads the warm tables first, then the live cache,
+    /// and only as a last resort calls the cost model (inserting the result
+    /// so the miss is paid once). The returned value is identical on every
     /// path — cached costs are pure in `(class, vm, cell)`.
     pub fn cell_cost(&self, class: usize, vm: usize, cpu: u32, mem: u32) -> Result<f64, FleetError> {
-        let cells = self.snapshots[class].cells(vm);
-        if let Ok(at) = cells.binary_search_by(|&(c, m, _)| (c, m).cmp(&(cpu, mem))) {
-            return Ok(cells[at].2);
+        if let Some(cost) = self.tables.get(class, vm, cpu, mem) {
+            return Ok(cost);
         }
         if let Some(cost) = self.cache.get(class, vm, cpu, mem) {
             return Ok(cost);
@@ -114,28 +96,20 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
     }
 
     /// The optimal share split for `vms` (ascending global indices) on
-    /// machine `machine`, memoized by `(class, subset)`.
-    pub fn solve(&self, machine: usize, vms: &[usize]) -> Result<MachineSolve, FleetError> {
+    /// machine `machine` — the residents' units parallel to `vms`, and the
+    /// machine's weighted steady-state objective — memoized by
+    /// `(class, subset)`.
+    pub fn solve(&self, machine: usize, vms: &[usize]) -> Result<Rc<DpSolution>, FleetError> {
         if vms.is_empty() {
-            return Ok(MachineSolve::empty());
+            return Ok(Rc::default());
         }
         debug_assert!(vms.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
         let class = self.classes.class_of[machine];
-        let key = (class, vms.to_vec());
-        if let Some(hit) = self.memo.borrow().get(&key) {
+        if let Some(hit) = self.memo.borrow()[class].get(vms) {
             self.memo_hits.set(self.memo_hits.get() + 1);
-            return Ok(hit.clone());
+            return Ok(Rc::clone(hit));
         }
 
-        let workloads = vms
-            .iter()
-            .map(|&i| {
-                let vm = &self.problem.vms[i];
-                WorkloadSpec::new(vm.name.clone(), vm.db, vm.queries.clone())
-                    .with_weight(vm.weight)
-            })
-            .collect();
-        let dp = DesignProblem::new(self.classes.specs[class], workloads)?;
         // Budget cap: a machine below the forced minimum occupancy (a
         // transient greedy state — more VMs are still coming) may not hand
         // any resident more than `rect_hi` units, or its solve would read
@@ -156,38 +130,11 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
             cpu_budget: budget,
             mem_budget: budget,
         };
-        let local = self.snapshots[class].seed_local(vms);
-        let rec = run_search_cached(
-            SearchAlgorithm::DynamicProgramming,
-            &dp,
-            self.models[class],
-            scfg,
-            &local,
-        )?;
-        // Flow any cells the local solve had to evaluate (snapshot gaps)
-        // back into the shared store, re-keyed to global VM indices.
-        if rec.evaluations > 0 {
-            for ((w, c, m), cost) in local.entries() {
-                self.cache.insert(class, vms[w], c, m, cost);
-            }
-        }
-
-        let units = self.cfg.units;
-        let units_of = rec
-            .allocation
-            .rows()
-            .map(|row| {
-                let c = (row.cpu().fraction() * units as f64).round() as u32;
-                let m = (row.memory().fraction() * units as f64).round() as u32;
-                (c, m)
-            })
-            .collect();
-        let solve = MachineSolve {
-            objective: rec.objective,
-            units_of,
-        };
+        let solve = Rc::new(solve_dp(vms.len(), &scfg, |w, c, m| {
+            Ok::<_, FleetError>(self.cell_cost(class, vms[w], c, m)? * self.weight(vms[w]))
+        })?);
         self.solves.set(self.solves.get() + 1);
-        self.memo.borrow_mut().insert(key, solve.clone());
+        self.memo.borrow_mut()[class].insert(vms.to_vec(), Rc::clone(&solve));
         Ok(solve)
     }
 

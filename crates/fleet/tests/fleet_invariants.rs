@@ -317,6 +317,68 @@ fn prewarm_parallelism_is_invisible() {
     assert_eq!(fingerprints[0], fingerprints[2]);
 }
 
+/// A fleet that forces every machine to host several VMs warms only the
+/// rectangle those VMs can ever be handed. Greedy's transient states —
+/// machines still below that occupancy — must be solved under the capped
+/// budget: no cell above the rectangle is ever priced, and nothing is
+/// priced after the pre-warm sweep.
+#[test]
+fn solves_below_forced_occupancy_stay_inside_the_warm_rectangle() {
+    /// Fails any cell above `ceiling` units and counts the rest.
+    struct Fenced {
+        inner: SyntheticModel,
+        units: f64,
+        ceiling: f64,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+    impl CostModel for Fenced {
+        fn cost(
+            &self,
+            problem: &DesignProblem<'_>,
+            w_idx: usize,
+            shares: ResourceVector,
+        ) -> Result<f64, CoreError> {
+            let cpu = (shares.cpu().fraction() * self.units).round();
+            let mem = (shares.memory().fraction() * self.units).round();
+            if cpu > self.ceiling || mem > self.ceiling {
+                return Err(CoreError::BadProblem {
+                    reason: format!("cell ({cpu}, {mem}) is outside the warm rectangle"),
+                });
+            }
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.cost(problem, w_idx, shares)
+        }
+    }
+
+    // 10 VMs on two 6-VM machines: each hosts at least 4, so no VM can
+    // hold more than 6 − 3 = 3 units.
+    let db = tiny_db();
+    let (n, units, ceiling) = (10, 6u32, 3u32);
+    let machines = vec![MachineSpec::tiny(); 2];
+    let model = Fenced {
+        inner: SyntheticModel { speed: 1.0 },
+        units: units as f64,
+        ceiling: ceiling as f64,
+        calls: Default::default(),
+    };
+    let cfg = FleetConfig::new(units)
+        .with_parallelism(1)
+        .with_lp_iterations(80);
+    let advisor = FleetAdvisor::new(machines.clone(), vec![&model], cfg).unwrap();
+    let weights: Vec<f64> = (0..n).map(|i| 0.5 + (i % 4) as f64 * 0.5).collect();
+    let problem = FleetProblem::new(machines, vms(&db, n, &weights)).unwrap();
+    let report = advisor.place(&problem).unwrap();
+
+    assert_eq!(report.prewarm_cells, n * (ceiling * ceiling) as usize);
+    assert_eq!(model.calls.into_inner(), report.prewarm_cells);
+    assert!(report
+        .placement
+        .units_of
+        .iter()
+        .all(|&(c, m)| c <= ceiling && m <= ceiling));
+}
+
 /// Re-placing a deployed fleet prices its churn and reports the delta.
 #[test]
 fn rebalance_is_priced_against_the_deployed_placement() {

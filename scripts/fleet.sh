@@ -5,8 +5,10 @@
 # 8-machine fleet, LP optimality gap <= 25% on every configuration, the
 # M=1 placement bit-identical to the single-machine DP recommendation,
 # placements identical at pre-warm parallelism 1 and 0), the per-shape
-# FLEET_FINGERPRINT lines must be identical across the two processes, and
-# the BENCH_fleet.json artifact must be written.
+# FLEET_FINGERPRINT lines must be identical across the two processes *and*
+# equal to the committed tests/golden/fleet_fingerprints.txt (a change
+# that alters every placement the same way in both runs must not pass),
+# and the BENCH_fleet.json artifact must be written.
 #
 # Runs as part of `scripts/tier1.sh`, or directly. Artifacts land in
 # FLEET_DIR (default: a throwaway temp directory; set FLEET_DIR=. to keep
@@ -38,9 +40,14 @@ if ! diff -u "$out_dir/fp_a.txt" "$out_dir/fp_b.txt"; then
   echo "FAIL: fleet placements diverged between two identical runs" >&2
   exit 1
 fi
+# Cross-version identity: the placements are the committed ones.
+if ! diff -u tests/golden/fleet_fingerprints.txt "$out_dir/fp_a.txt"; then
+  echo "FAIL: fleet placements differ from tests/golden/fleet_fingerprints.txt" >&2
+  exit 1
+fi
 
 if [[ ! -s "$out_dir/BENCH_fleet.json" ]]; then
   echo "FAIL: ext_fleet did not write BENCH_fleet.json" >&2
   exit 1
 fi
-echo "fleet gate OK: every pin held, placements replayed bit-identically"
+echo "fleet gate OK: every pin held, placements replayed and match the committed fingerprints"

@@ -7,7 +7,9 @@
 # slower than capped, simulated per-run total within an order of
 # magnitude of the predicted objective), the FLEETSIM_FINGERPRINT lines
 # (placement + both simulation modes) must be identical across the two
-# processes, and the BENCH_fleetsim.json artifact must be written.
+# processes *and* equal to the committed
+# tests/golden/fleetsim_fingerprints.txt, and the BENCH_fleetsim.json
+# artifact must be written.
 #
 # Runs as part of `scripts/tier1.sh`, or directly. Artifacts land in
 # FLEETSIM_DIR (default: a throwaway temp directory; set FLEETSIM_DIR=.
@@ -39,6 +41,11 @@ if ! diff -u "$out_dir/fp_a.txt" "$out_dir/fp_b.txt"; then
   echo "FAIL: fleet simulation diverged between two identical runs" >&2
   exit 1
 fi
+# Cross-version identity: placement and simulations are the committed ones.
+if ! diff -u tests/golden/fleetsim_fingerprints.txt "$out_dir/fp_a.txt"; then
+  echo "FAIL: fleet simulation differs from tests/golden/fleetsim_fingerprints.txt" >&2
+  exit 1
+fi
 
 if [[ ! -s "$out_dir/BENCH_fleetsim.json" ]]; then
   echo "FAIL: ext_fleetsim did not write BENCH_fleetsim.json" >&2
@@ -49,4 +56,4 @@ if [[ ! -s "$out_dir/fleetsim_trace.json" ]]; then
   echo "FAIL: the telemetry sink wrote no fleetsim_trace.json" >&2
   exit 1
 fi
-echo "fleetsim gate OK: 1024 VMs placed and executed, replayed bit-identically"
+echo "fleetsim gate OK: 1024 VMs placed and executed, replayed and match the committed fingerprints"
