@@ -5,7 +5,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dbvirt_engine::{
     run_plan, AggExpr, AggFunc, CpuCosts, Database, Expr, JoinType, PhysicalPlan, SortKey, TableId,
 };
+use dbvirt_optimizer::{plan_query, OptimizerParams};
 use dbvirt_storage::{BufferPool, DataType, Datum, Field, Schema, Tuple};
+use dbvirt_tpch::{TpchConfig, TpchDb, TpchQuery};
 use std::hint::black_box;
 
 fn build_db(rows: i64) -> Database {
@@ -102,6 +104,36 @@ fn bench_operators(c: &mut Criterion) {
         b.iter(|| black_box(execute(&mut db, &plan)));
     });
 
+    // The joins' consumers: one that keeps the padded pairs (the root
+    // decodes them) and one that reads two columns of each pair and keeps
+    // neither. `b` is a permutation of `a`, so both pair every row once.
+    c.bench_function("exec/hash_join_left_50k", |b| {
+        let plan = PhysicalPlan::HashJoin {
+            left: scan(),
+            right: scan(),
+            left_keys: vec![0],
+            right_keys: vec![1],
+            join_type: JoinType::Left,
+        };
+        b.iter(|| black_box(execute(&mut db, &plan)));
+    });
+
+    c.bench_function("exec/agg_over_hash_join_50k", |b| {
+        let plan = PhysicalPlan::HashAgg {
+            input: Box::new(PhysicalPlan::HashJoin {
+                left: scan(),
+                right: scan(),
+                left_keys: vec![0],
+                right_keys: vec![1],
+                join_type: JoinType::Inner,
+            }),
+            // The probe side's `g`, the build side's `a`.
+            group_by: vec![2],
+            aggs: vec![AggExpr::new(AggFunc::Sum, Expr::col(3), "s")],
+        };
+        b.iter(|| black_box(execute(&mut db, &plan)));
+    });
+
     c.bench_function("exec/grouped_agg_over_scan_50k", |b| {
         let plan = PhysicalPlan::HashAgg {
             input: scan(),
@@ -124,5 +156,26 @@ fn bench_operators(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_operators);
+/// The two join queries of the paper's Figures 4 and 5, planned under
+/// default parameters at the scale `perf/`'s `cold_advise` executes them.
+fn bench_tpch_joins(c: &mut Criterion) {
+    let mut t = TpchDb::generate(TpchConfig {
+        scale: 0.005,
+        seed: 42,
+        with_indexes: true,
+    })
+    .expect("TPC-H generation");
+    for (name, query) in [
+        ("exec/tpch_q13_sf0.005", TpchQuery::Q13),
+        ("exec/tpch_q4_sf0.005", TpchQuery::Q4),
+    ] {
+        let planned = plan_query(&t.db, &query.plan(&t), &OptimizerParams::default())
+            .expect("benchmark query plans");
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(execute(&mut t.db, &planned.physical)));
+        });
+    }
+}
+
+criterion_group!(benches, bench_operators, bench_tpch_joins);
 criterion_main!(benches);

@@ -1,13 +1,14 @@
 //! Aggregation operators: hash aggregation and sorted-input aggregation.
 //!
-//! Neither keeps its input: both pull rows through `for_each_row` and read
+//! Neither keeps its input: both are pushed rows by `for_each_row` and read
 //! only the columns their grouping keys and aggregate arguments name, so a
-//! scan feeding an aggregate never decodes a row.
+//! scan or a join feeding an aggregate never decodes a row. What they push
+//! on is a view of a group's key values and aggregate states.
 
-use super::for_each_row;
+use super::{for_each_row, RowSink};
 use crate::runtime::{EngineError, ExecContext};
 use crate::{AggExpr, AggFunc, PhysicalPlan};
-use dbvirt_storage::{Datum, DatumRef, Row, Tuple};
+use dbvirt_storage::{Datum, DatumRef, Row};
 use std::collections::HashMap;
 
 /// Running state of one aggregate.
@@ -83,32 +84,42 @@ impl AggState {
         }
     }
 
-    fn finish(self) -> Datum {
-        match self {
-            AggState::Count(n) => Datum::Int(n),
-            AggState::Sum(si, sf, saw_float, seen) => {
-                if !seen {
-                    Datum::Null
-                } else if saw_float {
-                    Datum::Float(sf + si as f64)
-                } else {
-                    Datum::Int(si)
-                }
+    /// The aggregate's value over the rows seen so far.
+    fn value(&self) -> DatumRef<'_> {
+        match *self {
+            AggState::Count(n) => DatumRef::Int(n),
+            AggState::Sum(_, _, _, false) => DatumRef::Null,
+            AggState::Sum(si, sf, true, _) => DatumRef::Float(sf + si as f64),
+            AggState::Sum(si, ..) => DatumRef::Int(si),
+            AggState::Avg(_, 0) => DatumRef::Null,
+            AggState::Avg(sum, n) => DatumRef::Float(sum / n as f64),
+            AggState::Min(ref v) | AggState::Max(ref v) => {
+                v.as_ref().map_or(DatumRef::Null, DatumRef::of)
             }
-            AggState::Avg(sum, n) => {
-                if n == 0 {
-                    Datum::Null
-                } else {
-                    Datum::Float(sum / n as f64)
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Datum::Null),
         }
     }
 }
 
 /// One group: its key values and the running state of each aggregate.
 type Group = (Vec<Datum>, Vec<AggState>);
+
+/// A group as an output row: its key values, then each aggregate's value.
+struct GroupRow<'a>(&'a Group);
+
+impl Row for GroupRow<'_> {
+    fn arity(&self) -> usize {
+        let (key, states) = self.0;
+        key.len() + states.len()
+    }
+
+    fn col(&self, idx: usize) -> DatumRef<'_> {
+        let (key, states) = self.0;
+        match idx.checked_sub(key.len()) {
+            None => DatumRef::of(&key[idx]),
+            Some(agg) => states[agg].value(),
+        }
+    }
+}
 
 fn make_states(aggs: &[AggExpr]) -> Vec<AggState> {
     aggs.iter().map(|a| AggState::new(a.func)).collect()
@@ -128,11 +139,6 @@ fn update_states(states: &mut [AggState], aggs: &[AggExpr], row: &dyn Row) {
     }
 }
 
-fn finish_group((mut values, states): Group) -> Tuple {
-    values.extend(states.into_iter().map(AggState::finish));
-    Tuple::new(values)
-}
-
 fn charge(ctx: &mut ExecContext<'_>, rows: usize, aggs: &[AggExpr], hashed: bool) {
     let costs = ctx.costs;
     let ops: f64 = aggs
@@ -150,26 +156,29 @@ fn global_agg(
     ctx: &mut ExecContext<'_>,
     input: &PhysicalPlan,
     aggs: &[AggExpr],
-) -> Result<Vec<Tuple>, EngineError> {
+    sink: &mut RowSink<'_>,
+) -> Result<usize, EngineError> {
     let mut rows_in = 0;
-    let mut states = make_states(aggs);
+    let mut group = (Vec::new(), make_states(aggs));
     for_each_row(ctx, input, &mut |row| {
         rows_in += 1;
-        update_states(&mut states, aggs, row);
+        update_states(&mut group.1, aggs, row);
     })?;
     charge(ctx, rows_in, aggs, false);
-    Ok(vec![finish_group((Vec::new(), states))])
+    sink(&GroupRow(&group));
+    Ok(1)
 }
 
 /// Hash aggregation: one group per distinct key, any input order.
-pub fn hash_agg(
+pub(crate) fn hash_agg(
     ctx: &mut ExecContext<'_>,
     input: &PhysicalPlan,
     group_by: &[usize],
     aggs: &[AggExpr],
-) -> Result<Vec<Tuple>, EngineError> {
+    sink: &mut RowSink<'_>,
+) -> Result<usize, EngineError> {
     if group_by.is_empty() {
-        return global_agg(ctx, input, aggs);
+        return global_agg(ctx, input, aggs, sink);
     }
 
     // Groups in first-seen order (the deterministic output order), found
@@ -196,23 +205,26 @@ pub fn hash_agg(
         update_states(&mut groups[group].1, aggs, row);
     })?;
     charge(ctx, rows_in, aggs, true);
-    Ok(groups.into_iter().map(finish_group).collect())
+    for group in &groups {
+        sink(&GroupRow(group));
+    }
+    Ok(groups.len())
 }
 
 /// Aggregation over input sorted by the grouping columns: constant memory,
-/// no hashing.
-pub fn sort_agg(
+/// no hashing. A group is pushed on as soon as the next one opens.
+pub(crate) fn sort_agg(
     ctx: &mut ExecContext<'_>,
     input: &PhysicalPlan,
     group_by: &[usize],
     aggs: &[AggExpr],
-) -> Result<Vec<Tuple>, EngineError> {
+    sink: &mut RowSink<'_>,
+) -> Result<usize, EngineError> {
     if group_by.is_empty() {
-        return global_agg(ctx, input, aggs);
+        return global_agg(ctx, input, aggs, sink);
     }
 
-    let mut rows_in = 0;
-    let mut out = Vec::new();
+    let (mut rows_in, mut rows_out) = (0, 0);
     let mut current: Option<Group> = None;
     for_each_row(ctx, input, &mut |row| {
         rows_in += 1;
@@ -223,7 +235,8 @@ pub fn sort_agg(
         });
         if !same {
             if let Some(group) = current.take() {
-                out.push(finish_group(group));
+                rows_out += 1;
+                sink(&GroupRow(&group));
             }
         }
         // On a group change `current` was just drained, so this opens the
@@ -231,9 +244,12 @@ pub fn sort_agg(
         let (_, states) = current.get_or_insert_with(|| new_group(group_by, aggs, row));
         update_states(states, aggs, row);
     })?;
-    out.extend(current.map(finish_group));
+    if let Some(group) = &current {
+        rows_out += 1;
+        sink(&GroupRow(group));
+    }
     charge(ctx, rows_in, aggs, false);
-    Ok(out)
+    Ok(rows_out)
 }
 
 #[cfg(test)]
@@ -241,6 +257,7 @@ mod tests {
     use super::*;
     use crate::runtime::tests_support::{context, scan_of, small_db};
     use crate::Expr;
+    use dbvirt_storage::Tuple;
 
     fn rows(data: &[(&str, i64)]) -> Vec<Tuple> {
         data.iter()
@@ -264,14 +281,20 @@ mod tests {
         &PhysicalPlan,
         &[usize],
         &[AggExpr],
-    ) -> Result<Vec<Tuple>, EngineError>;
+        &mut RowSink<'_>,
+    ) -> Result<usize, EngineError>;
 
     /// Runs `op` over `input` loaded into a scratch table.
     fn run(op: AggOp, input: Vec<Tuple>, group_by: &[usize], aggs: &[AggExpr]) -> Vec<Tuple> {
         let (mut db, mut pool) = small_db(1);
         let input = scan_of(&mut db, input);
         let mut ctx = context(&mut db, &mut pool);
-        op(&mut ctx, &input, group_by, aggs).unwrap()
+        let mut out = Vec::new();
+        let pushed = op(&mut ctx, &input, group_by, aggs, &mut |row| {
+            out.push(row.to_tuple())
+        });
+        assert_eq!(pushed.unwrap(), out.len());
+        out
     }
 
     #[test]

@@ -1,46 +1,29 @@
 //! Join operators: hash, merge, and nested-loop.
+//!
+//! All three keep both inputs — the left one is run to its end before the
+//! right one starts — as encoded records in a [`RowBuf`] each, and push
+//! each output pair to their consumer as a [`Joined`] view of two kept
+//! rows: no joined tuple is built unless the consumer builds one.
 
-use crate::runtime::ExecContext;
-use crate::{Expr, JoinType};
-use dbvirt_storage::{Datum, DatumRef, Row, Tuple};
-use std::collections::HashMap;
+use super::{collect, RowSink};
+use crate::runtime::{EngineError, ExecContext};
+use crate::{Expr, JoinType, PhysicalPlan};
+use dbvirt_storage::{Datum, Joined, Row, RowBuf, Tuple, TupleView};
+use dbvirt_telemetry::SpanGuard;
+use std::cmp::Ordering;
 
-/// Two rows seen as their concatenation, so a join predicate can be
-/// evaluated before — and for a pair it rejects, instead of — building the
-/// joined tuple.
-struct Joined<'a> {
-    left: &'a Tuple,
-    right: &'a Tuple,
-}
-
-impl Row for Joined<'_> {
-    fn col(&self, idx: usize) -> DatumRef<'_> {
-        match idx.checked_sub(self.left.arity()) {
-            None => self.left.col(idx),
-            Some(right_idx) => self.right.col(right_idx),
-        }
-    }
-
-    fn to_tuple(&self) -> Tuple {
-        self.left.concat(self.right)
-    }
-}
-
-/// Hash key for a set of join columns; `None` when any key column is NULL
-/// (NULL never matches in an equi-join).
-fn join_key(tuple: &Tuple, keys: &[usize]) -> Option<bytes::Bytes> {
-    if keys.iter().any(|&k| tuple.get(k).is_null()) {
-        return None;
-    }
-    Some(tuple.project(keys).encode())
+/// The row a left join pairs an unmatched left row with.
+fn null_pad(ctx: &ExecContext<'_>, right: &PhysicalPlan) -> Tuple {
+    Tuple::new(vec![Datum::Null; right.output_schema(ctx.db).len()])
 }
 
 /// Charges the grace-hash spill I/O when the build side exceeds `work_mem`:
 /// with `b > 1` batches, both inputs are written once and re-read once for
 /// all but the in-memory batch (PostgreSQL's multi-batch hash join).
-fn charge_hash_spill(ctx: &mut ExecContext<'_>, build_bytes: usize, probe_bytes: usize) {
+/// Returns `b` (1 when nothing spills).
+fn charge_hash_spill(ctx: &mut ExecContext<'_>, build_bytes: usize, probe_bytes: usize) -> usize {
     if build_bytes <= ctx.work_mem_bytes {
-        return;
+        return 1;
     }
     let batches = build_bytes.div_ceil(ctx.work_mem_bytes).max(2);
     let spilled_frac = (batches - 1) as f64 / batches as f64;
@@ -50,92 +33,165 @@ fn charge_hash_spill(ctx: &mut ExecContext<'_>, build_bytes: usize, probe_bytes:
     let spill_pages = pages(build_bytes) + pages(probe_bytes);
     ctx.charge_io_writes(spill_pages);
     ctx.charge_io_seq_reads(spill_pages);
+    batches
+}
+
+/// Hash of a row's join key — the field bytes of its key columns — or
+/// `None` when a key column is NULL (NULL never matches in an equi-join).
+/// Deterministic and cheap rather than collision-resistant: a collision
+/// costs one more byte comparison, and no order is ever derived from it.
+fn key_hash(row: &TupleView<'_>, keys: &[usize]) -> Option<u64> {
+    let mut hash = 0u64;
+    for &key in keys {
+        if row.is_null(key) {
+            return None;
+        }
+        for chunk in row.field_bytes(key).chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            // Multiplying carries a word's bits upwards only; folding the
+            // high half down lets the next word's multiply carry them too.
+            hash = (hash ^ u64::from_le_bytes(word)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            hash ^= hash >> 32;
+        }
+    }
+    Some(hash)
+}
+
+/// End of a [`HashTable`] chain. Never a row index: every kept record takes
+/// at least two of a `RowBuf`'s at most 2^32 bytes.
+const END: u32 = u32::MAX;
+
+/// The build side of a hash join: its rows chained by key hash, each chain
+/// in build order.
+struct HashTable<'b> {
+    rows: &'b RowBuf,
+    keys: &'b [usize],
+    /// `hash >> shift` is a row's bucket.
+    shift: u32,
+    /// First row of each bucket's chain.
+    heads: Vec<u32>,
+    /// The row after each row in its chain.
+    next: Vec<u32>,
+}
+
+impl<'b> HashTable<'b> {
+    fn build(rows: &'b RowBuf, keys: &'b [usize]) -> HashTable<'b> {
+        let buckets = rows.len().next_power_of_two().max(2);
+        let shift = u64::BITS - buckets.trailing_zeros();
+        let mut heads = vec![END; buckets];
+        let mut next = vec![END; rows.len()];
+        // Last row first, each pushed on the front: chains run in build order.
+        for row in (0..rows.len()).rev() {
+            if let Some(hash) = key_hash(&rows.get(row), keys) {
+                let head = &mut heads[(hash >> shift) as usize];
+                next[row] = *head;
+                *head = row as u32;
+            }
+        }
+        HashTable {
+            rows,
+            keys,
+            shift,
+            heads,
+            next,
+        }
+    }
+
+    /// The build rows whose key equals `probe`'s — same kind and same bits
+    /// in every key column — in build order.
+    fn matches<'p>(
+        &'p self,
+        probe: &'p TupleView<'_>,
+        probe_keys: &'p [usize],
+    ) -> impl Iterator<Item = TupleView<'b>> + 'p {
+        let mut at = key_hash(probe, probe_keys)
+            .map_or(END, |hash| self.heads[(hash >> self.shift) as usize]);
+        std::iter::from_fn(move || {
+            while at != END {
+                let row = self.rows.get(at as usize);
+                at = self.next[at as usize];
+                let mut pairs = probe_keys.iter().zip(self.keys);
+                if pairs.all(|(&p, &b)| probe.field_bytes(p) == row.field_bytes(b)) {
+                    return Some(row);
+                }
+            }
+            None
+        })
+    }
 }
 
 /// Hash join: build on the right input, probe with the left.
-pub fn hash_join(
+pub(crate) fn hash_join(
     ctx: &mut ExecContext<'_>,
-    left: Vec<Tuple>,
-    right: Vec<Tuple>,
-    left_keys: &[usize],
-    right_keys: &[usize],
+    left: &PhysicalPlan,
+    right: &PhysicalPlan,
+    (left_keys, right_keys): (&[usize], &[usize]),
     join_type: JoinType,
-    right_arity: usize,
-) -> Vec<Tuple> {
-    assert_eq!(
-        left_keys.len(),
-        right_keys.len(),
-        "mismatched join key arity"
-    );
+    span: &mut SpanGuard<'_>,
+    sink: &mut RowSink<'_>,
+) -> Result<usize, EngineError> {
+    let probe = collect(ctx, left)?;
+    let build = collect(ctx, right)?;
     let costs = ctx.costs;
 
-    let build_bytes: usize = right.iter().map(Tuple::encoded_len).sum();
-    let probe_bytes: usize = left.iter().map(Tuple::encoded_len).sum();
-    charge_hash_spill(ctx, build_bytes, probe_bytes);
+    let batches = charge_hash_spill(ctx, build.encoded_bytes(), probe.encoded_bytes());
+    span.set_attr("build_rows", build.len());
+    span.set_attr("probe_rows", probe.len());
+    span.set_attr("spill_batches", batches);
 
-    // Build.
-    let mut table: HashMap<bytes::Bytes, Vec<&Tuple>> = HashMap::new();
-    for t in &right {
-        if let Some(k) = join_key(t, right_keys) {
-            table.entry(k).or_default().push(t);
-        }
-    }
-    ctx.charge_cpu(costs.per_hash * (right.len() + left.len()) as f64);
+    let table = HashTable::build(&build, right_keys);
+    ctx.charge_cpu(costs.per_hash * (build.len() + probe.len()) as f64);
 
-    // Probe.
-    let null_pad = Tuple::new(vec![Datum::Null; right_arity]);
-    let mut out = Vec::new();
-    for l in &left {
-        let matches = join_key(l, left_keys).and_then(|k| table.get(&k));
+    let pad = null_pad(ctx, right);
+    let mut out = 0usize;
+    let mut emit = |row: &dyn Row| {
+        out += 1;
+        sink(row);
+    };
+    for l in probe.iter() {
+        let mut matches = table.matches(&l, left_keys).peekable();
         match join_type {
-            JoinType::Inner => {
-                if let Some(ms) = matches {
-                    for m in ms {
-                        out.push(l.concat(m));
-                    }
+            JoinType::Left if matches.peek().is_none() => emit(&Joined {
+                left: &l,
+                right: &pad,
+            }),
+            JoinType::Inner | JoinType::Left => {
+                for m in matches {
+                    emit(&Joined {
+                        left: &l,
+                        right: &m,
+                    });
                 }
             }
-            JoinType::Left => match matches {
-                Some(ms) => {
-                    for m in ms {
-                        out.push(l.concat(m));
-                    }
-                }
-                None => out.push(l.concat(&null_pad)),
-            },
-            JoinType::Semi => {
-                if matches.is_some() {
-                    out.push(l.clone());
-                }
-            }
-            JoinType::Anti => {
-                if matches.is_none() {
-                    out.push(l.clone());
-                }
-            }
+            JoinType::Semi if matches.peek().is_some() => emit(&l),
+            JoinType::Anti if matches.peek().is_none() => emit(&l),
+            JoinType::Semi | JoinType::Anti => {}
         }
     }
-    ctx.charge_cpu(costs.per_tuple * out.len() as f64);
-    out
+    ctx.charge_cpu(costs.per_tuple * out as f64);
+    Ok(out)
 }
 
 /// Merge join of inputs sorted on their join keys (inner join only).
 /// Duplicate key groups produce the full cross product, as required.
-pub fn merge_join(
+pub(crate) fn merge_join(
     ctx: &mut ExecContext<'_>,
-    left: Vec<Tuple>,
-    right: Vec<Tuple>,
-    left_key: usize,
-    right_key: usize,
-) -> Vec<Tuple> {
+    left: &PhysicalPlan,
+    right: &PhysicalPlan,
+    (left_key, right_key): (usize, usize),
+    sink: &mut RowSink<'_>,
+) -> Result<usize, EngineError> {
+    let left = collect(ctx, left)?;
+    let right = collect(ctx, right)?;
     let costs = ctx.costs;
     ctx.charge_cpu(costs.per_tuple * (left.len() + right.len()) as f64);
 
-    let mut out = Vec::new();
+    let mut out = 0usize;
     let (mut i, mut j) = (0usize, 0usize);
     while i < left.len() && j < right.len() {
-        let lk = left[i].get(left_key);
-        let rk = right[j].get(right_key);
+        let lk = left.get(i).get(left_key);
+        let rk = right.get(j).get(right_key);
         match lk.sql_cmp(rk) {
             None => {
                 // Incomparable keys never match. This covers NULL on either
@@ -150,28 +206,31 @@ pub fn merge_join(
                     j += 1;
                 }
             }
-            Some(std::cmp::Ordering::Less) => i += 1,
-            Some(std::cmp::Ordering::Greater) => j += 1,
-            Some(std::cmp::Ordering::Equal) => {
+            Some(Ordering::Less) => i += 1,
+            Some(Ordering::Greater) => j += 1,
+            Some(Ordering::Equal) => {
                 // Find both duplicate groups. The scans start one past the
                 // current row (`Equal` already proved row i / row j belong
-                // to the group), so no `.last().unwrap()` on a
-                // maybe-empty iterator is needed.
+                // to the group).
                 let mut i_end = i + 1;
                 while i_end < left.len()
-                    && left[i_end].get(left_key).sql_cmp(lk) == Some(std::cmp::Ordering::Equal)
+                    && left.get(i_end).get(left_key).sql_cmp(lk) == Some(Ordering::Equal)
                 {
                     i_end += 1;
                 }
                 let mut j_end = j + 1;
                 while j_end < right.len()
-                    && right[j_end].get(right_key).sql_cmp(rk) == Some(std::cmp::Ordering::Equal)
+                    && right.get(j_end).get(right_key).sql_cmp(rk) == Some(Ordering::Equal)
                 {
                     j_end += 1;
                 }
-                for l in &left[i..i_end] {
-                    for r in &right[j..j_end] {
-                        out.push(l.concat(r));
+                for l in (i..i_end).map(|l| left.get(l)) {
+                    for r in (j..j_end).map(|r| right.get(r)) {
+                        out += 1;
+                        sink(&Joined {
+                            left: &l,
+                            right: &r,
+                        });
                     }
                 }
                 i = i_end;
@@ -179,59 +238,65 @@ pub fn merge_join(
             }
         }
     }
-    ctx.charge_cpu(costs.per_tuple * out.len() as f64);
-    out
+    ctx.charge_cpu(costs.per_tuple * out as f64);
+    Ok(out)
 }
 
 /// Nested-loop join with an arbitrary predicate over the concatenated row.
-pub fn nested_loop_join(
+pub(crate) fn nested_loop_join(
     ctx: &mut ExecContext<'_>,
-    left: Vec<Tuple>,
-    right: Vec<Tuple>,
+    left: &PhysicalPlan,
+    right: &PhysicalPlan,
     predicate: Option<&Expr>,
     join_type: JoinType,
-    right_arity: usize,
-) -> Vec<Tuple> {
+    sink: &mut RowSink<'_>,
+) -> Result<usize, EngineError> {
+    let pad = null_pad(ctx, right);
+    let left = collect(ctx, left)?;
+    let right = collect(ctx, right)?;
     let costs = ctx.costs;
     let ops = predicate.map_or(0.0, |p| p.num_operators() as f64);
     let pairs = left.len() as f64 * right.len() as f64;
     ctx.charge_cpu(pairs * (costs.per_tuple + ops * costs.per_operator));
 
-    let null_pad = Tuple::new(vec![Datum::Null; right_arity]);
-    let mut out = Vec::new();
-    for l in &left {
+    let mut out = 0usize;
+    let mut emit = |row: &dyn Row| {
+        out += 1;
+        sink(row);
+    };
+    for l in left.iter() {
         let mut matched = false;
-        for r in &right {
-            let joined = Joined { left: l, right: r };
-            let pass = predicate.is_none_or(|p| p.eval_bool(&joined) == Some(true));
-            if !pass {
+        for r in right.iter() {
+            let joined = Joined {
+                left: &l,
+                right: &r,
+            };
+            if predicate.is_some_and(|p| p.eval_bool(&joined) != Some(true)) {
                 continue;
             }
             matched = true;
             match join_type {
-                JoinType::Inner | JoinType::Left => out.push(joined.to_tuple()),
-                JoinType::Semi => {
-                    out.push(l.clone());
-                    break;
-                }
-                JoinType::Anti => break,
+                JoinType::Inner | JoinType::Left => emit(&joined),
+                JoinType::Semi | JoinType::Anti => break,
             }
         }
-        if !matched {
-            match join_type {
-                JoinType::Left => out.push(l.concat(&null_pad)),
-                JoinType::Anti => out.push(l.clone()),
-                _ => {}
-            }
+        match join_type {
+            JoinType::Left if !matched => emit(&Joined {
+                left: &l,
+                right: &pad,
+            }),
+            JoinType::Semi if matched => emit(&l),
+            JoinType::Anti if !matched => emit(&l),
+            _ => {}
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::tests_support::{context, small_db};
+    use crate::runtime::tests_support::run_over;
 
     fn rows(pairs: &[(i64, &str)]) -> Vec<Tuple> {
         pairs
@@ -244,102 +309,98 @@ mod tests {
         t.get(idx).as_int().unwrap()
     }
 
+    fn hash_join(left: Vec<Tuple>, right: Vec<Tuple>, join_type: JoinType) -> Vec<Tuple> {
+        let plan = |[left, right]: [_; 2]| PhysicalPlan::HashJoin {
+            left,
+            right,
+            left_keys: vec![0],
+            right_keys: vec![0],
+            join_type,
+        };
+        run_over(1 << 20, [left, right], plan).0
+    }
+
+    fn merge_join(left: Vec<Tuple>, right: Vec<Tuple>) -> Vec<Tuple> {
+        let plan = |[left, right]: [_; 2]| PhysicalPlan::MergeJoin {
+            left,
+            right,
+            left_key: 0,
+            right_key: 0,
+        };
+        run_over(1 << 20, [left, right], plan).0
+    }
+
     #[test]
-    fn inner_hash_join_produces_matches() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
-        let left = rows(&[(1, "a"), (2, "b"), (3, "c")]);
-        let right = rows(&[(2, "x"), (3, "y"), (3, "z"), (4, "w")]);
-        let mut out = hash_join(&mut ctx, left, right, &[0], &[0], JoinType::Inner, 2);
-        out.sort_by_key(|t| (ints(t, 0), t.get(3).as_str().unwrap().to_string()));
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].get(1).as_str(), Some("b"));
-        assert_eq!(out[0].get(3).as_str(), Some("x"));
-        assert_eq!(out[2].get(3).as_str(), Some("z"));
+    fn inner_hash_join_produces_matches_in_probe_then_build_order() {
+        let left = rows(&[(3, "c"), (1, "a"), (2, "b")]);
+        let right = rows(&[(3, "z"), (2, "x"), (3, "y"), (4, "w")]);
+        let out = hash_join(left, right, JoinType::Inner);
+        let pairs: Vec<(&str, &str)> = out
+            .iter()
+            .map(|t| (t.get(1).as_str().unwrap(), t.get(3).as_str().unwrap()))
+            .collect();
+        assert_eq!(pairs, [("c", "z"), ("c", "y"), ("b", "x")]);
     }
 
     #[test]
     fn left_join_pads_nulls() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         let left = rows(&[(1, "a"), (2, "b")]);
         let right = rows(&[(2, "x")]);
-        let mut out = hash_join(&mut ctx, left, right, &[0], &[0], JoinType::Left, 2);
-        out.sort_by_key(|t| ints(t, 0));
+        let out = hash_join(left, right, JoinType::Left);
         assert_eq!(out.len(), 2);
+        assert_eq!(out[0].arity(), 4);
         assert!(out[0].get(2).is_null() && out[0].get(3).is_null());
         assert_eq!(out[1].get(3).as_str(), Some("x"));
     }
 
     #[test]
     fn semi_and_anti_joins() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         let left = rows(&[(1, "a"), (2, "b"), (3, "c")]);
         let right = rows(&[(2, "x"), (2, "y")]);
-        let semi = hash_join(
-            &mut ctx,
-            left.clone(),
-            right.clone(),
-            &[0],
-            &[0],
-            JoinType::Semi,
-            2,
-        );
+        let semi = hash_join(left.clone(), right.clone(), JoinType::Semi);
         assert_eq!(semi.len(), 1, "semi join emits each matching left row once");
         assert_eq!(ints(&semi[0], 0), 2);
-        let anti = hash_join(&mut ctx, left, right, &[0], &[0], JoinType::Anti, 2);
+        let anti = hash_join(left, right, JoinType::Anti);
         let keys: Vec<i64> = anti.iter().map(|t| ints(t, 0)).collect();
         assert_eq!(keys, vec![1, 3]);
     }
 
     #[test]
     fn null_keys_never_match() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         let left = vec![Tuple::new(vec![Datum::Null, Datum::str("l")])];
         let right = vec![Tuple::new(vec![Datum::Null, Datum::str("r")])];
-        let inner = hash_join(
-            &mut ctx,
-            left.clone(),
-            right.clone(),
-            &[0],
-            &[0],
-            JoinType::Inner,
-            2,
-        );
+        let inner = hash_join(left.clone(), right.clone(), JoinType::Inner);
         assert!(inner.is_empty());
-        let anti = hash_join(&mut ctx, left, right, &[0], &[0], JoinType::Anti, 2);
+        let anti = hash_join(left, right, JoinType::Anti);
         assert_eq!(anti.len(), 1, "NULL key has no match, so anti emits it");
+    }
+
+    /// The hash join's equality is the record encoding's: same kind, same
+    /// bits. A merge join compares numerically.
+    #[test]
+    fn hash_keys_of_different_kinds_do_not_match() {
+        let ints = vec![Tuple::new(vec![Datum::Int(1), Datum::str("int")])];
+        let floats = vec![Tuple::new(vec![Datum::Float(1.0), Datum::str("float")])];
+        assert!(hash_join(ints.clone(), floats.clone(), JoinType::Inner).is_empty());
+        assert_eq!(
+            hash_join(ints.clone(), ints.clone(), JoinType::Inner).len(),
+            1
+        );
+        assert_eq!(merge_join(ints, floats).len(), 1);
     }
 
     #[test]
     fn merge_join_matches_hash_join() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
-        let mut left = rows(&[(1, "a"), (2, "b"), (2, "c"), (5, "d")]);
-        let mut right = rows(&[(2, "x"), (2, "y"), (5, "z"), (6, "w")]);
-        left.sort_by_key(|t| ints(t, 0));
-        right.sort_by_key(|t| ints(t, 0));
-        let mut merged = merge_join(&mut ctx, left.clone(), right.clone(), 0, 0);
-        let mut hashed = hash_join(&mut ctx, left, right, &[0], &[0], JoinType::Inner, 2);
-        let key = |t: &Tuple| {
-            (
-                ints(t, 0),
-                t.get(1).as_str().unwrap().to_string(),
-                t.get(3).as_str().unwrap().to_string(),
-            )
-        };
-        merged.sort_by_key(key);
-        hashed.sort_by_key(key);
+        let left = rows(&[(1, "a"), (2, "b"), (2, "c"), (5, "d")]);
+        let right = rows(&[(2, "x"), (2, "y"), (5, "z"), (6, "w")]);
+        let merged = merge_join(left.clone(), right.clone());
+        let hashed = hash_join(left, right, JoinType::Inner);
         assert_eq!(merged, hashed);
         assert_eq!(merged.len(), 5); // 2x2 cross for key 2 + one for key 5.
     }
 
     #[test]
     fn merge_join_nan_keys_never_match_and_never_skip_real_matches() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         // Regression: `sql_cmp` is a partial order, so a NaN float key
         // compares as `None` against everything. The old skip logic only
         // recognized NULL on the left and advanced the *right* cursor for
@@ -351,41 +412,71 @@ mod tests {
             Tuple::new(vec![Datum::Float(2.0), Datum::str("good")]),
         ];
         let right = vec![Tuple::new(vec![Datum::Float(2.0), Datum::str("r")])];
-        let out = merge_join(&mut ctx, left.clone(), right.clone(), 0, 0);
+        let out = merge_join(left.clone(), right.clone());
         assert_eq!(out.len(), 1, "the real 2.0 = 2.0 match must survive");
         assert_eq!(out[0].get(1).as_str(), Some("good"));
         // NaN on the right is skipped the same way (mirror case).
-        let out = merge_join(&mut ctx, right, left, 0, 0);
+        let out = merge_join(right, left);
         assert_eq!(out.len(), 1);
         // NaN never joins with NaN.
         let nan_row = vec![Tuple::new(vec![Datum::Float(f64::NAN), Datum::str("x")])];
-        let out = merge_join(&mut ctx, nan_row.clone(), nan_row, 0, 0);
+        let out = merge_join(nan_row.clone(), nan_row);
         assert!(out.is_empty(), "NaN keys must never match each other");
     }
 
     #[test]
     fn nested_loop_supports_inequality() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         let left = rows(&[(1, "a"), (5, "b")]);
         let right = rows(&[(3, "x"), (7, "y")]);
         // left.key < right.key (columns 0 and 2 of the concatenated row).
-        let pred = Expr::lt(Expr::col(0), Expr::col(2));
-        let out = nested_loop_join(&mut ctx, left, right, Some(&pred), JoinType::Inner, 2);
-        assert_eq!(out.len(), 3);
+        let plan = |[left, right]: [_; 2]| PhysicalPlan::NestedLoopJoin {
+            left,
+            right,
+            predicate: Some(Expr::lt(Expr::col(0), Expr::col(2))),
+            join_type: JoinType::Inner,
+        };
+        assert_eq!(run_over(1 << 20, [left, right], plan).0.len(), 3);
+    }
+
+    /// Buckets are the hash's top bits, so those must depend on every key
+    /// byte: an integer's low bytes sit in different words of its field.
+    #[test]
+    fn sequential_and_strided_keys_spread_over_the_buckets() {
+        let int_rows = |stride: i64| (0..50_000).map(move |i| vec![Datum::Int(i * stride)]);
+        let str_rows = (0..50_000).map(|i| vec![Datum::str(format!("Customer#{i:09}"))]);
+        let key_sets: [Box<dyn Iterator<Item = Vec<Datum>>>; 4] = [
+            Box::new(int_rows(1)),
+            Box::new(int_rows(256)),
+            Box::new(int_rows(1 << 32)),
+            Box::new(str_rows),
+        ];
+        for keys in key_sets {
+            let mut rows = RowBuf::new();
+            for key in keys {
+                rows.push(&Tuple::new(key));
+            }
+            let table = HashTable::build(&rows, &[0]);
+            let used = table.heads.iter().filter(|&&head| head != END).count();
+            // 50 000 keys thrown at 65 536 buckets at random fill ~35 000.
+            assert!(used > 25_000, "{used} buckets hold 50 000 distinct keys");
+        }
     }
 
     #[test]
     fn spill_charged_when_build_exceeds_work_mem() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
-        ctx.work_mem_bytes = 256; // force spilling
         let big: Vec<Tuple> = (0..200)
             .map(|i| Tuple::new(vec![Datum::Int(i), Datum::str("payload payload")]))
             .collect();
-        let before = ctx.io_demand().page_writes;
-        let out = hash_join(&mut ctx, big.clone(), big, &[0], &[0], JoinType::Inner, 2);
+        let plan = |[left, right]: [_; 2]| PhysicalPlan::HashJoin {
+            left,
+            right,
+            left_keys: vec![0],
+            right_keys: vec![0],
+            join_type: JoinType::Inner,
+        };
+        // 256 bytes of `work_mem` force spilling.
+        let (out, demand) = run_over(256, [big.clone(), big], plan);
         assert_eq!(out.len(), 200);
-        assert!(ctx.io_demand().page_writes > before, "spill writes charged");
+        assert!(demand.page_writes > 0, "spill writes charged");
     }
 }

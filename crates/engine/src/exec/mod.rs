@@ -1,11 +1,13 @@
 //! The executor: physical operators with demand metering.
 //!
-//! [`execute`] runs a plan bottom-up and returns its output as a
-//! `Vec<Tuple>`. Operators that keep their input (sort, the joins, limit)
-//! take their children's output that way; operators that only look at each
-//! input row once (filter, project, the aggregates) pull borrowed rows
-//! through `for_each_row`, which a scan child serves straight off the
-//! buffer-pool page without decoding them.
+//! Every operator is a push-based row *source*: `for_each_row` runs a plan
+//! node and hands each output row, borrowed, to its consumer's sink. A scan
+//! pushes views of records where they lie on the buffer-pool page; a filter,
+//! a projection, a limit or an aggregate pushes on what it is pushed, or
+//! something computed from it; the operators that must keep their input —
+//! sort and the three joins — keep it encoded in a [`RowBuf`] and push views
+//! of that. [`execute`] is `for_each_row` with a sink that decodes, so the
+//! only rows ever decoded are the query's result.
 //!
 //! All physical work is charged as it happens: CPU cycles via
 //! [`crate::ExecContext::charge_cpu`] and page I/O via the buffer pool the
@@ -19,9 +21,12 @@ mod scan;
 mod sort;
 
 use crate::runtime::{EngineError, ExecContext};
-use crate::PhysicalPlan;
-use dbvirt_storage::Tuple;
+use crate::{Expr, PhysicalPlan};
+use dbvirt_storage::{DatumRef, Row, RowBuf, Tuple};
 use dbvirt_telemetry as telemetry;
+
+/// What an operator pushes its output rows into.
+pub(crate) type RowSink<'s> = dyn FnMut(&dyn Row) + 's;
 
 /// The telemetry span name for a plan node (the `exec.*` taxonomy).
 fn op_name(plan: &PhysicalPlan) -> &'static str {
@@ -43,94 +48,100 @@ fn op_name(plan: &PhysicalPlan) -> &'static str {
 }
 
 /// Executes a plan, returning its materialized output rows.
+///
+/// Fails with [`EngineError::Plan`] — before any page is read — on a plan
+/// that does not pass [`PhysicalPlan::validate`] or a context without
+/// `work_mem`.
 pub fn execute(ctx: &mut ExecContext<'_>, plan: &PhysicalPlan) -> Result<Vec<Tuple>, EngineError> {
+    plan.validate(ctx.db)?;
+    if ctx.work_mem_bytes == 0 {
+        return Err(EngineError::Plan("work_mem_bytes must be positive".into()));
+    }
+    let mut rows = Vec::new();
+    for_each_row(ctx, plan, &mut |row| rows.push(row.to_tuple()))?;
+    Ok(rows)
+}
+
+/// Runs `input` to its end, keeping every output row encoded.
+fn collect(ctx: &mut ExecContext<'_>, input: &PhysicalPlan) -> Result<RowBuf, EngineError> {
+    let mut rows = RowBuf::new();
+    for_each_row(ctx, input, &mut |row| rows.push(row))?;
+    Ok(rows)
+}
+
+/// A projection's output row: each column is evaluated when it is read.
+struct Projected<'a> {
+    exprs: &'a [(Expr, String)],
+    input: &'a dyn Row,
+}
+
+impl Row for Projected<'_> {
+    fn arity(&self) -> usize {
+        self.exprs.len()
+    }
+
+    fn col(&self, idx: usize) -> DatumRef<'_> {
+        self.exprs[idx].0.eval_ref(self.input)
+    }
+}
+
+/// Runs `plan`, feeding every output row to `sink`, borrowed, in order.
+///
+/// A sink runs while a page is borrowed from the pool (or a `RowBuf` from
+/// the operator below), so it cannot touch `ctx`: consumers accumulate in
+/// locals and charge after their child has returned — which keeps every
+/// `charge_cpu` in child-then-consumer order, as if each child had been
+/// materialised first. A two-input operator runs its left child to the end
+/// before its right, so pages are fetched in that order.
+fn for_each_row(
+    ctx: &mut ExecContext<'_>,
+    plan: &PhysicalPlan,
+    sink: &mut RowSink<'_>,
+) -> Result<(), EngineError> {
     // One span per operator; recursion nests child operators under their
     // parents automatically (no-op guard while telemetry is disabled).
     let mut op_span = telemetry::span(op_name(plan));
-    let result = execute_inner(ctx, plan);
-    if let Ok(rows) = &result {
-        op_span.set_attr("rows_out", rows.len());
-    }
-    result
-}
-
-/// Feeds every output row of `input` to `sink`, borrowed. This is how the
-/// operators that do not keep their input — filter, project, the
-/// aggregates, the nested-loop join — pull rows: a scan child pushes views
-/// straight off the buffer-pool page, so a row its consumer only looks at
-/// is never decoded; any other child is executed and iterated.
-///
-/// The sink runs while the page is borrowed from the pool, so it cannot
-/// touch `ctx`: consumers accumulate in locals and charge afterwards —
-/// which also keeps every `charge_cpu` in child-then-consumer order, as if
-/// the child had been materialised first.
-pub(crate) fn for_each_row(
-    ctx: &mut ExecContext<'_>,
-    input: &PhysicalPlan,
-    sink: &mut scan::RowSink<'_>,
-) -> Result<(), EngineError> {
-    match input {
+    let rows_out = match plan {
         PhysicalPlan::SeqScan { .. }
         | PhysicalPlan::IndexScan { .. }
         | PhysicalPlan::IndexAnd { .. }
-        | PhysicalPlan::IndexOr { .. } => {
-            let mut op_span = telemetry::span(op_name(input));
-            let rows_out = scan::scan(ctx, input, sink)?;
-            op_span.set_attr("rows_out", rows_out);
-        }
-        other => {
-            for row in execute(ctx, other)? {
-                sink(&row);
-            }
-        }
-    }
-    Ok(())
-}
-
-fn execute_inner(
-    ctx: &mut ExecContext<'_>,
-    plan: &PhysicalPlan,
-) -> Result<Vec<Tuple>, EngineError> {
-    match plan {
-        PhysicalPlan::SeqScan { .. }
-        | PhysicalPlan::IndexScan { .. }
-        | PhysicalPlan::IndexAnd { .. }
-        | PhysicalPlan::IndexOr { .. } => {
-            let mut rows = Vec::new();
-            scan::scan(ctx, plan, &mut |row| rows.push(row.to_tuple()))?;
-            Ok(rows)
-        }
+        | PhysicalPlan::IndexOr { .. } => scan::scan(ctx, plan, sink)?,
         PhysicalPlan::Filter { input, predicate } => {
             let ops = predicate.num_operators() as f64;
             let per_row = ops * ctx.costs.per_operator + ctx.costs.per_tuple;
-            let (mut rows_in, mut rows) = (0usize, Vec::new());
+            let (mut rows_in, mut rows_out) = (0usize, 0usize);
             for_each_row(ctx, input, &mut |row| {
                 rows_in += 1;
                 if predicate.eval_bool(row) == Some(true) {
-                    rows.push(row.to_tuple());
+                    rows_out += 1;
+                    sink(row);
                 }
             })?;
             ctx.charge_cpu(per_row * rows_in as f64);
-            Ok(rows)
+            rows_out
         }
         PhysicalPlan::Project { input, exprs } => {
             let ops: f64 = exprs.iter().map(|(e, _)| e.num_operators() as f64).sum();
             let per_row = ops * ctx.costs.per_operator + ctx.costs.per_tuple;
-            let mut rows = Vec::new();
+            let mut rows = 0usize;
             for_each_row(ctx, input, &mut |row| {
-                rows.push(Tuple::new(exprs.iter().map(|(e, _)| e.eval(row)).collect()));
+                rows += 1;
+                sink(&Projected { exprs, input: row });
             })?;
-            ctx.charge_cpu(per_row * rows.len() as f64);
-            Ok(rows)
+            ctx.charge_cpu(per_row * rows as f64);
+            rows
         }
-        PhysicalPlan::Sort { input, keys } => {
-            let rows = execute(ctx, input)?;
-            Ok(sort::sort(ctx, rows, keys))
-        }
+        PhysicalPlan::Sort { input, keys } => sort::sort(ctx, input, keys, sink)?,
         PhysicalPlan::Limit { input, limit } => {
-            let mut rows = execute(ctx, input)?;
-            rows.truncate(*limit);
-            Ok(rows)
+            // The input still runs to its end: its work is charged in full.
+            let mut rows_out = 0usize;
+            for_each_row(ctx, input, &mut |row| {
+                if rows_out < *limit {
+                    rows_out += 1;
+                    sink(row);
+                }
+            })?;
+            rows_out
         }
         PhysicalPlan::HashJoin {
             left,
@@ -139,58 +150,32 @@ fn execute_inner(
             right_keys,
             join_type,
         } => {
-            let left_rows = execute(ctx, left)?;
-            let right_rows = execute(ctx, right)?;
-            let right_arity = right.output_schema(ctx.db).len();
-            Ok(join::hash_join(
-                ctx,
-                left_rows,
-                right_rows,
-                left_keys,
-                right_keys,
-                *join_type,
-                right_arity,
-            ))
+            let keys = (left_keys.as_slice(), right_keys.as_slice());
+            join::hash_join(ctx, left, right, keys, *join_type, &mut op_span, sink)?
         }
         PhysicalPlan::MergeJoin {
             left,
             right,
             left_key,
             right_key,
-        } => {
-            let left_rows = execute(ctx, left)?;
-            let right_rows = execute(ctx, right)?;
-            Ok(join::merge_join(
-                ctx, left_rows, right_rows, *left_key, *right_key,
-            ))
-        }
+        } => join::merge_join(ctx, left, right, (*left_key, *right_key), sink)?,
         PhysicalPlan::NestedLoopJoin {
             left,
             right,
             predicate,
             join_type,
-        } => {
-            let left_rows = execute(ctx, left)?;
-            let right_rows = execute(ctx, right)?;
-            let right_arity = right.output_schema(ctx.db).len();
-            Ok(join::nested_loop_join(
-                ctx,
-                left_rows,
-                right_rows,
-                predicate.as_ref(),
-                *join_type,
-                right_arity,
-            ))
-        }
+        } => join::nested_loop_join(ctx, left, right, predicate.as_ref(), *join_type, sink)?,
         PhysicalPlan::HashAgg {
             input,
             group_by,
             aggs,
-        } => agg::hash_agg(ctx, input, group_by, aggs),
+        } => agg::hash_agg(ctx, input, group_by, aggs, sink)?,
         PhysicalPlan::SortAgg {
             input,
             group_by,
             aggs,
-        } => agg::sort_agg(ctx, input, group_by, aggs),
-    }
+        } => agg::sort_agg(ctx, input, group_by, aggs, sink)?,
+    };
+    op_span.set_attr("rows_out", rows_out);
+    Ok(())
 }

@@ -6,13 +6,11 @@
 //! there, and pushes the rows that pass to its consumer's sink still
 //! borrowed. Whether a row is ever decoded is the consumer's business.
 
+use super::RowSink;
 use crate::runtime::{EngineError, ExecContext};
 use crate::{Expr, IndexArm, IndexId, PhysicalPlan, TableId};
-use dbvirt_storage::{AccessPattern, Datum, HeapFile, Row, TupleId, TupleView};
+use dbvirt_storage::{AccessPattern, Datum, HeapFile, TupleId, TupleView};
 use std::ops::Bound;
-
-/// What a scan pushes its surviving rows into.
-pub(crate) type RowSink<'s> = dyn FnMut(&dyn Row) + 's;
 
 /// Runs one of the four scan operators, returning how many rows it pushed
 /// to `sink`.
@@ -52,7 +50,7 @@ pub(crate) fn scan(
 /// field count, tags, lengths, string bodies — whether or not it is kept.
 fn offer(
     record: &[u8],
-    fields: &mut Vec<usize>,
+    fields: &mut Vec<u32>,
     filter: Option<&Expr>,
     sink: &mut RowSink<'_>,
 ) -> Result<bool, EngineError> {

@@ -1,45 +1,67 @@
 //! Sort operator with `work_mem`-aware external-sort accounting.
 
-use crate::runtime::ExecContext;
-use crate::SortKey;
-use dbvirt_storage::Tuple;
+use super::{collect, RowSink};
+use crate::runtime::{EngineError, ExecContext};
+use crate::{PhysicalPlan, SortKey};
+use dbvirt_storage::DatumRef;
+use std::cmp::Ordering;
 
-/// Sorts `rows` by `keys` (major key first). When the input exceeds the
+/// Sorts `input`'s rows by `keys` (major key first; rows that tie keep
+/// their input order) and pushes them to `sink`. The rows are kept encoded;
+/// what is sorted is a permutation of their indexes, compared on the key
+/// columns, each read out of its record once. When the input exceeds the
 /// context's `work_mem`, the spill of one external-merge pass is charged:
 /// every page written once and read back once (PostgreSQL's `tapes` model
 /// with a single merge pass, which holds for the workload sizes here).
-pub fn sort(ctx: &mut ExecContext<'_>, mut rows: Vec<Tuple>, keys: &[SortKey]) -> Vec<Tuple> {
+pub(crate) fn sort(
+    ctx: &mut ExecContext<'_>,
+    input: &PhysicalPlan,
+    keys: &[SortKey],
+    sink: &mut RowSink<'_>,
+) -> Result<usize, EngineError> {
+    let rows = collect(ctx, input)?;
     let n = rows.len() as f64;
     if n > 1.0 {
         let comparisons = n * n.log2();
         ctx.charge_cpu(comparisons * ctx.costs.per_sort_cmp * keys.len().max(1) as f64);
     }
 
-    let bytes: usize = rows.iter().map(Tuple::encoded_len).sum();
+    let bytes = rows.encoded_bytes();
     if bytes > ctx.work_mem_bytes {
         let pages = bytes.div_ceil(dbvirt_storage::PAGE_SIZE) as u64;
         ctx.charge_io_writes(pages);
         ctx.charge_io_seq_reads(pages);
     }
 
-    rows.sort_by(|a, b| {
-        for key in keys {
-            let ord = a.get(key.column).total_cmp(b.get(key.column));
+    // Row `i`'s key values are `key_values[i * keys.len()..][..keys.len()]`.
+    let mut key_values: Vec<DatumRef<'_>> = Vec::with_capacity(rows.len() * keys.len());
+    for row in rows.iter() {
+        key_values.extend(keys.iter().map(|key| row.get(key.column)));
+    }
+    let key_of = |row: usize| &key_values[row * keys.len()..][..keys.len()];
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_by(|&a, &b| {
+        for ((key, a), b) in keys.iter().zip(key_of(a)).zip(key_of(b)) {
+            let ord = a.total_cmp(*b);
             let ord = if key.descending { ord.reverse() } else { ord };
-            if ord != std::cmp::Ordering::Equal {
+            if ord != Ordering::Equal {
                 return ord;
             }
         }
-        std::cmp::Ordering::Equal
+        Ordering::Equal
     });
-    rows
+    for &row in &order {
+        sink(&rows.get(row));
+    }
+    Ok(rows.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::tests_support::{context, small_db};
-    use dbvirt_storage::Datum;
+    use crate::runtime::tests_support::run_over;
+    use dbvirt_storage::{Datum, Tuple};
+    use dbvirt_vmm::ResourceDemand;
 
     fn rows(data: &[(i64, &str)]) -> Vec<Tuple> {
         data.iter()
@@ -47,73 +69,66 @@ mod tests {
             .collect()
     }
 
+    /// Sorts `input`, returning the rows and what the sort charged directly.
+    pub(super) fn sort(
+        work_mem_bytes: usize,
+        input: Vec<Tuple>,
+        keys: &[SortKey],
+    ) -> (Vec<Tuple>, ResourceDemand) {
+        run_over(work_mem_bytes, [input], |[input]| PhysicalPlan::Sort {
+            input,
+            keys: keys.to_vec(),
+        })
+    }
+
     #[test]
     fn single_key_ascending_and_descending() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         let input = rows(&[(3, "c"), (1, "a"), (2, "b")]);
-        let asc = sort(&mut ctx, input.clone(), &[SortKey::asc(0)]);
+        let (asc, _) = sort(1 << 20, input.clone(), &[SortKey::asc(0)]);
         let got: Vec<i64> = asc.iter().map(|t| t.get(0).as_int().unwrap()).collect();
         assert_eq!(got, vec![1, 2, 3]);
-        let desc = sort(&mut ctx, input, &[SortKey::desc(0)]);
+        let (desc, _) = sort(1 << 20, input, &[SortKey::desc(0)]);
         let got: Vec<i64> = desc.iter().map(|t| t.get(0).as_int().unwrap()).collect();
         assert_eq!(got, vec![3, 2, 1]);
     }
 
     #[test]
     fn multi_key_sort() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         let input = rows(&[(1, "b"), (2, "a"), (1, "a"), (2, "b")]);
-        let out = sort(&mut ctx, input, &[SortKey::asc(0), SortKey::desc(1)]);
-        let got: Vec<(i64, String)> = out
-            .iter()
-            .map(|t| {
-                (
-                    t.get(0).as_int().unwrap(),
-                    t.get(1).as_str().unwrap().to_string(),
-                )
-            })
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                (1, "b".to_string()),
-                (1, "a".to_string()),
-                (2, "b".to_string()),
-                (2, "a".to_string())
-            ]
-        );
+        let (out, _) = sort(1 << 20, input, &[SortKey::asc(0), SortKey::desc(1)]);
+        assert_eq!(out, rows(&[(1, "b"), (1, "a"), (2, "b"), (2, "a")]));
+    }
+
+    #[test]
+    fn ties_keep_their_input_order() {
+        let input = rows(&[(2, "first"), (1, "x"), (2, "second"), (2, "third")]);
+        let (out, _) = sort(1 << 20, input, &[SortKey::desc(0)]);
+        let expect = rows(&[(2, "first"), (2, "second"), (2, "third"), (1, "x")]);
+        assert_eq!(out, expect);
     }
 
     #[test]
     fn nulls_sort_first() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
         let input = vec![
             Tuple::new(vec![Datum::Int(1)]),
             Tuple::new(vec![Datum::Null]),
         ];
-        let out = sort(&mut ctx, input, &[SortKey::asc(0)]);
+        let (out, _) = sort(1 << 20, input, &[SortKey::asc(0)]);
         assert!(out[0].get(0).is_null());
     }
 
     #[test]
     fn small_sort_stays_in_memory_large_sort_spills() {
-        let (mut db, mut pool) = small_db(1);
-        let mut ctx = context(&mut db, &mut pool);
-        ctx.work_mem_bytes = 1 << 20;
         let small = rows(&[(2, "b"), (1, "a")]);
-        sort(&mut ctx, small, &[SortKey::asc(0)]);
-        assert_eq!(ctx.demand.page_writes, 0);
+        let (_, demand) = sort(1 << 20, small, &[SortKey::asc(0)]);
+        assert_eq!(demand.page_writes, 0);
 
-        ctx.work_mem_bytes = 512;
         let big: Vec<Tuple> = (0..500)
             .map(|i| Tuple::new(vec![Datum::Int(500 - i), Datum::str("pad pad pad")]))
             .collect();
-        let out = sort(&mut ctx, big, &[SortKey::asc(0)]);
-        assert!(ctx.demand.page_writes > 0, "external sort must spill");
-        assert_eq!(ctx.demand.page_writes, ctx.demand.seq_page_reads);
+        let (out, demand) = sort(512, big, &[SortKey::asc(0)]);
+        assert!(demand.page_writes > 0, "external sort must spill");
+        assert_eq!(demand.page_writes, demand.seq_page_reads);
         assert!(out
             .windows(2)
             .all(|w| w[0].get(0).total_cmp(w[1].get(0)).is_le()));
@@ -122,9 +137,9 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::*;
-    use crate::runtime::tests_support::{context, small_db};
-    use dbvirt_storage::Datum;
+    use super::tests::sort;
+    use crate::SortKey;
+    use dbvirt_storage::{Datum, Tuple};
     use proptest::prelude::*;
 
     proptest! {
@@ -136,14 +151,12 @@ mod proptests {
             values in prop::collection::vec((-100i64..100, -100i64..100), 0..200),
             desc in prop::bool::ANY,
         ) {
-            let (mut db, mut pool) = small_db(1);
-            let mut ctx = context(&mut db, &mut pool);
             let input: Vec<Tuple> = values
                 .iter()
                 .map(|(a, b)| Tuple::new(vec![Datum::Int(*a), Datum::Int(*b)]))
                 .collect();
             let key = SortKey { column: 0, descending: desc };
-            let out = sort(&mut ctx, input.clone(), &[key, SortKey::asc(1)]);
+            let (out, _) = sort(1 << 20, input.clone(), &[key, SortKey::asc(1)]);
             // Permutation: same multiset.
             let project = |ts: &[Tuple]| {
                 let mut v: Vec<(i64, i64)> = ts

@@ -17,7 +17,9 @@
 //!   filter, project, sort, limit, hash/merge/nested-loop joins with
 //!   inner/left/semi/anti variants, hash and sorted aggregation);
 //! * [`exec`] — the executor: operators that do the physical work and meter
-//!   it, reading rows where they lie on the page until one must be kept;
+//!   it, pushing rows to their consumers as borrowed record bytes — off the
+//!   page, or out of the arena a join or sort keeps them in — and decoding
+//!   only the query's result;
 //! * [`ExecContext`] / [`run_plan`] — the runtime tying a database, a
 //!   buffer pool (sized from the VM's memory share), a `work_mem` budget,
 //!   and the CPU cost constants together.

@@ -4,7 +4,7 @@
 //! consumed by the executor ([`crate::exec`]). Keeping the type here lets
 //! both crates share it without a dependency cycle.
 
-use crate::{AggExpr, AggFunc, Expr};
+use crate::{AggExpr, AggFunc, Database, EngineError, Expr};
 use crate::{IndexId, TableId};
 use dbvirt_storage::{DataType, Datum, Field, Schema};
 use std::fmt::Write as _;
@@ -141,7 +141,12 @@ pub enum PhysicalPlan {
         /// Row budget.
         limit: usize,
     },
-    /// Hash join on equality keys.
+    /// Hash join on equality keys. Two keys are equal when every column
+    /// pair is the same kind with the same bits (their record encodings
+    /// match) and neither is NULL: `Int(1)` does *not* match `Float(1.0)`,
+    /// which [`PhysicalPlan::MergeJoin`] and a nested-loop `=` (both
+    /// numeric `sql_cmp`) would pair. The planner only hashes same-typed
+    /// columns.
     HashJoin {
         /// Probe (outer) side.
         left: Box<PhysicalPlan>,
@@ -217,9 +222,157 @@ fn agg_schema(input: &Schema, group_by: &[usize], aggs: &[AggExpr]) -> Schema {
     Schema::new(fields)
 }
 
+/// `Err` naming the first of `columns` that is not below `arity`.
+fn columns_within(
+    node: &str,
+    what: &str,
+    columns: impl IntoIterator<Item = usize>,
+    arity: usize,
+) -> Result<(), EngineError> {
+    match columns.into_iter().find(|&c| c >= arity) {
+        Some(c) => Err(EngineError::Plan(format!(
+            "{node}: {what} reads column {c} of an input with {arity}"
+        ))),
+        None => Ok(()),
+    }
+}
+
+fn expr_within(node: &str, what: &str, expr: &Expr, arity: usize) -> Result<(), EngineError> {
+    let mut columns = Vec::new();
+    expr.referenced_columns(&mut columns);
+    columns_within(node, what, columns, arity)
+}
+
 impl PhysicalPlan {
+    /// Checks everything the executor (and [`PhysicalPlan::output_schema`])
+    /// would otherwise index with: every table and index exists, an index
+    /// belongs to the table it scans, a hash join's key lists pair up, and
+    /// every key, sort, group or expression column lies inside the schema
+    /// of the input it reads. [`crate::exec::execute`] runs this first.
+    pub fn validate(&self, db: &Database) -> Result<(), EngineError> {
+        self.checked_arity(db).map(drop)
+    }
+
+    /// Validates the subtree and returns how many columns it outputs.
+    fn checked_arity(&self, db: &Database) -> Result<usize, EngineError> {
+        let node = self.node_name();
+        let bad = |msg: String| EngineError::Plan(format!("{node}: {msg}"));
+        let index_of = |index: IndexId, table: TableId| match index.0 < db.num_indexes() {
+            false => Err(bad(format!("no {index}"))),
+            true if db.index(index).table != table => {
+                Err(bad(format!("{index} is not on {table}")))
+            }
+            true => Ok(()),
+        };
+        match self {
+            PhysicalPlan::SeqScan { table, filter }
+            | PhysicalPlan::IndexScan { table, filter, .. }
+            | PhysicalPlan::IndexAnd { table, filter, .. }
+            | PhysicalPlan::IndexOr { table, filter, .. } => {
+                if table.0 >= db.num_tables() {
+                    return Err(bad(format!("no {table}")));
+                }
+                match self {
+                    PhysicalPlan::IndexScan { index, .. } => index_of(*index, *table)?,
+                    PhysicalPlan::IndexAnd { arms, .. } | PhysicalPlan::IndexOr { arms, .. } => {
+                        arms.iter()
+                            .try_for_each(|arm| index_of(arm.index, *table))?
+                    }
+                    _ => {}
+                }
+                let arity = db.table(*table).schema.len();
+                if let Some(filter) = filter {
+                    expr_within(node, "filter", filter, arity)?;
+                }
+                Ok(arity)
+            }
+            PhysicalPlan::Filter { input, predicate } => {
+                let arity = input.checked_arity(db)?;
+                expr_within(node, "predicate", predicate, arity)?;
+                Ok(arity)
+            }
+            PhysicalPlan::Project { input, exprs } => {
+                let arity = input.checked_arity(db)?;
+                for (expr, name) in exprs {
+                    expr_within(node, name, expr, arity)?;
+                }
+                Ok(exprs.len())
+            }
+            PhysicalPlan::Sort { input, keys } => {
+                let arity = input.checked_arity(db)?;
+                columns_within(node, "sort key", keys.iter().map(|k| k.column), arity)?;
+                Ok(arity)
+            }
+            PhysicalPlan::Limit { input, .. } => input.checked_arity(db),
+            PhysicalPlan::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                join_type,
+            } => {
+                let (l, r) = (left.checked_arity(db)?, right.checked_arity(db)?);
+                if left_keys.len() != right_keys.len() {
+                    return Err(bad(format!(
+                        "{} left key columns against {} right",
+                        left_keys.len(),
+                        right_keys.len()
+                    )));
+                }
+                columns_within(node, "left key", left_keys.iter().copied(), l)?;
+                columns_within(node, "right key", right_keys.iter().copied(), r)?;
+                Ok(if join_type.emits_right() { l + r } else { l })
+            }
+            PhysicalPlan::MergeJoin {
+                left,
+                right,
+                left_key,
+                right_key,
+            } => {
+                let (l, r) = (left.checked_arity(db)?, right.checked_arity(db)?);
+                columns_within(node, "left key", [*left_key], l)?;
+                columns_within(node, "right key", [*right_key], r)?;
+                Ok(l + r)
+            }
+            PhysicalPlan::NestedLoopJoin {
+                left,
+                right,
+                predicate,
+                join_type,
+            } => {
+                let (l, r) = (left.checked_arity(db)?, right.checked_arity(db)?);
+                if let Some(predicate) = predicate {
+                    expr_within(node, "predicate", predicate, l + r)?;
+                }
+                Ok(if join_type.emits_right() { l + r } else { l })
+            }
+            PhysicalPlan::HashAgg {
+                input,
+                group_by,
+                aggs,
+            }
+            | PhysicalPlan::SortAgg {
+                input,
+                group_by,
+                aggs,
+            } => {
+                let arity = input.checked_arity(db)?;
+                columns_within(node, "group", group_by.iter().copied(), arity)?;
+                for agg in aggs {
+                    if let Some(arg) = &agg.arg {
+                        expr_within(node, &agg.name, arg, arity)?;
+                    }
+                }
+                Ok(group_by.len() + aggs.len())
+            }
+        }
+    }
+
     /// The output schema, resolved against a database catalog.
-    pub fn output_schema(&self, db: &crate::Database) -> Schema {
+    ///
+    /// # Panics
+    /// Panics on a plan that does not pass [`PhysicalPlan::validate`].
+    pub fn output_schema(&self, db: &Database) -> Schema {
         match self {
             PhysicalPlan::SeqScan { table, .. }
             | PhysicalPlan::IndexScan { table, .. }

@@ -11,7 +11,9 @@ use std::fmt;
 pub enum EngineError {
     /// A storage operation failed.
     Storage(StorageError),
-    /// The plan was malformed (e.g. referenced a missing index).
+    /// The plan was malformed (e.g. referenced a missing index, or a column
+    /// past its input's schema), or the context cannot run it (no
+    /// `work_mem`): what [`PhysicalPlan::validate`] reports.
     Plan(String),
 }
 
@@ -108,6 +110,9 @@ pub struct QueryOutput {
 /// [`ResourceDemand`] the execution generated. The pool's pre-existing
 /// demand is preserved (only the delta is attributed to this query), so a
 /// long-lived pool can serve many queries while each gets its own bill.
+///
+/// A plan that fails [`PhysicalPlan::validate`] against `db`, or a zero
+/// `work_mem_bytes`, is an [`EngineError::Plan`], not a panic.
 pub fn run_plan(
     db: &mut Database,
     pool: &mut BufferPool,
@@ -118,7 +123,6 @@ pub fn run_plan(
     let mut plan_span = dbvirt_telemetry::span("engine.run_plan");
     let metrics_before = pool.metrics();
     let io_before = *pool.demand();
-    let schema = plan.output_schema(db);
     let mut ctx = ExecContext {
         db,
         pool,
@@ -128,10 +132,14 @@ pub fn run_plan(
     };
     let rows = exec::execute(&mut ctx, plan)?;
     let direct = ctx.demand;
+    let schema = plan.output_schema(db);
     let io_delta = pool.demand().delta_since(&io_before);
     if dbvirt_telemetry::is_enabled() {
         let m = pool.metrics();
-        let (hits, misses) = (m.hits - metrics_before.hits, m.misses - metrics_before.misses);
+        let (hits, misses) = (
+            m.hits - metrics_before.hits,
+            m.misses - metrics_before.misses,
+        );
         plan_span.set_attr("rows", rows.len());
         plan_span.set_attr("pool_hits", hits);
         plan_span.set_attr("pool_misses", misses);
@@ -190,6 +198,23 @@ pub(crate) mod tests_support {
             table,
             filter: None,
         }
+    }
+
+    /// Executes the plan `build` makes over scans of `inputs` — each loaded
+    /// into a scratch table — under `work_mem_bytes`, returning its rows and
+    /// what its operators charged directly: how a unit test runs an operator
+    /// that takes plans, not rows, as input.
+    pub fn run_over<const N: usize>(
+        work_mem_bytes: usize,
+        inputs: [Vec<Tuple>; N],
+        build: impl FnOnce([Box<PhysicalPlan>; N]) -> PhysicalPlan,
+    ) -> (Vec<Tuple>, ResourceDemand) {
+        let (mut db, mut pool) = small_db(1);
+        let plan = build(inputs.map(|rows| Box::new(scan_of(&mut db, rows))));
+        let mut ctx = context(&mut db, &mut pool);
+        ctx.work_mem_bytes = work_mem_bytes;
+        let out = exec::execute(&mut ctx, &plan).unwrap();
+        (out, ctx.demand)
     }
 
     /// A context over the fixtures with 1 MiB of `work_mem`.

@@ -1,4 +1,4 @@
-//! An allocation budget for the borrowing operators.
+//! An allocation budget for the executor.
 //!
 //! Wall-clock on a shared host is noisy; allocation counts are not. A scan
 //! that feeds a consumer which keeps nothing — a filter that rejects every
@@ -9,10 +9,18 @@
 //! far under that and far over what the page cache legitimately needs (one
 //! 8 KiB frame per page read, plus map growth).
 //!
+//! The operators that *keep* rows — the joins and the sort — keep them
+//! encoded in a few growing buffers, so they add a handful of doublings per
+//! buffer to that, not an allocation per row: one joined tuple, one key
+//! copy, one bucket vector per row would show here the same way. Rows are
+//! decoded, one vector and one string each, only where they leave the plan.
+//!
 //! The counting allocator lives in this test binary only; both library
 //! crates stay `#![forbid(unsafe_code)]`.
 
-use dbvirt_engine::{run_plan, AggExpr, AggFunc, CpuCosts, Database, Expr, PhysicalPlan, TableId};
+use dbvirt_engine::{
+    run_plan, AggExpr, AggFunc, CpuCosts, Database, Expr, JoinType, PhysicalPlan, SortKey, TableId,
+};
 use dbvirt_storage::{BufferPool, DataType, Datum, Field, Schema, Tuple};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -142,5 +150,86 @@ fn borrowing_consumers_allocate_per_page_and_group_not_per_row() {
         allocations <= per_page + 12 * GROUPS.len() as u64,
         "summing {ROWS} rows into {} groups over {pages} pages allocated {allocations} times",
         GROUPS.len()
+    );
+}
+
+/// What a kept side may allocate beyond its page reads: three growing
+/// vectors per row buffer (bytes, field offsets, row ends), each doubling
+/// at most ~25 times on the way to 50 000 rows.
+const PER_ROW_BUF: u64 = 3 * 25;
+
+#[test]
+fn keeping_operators_allocate_per_buffer_doubling_not_per_row() {
+    let mut db = build_db();
+    let t = TableId(0);
+    let pages = u64::from(db.table(t).heap.num_pages(db.disk()));
+    let scan = || {
+        Box::new(PhysicalPlan::SeqScan {
+            table: t,
+            filter: None,
+        })
+    };
+    // `b` is a permutation of `a`, so every row finds exactly one partner.
+    let join = |join_type| PhysicalPlan::HashJoin {
+        left: scan(),
+        right: scan(),
+        left_keys: vec![0],
+        right_keys: vec![1],
+        join_type,
+    };
+    let count_star = |input| PhysicalPlan::HashAgg {
+        input: Box::new(input),
+        group_by: vec![],
+        aggs: vec![AggExpr::count_star("n")],
+    };
+    // Two scans, two row buffers, the chain table's two vectors, the NULL
+    // pad's schema, and the small change of the borrowing budget.
+    let join_budget = 2 * (pages + PER_ROW_BUF) + 64;
+
+    for join_type in [JoinType::Inner, JoinType::Left, JoinType::Semi] {
+        let (rows, allocations) = allocations_of(&mut db, &count_star(join(join_type)));
+        assert_eq!(rows[0].get(0), &Datum::Int(ROWS));
+        assert!(
+            allocations <= join_budget,
+            "counting a {join_type:?} join of {ROWS} x {ROWS} rows over 2 x {pages} pages \
+             allocated {allocations} times"
+        );
+    }
+
+    // Grouped by the probe side's `g`, summing the build side's `a`
+    // (column 3 of the joined row): the aggregate reads through the pair.
+    let grouped_sum = PhysicalPlan::HashAgg {
+        input: Box::new(join(JoinType::Inner)),
+        group_by: vec![2],
+        aggs: vec![AggExpr::new(AggFunc::Sum, Expr::col(3), "s")],
+    };
+    let (rows, allocations) = allocations_of(&mut db, &grouped_sum);
+    assert_eq!(rows.len(), GROUPS.len());
+    let total: i64 = rows.iter().map(|r| r.get(1).as_int().unwrap()).sum();
+    assert_eq!(total, ROWS * (ROWS - 1) / 2);
+    assert!(
+        allocations <= join_budget + 12 * GROUPS.len() as u64,
+        "summing a join of {ROWS} x {ROWS} rows into {} groups allocated {allocations} times",
+        GROUPS.len()
+    );
+
+    // A sort keeps one row buffer, its key values and its permutation.
+    let sort = || PhysicalPlan::Sort {
+        input: scan(),
+        keys: vec![SortKey::desc(1), SortKey::asc(0)],
+    };
+    let (rows, allocations) = allocations_of(&mut db, &count_star(sort()));
+    assert_eq!(rows[0].get(0), &Datum::Int(ROWS));
+    assert!(
+        allocations <= pages + PER_ROW_BUF + 64,
+        "counting {ROWS} sorted rows over {pages} pages allocated {allocations} times"
+    );
+    // At the root each of its rows is decoded: a vector and `g`'s string.
+    let (rows, allocations) = allocations_of(&mut db, &sort());
+    assert_eq!(rows.len(), ROWS as usize);
+    assert_eq!(rows[0].get(1), &Datum::Int(ROWS - 1));
+    assert!(
+        allocations <= 2 * ROWS as u64 + pages + PER_ROW_BUF + 64,
+        "sorting {ROWS} rows to the root allocated {allocations} times"
     );
 }

@@ -9,7 +9,8 @@
 //! * [`Tuple`] — byte-serialized rows ([`Tuple`] round-trips through a
 //!   compact tagged format); [`TupleView`] — the one reader of that format,
 //!   which checks a record once and then reads columns in place; [`Row`] —
-//!   what either of them looks like to an expression;
+//!   what either of them, or a [`Joined`] pair, looks like to an expression;
+//!   [`RowBuf`] — rows kept as record bytes in one arena, read back as views;
 //! * [`Page`] — 8 KiB slotted pages with a slot directory;
 //! * [`HeapFile`] / [`DiskManager`] — append-only heap tables over pages;
 //! * [`BufferPool`] — a clock-sweep page cache whose capacity is set from
@@ -42,5 +43,5 @@ pub use error::StorageError;
 pub use heap::{DiskManager, FileId, HeapFile, PageId, TupleId};
 pub use page::{Page, PAGE_SIZE};
 pub use stats::{ColumnStats, Histogram, TableStats};
-pub use tuple::{Row, Tuple, TupleView};
+pub use tuple::{Joined, RecordWriter, Row, RowBuf, Tuple, TupleView};
 pub use types::{DataType, Datum, DatumRef, Field, Schema};

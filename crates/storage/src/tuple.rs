@@ -7,14 +7,22 @@
 //! [`TupleView`] is the one reader of that format: it walks a record once,
 //! checking every tag, length and string body, and then reads columns in
 //! place. [`Tuple::decode`] is that walk followed by [`Row::to_tuple`].
+//!
+//! [`RowBuf`] is how rows are *kept* without being decoded: one arena of
+//! record encodings plus each field's offset, written by `memcpy` from a
+//! checked view or field by field from any other [`Row`], and read back as
+//! views.
 
 use crate::{Datum, DatumRef, StorageError};
 use bytes::Bytes;
 
 /// Anything an expression can read columns from: an owned [`Tuple`], a
-/// [`TupleView`] over page bytes, or a pair of rows seen as their
-/// concatenation.
+/// [`TupleView`] over page or [`RowBuf`] bytes, a pair of rows seen as their
+/// concatenation ([`Joined`]), or whatever an operator computes per column.
 pub trait Row {
+    /// Number of columns.
+    fn arity(&self) -> usize;
+
     /// The value of column `idx`.
     ///
     /// # Panics
@@ -22,7 +30,17 @@ pub trait Row {
     fn col(&self, idx: usize) -> DatumRef<'_>;
 
     /// Copies the row out as an owned tuple.
-    fn to_tuple(&self) -> Tuple;
+    fn to_tuple(&self) -> Tuple {
+        Tuple::new((0..self.arity()).map(|i| self.col(i).to_datum()).collect())
+    }
+
+    /// Appends every column, in order, to a record being written into a
+    /// [`RowBuf`]. A row that already is checked record bytes copies them.
+    fn write_fields(&self, record: &mut RecordWriter<'_>) {
+        for i in 0..self.arity() {
+            record.push(self.col(i));
+        }
+    }
 }
 
 /// A row: an ordered list of datums, serializable to page bytes.
@@ -65,21 +83,6 @@ impl Tuple {
         self.values
     }
 
-    /// Concatenates two tuples (join output).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.values.len() + other.values.len());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Tuple { values }
-    }
-
-    /// Projects the tuple onto the given column indexes.
-    pub fn project(&self, indexes: &[usize]) -> Tuple {
-        Tuple {
-            values: indexes.iter().map(|&i| self.values[i].clone()).collect(),
-        }
-    }
-
     /// Serializes the tuple to bytes.
     pub fn encode(&self) -> Bytes {
         let mut buf = Vec::with_capacity(self.encoded_len());
@@ -106,11 +109,19 @@ impl Tuple {
 
     /// Deserializes a tuple from bytes produced by [`Tuple::encode`].
     pub fn decode(bytes: &[u8]) -> Result<Tuple, StorageError> {
-        Ok(TupleView::parse(bytes, &mut Vec::new())?.to_tuple())
+        // The offsets in one allocation rather than three doublings (a field
+        // takes at least a byte, so a lying count cannot ask for much).
+        let count = array_at(bytes, 0).map_or(0, u16::from_be_bytes);
+        let mut fields = Vec::with_capacity(usize::from(count).min(bytes.len()));
+        Ok(TupleView::parse(bytes, &mut fields)?.to_tuple())
     }
 }
 
 impl Row for Tuple {
+    fn arity(&self) -> usize {
+        self.values.len()
+    }
+
     fn col(&self, idx: usize) -> DatumRef<'_> {
         DatumRef::of(&self.values[idx])
     }
@@ -155,14 +166,15 @@ impl DatumRef<'_> {
 /// offset of each field's tag, found by walking the record once.
 ///
 /// The offsets live in a buffer the caller owns and reuses from record to
-/// record, so looking at a row allocates nothing; a column is decoded only
-/// when [`Row::col`] asks for it, and a string column is a `&str`
-/// into the record itself.
+/// record (or in the [`RowBuf`] that keeps the record), so looking at a row
+/// allocates nothing; a column is decoded only when asked for, and a string
+/// column is a `&str` into the record itself.
 #[derive(Debug, Clone, Copy)]
 pub struct TupleView<'a> {
+    /// The record, cut off where its last field ends.
     bytes: &'a [u8],
     /// Offset in `bytes` of each field's tag byte.
-    fields: &'a [usize],
+    fields: &'a [u32],
 }
 
 /// The `N` bytes at `bytes[at..]`, or `None` if the record ends first.
@@ -175,10 +187,7 @@ impl<'a> TupleView<'a> {
     /// count, every tag, every payload length and every string body, and
     /// recording where each field starts in `fields` (cleared first).
     /// Bytes after the last field are ignored.
-    pub fn parse(
-        bytes: &'a [u8],
-        fields: &'a mut Vec<usize>,
-    ) -> Result<TupleView<'a>, StorageError> {
+    pub fn parse(bytes: &'a [u8], fields: &'a mut Vec<u32>) -> Result<TupleView<'a>, StorageError> {
         let corrupt = |reason: &str| StorageError::CorruptTuple {
             reason: reason.to_string(),
         };
@@ -187,7 +196,8 @@ impl<'a> TupleView<'a> {
         let mut at = 2;
         for _ in 0..u16::from_be_bytes(n) {
             let tag = *bytes.get(at).ok_or_else(|| corrupt("missing field tag"))?;
-            fields.push(at);
+            // Truncating only past 4 GiB, which is refused below.
+            fields.push(at as u32);
             at += 1;
             let payload = bytes.len() - at;
             at += match tag {
@@ -214,20 +224,27 @@ impl<'a> TupleView<'a> {
                 }
             };
         }
-        Ok(TupleView { bytes, fields })
+        if at > u32::MAX as usize {
+            return Err(corrupt("record longer than 4 GiB"));
+        }
+        // Every step above stayed inside `bytes`, so this is `&bytes[..at]`
+        // — written without its panic branch, which costs this function (the
+        // hottest of every scan) 15 % per record in the shape it compiles to.
+        Ok(TupleView {
+            bytes: bytes.get(..at).unwrap_or(bytes),
+            fields,
+        })
     }
 
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.fields.len()
-    }
-}
-
-impl Row for TupleView<'_> {
-    fn col(&self, idx: usize) -> DatumRef<'_> {
+    /// The value of column `idx`, borrowed from the record rather than from
+    /// this view (which is `Copy` and usually a temporary).
+    ///
+    /// # Panics
+    /// Panics if `idx` is out of range.
+    pub fn get(&self, idx: usize) -> DatumRef<'a> {
         // `parse` checked every length and string body read below.
         const CHECKED: &str = "parse checked this payload";
-        let tag = self.fields[idx];
+        let tag = self.fields[idx] as usize;
         let payload = tag + 1;
         match self.bytes[tag] {
             TAG_NULL => DatumRef::Null,
@@ -251,10 +268,174 @@ impl Row for TupleView<'_> {
         }
     }
 
-    fn to_tuple(&self) -> Tuple {
-        Tuple {
-            values: (0..self.arity()).map(|i| self.col(i).to_datum()).collect(),
+    /// The record itself: what [`Tuple::encode`] writes for this row, without
+    /// whatever followed it where it was parsed.
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// The field encoding of column `idx` — tag, then payload — exactly as
+    /// [`DatumRef::encode_into`] writes it: equal bytes, equal kind and bits.
+    ///
+    /// # Panics
+    /// Panics if `idx` is out of range.
+    pub fn field_bytes(&self, idx: usize) -> &'a [u8] {
+        let end = self
+            .fields
+            .get(idx + 1)
+            .map_or(self.bytes.len(), |&f| f as usize);
+        &self.bytes[self.fields[idx] as usize..end]
+    }
+
+    /// True if column `idx` is NULL (its tag says so; nothing is decoded).
+    ///
+    /// # Panics
+    /// Panics if `idx` is out of range.
+    pub fn is_null(&self, idx: usize) -> bool {
+        self.bytes[self.fields[idx] as usize] == TAG_NULL
+    }
+}
+
+impl Row for TupleView<'_> {
+    fn arity(&self) -> usize {
+        self.fields.len()
+    }
+
+    fn col(&self, idx: usize) -> DatumRef<'_> {
+        self.get(idx)
+    }
+
+    fn write_fields(&self, record: &mut RecordWriter<'_>) {
+        record.copy_checked(self);
+    }
+}
+
+/// Two rows seen as their concatenation: what a join hands its consumer
+/// instead of building the joined tuple.
+pub struct Joined<'a> {
+    /// The columns that come first.
+    pub left: &'a dyn Row,
+    /// The columns after them.
+    pub right: &'a dyn Row,
+}
+
+impl Row for Joined<'_> {
+    fn arity(&self) -> usize {
+        self.left.arity() + self.right.arity()
+    }
+
+    fn col(&self, idx: usize) -> DatumRef<'_> {
+        match idx.checked_sub(self.left.arity()) {
+            None => self.left.col(idx),
+            Some(right_idx) => self.right.col(right_idx),
         }
+    }
+
+    fn write_fields(&self, record: &mut RecordWriter<'_>) {
+        self.left.write_fields(record);
+        self.right.write_fields(record);
+    }
+}
+
+/// Rows kept encoded: one arena holding each row's record exactly as
+/// [`Tuple::encode`] would write it, plus the offset of every field, so a
+/// kept row is read back as a [`TupleView`] without being checked again.
+///
+/// Offsets are `u32`s, which bounds the arena at 4 GiB.
+#[derive(Debug, Default)]
+pub struct RowBuf {
+    bytes: Vec<u8>,
+    /// Offset from its record's first byte of each field's tag, row after
+    /// row.
+    fields: Vec<u32>,
+    /// Per row, where its record ends in `bytes` and its offsets in `fields`
+    /// (and so where the next row's start).
+    ends: Vec<(u32, u32)>,
+}
+
+/// A length or offset inside a [`RowBuf`].
+fn compact(n: usize) -> u32 {
+    u32::try_from(n).expect("a row buffer holds at most 4 GiB")
+}
+
+impl RowBuf {
+    /// An empty buffer.
+    pub fn new() -> RowBuf {
+        RowBuf::default()
+    }
+
+    /// Number of rows kept.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True if no row is kept.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Total size of the kept records: the sum of [`Tuple::encoded_len`]
+    /// over the rows pushed.
+    pub fn encoded_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Keeps a copy of `row`.
+    ///
+    /// # Panics
+    /// Panics if the row has more than `u16::MAX` columns or the buffer
+    /// would pass 4 GiB.
+    pub fn push(&mut self, row: &dyn Row) {
+        let start = self.bytes.len();
+        let arity = u16::try_from(row.arity()).expect("a record holds at most 65 535 fields");
+        self.bytes.extend_from_slice(&arity.to_be_bytes());
+        row.write_fields(&mut RecordWriter { buf: self, start });
+        self.ends
+            .push((compact(self.bytes.len()), compact(self.fields.len())));
+    }
+
+    /// Row `idx`, in push order.
+    ///
+    /// # Panics
+    /// Panics if `idx` is out of range.
+    pub fn get(&self, idx: usize) -> TupleView<'_> {
+        let (start, first) = idx.checked_sub(1).map_or((0, 0), |prev| self.ends[prev]);
+        let (end, last) = self.ends[idx];
+        TupleView {
+            bytes: &self.bytes[start as usize..end as usize],
+            fields: &self.fields[first as usize..last as usize],
+        }
+    }
+
+    /// The kept rows in push order.
+    pub fn iter(&self) -> impl Iterator<Item = TupleView<'_>> {
+        (0..self.len()).map(|idx| self.get(idx))
+    }
+}
+
+/// The record a [`RowBuf::push`] is writing; [`Row::write_fields`] appends
+/// the row's columns to it.
+pub struct RecordWriter<'b> {
+    buf: &'b mut RowBuf,
+    /// Where the record starts in the arena.
+    start: usize,
+}
+
+impl RecordWriter<'_> {
+    /// Appends one column.
+    pub fn push(&mut self, value: DatumRef<'_>) {
+        let at = self.buf.bytes.len() - self.start;
+        self.buf.fields.push(compact(at));
+        value.encode_into(&mut self.buf.bytes);
+    }
+
+    /// Appends every column of a checked record by copying its bytes.
+    fn copy_checked(&mut self, view: &TupleView<'_>) {
+        // The view's first field sits 2 bytes into its own record.
+        let shift = compact(self.buf.bytes.len() - self.start) - 2;
+        let shifted = view.fields.iter().map(|&f| f + shift);
+        self.buf.fields.extend(shifted);
+        self.buf.bytes.extend_from_slice(&view.bytes[2..]);
     }
 }
 
@@ -313,16 +494,6 @@ mod tests {
             Tuple::decode(&bytes),
             Err(StorageError::CorruptTuple { .. })
         ));
-    }
-
-    #[test]
-    fn concat_and_project() {
-        let a = Tuple::new(vec![Datum::Int(1), Datum::str("x")]);
-        let b = Tuple::new(vec![Datum::Bool(true)]);
-        let c = a.concat(&b);
-        assert_eq!(c.arity(), 3);
-        let p = c.project(&[2, 0]);
-        assert_eq!(p.values(), &[Datum::Bool(true), Datum::Int(1)]);
     }
 
     proptest::proptest! {

@@ -5,9 +5,13 @@
 //! here — as the oracle: on every input, valid or mangled, the view must
 //! accept exactly what it accepted, fail with exactly its reason, and yield
 //! exactly its values.
+//!
+//! `RowBuf`, which keeps checked records and reads them back as views, is
+//! held to the same encoding: whatever kind of row is pushed, what it keeps
+//! is `to_tuple().encode()`.
 
 use bytes::Buf;
-use dbvirt_storage::{Datum, DatumRef, Row, StorageError, Tuple, TupleView};
+use dbvirt_storage::{Datum, DatumRef, Joined, Row, RowBuf, StorageError, Tuple, TupleView};
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -193,5 +197,54 @@ proptest! {
             &Err(StorageError::CorruptTuple { reason: "invalid utf-8".to_string() })
         );
         prop_assert_eq!(&via_view(&bytes), &expect);
+    }
+
+    /// Each tuple goes in three ways — as itself (field by field), as a view
+    /// of its record with bytes trailing the last field (copied, but only
+    /// the checked extent), and as the left and right halves of a pair.
+    #[test]
+    fn row_buf_keeps_the_encoding_of_whatever_row_is_pushed(
+        tuples in prop::collection::vec(ArbTuple, 0..10),
+        trailing in prop::collection::vec(0u8..=255, 0..5),
+    ) {
+        let mut kept = RowBuf::new();
+        let mut expect = Vec::new();
+        let mut fields = Vec::new();
+        for (i, t) in tuples.iter().enumerate() {
+            let mut record = t.encode().to_vec();
+            record.extend_from_slice(&trailing);
+            let view = TupleView::parse(&record, &mut fields).unwrap();
+            let other = &tuples[(i + 1) % tuples.len()];
+            let pair = Joined { left: &view, right: other };
+            kept.push(t);
+            kept.push(&view);
+            kept.push(&pair);
+            kept.push(&Joined { left: &pair, right: &view });
+            let paired = Tuple::new([t.values(), other.values()].concat());
+            let nested = Tuple::new([paired.values(), t.values()].concat());
+            expect.extend([t.clone(), t.clone(), paired, nested]);
+        }
+
+        prop_assert_eq!(kept.len(), expect.len());
+        prop_assert_eq!(kept.is_empty(), tuples.is_empty());
+        let total: usize = expect.iter().map(Tuple::encoded_len).sum();
+        prop_assert_eq!(kept.encoded_bytes(), total);
+        for (i, (row, t)) in kept.iter().zip(&expect).enumerate() {
+            // Bit for bit: `Tuple`'s `==` would call a NaN unequal to itself.
+            prop_assert_eq!(row.as_bytes(), &t.encode()[..]);
+            prop_assert_eq!(row.to_tuple().encode(), t.encode());
+            prop_assert_eq!(kept.get(i).arity(), t.arity());
+            for c in 0..t.arity() {
+                let mut field = Vec::new();
+                t.col(c).encode_into(&mut field);
+                prop_assert_eq!(row.field_bytes(c), field.as_slice());
+                prop_assert_eq!(row.is_null(c), t.get(c).is_null());
+            }
+            // A kept row pushed again is still the same record.
+            let mut again = RowBuf::new();
+            again.push(&row);
+            prop_assert_eq!(again.encoded_bytes(), t.encoded_len());
+            prop_assert_eq!(again.get(0).to_tuple().encode(), t.encode());
+        }
     }
 }

@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# `cargo test` never builds the `harness = false` Criterion benches, so an
+# engine or storage signature change could rot all six unnoticed: compile
+# them (without running any).
+cargo bench --no-run --offline -p dbvirt-bench
+
 # perf/ is a workspace of its own, so the two commands above never compile
 # it: build the benchmark against this checkout's crates and run its unit
 # tests, so a signature change under crates/ cannot silently break it.

@@ -9,9 +9,11 @@
 //! the encoded output rows in order — once on a cold pool and once more on
 //! the pool that run left behind. `tests/golden/engine_demand_bits.txt` was
 //! captured from the commit *before* the executor learned to borrow rows
-//! from page bytes; a change that moves one bit of one demand, reorders one
-//! page fetch (the clock sweep would evict differently) or alters one output
-//! row fails here.
+//! from page bytes — its `hash_join_*`, `sort_two_keys` and
+//! `limit_over_sort` lines from the commit before joins and sorts stopped
+//! decoding the rows they keep; a change that moves one bit of one demand,
+//! reorders one page fetch (the clock sweep would evict differently) or
+//! alters one output row fails here.
 //!
 //! To re-capture after an intended change to the virtual clock:
 //! `ENGINE_GOLDEN_REGENERATE=1 cargo test --test engine_golden`.
@@ -65,7 +67,9 @@ fn boxed(plan: PhysicalPlan) -> Box<PhysicalPlan> {
 /// Hand-built plans over the access paths and operators the planner does
 /// not pick for the benchmark statements.
 fn handmade(t: &TpchDb) -> Vec<(String, PhysicalPlan)> {
-    use col::{lineitem as l, nation as n, orders as o, region as r};
+    use col::{
+        customer as c, lineitem as l, nation as n, orders as o, partsupp as ps, region as r,
+    };
     let index = |table, column| t.db.index_on(table, column).expect("stock index");
     let arm = |column, lo, hi| {
         let (lo, hi) = int_range(lo, hi);
@@ -118,8 +122,86 @@ fn handmade(t: &TpchDb) -> Vec<(String, PhysicalPlan)> {
         Expr::col(l::EXTENDEDPRICE),
         Expr::sub(Expr::float(1.0), Expr::col(l::DISCOUNT)),
     );
+    let seq = |table, filter| boxed(PhysicalPlan::SeqScan { table, filter });
+    // customer LEFT JOIN a slice of orders: sixteen columns, the last eight
+    // NULL for a customer the slice holds no order of.
+    let customers_padded = |orders_filter| PhysicalPlan::HashJoin {
+        left: seq(
+            t.customer,
+            Some(Expr::lt(Expr::col(c::CUSTKEY), Expr::int(300))),
+        ),
+        right: seq(t.orders, Some(orders_filter)),
+        left_keys: vec![c::CUSTKEY],
+        right_keys: vec![o::CUSTKEY],
+        join_type: JoinType::Left,
+    };
+    // Hash joins over the three key shapes: a duplicate-heavy single key
+    // (ten orders to a customer, the first third of customers with none), a
+    // two-column key, and — a join over two joins — the padded side of a
+    // left join, whose key is NULL on both sides for the unmatched.
+    let hash_joins = |join_type| {
+        let name = |shape: &str| {
+            format!(
+                "hash_join_{}_{shape}",
+                format!("{join_type:?}").to_lowercase()
+            )
+        };
+        [
+            (
+                name("dup_key"),
+                PhysicalPlan::HashJoin {
+                    left: seq(t.customer, None),
+                    right: seq(
+                        t.orders,
+                        Some(Expr::ge(Expr::col(o::CUSTKEY), Expr::int(250))),
+                    ),
+                    left_keys: vec![c::CUSTKEY],
+                    right_keys: vec![o::CUSTKEY],
+                    join_type,
+                },
+            ),
+            (
+                name("two_col_key"),
+                PhysicalPlan::HashJoin {
+                    left: seq(
+                        t.lineitem,
+                        Some(Expr::lt(Expr::col(l::ORDERKEY), Expr::int(2000))),
+                    ),
+                    right: seq(
+                        t.partsupp,
+                        Some(Expr::lt(Expr::col(ps::AVAILQTY), Expr::int(6000))),
+                    ),
+                    left_keys: vec![l::PARTKEY, l::SUPPKEY],
+                    right_keys: vec![ps::PARTKEY, ps::SUPPKEY],
+                    join_type,
+                },
+            ),
+            (
+                name("null_keys"),
+                PhysicalPlan::HashJoin {
+                    left: boxed(customers_padded(Expr::eq(
+                        Expr::col(o::ORDERPRIORITY),
+                        Expr::str("1-URGENT"),
+                    ))),
+                    right: boxed(customers_padded(Expr::eq(
+                        Expr::col(o::ORDERSTATUS),
+                        Expr::str("F"),
+                    ))),
+                    // customer has eight columns, so orders' start at 8.
+                    left_keys: vec![8 + o::CUSTKEY],
+                    right_keys: vec![8 + o::CUSTKEY],
+                    join_type,
+                },
+            ),
+        ]
+    };
+    // Ties on (priority, customer) keep their scan order: the sort is stable.
+    let sort_two_keys = || PhysicalPlan::Sort {
+        input: seq(t.orders, None),
+        keys: vec![SortKey::asc(o::ORDERPRIORITY), SortKey::desc(o::CUSTKEY)],
+    };
 
-    vec![
+    let mut cases = vec![
         (
             "seq_all_lineitem".to_string(),
             PhysicalPlan::SeqScan {
@@ -254,7 +336,24 @@ fn handmade(t: &TpchDb) -> Vec<(String, PhysicalPlan)> {
         ("nlj_left".to_string(), nation_region(JoinType::Left)),
         ("nlj_semi".to_string(), nation_region(JoinType::Semi)),
         ("nlj_anti".to_string(), nation_region(JoinType::Anti)),
-    ]
+    ];
+    for join_type in [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Semi,
+        JoinType::Anti,
+    ] {
+        cases.extend(hash_joins(join_type));
+    }
+    cases.push(("sort_two_keys".to_string(), sort_two_keys()));
+    cases.push((
+        "limit_over_sort".to_string(),
+        PhysicalPlan::Limit {
+            input: boxed(sort_two_keys()),
+            limit: 100,
+        },
+    ));
+    cases
 }
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
