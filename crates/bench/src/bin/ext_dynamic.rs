@@ -135,7 +135,7 @@ fn main() {
         policy.algorithm.name(),
         serial_s,
         parallel_s,
-        parallel_policy.config.effective_parallelism(),
+        dbvirt_vmm::kernel::workers_for(parallel_policy.config.parallelism, usize::MAX),
         serial_s / parallel_s,
     );
 

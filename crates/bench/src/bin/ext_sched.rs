@@ -24,6 +24,7 @@
 use std::time::Instant;
 
 use dbvirt_bench::{experiment_machine, json_array, print_table, write_bench_artifact, JsonObj};
+use dbvirt_vmm::kernel::{Fnv1a, SplitMix64};
 use dbvirt_vmm::sched::{
     co_schedule_reference, co_schedule_with_core, SchedCore, SchedMode, SchedStats, VmJob,
     VmOutcome,
@@ -38,25 +39,13 @@ const MODES: [(SchedMode, &str); 2] = [
 ];
 const TIMING_REPS: usize = 3;
 
-/// Deterministic splitmix64 stream for demand synthesis (no external RNG:
-/// the sweep must be pinned byte-for-byte across runs and machines).
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 /// A deterministic fleet: per-VM query streams mixing CPU-heavy, I/O-heavy,
 /// balanced, and zero-demand queries so both resource classes stay
 /// contended and phase kinds alternate (the work-conserving worst case).
 fn fleet(vms: usize, queries: usize) -> Vec<VmJob> {
-    let mut mix = Mix((vms as u64) << 32 | queries as u64);
+    // No external RNG: the sweep must be pinned byte-for-byte across runs
+    // and machines.
+    let mut mix = SplitMix64((vms as u64) << 32 | queries as u64);
     (0..vms)
         .map(|_| {
             let stream = (0..queries)
@@ -95,20 +84,14 @@ fn fleet(vms: usize, queries: usize) -> Vec<VmJob> {
 
 /// FNV-1a over every reported completion instant, query-by-query.
 fn fingerprint(outcomes: &[VmOutcome]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
     for o in outcomes {
-        eat(o.completion.as_micros());
+        h.u64(o.completion.as_micros());
         for t in &o.query_completions {
-            eat(t.as_micros());
+            h.u64(t.as_micros());
         }
     }
-    h
+    h.finish()
 }
 
 struct ConfigResult {

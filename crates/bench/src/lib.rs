@@ -129,7 +129,7 @@ pub fn report_parallel_speedup(
         algorithm.name(),
         serial_s,
         parallel_s,
-        parallel_cfg.effective_parallelism(),
+        dbvirt_vmm::kernel::workers_for(parallel_cfg.parallelism, usize::MAX),
         serial_s / parallel_s,
         serial.evaluations,
     );

@@ -53,9 +53,9 @@ use crate::runner::{calibrate_cell, execute_probe, vm_and_config, CalibrationCon
 use crate::vmdb::DbVmConfig;
 use crate::{CalError, ProbeDb};
 use dbvirt_optimizer::OptimizerParams;
+use dbvirt_vmm::kernel::{claim_and_reduce, workers_for, PoolError};
 use dbvirt_vmm::{MachineSpec, ResourceVector, VmmError};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The parameters the probe system actually measures (everything else in
 /// [`OptimizerParams`] is policy-derived from the memory share).
@@ -247,67 +247,40 @@ fn nearest_donors(donors: &[(usize, usize)], c: usize, m: usize) -> Vec<(usize, 
 }
 
 /// Executes every `(configuration, probe)` pair once and returns the memo
-/// of their demands. Workers claim pairs off a shared counter, each on its
-/// own copy of the probe database; a probe's demand does not depend on
-/// which copy ran it, and outcomes are reduced in ascending pair order, so
-/// the memo (and the error surfaced, if any) is the same at any worker
-/// count.
+/// of their demands. The pairs are the tasks of one [`claim_and_reduce`]
+/// call, each worker on its own copy of the probe database; a probe's
+/// demand does not depend on which copy ran it, so the memo (and the error
+/// surfaced, if any) is the same at any worker count.
 fn execute_tasks(
     template: &ProbeDb,
     probes: &[Probe],
     configs: Vec<DbVmConfig>,
-    workers: usize,
-    parent_span: Option<u64>,
+    parallelism: usize,
 ) -> Result<DemandMemo, CalError> {
     let n_tasks = configs.len() * probes.len();
-    let next = AtomicUsize::new(0);
-    let joined = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.clamp(1, n_tasks.max(1)))
-            .map(|_| {
-                scope.spawn(|| {
-                    // Adopt the sweep span as parent so the engine spans
-                    // from this worker thread nest under the sweep.
-                    let _worker_span =
-                        dbvirt_telemetry::span_with_parent("calibrate.grid_worker", parent_span);
-                    let mut pdb = template.clone();
-                    let mut done = Vec::new();
-                    loop {
-                        let at = next.fetch_add(1, Ordering::Relaxed);
-                        if at >= n_tasks {
-                            break done;
-                        }
-                        let cfg = &configs[at / probes.len()];
-                        let probe = &probes[at % probes.len()];
-                        done.push((at, execute_probe(&mut pdb, probe, cfg)));
-                    }
-                })
-            })
-            .collect();
-        // Join every worker: a scope that is left with an unjoined panicked
-        // thread panics itself.
-        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-    });
-    let mut done = Vec::with_capacity(n_tasks);
-    for worker in joined {
-        done.extend(worker.map_err(|payload| {
-            let reason = payload
+    let demands = claim_and_reduce(
+        n_tasks,
+        workers_for(parallelism, n_tasks),
+        "calibrate.grid_worker",
+        || template.clone(),
+        |pdb, at| execute_probe(pdb, &probes[at % probes.len()], &configs[at / probes.len()]),
+    )
+    .map_err(|e| match e {
+        PoolError::Task(e) => e,
+        PoolError::Panicked(payload) => CalError::ProbeFailed {
+            probe: "<worker>".to_string(),
+            reason: payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panicked".to_string());
-            CalError::ProbeFailed {
-                probe: "<worker>".to_string(),
-                reason,
-            }
-        })?);
-    }
-    done.sort_unstable_by_key(|&(at, _)| at);
-    let mut outcomes = done.into_iter().map(|(_, outcome)| outcome);
-    let mut entries = Vec::with_capacity(configs.len());
-    for cfg in configs {
-        let suite = outcomes.by_ref().take(probes.len());
-        entries.push((cfg, suite.collect::<Result<_, _>>()?));
-    }
+                .unwrap_or_else(|| "panicked".to_string()),
+        },
+    })?;
+    let mut demands = demands.into_iter();
+    let entries = configs
+        .into_iter()
+        .map(|cfg| (cfg, demands.by_ref().take(probes.len()).collect()))
+        .collect();
     Ok(DemandMemo { entries })
 }
 
@@ -339,19 +312,19 @@ impl CalibrationGrid {
         disk_share: f64,
         rcfg: &CalibrationConfig,
     ) -> Result<CalibrationGrid, CalError> {
-        let workers = std::thread::available_parallelism().map_or(2, |n| n.get());
-        CalibrationGrid::sweep(machine, cpu_points, mem_points, disk_share, rcfg, workers)
+        CalibrationGrid::sweep(machine, cpu_points, mem_points, disk_share, rcfg, 0)
     }
 
     /// The sweep behind [`CalibrationGrid::calibrate_with_config`] with the
-    /// worker count exposed, so tests can pin that it changes nothing.
+    /// worker count exposed (`0` = one per core), so tests can pin that it
+    /// changes nothing.
     fn sweep(
         machine: MachineSpec,
         cpu_points: Vec<f64>,
         mem_points: Vec<f64>,
         disk_share: f64,
         rcfg: &CalibrationConfig,
-        workers: usize,
+        parallelism: usize,
     ) -> Result<CalibrationGrid, CalError> {
         validate_grid_args(&cpu_points, &mem_points, disk_share)
             .map_err(|reason| CalError::InvalidGrid { reason })?;
@@ -384,7 +357,7 @@ impl CalibrationGrid {
         // axis holds and however many workers share the tasks.
         let template = ProbeDb::template()?;
         let probes = build_probes(template);
-        let memo = execute_tasks(template, &probes, configs, workers, sweep_span.id())?;
+        let memo = execute_tasks(template, &probes, configs, parallelism)?;
 
         // Price and fit: pure arithmetic per cell, in row-major order.
         let default = OptimizerParams::postgres_defaults();
@@ -1179,7 +1152,7 @@ mod tests {
             work_mem_bytes: 1 << 20,
             effective_cache_pages: 0,
         };
-        let err = execute_tasks(template, &probes, vec![zero_pool], 2, None).unwrap_err();
+        let err = execute_tasks(template, &probes, vec![zero_pool], 2).unwrap_err();
         match err {
             CalError::ProbeFailed { probe, reason } => {
                 assert_eq!(probe, "<worker>");

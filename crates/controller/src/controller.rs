@@ -32,9 +32,12 @@ use crate::profile::{ProblemTemplate, ProfileCostModel, ProfileKey, WorkloadProf
 use crate::scenario::Scenario;
 use crate::stats::VmStats;
 use crate::{ControllerError, DriftConfig};
-use dbvirt_core::search::{run_search_cached, CostCache, SearchAlgorithm, SearchConfig};
+use dbvirt_core::search::{
+    run_search_cached, CostCache, Recommendation, SearchAlgorithm, SearchConfig,
+};
 use dbvirt_core::{CoreError, CostModel, DesignProblem};
 use dbvirt_telemetry as telemetry;
+use dbvirt_vmm::kernel::Fnv1a;
 use dbvirt_vmm::sched::{co_schedule, SchedMode, VmJob};
 use dbvirt_vmm::{
     AllocationMatrix, MachineSpec, ResourceVector, SimDuration, SimTime, VirtualMachine,
@@ -197,29 +200,23 @@ impl ControllerOutcome {
     /// Two runs with identical scenario and config must produce identical
     /// fingerprints at every search parallelism setting.
     pub fn trace_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= *b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(&self.total_cost.to_bits().to_le_bytes());
-        eat(&self.final_time.as_micros().to_le_bytes());
-        eat(&(self.decisions as u64).to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.f64(self.total_cost);
+        h.u64(self.final_time.as_micros());
+        h.u64(self.decisions as u64);
         for s in &self.switches {
-            eat(&(s.epoch as u64).to_le_bytes());
-            eat(&s.time.as_micros().to_le_bytes());
-            eat(&s.cost_seconds.to_bits().to_le_bytes());
+            h.u64(s.epoch as u64);
+            h.u64(s.time.as_micros());
+            h.f64(s.cost_seconds);
         }
         for allocation in &self.allocations {
             for row in allocation.rows() {
                 for share in row.as_array() {
-                    eat(&share.fraction().to_bits().to_le_bytes());
+                    h.f64(share.fraction());
                 }
             }
         }
-        h
+        h.finish()
     }
 }
 
@@ -268,24 +265,84 @@ pub(crate) fn pool_pages(
         .collect()
 }
 
-/// Charges a reconfiguration to the virtual clock and the cost total.
-fn charge_switch(
-    clock: &mut SimTime,
-    total_cost: &mut f64,
+/// The mutable state a reconfiguration touches: the virtual clock, the
+/// cost total, the allocation in force and the switch log.
+struct Ledger {
+    clock: SimTime,
+    total_cost: f64,
+    current: AllocationMatrix,
+    switches: Vec<SwitchEvent>,
+}
+
+impl Ledger {
+    /// Advances the virtual clock by `elapsed` and the cost total by `cost`.
+    fn charge(&mut self, elapsed: SimDuration, cost: f64) -> Result<(), ControllerError> {
+        self.clock = self
+            .clock
+            .checked_add(elapsed)
+            .ok_or_else(|| ControllerError::BadScenario {
+                reason: "virtual clock overflowed".to_string(),
+            })?;
+        telemetry::advance_virtual_micros(elapsed.as_micros());
+        self.total_cost += cost;
+        Ok(())
+    }
+
+    /// Charges a reconfiguration, puts `candidate` in force and logs the
+    /// switch.
+    fn apply_switch(
+        &mut self,
+        epoch: usize,
+        candidate: AllocationMatrix,
+        switch_cost: f64,
+    ) -> Result<(), ControllerError> {
+        let charge = SimDuration::try_from_secs_f64(switch_cost).map_err(|_| {
+            ControllerError::BadConfig {
+                reason: format!("switch cost {switch_cost} seconds is not representable"),
+            }
+        })?;
+        self.charge(charge, switch_cost)?;
+        self.current = candidate.clone();
+        self.switches.push(SwitchEvent {
+            epoch,
+            time: self.clock,
+            cost_seconds: switch_cost,
+            allocation: candidate,
+        });
+        TM_SWITCHES.add(1);
+        Ok(())
+    }
+}
+
+/// Warm what-if caches keyed by quantized profile vector.
+type Caches = BTreeMap<Vec<ProfileKey>, Arc<CostCache>>;
+
+/// One search against the cache `key` names, created on first use.
+fn solve_cached(
+    caches: &mut Caches,
+    key: Vec<ProfileKey>,
+    config: &ControllerConfig,
+    search: SearchConfig,
+    problem: &DesignProblem<'_>,
+    model: &dyn CostModel,
+) -> Result<Recommendation, ControllerError> {
+    let cache = caches
+        .entry(key)
+        .or_insert_with(|| Arc::new(CostCache::new()));
+    Ok(run_search_cached(config.algorithm, problem, model, search, cache)?)
+}
+
+/// The switch gate: moving from per-epoch cost `keep` to `objective` must
+/// repay `switch_cost` plus the hysteresis margin over `horizon` epochs.
+fn clears_gate(
+    config: &ControllerConfig,
+    keep: f64,
+    objective: f64,
+    horizon: f64,
     switch_cost: f64,
-) -> Result<(), ControllerError> {
-    let charge =
-        SimDuration::try_from_secs_f64(switch_cost).map_err(|_| ControllerError::BadConfig {
-            reason: format!("switch cost {switch_cost} seconds is not representable"),
-        })?;
-    *clock = clock
-        .checked_add(charge)
-        .ok_or_else(|| ControllerError::BadScenario {
-            reason: "virtual clock overflowed".to_string(),
-        })?;
-    telemetry::advance_virtual_micros(charge.as_micros());
-    *total_cost += switch_cost;
-    Ok(())
+) -> bool {
+    let gain = (keep - objective) * horizon;
+    gain > switch_cost + config.hysteresis * keep * horizon
 }
 
 /// The whole-machine units a share corresponds to, if it sits exactly on
@@ -312,7 +369,7 @@ fn localized_solve<'a>(
     current: &AllocationMatrix,
     profiles: &[WorkloadProfile],
     drifted: &[usize],
-    caches: &mut BTreeMap<Vec<ProfileKey>, Arc<CostCache>>,
+    caches: &mut Caches,
 ) -> Result<Option<(AllocationMatrix, f64, f64)>, ControllerError> {
     let machine = template.machine;
     let units = config.search.units;
@@ -350,15 +407,12 @@ fn localized_solve<'a>(
         .iter()
         .map(|p| p.quantize(config.quantization_rel))
         .collect();
-    let cache = caches
-        .entry(key)
-        .or_insert_with(|| Arc::new(CostCache::new()));
     let model = ProfileCostModel {
         machine,
         profiles: sub_profiles,
     };
     let sub_config = config.search.with_budgets(cpu_budget, mem_budget);
-    let rec = run_search_cached(config.algorithm, &sub_problem, &model, sub_config, cache)?;
+    let rec = solve_cached(caches, key, config, sub_config, &sub_problem, &model)?;
 
     let keep: f64 = drifted
         .iter()
@@ -462,12 +516,8 @@ fn hill_climb_move(
     let candidate = AllocationMatrix::new(rows)?;
     let switch_cost =
         switch_cost_seconds(machine, current, &candidate, config.switch_base_seconds)?;
-    let gain = (current_cost - best_cost) * horizon;
-    if gain > switch_cost + config.hysteresis * current_cost * horizon {
-        Ok(Some((candidate, switch_cost)))
-    } else {
-        Ok(None)
-    }
+    Ok(clears_gate(config, current_cost, best_cost, horizon, switch_cost)
+        .then_some((candidate, switch_cost)))
 }
 
 /// Prices an allocation under both sides of a predicted regime boundary:
@@ -525,7 +575,12 @@ pub fn run_controller(
             })
             .collect::<Result<Vec<_>, _>>()?,
     )?;
-    let mut current = initial.clone();
+    let mut ledger = Ledger {
+        clock: SimTime::ZERO,
+        total_cost: 0.0,
+        current: initial.clone(),
+        switches: Vec::new(),
+    };
 
     let mut stats: Vec<VmStats> = (0..n)
         .map(|_| VmStats::new(config.ewma_alpha, machine, config.drift))
@@ -533,21 +588,18 @@ pub fn run_controller(
     // Warm what-if caches, one per quantized profile vector: a recurring
     // workload mix maps to the same key and re-solves against cells an
     // earlier decision already evaluated.
-    let mut caches: BTreeMap<Vec<ProfileKey>, Arc<CostCache>> = BTreeMap::new();
+    let mut caches = Caches::new();
     // Pre-switch solves price pairs of regime-pure snapshot profiles, not
     // the blended EWMA estimate. Cached cell costs carry no model
     // identity, so the two families must never share a cache — the pair
     // keys are twice the length of the reactive keys, which makes
     // collision impossible by construction.
-    let mut snapshot_caches: BTreeMap<Vec<ProfileKey>, Arc<CostCache>> = BTreeMap::new();
+    let mut snapshot_caches = Caches::new();
     let problem = template.problem()?;
 
-    let mut clock = SimTime::ZERO;
     let mut allocations = Vec::with_capacity(scenario.total_epochs());
     let mut epoch_costs = Vec::with_capacity(scenario.total_epochs());
-    let mut total_cost = 0.0;
     let mut decisions = 0usize;
-    let mut switches = Vec::new();
     let mut drift_detections = 0usize;
     let mut dropped = 0usize;
     let mut placement: Option<AllocationMatrix> = None;
@@ -564,25 +616,19 @@ pub fn run_controller(
         TM_EPOCHS.add(1);
 
         // Run the epoch's ground truth under the allocation in force.
-        let pools = pool_pages(machine, &current)?;
+        let pools = pool_pages(machine, &ledger.current)?;
         let batch = scenario.epoch_batch(epoch, &pools)?;
         let jobs: Vec<VmJob> = batch.iter().map(|b| b.job.clone()).collect();
-        let outcomes = co_schedule(machine, &current, &jobs, SchedMode::Capped)?;
+        let outcomes = co_schedule(machine, &ledger.current, &jobs, SchedMode::Capped)?;
         let epoch_cost: f64 = outcomes.iter().map(|o| o.makespan().as_secs_f64()).sum();
         let advance = outcomes
             .iter()
             .map(|o| o.makespan())
             .max()
             .unwrap_or(SimDuration::ZERO);
-        clock = clock
-            .checked_add(advance)
-            .ok_or_else(|| ControllerError::BadScenario {
-                reason: "virtual clock overflowed".to_string(),
-            })?;
-        telemetry::advance_virtual_micros(advance.as_micros());
-        allocations.push(current.clone());
+        ledger.charge(advance, epoch_cost)?;
+        allocations.push(ledger.current.clone());
         epoch_costs.push(epoch_cost);
-        total_cost += epoch_cost;
 
         // Absorb the epoch's observations, tracking which VMs drifted.
         let mut fired_vms = vec![false; n];
@@ -663,7 +709,8 @@ pub fn run_controller(
                 && drifted_set.len() >= 2
                 && drifted_set.len() < n
             {
-                localized_solve(template, config, &current, profiles, &drifted_set, &mut caches)?
+                let current = &ledger.current;
+                localized_solve(template, config, current, profiles, &drifted_set, &mut caches)?
             } else {
                 None
             };
@@ -679,22 +726,14 @@ pub fn run_controller(
                         .iter()
                         .map(|p| p.quantize(config.quantization_rel))
                         .collect();
-                    let cache = caches
-                        .entry(key)
-                        .or_insert_with(|| Arc::new(CostCache::new()));
                     let model = ProfileCostModel {
                         machine,
                         profiles: profiles.clone(),
                     };
-                    let rec = run_search_cached(
-                        config.algorithm,
-                        &problem,
-                        &model,
-                        config.search,
-                        cache,
-                    )?;
+                    let rec =
+                        solve_cached(&mut caches, key, config, config.search, &problem, &model)?;
                     let keep: f64 = (0..n)
-                        .map(|w| model.cost(&problem, w, current.row(w)))
+                        .map(|w| model.cost(&problem, w, ledger.current.row(w)))
                         .sum::<Result<f64, _>>()?;
                     (rec.allocation, keep, rec.objective)
                 }
@@ -705,25 +744,16 @@ pub fn run_controller(
                 // run_dynamic's phase 0 and keeping regret accounting
                 // apples-to-apples with the oracle's free placement).
                 placement = Some(candidate.clone());
-                current = candidate;
-            } else if candidate != current {
+                ledger.current = candidate;
+            } else if candidate != ledger.current {
                 let switch_cost = switch_cost_seconds(
                     machine,
-                    &current,
+                    &ledger.current,
                     &candidate,
                     config.switch_base_seconds,
                 )?;
-                let gain = (keep_cost - objective) * horizon;
-                if gain > switch_cost + config.hysteresis * keep_cost * horizon {
-                    charge_switch(&mut clock, &mut total_cost, switch_cost)?;
-                    current = candidate.clone();
-                    switches.push(SwitchEvent {
-                        epoch,
-                        time: clock,
-                        cost_seconds: switch_cost,
-                        allocation: candidate,
-                    });
-                    TM_SWITCHES.add(1);
+                if clears_gate(config, keep_cost, objective, horizon, switch_cost) {
+                    ledger.apply_switch(epoch, candidate, switch_cost)?;
                 } else if horizon < config.horizon_epochs as f64 {
                     // The governor's shortened amortization window is what
                     // refused this switch.
@@ -757,20 +787,13 @@ pub fn run_controller(
             });
             if let (true, Some(profiles)) = (quiescent, &profiles) {
                 let horizon = governor.governed_horizon(epoch, config.horizon_epochs);
+                let current = &ledger.current;
                 if let Some((candidate, switch_cost)) =
-                    hill_climb_move(&problem, config, machine, &current, profiles, horizon)?
+                    hill_climb_move(&problem, config, machine, current, profiles, horizon)?
                 {
-                    charge_switch(&mut clock, &mut total_cost, switch_cost)?;
-                    current = candidate.clone();
-                    switches.push(SwitchEvent {
-                        epoch,
-                        time: clock,
-                        cost_seconds: switch_cost,
-                        allocation: candidate,
-                    });
+                    ledger.apply_switch(epoch, candidate, switch_cost)?;
                     hill_climb_moves += 1;
                     TM_HILL_CLIMBS.add(1);
-                    TM_SWITCHES.add(1);
                     last_decision_epoch = Some(epoch);
                 }
             }
@@ -787,9 +810,6 @@ pub fn run_controller(
             if let Some(p) =
                 governor.predicted_switch(epoch, scenario.total_epochs(), config.horizon_epochs)
             {
-                let cache = snapshot_caches
-                    .entry(p.pair_key.clone())
-                    .or_insert_with(|| Arc::new(CostCache::new()));
                 let model = PairCostModel {
                     outgoing: ProfileCostModel {
                         machine,
@@ -800,9 +820,15 @@ pub fn run_controller(
                         profiles: p.incoming_profiles.clone(),
                     },
                 };
-                let rec =
-                    run_search_cached(config.algorithm, &problem, &model, config.search, cache)?;
-                if rec.allocation == current {
+                let rec = solve_cached(
+                    &mut snapshot_caches,
+                    p.pair_key.clone(),
+                    config,
+                    config.search,
+                    &problem,
+                    &model,
+                )?;
+                if rec.allocation == ledger.current {
                     // Already provisioned; just arm the prediction so the
                     // anticipated drift does not trigger a re-solve.
                     governor.note_preswitch(p.key);
@@ -815,7 +841,7 @@ pub fn run_controller(
                     // neighbor, and a gate must never compare costs from
                     // two different pricings.
                     let keep: f64 = (0..n)
-                        .map(|w| model.cost(&problem, w, current.row(w)))
+                        .map(|w| model.cost(&problem, w, ledger.current.row(w)))
                         .sum::<Result<f64, _>>()?
                         / 2.0;
                     let objective: f64 = (0..n)
@@ -824,23 +850,14 @@ pub fn run_controller(
                         / 2.0;
                     let switch_cost = switch_cost_seconds(
                         machine,
-                        &current,
+                        &ledger.current,
                         &rec.allocation,
                         config.switch_base_seconds,
                     )?;
-                    let gain = (keep - objective) * p.horizon_epochs;
-                    if gain > switch_cost + config.hysteresis * keep * p.horizon_epochs {
-                        charge_switch(&mut clock, &mut total_cost, switch_cost)?;
-                        current = rec.allocation.clone();
-                        switches.push(SwitchEvent {
-                            epoch,
-                            time: clock,
-                            cost_seconds: switch_cost,
-                            allocation: rec.allocation,
-                        });
+                    if clears_gate(config, keep, objective, p.horizon_epochs, switch_cost) {
+                        ledger.apply_switch(epoch, rec.allocation, switch_cost)?;
                         prescheduled += 1;
                         TM_PRESWITCHES.add(1);
-                        TM_SWITCHES.add(1);
                         governor.note_preswitch(p.key);
                         last_decision_epoch = Some(epoch);
                     }
@@ -850,8 +867,8 @@ pub fn run_controller(
     }
 
     TM_DROPPED.add(dropped as u64);
-    run_span.set_attr("switches", switches.len());
-    run_span.set_attr("total_cost_seconds", total_cost);
+    run_span.set_attr("switches", ledger.switches.len());
+    run_span.set_attr("total_cost_seconds", ledger.total_cost);
 
     let health = ControllerHealth {
         epochs: scenario.total_epochs(),
@@ -861,7 +878,7 @@ pub fn run_controller(
         max_staleness: stats.iter().map(|s| s.max_staleness()).max().unwrap_or(0),
         drift_detections,
         decisions,
-        switches: switches.len(),
+        switches: ledger.switches.len(),
         governor_vetoes,
         prescheduled_switches: prescheduled,
         prediction_hits: governor.prediction_hits(),
@@ -873,10 +890,10 @@ pub fn run_controller(
     Ok(ControllerOutcome {
         allocations,
         epoch_costs,
-        total_cost,
-        final_time: clock,
+        total_cost: ledger.total_cost,
+        final_time: ledger.clock,
         decisions,
-        switches,
+        switches: ledger.switches,
         drift_detections,
         dropped_observations: dropped,
         initial_allocation: initial,

@@ -17,6 +17,7 @@ use crate::profile::WorkloadProfile;
 use crate::stats::QueryObservation;
 use crate::ControllerError;
 use dbvirt_vmm::fault::{FaultInjector, ProbeFault, SensorFault};
+use dbvirt_vmm::kernel::SplitMix64;
 use dbvirt_vmm::sched::VmJob;
 use dbvirt_vmm::{MachineSpec, ResourceDemand};
 
@@ -57,13 +58,6 @@ pub struct VmEpoch {
     pub job: VmJob,
     /// What the controller observes for each query, in order.
     pub observations: Vec<Option<QueryObservation>>,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl Scenario {
@@ -455,11 +449,11 @@ impl Scenario {
         if self.variability <= 0.0 {
             return 1.0;
         }
-        let key = splitmix64(
+        let key = SplitMix64::mix(
             self.seed
-                ^ splitmix64(vm as u64)
-                ^ splitmix64((epoch as u64) << 20)
-                ^ splitmix64((q as u64) << 40),
+                ^ SplitMix64::mix(vm as u64)
+                ^ SplitMix64::mix((epoch as u64) << 20)
+                ^ SplitMix64::mix((q as u64) << 40),
         );
         let u = (key >> 11) as f64 / (1u64 << 53) as f64;
         1.0 - self.variability + 2.0 * self.variability * u

@@ -29,7 +29,9 @@
 //! * [`dynamic`] — the paper's dynamic-reconfiguration next step: a
 //!   controller that re-solves the design problem when the workload mix
 //!   changes, with switch-overhead hysteresis;
-//! * [`metrics`] — equal-split baselines and speedup summaries.
+//! * [`metrics`] — equal-split baselines and speedup summaries;
+//! * [`lagrange`] — the subgradient ascent behind the fleet and design
+//!   tiers' LP lower bounds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +40,7 @@ mod advisor;
 mod cost_model;
 pub mod dynamic;
 mod error;
+pub mod lagrange;
 pub mod measure;
 pub mod metrics;
 mod problem;

@@ -8,40 +8,28 @@
 
 use super::{equal_units, CellKey, ParallelEvaluator, UnitAssignment};
 use crate::CoreError;
+use dbvirt_vmm::kernel::workers_for;
 
-/// Which resource a transfer moves.
-#[derive(Clone, Copy)]
-enum Res {
-    Cpu,
-    Mem,
-}
-
-/// The two cells a transfer changes, or `None` if the donor sits at the
-/// minimum and cannot give.
+/// The cells a one-unit transfer from `donor` to `recipient` changes — the
+/// CPU transfer, then the memory transfer; a resource the donor holds only
+/// the minimum of yields none.
 fn moved_cells(
     current: &UnitAssignment,
     donor: usize,
     recipient: usize,
-    res: Res,
     min_units: u32,
-) -> Option<[CellKey; 2]> {
+) -> impl Iterator<Item = [CellKey; 2]> {
     let (dc, dm) = current[donor];
     let (rc, rm) = current[recipient];
-    match res {
-        Res::Cpu if dc > min_units => {
-            Some([(donor, dc - 1, dm), (recipient, rc + 1, rm)])
-        }
-        Res::Mem if dm > min_units => {
-            Some([(donor, dc, dm - 1), (recipient, rc, rm + 1)])
-        }
-        _ => None,
-    }
+    let cpu = (dc > min_units).then_some([(donor, dc - 1, dm), (recipient, rc + 1, rm)]);
+    let mem = (dm > min_units).then_some([(donor, dc, dm - 1), (recipient, rc, rm + 1)]);
+    cpu.into_iter().chain(mem)
 }
 
 pub(super) fn search(eval: &ParallelEvaluator<'_, '_>) -> Result<UnitAssignment, CoreError> {
     let n = eval.problem.num_workloads();
     let cfg = eval.config;
-    let parallel = cfg.effective_parallelism() > 1;
+    let prefetch = workers_for(cfg.parallelism, usize::MAX) > 1;
     let mut current: UnitAssignment = equal_units(n, cfg.cpu_budget)
         .into_iter()
         .zip(equal_units(n, cfg.mem_budget))
@@ -53,78 +41,43 @@ pub(super) fn search(eval: &ParallelEvaluator<'_, '_>) -> Result<UnitAssignment,
     // a defensive bound only.
     let max_moves = (cfg.units as usize * n * 4).max(64);
     for _ in 0..max_moves {
-        if parallel {
-            // Batch-evaluate this iteration's move frontier — exactly the
-            // cells the serial scan below would touch — across workers.
-            let mut frontier: Vec<CellKey> = Vec::new();
-            for donor in 0..n {
-                for recipient in 0..n {
-                    if donor == recipient {
-                        continue;
-                    }
-                    for res in [Res::Cpu, Res::Mem] {
-                        if let Some(cells) =
-                            moved_cells(&current, donor, recipient, res, cfg.min_units)
-                        {
-                            frontier.extend(cells);
-                        }
-                    }
-                }
+        // This iteration's feasible transfers, in tie-break order: lowest
+        // donor, then recipient, then CPU before memory.
+        let mut moves: Vec<[CellKey; 2]> = Vec::new();
+        for donor in 0..n {
+            for recipient in (0..n).filter(|&r| r != donor) {
+                moves.extend(moved_cells(&current, donor, recipient, cfg.min_units));
             }
+        }
+        if prefetch {
+            // Price the frontier — exactly the cells the scan below
+            // touches — across workers before scanning it.
+            let mut frontier: Vec<CellKey> = moves.iter().flatten().copied().collect();
             frontier.sort_unstable();
             frontier.dedup();
             eval.batch_evaluate(&frontier)?;
         }
-        let mut best_move: Option<(f64, usize, usize, Res)> = None;
-        for donor in 0..n {
-            for recipient in 0..n {
-                if donor == recipient {
-                    continue;
-                }
-                for res in [Res::Cpu, Res::Mem] {
-                    if moved_cells(&current, donor, recipient, res, cfg.min_units).is_none() {
-                        continue;
-                    }
-                    let mut candidate = current.clone();
-                    match res {
-                        Res::Cpu => {
-                            candidate[donor].0 -= 1;
-                            candidate[recipient].0 += 1;
-                        }
-                        Res::Mem => {
-                            candidate[donor].1 -= 1;
-                            candidate[recipient].1 += 1;
-                        }
-                    }
-                    // The candidate's exact objective, re-summed from the
-                    // cache in workload order. Summing per-move deltas
-                    // instead lets the tracked total drift away from the
-                    // true objective after many moves.
-                    let cost = eval.total(&candidate)?;
-                    if cost < current_cost - 1e-12 {
-                        // Strict `<` keeps the first improving move on
-                        // exact ties: lowest donor, then recipient, then
-                        // CPU before memory — a deterministic tie-break.
-                        let better = best_move.as_ref().is_none_or(|(b, ..)| cost < *b);
-                        if better {
-                            best_move = Some((cost, donor, recipient, res));
-                        }
-                    }
-                }
+        let mut best_move: Option<(f64, [CellKey; 2])> = None;
+        for cells in moves {
+            let mut candidate = current.clone();
+            for (w, c, m) in cells {
+                candidate[w] = (c, m);
+            }
+            // The candidate's exact objective, re-summed from the cache in
+            // workload order. Summing per-move deltas instead lets the
+            // tracked total drift away from the true objective after many
+            // moves.
+            let cost = eval.total(&candidate)?;
+            // Strict `<` keeps the first improving move on exact ties.
+            if cost < current_cost - 1e-12 && best_move.is_none_or(|(b, _)| cost < b) {
+                best_move = Some((cost, cells));
             }
         }
-        let Some((cost, donor, recipient, res)) = best_move else {
+        let Some((cost, cells)) = best_move else {
             break; // local optimum
         };
-        match res {
-            Res::Cpu => {
-                current[donor].0 -= 1;
-                current[recipient].0 += 1;
-            }
-            Res::Mem => {
-                current[donor].1 -= 1;
-                current[recipient].1 += 1;
-            }
+        for (w, c, m) in cells {
+            current[w] = (c, m);
         }
         current_cost = cost;
     }

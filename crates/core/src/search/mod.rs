@@ -39,8 +39,9 @@ pub use dynprog::{solve as solve_dp, DpSolution};
 
 use crate::{CoreError, CostModel, DesignProblem};
 use dbvirt_telemetry as telemetry;
+use dbvirt_vmm::kernel::{claim_and_reduce, workers_for, PoolError};
 use dbvirt_vmm::{AllocationMatrix, ResourceVector};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// What-if evaluations answered from the [`CostCache`].
 static TM_CACHE_HITS: telemetry::Counter = telemetry::Counter::new("search.cache.hits");
@@ -103,16 +104,6 @@ impl SearchConfig {
         self.cpu_budget = cpu;
         self.mem_budget = mem;
         self
-    }
-
-    /// The number of evaluation workers this config resolves to.
-    pub fn effective_parallelism(&self) -> usize {
-        match self.parallelism {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            p => p,
-        }
     }
 
     fn validate(&self, n: usize) -> Result<(), CoreError> {
@@ -277,54 +268,23 @@ impl<'p, 'm> ParallelEvaluator<'p, 'm> {
         self.cache.evaluations() - self.evals_at_start
     }
 
-    /// Evaluates a set of cells into the cache, splitting the work across
-    /// [`SearchConfig::parallelism`] threads. Already-cached cells cost a
+    /// Evaluates a set of cells into the cache, across
+    /// [`SearchConfig::parallelism`] workers. Already-cached cells cost a
     /// lookup only. On failure the error for the lowest-indexed failing
-    /// cell is returned, regardless of thread interleaving, so error
-    /// behavior is deterministic too.
+    /// cell is returned at every worker count ([`claim_and_reduce`]).
     pub fn batch_evaluate(&self, cells: &[CellKey]) -> Result<(), CoreError> {
-        let workers = self.config.effective_parallelism().min(cells.len());
+        let workers = workers_for(self.config.parallelism, cells.len());
         let mut batch_span = telemetry::span("search.batch");
         batch_span.set_attr("cells", cells.len());
-        batch_span.set_attr("workers", workers.max(1));
-        TM_BATCH_WORKERS.set(workers.max(1) as f64);
-        if workers <= 1 {
-            for &(w, c, m) in cells {
-                self.cost(w, c, m)?;
-            }
-            return Ok(());
-        }
-        let batch_parent = batch_span.id();
-        let failures: Mutex<Vec<(usize, CoreError)>> = Mutex::new(Vec::new());
-        let chunk_len = cells.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk) in cells.chunks(chunk_len).enumerate() {
-                let failures = &failures;
-                scope.spawn(move || {
-                    // Workers adopt the batch span as parent so per-chunk
-                    // spans nest under it in the trace.
-                    let mut worker_span =
-                        telemetry::span_with_parent("search.worker", batch_parent);
-                    worker_span.set_attr("chunk", chunk_idx);
-                    worker_span.set_attr("cells", chunk.len());
-                    for (offset, &(w, c, m)) in chunk.iter().enumerate() {
-                        if let Err(e) = self.cost(w, c, m) {
-                            failures
-                                .lock()
-                                .unwrap()
-                                .push((chunk_idx * chunk_len + offset, e));
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        let mut failures = failures.into_inner().unwrap();
-        failures.sort_by_key(|(idx, _)| *idx);
-        match failures.into_iter().next() {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
+        batch_span.set_attr("workers", workers);
+        TM_BATCH_WORKERS.set(workers as f64);
+        let price = |_: &mut (), at: usize| {
+            let (w, c, m) = cells[at];
+            self.cost(w, c, m).map(drop)
+        };
+        claim_and_reduce(cells.len(), workers, "search.worker", || (), price)
+            .map(drop)
+            .map_err(PoolError::into_task)
     }
 
     /// The exact cell set a DP or exhaustive search evaluates (both
@@ -423,7 +383,7 @@ pub fn run_search_cached(
     run_span.set_attr("algorithm", algorithm.name());
     run_span.set_attr("workloads", problem.num_workloads());
     run_span.set_attr("units", config.units);
-    let workers = config.effective_parallelism();
+    let workers = workers_for(config.parallelism, usize::MAX);
     run_span.set_attr("workers", workers);
     let eval = ParallelEvaluator::with_cache(problem, model, config, Arc::clone(cache));
     if workers > 1
@@ -872,10 +832,11 @@ mod tests {
     #[test]
     fn auto_parallelism_resolves_to_available_cores() {
         let auto = SearchConfig::for_workloads(8, 2).with_parallelism(0);
-        assert!(auto.effective_parallelism() >= 1);
+        let resolved = |c: SearchConfig| workers_for(c.parallelism, usize::MAX);
+        assert!(resolved(auto) >= 1);
         let fixed = SearchConfig::for_workloads(8, 2).with_parallelism(3);
-        assert_eq!(fixed.effective_parallelism(), 3);
-        assert_eq!(SearchConfig::for_workloads(8, 2).effective_parallelism(), 1);
+        assert_eq!(resolved(fixed), 3);
+        assert_eq!(resolved(SearchConfig::for_workloads(8, 2)), 1);
     }
 
     #[test]

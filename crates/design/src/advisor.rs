@@ -40,6 +40,7 @@ use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_core::search::{run_search_cached, CostCache, SearchAlgorithm, SearchConfig};
 use dbvirt_core::{CostModel, DesignProblem};
 use dbvirt_telemetry as telemetry;
+use dbvirt_vmm::kernel::Fnv1a;
 use dbvirt_vmm::{AllocationMatrix, ResourceVector};
 use std::sync::Arc;
 
@@ -97,15 +98,6 @@ impl DesignConfig {
     pub fn with_budget(mut self, pages: u64) -> DesignConfig {
         self.budget_pages = pages;
         self
-    }
-
-    fn effective_parallelism(&self) -> usize {
-        match self.parallelism {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            p => p,
-        }
     }
 
     fn validate(&self, n: usize) -> Result<(), DesignError> {
@@ -213,27 +205,6 @@ pub struct JointRecommendation {
     pub mode: &'static str,
 }
 
-/// FNV-1a accumulator for the decision-trace fingerprint.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= *b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    fn eat_u64(&mut self, v: u64) {
-        self.eat(&v.to_le_bytes());
-    }
-    fn eat_f64(&mut self, v: f64) {
-        self.eat(&v.to_bits().to_le_bytes());
-    }
-}
-
 /// Adapter exposing the masked config pricing as a [`CostModel`] for the
 /// allocation DP. Unweighted, pure in `(w, cell)` given fixed masks.
 struct MaskedModel<'a, 'g> {
@@ -308,10 +279,10 @@ impl<'g> DesignAdvisor<'g> {
         let mut root = telemetry::span("design.advise");
         root.set_attr("mode", mode.name());
         root.set_attr("vms", n);
-        let mut fp = Fnv::new();
-        fp.eat_u64(cfg.units as u64);
-        fp.eat_u64(cfg.budget_pages);
-        fp.eat_u64(n as u64);
+        let mut fp = Fnv1a::new();
+        fp.u64(cfg.units as u64);
+        fp.u64(cfg.budget_pages);
+        fp.u64(n as u64);
 
         // 1. Enumerate candidates per VM (empty in allocation-only mode:
         //    the budget is zero, nothing could ever be chosen).
@@ -334,11 +305,11 @@ impl<'g> DesignAdvisor<'g> {
                 TM_CANDIDATES.add(cands.len() as u64);
                 TM_PRUNED.add(cands.pruned as u64);
                 for c in &cands.candidates {
-                    fp.eat_u64(c.table.0 as u64);
+                    fp.u64(c.table.0 as u64);
                     for &col in &c.columns {
-                        fp.eat_u64(col as u64);
+                        fp.u64(col as u64);
                     }
-                    fp.eat_u64(c.pages);
+                    fp.u64(c.pages);
                 }
                 let next_offset = offset + w.queries.len();
                 vms.push(VmPricer::new(w.db, &w.queries, cands, offset));
@@ -358,7 +329,7 @@ impl<'g> DesignAdvisor<'g> {
             _ => cfg.budget_pages,
         };
         let pricer = DesignPricer::new(self.grid, cfg.units, cfg.disk_share);
-        pricer.prewarm(&vms, &cells_rect, cfg.effective_parallelism())?;
+        pricer.prewarm(&vms, &cells_rect, cfg.parallelism)?;
 
         // 3. Alternate coordinate steps from the equal split, no indexes.
         let mut cells: Vec<(u32, u32)> = equal_cells(n, cfg.units);
@@ -419,10 +390,10 @@ impl<'g> DesignAdvisor<'g> {
                     let keep = pricer.workload_cost(vm, masks[i], c, m)?;
                     if trace.objective < keep {
                         for d in &trace.decisions {
-                            fp.eat_u64(i as u64);
-                            fp.eat_u64(d.candidate as u64);
-                            fp.eat_f64(d.gain);
-                            fp.eat_u64(d.pages_after);
+                            fp.u64(i as u64);
+                            fp.u64(d.candidate as u64);
+                            fp.f64(d.gain);
+                            fp.u64(d.pages_after);
                         }
                         masks[i] = trace.mask;
                         traces[i] = Some(trace);
@@ -439,11 +410,11 @@ impl<'g> DesignAdvisor<'g> {
             history.push(objective);
             alternations = iter + 1;
             for (i, &(c, m)) in cells.iter().enumerate() {
-                fp.eat_u64(c as u64);
-                fp.eat_u64(m as u64);
-                fp.eat_u64(masks[i]);
+                fp.u64(c as u64);
+                fp.u64(m as u64);
+                fp.u64(masks[i]);
             }
-            fp.eat_f64(objective);
+            fp.f64(objective);
 
             let fixpoint = (cells.clone(), masks.clone()) == prev_state;
             if fixpoint || mode != Mode::Joint {
@@ -471,7 +442,7 @@ impl<'g> DesignAdvisor<'g> {
             let cost = pricer.workload_cost(vm, masks[i], c, m)?;
             let lp = lower_bound(&costs, &members, &sizes, budget, cost, cfg.lp_iterations);
             lp_total += problem.workloads[i].weight * lp.bound;
-            fp.eat_f64(lp.bound);
+            fp.f64(lp.bound);
             let chosen: Vec<IndexCandidate> = vm
                 .cands
                 .candidates
@@ -497,8 +468,8 @@ impl<'g> DesignAdvisor<'g> {
         } else {
             0.0
         };
-        fp.eat_f64(objective);
-        fp.eat_f64(optimality_gap);
+        fp.f64(objective);
+        fp.f64(optimality_gap);
 
         let rows: Vec<ResourceVector> = cells
             .iter()
@@ -519,7 +490,7 @@ impl<'g> DesignAdvisor<'g> {
             lp_bound: lp_total,
             optimality_gap,
             evaluations: pricer.evaluations(),
-            fingerprint: fp.0,
+            fingerprint: fp.finish(),
             mode: mode.name(),
         })
     }

@@ -28,17 +28,102 @@
 //! against the incumbent, fixed iteration order, pure `f64` arithmetic:
 //! bit-identical on every run.
 
-/// The LP bound and how the ascent behaved.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LpBound {
-    /// Best Lagrangian value: a certified lower bound on every feasible
-    /// selection's config-priced objective.
-    pub bound: f64,
-    /// Subgradient iterations run.
-    pub iterations: usize,
-    /// `true` when ascent stopped on a zero subgradient (exact dual
-    /// optimum) rather than step-size exhaustion.
-    pub converged: bool,
+use dbvirt_core::lagrange::{ascend, Relaxation};
+
+pub use dbvirt_core::lagrange::LpBound;
+
+/// One VM's selection ILP with its coupling rows dualized by
+/// `mu[q][k][pos]`.
+struct CouplingDual<'a> {
+    costs: &'a [Vec<f64>],
+    members: &'a [Vec<Vec<usize>>],
+    sizes: &'a [u64],
+    budget: u64,
+    mu: Vec<Vec<Vec<f64>>>,
+    /// The inner solution at the current multipliers.
+    chosen: Vec<usize>,
+    y: Vec<f64>,
+    gain: Vec<f64>,
+    density_order: Vec<usize>,
+}
+
+impl Relaxation for CouplingDual<'_> {
+    fn evaluate(&mut self) -> f64 {
+        // Per-query inner minimization: cheapest config under current
+        // prices; strict `<` keeps the first minimizer — deterministic.
+        let mut value = 0.0f64;
+        for (q, qcosts) in self.costs.iter().enumerate() {
+            let mut min_val = f64::INFINITY;
+            let mut min_k = 0usize;
+            for (k, &c) in qcosts.iter().enumerate() {
+                let priced = c + self.mu[q][k].iter().sum::<f64>();
+                if priced < min_val {
+                    min_val = priced;
+                    min_k = k;
+                }
+            }
+            value += min_val;
+            self.chosen[q] = min_k;
+        }
+
+        // Inner y problem: fractional knapsack over positive gains.
+        self.gain.fill(0.0);
+        for (q, qk) in self.members.iter().enumerate() {
+            for (k, kmembers) in qk.iter().enumerate() {
+                for (pos, &c) in kmembers.iter().enumerate() {
+                    self.gain[c] += self.mu[q][k][pos];
+                }
+            }
+        }
+        // Density order: gain/size descending, ties to the lower index.
+        let (gain, sizes) = (&self.gain, self.sizes);
+        self.density_order.sort_by(|&a, &b| {
+            let da = gain[a] * sizes[b].max(1) as f64;
+            let db = gain[b] * sizes[a].max(1) as f64;
+            db.partial_cmp(&da)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        let mut remaining = self.budget as f64;
+        self.y.fill(0.0);
+        for &c in &self.density_order {
+            if gain[c] <= 0.0 || remaining <= 0.0 {
+                break;
+            }
+            let size = sizes[c].max(1) as f64;
+            let frac = (remaining / size).min(1.0);
+            self.y[c] = frac;
+            remaining -= frac * size;
+            value -= frac * gain[c];
+        }
+        value
+    }
+
+    /// Subgradient `g[q][k][c] = x[q][k] − y[c]`.
+    fn subgradient_norm_sq(&self) -> f64 {
+        let mut norm_sq = 0.0f64;
+        for (q, qk) in self.members.iter().enumerate() {
+            for (k, kmembers) in qk.iter().enumerate() {
+                let x = f64::from(self.chosen[q] == k);
+                for &c in kmembers.iter() {
+                    let g = x - self.y[c];
+                    norm_sq += g * g;
+                }
+            }
+        }
+        norm_sq
+    }
+
+    fn step(&mut self, step: f64) {
+        for (q, (qk, qmu)) in self.members.iter().zip(&mut self.mu).enumerate() {
+            for (k, (kmembers, kmu)) in qk.iter().zip(qmu).enumerate() {
+                let x = f64::from(self.chosen[q] == k);
+                for (mu, &c) in kmu.iter_mut().zip(kmembers) {
+                    *mu = (*mu + step * (x - self.y[c])).max(0.0);
+                }
+            }
+        }
+    }
 }
 
 /// Computes the Lagrangian lower bound for one VM's selection problem.
@@ -56,127 +141,21 @@ pub fn lower_bound(
     incumbent: f64,
     max_iterations: usize,
 ) -> LpBound {
-    let n_cands = sizes.len();
-    let mut mu: Vec<Vec<Vec<f64>>> = members
-        .iter()
-        .map(|qs| qs.iter().map(|k| vec![0.0; k.len()]).collect())
-        .collect();
-
-    let mut best = f64::NEG_INFINITY;
-    let mut theta = 1.0f64;
-    let mut since_improved = 0usize;
-    let mut iterations = 0usize;
-    let mut converged = false;
-
-    // Scratch reused across iterations.
-    let mut chosen: Vec<usize> = vec![0; costs.len()];
-    let mut y = vec![0.0f64; n_cands];
-    let mut gain = vec![0.0f64; n_cands];
-    let mut density_order: Vec<usize> = (0..n_cands).collect();
-
-    for _ in 0..max_iterations {
-        iterations += 1;
-
-        // Per-query inner minimization: cheapest config under current
-        // prices; strict `<` keeps the first minimizer — deterministic.
-        let mut value = 0.0f64;
-        for (q, qcosts) in costs.iter().enumerate() {
-            let mut min_val = f64::INFINITY;
-            let mut min_k = 0usize;
-            for (k, &c) in qcosts.iter().enumerate() {
-                let priced = c + mu[q][k].iter().sum::<f64>();
-                if priced < min_val {
-                    min_val = priced;
-                    min_k = k;
-                }
-            }
-            value += min_val;
-            chosen[q] = min_k;
-        }
-
-        // Inner y problem: fractional knapsack over positive gains.
-        for g in gain.iter_mut() {
-            *g = 0.0;
-        }
-        for (q, qk) in members.iter().enumerate() {
-            for (k, kmembers) in qk.iter().enumerate() {
-                for (pos, &c) in kmembers.iter().enumerate() {
-                    gain[c] += mu[q][k][pos];
-                }
-            }
-        }
-        // Density order: gain/size descending, ties to the lower index.
-        density_order.sort_by(|&a, &b| {
-            let da = gain[a] * sizes[b].max(1) as f64;
-            let db = gain[b] * sizes[a].max(1) as f64;
-            db.partial_cmp(&da)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let mut remaining = budget as f64;
-        for yc in y.iter_mut() {
-            *yc = 0.0;
-        }
-        for &c in &density_order {
-            if gain[c] <= 0.0 || remaining <= 0.0 {
-                break;
-            }
-            let size = sizes[c].max(1) as f64;
-            let frac = (remaining / size).min(1.0);
-            y[c] = frac;
-            remaining -= frac * size;
-            value -= frac * gain[c];
-        }
-
-        if value > best {
-            best = value;
-            since_improved = 0;
-        } else {
-            since_improved += 1;
-            if since_improved >= 20 {
-                theta *= 0.5;
-                since_improved = 0;
-            }
-        }
-        if theta < 1e-6 {
-            break;
-        }
-
-        // Subgradient g[q][k][c] = x[q][k] − y[c].
-        let mut norm_sq = 0.0f64;
-        for (q, qk) in members.iter().enumerate() {
-            for (k, kmembers) in qk.iter().enumerate() {
-                let x = f64::from(chosen[q] == k);
-                for &c in kmembers.iter() {
-                    let g = x - y[c];
-                    norm_sq += g * g;
-                }
-            }
-        }
-        if norm_sq == 0.0 {
-            converged = true;
-            break;
-        }
-        let gap = incumbent - value;
-        if gap <= 0.0 {
-            break;
-        }
-        let step = theta * gap / norm_sq;
-        for (q, qk) in members.iter().enumerate() {
-            for (k, kmembers) in qk.iter().enumerate() {
-                let x = f64::from(chosen[q] == k);
-                for (pos, &c) in kmembers.iter().enumerate() {
-                    mu[q][k][pos] = (mu[q][k][pos] + step * (x - y[c])).max(0.0);
-                }
-            }
-        }
-    }
-
-    LpBound {
-        bound: best,
-        iterations,
-        converged,
-    }
+    let mut dual = CouplingDual {
+        costs,
+        members,
+        sizes,
+        budget,
+        mu: members
+            .iter()
+            .map(|qs| qs.iter().map(|k| vec![0.0; k.len()]).collect())
+            .collect(),
+        chosen: vec![0; costs.len()],
+        y: vec![0.0; sizes.len()],
+        gain: vec![0.0; sizes.len()],
+        density_order: (0..sizes.len()).collect(),
+    };
+    ascend(&mut dual, incumbent, max_iterations)
 }
 
 #[cfg(test)]

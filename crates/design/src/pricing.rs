@@ -27,8 +27,9 @@ use dbvirt_core::search::CostCache;
 use dbvirt_engine::Database;
 use dbvirt_optimizer::{HypoIndex, LogicalPlan, OptError, PreparedQuery};
 use dbvirt_telemetry as telemetry;
+use dbvirt_vmm::kernel::{claim_and_reduce, workers_for, PoolError};
 use dbvirt_vmm::ResourceVector;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// What-if prices answered from the shared cache.
 static TM_CACHE_HITS: telemetry::Counter = telemetry::Counter::new("design.cache_hits");
@@ -235,15 +236,15 @@ impl<'g> DesignPricer<'g> {
     }
 
     /// Fills the cache with every `(query, config, cell)` price for the
-    /// given VMs over the given cells, splitting work across `workers`
-    /// threads. Prices are pure in the key, so any interleaving produces
-    /// the identical table; the error for the lowest-indexed failing
-    /// triple is returned regardless of interleaving.
+    /// given VMs over the given cells, across `parallelism` workers (`0` =
+    /// one per core). Prices are pure in the key, so any interleaving
+    /// produces the identical table; the error for the lowest-indexed
+    /// failing triple is returned at every worker count.
     pub fn prewarm(
         &self,
         vms: &[VmPricer<'_>],
         cells: &[(u32, u32)],
-        workers: usize,
+        parallelism: usize,
     ) -> Result<(), DesignError> {
         let mut triples: Vec<(usize, usize, usize, u32, u32)> = Vec::new();
         for (v, vm) in vms.iter().enumerate() {
@@ -255,43 +256,17 @@ impl<'g> DesignPricer<'g> {
                 }
             }
         }
+        let workers = workers_for(parallelism, triples.len());
         let mut span = telemetry::span("design.whatif");
         span.set_attr("prices", triples.len());
-        span.set_attr("workers", workers.max(1));
-        if workers <= 1 || triples.len() <= 1 {
-            for &(v, q, k, c, m) in &triples {
-                self.price(&vms[v], q, k, c, m)?;
-            }
-            return Ok(());
-        }
-        let failures: Mutex<Vec<(usize, DesignError)>> = Mutex::new(Vec::new());
-        let chunk_len = triples.len().div_ceil(workers);
-        let parent = span.id();
-        std::thread::scope(|scope| {
-            for (chunk_idx, chunk) in triples.chunks(chunk_len).enumerate() {
-                let failures = &failures;
-                scope.spawn(move || {
-                    let mut wspan = telemetry::span_with_parent("design.whatif_worker", parent);
-                    wspan.set_attr("chunk", chunk_idx);
-                    wspan.set_attr("prices", chunk.len());
-                    for (offset, &(v, q, k, c, m)) in chunk.iter().enumerate() {
-                        if let Err(e) = self.price(&vms[v], q, k, c, m) {
-                            failures
-                                .lock()
-                                .unwrap()
-                                .push((chunk_idx * chunk_len + offset, e));
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        let mut failures = failures.into_inner().unwrap();
-        failures.sort_by_key(|(idx, _)| *idx);
-        match failures.into_iter().next() {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
+        span.set_attr("workers", workers);
+        let price = |_: &mut (), at: usize| {
+            let (v, q, k, c, m) = triples[at];
+            self.price(&vms[v], q, k, c, m).map(drop)
+        };
+        claim_and_reduce(triples.len(), workers, "design.whatif_worker", || (), price)
+            .map(drop)
+            .map_err(PoolError::into_task)
     }
 }
 

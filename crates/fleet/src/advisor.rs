@@ -27,7 +27,7 @@
 //! `(database, queries)` across requests (weights may vary), mirroring the
 //! single-machine cache contract.
 
-use crate::placement::{build, Fnv};
+use crate::placement::build;
 use crate::solver::{cell_problem, evaluate_cell, FleetSolver};
 use crate::{
     greedy, local_search, lp, CurrentPlacement, FleetConfig, FleetCostCache, FleetError,
@@ -35,9 +35,8 @@ use crate::{
 };
 use dbvirt_core::CostModel;
 use dbvirt_telemetry as telemetry;
+use dbvirt_vmm::kernel::{claim_and_reduce, workers_for, Fnv1a, PoolError};
 use dbvirt_vmm::MachineSpec;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Placement requests served.
 static TM_REQUESTS: telemetry::Counter = telemetry::Counter::new("fleet.requests");
@@ -86,12 +85,12 @@ impl FleetReport {
     /// bound, and the gap. Cache warmth and solve counts are deliberately
     /// excluded — they vary with request order, the answer must not.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.eat(&self.placement.fingerprint().to_le_bytes());
-        h.eat(&self.greedy_placement.fingerprint().to_le_bytes());
-        h.eat(&self.lp.bound.to_bits().to_le_bytes());
-        h.eat(&self.optimality_gap.to_bits().to_le_bytes());
-        h.0
+        let mut h = Fnv1a::new();
+        h.u64(self.placement.fingerprint());
+        h.u64(self.greedy_placement.fingerprint());
+        h.f64(self.lp.bound);
+        h.f64(self.optimality_gap);
+        h.finish()
     }
 }
 
@@ -205,7 +204,7 @@ impl<'m> FleetAdvisor<'m> {
         span.set_attr("machines", m_count);
 
         let rect_hi = self.rect_hi(n);
-        let prewarm_cells = self.prewarm(problem, rect_hi, span.id())?;
+        let prewarm_cells = self.prewarm(problem, rect_hi)?;
         TM_PREWARM_CELLS.add(prewarm_cells as u64);
 
         let solver = FleetSolver::new(
@@ -282,22 +281,17 @@ impl<'m> FleetAdvisor<'m> {
     /// does not hold yet, across the configured worker threads. Values are
     /// pure in `(class, vm, cell)`, so insert order — and hence worker
     /// count — cannot change any later lookup.
-    fn prewarm(
-        &self,
-        problem: &FleetProblem<'_>,
-        rect_hi: u32,
-        parent: Option<u64>,
-    ) -> Result<usize, FleetError> {
-        let mut span = telemetry::span_with_parent("fleet.prewarm", parent);
+    fn prewarm(&self, problem: &FleetProblem<'_>, rect_hi: u32) -> Result<usize, FleetError> {
+        let mut span = telemetry::span("fleet.prewarm");
         let before = self.cache.evaluations();
         let lo = self.config.min_units;
-        let tasks: Vec<(usize, usize)> = (0..self.classes.num_classes())
-            .flat_map(|class| (0..problem.num_vms()).map(move |vm| (class, vm)))
-            .collect();
-        let workers = self.config.effective_parallelism().min(tasks.len().max(1));
+        // One task per (class, VM), class-major.
+        let (n_vms, n_tasks) = (problem.num_vms(), self.classes.num_classes() * problem.num_vms());
+        let workers = workers_for(self.config.parallelism, n_tasks);
         span.set_attr("workers", workers);
 
-        let warm_task = |&(class, vm): &(usize, usize)| -> Result<(), FleetError> {
+        let warm_task = |_: &mut (), at: usize| -> Result<(), FleetError> {
+            let (class, vm) = (at / n_vms, at % n_vms);
             // One problem per task, built when its first cold cell turns up.
             let mut dp = None;
             for c in lo..=rect_hi {
@@ -314,33 +308,8 @@ impl<'m> FleetAdvisor<'m> {
             }
             Ok(())
         };
-
-        if workers <= 1 {
-            for task in &tasks {
-                warm_task(task)?;
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let failures: Mutex<Vec<(usize, FleetError)>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let at = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(at) else { break };
-                        if let Err(e) = warm_task(task) {
-                            failures.lock().unwrap().push((at, e));
-                        }
-                    });
-                }
-            });
-            let mut failures = failures.into_inner().unwrap();
-            // Workers race, so surface the failure of the *earliest* task
-            // for a deterministic error.
-            failures.sort_by_key(|(at, _)| *at);
-            if let Some((_, e)) = failures.into_iter().next() {
-                return Err(e);
-            }
-        }
+        claim_and_reduce(n_tasks, workers, "fleet.prewarm_worker", || (), warm_task)
+            .map_err(PoolError::into_task)?;
         let cells = self.cache.evaluations() - before;
         span.set_attr("cells", cells);
         Ok(cells)

@@ -134,16 +134,6 @@ impl FleetConfig {
         }
         Ok(())
     }
-
-    /// The pre-warm workers this config resolves to.
-    pub fn effective_parallelism(&self) -> usize {
-        match self.parallelism {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            p => p,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -27,6 +27,7 @@ use crate::migrate::vm_migration_seconds;
 use crate::placement::{build, residents_of, Placement};
 use crate::solver::FleetSolver;
 use crate::{CurrentPlacement, FleetError};
+use dbvirt_vmm::kernel::SplitMix64;
 
 /// What the local search did, including any neighborhood it *didn't*
 /// scan — large fleets gate swap enumeration, and that must be visible.
@@ -83,22 +84,6 @@ fn machine_migration(
         )?;
     }
     Ok(total)
-}
-
-/// Deterministic splitmix64 stream for swap sampling. The seed is a pure
-/// function of the fleet shape and the round index, so the sampled
-/// neighborhood is identical across runs, machines, and parallelism
-/// settings.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
 }
 
 /// Improves `start` until no candidate strictly lowers the priced total
@@ -195,7 +180,7 @@ pub(crate) fn improve(
             // `(n, m_count, round)`, never on wall clock or thread
             // scheduling, so sampled rounds are bit-reproducible.
             let budget = solver.cfg.swap_candidate_budget;
-            let mut rng = Mix(
+            let mut rng = SplitMix64(
                 0x5157_4c45_4554_00d5 ^ ((n as u64) << 40) ^ ((m_count as u64) << 20)
                     ^ stats.rounds as u64,
             );

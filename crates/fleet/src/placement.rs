@@ -3,6 +3,7 @@
 use crate::migrate::vm_migration_seconds;
 use crate::solver::FleetSolver;
 use crate::{CurrentPlacement, FleetError};
+use dbvirt_vmm::kernel::Fnv1a;
 
 /// A complete placement: every VM's machine and share units, plus the
 /// priced objective. Totals are always re-summed from the per-machine
@@ -52,35 +53,18 @@ impl Placement {
     /// units, and the bit-exact objectives. Serial and parallel runs of
     /// the advisor must produce identical fingerprints.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         for &m in &self.machine_of {
-            h.eat(&(m as u64).to_le_bytes());
+            h.u64(m as u64);
         }
         for &(c, m) in &self.units_of {
             h.eat(&c.to_le_bytes());
             h.eat(&m.to_le_bytes());
         }
-        h.eat(&self.steady_objective.to_bits().to_le_bytes());
-        h.eat(&self.migration_seconds.to_bits().to_le_bytes());
-        h.eat(&self.total_objective.to_bits().to_le_bytes());
-        h.0
-    }
-}
-
-/// FNV-1a over little-endian bytes: the one hash behind every fleet
-/// fingerprint (placements, reports, simulations).
-pub(crate) struct Fnv(pub u64);
-
-impl Fnv {
-    pub fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub fn eat(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= *b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h.f64(self.steady_objective);
+        h.f64(self.migration_seconds);
+        h.f64(self.total_objective);
+        h.finish()
     }
 }
 

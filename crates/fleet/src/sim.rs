@@ -14,9 +14,10 @@
 //! `parallelism` setting (the driver's slot-reduction contract), and
 //! identical across processes because every input is.
 
-use crate::placement::{residents_of, Fnv};
+use crate::placement::residents_of;
 use crate::{FleetConfig, FleetError, FleetProblem, Placement};
 use dbvirt_vmm::sched::{co_schedule_fleet, MachineSim, SchedMode, SchedStats, VmJob, VmOutcome};
+use dbvirt_vmm::kernel::Fnv1a;
 use dbvirt_vmm::{AllocationMatrix, ResourceVector};
 
 use dbvirt_telemetry as telemetry;
@@ -52,16 +53,16 @@ impl FleetSimReport {
     /// simulations of the same placement must produce identical
     /// fingerprints.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         for o in &self.outcomes {
-            h.eat(&o.completion.as_micros().to_le_bytes());
+            h.u64(o.completion.as_micros());
             for t in &o.query_completions {
-                h.eat(&t.as_micros().to_le_bytes());
+                h.u64(t.as_micros());
             }
         }
-        h.eat(&self.simulated_total.to_bits().to_le_bytes());
-        h.eat(&self.predicted_total.to_bits().to_le_bytes());
-        h.0
+        h.f64(self.simulated_total);
+        h.f64(self.predicted_total);
+        h.finish()
     }
 }
 

@@ -11,6 +11,7 @@ use dbvirt_fleet::{
 };
 use dbvirt_optimizer::LogicalPlan;
 use dbvirt_storage::{DataType, Datum, Field, Schema, Tuple};
+use dbvirt_vmm::kernel::Fnv1a;
 use dbvirt_vmm::{MachineSpec, ResourceVector};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -24,12 +25,9 @@ struct SyntheticModel {
 }
 
 fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.eat(s.as_bytes());
+    h.finish()
 }
 
 impl CostModel for SyntheticModel {

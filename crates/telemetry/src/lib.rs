@@ -136,6 +136,17 @@ pub fn span_with_parent(name: &'static str, parent: Option<u64>) -> SpanGuard<'s
     global().span_with_parent(name, parent)
 }
 
+/// The id of this thread's innermost open global span — what a worker on
+/// another thread passes to [`span_with_parent`] to nest under the caller.
+/// `None` when disabled or outside any span.
+#[inline]
+pub fn current_span_id() -> Option<u64> {
+    if !is_enabled() {
+        return None;
+    }
+    span::current_parent(global().id())
+}
+
 /// Advances the global simulated (virtual) clock by `us` microseconds.
 /// Spans snapshot this clock at start and end, giving every span a
 /// virtual-time interval alongside its wall-clock one.

@@ -16,6 +16,7 @@
 //! sees fresh noise. Nothing here keeps mutable state, so the injector can
 //! be shared freely across the grid sweep's worker threads.
 
+use crate::kernel::SplitMix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -255,21 +256,13 @@ impl NoiseModel {
     }
 }
 
-/// splitmix64 finalizer: spreads structured integer keys over u64 space.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Mixes a measurement's identity into one RNG seed.
 fn mix(seed: u64, context: u64, probe: usize, trial: usize, attempt: usize) -> u64 {
-    let mut h = splitmix(seed);
-    h = splitmix(h ^ context);
-    h = splitmix(h ^ (probe as u64).wrapping_mul(0x8573_9A2B));
-    h = splitmix(h ^ (trial as u64).wrapping_mul(0xC2B2_AE35));
-    splitmix(h ^ (attempt as u64).wrapping_mul(0x2545_F491))
+    let mut h = SplitMix64::mix(seed);
+    h = SplitMix64::mix(h ^ context);
+    h = SplitMix64::mix(h ^ (probe as u64).wrapping_mul(0x8573_9A2B));
+    h = SplitMix64::mix(h ^ (trial as u64).wrapping_mul(0xC2B2_AE35));
+    SplitMix64::mix(h ^ (attempt as u64).wrapping_mul(0x2545_F491))
 }
 
 /// A seeded, stateless fault injector for probe measurements.

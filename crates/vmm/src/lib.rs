@@ -29,7 +29,10 @@
 //!   The production entry point ([`sched::co_schedule`]) is an incremental
 //!   event-driven scheduler; a whole-fleet rescan baseline
 //!   ([`sched::co_schedule_reference`]) is kept bit-identical to it for
-//!   differential testing.
+//!   differential testing; and
+//! * the deterministic [`kernel`] every tier above shares — the one worker
+//!   pool ([`kernel::claim_and_reduce`]), the fingerprint hash and the
+//!   seeded stream.
 //!
 //! Everything is deterministic: "measuring" an execution twice yields the
 //! same [`SimDuration`], which is what makes optimizer calibration exactly
@@ -42,6 +45,7 @@ mod clock;
 mod demand;
 mod error;
 pub mod fault;
+pub mod kernel;
 mod machine;
 pub mod sched;
 mod share;

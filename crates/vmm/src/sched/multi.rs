@@ -7,20 +7,16 @@
 //! own `(spec, allocation, jobs, mode)`, so machines can run on any
 //! number of worker threads and the result is **bit-identical at every
 //! parallelism setting** (the same contract as the search evaluator of
-//! PR 1 and the fleet pre-warm of PR 8). Workers claim machines from an
-//! atomic counter and write each result into that machine's dedicated
-//! slot; the reduction then reads the slots in ascending machine index,
-//! so neither scheduling order nor thread count can reorder anything.
-//! Errors are deterministic the same way: the error surfaced is always
-//! the one from the lowest-indexed failing machine.
+//! PR 1 and the fleet pre-warm of PR 8). Machines are the tasks of one
+//! [`claim_and_reduce`] call: runs come back in machine order and the
+//! error surfaced is always the lowest-indexed failing machine's.
 //!
 //! The layer above (`dbvirt-fleet`'s `sim` module) builds the
 //! [`MachineSim`] inputs from a placement and folds the per-machine
 //! outcomes into fleet totals.
 
+use crate::kernel::{claim_and_reduce, workers_for, PoolError};
 use crate::{AllocationMatrix, MachineSpec, VmmError};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use super::{co_schedule_with_stats, SchedMode, SchedStats, VmJob, VmOutcome};
 
@@ -56,10 +52,9 @@ pub struct MachineRun {
 /// Simulates every machine of a deployed fleet, returning per-machine
 /// runs in machine-index order.
 ///
-/// `parallelism` follows the workspace convention: `1` serial (inline on
-/// the caller's thread), `0` one worker per core, `n` exactly `n`
-/// workers. Results and errors are independent of the setting — see the
-/// module docs.
+/// `parallelism` follows the workspace convention ([`workers_for`]): `0`
+/// one worker per core, `n` exactly `n`. Results and errors are
+/// independent of the setting — see the module docs.
 pub fn co_schedule_fleet(
     machines: &[MachineSim],
     mode: SchedMode,
@@ -72,53 +67,21 @@ pub fn co_schedule_fleet(
     TM_MACHINES.add(machines.len() as u64);
     TM_FLEET_VMS.add(total_vms as u64);
 
-    let workers = match parallelism {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        p => p,
-    }
-    .min(machines.len().max(1));
+    let workers = workers_for(parallelism, machines.len());
     span.set_attr("workers", workers);
 
-    let run_machine = |m: &MachineSim| -> Result<MachineRun, VmmError> {
-        let (outcomes, stats) = co_schedule_with_stats(m.spec, &m.allocation, &m.jobs, mode)?;
-        Ok(MachineRun { outcomes, stats })
-    };
-
-    let mut slots: Vec<Option<Result<MachineRun, VmmError>>> = Vec::new();
-    if workers <= 1 {
-        for m in machines {
-            slots.push(Some(run_machine(m)));
-        }
-    } else {
-        let cells: Vec<Mutex<Option<Result<MachineRun, VmmError>>>> =
-            machines.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let parent = span.id();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let _w = telemetry::span_with_parent("sched.fleet_worker", parent);
-                    loop {
-                        let at = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(m) = machines.get(at) else { break };
-                        *cells[at].lock().unwrap() = Some(run_machine(m));
-                    }
-                });
-            }
-        });
-        slots = cells
-            .into_iter()
-            .map(|c| c.into_inner().unwrap())
-            .collect();
-    }
-
-    // Deterministic reduction: read slots in ascending machine index, so
-    // the surfaced error (if any) is always the lowest-indexed failure.
-    let mut runs = Vec::with_capacity(machines.len());
-    for slot in slots {
-        runs.push(slot.expect("every claimed machine writes its slot")?);
-    }
-    Ok(runs)
+    claim_and_reduce(
+        machines.len(),
+        workers,
+        "sched.fleet_worker",
+        || (),
+        |(), at| {
+            let m = &machines[at];
+            let (outcomes, stats) = co_schedule_with_stats(m.spec, &m.allocation, &m.jobs, mode)?;
+            Ok(MachineRun { outcomes, stats })
+        },
+    )
+    .map_err(PoolError::into_task)
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ fn main() {
     let advisor = VirtualizationAdvisor::calibrate(machine, 2, 8).expect("calibration");
     let model = CalibratedCostModel::new(advisor.grid());
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = dbvirt::vmm::kernel::workers_for(0, usize::MAX);
     println!("\nDP search at several evaluation-worker counts ({cores} core(s) available):");
     let mut reference: Option<dbvirt::core::Recommendation> = None;
     for workers in [1usize, 2, 4, 0] {
@@ -48,7 +48,7 @@ fn main() {
             .expect("search");
         let elapsed = t0.elapsed().as_secs_f64();
         let label = if workers == 0 {
-            format!("auto ({})", config.effective_parallelism())
+            format!("auto ({cores})")
         } else {
             workers.to_string()
         };

@@ -5,6 +5,30 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+
+# One of each: the worker pool, the core-count resolver, the fingerprint
+# hash and the seeded stream live in crates/vmm/src/kernel.rs and nowhere
+# else. Library code is what precedes a file's first `#[cfg(test)]`, minus
+# `//` lines.
+kernel=crates/vmm/src/kernel.rs
+lib_code() {
+  awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t && !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' \
+    $(find crates/*/src -name '*.rs' ! -path "$kernel")
+}
+for word in 'thread::scope' available_parallelism; do
+  if lib_code | grep -F "$word"; then
+    echo "FAIL: $word outside $kernel" >&2
+    exit 1
+  fi
+done
+for const in 'cbf2_?9ce4_?8422_?2325' 'bf58_?476d_?1ce4_?e5b9'; do
+  files=$(grep -rliE "$const" --include='*.rs' crates src tests examples | grep -v '^crates/shim-' || true)
+  if [[ "$files" != "$kernel" ]]; then
+    echo "FAIL: constant $const must occur in $kernel only, found in: $files" >&2
+    exit 1
+  fi
+done
+
 cargo test -q
 
 # `cargo test` never builds the `harness = false` Criterion benches, so an
@@ -31,43 +55,20 @@ done
 # coverage) and both exporter artifacts (see scripts/trace.sh).
 scripts/trace.sh
 
-# Controller smoke gate: the online control loop must hold still on a
-# stationary stream, keep drifting/bursty regret within ±1pp of its
-# pins, keep the adversarial alternation under the switch governor's
-# 15% ceiling, complete the five-scenario fault-injected zoo under its
-# pinned regret ceilings, and replay its decision trace bit-identically
-# across processes and parallelism (see scripts/controller.sh).
-scripts/controller.sh
-
-# Scheduler smoke gate: the incremental event-driven co-scheduler must be
-# bit-identical to the reference rescan loop on the pinned 48-config sweep,
-# clear its 3x capped-mode speedup floor at 16 VMs, and replay its
-# completion fingerprints bit-identically across processes (see
-# scripts/sched.sh).
-scripts/sched.sh
-
-# Fleet placement gate: the placement ladder (greedy -> local search ->
-# LP bound) must hold its pins — strict local-search improvement on the
-# 64-VM / 8-machine fleet, LP-certified gaps <= 25% everywhere, M=1
-# bit-identical to the single-machine DP, and placements replayed
-# bit-identically across processes and pre-warm parallelism (see
-# scripts/fleet.sh).
-scripts/fleet.sh
-
-# Fleet simulation gate: the thousand-VM end-to-end benchmark must place
-# and *execute* >= 1024 VMs across >= 32 machines, keep simulation
-# reports bit-identical between serial and per-core parallel machine
-# execution in both modes, and replay placement + simulation
-# fingerprints bit-identically across processes (see scripts/fleetsim.sh).
-scripts/fleetsim.sh
-
-# Physical-design gate: the joint index-selection + allocation advisor
-# must hold its pins — joint strictly beats both marginals on the pinned
-# `duo` scenario, LP-certified gaps <= 25% on every answer, zero budget
-# degenerates to allocation-only bit-for-bit, and recommendations replay
-# bit-identically across processes and pre-warm parallelism (see
-# scripts/design.sh).
-scripts/design.sh
+# Replay gates: each experiment binary holds its own pins (regret within
+# ±1pp and under the governor's ceiling; incremental scheduler ≡ reference
+# loop and >= 3x at 16 VMs; LP-certified gaps <= 25%, M=1 ≡ core DP;
+# >= 1024 VMs executed identically at 1 and per-core workers; joint design
+# strictly beats both marginals) and must replay its fingerprint lines
+# bit-identically across two processes and against the committed golden
+# (see scripts/replay_gate.sh).
+g=tests/golden
+scripts/replay_gate.sh ext_controller CONTROLLER_ $g/controller_fingerprints.txt BENCH_controller.json
+scripts/replay_gate.sh ext_sched SCHED_FINGERPRINT $g/sched_fingerprints.txt BENCH_sched.json
+scripts/replay_gate.sh ext_fleet FLEET_FINGERPRINT $g/fleet_fingerprints.txt BENCH_fleet.json
+scripts/replay_gate.sh ext_fleetsim FLEETSIM_FINGERPRINT $g/fleetsim_fingerprints.txt \
+  BENCH_fleetsim.json fleetsim_trace.json
+scripts/replay_gate.sh ext_design DESIGN_FINGERPRINT $g/design_fingerprints.txt BENCH_design.json
 
 # Opt-in chaos gate: CHAOS=1 additionally replays the calibration pipeline
 # under a sweep of fault-injection seeds/intensities (see scripts/chaos.sh).

@@ -18,6 +18,9 @@
 //! To re-capture after an intended change to the virtual clock:
 //! `ENGINE_GOLDEN_REGENERATE=1 cargo test --test engine_golden`.
 
+mod common;
+
+use common::LOOKUPS;
 use dbvirt::calibrate::probes::build_probes;
 use dbvirt::calibrate::ProbeDb;
 use dbvirt::engine::{
@@ -28,6 +31,7 @@ use dbvirt::optimizer::{plan_query, OptimizerParams};
 use dbvirt::sql::parse_query;
 use dbvirt::storage::{BufferPool, Datum};
 use dbvirt::tpch::{col, TpchConfig, TpchDb, TpchQuery};
+use dbvirt::vmm::kernel::Fnv1a;
 use std::ops::Bound;
 
 const GOLDEN: &str = "tests/golden/engine_demand_bits.txt";
@@ -38,20 +42,6 @@ const POOLS: [usize; 2] = [16, 4096];
 /// `work_mem` in bytes: one every sort and hash build fits, one they spill
 /// under.
 const WORK_MEMS: [usize; 2] = [4 << 20, 16 << 10];
-
-/// The lookup statement shapes of `perf/src/gen.rs` (see
-/// `tests/planner_golden.rs`), planned under default parameters.
-const LOOKUPS: [&str; 8] = [
-    "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_orderkey = 4321",
-    "SELECT l_partkey, l_extendedprice FROM lineitem WHERE l_partkey = 777",
-    "SELECT l_orderkey, l_extendedprice FROM lineitem WHERE l_orderkey IN (12, 3456, 7001)",
-    "SELECT o_orderkey, o_totalprice FROM orders WHERE o_custkey = 321",
-    "SELECT o_orderkey, o_orderdate FROM orders WHERE o_orderkey >= 5000 AND o_orderkey < 5024",
-    "SELECT c_custkey, c_name, c_acctbal FROM customer WHERE c_custkey = 99",
-    "SELECT l_suppkey, l_quantity FROM lineitem WHERE l_suppkey = 17",
-    "SELECT l_orderkey, l_partkey, l_quantity FROM lineitem \
-     WHERE l_partkey = 555 AND l_quantity = 24",
-];
 
 fn int_range(lo: i64, hi: i64) -> (Bound<Datum>, Bound<Datum>) {
     (
@@ -356,13 +346,6 @@ fn handmade(t: &TpchDb) -> Vec<(String, PhysicalPlan)> {
     cases
 }
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *hash ^= u64::from(*b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// One line per `(case, pool, work_mem, cold|warm)`.
 fn render_case(out: &mut String, db: &mut Database, name: &str, plan: &PhysicalPlan) {
     for pool_pages in POOLS {
@@ -371,10 +354,11 @@ fn render_case(out: &mut String, db: &mut Database, name: &str, plan: &PhysicalP
             for run in ["cold", "warm"] {
                 let result = run_plan(db, &mut pool, plan, work_mem, CpuCosts::default())
                     .unwrap_or_else(|e| panic!("{name} failed: {e}"));
-                let mut hash = 0xcbf2_9ce4_8422_2325u64;
+                let mut hash = Fnv1a::new();
                 for row in &result.rows {
-                    fnv1a(&mut hash, &row.encode());
+                    hash.eat(&row.encode());
                 }
+                let hash = hash.finish();
                 let d = result.demand;
                 out.push_str(&format!(
                     "{name} pool={pool_pages} work_mem={work_mem} {run} {:016x} {} {} {} {} {hash:016x}\n",

@@ -18,27 +18,11 @@ use dbvirt::optimizer::LogicalPlan;
 use dbvirt::sql::parse_query;
 use dbvirt::storage::{DataType, Datum, Field, Schema, Tuple};
 use dbvirt::tpch::{TpchConfig, TpchDb, TpchQuery};
+use dbvirt::vmm::kernel::SplitMix64;
 use dbvirt::vmm::{MachineSpec, ResourceVector};
 use std::fmt::Write;
 
 const GOLDEN: &str = "tests/golden/fleet_bits.txt";
-
-/// splitmix64: the seeded stream that deals weights and mixes.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 // ---------------------------------------------------------------------
 // Core DP rows
@@ -212,18 +196,18 @@ fn render_fleet(out: &mut String) {
         .collect();
 
     for (f, &(n, small, big)) in FLEETS.iter().enumerate() {
-        let mut r = Mix(0xf1ee7 + f as u64);
+        let mut r = SplitMix64(0xf1ee7 + f as u64);
         // A seeded deal: mixes round-robin over a permutation of the VMs,
         // weights from five levels, a tenth re-weighted for the warm ask.
         let mut order: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
-            order.swap(i, r.below(i as u64 + 1) as usize);
+            order.swap(i, (r.next() % (i as u64 + 1)) as usize);
         }
         let mut deal = vec![(0usize, 0.0f64, 0.0f64); n];
         for (k, &i) in order.iter().enumerate() {
-            let w = 0.5 + r.below(5) as f64 * 0.45;
+            let w = 0.5 + (r.next() % 5) as f64 * 0.45;
             let reweight = if k < n / 10 {
-                0.7 + r.below(5) as f64 * 0.45
+                0.7 + (r.next() % 5) as f64 * 0.45
             } else {
                 w
             };
