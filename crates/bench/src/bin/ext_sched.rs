@@ -1,17 +1,19 @@
-//! EXT-SCHED — the incremental event-driven co-scheduler vs the reference
-//! whole-fleet rescan loop.
+//! EXT-SCHED — the production co-scheduler and both incremental event
+//! cores vs the reference whole-fleet rescan loop.
 //!
 //! Runs the pinned 48-configuration sweep (6 VM counts × 4 stream lengths
 //! × 2 scheduling modes) over deterministic synthetic fleets. For every
-//! configuration *all three* event cores — the reference rescan loop, the
-//! heap-backed incremental scheduler, and the calendar-queue incremental
-//! scheduler — must report **identical** completions (the determinism
-//! contract of `dbvirt_vmm::sched`); wall clock, event counts, and
-//! per-event VM-touch locality are recorded to `BENCH_sched.json`, and
-//! the sweep asserts two headline claims:
+//! configuration *all four* implementations — the reference rescan loop,
+//! the heap-backed incremental scheduler, the calendar-queue incremental
+//! scheduler, and the production path (`co_schedule`: a per-VM closed-form
+//! walk in capped mode, the calendar loop in work-conserving mode) — must
+//! report **identical** completions (the determinism contract of
+//! `dbvirt_vmm::sched`); wall clock, event counts, and per-event VM-touch
+//! locality are recorded to `BENCH_sched.json`, and the sweep asserts two
+//! headline claims:
 //!
-//! * at 16 VMs the (mode-selected) incremental scheduler is at least 3×
-//!   faster than the reference loop in capped mode, and
+//! * at 16 VMs the production scheduler is at least 3× faster than the
+//!   reference loop in capped mode, and
 //! * at 32 VMs on the adversarial class-flipping mix in work-conserving
 //!   mode — where nearly every event re-keys every member of both
 //!   resource classes — the calendar core is at least 2× faster than the
@@ -26,8 +28,8 @@ use std::time::Instant;
 use dbvirt_bench::{experiment_machine, json_array, print_table, write_bench_artifact, JsonObj};
 use dbvirt_vmm::kernel::{Fnv1a, SplitMix64};
 use dbvirt_vmm::sched::{
-    co_schedule_reference, co_schedule_with_core, SchedCore, SchedMode, SchedStats, VmJob,
-    VmOutcome,
+    co_schedule_reference, co_schedule_with_core, co_schedule_with_stats, SchedCore, SchedMode,
+    SchedStats, VmJob, VmOutcome,
 };
 use dbvirt_vmm::{AllocationMatrix, ResourceDemand};
 
@@ -98,7 +100,7 @@ struct ConfigResult {
     vms: usize,
     queries: usize,
     mode_name: &'static str,
-    /// Mode-selected production core (heap for capped, calendar for wc).
+    /// The production path (`co_schedule`) and its counters.
     incr_secs: f64,
     heap_secs: f64,
     cal_secs: f64,
@@ -120,16 +122,22 @@ fn main() {
         for queries in QUERY_COUNTS {
             let jobs = fleet(vms, queries);
             for (mode, mode_name) in MODES {
-                // Identity first: all three event cores must agree on
-                // every completion before their speeds are compared.
-                let (heap_out, heap_stats) =
+                // Identity first: every implementation must agree on every
+                // completion before their speeds are compared.
+                let (heap_out, _) =
                     co_schedule_with_core(spec, &alloc, &jobs, mode, SchedCore::Heap)
                         .expect("heap-core run");
-                let (cal_out, cal_stats) =
+                let (cal_out, _) =
                     co_schedule_with_core(spec, &alloc, &jobs, mode, SchedCore::Calendar)
                         .expect("calendar-core run");
+                let (prod_out, stats) =
+                    co_schedule_with_stats(spec, &alloc, &jobs, mode).expect("production run");
                 let ref_out =
                     co_schedule_reference(spec, &alloc, &jobs, mode).expect("reference run");
+                assert_eq!(
+                    prod_out, ref_out,
+                    "co_schedule diverged at {vms} VMs × {queries} queries ({mode_name})"
+                );
                 assert_eq!(
                     heap_out, ref_out,
                     "heap core diverged at {vms} VMs × {queries} queries ({mode_name})"
@@ -140,10 +148,16 @@ fn main() {
                 );
 
                 // Best-of-N wall clock for each implementation.
+                let mut incr_secs = f64::INFINITY;
                 let mut heap_secs = f64::INFINITY;
                 let mut cal_secs = f64::INFINITY;
                 let mut ref_secs = f64::INFINITY;
                 for _ in 0..TIMING_REPS {
+                    let t = Instant::now();
+                    let out = co_schedule_with_stats(spec, &alloc, &jobs, mode).unwrap();
+                    incr_secs = incr_secs.min(t.elapsed().as_secs_f64());
+                    assert_eq!(out.0, ref_out, "production run is not deterministic");
+
                     let t = Instant::now();
                     let out =
                         co_schedule_with_core(spec, &alloc, &jobs, mode, SchedCore::Heap).unwrap();
@@ -162,12 +176,6 @@ fn main() {
                     assert_eq!(out, ref_out, "reference run is not deterministic");
                 }
 
-                // The production path picks the core by mode; report its
-                // numbers as "incremental".
-                let (incr_secs, stats) = match SchedCore::for_mode(mode) {
-                    SchedCore::Heap => (heap_secs, heap_stats),
-                    SchedCore::Calendar => (cal_secs, cal_stats),
-                };
                 results.push(ConfigResult {
                     vms,
                     queries,
@@ -196,6 +204,7 @@ fn main() {
                     r.stats.vms_touched as f64 / r.stats.events.max(1) as f64
                 ),
                 format!("{}", r.stats.heap_peak),
+                format!("{:.1}µs", r.incr_secs * 1e6),
                 format!("{:.1}µs", r.heap_secs * 1e6),
                 format!("{:.1}µs", r.cal_secs * 1e6),
                 format!("{:.1}µs", r.ref_secs * 1e6),
@@ -204,7 +213,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "EXT-SCHED: incremental event cores vs reference rescan loop",
+        "EXT-SCHED: production path and event cores vs reference rescan loop",
         &[
             "vms",
             "queries",
@@ -212,6 +221,7 @@ fn main() {
             "events",
             "touch/evt",
             "peak",
+            "production",
             "heap-core",
             "cal-core",
             "reference",
@@ -254,7 +264,7 @@ fn main() {
     );
     assert!(
         speedup_16_capped >= 3.0,
-        "headline claim violated: incremental must be >= 3x the reference at 16 VMs \
+        "headline claim violated: co_schedule must be >= 3x the reference at 16 VMs \
          in the production (capped) configuration, got {speedup_16_capped:.2}x"
     );
 
@@ -276,7 +286,7 @@ fn main() {
          {calendar_speedup_32_wc:.2}x"
     );
     println!(
-        "\nShape check: identity held across all three cores on all {} configurations; \
+        "\nShape check: identity held across all four implementations on all {} configurations; \
          capped speedup clears 3x at 16 VMs ({speedup_16_capped:.2}x); the calendar core \
          clears 2x over the heap at 32 VMs work-conserving ({calendar_speedup_32_wc:.2}x).",
         results.len()

@@ -3,11 +3,12 @@
 //! [`run_controller`] drives the `dbvirt-vmm` credit scheduler over the
 //! virtual clock, one control epoch at a time:
 //!
-//! 1. materialize the epoch's jobs from the scenario and run them under
-//!    the current allocation ([`co_schedule`], capped mode — the paper's
-//!    experimental configuration; since the event-driven rewrite this is
-//!    the incremental scheduler, so an epoch costs O(events · log V)
-//!    rather than O(events · V));
+//! 1. materialize the epoch's jobs and observations from the scenario
+//!    (once: a query's job demand is its clean observation's demand) and
+//!    run the jobs under the current allocation ([`co_schedule`], capped
+//!    mode — the paper's experimental configuration; capped VMs never
+//!    interact, so the scheduler walks each VM's completion chain in
+//!    closed form and an epoch costs O(phases), with no event structure);
 //! 2. feed each completed query's observation into the per-VM streaming
 //!    statistics, which maintain an EWMA profile estimate and a
 //!    Page–Hinkley drift detector on an allocation-invariant reference
@@ -20,7 +21,9 @@
 //! 4. apply the recommended allocation only if its predicted benefit over
 //!    the decision horizon clears the modeled reconfiguration cost (memory
 //!    resize = cache flush, charged in virtual time) plus a hysteresis
-//!    margin.
+//!    margin. On quiet epochs a hill climb tries every one-unit share
+//!    transfer against the same gate, pricing each VM on at most five
+//!    rows rather than every candidate matrix row by row.
 //!
 //! The loop is fully deterministic: identical `(scenario, config)` pairs
 //! produce bit-identical decision traces at every search parallelism
@@ -431,6 +434,15 @@ fn localized_solve<'a>(
 /// quiet-epoch hill climb. Returns the candidate allocation and its
 /// reconfiguration cost, or `None` when no transfer passes (including when
 /// the current allocation is off the unit grid).
+///
+/// The objective is separable: a candidate's cost is a sum of per-VM terms,
+/// and a transfer changes two of them. So each VM is priced on at most
+/// five rows — its unit-derived current row and CPU or memory one unit
+/// down or up ([`CELL_STEPS`]) — built and priced on first use, and every
+/// candidate is the sum, in workload order, of the cells it selects.
+/// Candidates are visited, rows built and cells priced in the order the
+/// whole-matrix enumeration visits them, so the same sums, the same winner
+/// and the same first error come out.
 fn hill_climb_move(
     problem: &dbvirt_core::DesignProblem<'_>,
     config: &ControllerConfig,
@@ -442,8 +454,7 @@ fn hill_climb_move(
     let units = config.search.units;
     let min = config.search.min_units;
     let n = current.num_workloads();
-    let mut cpu = Vec::with_capacity(n);
-    let mut mem = Vec::with_capacity(n);
+    let mut held = Vec::with_capacity(n);
     for i in 0..n {
         let (Some(c), Some(m)) = (
             share_units(current.row(i).cpu().fraction(), units),
@@ -451,74 +462,87 @@ fn hill_climb_move(
         ) else {
             return Ok(None);
         };
-        cpu.push(c);
-        mem.push(m);
+        held.push([i64::from(c), i64::from(m)]);
     }
     let model = ProfileCostModel {
         machine,
         profiles: profiles.to_vec(),
     };
-    let row = |c: u32, m: u32, disk: f64| -> Result<ResourceVector, ControllerError> {
-        Ok(ResourceVector::from_fractions(
-            c as f64 / units as f64,
-            m as f64 / units as f64,
-            disk,
-        )?)
-    };
-    let cost_of = |rows: &[ResourceVector]| -> Result<f64, ControllerError> {
-        let mut total = 0.0;
-        for (w, r) in rows.iter().enumerate() {
-            total += model.cost(problem, w, *r)?;
-        }
-        Ok(total)
-    };
-    let current_rows: Vec<ResourceVector> = (0..n).map(|i| current.row(i)).collect();
-    let current_cost = cost_of(&current_rows)?;
+    let mut current_cost = 0.0;
+    for w in 0..n {
+        current_cost += model.cost(problem, w, current.row(w))?;
+    }
 
-    let mut best: Option<(f64, Vec<ResourceVector>)> = None;
+    // The cell VM `i` contributes to the transfer `resource: donor ->
+    // recipient` (an index into `CELL_STEPS`).
+    let cell_of = |i: usize, donor: usize, recipient: usize, resource: usize| -> usize {
+        if i == donor {
+            1 + 2 * resource
+        } else if i == recipient {
+            2 + 2 * resource
+        } else {
+            0
+        }
+    };
+    let mut rows: Vec<[Option<ResourceVector>; 5]> = vec![[None; 5]; n];
+    let mut costs: Vec<[Option<f64>; 5]> = vec![[None; 5]; n];
+    let mut best: Option<(f64, usize, usize, usize)> = None;
     for donor in 0..n {
         for recipient in 0..n {
             if donor == recipient {
                 continue;
             }
             for resource in 0..2usize {
-                let pool = if resource == 0 { &cpu } else { &mem };
-                if pool[donor] <= min {
+                if held[donor][resource] <= i64::from(min) {
                     continue;
                 }
-                let mut c = cpu.clone();
-                let mut m = mem.clone();
-                if resource == 0 {
-                    c[donor] -= 1;
-                    c[recipient] += 1;
-                } else {
-                    m[donor] -= 1;
-                    m[recipient] += 1;
-                }
-                let mut rows = Vec::with_capacity(n);
                 for i in 0..n {
-                    rows.push(row(c[i], m[i], current.row(i).disk().fraction())?);
+                    let cell = cell_of(i, donor, recipient, resource);
+                    if rows[i][cell].is_none() {
+                        let [dc, dm] = CELL_STEPS[cell];
+                        rows[i][cell] = Some(ResourceVector::from_fractions(
+                            (held[i][0] + dc) as f64 / units as f64,
+                            (held[i][1] + dm) as f64 / units as f64,
+                            current.row(i).disk().fraction(),
+                        )?);
+                    }
                 }
-                let cost = cost_of(&rows)?;
+                let mut cost = 0.0;
+                for w in 0..n {
+                    let cell = cell_of(w, donor, recipient, resource);
+                    cost += match costs[w][cell] {
+                        Some(priced) => priced,
+                        None => {
+                            let row = rows[w][cell].expect("built just above");
+                            *costs[w][cell].insert(model.cost(problem, w, row)?)
+                        }
+                    };
+                }
                 // Strict improvement with a deterministic first-best
                 // tie-break (lowest donor, recipient, CPU before memory).
-                if cost < current_cost - 1e-12
-                    && best.as_ref().is_none_or(|(b, _)| cost < *b)
-                {
-                    best = Some((cost, rows));
+                if cost < current_cost - 1e-12 && best.is_none_or(|(b, ..)| cost < b) {
+                    best = Some((cost, donor, recipient, resource));
                 }
             }
         }
     }
-    let Some((best_cost, rows)) = best else {
+    let Some((best_cost, donor, recipient, resource)) = best else {
         return Ok(None);
     };
-    let candidate = AllocationMatrix::new(rows)?;
+    let candidate = AllocationMatrix::new(
+        (0..n)
+            .map(|i| rows[i][cell_of(i, donor, recipient, resource)].expect("the winner was built"))
+            .collect(),
+    )?;
     let switch_cost =
         switch_cost_seconds(machine, current, &candidate, config.switch_base_seconds)?;
     Ok(clears_gate(config, current_cost, best_cost, horizon, switch_cost)
         .then_some((candidate, switch_cost)))
 }
+
+/// `[cpu, memory]` unit steps of the five rows the hill climb prices a VM
+/// on: where it is, CPU one unit down / up, memory one unit down / up.
+const CELL_STEPS: [[i64; 2]; 5] = [[0, 0], [-1, 0], [1, 0], [0, -1], [0, 1]];
 
 /// Prices an allocation under both sides of a predicted regime boundary:
 /// the sum of the outgoing and incoming regime-pure snapshot models. Over
@@ -610,15 +634,22 @@ pub fn run_controller(
     let mut localized_solves = 0usize;
     let mut hill_climb_moves = 0usize;
 
+    // Buffer pools of the allocation in force; they move only with it.
+    let mut pools = Vec::new();
     for epoch in 0..scenario.total_epochs() {
         let mut epoch_span = telemetry::span("controller.epoch");
         epoch_span.set_attr("epoch", epoch);
         TM_EPOCHS.add(1);
 
         // Run the epoch's ground truth under the allocation in force.
-        let pools = pool_pages(machine, &ledger.current)?;
-        let batch = scenario.epoch_batch(epoch, &pools)?;
-        let jobs: Vec<VmJob> = batch.iter().map(|b| b.job.clone()).collect();
+        if allocations.last() != Some(&ledger.current) {
+            pools = pool_pages(machine, &ledger.current)?;
+        }
+        let (jobs, observations): (Vec<VmJob>, Vec<_>) = scenario
+            .epoch_batch(epoch, &pools)?
+            .into_iter()
+            .map(|vm_epoch| (vm_epoch.job, vm_epoch.observations))
+            .unzip();
         let outcomes = co_schedule(machine, &ledger.current, &jobs, SchedMode::Capped)?;
         let epoch_cost: f64 = outcomes.iter().map(|o| o.makespan().as_secs_f64()).sum();
         let advance = outcomes
@@ -632,8 +663,8 @@ pub fn run_controller(
 
         // Absorb the epoch's observations, tracking which VMs drifted.
         let mut fired_vms = vec![false; n];
-        for (vm, vm_epoch) in batch.iter().enumerate() {
-            for obs in &vm_epoch.observations {
+        for (vm, vm_observations) in observations.iter().enumerate() {
+            for obs in vm_observations {
                 match obs {
                     Some(o) => match stats[vm].observe(o, pools[vm]) {
                         Ok(fired) => {
@@ -658,12 +689,14 @@ pub fn run_controller(
         // Feed the governor this epoch's regime snapshot. `None` when any
         // VM closed the epoch without a usable observation — sensor
         // silence is not evidence of a regime change.
-        let regime_snapshot: Option<(Vec<ProfileKey>, Vec<WorkloadProfile>)> = snapshots
+        let snapshot_keys: Vec<Option<ProfileKey>> = snapshots
             .iter()
-            .map(|s| {
-                s.as_ref()
-                    .map(|p| (p.quantize(config.quantization_rel), *p))
-            })
+            .map(|s| s.map(|p| p.quantize(config.quantization_rel)))
+            .collect();
+        let regime_snapshot: Option<(Vec<ProfileKey>, Vec<WorkloadProfile>)> = snapshot_keys
+            .iter()
+            .zip(&snapshots)
+            .map(|(key, p)| Some(((*key)?, (*p)?)))
             .collect::<Option<Vec<_>>>()
             .map(|pairs| pairs.into_iter().unzip());
         let verdict = governor.observe_epoch(epoch, regime_snapshot);
@@ -778,12 +811,10 @@ pub fn run_controller(
             // transients are the drift machinery's jurisdiction, not the
             // hill-climber's.
             let quiescent = profiles.as_ref().is_some_and(|profiles| {
-                snapshots.iter().zip(profiles).all(|(s, p)| {
-                    s.as_ref().is_some_and(|snap| {
-                        snap.quantize(config.quantization_rel)
-                            == p.quantize(config.quantization_rel)
-                    })
-                })
+                snapshot_keys
+                    .iter()
+                    .zip(profiles)
+                    .all(|(key, p)| *key == Some(p.quantize(config.quantization_rel)))
             });
             if let (true, Some(profiles)) = (quiescent, &profiles) {
                 let horizon = governor.governed_horizon(epoch, config.horizon_epochs);
@@ -1108,6 +1139,185 @@ mod tests {
 
     fn template_of_one(db: &dbvirt_engine::Database) -> ProblemTemplate<'_> {
         template(db, 1, MachineSpec::tiny())
+    }
+
+    /// The whole-matrix enumeration, the oracle of
+    /// [`hill_climb_matches_the_whole_matrix_enumeration`]: every transfer
+    /// builds all `n` rows and prices all `n` of them.
+    fn hill_climb_move_enumerated(
+        problem: &dbvirt_core::DesignProblem<'_>,
+        config: &ControllerConfig,
+        machine: MachineSpec,
+        current: &AllocationMatrix,
+        profiles: &[WorkloadProfile],
+        horizon: f64,
+    ) -> Result<Option<(AllocationMatrix, f64)>, ControllerError> {
+        let units = config.search.units;
+        let min = config.search.min_units;
+        let n = current.num_workloads();
+        let mut cpu = Vec::with_capacity(n);
+        let mut mem = Vec::with_capacity(n);
+        for i in 0..n {
+            let (Some(c), Some(m)) = (
+                share_units(current.row(i).cpu().fraction(), units),
+                share_units(current.row(i).memory().fraction(), units),
+            ) else {
+                return Ok(None);
+            };
+            cpu.push(c);
+            mem.push(m);
+        }
+        let model = ProfileCostModel {
+            machine,
+            profiles: profiles.to_vec(),
+        };
+        let row = |c: u32, m: u32, disk: f64| -> Result<ResourceVector, ControllerError> {
+            Ok(ResourceVector::from_fractions(
+                c as f64 / units as f64,
+                m as f64 / units as f64,
+                disk,
+            )?)
+        };
+        let cost_of = |rows: &[ResourceVector]| -> Result<f64, ControllerError> {
+            let mut total = 0.0;
+            for (w, r) in rows.iter().enumerate() {
+                total += model.cost(problem, w, *r)?;
+            }
+            Ok(total)
+        };
+        let current_rows: Vec<ResourceVector> = (0..n).map(|i| current.row(i)).collect();
+        let current_cost = cost_of(&current_rows)?;
+
+        let mut best: Option<(f64, Vec<ResourceVector>)> = None;
+        for donor in 0..n {
+            for recipient in 0..n {
+                if donor == recipient {
+                    continue;
+                }
+                for resource in 0..2usize {
+                    let pool = if resource == 0 { &cpu } else { &mem };
+                    if pool[donor] <= min {
+                        continue;
+                    }
+                    let mut c = cpu.clone();
+                    let mut m = mem.clone();
+                    if resource == 0 {
+                        c[donor] -= 1;
+                        c[recipient] += 1;
+                    } else {
+                        m[donor] -= 1;
+                        m[recipient] += 1;
+                    }
+                    let mut rows = Vec::with_capacity(n);
+                    for i in 0..n {
+                        rows.push(row(c[i], m[i], current.row(i).disk().fraction())?);
+                    }
+                    let cost = cost_of(&rows)?;
+                    // Strict improvement with a deterministic first-best
+                    // tie-break (lowest donor, recipient, CPU before memory).
+                    if cost < current_cost - 1e-12
+                        && best.as_ref().is_none_or(|(b, _)| cost < *b)
+                    {
+                        best = Some((cost, rows));
+                    }
+                }
+            }
+        }
+        let Some((best_cost, rows)) = best else {
+            return Ok(None);
+        };
+        let candidate = AllocationMatrix::new(rows)?;
+        let switch_cost =
+            switch_cost_seconds(machine, current, &candidate, config.switch_base_seconds)?;
+        Ok(clears_gate(config, current_cost, best_cost, horizon, switch_cost)
+            .then_some((candidate, switch_cost)))
+    }
+
+    #[test]
+    fn hill_climb_matches_the_whole_matrix_enumeration() {
+        use dbvirt_vmm::kernel::SplitMix64;
+        let db = tiny_db();
+        let machine = MachineSpec::tiny();
+        let mut rng = SplitMix64(0x5eed);
+        let mut unit = move || (rng.next() >> 11) as f64 / (1u64 << 53) as f64;
+        let (mut moved, mut held, mut tied) = (0, 0, 0);
+        for case in 0..256usize {
+            let n = 2 + case % 7;
+            let template = template(&db, n, machine);
+            let problem = template.problem().unwrap();
+            let mut cfg = ControllerConfig::new(SearchConfig::for_workloads(12, n));
+            // Half the cases make switching nearly free, so the gate opens
+            // and the winners themselves are compared.
+            if case % 2 == 0 {
+                cfg.hysteresis = 0.0;
+                cfg.switch_base_seconds = 1e-6;
+            }
+            // A few distinct profiles dealt over the VMs: VMs sharing a
+            // profile and a row make transfers that tie to the bit.
+            let distinct = 1 + case % 3;
+            let pool: Vec<WorkloadProfile> = (0..distinct)
+                .map(|_| cpu_heavy().lerp(&io_heavy(), unit()).scaled(0.5 + unit()))
+                .collect();
+            let profiles: Vec<WorkloadProfile> = (0..n).map(|i| pool[i % distinct]).collect();
+            // An on-lattice allocation: everyone at `min_units`, the rest of
+            // each budget dealt at random (so donors at the floor are common).
+            let mut units = vec![[cfg.search.min_units; 2]; n];
+            for resource in [0, 1] {
+                for _ in 0..12 - n as u32 * cfg.search.min_units {
+                    units[(unit() * n as f64) as usize % n][resource] += 1;
+                }
+            }
+            let current = AllocationMatrix::new(
+                units
+                    .iter()
+                    .map(|[c, m]| {
+                        ResourceVector::from_fractions(
+                            *c as f64 / 12.0,
+                            *m as f64 / 12.0,
+                            cfg.search.disk_share,
+                        )
+                        .unwrap()
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            let horizon = 1.0 + (unit() * 64.0).floor();
+            let bits = |r: Option<(AllocationMatrix, f64)>| r.map(|(a, c)| (a, c.to_bits()));
+            let fast =
+                bits(hill_climb_move(&problem, &cfg, machine, &current, &profiles, horizon).unwrap());
+            let slow = bits(
+                hill_climb_move_enumerated(&problem, &cfg, machine, &current, &profiles, horizon)
+                    .unwrap(),
+            );
+            assert_eq!(fast, slow, "case {case}: n={n} units={units:?} horizon={horizon}");
+            match &fast {
+                Some(_) => moved += 1,
+                None => held += 1,
+            }
+            let twins = (0..n).any(|i| {
+                (0..i).any(|j| profiles[i] == profiles[j] && units[i] == units[j])
+            });
+            tied += usize::from(twins && fast.is_some());
+        }
+        assert!(moved >= 32 && held >= 32, "{moved} moved, {held} held");
+        assert!(tied >= 8, "only {tied} winners were picked among tied transfers");
+
+        // An allocation off the unit lattice is `None` from both.
+        let template = template(&db, 2, machine);
+        let problem = template.problem().unwrap();
+        let cfg = config(1);
+        let off = AllocationMatrix::new(vec![
+            ResourceVector::from_fractions(0.3, 0.5, 0.5).unwrap(),
+            ResourceVector::from_fractions(0.7, 0.5, 0.5).unwrap(),
+        ])
+        .unwrap();
+        let profiles = [cpu_heavy(), io_heavy()];
+        assert!(hill_climb_move(&problem, &cfg, machine, &off, &profiles, 8.0)
+            .unwrap()
+            .is_none());
+        assert!(hill_climb_move_enumerated(&problem, &cfg, machine, &off, &profiles, 8.0)
+            .unwrap()
+            .is_none());
     }
 
     #[test]

@@ -165,11 +165,12 @@ impl WorkloadProfile {
     /// recurring phase re-solves against already-paid-for cells while a
     /// genuinely new mix gets a fresh cache.
     pub fn quantize(&self, rel: f64) -> ProfileKey {
+        let width = (1.0 + rel).ln();
         let bucket = |v: f64| -> i64 {
             if !(v.is_finite() && v > 0.0) {
                 return i64::MIN;
             }
-            (v.ln() / (1.0 + rel).ln()).floor() as i64
+            (v.ln() / width).floor() as i64
         };
         ProfileKey([
             bucket(self.cpu_cycles),

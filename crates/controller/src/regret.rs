@@ -49,13 +49,17 @@ pub struct RegretReport {
 /// Replays the scenario's clean query stream under a fixed per-epoch
 /// allocation trajectory, charging the modeled reconfiguration cost at
 /// every epoch boundary where the allocation changes. Returns the total
-/// cost and the number of switches charged. Each epoch's co-run goes
-/// through the incremental `co_schedule` (capped mode), so replays scale
-/// with events touched rather than fleet size × events.
+/// cost and the number of switches charged.
+///
+/// An epoch replayed under the allocation `ran` had in force for it costs
+/// what `ran` recorded — the controller simulated the same clean jobs
+/// under the same pools and summed the same makespans — so only the epochs
+/// where the trajectories differ go through the simulator again.
 fn replay(
     scenario: &Scenario,
     by_epoch: &[&AllocationMatrix],
     base_seconds: f64,
+    ran: &ControllerOutcome,
 ) -> Result<(f64, usize), ControllerError> {
     let machine = scenario.machine;
     let mut total = 0.0;
@@ -68,13 +72,16 @@ fn replay(
                 switches += 1;
             }
         }
-        let pools = pool_pages(machine, allocation)?;
-        let jobs = scenario.epoch_jobs(epoch, &pools)?;
-        let outcomes = co_schedule(machine, allocation, &jobs, SchedMode::Capped)?;
-        total += outcomes
-            .iter()
-            .map(|o| o.makespan().as_secs_f64())
-            .sum::<f64>();
+        total += if **allocation == ran.allocations[epoch] {
+            ran.epoch_costs[epoch]
+        } else {
+            let pools = pool_pages(machine, allocation)?;
+            let jobs = scenario.epoch_jobs(epoch, &pools)?;
+            co_schedule(machine, allocation, &jobs, SchedMode::Capped)?
+                .iter()
+                .map(|o| o.makespan().as_secs_f64())
+                .sum::<f64>()
+        };
         prev = Some(allocation);
     }
     Ok((total, switches))
@@ -82,6 +89,9 @@ fn replay(
 
 /// Accounts a controller run against the clairvoyant per-phase optimum and
 /// the never-reconfigure baseline, on the identical query stream.
+/// `outcome` must be what [`crate::run_controller`] returned for this
+/// `scenario`: its per-epoch allocations and costs are read as the record
+/// of the stream, one of each per epoch.
 pub fn account_regret(
     scenario: &Scenario,
     template: &ProblemTemplate<'_>,
@@ -89,14 +99,18 @@ pub fn account_regret(
     outcome: &ControllerOutcome,
 ) -> Result<RegretReport, ControllerError> {
     scenario.validate()?;
-    if outcome.allocations.len() != scenario.total_epochs() {
-        return Err(ControllerError::BadScenario {
-            reason: format!(
-                "outcome covers {} epochs, scenario has {}",
-                outcome.allocations.len(),
-                scenario.total_epochs()
-            ),
-        });
+    for (what, len) in [
+        ("allocations", outcome.allocations.len()),
+        ("epoch costs", outcome.epoch_costs.len()),
+    ] {
+        if len != scenario.total_epochs() {
+            return Err(ControllerError::BadScenario {
+                reason: format!(
+                    "outcome has {what} for {len} epochs, scenario has {}",
+                    scenario.total_epochs()
+                ),
+            });
+        }
     }
     let ordinals = scenario.phase_ordinals();
 
@@ -138,7 +152,7 @@ pub fn account_regret(
         .map(|e| &oracle_allocations[scenario.phase_of_epoch(e)])
         .collect();
     let (oracle_cost, oracle_switches) =
-        replay(scenario, &oracle_by_epoch, config.switch_base_seconds)?;
+        replay(scenario, &oracle_by_epoch, config.switch_base_seconds, outcome)?;
 
     let held = outcome
         .placement
@@ -146,7 +160,8 @@ pub fn account_regret(
         .unwrap_or(&outcome.initial_allocation);
     let never_by_epoch: Vec<&AllocationMatrix> =
         (0..scenario.total_epochs()).map(|_| held).collect();
-    let (never_cost, _) = replay(scenario, &never_by_epoch, config.switch_base_seconds)?;
+    let (never_cost, _) =
+        replay(scenario, &never_by_epoch, config.switch_base_seconds, outcome)?;
 
     let mut suboptimal_epochs = 0usize;
     let mut suboptimal_seconds = 0.0;
@@ -262,5 +277,38 @@ mod tests {
             11,
         );
         assert!(account_regret(&shorter, &template, &config(), &out).is_err());
+    }
+
+    #[test]
+    fn an_outcome_missing_epoch_costs_is_a_typed_error_not_a_panic() {
+        // The replays index `epoch_costs` by epoch, so a truncated or
+        // hand-built outcome must be refused before they run.
+        let db = tiny_db();
+        let template = template(&db, 2, MachineSpec::tiny());
+        let mut out = run_controller(&drifting(), &template, &config()).unwrap();
+        out.epoch_costs.pop();
+        let err = account_regret(&drifting(), &template, &config(), &out).unwrap_err();
+        assert!(matches!(err, ControllerError::BadScenario { .. }), "{err:?}");
+        out.epoch_costs.clear();
+        assert!(account_regret(&drifting(), &template, &config(), &out).is_err());
+    }
+
+    #[test]
+    fn reusing_the_controllers_epochs_does_not_move_a_bit() {
+        // With every recorded allocation replaced by one no replay asks
+        // for, both replays simulate every epoch themselves.
+        let db = tiny_db();
+        let template = template(&db, 2, MachineSpec::tiny());
+        let out = run_controller(&drifting(), &template, &config()).unwrap();
+        let reused = account_regret(&drifting(), &template, &config(), &out).unwrap();
+        let mut opaque = out.clone();
+        let nobody = dbvirt_vmm::ResourceVector::from_fractions(0.01, 0.01, 0.01).unwrap();
+        opaque.allocations =
+            vec![AllocationMatrix::new(vec![nobody; 2]).unwrap(); out.allocations.len()];
+        let replayed = account_regret(&drifting(), &template, &config(), &opaque).unwrap();
+        assert_eq!(reused.oracle_cost.to_bits(), replayed.oracle_cost.to_bits());
+        assert_eq!(reused.never_cost.to_bits(), replayed.never_cost.to_bits());
+        assert_eq!(reused.oracle_switches, replayed.oracle_switches);
+        assert!(reused.suboptimal_epochs < out.allocations.len(), "some epochs must be reused");
     }
 }

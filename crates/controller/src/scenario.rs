@@ -459,6 +459,20 @@ impl Scenario {
         1.0 - self.variability + 2.0 * self.variability * u
     }
 
+    /// Checks there is one pool size per VM.
+    fn check_pools(&self, pool_pages: &[usize]) -> Result<(), ControllerError> {
+        if pool_pages.len() != self.num_vms() {
+            return Err(ControllerError::BadScenario {
+                reason: format!(
+                    "{} pool sizes for {} VMs",
+                    pool_pages.len(),
+                    self.num_vms()
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// The clean ground-truth jobs for `epoch`, one per VM, given the
     /// buffer pool (in pages) each VM currently holds. Pool sizes matter
     /// because physical demand depends on how much of the working set the
@@ -469,15 +483,7 @@ impl Scenario {
         epoch: usize,
         pool_pages: &[usize],
     ) -> Result<Vec<VmJob>, ControllerError> {
-        if pool_pages.len() != self.num_vms() {
-            return Err(ControllerError::BadScenario {
-                reason: format!(
-                    "{} pool sizes for {} VMs",
-                    pool_pages.len(),
-                    self.num_vms()
-                ),
-            });
-        }
+        self.check_pools(pool_pages)?;
         Ok((0..self.num_vms())
             .map(|vm| {
                 let profile = self.profile(vm, epoch);
@@ -490,24 +496,27 @@ impl Scenario {
     }
 
     /// Materializes `epoch`: clean jobs plus (possibly noisy) per-query
-    /// observations.
+    /// observations. A query's job demand *is* its clean observation's
+    /// demand, so each is computed once.
     pub fn epoch_batch(
         &self,
         epoch: usize,
         pool_pages: &[usize],
     ) -> Result<Vec<VmEpoch>, ControllerError> {
-        let jobs = self.epoch_jobs(epoch, pool_pages)?;
-        Ok(jobs
-            .into_iter()
-            .enumerate()
-            .map(|(vm, job)| {
-                let observations = (0..job.queries.len())
+        self.check_pools(pool_pages)?;
+        Ok((0..self.num_vms())
+            .map(|vm| {
+                let pool = pool_pages[vm];
+                let (queries, observations) = (0..self.query_count(vm, epoch))
                     .map(|q| {
-                        let clean = self.clean_observation(vm, epoch, q, pool_pages[vm]);
-                        self.observe(vm, epoch, q, clean, pool_pages[vm])
+                        let clean = self.clean_observation(vm, epoch, q, pool);
+                        (clean.demand, self.observe(vm, epoch, q, clean, pool))
                     })
-                    .collect();
-                VmEpoch { job, observations }
+                    .unzip();
+                VmEpoch {
+                    job: VmJob::new(queries),
+                    observations,
+                }
             })
             .collect())
     }

@@ -16,19 +16,24 @@
 //!   the VMs currently demanding the resource, in proportion to their
 //!   shares (Xen's default `weight`-based behaviour).
 //!
-//! Two implementations share one semantics (see [`fluid`] for the shared
+//! Three implementations share one semantics (see [`fluid`] for the shared
 //! arithmetic and its determinism rules):
 //!
-//! * [`co_schedule`] — the production path: an incremental event-driven
-//!   scheduler ([`incremental`]) that keeps per-resource active sets and a
-//!   binary event heap, touching only the VMs an event can affect. This is
-//!   what every controller epoch, regret replay, and measured-oracle run
-//!   bottoms out in, so its per-event cost is the fleet-scale wall clock.
+//! * [`co_schedule`] — the production path, chosen by mode. Capped VMs
+//!   never interact, so each VM's completion chain is walked on its own in
+//!   closed form with no event structure ([`walk`]). Work-conserving runs
+//!   go through the incremental event-driven scheduler ([`incremental`])
+//!   on the calendar queue, which keeps per-resource active sets and
+//!   touches only the VMs an event can affect. Every controller epoch,
+//!   regret replay and measured-oracle run is a capped run.
+//! * [`co_schedule_with_core`] — the incremental scheduler in either mode
+//!   on an explicit event core (binary heap or calendar queue), for the
+//!   differential suite and `ext_sched`.
 //! * [`co_schedule_reference`] — the legacy whole-fleet rescan loop
 //!   ([`reference`]), O(V) per event, retained as the differential-testing
-//!   baseline. Identical inputs produce completions **bit-identical** to
-//!   the incremental scheduler; `tests/sched_differential.rs` and the
-//!   `ext_sched` bench enforce the contract.
+//!   baseline. Identical inputs produce completions **bit-identical**
+//!   across all of them; `tests/sched_differential.rs` and the `ext_sched`
+//!   bench enforce the contract.
 
 use crate::{
     AllocationMatrix, MachineSpec, ResourceDemand, ResourceVector, SimDuration, SimTime,
@@ -41,6 +46,7 @@ mod fluid;
 mod incremental;
 mod multi;
 mod reference;
+mod walk;
 
 pub use incremental::SchedStats;
 pub use multi::{co_schedule_fleet, MachineRun, MachineSim};
@@ -55,14 +61,15 @@ pub enum SchedMode {
     WorkConserving,
 }
 
-/// Which event structure drives the incremental scheduler. Selected
-/// automatically per mode by [`SchedCore::for_mode`]; the explicit choice
-/// exists for differential tests and benchmarks, which pin all cores
-/// bit-identical on the same inputs.
+/// Which event structure drives the incremental scheduler. Work-conserving
+/// production runs use the calendar ([`SchedCore::for_mode`]); the explicit
+/// choice exists for differential tests and benchmarks, which pin both
+/// cores bit-identical on the same inputs in both modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedCore {
     /// Binary min-heap with lazy invalidation: O(log V) operations, stale
-    /// entries accumulate on re-key. Best when re-keys are rare.
+    /// entries accumulate on re-key. Differential tests and `ext_sched`
+    /// only: no production run is routed through it.
     Heap,
     /// Calendar queue with per-VM handles: O(1) insert/re-key, no stale
     /// entries. Built for the work-conserving regime, where most events
@@ -71,13 +78,14 @@ pub enum SchedCore {
 }
 
 impl SchedCore {
-    /// The production core for a mode: capped events never re-key (the
-    /// heap's best case), work-conserving adversarial mixes re-key
-    /// everybody (the calendar's reason to exist).
-    pub fn for_mode(mode: SchedMode) -> SchedCore {
+    /// The event core a production run of `mode` goes through: none for
+    /// capped, whose VMs never interact and are walked one at a time with
+    /// no event structure at all; the calendar for work-conserving, where
+    /// adversarial mixes re-key everybody.
+    pub fn for_mode(mode: SchedMode) -> Option<SchedCore> {
         match mode {
-            SchedMode::Capped => SchedCore::Heap,
-            SchedMode::WorkConserving => SchedCore::Calendar,
+            SchedMode::Capped => None,
+            SchedMode::WorkConserving => Some(SchedCore::Calendar),
         }
     }
 }
@@ -131,24 +139,27 @@ impl VmOutcome {
 /// [`VirtualMachine::demand_duration`] over the job at microsecond
 /// resolution, which is checked by tests.
 ///
-/// This entry point is the incremental event-driven scheduler; see
-/// [`co_schedule_reference`] for the O(V)-per-event baseline it is pinned
-/// bit-identical to, and [`co_schedule_with_stats`] for the same run plus
-/// its work counters.
+/// This entry point picks the implementation by mode (a per-VM walk for
+/// capped, the calendar-queue event loop for work-conserving); see
+/// [`co_schedule_reference`] for the O(V)-per-event baseline both are
+/// pinned bit-identical to, and [`co_schedule_with_stats`] for the same run
+/// plus its work counters.
+///
+/// A schedule that does not fit the virtual clock is an
+/// [`VmmError::InvalidSchedule`] in every implementation; when several VMs
+/// offend, a capped run reports the lowest-indexed one.
 pub fn co_schedule(
     spec: MachineSpec,
     allocation: &AllocationMatrix,
     jobs: &[VmJob],
     mode: SchedMode,
 ) -> Result<Vec<VmOutcome>, VmmError> {
-    let shares = validate_inputs(&spec, allocation, jobs)?;
-    incremental::run(&spec, mode, &shares, jobs, SchedCore::for_mode(mode))
-        .map(|(outcomes, _)| outcomes)
+    co_schedule_with_stats(spec, allocation, jobs, mode).map(|(outcomes, _)| outcomes)
 }
 
 /// [`co_schedule`], additionally returning the scheduler's work counters
-/// (events processed, VMs touched per event, heap population) for
-/// benchmarking and locality assertions.
+/// (events processed, VMs touched per event, event-structure population)
+/// for benchmarking and locality assertions.
 pub fn co_schedule_with_stats(
     spec: MachineSpec,
     allocation: &AllocationMatrix,
@@ -156,11 +167,14 @@ pub fn co_schedule_with_stats(
     mode: SchedMode,
 ) -> Result<(Vec<VmOutcome>, SchedStats), VmmError> {
     let shares = validate_inputs(&spec, allocation, jobs)?;
-    incremental::run(&spec, mode, &shares, jobs, SchedCore::for_mode(mode))
+    match SchedCore::for_mode(mode) {
+        None => walk::run(&spec, &shares, jobs),
+        Some(core) => incremental::run(&spec, mode, &shares, jobs, core),
+    }
 }
 
-/// [`co_schedule_with_stats`] with an explicit event core instead of the
-/// mode-based default. Completions are bit-identical across cores (and to
+/// The incremental event loop on an explicit event core, in either mode.
+/// Completions are bit-identical across cores (and to [`co_schedule`] and
 /// [`co_schedule_reference`]); the choice only moves wall clock, which is
 /// exactly what the differential suite and `ext_sched` pin.
 pub fn co_schedule_with_core(
@@ -210,8 +224,8 @@ fn validate_inputs(
         });
     }
     // Validate each VM up front (positive shares etc.).
-    let vms: Vec<VirtualMachine> = (0..jobs.len())
-        .map(|i| VirtualMachine::new(*spec, allocation.row(i)))
+    let shares: Vec<ResourceVector> = (0..jobs.len())
+        .map(|i| VirtualMachine::new(*spec, allocation.row(i)).map(|vm| vm.shares()))
         .collect::<Result<_, _>>()?;
 
     for (i, job) in jobs.iter().enumerate() {
@@ -226,7 +240,7 @@ fn validate_inputs(
             }
         }
     }
-    Ok(vms.into_iter().map(|vm| vm.shares()).collect())
+    Ok(shares)
 }
 
 /// Folds final per-VM states into the public outcome report.
@@ -503,12 +517,17 @@ mod tests {
         let alloc = AllocationMatrix::new(vec![shares]).unwrap();
         let cycles = 5.6e10;
         let job = VmJob::new(vec![demand(cycles, 0, 0)]);
-        let (out, stats) =
-            co_schedule_with_stats(spec, &alloc, &[job.clone()], SchedMode::Capped).unwrap();
-        let refr = co_schedule_reference(spec, &alloc, &[job], SchedMode::Capped).unwrap();
-        assert_eq!(out, refr);
-        assert_eq!(stats.events, 1, "one phase must be exactly one event");
-        assert_eq!(stats.phase_completions, 1);
+        let jobs = [job];
+        let refr = co_schedule_reference(spec, &alloc, &jobs, SchedMode::Capped).unwrap();
+        let walk = co_schedule_with_stats(spec, &alloc, &jobs, SchedMode::Capped).unwrap();
+        let heap =
+            co_schedule_with_core(spec, &alloc, &jobs, SchedMode::Capped, SchedCore::Heap).unwrap();
+        let out = walk.0.clone();
+        for (o, stats) in [walk, heap] {
+            assert_eq!(o, refr);
+            assert_eq!(stats.events, 1, "one phase must be exactly one event");
+            assert_eq!(stats.phase_completions, 1);
+        }
         // 5.6e10 cycles at 2.8e9 cycles/s = 20 s exactly.
         let want_us = ((cycles / 2.8e9) * 1e6).round() as u64;
         assert_eq!(out[0].completion.as_micros(), want_us);
@@ -523,11 +542,14 @@ mod tests {
         let jobs: Vec<VmJob> = (0..8)
             .map(|i| VmJob::new(vec![demand(1e9 + i as f64 * 7e7, 100 + i, 0); 4]))
             .collect();
-        let (_, stats) = co_schedule_with_stats(spec, &alloc, &jobs, SchedMode::Capped).unwrap();
-        assert_eq!(
-            stats.vms_touched, stats.events,
-            "capped completions must not perturb other VMs"
-        );
+        for core in [SchedCore::Heap, SchedCore::Calendar] {
+            let (_, stats) =
+                co_schedule_with_core(spec, &alloc, &jobs, SchedMode::Capped, core).unwrap();
+            assert_eq!(
+                stats.vms_touched, stats.events,
+                "capped completions must not perturb other VMs"
+            );
+        }
     }
 
     #[test]
@@ -539,8 +561,12 @@ mod tests {
         let job = VmJob::new(vec![demand(1.4e9, 200, 10); 3]);
         let jobs = vec![job; 4];
         for mode in [SchedMode::Capped, SchedMode::WorkConserving] {
-            let (out, stats) = co_schedule_with_stats(spec, &alloc, &jobs, mode).unwrap();
+            // The event loop batches; the capped production walk has no
+            // batches to form, so the loop is asked for explicitly.
+            let (out, stats) =
+                co_schedule_with_core(spec, &alloc, &jobs, mode, SchedCore::Calendar).unwrap();
             let refr = co_schedule_reference(spec, &alloc, &jobs, mode).unwrap();
+            assert_eq!(co_schedule(spec, &alloc, &jobs, mode).unwrap(), refr);
             assert_eq!(out, refr);
             for o in &out[1..] {
                 assert_eq!(o, &out[0], "identical VMs must complete identically");

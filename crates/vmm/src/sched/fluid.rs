@@ -110,34 +110,17 @@ pub(super) struct PhaseSpec {
 
 /// Splits a query's demand into its deterministic phase sequence: reads,
 /// then CPU, then write-back (the fluid model only cares about per-resource
-/// totals, so the order is a convention).
-pub(super) fn phases_of(demand: &ResourceDemand) -> Vec<PhaseSpec> {
-    let mut out = Vec::with_capacity(4);
-    if demand.seq_page_reads > 0 {
-        out.push(PhaseSpec {
-            kind: PhaseKind::SeqRead,
-            size: demand.seq_page_reads as f64,
-        });
-    }
-    if demand.random_page_reads > 0 {
-        out.push(PhaseSpec {
-            kind: PhaseKind::RandRead,
-            size: demand.random_page_reads as f64,
-        });
-    }
-    if demand.cpu_cycles > 0.0 {
-        out.push(PhaseSpec {
-            kind: PhaseKind::Cpu,
-            size: demand.cpu_cycles,
-        });
-    }
-    if demand.page_writes > 0 {
-        out.push(PhaseSpec {
-            kind: PhaseKind::Write,
-            size: demand.page_writes as f64,
-        });
-    }
-    out
+/// totals, so the order is a convention). Empty components are skipped.
+pub(super) fn phases_of(demand: &ResourceDemand) -> impl Iterator<Item = PhaseSpec> {
+    [
+        (PhaseKind::SeqRead, demand.seq_page_reads as f64),
+        (PhaseKind::RandRead, demand.random_page_reads as f64),
+        (PhaseKind::Cpu, demand.cpu_cycles),
+        (PhaseKind::Write, demand.page_writes as f64),
+    ]
+    .into_iter()
+    .filter(|&(_, size)| size > 0.0)
+    .map(|(kind, size)| PhaseSpec { kind, size })
 }
 
 /// An in-flight phase with its integration anchor (rule 1 above).
@@ -205,6 +188,18 @@ pub(super) fn checked_event_us(completion_us: f64) -> Result<f64, VmmError> {
                 "phase completion at {completion_us} microseconds is not representable \
                  on the virtual clock"
             ),
+        })
+    }
+}
+
+/// Checks a phase's progress rate can finish it (finite and positive),
+/// returning the scheduler's typed error otherwise.
+pub(super) fn checked_rate(rate: f64) -> Result<f64, VmmError> {
+    if rate.is_finite() && rate > 0.0 {
+        Ok(rate)
+    } else {
+        Err(VmmError::InvalidSchedule {
+            reason: "no VM can make progress".to_string(),
         })
     }
 }
@@ -305,7 +300,7 @@ impl VmState {
         while self.phase_queue.is_empty() {
             match self.pending.pop() {
                 Some(demand) => {
-                    let mut phases = phases_of(&demand);
+                    let mut phases: Vec<PhaseSpec> = phases_of(&demand).collect();
                     phases.reverse();
                     if phases.is_empty() {
                         // Zero-demand query completes instantly.
@@ -348,7 +343,7 @@ impl VmState {
 pub(super) fn total_phases(jobs: &[super::VmJob]) -> usize {
     jobs.iter()
         .flat_map(|j| j.queries.iter())
-        .map(|q| phases_of(q).len().max(1))
+        .map(|q| phases_of(q).count().max(1))
         .sum::<usize>()
         + jobs.len()
         + 1

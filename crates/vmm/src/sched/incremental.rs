@@ -12,12 +12,14 @@
 //!   instant (the f64 microsecond value from
 //!   [`super::fluid::ActivePhase::completion_us`], compared by IEEE bit
 //!   pattern, which orders non-negative floats numerically). The loop is
-//!   generic over the structure ([`EventCore`]): capped mode uses the
-//!   binary heap with lazy invalidation ([`super::event_core::HeapCore`]),
-//!   work-conserving mode the calendar queue
+//!   generic over the structure ([`EventCore`]): production
+//!   work-conserving runs use the calendar queue
 //!   ([`super::calendar::CalendarCore`]) whose O(1) re-keys survive the
-//!   adversarial class-flipping regime — see [`super::SchedCore`] for the
-//!   mode-based selection and the override hook.
+//!   adversarial class-flipping regime; the binary heap with lazy
+//!   invalidation ([`super::event_core::HeapCore`]) is kept for the
+//!   differential suite and `ext_sched` — see [`super::SchedCore`].
+//!   Production capped runs never enter this loop: their VMs do not
+//!   interact, so [`super::walk`] needs no event structure at all.
 //!
 //! Per event it touches only the VMs whose effective rate can have
 //! changed: in [`SchedMode::Capped`] a completion perturbs nobody else,
@@ -52,8 +54,8 @@ use crate::{MachineSpec, ResourceVector, VmmError};
 use super::calendar::CalendarCore;
 use super::event_core::{EventCore, HeapCore};
 use super::fluid::{
-    checked_event_us, class_total, rate_of, report_instant, PhaseSpec, ResClass, VmState,
-    NUM_CLASSES,
+    checked_event_us, checked_rate, class_total, rate_of, report_instant, PhaseSpec, ResClass,
+    VmState, NUM_CLASSES,
 };
 use super::{SchedCore, SchedMode, VmJob, VmOutcome};
 
@@ -68,9 +70,11 @@ static TM_TOUCHED_HIST: telemetry::Histogram =
 static TM_HEAP_HIST: telemetry::Histogram = telemetry::Histogram::new("sched.heap_size");
 static TM_HEAP_PEAK: telemetry::Gauge = telemetry::Gauge::new("sched.heap_peak");
 
-/// Work counters of one incremental [`super::co_schedule`] run, exposed by
+/// Work counters of one [`super::co_schedule`] run, exposed by
 /// [`super::co_schedule_with_stats`] so benchmarks can report event counts
-/// and per-event locality without scraping telemetry.
+/// and per-event locality without scraping telemetry. A capped production
+/// run is a per-VM walk with no event structure: it reports `events ==
+/// vms_touched == phase_completions` and zero `heap_pushes` / `heap_peak`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Number of event batches processed (distinct completion instants).
@@ -99,6 +103,19 @@ impl SchedStats {
         self.vms_touched += other.vms_touched;
         self.heap_pushes += other.heap_pushes;
         self.heap_peak = self.heap_peak.max(other.heap_peak);
+    }
+
+    /// Adds one run's counters to the `sched.*` telemetry totals and to its
+    /// `sched.co_schedule` span.
+    pub(super) fn publish(&self, span: &mut telemetry::SpanGuard<'_>, vms: usize) {
+        TM_EVENTS.add(self.events);
+        TM_PHASES.add(self.phase_completions);
+        TM_TOUCHED.add(self.vms_touched);
+        span.set_attr("vms", vms);
+        span.set_attr("events", self.events);
+        span.set_attr("phase_completions", self.phase_completions);
+        span.set_attr("vms_touched", self.vms_touched);
+        span.set_attr("heap_peak", self.heap_peak);
     }
 }
 
@@ -290,15 +307,8 @@ fn run_loop<C: EventCore>(
     stats.heap_pushes = events.pushes();
     stats.heap_peak = events.peak();
 
-    TM_EVENTS.add(stats.events);
-    TM_PHASES.add(stats.phase_completions);
-    TM_TOUCHED.add(stats.vms_touched);
     TM_HEAP_PEAK.set(stats.heap_peak as f64);
-    span.set_attr("vms", n);
-    span.set_attr("events", stats.events);
-    span.set_attr("phase_completions", stats.phase_completions);
-    span.set_attr("vms_touched", stats.vms_touched);
-    span.set_attr("heap_peak", stats.heap_peak);
+    stats.publish(&mut span, n);
 
     Ok((super::collect_outcomes(states), stats))
 }
@@ -317,18 +327,8 @@ fn activate<C: EventCore>(
     phase_spec: PhaseSpec,
     now_us: f64,
 ) -> Result<(), VmmError> {
-    let rate = rate_of(
-        spec,
-        mode,
-        phase_spec.kind,
-        &shares[i],
-        totals[phase_spec.kind.class().index()],
-    );
-    if !(rate.is_finite() && rate > 0.0) {
-        return Err(VmmError::InvalidSchedule {
-            reason: "no VM can make progress".to_string(),
-        });
-    }
+    let total = totals[phase_spec.kind.class().index()];
+    let rate = checked_rate(rate_of(spec, mode, phase_spec.kind, &shares[i], total))?;
     let phase = super::fluid::ActivePhase::activate(phase_spec, now_us, rate);
     let key = checked_event_us(phase.completion_us())?;
     debug_assert!(key >= now_us, "activations must not project into the past");

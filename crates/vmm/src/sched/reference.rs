@@ -12,8 +12,8 @@
 use crate::{MachineSpec, ResourceVector, VmmError};
 
 use super::fluid::{
-    checked_event_us, class_total, rate_of, report_instant, total_phases, ActivePhase, PhaseSpec,
-    ResClass, VmState, NUM_CLASSES,
+    checked_event_us, checked_rate, class_total, rate_of, report_instant, total_phases,
+    ActivePhase, PhaseSpec, ResClass, VmState, NUM_CLASSES,
 };
 use super::{SchedMode, VmJob, VmOutcome};
 
@@ -122,12 +122,8 @@ fn sync_rates(
         let Some(kind) = kinds[i] else {
             continue;
         };
-        let rate = rate_of(spec, mode, kind, &shares[i], totals[kind.class().index()]);
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(VmmError::InvalidSchedule {
-                reason: "no VM can make progress".to_string(),
-            });
-        }
+        let total = totals[kind.class().index()];
+        let rate = checked_rate(rate_of(spec, mode, kind, &shares[i], total))?;
         if let Some(phase_spec) = to_activate[i].take() {
             let phase = ActivePhase::activate(phase_spec, now_us, rate);
             checked_event_us(phase.completion_us())?;

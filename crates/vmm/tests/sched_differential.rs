@@ -1,13 +1,17 @@
-//! Differential suite for the incremental event-driven scheduler.
+//! Differential suite for the co-scheduler's implementations.
 //!
 //! Pins the determinism contract of `crates/vmm/src/sched`: for every
-//! input, **all three event cores** report **identical** completions — the
+//! input, **every implementation** reports **identical** completions — the
 //! reported `SimTime`s compare equal, which at the microsecond clock's
 //! integer representation means bit-identical:
 //!
 //! * [`co_schedule_reference`] — the whole-fleet rescan baseline,
-//! * [`SchedCore::Heap`] — the binary heap with lazy invalidation,
-//! * [`SchedCore::Calendar`] — the calendar queue with per-VM handles,
+//! * [`co_schedule`] — the production path: the per-VM closed-form walk in
+//!   capped mode, the calendar event loop in work-conserving mode,
+//! * [`SchedCore::Heap`] — the event loop on the binary heap with lazy
+//!   invalidation,
+//! * [`SchedCore::Calendar`] — the event loop on the calendar queue with
+//!   per-VM handles,
 //!
 //! across random fleets, both scheduling modes, the class-flipping
 //! adversarial mix (every query alternates resource class, so
@@ -97,7 +101,7 @@ fn arb_fleet() -> impl Strategy<Value = Fleet> {
 }
 
 /// Runs every implementation — the reference rescan loop, the
-/// mode-selected production core, and both explicit event cores — and
+/// mode-selected production path, and both explicit event cores — and
 /// asserts the determinism contract plus the per-VM structural
 /// invariants; returns the shared outcome.
 fn assert_identical(spec: MachineSpec, fleet: &Fleet, mode: SchedMode) -> Vec<VmOutcome> {
@@ -291,21 +295,117 @@ proptest! {
         }
     }
 
-    /// The incremental scheduler's work accounting is consistent: phase
-    /// completions equal the fleet's total phase count, and capped-mode
-    /// events touch exactly the completing VMs.
+    /// The capped walk's stated `SchedStats` contract: `phase_completions`
+    /// is exact (one per non-empty demand component, the number the event
+    /// loop retires too) and equals `vms_touched`; `events` never exceeds
+    /// it; `heap_pushes` and `heap_peak` are 0, no structure existing.
     #[test]
     fn prop_stats_are_consistent(fleet in arb_fleet()) {
         let spec = MachineSpec::paper_testbed();
         let alloc = AllocationMatrix::new(fleet.rows.clone()).unwrap();
+        let phases: u64 = fleet
+            .jobs
+            .iter()
+            .flat_map(|j| &j.queries)
+            .map(|d| {
+                u64::from(d.seq_page_reads > 0)
+                    + u64::from(d.random_page_reads > 0)
+                    + u64::from(d.cpu_cycles > 0.0)
+                    + u64::from(d.page_writes > 0)
+            })
+            .sum();
         let (_, stats) =
             co_schedule_with_stats(spec, &alloc, &fleet.jobs, SchedMode::Capped).unwrap();
-        prop_assert!(stats.phase_completions >= stats.events);
-        prop_assert_eq!(
-            stats.vms_touched,
-            stats.phase_completions,
-            "capped completions must touch only the completing VMs"
-        );
-        prop_assert!(stats.heap_peak <= fleet.jobs.len() + 1);
+        prop_assert_eq!(stats.phase_completions, phases);
+        prop_assert_eq!(stats.vms_touched, phases, "a capped completion touches only its own VM");
+        prop_assert!(stats.events <= phases);
+        prop_assert_eq!((stats.heap_pushes, stats.heap_peak), (0, 0));
+        for core in CORES {
+            let (_, looped) =
+                co_schedule_with_core(spec, &alloc, &fleet.jobs, SchedMode::Capped, core).unwrap();
+            prop_assert_eq!(looped.phase_completions, phases);
+            prop_assert_eq!(looped.vms_touched, phases);
+            prop_assert!(looped.events <= phases);
+            prop_assert!(looped.heap_peak <= fleet.jobs.len() + 1);
+        }
     }
+}
+
+/// Hand cases for the capped walk, each through all four implementations:
+/// zero-demand queries in every position, empty jobs, and many VMs
+/// completing at the same instant.
+#[test]
+fn capped_hand_cases_stay_identical() {
+    let spec = MachineSpec::paper_testbed();
+    let z = ResourceDemand::ZERO;
+    let q = demand(1.4e9, 200, 10, 3);
+    let streams: Vec<Vec<ResourceDemand>> = vec![
+        vec![],
+        vec![z],
+        vec![z, z, z],
+        vec![z, q],
+        vec![q, z],
+        vec![z, z, q, z, z, q, z],
+        vec![q, demand(0.0, 0, 0, 7), z, demand(2.9e4, 0, 0, 0)],
+    ];
+    // Every stream next to every other one, on unequal shares.
+    let mixed = Fleet {
+        rows: (0..streams.len())
+            .map(|i| {
+                let f = (1.0 + i as f64) / 40.0;
+                ResourceVector::from_fractions(f, 0.1, 0.2 - f).unwrap()
+            })
+            .collect(),
+        jobs: streams.iter().cloned().map(VmJob::new).collect(),
+    };
+    let out = assert_identical(spec, &mixed, SchedMode::Capped);
+    assert_eq!(out[0].completion, SimTime::ZERO);
+    assert_eq!(out[2].query_completions, vec![SimTime::ZERO; 3]);
+    assert_eq!(out[3].query_completions[0], SimTime::ZERO);
+    assert_eq!(out[4].query_completions[0], out[4].query_completions[1]);
+    // Only empty jobs: nothing to schedule at all.
+    let idle = Fleet {
+        rows: AllocationMatrix::equal_split(3).unwrap().rows().copied().collect(),
+        jobs: vec![VmJob::new(vec![]); 3],
+    };
+    assert_identical(spec, &idle, SchedMode::Capped);
+    // 24 identical VMs: every phase boundary is one 24-way simultaneous batch.
+    for stream in &streams {
+        let same = Fleet {
+            rows: AllocationMatrix::equal_split(24).unwrap().rows().copied().collect(),
+            jobs: vec![VmJob::new(stream.clone()); 24],
+        };
+        let out = assert_identical(spec, &same, SchedMode::Capped);
+        assert!(out.iter().all(|o| o == &out[0]));
+    }
+}
+
+/// A demand that overflows the virtual clock is the same
+/// `VmmError::InvalidSchedule` variant from all four capped
+/// implementations, wherever it sits. The event loops meet offenders in
+/// event order, the walk in VM order: with several offending VMs the walk
+/// reports the lowest-indexed one (here VM 1's instant, not VM 2's).
+#[test]
+fn capped_clock_overflow_is_the_same_variant_everywhere() {
+    let spec = MachineSpec::paper_testbed();
+    let alloc = AllocationMatrix::equal_split(3).unwrap();
+    let q = demand(1.4e9, 200, 10, 3);
+    let jobs = [
+        VmJob::new(vec![q, q]),
+        VmJob::new(vec![q, q, demand(1e300, 0, 0, 0), q]),
+        VmJob::new(vec![demand(1e301, 0, 0, 0)]),
+    ];
+    let reason = |r: Result<Vec<VmOutcome>, VmmError>| match r {
+        Err(VmmError::InvalidSchedule { reason }) => reason,
+        other => panic!("expected InvalidSchedule, got {other:?}"),
+    };
+    let walk = reason(co_schedule(spec, &alloc, &jobs, SchedMode::Capped));
+    reason(co_schedule_reference(spec, &alloc, &jobs, SchedMode::Capped));
+    for core in CORES {
+        let looped = co_schedule_with_core(spec, &alloc, &jobs, SchedMode::Capped, core);
+        reason(looped.map(|(out, _)| out));
+    }
+    let only_vm1 = [jobs[0].clone(), jobs[1].clone(), jobs[0].clone()];
+    let alone = reason(co_schedule(spec, &alloc, &only_vm1, SchedMode::Capped));
+    assert_eq!(walk, alone, "the walk must report VM 1, the lowest-indexed offender");
 }

@@ -32,7 +32,7 @@ done
 cargo test -q
 
 # `cargo test` never builds the `harness = false` Criterion benches, so an
-# engine or storage signature change could rot all six unnoticed: compile
+# engine or storage signature change could rot all seven unnoticed: compile
 # them (without running any).
 cargo bench --no-run --offline -p dbvirt-bench
 
