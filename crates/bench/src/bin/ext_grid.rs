@@ -6,7 +6,11 @@
 //! Calibrates a dense CPU-axis grid as ground truth, then compares coarse
 //! grids (with bilinear interpolation for off-grid allocations) on two
 //! criteria: parameter error, and whether the interpolated what-if model
-//! still ranks candidate CPU allocations for Q13 the same way.
+//! still ranks candidate CPU allocations for Q13 the same way. A second
+//! table sweeps the *memory* axis. Every sweep, on either axis, must make
+//! exactly ten engine runs — the probe suite executed once, every memory
+//! configuration answered by replaying its page references — or the binary
+//! panics.
 
 use dbvirt_bench::{
     experiment_machine, json_array, print_table, write_bench_artifact, JsonObj,
@@ -14,7 +18,7 @@ use dbvirt_bench::{
 use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_optimizer::whatif::estimate_query_seconds;
 use dbvirt_tpch::{TpchConfig, TpchDb, TpchQuery};
-use dbvirt_vmm::ResourceVector;
+use dbvirt_vmm::{MachineSpec, ResourceVector};
 
 /// The calibration probe-run count from the global telemetry registry.
 fn probe_runs() -> u64 {
@@ -32,11 +36,48 @@ fn engine_runs() -> usize {
         .count()
 }
 
-fn cpu_axis(n: usize) -> Vec<f64> {
-    // n points spanning 25%..75%.
-    (0..n)
-        .map(|i| 0.25 + 0.5 * i as f64 / (n - 1) as f64)
-        .collect()
+/// Executions behind any sweep: 8 probes, 2 of them preceded by a warm-up.
+const RUNS_PER_SWEEP: usize = 10;
+
+/// `n` points spanning 25%..75% (the midpoint alone for one).
+fn axis(n: usize) -> Vec<f64> {
+    match n {
+        1 => vec![0.5],
+        _ => (0..n)
+            .map(|i| 0.25 + 0.5 * i as f64 / (n - 1) as f64)
+            .collect(),
+    }
+}
+
+/// What one sweep cost.
+struct SweepCost {
+    probe_runs: u64,
+    engine_runs: usize,
+    wall_ms: f64,
+}
+
+impl SweepCost {
+    fn cell(&self) -> String {
+        format!("{} / {:.0}", self.engine_runs, self.wall_ms)
+    }
+}
+
+/// Calibrates a `cpu` × `mem` grid, counting the work behind it. Whatever
+/// the axes hold, the sweep must have executed the probe suite once.
+fn sweep(machine: MachineSpec, cpu: usize, mem: usize) -> (CalibrationGrid, SweepCost) {
+    let (probes_before, runs_before) = (probe_runs(), engine_runs());
+    let start = std::time::Instant::now();
+    let grid = CalibrationGrid::calibrate(machine, axis(cpu), axis(mem), 0.5).expect("grid");
+    let cost = SweepCost {
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        probe_runs: probe_runs() - probes_before,
+        engine_runs: engine_runs() - runs_before,
+    };
+    assert_eq!(
+        cost.engine_runs, RUNS_PER_SWEEP,
+        "a {cpu} x {mem} sweep must execute each probe once"
+    );
+    (grid, cost)
 }
 
 fn main() {
@@ -52,13 +93,10 @@ fn main() {
 
     let dense_n = 9;
     println!("Calibrating the dense reference grid ({dense_n} CPU points) ...");
-    let probes_before_dense = probe_runs();
-    let dense =
-        CalibrationGrid::calibrate(machine, cpu_axis(dense_n), vec![0.5], 0.5).expect("dense grid");
-    let dense_probe_runs = probe_runs() - probes_before_dense;
+    let (dense, dense_cost) = sweep(machine, dense_n, 1);
 
     // Probe allocations: every dense grid point.
-    let probes: Vec<f64> = cpu_axis(dense_n);
+    let probes: Vec<f64> = axis(dense_n);
     let reference: Vec<f64> = probes
         .iter()
         .map(|&cpu| {
@@ -72,13 +110,7 @@ fn main() {
     let mut bench_grids = Vec::new();
     for coarse_n in [2usize, 3, 5, 9] {
         println!("Calibrating a {coarse_n}-point grid ...");
-        let (probes_before, runs_before) = (probe_runs(), engine_runs());
-        let grid_start = std::time::Instant::now();
-        let coarse = CalibrationGrid::calibrate(machine, cpu_axis(coarse_n), vec![0.5], 0.5)
-            .expect("coarse grid");
-        let grid_ms = grid_start.elapsed().as_secs_f64() * 1e3;
-        let grid_probe_runs = probe_runs() - probes_before;
-        let grid_engine_runs = engine_runs() - runs_before;
+        let (coarse, cost) = sweep(machine, coarse_n, 1);
         let mut max_param_err: f64 = 0.0;
         let mut max_est_err: f64 = 0.0;
         let mut estimates = Vec::new();
@@ -103,9 +135,9 @@ fn main() {
         bench_grids.push(
             JsonObj::new()
                 .int("grid_points", coarse_n as u64)
-                .int("probe_runs", grid_probe_runs)
-                .int("engine_runs", grid_engine_runs as u64)
-                .float("wall_ms", grid_ms)
+                .int("probe_runs", cost.probe_runs)
+                .int("engine_runs", cost.engine_runs as u64)
+                .float("wall_ms", cost.wall_ms)
                 .float("max_param_err", max_param_err)
                 .float("max_estimate_err", max_est_err)
                 .str("ranking_preserved", if ranking_ok { "yes" } else { "no" })
@@ -116,7 +148,32 @@ fn main() {
             format!("{:.1}%", max_param_err * 100.0),
             format!("{:.1}%", max_est_err * 100.0),
             if ranking_ok { "yes" } else { "NO" }.to_string(),
-            format!("{grid_engine_runs} / {grid_ms:.0}"),
+            cost.cell(),
+        ]);
+    }
+
+    // The memory axis: every point is its own buffer pool (and, past the
+    // 4 MiB floor, its own `work_mem`), none of them an execution.
+    let mem_cpu_n = 3;
+    let mut mem_rows = Vec::new();
+    let mut bench_mem_grids = Vec::new();
+    for mem_n in [1usize, 2, 3, 5, 9] {
+        println!("Calibrating a {mem_cpu_n} x {mem_n} grid ...");
+        let (_, cost) = sweep(machine, mem_cpu_n, mem_n);
+        bench_mem_grids.push(
+            JsonObj::new()
+                .int("cpu_points", mem_cpu_n as u64)
+                .int("mem_points", mem_n as u64)
+                .int("probe_runs", cost.probe_runs)
+                .int("engine_runs", cost.engine_runs as u64)
+                .float("wall_ms", cost.wall_ms)
+                .render(),
+        );
+        mem_rows.push(vec![
+            mem_n.to_string(),
+            (mem_cpu_n * mem_n).to_string(),
+            cost.probe_runs.to_string(),
+            cost.cell(),
         ]);
     }
 
@@ -134,9 +191,23 @@ fn main() {
     println!(
         "\nShape check: a 3-point grid already preserves the allocation ranking, which is all \
          the virtualization design search consumes — the paper's 'only used to rank \
-         alternatives' observation carries to P(R) itself. Engine runs follow the memory \
-         axis alone (one point here, so 10 per grid): CPU points are priced from the same \
-         executions, and a denser CPU axis costs arithmetic, not experiments."
+         alternatives' observation carries to P(R) itself."
+    );
+    print_table(
+        "EXT-GRID: the memory axis (3 CPU points x M memory points, 25-75%)",
+        &[
+            "memory points",
+            "cells",
+            "probe measurements",
+            "engine runs / wall ms",
+        ],
+        &mem_rows,
+    );
+    println!(
+        "\nShape check: {RUNS_PER_SWEEP} engine runs per sweep on both axes (asserted) — the \
+         probe suite executes once, each memory point replays its page references through a \
+         buffer pool of its own size, and CPU points are priced from the same demands: a \
+         denser grid costs arithmetic on every axis, not experiments."
     );
 
     let snap = dbvirt_telemetry::snapshot();
@@ -144,8 +215,9 @@ fn main() {
         .str("experiment", "ext_grid")
         .float("wall_secs", wall_start.elapsed().as_secs_f64())
         .int("dense_grid_points", dense_n as u64)
-        .int("dense_probe_runs", dense_probe_runs)
+        .int("dense_probe_runs", dense_cost.probe_runs)
         .raw("grids", json_array(&bench_grids))
+        .raw("memory_grids", json_array(&bench_mem_grids))
         .int("probe_runs_total", snap.counter("calibrate.probe_runs").unwrap_or(0))
         .int("retries_total", snap.counter("calibrate.retries").unwrap_or(0))
         .int(

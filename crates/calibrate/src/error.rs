@@ -56,6 +56,16 @@ pub enum CalError {
     },
 }
 
+impl CalError {
+    /// `probe` — or a `<stage>` of calibration that is not a probe — failed.
+    pub(crate) fn probe_failed(probe: &str, reason: impl ToString) -> CalError {
+        CalError::ProbeFailed {
+            probe: probe.to_string(),
+            reason: reason.to_string(),
+        }
+    }
+}
+
 impl fmt::Display for CalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -11,18 +11,20 @@
 //! experiments vary; the disk share is a fixed policy per grid (the 2007
 //! Xen testbed could not throttle disk independently).
 //!
-//! ## One execution per memory point
+//! ## One execution per sweep
 //!
-//! A probe's [`dbvirt_vmm::ResourceDemand`] depends on an allocation only through the
-//! buffer-pool size and `work_mem`, both derived from the memory share
-//! ([`DbVmConfig`]); CPU and disk shares decide what that demand *costs*.
-//! A sweep therefore **executes** each probe once per distinct memory
-//! configuration — `M × 10` engine runs for a `C × M` grid, shared out to
-//! one worker per core as claimable tasks on copies of the process-wide
-//! [`ProbeDb::template`] — and then **prices** and fits all `C × M` cells
-//! from those demands, which is arithmetic. Fault injection is untouched:
-//! noise is drawn per cell from the priced seconds, never from the
-//! execution.
+//! A probe's [`dbvirt_vmm::ResourceDemand`] depends on an allocation only
+//! through the buffer-pool size and `work_mem`, both derived from the
+//! memory share ([`DbVmConfig`]) — and those never change what the
+//! execution does, only which of its page references miss and what its
+//! sorts and joins spill. A sweep therefore **profiles** each probe once —
+//! 10 engine runs for any `C × M` grid, shared out to one worker per core
+//! as claimable tasks on copies of the process-wide [`ProbeDb::template`] —
+//! **replays** the profiles under each distinct memory configuration, and
+//! then **prices** and fits all `C × M` cells from those demands. Both
+//! steps after the first are arithmetic: every axis of the grid is as free
+//! as a cell. Fault injection is untouched: noise is drawn per cell from
+//! the priced seconds, never from the execution.
 //!
 //! ## Graceful degradation
 //!
@@ -49,12 +51,13 @@
 use crate::json::Json;
 use crate::probes::{build_probes, Probe};
 use crate::report::CalibrationReport;
-use crate::runner::{calibrate_cell, execute_probe, vm_and_config, CalibrationConfig, DemandMemo};
+use crate::runner::{calibrate_cell, profile_probe, vm_and_config, CalibrationConfig, DemandMemo};
 use crate::vmdb::DbVmConfig;
 use crate::{CalError, ProbeDb};
+use dbvirt_engine::Profile;
 use dbvirt_optimizer::OptimizerParams;
 use dbvirt_vmm::kernel::{claim_and_reduce, workers_for, PoolError};
-use dbvirt_vmm::{MachineSpec, ResourceVector, VmmError};
+use dbvirt_vmm::{MachineSpec, ResourceVector};
 use std::fmt;
 
 /// The parameters the probe system actually measures (everything else in
@@ -246,42 +249,32 @@ fn nearest_donors(donors: &[(usize, usize)], c: usize, m: usize) -> Vec<(usize, 
     donors.iter().filter(|d| dist(d) == min).copied().collect()
 }
 
-/// Executes every `(configuration, probe)` pair once and returns the memo
-/// of their demands. The pairs are the tasks of one [`claim_and_reduce`]
-/// call, each worker on its own copy of the probe database; a probe's
-/// demand does not depend on which copy ran it, so the memo (and the error
-/// surfaced, if any) is the same at any worker count.
-fn execute_tasks(
+/// Profiles every probe once. The probes are the tasks of one
+/// [`claim_and_reduce`] call, each worker on its own copy of the probe
+/// database; a probe's profile does not depend on which copy ran it, so the
+/// profiles (and the error surfaced, if any) are the same at any worker
+/// count.
+fn profile_tasks(
     template: &ProbeDb,
     probes: &[Probe],
-    configs: Vec<DbVmConfig>,
+    carrier_pages: usize,
     parallelism: usize,
-) -> Result<DemandMemo, CalError> {
-    let n_tasks = configs.len() * probes.len();
-    let demands = claim_and_reduce(
-        n_tasks,
-        workers_for(parallelism, n_tasks),
+) -> Result<Vec<Profile>, CalError> {
+    claim_and_reduce(
+        probes.len(),
+        workers_for(parallelism, probes.len()),
         "calibrate.grid_worker",
         || template.clone(),
-        |pdb, at| execute_probe(pdb, &probes[at % probes.len()], &configs[at / probes.len()]),
+        |pdb, at| profile_probe(pdb, &probes[at], carrier_pages),
     )
     .map_err(|e| match e {
         PoolError::Task(e) => e,
-        PoolError::Panicked(payload) => CalError::ProbeFailed {
-            probe: "<worker>".to_string(),
-            reason: payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panicked".to_string()),
-        },
-    })?;
-    let mut demands = demands.into_iter();
-    let entries = configs
-        .into_iter()
-        .map(|cfg| (cfg, demands.by_ref().take(probes.len()).collect()))
-        .collect();
-    Ok(DemandMemo { entries })
+        PoolError::Panicked(payload) => {
+            let message = payload.downcast_ref::<&str>().map(|s| s.to_string());
+            let message = message.or_else(|| payload.downcast_ref::<String>().cloned());
+            CalError::probe_failed("<worker>", message.as_deref().unwrap_or("panicked"))
+        }
+    })
 }
 
 impl CalibrationGrid {
@@ -303,8 +296,8 @@ impl CalibrationGrid {
 
     /// Calibrates a grid under an explicit robustness/fault configuration,
     /// with per-cell graceful degradation (see the module docs). Probes are
-    /// executed once per memory point, on one worker per core, and every
-    /// cell is priced from those executions.
+    /// executed once per sweep, on one worker per core, and every cell is
+    /// priced from a replay of those executions.
     pub fn calibrate_with_config(
         machine: MachineSpec,
         cpu_points: Vec<f64>,
@@ -339,12 +332,8 @@ impl CalibrationGrid {
         let mut configs: Vec<DbVmConfig> = Vec::new();
         for (c, &cpu) in cpu_points.iter().enumerate() {
             for (m, &mem) in mem_points.iter().enumerate() {
-                let shares = ResourceVector::from_fractions(cpu, mem, disk_share).map_err(
-                    |e: VmmError| CalError::ProbeFailed {
-                        probe: "<shares>".to_string(),
-                        reason: e.to_string(),
-                    },
-                )?;
+                let shares = ResourceVector::from_fractions(cpu, mem, disk_share)
+                    .map_err(|e| CalError::probe_failed("<shares>", e))?;
                 let (_, cfg) = vm_and_config(machine, shares)?;
                 if !configs.contains(&cfg) {
                     configs.push(cfg);
@@ -353,11 +342,12 @@ impl CalibrationGrid {
             }
         }
 
-        // Execute: each (configuration, probe) pair once, whatever the CPU
-        // axis holds and however many workers share the tasks.
+        // Execute: each probe once, whatever either axis holds and however
+        // many workers share the tasks; then one replay per configuration.
         let template = ProbeDb::template()?;
         let probes = build_probes(template);
-        let memo = execute_tasks(template, &probes, configs, parallelism)?;
+        let profile = |pages| profile_tasks(template, &probes, pages, parallelism);
+        let memo = DemandMemo::fill(&probes, configs, profile)?;
 
         // Price and fit: pure arithmetic per cell, in row-major order.
         let default = OptimizerParams::postgres_defaults();
@@ -1062,9 +1052,9 @@ mod tests {
 
     #[test]
     fn memoized_sweep_equals_per_cell_calibration() {
-        // The sweep executes probes once per memory point and prices 16
-        // cells from them; calibrating each cell on its own, on a freshly
-        // built database, executes everything again. Same bits either way,
+        // The sweep executes the probes once and prices 16 cells from
+        // them; calibrating each cell on its own, on a freshly built
+        // database, executes everything again. Same bits either way,
         // clean and under fault injection (noise is drawn per cell from the
         // priced seconds).
         let machine = MachineSpec::paper_testbed();
@@ -1115,7 +1105,7 @@ mod tests {
         let one = sweep(1);
         assert_same_grid(&one, &sweep(2), "1 vs 2 workers");
         assert_same_grid(&one, &sweep(5), "1 vs 5 workers");
-        // More workers than the 4 × 8 tasks, and none at all, are clamped.
+        // More workers than the 8 tasks, and none at all, are clamped.
         assert_same_grid(&one, &sweep(64), "1 vs 64 workers");
         assert_same_grid(&one, &sweep(0), "1 vs 0 workers");
     }
@@ -1143,16 +1133,11 @@ mod tests {
 
     #[test]
     fn a_panicking_worker_is_a_typed_error() {
-        // A configuration no buffer pool accepts makes every worker panic
-        // on the storage layer's own assert.
+        // A carrier no buffer pool accepts makes every worker panic on the
+        // storage layer's own assert.
         let template = ProbeDb::template().unwrap();
         let probes = build_probes(template);
-        let zero_pool = DbVmConfig {
-            buffer_pool_pages: 0,
-            work_mem_bytes: 1 << 20,
-            effective_cache_pages: 0,
-        };
-        let err = execute_tasks(template, &probes, vec![zero_pool], 2).unwrap_err();
+        let err = profile_tasks(template, &probes, 0, 2).unwrap_err();
         match err {
             CalError::ProbeFailed { probe, reason } => {
                 assert_eq!(probe, "<worker>");

@@ -19,11 +19,12 @@
 //!   `cpu_operator_cost` — is probe number one);
 //! * [`solver`] — dense linear least squares via normal equations and
 //!   Gaussian elimination with partial pivoting;
-//! * [`runner`] — [`runner::calibrate`]: execute the probes under `R`'s
-//!   memory configuration → price the demands at `R`'s shares → solve →
+//! * [`runner`] — [`runner::calibrate`]: execute the probes once → replay
+//!   their page references and spills under `R`'s memory configuration →
+//!   price the demands at `R`'s shares → solve →
 //!   [`dbvirt_optimizer::OptimizerParams`];
 //! * [`grid`] — [`grid::CalibrationGrid`]: `P(R)` over a share grid (probes
-//!   executed once per memory point, every cell priced from them) with
+//!   executed once per sweep, every cell priced from a replay of them) with
 //!   bilinear interpolation for off-grid allocations and a JSON cache, the
 //!   paper's "calibrate once per machine, reuse everywhere" and its
 //!   "reduce the number of calibration experiments" next step;

@@ -98,12 +98,9 @@ impl ProbeDb {
             .get_or_init(|| {
                 #[cfg(test)]
                 TEMPLATE_BUILDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let probe_db = |reason: String| CalError::ProbeFailed {
-                    probe: "<probe-db>".to_string(),
-                    reason,
-                };
-                let pdb = ProbeDb::build().map_err(|e| probe_db(e.to_string()))?;
-                pdb.validate().map_err(probe_db)?;
+                let pdb = ProbeDb::build().map_err(|e| CalError::probe_failed("<probe-db>", e))?;
+                pdb.validate()
+                    .map_err(|e| CalError::probe_failed("<probe-db>", e))?;
                 Ok(pdb)
             })
             .as_ref()

@@ -1,19 +1,26 @@
 //! Running a calibration: probes → measurements → least squares → `P(R)`.
 //!
 //! `calibrate` is the paper's "experimental calibration process, performed
-//! once for each `R`", in two steps. **Execute**: run each probe on a cold
-//! buffer pool sized from the VM's memory and record the
-//! [`dbvirt_vmm::ResourceDemand`] it generated — the only step that touches
-//! the engine, and one that sees nothing of `R` but its memory
-//! configuration. **Price**: convert those demands into the seconds a VM
-//! with `R`'s shares would have measured (optionally through a
-//! [`FaultInjector`]) and solve the overdetermined linear system for the
-//! five time-domain parameters. A grid sweep executes once per memory
-//! point and prices every cell from that memo; a single calibration is the
-//! same code with a one-entry memo. Memory-derived settings
-//! (`effective_cache_size`, `work_mem`) come from the deployment policy in
-//! [`crate::vmdb`] — they are configured, not measured, just as a DBA sets
-//! them from the machine's known RAM.
+//! once for each `R`", in three steps. **Profile**: execute each probe once
+//! and keep what the execution did — its page references in order, its CPU
+//! cycles, what its sorts and joins held ([`dbvirt_engine::Profile`]) — the
+//! only step that touches the engine, and one that sees nothing of `R`.
+//! **Replay**: turn the profiles into the [`dbvirt_vmm::ResourceDemand`]
+//! each probe would have generated on a cold buffer pool under `R`'s memory
+//! configuration: the pool's one clock sweep run over the recorded
+//! references, and the spill formulas at `R`'s `work_mem`. A memory
+//! configuration never changes what an execution does, only which of its
+//! references miss and what spills, so the replay is exact — bit for bit
+//! what executing under that configuration charges — and costs arithmetic.
+//! **Price**: convert those demands into the seconds a VM with `R`'s shares
+//! would have measured (optionally through a [`FaultInjector`]) and solve
+//! the overdetermined linear system for the five time-domain parameters. A
+//! grid sweep profiles once, replays once per memory point and prices every
+//! cell from that memo; a single calibration is the same code with a
+//! one-entry memo. Memory-derived settings (`effective_cache_size`,
+//! `work_mem`) come from the deployment policy in [`crate::vmdb`] — they are
+//! configured, not measured, just as a DBA sets them from the machine's
+//! known RAM.
 //!
 //! Real probe timings are noisy, so the runner also supports a robust
 //! mode ([`CalibrationConfig::robust`]) designed to survive the faults a
@@ -38,7 +45,7 @@
 use crate::probes::{build_probes, CacheState, Probe, NUM_UNKNOWNS};
 use crate::report::{CalibrationReport, ProbeStat};
 use crate::{solver, CalError, DbVmConfig, ProbeDb};
-use dbvirt_engine::{run_plan, CpuCosts};
+use dbvirt_engine::{CpuCosts, Profile};
 use dbvirt_optimizer::OptimizerParams;
 use dbvirt_storage::BufferPool;
 use dbvirt_telemetry as telemetry;
@@ -212,67 +219,87 @@ pub(crate) fn vm_and_config(
     spec: MachineSpec,
     shares: ResourceVector,
 ) -> Result<(VirtualMachine, DbVmConfig), CalError> {
-    let vm = VirtualMachine::new(spec, shares).map_err(|e| CalError::ProbeFailed {
-        probe: "<setup>".to_string(),
-        reason: e.to_string(),
-    })?;
+    let vm = VirtualMachine::new(spec, shares).map_err(|e| CalError::probe_failed("<setup>", e))?;
     let cfg = DbVmConfig::for_vm(&vm);
     Ok((vm, cfg))
 }
 
-/// **Execute**: runs one probe's plan under one memory configuration and
-/// returns the physical work it generated. This is the only step of
-/// calibration that touches the engine, and the memory configuration is
-/// the only part of an allocation it can see: CPU and disk shares change
-/// what the demand *costs*, never the demand.
-pub(crate) fn execute_probe(
+/// **Profile**: executes one probe's plan — twice for a warm probe, whose
+/// first run only populates the cache — and returns what the execution did,
+/// free of any memory configuration. This is the only step of calibration
+/// that touches the engine, and it sees nothing of an allocation at all:
+/// memory decides which of the recorded page references miss and what the
+/// recorded sorts and joins spill, CPU and disk shares what that costs.
+/// `carrier_pages` sizes the pool that hands the executor its pages and
+/// changes nothing about the profile.
+pub(crate) fn profile_probe(
     pdb: &mut ProbeDb,
     probe: &Probe,
-    cfg: &DbVmConfig,
-) -> Result<ResourceDemand, CalError> {
-    // Cold cache per probe, as in the paper's controlled measurements;
-    // warm probes run once unmeasured first to populate the cache.
-    let mut pool = BufferPool::new(cfg.buffer_pool_pages);
-    let mut run = |what: &str| {
-        run_plan(
-            &mut pdb.db,
-            &mut pool,
-            &probe.plan,
-            cfg.work_mem_bytes,
-            CpuCosts::default(),
-        )
-        .map_err(|e| CalError::ProbeFailed {
-            probe: probe.name.to_string(),
-            reason: format!("{what}{e}"),
-        })
-    };
-    if probe.cache == CacheState::Warm {
-        run("warm-up failed: ")?;
+    carrier_pages: usize,
+) -> Result<Profile, CalError> {
+    // Cold cache per probe, as in the paper's controlled measurements.
+    let mut carrier = BufferPool::new(carrier_pages);
+    let mut profile = Profile::new();
+    let warm_up = (probe.cache == CacheState::Warm).then_some("warm-up failed: ");
+    for what in warm_up.into_iter().chain([""]) {
+        profile
+            .run(&mut pdb.db, &mut carrier, &probe.plan, CpuCosts::default())
+            .map_err(|e| CalError::probe_failed(probe.name, format!("{what}{e}")))?;
     }
-    Ok(run("")?.demand)
+    Ok(profile)
 }
 
-/// The probe suite's demands under each memory configuration executed so
-/// far. A single-cell calibration holds one entry; a grid sweep holds one
-/// per distinct configuration on its memory axis and prices every cell
-/// from it.
+/// The probe suite's demands under each memory configuration asked for. A
+/// single-cell calibration holds one entry; a grid sweep holds one per
+/// distinct configuration on its memory axis and prices every cell from it.
 #[derive(Debug)]
 pub(crate) struct DemandMemo {
-    /// Each executed configuration with the suite's demands under it, in
-    /// probe order.
+    /// Each configuration with the suite's demands under it, in probe
+    /// order.
     pub(crate) entries: Vec<(DbVmConfig, Vec<ResourceDemand>)>,
 }
 
 impl DemandMemo {
+    /// Profiles the suite once — `profile` is handed the carrier's size: the
+    /// largest configuration's pool, so the carrier misses no more than any
+    /// execution would have — then **replays**: each probe's measured
+    /// demand (its last run's) under each of `configs`, exactly what
+    /// executing the suite on a cold pool of that configuration would have
+    /// charged. Arithmetic over the profiles, once per configuration however
+    /// many cells share it. A configuration no execution could run under is
+    /// refused before any probe runs.
+    pub(crate) fn fill(
+        probes: &[Probe],
+        configs: Vec<DbVmConfig>,
+        profile: impl FnOnce(usize) -> Result<Vec<Profile>, CalError>,
+    ) -> Result<DemandMemo, CalError> {
+        let runnable = |c: &DbVmConfig| c.buffer_pool_pages > 0 && c.work_mem_bytes > 0;
+        let largest = configs.iter().map(|c| c.buffer_pool_pages).max();
+        let Some(carrier_pages) = largest.filter(|_| configs.iter().all(runnable)) else {
+            let reason = format!("no probe can execute under every one of {configs:?}");
+            return Err(CalError::probe_failed("<setup>", reason));
+        };
+        let profiles = profile(carrier_pages)?;
+
+        let _span = telemetry::span("calibrate.replay");
+        let suite = |cfg: DbVmConfig| {
+            let measured = probes.iter().zip(&profiles).map(|(probe, profile)| {
+                let runs = profile
+                    .demand_under(cfg.buffer_pool_pages, cfg.work_mem_bytes)
+                    .map_err(|e| CalError::probe_failed(probe.name, e))?;
+                Ok(*runs.last().expect("a profiled probe has a measured run"))
+            });
+            Ok((cfg, measured.collect::<Result<_, CalError>>()?))
+        };
+        let entries = configs.into_iter().map(suite).collect::<Result<_, CalError>>()?;
+        Ok(DemandMemo { entries })
+    }
+
     fn get(&self, cfg: &DbVmConfig) -> Result<&[ResourceDemand], CalError> {
-        self.entries
-            .iter()
-            .find(|(c, _)| c == cfg)
-            .map(|(_, d)| d.as_slice())
-            .ok_or_else(|| CalError::ProbeFailed {
-                probe: "<setup>".to_string(),
-                reason: format!("probes were not executed under {cfg:?}"),
-            })
+        let found = self.entries.iter().find(|(c, _)| c == cfg);
+        found.map(|(_, d)| d.as_slice()).ok_or_else(|| {
+            CalError::probe_failed("<setup>", format!("no demands replayed under {cfg:?}"))
+        })
     }
 }
 
@@ -394,9 +421,9 @@ fn robust_fit(
 }
 
 /// Calibrates `P` for one allocation with explicit robustness knobs,
-/// reusing an existing probe database: executes the probe suite under the
-/// allocation's memory configuration, then prices and fits the cell from
-/// that one-entry memo — the same two steps a grid sweep takes.
+/// reusing an existing probe database: profiles the probe suite, replays it
+/// under the allocation's memory configuration, then prices and fits the
+/// cell from that one-entry memo — the same three steps a grid sweep takes.
 pub fn calibrate_with_config(
     pdb: &mut ProbeDb,
     spec: MachineSpec,
@@ -405,13 +432,8 @@ pub fn calibrate_with_config(
 ) -> Result<Calibration, CalError> {
     let probes = build_probes(pdb);
     let (_, cfg) = vm_and_config(spec, shares)?;
-    let demands = probes
-        .iter()
-        .map(|probe| execute_probe(pdb, probe, &cfg))
-        .collect::<Result<Vec<_>, _>>()?;
-    let memo = DemandMemo {
-        entries: vec![(cfg, demands)],
-    };
+    let profile = |pages| probes.iter().map(|p| profile_probe(pdb, p, pages)).collect();
+    let memo = DemandMemo::fill(&probes, vec![cfg], profile)?;
     calibrate_cell(spec, shares, &probes, &memo, rcfg)
 }
 
@@ -553,10 +575,112 @@ pub fn calibrate(spec: MachineSpec, shares: ResourceVector) -> Result<OptimizerP
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbvirt_engine::run_plan;
     use dbvirt_vmm::{NoiseModel, Share};
 
     fn shares(cpu: f64, mem: f64, disk: f64) -> ResourceVector {
         ResourceVector::from_fractions(cpu, mem, disk).unwrap()
+    }
+
+    /// The oracle the replay answers to: runs one probe's plan on a cold
+    /// pool of the configuration's own size, under its own `work_mem` —
+    /// after an unmeasured warm-up for a warm probe — and returns what the
+    /// measured run charged. Calibration did exactly this, once per probe
+    /// and memory configuration, before it kept profiles.
+    fn execute_probe(pdb: &mut ProbeDb, probe: &Probe, cfg: &DbVmConfig) -> ResourceDemand {
+        let mut pool = BufferPool::new(cfg.buffer_pool_pages);
+        let (plan, work_mem, costs) = (&probe.plan, cfg.work_mem_bytes, CpuCosts::default());
+        let mut run = || run_plan(&mut pdb.db, &mut pool, plan, work_mem, costs).unwrap();
+        if probe.cache == CacheState::Warm {
+            run();
+        }
+        run().demand
+    }
+
+    #[test]
+    fn replayed_demands_are_what_executing_under_each_configuration_charges() {
+        let mut pdb = ProbeDb::build().unwrap();
+        let probes = build_probes(&pdb);
+        let total_pages = pdb.db.total_pages();
+        // From a pool one scan thrashes to one that holds the database, and
+        // past it; `work_mem` from nothing to plenty.
+        let configs: Vec<DbVmConfig> = [1, 7, 64, 300, total_pages, 4 * total_pages]
+            .into_iter()
+            .zip([1, 512, 16 << 10, 1 << 20, 4 << 20, 64 << 20])
+            .map(|(buffer_pool_pages, work_mem_bytes)| DbVmConfig {
+                buffer_pool_pages,
+                work_mem_bytes,
+                effective_cache_pages: buffer_pool_pages,
+            })
+            .collect();
+        // The carrier's size is irrelevant: smaller than some, larger than
+        // other configurations replayed from it.
+        let profile = |_| probes.iter().map(|p| profile_probe(&mut pdb, p, 64)).collect();
+        let memo = DemandMemo::fill(&probes, configs.clone(), profile).unwrap();
+        let mut distinct = std::collections::HashSet::new();
+        let first = memo.get(&configs[0]).unwrap();
+        for cfg in &configs {
+            let replayed = memo.get(cfg).unwrap();
+            for ((probe, demand), under_first) in probes.iter().zip(replayed).zip(first) {
+                assert_eq!(
+                    *demand,
+                    execute_probe(&mut pdb, probe, cfg),
+                    "{} under {cfg:?}",
+                    probe.name
+                );
+                // Memory moves no CPU cycle.
+                assert_eq!(
+                    demand.cpu_cycles.to_bits(),
+                    under_first.cpu_cycles.to_bits()
+                );
+                distinct.insert((probe.name, demand.total_pages()));
+            }
+        }
+        // A cold probe reads each page it needs once whatever the pool; the
+        // warm probes are what memory moves.
+        assert!(
+            distinct.len() > probes.len(),
+            "the configurations must move what some probes read: {distinct:?}"
+        );
+    }
+
+    #[test]
+    fn a_configuration_nothing_can_run_under_is_refused_before_any_probe_runs() {
+        let mut pdb = ProbeDb::build().unwrap();
+        let probes = build_probes(&pdb);
+        let runnable = DbVmConfig {
+            buffer_pool_pages: 64,
+            work_mem_bytes: 1 << 20,
+            effective_cache_pages: 64,
+        };
+        for bad in [
+            DbVmConfig {
+                buffer_pool_pages: 0,
+                ..runnable
+            },
+            DbVmConfig {
+                work_mem_bytes: 0,
+                ..runnable
+            },
+        ] {
+            let never = |_| unreachable!("nothing may execute for {bad:?}");
+            let refused = DemandMemo::fill(&probes, vec![runnable, bad], never).unwrap_err();
+            assert!(
+                matches!(&refused, CalError::ProbeFailed { probe, .. } if probe == "<setup>"),
+                "{refused}"
+            );
+        }
+        assert!(DemandMemo::fill(&probes, vec![], |_| unreachable!()).is_err());
+        // The carrier is as large as the largest configuration.
+        let larger = DbVmConfig {
+            buffer_pool_pages: 99,
+            ..runnable
+        };
+        let profile = |pages| {
+            assert_eq!(pages, 99);
+            probes.iter().map(|p| profile_probe(&mut pdb, p, pages)).collect()
+        };
+        DemandMemo::fill(&probes, vec![runnable, larger], profile).unwrap();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! rows: no joined tuple is built unless the consumer builds one.
 
 use super::{collect, RowSink};
-use crate::runtime::{EngineError, ExecContext};
+use crate::runtime::{EngineError, ExecContext, SpillEvent};
 use crate::{Expr, JoinType, PhysicalPlan};
 use dbvirt_storage::{Datum, Joined, Row, RowBuf, Tuple, TupleView};
 use dbvirt_telemetry::SpanGuard;
@@ -15,25 +15,6 @@ use std::cmp::Ordering;
 /// The row a left join pairs an unmatched left row with.
 fn null_pad(ctx: &ExecContext<'_>, right: &PhysicalPlan) -> Tuple {
     Tuple::new(vec![Datum::Null; right.output_schema(ctx.db).len()])
-}
-
-/// Charges the grace-hash spill I/O when the build side exceeds `work_mem`:
-/// with `b > 1` batches, both inputs are written once and re-read once for
-/// all but the in-memory batch (PostgreSQL's multi-batch hash join).
-/// Returns `b` (1 when nothing spills).
-fn charge_hash_spill(ctx: &mut ExecContext<'_>, build_bytes: usize, probe_bytes: usize) -> usize {
-    if build_bytes <= ctx.work_mem_bytes {
-        return 1;
-    }
-    let batches = build_bytes.div_ceil(ctx.work_mem_bytes).max(2);
-    let spilled_frac = (batches - 1) as f64 / batches as f64;
-    let pages = |bytes: usize| {
-        ((bytes as f64 * spilled_frac) / dbvirt_storage::PAGE_SIZE as f64).ceil() as u64
-    };
-    let spill_pages = pages(build_bytes) + pages(probe_bytes);
-    ctx.charge_io_writes(spill_pages);
-    ctx.charge_io_seq_reads(spill_pages);
-    batches
 }
 
 /// Hash of a row's join key — the field bytes of its key columns — or
@@ -135,7 +116,12 @@ pub(crate) fn hash_join(
     let build = collect(ctx, right)?;
     let costs = ctx.costs;
 
-    let batches = charge_hash_spill(ctx, build.encoded_bytes(), probe.encoded_bytes());
+    let build_bytes = build.encoded_bytes();
+    ctx.record_spill(SpillEvent::HashJoin {
+        build_bytes,
+        probe_bytes: probe.encoded_bytes(),
+    });
+    let batches = SpillEvent::hash_batches(build_bytes, ctx.work_mem_bytes);
     span.set_attr("build_rows", build.len());
     span.set_attr("probe_rows", probe.len());
     span.set_attr("spill_batches", batches);

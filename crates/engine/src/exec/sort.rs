@@ -1,7 +1,7 @@
 //! Sort operator with `work_mem`-aware external-sort accounting.
 
 use super::{collect, RowSink};
-use crate::runtime::{EngineError, ExecContext};
+use crate::runtime::{EngineError, ExecContext, SpillEvent};
 use crate::{PhysicalPlan, SortKey};
 use dbvirt_storage::DatumRef;
 use std::cmp::Ordering;
@@ -10,9 +10,8 @@ use std::cmp::Ordering;
 /// their input order) and pushes them to `sink`. The rows are kept encoded;
 /// what is sorted is a permutation of their indexes, compared on the key
 /// columns, each read out of its record once. When the input exceeds the
-/// context's `work_mem`, the spill of one external-merge pass is charged:
-/// every page written once and read back once (PostgreSQL's `tapes` model
-/// with a single merge pass, which holds for the workload sizes here).
+/// context's `work_mem`, the spill of one external-merge pass is charged
+/// ([`SpillEvent::pages`]).
 pub(crate) fn sort(
     ctx: &mut ExecContext<'_>,
     input: &PhysicalPlan,
@@ -26,12 +25,9 @@ pub(crate) fn sort(
         ctx.charge_cpu(comparisons * ctx.costs.per_sort_cmp * keys.len().max(1) as f64);
     }
 
-    let bytes = rows.encoded_bytes();
-    if bytes > ctx.work_mem_bytes {
-        let pages = bytes.div_ceil(dbvirt_storage::PAGE_SIZE) as u64;
-        ctx.charge_io_writes(pages);
-        ctx.charge_io_seq_reads(pages);
-    }
+    ctx.record_spill(SpillEvent::Sort {
+        bytes: rows.encoded_bytes(),
+    });
 
     // Row `i`'s key values are `key_values[i * keys.len()..][..keys.len()]`.
     let mut key_values: Vec<DatumRef<'_>> = Vec::with_capacity(rows.len() * keys.len());

@@ -22,7 +22,10 @@
 //!   only the query's result;
 //! * [`ExecContext`] / [`run_plan`] — the runtime tying a database, a
 //!   buffer pool (sized from the VM's memory share), a `work_mem` budget,
-//!   and the CPU cost constants together.
+//!   and the CPU cost constants together;
+//! * [`Profile`] — one execution's page references, CPU cycles and
+//!   [`SpillEvent`]s, from which its demand under *any* buffer-pool size and
+//!   `work_mem` is arithmetic.
 //!
 //! The CPU constants in [`CpuCosts`] are the engine's ground truth; the
 //! paper's calibration process exists precisely to recover their effect on
@@ -36,10 +39,12 @@ mod cpu;
 pub mod exec;
 mod expr;
 mod plan;
+mod profile;
 mod runtime;
 
 pub use catalog::{Database, IndexId, IndexMeta, TableId, TableMeta};
 pub use cpu::CpuCosts;
 pub use expr::{AggExpr, AggFunc, BinOp, CmpOp, Expr};
 pub use plan::{IndexArm, JoinType, PhysicalPlan, SortKey};
-pub use runtime::{run_plan, EngineError, ExecContext, QueryOutput};
+pub use profile::Profile;
+pub use runtime::{run_plan, EngineError, ExecContext, QueryOutput, SpillEvent};

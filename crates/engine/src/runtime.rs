@@ -1,7 +1,7 @@
 //! The execution runtime: context, errors, and the `run_plan` entry point.
 
 use crate::{exec, CpuCosts, Database, PhysicalPlan};
-use dbvirt_storage::{BufferPool, Schema, StorageError, Tuple};
+use dbvirt_storage::{BufferPool, Schema, StorageError, Tuple, PAGE_SIZE};
 use dbvirt_vmm::ResourceDemand;
 use std::error::Error;
 use std::fmt;
@@ -41,6 +41,68 @@ impl From<StorageError> for EngineError {
     }
 }
 
+/// What a sort or a hash join had to hold at once. Whether — and how much —
+/// that spills is a pure function of `work_mem` ([`SpillEvent::pages`]), so
+/// an execution that records its events can be priced under any `work_mem`
+/// afterwards; the live charge goes through the same function.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpillEvent {
+    /// A hash join's two kept inputs.
+    HashJoin {
+        /// Encoded bytes of the build side.
+        build_bytes: usize,
+        /// Encoded bytes of the probe side.
+        probe_bytes: usize,
+    },
+    /// A sort's kept input.
+    Sort {
+        /// Encoded bytes of the rows sorted.
+        bytes: usize,
+    },
+}
+
+impl SpillEvent {
+    /// Batches a grace hash join splits a `build_bytes` build side into
+    /// under `work_mem_bytes` (1 when it fits).
+    pub(crate) fn hash_batches(build_bytes: usize, work_mem_bytes: usize) -> usize {
+        if build_bytes <= work_mem_bytes {
+            1
+        } else {
+            build_bytes.div_ceil(work_mem_bytes).max(2)
+        }
+    }
+
+    /// Pages the event writes to spill files — and reads back, once each —
+    /// under a positive `work_mem_bytes`; 0 when what it holds fits.
+    ///
+    /// A hash join with `b > 1` batches writes and re-reads both inputs for
+    /// all but the in-memory batch (PostgreSQL's multi-batch hash join). A
+    /// sort that does not fit pays one external-merge pass: every page out
+    /// and back (PostgreSQL's `tapes` model with a single merge pass, which
+    /// holds for the workload sizes here).
+    pub fn pages(&self, work_mem_bytes: usize) -> u64 {
+        match *self {
+            SpillEvent::HashJoin {
+                build_bytes,
+                probe_bytes,
+            } => {
+                let batches = SpillEvent::hash_batches(build_bytes, work_mem_bytes);
+                if batches == 1 {
+                    return 0;
+                }
+                let spilled_frac = (batches - 1) as f64 / batches as f64;
+                let pages =
+                    |bytes: usize| ((bytes as f64 * spilled_frac) / PAGE_SIZE as f64).ceil() as u64;
+                pages(build_bytes) + pages(probe_bytes)
+            }
+            SpillEvent::Sort { bytes } if bytes > work_mem_bytes => {
+                bytes.div_ceil(PAGE_SIZE) as u64
+            }
+            SpillEvent::Sort { .. } => 0,
+        }
+    }
+}
+
 /// Everything an operator needs while executing: the database, the buffer
 /// pool (sized from the VM's memory share), the `work_mem` budget, the CPU
 /// cost constants, and the demand accumulated so far.
@@ -56,6 +118,9 @@ pub struct ExecContext<'a> {
     /// CPU cycles and spill I/O charged directly by operators (buffer-pool
     /// I/O accumulates separately inside `pool`).
     pub demand: ResourceDemand,
+    /// Every sort and hash join met so far, spilling under this `work_mem`
+    /// or not.
+    pub spills: Vec<SpillEvent>,
 }
 
 impl<'a> ExecContext<'a> {
@@ -71,6 +136,7 @@ impl<'a> ExecContext<'a> {
             work_mem_bytes,
             costs: CpuCosts::default(),
             demand: ResourceDemand::ZERO,
+            spills: Vec::new(),
         }
     }
 
@@ -79,19 +145,13 @@ impl<'a> ExecContext<'a> {
         self.demand.add_cpu(cycles);
     }
 
-    /// Charges spill page writes (sorts, multi-batch hash joins).
-    pub fn charge_io_writes(&mut self, pages: u64) {
+    /// Records what a sort or hash join held, charging the spill it means
+    /// under this context's `work_mem`: each page written once, read once.
+    pub fn record_spill(&mut self, event: SpillEvent) {
+        let pages = event.pages(self.work_mem_bytes);
         self.demand.add_writes(pages);
-    }
-
-    /// Charges spill sequential page reads.
-    pub fn charge_io_seq_reads(&mut self, pages: u64) {
         self.demand.add_seq_reads(pages);
-    }
-
-    /// The demand charged directly by operators so far (spills + CPU).
-    pub fn io_demand(&self) -> &ResourceDemand {
-        &self.demand
+        self.spills.push(event);
     }
 }
 
@@ -120,6 +180,17 @@ pub fn run_plan(
     work_mem_bytes: usize,
     costs: CpuCosts,
 ) -> Result<QueryOutput, EngineError> {
+    run_metered(db, pool, plan, work_mem_bytes, costs).map(|(out, _)| out)
+}
+
+/// [`run_plan`], also returning the spill events the execution recorded.
+pub(crate) fn run_metered(
+    db: &mut Database,
+    pool: &mut BufferPool,
+    plan: &PhysicalPlan,
+    work_mem_bytes: usize,
+    costs: CpuCosts,
+) -> Result<(QueryOutput, Vec<SpillEvent>), EngineError> {
     let mut plan_span = dbvirt_telemetry::span("engine.run_plan");
     let metrics_before = pool.metrics();
     let io_before = *pool.demand();
@@ -129,9 +200,10 @@ pub fn run_plan(
         work_mem_bytes,
         costs,
         demand: ResourceDemand::ZERO,
+        spills: Vec::new(),
     };
     let rows = exec::execute(&mut ctx, plan)?;
-    let direct = ctx.demand;
+    let (direct, spills) = (ctx.demand, ctx.spills);
     let schema = plan.output_schema(db);
     let io_delta = pool.demand().delta_since(&io_before);
     if dbvirt_telemetry::is_enabled() {
@@ -147,11 +219,12 @@ pub fn run_plan(
             BUFPOOL_HIT_RATIO.set(hits as f64 / (hits + misses) as f64);
         }
     }
-    Ok(QueryOutput {
+    let out = QueryOutput {
         schema,
         rows,
         demand: direct + io_delta,
-    })
+    };
+    Ok((out, spills))
 }
 
 /// Buffer-pool hit ratio of the most recent telemetry-enabled `run_plan`.

@@ -8,6 +8,28 @@
 //! capacity is set from the virtual machine's memory share
 //! ([`dbvirt_vmm::VirtualMachine::buffer_pool_pages`]), which is exactly how
 //! the memory allocation knob influences query time in this reproduction.
+//!
+//! ## Memory is accounting: the access log and its replay
+//!
+//! Which pages an execution references, in which order and pattern, does
+//! not depend on the pool it runs over — capacity only decides which of
+//! those references miss. So a pool can record the references it serves
+//! ([`BufferPool::open_log`] … [`BufferPool::close_log`]: one [`Access`]
+//! per successful `fetch` / `fetch_mut` / `touch`, nothing else — not
+//! `flush_all`, not a failed fetch), and [`BufferPool::replay`] answers what
+//! a cold pool of *any* capacity would have charged for them. The replay is
+//! exact because it is the same code: it drives the one clock sweep below
+//! over frames that hold no bytes (what `touch` has always kept), with no
+//! disk behind them, so hits, misses, evictions and dirty write-backs fall
+//! exactly where the live pool's would. The capacity of the pool that
+//! *recorded* a log — its carrier — is irrelevant to every replay of it.
+//! Since no physical work happens in a replay, it ticks none of the
+//! process-wide `bufpool.*` / `storage.pages_read` counters.
+//!
+//! A frame shares its page image with the disk ([`Page`] is
+//! reference-counted), so a miss copies nothing; `fetch_mut` hands out a
+//! frame whose first write copies the image, and the disk keeps the old one
+//! until the frame is evicted or flushed.
 
 use crate::{DiskManager, Page, PageId, StorageError};
 use dbvirt_telemetry as telemetry;
@@ -31,6 +53,17 @@ pub enum AccessPattern {
     Sequential,
     /// An isolated probe (seek-dominated).
     Random,
+}
+
+/// One page reference a pool served: an entry of its access log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access {
+    /// The page referenced.
+    pub pid: PageId,
+    /// How a miss on it is charged.
+    pub pattern: AccessPattern,
+    /// Whether the reference dirtied the page (`fetch_mut`).
+    pub write: bool,
 }
 
 /// Hit/miss counters, useful in tests and experiments.
@@ -62,7 +95,8 @@ impl BufferPoolMetrics {
 struct Frame {
     pid: PageId,
     /// `Some` for heap pages (real bytes); `None` for accounting-only
-    /// residents such as B+tree nodes whose structure lives in memory.
+    /// residents: B+tree nodes whose structure lives in memory, and every
+    /// frame of a replay.
     data: Option<Page>,
     dirty: bool,
     ref_bit: bool,
@@ -77,6 +111,8 @@ pub struct BufferPool {
     hand: usize,
     metrics: BufferPoolMetrics,
     demand: ResourceDemand,
+    /// The references served since [`BufferPool::open_log`], if open.
+    log: Option<Vec<Access>>,
 }
 
 impl BufferPool {
@@ -93,6 +129,7 @@ impl BufferPool {
             hand: 0,
             metrics: BufferPoolMetrics::default(),
             demand: ResourceDemand::ZERO,
+            log: None,
         }
     }
 
@@ -126,15 +163,49 @@ impl BufferPool {
         std::mem::take(&mut self.demand)
     }
 
-    fn charge_read(&mut self, pattern: AccessPattern) {
-        match pattern {
-            AccessPattern::Sequential => self.demand.add_seq_reads(1),
-            AccessPattern::Random => self.demand.add_random_reads(1),
+    /// Starts recording every reference this pool serves (dropping what an
+    /// earlier, unclosed log held).
+    pub fn open_log(&mut self) {
+        self.log = Some(Vec::new());
+    }
+
+    /// Stops recording and returns the references served since
+    /// [`BufferPool::open_log`], in order (empty if no log was open).
+    pub fn close_log(&mut self) -> Vec<Access> {
+        self.log.take().unwrap_or_default()
+    }
+
+    /// What a cold pool of `capacity` pages would have charged for the
+    /// references `log[measured_from..]`, had it served all of `log` in
+    /// order: the prefix only warms it. See the module docs for why this is
+    /// exact. Zero capacity, or a `measured_from` past the log's end, is an
+    /// error.
+    pub fn replay(
+        capacity: usize,
+        log: &[Access],
+        measured_from: usize,
+    ) -> Result<ResourceDemand, StorageError> {
+        if capacity == 0 || measured_from > log.len() {
+            return Err(StorageError::BadReplay {
+                capacity,
+                measured_from,
+                log_len: log.len(),
+            });
         }
+        let mut pool = BufferPool::new(capacity);
+        let (warm_up, measured) = log.split_at(measured_from);
+        for &access in warm_up {
+            pool.reference(None, access, false)?;
+        }
+        pool.take_demand();
+        for &access in measured {
+            pool.reference(None, access, false)?;
+        }
+        Ok(pool.take_demand())
     }
 
     /// Finds a frame index for a new resident, evicting if necessary.
-    fn allocate_frame(&mut self, disk: &mut DiskManager) -> Result<usize, StorageError> {
+    fn allocate_frame(&mut self, disk: Option<&mut DiskManager>) -> Result<usize, StorageError> {
         if self.frames.len() < self.capacity {
             self.frames.push(Frame {
                 pid: PageId {
@@ -156,50 +227,96 @@ impl BufferPool {
                 self.frames[idx].ref_bit = false;
                 continue;
             }
+            let live = disk.is_some();
             let victim = &mut self.frames[idx];
             if victim.dirty {
-                if let Some(data) = victim.data.take() {
+                if let (Some(data), Some(disk)) = (victim.data.take(), disk) {
                     *disk.page_mut(victim.pid)? = data;
                 }
                 victim.dirty = false;
                 self.demand.add_writes(1);
                 self.metrics.writebacks += 1;
-                TM_WRITEBACKS.add(1);
+                if live {
+                    TM_WRITEBACKS.add(1);
+                }
             }
             self.map.remove(&victim.pid);
             self.metrics.evictions += 1;
-            TM_EVICTIONS.add(1);
+            if live {
+                TM_EVICTIONS.add(1);
+            }
             return Ok(idx);
         }
     }
 
-    fn install(
+    /// Serves one reference: the whole replacement policy. With a `disk`
+    /// this is a live access — page bytes are read when `with_data` asks for
+    /// them, dirty victims are written back, the process-wide counters tick
+    /// and an open log records the reference. Without one it is a replay:
+    /// the same hits, misses, evictions and charges over frames that hold
+    /// no bytes, and nothing outside `self` moves.
+    fn reference(
         &mut self,
-        disk: &mut DiskManager,
-        pid: PageId,
-        pattern: AccessPattern,
+        disk: Option<&mut DiskManager>,
+        access: Access,
         with_data: bool,
     ) -> Result<usize, StorageError> {
-        self.metrics.misses += 1;
-        TM_MISSES.add(1);
-        TM_PAGES_READ.add(1);
-        self.charge_read(pattern);
-        let data = if with_data {
-            Some(disk.read_page(pid)?.clone())
-        } else {
-            // Validate existence for accounting-only pages too, unless the
-            // caller manages a virtual file (index nodes): those use page
-            // ids that exist in the disk manager as empty placeholder pages.
-            None
-        };
-        let idx = self.allocate_frame(disk)?;
-        self.frames[idx] = Frame {
+        let Access {
             pid,
-            data,
-            dirty: false,
-            ref_bit: true,
+            pattern,
+            write,
+        } = access;
+        let live = disk.is_some();
+        let resident = self.map.get(&pid).copied();
+        // Read before anything is charged or moved: a page that is not
+        // there must leave no trace of a physical read.
+        let needs_data = with_data && resident.is_none_or(|idx| self.frames[idx].data.is_none());
+        let data = match &disk {
+            Some(disk) if needs_data => Some(disk.read_page(pid)?.clone()),
+            _ => None,
         };
-        self.map.insert(pid, idx);
+        let idx = match resident {
+            Some(idx) => {
+                self.metrics.hits += 1;
+                if live {
+                    TM_HITS.add(1);
+                }
+                let frame = &mut self.frames[idx];
+                frame.ref_bit = true;
+                if data.is_some() {
+                    // Resident as accounting-only: upgrade to a data frame
+                    // without charging a second physical read.
+                    frame.data = data;
+                }
+                idx
+            }
+            None => {
+                self.metrics.misses += 1;
+                if live {
+                    TM_MISSES.add(1);
+                    TM_PAGES_READ.add(1);
+                }
+                match pattern {
+                    AccessPattern::Sequential => self.demand.add_seq_reads(1),
+                    AccessPattern::Random => self.demand.add_random_reads(1),
+                }
+                let idx = self.allocate_frame(disk)?;
+                self.frames[idx] = Frame {
+                    pid,
+                    data,
+                    dirty: false,
+                    ref_bit: true,
+                };
+                self.map.insert(pid, idx);
+                idx
+            }
+        };
+        if write {
+            self.frames[idx].dirty = true;
+        }
+        if let (true, Some(log)) = (live, &mut self.log) {
+            log.push(access);
+        }
         Ok(idx)
     }
 
@@ -210,41 +327,33 @@ impl BufferPool {
         pid: PageId,
         pattern: AccessPattern,
     ) -> Result<&Page, StorageError> {
-        let idx = match self.map.get(&pid) {
-            Some(&idx) if self.frames[idx].data.is_some() => {
-                self.metrics.hits += 1;
-                TM_HITS.add(1);
-                self.frames[idx].ref_bit = true;
-                idx
-            }
-            Some(&idx) => {
-                // Resident as accounting-only: upgrade to a data frame
-                // without charging a second physical read.
-                self.metrics.hits += 1;
-                TM_HITS.add(1);
-                self.frames[idx].data = Some(disk.read_page(pid)?.clone());
-                self.frames[idx].ref_bit = true;
-                idx
-            }
-            None => self.install(disk, pid, pattern, true)?,
+        let access = Access {
+            pid,
+            pattern,
+            write: false,
         };
+        let idx = self.reference(Some(disk), access, true)?;
         Ok(self.frames[idx]
             .data
             .as_ref()
             .expect("data frame installed above"))
     }
 
-    /// Fetches a page for writing, marking it dirty.
+    /// Fetches a page for writing, marking it dirty. The frame shares the
+    /// disk's image until it is written to; the disk sees the write when the
+    /// frame is evicted or flushed.
     pub fn fetch_mut(
         &mut self,
         disk: &mut DiskManager,
         pid: PageId,
         pattern: AccessPattern,
     ) -> Result<&mut Page, StorageError> {
-        // Reuse the read path to install, then mark dirty.
-        self.fetch(disk, pid, pattern)?;
-        let idx = self.map[&pid];
-        self.frames[idx].dirty = true;
+        let access = Access {
+            pid,
+            pattern,
+            write: true,
+        };
+        let idx = self.reference(Some(disk), access, true)?;
         Ok(self.frames[idx]
             .data
             .as_mut()
@@ -259,17 +368,12 @@ impl BufferPool {
         pid: PageId,
         pattern: AccessPattern,
     ) -> Result<(), StorageError> {
-        match self.map.get(&pid) {
-            Some(&idx) => {
-                self.metrics.hits += 1;
-                TM_HITS.add(1);
-                self.frames[idx].ref_bit = true;
-            }
-            None => {
-                self.install(disk, pid, pattern, false)?;
-            }
-        }
-        Ok(())
+        let access = Access {
+            pid,
+            pattern,
+            write: false,
+        };
+        self.reference(Some(disk), access, false).map(|_| ())
     }
 
     /// Writes every dirty page back to disk, charging the writes.
@@ -449,6 +553,148 @@ mod tests {
     }
 
     #[test]
+    fn writes_stay_in_the_frame_until_write_back() {
+        let (mut disk, heap) = loaded_heap(5000);
+        let pid = |page_no| PageId {
+            file: heap.file_id(),
+            page_no,
+        };
+        let before = disk.read_page(pid(0)).unwrap().clone();
+
+        // Written back by eviction.
+        let mut pool = BufferPool::new(2);
+        let frame = pool
+            .fetch_mut(&mut disk, pid(0), AccessPattern::Random)
+            .unwrap();
+        frame.insert(b"extra-record").unwrap().unwrap();
+        let written = frame.clone();
+        assert!(written != before);
+        assert!(*disk.read_page(pid(0)).unwrap() == before, "copy-on-write");
+        for page_no in 1..4 {
+            pool.fetch(&mut disk, pid(page_no), AccessPattern::Sequential)
+                .unwrap();
+        }
+        assert_eq!(pool.metrics().writebacks, 1);
+        assert!(*disk.read_page(pid(0)).unwrap() == written);
+
+        // Written back by `flush_all`, after which the frame shares the
+        // disk's image again and the next write copies once more.
+        let mut pool = BufferPool::new(8);
+        let frame = pool
+            .fetch_mut(&mut disk, pid(1), AccessPattern::Random)
+            .unwrap();
+        frame.insert(b"one").unwrap().unwrap();
+        let first = frame.clone();
+        assert!(*disk.read_page(pid(1)).unwrap() != first);
+        pool.flush_all(&mut disk).unwrap();
+        assert!(*disk.read_page(pid(1)).unwrap() == first);
+        let frame = pool
+            .fetch_mut(&mut disk, pid(1), AccessPattern::Random)
+            .unwrap();
+        frame.insert(b"two").unwrap().unwrap();
+        assert!(*disk.read_page(pid(1)).unwrap() == first);
+    }
+
+    #[test]
+    fn a_failed_fetch_leaves_no_trace() {
+        let (mut disk, heap) = loaded_heap(100);
+        let mut pool = BufferPool::new(4);
+        let here = PageId {
+            file: heap.file_id(),
+            page_no: 0,
+        };
+        let missing = PageId {
+            file: heap.file_id(),
+            page_no: 9999,
+        };
+        pool.fetch(&mut disk, here, AccessPattern::Sequential)
+            .unwrap();
+        let (metrics, demand, resident) = (pool.metrics(), *pool.demand(), pool.resident());
+        pool.open_log();
+        for pattern in [AccessPattern::Sequential, AccessPattern::Random] {
+            assert!(matches!(
+                pool.fetch(&mut disk, missing, pattern),
+                Err(StorageError::PageNotFound { page: 9999, .. })
+            ));
+            assert!(pool.fetch_mut(&mut disk, missing, pattern).is_err());
+        }
+        assert_eq!(pool.metrics(), metrics);
+        assert_eq!(*pool.demand(), demand, "no phantom physical read");
+        assert_eq!(pool.resident(), resident);
+        assert!(pool.close_log().is_empty());
+        // Still a hit.
+        pool.fetch(&mut disk, here, AccessPattern::Sequential)
+            .unwrap();
+        assert_eq!(pool.metrics().hits, metrics.hits + 1);
+    }
+
+    #[test]
+    fn the_log_holds_what_was_served_while_it_was_open() {
+        let (mut disk, heap) = loaded_heap(1000);
+        let pid = |page_no| PageId {
+            file: heap.file_id(),
+            page_no,
+        };
+        let mut pool = BufferPool::new(2);
+        pool.fetch(&mut disk, pid(0), AccessPattern::Sequential)
+            .unwrap();
+        assert!(pool.close_log().is_empty(), "nothing is kept unasked");
+        pool.open_log();
+        pool.fetch(&mut disk, pid(1), AccessPattern::Sequential)
+            .unwrap();
+        pool.fetch_mut(&mut disk, pid(2), AccessPattern::Random)
+            .unwrap();
+        pool.touch(&mut disk, pid(1), AccessPattern::Random)
+            .unwrap();
+        pool.flush_all(&mut disk).unwrap();
+        let access = |page_no, pattern, write| Access {
+            pid: pid(page_no),
+            pattern,
+            write,
+        };
+        let log = pool.close_log();
+        assert_eq!(
+            log,
+            vec![
+                access(1, AccessPattern::Sequential, false),
+                access(2, AccessPattern::Random, true),
+                access(1, AccessPattern::Random, false),
+            ]
+        );
+        pool.fetch(&mut disk, pid(3), AccessPattern::Sequential)
+            .unwrap();
+        assert!(pool.close_log().is_empty(), "closed");
+
+        // Replayed cold through one frame: 1 misses, 2 misses and evicts 1,
+        // 1 misses again and evicts dirty 2.
+        let d = BufferPool::replay(1, &log, 0).unwrap();
+        assert_eq!(
+            (d.seq_page_reads, d.random_page_reads, d.page_writes),
+            (1, 2, 1)
+        );
+        // Measured from the last reference, with room for both pages.
+        assert!(BufferPool::replay(2, &log, 2).unwrap().is_zero());
+        assert!(BufferPool::replay(2, &log, 3).unwrap().is_zero());
+    }
+
+    #[test]
+    fn an_impossible_replay_is_an_error_not_a_panic() {
+        assert_eq!(
+            BufferPool::replay(0, &[], 0),
+            Err(StorageError::BadReplay {
+                capacity: 0,
+                measured_from: 0,
+                log_len: 0
+            })
+        );
+        assert!(matches!(
+            BufferPool::replay(4, &[], 1),
+            Err(StorageError::BadReplay { .. })
+        ));
+        assert!(BufferPool::replay(4, &[], 0).unwrap().is_zero());
+    }
+
+    #[test]
     #[should_panic(expected = "at least one frame")]
     fn zero_capacity_is_rejected() {
         let _ = BufferPool::new(0);
@@ -505,6 +751,80 @@ mod proptests {
                 m.misses,
                 pool.demand().seq_page_reads + pool.demand().random_page_reads
             );
+        }
+
+        /// Any sequence of fetches, writes and touches — repeats included —
+        /// replayed from its log charges what the pool that served it did:
+        /// the same demand, the same metrics, the same write-backs, measured
+        /// from any point.
+        #[test]
+        fn prop_replay_equals_the_live_pool(
+            capacity in 1usize..=64,
+            accesses in prop::collection::vec((0u32..96, 0u8..3, prop::bool::ANY), 1..400),
+            measured_from in 0usize..400,
+        ) {
+            let mut disk = DiskManager::new();
+            let heap = HeapFile::create(&mut disk);
+            for i in 0..4000i64 {
+                heap.insert(
+                    &mut disk,
+                    &Tuple::new(vec![Datum::Int(i), Datum::str("pad pad pad pad")]),
+                )
+                .unwrap();
+            }
+            let n_pages = heap.num_pages(&disk);
+            let measured_from = measured_from % (accesses.len() + 1);
+            // The carrier's capacity is not the replayed one.
+            let mut live = BufferPool::new(capacity);
+            let mut carrier = BufferPool::new(1 + (capacity * 7) % 64);
+            carrier.open_log();
+            for (at, (page, kind, random)) in accesses.iter().enumerate() {
+                if at == measured_from {
+                    live.take_demand();
+                    live.reset_metrics();
+                }
+                let pid = PageId {
+                    file: heap.file_id(),
+                    page_no: page % n_pages,
+                };
+                let pattern = if *random {
+                    AccessPattern::Random
+                } else {
+                    AccessPattern::Sequential
+                };
+                for pool in [&mut live, &mut carrier] {
+                    match kind {
+                        0 => drop(pool.fetch(&mut disk, pid, pattern).unwrap()),
+                        // Dirtied, not written: both pools share the disk.
+                        1 => drop(pool.fetch_mut(&mut disk, pid, pattern).unwrap()),
+                        _ => pool.touch(&mut disk, pid, pattern).unwrap(),
+                    }
+                }
+            }
+            if measured_from == accesses.len() {
+                live.take_demand();
+                live.reset_metrics();
+            }
+            let log = carrier.close_log();
+            prop_assert_eq!(log.len(), accesses.len());
+            prop_assert_eq!(
+                BufferPool::replay(capacity, &log, measured_from).unwrap(),
+                *live.demand()
+            );
+            // The same walk by hand, to see the metrics `replay` drops.
+            let mut replayed = BufferPool::new(capacity);
+            for (at, &access) in log.iter().enumerate() {
+                if at == measured_from {
+                    replayed.reset_metrics();
+                }
+                replayed.reference(None, access, false).unwrap();
+            }
+            if measured_from == log.len() {
+                replayed.reset_metrics();
+            }
+            prop_assert_eq!(replayed.metrics(), live.metrics());
+            prop_assert_eq!(live.metrics().writebacks, live.demand().page_writes);
+            prop_assert_eq!(replayed.resident(), live.resident());
         }
     }
 }

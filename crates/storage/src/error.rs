@@ -42,6 +42,16 @@ pub enum StorageError {
         /// File id.
         file: u32,
     },
+    /// An access log was replayed through a pool with no frames, or measured
+    /// from past its end.
+    BadReplay {
+        /// The capacity asked for, in pages.
+        capacity: usize,
+        /// Where measurement was to start.
+        measured_from: usize,
+        /// Entries in the log.
+        log_len: usize,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -59,6 +69,14 @@ impl fmt::Display for StorageError {
                 write!(f, "tuple (file {file}, page {page}, slot {slot}) not found")
             }
             StorageError::FileNotFound { file } => write!(f, "file {file} not found"),
+            StorageError::BadReplay {
+                capacity,
+                measured_from,
+                log_len,
+            } => write!(
+                f,
+                "cannot replay {log_len} accesses from {measured_from} through {capacity} frames"
+            ),
         }
     }
 }

@@ -11,11 +11,14 @@
 //!   which checks a record once and then reads columns in place; [`Row`] —
 //!   what either of them, or a [`Joined`] pair, looks like to an expression;
 //!   [`RowBuf`] — rows kept as record bytes in one arena, read back as views;
-//! * [`Page`] — 8 KiB slotted pages with a slot directory;
+//! * [`Page`] — 8 KiB slotted pages with a slot directory, their image
+//!   shared by reference count until someone writes;
 //! * [`HeapFile`] / [`DiskManager`] — append-only heap tables over pages;
 //! * [`BufferPool`] — a clock-sweep page cache whose capacity is set from
 //!   the VM's memory share, charging sequential/random physical reads to a
-//!   [`dbvirt_vmm::ResourceDemand`] on every miss;
+//!   [`dbvirt_vmm::ResourceDemand`] on every miss, and able to log the
+//!   references it serves ([`Access`]) so [`BufferPool::replay`] can price
+//!   them under any other capacity without executing again;
 //! * [`BPlusTree`] — paged B+tree secondary indexes whose node accesses go
 //!   through the same buffer pool accounting;
 //! * [`stats`] — `ANALYZE`-style table and column statistics (row counts,
@@ -38,7 +41,7 @@ mod tuple;
 mod types;
 
 pub use btree::BPlusTree;
-pub use bufpool::{AccessPattern, BufferPool, BufferPoolMetrics};
+pub use bufpool::{Access, AccessPattern, BufferPool, BufferPoolMetrics};
 pub use error::StorageError;
 pub use heap::{DiskManager, FileId, HeapFile, PageId, TupleId};
 pub use page::{Page, PAGE_SIZE};

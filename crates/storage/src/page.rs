@@ -14,6 +14,7 @@
 //! [`crate::TupleId`]s remain stable.
 
 use crate::StorageError;
+use std::sync::Arc;
 
 /// Page size in bytes, matching PostgreSQL's default 8 KiB.
 pub const PAGE_SIZE: usize = 8192;
@@ -21,10 +22,18 @@ pub const PAGE_SIZE: usize = 8192;
 const HEADER_SIZE: usize = 4;
 const SLOT_SIZE: usize = 4;
 
+fn set_u16(data: &mut [u8; PAGE_SIZE], off: usize, v: u16) {
+    data[off..off + 2].copy_from_slice(&v.to_le_bytes());
+}
+
 /// An 8 KiB slotted page.
+///
+/// The image is shared: cloning a page — a buffer-pool miss, a copy of a
+/// whole database — costs a reference count, and the first write to a page
+/// that shares its image copies it ([`Page::insert`] is the only writer).
 #[derive(Clone, PartialEq, Eq)]
 pub struct Page {
-    data: Box<[u8; PAGE_SIZE]>,
+    data: Arc<[u8; PAGE_SIZE]>,
 }
 
 impl std::fmt::Debug for Page {
@@ -45,12 +54,10 @@ impl Default for Page {
 impl Page {
     /// Creates an empty page.
     pub fn new() -> Page {
-        let mut page = Page {
-            data: Box::new([0u8; PAGE_SIZE]),
-        };
-        page.set_u16(0, 0); // n_slots
-        page.set_u16(2, HEADER_SIZE as u16); // free_off
-        page
+        let mut data = [0u8; PAGE_SIZE];
+        set_u16(&mut data, 0, 0); // n_slots
+        set_u16(&mut data, 2, HEADER_SIZE as u16); // free_off
+        Page::from_bytes(data)
     }
 
     /// Wraps a raw page image as read from a device. Nothing is checked
@@ -58,7 +65,7 @@ impl Page {
     /// are asked for.
     pub fn from_bytes(data: [u8; PAGE_SIZE]) -> Page {
         Page {
-            data: Box::new(data),
+            data: Arc::new(data),
         }
     }
 
@@ -69,10 +76,6 @@ impl Page {
 
     fn get_u16(&self, off: usize) -> u16 {
         u16::from_le_bytes([self.data[off], self.data[off + 1]])
-    }
-
-    fn set_u16(&mut self, off: usize, v: u16) {
-        self.data[off..off + 2].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Number of slots (including deleted ones).
@@ -116,12 +119,15 @@ impl Page {
         }
         let slot = self.slot_count();
         let off = self.free_off();
-        self.data[off as usize..off as usize + record.len()].copy_from_slice(record);
         let dir = self.slot_dir_off(slot);
-        self.set_u16(dir, off);
-        self.set_u16(dir + 2, record.len() as u16);
-        self.set_u16(0, slot + 1);
-        self.set_u16(2, off + record.len() as u16);
+        // Copy-on-write, once per insert: a page that shares its image with
+        // the disk or another pool gets its own before the first byte moves.
+        let data = Arc::make_mut(&mut self.data);
+        data[off as usize..off as usize + record.len()].copy_from_slice(record);
+        set_u16(data, dir, off);
+        set_u16(data, dir + 2, record.len() as u16);
+        set_u16(data, 0, slot + 1);
+        set_u16(data, 2, off + record.len() as u16);
         Ok(Some(slot))
     }
 
@@ -186,6 +192,22 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_shares_the_image_until_either_side_writes() {
+        let mut a = Page::new();
+        a.insert(b"before").unwrap().unwrap();
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.data, &b.data));
+        b.insert(b"after").unwrap().unwrap();
+        assert!(!Arc::ptr_eq(&a.data, &b.data));
+        assert_eq!((a.slot_count(), b.slot_count()), (1, 2));
+        assert_eq!(b.get(0).unwrap(), b"before");
+        // An unshared page is written in place.
+        let image = Arc::as_ptr(&b.data);
+        b.insert(b"again").unwrap().unwrap();
+        assert_eq!(Arc::as_ptr(&b.data), image);
+    }
+
+    #[test]
     fn fills_up_and_reports_full() {
         let mut p = Page::new();
         let rec = [7u8; 100];
@@ -238,12 +260,12 @@ mod tests {
         }
         // Delete slot 1: zero its length.
         let dir = p.slot_dir_off(1);
-        p.set_u16(dir + 2, 0);
+        set_u16(Arc::make_mut(&mut p.data), dir + 2, 0);
         let live: Vec<u16> = p.records().map(|r| r.unwrap().0).collect();
         assert_eq!(live, vec![0, 2]);
         // Point slot 2 past the end of the page.
         let dir = p.slot_dir_off(2);
-        p.set_u16(dir, (PAGE_SIZE - 4) as u16);
+        set_u16(Arc::make_mut(&mut p.data), dir, (PAGE_SIZE - 4) as u16);
         let seen: Vec<_> = p.records().collect();
         assert_eq!(seen.len(), 2);
         assert_eq!(seen[0].as_ref().unwrap().0, 0);

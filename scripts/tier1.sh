@@ -29,6 +29,15 @@ for const in 'cbf2_?9ce4_?8422_?2325' 'bf58_?476d_?1ce4_?e5b9'; do
   fi
 done
 
+# One execution per sweep: calibration builds a buffer pool at exactly one
+# site — the carrier a probe is profiled on. A second would be a probe
+# executed under some memory configuration again, instead of replayed.
+sites=$(lib_code | grep -F 'crates/calibrate/src/' | grep -cF 'BufferPool::new(' || true)
+if [[ "$sites" != 1 ]]; then
+  echo "FAIL: BufferPool::new( at $sites sites under crates/calibrate/src, want 1" >&2
+  exit 1
+fi
+
 cargo test -q
 
 # `cargo test` never builds the `harness = false` Criterion benches, so an

@@ -15,6 +15,10 @@
 //! reorders one page fetch (the clock sweep would evict differently) or
 //! alters one output row fails here.
 //!
+//! A second test reproduces the same 424 lines without executing under any
+//! of the four configurations: each plan runs twice on a carrier pool and
+//! [`Profile::demand_under`] answers the rest.
+//!
 //! To re-capture after an intended change to the virtual clock:
 //! `ENGINE_GOLDEN_REGENERATE=1 cargo test --test engine_golden`.
 
@@ -25,13 +29,14 @@ use dbvirt::calibrate::probes::build_probes;
 use dbvirt::calibrate::ProbeDb;
 use dbvirt::engine::{
     run_plan, AggExpr, AggFunc, BinOp, CpuCosts, Database, Expr, IndexArm, JoinType, PhysicalPlan,
-    SortKey,
+    Profile, SortKey,
 };
 use dbvirt::optimizer::{plan_query, OptimizerParams};
 use dbvirt::sql::parse_query;
-use dbvirt::storage::{BufferPool, Datum};
+use dbvirt::storage::{BufferPool, Datum, Tuple};
 use dbvirt::tpch::{col, TpchConfig, TpchDb, TpchQuery};
 use dbvirt::vmm::kernel::Fnv1a;
+use dbvirt::vmm::ResourceDemand;
 use std::ops::Bound;
 
 const GOLDEN: &str = "tests/golden/engine_demand_bits.txt";
@@ -346,34 +351,71 @@ fn handmade(t: &TpchDb) -> Vec<(String, PhysicalPlan)> {
     cases
 }
 
+/// How a case's demands are obtained.
+#[derive(Clone, Copy)]
+enum Via {
+    /// Executed under each `(pool, work_mem)`: cold, then warm on the pool
+    /// the cold run left behind.
+    Execution,
+    /// Executed twice, once in all, on a carrier pool of neither size; each
+    /// `(pool, work_mem)` is then answered by [`Profile::demand_under`].
+    Replay,
+}
+
 /// One line per `(case, pool, work_mem, cold|warm)`.
-fn render_case(out: &mut String, db: &mut Database, name: &str, plan: &PhysicalPlan) {
-    for pool_pages in POOLS {
-        for work_mem in WORK_MEMS {
-            let mut pool = BufferPool::new(pool_pages);
-            for run in ["cold", "warm"] {
-                let result = run_plan(db, &mut pool, plan, work_mem, CpuCosts::default())
-                    .unwrap_or_else(|e| panic!("{name} failed: {e}"));
-                let mut hash = Fnv1a::new();
-                for row in &result.rows {
-                    hash.eat(&row.encode());
+fn render_case(out: &mut String, db: &mut Database, name: &str, plan: &PhysicalPlan, via: Via) {
+    let mut line = |pool_pages, work_mem, run, d: ResourceDemand, rows: &[Tuple]| {
+        let mut hash = Fnv1a::new();
+        for row in rows {
+            hash.eat(&row.encode());
+        }
+        let hash = hash.finish();
+        out.push_str(&format!(
+            "{name} pool={pool_pages} work_mem={work_mem} {run} {:016x} {} {} {} {} {hash:016x}\n",
+            d.cpu_cycles.to_bits(),
+            d.seq_page_reads,
+            d.random_page_reads,
+            d.page_writes,
+            rows.len(),
+        ));
+    };
+    const RUNS: [&str; 2] = ["cold", "warm"];
+    match via {
+        Via::Execution => {
+            for pool_pages in POOLS {
+                for work_mem in WORK_MEMS {
+                    let mut pool = BufferPool::new(pool_pages);
+                    for run in RUNS {
+                        let result = run_plan(db, &mut pool, plan, work_mem, CpuCosts::default())
+                            .unwrap_or_else(|e| panic!("{name} failed: {e}"));
+                        line(pool_pages, work_mem, run, result.demand, &result.rows);
+                    }
                 }
-                let hash = hash.finish();
-                let d = result.demand;
-                out.push_str(&format!(
-                    "{name} pool={pool_pages} work_mem={work_mem} {run} {:016x} {} {} {} {} {hash:016x}\n",
-                    d.cpu_cycles.to_bits(),
-                    d.seq_page_reads,
-                    d.random_page_reads,
-                    d.page_writes,
-                    result.rows.len(),
-                ));
+            }
+        }
+        Via::Replay => {
+            let mut carrier = BufferPool::new(64);
+            let mut profile = Profile::new();
+            let rows = RUNS.map(|_| {
+                profile
+                    .run(db, &mut carrier, plan, CpuCosts::default())
+                    .unwrap_or_else(|e| panic!("{name} failed: {e}"))
+            });
+            for pool_pages in POOLS {
+                for work_mem in WORK_MEMS {
+                    let demands = profile
+                        .demand_under(pool_pages, work_mem)
+                        .unwrap_or_else(|e| panic!("{name} failed: {e}"));
+                    for ((run, demand), rows) in RUNS.into_iter().zip(demands).zip(&rows) {
+                        line(pool_pages, work_mem, run, demand, rows);
+                    }
+                }
             }
         }
     }
 }
 
-fn render() -> String {
+fn render(via: Via) -> String {
     let mut t = TpchDb::generate(TpchConfig {
         scale: 0.005,
         seed: 42,
@@ -398,7 +440,7 @@ fn render() -> String {
 
     let mut out = String::new();
     for (name, plan) in &cases {
-        render_case(&mut out, &mut t.db, name, plan);
+        render_case(&mut out, &mut t.db, name, plan, via);
     }
 
     let mut pdb = ProbeDb::template().expect("probe database").clone();
@@ -408,6 +450,7 @@ fn render() -> String {
             &mut pdb.db,
             &format!("probe_{}", probe.name),
             &probe.plan,
+            via,
         );
     }
     out
@@ -415,14 +458,26 @@ fn render() -> String {
 
 #[test]
 fn every_plan_charges_and_returns_the_committed_bits() {
-    let actual = render();
+    let actual = render(Via::Execution);
     if std::env::var_os("ENGINE_GOLDEN_REGENERATE").is_some() {
         std::fs::write(GOLDEN, &actual).expect("write golden");
         return;
     }
+    assert_golden(&actual);
+}
+
+fn assert_golden(actual: &str) {
     let golden = include_str!("golden/engine_demand_bits.txt");
     for (a, g) in actual.lines().zip(golden.lines()) {
         assert_eq!(a, g);
     }
     assert_eq!(actual.lines().count(), golden.lines().count());
+}
+
+/// Memory is accounting: two executions per case on a carrier pool answer
+/// all eight of its lines — thrashing and resident pools, spilling and
+/// fitting `work_mem`, the warm run after the cold one — to the bit.
+#[test]
+fn one_profile_per_plan_replays_to_the_committed_bits() {
+    assert_golden(&render(Via::Replay));
 }
