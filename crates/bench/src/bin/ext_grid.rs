@@ -7,10 +7,10 @@
 //! grids (with bilinear interpolation for off-grid allocations) on two
 //! criteria: parameter error, and whether the interpolated what-if model
 //! still ranks candidate CPU allocations for Q13 the same way. A second
-//! table sweeps the *memory* axis. Every sweep, on either axis, must make
-//! exactly ten engine runs — the probe suite executed once, every memory
-//! configuration answered by replaying its page references — or the binary
-//! panics.
+//! table sweeps the *memory* axis. The process's first sweep must make
+//! exactly ten engine runs — the probe suite executed once — and every later
+//! one, on either axis, none: every memory configuration is answered by
+//! replaying the suite's page references. Otherwise the binary panics.
 
 use dbvirt_bench::{
     experiment_machine, json_array, print_table, write_bench_artifact, JsonObj,
@@ -36,8 +36,9 @@ fn engine_runs() -> usize {
         .count()
 }
 
-/// Executions behind any sweep: 8 probes, 2 of them preceded by a warm-up.
-const RUNS_PER_SWEEP: usize = 10;
+/// Executions of the probe suite, made by the process's first sweep alone:
+/// 8 probes, 2 of them preceded by a warm-up.
+const RUNS_PER_PROCESS: usize = 10;
 
 /// `n` points spanning 25%..75% (the midpoint alone for one).
 fn axis(n: usize) -> Vec<f64> {
@@ -58,13 +59,19 @@ struct SweepCost {
 
 impl SweepCost {
     fn cell(&self) -> String {
-        format!("{} / {:.0}", self.engine_runs, self.wall_ms)
+        format!("{} / {:.1}", self.engine_runs, self.wall_ms)
     }
 }
 
 /// Calibrates a `cpu` × `mem` grid, counting the work behind it. Whatever
-/// the axes hold, the sweep must have executed the probe suite once.
-fn sweep(machine: MachineSpec, cpu: usize, mem: usize) -> (CalibrationGrid, SweepCost) {
+/// the axes hold, the sweep must have run the engine `expected_runs` times:
+/// the suite's ten if it is the process's first, else not at all.
+fn sweep(
+    machine: MachineSpec,
+    cpu: usize,
+    mem: usize,
+    expected_runs: usize,
+) -> (CalibrationGrid, SweepCost) {
     let (probes_before, runs_before) = (probe_runs(), engine_runs());
     let start = std::time::Instant::now();
     let grid = CalibrationGrid::calibrate(machine, axis(cpu), axis(mem), 0.5).expect("grid");
@@ -74,8 +81,8 @@ fn sweep(machine: MachineSpec, cpu: usize, mem: usize) -> (CalibrationGrid, Swee
         engine_runs: engine_runs() - runs_before,
     };
     assert_eq!(
-        cost.engine_runs, RUNS_PER_SWEEP,
-        "a {cpu} x {mem} sweep must execute each probe once"
+        cost.engine_runs, expected_runs,
+        "a {cpu} x {mem} sweep must replay the suite's one execution"
     );
     (grid, cost)
 }
@@ -93,7 +100,11 @@ fn main() {
 
     let dense_n = 9;
     println!("Calibrating the dense reference grid ({dense_n} CPU points) ...");
-    let (dense, dense_cost) = sweep(machine, dense_n, 1);
+    let (dense, dense_cost) = sweep(machine, dense_n, 1, RUNS_PER_PROCESS);
+    println!(
+        "  the process's first sweep, suite execution included: {} (engine runs / wall ms)",
+        dense_cost.cell()
+    );
 
     // Probe allocations: every dense grid point.
     let probes: Vec<f64> = axis(dense_n);
@@ -110,7 +121,7 @@ fn main() {
     let mut bench_grids = Vec::new();
     for coarse_n in [2usize, 3, 5, 9] {
         println!("Calibrating a {coarse_n}-point grid ...");
-        let (coarse, cost) = sweep(machine, coarse_n, 1);
+        let (coarse, cost) = sweep(machine, coarse_n, 1, 0);
         let mut max_param_err: f64 = 0.0;
         let mut max_est_err: f64 = 0.0;
         let mut estimates = Vec::new();
@@ -159,7 +170,7 @@ fn main() {
     let mut bench_mem_grids = Vec::new();
     for mem_n in [1usize, 2, 3, 5, 9] {
         println!("Calibrating a {mem_cpu_n} x {mem_n} grid ...");
-        let (_, cost) = sweep(machine, mem_cpu_n, mem_n);
+        let (_, cost) = sweep(machine, mem_cpu_n, mem_n, 0);
         bench_mem_grids.push(
             JsonObj::new()
                 .int("cpu_points", mem_cpu_n as u64)
@@ -204,10 +215,11 @@ fn main() {
         &mem_rows,
     );
     println!(
-        "\nShape check: {RUNS_PER_SWEEP} engine runs per sweep on both axes (asserted) — the \
-         probe suite executes once, each memory point replays its page references through a \
-         buffer pool of its own size, and CPU points are priced from the same demands: a \
-         denser grid costs arithmetic on every axis, not experiments."
+        "\nShape check: {RUNS_PER_PROCESS} engine runs in the dense reference sweep, the \
+         process's first, and none in any sweep after it (asserted) — the probe suite executes \
+         once per process, each memory point replays its page references through a buffer pool \
+         of its own size, and CPU points are priced from the same demands: a denser grid, or \
+         another grid, costs arithmetic on every axis, not experiments."
     );
 
     let snap = dbvirt_telemetry::snapshot();

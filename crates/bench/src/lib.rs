@@ -26,12 +26,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dbvirt_calibrate::DbVmConfig;
+use dbvirt_core::measure::workload_demands;
 use dbvirt_core::search::run_search;
 use dbvirt_core::{CoreError, CostModel, DesignProblem, SearchAlgorithm, SearchConfig};
-use dbvirt_engine::{run_plan, CpuCosts, Database};
-use dbvirt_optimizer::{plan_query, LogicalPlan, OptimizerParams};
-use dbvirt_storage::BufferPool;
+use dbvirt_engine::Database;
+use dbvirt_optimizer::LogicalPlan;
 use dbvirt_vmm::{MachineSpec, ResourceVector, VirtualMachine};
 
 /// The machine the experiments run on.
@@ -55,8 +54,9 @@ pub fn experiment_machine() -> MachineSpec {
 }
 
 /// Measures one query's steady-state execution time in a VM at `shares`:
-/// plan with stock optimizer settings (a deployed database does not know
-/// its allocation), warm the cache with one unmeasured run, then measure.
+/// the second demand of the workload `[query, query]` — planned with stock
+/// optimizer settings (a deployed database does not know its allocation),
+/// the first run only warming the cache.
 pub fn measure_query_warm(
     db: &mut Database,
     query: &LogicalPlan,
@@ -64,30 +64,9 @@ pub fn measure_query_warm(
     shares: ResourceVector,
 ) -> Result<f64, CoreError> {
     let vm = VirtualMachine::new(machine, shares)?;
-    let cfg = DbVmConfig::for_vm(&vm);
-    let params = OptimizerParams {
-        work_mem_bytes: cfg.work_mem_bytes as f64,
-        effective_cache_size_pages: cfg.effective_cache_pages as f64,
-        ..OptimizerParams::postgres_defaults()
-    };
-    let planned = plan_query(db, query, &params)?;
-    let mut pool = BufferPool::new(cfg.buffer_pool_pages);
-    // Warm-up run (unmeasured).
-    run_plan(
-        db,
-        &mut pool,
-        &planned.physical,
-        cfg.work_mem_bytes,
-        CpuCosts::default(),
-    )?;
-    let out = run_plan(
-        db,
-        &mut pool,
-        &planned.physical,
-        cfg.work_mem_bytes,
-        CpuCosts::default(),
-    )?;
-    Ok(vm.demand_seconds(&out.demand))
+    let pair = [query.clone(), query.clone()];
+    let demands = workload_demands(db, &pair, machine, shares)?;
+    Ok(vm.demand_seconds(&demands[1]))
 }
 
 /// Runs `algorithm` on `problem` twice — serially and with one evaluation

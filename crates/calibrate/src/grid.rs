@@ -11,20 +11,22 @@
 //! experiments vary; the disk share is a fixed policy per grid (the 2007
 //! Xen testbed could not throttle disk independently).
 //!
-//! ## One execution per sweep
+//! ## One execution per process
 //!
 //! A probe's [`dbvirt_vmm::ResourceDemand`] depends on an allocation only
 //! through the buffer-pool size and `work_mem`, both derived from the
 //! memory share ([`DbVmConfig`]) — and those never change what the
 //! execution does, only which of its page references miss and what its
-//! sorts and joins spill. A sweep therefore **profiles** each probe once —
-//! 10 engine runs for any `C × M` grid, shared out to one worker per core
-//! as claimable tasks on copies of the process-wide [`ProbeDb::template`] —
-//! **replays** the profiles under each distinct memory configuration, and
-//! then **prices** and fits all `C × M` cells from those demands. Both
-//! steps after the first are arithmetic: every axis of the grid is as free
-//! as a cell. Fault injection is untouched: noise is drawn per cell from
-//! the priced seconds, never from the execution.
+//! sorts and joins spill. And the probes run over the process-wide
+//! [`crate::ProbeDb::template`], which no machine, axis or robustness
+//! setting reaches. So the suite is **profiled** once per process — 10
+//! engine runs, shared out to one worker per core as claimable tasks on
+//! copies of the template — and a sweep only **replays** those profiles
+//! under each distinct memory configuration, then **prices** and fits all
+//! `C × M` cells from the demands. A sweep is arithmetic: every axis of the
+//! grid is as free as a cell, and so is the next grid. Fault injection is
+//! untouched: noise is drawn per cell from the priced seconds, never from
+//! the execution.
 //!
 //! ## Graceful degradation
 //!
@@ -49,14 +51,11 @@
 //! and summarized by [`CalibrationGrid::health`].
 
 use crate::json::Json;
-use crate::probes::{build_probes, Probe};
 use crate::report::CalibrationReport;
-use crate::runner::{calibrate_cell, profile_probe, vm_and_config, CalibrationConfig, DemandMemo};
+use crate::runner::{calibrate_cell, vm_and_config, CalibrationConfig, ProbeSuite};
 use crate::vmdb::DbVmConfig;
-use crate::{CalError, ProbeDb};
-use dbvirt_engine::Profile;
+use crate::CalError;
 use dbvirt_optimizer::OptimizerParams;
-use dbvirt_vmm::kernel::{claim_and_reduce, workers_for, PoolError};
 use dbvirt_vmm::{MachineSpec, ResourceVector};
 use std::fmt;
 
@@ -249,34 +248,6 @@ fn nearest_donors(donors: &[(usize, usize)], c: usize, m: usize) -> Vec<(usize, 
     donors.iter().filter(|d| dist(d) == min).copied().collect()
 }
 
-/// Profiles every probe once. The probes are the tasks of one
-/// [`claim_and_reduce`] call, each worker on its own copy of the probe
-/// database; a probe's profile does not depend on which copy ran it, so the
-/// profiles (and the error surfaced, if any) are the same at any worker
-/// count.
-fn profile_tasks(
-    template: &ProbeDb,
-    probes: &[Probe],
-    carrier_pages: usize,
-    parallelism: usize,
-) -> Result<Vec<Profile>, CalError> {
-    claim_and_reduce(
-        probes.len(),
-        workers_for(parallelism, probes.len()),
-        "calibrate.grid_worker",
-        || template.clone(),
-        |pdb, at| profile_probe(pdb, &probes[at], carrier_pages),
-    )
-    .map_err(|e| match e {
-        PoolError::Task(e) => e,
-        PoolError::Panicked(payload) => {
-            let message = payload.downcast_ref::<&str>().map(|s| s.to_string());
-            let message = message.or_else(|| payload.downcast_ref::<String>().cloned());
-            CalError::probe_failed("<worker>", message.as_deref().unwrap_or("panicked"))
-        }
-    })
-}
-
 impl CalibrationGrid {
     /// Calibrates a grid with clean single-shot measurements.
     pub fn calibrate(
@@ -295,29 +266,15 @@ impl CalibrationGrid {
     }
 
     /// Calibrates a grid under an explicit robustness/fault configuration,
-    /// with per-cell graceful degradation (see the module docs). Probes are
-    /// executed once per sweep, on one worker per core, and every cell is
-    /// priced from a replay of those executions.
+    /// with per-cell graceful degradation (see the module docs). Every cell
+    /// is priced from a replay of the process-wide probe suite's one
+    /// execution.
     pub fn calibrate_with_config(
         machine: MachineSpec,
         cpu_points: Vec<f64>,
         mem_points: Vec<f64>,
         disk_share: f64,
         rcfg: &CalibrationConfig,
-    ) -> Result<CalibrationGrid, CalError> {
-        CalibrationGrid::sweep(machine, cpu_points, mem_points, disk_share, rcfg, 0)
-    }
-
-    /// The sweep behind [`CalibrationGrid::calibrate_with_config`] with the
-    /// worker count exposed (`0` = one per core), so tests can pin that it
-    /// changes nothing.
-    fn sweep(
-        machine: MachineSpec,
-        cpu_points: Vec<f64>,
-        mem_points: Vec<f64>,
-        disk_share: f64,
-        rcfg: &CalibrationConfig,
-        parallelism: usize,
     ) -> Result<CalibrationGrid, CalError> {
         validate_grid_args(&cpu_points, &mem_points, disk_share)
             .map_err(|reason| CalError::InvalidGrid { reason })?;
@@ -342,12 +299,11 @@ impl CalibrationGrid {
             }
         }
 
-        // Execute: each probe once, whatever either axis holds and however
-        // many workers share the tasks; then one replay per configuration.
-        let template = ProbeDb::template()?;
-        let probes = build_probes(template);
-        let profile = |pages| profile_tasks(template, &probes, pages, parallelism);
-        let memo = DemandMemo::fill(&probes, configs, profile)?;
+        // The suite's executions are the process's, not this sweep's; one
+        // replay of them per configuration.
+        let suite = ProbeSuite::template()?;
+        let probes = &suite.probes;
+        let memo = suite.replay(configs)?;
 
         // Price and fit: pure arithmetic per cell, in row-major order.
         let default = OptimizerParams::postgres_defaults();
@@ -357,7 +313,7 @@ impl CalibrationGrid {
         let mut healthy: Vec<(usize, usize)> = Vec::new();
         let mut failed: Vec<(usize, usize, ResourceVector, CalError)> = Vec::new();
         for (c, m, shares) in cells {
-            match calibrate_cell(machine, shares, &probes, &memo, rcfg) {
+            match calibrate_cell(machine, shares, probes, &memo, rcfg) {
                 Ok(cal) => {
                     entries[c][m] = cal.params;
                     reports[c][m] = cal.report;
@@ -866,6 +822,7 @@ fn params_from_json(doc: &Json) -> Result<OptimizerParams, CalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProbeDb;
     use dbvirt_vmm::{FaultInjector, NoiseModel};
 
     fn small_grid() -> CalibrationGrid {
@@ -1044,16 +1001,10 @@ mod tests {
         vec![0.2, 0.4, 0.6, 0.8]
     }
 
-    /// Compares through the JSON cache: it carries every parameter and
-    /// report bit, and a dropped probe's NaN seconds equal themselves there.
-    fn assert_same_grid(a: &CalibrationGrid, b: &CalibrationGrid, what: &str) {
-        assert_eq!(a.to_json().unwrap(), b.to_json().unwrap(), "{what}");
-    }
-
     #[test]
     fn memoized_sweep_equals_per_cell_calibration() {
-        // The sweep executes the probes once and prices 16 cells from
-        // them; calibrating each cell on its own, on a freshly built
+        // The sweep prices 16 cells from the process-wide suite's one
+        // execution; calibrating each cell on its own, on a freshly built
         // database, executes everything again. Same bits either way,
         // clean and under fault injection (noise is drawn per cell from the
         // priced seconds).
@@ -1094,23 +1045,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_bit_identical_at_any_worker_count() {
-        let machine = MachineSpec::paper_testbed();
-        let injector = FaultInjector::new(NoiseModel::uniform_jitter(0.3), 14);
-        let rcfg = CalibrationConfig::robust().with_injector(injector);
-        let sweep = |workers| {
-            CalibrationGrid::sweep(machine, vec![0.25, 0.5, 0.75], axis4(), 0.5, &rcfg, workers)
-                .unwrap()
-        };
-        let one = sweep(1);
-        assert_same_grid(&one, &sweep(2), "1 vs 2 workers");
-        assert_same_grid(&one, &sweep(5), "1 vs 5 workers");
-        // More workers than the 8 tasks, and none at all, are clamped.
-        assert_same_grid(&one, &sweep(64), "1 vs 64 workers");
-        assert_same_grid(&one, &sweep(0), "1 vs 0 workers");
-    }
-
-    #[test]
     fn probe_database_is_built_once_per_process() {
         use std::sync::atomic::Ordering;
         small_grid();
@@ -1136,8 +1070,8 @@ mod tests {
         // A carrier no buffer pool accepts makes every worker panic on the
         // storage layer's own assert.
         let template = ProbeDb::template().unwrap();
-        let probes = build_probes(template);
-        let err = profile_tasks(template, &probes, 0, 2).unwrap_err();
+        let probes = crate::probes::build_probes(template);
+        let err = crate::runner::profile_tasks(template, &probes, 0, 2).unwrap_err();
         match err {
             CalError::ProbeFailed { probe, reason } => {
                 assert_eq!(probe, "<worker>");

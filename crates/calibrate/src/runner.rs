@@ -4,7 +4,9 @@
 //! once for each `R`", in three steps. **Profile**: execute each probe once
 //! and keep what the execution did — its page references in order, its CPU
 //! cycles, what its sorts and joins held ([`dbvirt_engine::Profile`]) — the
-//! only step that touches the engine, and one that sees nothing of `R`.
+//! only step that touches the engine, and one that sees nothing of `R`, nor
+//! of the machine: the suite over the process-wide [`ProbeDb::template`] is
+//! a constant, profiled once per process (`ProbeSuite::template`).
 //! **Replay**: turn the profiles into the [`dbvirt_vmm::ResourceDemand`]
 //! each probe would have generated on a cold buffer pool under `R`'s memory
 //! configuration: the pool's one clock sweep run over the recorded
@@ -15,9 +17,10 @@
 //! **Price**: convert those demands into the seconds a VM with `R`'s shares
 //! would have measured (optionally through a [`FaultInjector`]) and solve
 //! the overdetermined linear system for the five time-domain parameters. A
-//! grid sweep profiles once, replays once per memory point and prices every
-//! cell from that memo; a single calibration is the same code with a
-//! one-entry memo. Memory-derived settings (`effective_cache_size`,
+//! grid sweep replays once per memory point and prices every cell from that
+//! memo — no engine run at all after the process's first; a single
+//! calibration is the same code with a one-entry memo, over the caller's
+//! own database when it brings one. Memory-derived settings (`effective_cache_size`,
 //! `work_mem`) come from the deployment policy in [`crate::vmdb`] — they are
 //! configured, not measured, just as a DBA sets them from the machine's
 //! known RAM.
@@ -45,13 +48,15 @@
 use crate::probes::{build_probes, CacheState, Probe, NUM_UNKNOWNS};
 use crate::report::{CalibrationReport, ProbeStat};
 use crate::{solver, CalError, DbVmConfig, ProbeDb};
-use dbvirt_engine::{CpuCosts, Profile};
+use dbvirt_engine::{CpuCosts, Profile, CARRIER_PAGES};
 use dbvirt_optimizer::OptimizerParams;
 use dbvirt_storage::BufferPool;
 use dbvirt_telemetry as telemetry;
+use dbvirt_vmm::kernel::{claim_and_reduce, workers_for, PoolError};
 use dbvirt_vmm::{
     FaultInjector, MachineSpec, ProbeFault, ResourceDemand, ResourceVector, VirtualMachine,
 };
+use std::sync::OnceLock;
 
 // Calibration telemetry (no-ops until `dbvirt_telemetry::enable()`).
 static TM_PROBE_RUNS: telemetry::Counter = telemetry::Counter::new("calibrate.probe_runs");
@@ -249,6 +254,86 @@ pub(crate) fn profile_probe(
     Ok(profile)
 }
 
+/// Profiles every probe once. The probes are the tasks of one
+/// [`claim_and_reduce`] call, each worker on its own copy of the probe
+/// database; a probe's profile does not depend on which copy ran it, so the
+/// profiles (and the error surfaced, if any) are the same at any worker
+/// count.
+pub(crate) fn profile_tasks(
+    pdb: &ProbeDb,
+    probes: &[Probe],
+    carrier_pages: usize,
+    parallelism: usize,
+) -> Result<Vec<Profile>, CalError> {
+    claim_and_reduce(
+        probes.len(),
+        workers_for(parallelism, probes.len()),
+        "calibrate.grid_worker",
+        || pdb.clone(),
+        |pdb, at| profile_probe(pdb, &probes[at], carrier_pages),
+    )
+    .map_err(|e| match e {
+        PoolError::Task(e) => e,
+        PoolError::Panicked(payload) => {
+            let message = payload.downcast_ref::<&str>().map(|s| s.to_string());
+            let message = message.or_else(|| payload.downcast_ref::<String>().cloned());
+            CalError::probe_failed("<worker>", message.as_deref().unwrap_or("panicked"))
+        }
+    })
+}
+
+/// A probe database's suite with what executing it did: all that is left of
+/// the engine in a calibration.
+#[derive(Debug)]
+pub(crate) struct ProbeSuite {
+    pub(crate) probes: Vec<Probe>,
+    /// `profiles[i]` is what `probes[i]`'s execution did.
+    profiles: Vec<Profile>,
+}
+
+impl ProbeSuite {
+    /// **Profile**: executes each of `pdb`'s probes once (`parallelism`
+    /// workers, `0` = one per core; it changes nothing about the result).
+    pub(crate) fn profile(pdb: &ProbeDb, parallelism: usize) -> Result<ProbeSuite, CalError> {
+        let probes = build_probes(pdb);
+        let profiles = profile_tasks(pdb, &probes, CARRIER_PAGES, parallelism)?;
+        Ok(ProbeSuite { probes, profiles })
+    }
+
+    /// The suite over [`ProbeDb::template`]: a constant of the process, so
+    /// it is profiled on first use and never again — every later sweep, on
+    /// whatever machine, axes, robustness or fault configuration, runs no
+    /// engine at all. A failure is remembered like the template's.
+    pub(crate) fn template() -> Result<&'static ProbeSuite, CalError> {
+        static SUITE: OnceLock<Result<ProbeSuite, CalError>> = OnceLock::new();
+        SUITE
+            .get_or_init(|| ProbeSuite::profile(ProbeDb::template()?, 0))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// **Replay**: each probe's measured demand (its last run's) under each
+    /// of `configs`, exactly what executing the suite on a cold pool of that
+    /// configuration would have charged. Arithmetic over the profiles, once
+    /// per configuration however many cells share it. A configuration no
+    /// execution could run under — no frames, no `work_mem` — is the first
+    /// probe's typed failure.
+    pub(crate) fn replay(&self, configs: Vec<DbVmConfig>) -> Result<DemandMemo, CalError> {
+        let _span = telemetry::span("calibrate.replay");
+        let suite = |cfg: DbVmConfig| {
+            let measured = self.probes.iter().zip(&self.profiles).map(|(probe, profile)| {
+                let runs = profile
+                    .demand_under(cfg.buffer_pool_pages, cfg.work_mem_bytes)
+                    .map_err(|e| CalError::probe_failed(probe.name, e))?;
+                Ok(*runs.last().expect("a profiled probe has a measured run"))
+            });
+            Ok((cfg, measured.collect::<Result<_, CalError>>()?))
+        };
+        let entries = configs.into_iter().map(suite).collect::<Result<_, CalError>>()?;
+        Ok(DemandMemo { entries })
+    }
+}
+
 /// The probe suite's demands under each memory configuration asked for. A
 /// single-cell calibration holds one entry; a grid sweep holds one per
 /// distinct configuration on its memory axis and prices every cell from it.
@@ -260,41 +345,6 @@ pub(crate) struct DemandMemo {
 }
 
 impl DemandMemo {
-    /// Profiles the suite once — `profile` is handed the carrier's size: the
-    /// largest configuration's pool, so the carrier misses no more than any
-    /// execution would have — then **replays**: each probe's measured
-    /// demand (its last run's) under each of `configs`, exactly what
-    /// executing the suite on a cold pool of that configuration would have
-    /// charged. Arithmetic over the profiles, once per configuration however
-    /// many cells share it. A configuration no execution could run under is
-    /// refused before any probe runs.
-    pub(crate) fn fill(
-        probes: &[Probe],
-        configs: Vec<DbVmConfig>,
-        profile: impl FnOnce(usize) -> Result<Vec<Profile>, CalError>,
-    ) -> Result<DemandMemo, CalError> {
-        let runnable = |c: &DbVmConfig| c.buffer_pool_pages > 0 && c.work_mem_bytes > 0;
-        let largest = configs.iter().map(|c| c.buffer_pool_pages).max();
-        let Some(carrier_pages) = largest.filter(|_| configs.iter().all(runnable)) else {
-            let reason = format!("no probe can execute under every one of {configs:?}");
-            return Err(CalError::probe_failed("<setup>", reason));
-        };
-        let profiles = profile(carrier_pages)?;
-
-        let _span = telemetry::span("calibrate.replay");
-        let suite = |cfg: DbVmConfig| {
-            let measured = probes.iter().zip(&profiles).map(|(probe, profile)| {
-                let runs = profile
-                    .demand_under(cfg.buffer_pool_pages, cfg.work_mem_bytes)
-                    .map_err(|e| CalError::probe_failed(probe.name, e))?;
-                Ok(*runs.last().expect("a profiled probe has a measured run"))
-            });
-            Ok((cfg, measured.collect::<Result<_, CalError>>()?))
-        };
-        let entries = configs.into_iter().map(suite).collect::<Result<_, CalError>>()?;
-        Ok(DemandMemo { entries })
-    }
-
     fn get(&self, cfg: &DbVmConfig) -> Result<&[ResourceDemand], CalError> {
         let found = self.entries.iter().find(|(c, _)| c == cfg);
         found.map(|(_, d)| d.as_slice()).ok_or_else(|| {
@@ -420,21 +470,29 @@ fn robust_fit(
     Ok(fit.x)
 }
 
-/// Calibrates `P` for one allocation with explicit robustness knobs,
-/// reusing an existing probe database: profiles the probe suite, replays it
-/// under the allocation's memory configuration, then prices and fits the
-/// cell from that one-entry memo — the same three steps a grid sweep takes.
+/// Calibrates `P` for one allocation with explicit robustness knobs, on the
+/// caller's own probe database: profiles its suite, replays it under the
+/// allocation's memory configuration, then prices and fits the cell from
+/// that one-entry memo — the same three steps a grid sweep takes.
 pub fn calibrate_with_config(
     pdb: &mut ProbeDb,
     spec: MachineSpec,
     shares: ResourceVector,
     rcfg: &CalibrationConfig,
 ) -> Result<Calibration, CalError> {
-    let probes = build_probes(pdb);
+    calibrate_from(&ProbeSuite::profile(pdb, 0)?, spec, shares, rcfg)
+}
+
+/// One cell from a profiled suite: replay under its configuration, price,
+/// fit.
+fn calibrate_from(
+    suite: &ProbeSuite,
+    spec: MachineSpec,
+    shares: ResourceVector,
+    rcfg: &CalibrationConfig,
+) -> Result<Calibration, CalError> {
     let (_, cfg) = vm_and_config(spec, shares)?;
-    let profile = |pages| probes.iter().map(|p| profile_probe(pdb, p, pages)).collect();
-    let memo = DemandMemo::fill(&probes, vec![cfg], profile)?;
-    calibrate_cell(spec, shares, &probes, &memo, rcfg)
+    calibrate_cell(spec, shares, &suite.probes, &suite.replay(vec![cfg])?, rcfg)
 }
 
 /// Prices the memoized demands for one allocation and fits `P` to them.
@@ -565,11 +623,10 @@ pub fn calibrate_with(
     calibrate_with_config(pdb, spec, shares, &CalibrationConfig::default())
 }
 
-/// Calibrates `P` for one allocation on a private copy of the process-wide
-/// probe database.
+/// Calibrates `P` for one allocation from the process-wide probe suite.
 pub fn calibrate(spec: MachineSpec, shares: ResourceVector) -> Result<OptimizerParams, CalError> {
-    let mut pdb = ProbeDb::template()?.clone();
-    Ok(calibrate_with(&mut pdb, spec, shares)?.params)
+    let rcfg = CalibrationConfig::default();
+    Ok(calibrate_from(ProbeSuite::template()?, spec, shares, &rcfg)?.params)
 }
 
 #[cfg(test)]
@@ -615,8 +672,18 @@ mod tests {
             .collect();
         // The carrier's size is irrelevant: smaller than some, larger than
         // other configurations replayed from it.
-        let profile = |_| probes.iter().map(|p| profile_probe(&mut pdb, p, 64)).collect();
-        let memo = DemandMemo::fill(&probes, configs.clone(), profile).unwrap();
+        let suite = ProbeSuite {
+            profiles: profile_tasks(&pdb, &probes, 64, 1).unwrap(),
+            probes: probes.clone(),
+        };
+        let memo = suite.replay(configs.clone()).unwrap();
+        // ...and so is the worker count: more workers than the 8 tasks, and
+        // none at all, are clamped.
+        for workers in [2, 5, 64, 0] {
+            let pooled = ProbeSuite::profile(&pdb, workers).unwrap();
+            let pooled = pooled.replay(configs.clone()).unwrap();
+            assert_eq!(memo.entries, pooled.entries, "{workers} workers");
+        }
         let mut distinct = std::collections::HashSet::new();
         let first = memo.get(&configs[0]).unwrap();
         for cfg in &configs {
@@ -645,9 +712,8 @@ mod tests {
     }
 
     #[test]
-    fn a_configuration_nothing_can_run_under_is_refused_before_any_probe_runs() {
-        let mut pdb = ProbeDb::build().unwrap();
-        let probes = build_probes(&pdb);
+    fn a_configuration_nothing_can_run_under_is_a_typed_error() {
+        let suite = ProbeSuite::template().unwrap();
         let runnable = DbVmConfig {
             buffer_pool_pages: 64,
             work_mem_bytes: 1 << 20,
@@ -663,24 +729,16 @@ mod tests {
                 ..runnable
             },
         ] {
-            let never = |_| unreachable!("nothing may execute for {bad:?}");
-            let refused = DemandMemo::fill(&probes, vec![runnable, bad], never).unwrap_err();
+            let refused = suite.replay(vec![runnable, bad]).unwrap_err();
+            let first = suite.probes[0].name;
             assert!(
-                matches!(&refused, CalError::ProbeFailed { probe, .. } if probe == "<setup>"),
+                matches!(&refused, CalError::ProbeFailed { probe, .. } if probe == first),
                 "{refused}"
             );
         }
-        assert!(DemandMemo::fill(&probes, vec![], |_| unreachable!()).is_err());
-        // The carrier is as large as the largest configuration.
-        let larger = DbVmConfig {
-            buffer_pool_pages: 99,
-            ..runnable
-        };
-        let profile = |pages| {
-            assert_eq!(pages, 99);
-            probes.iter().map(|p| profile_probe(&mut pdb, p, pages)).collect()
-        };
-        DemandMemo::fill(&probes, vec![runnable, larger], profile).unwrap();
+        // Nothing replayed, nothing to price a cell from.
+        let empty = suite.replay(vec![]).unwrap();
+        assert!(empty.get(&runnable).is_err());
     }
 
     #[test]

@@ -7,46 +7,113 @@
 //! for real through the buffer pool, and convert the accumulated demand to
 //! simulated time under the VM's shares. It exists for validation and the
 //! experiment figures; the advisor itself never calls it.
+//!
+//! ## Execution is a constant of (database, plan)
+//!
+//! An allocation never changes what an execution *does*: CPU and disk shares
+//! only divide the demand, and the memory share only decides which of the
+//! page references miss and what the sorts and joins spill — which
+//! [`dbvirt_engine::Profile`] recomputes exactly from one execution. So a
+//! [`WorkloadProfile`] executes each *distinct* physical plan once, keeps
+//! what the run did, and answers every allocation (and every repeat of a
+//! query inside the workload) by replaying the workload's sequence of runs
+//! through a cold pool of the allocation's size. The memory share still
+//! reaches the planner (`work_mem`, cache size), so an allocation that flips
+//! a plan meets a plan not seen before, and that one is executed.
 
 use crate::CoreError;
 use dbvirt_calibrate::DbVmConfig;
-use dbvirt_engine::{run_plan, CpuCosts, Database};
+use dbvirt_engine::{CpuCosts, Database, PhysicalPlan, Profile, CARRIER_PAGES};
 use dbvirt_optimizer::{plan_query, LogicalPlan, OptimizerParams};
 use dbvirt_storage::BufferPool;
 use dbvirt_vmm::sched::{co_schedule, SchedMode, VmJob};
 use dbvirt_vmm::{AllocationMatrix, MachineSpec, ResourceDemand, ResourceVector, VirtualMachine};
 
+/// What executing a workload on a database does, under any allocation.
+///
+/// Holds the database mutably for as long as it lives: a stored run is only
+/// good while the data it ran over has not changed, and the borrow is what
+/// guarantees that.
+#[derive(Debug)]
+pub struct WorkloadProfile<'a> {
+    db: &'a mut Database,
+    queries: &'a [LogicalPlan],
+    /// Hands the executor its pages; its size and contents reach no demand.
+    carrier: BufferPool,
+    /// Every distinct plan met so far, with its one execution.
+    executed: Vec<(PhysicalPlan, Profile)>,
+}
+
+impl<'a> WorkloadProfile<'a> {
+    /// A profile of `queries` over `db`; nothing is planned or executed yet.
+    pub fn new(db: &'a mut Database, queries: &'a [LogicalPlan]) -> WorkloadProfile<'a> {
+        WorkloadProfile {
+            db,
+            queries,
+            carrier: BufferPool::new(CARRIER_PAGES),
+            executed: Vec::new(),
+        }
+    }
+
+    /// Distinct plans executed so far: all the engine work this profile has
+    /// cost.
+    pub fn plans_executed(&self) -> usize {
+        self.executed.len()
+    }
+
+    /// Each query's demand in a VM at `shares` of `machine`, the database
+    /// configured for it by the deployment policy.
+    pub fn demands_under(
+        &mut self,
+        machine: MachineSpec,
+        shares: ResourceVector,
+    ) -> Result<Vec<ResourceDemand>, CoreError> {
+        let vm = VirtualMachine::new(machine, shares)?;
+        self.demands_with(DbVmConfig::for_vm(&vm))
+    }
+
+    /// Each query's demand under `cfg`: planned with stock optimizer
+    /// settings plus `cfg`'s `work_mem` and cache size, then run in order
+    /// over one pool — a cold start, then queries warm the cache for each
+    /// other, as on a real consolidated server. Only plans not met before
+    /// execute.
+    pub fn demands_with(&mut self, cfg: DbVmConfig) -> Result<Vec<ResourceDemand>, CoreError> {
+        let mut sequence = Profile::new();
+        // A configuration nothing can run under is refused by the empty
+        // sequence, before anything is planned or executed.
+        sequence.demand_under(cfg.buffer_pool_pages, cfg.work_mem_bytes)?;
+        let params = OptimizerParams {
+            work_mem_bytes: cfg.work_mem_bytes as f64,
+            effective_cache_size_pages: cfg.effective_cache_pages as f64,
+            ..OptimizerParams::postgres_defaults()
+        };
+        for q in self.queries {
+            let plan = plan_query(self.db, q, &params)?.physical;
+            let at = match self.executed.iter().position(|(seen, _)| *seen == plan) {
+                Some(at) => at,
+                None => {
+                    let mut run = Profile::new();
+                    run.run(self.db, &mut self.carrier, &plan, CpuCosts::default())?;
+                    self.executed.push((plan, run));
+                    self.executed.len() - 1
+                }
+            };
+            sequence.append(&self.executed[at].1);
+        }
+        Ok(sequence.demand_under(cfg.buffer_pool_pages, cfg.work_mem_bytes)?)
+    }
+}
+
 /// Plans (with stock optimizer settings, `work_mem` from the VM) and
-/// executes every query of a workload, returning each query's demand.
+/// executes every query of a workload, returning each query's demand: the
+/// one-shot use of a [`WorkloadProfile`].
 pub fn workload_demands(
     db: &mut Database,
     queries: &[LogicalPlan],
     machine: MachineSpec,
     shares: ResourceVector,
 ) -> Result<Vec<ResourceDemand>, CoreError> {
-    let vm = VirtualMachine::new(machine, shares)?;
-    let cfg = DbVmConfig::for_vm(&vm);
-    let params = OptimizerParams {
-        work_mem_bytes: cfg.work_mem_bytes as f64,
-        effective_cache_size_pages: cfg.effective_cache_pages as f64,
-        ..OptimizerParams::postgres_defaults()
-    };
-    // One pool for the whole workload: a cold start, then queries warm the
-    // cache for each other, as on a real consolidated server.
-    let mut pool = BufferPool::new(cfg.buffer_pool_pages);
-    let mut demands = Vec::with_capacity(queries.len());
-    for q in queries {
-        let planned = plan_query(db, q, &params)?;
-        let out = run_plan(
-            db,
-            &mut pool,
-            &planned.physical,
-            cfg.work_mem_bytes,
-            CpuCosts::default(),
-        )?;
-        demands.push(out.demand);
-    }
-    Ok(demands)
+    WorkloadProfile::new(db, queries).demands_under(machine, shares)
 }
 
 /// Measured seconds for a workload running **alone** in a VM at `shares`.

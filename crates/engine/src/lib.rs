@@ -46,5 +46,5 @@ pub use catalog::{Database, IndexId, IndexMeta, TableId, TableMeta};
 pub use cpu::CpuCosts;
 pub use expr::{AggExpr, AggFunc, BinOp, CmpOp, Expr};
 pub use plan::{IndexArm, JoinType, PhysicalPlan, SortKey};
-pub use profile::Profile;
+pub use profile::{Profile, CARRIER_PAGES};
 pub use runtime::{run_plan, EngineError, ExecContext, QueryOutput, SpillEvent};

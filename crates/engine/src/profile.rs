@@ -16,6 +16,11 @@ use crate::{CpuCosts, Database, PhysicalPlan};
 use dbvirt_storage::{Access, BufferPool, Tuple};
 use dbvirt_vmm::ResourceDemand;
 
+/// Frames of the carrier pool callers profile on. A carrier's size reaches
+/// no profile, so it follows no configuration; this one holds a small
+/// database whole.
+pub const CARRIER_PAGES: usize = 1024;
+
 /// What one or more executions did, free of any memory configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Profile {
@@ -65,11 +70,22 @@ impl Profile {
         Ok(out.rows)
     }
 
+    /// Appends `other`'s runs after this profile's own: the profile of
+    /// having executed both sequences back to back. This is how a repeated
+    /// plan joins a workload's sequence without executing again.
+    pub fn append(&mut self, other: &Profile) {
+        let shift = self.log.len();
+        self.log.extend_from_slice(&other.log);
+        self.runs.extend(other.runs.iter().map(|run| Run {
+            log_end: run.log_end + shift,
+            ..run.clone()
+        }));
+    }
+
     /// Each run's demand, had the runs executed in order over one cold pool
-    /// of `buffer_pool_pages` with `work_mem_bytes` each. Run `k` replays
-    /// the log up to its own end, measured from where run `k - 1` ended. A
-    /// configuration no execution accepts — no frames, no `work_mem` — is an
-    /// error here too.
+    /// of `buffer_pool_pages` with `work_mem_bytes` each: one replay of the
+    /// whole log, billed at every run's end. A configuration no execution
+    /// accepts — no frames, no `work_mem` — is an error here too.
     pub fn demand_under(
         &self,
         buffer_pool_pages: usize,
@@ -78,19 +94,16 @@ impl Profile {
         if work_mem_bytes == 0 {
             return Err(EngineError::Plan("work_mem_bytes must be positive".into()));
         }
-        let mut start = 0;
-        self.runs
-            .iter()
-            .map(|run| {
-                let io = BufferPool::replay(buffer_pool_pages, &self.log[..run.log_end], start)?;
-                start = run.log_end;
-                let spilled: u64 = run.spills.iter().map(|s| s.pages(work_mem_bytes)).sum();
-                let mut direct = ResourceDemand::cpu(run.cpu_cycles);
-                direct.add_writes(spilled);
-                direct.add_seq_reads(spilled);
-                Ok(direct + io)
-            })
-            .collect()
+        let run_ends: Vec<usize> = self.runs.iter().map(|run| run.log_end).collect();
+        let io = BufferPool::replay(buffer_pool_pages, &self.log, &run_ends)?;
+        let demands = self.runs.iter().zip(io).map(|(run, io)| {
+            let spilled: u64 = run.spills.iter().map(|s| s.pages(work_mem_bytes)).sum();
+            let mut direct = ResourceDemand::cpu(run.cpu_cycles);
+            direct.add_writes(spilled);
+            direct.add_seq_reads(spilled);
+            direct + io
+        });
+        Ok(demands.collect())
     }
 }
 
@@ -152,6 +165,41 @@ mod tests {
             }
         }
         assert!(spilled >= 8, "the small work_mems must spill");
+    }
+
+    #[test]
+    fn appended_profiles_price_a_sequence_with_repeats_as_executing_it_would() {
+        let (mut db, mut carrier) = small_db(5000);
+        let scan = PhysicalPlan::SeqScan {
+            table: TableId(0),
+            filter: None,
+        };
+        let once = |plan: &PhysicalPlan, db: &mut Database, carrier: &mut BufferPool| {
+            let mut profile = Profile::new();
+            profile.run(db, carrier, plan, CpuCosts::default()).unwrap();
+            profile
+        };
+        let (sorted, scanned) = (
+            once(&plan(), &mut db, &mut carrier),
+            once(&scan, &mut db, &mut carrier),
+        );
+        // sort, scan, sort, sort — from two executions.
+        let mut sequence = Profile::new();
+        for part in [&sorted, &scanned, &sorted, &sorted] {
+            sequence.append(part);
+        }
+        for (pool_pages, work_mem) in [(2, 4 << 10), (16, 64 << 10), (4096, 8 << 20)] {
+            let mut pool = BufferPool::new(pool_pages);
+            let executed: Vec<ResourceDemand> = [&plan(), &scan, &plan(), &plan()]
+                .into_iter()
+                .map(|p| {
+                    run_plan(&mut db, &mut pool, p, work_mem, CpuCosts::default())
+                        .unwrap()
+                        .demand
+                })
+                .collect();
+            assert_eq!(sequence.demand_under(pool_pages, work_mem).unwrap(), executed);
+        }
     }
 
     #[test]

@@ -175,33 +175,40 @@ impl BufferPool {
         self.log.take().unwrap_or_default()
     }
 
-    /// What a cold pool of `capacity` pages would have charged for the
-    /// references `log[measured_from..]`, had it served all of `log` in
-    /// order: the prefix only warms it. See the module docs for why this is
-    /// exact. Zero capacity, or a `measured_from` past the log's end, is an
-    /// error.
+    /// What a cold pool of `capacity` pages would have charged for `log`,
+    /// served in order and billed in runs: entry `k` is the demand of the
+    /// references `log[run_ends[k - 1]..run_ends[k]]` (the first run starts
+    /// at 0), each run over the pool its predecessors left behind. One pass
+    /// over the log whatever the number of runs; references past the last
+    /// end are not served. See the module docs for why this is exact. Zero
+    /// capacity, an end past the log's, or an end before its predecessor is
+    /// an error.
     pub fn replay(
         capacity: usize,
         log: &[Access],
-        measured_from: usize,
-    ) -> Result<ResourceDemand, StorageError> {
-        if capacity == 0 || measured_from > log.len() {
-            return Err(StorageError::BadReplay {
-                capacity,
-                measured_from,
-                log_len: log.len(),
-            });
+        run_ends: &[usize],
+    ) -> Result<Vec<ResourceDemand>, StorageError> {
+        let bad = |boundary| StorageError::BadReplay {
+            capacity,
+            boundary,
+            log_len: log.len(),
+        };
+        if capacity == 0 {
+            return Err(bad(0));
         }
         let mut pool = BufferPool::new(capacity);
-        let (warm_up, measured) = log.split_at(measured_from);
-        for &access in warm_up {
-            pool.reference(None, access, false)?;
-        }
-        pool.take_demand();
-        for &access in measured {
-            pool.reference(None, access, false)?;
-        }
-        Ok(pool.take_demand())
+        let mut start = 0;
+        run_ends
+            .iter()
+            .map(|&end| {
+                let run = log.get(start..end).ok_or_else(|| bad(end))?;
+                for &access in run {
+                    pool.reference(None, access, false)?;
+                }
+                start = end;
+                Ok(pool.take_demand())
+            })
+            .collect()
     }
 
     /// Finds a frame index for a new resident, evicting if necessary.
@@ -667,31 +674,86 @@ mod tests {
 
         // Replayed cold through one frame: 1 misses, 2 misses and evicts 1,
         // 1 misses again and evicts dirty 2.
-        let d = BufferPool::replay(1, &log, 0).unwrap();
+        let d = BufferPool::replay(1, &log, &[3]).unwrap()[0];
         assert_eq!(
             (d.seq_page_reads, d.random_page_reads, d.page_writes),
             (1, 2, 1)
         );
-        // Measured from the last reference, with room for both pages.
-        assert!(BufferPool::replay(2, &log, 2).unwrap().is_zero());
-        assert!(BufferPool::replay(2, &log, 3).unwrap().is_zero());
+        // With room for both pages the last reference is a hit, and an
+        // empty run is free.
+        let runs = BufferPool::replay(2, &log, &[2, 3, 3]).unwrap();
+        assert!(!runs[0].is_zero() && runs[1].is_zero() && runs[2].is_zero());
+        // References past the last end are not served.
+        assert_eq!(BufferPool::replay(2, &log, &[2]).unwrap(), runs[..1]);
+    }
+
+    /// The one-pass replay against the definition it replaced: run `k` is
+    /// what a cold pool charges for `log[ends[k - 1]..ends[k]]` after being
+    /// warmed by everything before it — replayed prefix by prefix.
+    #[test]
+    fn a_thousand_runs_in_one_pass_equal_the_per_prefix_replays() {
+        let file = crate::FileId(3);
+        let mut stream = dbvirt_vmm::kernel::SplitMix64(17);
+        let mut draw = |below: u64| stream.next() % below;
+        let mut log = Vec::new();
+        let mut ends = Vec::new();
+        for _ in 0..1000 {
+            for _ in 0..draw(12) {
+                log.push(Access {
+                    pid: PageId {
+                        file,
+                        page_no: draw(100) as u32,
+                    },
+                    pattern: [AccessPattern::Sequential, AccessPattern::Random][draw(2) as usize],
+                    write: draw(4) == 0,
+                });
+            }
+            ends.push(log.len());
+        }
+        for capacity in [1, 7, 64] {
+            let one_pass = BufferPool::replay(capacity, &log, &ends).unwrap();
+            assert_eq!(one_pass.len(), 1000);
+            let mut start = 0;
+            for (run, &end) in one_pass.iter().zip(&ends) {
+                let prefix = BufferPool::replay(capacity, &log[..end], &[start, end]).unwrap();
+                assert_eq!(*run, prefix[1], "capacity {capacity}, run ending at {end}");
+                start = end;
+            }
+            assert!(one_pass.iter().any(|d| d.page_writes > 0));
+        }
     }
 
     #[test]
     fn an_impossible_replay_is_an_error_not_a_panic() {
         assert_eq!(
-            BufferPool::replay(0, &[], 0),
+            BufferPool::replay(0, &[], &[0]),
             Err(StorageError::BadReplay {
                 capacity: 0,
-                measured_from: 0,
+                boundary: 0,
                 log_len: 0
             })
         );
-        assert!(matches!(
-            BufferPool::replay(4, &[], 1),
-            Err(StorageError::BadReplay { .. })
-        ));
-        assert!(BufferPool::replay(4, &[], 0).unwrap().is_zero());
+        let access = Access {
+            pid: PageId {
+                file: crate::FileId(0),
+                page_no: 0,
+            },
+            pattern: AccessPattern::Random,
+            write: false,
+        };
+        // An end past the log's, and one before its predecessor.
+        for (log, ends, boundary) in [(&[][..], &[0, 1][..], 1), (&[access; 3][..], &[2, 1, 3], 1)] {
+            assert_eq!(
+                BufferPool::replay(4, log, ends),
+                Err(StorageError::BadReplay {
+                    capacity: 4,
+                    boundary,
+                    log_len: log.len()
+                })
+            );
+        }
+        assert!(BufferPool::replay(4, &[], &[0]).unwrap()[0].is_zero());
+        assert!(BufferPool::replay(4, &[access], &[]).unwrap().is_empty());
     }
 
     #[test]
@@ -808,7 +870,7 @@ mod proptests {
             let log = carrier.close_log();
             prop_assert_eq!(log.len(), accesses.len());
             prop_assert_eq!(
-                BufferPool::replay(capacity, &log, measured_from).unwrap(),
+                BufferPool::replay(capacity, &log, &[measured_from, log.len()]).unwrap()[1],
                 *live.demand()
             );
             // The same walk by hand, to see the metrics `replay` drops.

@@ -42,13 +42,13 @@ pub enum StorageError {
         /// File id.
         file: u32,
     },
-    /// An access log was replayed through a pool with no frames, or measured
-    /// from past its end.
+    /// An access log was replayed through a pool with no frames, or split
+    /// into runs at a boundary past its end or before the previous one.
     BadReplay {
         /// The capacity asked for, in pages.
         capacity: usize,
-        /// Where measurement was to start.
-        measured_from: usize,
+        /// The offending run boundary (0 when the capacity is at fault).
+        boundary: usize,
         /// Entries in the log.
         log_len: usize,
     },
@@ -71,11 +71,11 @@ impl fmt::Display for StorageError {
             StorageError::FileNotFound { file } => write!(f, "file {file} not found"),
             StorageError::BadReplay {
                 capacity,
-                measured_from,
+                boundary,
                 log_len,
             } => write!(
                 f,
-                "cannot replay {log_len} accesses from {measured_from} through {capacity} frames"
+                "cannot replay {log_len} accesses up to {boundary} through {capacity} frames"
             ),
         }
     }

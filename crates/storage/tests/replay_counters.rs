@@ -60,12 +60,12 @@ fn only_the_live_pool_ticks_the_process_wide_counters() {
     assert!(live.iter().all(|&n| n > 0), "{live:?}");
 
     for capacity in [1, 4, n_pages as usize + 1] {
-        BufferPool::replay(capacity, &log, 0).unwrap();
-        BufferPool::replay(capacity, &log, log.len() / 2).unwrap();
+        BufferPool::replay(capacity, &log, &[log.len()]).unwrap();
+        BufferPool::replay(capacity, &log, &[log.len() / 2, log.len()]).unwrap();
     }
     assert_eq!(counters(), live, "a replay does no physical work");
     assert_eq!(
-        BufferPool::replay(4, &log, 0).unwrap(),
+        BufferPool::replay(4, &log, &[log.len()]).unwrap()[0],
         *pool.demand(),
         "and yet it charges what the live pool did"
     );

@@ -29,12 +29,21 @@ for const in 'cbf2_?9ce4_?8422_?2325' 'bf58_?476d_?1ce4_?e5b9'; do
   fi
 done
 
-# One execution per sweep: calibration builds a buffer pool at exactly one
+# One execution per process: calibration builds a buffer pool at exactly one
 # site — the carrier a probe is profiled on. A second would be a probe
 # executed under some memory configuration again, instead of replayed.
 sites=$(lib_code | grep -F 'crates/calibrate/src/' | grep -cF 'BufferPool::new(' || true)
 if [[ "$sites" != 1 ]]; then
   echo "FAIL: BufferPool::new( at $sites sites under crates/calibrate/src, want 1" >&2
+  exit 1
+fi
+# ...and one execution per distinct plan: outside the engine, library code
+# executes through `Profile::run`, whose runs any configuration can replay.
+# A `run_plan(` is an execution that has to be repeated to be priced again.
+# (`src/**/tests.rs` files are test modules whose `#[cfg(test)]` sits in
+# their parent.)
+if lib_code | grep -v -e '^crates/engine/src/' -e '/tests\.rs: ' | grep -F 'run_plan('; then
+  echo "FAIL: run_plan( in library code outside crates/engine/src" >&2
   exit 1
 fi
 
