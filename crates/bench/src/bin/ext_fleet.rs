@@ -15,12 +15,11 @@
 
 use dbvirt_bench::{experiment_machine, json_array, print_table, write_bench_artifact, JsonObj};
 use dbvirt_calibrate::CalibrationGrid;
-use dbvirt_core::search::{run_search_cached, CostCache, SearchAlgorithm, SearchConfig};
+use dbvirt_core::search::{run_search, SearchAlgorithm, SearchConfig};
 use dbvirt_core::{CalibratedCostModel, CostModel, DesignProblem, WorkloadSpec};
 use dbvirt_fleet::{FleetAdvisor, FleetConfig, FleetProblem, FleetReport, FleetVm};
 use dbvirt_tpch::{TpchConfig, TpchDb, TpchQuery, Workload};
 use dbvirt_vmm::MachineSpec;
-use std::sync::Arc;
 
 /// The fleet's second machine class: compute-optimized nodes — 35%
 /// faster cores and 6x the sequential disk bandwidth of
@@ -289,14 +288,7 @@ fn assert_m1_matches_core_dp(
         cpu_budget: cfg.units,
         mem_budget: cfg.units,
     };
-    let rec = run_search_cached(
-        SearchAlgorithm::DynamicProgramming,
-        &dp,
-        model,
-        scfg,
-        &Arc::new(CostCache::new()),
-    )
-    .expect("m1 DP");
+    let rec = run_search(SearchAlgorithm::DynamicProgramming, &dp, model, scfg).expect("m1 DP");
     assert!(
         report.placement.machine_of.iter().all(|&m| m == 0),
         "m1: some VM left the only machine"

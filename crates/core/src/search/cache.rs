@@ -1,152 +1,183 @@
-//! A sharded, thread-safe memo table for what-if cost evaluations.
+//! The workspace's one what-if cost store: a dense, write-once table.
 //!
-//! The search algorithms evaluate the same `(workload, cpu units, mem
-//! units)` cell many times across candidates; the cache makes each cell a
-//! single model call. Sharding by key hash keeps lock contention low when
-//! a [`super::ParallelEvaluator`] fills the table from many threads.
+//! The search algorithms, the fleet ladder and the design advisor all
+//! price the same `(row, cpu units, mem units)` cell many times; the table
+//! makes each cell a single model call. A *row* is whatever a tier prices
+//! along the share lattice — a workload here, a VM per machine class in
+//! `dbvirt-fleet`, a `(VM, query, index configuration)` in `dbvirt-design`.
 //!
-//! The cache stores **unweighted** model costs (no SLO weight folded in).
-//! That makes entries reusable across design problems that differ only in
+//! The contract:
+//!
+//! * **Extent = `units`.** The first [`CostCache::rows`] call fixes the
+//!   share discretization — `(units, disk share)`, which every cell's
+//!   `ResourceVector` carries — and every later call must repeat it: cell
+//!   `(w, 2, 2)` is a 25 % share at 8 units and 50 % at 4, so a table
+//!   asked under another lattice is a typed error, never a stale cost. A
+//!   row is one dense `(units + 1)²` block; a cell outside it is `None` /
+//!   `false`, never an index out of bounds.
+//! * **Rows on demand.** Rows are created under `&self` when first
+//!   resolved and handed out as [`Arc<CostRow>`] handles. A solve, a
+//!   placement request or a pricer resolves its handles once; the per-cell
+//!   path then takes no lock and hashes nothing.
+//! * **Write-once cells.** A cell is a `OnceLock<f64>`: the first insert
+//!   wins, a read is one atomic load, and a stored NaN is a value like any
+//!   other — nothing doubles as "cold".
+//! * **Exact `evaluations()`.** Only a successful first write counts, so
+//!   the count equals the number of distinct cells under any interleaving
+//!   of any number of threads, identical to a serial run touching the same
+//!   cell set.
+//!
+//! The table stores **unweighted** model costs (no SLO weight folded in).
+//! That makes cells reusable across design problems that differ only in
 //! workload weights — in particular across the phases of a
 //! [`crate::dynamic::DynamicTimeline`], which share databases and queries
 //! but shift service-level objectives.
 
-use std::collections::HashMap;
+use crate::CoreError;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, OnceLock, RwLock};
 
-/// Shard lock acquisitions that had to wait behind another thread.
-static TM_SHARD_CONTENTION: dbvirt_telemetry::Counter =
-    dbvirt_telemetry::Counter::new("search.cache.shard_contention");
-
-/// A cache key: `(workload index, cpu units, mem units)`.
+/// A cell's address: `(row, cpu units, mem units)`.
 pub type CellKey = (usize, u32, u32);
 
-const SHARDS: usize = 16;
+const POISONED: &str = "a thread panicked while holding the row directory";
 
-/// Sharded concurrent map from allocation cells to unweighted costs.
-///
-/// `evaluations()` counts *distinct* cells inserted, not insert calls: if
-/// two threads race to compute the same cell, the loser's insert is
-/// dropped and not counted, so the count is identical to a serial run
-/// touching the same cell set.
-pub struct CostCache {
-    shards: [Mutex<HashMap<CellKey, f64>>; SHARDS],
-    evals: AtomicUsize,
+/// One row of a [`CostCache`]: the dense `(cpu units, mem units)` block of
+/// one workload's unweighted costs. Lock-free to read and to fill.
+pub struct CostRow {
+    /// `units + 1`: both axes run `0..=units`.
+    side: usize,
+    /// `cells[cpu · side + mem]`.
+    cells: Box<[OnceLock<f64>]>,
+    /// The owning table's count of first writes.
+    evals: Arc<AtomicUsize>,
 }
 
-impl Default for CostCache {
-    fn default() -> CostCache {
-        CostCache::new()
+impl CostRow {
+    fn cell(&self, cpu: u32, mem: u32) -> Option<&OnceLock<f64>> {
+        let (c, m) = (cpu as usize, mem as usize);
+        (c < self.side && m < self.side).then(|| &self.cells[c * self.side + m])
     }
+
+    /// The cell's cost, if one was written.
+    pub fn get(&self, cpu: u32, mem: u32) -> Option<f64> {
+        self.cell(cpu, mem)?.get().copied()
+    }
+
+    /// Writes a freshly computed cost. Returns `true` (and counts one
+    /// evaluation) only for the first write of a cell inside the extent.
+    pub fn insert(&self, cpu: u32, mem: u32, cost: f64) -> bool {
+        let first = self.cell(cpu, mem).is_some_and(|c| c.set(cost).is_ok());
+        if first {
+            self.evals.fetch_add(1, Ordering::Relaxed);
+        }
+        first
+    }
+}
+
+/// The dense what-if cost table. See the module docs for its contract.
+#[derive(Default)]
+pub struct CostCache {
+    /// `(units, disk share)`, fixed by the first [`CostCache::rows`].
+    shape: OnceLock<(u32, f64)>,
+    rows: RwLock<BTreeMap<usize, Arc<CostRow>>>,
+    evals: Arc<AtomicUsize>,
 }
 
 impl CostCache {
-    /// An empty cache.
+    /// An empty table whose first use fixes its share discretization.
     pub fn new() -> CostCache {
-        CostCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            evals: AtomicUsize::new(0),
+        CostCache::default()
+    }
+
+    /// Handles on the rows `rows`, created on demand, of a table asked at
+    /// `units` share steps and a fixed `disk_share` — the table's for good
+    /// once asked; a later call under another lattice is a
+    /// [`CoreError::BadProblem`].
+    pub fn rows(
+        &self,
+        units: u32,
+        disk_share: f64,
+        rows: impl IntoIterator<Item = usize>,
+    ) -> Result<Vec<Arc<CostRow>>, CoreError> {
+        let fixed = *self.shape.get_or_init(|| (units, disk_share));
+        if fixed != (units, disk_share) {
+            let reason = format!("cost table fixed at {fixed:?} asked at ({units}, {disk_share})");
+            return Err(CoreError::BadProblem { reason });
         }
+        let side = units as usize + 1;
+        let fresh = || CostRow {
+            side,
+            cells: (0..side * side).map(|_| OnceLock::new()).collect(),
+            evals: Arc::clone(&self.evals),
+        };
+        let mut directory = self.rows.write().expect(POISONED);
+        let handle = |w| Arc::clone(directory.entry(w).or_insert_with(|| Arc::new(fresh())));
+        Ok(rows.into_iter().map(handle).collect())
     }
 
-    fn shard(&self, key: &CellKey) -> &Mutex<HashMap<CellKey, f64>> {
-        // Cells cluster along rows (same workload, nearby units), so mix
-        // all three components rather than taking one modulo.
-        let h = key
-            .0
-            .wrapping_mul(0x9E37_79B9)
-            .wrapping_add((key.1 as usize).wrapping_mul(0x85EB_CA6B))
-            .wrapping_add((key.2 as usize).wrapping_mul(0xC2B2_AE35));
-        &self.shards[h % SHARDS]
+    /// The unweighted cost of a cell, if present.
+    pub fn get(&self, &(w, cpu, mem): &CellKey) -> Option<f64> {
+        self.rows.read().expect(POISONED).get(&w)?.get(cpu, mem)
     }
 
-    /// Locks a key's shard, counting the acquisition as contended when the
-    /// uncontended fast path (`try_lock`) fails. Pure observation: blocking
-    /// semantics are identical to a plain `lock()`.
-    fn lock_shard(&self, key: &CellKey) -> MutexGuard<'_, HashMap<CellKey, f64>> {
-        let shard = self.shard(key);
-        if let Ok(guard) = shard.try_lock() {
-            return guard;
-        }
-        TM_SHARD_CONTENTION.add(1);
-        shard.lock().unwrap()
+    /// Writes one cell of a row [`CostCache::rows`] has created. `false`
+    /// if the cell was present, lies outside the extent, or the row does
+    /// not exist.
+    pub fn insert(&self, (w, cpu, mem): CellKey, cost: f64) -> bool {
+        let directory = self.rows.read().expect(POISONED);
+        directory.get(&w).is_some_and(|row| row.insert(cpu, mem, cost))
     }
 
-    /// The cached unweighted cost of a cell, if present.
-    pub fn get(&self, key: &CellKey) -> Option<f64> {
-        self.lock_shard(key).get(key).copied()
-    }
-
-    /// Inserts a freshly computed cell cost. Returns `true` (and counts
-    /// one evaluation) only if the cell was not already present.
-    pub fn insert(&self, key: CellKey, cost: f64) -> bool {
-        let mut shard = self.lock_shard(&key);
-        if shard.contains_key(&key) {
-            return false;
-        }
-        shard.insert(key, cost);
-        drop(shard);
-        self.evals.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Number of distinct cells evaluated into this cache so far.
+    /// Number of distinct cells evaluated into this table so far.
     pub fn evaluations(&self) -> usize {
         self.evals.load(Ordering::Relaxed)
     }
 
-    /// Total number of cached cells (equals [`CostCache::evaluations`]).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
-    }
-
-    /// A snapshot of every cached cell, sorted by key so the result is
-    /// deterministic regardless of insertion order or sharding.
-    ///
-    /// This is the seeding path for callers that maintain a longer-lived
-    /// cost store and spin up per-solve caches from it (the fleet advisor
-    /// re-keys cells from global VM identities to per-problem workload
-    /// indices this way). The snapshot is not atomic across shards —
-    /// concurrent inserts may or may not appear — which is sound for pure
-    /// memo values: a missed cell is merely re-evaluated to the identical
-    /// value.
+    /// A snapshot of every written cell, in key order. Not atomic across
+    /// cells — concurrent inserts may or may not appear.
     pub fn entries(&self) -> Vec<(CellKey, f64)> {
-        let mut all: Vec<(CellKey, f64)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let guard = shard.lock().unwrap();
-            all.extend(guard.iter().map(|(k, v)| (*k, *v)));
+        let directory = self.rows.read().expect(POISONED);
+        let mut all = Vec::new();
+        for (&w, row) in directory.iter() {
+            for (at, cell) in row.cells.iter().enumerate() {
+                let key = (w, (at / row.side) as u32, (at % row.side) as u32);
+                all.extend(cell.get().map(|&cost| (key, cost)));
+            }
         }
-        all.sort_unstable_by_key(|(k, _)| *k);
         all
-    }
-
-    /// True if nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// A table asked at `units` share steps, with rows `0..rows`.
+    fn table(units: u32, rows: usize) -> CostCache {
+        let cache = CostCache::new();
+        cache.rows(units, 1.0, 0..rows).unwrap();
+        cache
+    }
 
     #[test]
     fn insert_counts_distinct_cells_only() {
-        let cache = CostCache::new();
+        let cache = table(2, 2);
         assert!(cache.insert((0, 1, 2), 1.5));
         assert!(!cache.insert((0, 1, 2), 1.5));
         assert!(cache.insert((1, 1, 2), 2.5));
         assert_eq!(cache.evaluations(), 2);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries().len(), 2);
         assert_eq!(cache.get(&(0, 1, 2)), Some(1.5));
         assert_eq!(cache.get(&(2, 1, 2)), None);
     }
 
     #[test]
     fn entries_are_sorted_and_complete() {
-        let cache = CostCache::new();
+        let cache = table(9, 2);
         cache.insert((1, 2, 3), 0.5);
         cache.insert((0, 9, 1), 1.5);
         cache.insert((0, 2, 7), 2.5);
@@ -157,11 +188,109 @@ mod tests {
     }
 
     #[test]
+    fn the_first_use_fixes_the_lattice() {
+        let cache = CostCache::new();
+        // Not asked yet: no row to write into.
+        assert!(!cache.insert((0, 1, 1), 1.0));
+        assert_eq!(cache.get(&(0, 1, 1)), None);
+        let rows = cache.rows(8, 0.5, 0..2).unwrap();
+        assert!(rows[1].insert(2, 2, 4.0));
+        // The same lattice again resolves the same rows.
+        assert_eq!(cache.rows(8, 0.5, [1]).unwrap()[0].get(2, 2), Some(4.0));
+        for (units, disk_share) in [(4, 0.5), (8, 0.25)] {
+            let refused = cache.rows(units, disk_share, 0..2);
+            assert!(matches!(refused, Err(CoreError::BadProblem { .. })));
+        }
+        assert_eq!(cache.evaluations(), 1);
+    }
+
+    /// What the fleet's per-class stores used to check of their dense
+    /// copies: one table per machine class, so another class never leaks;
+    /// a never-written cell is cold; a cell outside the extent, or of a row
+    /// nobody resolved, is a miss — never a wrong neighbour, an index out
+    /// of bounds or an allocation the size of the key.
+    #[test]
+    fn cold_outside_and_other_table_cells_all_miss() {
+        let (small, big) = (table(3, 3), table(3, 3));
+        assert!(small.insert((1, 1, 2), 10.0));
+        assert!(small.insert((1, 0, 3), 8.0));
+        assert!(big.insert((1, 1, 2), 99.0));
+        assert_eq!(small.get(&(1, 1, 2)), Some(10.0));
+        assert_eq!(small.get(&(1, 0, 3)), Some(8.0));
+        assert_eq!(big.get(&(1, 1, 2)), Some(99.0));
+        assert_eq!(big.get(&(1, 0, 3)), None); // cold on this class
+        assert_eq!(small.get(&(1, 2, 1)), None); // never written
+        assert_eq!(small.get(&(2, 1, 2)), None); // nothing in this row
+        let outside = [(4, 1), (1, 4), (u32::MAX, 1), (1, u32::MAX), (u32::MAX, u32::MAX)];
+        for (cpu, mem) in outside {
+            assert_eq!(small.get(&(1, cpu, mem)), None);
+            assert!(!small.insert((1, cpu, mem), 7.0));
+        }
+        for row in [3, 1 << 40, usize::MAX] {
+            assert_eq!(small.get(&(row, 1, 1)), None);
+            assert!(!small.insert((row, 1, 1), 7.0));
+        }
+        // A row far past the last is one more row, not a directory that long.
+        let far = &small.rows(3, 1.0, [usize::MAX]).unwrap()[0];
+        assert!(far.insert(1, 1, 3.0));
+        assert_eq!(small.get(&(usize::MAX, 1, 1)), Some(3.0));
+        assert_eq!((small.evaluations(), big.evaluations()), (3, 1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// The table against a `HashMap` under random interleavings of
+        /// reads and writes — cells inside and outside the extent, rows
+        /// that exist (near and far) and rows that do not: first write
+        /// wins, a NaN is stored once and read back as NaN, the count is
+        /// the number of distinct keys.
+        #[test]
+        fn the_table_answers_as_a_hash_map_does(
+            units in 1u32..6,
+            ops in prop::collection::vec(
+                (prop::bool::ANY, 0usize..5, 0u32..8, 0u32..8, 0u32..5),
+                1..200,
+            ),
+        ) {
+            let cache = table(units, 3);
+            cache.rows(units, 1.0, [usize::MAX]).unwrap();
+            let mut reference: HashMap<CellKey, f64> = HashMap::new();
+            for (write, w, cpu, mem, v) in ops {
+                let (row, exists) = match w {
+                    3 => (usize::MAX, true),
+                    4 => (usize::MAX - 1 - cpu as usize, false),
+                    _ => (w, true),
+                };
+                let cpu = if v == 4 { u32::MAX - cpu } else { cpu };
+                let key = (row, cpu, mem);
+                if write {
+                    let cost = if v == 0 { f64::NAN } else { v as f64 + mem as f64 };
+                    let inside = exists && cpu <= units && mem <= units;
+                    let first = inside && !reference.contains_key(&key);
+                    prop_assert_eq!(cache.insert(key, cost), first, "{:?}", key);
+                    if first {
+                        reference.insert(key, cost);
+                    }
+                } else {
+                    let expected = reference.get(&key).map(|c| c.to_bits());
+                    prop_assert_eq!(cache.get(&key).map(f64::to_bits), expected, "{:?}", key);
+                }
+            }
+            prop_assert_eq!(cache.evaluations(), reference.len());
+            let mut expected: Vec<_> = reference.iter().map(|(k, v)| (*k, v.to_bits())).collect();
+            expected.sort_unstable();
+            let entries = cache.entries();
+            let got: Vec<_> = entries.iter().map(|(k, v)| (*k, v.to_bits())).collect();
+            prop_assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
     fn concurrent_hammering_keeps_exact_counts() {
         // Many threads racing over an overlapping key set: every key must
         // end up present exactly once, with the evaluation count equal to
         // the number of distinct keys regardless of interleaving.
-        let cache = Arc::new(CostCache::new());
+        let cache = Arc::new(table(499, 9));
         let n_threads = 8;
         let keys_per_thread = 500usize;
         std::thread::scope(|scope| {
@@ -181,8 +310,8 @@ mod tests {
         });
         let distinct_shared = 50 * (keys_per_thread / 50);
         let distinct_own = n_threads * keys_per_thread;
-        assert_eq!(cache.len(), distinct_shared + distinct_own);
-        assert_eq!(cache.evaluations(), cache.len());
+        assert_eq!(cache.entries().len(), distinct_shared + distinct_own);
+        assert_eq!(cache.evaluations(), distinct_shared + distinct_own);
         // Values are the deterministic function of the key, not of the
         // winning thread.
         for i in 0..keys_per_thread {

@@ -20,21 +20,22 @@
 //!
 //! Cost evaluations are cached per `(workload, cpu units, mem units)` —
 //! the what-if optimizer is cheap but not free, and the same cell recurs
-//! across candidates. The cache ([`CostCache`]) is sharded and
-//! thread-safe, and [`SearchConfig::parallelism`] turns on parallel
-//! what-if evaluation: DP and exhaustive search precompute their full
-//! per-workload cost tables across worker threads, greedy batch-evaluates
-//! each iteration's move frontier. Parallel runs touch exactly the cell
-//! set a serial run would, so the returned [`Recommendation`] — including
-//! its `evaluations` count — is bit-identical either way (see DESIGN.md
-//! for the determinism contract).
+//! across candidates. The cache ([`CostCache`]) is a dense write-once
+//! table, lock-free per cell once a search holds its rows, and
+//! [`SearchConfig::parallelism`] turns on parallel what-if evaluation: DP
+//! and exhaustive search precompute their full per-workload cost tables
+//! across worker threads, greedy batch-evaluates each iteration's move
+//! frontier. Parallel runs touch exactly the cell set a serial run would,
+//! so the returned [`Recommendation`] — including its `evaluations` count
+//! — is bit-identical either way (see DESIGN.md for the determinism
+//! contract).
 
 mod cache;
 mod dynprog;
 mod exhaustive;
 mod greedy;
 
-pub use cache::{CellKey, CostCache};
+pub use cache::{CellKey, CostCache, CostRow};
 pub use dynprog::{solve as solve_dp, DpSolution};
 
 use crate::{CoreError, CostModel, DesignProblem};
@@ -198,6 +199,8 @@ pub struct ParallelEvaluator<'p, 'm> {
     /// The search configuration (units, disk policy, parallelism).
     pub config: SearchConfig,
     cache: Arc<CostCache>,
+    /// The problem's rows of `cache`, by workload.
+    rows: Vec<Arc<CostRow>>,
     evals_at_start: usize,
 }
 
@@ -209,25 +212,29 @@ impl<'p, 'm> ParallelEvaluator<'p, 'm> {
         config: SearchConfig,
     ) -> ParallelEvaluator<'p, 'm> {
         ParallelEvaluator::with_cache(problem, model, config, Arc::new(CostCache::new()))
+            .expect("a fresh table takes any share discretization")
     }
 
-    /// An evaluator over a shared (possibly pre-warmed) cache. Its
-    /// [`ParallelEvaluator::evaluations`] counts only cells this
-    /// evaluator's searches added.
+    /// An evaluator over a shared (possibly pre-warmed) cache, holding the
+    /// problem's rows of it. Its [`ParallelEvaluator::evaluations`] counts
+    /// only cells this evaluator's searches added. A cache already asked
+    /// under another `(units, disk_share)` is a [`CoreError::BadProblem`].
     pub fn with_cache(
         problem: &'p DesignProblem<'p>,
         model: &'m dyn CostModel,
         config: SearchConfig,
         cache: Arc<CostCache>,
-    ) -> ParallelEvaluator<'p, 'm> {
+    ) -> Result<ParallelEvaluator<'p, 'm>, CoreError> {
+        let rows = cache.rows(config.units, config.disk_share, 0..problem.num_workloads())?;
         let evals_at_start = cache.evaluations();
-        ParallelEvaluator {
+        Ok(ParallelEvaluator {
             problem,
             model,
             config,
             cache,
+            rows,
             evals_at_start,
-        }
+        })
     }
 
     /// The resource shares a `(cpu units, mem units)` cell denotes.
@@ -245,8 +252,8 @@ impl<'p, 'm> ParallelEvaluator<'p, 'm> {
     /// is 1; the SLO extension otherwise).
     pub fn cost(&self, w: usize, cpu_units: u32, mem_units: u32) -> Result<f64, CoreError> {
         let weight = self.problem.workloads[w].weight;
-        let key = (w, cpu_units, mem_units);
-        if let Some(c) = self.cache.get(&key) {
+        let row = &self.rows[w];
+        if let Some(c) = row.get(cpu_units, mem_units) {
             TM_CACHE_HITS.add(1);
             return Ok(c * weight);
         }
@@ -259,7 +266,7 @@ impl<'p, 'm> ParallelEvaluator<'p, 'm> {
         if let Some(t0) = t0 {
             TM_EVAL_US.record_duration(t0.elapsed());
         }
-        self.cache.insert(key, c);
+        row.insert(cpu_units, mem_units, c);
         Ok(c * weight)
     }
 
@@ -369,8 +376,9 @@ pub fn run_search(
 /// [`crate::dynamic::DynamicTimeline`] phases) reuse each other's what-if
 /// evaluations. The cache stores unweighted costs, so sharing is sound
 /// across problems that differ only in workload weights; the caller must
-/// not share a cache across different databases, queries, machines, or
-/// share discretizations.
+/// not share a cache across different databases, queries or machines. A
+/// cache already asked under another share discretization (`units`,
+/// `disk_share`) is refused with [`CoreError::BadProblem`].
 pub fn run_search_cached(
     algorithm: SearchAlgorithm,
     problem: &DesignProblem<'_>,
@@ -385,7 +393,7 @@ pub fn run_search_cached(
     run_span.set_attr("units", config.units);
     let workers = workers_for(config.parallelism, usize::MAX);
     run_span.set_attr("workers", workers);
-    let eval = ParallelEvaluator::with_cache(problem, model, config, Arc::clone(cache));
+    let eval = ParallelEvaluator::with_cache(problem, model, config, Arc::clone(cache))?;
     if workers > 1
         && matches!(
             algorithm,
@@ -883,6 +891,35 @@ mod tests {
         .unwrap();
         assert_eq!(third.evaluations, 0);
         assert!((third.objective - 7.5 * third.per_workload_costs[0] - third.per_workload_costs[1]).abs() < 1e-9);
+    }
+
+    /// Cell `(w, 2, 2)` is a 25 % share at 8 units and 50 % at 4, and every
+    /// cell's shares carry the disk share: a cache re-asked under another
+    /// discretization must be refused, not serve the other lattice's costs.
+    #[test]
+    fn a_cache_is_refused_under_another_discretization() {
+        let db = dummy_db();
+        let problem = dummy_problem(&db, 2);
+        let model = SyntheticModel {
+            weights: vec![(3.0, 1.0), (1.0, 3.0)],
+        };
+        let dp = SearchAlgorithm::DynamicProgramming;
+        let at_8 = SearchConfig::for_workloads(8, 2);
+        let cache = Arc::new(CostCache::new());
+        let first = run_search_cached(dp, &problem, &model, at_8, &cache).unwrap();
+        let mut other_disk = at_8;
+        other_disk.disk_share = 0.25;
+        for cfg in [SearchConfig::for_workloads(4, 2), other_disk] {
+            let refused = run_search_cached(dp, &problem, &model, cfg, &cache);
+            assert!(matches!(refused, Err(CoreError::BadProblem { .. })), "{cfg:?}");
+            // Asked on a cache of its own, the same config is fine.
+            run_search(dp, &problem, &model, cfg).unwrap();
+        }
+        // The refusals wrote nothing: a sub-budget of the original lattice
+        // still answers from the warm cells.
+        assert_eq!(cache.evaluations(), first.evaluations);
+        let sub = run_search_cached(dp, &problem, &model, at_8.with_budgets(6, 7), &cache);
+        assert_eq!(sub.unwrap().evaluations, 0);
     }
 
     /// Two threads sharing one warm cache across *different problems*

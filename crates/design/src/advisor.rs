@@ -11,8 +11,10 @@
 //!
 //! The co-optimizer alternates exact coordinate steps:
 //!
-//! 1. **shares | indexes** — with `S` fixed, the existing allocation DP
-//!    ([`dbvirt_core::search`]) finds the exact best cell assignment;
+//! 1. **shares | indexes** — with `S` fixed, the allocation DP kernel
+//!    ([`solve_dp`], the one the core search and the fleet tier call)
+//!    finds the exact best cell assignment, reading weighted workload
+//!    costs straight off the pricer's table;
 //! 2. **indexes | shares** — with `R` fixed, greedy selection re-picks
 //!    each VM's index set, accepted only if it beats keeping the previous
 //!    set at the new cell.
@@ -37,12 +39,11 @@ use crate::pricing::{DesignPricer, VmPricer};
 use crate::select::{select_greedy, SelectionTrace};
 use crate::DesignError;
 use dbvirt_calibrate::CalibrationGrid;
-use dbvirt_core::search::{run_search_cached, CostCache, SearchAlgorithm, SearchConfig};
-use dbvirt_core::{CostModel, DesignProblem};
+use dbvirt_core::search::{solve_dp, SearchConfig};
+use dbvirt_core::DesignProblem;
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::kernel::Fnv1a;
 use dbvirt_vmm::{AllocationMatrix, ResourceVector};
-use std::sync::Arc;
 
 /// Candidates enumerated across all VMs of the latest advise call.
 static TM_CANDIDATES: telemetry::Counter = telemetry::Counter::new("design.candidates");
@@ -205,32 +206,6 @@ pub struct JointRecommendation {
     pub mode: &'static str,
 }
 
-/// Adapter exposing the masked config pricing as a [`CostModel`] for the
-/// allocation DP. Unweighted, pure in `(w, cell)` given fixed masks.
-struct MaskedModel<'a, 'g> {
-    pricer: &'a DesignPricer<'g>,
-    vms: &'a [VmPricer<'a>],
-    masks: &'a [u64],
-    units: u32,
-}
-
-impl CostModel for MaskedModel<'_, '_> {
-    fn cost(
-        &self,
-        _problem: &DesignProblem<'_>,
-        w: usize,
-        shares: ResourceVector,
-    ) -> Result<f64, dbvirt_core::CoreError> {
-        let cpu = (shares.cpu().fraction() * self.units as f64).round() as u32;
-        let mem = (shares.memory().fraction() * self.units as f64).round() as u32;
-        self.pricer
-            .workload_cost(&self.vms[w], self.masks[w], cpu, mem)
-            .map_err(|e| dbvirt_core::CoreError::BadProblem {
-                reason: format!("design pricing: {e}"),
-            })
-    }
-}
-
 /// The physical-design advisor: joint index + allocation recommendation
 /// over a calibrated machine.
 pub struct DesignAdvisor<'g> {
@@ -284,10 +259,11 @@ impl<'g> DesignAdvisor<'g> {
         fp.u64(cfg.budget_pages);
         fp.u64(n as u64);
 
+        let pricer = DesignPricer::new(self.grid, cfg.units, cfg.disk_share);
+
         // 1. Enumerate candidates per VM (empty in allocation-only mode:
         //    the budget is zero, nothing could ever be chosen).
         let mut vms: Vec<VmPricer<'_>> = Vec::with_capacity(n);
-        let mut offset = 0usize;
         {
             let mut span = telemetry::span("design.enumerate");
             for w in &problem.workloads {
@@ -311,9 +287,7 @@ impl<'g> DesignAdvisor<'g> {
                     }
                     fp.u64(c.pages);
                 }
-                let next_offset = offset + w.queries.len();
-                vms.push(VmPricer::new(w.db, &w.queries, cands, offset));
-                offset = next_offset;
+                vms.push(VmPricer::new(&pricer, w.db, &w.queries, cands));
             }
             span.set_attr(
                 "candidates",
@@ -328,7 +302,6 @@ impl<'g> DesignAdvisor<'g> {
             Mode::AllocationOnly => 0,
             _ => cfg.budget_pages,
         };
-        let pricer = DesignPricer::new(self.grid, cfg.units, cfg.disk_share);
         pricer.prewarm(&vms, &cells_rect, cfg.parallelism)?;
 
         // 3. Alternate coordinate steps from the equal split, no indexes.
@@ -347,12 +320,6 @@ impl<'g> DesignAdvisor<'g> {
 
             // Shares given indexes: exact DP over the warm price table.
             if mode != Mode::IndexOnly {
-                let model = MaskedModel {
-                    pricer: &pricer,
-                    vms: &vms,
-                    masks: &masks,
-                    units: cfg.units,
-                };
                 let scfg = SearchConfig {
                     units: cfg.units,
                     disk_share: cfg.disk_share,
@@ -361,24 +328,11 @@ impl<'g> DesignAdvisor<'g> {
                     cpu_budget: cfg.units,
                     mem_budget: cfg.units,
                 };
-                // Fresh cache: core memoizes per (w, cell), and the masks
-                // behind those cells change every alternation.
-                let rec = run_search_cached(
-                    SearchAlgorithm::DynamicProgramming,
-                    problem,
-                    &model,
-                    scfg,
-                    &Arc::new(CostCache::new()),
-                )?;
-                cells = (0..n)
-                    .map(|w| {
-                        let row = rec.allocation.row(w);
-                        (
-                            (row.cpu().fraction() * cfg.units as f64).round() as u32,
-                            (row.memory().fraction() * cfg.units as f64).round() as u32,
-                        )
-                    })
-                    .collect();
+                let weighted = |w: usize, c, m| -> Result<f64, DesignError> {
+                    let cost = pricer.workload_cost(&vms[w], masks[w], c, m)?;
+                    Ok(cost * problem.workloads[w].weight)
+                };
+                cells = solve_dp(n, &scfg, weighted)?.assignment;
             }
 
             // Indexes given shares: greedy per VM, accepted only if it

@@ -17,7 +17,8 @@
 //! 2. [`pricing`] — CoPhy-style what-if pricing: per query, a menu of
 //!    configurations (`∅`, singletons, pairs) priced through the what-if
 //!    optimizer under the calibrated parameters of each allocation cell,
-//!    memoized in the allocation search's sharded cost cache;
+//!    memoized in the allocation search's dense cost table, a row per
+//!    `(VM, query, config)`;
 //! 3. [`select`] — greedy selection under a per-VM storage budget,
 //!    emitting a replayable decision trace;
 //! 4. [`lp`] — a Lagrangian-relaxation lower bound on the selection ILP,
@@ -47,7 +48,7 @@ pub use advisor::{
 pub use candidates::{enumerate_candidates, CandidateSet, IndexCandidate};
 pub use error::DesignError;
 pub use lp::{lower_bound, LpBound};
-pub use pricing::{cell_code, config_menus, ConfigMenu, DesignPricer, VmPricer};
+pub use pricing::{config_menus, ConfigMenu, DesignPricer, VmPricer};
 pub use select::{select_greedy, Decision, SelectionTrace};
 
 /// Shared test fixtures: a memory-constrained machine whose calibrated

@@ -13,22 +13,25 @@
 //! ≤ 2 is what makes the companion LP relaxation ([`crate::lp`]) an exact
 //! relaxation of this objective, so the reported optimality gap is sound.
 //!
-//! Every `(query, config, cell)` price is memoized in the same sharded
-//! [`CostCache`] the allocation search uses, keyed
-//! `(global query index, config id, (cpu units << 16) | mem units)`.
-//! Prices are pure functions of the key, so parallel pre-warming fills
-//! the identical table a serial run would — the foundation of the
-//! advisor's serial-vs-parallel determinism contract.
+//! Every `(query, config, cell)` price is memoized in the same dense
+//! write-once [`CostCache`] the allocation search uses: each
+//! `(VM, query, config)` owns one row of the pricer's table, handed to its
+//! [`VmPricer`] at construction, and the cell is the row's `(cpu, mem)`
+//! cell — a price read takes no lock and hashes nothing. Prices are pure
+//! functions of the key, so parallel pre-warming fills the identical
+//! table a serial run would — the foundation of the advisor's
+//! serial-vs-parallel determinism contract.
 
 use crate::candidates::CandidateSet;
 use crate::DesignError;
 use dbvirt_calibrate::CalibrationGrid;
-use dbvirt_core::search::CostCache;
+use dbvirt_core::search::{CostCache, CostRow};
 use dbvirt_engine::Database;
 use dbvirt_optimizer::{HypoIndex, LogicalPlan, OptError, PreparedQuery};
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::kernel::{claim_and_reduce, workers_for, PoolError};
 use dbvirt_vmm::ResourceVector;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// What-if prices answered from the shared cache.
@@ -73,8 +76,8 @@ pub fn config_menus(cands: &CandidateSet) -> Vec<ConfigMenu> {
 }
 
 /// The pricing context for one workload (one VM): its database, queries,
-/// candidates, config menus, and a global query-index offset that keeps
-/// its cache keys disjoint from other VMs sharing the same cache.
+/// candidates, config menus, and its rows of one [`DesignPricer`]'s price
+/// table.
 pub struct VmPricer<'a> {
     /// The workload's database (catalog + statistics only).
     pub db: &'a Database,
@@ -84,35 +87,39 @@ pub struct VmPricer<'a> {
     pub cands: CandidateSet,
     /// Per-query config menus.
     pub menus: Vec<ConfigMenu>,
-    /// Global query-index base for cache keys.
-    pub offset: usize,
     /// `prepared[q][k]`: query `q` analysed with config `k` offered as
     /// hypothetical indexes, filled by the first price of the pair — every
     /// further cell only prices it. A pure function of the pair, so the
     /// serial and pre-warmed tables stay identical.
     prepared: Vec<Vec<OnceLock<Result<PreparedQuery, OptError>>>>,
+    /// `prices[q][k]`: the pair's row of the pricer's table.
+    prices: Vec<Vec<Arc<CostRow>>>,
 }
 
 impl<'a> VmPricer<'a> {
-    /// Builds a pricer from an already-enumerated candidate set.
+    /// Builds a pricer from an already-enumerated candidate set, priced
+    /// into the next unused rows of `pricer`'s table.
     pub fn new(
+        pricer: &DesignPricer<'_>,
         db: &'a Database,
         queries: &'a [LogicalPlan],
         cands: CandidateSet,
-        offset: usize,
     ) -> VmPricer<'a> {
         let menus = config_menus(&cands);
         let prepared = menus
             .iter()
             .map(|menu| menu.configs.iter().map(|_| OnceLock::new()).collect())
             .collect();
+        let prices = (menus.iter())
+            .map(|menu| pricer.fresh_rows(menu.configs.len()))
+            .collect();
         VmPricer {
             db,
             queries,
             cands,
             menus,
-            offset,
             prepared,
+            prices,
         }
     }
 
@@ -141,12 +148,9 @@ pub struct DesignPricer<'g> {
     grid: &'g CalibrationGrid,
     units: u32,
     disk_share: f64,
-    cache: Arc<CostCache>,
-}
-
-/// Encodes a `(cpu units, mem units)` cell into one cache-key word.
-pub fn cell_code(cpu: u32, mem: u32) -> u32 {
-    (cpu << 16) | mem
+    cache: CostCache,
+    /// Rows of `cache` handed to [`VmPricer`]s so far.
+    rows_used: AtomicUsize,
 }
 
 impl<'g> DesignPricer<'g> {
@@ -156,14 +160,21 @@ impl<'g> DesignPricer<'g> {
             grid,
             units,
             disk_share,
-            cache: Arc::new(CostCache::new()),
+            cache: CostCache::new(),
+            rows_used: AtomicUsize::new(0),
         }
     }
 
-    /// The underlying cache (shared with the allocation search's warm
-    /// pre-computation).
-    pub fn cache(&self) -> &Arc<CostCache> {
+    /// The underlying price table.
+    pub fn cache(&self) -> &CostCache {
         &self.cache
+    }
+
+    /// The next `n` unused rows of the price table.
+    fn fresh_rows(&self, n: usize) -> Vec<Arc<CostRow>> {
+        let base = self.rows_used.fetch_add(n, Ordering::Relaxed);
+        (self.cache.rows(self.units, self.disk_share, base..base + n))
+            .expect("the pricer asks its table under one discretization")
     }
 
     /// Distinct what-if evaluations performed so far.
@@ -194,8 +205,8 @@ impl<'g> DesignPricer<'g> {
         cpu: u32,
         mem: u32,
     ) -> Result<f64, DesignError> {
-        let key = (vm.offset + q, config as u32, cell_code(cpu, mem));
-        if let Some(c) = self.cache.get(&key) {
+        let row = &vm.prices[q][config];
+        if let Some(c) = row.get(cpu, mem) {
             TM_CACHE_HITS.add(1);
             return Ok(c);
         }
@@ -203,7 +214,7 @@ impl<'g> DesignPricer<'g> {
         let params = self.grid.params_for(self.shares(cpu, mem)?)?;
         params.validate()?;
         let cost = vm.prepared(q, config)?.est_seconds(&params)?;
-        self.cache.insert(key, cost);
+        row.insert(cpu, mem, cost);
         Ok(cost)
     }
 
@@ -316,8 +327,8 @@ mod tests {
         let (db, queries) = fixture();
         let grid = grid();
         let cands = enumerate_candidates(&db, &queries, 16);
-        let vm = VmPricer::new(&db, &queries, cands, 0);
         let pricer = DesignPricer::new(&grid, 4, 0.5);
+        let vm = VmPricer::new(&pricer, &db, &queries, cands);
         // A CPU- and memory-scarce cell: random index I/O is cheaper than
         // grinding 20k tuples through a slow CPU share.
         let empty = pricer.price(&vm, 0, 0, 2, 1).unwrap();
@@ -354,8 +365,8 @@ mod tests {
         ));
         let grid = grid();
         let cands = enumerate_candidates(&db, &queries, 16);
-        let vm = VmPricer::new(&db, &queries, cands, 0);
         let pricer = DesignPricer::new(&grid, 4, 0.5);
+        let vm = VmPricer::new(&pricer, &db, &queries, cands);
         let mut priced = 0;
         for (q, query) in queries.iter().enumerate() {
             assert!(vm.menus[q].configs.len() > 1, "query {q} has no candidate");
@@ -389,11 +400,11 @@ mod tests {
 
         let serial = DesignPricer::new(&grid, 4, 0.5);
         let cands = enumerate_candidates(&db, &queries, 16);
-        let vm = VmPricer::new(&db, &queries, cands.clone(), 0);
+        let vm = VmPricer::new(&serial, &db, &queries, cands.clone());
         serial.prewarm(std::slice::from_ref(&vm), &cells, 1).unwrap();
 
         let parallel = DesignPricer::new(&grid, 4, 0.5);
-        let vm2 = VmPricer::new(&db, &queries, cands, 0);
+        let vm2 = VmPricer::new(&parallel, &db, &queries, cands);
         parallel
             .prewarm(std::slice::from_ref(&vm2), &cells, 4)
             .unwrap();

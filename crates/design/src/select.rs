@@ -135,8 +135,8 @@ mod tests {
         let grid = grid();
         let cands = enumerate_candidates(&db, &queries, 16);
         let per_index_pages = cands.candidates[0].pages;
-        let vm = VmPricer::new(&db, &queries, cands, 0);
         let pricer = DesignPricer::new(&grid, 4, 0.5);
+        let vm = VmPricer::new(&pricer, &db, &queries, cands);
 
         let trace = select_greedy(&pricer, &vm, per_index_pages * 8, 2, 1).unwrap();
         assert!(!trace.decisions.is_empty(), "some index must help");
@@ -166,15 +166,12 @@ mod tests {
         let grid = grid();
         let cands = enumerate_candidates(&db, &queries, 16);
         let budget = cands.candidates[0].pages * 4;
-        let vm = VmPricer::new(&db, &queries, cands, 0);
-        let a = {
+        let run = || {
             let pricer = DesignPricer::new(&grid, 4, 0.5);
+            let vm = VmPricer::new(&pricer, &db, &queries, cands.clone());
             select_greedy(&pricer, &vm, budget, 2, 1).unwrap()
         };
-        let b = {
-            let pricer = DesignPricer::new(&grid, 4, 0.5);
-            select_greedy(&pricer, &vm, budget, 2, 1).unwrap()
-        };
+        let (a, b) = (run(), run());
         assert_eq!(a, b);
         assert_eq!(a.objective.to_bits(), b.objective.to_bits());
     }

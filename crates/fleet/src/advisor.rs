@@ -1,15 +1,16 @@
-//! The fleet advisor: a shared-warm-cache placement service.
+//! The fleet advisor: a shared-warm-table placement service.
 //!
 //! One [`FleetAdvisor`] is bound to a machine fleet (and one cost model
 //! per machine class) and serves placement requests over it. Each request
 //! runs the solver ladder:
 //!
 //! 1. **Pre-warm** — every `(class, VM, cell)` what-if cost the exact
-//!    solves can touch is evaluated into the shared [`FleetCostCache`],
-//!    sharded across [`FleetConfig::parallelism`] worker threads. This is
-//!    the *only* parallel stage; everything after it reads a dense copy
-//!    of that rectangle ([`crate::WarmTables`]), which is why placements
-//!    are bit-identical at every parallelism setting.
+//!    solves can touch is evaluated into the advisor's cost tables — one
+//!    [`CostCache`] per machine class, row = the VM's global index —
+//!    across [`FleetConfig::parallelism`] worker threads. This is the
+//!    *only* parallel stage; everything after it reads those write-once
+//!    cells through row handles the request resolved up front, which is
+//!    why placements are bit-identical at every parallelism setting.
 //! 2. **Greedy seed** ([`crate::greedy`]) — demand-sorted best-fit
 //!    bin-packing by marginal modeled cost.
 //! 3. **Local search** ([`crate::local_search`]) — move/swap descent,
@@ -17,12 +18,12 @@
 //! 4. **LP bound** ([`crate::lp`]) — Lagrangian lower bound, reported as
 //!    an optimality gap on the answer.
 //!
-//! The cache persists across requests: a second placement over the same
+//! The tables persist across requests: a second placement over the same
 //! VM universe (different weights, drift, a deployed placement to price
 //! against) answers almost entirely from warm cells. Concurrent requests
-//! may share the advisor — the cache is thread-safe, cached values are
-//! pure, and each request reads only exact keys it pre-warmed itself, so
-//! concurrent requests return exactly what they would have returned alone.
+//! may share the advisor — cells are write-once, their values pure, and
+//! each request reads only cells it pre-warmed itself, so concurrent
+//! requests return exactly what they would have returned alone.
 //! Sharing is sound only while VM *indices* keep meaning the same
 //! `(database, queries)` across requests (weights may vary), mirroring the
 //! single-machine cache contract.
@@ -30,13 +31,15 @@
 use crate::placement::build;
 use crate::solver::{cell_problem, evaluate_cell, FleetSolver};
 use crate::{
-    greedy, local_search, lp, CurrentPlacement, FleetConfig, FleetCostCache, FleetError,
-    FleetProblem, LocalSearchStats, LpBound, MachineClasses, Placement, RebalanceDelta,
+    greedy, local_search, lp, CurrentPlacement, FleetConfig, FleetError, FleetProblem,
+    LocalSearchStats, LpBound, MachineClasses, Placement, RebalanceDelta,
 };
+use dbvirt_core::search::{CostCache, CostRow};
 use dbvirt_core::CostModel;
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::kernel::{claim_and_reduce, workers_for, Fnv1a, PoolError};
 use dbvirt_vmm::MachineSpec;
+use std::sync::Arc;
 
 /// Placement requests served.
 static TM_REQUESTS: telemetry::Counter = telemetry::Counter::new("fleet.requests");
@@ -100,7 +103,15 @@ pub struct FleetAdvisor<'m> {
     machines: Vec<MachineSpec>,
     classes: MachineClasses,
     models: Vec<&'m dyn CostModel>,
-    cache: FleetCostCache,
+    /// One warm cost table per machine class, shared by every request;
+    /// the row is the VM's **global index**. A cell's cost depends only on
+    /// the VM's workload, the machine class and the shares — never on its
+    /// co-residents or on which machine of the class hosts it (the disk
+    /// share is a fixed per-VM policy, see [`FleetConfig::disk_share`]) —
+    /// so one row serves every machine subset the VM is ever priced in.
+    /// Rows hold unweighted costs: the SLO weight is the request's, not
+    /// the VM's, and is applied at read.
+    caches: Vec<CostCache>,
     config: FleetConfig,
 }
 
@@ -134,12 +145,12 @@ impl<'m> FleetAdvisor<'m> {
                 ),
             });
         }
-        let cache = FleetCostCache::new(classes.num_classes());
+        let caches = class_models.iter().map(|_| CostCache::new()).collect();
         Ok(FleetAdvisor {
             machines,
             classes,
             models: class_models,
-            cache,
+            caches,
             config,
         })
     }
@@ -154,9 +165,9 @@ impl<'m> FleetAdvisor<'m> {
         self.config
     }
 
-    /// Distinct what-if cells in the shared cache.
+    /// Distinct what-if cells in the shared tables.
     pub fn cache_evaluations(&self) -> usize {
-        self.cache.evaluations()
+        self.caches.iter().map(CostCache::evaluations).sum()
     }
 
     /// The warm-rectangle ceiling for a request of `n` VMs: with forced
@@ -204,7 +215,12 @@ impl<'m> FleetAdvisor<'m> {
         span.set_attr("machines", m_count);
 
         let rect_hi = self.rect_hi(n);
-        let prewarm_cells = self.prewarm(problem, rect_hi)?;
+        // The request's handles on its VMs' rows, resolved once: every
+        // cell read or written below takes no lock.
+        let rows = (self.caches.iter())
+            .map(|cache| cache.rows(self.config.units, self.config.disk_share, 0..n))
+            .collect::<Result<Vec<_>, _>>()?;
+        let prewarm_cells = self.prewarm(problem, rect_hi, &rows)?;
         TM_PREWARM_CELLS.add(prewarm_cells as u64);
 
         let solver = FleetSolver::new(
@@ -213,7 +229,7 @@ impl<'m> FleetAdvisor<'m> {
             &self.models,
             self.config,
             rect_hi,
-            &self.cache,
+            &rows,
         );
 
         // Churn is priced against the deployed placement when the request
@@ -277,13 +293,18 @@ impl<'m> FleetAdvisor<'m> {
     }
 
     /// Evaluates every cell of the warm rectangle
-    /// (`min_units ..= rect_hi` squared, per class and VM) that the cache
-    /// does not hold yet, across the configured worker threads. Values are
-    /// pure in `(class, vm, cell)`, so insert order — and hence worker
-    /// count — cannot change any later lookup.
-    fn prewarm(&self, problem: &FleetProblem<'_>, rect_hi: u32) -> Result<usize, FleetError> {
+    /// (`min_units ..= rect_hi` squared, per class and VM) that the tables
+    /// do not hold yet, across the configured worker threads. Values are
+    /// pure in `(class, vm, cell)`, so write order — and hence worker
+    /// count — cannot change any later read.
+    fn prewarm(
+        &self,
+        problem: &FleetProblem<'_>,
+        rect_hi: u32,
+        rows: &[Vec<Arc<CostRow>>],
+    ) -> Result<usize, FleetError> {
         let mut span = telemetry::span("fleet.prewarm");
-        let before = self.cache.evaluations();
+        let before = self.cache_evaluations();
         let lo = self.config.min_units;
         // One task per (class, VM), class-major.
         let (n_vms, n_tasks) = (problem.num_vms(), self.classes.num_classes() * problem.num_vms());
@@ -292,17 +313,18 @@ impl<'m> FleetAdvisor<'m> {
 
         let warm_task = |_: &mut (), at: usize| -> Result<(), FleetError> {
             let (class, vm) = (at / n_vms, at % n_vms);
+            let row = &rows[class][vm];
             // One problem per task, built when its first cold cell turns up.
             let mut dp = None;
             for c in lo..=rect_hi {
                 for mu in lo..=rect_hi {
-                    if self.cache.get(class, vm, c, mu).is_none() {
+                    if row.get(c, mu).is_none() {
                         let dp = match &dp {
                             Some(dp) => dp,
                             None => dp.insert(cell_problem(&self.classes, problem, class, vm)?),
                         };
                         let cost = evaluate_cell(self.models[class], dp, self.config, c, mu)?;
-                        self.cache.insert(class, vm, c, mu, cost);
+                        row.insert(c, mu, cost);
                     }
                 }
             }
@@ -310,7 +332,7 @@ impl<'m> FleetAdvisor<'m> {
         };
         claim_and_reduce(n_tasks, workers, "fleet.prewarm_worker", || (), warm_task)
             .map_err(PoolError::into_task)?;
-        let cells = self.cache.evaluations() - before;
+        let cells = self.cache_evaluations() - before;
         span.set_attr("cells", cells);
         Ok(cells)
     }

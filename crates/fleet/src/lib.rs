@@ -16,12 +16,11 @@
 //!    certifies how far the answer can be from optimal (the reported
 //!    *optimality gap*) — no external solver.
 //!
-//! All three tiers price what-if cells out of a shared, thread-safe
-//! [`FleetCostCache`] keyed by `(machine class, VM, cell)`; the
-//! [`FleetAdvisor`] pre-warms the reachable rectangle in parallel, copies
-//! it into dense per-`(class, VM)` [`WarmTables`] and then runs the ladder
-//! over array reads, so placements are bit-identical at every parallelism
-//! setting. Re-placements over a
+//! All three tiers price what-if cells out of `dbvirt-core`'s dense
+//! write-once cost table — one per machine class, one row per VM; the
+//! [`FleetAdvisor`] pre-warms the reachable rectangle in parallel and then
+//! runs the ladder over array reads of those same rows, so placements are
+//! bit-identical at every parallelism setting. Re-placements over a
 //! deployed fleet price their churn with the controller's
 //! pool-refill model and account for it in a [`RebalanceLedger`].
 
@@ -29,7 +28,6 @@
 #![warn(missing_docs)]
 
 mod advisor;
-mod cache;
 mod config;
 mod error;
 mod greedy;
@@ -43,7 +41,6 @@ mod sim;
 mod solver;
 
 pub use advisor::{FleetAdvisor, FleetReport};
-pub use cache::{FleetCostCache, WarmTables};
 pub use config::FleetConfig;
 pub use error::FleetError;
 pub use ledger::{RebalanceDelta, RebalanceLedger};

@@ -1,23 +1,25 @@
-//! Per-machine what-if solves over the request's warm tables.
+//! Per-machine what-if solves over the request's rows of the cost tables.
 //!
 //! Every placement candidate is priced by *re-solving* the machines it
-//! touches: the residents' rows of the request's [`WarmTables`], times
-//! their SLO weights, go straight into `dbvirt-core`'s DP kernel
-//! ([`solve_dp`]), which chooses the residents' shares — the same code,
-//! candidate order and tie-breaks as a single-machine
+//! touches: the residents' rows of their machine class's cost table
+//! (resolved once per request, so a cell is an array read — no lock, no
+//! hash), times their SLO weights, go straight into `dbvirt-core`'s DP
+//! kernel ([`solve_dp`]), which chooses the residents' shares — the same
+//! code, candidate order and tie-breaks as a single-machine
 //! `run_search(DynamicProgramming)`, without building a problem, a cache
 //! or a span per candidate. Solves are memoized by
 //! `(machine class, VM subset)` — two machines of the same class hosting
 //! the same VMs have identical optimal share splits — and handed out
 //! shared, not cloned.
 
-use crate::{FleetConfig, FleetCostCache, FleetError, FleetProblem, MachineClasses, WarmTables};
-use dbvirt_core::search::{solve_dp, DpSolution, SearchConfig};
+use crate::{FleetConfig, FleetError, FleetProblem, MachineClasses};
+use dbvirt_core::search::{solve_dp, CostRow, DpSolution, SearchConfig};
 use dbvirt_core::{CostModel, DesignProblem, WorkloadSpec};
 use dbvirt_vmm::ResourceVector;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::{Entry, HashMap};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Prices machines and cells for one placement request. Single-threaded
 /// by design: all parallelism lives in the pre-warm sweep, so every path
@@ -28,8 +30,9 @@ pub(crate) struct FleetSolver<'s, 'a> {
     models: &'s [&'s dyn CostModel],
     pub cfg: FleetConfig,
     rect_hi: u32,
-    cache: &'s FleetCostCache,
-    tables: WarmTables,
+    /// `rows[class][vm]`: the request's handles on each VM's row of each
+    /// machine class's table.
+    rows: &'s [Vec<Arc<CostRow>>],
     /// The single-VM problem of each `(class, vm)` a cell lookup missed
     /// for, built on the pair's first miss.
     cell_problems: RefCell<HashMap<(usize, usize), DesignProblem<'a>>>,
@@ -40,9 +43,7 @@ pub(crate) struct FleetSolver<'s, 'a> {
 }
 
 impl<'s, 'a> FleetSolver<'s, 'a> {
-    /// Builds a solver over a copy of the shared cache's warm rectangle.
-    /// The copy is taken once per request, *after* that request's pre-warm
-    /// sweep, so it covers every cell the solves below will touch.
+    /// Builds a solver over the request's rows of the shared tables.
     /// `rect_hi` is the request's warm-rectangle ceiling: no solve may hand
     /// any VM more units of either resource.
     pub fn new(
@@ -51,7 +52,7 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
         models: &'s [&'s dyn CostModel],
         cfg: FleetConfig,
         rect_hi: u32,
-        cache: &'s FleetCostCache,
+        rows: &'s [Vec<Arc<CostRow>>],
     ) -> FleetSolver<'s, 'a> {
         FleetSolver {
             problem,
@@ -59,8 +60,7 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
             models,
             cfg,
             rect_hi,
-            cache,
-            tables: cache.warm_tables(problem.num_vms(), cfg.min_units, rect_hi),
+            rows,
             cell_problems: RefCell::new(HashMap::new()),
             memo: RefCell::new(vec![HashMap::new(); classes.num_classes()]),
             solves: Cell::new(0),
@@ -74,15 +74,13 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
     }
 
     /// The unweighted cost of VM `vm` at `(cpu, mem)` units on machine
-    /// class `class`. Reads the warm tables first, then the live cache,
-    /// and only as a last resort calls the cost model (inserting the result
-    /// so the miss is paid once). The returned value is identical on every
-    /// path — cached costs are pure in `(class, vm, cell)`.
+    /// class `class`: one table read, or — for a cell outside the
+    /// pre-warmed rectangle — one cost-model call, written back so the
+    /// miss is paid once. The returned value is identical on either path —
+    /// cell costs are pure in `(class, vm, cell)`.
     pub fn cell_cost(&self, class: usize, vm: usize, cpu: u32, mem: u32) -> Result<f64, FleetError> {
-        if let Some(cost) = self.tables.get(class, vm, cpu, mem) {
-            return Ok(cost);
-        }
-        if let Some(cost) = self.cache.get(class, vm, cpu, mem) {
+        let row = &self.rows[class][vm];
+        if let Some(cost) = row.get(cpu, mem) {
             return Ok(cost);
         }
         let mut problems = self.cell_problems.borrow_mut();
@@ -91,7 +89,7 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
             Entry::Vacant(e) => e.insert(cell_problem(self.classes, self.problem, class, vm)?),
         };
         let cost = evaluate_cell(self.models[class], dp, self.cfg, cpu, mem)?;
-        self.cache.insert(class, vm, cpu, mem, cost);
+        row.insert(cpu, mem, cost);
         Ok(cost)
     }
 

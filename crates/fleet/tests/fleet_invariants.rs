@@ -2,7 +2,7 @@
 //! soundness, capacity feasibility, determinism, and cache sharing —
 //! over randomized fleets and pinned edge cases.
 
-use dbvirt_core::search::{run_search_cached, CostCache, SearchAlgorithm, SearchConfig};
+use dbvirt_core::search::{run_search, SearchAlgorithm, SearchConfig};
 use dbvirt_core::{CoreError, CostModel, DesignProblem};
 use dbvirt_engine::Database;
 use dbvirt_fleet::{
@@ -14,7 +14,7 @@ use dbvirt_storage::{DataType, Datum, Field, Schema, Tuple};
 use dbvirt_vmm::kernel::Fnv1a;
 use dbvirt_vmm::{MachineSpec, ResourceVector};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A cheap, strictly share-hungry synthetic model. Prices workloads by
 /// *name* (names are the VM identity that per-machine solves pass
@@ -227,14 +227,7 @@ fn single_machine_placement_matches_core_dp() {
         cpu_budget: units,
         mem_budget: units,
     };
-    let rec = run_search_cached(
-        SearchAlgorithm::DynamicProgramming,
-        &dp,
-        &model,
-        scfg,
-        &Arc::new(CostCache::new()),
-    )
-    .unwrap();
+    let rec = run_search(SearchAlgorithm::DynamicProgramming, &dp, &model, scfg).unwrap();
 
     assert!(report.placement.machine_of.iter().all(|&m| m == 0));
     assert_eq!(report.placement.steady_objective, rec.objective);
@@ -292,6 +285,55 @@ fn concurrent_requests_share_the_cache_deterministically() {
         // with exactly the cells a sequential advisor evaluates.
         assert_eq!(advisor.cache_evaluations(), evals);
     }
+}
+
+/// A cost of NaN is a value, not a marker for "never priced": a class
+/// model that prices one cell of one VM at NaN is asked for that cell once
+/// per advisor, however many requests and solves read it afterwards.
+#[test]
+fn a_nan_cell_is_priced_once_per_advisor() {
+    struct NanAt {
+        inner: SyntheticModel,
+        calls: AtomicUsize,
+    }
+    impl CostModel for NanAt {
+        fn cost(
+            &self,
+            problem: &DesignProblem<'_>,
+            w_idx: usize,
+            shares: ResourceVector,
+        ) -> Result<f64, CoreError> {
+            // vm-0 at two units of each resource out of six.
+            let third = |f: f64| (f * 6.0).round() == 2.0;
+            if problem.workloads[w_idx].name == "vm-0"
+                && third(shares.cpu().fraction())
+                && third(shares.memory().fraction())
+            {
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                return Ok(f64::NAN);
+            }
+            self.inner.cost(problem, w_idx, shares)
+        }
+    }
+    let db = tiny_db();
+    let n = 4;
+    let machines = vec![MachineSpec::tiny(); 2];
+    let model = NanAt {
+        inner: SyntheticModel { speed: 1.0 },
+        calls: AtomicUsize::new(0),
+    };
+    let cfg = FleetConfig::new(6).with_parallelism(2).with_lp_iterations(40);
+    let advisor = FleetAdvisor::new(machines.clone(), vec![&model as &dyn CostModel], cfg).unwrap();
+    let first = FleetProblem::new(machines.clone(), vms(&db, n, &[1.0, 2.0])).unwrap();
+    let cold = advisor.place(&first).unwrap();
+    assert!(cold.prewarm_cells > 0 && cold.solves > 0);
+    assert_eq!(model.calls.load(Ordering::Relaxed), 1);
+    let second = FleetProblem::new(machines, vms(&db, n, &[3.0, 0.5, 1.5])).unwrap();
+    let warm = advisor.place(&second).unwrap();
+    assert_eq!(warm.prewarm_cells, 0);
+    assert!(warm.solves > 0);
+    assert_eq!(model.calls.load(Ordering::Relaxed), 1);
+    assert_eq!(advisor.cache_evaluations(), cold.prewarm_cells);
 }
 
 /// Pre-warm parallelism must not change a single bit of the answer.

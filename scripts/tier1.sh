@@ -47,6 +47,15 @@ if lib_code | grep -v -e '^crates/engine/src/' -e '/tests\.rs: ' | grep -F 'run_
   exit 1
 fi
 
+# One cell store: what-if costs live in the dense write-once table of
+# crates/core/src/search/cache.rs. A locked hash map, or one keyed by
+# `CellKey`, in the search, fleet or design tiers would be a second store
+# beside it.
+if lib_code | grep -E '^crates/(core|fleet|design)/src/' | grep -e 'Mutex<HashMap' -e 'HashMap<CellKey'; then
+  echo "FAIL: a hash-map cell store outside crates/core/src/search/cache.rs's table" >&2
+  exit 1
+fi
+
 cargo test -q
 
 # `cargo test` never builds the `harness = false` Criterion benches, so an

@@ -104,8 +104,8 @@ proptest! {
         prop_assume!(!cands.is_empty());
         let per_index = cands.candidates[0].pages;
         let budget = per_index * budget_indexes;
-        let vm = VmPricer::new(&db, &queries, cands, 0);
         let pricer = DesignPricer::new(grid(), 4, 0.5);
+        let vm = VmPricer::new(&pricer, &db, &queries, cands);
         let trace = select_greedy(&pricer, &vm, budget, cpu, mem).unwrap();
         prop_assert!(trace.pages_used <= budget, "{} > {budget}", trace.pages_used);
         let recomputed: u64 = vm
