@@ -3,7 +3,6 @@
 
 use dbvirt_storage::{
     stats, BPlusTree, DiskManager, HeapFile, Row, Schema, StorageError, TableStats, Tuple,
-    TupleView,
 };
 use std::fmt;
 
@@ -174,18 +173,14 @@ impl Database {
         };
         let heap = meta.heap;
         let mut entries = Vec::new();
-        let mut fields = Vec::new();
         for page_no in 0..heap.num_pages(&self.disk) {
             let pid = dbvirt_storage::PageId {
                 file: heap.file_id(),
                 page_no,
             };
-            let page = self.disk.read_page(pid)?;
-            for record in page.records() {
-                let (slot, bytes) = record?;
-                let view = TupleView::parse(bytes, &mut fields)?;
+            for (slot, row) in self.disk.read_page(pid)?.rows()? {
                 entries.push((
-                    index_meta.key_for(&view),
+                    index_meta.key_for(&row),
                     dbvirt_storage::TupleId { page_no, slot },
                 ));
             }
@@ -208,9 +203,8 @@ impl Database {
                 file: heap.file_id(),
                 page_no,
             };
-            for record in self.disk.read_page(pid)?.records() {
-                tuples.push(Tuple::decode(record?.1)?);
-            }
+            let rows = self.disk.read_page(pid)?.rows()?;
+            tuples.extend(rows.map(|(_, row)| row.to_tuple()));
         }
         let table_stats = stats::analyze(tuples.iter(), arity, heap.num_pages(&self.disk));
         self.tables[table.0].stats = Some(table_stats);

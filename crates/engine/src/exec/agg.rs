@@ -5,11 +5,12 @@
 //! scan or a join feeding an aggregate never decodes a row. What they push
 //! on is a view of a group's key values and aggregate states.
 
-use super::{for_each_row, RowSink};
+use super::{for_each_row, hash_words, RowSink};
 use crate::runtime::{EngineError, ExecContext};
 use crate::{AggExpr, AggFunc, PhysicalPlan};
 use dbvirt_storage::{Datum, DatumRef, Row};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Running state of one aggregate.
 #[derive(Debug, Clone)]
@@ -169,6 +170,20 @@ fn global_agg(
     Ok(1)
 }
 
+/// Hashes a grouping key with [`hash_words`].
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = hash_words(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Hash aggregation: one group per distinct key, any input order.
 pub(crate) fn hash_agg(
     ctx: &mut ExecContext<'_>,
@@ -186,7 +201,7 @@ pub(crate) fn hash_agg(
     // one buffer reused for every row and copied only when it opens a group.
     let mut rows_in = 0;
     let mut groups: Vec<Group> = Vec::new();
-    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut index: HashMap<Vec<u8>, usize, BuildHasherDefault<KeyHasher>> = HashMap::default();
     let mut key = Vec::new();
     for_each_row(ctx, input, &mut |row| {
         rows_in += 1;

@@ -5,7 +5,7 @@
 //! each output pair to their consumer as a [`Joined`] view of two kept
 //! rows: no joined tuple is built unless the consumer builds one.
 
-use super::{collect, RowSink};
+use super::{collect, hash_words, RowSink};
 use crate::runtime::{EngineError, ExecContext, SpillEvent};
 use crate::{Expr, JoinType, PhysicalPlan};
 use dbvirt_storage::{Datum, Joined, Row, RowBuf, Tuple, TupleView};
@@ -19,22 +19,13 @@ fn null_pad(ctx: &ExecContext<'_>, right: &PhysicalPlan) -> Tuple {
 
 /// Hash of a row's join key — the field bytes of its key columns — or
 /// `None` when a key column is NULL (NULL never matches in an equi-join).
-/// Deterministic and cheap rather than collision-resistant: a collision
-/// costs one more byte comparison, and no order is ever derived from it.
 fn key_hash(row: &TupleView<'_>, keys: &[usize]) -> Option<u64> {
     let mut hash = 0u64;
     for &key in keys {
         if row.is_null(key) {
             return None;
         }
-        for chunk in row.field_bytes(key).chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            // Multiplying carries a word's bits upwards only; folding the
-            // high half down lets the next word's multiply carry them too.
-            hash = (hash ^ u64::from_le_bytes(word)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            hash ^= hash >> 32;
-        }
+        hash = hash_words(hash, row.field_bytes(key));
     }
     Some(hash)
 }

@@ -28,6 +28,22 @@ use dbvirt_telemetry as telemetry;
 /// What an operator pushes its output rows into.
 pub(crate) type RowSink<'s> = dyn FnMut(&dyn Row) + 's;
 
+/// Folds `bytes` into `hash` eight at a time: the hash of a join key and of
+/// a grouping key. Deterministic and cheap rather than collision-resistant —
+/// the keys are field encodings of stored rows, a collision costs one more
+/// byte comparison, and no order is ever derived from it.
+fn hash_words(mut hash: u64, bytes: &[u8]) -> u64 {
+    for chunk in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        // Multiplying carries a word's bits upwards only; folding the high
+        // half down lets the next word's multiply carry them too.
+        hash = (hash ^ u64::from_le_bytes(word)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        hash ^= hash >> 32;
+    }
+    hash
+}
+
 /// The telemetry span name for a plan node (the `exec.*` taxonomy).
 fn op_name(plan: &PhysicalPlan) -> &'static str {
     match plan {

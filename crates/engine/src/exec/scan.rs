@@ -1,15 +1,19 @@
 //! Scan operators: sequential heap scans, B+tree index scans, and
 //! multi-index intersection/union scans.
 //!
-//! A scan is a row *source*: it looks at each record where it lies on the
-//! buffer-pool page (a [`TupleView`]), evaluates the pushed-down filter
-//! there, and pushes the rows that pass to its consumer's sink still
-//! borrowed. Whether a row is ever decoded is the consumer's business.
+//! A scan is a row *source*: it reads each row where it lies on the
+//! buffer-pool page (a `TupleView` from the image's checked layout, see
+//! [`dbvirt_storage::Page::rows`]), evaluates the pushed-down filter there,
+//! and pushes the rows that pass to its consumer's sink still borrowed.
+//! Nothing is walked per scan: every image is checked in full, once, before
+//! any of its rows is read, so a corrupt record fails the scan at its page
+//! before that page delivers a row. Whether a row is ever decoded is the
+//! consumer's business.
 
 use super::RowSink;
 use crate::runtime::{EngineError, ExecContext};
 use crate::{Expr, IndexArm, IndexId, PhysicalPlan, TableId};
-use dbvirt_storage::{AccessPattern, Datum, HeapFile, TupleId, TupleView};
+use dbvirt_storage::{AccessPattern, Datum, HeapFile, TupleId};
 use std::ops::Bound;
 
 /// Runs one of the four scan operators, returning how many rows it pushed
@@ -45,23 +49,6 @@ pub(crate) fn scan(
     }
 }
 
-/// Checks one record where it lies and pushes it to `sink` if the filter
-/// keeps it; returns whether it did. Every record is checked in full —
-/// field count, tags, lengths, string bodies — whether or not it is kept.
-fn offer(
-    record: &[u8],
-    fields: &mut Vec<u32>,
-    filter: Option<&Expr>,
-    sink: &mut RowSink<'_>,
-) -> Result<bool, EngineError> {
-    let view = TupleView::parse(record, fields)?;
-    let keep = filter.is_none_or(|f| f.eval_bool(&view) == Some(true));
-    if keep {
-        sink(&view);
-    }
-    Ok(keep)
-}
-
 /// Full heap scan with an optional pushed-down filter.
 fn seq_scan(
     ctx: &mut ExecContext<'_>,
@@ -73,7 +60,6 @@ fn seq_scan(
     let filter_ops = filter.map_or(0.0, |f| f.num_operators() as f64);
     let mut rows_out = 0;
     let mut cpu = 0.0;
-    let mut fields = Vec::new();
 
     let heap = ctx.db.table(table).heap;
     let n_pages = heap.num_pages(ctx.db.disk());
@@ -85,18 +71,20 @@ fn seq_scan(
             AccessPattern::Sequential,
         )?;
         cpu += costs.per_page;
-        for record in page.records() {
-            let (_, record) = record?;
+        for (_, row) in page.rows()? {
             cpu += costs.per_tuple + filter_ops * costs.per_operator;
-            rows_out += usize::from(offer(record, &mut fields, filter, sink)?);
+            if filter.is_none_or(|f| f.eval_bool(&row) == Some(true)) {
+                rows_out += 1;
+                sink(&row);
+            }
         }
     }
     ctx.charge_cpu(cpu);
     Ok(rows_out)
 }
 
-/// Fetches `tids` from the heap in the order given, offering each record to
-/// the residual filter and the sink; `cpu` is the charge accumulated by the
+/// Fetches `tids` from the heap in the order given, offering each row to the
+/// residual filter and the sink; `cpu` is the charge accumulated by the
 /// index probes that produced them.
 fn fetch_tids(
     ctx: &mut ExecContext<'_>,
@@ -109,11 +97,13 @@ fn fetch_tids(
     let costs = ctx.costs;
     let filter_ops = filter.map_or(0.0, |f| f.num_operators() as f64);
     let mut rows_out = 0;
-    let mut fields = Vec::new();
     for tid in tids {
-        let record = heap.fetch(ctx.db.disk_mut(), ctx.pool, tid)?;
+        let row = heap.fetch(ctx.db.disk_mut(), ctx.pool, tid)?;
         cpu += costs.per_tuple + filter_ops * costs.per_operator;
-        rows_out += usize::from(offer(record, &mut fields, filter, sink)?);
+        if filter.is_none_or(|f| f.eval_bool(&row) == Some(true)) {
+            rows_out += 1;
+            sink(&row);
+        }
     }
     ctx.charge_cpu(cpu);
     Ok(rows_out)
@@ -381,6 +371,58 @@ mod tests {
         expect.sort_by_key(key);
         assert_eq!(ored, expect);
         assert_eq!(ored.len(), 211, "200 + 111 - 100 overlapping");
+    }
+
+    /// One byte of one record, in the middle of the table's second page, is
+    /// overwritten: every reader of that page — not only of that record —
+    /// fails with what checking the image found, and delivers none of its
+    /// rows.
+    #[test]
+    fn a_corrupt_record_fails_every_reader_of_its_page_before_any_of_its_rows() {
+        use dbvirt_storage::{Page, PageId, StorageError, PAGE_SIZE};
+
+        // `(a INT, b STR)`: a's tag is 2 bytes into a record, b's body 16.
+        for (byte, value, reason) in [(2, 99, "unknown tag 99"), (16, 0xFF, "invalid utf-8")] {
+            let (mut db, mut pool) = small_db(2000);
+            let table = TableId(0);
+            let index = db.create_index("t_a", table, 0).unwrap();
+            let pid = PageId {
+                file: db.table(table).heap.file_id(),
+                page_no: 1,
+            };
+            let rows_before = i64::from(
+                db.disk()
+                    .read_page(PageId { page_no: 0, ..pid })
+                    .unwrap()
+                    .slot_count(),
+            );
+            let mut image = *db.disk().read_page(pid).unwrap().as_bytes();
+            let entry = PAGE_SIZE - 4 * (5 + 1);
+            let record = usize::from(u16::from_le_bytes([image[entry], image[entry + 1]]));
+            image[record + byte] = value;
+            *db.disk_mut().page_mut(pid).unwrap() = Page::from_bytes(image);
+            let expect = StorageError::CorruptTuple {
+                reason: reason.to_string(),
+            };
+
+            let mut ctx = context(&mut db, &mut pool);
+            let mut delivered = 0;
+            let plan = PhysicalPlan::SeqScan {
+                table,
+                filter: None,
+            };
+            let scanned = scan(&mut ctx, &plan, &mut |_| delivered += 1);
+            assert_eq!(scanned, Err(EngineError::Storage(expect.clone())));
+            assert_eq!(delivered, rows_before, "the first page's rows and no more");
+
+            // The second page's first row, five records before the bad one.
+            let key = Bound::Included(Datum::Int(rows_before));
+            let fetched = index_scan(&mut ctx, table, index, &key, &key, None);
+            assert_eq!(fetched, Err(EngineError::Storage(expect.clone())));
+
+            assert_eq!(db.create_index("t_b", table, 1), Err(expect.clone()));
+            assert_eq!(db.analyze_table(table), Err(expect));
+        }
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! scan's budget is a constant — the pool's map and frame vector growing to
 //! its 16 frames — whatever the number of pages it reads.
 //!
+//! The one thing a read may allocate per page is the image's checked
+//! layout, and only the first read of that image: it is built once, kept
+//! beside the bytes, and found there by every later scan through any pool.
+//! Loading allocates nothing for it — a layout is not kept up row by row,
+//! the next reader of a written page builds it.
+//!
 //! The operators that *keep* rows — the joins and the sort — keep them
 //! encoded in a few growing buffers, so they add a handful of doublings per
 //! buffer to that, not an allocation per row: one joined tuple, one key
@@ -66,8 +72,13 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 const ROWS: i64 = 50_000;
-/// What a scan and a consumer that keeps nothing may allocate in all.
+/// What a scan of checked images and a consumer that keeps nothing may
+/// allocate in all.
 const SCAN_BUDGET: u64 = 32;
+/// What checking one image may allocate: its layout table growing from the
+/// slot count to the field count and cut to size, the offsets of the record
+/// being walked.
+const LAYOUT_BUDGET: u64 = 8;
 const GROUPS: [&str; 3] = ["x", "y", "z"];
 
 /// `t(a INT, b INT, g STR)`, the table of `benches/executor.rs`.
@@ -95,18 +106,35 @@ fn build_db() -> Database {
     db
 }
 
+/// What `work` allocates on this thread.
+fn counting<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = work();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
 /// Runs `plan` on a cold pool, returning its rows and the allocations the
 /// run made on this thread.
 fn allocations_of(db: &mut Database, plan: &PhysicalPlan) -> (Vec<Tuple>, u64) {
     let mut pool = BufferPool::new(16);
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = run_plan(db, &mut pool, plan, 8 << 20, CpuCosts::default()).unwrap();
-    let after = ALLOCATIONS.with(Cell::get);
-    (out.rows, after - before)
+    let (out, allocations) =
+        counting(|| run_plan(db, &mut pool, plan, 8 << 20, CpuCosts::default()).unwrap());
+    (out.rows, allocations)
+}
+
+/// [`build_db`] with every image checked, as after any first scan.
+fn build_checked_db() -> Database {
+    let mut db = build_db();
+    let scan = PhysicalPlan::SeqScan {
+        table: TableId(0),
+        filter: Some(Expr::lt(Expr::col(0), Expr::int(0))),
+    };
+    allocations_of(&mut db, &scan);
+    db
 }
 
 #[test]
-fn borrowing_consumers_allocate_per_page_and_group_not_per_row() {
+fn images_are_checked_by_their_first_scan_and_by_no_later_one() {
     let mut db = build_db();
     let t = TableId(0);
     let pages = u64::from(db.table(t).heap.num_pages(db.disk()));
@@ -114,17 +142,69 @@ fn borrowing_consumers_allocate_per_page_and_group_not_per_row() {
         pages > 4 * SCAN_BUDGET,
         "an allocation per page must break the budget"
     );
-    // Small change only: the pool's map and frame vector growing, the
-    // offsets buffer, the output vector.
-    let scan = |filter| PhysicalPlan::SeqScan { table: t, filter };
-
-    let reject_all = scan(Some(Expr::lt(Expr::col(0), Expr::int(0))));
-    let (rows, allocations) = allocations_of(&mut db, &reject_all);
+    let reject_all = PhysicalPlan::SeqScan {
+        table: t,
+        filter: Some(Expr::lt(Expr::col(0), Expr::int(0))),
+    };
+    let (rows, first) = allocations_of(&mut db, &reject_all);
     assert!(rows.is_empty());
     assert!(
-        allocations <= SCAN_BUDGET,
-        "rejecting {ROWS} rows over {pages} pages allocated {allocations} times"
+        (pages..=SCAN_BUDGET + LAYOUT_BUDGET * pages).contains(&first),
+        "checking {pages} pages of {ROWS} rows allocated {first} times"
     );
+    // The same images through a fresh pool, and through a copy of the
+    // database: nothing is left to check.
+    for db in [&mut db.clone(), &mut db] {
+        let (_, again) = allocations_of(db, &reject_all);
+        assert!(
+            again <= SCAN_BUDGET,
+            "rescanning {pages} checked pages allocated {again} times"
+        );
+    }
+}
+
+#[test]
+fn loading_keeps_no_layout_up_row_by_row() {
+    let mut db = build_checked_db();
+    let t = TableId(0);
+    let pages_before = db.table(t).heap.num_pages(db.disk());
+    let rows: Vec<Tuple> = (0..ROWS)
+        .map(|i| Tuple::new(vec![Datum::Int(i), Datum::Int(-i), Datum::str("w")]))
+        .collect();
+    // What writing a row costs whatever the page does with it: its record.
+    let (_, encoding) = counting(|| rows.iter().for_each(|row| drop(row.encode())));
+    let (loaded, loading) = counting(|| db.insert_rows(t, rows).unwrap());
+    assert_eq!(loaded, ROWS as u64);
+    // Per page appended: its image and the file's page vector growing; the
+    // checked last page of the first load is written in place.
+    let appended = u64::from(db.table(t).heap.num_pages(db.disk()) - pages_before);
+    assert!(
+        loading <= encoding + 2 * appended + SCAN_BUDGET,
+        "loading {ROWS} rows onto {appended} pages allocated {loading} times, \
+         {encoding} of them for their records"
+    );
+    // And the rows are there for the next reader, old pages and new.
+    let count_star = PhysicalPlan::HashAgg {
+        input: Box::new(PhysicalPlan::SeqScan {
+            table: t,
+            filter: None,
+        }),
+        group_by: vec![],
+        aggs: vec![AggExpr::count_star("n")],
+    };
+    let (counted, allocations) = allocations_of(&mut db, &count_star);
+    assert_eq!(counted[0].get(0), &Datum::Int(2 * ROWS));
+    assert!(allocations <= SCAN_BUDGET + LAYOUT_BUDGET * (appended + 1));
+}
+
+#[test]
+fn borrowing_consumers_allocate_per_page_and_group_not_per_row() {
+    let mut db = build_checked_db();
+    let t = TableId(0);
+    let pages = u64::from(db.table(t).heap.num_pages(db.disk()));
+    // Small change only: the pool's map and frame vector growing, the
+    // output vector.
+    let scan = |filter| PhysicalPlan::SeqScan { table: t, filter };
 
     let count_star = PhysicalPlan::HashAgg {
         input: Box::new(scan(None)),
@@ -163,7 +243,7 @@ const PER_ROW_BUF: u64 = 3 * 25;
 
 #[test]
 fn keeping_operators_allocate_per_buffer_doubling_not_per_row() {
-    let mut db = build_db();
+    let mut db = build_checked_db();
     let t = TableId(0);
     let pages = u64::from(db.table(t).heap.num_pages(db.disk()));
     let scan = || {

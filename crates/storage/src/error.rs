@@ -11,6 +11,9 @@ pub enum StorageError {
         /// Serialized tuple size in bytes.
         size: usize,
     },
+    /// A record of no bytes was offered to a page, where a zero length
+    /// marks a deleted slot.
+    EmptyRecord,
     /// A page's bytes failed to decode.
     CorruptPage {
         /// Description of the corruption.
@@ -60,6 +63,7 @@ impl fmt::Display for StorageError {
             StorageError::TupleTooLarge { size } => {
                 write!(f, "tuple of {size} bytes does not fit in a page")
             }
+            StorageError::EmptyRecord => write!(f, "a record needs at least one byte"),
             StorageError::CorruptPage { reason } => write!(f, "corrupt page: {reason}"),
             StorageError::CorruptTuple { reason } => write!(f, "corrupt tuple: {reason}"),
             StorageError::PageNotFound { file, page } => {

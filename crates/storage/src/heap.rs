@@ -5,7 +5,7 @@
 //! step the experiments do not meter); query-time access goes through the
 //! [`crate::BufferPool`], which is where physical reads are charged.
 
-use crate::{BufferPool, Page, StorageError, Tuple};
+use crate::{BufferPool, Page, StorageError, Tuple, TupleView};
 use std::fmt;
 
 /// Identifier of a file (heap table or index) within a database.
@@ -167,7 +167,7 @@ impl HeapFile {
 
     /// Fetches one heap page through the buffer pool, charging the access to
     /// `pool`'s demand tracker. The page stays borrowed from the pool, so a
-    /// scan can look at its records in place.
+    /// scan can look at its rows in place.
     pub fn fetch_page<'p>(
         &self,
         disk: &mut DiskManager,
@@ -182,16 +182,21 @@ impl HeapFile {
         pool.fetch(disk, pid, pattern)
     }
 
-    /// Fetches one record by id through the buffer pool (random access, as
-    /// in an index-scan heap lookup), still encoded.
+    /// Fetches one row by id through the buffer pool (random access, as in
+    /// an index-scan heap lookup), read in place.
+    ///
+    /// # Errors
+    /// What [`Page::row`] found wrong with the page, or
+    /// [`StorageError::TupleNotFound`] if the page is sound and has no live
+    /// record in that slot.
     pub fn fetch<'p>(
         &self,
         disk: &mut DiskManager,
         pool: &'p mut BufferPool,
         tid: TupleId,
-    ) -> Result<&'p [u8], StorageError> {
+    ) -> Result<TupleView<'p, u16>, StorageError> {
         let page = self.fetch_page(disk, pool, tid.page_no, crate::AccessPattern::Random)?;
-        page.get(tid.slot).map_err(|_| StorageError::TupleNotFound {
+        page.row(tid.slot)?.ok_or(StorageError::TupleNotFound {
             file: self.file.0,
             page: tid.page_no,
             slot: tid.slot,
@@ -202,7 +207,7 @@ impl HeapFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AccessPattern, Datum};
+    use crate::{AccessPattern, Datum, DatumRef};
 
     fn tuple(i: i64) -> Tuple {
         Tuple::new(vec![Datum::Int(i), Datum::str(format!("row-{i}"))])
@@ -236,9 +241,8 @@ mod tests {
             let page = heap
                 .fetch_page(&mut disk, &mut pool, page_no, AccessPattern::Sequential)
                 .unwrap();
-            for record in page.records() {
-                let tuple = Tuple::decode(record.unwrap().1).unwrap();
-                seen.push(tuple.get(0).as_int().unwrap());
+            for (_, row) in page.rows().unwrap() {
+                seen.push(row.get(0).to_datum().as_int().unwrap());
             }
         }
         assert_eq!(seen, (0..500).collect::<Vec<_>>());
@@ -252,14 +256,17 @@ mod tests {
             .map(|i| heap.insert(&mut disk, &tuple(i)).unwrap())
             .collect();
         let mut pool = BufferPool::new(8);
-        let bytes = heap.fetch(&mut disk, &mut pool, tids[123]).unwrap();
-        assert_eq!(Tuple::decode(bytes).unwrap().get(0), &Datum::Int(123));
+        let row = heap.fetch(&mut disk, &mut pool, tids[123]).unwrap();
+        assert_eq!(row.get(0), DatumRef::Int(123));
         // Missing slot.
         let bogus = TupleId {
             page_no: 0,
             slot: 999,
         };
-        assert!(heap.fetch(&mut disk, &mut pool, bogus).is_err());
+        assert!(matches!(
+            heap.fetch(&mut disk, &mut pool, bogus),
+            Err(StorageError::TupleNotFound { slot: 999, .. })
+        ));
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //!   owned and borrowed;
 //! * [`Tuple`] — byte-serialized rows ([`Tuple`] round-trips through a
 //!   compact tagged format); [`TupleView`] — the one reader of that format,
-//!   which checks a record once and then reads columns in place; [`Row`] —
+//!   which reads columns in place from the field offsets one checking walk
+//!   of the record found; [`Row`] —
 //!   what either of them, or a [`Joined`] pair, looks like to an expression;
 //!   [`RowBuf`] — rows kept as record bytes in one arena, read back as views;
 //! * [`Page`] — 8 KiB slotted pages with a slot directory, their image
-//!   shared by reference count until someone writes;
+//!   shared by reference count until someone writes, and checked in full —
+//!   once, by its first reader, for all who share it — before any of its
+//!   rows is read;
 //! * [`HeapFile`] / [`DiskManager`] — append-only heap tables over pages;
 //! * [`BufferPool`] — a clock-sweep page cache whose capacity is set from
 //!   the VM's memory share, charging sequential/random physical reads to a

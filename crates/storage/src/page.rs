@@ -12,9 +12,23 @@
 //!
 //! Deleted slots keep their directory entry with `len == 0` so that
 //! [`crate::TupleId`]s remain stable.
+//!
+//! An image is immutable between two [`Page::insert`]s, so whether its
+//! records are valid and where their fields start are constants of it.
+//! [`Page::rows`] and [`Page::row`] read rows through a *checked layout* kept
+//! beside the bytes: the first reader of an image walks every live record
+//! ([`TupleView::parse`] — field count, tags, lengths, string bodies) and
+//! keeps the offsets it found, or the first error it met; every reader
+//! after it, on any clone of the page and on any thread, is handed views
+//! built from those offsets. Every image is checked in full before any of
+//! its rows is read, and never again.
 
-use crate::StorageError;
-use std::sync::Arc;
+use crate::{StorageError, TupleView};
+use dbvirt_telemetry as telemetry;
+use std::sync::{Arc, OnceLock};
+
+/// Images walked record by record: one tick per first read of an image.
+static TM_PAGE_CHECKS: telemetry::Counter = telemetry::Counter::new("storage.page_checks");
 
 /// Page size in bytes, matching PostgreSQL's default 8 KiB.
 pub const PAGE_SIZE: usize = 8192;
@@ -26,15 +40,52 @@ fn set_u16(data: &mut [u8; PAGE_SIZE], off: usize, v: u16) {
     data[off..off + 2].copy_from_slice(&v.to_le_bytes());
 }
 
+/// Where the records of one image lie, as its first reader found them: one
+/// table of `u16`s. Entry `s` and entry `s + 1`, for each of the image's
+/// `n` slots, bound the part of the table that describes slot `s` — nothing
+/// for a deleted slot, otherwise the offset from the record's first byte of
+/// each field's tag, then of the record's end. Where the record starts is
+/// the slot directory's business and is not copied.
+type Layout = Box<[u16]>;
+
+/// What a [`Page`] shares between its clones: the bytes and, once someone
+/// has read a row, what checking them found.
+struct Image {
+    bytes: [u8; PAGE_SIZE],
+    layout: OnceLock<Result<Layout, StorageError>>,
+}
+
+/// The copy [`Arc::make_mut`] takes for a writer: the bytes alone. A layout
+/// describes the image it was read from, and the copy is about to change.
+impl Clone for Image {
+    fn clone(&self) -> Image {
+        Image {
+            bytes: self.bytes,
+            layout: OnceLock::new(),
+        }
+    }
+}
+
 /// An 8 KiB slotted page.
 ///
 /// The image is shared: cloning a page — a buffer-pool miss, a copy of a
 /// whole database — costs a reference count, and the first write to a page
 /// that shares its image copies it ([`Page::insert`] is the only writer).
-#[derive(Clone, PartialEq, Eq)]
+/// The checked layout lives in the same allocation, so whoever reads an
+/// image first checks it for every clone. Two pages are equal when their
+/// bytes are.
+#[derive(Clone)]
 pub struct Page {
-    data: Arc<[u8; PAGE_SIZE]>,
+    image: Arc<Image>,
 }
+
+impl PartialEq for Page {
+    fn eq(&self, other: &Page) -> bool {
+        self.image.bytes == other.image.bytes
+    }
+}
+
+impl Eq for Page {}
 
 impl std::fmt::Debug for Page {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -61,21 +112,26 @@ impl Page {
     }
 
     /// Wraps a raw page image as read from a device. Nothing is checked
-    /// here: [`Page::get`] and [`Page::records`] validate each slot they
-    /// are asked for.
-    pub fn from_bytes(data: [u8; PAGE_SIZE]) -> Page {
+    /// here: the first [`Page::rows`] or [`Page::row`] checks every record,
+    /// [`Page::get`] and [`Page::records`] the slot entries they are asked
+    /// for.
+    pub fn from_bytes(bytes: [u8; PAGE_SIZE]) -> Page {
         Page {
-            data: Arc::new(data),
+            image: Arc::new(Image {
+                bytes,
+                layout: OnceLock::new(),
+            }),
         }
     }
 
     /// The raw page image.
     pub fn as_bytes(&self) -> &[u8; PAGE_SIZE] {
-        &self.data
+        &self.image.bytes
     }
 
     fn get_u16(&self, off: usize) -> u16 {
-        u16::from_le_bytes([self.data[off], self.data[off + 1]])
+        let bytes = &self.image.bytes;
+        u16::from_le_bytes([bytes[off], bytes[off + 1]])
     }
 
     /// Number of slots (including deleted ones).
@@ -109,8 +165,12 @@ impl Page {
     ///
     /// # Errors
     /// Returns [`StorageError::TupleTooLarge`] if the record could never fit
-    /// even in an empty page.
+    /// even in an empty page, and [`StorageError::EmptyRecord`] for a record
+    /// of no bytes, whose slot would read as deleted.
     pub fn insert(&mut self, record: &[u8]) -> Result<Option<u16>, StorageError> {
+        if record.is_empty() {
+            return Err(StorageError::EmptyRecord);
+        }
         if record.len() > Self::max_record_size() {
             return Err(StorageError::TupleTooLarge { size: record.len() });
         }
@@ -122,7 +182,12 @@ impl Page {
         let dir = self.slot_dir_off(slot);
         // Copy-on-write, once per insert: a page that shares its image with
         // the disk or another pool gets its own before the first byte moves.
-        let data = Arc::make_mut(&mut self.data);
+        // Either way the image written to has no layout afterwards — the
+        // copy never had one, an unshared image drops its own — and the
+        // other side of a copy keeps the one that describes its bytes.
+        let image = Arc::make_mut(&mut self.image);
+        image.layout.take();
+        let data = &mut image.bytes;
         data[off as usize..off as usize + record.len()].copy_from_slice(record);
         set_u16(data, dir, off);
         set_u16(data, dir + 2, record.len() as u16);
@@ -140,7 +205,8 @@ impl Page {
     /// The bytes a live directory entry points at, or an error if they do
     /// not lie inside the page.
     fn record_at(&self, slot: u16, off: usize, len: usize) -> Result<&[u8], StorageError> {
-        self.data
+        self.image
+            .bytes
             .get(off..off + len)
             .ok_or_else(|| StorageError::CorruptPage {
                 reason: format!("slot {slot} points outside the page"),
@@ -173,11 +239,91 @@ impl Page {
             (len > 0).then(|| self.record_at(slot, off, len).map(|r| (slot, r)))
         })
     }
+
+    /// Walks every live record, in slot order, into a [`Layout`]; stops at
+    /// the first slot that points outside the page or record that does not
+    /// parse.
+    fn check(&self) -> Result<Layout, StorageError> {
+        TM_PAGE_CHECKS.add(1);
+        let corrupt = |reason: &str| StorageError::CorruptPage {
+            reason: reason.to_string(),
+        };
+        let n_slots = self.slot_count();
+        if HEADER_SIZE + SLOT_SIZE * usize::from(n_slots) > PAGE_SIZE {
+            return Err(corrupt("slot directory larger than the page"));
+        }
+        // Records that do not overlap describe themselves in fewer entries
+        // than a `u16` counts; a directory whose records overlap that much
+        // could ask for megabytes, and is refused instead.
+        let next =
+            |table: &Vec<u16>| u16::try_from(table.len()).map_err(|_| corrupt("records overlap"));
+        let mut table = vec![0; usize::from(n_slots) + 1];
+        let mut fields = Vec::new();
+        for slot in 0..n_slots {
+            table[usize::from(slot)] = next(&table)?;
+            let (off, len) = self.slot_entry(slot);
+            if len > 0 {
+                let record = self.record_at(slot, off, len)?;
+                let end = TupleView::parse(record, &mut fields)?.as_bytes().len();
+                // A record on a page starts its fields and ends within
+                // `PAGE_SIZE` of its first byte.
+                table.extend(fields.iter().map(|&field| field as u16));
+                table.push(end as u16);
+            }
+        }
+        table[usize::from(n_slots)] = next(&table)?;
+        Ok(table.into_boxed_slice())
+    }
+
+    /// The checked layout of this image: found by the first caller, on
+    /// whichever clone of the page, and the same — the same error, if that
+    /// is what was found — for every caller after it.
+    fn layout(&self) -> Result<&[u16], StorageError> {
+        let checked = self.image.layout.get_or_init(|| self.check());
+        checked.as_deref().map_err(Clone::clone)
+    }
+
+    /// The live record in `slot`, one of the image's, as `table` describes
+    /// it.
+    fn view<'a>(&'a self, table: &'a [u16], slot: u16) -> Option<TupleView<'a, u16>> {
+        let slot_no = usize::from(slot);
+        let described = usize::from(table[slot_no])..usize::from(table[slot_no + 1]);
+        let (&end, fields) = table[described].split_last()?;
+        let (off, _) = self.slot_entry(slot);
+        let record = &self.image.bytes[off..off + usize::from(end)];
+        Some(TupleView::checked(record, fields))
+    }
+
+    /// The live rows in slot order, as `(slot, row)` pairs read in place.
+    ///
+    /// # Errors
+    /// The first error, in slot order, that checking the image met — a slot
+    /// pointing outside the page, a record that does not parse — before any
+    /// row is returned, and the same one on every call.
+    pub fn rows(&self) -> Result<impl Iterator<Item = (u16, TupleView<'_, u16>)>, StorageError> {
+        let table = self.layout()?;
+        Ok((0..self.slot_count()).filter_map(move |slot| Some((slot, self.view(table, slot)?))))
+    }
+
+    /// The row in `slot`, or `None` if the slot is missing or deleted.
+    ///
+    /// # Errors
+    /// As [`Page::rows`]: an image with a corrupt record anywhere has no
+    /// readable rows.
+    pub fn row(&self, slot: u16) -> Result<Option<TupleView<'_, u16>>, StorageError> {
+        let table = self.layout()?;
+        Ok(if slot < self.slot_count() {
+            self.view(table, slot)
+        } else {
+            None
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Row;
 
     #[test]
     fn insert_and_get() {
@@ -196,15 +342,112 @@ mod tests {
         let mut a = Page::new();
         a.insert(b"before").unwrap().unwrap();
         let mut b = a.clone();
-        assert!(Arc::ptr_eq(&a.data, &b.data));
+        assert!(Arc::ptr_eq(&a.image, &b.image));
         b.insert(b"after").unwrap().unwrap();
-        assert!(!Arc::ptr_eq(&a.data, &b.data));
+        assert!(!Arc::ptr_eq(&a.image, &b.image));
         assert_eq!((a.slot_count(), b.slot_count()), (1, 2));
         assert_eq!(b.get(0).unwrap(), b"before");
         // An unshared page is written in place.
-        let image = Arc::as_ptr(&b.data);
+        let image = Arc::as_ptr(&b.image);
         b.insert(b"again").unwrap().unwrap();
-        assert_eq!(Arc::as_ptr(&b.data), image);
+        assert_eq!(Arc::as_ptr(&b.image), image);
+    }
+
+    #[test]
+    fn an_empty_record_is_refused_not_stored_as_a_deleted_slot() {
+        let mut p = Page::new();
+        p.insert(b"x").unwrap().unwrap();
+        let before = p.clone();
+        assert_eq!(p.insert(&[]), Err(StorageError::EmptyRecord));
+        assert_eq!(p, before, "a refused insert writes nothing");
+        assert_eq!(p.records().count(), usize::from(p.slot_count()));
+    }
+
+    /// A record of `n` NULL fields.
+    fn nulls(n: u16) -> Vec<u8> {
+        let mut record = n.to_be_bytes().to_vec();
+        record.resize(2 + usize::from(n), 0);
+        record
+    }
+
+    #[test]
+    fn a_clone_shares_the_layout_and_an_insert_clears_only_the_writers() {
+        let mut a = Page::new();
+        a.insert(&nulls(3)).unwrap().unwrap();
+        let mut b = a.clone();
+        assert!(a.image.layout.get().is_none(), "nothing is checked unread");
+        assert_eq!(a.rows().unwrap().count(), 1);
+        assert!(
+            b.image.layout.get().is_some(),
+            "read through one, known to both"
+        );
+
+        // The writer's copy starts unchecked; the image it left keeps its
+        // layout, which still describes it.
+        b.insert(&nulls(5)).unwrap().unwrap();
+        assert!(b.image.layout.get().is_none());
+        let table = a.image.layout.get().unwrap().as_ref().unwrap();
+        assert_eq!(table[..], [2, 6, 2, 3, 4, 5]);
+        let arities = |p: &Page| {
+            p.rows()
+                .unwrap()
+                .map(|(_, r)| r.arity())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!((arities(&a), arities(&b)), (vec![3], vec![3, 5]));
+
+        // An unshared image is written in place and forgets its layout.
+        let image = Arc::as_ptr(&b.image);
+        b.insert(&nulls(1)).unwrap().unwrap();
+        assert_eq!(Arc::as_ptr(&b.image), image);
+        assert!(b.image.layout.get().is_none());
+        assert_eq!(arities(&b), [3, 5, 1]);
+        assert_eq!(b.row(2).unwrap().unwrap().arity(), 1);
+        assert!(b.row(3).unwrap().is_none());
+    }
+
+    #[test]
+    fn equality_is_of_bytes_whether_or_not_either_side_is_checked() {
+        let mut a = Page::new();
+        a.insert(&nulls(2)).unwrap().unwrap();
+        let b = Page::from_bytes(*a.as_bytes());
+        a.rows().unwrap().for_each(drop);
+        assert!(a.image.layout.get().is_some() && b.image.layout.get().is_none());
+        assert_eq!(a, b);
+        // A bad record makes a page unreadable, not unequal to its bytes.
+        let mut bytes = *a.as_bytes();
+        bytes[HEADER_SIZE + 2] = 99;
+        let (bad, same) = (Page::from_bytes(bytes), Page::from_bytes(bytes));
+        assert!(bad.rows().is_err());
+        assert_eq!(bad, same);
+        assert_ne!(bad, a);
+    }
+
+    #[test]
+    fn a_directory_that_cannot_be_a_pages_is_an_error_not_a_panic() {
+        let corrupt = |page: &Page| match page.rows().map(|rows| rows.count()) {
+            Err(StorageError::CorruptPage { reason }) => reason,
+            other => panic!("read {other:?}"),
+        };
+        // More slots than fit between the header and the page end.
+        let mut bytes = *Page::new().as_bytes();
+        set_u16(&mut bytes, 0, 2048);
+        assert!(corrupt(&Page::from_bytes(bytes)).contains("slot directory"));
+
+        // Every slot on one record of 8 000 fields: 16 M offsets to keep.
+        let mut p = Page::new();
+        p.insert(&nulls(8000)).unwrap().unwrap();
+        let mut bytes = *p.as_bytes();
+        let n_slots = 40;
+        set_u16(&mut bytes, 0, n_slots);
+        for slot in 1..n_slots {
+            let (from, to) = (p.slot_dir_off(0), p.slot_dir_off(slot));
+            bytes.copy_within(from..from + SLOT_SIZE, to);
+        }
+        let p = Page::from_bytes(bytes);
+        assert_eq!(p.records().count(), usize::from(n_slots));
+        assert_eq!(corrupt(&p), "records overlap");
+        assert_eq!(p.row(0).err(), p.rows().err(), "the same error again");
     }
 
     #[test]
@@ -260,12 +503,16 @@ mod tests {
         }
         // Delete slot 1: zero its length.
         let dir = p.slot_dir_off(1);
-        set_u16(Arc::make_mut(&mut p.data), dir + 2, 0);
+        set_u16(&mut Arc::make_mut(&mut p.image).bytes, dir + 2, 0);
         let live: Vec<u16> = p.records().map(|r| r.unwrap().0).collect();
         assert_eq!(live, vec![0, 2]);
         // Point slot 2 past the end of the page.
         let dir = p.slot_dir_off(2);
-        set_u16(Arc::make_mut(&mut p.data), dir, (PAGE_SIZE - 4) as u16);
+        set_u16(
+            &mut Arc::make_mut(&mut p.image).bytes,
+            dir,
+            (PAGE_SIZE - 4) as u16,
+        );
         let seen: Vec<_> = p.records().collect();
         assert_eq!(seen.len(), 2);
         assert_eq!(seen[0].as_ref().unwrap().0, 0);

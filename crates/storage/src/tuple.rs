@@ -4,9 +4,13 @@
 //! a `u16` field count, then per field a 1-byte type tag followed by the
 //! payload (fixed-width for numerics, length-prefixed for strings).
 //!
-//! [`TupleView`] is the one reader of that format: it walks a record once,
-//! checking every tag, length and string body, and then reads columns in
-//! place. [`Tuple::decode`] is that walk followed by [`Row::to_tuple`].
+//! [`TupleView`] is the one reader of that format: [`TupleView::parse`]
+//! walks a record once, checking every tag, length and string body, and a
+//! view then reads columns in place from the field offsets that walk found.
+//! The offsets outlive the walk wherever the record does — a page image
+//! keeps them beside its bytes ([`crate::Page::rows`]), a [`RowBuf`] beside
+//! its arena — so a record is checked once, not once per reader.
+//! [`Tuple::decode`] is the walk followed by [`Row::to_tuple`].
 //!
 //! [`RowBuf`] is how rows are *kept* without being decoded: one arena of
 //! record encodings plus each field's offset, written by `memcpy` from a
@@ -165,16 +169,19 @@ impl DatumRef<'_> {
 /// A checked, undecoded record: the bytes of one encoded tuple plus the
 /// offset of each field's tag, found by walking the record once.
 ///
-/// The offsets live in a buffer the caller owns and reuses from record to
-/// record (or in the [`RowBuf`] that keeps the record), so looking at a row
-/// allocates nothing; a column is decoded only when asked for, and a string
-/// column is a `&str` into the record itself.
+/// The offsets live with whatever keeps the record — the page image it
+/// lies on, a [`RowBuf`], or a buffer the caller of [`TupleView::parse`]
+/// owns — so looking at a row allocates nothing; a column is decoded only
+/// when asked for, and a string column is a `&str` into the record itself.
+///
+/// `O` is how wide the offsets are kept: `u32` where a record can be any
+/// length, `u16` beside an 8 KiB page image.
 #[derive(Debug, Clone, Copy)]
-pub struct TupleView<'a> {
+pub struct TupleView<'a, O = u32> {
     /// The record, cut off where its last field ends.
     bytes: &'a [u8],
     /// Offset in `bytes` of each field's tag byte.
-    fields: &'a [u32],
+    fields: &'a [O],
 }
 
 /// The `N` bytes at `bytes[at..]`, or `None` if the record ends first.
@@ -235,6 +242,20 @@ impl<'a> TupleView<'a> {
             fields,
         })
     }
+}
+
+impl<'a, O: Copy + Into<u32>> TupleView<'a, O> {
+    /// Where field `idx` starts in the record.
+    fn at(&self, idx: usize) -> usize {
+        self.fields[idx].into() as usize
+    }
+
+    /// A view of a record some [`TupleView::parse`] accepted, from the
+    /// offsets that walk found: `bytes` is the record up to where its last
+    /// field ends, `fields` where in it each field's tag is.
+    pub(crate) fn checked(bytes: &'a [u8], fields: &'a [O]) -> TupleView<'a, O> {
+        TupleView { bytes, fields }
+    }
 
     /// The value of column `idx`, borrowed from the record rather than from
     /// this view (which is `Copy` and usually a temporary).
@@ -244,7 +265,7 @@ impl<'a> TupleView<'a> {
     pub fn get(&self, idx: usize) -> DatumRef<'a> {
         // `parse` checked every length and string body read below.
         const CHECKED: &str = "parse checked this payload";
-        let tag = self.fields[idx] as usize;
+        let tag = self.at(idx);
         let payload = tag + 1;
         match self.bytes[tag] {
             TAG_NULL => DatumRef::Null,
@@ -280,11 +301,9 @@ impl<'a> TupleView<'a> {
     /// # Panics
     /// Panics if `idx` is out of range.
     pub fn field_bytes(&self, idx: usize) -> &'a [u8] {
-        let end = self
-            .fields
-            .get(idx + 1)
-            .map_or(self.bytes.len(), |&f| f as usize);
-        &self.bytes[self.fields[idx] as usize..end]
+        let next = self.fields.get(idx + 1);
+        let end = next.map_or(self.bytes.len(), |&field| field.into() as usize);
+        &self.bytes[self.at(idx)..end]
     }
 
     /// True if column `idx` is NULL (its tag says so; nothing is decoded).
@@ -292,11 +311,11 @@ impl<'a> TupleView<'a> {
     /// # Panics
     /// Panics if `idx` is out of range.
     pub fn is_null(&self, idx: usize) -> bool {
-        self.bytes[self.fields[idx] as usize] == TAG_NULL
+        self.bytes[self.at(idx)] == TAG_NULL
     }
 }
 
-impl Row for TupleView<'_> {
+impl<O: Copy + Into<u32>> Row for TupleView<'_, O> {
     fn arity(&self) -> usize {
         self.fields.len()
     }
@@ -430,10 +449,10 @@ impl RecordWriter<'_> {
     }
 
     /// Appends every column of a checked record by copying its bytes.
-    fn copy_checked(&mut self, view: &TupleView<'_>) {
+    fn copy_checked<O: Copy + Into<u32>>(&mut self, view: &TupleView<'_, O>) {
         // The view's first field sits 2 bytes into its own record.
         let shift = compact(self.buf.bytes.len() - self.start) - 2;
-        let shifted = view.fields.iter().map(|&f| f + shift);
+        let shifted = view.fields.iter().map(|&f| f.into() + shift);
         self.buf.fields.extend(shifted);
         self.buf.bytes.extend_from_slice(&view.bytes[2..]);
     }

@@ -47,6 +47,16 @@ if lib_code | grep -v -e '^crates/engine/src/' -e '/tests\.rs: ' | grep -F 'run_
   exit 1
 fi
 
+# One walk per image: outside the record format's own file, library code
+# walks records at exactly one site — `Page::check`, which runs once per
+# page image and keeps what it found beside the bytes. Any other site is a
+# reader re-walking records per scan; none at all is an unchecked read path.
+sites=$(lib_code | grep -F 'TupleView::parse(' | grep -v '^crates/storage/src/tuple\.rs: ' | cut -d: -f1 || true)
+if [[ "$sites" != crates/storage/src/page.rs ]]; then
+  echo "FAIL: TupleView::parse( outside tuple.rs must occur once, in crates/storage/src/page.rs; found in: ${sites:-nowhere}" >&2
+  exit 1
+fi
+
 # One cell store: what-if costs live in the dense write-once table of
 # crates/core/src/search/cache.rs. A locked hash map, or one keyed by
 # `CellKey`, in the search, fleet or design tiers would be a second store

@@ -7,17 +7,18 @@ use dbvirt::optimizer::{plan_query, JoinCondition, LogicalPlan, OptimizerParams}
 use dbvirt::storage::{BufferPool, DataType, Datum, Field, Schema, Tuple};
 use proptest::prelude::*;
 
+fn t1_schema() -> Schema {
+    Schema::new(vec![
+        Field::new("a", DataType::Int),
+        Field::new("b", DataType::Int),
+        Field::new("s", DataType::Str),
+    ])
+}
+
 /// Builds `t1(a, b, s)` with `n` rows and an index on `b`.
 fn build_db(rows: &[(i64, i64, &str)]) -> Database {
     let mut db = Database::new();
-    let t = db.create_table(
-        "t1",
-        Schema::new(vec![
-            Field::new("a", DataType::Int),
-            Field::new("b", DataType::Int),
-            Field::new("s", DataType::Str),
-        ]),
-    );
+    let t = db.create_table("t1", t1_schema());
     db.insert_rows(
         t,
         rows.iter()
@@ -76,11 +77,47 @@ fn filtered_scan_matches_reference_for_every_pool_size() {
             &LogicalPlan::scan_filtered(t, pred.clone()),
             pool_pages,
         );
-        assert_eq!(got.len(), expect.len(), "pool = {pool_pages} pages");
-        for (tuple, (a, b, s)) in got.iter().zip(&expect) {
-            assert_eq!(tuple.get(0).as_int(), Some(*a));
-            assert_eq!(tuple.get(1).as_int(), Some(*b));
-            assert_eq!(tuple.get(2).as_str(), Some(s.as_str()));
+        assert_rows(&got, &expect, pool_pages);
+    }
+}
+
+fn assert_rows(got: &[Tuple], expect: &[(i64, i64, String)], pool_pages: usize) {
+    assert_eq!(got.len(), expect.len(), "pool = {pool_pages} pages");
+    for (tuple, (a, b, s)) in got.iter().zip(expect) {
+        assert_eq!(tuple.get(0).as_int(), Some(*a));
+        assert_eq!(tuple.get(1).as_int(), Some(*b));
+        assert_eq!(tuple.get(2).as_str(), Some(s.as_str()));
+    }
+}
+
+/// Pages that were read, then written by a second load — the last page of
+/// the first load filled up in place, new ones appended — read back as the
+/// rows now on them.
+#[test]
+fn a_scan_after_a_second_load_reads_the_old_rows_and_the_new() {
+    let rows: Vec<(i64, i64, String)> = (0..3000)
+        .map(|i| (i, (i * 7) % 100, format!("s{}", i % 13)))
+        .collect();
+    let as_tuple = |(a, b, s): &(i64, i64, String)| {
+        Tuple::new(vec![Datum::Int(*a), Datum::Int(*b), Datum::str(s)])
+    };
+    let loaded_first = 1700;
+    let mut db = Database::new();
+    let t = db.create_table("t1", t1_schema());
+    let pred = Expr::and(
+        Expr::lt(Expr::col(1), Expr::int(40)),
+        Expr::not_like(Expr::col(2), "s7"),
+    );
+    let query = LogicalPlan::scan_filtered(t, pred.clone());
+
+    for loaded in [0..loaded_first, loaded_first..rows.len()] {
+        let upto = loaded.end;
+        db.insert_rows(t, rows[loaded].iter().map(as_tuple))
+            .unwrap();
+        db.analyze_all().unwrap();
+        let expect = reference_filter(&rows[..upto], &pred);
+        for pool_pages in [1, 64] {
+            assert_rows(&run(&mut db, &query, pool_pages), &expect, pool_pages);
         }
     }
 }
