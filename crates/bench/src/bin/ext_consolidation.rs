@@ -10,9 +10,9 @@
 //! methodology).
 
 use dbvirt_bench::{
-    cache_counters, experiment_machine, json_array, print_table, report_parallel_speedup,
-    write_bench_artifact, JsonObj,
+    cache_counters, experiment_machine, print_table, report_parallel_speedup, write_bench_artifact,
 };
+use dbvirt_calibrate::json::Json;
 use dbvirt_core::measure::measure_workload_seconds;
 use dbvirt_core::{
     metrics, CalibratedCostModel, DesignProblem, SearchAlgorithm, VirtualizationAdvisor,
@@ -165,43 +165,47 @@ fn main() {
          biggest share skews go to the most resource-skewed workloads."
     );
 
-    let workload_objs: Vec<String> = mixes
+    let workload_objs: Vec<Json> = mixes
         .iter()
         .enumerate()
         .map(|(i, w)| {
             let shares = rec.allocation.row(i);
-            JsonObj::new()
-                .str("workload", &w.name)
-                .float("cpu_share", shares.cpu().fraction())
-                .float("mem_share", shares.memory().fraction())
-                .float("predicted_rec_secs", rec.per_workload_costs[i])
-                .float("predicted_equal_secs", equal_costs[i])
-                .render()
+            Json::obj([
+                ("workload", Json::Str(w.name.to_string())),
+                ("cpu_share", Json::Num(shares.cpu().fraction())),
+                ("mem_share", Json::Num(shares.memory().fraction())),
+                ("predicted_rec_secs", Json::Num(rec.per_workload_costs[i])),
+                ("predicted_equal_secs", Json::Num(equal_costs[i])),
+            ])
         })
         .collect();
     let lookups = hits + misses;
-    let bench = JsonObj::new()
-        .str("experiment", "ext_consolidation")
-        .float("wall_secs", wall_start.elapsed().as_secs_f64())
-        .int("workloads", n as u64)
-        .int("units", units as u64)
-        .str("algorithm", rec.algorithm)
-        .float("search_secs", search_secs)
-        .int("evaluations", rec.evaluations as u64)
-        .int("cache_hits", hits)
-        .int("cache_misses", misses)
-        .float(
+    let bench = Json::obj([
+        ("experiment", Json::Str("ext_consolidation".to_string())),
+        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
+        ("workloads", Json::Num(n as f64)),
+        ("units", Json::Num(units as f64)),
+        ("algorithm", Json::Str(rec.algorithm.to_string())),
+        ("search_secs", Json::Num(search_secs)),
+        ("evaluations", Json::Num(rec.evaluations as f64)),
+        ("cache_hits", Json::Num(hits as f64)),
+        ("cache_misses", Json::Num(misses as f64)),
+        (
             "cache_hit_rate",
-            if lookups > 0 {
+            Json::Num(if lookups > 0 {
                 hits as f64 / lookups as f64
             } else {
                 f64::NAN
-            },
-        )
-        .float("predicted_rec_total_secs", rec.total_cost)
-        .float("predicted_equal_total_secs", equal_costs.iter().sum::<f64>())
-        .float("measured_rec_total_secs", measured_rec_total)
-        .float("measured_equal_total_secs", measured_eq_total)
-        .raw("per_workload", json_array(&workload_objs));
-    write_bench_artifact("BENCH_consolidation.json", &bench.render());
+            }),
+        ),
+        ("predicted_rec_total_secs", Json::Num(rec.total_cost)),
+        (
+            "predicted_equal_total_secs",
+            Json::Num(equal_costs.iter().sum::<f64>()),
+        ),
+        ("measured_rec_total_secs", Json::Num(measured_rec_total)),
+        ("measured_equal_total_secs", Json::Num(measured_eq_total)),
+        ("per_workload", Json::Arr(workload_objs)),
+    ]);
+    write_bench_artifact("BENCH_consolidation.json", &bench.pretty());
 }

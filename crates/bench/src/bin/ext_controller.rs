@@ -18,10 +18,11 @@
 //!
 //! Every run is accounted against the clairvoyant `run_dynamic` oracle
 //! and a never-reconfigure baseline on the identical query stream, and
-//! the decision trace is fingerprinted so `scripts/controller.sh` can
+//! the decision trace is fingerprinted so `scripts/replay_gate.sh` can
 //! assert bit-identical behaviour across processes and parallelism.
 
-use dbvirt_bench::{experiment_machine, json_array, print_table, write_bench_artifact, JsonObj};
+use dbvirt_bench::{experiment_machine, print_table, write_bench_artifact};
+use dbvirt_calibrate::json::Json;
 use dbvirt_controller::{
     account_regret, profile_from_queries, run_controller, ControllerConfig, ControllerOutcome,
     ProblemTemplate, RegretReport, Scenario, VmTemplate, WorkloadProfile,
@@ -219,13 +220,13 @@ fn main() {
     let mut regrets = Vec::new();
 
     let record = |scenario: &Scenario,
-                      out: &ControllerOutcome,
-                      report: &RegretReport,
-                      run_secs: f64,
-                      rows: &mut Vec<Vec<String>>,
-                      objs: &mut Vec<String>,
-                      fps: &mut Vec<(String, u64)>,
-                      regs: &mut Vec<(String, f64)>| {
+                  out: &ControllerOutcome,
+                  report: &RegretReport,
+                  run_secs: f64,
+                  rows: &mut Vec<Vec<String>>,
+                  objs: &mut Vec<Json>,
+                  fps: &mut Vec<(String, u64)>,
+                  regs: &mut Vec<(String, f64)>| {
         let fp = out.trace_fingerprint();
         println!(
             "  [{}] {} | switch epochs {:?}",
@@ -245,33 +246,40 @@ fn main() {
             format!("{}", report.suboptimal_epochs),
         ]);
         let h = &out.health;
-        objs.push(
-            JsonObj::new()
-                .str("scenario", &scenario.name)
-                .int("epochs", scenario.total_epochs() as u64)
-                .int("decisions", out.decisions as u64)
-                .int("switches", out.switches.len() as u64)
-                .int("drift_detections", out.drift_detections as u64)
-                .int("dropped_observations", out.dropped_observations as u64)
-                .int("dropout_vm_epochs", h.dropout_vm_epochs as u64)
-                .int("max_staleness", h.max_staleness as u64)
-                .int("governor_vetoes", h.governor_vetoes as u64)
-                .int("prescheduled_switches", h.prescheduled_switches as u64)
-                .int("prediction_hits", h.prediction_hits as u64)
-                .int("prediction_misses", h.prediction_misses as u64)
-                .int("localized_solves", h.localized_solves as u64)
-                .int("hill_climb_moves", h.hill_climb_moves as u64)
-                .float("controller_cost_secs", report.controller_cost)
-                .float("oracle_cost_secs", report.oracle_cost)
-                .float("never_reconfigure_cost_secs", report.never_cost)
-                .float("relative_regret", report.relative_regret)
-                .int("oracle_switches", report.oracle_switches as u64)
-                .int("suboptimal_epochs", report.suboptimal_epochs as u64)
-                .float("suboptimal_seconds", report.suboptimal_seconds)
-                .float("run_secs", run_secs)
-                .str("fingerprint", &format!("{fp:016x}"))
-                .render(),
-        );
+        objs.push(Json::obj([
+            ("scenario", Json::Str(scenario.name.to_string())),
+            ("epochs", Json::Num(scenario.total_epochs() as f64)),
+            ("decisions", Json::Num(out.decisions as f64)),
+            ("switches", Json::Num(out.switches.len() as f64)),
+            ("drift_detections", Json::Num(out.drift_detections as f64)),
+            (
+                "dropped_observations",
+                Json::Num(out.dropped_observations as f64),
+            ),
+            ("dropout_vm_epochs", Json::Num(h.dropout_vm_epochs as f64)),
+            ("max_staleness", Json::Num(h.max_staleness as f64)),
+            ("governor_vetoes", Json::Num(h.governor_vetoes as f64)),
+            (
+                "prescheduled_switches",
+                Json::Num(h.prescheduled_switches as f64),
+            ),
+            ("prediction_hits", Json::Num(h.prediction_hits as f64)),
+            ("prediction_misses", Json::Num(h.prediction_misses as f64)),
+            ("localized_solves", Json::Num(h.localized_solves as f64)),
+            ("hill_climb_moves", Json::Num(h.hill_climb_moves as f64)),
+            ("controller_cost_secs", Json::Num(report.controller_cost)),
+            ("oracle_cost_secs", Json::Num(report.oracle_cost)),
+            ("never_reconfigure_cost_secs", Json::Num(report.never_cost)),
+            ("relative_regret", Json::Num(report.relative_regret)),
+            ("oracle_switches", Json::Num(report.oracle_switches as f64)),
+            (
+                "suboptimal_epochs",
+                Json::Num(report.suboptimal_epochs as f64),
+            ),
+            ("suboptimal_seconds", Json::Num(report.suboptimal_seconds)),
+            ("run_secs", Json::Num(run_secs)),
+            ("fingerprint", Json::Str(format!("{fp:016x}"))),
+        ]));
         fps.push((scenario.name.clone(), fp));
         regs.push((scenario.name.clone(), report.relative_regret));
     };
@@ -470,13 +478,23 @@ fn main() {
         println!("CONTROLLER_REGRET {name}={regret:.4}");
     }
 
-    let bench = JsonObj::new()
-        .str("experiment", "ext_controller")
-        .float("wall_secs", wall_start.elapsed().as_secs_f64())
-        .int("scenarios", scenario_objs.len() as u64)
-        .int("chaos_seeds", if chaos { 24 } else { 0 })
-        .float("cpu_profile_reference_secs", cpu_bound.reference_seconds(&machine))
-        .float("io_profile_reference_secs", io_bound.reference_seconds(&machine))
-        .raw("per_scenario", json_array(&scenario_objs));
-    write_bench_artifact("BENCH_controller.json", &bench.render());
+    let bench = Json::obj([
+        ("experiment", Json::Str("ext_controller".to_string())),
+        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
+        ("scenarios", Json::Num(scenario_objs.len() as f64)),
+        (
+            "chaos_seeds",
+            Json::Num((if chaos { 24 } else { 0 }) as f64),
+        ),
+        (
+            "cpu_profile_reference_secs",
+            Json::Num(cpu_bound.reference_seconds(&machine)),
+        ),
+        (
+            "io_profile_reference_secs",
+            Json::Num(io_bound.reference_seconds(&machine)),
+        ),
+        ("per_scenario", Json::Arr(scenario_objs)),
+    ]);
+    write_bench_artifact("BENCH_controller.json", &bench.pretty());
 }

@@ -6,7 +6,7 @@
 //! the SQL → plan loop end to end: the same what-if pricer the advisor
 //! uses is fed by plans the SQL frontend produced, not hand-built ones.
 //!
-//! Pins enforced by this binary (and replayed by `scripts/design.sh`):
+//! Pins enforced by this binary (and replayed by `scripts/replay_gate.sh`):
 //!
 //! * on the pinned `duo` scenario the joint advisor **strictly** beats
 //!   both marginals (index-only at the equal split, allocation-only
@@ -18,7 +18,8 @@
 //! * recommendations are bit-identical at pre-warm parallelism 1 and 0
 //!   (`DESIGN_FINGERPRINT` lines, diffed across two process runs).
 
-use dbvirt_bench::{experiment_machine, json_array, print_table, write_bench_artifact, JsonObj};
+use dbvirt_bench::{experiment_machine, print_table, write_bench_artifact};
+use dbvirt_calibrate::json::Json;
 use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_core::{DesignProblem, WorkloadSpec};
 use dbvirt_design::{DesignAdvisor, DesignConfig, JointRecommendation};
@@ -72,41 +73,44 @@ fn index_label(t: &TpchDb, c: &dbvirt_design::IndexCandidate) -> String {
     format!("{}({})", meta.name, cols.join(", "))
 }
 
-fn mode_json(t: &TpchDb, rec: &JointRecommendation) -> String {
-    let vms: Vec<String> = rec
+fn mode_json(t: &TpchDb, rec: &JointRecommendation) -> Json {
+    let vms: Vec<Json> = rec
         .per_vm
         .iter()
         .zip(&rec.cells)
         .map(|(vm, &(cpu, mem))| {
-            let chosen: Vec<String> = vm
+            let chosen: Vec<Json> = vm
                 .chosen
                 .iter()
-                .map(|c| format!("\"{}\"", index_label(t, c)))
+                .map(|c| Json::Str(index_label(t, c)))
                 .collect();
-            JsonObj::new()
-                .str("name", &vm.name)
-                .int("cpu_units", cpu as u64)
-                .int("mem_units", mem as u64)
-                .int("candidates", vm.num_candidates as u64)
-                .int("pruned", vm.pruned as u64)
-                .raw("chosen", format!("[{}]", chosen.join(",")))
-                .int("pages_used", vm.pages_used)
-                .float("cost_secs", vm.cost)
-                .float("lp_bound_secs", vm.lp.bound)
-                .int("lp_iterations", vm.lp.iterations as u64)
-                .render()
+            Json::obj([
+                ("name", Json::Str(vm.name.to_string())),
+                ("cpu_units", Json::Num(cpu as f64)),
+                ("mem_units", Json::Num(mem as f64)),
+                ("candidates", Json::Num(vm.num_candidates as f64)),
+                ("pruned", Json::Num(vm.pruned as f64)),
+                ("chosen", Json::Arr(chosen)),
+                ("pages_used", Json::Num(vm.pages_used as f64)),
+                ("cost_secs", Json::Num(vm.cost)),
+                ("lp_bound_secs", Json::Num(vm.lp.bound)),
+                ("lp_iterations", Json::Num(vm.lp.iterations as f64)),
+            ])
         })
         .collect();
-    JsonObj::new()
-        .str("mode", rec.mode)
-        .float("objective_secs", rec.objective)
-        .float("lp_bound_secs", rec.lp_bound)
-        .float("optimality_gap", rec.optimality_gap)
-        .int("alternations", rec.alternations as u64)
-        .int("evaluations", rec.evaluations as u64)
-        .str("fingerprint", &format!("{:016x}", rec.fingerprint))
-        .raw("vms", json_array(&vms))
-        .render()
+    Json::obj([
+        ("mode", Json::Str(rec.mode.to_string())),
+        ("objective_secs", Json::Num(rec.objective)),
+        ("lp_bound_secs", Json::Num(rec.lp_bound)),
+        ("optimality_gap", Json::Num(rec.optimality_gap)),
+        ("alternations", Json::Num(rec.alternations as f64)),
+        ("evaluations", Json::Num(rec.evaluations as f64)),
+        (
+            "fingerprint",
+            Json::Str(format!("{:016x}", rec.fingerprint)),
+        ),
+        ("vms", Json::Arr(vms)),
+    ])
 }
 
 fn main() {
@@ -319,41 +323,39 @@ fn main() {
         let whatif_calls = whatif_after - whatif_before;
         let cache_hits = hits_after - hits_before;
         let lookups = whatif_calls + cache_hits;
-        scenario_objs.push(
-            JsonObj::new()
-                .str("scenario", sc.name)
-                .int("vms", n as u64)
-                .int("budget_pages", sc.budget_pages)
-                .float("serial_secs", serial_secs)
-                .float("parallel_secs", parallel_secs)
-                .float(
-                    "joint_vs_index_only_secs",
-                    index_only.objective - joint.objective,
-                )
-                .float(
-                    "joint_vs_alloc_only_secs",
-                    alloc_only.objective - joint.objective,
-                )
-                .int("whatif_calls", whatif_calls)
-                .int("cache_hits", cache_hits)
-                .float(
-                    "cache_hit_rate",
-                    if lookups == 0 {
-                        0.0
-                    } else {
-                        cache_hits as f64 / lookups as f64
-                    },
-                )
-                .raw(
-                    "modes",
-                    json_array(&[
-                        mode_json(&t, &joint),
-                        mode_json(&t, &index_only),
-                        mode_json(&t, &alloc_only),
-                    ]),
-                )
-                .render(),
-        );
+        scenario_objs.push(Json::obj([
+            ("scenario", Json::Str(sc.name.to_string())),
+            ("vms", Json::Num(n as f64)),
+            ("budget_pages", Json::Num(sc.budget_pages as f64)),
+            ("serial_secs", Json::Num(serial_secs)),
+            ("parallel_secs", Json::Num(parallel_secs)),
+            (
+                "joint_vs_index_only_secs",
+                Json::Num(index_only.objective - joint.objective),
+            ),
+            (
+                "joint_vs_alloc_only_secs",
+                Json::Num(alloc_only.objective - joint.objective),
+            ),
+            ("whatif_calls", Json::Num(whatif_calls as f64)),
+            ("cache_hits", Json::Num(cache_hits as f64)),
+            (
+                "cache_hit_rate",
+                Json::Num(if lookups == 0 {
+                    0.0
+                } else {
+                    cache_hits as f64 / lookups as f64
+                }),
+            ),
+            (
+                "modes",
+                Json::Arr(vec![
+                    mode_json(&t, &joint),
+                    mode_json(&t, &index_only),
+                    mode_json(&t, &alloc_only),
+                ]),
+            ),
+        ]));
     }
 
     print_table(
@@ -369,12 +371,13 @@ fn main() {
          LP-certified ≤ 25%, zero budget degenerates to allocation-only bit-for-bit."
     );
 
-    let bench = JsonObj::new()
-        .str("experiment", "ext_design")
-        .float("wall_secs", wall_start.elapsed().as_secs_f64())
-        .int("units", UNITS as u64)
-        .float("disk_share", DISK_SHARE)
-        .float("tpch_scale", TpchConfig::experiment().scale)
-        .raw("scenarios", json_array(&scenario_objs));
-    write_bench_artifact("BENCH_design.json", &bench.render());
+    let bench = Json::obj([
+        ("experiment", Json::Str("ext_design".to_string())),
+        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
+        ("units", Json::Num(UNITS as f64)),
+        ("disk_share", Json::Num(DISK_SHARE)),
+        ("tpch_scale", Json::Num(TpchConfig::experiment().scale)),
+        ("scenarios", Json::Arr(scenario_objs)),
+    ]);
+    write_bench_artifact("BENCH_design.json", &bench.pretty());
 }

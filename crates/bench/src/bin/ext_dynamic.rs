@@ -9,9 +9,8 @@
 //! switch-overhead hysteresis, and is compared against both static
 //! baselines (equal split forever; day-optimal allocation forever).
 
-use dbvirt_bench::{
-    cache_counters, experiment_machine, json_array, print_table, write_bench_artifact, JsonObj,
-};
+use dbvirt_bench::{cache_counters, experiment_machine, print_table, write_bench_artifact};
+use dbvirt_calibrate::json::Json;
 use dbvirt_core::dynamic::{run_dynamic, DynamicTimeline, ReconfigPolicy};
 use dbvirt_core::{
     CalibratedCostModel, DesignProblem, SearchConfig, VirtualizationAdvisor, WorkloadSpec,
@@ -139,43 +138,53 @@ fn main() {
         serial_s / parallel_s,
     );
 
-    let phase_objs: Vec<String> = out
+    let phase_objs: Vec<Json> = out
         .phases
         .iter()
         .enumerate()
         .map(|(i, p)| {
-            JsonObj::new()
-                .int("phase", i as u64)
-                .str("label", if i % 2 == 0 { "day" } else { "night" })
-                .float("cost_secs", p.cost)
-                .int("reconfigured", p.reconfigured as u64)
-                .render()
+            Json::obj([
+                ("phase", Json::Num(i as f64)),
+                (
+                    "label",
+                    Json::Str((if i % 2 == 0 { "day" } else { "night" }).to_string()),
+                ),
+                ("cost_secs", Json::Num(p.cost)),
+                ("reconfigured", Json::Bool(p.reconfigured)),
+            ])
         })
         .collect();
     let lookups = hits + misses;
-    let bench = JsonObj::new()
-        .str("experiment", "ext_dynamic")
-        .float("wall_secs", wall_start.elapsed().as_secs_f64())
-        .float("dynamic_run_secs", dynamic_secs)
-        .int("phases", out.phases.len() as u64)
-        .int("reconfigurations", out.reconfigurations as u64)
-        .float("switch_overhead_secs", policy.switch_overhead_seconds)
-        .float("min_relative_gain", policy.min_relative_gain)
-        .float("dynamic_total_secs", out.total_cost)
-        .float("static_equal_secs", out.static_equal_cost)
-        .float("static_first_phase_secs", out.static_first_phase_cost)
-        .raw("phase_outcomes", json_array(&phase_objs))
-        .int("cache_hits", hits)
-        .int("cache_misses", misses)
-        .float(
+    let bench = Json::obj([
+        ("experiment", Json::Str("ext_dynamic".to_string())),
+        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
+        ("dynamic_run_secs", Json::Num(dynamic_secs)),
+        ("phases", Json::Num(out.phases.len() as f64)),
+        ("reconfigurations", Json::Num(out.reconfigurations as f64)),
+        (
+            "switch_overhead_secs",
+            Json::Num(policy.switch_overhead_seconds),
+        ),
+        ("min_relative_gain", Json::Num(policy.min_relative_gain)),
+        ("dynamic_total_secs", Json::Num(out.total_cost)),
+        ("static_equal_secs", Json::Num(out.static_equal_cost)),
+        (
+            "static_first_phase_secs",
+            Json::Num(out.static_first_phase_cost),
+        ),
+        ("phase_outcomes", Json::Arr(phase_objs)),
+        ("cache_hits", Json::Num(hits as f64)),
+        ("cache_misses", Json::Num(misses as f64)),
+        (
             "cache_hit_rate",
-            if lookups > 0 {
+            Json::Num(if lookups > 0 {
                 hits as f64 / lookups as f64
             } else {
                 f64::NAN
-            },
-        )
-        .float("serial_resolve_secs", serial_s)
-        .float("parallel_resolve_secs", parallel_s);
-    write_bench_artifact("BENCH_dynamic.json", &bench.render());
+            }),
+        ),
+        ("serial_resolve_secs", Json::Num(serial_s)),
+        ("parallel_resolve_secs", Json::Num(parallel_s)),
+    ]);
+    write_bench_artifact("BENCH_dynamic.json", &bench.pretty());
 }

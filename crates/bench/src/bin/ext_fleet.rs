@@ -4,7 +4,7 @@
 //! EXT-CONSOL case, checked bit-for-bit against the core DP) up to
 //! 256 VMs / 32 machines.
 //!
-//! Pins enforced by this binary (and replayed by `scripts/fleet.sh`):
+//! Pins enforced by this binary (and replayed by `scripts/replay_gate.sh`):
 //!
 //! * local search strictly improves the greedy seed on the pinned
 //!   64-VM / 8-machine fleet;
@@ -13,7 +13,8 @@
 //! * placements are bit-identical at pre-warm parallelism 1 and 0
 //!   (`FLEET_FINGERPRINT` lines, diffed across two process runs).
 
-use dbvirt_bench::{experiment_machine, json_array, print_table, write_bench_artifact, JsonObj};
+use dbvirt_bench::{experiment_machine, print_table, write_bench_artifact};
+use dbvirt_calibrate::json::Json;
 use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_core::search::{run_search, SearchAlgorithm, SearchConfig};
 use dbvirt_core::{CalibratedCostModel, CostModel, DesignProblem, WorkloadSpec};
@@ -206,40 +207,53 @@ fn main() {
             ),
             format!("{:.2}s", serial_secs),
         ]);
-        shape_objs.push(
-            JsonObj::new()
-                .str("shape", shape.name)
-                .int("vms", shape.vms as u64)
-                .int("machines", machines.len() as u64)
-                .float("greedy_total_secs", report.greedy_placement.total_objective)
-                .float("final_total_secs", report.placement.total_objective)
-                .float("ls_improvement_secs", improvement)
-                .float("lp_bound_secs", report.lp.bound)
-                .float("optimality_gap", report.optimality_gap)
-                .int("lp_iterations", report.lp.iterations as u64)
-                .int("ls_rounds", report.local_search.rounds as u64)
-                .int("ls_moves", report.local_search.moves_applied as u64)
-                .int("ls_swaps", report.local_search.swaps_applied as u64)
-                .int(
-                    "ls_candidates",
-                    report.local_search.candidates_evaluated as u64,
-                )
-                .int(
-                    "swaps_enumerated",
-                    report.local_search.swaps_enumerated as u64,
-                )
-                .int(
-                    "ls_swaps_sampled",
-                    report.local_search.swap_candidates_sampled as u64,
-                )
-                .int("prewarm_cells", report.prewarm_cells as u64)
-                .int("dp_solves", report.solves as u64)
-                .int("memo_hits", report.memo_hits as u64)
-                .float("serial_secs", serial_secs)
-                .float("parallel_secs", parallel_secs)
-                .str("fingerprint", &format!("{:016x}", report.fingerprint()))
-                .render(),
-        );
+        shape_objs.push(Json::obj([
+            ("shape", Json::Str(shape.name.to_string())),
+            ("vms", Json::Num(shape.vms as f64)),
+            ("machines", Json::Num(machines.len() as f64)),
+            (
+                "greedy_total_secs",
+                Json::Num(report.greedy_placement.total_objective),
+            ),
+            (
+                "final_total_secs",
+                Json::Num(report.placement.total_objective),
+            ),
+            ("ls_improvement_secs", Json::Num(improvement)),
+            ("lp_bound_secs", Json::Num(report.lp.bound)),
+            ("optimality_gap", Json::Num(report.optimality_gap)),
+            ("lp_iterations", Json::Num(report.lp.iterations as f64)),
+            ("ls_rounds", Json::Num(report.local_search.rounds as f64)),
+            (
+                "ls_moves",
+                Json::Num(report.local_search.moves_applied as f64),
+            ),
+            (
+                "ls_swaps",
+                Json::Num(report.local_search.swaps_applied as f64),
+            ),
+            (
+                "ls_candidates",
+                Json::Num(report.local_search.candidates_evaluated as f64),
+            ),
+            (
+                "swaps_enumerated",
+                Json::Bool(report.local_search.swaps_enumerated),
+            ),
+            (
+                "ls_swaps_sampled",
+                Json::Num(report.local_search.swap_candidates_sampled as f64),
+            ),
+            ("prewarm_cells", Json::Num(report.prewarm_cells as f64)),
+            ("dp_solves", Json::Num(report.solves as f64)),
+            ("memo_hits", Json::Num(report.memo_hits as f64)),
+            ("serial_secs", Json::Num(serial_secs)),
+            ("parallel_secs", Json::Num(parallel_secs)),
+            (
+                "fingerprint",
+                Json::Str(format!("{:016x}", report.fingerprint())),
+            ),
+        ]));
     }
 
     print_table(
@@ -255,13 +269,14 @@ fn main() {
          and the M=1 fleet reproduces the single-machine DP exactly."
     );
 
-    let bench = JsonObj::new()
-        .str("experiment", "ext_fleet")
-        .float("wall_secs", wall_start.elapsed().as_secs_f64())
-        .int("units", UNITS as u64)
-        .float("disk_share", base_cfg.disk_share)
-        .raw("shapes", json_array(&shape_objs));
-    write_bench_artifact("BENCH_fleet.json", &bench.render());
+    let bench = Json::obj([
+        ("experiment", Json::Str("ext_fleet".to_string())),
+        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
+        ("units", Json::Num(UNITS as f64)),
+        ("disk_share", Json::Num(base_cfg.disk_share)),
+        ("shapes", Json::Arr(shape_objs)),
+    ]);
+    write_bench_artifact("BENCH_fleet.json", &bench.pretty());
 }
 
 /// The degenerate fleet (one machine) must return exactly what the core

@@ -10,7 +10,7 @@
 //! share, then reused for every VM of that pair — 12 engine runs feed
 //! 1024 simulated VMs.
 //!
-//! Pins enforced by this binary (and replayed by `scripts/fleetsim.sh`):
+//! Pins enforced by this binary (and replayed by `scripts/replay_gate.sh`):
 //!
 //! * the fleet is at least 1024 VMs across at least 32 machines, driven
 //!   end to end (place → simulate → report);
@@ -22,7 +22,8 @@
 //!   the placement's model-predicted objective (the model and the
 //!   measured streams must describe the same fleet).
 
-use dbvirt_bench::{experiment_machine, json_array, print_table, write_bench_artifact, JsonObj};
+use dbvirt_bench::{experiment_machine, print_table, write_bench_artifact};
+use dbvirt_calibrate::json::Json;
 use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_core::measure::workload_demands;
 use dbvirt_core::{CalibratedCostModel, CostModel};
@@ -198,27 +199,32 @@ fn main() {
             tag.to_string(),
             format!("{}", serial.stats.events),
             format!("{:.2}", touch_per_event),
-            format!("{}", serial.stats.heap_peak),
             format!("{:.3}s", serial.simulated_total),
             format!("{:.2}s", serial_secs),
             format!("{:.2}s", parallel_secs),
             format!("{:.0}", events_per_sec),
         ]);
-        mode_objs.push(
-            JsonObj::new()
-                .str("mode", tag)
-                .int("events", serial.stats.events as u64)
-                .int("phase_completions", serial.stats.phase_completions as u64)
-                .float("vms_touched_per_event", touch_per_event)
-                .int("heap_peak", serial.stats.heap_peak as u64)
-                .float("simulated_total_secs", serial.simulated_total)
-                .float("serial_secs", serial_secs)
-                .float("parallel_secs", parallel_secs)
-                .float("events_per_sec", events_per_sec)
-                .int("machines_occupied", serial.machines_occupied as u64)
-                .str("fingerprint", &format!("{:016x}", serial.fingerprint()))
-                .render(),
-        );
+        mode_objs.push(Json::obj([
+            ("mode", Json::Str(tag.to_string())),
+            ("events", Json::Num(serial.stats.events as f64)),
+            (
+                "phase_completions",
+                Json::Num(serial.stats.phase_completions as f64),
+            ),
+            ("vms_touched_per_event", Json::Num(touch_per_event)),
+            ("simulated_total_secs", Json::Num(serial.simulated_total)),
+            ("serial_secs", Json::Num(serial_secs)),
+            ("parallel_secs", Json::Num(parallel_secs)),
+            ("events_per_sec", Json::Num(events_per_sec)),
+            (
+                "machines_occupied",
+                Json::Num(serial.machines_occupied as f64),
+            ),
+            (
+                "fingerprint",
+                Json::Str(format!("{:016x}", serial.fingerprint())),
+            ),
+        ]));
         simulated.push(serial);
     }
 
@@ -244,7 +250,13 @@ fn main() {
     print_table(
         "EXT-FLEETSIM: 1024 VMs / 128 machines, placed then executed",
         &[
-            "mode", "events", "touch/evt", "peak", "sim total", "serial", "parallel", "evt/s",
+            "mode",
+            "events",
+            "touch/evt",
+            "sim total",
+            "serial",
+            "parallel",
+            "evt/s",
         ],
         &rows,
     );
@@ -255,22 +267,26 @@ fn main() {
     );
 
     let sink = dbvirt_telemetry::detach_sink().expect("sink was attached");
-    let bench = JsonObj::new()
-        .str("experiment", "ext_fleetsim")
-        .float("wall_secs", wall_start.elapsed().as_secs_f64())
-        .int("vms", VMS as u64)
-        .int("machines", machines.len() as u64)
-        .int("units", UNITS as u64)
-        .int("stream_repeats", STREAM_REPEATS as u64)
-        .float("place_secs", place_secs)
-        .float("predicted_total_secs", capped.predicted_total)
-        .float("simulated_per_run_secs", per_run)
-        .float("predicted_vs_simulated_ratio", ratio)
-        .float("optimality_gap", report.optimality_gap)
-        .str("placement_fingerprint", &format!("{:016x}", report.fingerprint()))
-        .int("sink_spans_retained", sink.spans_retained as u64)
-        .int("sink_spans_dropped", sink.spans_dropped)
-        .int("sink_flushes", sink.flushes)
-        .raw("modes", json_array(&mode_objs));
-    write_bench_artifact("BENCH_fleetsim.json", &bench.render());
+    let bench = Json::obj([
+        ("experiment", Json::Str("ext_fleetsim".to_string())),
+        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
+        ("vms", Json::Num(VMS as f64)),
+        ("machines", Json::Num(machines.len() as f64)),
+        ("units", Json::Num(UNITS as f64)),
+        ("stream_repeats", Json::Num(STREAM_REPEATS as f64)),
+        ("place_secs", Json::Num(place_secs)),
+        ("predicted_total_secs", Json::Num(capped.predicted_total)),
+        ("simulated_per_run_secs", Json::Num(per_run)),
+        ("predicted_vs_simulated_ratio", Json::Num(ratio)),
+        ("optimality_gap", Json::Num(report.optimality_gap)),
+        (
+            "placement_fingerprint",
+            Json::Str(format!("{:016x}", report.fingerprint())),
+        ),
+        ("sink_spans_retained", Json::Num(sink.spans_retained as f64)),
+        ("sink_spans_dropped", Json::Num(sink.spans_dropped as f64)),
+        ("sink_flushes", Json::Num(sink.flushes as f64)),
+        ("modes", Json::Arr(mode_objs)),
+    ]);
+    write_bench_artifact("BENCH_fleetsim.json", &bench.pretty());
 }

@@ -12,9 +12,8 @@
 //! one, on either axis, none: every memory configuration is answered by
 //! replaying the suite's page references. Otherwise the binary panics.
 
-use dbvirt_bench::{
-    experiment_machine, json_array, print_table, write_bench_artifact, JsonObj,
-};
+use dbvirt_bench::{experiment_machine, print_table, write_bench_artifact};
+use dbvirt_calibrate::json::Json;
 use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_optimizer::whatif::estimate_query_seconds;
 use dbvirt_tpch::{TpchConfig, TpchDb, TpchQuery};
@@ -143,17 +142,18 @@ fn main() {
             idx
         };
         let ranking_ok = rank(&estimates) == rank(&reference);
-        bench_grids.push(
-            JsonObj::new()
-                .int("grid_points", coarse_n as u64)
-                .int("probe_runs", cost.probe_runs)
-                .int("engine_runs", cost.engine_runs as u64)
-                .float("wall_ms", cost.wall_ms)
-                .float("max_param_err", max_param_err)
-                .float("max_estimate_err", max_est_err)
-                .str("ranking_preserved", if ranking_ok { "yes" } else { "no" })
-                .render(),
-        );
+        bench_grids.push(Json::obj([
+            ("grid_points", Json::Num(coarse_n as f64)),
+            ("probe_runs", Json::Num(cost.probe_runs as f64)),
+            ("engine_runs", Json::Num(cost.engine_runs as f64)),
+            ("wall_ms", Json::Num(cost.wall_ms)),
+            ("max_param_err", Json::Num(max_param_err)),
+            ("max_estimate_err", Json::Num(max_est_err)),
+            (
+                "ranking_preserved",
+                Json::Str((if ranking_ok { "yes" } else { "no" }).to_string()),
+            ),
+        ]));
         rows.push(vec![
             coarse_n.to_string(),
             format!("{:.1}%", max_param_err * 100.0),
@@ -171,15 +171,13 @@ fn main() {
     for mem_n in [1usize, 2, 3, 5, 9] {
         println!("Calibrating a {mem_cpu_n} x {mem_n} grid ...");
         let (_, cost) = sweep(machine, mem_cpu_n, mem_n, 0);
-        bench_mem_grids.push(
-            JsonObj::new()
-                .int("cpu_points", mem_cpu_n as u64)
-                .int("mem_points", mem_n as u64)
-                .int("probe_runs", cost.probe_runs)
-                .int("engine_runs", cost.engine_runs as u64)
-                .float("wall_ms", cost.wall_ms)
-                .render(),
-        );
+        bench_mem_grids.push(Json::obj([
+            ("cpu_points", Json::Num(mem_cpu_n as f64)),
+            ("mem_points", Json::Num(mem_n as f64)),
+            ("probe_runs", Json::Num(cost.probe_runs as f64)),
+            ("engine_runs", Json::Num(cost.engine_runs as f64)),
+            ("wall_ms", Json::Num(cost.wall_ms)),
+        ]));
         mem_rows.push(vec![
             mem_n.to_string(),
             (mem_cpu_n * mem_n).to_string(),
@@ -223,18 +221,25 @@ fn main() {
     );
 
     let snap = dbvirt_telemetry::snapshot();
-    let bench = JsonObj::new()
-        .str("experiment", "ext_grid")
-        .float("wall_secs", wall_start.elapsed().as_secs_f64())
-        .int("dense_grid_points", dense_n as u64)
-        .int("dense_probe_runs", dense_cost.probe_runs)
-        .raw("grids", json_array(&bench_grids))
-        .raw("memory_grids", json_array(&bench_mem_grids))
-        .int("probe_runs_total", snap.counter("calibrate.probe_runs").unwrap_or(0))
-        .int("retries_total", snap.counter("calibrate.retries").unwrap_or(0))
-        .int(
+    let bench = Json::obj([
+        ("experiment", Json::Str("ext_grid".to_string())),
+        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
+        ("dense_grid_points", Json::Num(dense_n as f64)),
+        ("dense_probe_runs", Json::Num(dense_cost.probe_runs as f64)),
+        ("grids", Json::Arr(bench_grids)),
+        ("memory_grids", Json::Arr(bench_mem_grids)),
+        (
+            "probe_runs_total",
+            Json::Num(snap.counter("calibrate.probe_runs").unwrap_or(0) as f64),
+        ),
+        (
+            "retries_total",
+            Json::Num(snap.counter("calibrate.retries").unwrap_or(0) as f64),
+        ),
+        (
             "outliers_dropped_total",
-            snap.counter("calibrate.outliers_dropped").unwrap_or(0),
-        );
-    write_bench_artifact("BENCH_grid.json", &bench.render());
+            Json::Num(snap.counter("calibrate.outliers_dropped").unwrap_or(0) as f64),
+        ),
+    ]);
+    write_bench_artifact("BENCH_grid.json", &bench.pretty());
 }

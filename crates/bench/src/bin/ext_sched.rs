@@ -1,37 +1,32 @@
-//! EXT-SCHED — the production co-scheduler and both incremental event
-//! cores vs the reference whole-fleet rescan loop.
+//! EXT-SCHED — the co-scheduler's production path vs its oracle, the
+//! whole-machine rescan loop.
 //!
 //! Runs the pinned 48-configuration sweep (6 VM counts × 4 stream lengths
 //! × 2 scheduling modes) over deterministic synthetic fleets. For every
-//! configuration *all four* implementations — the reference rescan loop,
-//! the heap-backed incremental scheduler, the calendar-queue incremental
-//! scheduler, and the production path (`co_schedule`: a per-VM closed-form
-//! walk in capped mode, the calendar loop in work-conserving mode) — must
-//! report **identical** completions (the determinism contract of
-//! `dbvirt_vmm::sched`); wall clock, event counts, and per-event VM-touch
-//! locality are recorded to `BENCH_sched.json`, and the sweep asserts two
-//! headline claims:
-//!
-//! * at 16 VMs the production scheduler is at least 3× faster than the
-//!   reference loop in capped mode, and
-//! * at 32 VMs on the adversarial class-flipping mix in work-conserving
-//!   mode — where nearly every event re-keys every member of both
-//!   resource classes — the calendar core is at least 2× faster than the
-//!   heap core it replaces.
+//! configuration `co_schedule` (a per-VM closed-form walk in capped mode,
+//! the rescan loop itself in work-conserving mode) and
+//! `co_schedule_reference` must report **identical** completions (the
+//! determinism contract of `dbvirt_vmm::sched`); wall clock, event counts,
+//! and per-event VM-touch locality are recorded to `BENCH_sched.json`, and
+//! the sweep asserts the headline claim: at 16 VMs the capped walk is at
+//! least 3× faster than the rescan loop. Work-conserving rows time one
+//! loop against itself (the production entry adds a disabled span and the
+//! counters) and are there for the event and locality columns.
 //!
 //! One `SCHED_FINGERPRINT` line per configuration (an FNV-1a hash of every
-//! reported completion instant) lets `scripts/sched.sh` diff two
-//! independent processes for bit-identical behaviour.
+//! reported completion instant) lets `scripts/replay_gate.sh` diff two
+//! independent processes, and the committed golden, for bit-identical
+//! behaviour.
 
 use std::time::Instant;
 
-use dbvirt_bench::{experiment_machine, json_array, print_table, write_bench_artifact, JsonObj};
-use dbvirt_vmm::kernel::{Fnv1a, SplitMix64};
-use dbvirt_vmm::sched::{
-    co_schedule_reference, co_schedule_with_core, co_schedule_with_stats, SchedCore, SchedMode,
-    SchedStats, VmJob, VmOutcome,
+use dbvirt_bench::{
+    completions_fingerprint, experiment_machine, print_table, sched_sweep_fleet,
+    write_bench_artifact,
 };
-use dbvirt_vmm::{AllocationMatrix, ResourceDemand};
+use dbvirt_calibrate::json::Json;
+use dbvirt_vmm::sched::{co_schedule_reference, co_schedule_with_stats, SchedMode, SchedStats};
+use dbvirt_vmm::AllocationMatrix;
 
 const VM_COUNTS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 const QUERY_COUNTS: [usize; 4] = [4, 16, 64, 256];
@@ -41,69 +36,12 @@ const MODES: [(SchedMode, &str); 2] = [
 ];
 const TIMING_REPS: usize = 3;
 
-/// A deterministic fleet: per-VM query streams mixing CPU-heavy, I/O-heavy,
-/// balanced, and zero-demand queries so both resource classes stay
-/// contended and phase kinds alternate (the work-conserving worst case).
-fn fleet(vms: usize, queries: usize) -> Vec<VmJob> {
-    // No external RNG: the sweep must be pinned byte-for-byte across runs
-    // and machines.
-    let mut mix = SplitMix64((vms as u64) << 32 | queries as u64);
-    (0..vms)
-        .map(|_| {
-            let stream = (0..queries)
-                .map(|_| {
-                    let r = mix.next();
-                    let cpu = (r >> 8) % 2_000_000_000;
-                    let seq = (r >> 40) % 1_200;
-                    let rand = (r >> 50) % 120;
-                    match r % 10 {
-                        0..=3 => ResourceDemand {
-                            cpu_cycles: (cpu + 100_000_000) as f64,
-                            seq_page_reads: 0,
-                            random_page_reads: 0,
-                            page_writes: 0,
-                        },
-                        4..=6 => ResourceDemand {
-                            cpu_cycles: 0.0,
-                            seq_page_reads: seq + 50,
-                            random_page_reads: rand,
-                            page_writes: r % 40,
-                        },
-                        7..=8 => ResourceDemand {
-                            cpu_cycles: (cpu / 2) as f64,
-                            seq_page_reads: seq,
-                            random_page_reads: rand,
-                            page_writes: 0,
-                        },
-                        _ => ResourceDemand::ZERO,
-                    }
-                })
-                .collect();
-            VmJob::new(stream)
-        })
-        .collect()
-}
-
-/// FNV-1a over every reported completion instant, query-by-query.
-fn fingerprint(outcomes: &[VmOutcome]) -> u64 {
-    let mut h = Fnv1a::new();
-    for o in outcomes {
-        h.u64(o.completion.as_micros());
-        for t in &o.query_completions {
-            h.u64(t.as_micros());
-        }
-    }
-    h.finish()
-}
-
 struct ConfigResult {
     vms: usize,
     queries: usize,
     mode_name: &'static str,
     /// The production path (`co_schedule`) and its counters.
-    incr_secs: f64,
-    heap_secs: f64,
-    cal_secs: f64,
+    prod_secs: f64,
     ref_secs: f64,
     stats: SchedStats,
     fp: u64,
@@ -111,8 +49,8 @@ struct ConfigResult {
 
 fn main() {
     // Telemetry stays disabled: production callers run with it off, and the
-    // timing comparison must not charge the incremental path for the
-    // instrumentation the reference loop does not carry.
+    // timing comparison must not charge the production path for the
+    // instrumentation the oracle does not carry.
     let wall_start = Instant::now();
     let spec = experiment_machine();
 
@@ -120,16 +58,10 @@ fn main() {
     for vms in VM_COUNTS {
         let alloc = AllocationMatrix::equal_split(vms).unwrap();
         for queries in QUERY_COUNTS {
-            let jobs = fleet(vms, queries);
+            let jobs = sched_sweep_fleet(vms, queries);
             for (mode, mode_name) in MODES {
-                // Identity first: every implementation must agree on every
-                // completion before their speeds are compared.
-                let (heap_out, _) =
-                    co_schedule_with_core(spec, &alloc, &jobs, mode, SchedCore::Heap)
-                        .expect("heap-core run");
-                let (cal_out, _) =
-                    co_schedule_with_core(spec, &alloc, &jobs, mode, SchedCore::Calendar)
-                        .expect("calendar-core run");
+                // Identity first: both must agree on every completion
+                // before their speeds are compared.
                 let (prod_out, stats) =
                     co_schedule_with_stats(spec, &alloc, &jobs, mode).expect("production run");
                 let ref_out =
@@ -138,37 +70,15 @@ fn main() {
                     prod_out, ref_out,
                     "co_schedule diverged at {vms} VMs × {queries} queries ({mode_name})"
                 );
-                assert_eq!(
-                    heap_out, ref_out,
-                    "heap core diverged at {vms} VMs × {queries} queries ({mode_name})"
-                );
-                assert_eq!(
-                    cal_out, ref_out,
-                    "calendar core diverged at {vms} VMs × {queries} queries ({mode_name})"
-                );
 
-                // Best-of-N wall clock for each implementation.
-                let mut incr_secs = f64::INFINITY;
-                let mut heap_secs = f64::INFINITY;
-                let mut cal_secs = f64::INFINITY;
+                // Best-of-N wall clock for each.
+                let mut prod_secs = f64::INFINITY;
                 let mut ref_secs = f64::INFINITY;
                 for _ in 0..TIMING_REPS {
                     let t = Instant::now();
                     let out = co_schedule_with_stats(spec, &alloc, &jobs, mode).unwrap();
-                    incr_secs = incr_secs.min(t.elapsed().as_secs_f64());
+                    prod_secs = prod_secs.min(t.elapsed().as_secs_f64());
                     assert_eq!(out.0, ref_out, "production run is not deterministic");
-
-                    let t = Instant::now();
-                    let out =
-                        co_schedule_with_core(spec, &alloc, &jobs, mode, SchedCore::Heap).unwrap();
-                    heap_secs = heap_secs.min(t.elapsed().as_secs_f64());
-                    assert_eq!(out.0, ref_out, "heap-core run is not deterministic");
-
-                    let t = Instant::now();
-                    let out = co_schedule_with_core(spec, &alloc, &jobs, mode, SchedCore::Calendar)
-                        .unwrap();
-                    cal_secs = cal_secs.min(t.elapsed().as_secs_f64());
-                    assert_eq!(out.0, ref_out, "calendar-core run is not deterministic");
 
                     let t = Instant::now();
                     let out = co_schedule_reference(spec, &alloc, &jobs, mode).unwrap();
@@ -180,12 +90,10 @@ fn main() {
                     vms,
                     queries,
                     mode_name,
-                    incr_secs,
-                    heap_secs,
-                    cal_secs,
+                    prod_secs,
                     ref_secs,
                     stats,
-                    fp: fingerprint(&ref_out),
+                    fp: completions_fingerprint(&ref_out),
                 });
             }
         }
@@ -203,92 +111,57 @@ fn main() {
                     "{:.2}",
                     r.stats.vms_touched as f64 / r.stats.events.max(1) as f64
                 ),
-                format!("{}", r.stats.heap_peak),
-                format!("{:.1}µs", r.incr_secs * 1e6),
-                format!("{:.1}µs", r.heap_secs * 1e6),
-                format!("{:.1}µs", r.cal_secs * 1e6),
+                format!("{:.1}µs", r.prod_secs * 1e6),
                 format!("{:.1}µs", r.ref_secs * 1e6),
-                format!("{:.2}x", r.ref_secs / r.incr_secs),
+                format!("{:.2}x", r.ref_secs / r.prod_secs),
             ]
         })
         .collect();
     print_table(
-        "EXT-SCHED: production path and event cores vs reference rescan loop",
+        "EXT-SCHED: production path vs reference rescan loop",
         &[
             "vms",
             "queries",
             "mode",
             "events",
             "touch/evt",
-            "peak",
             "production",
-            "heap-core",
-            "cal-core",
             "reference",
             "speedup",
         ],
         &rows,
     );
 
-    // Aggregate speedup per VM count and mode (total reference time /
-    // total incremental time across that VM count's 4 stream lengths).
-    // The headline gate runs on capped mode: it is what every production
-    // caller (controller epochs, regret replays, measured oracles, fig5)
-    // uses, and the mode where completions provably perturb nobody else.
-    // Work-conserving mode is reported alongside as the adversarial case —
-    // this sweep's demand mix flips resource classes on most phases, so
-    // nearly every event legitimately touches all members of two classes.
+    // Aggregate capped speedup per VM count (total reference time / total
+    // walk time across that VM count's 4 stream lengths). Capped is what
+    // every controller epoch, regret replay, measured oracle and fig5 runs,
+    // and the one mode with two implementations to compare.
     let mut speedup_rows = Vec::new();
     let mut speedup_16_capped = 0.0;
     for vms in VM_COUNTS {
-        let mut per_mode = Vec::new();
-        for (_, mode_name) in MODES {
-            let (incr, refr) = results
-                .iter()
-                .filter(|r| r.vms == vms && r.mode_name == mode_name)
-                .fold((0.0, 0.0), |(a, b), r| (a + r.incr_secs, b + r.ref_secs));
-            let speedup = refr / incr;
-            if vms == 16 && mode_name == "capped" {
-                speedup_16_capped = speedup;
-            }
-            per_mode.push(format!("{speedup:.2}x"));
+        let (prod, refr) = results
+            .iter()
+            .filter(|r| r.vms == vms && r.mode_name == "capped")
+            .fold((0.0, 0.0), |(a, b), r| (a + r.prod_secs, b + r.ref_secs));
+        let speedup = refr / prod;
+        if vms == 16 {
+            speedup_16_capped = speedup;
         }
-        let mut row = vec![format!("{vms}")];
-        row.extend(per_mode);
-        speedup_rows.push(row);
+        speedup_rows.push(vec![format!("{vms}"), format!("{speedup:.2}x")]);
     }
     print_table(
-        "Aggregate speedup by fleet size",
-        &["vms", "capped", "wc"],
+        "Aggregate capped speedup by fleet size",
+        &["vms", "walk vs rescan"],
         &speedup_rows,
     );
     assert!(
         speedup_16_capped >= 3.0,
-        "headline claim violated: co_schedule must be >= 3x the reference at 16 VMs \
-         in the production (capped) configuration, got {speedup_16_capped:.2}x"
-    );
-
-    // Second headline: the calendar queue vs the heap it replaces, in the
-    // regime it was built for. This sweep's demand mix flips resource
-    // classes on most phases, so in work-conserving mode nearly every
-    // event re-keys every member of both classes — the heap degenerates
-    // into O(V log V) pushes per event plus a tail of stale entries,
-    // while the calendar re-keys in O(1) with no corpses.
-    let (cal_32_wc, heap_32_wc) = results
-        .iter()
-        .filter(|r| r.vms == 32 && r.mode_name == "wc")
-        .fold((0.0, 0.0), |(c, h), r| (c + r.cal_secs, h + r.heap_secs));
-    let calendar_speedup_32_wc = heap_32_wc / cal_32_wc;
-    assert!(
-        calendar_speedup_32_wc >= 2.0,
-        "headline claim violated: the calendar core must be >= 2x the heap core at \
-         32 VMs on the adversarial class-flipping work-conserving mix, got \
-         {calendar_speedup_32_wc:.2}x"
+        "headline claim violated: the capped walk must be >= 3x the rescan loop at 16 VMs, \
+         got {speedup_16_capped:.2}x"
     );
     println!(
-        "\nShape check: identity held across all four implementations on all {} configurations; \
-         capped speedup clears 3x at 16 VMs ({speedup_16_capped:.2}x); the calendar core \
-         clears 2x over the heap at 32 VMs work-conserving ({calendar_speedup_32_wc:.2}x).",
+        "\nShape check: co_schedule and co_schedule_reference agree on all {} configurations; \
+         the capped walk clears 3x at 16 VMs ({speedup_16_capped:.2}x).",
         results.len()
     );
 
@@ -300,38 +173,37 @@ fn main() {
         );
     }
 
-    let per_config: Vec<String> = results
+    let per_config: Vec<Json> = results
         .iter()
         .map(|r| {
-            JsonObj::new()
-                .int("vms", r.vms as u64)
-                .int("queries_per_vm", r.queries as u64)
-                .str("mode", r.mode_name)
-                .float("incremental_secs", r.incr_secs)
-                .float("heap_core_secs", r.heap_secs)
-                .float("calendar_core_secs", r.cal_secs)
-                .float("reference_secs", r.ref_secs)
-                .float("speedup", r.ref_secs / r.incr_secs)
-                .int("events", r.stats.events)
-                .int("phase_completions", r.stats.phase_completions)
-                .int("vms_touched", r.stats.vms_touched)
-                .float(
+            Json::obj([
+                ("vms", Json::Num(r.vms as f64)),
+                ("queries_per_vm", Json::Num(r.queries as f64)),
+                ("mode", Json::Str(r.mode_name.to_string())),
+                ("production_secs", Json::Num(r.prod_secs)),
+                ("reference_secs", Json::Num(r.ref_secs)),
+                ("speedup", Json::Num(r.ref_secs / r.prod_secs)),
+                ("events", Json::Num(r.stats.events as f64)),
+                (
+                    "phase_completions",
+                    Json::Num(r.stats.phase_completions as f64),
+                ),
+                ("vms_touched", Json::Num(r.stats.vms_touched as f64)),
+                (
                     "vms_touched_per_event",
-                    r.stats.vms_touched as f64 / r.stats.events.max(1) as f64,
-                )
-                .int("heap_pushes", r.stats.heap_pushes)
-                .int("heap_peak", r.stats.heap_peak as u64)
-                .str("fingerprint", &format!("{:016x}", r.fp))
-                .render()
+                    Json::Num(r.stats.vms_touched as f64 / r.stats.events.max(1) as f64),
+                ),
+                ("fingerprint", Json::Str(format!("{:016x}", r.fp))),
+            ])
         })
         .collect();
-    let bench = JsonObj::new()
-        .str("experiment", "ext_sched")
-        .float("wall_secs", wall_start.elapsed().as_secs_f64())
-        .int("configurations", results.len() as u64)
-        .int("timing_reps", TIMING_REPS as u64)
-        .float("speedup_at_16_vms_capped", speedup_16_capped)
-        .float("calendar_speedup_at_32_vms_wc", calendar_speedup_32_wc)
-        .raw("per_config", json_array(&per_config));
-    write_bench_artifact("BENCH_sched.json", &bench.render());
+    let bench = Json::obj([
+        ("experiment", Json::Str("ext_sched".to_string())),
+        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
+        ("configurations", Json::Num(results.len() as f64)),
+        ("timing_reps", Json::Num(TIMING_REPS as f64)),
+        ("speedup_at_16_vms_capped", Json::Num(speedup_16_capped)),
+        ("per_config", Json::Arr(per_config)),
+    ]);
+    write_bench_artifact("BENCH_sched.json", &bench.pretty());
 }

@@ -8,9 +8,9 @@
 //! the number of distinct what-if cost evaluations each needs.
 
 use dbvirt_bench::{
-    cache_counters, experiment_machine, json_array, print_table, report_parallel_speedup,
-    write_bench_artifact, JsonObj,
+    cache_counters, experiment_machine, print_table, report_parallel_speedup, write_bench_artifact,
 };
+use dbvirt_calibrate::json::Json;
 use dbvirt_core::measure::measure_workload_seconds;
 use dbvirt_core::{
     metrics, CalibratedCostModel, DesignProblem, SearchAlgorithm, VirtualizationAdvisor,
@@ -82,24 +82,22 @@ fn main() {
         let (hits_after, misses_after) = cache_counters();
         let (hits, misses) = (hits_after - hits_before, misses_after - misses_before);
         let lookups = hits + misses;
-        bench_algorithms.push(
-            JsonObj::new()
-                .str("algorithm", rec.algorithm)
-                .float("wall_secs", alg_secs)
-                .float("predicted_total_secs", rec.total_cost)
-                .int("evaluations", rec.evaluations as u64)
-                .int("cache_hits", hits)
-                .int("cache_misses", misses)
-                .float(
-                    "cache_hit_rate",
-                    if lookups > 0 {
-                        hits as f64 / lookups as f64
-                    } else {
-                        f64::NAN
-                    },
-                )
-                .render(),
-        );
+        bench_algorithms.push(Json::obj([
+            ("algorithm", Json::Str(rec.algorithm.to_string())),
+            ("wall_secs", Json::Num(alg_secs)),
+            ("predicted_total_secs", Json::Num(rec.total_cost)),
+            ("evaluations", Json::Num(rec.evaluations as f64)),
+            ("cache_hits", Json::Num(hits as f64)),
+            ("cache_misses", Json::Num(misses as f64)),
+            (
+                "cache_hit_rate",
+                Json::Num(if lookups > 0 {
+                    hits as f64 / lookups as f64
+                } else {
+                    f64::NAN
+                }),
+            ),
+        ]));
         optimum = optimum.min(rec.total_cost);
         let measured = measure_total(&rec.allocation);
         let r0 = rec.allocation.row(0);
@@ -162,21 +160,22 @@ fn main() {
 
     let (total_hits, total_misses) = cache_counters();
     let total_lookups = total_hits + total_misses;
-    let bench = JsonObj::new()
-        .str("experiment", "ext_search")
-        .float("wall_secs", wall_start.elapsed().as_secs_f64())
-        .int("units", units as u64)
-        .int("workloads", 2)
-        .raw("algorithms", json_array(&bench_algorithms))
-        .int("cache_hits_total", total_hits)
-        .int("cache_misses_total", total_misses)
-        .float(
+    let bench = Json::obj([
+        ("experiment", Json::Str("ext_search".to_string())),
+        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
+        ("units", Json::Num(units as f64)),
+        ("workloads", Json::Num(2 as f64)),
+        ("algorithms", Json::Arr(bench_algorithms)),
+        ("cache_hits_total", Json::Num(total_hits as f64)),
+        ("cache_misses_total", Json::Num(total_misses as f64)),
+        (
             "cache_hit_rate_total",
-            if total_lookups > 0 {
+            Json::Num(if total_lookups > 0 {
                 total_hits as f64 / total_lookups as f64
             } else {
                 f64::NAN
-            },
-        );
-    write_bench_artifact("BENCH_search.json", &bench.render());
+            }),
+        ),
+    ]);
+    write_bench_artifact("BENCH_search.json", &bench.pretty());
 }

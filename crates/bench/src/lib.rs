@@ -17,11 +17,14 @@
 //! | `ext_trace` | telemetry smoke gate: traced consolidation run, writes `TRACE_dump.json` + `TRACE_chrome.json` |
 //! | `ext_controller` | online drift-detecting control loop vs clairvoyant oracle, writes `BENCH_controller.json` |
 //! | `ext_chaos` | calibration pipeline under fault-injection sweeps |
-//! | `ext_sched` | incremental vs reference co-scheduler: 48-config identity + speedup sweep, writes `BENCH_sched.json` |
+//! | `ext_sched` | `co_schedule` vs its rescan-loop oracle: 48-config identity + capped-walk speedup sweep, writes `BENCH_sched.json` |
 //! | `ext_fleet` | datacenter placement ladder (greedy → local search → LP bound) from 4 VMs/1 machine to 256 VMs/32 machines, writes `BENCH_fleet.json` |
+//! | `ext_fleetsim` | 1024 VMs placed on 128 machines, then executed by the per-machine co-scheduler in both modes, serial ≡ parallel, writes `BENCH_fleetsim.json` |
+//! | `ext_design` | joint index selection + allocation vs the index-only and allocation-only marginals on three scenarios, writes `BENCH_design.json` |
 //!
 //! This library holds what the binaries share: the experiment machine and
-//! measurement/printing helpers.
+//! measurement/printing helpers. `BENCH_*.json` artifacts are built with
+//! `dbvirt_calibrate::json::Json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +34,9 @@ use dbvirt_core::search::run_search;
 use dbvirt_core::{CoreError, CostModel, DesignProblem, SearchAlgorithm, SearchConfig};
 use dbvirt_engine::Database;
 use dbvirt_optimizer::LogicalPlan;
-use dbvirt_vmm::{MachineSpec, ResourceVector, VirtualMachine};
+use dbvirt_vmm::kernel::{Fnv1a, SplitMix64};
+use dbvirt_vmm::sched::{VmJob, VmOutcome};
+use dbvirt_vmm::{MachineSpec, ResourceDemand, ResourceVector, VirtualMachine};
 
 /// The machine the experiments run on.
 ///
@@ -51,6 +56,63 @@ pub fn experiment_machine() -> MachineSpec {
         disk_random_iops: 100.0,
         page_size: 8192,
     }
+}
+
+/// The deterministic fleet of `ext_sched`'s sweep: per-VM query streams
+/// mixing CPU-heavy, I/O-heavy, balanced, and zero-demand queries so both
+/// resource classes stay contended and phase kinds alternate (the
+/// work-conserving worst case).
+pub fn sched_sweep_fleet(vms: usize, queries: usize) -> Vec<VmJob> {
+    // No external RNG: the sweep must be pinned byte-for-byte across runs
+    // and machines.
+    let mut mix = SplitMix64((vms as u64) << 32 | queries as u64);
+    (0..vms)
+        .map(|_| {
+            let stream = (0..queries)
+                .map(|_| {
+                    let r = mix.next();
+                    let cpu = (r >> 8) % 2_000_000_000;
+                    let seq = (r >> 40) % 1_200;
+                    let rand = (r >> 50) % 120;
+                    match r % 10 {
+                        0..=3 => ResourceDemand {
+                            cpu_cycles: (cpu + 100_000_000) as f64,
+                            seq_page_reads: 0,
+                            random_page_reads: 0,
+                            page_writes: 0,
+                        },
+                        4..=6 => ResourceDemand {
+                            cpu_cycles: 0.0,
+                            seq_page_reads: seq + 50,
+                            random_page_reads: rand,
+                            page_writes: r % 40,
+                        },
+                        7..=8 => ResourceDemand {
+                            cpu_cycles: (cpu / 2) as f64,
+                            seq_page_reads: seq,
+                            random_page_reads: rand,
+                            page_writes: 0,
+                        },
+                        _ => ResourceDemand::ZERO,
+                    }
+                })
+                .collect();
+            VmJob::new(stream)
+        })
+        .collect()
+}
+
+/// FNV-1a over every reported completion instant, query-by-query: the
+/// value behind a `SCHED_FINGERPRINT` line.
+pub fn completions_fingerprint(outcomes: &[VmOutcome]) -> u64 {
+    let mut h = Fnv1a::new();
+    for o in outcomes {
+        h.u64(o.completion.as_micros());
+        for t in &o.query_completions {
+            h.u64(t.as_micros());
+        }
+    }
+    h.finish()
 }
 
 /// Measures one query's steady-state execution time in a VM at `shares`:
@@ -140,79 +202,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// A tiny insertion-ordered JSON object builder for the machine-readable
-/// `BENCH_*.json` artifacts (no external dependencies). Values are
-/// rendered immediately; nest objects/arrays with [`JsonObj::raw`] and
-/// [`json_array`].
-#[derive(Default, Clone)]
-pub struct JsonObj {
-    parts: Vec<String>,
-}
-
-impl JsonObj {
-    /// An empty object.
-    pub fn new() -> JsonObj {
-        JsonObj::default()
-    }
-
-    /// Adds a string field.
-    pub fn str(mut self, key: &str, value: &str) -> JsonObj {
-        self.parts.push(format!("{}:{}", json_escape(key), json_escape(value)));
-        self
-    }
-
-    /// Adds an integer field.
-    pub fn int(mut self, key: &str, value: u64) -> JsonObj {
-        self.parts.push(format!("{}:{}", json_escape(key), value));
-        self
-    }
-
-    /// Adds a float field (non-finite values are rendered as `null`).
-    pub fn float(mut self, key: &str, value: f64) -> JsonObj {
-        let rendered = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        self.parts.push(format!("{}:{rendered}", json_escape(key)));
-        self
-    }
-
-    /// Adds a pre-rendered JSON value (object or array).
-    pub fn raw(mut self, key: &str, json: String) -> JsonObj {
-        self.parts.push(format!("{}:{json}", json_escape(key)));
-        self
-    }
-
-    /// Renders the object.
-    pub fn render(&self) -> String {
-        format!("{{{}}}", self.parts.join(","))
-    }
-}
-
-/// Renders pre-rendered JSON values as an array.
-pub fn json_array(items: &[String]) -> String {
-    format!("[{}]", items.join(","))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Writes a `BENCH_*.json`-style artifact to the working directory and
 /// prints where it went.
 pub fn write_bench_artifact(file_name: &str, json: &str) {
@@ -259,19 +248,5 @@ mod tests {
     fn fmt_helpers() {
         assert_eq!(fmt3(1.23456), "1.235");
         assert_eq!(fmt_pct(0.305), "30.5%");
-    }
-
-    #[test]
-    fn json_obj_renders_ordered_and_escaped() {
-        let obj = JsonObj::new()
-            .str("name", "a \"b\"\n")
-            .int("count", 3)
-            .float("rate", 0.5)
-            .float("bad", f64::NAN)
-            .raw("items", json_array(&["1".to_string(), "2".to_string()]));
-        assert_eq!(
-            obj.render(),
-            "{\"name\":\"a \\\"b\\\"\\n\",\"count\":3,\"rate\":0.5,\"bad\":null,\"items\":[1,2]}"
-        );
     }
 }

@@ -138,9 +138,7 @@ pub fn measure_workload_seconds(
 /// Measured per-VM completion times when several workloads run
 /// **concurrently**, one VM each, under `allocation` (the paper's Figure 5
 /// setup). Workload `i` runs against `dbs[i]`. The co-run is simulated by
-/// `sched::co_schedule` — the incremental event-driven scheduler, so
-/// fleet-scale measurements pay per-event work proportional to the VMs an
-/// event actually touches, not the fleet size.
+/// `sched::co_schedule`.
 pub fn measure_concurrent_seconds(
     dbs: &mut [&mut Database],
     workloads: &[&[LogicalPlan]],

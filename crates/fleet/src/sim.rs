@@ -42,8 +42,7 @@ pub struct FleetSimReport {
     pub predicted_total: f64,
     /// Machines that hosted at least one VM.
     pub machines_occupied: usize,
-    /// Scheduler work counters absorbed across all machines (sums, with
-    /// `heap_peak` the per-machine max).
+    /// Scheduler work counters summed across all machines.
     pub stats: SchedStats,
 }
 

@@ -26,10 +26,11 @@
 //! * a fluid-approximation credit scheduler ([`sched`]) that co-schedules
 //!   several VMs on one machine, in capped or work-conserving mode, for the
 //!   experiments where two workloads run concurrently (the paper's Figure 5).
-//!   The production entry point ([`sched::co_schedule`]) is an incremental
-//!   event-driven scheduler; a whole-fleet rescan baseline
-//!   ([`sched::co_schedule_reference`]) is kept bit-identical to it for
-//!   differential testing; and
+//!   [`sched::co_schedule`] has one path per mode — a per-VM closed-form
+//!   walk when shares are caps, a whole-machine rescan loop when idle
+//!   capacity is redistributed — and the rescan loop doubles as the oracle
+//!   ([`sched::co_schedule_reference`]) the walk is kept bit-identical
+//!   to; and
 //! * the deterministic [`kernel`] every tier above shares — the one worker
 //!   pool ([`kernel::claim_and_reduce`]), the fingerprint hash and the
 //!   seeded stream.

@@ -16,40 +16,51 @@
 //!   the VMs currently demanding the resource, in proportion to their
 //!   shares (Xen's default `weight`-based behaviour).
 //!
-//! Three implementations share one semantics (see [`fluid`] for the shared
+//! **One path per mode, one oracle** (see [`fluid`] for the shared
 //! arithmetic and its determinism rules):
 //!
-//! * [`co_schedule`] — the production path, chosen by mode. Capped VMs
-//!   never interact, so each VM's completion chain is walked on its own in
-//!   closed form with no event structure ([`walk`]). Work-conserving runs
-//!   go through the incremental event-driven scheduler ([`incremental`])
-//!   on the calendar queue, which keeps per-resource active sets and
-//!   touches only the VMs an event can affect. Every controller epoch,
-//!   regret replay and measured-oracle run is a capped run.
-//! * [`co_schedule_with_core`] — the incremental scheduler in either mode
-//!   on an explicit event core (binary heap or calendar queue), for the
-//!   differential suite and `ext_sched`.
-//! * [`co_schedule_reference`] — the legacy whole-fleet rescan loop
-//!   ([`reference`]), O(V) per event, retained as the differential-testing
-//!   baseline. Identical inputs produce completions **bit-identical**
-//!   across all of them; `tests/sched_differential.rs` and the `ext_sched`
-//!   bench enforce the contract.
+//! * [`co_schedule`] in [`SchedMode::Capped`] — capped VMs never interact,
+//!   so each VM's completion chain is walked on its own in closed form
+//!   ([`walk`]). Every controller epoch, regret replay and measured-oracle
+//!   run is a capped run.
+//! * [`co_schedule`] in [`SchedMode::WorkConserving`] — the rescan loop
+//!   ([`reference`]): every event recomputes every VM's rate, O(V) per
+//!   event, with no event structure.
+//! * [`co_schedule_reference`] — the same rescan loop in either mode, run
+//!   silently: the oracle the capped walk is pinned **bit-identical** to
+//!   (`tests/sched_differential.rs`, `ext_sched`). Work-conserving has no
+//!   second implementation; `tests/golden/sched_wc_bits.txt`, captured
+//!   from the event-driven loop this module used to carry, holds its
+//!   completions to the bit.
+//!
+//! Why a rescan is the right work-conserving loop: `V` is the number of
+//! VMs on *one* machine, and every tier bounds it by `units / min_units`
+//! (`SearchConfig::validate`, `FleetConfig::validate`) — the paper co-runs
+//! two, the benchmark at most eight, and [`co_schedule_fleet`] is one
+//! independent run per machine however many machines there are. An
+//! incremental loop over a calendar queue of completions was measured
+//! against this one (EXPERIMENTS.md, EXT-SCHED): slower below 8 VMs, level
+//! at 8, ahead only from 16 up. That crossover — about 8 VMs on one
+//! machine — is the number to revisit if a caller ever co-schedules more.
 
 use crate::{
     AllocationMatrix, MachineSpec, ResourceDemand, ResourceVector, SimDuration, SimTime,
     VirtualMachine, VmmError,
 };
 
-mod calendar;
-mod event_core;
 mod fluid;
-mod incremental;
 mod multi;
 mod reference;
 mod walk;
 
-pub use incremental::SchedStats;
 pub use multi::{co_schedule_fleet, MachineRun, MachineSim};
+
+use dbvirt_telemetry as telemetry;
+
+// Scheduler telemetry (no-ops until `dbvirt_telemetry::enable()`).
+static TM_EVENTS: telemetry::Counter = telemetry::Counter::new("sched.events");
+static TM_PHASES: telemetry::Counter = telemetry::Counter::new("sched.phase_completions");
+static TM_TOUCHED: telemetry::Counter = telemetry::Counter::new("sched.vms_touched");
 
 /// How unclaimed resource capacity is treated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,32 +72,41 @@ pub enum SchedMode {
     WorkConserving,
 }
 
-/// Which event structure drives the incremental scheduler. Work-conserving
-/// production runs use the calendar ([`SchedCore::for_mode`]); the explicit
-/// choice exists for differential tests and benchmarks, which pin both
-/// cores bit-identical on the same inputs in both modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedCore {
-    /// Binary min-heap with lazy invalidation: O(log V) operations, stale
-    /// entries accumulate on re-key. Differential tests and `ext_sched`
-    /// only: no production run is routed through it.
-    Heap,
-    /// Calendar queue with per-VM handles: O(1) insert/re-key, no stale
-    /// entries. Built for the work-conserving regime, where most events
-    /// re-key every member of the changed resource classes.
-    Calendar,
+/// Work counters of one [`co_schedule`] run, exposed by
+/// [`co_schedule_with_stats`] so benchmarks can report event counts and
+/// per-event locality without scraping telemetry. A capped run is a per-VM
+/// walk: it reports `events == vms_touched == phase_completions`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Number of event batches processed (distinct completion instants).
+    pub events: u64,
+    /// Phases retired across the run (equals the fleet's total phase count).
+    pub phase_completions: u64,
+    /// VMs an event affected, summed over events: those whose phase
+    /// completed plus those whose in-flight phase was re-anchored at a new
+    /// rate. `vms_touched / events` is the run's per-event interaction.
+    pub vms_touched: u64,
 }
 
-impl SchedCore {
-    /// The event core a production run of `mode` goes through: none for
-    /// capped, whose VMs never interact and are walked one at a time with
-    /// no event structure at all; the calendar for work-conserving, where
-    /// adversarial mixes re-key everybody.
-    pub fn for_mode(mode: SchedMode) -> Option<SchedCore> {
-        match mode {
-            SchedMode::Capped => None,
-            SchedMode::WorkConserving => Some(SchedCore::Calendar),
-        }
+impl SchedStats {
+    /// Accumulates another run's counters — how the multi-machine driver's
+    /// callers fold per-machine stats into a fleet total.
+    pub fn absorb(&mut self, other: &SchedStats) {
+        self.events += other.events;
+        self.phase_completions += other.phase_completions;
+        self.vms_touched += other.vms_touched;
+    }
+
+    /// Adds one run's counters to the `sched.*` telemetry totals and to its
+    /// `sched.co_schedule` span.
+    fn publish(&self, span: &mut telemetry::SpanGuard<'_>, vms: usize) {
+        TM_EVENTS.add(self.events);
+        TM_PHASES.add(self.phase_completions);
+        TM_TOUCHED.add(self.vms_touched);
+        span.set_attr("vms", vms);
+        span.set_attr("events", self.events);
+        span.set_attr("phase_completions", self.phase_completions);
+        span.set_attr("vms_touched", self.vms_touched);
     }
 }
 
@@ -140,14 +160,14 @@ impl VmOutcome {
 /// resolution, which is checked by tests.
 ///
 /// This entry point picks the implementation by mode (a per-VM walk for
-/// capped, the calendar-queue event loop for work-conserving); see
-/// [`co_schedule_reference`] for the O(V)-per-event baseline both are
-/// pinned bit-identical to, and [`co_schedule_with_stats`] for the same run
-/// plus its work counters.
+/// capped, the rescan loop for work-conserving); see
+/// [`co_schedule_reference`] for the oracle the walk is pinned
+/// bit-identical to, and [`co_schedule_with_stats`] for the same run plus
+/// its work counters.
 ///
 /// A schedule that does not fit the virtual clock is an
-/// [`VmmError::InvalidSchedule`] in every implementation; when several VMs
-/// offend, a capped run reports the lowest-indexed one.
+/// [`VmmError::InvalidSchedule`] on every path; when several VMs offend, a
+/// capped run reports the lowest-indexed one.
 pub fn co_schedule(
     spec: MachineSpec,
     allocation: &AllocationMatrix,
@@ -158,8 +178,9 @@ pub fn co_schedule(
 }
 
 /// [`co_schedule`], additionally returning the scheduler's work counters
-/// (events processed, VMs touched per event, event-structure population)
-/// for benchmarking and locality assertions.
+/// (events processed, VMs touched per event) for benchmarking and locality
+/// assertions. Every production run passes through here: it opens the one
+/// `sched.co_schedule` span and publishes the counters.
 pub fn co_schedule_with_stats(
     spec: MachineSpec,
     allocation: &AllocationMatrix,
@@ -167,31 +188,20 @@ pub fn co_schedule_with_stats(
     mode: SchedMode,
 ) -> Result<(Vec<VmOutcome>, SchedStats), VmmError> {
     let shares = validate_inputs(&spec, allocation, jobs)?;
-    match SchedCore::for_mode(mode) {
-        None => walk::run(&spec, &shares, jobs),
-        Some(core) => incremental::run(&spec, mode, &shares, jobs, core),
-    }
+    let mut span = telemetry::span("sched.co_schedule");
+    let (outcomes, stats) = match mode {
+        SchedMode::Capped => walk::run(&spec, &shares, jobs)?,
+        SchedMode::WorkConserving => reference::run(&spec, mode, &shares, jobs)?,
+    };
+    stats.publish(&mut span, jobs.len());
+    Ok((outcomes, stats))
 }
 
-/// The incremental event loop on an explicit event core, in either mode.
-/// Completions are bit-identical across cores (and to [`co_schedule`] and
-/// [`co_schedule_reference`]); the choice only moves wall clock, which is
-/// exactly what the differential suite and `ext_sched` pin.
-pub fn co_schedule_with_core(
-    spec: MachineSpec,
-    allocation: &AllocationMatrix,
-    jobs: &[VmJob],
-    mode: SchedMode,
-    core: SchedCore,
-) -> Result<(Vec<VmOutcome>, SchedStats), VmmError> {
-    let shares = validate_inputs(&spec, allocation, jobs)?;
-    incremental::run(&spec, mode, &shares, jobs, core)
-}
-
-/// The legacy whole-fleet rescan loop: identical semantics (and identical
-/// completions, to the bit) as [`co_schedule`], at O(V) work per event.
-/// Kept as the differential-testing and benchmarking baseline; production
-/// callers should use [`co_schedule`].
+/// The rescan loop in either mode, silently: identical semantics (and
+/// identical completions, to the bit) as [`co_schedule`], with no span and
+/// no counter, so verification runs do not show up as scheduler traffic.
+/// The differential-testing and benchmarking oracle; production callers
+/// use [`co_schedule`].
 pub fn co_schedule_reference(
     spec: MachineSpec,
     allocation: &AllocationMatrix,
@@ -199,7 +209,7 @@ pub fn co_schedule_reference(
     mode: SchedMode,
 ) -> Result<Vec<VmOutcome>, VmmError> {
     let shares = validate_inputs(&spec, allocation, jobs)?;
-    reference::run(&spec, mode, &shares, jobs)
+    reference::run(&spec, mode, &shares, jobs).map(|(outcomes, _)| outcomes)
 }
 
 /// Shared up-front validation: machine sanity, job/allocation alignment,
@@ -243,17 +253,6 @@ fn validate_inputs(
     Ok(shares)
 }
 
-/// Folds final per-VM states into the public outcome report.
-fn collect_outcomes(states: Vec<fluid::VmState>) -> Vec<VmOutcome> {
-    states
-        .into_iter()
-        .map(|s| VmOutcome {
-            completion: s.completions.last().copied().unwrap_or(SimTime::ZERO),
-            query_completions: s.completions,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,18 +267,18 @@ mod tests {
         }
     }
 
-    /// Runs both implementations, asserts they agree to the bit, and
-    /// returns the (shared) outcome.
+    /// Runs the production path and the oracle, asserts they agree to the
+    /// bit, and returns the (shared) outcome.
     fn co_schedule_both(
         spec: MachineSpec,
         alloc: &AllocationMatrix,
         jobs: &[VmJob],
         mode: SchedMode,
     ) -> Vec<VmOutcome> {
-        let incr = co_schedule(spec, alloc, jobs, mode).unwrap();
+        let prod = co_schedule(spec, alloc, jobs, mode).unwrap();
         let refr = co_schedule_reference(spec, alloc, jobs, mode).unwrap();
-        assert_eq!(incr, refr, "incremental and reference completions diverged");
-        incr
+        assert_eq!(prod, refr, "production and reference completions diverged");
+        prod
     }
 
     #[test]
@@ -508,8 +507,8 @@ mod tests {
     /// units) the float residue of integrating a phase exceeds the old
     /// absolute 1e-6 threshold, which cost the legacy loop spurious
     /// zero-length events. A relative threshold recognises the residue as
-    /// noise: one phase is exactly one event, completed at the exact
-    /// microsecond, with no work double-counted.
+    /// noise: one phase is exactly one event in both modes, completed at
+    /// the exact microsecond, with no work double-counted.
     #[test]
     fn cycle_scale_phases_complete_in_one_event_at_exact_micros() {
         let spec = MachineSpec::paper_testbed();
@@ -518,38 +517,41 @@ mod tests {
         let cycles = 5.6e10;
         let job = VmJob::new(vec![demand(cycles, 0, 0)]);
         let jobs = [job];
-        let refr = co_schedule_reference(spec, &alloc, &jobs, SchedMode::Capped).unwrap();
-        let walk = co_schedule_with_stats(spec, &alloc, &jobs, SchedMode::Capped).unwrap();
-        let heap =
-            co_schedule_with_core(spec, &alloc, &jobs, SchedMode::Capped, SchedCore::Heap).unwrap();
-        let out = walk.0.clone();
-        for (o, stats) in [walk, heap] {
-            assert_eq!(o, refr);
+        // 5.6e10 cycles at the capped 2.8e9 cycles/s = 20 s exactly; alone
+        // and work-conserving the VM has the machine's 5.6e9, 10 s.
+        for (mode, rate) in [
+            (SchedMode::Capped, 2.8e9),
+            (SchedMode::WorkConserving, 5.6e9),
+        ] {
+            let (out, stats) = co_schedule_with_stats(spec, &alloc, &jobs, mode).unwrap();
+            assert_eq!(
+                out,
+                co_schedule_reference(spec, &alloc, &jobs, mode).unwrap()
+            );
             assert_eq!(stats.events, 1, "one phase must be exactly one event");
             assert_eq!(stats.phase_completions, 1);
+            let want_us = ((cycles / rate) * 1e6).round() as u64;
+            assert_eq!(out[0].completion.as_micros(), want_us);
         }
-        // 5.6e10 cycles at 2.8e9 cycles/s = 20 s exactly.
-        let want_us = ((cycles / 2.8e9) * 1e6).round() as u64;
-        assert_eq!(out[0].completion.as_micros(), want_us);
     }
 
     #[test]
-    fn capped_mode_touches_only_the_completing_vm() {
-        // 8 VMs, staggered CPU demands: every completion is an O(1) event
-        // in capped mode (1 VM touched: the completer re-activating).
+    fn only_work_conserving_completions_touch_other_vms() {
+        // 8 VMs, staggered CPU demands. Capped, no completion perturbs
+        // anybody. Work-conserving, a VM finishing a CPU phase changes the
+        // CPU class's total, so the others are re-anchored: locality is a
+        // property of the workload, and the counter must show it.
         let spec = MachineSpec::paper_testbed();
         let alloc = AllocationMatrix::equal_split(8).unwrap();
         let jobs: Vec<VmJob> = (0..8)
             .map(|i| VmJob::new(vec![demand(1e9 + i as f64 * 7e7, 100 + i, 0); 4]))
             .collect();
-        for core in [SchedCore::Heap, SchedCore::Calendar] {
-            let (_, stats) =
-                co_schedule_with_core(spec, &alloc, &jobs, SchedMode::Capped, core).unwrap();
-            assert_eq!(
-                stats.vms_touched, stats.events,
-                "capped completions must not perturb other VMs"
-            );
-        }
+        let (_, capped) = co_schedule_with_stats(spec, &alloc, &jobs, SchedMode::Capped).unwrap();
+        assert_eq!(capped.vms_touched, capped.events);
+        let (_, wc) =
+            co_schedule_with_stats(spec, &alloc, &jobs, SchedMode::WorkConserving).unwrap();
+        assert_eq!(wc.phase_completions, capped.phase_completions);
+        assert!(wc.vms_touched > wc.phase_completions, "{wc:?}");
     }
 
     #[test]
@@ -561,22 +563,18 @@ mod tests {
         let job = VmJob::new(vec![demand(1.4e9, 200, 10); 3]);
         let jobs = vec![job; 4];
         for mode in [SchedMode::Capped, SchedMode::WorkConserving] {
-            // The event loop batches; the capped production walk has no
-            // batches to form, so the loop is asked for explicitly.
-            let (out, stats) =
-                co_schedule_with_core(spec, &alloc, &jobs, mode, SchedCore::Calendar).unwrap();
+            let (out, stats) = co_schedule_with_stats(spec, &alloc, &jobs, mode).unwrap();
             let refr = co_schedule_reference(spec, &alloc, &jobs, mode).unwrap();
-            assert_eq!(co_schedule(spec, &alloc, &jobs, mode).unwrap(), refr);
             assert_eq!(out, refr);
             for o in &out[1..] {
                 assert_eq!(o, &out[0], "identical VMs must complete identically");
             }
-            assert_eq!(
-                stats.phase_completions % stats.events,
-                0,
-                "identical VMs must complete in whole batches"
-            );
-            assert_eq!(stats.phase_completions / stats.events, 4);
+            // The loop batches; the capped walk has no batches to form.
+            let per_event = match mode {
+                SchedMode::Capped => 1,
+                SchedMode::WorkConserving => 4,
+            };
+            assert_eq!(stats.phase_completions, stats.events * per_event);
         }
     }
 }

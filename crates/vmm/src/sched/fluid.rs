@@ -1,10 +1,9 @@
 //! Shared primitives of the fluid co-scheduler.
 //!
-//! Both scheduler implementations — the legacy whole-fleet scan loop
-//! ([`super::co_schedule_reference`]) and the incremental event-driven
-//! scheduler ([`super::co_schedule`]) — are built from the helpers in this
-//! module, and the bit-identical-completions contract between them rests on
-//! three rules every caller follows:
+//! Both scheduler implementations — the rescan loop ([`super::reference`])
+//! and the capped per-VM walk ([`super::walk`]) — are built from the
+//! helpers in this module, and the bit-identical-completions contract
+//! between them rests on three rules every caller follows:
 //!
 //! 1. **Anchored integration.** A phase's progress is never accumulated by
 //!    repeated subtraction. Each in-flight phase stores an *anchor*: the
@@ -14,13 +13,14 @@
 //!    phase's projected completion instant, are single closed-form
 //!    expressions over the anchor ([`ActivePhase::remaining_at`],
 //!    [`ActivePhase::completion_us`]). The anchor moves ([`ActivePhase::
-//!    reanchor`]) only when the rate actually changes (bitwise), so a lazy
-//!    evaluator that skips untouched VMs computes *exactly* the same f64
-//!    values as one that rescans everything every event. This is also the
-//!    fix for the legacy work/clock quantization skew: the old loop
-//!    advanced the clock by the microsecond-rounded step but decremented
-//!    work by the raw `rate * dt`, letting work and time drift apart by up
-//!    to a microsecond of work per event. With anchors, the clock is
+//!    reanchor`]) only when the rate actually changes (bitwise), so the
+//!    capped walk, which never meets a rate change, computes *exactly* the
+//!    same f64 values as the loop rescanning everybody at every event.
+//!    This is also the fix for the legacy work/clock quantization skew:
+//!    the old loop advanced the clock by the microsecond-rounded step but
+//!    decremented work by the raw `rate * dt`, letting work and time drift
+//!    apart by up to a microsecond of work per event. With anchors, the
+//!    clock is
 //!    continuous f64 microseconds and is only rounded when a completion is
 //!    *reported* as a [`SimTime`]; integrated work equals demand to f64
 //!    precision regardless of stream length.
@@ -28,8 +28,8 @@
 //! 2. **Ordered share sums.** Work-conserving rates divide a VM's
 //!    configured share by the total configured share of the VMs currently
 //!    demanding the resource class. f64 addition is not associative, so
-//!    both implementations compute that total with [`class_total`] over
-//!    members in ascending VM index order.
+//!    that total is always [`class_total`] over members in ascending VM
+//!    index order.
 //!
 //! 3. **Unit-aware completion fuzz.** Re-anchoring can leave a residue of
 //!    floating-point noise in `anchor_remaining`. The legacy loop absorbed

@@ -11,6 +11,12 @@
 //! [`claim_and_reduce`] call: runs come back in machine order and the
 //! error surfaced is always the lowest-indexed failing machine's.
 //!
+//! It is also why the scheduler under it is sized for a handful of VMs:
+//! a fleet of a thousand VMs is hundreds of runs of at most
+//! `units / min_units` residents each, every one through
+//! [`co_schedule_with_stats`]'s one path for the mode — the fleet grows in
+//! machines, never in `V`.
+//!
 //! The layer above (`dbvirt-fleet`'s `sim` module) builds the
 //! [`MachineSim`] inputs from a placement and folds the per-machine
 //! outcomes into fleet totals.
@@ -45,7 +51,7 @@ pub struct MachineSim {
 pub struct MachineRun {
     /// Per-resident completion reports, in input order.
     pub outcomes: Vec<VmOutcome>,
-    /// Event-loop work counters for this machine.
+    /// Scheduler work counters for this machine.
     pub stats: SchedStats,
 }
 

@@ -1,29 +1,43 @@
-//! The reference fluid loop: a whole-fleet rescan per event.
+//! The rescan fluid loop: a whole-machine rescan per event.
 //!
-//! This is the legacy `co_schedule` structure — every event recomputes
-//! every VM's rate and projected completion, O(V) work per event and
-//! O(V · P) overall — kept as the differential-testing baseline for the
-//! incremental scheduler. It is *not* the byte-for-byte legacy code: the
-//! two correctness fixes documented in [`super::fluid`] (anchored
-//! integration instead of quantized work decrements, and the unit-aware
-//! completion threshold) apply here too, because the incremental scheduler
-//! is pinned bit-identical to *this* loop and the old behaviour was wrong.
+//! Every event recomputes every VM's rate and projected completion — O(V)
+//! work per event, O(V · P) overall — with no event structure and no
+//! cached class state. It serves twice:
+//!
+//! * as the **work-conserving path** of [`super::co_schedule`]. A machine
+//!   hosts at most `units / min_units` VMs (a handful; see the module docs
+//!   of [`super`]), and at that size rescanning everybody is cheaper than
+//!   keeping a queue of their completions ordered;
+//! * as the **oracle** behind [`super::co_schedule_reference`] in both
+//!   modes, which the capped walk ([`super::walk`]) is pinned bit-identical
+//!   to.
+//!
+//! The loop itself is silent — no span, no counter — so oracle runs leave
+//! no trace; [`super::co_schedule_with_stats`] publishes the [`SchedStats`]
+//! it returns.
 
-use crate::{MachineSpec, ResourceVector, VmmError};
+use crate::{MachineSpec, ResourceVector, SimTime, VmmError};
 
 use super::fluid::{
     checked_event_us, checked_rate, class_total, rate_of, report_instant, total_phases,
-    ActivePhase, PhaseSpec, ResClass, VmState, NUM_CLASSES,
+    ActivePhase, PhaseKind, PhaseSpec, ResClass, VmState, NUM_CLASSES,
 };
-use super::{SchedMode, VmJob, VmOutcome};
+use super::{SchedMode, SchedStats, VmJob, VmOutcome};
 
 /// Runs the rescan loop. Inputs are pre-validated by the public wrappers.
+///
+/// [`SchedStats`] contract of the loop: one event per distinct completion
+/// instant (simultaneous completions form one batch, so `events <=
+/// phase_completions`); `vms_touched` counts, per event, the VMs whose
+/// phase completed plus the VMs whose in-flight phase was re-anchored
+/// because its rate changed bitwise — the VMs the event *affected*, not the
+/// `V` it scanned.
 pub(super) fn run(
     spec: &MachineSpec,
     mode: SchedMode,
     shares: &[ResourceVector],
     jobs: &[VmJob],
-) -> Result<Vec<VmOutcome>, VmmError> {
+) -> Result<(Vec<VmOutcome>, SchedStats), VmmError> {
     let n = jobs.len();
     let mut states: Vec<VmState> = jobs.iter().map(|j| VmState::new(&j.queries)).collect();
     // Phases awaiting a rate assignment (initially each VM's first phase).
@@ -31,8 +45,18 @@ pub(super) fn run(
         .iter_mut()
         .map(|s| if s.done { None } else { s.next_spec() })
         .collect();
+    let mut kinds: Vec<Option<PhaseKind>> = vec![None; n];
+    let mut stats = SchedStats::default();
     let mut now_us: f64 = 0.0;
-    sync_rates(spec, mode, shares, &mut states, &mut to_activate, now_us)?;
+    sync_rates(
+        spec,
+        mode,
+        shares,
+        &mut states,
+        &mut to_activate,
+        &mut kinds,
+        now_us,
+    )?;
 
     // Hard bound on events: every phase of every query completes exactly
     // once (zero-length cascade steps complete a phase too).
@@ -70,10 +94,21 @@ pub(super) fn run(
                 .is_some_and(|p| p.completion_us() == t_next);
             if completes {
                 to_activate[i] = states[i].complete_active(now);
+                stats.phase_completions += 1;
+                stats.vms_touched += 1;
             }
         }
 
-        sync_rates(spec, mode, shares, &mut states, &mut to_activate, now_us)?;
+        stats.events += 1;
+        stats.vms_touched += sync_rates(
+            spec,
+            mode,
+            shares,
+            &mut states,
+            &mut to_activate,
+            &mut kinds,
+            now_us,
+        )?;
     }
 
     if !states.iter().all(|s| s.done) {
@@ -82,34 +117,39 @@ pub(super) fn run(
         });
     }
 
-    Ok(super::collect_outcomes(states))
+    let outcomes = states
+        .into_iter()
+        .map(|s| VmOutcome {
+            completion: s.completions.last().copied().unwrap_or(SimTime::ZERO),
+            query_completions: s.completions,
+        })
+        .collect();
+    Ok((outcomes, stats))
 }
 
 /// Recomputes every VM's rate from the current class memberships,
 /// activating pending phases and re-anchoring any in-flight phase whose
-/// rate actually changed (bitwise). The incremental scheduler performs the
-/// identical per-VM computations, but only for VMs it can prove affected.
+/// rate actually changed (bitwise); returns how many were re-anchored.
+/// `kinds` is the run's scratch buffer, one slot per VM.
 fn sync_rates(
     spec: &MachineSpec,
     mode: SchedMode,
     shares: &[ResourceVector],
     states: &mut [VmState],
     to_activate: &mut [Option<PhaseSpec>],
+    kinds: &mut [Option<PhaseKind>],
     now_us: f64,
-) -> Result<(), VmmError> {
+) -> Result<u64, VmmError> {
     let n = states.len();
     // The phase kind each VM currently demands: its in-flight phase, or
-    // the phase awaiting activation (mirrors the legacy loop allocating a
-    // per-event rates vector).
-    let kinds: Vec<_> = (0..n)
-        .map(|i| {
-            states[i]
-                .active
-                .as_ref()
-                .map(|p| p.kind)
-                .or_else(|| to_activate[i].map(|s| s.kind))
-        })
-        .collect();
+    // the phase awaiting activation.
+    for i in 0..n {
+        kinds[i] = states[i]
+            .active
+            .as_ref()
+            .map(|p| p.kind)
+            .or_else(|| to_activate[i].map(|s| s.kind));
+    }
 
     // Per-class demand totals, summed in ascending VM index order.
     let mut totals = [0.0f64; NUM_CLASSES];
@@ -118,6 +158,7 @@ fn sync_rates(
         totals[class.index()] = class_total(members, shares, class);
     }
 
+    let mut reanchored = 0;
     for i in 0..n {
         let Some(kind) = kinds[i] else {
             continue;
@@ -132,8 +173,9 @@ fn sync_rates(
             if rate != phase.rate {
                 phase.reanchor(now_us, rate);
                 checked_event_us(phase.completion_us())?;
+                reanchored += 1;
             }
         }
     }
-    Ok(())
+    Ok(reanchored)
 }

@@ -3,18 +3,18 @@
 //! In [`SchedMode::Capped`] a phase's rate depends on nothing but its own
 //! VM's configured share, so no completion ever changes another VM's rate:
 //! a VM's completion chain `t ← t + (size / rate) · 1e6` is the same
-//! whether or not anybody else is on the machine. The event loop spends
-//! its structure (a heap, per-VM state, activation lists) interleaving
-//! chains that never interact; this module walks each chain on its own.
+//! whether or not anybody else is on the machine. An event loop would
+//! spend its per-VM state and activation lists interleaving chains that
+//! never interact; this module walks each chain on its own.
 //!
-//! Every f64 is produced by the [`super::fluid`] primitive the loops use,
-//! over the same operands in the same order — a phase is
+//! Every f64 is produced by the [`super::fluid`] primitive the rescan loop
+//! uses, over the same operands in the same order — a phase is
 //! [`ActivePhase::activate`]d at the instant its predecessor completed and
 //! its [`ActivePhase::completion_us`] is that chain's next instant — so
-//! completions are bit-identical to [`super::co_schedule_reference`] and to
-//! both event cores (`tests/sched_differential.rs`).
+//! completions are bit-identical to [`super::co_schedule_reference`]
+//! (`tests/sched_differential.rs`).
 //!
-//! One observable difference: the loops discover a schedule that cannot be
+//! One observable difference: the loop discovers a schedule that cannot be
 //! represented (clock overflow, a rate that is not positive) in event
 //! order, the walk in VM order. The error variant is the same; when
 //! several VMs offend, the walk reports the lowest-indexed one.
@@ -26,21 +26,17 @@ use super::fluid::{
 };
 use super::{SchedMode, SchedStats, VmJob, VmOutcome};
 
-use dbvirt_telemetry as telemetry;
-
 /// Walks every VM's chain. Inputs are pre-validated by the public wrappers.
 ///
 /// [`SchedStats`] contract of a walk: `phase_completions` is exact; nothing
 /// is batched and nobody else is ever touched, so `events` and
-/// `vms_touched` both equal it (the loops report `events <=
-/// phase_completions`, batching simultaneous completions); `heap_pushes`
-/// and `heap_peak` are 0, there being no event structure.
+/// `vms_touched` both equal it (the rescan loop reports `events <=
+/// phase_completions`, batching simultaneous completions).
 pub(super) fn run(
     spec: &MachineSpec,
     shares: &[ResourceVector],
     jobs: &[VmJob],
 ) -> Result<(Vec<VmOutcome>, SchedStats), VmmError> {
-    let mut span = telemetry::span("sched.co_schedule");
     let mut phases = 0u64;
     let mut outcomes = Vec::with_capacity(jobs.len());
     for (job, vm_shares) in jobs.iter().zip(shares) {
@@ -65,8 +61,6 @@ pub(super) fn run(
         events: phases,
         phase_completions: phases,
         vms_touched: phases,
-        ..SchedStats::default()
     };
-    stats.publish(&mut span, jobs.len());
     Ok((outcomes, stats))
 }

@@ -66,6 +66,22 @@ if lib_code | grep -E '^crates/(core|fleet|design)/src/' | grep -e 'Mutex<HashMa
   exit 1
 fi
 
+# One co-scheduler per mode, one oracle: the capped walk, and the rescan
+# loop that is both the work-conserving path and what the walk is diffed
+# against. An event structure or a core-selection type under sched* would
+# be a third implementation of the same fluid semantics.
+for word in BinaryHeap EventCore SchedCore; do
+  if lib_code | grep -E '^crates/vmm/src/sched' | grep -F "$word"; then
+    echo "FAIL: $word in library code under crates/vmm/src/sched*" >&2
+    exit 1
+  fi
+done
+files=$(ls crates/vmm/src/sched | tr '\n' ' ')
+if [[ "$files" != "fluid.rs multi.rs reference.rs walk.rs " ]]; then
+  echo "FAIL: crates/vmm/src/sched/ must hold fluid.rs multi.rs reference.rs walk.rs, found: $files" >&2
+  exit 1
+fi
+
 cargo test -q
 
 # `cargo test` never builds the `harness = false` Criterion benches, so an
@@ -93,12 +109,12 @@ done
 scripts/trace.sh
 
 # Replay gates: each experiment binary holds its own pins (regret within
-# ±1pp and under the governor's ceiling; incremental scheduler ≡ reference
-# loop and >= 3x at 16 VMs; LP-certified gaps <= 25%, M=1 ≡ core DP;
-# >= 1024 VMs executed identically at 1 and per-core workers; joint design
-# strictly beats both marginals) and must replay its fingerprint lines
-# bit-identically across two processes and against the committed golden
-# (see scripts/replay_gate.sh).
+# ±1pp and under the governor's ceiling; co_schedule ≡ the rescan oracle on
+# 48 configurations and the capped walk >= 3x it at 16 VMs; LP-certified
+# gaps <= 25%, M=1 ≡ core DP; >= 1024 VMs executed identically at 1 and
+# per-core workers; joint design strictly beats both marginals) and must
+# replay its fingerprint lines bit-identically across two processes and
+# against the committed golden (see scripts/replay_gate.sh).
 g=tests/golden
 scripts/replay_gate.sh ext_controller CONTROLLER_ $g/controller_fingerprints.txt BENCH_controller.json
 scripts/replay_gate.sh ext_sched SCHED_FINGERPRINT $g/sched_fingerprints.txt BENCH_sched.json
