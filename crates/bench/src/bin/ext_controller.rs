@@ -16,10 +16,10 @@
 //!   seeded sensor-degradation fault model (dropouts, stale reads,
 //!   corrupt probes) with a pinned regret ceiling.
 //!
-//! Every run is accounted against the clairvoyant `run_dynamic` oracle
-//! and a never-reconfigure baseline on the identical query stream, and
-//! the decision trace is fingerprinted so `scripts/replay_gate.sh` can
-//! assert bit-identical behaviour across processes and parallelism.
+//! Every run is accounted against the clairvoyant per-phase oracle and a
+//! never-reconfigure baseline on the identical query stream, and the
+//! decision trace is fingerprinted so `scripts/replay_gate.sh` can assert
+//! bit-identical behaviour across processes.
 
 use dbvirt_bench::{experiment_machine, print_table, write_bench_artifact};
 use dbvirt_calibrate::json::Json;
@@ -415,25 +415,16 @@ fn main() {
     );
 
     // Determinism: the full drifting decision trace must be bit-identical
-    // across repeated runs and every search parallelism setting.
+    // across repeated runs.
     let drifting = &scenarios(machine, &cpu_bound, &io_bound)[1];
     let baseline = run_controller(drifting, &template, &config)
         .expect("determinism baseline")
         .trace_fingerprint();
-    for parallelism in [1usize, 2, 4, 0] {
-        let cfg = ControllerConfig {
-            search: config.search.with_parallelism(parallelism),
-            ..config
-        };
-        let fp = run_controller(drifting, &template, &cfg)
-            .expect("determinism sweep")
-            .trace_fingerprint();
-        assert_eq!(
-            fp, baseline,
-            "decision trace diverged at parallelism {parallelism}"
-        );
-    }
-    println!("Determinism: drifting trace bit-identical at parallelism 1/2/4/auto.");
+    let rerun = run_controller(drifting, &template, &config)
+        .expect("determinism rerun")
+        .trace_fingerprint();
+    assert_eq!(rerun, baseline, "decision trace diverged across reruns");
+    println!("Determinism: drifting trace bit-identical across reruns.");
 
     // Chaos sweep (opt-in): degraded sensors must cost accuracy at worst,
     // never crash the loop. Three fault shapes — jittery probes, heavy

@@ -14,10 +14,9 @@
 //!    Page–Hinkley drift detector on an allocation-invariant reference
 //!    stream;
 //! 3. when drift is detected (and the cooldown has elapsed), re-solve the
-//!    design problem from the estimated profiles via a warm-started
-//!    [`run_search_cached`] — caches are keyed by the quantized profile
-//!    vector, so a recurring workload mix re-solves against cells it
-//!    already paid for;
+//!    allocation from the estimated profiles with [`solve_dp`] over a
+//!    [`CostCache`] keyed by the quantized profile vector, so a recurring
+//!    workload mix re-solves against cells it already paid for;
 //! 4. apply the recommended allocation only if its predicted benefit over
 //!    the decision horizon clears the modeled reconfiguration cost (memory
 //!    resize = cache flush, charged in virtual time) plus a hysteresis
@@ -25,20 +24,18 @@
 //!    transfer against the same gate, pricing each VM on at most five
 //!    rows rather than every candidate matrix row by row.
 //!
-//! The loop is fully deterministic: identical `(scenario, config)` pairs
-//! produce bit-identical decision traces at every search parallelism
-//! setting, which [`ControllerOutcome::trace_fingerprint`] pins.
+//! Every cost the loop compares is a sum of [`price`]s. The loop is fully
+//! deterministic: identical `(scenario, config)` pairs produce
+//! bit-identical decision traces, which
+//! [`ControllerOutcome::trace_fingerprint`] pins.
 
 use crate::governor::SwitchGovernor;
 use crate::health::ControllerHealth;
-use crate::profile::{ProblemTemplate, ProfileCostModel, ProfileKey, WorkloadProfile};
+use crate::profile::{ProblemTemplate, ProfileKey, WorkloadProfile};
 use crate::scenario::Scenario;
 use crate::stats::VmStats;
 use crate::{ControllerError, DriftConfig};
-use dbvirt_core::search::{
-    run_search_cached, CostCache, Recommendation, SearchAlgorithm, SearchConfig,
-};
-use dbvirt_core::{CoreError, CostModel, DesignProblem};
+use dbvirt_core::search::{solve_dp, CostCache, SearchConfig};
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::kernel::Fnv1a;
 use dbvirt_vmm::sched::{co_schedule, SchedMode, VmJob};
@@ -46,7 +43,6 @@ use dbvirt_vmm::{
     AllocationMatrix, MachineSpec, ResourceVector, SimDuration, SimTime, VirtualMachine,
 };
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 static TM_EPOCHS: telemetry::Counter = telemetry::Counter::new("controller.epochs");
 static TM_DRIFTS: telemetry::Counter = telemetry::Counter::new("controller.drift_detections");
@@ -61,95 +57,21 @@ static TM_LOCALIZED: telemetry::Counter = telemetry::Counter::new("controller.lo
 static TM_HILL_CLIMBS: telemetry::Counter =
     telemetry::Counter::new("controller.hill_climb_moves");
 
-/// Controller tuning knobs.
+/// What a caller chooses about a controller run: the share lattice its
+/// re-solves search. Every policy value is a constant beside
+/// [`run_controller`].
 #[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
-    /// Search algorithm used at each decision.
-    pub algorithm: SearchAlgorithm,
-    /// Share discretization and parallelism for the search.
+    /// Share discretization, per-VM floor, disk share and budgets of every
+    /// re-solve. Its `parallelism` is not read: a re-solve prices a few
+    /// hundred closed-form cells.
     pub search: SearchConfig,
-    /// Drift-detector parameters (per VM).
-    pub drift: DriftConfig,
-    /// EWMA factor for the streaming statistics (weight of the newest
-    /// observation).
-    pub ewma_alpha: f64,
-    /// Relative width of the profile-quantization buckets that key warm
-    /// cost caches (see [`crate::WorkloadProfile::quantize`]).
-    pub quantization_rel: f64,
-    /// Hysteresis: the predicted gain must additionally exceed this
-    /// fraction of the keep-cost over the horizon before switching.
-    pub hysteresis: f64,
-    /// Fixed part of the reconfiguration cost (seconds of virtual time);
-    /// the variable part is the refill time of every resized buffer pool.
-    pub switch_base_seconds: f64,
-    /// How many epochs a new allocation is assumed to stay in force when
-    /// amortizing the switch cost.
-    pub horizon_epochs: usize,
-    /// Epochs of pure observation before the first (unconditional,
-    /// uncharged) informed placement.
-    pub warmup_epochs: usize,
-    /// Minimum epochs between consecutive decisions.
-    pub cooldown_epochs: usize,
 }
 
 impl ControllerConfig {
-    /// Defaults tuned for epoch-scale drift: DP search, 25% EWMA, 20%
-    /// quantization, 5% hysteresis, 8-epoch horizon.
+    /// A controller searching `search`'s share lattice.
     pub fn new(search: SearchConfig) -> ControllerConfig {
-        ControllerConfig {
-            algorithm: SearchAlgorithm::DynamicProgramming,
-            search,
-            drift: DriftConfig::default(),
-            ewma_alpha: 0.25,
-            quantization_rel: 0.2,
-            hysteresis: 0.05,
-            switch_base_seconds: 0.25,
-            horizon_epochs: 8,
-            warmup_epochs: 2,
-            cooldown_epochs: 2,
-        }
-    }
-
-    /// Validates the knobs.
-    pub fn validate(&self) -> Result<(), ControllerError> {
-        self.drift.validate()?;
-        if !(self.ewma_alpha.is_finite() && self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return Err(ControllerError::BadConfig {
-                reason: format!("ewma_alpha must be in (0, 1], got {}", self.ewma_alpha),
-            });
-        }
-        if !(self.quantization_rel.is_finite() && self.quantization_rel > 0.0) {
-            return Err(ControllerError::BadConfig {
-                reason: format!(
-                    "quantization_rel must be finite and > 0, got {}",
-                    self.quantization_rel
-                ),
-            });
-        }
-        if !(self.hysteresis.is_finite() && self.hysteresis >= 0.0) {
-            return Err(ControllerError::BadConfig {
-                reason: format!("hysteresis must be finite and >= 0, got {}", self.hysteresis),
-            });
-        }
-        if !(self.switch_base_seconds.is_finite() && self.switch_base_seconds >= 0.0) {
-            return Err(ControllerError::BadConfig {
-                reason: format!(
-                    "switch_base_seconds must be finite and >= 0, got {}",
-                    self.switch_base_seconds
-                ),
-            });
-        }
-        if self.horizon_epochs == 0 {
-            return Err(ControllerError::BadConfig {
-                reason: "horizon_epochs must be at least 1".to_string(),
-            });
-        }
-        if self.warmup_epochs == 0 {
-            return Err(ControllerError::BadConfig {
-                reason: "warmup_epochs must be at least 1".to_string(),
-            });
-        }
-        Ok(())
+        ControllerConfig { search }
     }
 }
 
@@ -201,7 +123,7 @@ impl ControllerOutcome {
     /// FNV-1a fingerprint of the decision trace: switch epochs, times, and
     /// costs, every epoch's allocation shares (bit-exact), and the total.
     /// Two runs with identical scenario and config must produce identical
-    /// fingerprints at every search parallelism setting.
+    /// fingerprints.
     pub fn trace_fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.f64(self.total_cost);
@@ -317,35 +239,59 @@ impl Ledger {
     }
 }
 
-/// Warm what-if caches keyed by quantized profile vector.
-type Caches = BTreeMap<Vec<ProfileKey>, Arc<CostCache>>;
+/// Warm what-if tables keyed by quantized profile vector.
+type Caches = BTreeMap<Vec<ProfileKey>, CostCache>;
 
-/// One search against the cache `key` names, created on first use.
-fn solve_cached(
-    caches: &mut Caches,
-    key: Vec<ProfileKey>,
-    config: &ControllerConfig,
-    search: SearchConfig,
-    problem: &DesignProblem<'_>,
-    model: &dyn CostModel,
-) -> Result<Recommendation, ControllerError> {
-    let cache = caches
-        .entry(key)
-        .or_insert_with(|| Arc::new(CostCache::new()));
-    Ok(run_search_cached(config.algorithm, problem, model, search, cache)?)
+/// The quantized profile vector that keys a warm table.
+fn keys(profiles: &[WorkloadProfile]) -> Vec<ProfileKey> {
+    profiles.iter().map(|p| p.quantize(QUANTIZATION_REL)).collect()
+}
+
+/// Predicted seconds per epoch of `profile` on a VM of `shares` — the one
+/// price every cost the controller and its regret oracle compare is summed
+/// from.
+pub(crate) fn price(
+    machine: MachineSpec,
+    profile: &WorkloadProfile,
+    shares: ResourceVector,
+) -> Result<f64, ControllerError> {
+    Ok(profile.epoch_seconds(&VirtualMachine::new(machine, shares)?))
+}
+
+/// One [`solve_dp`] over `n` VMs on `search`'s lattice and budgets: a cell
+/// `table` already holds is read, any other is priced as `cost(vm,
+/// shares)` and written back. Returns the optimal allocation and its
+/// objective.
+pub(crate) fn solve(
+    table: &CostCache,
+    search: &SearchConfig,
+    n: usize,
+    cost: impl Fn(usize, ResourceVector) -> Result<f64, ControllerError>,
+) -> Result<(AllocationMatrix, f64), ControllerError> {
+    let rows = table.rows(search.units, search.disk_share, 0..n)?;
+    let units = search.units as f64;
+    let shares = |c: u32, m: u32| {
+        ResourceVector::from_fractions(c as f64 / units, m as f64 / units, search.disk_share)
+    };
+    let solution = solve_dp(n, search, |w, c, m| {
+        if let Some(cached) = rows[w].get(c, m) {
+            return Ok(cached);
+        }
+        let priced = cost(w, shares(c, m)?)?;
+        rows[w].insert(c, m, priced);
+        Ok::<_, ControllerError>(priced)
+    })?;
+    let allocation = (solution.assignment.iter())
+        .map(|&(c, m)| shares(c, m))
+        .collect::<Result<_, _>>()?;
+    Ok((AllocationMatrix::new(allocation)?, solution.objective))
 }
 
 /// The switch gate: moving from per-epoch cost `keep` to `objective` must
 /// repay `switch_cost` plus the hysteresis margin over `horizon` epochs.
-fn clears_gate(
-    config: &ControllerConfig,
-    keep: f64,
-    objective: f64,
-    horizon: f64,
-    switch_cost: f64,
-) -> bool {
+fn clears_gate(keep: f64, objective: f64, horizon: f64, switch_cost: f64) -> bool {
     let gain = (keep - objective) * horizon;
-    gain > switch_cost + config.hysteresis * keep * horizon
+    gain > switch_cost + HYSTERESIS * keep * horizon
 }
 
 /// The whole-machine units a share corresponds to, if it sits exactly on
@@ -366,16 +312,15 @@ fn share_units(fraction: f64, units: u32) -> Option<u32> {
 /// objective, or `None` when the sub-problem is infeasible (pinned shares
 /// off the unit grid, or budgets below the per-VM minimum) and the caller
 /// must fall back to a full solve.
-fn localized_solve<'a>(
-    template: &ProblemTemplate<'a>,
-    config: &ControllerConfig,
+fn localized_solve(
+    machine: MachineSpec,
+    search: &SearchConfig,
     current: &AllocationMatrix,
     profiles: &[WorkloadProfile],
     drifted: &[usize],
     caches: &mut Caches,
 ) -> Result<Option<(AllocationMatrix, f64, f64)>, ControllerError> {
-    let machine = template.machine;
-    let units = config.search.units;
+    let units = search.units;
     let n = current.num_workloads();
     let mut pinned_cpu = 0u32;
     let mut pinned_mem = 0u32;
@@ -395,45 +340,39 @@ fn localized_solve<'a>(
         return Ok(None);
     };
     let k = drifted.len() as u32;
-    if cpu_budget < config.search.min_units * k || mem_budget < config.search.min_units * k {
+    if cpu_budget < search.min_units * k || mem_budget < search.min_units * k {
         return Ok(None);
     }
 
-    let sub_problem = template.subset_problem(drifted)?;
-    let sub_profiles: Vec<WorkloadProfile> = drifted.iter().map(|&i| profiles[i]).collect();
-    // Subset cache keys never collide with full-problem keys: the key is
-    // the quantized profile vector and a subset is strictly shorter. Two
+    let sub: Vec<WorkloadProfile> = drifted.iter().map(|&i| profiles[i]).collect();
+    // Subset table keys never collide with full-solve keys: the key is the
+    // quantized profile vector and a subset is strictly shorter. Two
     // different subsets with the same quantized profiles soundly share a
-    // cache — cell costs depend only on the profile and the shares, never
+    // table — cell costs depend only on the profile and the shares, never
     // on the budgets.
-    let key: Vec<ProfileKey> = sub_profiles
-        .iter()
-        .map(|p| p.quantize(config.quantization_rel))
-        .collect();
-    let model = ProfileCostModel {
-        machine,
-        profiles: sub_profiles,
-    };
-    let sub_config = config.search.with_budgets(cpu_budget, mem_budget);
-    let rec = solve_cached(caches, key, config, sub_config, &sub_problem, &model)?;
+    let (solved, objective) = solve(
+        caches.entry(keys(&sub)).or_default(),
+        &search.with_budgets(cpu_budget, mem_budget),
+        drifted.len(),
+        |j, shares| price(machine, &sub[j], shares),
+    )?;
 
     let keep: f64 = drifted
         .iter()
-        .enumerate()
-        .map(|(j, &i)| model.cost(&sub_problem, j, current.row(i)))
+        .map(|&i| price(machine, &profiles[i], current.row(i)))
         .sum::<Result<f64, _>>()?;
     let mut rows: Vec<ResourceVector> = (0..n).map(|i| current.row(i)).collect();
     for (j, &i) in drifted.iter().enumerate() {
-        rows[i] = rec.allocation.row(j);
+        rows[i] = solved.row(j);
     }
-    Ok(Some((AllocationMatrix::new(rows)?, keep, rec.objective)))
+    Ok(Some((AllocationMatrix::new(rows)?, keep, objective)))
 }
 
-/// Looks for the best single-unit share transfer that improves the modeled
-/// cost of the current profiles enough to clear the switch gate — the
-/// quiet-epoch hill climb. Returns the candidate allocation and its
-/// reconfiguration cost, or `None` when no transfer passes (including when
-/// the current allocation is off the unit grid).
+/// Looks for the best single-unit share transfer that strictly improves
+/// the modeled cost of the current profiles — the quiet-epoch hill climb.
+/// Returns the candidate allocation with the current allocation's cost and
+/// the candidate's, or `None` when no transfer improves (including when
+/// the current allocation is off the unit grid); the caller gates it.
 ///
 /// The objective is separable: a candidate's cost is a sum of per-VM terms,
 /// and a transfer changes two of them. So each VM is priced on at most
@@ -444,15 +383,13 @@ fn localized_solve<'a>(
 /// whole-matrix enumeration visits them, so the same sums, the same winner
 /// and the same first error come out.
 fn hill_climb_move(
-    problem: &dbvirt_core::DesignProblem<'_>,
-    config: &ControllerConfig,
     machine: MachineSpec,
+    search: &SearchConfig,
     current: &AllocationMatrix,
     profiles: &[WorkloadProfile],
-    horizon: f64,
-) -> Result<Option<(AllocationMatrix, f64)>, ControllerError> {
-    let units = config.search.units;
-    let min = config.search.min_units;
+) -> Result<Option<(AllocationMatrix, f64, f64)>, ControllerError> {
+    let units = search.units;
+    let min = search.min_units;
     let n = current.num_workloads();
     let mut held = Vec::with_capacity(n);
     for i in 0..n {
@@ -464,13 +401,9 @@ fn hill_climb_move(
         };
         held.push([i64::from(c), i64::from(m)]);
     }
-    let model = ProfileCostModel {
-        machine,
-        profiles: profiles.to_vec(),
-    };
     let mut current_cost = 0.0;
-    for w in 0..n {
-        current_cost += model.cost(problem, w, current.row(w))?;
+    for (w, profile) in profiles.iter().enumerate() {
+        current_cost += price(machine, profile, current.row(w))?;
     }
 
     // The cell VM `i` contributes to the transfer `resource: donor ->
@@ -514,7 +447,7 @@ fn hill_climb_move(
                         Some(priced) => priced,
                         None => {
                             let row = rows[w][cell].expect("built just above");
-                            *costs[w][cell].insert(model.cost(problem, w, row)?)
+                            *costs[w][cell].insert(price(machine, &profiles[w], row)?)
                         }
                     };
                 }
@@ -534,55 +467,53 @@ fn hill_climb_move(
             .map(|i| rows[i][cell_of(i, donor, recipient, resource)].expect("the winner was built"))
             .collect(),
     )?;
-    let switch_cost =
-        switch_cost_seconds(machine, current, &candidate, config.switch_base_seconds)?;
-    Ok(clears_gate(config, current_cost, best_cost, horizon, switch_cost)
-        .then_some((candidate, switch_cost)))
+    Ok(Some((candidate, current_cost, best_cost)))
 }
 
 /// `[cpu, memory]` unit steps of the five rows the hill climb prices a VM
 /// on: where it is, CPU one unit down / up, memory one unit down / up.
 const CELL_STEPS: [[i64; 2]; 5] = [[0, 0], [-1, 0], [1, 0], [0, -1], [0, 1]];
 
-/// Prices an allocation under both sides of a predicted regime boundary:
-/// the sum of the outgoing and incoming regime-pure snapshot models. Over
-/// one alternation cycle a fixed allocation serves both phases, so the
-/// pair optimum is the allocation minimizing the cycle's total cost — for
-/// genuinely conflicting phases that is a compromise no single-phase
-/// solve would pick, and the one allocation that never needs switching
-/// away from while the alternation holds.
-struct PairCostModel {
-    outgoing: ProfileCostModel,
-    incoming: ProfileCostModel,
-}
+/// Page–Hinkley parameters of every VM's drift detector, on log reference
+/// seconds: ~5 % per-query wobble tolerated, fires on a 0.6 cumulative
+/// excursion, never within a VM's first 8 observations.
+pub(crate) const DRIFT: DriftConfig = DriftConfig {
+    delta: 0.05,
+    lambda: 0.6,
+    warmup: 8,
+};
+/// EWMA factor for the streaming statistics (weight of the newest
+/// observation).
+const EWMA_ALPHA: f64 = 0.25;
+/// Relative width of the profile-quantization buckets that key warm cost
+/// tables (see [`WorkloadProfile::quantize`]).
+const QUANTIZATION_REL: f64 = 0.2;
+/// Hysteresis: the predicted gain must additionally exceed this fraction
+/// of the keep-cost over the horizon before switching.
+const HYSTERESIS: f64 = 0.05;
+/// Fixed part of the reconfiguration cost (seconds of virtual time); the
+/// variable part is the refill time of every resized buffer pool. The
+/// regret oracle charges its switches the same way.
+pub(crate) const SWITCH_BASE_SECONDS: f64 = 0.25;
+/// How many epochs a new allocation is assumed to stay in force when
+/// amortizing the switch cost.
+const HORIZON_EPOCHS: usize = 8;
+/// Epochs of pure observation before the first (unconditional, uncharged)
+/// informed placement.
+const WARMUP_EPOCHS: usize = 2;
+/// Minimum epochs between consecutive decisions.
+const COOLDOWN_EPOCHS: usize = 2;
 
-impl CostModel for PairCostModel {
-    fn cost(
-        &self,
-        problem: &DesignProblem<'_>,
-        w_idx: usize,
-        shares: ResourceVector,
-    ) -> Result<f64, CoreError> {
-        Ok(self.outgoing.cost(problem, w_idx, shares)?
-            + self.incoming.cost(problem, w_idx, shares)?)
-    }
-}
-
-/// Runs the control loop over a scenario. `template` supplies the design
-/// problem's catalog/plan skeleton (one entry per scenario VM).
+/// Runs the control loop over a scenario. `template` must describe the
+/// scenario's machine and VM count.
 pub fn run_controller(
     scenario: &Scenario,
     template: &ProblemTemplate<'_>,
     config: &ControllerConfig,
 ) -> Result<ControllerOutcome, ControllerError> {
     scenario.validate()?;
-    config.validate()?;
+    template.check(scenario)?;
     let n = scenario.num_vms();
-    if template.vms.len() != n {
-        return Err(ControllerError::BadScenario {
-            reason: format!("template has {} VMs, scenario has {n}", template.vms.len()),
-        });
-    }
     let machine = scenario.machine;
     let mut run_span = telemetry::span("controller.run");
     run_span.set_attr("scenario", scenario.name.clone());
@@ -607,19 +538,18 @@ pub fn run_controller(
     };
 
     let mut stats: Vec<VmStats> = (0..n)
-        .map(|_| VmStats::new(config.ewma_alpha, machine, config.drift))
+        .map(|_| VmStats::new(EWMA_ALPHA, machine, DRIFT))
         .collect();
-    // Warm what-if caches, one per quantized profile vector: a recurring
+    // Warm what-if tables, one per quantized profile vector: a recurring
     // workload mix maps to the same key and re-solves against cells an
     // earlier decision already evaluated.
     let mut caches = Caches::new();
     // Pre-switch solves price pairs of regime-pure snapshot profiles, not
     // the blended EWMA estimate. Cached cell costs carry no model
-    // identity, so the two families must never share a cache — the pair
+    // identity, so the two families must never share a table — the pair
     // keys are twice the length of the reactive keys, which makes
     // collision impossible by construction.
     let mut snapshot_caches = Caches::new();
-    let problem = template.problem()?;
 
     let mut allocations = Vec::with_capacity(scenario.total_epochs());
     let mut epoch_costs = Vec::with_capacity(scenario.total_epochs());
@@ -691,7 +621,7 @@ pub fn run_controller(
         // silence is not evidence of a regime change.
         let snapshot_keys: Vec<Option<ProfileKey>> = snapshots
             .iter()
-            .map(|s| s.map(|p| p.quantize(config.quantization_rel)))
+            .map(|s| s.map(|p| p.quantize(QUANTIZATION_REL)))
             .collect();
         let regime_snapshot: Option<(Vec<ProfileKey>, Vec<WorkloadProfile>)> = snapshot_keys
             .iter()
@@ -701,8 +631,8 @@ pub fn run_controller(
             .map(|pairs| pairs.into_iter().unzip());
         let verdict = governor.observe_epoch(epoch, regime_snapshot);
 
-        let warmed = epoch + 1 >= config.warmup_epochs;
-        let cooled = last_decision_epoch.map_or(true, |d| epoch - d >= config.cooldown_epochs);
+        let warmed = epoch + 1 >= WARMUP_EPOCHS;
+        let cooled = last_decision_epoch.map_or(true, |d| epoch - d >= COOLDOWN_EPOCHS);
 
         // A confirmed pre-switch prediction explains this epoch's drift:
         // the controller already holds the successor regime's allocation,
@@ -733,7 +663,7 @@ pub fn run_controller(
             decide_span.set_attr("epoch", epoch);
             decisions += 1;
             TM_DECISIONS.add(1);
-            let horizon = governor.governed_horizon(epoch, config.horizon_epochs);
+            let horizon = governor.governed_horizon(epoch, HORIZON_EPOCHS);
 
             // When drift fired on a strict subset of (at least two) VMs,
             // re-solve only that subset with everyone else pinned.
@@ -743,7 +673,14 @@ pub fn run_controller(
                 && drifted_set.len() < n
             {
                 let current = &ledger.current;
-                localized_solve(template, config, current, profiles, &drifted_set, &mut caches)?
+                localized_solve(
+                    machine,
+                    &config.search,
+                    current,
+                    profiles,
+                    &drifted_set,
+                    &mut caches,
+                )?
             } else {
                 None
             };
@@ -755,27 +692,22 @@ pub fn run_controller(
                     result
                 }
                 None => {
-                    let key: Vec<ProfileKey> = profiles
-                        .iter()
-                        .map(|p| p.quantize(config.quantization_rel))
-                        .collect();
-                    let model = ProfileCostModel {
-                        machine,
-                        profiles: profiles.clone(),
-                    };
-                    let rec =
-                        solve_cached(&mut caches, key, config, config.search, &problem, &model)?;
+                    let (allocation, objective) = solve(
+                        caches.entry(keys(profiles)).or_default(),
+                        &config.search,
+                        n,
+                        |w, shares| price(machine, &profiles[w], shares),
+                    )?;
                     let keep: f64 = (0..n)
-                        .map(|w| model.cost(&problem, w, ledger.current.row(w)))
+                        .map(|w| price(machine, &profiles[w], ledger.current.row(w)))
                         .sum::<Result<f64, _>>()?;
-                    (rec.allocation, keep, rec.objective)
+                    (allocation, keep, objective)
                 }
             };
             if placement.is_none() {
                 // Initial informed placement: unconditional and uncharged
                 // (the run starts with VM creation either way, mirroring
-                // run_dynamic's phase 0 and keeping regret accounting
-                // apples-to-apples with the oracle's free placement).
+                // the regret oracle's free placement of phase 0).
                 placement = Some(candidate.clone());
                 ledger.current = candidate;
             } else if candidate != ledger.current {
@@ -783,11 +715,11 @@ pub fn run_controller(
                     machine,
                     &ledger.current,
                     &candidate,
-                    config.switch_base_seconds,
+                    SWITCH_BASE_SECONDS,
                 )?;
-                if clears_gate(config, keep_cost, objective, horizon, switch_cost) {
+                if clears_gate(keep_cost, objective, horizon, switch_cost) {
                     ledger.apply_switch(epoch, candidate, switch_cost)?;
-                } else if horizon < config.horizon_epochs as f64 {
+                } else if horizon < HORIZON_EPOCHS as f64 {
                     // The governor's shortened amortization window is what
                     // refused this switch.
                     governor_vetoes += 1;
@@ -814,52 +746,53 @@ pub fn run_controller(
                 snapshot_keys
                     .iter()
                     .zip(profiles)
-                    .all(|(key, p)| *key == Some(p.quantize(config.quantization_rel)))
+                    .all(|(key, p)| *key == Some(p.quantize(QUANTIZATION_REL)))
             });
             if let (true, Some(profiles)) = (quiescent, &profiles) {
-                let horizon = governor.governed_horizon(epoch, config.horizon_epochs);
+                let horizon = governor.governed_horizon(epoch, HORIZON_EPOCHS);
                 let current = &ledger.current;
-                if let Some((candidate, switch_cost)) =
-                    hill_climb_move(&problem, config, machine, current, profiles, horizon)?
+                if let Some((candidate, keep, objective)) =
+                    hill_climb_move(machine, &config.search, current, profiles)?
                 {
-                    ledger.apply_switch(epoch, candidate, switch_cost)?;
-                    hill_climb_moves += 1;
-                    TM_HILL_CLIMBS.add(1);
-                    last_decision_epoch = Some(epoch);
+                    let switch_cost =
+                        switch_cost_seconds(machine, current, &candidate, SWITCH_BASE_SECONDS)?;
+                    if clears_gate(keep, objective, horizon, switch_cost) {
+                        ledger.apply_switch(epoch, candidate, switch_cost)?;
+                        hill_climb_moves += 1;
+                        TM_HILL_CLIMBS.add(1);
+                        last_decision_epoch = Some(epoch);
+                    }
                 }
             }
         }
 
         // Predictive pre-switch: when the governor has learned that the
         // current regime flips next epoch and trusts the successor, solve
-        // for the whole alternation at once — candidates priced under the
-        // sum of the outgoing and incoming regime-pure snapshots — and
-        // apply the cycle optimum now, so the next phase starts already
+        // for the whole alternation at once — each cell priced as the sum
+        // of the outgoing and incoming regime-pure snapshots — and apply
+        // the cycle optimum now, so the next phase starts already
         // provisioned instead of paying detection lag, and the allocation
-        // keeps serving when the phase flips back.
+        // keeps serving when the phase flips back. Over one alternation
+        // cycle a fixed allocation serves both phases; for genuinely
+        // conflicting phases the cycle optimum is a compromise no
+        // single-phase solve would pick.
         if placement.is_some() {
             if let Some(p) =
-                governor.predicted_switch(epoch, scenario.total_epochs(), config.horizon_epochs)
+                governor.predicted_switch(epoch, scenario.total_epochs(), HORIZON_EPOCHS)
             {
-                let model = PairCostModel {
-                    outgoing: ProfileCostModel {
-                        machine,
-                        profiles: p.outgoing_profiles.clone(),
-                    },
-                    incoming: ProfileCostModel {
-                        machine,
-                        profiles: p.incoming_profiles.clone(),
-                    },
+                let pair = |w: usize, shares: ResourceVector| {
+                    Ok::<_, ControllerError>(
+                        price(machine, &p.outgoing_profiles[w], shares)?
+                            + price(machine, &p.incoming_profiles[w], shares)?,
+                    )
                 };
-                let rec = solve_cached(
-                    &mut snapshot_caches,
-                    p.pair_key.clone(),
-                    config,
-                    config.search,
-                    &problem,
-                    &model,
+                let (allocation, _) = solve(
+                    snapshot_caches.entry(p.pair_key.clone()).or_default(),
+                    &config.search,
+                    n,
+                    pair,
                 )?;
-                if rec.allocation == ledger.current {
+                if allocation == ledger.current {
                     // Already provisioned; just arm the prediction so the
                     // anticipated drift does not trigger a re-solve.
                     governor.note_preswitch(p.key);
@@ -867,26 +800,26 @@ pub fn run_controller(
                     // Pair costs cover one epoch of *each* regime; halve
                     // them so the gate compares per-epoch quantities over
                     // the cycle horizon. Both sides are priced directly
-                    // under the live pair model — the search's objective
-                    // may rest on cached cells from a within-bucket
-                    // neighbor, and a gate must never compare costs from
-                    // two different pricings.
+                    // under the live pair — the solve's objective may rest
+                    // on cached cells from a within-bucket neighbor, and a
+                    // gate must never compare costs from two different
+                    // pricings.
                     let keep: f64 = (0..n)
-                        .map(|w| model.cost(&problem, w, ledger.current.row(w)))
+                        .map(|w| pair(w, ledger.current.row(w)))
                         .sum::<Result<f64, _>>()?
                         / 2.0;
                     let objective: f64 = (0..n)
-                        .map(|w| model.cost(&problem, w, rec.allocation.row(w)))
+                        .map(|w| pair(w, allocation.row(w)))
                         .sum::<Result<f64, _>>()?
                         / 2.0;
                     let switch_cost = switch_cost_seconds(
                         machine,
                         &ledger.current,
-                        &rec.allocation,
-                        config.switch_base_seconds,
+                        &allocation,
+                        SWITCH_BASE_SECONDS,
                     )?;
-                    if clears_gate(config, keep, objective, p.horizon_epochs, switch_cost) {
-                        ledger.apply_switch(epoch, rec.allocation, switch_cost)?;
+                    if clears_gate(keep, objective, p.horizon_epochs, switch_cost) {
+                        ledger.apply_switch(epoch, allocation, switch_cost)?;
                         prescheduled += 1;
                         TM_PRESWITCHES.add(1);
                         governor.note_preswitch(p.key);
@@ -939,8 +872,8 @@ mod tests {
     use crate::profile::{cpu_heavy, io_heavy};
     use crate::testkit::{template, tiny_db};
 
-    fn config(parallelism: usize) -> ControllerConfig {
-        ControllerConfig::new(SearchConfig::for_workloads(8, 2).with_parallelism(parallelism))
+    fn config() -> ControllerConfig {
+        ControllerConfig::new(SearchConfig::for_workloads(8, 2))
     }
 
     fn stationary() -> Scenario {
@@ -969,7 +902,7 @@ mod tests {
     fn stationary_scenario_places_once_and_never_switches() {
         let db = tiny_db();
         let template = template(&db, 2, MachineSpec::tiny());
-        let out = run_controller(&stationary(), &template, &config(1)).unwrap();
+        let out = run_controller(&stationary(), &template, &config()).unwrap();
         assert_eq!(out.allocations.len(), 16);
         assert!(out.placement.is_some(), "warmup must end in a placement");
         assert!(out.switches.is_empty(), "no drift, no reconfiguration");
@@ -983,7 +916,7 @@ mod tests {
     fn drifting_scenario_triggers_a_reallocation_after_the_flip() {
         let db = tiny_db();
         let template = template(&db, 2, MachineSpec::tiny());
-        let out = run_controller(&drifting(), &template, &config(1)).unwrap();
+        let out = run_controller(&drifting(), &template, &config()).unwrap();
         assert!(
             !out.switches.is_empty(),
             "the phase flip must trigger a switch (drift detections: {})",
@@ -1001,20 +934,14 @@ mod tests {
     }
 
     #[test]
-    fn decision_trace_is_bit_identical_at_every_parallelism() {
+    fn decision_trace_is_bit_identical_across_reruns() {
         let db = tiny_db();
         let template = template(&db, 2, MachineSpec::tiny());
-        let base = run_controller(&drifting(), &template, &config(1)).unwrap();
-        for parallelism in [2, 4, 0] {
-            let out = run_controller(&drifting(), &template, &config(parallelism)).unwrap();
-            assert_eq!(
-                out.trace_fingerprint(),
-                base.trace_fingerprint(),
-                "trace diverged at parallelism {parallelism}"
-            );
-            assert_eq!(out.total_cost.to_bits(), base.total_cost.to_bits());
-            assert_eq!(out.final_time, base.final_time);
-        }
+        let base = run_controller(&drifting(), &template, &config()).unwrap();
+        let out = run_controller(&drifting(), &template, &config()).unwrap();
+        assert_eq!(out.trace_fingerprint(), base.trace_fingerprint());
+        assert_eq!(out.total_cost.to_bits(), base.total_cost.to_bits());
+        assert_eq!(out.final_time, base.final_time);
     }
 
     #[test]
@@ -1056,7 +983,7 @@ mod tests {
         // No phases at all.
         let empty = Scenario::new("empty", machine, vec![], 1);
         assert!(matches!(
-            run_controller(&empty, &template, &config(1)),
+            run_controller(&empty, &template, &config()),
             Err(ControllerError::BadScenario { .. })
         ));
         // A phase that contributes zero epochs.
@@ -1070,7 +997,7 @@ mod tests {
             1,
         );
         assert!(matches!(
-            run_controller(&zero, &template, &config(1)),
+            run_controller(&zero, &template, &config()),
             Err(ControllerError::BadScenario { .. })
         ));
         // A phase with no VMs.
@@ -1084,7 +1011,7 @@ mod tests {
             1,
         );
         assert!(matches!(
-            run_controller(&no_vms, &template, &config(1)),
+            run_controller(&no_vms, &template, &config()),
             Err(ControllerError::BadScenario { .. })
         ));
     }
@@ -1102,7 +1029,7 @@ mod tests {
             NoiseModel::sensor_degraded(1.0, 0.0, 0, 0.0),
             3,
         ));
-        let out = run_controller(&scenario, &template, &config(1)).unwrap();
+        let out = run_controller(&scenario, &template, &config()).unwrap();
         assert_eq!(out.allocations.len(), scenario.total_epochs());
         assert!(
             out.placement.is_none(),
@@ -1120,40 +1047,29 @@ mod tests {
     }
 
     #[test]
-    fn invalid_configs_are_rejected() {
+    fn a_template_for_another_machine_or_vm_count_is_refused() {
         let db = tiny_db();
-        let template = template(&db, 2, MachineSpec::tiny());
-        let mut bad = config(1);
-        bad.ewma_alpha = 0.0;
-        assert!(run_controller(&stationary(), &template, &bad).is_err());
-        let mut bad = config(1);
-        bad.hysteresis = f64::NAN;
-        assert!(run_controller(&stationary(), &template, &bad).is_err());
-        let mut bad = config(1);
-        bad.horizon_epochs = 0;
-        assert!(run_controller(&stationary(), &template, &bad).is_err());
-        // Template/scenario VM-count mismatch.
-        let template1 = template_of_one(&db);
-        assert!(run_controller(&stationary(), &template1, &config(1)).is_err());
-    }
-
-    fn template_of_one(db: &dbvirt_engine::Database) -> ProblemTemplate<'_> {
-        template(db, 1, MachineSpec::tiny())
+        let other = MachineSpec::paper_testbed();
+        for template in [template(&db, 2, other), template(&db, 1, MachineSpec::tiny())] {
+            let refused = run_controller(&stationary(), &template, &config());
+            assert!(
+                matches!(refused, Err(ControllerError::BadScenario { .. })),
+                "{refused:?}"
+            );
+        }
     }
 
     /// The whole-matrix enumeration, the oracle of
     /// [`hill_climb_matches_the_whole_matrix_enumeration`]: every transfer
     /// builds all `n` rows and prices all `n` of them.
     fn hill_climb_move_enumerated(
-        problem: &dbvirt_core::DesignProblem<'_>,
-        config: &ControllerConfig,
         machine: MachineSpec,
+        search: &SearchConfig,
         current: &AllocationMatrix,
         profiles: &[WorkloadProfile],
-        horizon: f64,
-    ) -> Result<Option<(AllocationMatrix, f64)>, ControllerError> {
-        let units = config.search.units;
-        let min = config.search.min_units;
+    ) -> Result<Option<(AllocationMatrix, f64, f64)>, ControllerError> {
+        let units = search.units;
+        let min = search.min_units;
         let n = current.num_workloads();
         let mut cpu = Vec::with_capacity(n);
         let mut mem = Vec::with_capacity(n);
@@ -1167,10 +1083,6 @@ mod tests {
             cpu.push(c);
             mem.push(m);
         }
-        let model = ProfileCostModel {
-            machine,
-            profiles: profiles.to_vec(),
-        };
         let row = |c: u32, m: u32, disk: f64| -> Result<ResourceVector, ControllerError> {
             Ok(ResourceVector::from_fractions(
                 c as f64 / units as f64,
@@ -1181,7 +1093,7 @@ mod tests {
         let cost_of = |rows: &[ResourceVector]| -> Result<f64, ControllerError> {
             let mut total = 0.0;
             for (w, r) in rows.iter().enumerate() {
-                total += model.cost(problem, w, *r)?;
+                total += price(machine, &profiles[w], *r)?;
             }
             Ok(total)
         };
@@ -1226,32 +1138,19 @@ mod tests {
         let Some((best_cost, rows)) = best else {
             return Ok(None);
         };
-        let candidate = AllocationMatrix::new(rows)?;
-        let switch_cost =
-            switch_cost_seconds(machine, current, &candidate, config.switch_base_seconds)?;
-        Ok(clears_gate(config, current_cost, best_cost, horizon, switch_cost)
-            .then_some((candidate, switch_cost)))
+        Ok(Some((AllocationMatrix::new(rows)?, current_cost, best_cost)))
     }
 
     #[test]
     fn hill_climb_matches_the_whole_matrix_enumeration() {
         use dbvirt_vmm::kernel::SplitMix64;
-        let db = tiny_db();
         let machine = MachineSpec::tiny();
         let mut rng = SplitMix64(0x5eed);
         let mut unit = move || (rng.next() >> 11) as f64 / (1u64 << 53) as f64;
         let (mut moved, mut held, mut tied) = (0, 0, 0);
         for case in 0..256usize {
             let n = 2 + case % 7;
-            let template = template(&db, n, machine);
-            let problem = template.problem().unwrap();
-            let mut cfg = ControllerConfig::new(SearchConfig::for_workloads(12, n));
-            // Half the cases make switching nearly free, so the gate opens
-            // and the winners themselves are compared.
-            if case % 2 == 0 {
-                cfg.hysteresis = 0.0;
-                cfg.switch_base_seconds = 1e-6;
-            }
+            let search = SearchConfig::for_workloads(12, n);
             // A few distinct profiles dealt over the VMs: VMs sharing a
             // profile and a row make transfers that tie to the bit.
             let distinct = 1 + case % 3;
@@ -1261,9 +1160,9 @@ mod tests {
             let profiles: Vec<WorkloadProfile> = (0..n).map(|i| pool[i % distinct]).collect();
             // An on-lattice allocation: everyone at `min_units`, the rest of
             // each budget dealt at random (so donors at the floor are common).
-            let mut units = vec![[cfg.search.min_units; 2]; n];
+            let mut units = vec![[search.min_units; 2]; n];
             for resource in [0, 1] {
-                for _ in 0..12 - n as u32 * cfg.search.min_units {
+                for _ in 0..12 - n as u32 * search.min_units {
                     units[(unit() * n as f64) as usize % n][resource] += 1;
                 }
             }
@@ -1274,22 +1173,20 @@ mod tests {
                         ResourceVector::from_fractions(
                             *c as f64 / 12.0,
                             *m as f64 / 12.0,
-                            cfg.search.disk_share,
+                            search.disk_share,
                         )
                         .unwrap()
                     })
                     .collect(),
             )
             .unwrap();
-            let horizon = 1.0 + (unit() * 64.0).floor();
-            let bits = |r: Option<(AllocationMatrix, f64)>| r.map(|(a, c)| (a, c.to_bits()));
-            let fast =
-                bits(hill_climb_move(&problem, &cfg, machine, &current, &profiles, horizon).unwrap());
-            let slow = bits(
-                hill_climb_move_enumerated(&problem, &cfg, machine, &current, &profiles, horizon)
-                    .unwrap(),
-            );
-            assert_eq!(fast, slow, "case {case}: n={n} units={units:?} horizon={horizon}");
+            let bits = |r: Option<(AllocationMatrix, f64, f64)>| {
+                r.map(|(a, keep, cost)| (a, keep.to_bits(), cost.to_bits()))
+            };
+            let fast = bits(hill_climb_move(machine, &search, &current, &profiles).unwrap());
+            let slow =
+                bits(hill_climb_move_enumerated(machine, &search, &current, &profiles).unwrap());
+            assert_eq!(fast, slow, "case {case}: n={n} units={units:?}");
             match &fast {
                 Some(_) => moved += 1,
                 None => held += 1,
@@ -1299,25 +1196,22 @@ mod tests {
             });
             tied += usize::from(twins && fast.is_some());
         }
-        assert!(moved >= 32 && held >= 32, "{moved} moved, {held} held");
+        // Ungated, every case with an improving transfer compares the
+        // winners themselves; a few random allocations are local optima.
+        assert!(moved >= 128 && held >= 1, "{moved} moved, {held} held");
         assert!(tied >= 8, "only {tied} winners were picked among tied transfers");
 
         // An allocation off the unit lattice is `None` from both.
-        let template = template(&db, 2, machine);
-        let problem = template.problem().unwrap();
-        let cfg = config(1);
+        let search = config().search;
         let off = AllocationMatrix::new(vec![
             ResourceVector::from_fractions(0.3, 0.5, 0.5).unwrap(),
             ResourceVector::from_fractions(0.7, 0.5, 0.5).unwrap(),
         ])
         .unwrap();
         let profiles = [cpu_heavy(), io_heavy()];
-        assert!(hill_climb_move(&problem, &cfg, machine, &off, &profiles, 8.0)
-            .unwrap()
-            .is_none());
-        assert!(hill_climb_move_enumerated(&problem, &cfg, machine, &off, &profiles, 8.0)
-            .unwrap()
-            .is_none());
+        assert!(hill_climb_move(machine, &search, &off, &profiles).unwrap().is_none());
+        let slow = hill_climb_move_enumerated(machine, &search, &off, &profiles).unwrap();
+        assert!(slow.is_none());
     }
 
     #[test]
@@ -1395,7 +1289,7 @@ mod tests {
             6,
             11,
         );
-        let out = run_controller(&scenario, &template, &config(1)).unwrap();
+        let out = run_controller(&scenario, &template, &config()).unwrap();
         let h = &out.health;
         assert_eq!(h.prediction_misses, 0, "a clean alternation never refutes");
         assert!(

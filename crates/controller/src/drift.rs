@@ -8,8 +8,6 @@
 //! exceeds a threshold `lambda`; `delta` is the magnitude of change the
 //! test tolerates without firing, which suppresses per-query noise.
 
-use crate::ControllerError;
-
 /// Page–Hinkley parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
@@ -21,33 +19,6 @@ pub struct DriftConfig {
     /// Number of observations before the test may fire (lets the running
     /// mean settle).
     pub warmup: u64,
-}
-
-impl Default for DriftConfig {
-    fn default() -> DriftConfig {
-        DriftConfig {
-            delta: 0.05,
-            lambda: 0.6,
-            warmup: 8,
-        }
-    }
-}
-
-impl DriftConfig {
-    /// Validates the parameters.
-    pub fn validate(&self) -> Result<(), ControllerError> {
-        if !(self.delta.is_finite() && self.delta >= 0.0) {
-            return Err(ControllerError::BadConfig {
-                reason: format!("drift delta must be finite and >= 0, got {}", self.delta),
-            });
-        }
-        if !(self.lambda.is_finite() && self.lambda > 0.0) {
-            return Err(ControllerError::BadConfig {
-                reason: format!("drift lambda must be finite and > 0, got {}", self.lambda),
-            });
-        }
-        Ok(())
-    }
 }
 
 /// Streaming two-sided Page–Hinkley detector.
@@ -253,28 +224,5 @@ mod tests {
             assert!(!d.observe(f64::NEG_INFINITY));
         }
         assert_eq!(d.count(), 0);
-    }
-
-    #[test]
-    fn config_validation_rejects_nonsense() {
-        assert!(DriftConfig {
-            delta: -0.1,
-            ..DriftConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(DriftConfig {
-            lambda: 0.0,
-            ..DriftConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(DriftConfig {
-            lambda: f64::NAN,
-            ..DriftConfig::default()
-        }
-        .validate()
-        .is_err());
-        assert!(DriftConfig::default().validate().is_ok());
     }
 }

@@ -17,18 +17,17 @@
 //!   detector on a whole-machine reference cost stream;
 //! * [`run_controller`] — the discrete-event control loop: simulate each
 //!   epoch under the allocation in force, absorb observations, and on
-//!   detected drift re-solve via warm-started
-//!   [`dbvirt_core::search::run_search_cached`], applying the new
+//!   detected drift re-solve with [`dbvirt_core::search::solve_dp`] over
+//!   warm cost tables keyed by the quantized profiles, applying the new
 //!   allocation only when the predicted benefit clears hysteresis plus a
 //!   modeled reconfiguration cost charged in virtual time;
-//! * [`account_regret`] — replays the identical stream under the
-//!   clairvoyant per-phase optimum and a never-reconfigure baseline, and
-//!   reports cumulative-cost regret, switch counts, and
-//!   time-in-suboptimal-allocation.
+//! * [`account_regret`] — solves each distinct phase once on the same DP,
+//!   replays the identical stream under that clairvoyant per-phase optimum
+//!   and a never-reconfigure baseline, and reports cumulative-cost regret,
+//!   switch counts, and time-in-suboptimal-allocation.
 //!
 //! Everything is deterministic: identical `(scenario, config)` pairs
-//! produce bit-identical decision traces at every search `parallelism`
-//! setting.
+//! produce bit-identical decision traces.
 
 mod controller;
 mod drift;
@@ -48,19 +47,16 @@ pub use drift::{DriftConfig, PageHinkley};
 pub use error::ControllerError;
 pub use governor::{EpochVerdict, PredictedSwitch, SwitchGovernor, TRUST_CLOSINGS};
 pub use health::ControllerHealth;
-pub use profile::{
-    profile_from_queries, PhasedProfileModel, ProblemTemplate, ProfileCostModel, ProfileKey,
-    VmTemplate, WorkloadProfile,
-};
+pub use profile::{profile_from_queries, ProblemTemplate, ProfileKey, VmTemplate, WorkloadProfile};
 pub use regret::{account_regret, RegretReport};
 pub use scenario::{Scenario, ScenarioPhase, VmEpoch};
 pub use stats::{QueryObservation, VmStats};
 
 #[cfg(test)]
 pub(crate) mod testkit {
-    //! A minimal catalog skeleton for end-to-end tests. The profile cost
-    //! models never plan or execute these queries; the template only has
-    //! to satisfy the design problem's shape requirements.
+    //! A minimal catalog skeleton for end-to-end tests. The controller
+    //! never plans or executes these queries; it only checks the
+    //! template's machine and VM count.
 
     use crate::{ProblemTemplate, VmTemplate};
     use dbvirt_engine::Database;

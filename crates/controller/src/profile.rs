@@ -11,12 +11,10 @@
 //! working-set cache model: a buffer pool of `p` pages serving a working
 //! set of `w` pages hits with probability `min(p / w, 1)`.
 
-use crate::ControllerError;
-use dbvirt_core::{CoreError, CostModel, DesignProblem, WorkloadSpec};
+use crate::{ControllerError, Scenario};
 use dbvirt_engine::Database;
 use dbvirt_optimizer::LogicalPlan;
 use dbvirt_vmm::{MachineSpec, ResourceDemand, ResourceVector, VirtualMachine};
-use std::collections::BTreeMap;
 
 /// Per-query resource profile of one VM's workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -189,63 +187,9 @@ impl WorkloadProfile {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProfileKey(pub [i64; 8]);
 
-/// A [`CostModel`] that prices workloads from profiles by index: workload
-/// `i` of the problem is priced as `profiles[i].epoch_seconds` under the
-/// candidate shares. Weight-independent, as the cache contract requires.
-#[derive(Debug, Clone)]
-pub struct ProfileCostModel {
-    /// The physical machine.
-    pub machine: MachineSpec,
-    /// One profile per workload, aligned with the problem's workloads.
-    pub profiles: Vec<WorkloadProfile>,
-}
-
-impl CostModel for ProfileCostModel {
-    fn cost(
-        &self,
-        problem: &DesignProblem<'_>,
-        w_idx: usize,
-        shares: ResourceVector,
-    ) -> Result<f64, CoreError> {
-        debug_assert_eq!(problem.num_workloads(), self.profiles.len());
-        let vm = VirtualMachine::new(self.machine, shares)?;
-        Ok(self.profiles[w_idx].epoch_seconds(&vm))
-    }
-}
-
-/// A [`CostModel`] that prices workloads from profiles *by workload name*.
-/// The regret oracle builds one [`DesignProblem`] per phase whose workload
-/// names encode the phase's profile ordinal (see
-/// [`ProblemTemplate::phase_problem`]); this model dispatches on those
-/// names, so one model serves the whole timeline.
-#[derive(Debug, Clone)]
-pub struct PhasedProfileModel {
-    /// The physical machine.
-    pub machine: MachineSpec,
-    /// Profile for each phase-qualified workload name (`"vm@ordinal"`).
-    pub by_name: BTreeMap<String, WorkloadProfile>,
-}
-
-impl CostModel for PhasedProfileModel {
-    fn cost(
-        &self,
-        problem: &DesignProblem<'_>,
-        w_idx: usize,
-        shares: ResourceVector,
-    ) -> Result<f64, CoreError> {
-        let name = &problem.workloads[w_idx].name;
-        let profile = self.by_name.get(name).ok_or_else(|| CoreError::BadProblem {
-            reason: format!("no profile registered for workload {name}"),
-        })?;
-        let vm = VirtualMachine::new(self.machine, shares)?;
-        Ok(profile.epoch_seconds(&vm))
-    }
-}
-
 /// Identity of one persistent VM: a name plus the catalog/plan skeleton a
-/// [`DesignProblem`] requires. The profile cost models never execute or
-/// re-plan these queries — the skeleton only satisfies the problem
-/// statement's shape (and, for phase problems, encodes phase identity).
+/// static design problem would carry. The controller prices profiles in
+/// closed form and never reads the skeleton.
 #[derive(Debug)]
 pub struct VmTemplate<'a> {
     /// VM display name.
@@ -265,60 +209,23 @@ pub struct ProblemTemplate<'a> {
     pub vms: Vec<VmTemplate<'a>>,
 }
 
-impl<'a> ProblemTemplate<'a> {
-    /// The design-problem skeleton the controller re-solves at every
-    /// decision (profiles supply the costs; this supplies the shape).
-    pub fn problem(&self) -> Result<DesignProblem<'a>, CoreError> {
-        DesignProblem::new(
-            self.machine,
-            self.vms
-                .iter()
-                .map(|vm| WorkloadSpec::new(vm.name.clone(), vm.db, vec![vm.base_query.clone()]))
-                .collect(),
-        )
-    }
-
-    /// The design-problem skeleton restricted to a subset of VMs, in the
-    /// given order — the shape of a localized re-solve, where only the
-    /// drifted VMs' shares are searched and everyone else stays pinned.
-    pub fn subset_problem(&self, vms: &[usize]) -> Result<DesignProblem<'a>, CoreError> {
-        DesignProblem::new(
-            self.machine,
-            vms.iter()
-                .map(|&i| {
-                    let vm = &self.vms[i];
-                    WorkloadSpec::new(vm.name.clone(), vm.db, vec![vm.base_query.clone()])
-                })
-                .collect(),
-        )
-    }
-
-    /// A phase-qualified problem for the clairvoyant oracle. The phase's
-    /// profile `ordinal` is encoded in the workload identity twice over:
-    /// in the name (`"{vm}@{ordinal}"`, which [`PhasedProfileModel`]
-    /// dispatches on) and in the query count (`ordinal + 1` copies of the
-    /// base plan). The latter matters for cache soundness:
-    /// [`dbvirt_core::dynamic::run_dynamic`] shares one warm cost cache
-    /// across phases whose machine, databases, and *queries* compare
-    /// equal — under a profile-keyed model two phases with different
-    /// profiles must therefore present unequal query lists, or phase 0's
-    /// cached cells would silently misprice later phases. Repeated
-    /// occurrences of the same ordinal compare equal and soundly share
-    /// warm entries.
-    pub fn phase_problem(&self, ordinal: usize) -> Result<DesignProblem<'a>, CoreError> {
-        DesignProblem::new(
-            self.machine,
-            self.vms
-                .iter()
-                .map(|vm| {
-                    WorkloadSpec::new(
-                        format!("{}@{ordinal}", vm.name),
-                        vm.db,
-                        vec![vm.base_query.clone(); ordinal + 1],
-                    )
-                })
-                .collect(),
-        )
+impl ProblemTemplate<'_> {
+    /// Refuses a template that does not describe `scenario`'s machine and
+    /// VM count — every price is taken on the scenario's machine, so a
+    /// template for another one would describe a run that never happens.
+    pub(crate) fn check(&self, scenario: &Scenario) -> Result<(), ControllerError> {
+        if self.machine != scenario.machine || self.vms.len() != scenario.num_vms() {
+            return Err(ControllerError::BadScenario {
+                reason: format!(
+                    "template has {} VMs on {:?}, scenario has {} on {:?}",
+                    self.vms.len(),
+                    self.machine,
+                    scenario.num_vms(),
+                    scenario.machine
+                ),
+            });
+        }
+        Ok(())
     }
 }
 

@@ -1,21 +1,26 @@
 //! Regret accounting: how far from clairvoyant did the controller land?
 //!
-//! The controller only *observes* drift after the fact; the offline
-//! [`run_dynamic`] controller in `dbvirt-core` is told the phase sequence
-//! up front. Replaying the exact same query stream under the oracle's
-//! per-phase allocations (and under a never-reconfigure baseline) through
-//! the same fluid simulator turns that information gap into a number:
-//! cumulative-cost regret, switch counts, and time spent in a suboptimal
-//! allocation.
+//! The controller only *observes* drift after the fact; the oracle is told
+//! the phase sequence up front. It solves each distinct phase once with the
+//! controller's own DP over the true profiles and walks the phases with
+//! [`dbvirt_core::dynamic::run_dynamic`]'s rule: phase 0 placed for free, a
+//! later phase switches to its optimum when that beats keeping the
+//! allocation in force by more than the base switch charge. Replaying the
+//! exact same query stream under the oracle's per-phase allocations (and
+//! under a never-reconfigure baseline) through the same fluid simulator
+//! turns that information gap into a number: cumulative-cost regret,
+//! switch counts, and time spent in a suboptimal allocation.
 
-use crate::controller::{pool_pages, switch_cost_seconds, ControllerConfig, ControllerOutcome};
-use crate::profile::{PhasedProfileModel, ProblemTemplate};
+use crate::controller::{
+    pool_pages, price, solve, switch_cost_seconds, ControllerConfig, ControllerOutcome,
+    SWITCH_BASE_SECONDS,
+};
+use crate::profile::ProblemTemplate;
 use crate::scenario::Scenario;
 use crate::ControllerError;
-use dbvirt_core::dynamic::{run_dynamic, DynamicTimeline, ReconfigPolicy};
+use dbvirt_core::search::CostCache;
 use dbvirt_vmm::sched::{co_schedule, SchedMode};
 use dbvirt_vmm::AllocationMatrix;
-use std::collections::BTreeMap;
 
 /// The regret ledger for one controller run.
 #[derive(Debug, Clone)]
@@ -58,7 +63,6 @@ pub struct RegretReport {
 fn replay(
     scenario: &Scenario,
     by_epoch: &[&AllocationMatrix],
-    base_seconds: f64,
     ran: &ControllerOutcome,
 ) -> Result<(f64, usize), ControllerError> {
     let machine = scenario.machine;
@@ -68,7 +72,7 @@ fn replay(
     for (epoch, allocation) in by_epoch.iter().enumerate() {
         if let Some(p) = prev {
             if p != *allocation {
-                total += switch_cost_seconds(machine, p, allocation, base_seconds)?;
+                total += switch_cost_seconds(machine, p, allocation, SWITCH_BASE_SECONDS)?;
                 switches += 1;
             }
         }
@@ -89,6 +93,7 @@ fn replay(
 
 /// Accounts a controller run against the clairvoyant per-phase optimum and
 /// the never-reconfigure baseline, on the identical query stream.
+/// `template` must describe the scenario's machine and VM count, and
 /// `outcome` must be what [`crate::run_controller`] returned for this
 /// `scenario`: its per-epoch allocations and costs are read as the record
 /// of the stream, one of each per epoch.
@@ -99,6 +104,7 @@ pub fn account_regret(
     outcome: &ControllerOutcome,
 ) -> Result<RegretReport, ControllerError> {
     scenario.validate()?;
+    template.check(scenario)?;
     for (what, len) in [
         ("allocations", outcome.allocations.len()),
         ("epoch costs", outcome.epoch_costs.len()),
@@ -112,47 +118,46 @@ pub fn account_regret(
             });
         }
     }
-    let ordinals = scenario.phase_ordinals();
+    let (machine, n) = (scenario.machine, scenario.num_vms());
 
-    // The oracle knows the true profiles; hand them to the offline
-    // controller as a phase timeline. Workload names encode the profile
-    // ordinal, which both dispatches the cost model and keeps warm-cache
-    // sharing sound across phases (see ProblemTemplate::phase_problem).
-    let mut by_name = BTreeMap::new();
-    for (phase, &ordinal) in scenario.phases.iter().zip(&ordinals) {
-        for (vm, profile) in template.vms.iter().zip(&phase.profiles) {
-            by_name.insert(format!("{}@{ordinal}", vm.name), *profile);
-        }
+    // The oracle knows the true profiles. Phases of one ordinal compare
+    // equal; like `run_dynamic`'s name map, the last one's profiles stand
+    // for them.
+    let ordinals = scenario.phase_ordinals();
+    let distinct = ordinals.iter().max().map_or(0, |k| k + 1);
+    let mut truth = vec![&scenario.phases[0].profiles; distinct];
+    for (phase, &k) in scenario.phases.iter().zip(&ordinals) {
+        truth[k] = &phase.profiles;
     }
-    let model = PhasedProfileModel {
-        machine: scenario.machine,
-        by_name,
-    };
-    let phases = ordinals
-        .iter()
-        .map(|&k| template.phase_problem(k))
+    let optima = (truth.iter())
+        .map(|profiles| {
+            solve(&CostCache::new(), &config.search, n, |w, shares| {
+                price(machine, &profiles[w], shares)
+            })
+        })
         .collect::<Result<Vec<_>, _>>()?;
-    let timeline = DynamicTimeline::new(phases)?;
-    let policy = ReconfigPolicy {
-        algorithm: config.algorithm,
-        config: config.search,
-        switch_overhead_seconds: config.switch_base_seconds,
-        min_relative_gain: 0.0,
-    };
-    let oracle = run_dynamic(&timeline, &model, policy)?;
-    let oracle_allocations: Vec<AllocationMatrix> = oracle
-        .phases
-        .iter()
-        .map(|p| p.allocation.clone())
-        .collect();
+    let mut in_force = optima[ordinals[0]].0.clone();
+    let mut oracle_allocations = Vec::with_capacity(ordinals.len());
+    for (phase, &k) in ordinals.iter().enumerate() {
+        let (optimum, objective) = &optima[k];
+        if phase > 0 {
+            let keep: f64 = (0..n)
+                .map(|w| price(machine, &truth[k][w], in_force.row(w)))
+                .sum::<Result<f64, _>>()?;
+            // `run_dynamic`'s gate at a `min_relative_gain` of 0.
+            if keep - objective - SWITCH_BASE_SECONDS > 0.0 * keep {
+                in_force = optimum.clone();
+            }
+        }
+        oracle_allocations.push(in_force.clone());
+    }
 
     // Replay the oracle's trajectory and the never-reconfigure baseline
     // through the same simulator the controller ran under.
     let oracle_by_epoch: Vec<&AllocationMatrix> = (0..scenario.total_epochs())
         .map(|e| &oracle_allocations[scenario.phase_of_epoch(e)])
         .collect();
-    let (oracle_cost, oracle_switches) =
-        replay(scenario, &oracle_by_epoch, config.switch_base_seconds, outcome)?;
+    let (oracle_cost, oracle_switches) = replay(scenario, &oracle_by_epoch, outcome)?;
 
     let held = outcome
         .placement
@@ -160,8 +165,7 @@ pub fn account_regret(
         .unwrap_or(&outcome.initial_allocation);
     let never_by_epoch: Vec<&AllocationMatrix> =
         (0..scenario.total_epochs()).map(|_| held).collect();
-    let (never_cost, _) =
-        replay(scenario, &never_by_epoch, config.switch_base_seconds, outcome)?;
+    let (never_cost, _) = replay(scenario, &never_by_epoch, outcome)?;
 
     let mut suboptimal_epochs = 0usize;
     let mut suboptimal_seconds = 0.0;
@@ -277,6 +281,21 @@ mod tests {
             11,
         );
         assert!(account_regret(&shorter, &template, &config(), &out).is_err());
+    }
+
+    #[test]
+    fn a_template_for_another_machine_or_vm_count_is_refused() {
+        let db = tiny_db();
+        let tiny = template(&db, 2, MachineSpec::tiny());
+        let out = run_controller(&drifting(), &tiny, &config()).unwrap();
+        let other = MachineSpec::paper_testbed();
+        for template in [template(&db, 2, other), template(&db, 3, MachineSpec::tiny())] {
+            let refused = account_regret(&drifting(), &template, &config(), &out);
+            assert!(
+                matches!(refused, Err(ControllerError::BadScenario { .. })),
+                "{refused:?}"
+            );
+        }
     }
 
     #[test]

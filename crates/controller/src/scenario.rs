@@ -420,9 +420,8 @@ impl Scenario {
 
     /// Per-phase profile ordinals: the first phase presenting a given
     /// profile vector defines its ordinal, and later identical phases
-    /// reuse it. The regret oracle encodes these ordinals into its phase
-    /// problems so recurring phases share warm cost caches (see
-    /// [`crate::profile::ProblemTemplate::phase_problem`]).
+    /// reuse it. The regret oracle solves each ordinal once, however often
+    /// its phase recurs.
     pub fn phase_ordinals(&self) -> Vec<usize> {
         let mut seen: Vec<&Vec<WorkloadProfile>> = Vec::new();
         self.phases

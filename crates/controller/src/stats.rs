@@ -267,7 +267,7 @@ mod tests {
     }
 
     fn stats() -> VmStats {
-        VmStats::new(0.25, MachineSpec::tiny(), DriftConfig::default())
+        VmStats::new(0.25, MachineSpec::tiny(), crate::controller::DRIFT)
     }
 
     #[test]

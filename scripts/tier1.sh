@@ -82,6 +82,15 @@ if [[ "$files" != "fluid.rs multi.rs reference.rs walk.rs " ]]; then
   exit 1
 fi
 
+# One allocation kernel: the controller solves on `solve_dp` straight over
+# its profile-keyed tables. A design problem, a cost model, a `run_search*`
+# call or `core::dynamic` in its library code would be a fabricated problem
+# around the same DP.
+if lib_code | grep -E '^crates/controller/src/' | grep -E 'DesignProblem|CostModel|run_search|dynamic::'; then
+  echo "FAIL: the controller reaches the DP through a design problem instead of solve_dp" >&2
+  exit 1
+fi
+
 cargo test -q
 
 # `cargo test` never builds the `harness = false` Criterion benches, so an

@@ -10,9 +10,11 @@
 //! cell the same plus the fit's residual bits, or the typed error.
 //! `tests/golden/calibration_bits.txt` was captured from the commit *before*
 //! calibration stopped executing the probe suite once per memory
-//! configuration (`CALIBRATION_GOLDEN_REGENERATE=1` rewrites it): replaying
+//! configuration (`GOLDEN_REGENERATE=1` rewrites it): replaying
 //! one execution's page references must price every cell exactly as
 //! executing under the cell's own buffer pool and `work_mem` did.
+
+mod common;
 
 use dbvirt::calibrate::runner::calibrate_with_config;
 use dbvirt::calibrate::{CalibrationConfig, CalibrationGrid, CalibrationReport, ProbeDb};
@@ -164,14 +166,5 @@ fn render() -> String {
 
 #[test]
 fn every_grid_and_cell_calibrates_to_the_committed_bits() {
-    let actual = render();
-    if std::env::var_os("CALIBRATION_GOLDEN_REGENERATE").is_some() {
-        std::fs::write(GOLDEN, &actual).expect("write golden");
-        return;
-    }
-    let golden = include_str!("golden/calibration_bits.txt");
-    for (a, g) in actual.lines().zip(golden.lines()) {
-        assert_eq!(a, g);
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count());
+    common::assert_golden(GOLDEN, &render());
 }

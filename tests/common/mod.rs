@@ -1,4 +1,5 @@
-//! Fixtures shared by the golden tests.
+//! Fixtures shared by the golden tests. Each test crate uses a subset.
+#![allow(dead_code)]
 
 /// The eight lookup statement shapes of `perf/src/gen.rs`, with fixed
 /// literals inside the key spaces of a scale-0.005 database.
@@ -13,3 +14,21 @@ pub const LOOKUPS: [&str; 8] = [
     "SELECT l_orderkey, l_partkey, l_quantity FROM lineitem \
      WHERE l_partkey = 555 AND l_quantity = 24",
 ];
+
+/// Compares `actual` with the golden file at `path` (relative to the
+/// package root) line by line, failing at the first line that differs and
+/// then on a differing line count. With `GOLDEN_REGENERATE` set it writes
+/// `actual` to the file instead.
+pub fn assert_golden(path: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(path);
+    if std::env::var_os("GOLDEN_REGENERATE").is_some() {
+        std::fs::write(&path, actual).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden file");
+    for (line, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(a, g, "{}:{} differs", path.display(), line + 1);
+    }
+    let (a, g) = (actual.lines().count(), golden.lines().count());
+    assert_eq!(a, g, "{} has {g} lines, the run {a}", path.display());
+}

@@ -6,10 +6,12 @@
 //! `tests/golden/controller_bits.txt` was captured from the commit *before*
 //! capped co-scheduling became a per-VM walk, the hill climb a five-cell
 //! table and the regret replays a reuse of the controller's own epochs
-//! (`CONTROLLER_GOLDEN_REGENERATE=1` rewrites it). `CONTROLLER_REGRET`
+//! (`GOLDEN_REGENERATE=1` rewrites it). `CONTROLLER_REGRET`
 //! lines carry four decimals; here the oracle and never-reconfigure costs
 //! are pinned to the bit, next to the decision-trace fingerprint and every
 //! health counter.
+
+mod common;
 
 use dbvirt::sql::parse_query;
 use dbvirt::tpch::{TpchConfig, TpchDb, TpchQuery};
@@ -185,14 +187,5 @@ pub fn render() -> String {
 
 #[test]
 fn every_scenario_answers_the_committed_bits() {
-    let actual = render();
-    if std::env::var_os("CONTROLLER_GOLDEN_REGENERATE").is_some() {
-        std::fs::write(GOLDEN, &actual).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN).expect("golden file");
-    for (a, g) in actual.lines().zip(golden.lines()) {
-        assert_eq!(a, g);
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count());
+    common::assert_golden(GOLDEN, &render());
 }

@@ -20,7 +20,7 @@
 //! [`Profile::demand_under`] answers the rest.
 //!
 //! To re-capture after an intended change to the virtual clock:
-//! `ENGINE_GOLDEN_REGENERATE=1 cargo test --test engine_golden`.
+//! `GOLDEN_REGENERATE=1 cargo test --test engine_golden`.
 
 mod common;
 
@@ -458,20 +458,7 @@ fn render(via: Via) -> String {
 
 #[test]
 fn every_plan_charges_and_returns_the_committed_bits() {
-    let actual = render(Via::Execution);
-    if std::env::var_os("ENGINE_GOLDEN_REGENERATE").is_some() {
-        std::fs::write(GOLDEN, &actual).expect("write golden");
-        return;
-    }
-    assert_golden(&actual);
-}
-
-fn assert_golden(actual: &str) {
-    let golden = include_str!("golden/engine_demand_bits.txt");
-    for (a, g) in actual.lines().zip(golden.lines()) {
-        assert_eq!(a, g);
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count());
+    common::assert_golden(GOLDEN, &render(Via::Execution));
 }
 
 /// Memory is accounting: two executions per case on a carrier pool answer
@@ -479,5 +466,5 @@ fn assert_golden(actual: &str) {
 /// fitting `work_mem`, the warm run after the cold one — to the bit.
 #[test]
 fn one_profile_per_plan_replays_to_the_committed_bits() {
-    assert_golden(&render(Via::Replay));
+    common::assert_golden(GOLDEN, &render(Via::Replay));
 }

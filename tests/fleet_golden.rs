@@ -5,9 +5,11 @@
 //! `tests/golden/fleet_bits.txt` was captured from the commit *before* the
 //! DP became a table-driven kernel shared by `dbvirt-core` and
 //! `dbvirt-fleet` (this file copied there and run with
-//! `FLEET_GOLDEN_REGENERATE=1`). A change that moves one unit of one
+//! `GOLDEN_REGENERATE=1`). A change that moves one unit of one
 //! assignment, one bit of one objective or LP bound, one evaluation, one
 //! local-search step, one solve or one memo hit fails here.
+
+mod common;
 
 use dbvirt::calibrate::CalibrationGrid;
 use dbvirt::core::search::{run_search, SearchAlgorithm, SearchConfig};
@@ -251,14 +253,5 @@ pub fn render() -> String {
 
 #[test]
 fn dp_and_placements_answer_the_committed_bits() {
-    let actual = render();
-    if std::env::var_os("FLEET_GOLDEN_REGENERATE").is_some() {
-        std::fs::write(GOLDEN, &actual).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN).expect("golden file");
-    for (a, g) in actual.lines().zip(golden.lines()) {
-        assert_eq!(a, g);
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count());
+    common::assert_golden(GOLDEN, &render());
 }

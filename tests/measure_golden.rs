@@ -16,9 +16,11 @@
 //! allocation × query the bits of `measure_query_warm`.
 //! `tests/golden/measure_bits.txt` was captured from the commit *before* the
 //! oracle stopped executing every query of a workload under every
-//! configuration (`MEASURE_GOLDEN_REGENERATE=1` rewrites it): executing each
+//! configuration (`GOLDEN_REGENERATE=1` rewrites it): executing each
 //! distinct plan once and replaying its page references must answer exactly
 //! what the per-query execution over one shared pool did.
+
+mod common;
 
 use dbvirt::core::measure::{
     measure_concurrent_seconds, measure_workload_seconds, workload_demands,
@@ -239,20 +241,12 @@ fn render() -> String {
 #[test]
 fn every_measurement_answers_the_committed_bits() {
     let actual = render();
-    if std::env::var_os("MEASURE_GOLDEN_REGENERATE").is_some() {
-        std::fs::write(GOLDEN, &actual).expect("write golden");
-        return;
-    }
-    let golden = include_str!("golden/measure_bits.txt");
-    for (a, g) in actual.lines().zip(golden.lines()) {
-        assert_eq!(a, g);
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count());
+    common::assert_golden(GOLDEN, &actual);
     // The file must hold what it claims to: the wide tenant's three sorts
     // spill under every share of the small machine, and on the testbed under
     // the one share small enough.
     let spilled = |machine: &str| {
-        let wide = golden.lines().filter(|l| l.starts_with(machine) && l.contains(" wide["));
+        let wide = actual.lines().filter(|l| l.starts_with(machine) && l.contains(" wide["));
         wide.filter(|l| !l.contains(" warm ") && !l.ends_with("writes=0")).count()
     };
     assert_eq!((spilled("small"), spilled("paper")), (3 * ALLOCATIONS.len(), 3));

@@ -156,10 +156,5 @@ pub fn render() -> String {
 
 #[test]
 fn every_statement_prices_and_plans_to_the_committed_bits() {
-    let actual = render();
-    let golden = include_str!("golden/planner_bits.txt");
-    for (a, g) in actual.lines().zip(golden.lines()) {
-        assert_eq!(a, g);
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count());
+    common::assert_golden("tests/golden/planner_bits.txt", &render());
 }

@@ -4,7 +4,7 @@
 //!
 //! `tests/golden/sched_wc_bits.txt` was captured from the commit *before*
 //! the event-driven loop and its calendar queue were deleted (this file
-//! run there with `SCHED_WC_GOLDEN_REGENERATE=1`), when work-conserving
+//! run there with `GOLDEN_REGENERATE=1`), when work-conserving
 //! `co_schedule` was that loop. Work-conserving now has one
 //! implementation, so this file — not a second implementation — is what
 //! holds it: a change that moves one completion by a microsecond, batches
@@ -13,6 +13,8 @@
 //! configurations, captured earlier still) is replayed too, so both modes
 //! of that sweep are pinned by `cargo test` and not only by the replay
 //! gate.
+
+mod common;
 
 use dbvirt::vmm::kernel::SplitMix64;
 use dbvirt::vmm::sched::{
@@ -181,16 +183,7 @@ fn render() -> String {
 
 #[test]
 fn every_work_conserving_fleet_completes_at_the_committed_bits() {
-    let actual = render();
-    if std::env::var_os("SCHED_WC_GOLDEN_REGENERATE").is_some() {
-        std::fs::write(GOLDEN, &actual).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN).expect("golden file");
-    for (a, g) in actual.lines().zip(golden.lines()) {
-        assert_eq!(a, g);
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count());
+    common::assert_golden(GOLDEN, &render());
 }
 
 /// The 48 `SCHED_FINGERPRINT` lines of `ext_sched`, from `co_schedule` and

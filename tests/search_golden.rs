@@ -7,7 +7,7 @@
 //! `tests/golden/search_bits.txt` was captured from the commit *before* the
 //! sharded hash memo, the fleet's VM-sharded store and the design tier's
 //! key-punned cache became one dense write-once table
-//! (`SEARCH_GOLDEN_REGENERATE=1` rewrites it). `fleet_bits.txt` pins the DP
+//! (`GOLDEN_REGENERATE=1` rewrites it). `fleet_bits.txt` pins the DP
 //! and the placement ladder; this file pins everything else that reads a
 //! cost cell: a change that moves one share, one bit of one objective or
 //! per-workload cost, one evaluation, one phase decision, one chosen index
@@ -459,14 +459,5 @@ pub fn render() -> String {
 
 #[test]
 fn every_search_path_answers_the_committed_bits() {
-    let actual = render();
-    if std::env::var_os("SEARCH_GOLDEN_REGENERATE").is_some() {
-        std::fs::write(GOLDEN, &actual).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(GOLDEN).expect("golden file");
-    for (a, g) in actual.lines().zip(golden.lines()) {
-        assert_eq!(a, g);
-    }
-    assert_eq!(actual.lines().count(), golden.lines().count());
+    common::assert_golden(GOLDEN, &render());
 }
