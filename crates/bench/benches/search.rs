@@ -1,8 +1,7 @@
 //! Search-algorithm benchmarks. The synthetic (instant) cost model
-//! isolates enumeration overhead; the calibrated what-if group measures
-//! the serial-vs-parallel evaluation speedup on a real model, where each
-//! cell re-optimizes a TPC-H workload — the EXT-SEARCH experiment covers
-//! solution *quality*.
+//! isolates enumeration overhead; the calibrated what-if bench prices a
+//! cold DP on a real model, where each cell re-prices a TPC-H workload —
+//! the EXT-SEARCH experiment covers solution *quality*.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbvirt_bench::experiment_machine;
@@ -105,10 +104,9 @@ fn bench_dp_kernel(c: &mut Criterion) {
     });
 }
 
-/// Serial vs parallel what-if evaluation on the calibrated model: every
-/// run starts from a cold cache, so DP pays for its full cost table and
-/// the parallel precompute's speedup is visible end to end.
-fn bench_parallel_whatif(c: &mut Criterion) {
+/// A cold DP on the calibrated model: every run starts from a cold cache,
+/// so it pays for its full cost table.
+fn bench_whatif_dp(c: &mut Criterion) {
     let machine = experiment_machine();
     let t = TpchDb::generate(TpchConfig::experiment()).expect("tpch generation");
     let advisor =
@@ -125,27 +123,20 @@ fn bench_parallel_whatif(c: &mut Criterion) {
     )
     .expect("problem");
 
-    for (label, parallelism) in [("serial", 1usize), ("parallel", 0)] {
-        let config = advisor.config().with_parallelism(parallelism);
-        c.bench_function(&format!("search/whatif_dp_{label}"), |b| {
-            b.iter(|| {
-                let rec = run_search(
-                    SearchAlgorithm::DynamicProgramming,
-                    &problem,
-                    &model,
-                    config,
-                )
-                .unwrap();
-                black_box(rec.total_cost);
-            });
+    let config = advisor.config();
+    c.bench_function("search/whatif_dp", |b| {
+        b.iter(|| {
+            let rec = run_search(
+                SearchAlgorithm::DynamicProgramming,
+                &problem,
+                &model,
+                config,
+            )
+            .unwrap();
+            black_box(rec.total_cost);
         });
-    }
+    });
 }
 
-criterion_group!(
-    benches,
-    bench_search,
-    bench_dp_kernel,
-    bench_parallel_whatif
-);
+criterion_group!(benches, bench_search, bench_dp_kernel, bench_whatif_dp);
 criterion_main!(benches);

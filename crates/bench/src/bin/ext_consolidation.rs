@@ -9,9 +9,7 @@
 //! the recommended shares (the validation side of the paper's
 //! methodology).
 
-use dbvirt_bench::{
-    cache_counters, experiment_machine, print_table, report_parallel_speedup, write_bench_artifact,
-};
+use dbvirt_bench::{cache_counters, experiment_machine, print_table, write_bench_artifact};
 use dbvirt_calibrate::json::Json;
 use dbvirt_core::measure::measure_workload_seconds;
 use dbvirt_core::{
@@ -101,15 +99,6 @@ fn main() {
         "Fleet degenerate check OK: M=1 placement == advisor recommendation (bit-exact), \
          LP-certified within {:.1}%.",
         fleet_report.optimality_gap * 100.0
-    );
-
-    println!("\nSerial vs parallel what-if evaluation (cold caches each run):");
-    report_parallel_speedup(
-        "EXT-CONSOL",
-        SearchAlgorithm::DynamicProgramming,
-        &problem,
-        &model,
-        advisor.config(),
     );
 
     let equal_share = Share::new(1.0 / n as f64).expect("share");

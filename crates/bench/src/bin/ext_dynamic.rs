@@ -109,35 +109,6 @@ fn main() {
          gracefully to the static day-optimal placement."
     );
 
-    // Serial vs parallel what-if evaluation across the whole timeline
-    // (both runs also share warm caches across repeated phases).
-    println!("\nSerial vs parallel timeline re-solve:");
-    let t0 = std::time::Instant::now();
-    let serial = run_dynamic(&timeline, &model, policy).expect("serial dynamic run");
-    let serial_s = t0.elapsed().as_secs_f64();
-    let parallel_policy = ReconfigPolicy {
-        config: policy.config.with_parallelism(0),
-        ..policy
-    };
-    let t1 = std::time::Instant::now();
-    let parallel = run_dynamic(&timeline, &model, parallel_policy).expect("parallel dynamic run");
-    let parallel_s = t1.elapsed().as_secs_f64();
-    assert_eq!(
-        serial.total_cost.to_bits(),
-        parallel.total_cost.to_bits(),
-        "parallel controller must book the serial total"
-    );
-    assert_eq!(serial.reconfigurations, parallel.reconfigurations);
-    println!(
-        "  EXT-DYNAMIC [{}]: serial {:.3}s vs parallel {:.3}s ({} workers) = {:.2}x, \
-         identical decisions and totals",
-        policy.algorithm.name(),
-        serial_s,
-        parallel_s,
-        dbvirt_vmm::kernel::workers_for(parallel_policy.config.parallelism, usize::MAX),
-        serial_s / parallel_s,
-    );
-
     let phase_objs: Vec<Json> = out
         .phases
         .iter()
@@ -183,8 +154,6 @@ fn main() {
                 f64::NAN
             }),
         ),
-        ("serial_resolve_secs", Json::Num(serial_s)),
-        ("parallel_resolve_secs", Json::Num(parallel_s)),
     ]);
     write_bench_artifact("BENCH_dynamic.json", &bench.pretty());
 }

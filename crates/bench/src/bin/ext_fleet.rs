@@ -299,7 +299,6 @@ fn assert_m1_matches_core_dp(
         units: cfg.units,
         disk_share: cfg.disk_share,
         min_units: cfg.min_units,
-        parallelism: 1,
         cpu_budget: cfg.units,
         mem_budget: cfg.units,
     };

@@ -7,9 +7,7 @@
 //! workload vs a CPU-bound Q13 workload), comparing solution quality and
 //! the number of distinct what-if cost evaluations each needs.
 
-use dbvirt_bench::{
-    cache_counters, experiment_machine, print_table, report_parallel_speedup, write_bench_artifact,
-};
+use dbvirt_bench::{cache_counters, experiment_machine, print_table, write_bench_artifact};
 use dbvirt_calibrate::json::Json;
 use dbvirt_core::measure::measure_workload_seconds;
 use dbvirt_core::{
@@ -142,15 +140,6 @@ fn main() {
         ],
         &rows,
     );
-    println!("\nSerial vs parallel what-if evaluation (cold caches each run):");
-    for alg in [
-        SearchAlgorithm::Exhaustive,
-        SearchAlgorithm::Greedy,
-        SearchAlgorithm::DynamicProgramming,
-    ] {
-        report_parallel_speedup("EXT-SEARCH", alg, &problem, &model, advisor.config());
-    }
-
     println!(
         "\nShape check: DP and exhaustive agree on the optimum ({optimum:.3}s) and their \
          allocation wins on *measured* time too; greedy uses far fewer evaluations but can \

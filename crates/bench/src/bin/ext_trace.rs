@@ -1,9 +1,9 @@
 //! EXT-TRACE — the telemetry end-to-end exercise and CI smoke gate.
 //!
 //! Runs a representative (small) consolidation scenario with global
-//! telemetry enabled — calibrate an advisor, recommend an allocation with
-//! parallel what-if evaluation, then validate one workload through the
-//! measured oracle — and writes both exporter artifacts:
+//! telemetry enabled — calibrate an advisor, recommend an allocation, then
+//! validate one workload through the measured oracle — and writes both
+//! exporter artifacts:
 //!
 //! * `TRACE_dump.json` — the self-contained JSON snapshot dump;
 //! * `TRACE_chrome.json` — the Chrome `chrome://tracing` / Perfetto
@@ -42,9 +42,7 @@ fn main() {
     let n = 3;
     let units = 10;
     println!("Calibrating the advisor grid ({units} units, {n} workloads) ...");
-    let advisor = VirtualizationAdvisor::calibrate(machine, n, units)
-        .expect("advisor calibration")
-        .with_parallelism(2);
+    let advisor = VirtualizationAdvisor::calibrate(machine, n, units).expect("advisor calibration");
 
     let mixes: Vec<Workload> = vec![
         Workload::compose(&t, &[(TpchQuery::Q4, 1)]),
@@ -60,9 +58,9 @@ fn main() {
     )
     .expect("problem");
 
-    println!("Recommending (DP, 2 evaluation workers) ...");
-    // Warm-up recommend: absorbs one-time lazy initialization (thread
-    // spawn-up, telemetry cell registration) so the coverage check below
+    println!("Recommending (DP) ...");
+    // Warm-up recommend: absorbs one-time lazy initialization (telemetry
+    // cell registration, the workloads' analysis) so the coverage check below
     // runs against a steady-state root span. The coverage check uses the
     // *last* `advisor.recommend` span.
     let warmup = advisor

@@ -30,8 +30,7 @@
 #![warn(missing_docs)]
 
 use dbvirt_core::measure::workload_demands;
-use dbvirt_core::search::run_search;
-use dbvirt_core::{CoreError, CostModel, DesignProblem, SearchAlgorithm, SearchConfig};
+use dbvirt_core::CoreError;
 use dbvirt_engine::Database;
 use dbvirt_optimizer::LogicalPlan;
 use dbvirt_vmm::kernel::{Fnv1a, SplitMix64};
@@ -129,51 +128,6 @@ pub fn measure_query_warm(
     let pair = [query.clone(), query.clone()];
     let demands = workload_demands(db, &pair, machine, shares)?;
     Ok(vm.demand_seconds(&demands[1]))
-}
-
-/// Runs `algorithm` on `problem` twice — serially and with one evaluation
-/// worker per core — from cold caches, checks the two recommendations are
-/// identical to the bit, and prints the wall-clock comparison.
-pub fn report_parallel_speedup(
-    label: &str,
-    algorithm: SearchAlgorithm,
-    problem: &DesignProblem<'_>,
-    model: &dyn CostModel,
-    config: SearchConfig,
-) {
-    let t0 = std::time::Instant::now();
-    let serial = run_search(algorithm, problem, model, config.with_parallelism(1))
-        .expect("serial search");
-    let serial_s = t0.elapsed().as_secs_f64();
-    let parallel_cfg = config.with_parallelism(0);
-    let t1 = std::time::Instant::now();
-    let parallel =
-        run_search(algorithm, problem, model, parallel_cfg).expect("parallel search");
-    let parallel_s = t1.elapsed().as_secs_f64();
-    assert_eq!(
-        serial.objective.to_bits(),
-        parallel.objective.to_bits(),
-        "parallel search must return the serial objective"
-    );
-    assert_eq!(
-        serial.evaluations, parallel.evaluations,
-        "parallel search must perform the serial evaluation count"
-    );
-    assert_eq!(
-        serial.allocation.to_string(),
-        parallel.allocation.to_string(),
-        "parallel search must return the serial allocation"
-    );
-    println!(
-        "  {label} [{}]: serial {:.3}s vs parallel {:.3}s ({} workers) = {:.2}x, \
-         identical recommendation ({} evaluations each)",
-        algorithm.name(),
-        serial_s,
-        parallel_s,
-        dbvirt_vmm::kernel::workers_for(parallel_cfg.parallelism, usize::MAX),
-        serial_s / parallel_s,
-        serial.evaluations,
-    );
 }
 
 /// Renders a fixed-width table to stdout.

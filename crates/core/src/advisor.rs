@@ -150,15 +150,6 @@ impl VirtualizationAdvisor {
         }
     }
 
-    /// Returns the advisor with the search's parallelism knob set (`1` =
-    /// serial, `0` = one evaluation worker per available core). The
-    /// recommendation is identical at every setting; only wall-clock
-    /// changes.
-    pub fn with_parallelism(mut self, parallelism: usize) -> VirtualizationAdvisor {
-        self.config.parallelism = parallelism;
-        self
-    }
-
     /// The machine this advisor serves.
     pub fn machine(&self) -> &MachineSpec {
         &self.machine

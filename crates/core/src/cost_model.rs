@@ -9,12 +9,11 @@ use dbvirt_vmm::ResourceVector;
 /// The production implementation is [`CalibratedCostModel`]; tests swap in
 /// synthetic models to exercise the search algorithms in isolation.
 ///
-/// Implementations must be `Sync`: the search's parallel what-if
-/// evaluator prices allocation cells from several threads against one
-/// shared model. They must also be pure functions of
-/// `(workload databases and queries, machine, shares)` — in particular
-/// independent of workload *weights*, which the evaluator applies on top —
-/// so cached cell costs can be reused across searches.
+/// Implementations must be `Sync`: the fleet pre-warm prices allocation
+/// cells from several threads against one shared model. They must also be
+/// pure functions of `(workload databases and queries, machine, shares)` —
+/// in particular independent of workload *weights*, which the search
+/// applies on top — so cached cell costs can be reused across searches.
 pub trait CostModel: Sync {
     /// Estimated cost (seconds) of workload `w_idx` under `shares`.
     fn cost(

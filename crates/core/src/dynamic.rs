@@ -30,31 +30,38 @@ pub struct DynamicTimeline<'a> {
 impl<'a> DynamicTimeline<'a> {
     /// Creates a timeline, validating phase alignment.
     pub fn new(phases: Vec<DesignProblem<'a>>) -> Result<DynamicTimeline<'a>, CoreError> {
-        let Some(first) = phases.first() else {
+        let timeline = DynamicTimeline { phases };
+        timeline.validate()?;
+        Ok(timeline)
+    }
+
+    /// At least one phase, and every phase over the same number of
+    /// workloads. `phases` is public, so [`run_dynamic`] checks this again
+    /// for a timeline that was built without [`DynamicTimeline::new`].
+    fn validate(&self) -> Result<(), CoreError> {
+        let Some(first) = self.phases.first() else {
             return Err(CoreError::BadProblem {
                 reason: "a timeline needs at least one phase".to_string(),
             });
         };
         let n = first.num_workloads();
-        if phases.iter().any(|p| p.num_workloads() != n) {
+        if self.phases.iter().any(|p| p.num_workloads() != n) {
             return Err(CoreError::BadProblem {
                 reason: "every phase must have the same number of workloads".to_string(),
             });
         }
-        Ok(DynamicTimeline { phases })
+        Ok(())
     }
 
-    /// Number of persistent VMs.
+    /// Number of persistent VMs (0 for a timeline with no phases).
     pub fn num_workloads(&self) -> usize {
-        self.phases[0].num_workloads()
+        self.phases.first().map_or(0, DesignProblem::num_workloads)
     }
 }
 
-/// Controller policy.
+/// Controller policy. Every phase is solved by the exact DP.
 #[derive(Debug, Clone, Copy)]
 pub struct ReconfigPolicy {
-    /// Search algorithm used at each phase boundary.
-    pub algorithm: SearchAlgorithm,
     /// Share discretization (as in the static search).
     pub config: SearchConfig,
     /// Wall-clock seconds one reconfiguration costs (VM resize + cache
@@ -67,10 +74,9 @@ pub struct ReconfigPolicy {
 }
 
 impl ReconfigPolicy {
-    /// A reasonable default: DP search, 5% hysteresis, 1 s overhead.
+    /// A reasonable default: 5% hysteresis, 1 s overhead.
     pub fn new(config: SearchConfig) -> ReconfigPolicy {
         ReconfigPolicy {
-            algorithm: SearchAlgorithm::DynamicProgramming,
             config,
             switch_overhead_seconds: 1.0,
             min_relative_gain: 0.05,
@@ -129,13 +135,28 @@ fn phase_cost(
         .sum()
 }
 
-/// Runs the reconfiguration controller over a timeline.
+/// Runs the reconfiguration controller over a timeline. A timeline with
+/// no phases or misaligned phases, and a non-finite overhead or gain
+/// threshold (under which no comparison could ever switch), are
+/// [`CoreError::BadProblem`].
 pub fn run_dynamic(
     timeline: &DynamicTimeline<'_>,
     model: &dyn CostModel,
     policy: ReconfigPolicy,
 ) -> Result<DynamicOutcome, CoreError> {
+    timeline.validate()?;
+    for (name, value) in [
+        ("switch_overhead_seconds", policy.switch_overhead_seconds),
+        ("min_relative_gain", policy.min_relative_gain),
+    ] {
+        if !value.is_finite() {
+            return Err(CoreError::BadProblem {
+                reason: format!("{name} {value} is not finite"),
+            });
+        }
+    }
     let n = timeline.num_workloads();
+    let dp = SearchAlgorithm::DynamicProgramming;
 
     // Baseline allocations.
     let equal = AllocationMatrix::new(
@@ -158,13 +179,7 @@ pub fn run_dynamic(
     let base_cache = Arc::new(CostCache::new());
 
     // Phase 0: initial placement (not counted as a reconfiguration).
-    let first_rec = run_search_cached(
-        policy.algorithm,
-        &timeline.phases[0],
-        model,
-        policy.config,
-        &base_cache,
-    )?;
+    let first_rec = run_search_cached(dp, &timeline.phases[0], model, policy.config, &base_cache)?;
     let mut current = first_rec.allocation.clone();
 
     let mut phases = Vec::with_capacity(timeline.phases.len());
@@ -186,7 +201,7 @@ pub fn run_dynamic(
             } else {
                 Arc::new(CostCache::new())
             };
-            let rec = run_search_cached(policy.algorithm, problem, model, policy.config, &cache)?;
+            let rec = run_search_cached(dp, problem, model, policy.config, &cache)?;
             let gain = keep_cost - rec.objective - policy.switch_overhead_seconds;
             if gain > policy.min_relative_gain * keep_cost {
                 reconfigurations += 1;
@@ -317,6 +332,42 @@ mod tests {
         assert!(DynamicTimeline::new(vec![]).is_err());
     }
 
+    /// `phases` is public, so a struct literal skips `new`'s checks:
+    /// `run_dynamic` must refuse such a timeline, and a NaN threshold
+    /// (which would silently never switch), with a typed error rather
+    /// than an index out of bounds.
+    #[test]
+    fn unchecked_timelines_and_non_finite_policies_are_refused() {
+        let db = dummy_db();
+        let model = SyntheticModel {
+            weights: vec![(1.0, 1.0); 3],
+        };
+        let policy = ReconfigPolicy::new(SearchConfig::for_workloads(8, 2));
+        let refused = |timeline: &DynamicTimeline<'_>, policy| {
+            matches!(
+                run_dynamic(timeline, &model, policy),
+                Err(CoreError::BadProblem { .. })
+            )
+        };
+        let empty = DynamicTimeline { phases: vec![] };
+        assert_eq!(empty.num_workloads(), 0);
+        assert!(refused(&empty, policy));
+        let misaligned = DynamicTimeline {
+            phases: vec![dummy_problem(&db, 2), dummy_problem(&db, 3)],
+        };
+        assert!(refused(&misaligned, policy));
+
+        let aligned = DynamicTimeline::new(vec![dummy_problem(&db, 2)]).unwrap();
+        for (overhead, gain) in [(f64::NAN, 0.05), (1.0, f64::NAN), (f64::INFINITY, 0.05)] {
+            let policy = ReconfigPolicy {
+                switch_overhead_seconds: overhead,
+                min_relative_gain: gain,
+                ..policy
+            };
+            assert!(refused(&aligned, policy), "{overhead} {gain}");
+        }
+    }
+
     #[test]
     fn huge_overhead_pins_the_first_allocation() {
         let db = dummy_db();
@@ -415,7 +466,6 @@ mod tests {
             timeline_phases[1].workloads[1].weight = 10.0;
             let timeline = DynamicTimeline::new(timeline_phases).unwrap();
             let policy = ReconfigPolicy {
-                algorithm: SearchAlgorithm::DynamicProgramming,
                 config,
                 switch_overhead_seconds: overhead,
                 min_relative_gain: gain,

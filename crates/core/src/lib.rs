@@ -50,6 +50,4 @@ pub use advisor::{TelemetrySummary, VirtualizationAdvisor};
 pub use cost_model::{CalibratedCostModel, CostModel};
 pub use error::CoreError;
 pub use problem::{DesignProblem, WorkloadSpec};
-pub use search::{
-    CostCache, ParallelEvaluator, Recommendation, SearchAlgorithm, SearchConfig,
-};
+pub use search::{CostCache, Recommendation, SearchAlgorithm, SearchConfig};

@@ -16,11 +16,11 @@
 //!
 //! [`solve`] is the only DP in the workspace: it prices the weighted cost
 //! of every cell the recursion can touch once into dense tables —
-//! [`super::run_search`] through its [`ParallelEvaluator`], the fleet tier
+//! [`super::run_search`] through its memoizing closure, the fleet tier
 //! from its warm per-VM tables — and relaxes over those, so a
 //! single-machine fleet and the core search agree by construction.
 
-use super::{CellKey, ParallelEvaluator, SearchConfig, UnitAssignment};
+use super::{CellKey, SearchConfig};
 use crate::CoreError;
 
 /// The optimum of one DP solve (the default is the solution of nothing:
@@ -47,7 +47,7 @@ fn cell_rect(cfg: &SearchConfig, n: usize) -> [(u32, u32); 2] {
 
 /// Every cell of every workload's [`cell_rect`], in `(w, cpu, mem)` order:
 /// the exact set, and order, [`solve`] prices.
-pub(super) fn table_cells(cfg: &SearchConfig, n: usize) -> impl Iterator<Item = CellKey> {
+fn table_cells(cfg: &SearchConfig, n: usize) -> impl Iterator<Item = CellKey> {
     let [cpu, mem] = cell_rect(cfg, n);
     (0..n).flat_map(move |w| {
         (cpu.0..=cpu.1).flat_map(move |c| (mem.0..=mem.1).map(move |m| (w, c, m)))
@@ -134,9 +134,4 @@ pub fn solve<E: From<CoreError>>(
         assignment,
         objective,
     })
-}
-
-pub(super) fn search(eval: &ParallelEvaluator<'_, '_>) -> Result<UnitAssignment, CoreError> {
-    let n = eval.problem.num_workloads();
-    Ok(solve(n, &eval.config, |w, c, m| eval.cost(w, c, m))?.assignment)
 }

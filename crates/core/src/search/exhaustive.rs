@@ -4,7 +4,7 @@
 //! baseline for the EXT-SEARCH experiment): every composition of the CPU
 //! units crossed with every composition of the memory units.
 
-use super::{ParallelEvaluator, UnitAssignment};
+use super::{total, SearchConfig, UnitAssignment};
 use crate::CoreError;
 
 /// Generates all compositions of `total` units into `n` parts, each at
@@ -33,10 +33,13 @@ fn compositions(total: u32, n: usize, min: u32) -> Vec<Vec<u32>> {
     out
 }
 
-/// Searches every candidate; returns the cheapest.
-pub(super) fn search(eval: &ParallelEvaluator<'_, '_>) -> Result<UnitAssignment, CoreError> {
-    let n = eval.problem.num_workloads();
-    let cfg = eval.config;
+/// Searches every candidate for `n` workloads under `cfg`, pricing cells
+/// through `cost` (the weighted cost of a cell); returns the cheapest.
+pub(super) fn search(
+    n: usize,
+    cfg: &SearchConfig,
+    cost: &impl Fn(usize, u32, u32) -> Result<f64, CoreError>,
+) -> Result<UnitAssignment, CoreError> {
     let cpu_splits = compositions(cfg.cpu_budget, n, cfg.min_units);
     let mem_splits = compositions(cfg.mem_budget, n, cfg.min_units);
 
@@ -44,10 +47,9 @@ pub(super) fn search(eval: &ParallelEvaluator<'_, '_>) -> Result<UnitAssignment,
     for cpu in &cpu_splits {
         for mem in &mem_splits {
             let assignment: UnitAssignment = cpu.iter().copied().zip(mem.iter().copied()).collect();
-            let cost = eval.total(&assignment)?;
-            let better = best.as_ref().is_none_or(|(b, _)| cost < *b);
-            if better {
-                best = Some((cost, assignment));
+            let candidate_cost = total(&assignment, cost)?;
+            if best.as_ref().is_none_or(|(b, _)| candidate_cost < *b) {
+                best = Some((candidate_cost, assignment));
             }
         }
     }

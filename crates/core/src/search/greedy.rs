@@ -6,9 +6,8 @@
 //! cost. This is exactly the manual reasoning in the paper's Section 6
 //! ("take CPU away from Q4 and give it to Q13"), automated.
 
-use super::{equal_units, CellKey, ParallelEvaluator, UnitAssignment};
+use super::{equal_units, total, CellKey, SearchConfig, UnitAssignment};
 use crate::CoreError;
-use dbvirt_vmm::kernel::workers_for;
 
 /// The cells a one-unit transfer from `donor` to `recipient` changes — the
 /// CPU transfer, then the memory transfer; a resource the donor holds only
@@ -26,15 +25,18 @@ fn moved_cells(
     cpu.into_iter().chain(mem)
 }
 
-pub(super) fn search(eval: &ParallelEvaluator<'_, '_>) -> Result<UnitAssignment, CoreError> {
-    let n = eval.problem.num_workloads();
-    let cfg = eval.config;
-    let prefetch = workers_for(cfg.parallelism, usize::MAX) > 1;
+/// Hill-climbs `n` workloads under `cfg` from the equal split, pricing
+/// cells through `cost` (the weighted cost of a cell).
+pub(super) fn search(
+    n: usize,
+    cfg: &SearchConfig,
+    cost: &impl Fn(usize, u32, u32) -> Result<f64, CoreError>,
+) -> Result<UnitAssignment, CoreError> {
     let mut current: UnitAssignment = equal_units(n, cfg.cpu_budget)
         .into_iter()
         .zip(equal_units(n, cfg.mem_budget))
         .collect();
-    let mut current_cost = eval.total(&current)?;
+    let mut current_cost = total(&current, cost)?;
 
     // Each accepted transfer strictly improves a bounded-below objective
     // over a finite state space, so this terminates; the explicit cap is
@@ -49,14 +51,6 @@ pub(super) fn search(eval: &ParallelEvaluator<'_, '_>) -> Result<UnitAssignment,
                 moves.extend(moved_cells(&current, donor, recipient, cfg.min_units));
             }
         }
-        if prefetch {
-            // Price the frontier — exactly the cells the scan below
-            // touches — across workers before scanning it.
-            let mut frontier: Vec<CellKey> = moves.iter().flatten().copied().collect();
-            frontier.sort_unstable();
-            frontier.dedup();
-            eval.batch_evaluate(&frontier)?;
-        }
         let mut best_move: Option<(f64, [CellKey; 2])> = None;
         for cells in moves {
             let mut candidate = current.clone();
@@ -67,19 +61,21 @@ pub(super) fn search(eval: &ParallelEvaluator<'_, '_>) -> Result<UnitAssignment,
             // workload order. Summing per-move deltas instead lets the
             // tracked total drift away from the true objective after many
             // moves.
-            let cost = eval.total(&candidate)?;
+            let candidate_cost = total(&candidate, cost)?;
             // Strict `<` keeps the first improving move on exact ties.
-            if cost < current_cost - 1e-12 && best_move.is_none_or(|(b, _)| cost < b) {
-                best_move = Some((cost, cells));
+            if candidate_cost < current_cost - 1e-12
+                && best_move.is_none_or(|(b, _)| candidate_cost < b)
+            {
+                best_move = Some((candidate_cost, cells));
             }
         }
-        let Some((cost, cells)) = best_move else {
+        let Some((best_cost, cells)) = best_move else {
             break; // local optimum
         };
         for (w, c, m) in cells {
             current[w] = (c, m);
         }
-        current_cost = cost;
+        current_cost = best_cost;
     }
     Ok(current)
 }

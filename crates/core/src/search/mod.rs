@@ -21,14 +21,8 @@
 //! Cost evaluations are cached per `(workload, cpu units, mem units)` —
 //! the what-if optimizer is cheap but not free, and the same cell recurs
 //! across candidates. The cache ([`CostCache`]) is a dense write-once
-//! table, lock-free per cell once a search holds its rows, and
-//! [`SearchConfig::parallelism`] turns on parallel what-if evaluation: DP
-//! and exhaustive search precompute their full per-workload cost tables
-//! across worker threads, greedy batch-evaluates each iteration's move
-//! frontier. Parallel runs touch exactly the cell set a serial run would,
-//! so the returned [`Recommendation`] — including its `evaluations` count
-//! — is bit-identical either way (see DESIGN.md for the determinism
-//! contract).
+//! table; a search resolves its workloads' rows once and prices every cell
+//! on the caller's thread through one memoizing closure.
 
 mod cache;
 mod dynprog;
@@ -40,7 +34,6 @@ pub use dynprog::{solve as solve_dp, DpSolution};
 
 use crate::{CoreError, CostModel, DesignProblem};
 use dbvirt_telemetry as telemetry;
-use dbvirt_vmm::kernel::{claim_and_reduce, workers_for, PoolError};
 use dbvirt_vmm::{AllocationMatrix, ResourceVector};
 use std::sync::Arc;
 
@@ -50,8 +43,6 @@ static TM_CACHE_HITS: telemetry::Counter = telemetry::Counter::new("search.cache
 static TM_CACHE_MISSES: telemetry::Counter = telemetry::Counter::new("search.cache.misses");
 /// Wall-clock latency of individual cost-model calls (cache misses only).
 static TM_EVAL_US: telemetry::Histogram = telemetry::Histogram::new("search.eval_us");
-/// Worker threads used by the most recent parallel batch evaluation.
-static TM_BATCH_WORKERS: telemetry::Gauge = telemetry::Gauge::new("search.batch_workers");
 
 /// Search configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,10 +54,6 @@ pub struct SearchConfig {
     /// Minimum units of each resource per workload (≥ 1 so every VM can
     /// make progress).
     pub min_units: u32,
-    /// Worker threads for what-if evaluation: `1` runs serially, `0` uses
-    /// one worker per available core, `n` uses exactly `n`. The result is
-    /// identical at every setting; only wall-clock time changes.
-    pub parallelism: usize,
     /// CPU units the search may distribute among this problem's workloads
     /// (`units` for a whole-machine solve; less when a caller pins some
     /// workloads' shares and re-solves only the remainder). Shares are
@@ -79,23 +66,15 @@ pub struct SearchConfig {
 
 impl SearchConfig {
     /// A config with `units` steps, equal-split disk for `n` workloads,
-    /// a 1-unit floor, serial evaluation, and the full machine as budget.
+    /// a 1-unit floor, and the full machine as budget.
     pub fn for_workloads(units: u32, n: usize) -> SearchConfig {
         SearchConfig {
             units,
             disk_share: 1.0 / n as f64,
             min_units: 1,
-            parallelism: 1,
             cpu_budget: units,
             mem_budget: units,
         }
-    }
-
-    /// Returns the config with the parallelism knob set (`0` = one worker
-    /// per available core).
-    pub fn with_parallelism(mut self, parallelism: usize) -> SearchConfig {
-        self.parallelism = parallelism;
-        self
     }
 
     /// Returns the config restricted to a sub-budget of `cpu`/`mem` units
@@ -184,163 +163,30 @@ pub struct Recommendation {
 /// Per-workload integer allocation: `(cpu units, mem units)`.
 pub(crate) type UnitAssignment = Vec<(u32, u32)>;
 
-/// Shared evaluation machinery: share conversion plus memoized —
-/// optionally parallel — what-if cost calls over a [`CostCache`].
-///
-/// The cache holds *unweighted* model costs; the SLO weight is applied on
-/// every read. `CostModel::cost` must therefore not itself depend on
-/// workload weights (none of the in-tree models do), and entries stay
-/// valid across problems that differ only in weights.
-pub struct ParallelEvaluator<'p, 'm> {
-    /// The problem being solved.
-    pub problem: &'p DesignProblem<'p>,
-    /// The cost model pricing each cell.
-    pub model: &'m dyn CostModel,
-    /// The search configuration (units, disk policy, parallelism).
-    pub config: SearchConfig,
-    cache: Arc<CostCache>,
-    /// The problem's rows of `cache`, by workload.
-    rows: Vec<Arc<CostRow>>,
-    evals_at_start: usize,
+/// The resource shares a `(cpu units, mem units)` cell denotes.
+fn cell_shares(
+    config: &SearchConfig,
+    cpu_units: u32,
+    mem_units: u32,
+) -> Result<ResourceVector, CoreError> {
+    let u = config.units as f64;
+    Ok(ResourceVector::from_fractions(
+        cpu_units as f64 / u,
+        mem_units as f64 / u,
+        config.disk_share,
+    )?)
 }
 
-impl<'p, 'm> ParallelEvaluator<'p, 'm> {
-    /// An evaluator with its own fresh cache.
-    pub fn new(
-        problem: &'p DesignProblem<'p>,
-        model: &'m dyn CostModel,
-        config: SearchConfig,
-    ) -> ParallelEvaluator<'p, 'm> {
-        ParallelEvaluator::with_cache(problem, model, config, Arc::new(CostCache::new()))
-            .expect("a fresh table takes any share discretization")
-    }
-
-    /// An evaluator over a shared (possibly pre-warmed) cache, holding the
-    /// problem's rows of it. Its [`ParallelEvaluator::evaluations`] counts
-    /// only cells this evaluator's searches added. A cache already asked
-    /// under another `(units, disk_share)` is a [`CoreError::BadProblem`].
-    pub fn with_cache(
-        problem: &'p DesignProblem<'p>,
-        model: &'m dyn CostModel,
-        config: SearchConfig,
-        cache: Arc<CostCache>,
-    ) -> Result<ParallelEvaluator<'p, 'm>, CoreError> {
-        let rows = cache.rows(config.units, config.disk_share, 0..problem.num_workloads())?;
-        let evals_at_start = cache.evaluations();
-        Ok(ParallelEvaluator {
-            problem,
-            model,
-            config,
-            cache,
-            rows,
-            evals_at_start,
-        })
-    }
-
-    /// The resource shares a `(cpu units, mem units)` cell denotes.
-    pub fn shares(&self, cpu_units: u32, mem_units: u32) -> Result<ResourceVector, CoreError> {
-        let u = self.config.units as f64;
-        Ok(ResourceVector::from_fractions(
-            cpu_units as f64 / u,
-            mem_units as f64 / u,
-            self.config.disk_share,
-        )?)
-    }
-
-    /// Memoized `weightᵢ · Cost(Wᵢ, Rᵢ)` at a grid cell — the quantity the
-    /// search algorithms minimize (the paper's objective when every weight
-    /// is 1; the SLO extension otherwise).
-    pub fn cost(&self, w: usize, cpu_units: u32, mem_units: u32) -> Result<f64, CoreError> {
-        let weight = self.problem.workloads[w].weight;
-        let row = &self.rows[w];
-        if let Some(c) = row.get(cpu_units, mem_units) {
-            TM_CACHE_HITS.add(1);
-            return Ok(c * weight);
-        }
-        TM_CACHE_MISSES.add(1);
-        let shares = self.shares(cpu_units, mem_units)?;
-        // Observation only: the clock is read solely when telemetry is on,
-        // and nothing downstream depends on the measured duration.
-        let t0 = telemetry::is_enabled().then(std::time::Instant::now);
-        let c = self.model.cost(self.problem, w, shares)?;
-        if let Some(t0) = t0 {
-            TM_EVAL_US.record_duration(t0.elapsed());
-        }
-        row.insert(cpu_units, mem_units, c);
-        Ok(c * weight)
-    }
-
-    /// Distinct what-if evaluations this evaluator has added to its cache.
-    pub fn evaluations(&self) -> usize {
-        self.cache.evaluations() - self.evals_at_start
-    }
-
-    /// Evaluates a set of cells into the cache, across
-    /// [`SearchConfig::parallelism`] workers. Already-cached cells cost a
-    /// lookup only. On failure the error for the lowest-indexed failing
-    /// cell is returned at every worker count ([`claim_and_reduce`]).
-    pub fn batch_evaluate(&self, cells: &[CellKey]) -> Result<(), CoreError> {
-        let workers = workers_for(self.config.parallelism, cells.len());
-        let mut batch_span = telemetry::span("search.batch");
-        batch_span.set_attr("cells", cells.len());
-        batch_span.set_attr("workers", workers);
-        TM_BATCH_WORKERS.set(workers as f64);
-        let price = |_: &mut (), at: usize| {
-            let (w, c, m) = cells[at];
-            self.cost(w, c, m).map(drop)
-        };
-        claim_and_reduce(cells.len(), workers, "search.worker", || (), price)
-            .map(drop)
-            .map_err(PoolError::into_task)
-    }
-
-    /// The exact cell set a DP or exhaustive search evaluates (both
-    /// enumerate every feasible per-workload cell), in the order the DP
-    /// prices it. Precomputing it in parallel therefore leaves the
-    /// evaluation count identical to a serial run.
-    fn full_table_cells(&self) -> Vec<CellKey> {
-        dynprog::table_cells(&self.config, self.problem.num_workloads()).collect()
-    }
-
-    /// Total cost of a full unit assignment, summed in workload order.
-    pub fn total(&self, assignment: &UnitAssignment) -> Result<f64, CoreError> {
-        assignment
-            .iter()
-            .enumerate()
-            .map(|(w, &(c, m))| self.cost(w, c, m))
-            .sum()
-    }
-
-    /// Converts a unit assignment into the final recommendation.
-    pub fn finish(
-        &self,
-        assignment: &UnitAssignment,
-        algorithm: SearchAlgorithm,
-    ) -> Result<Recommendation, CoreError> {
-        let rows: Vec<ResourceVector> = assignment
-            .iter()
-            .map(|&(c, m)| self.shares(c, m))
-            .collect::<Result<_, _>>()?;
-        let allocation = AllocationMatrix::new(rows)?;
-        let weighted: Vec<f64> = assignment
-            .iter()
-            .enumerate()
-            .map(|(w, &(c, m))| self.cost(w, c, m))
-            .collect::<Result<_, _>>()?;
-        let per_workload_costs: Vec<f64> = weighted
-            .iter()
-            .enumerate()
-            .map(|(w, &c)| c / self.problem.workloads[w].weight)
-            .collect();
-        Ok(Recommendation {
-            allocation,
-            objective: weighted.iter().sum(),
-            total_cost: per_workload_costs.iter().sum(),
-            per_workload_costs,
-            evaluations: self.evaluations(),
-            algorithm: algorithm.name(),
-        })
-    }
+/// Total weighted cost of a full unit assignment, summed in workload order.
+fn total(
+    assignment: &UnitAssignment,
+    cost: &impl Fn(usize, u32, u32) -> Result<f64, CoreError>,
+) -> Result<f64, CoreError> {
+    assignment
+        .iter()
+        .enumerate()
+        .map(|(w, &(c, m))| cost(w, c, m))
+        .sum()
 }
 
 /// An equal split of `units` into `n` parts (remainder units go to the
@@ -386,31 +232,65 @@ pub fn run_search_cached(
     config: SearchConfig,
     cache: &Arc<CostCache>,
 ) -> Result<Recommendation, CoreError> {
-    config.validate(problem.num_workloads())?;
+    let n = problem.num_workloads();
+    config.validate(n)?;
     let mut run_span = telemetry::span("search.run");
     run_span.set_attr("algorithm", algorithm.name());
-    run_span.set_attr("workloads", problem.num_workloads());
+    run_span.set_attr("workloads", n);
     run_span.set_attr("units", config.units);
-    let workers = workers_for(config.parallelism, usize::MAX);
-    run_span.set_attr("workers", workers);
-    let eval = ParallelEvaluator::with_cache(problem, model, config, Arc::clone(cache))?;
-    if workers > 1
-        && matches!(
-            algorithm,
-            SearchAlgorithm::Exhaustive | SearchAlgorithm::DynamicProgramming
-        )
-    {
-        // DP and exhaustive search deterministically touch their full
-        // per-workload cost tables; fill those tables with all workers
-        // before the (cheap) combinatorial pass runs over warm cells.
-        eval.batch_evaluate(&eval.full_table_cells())?;
-    }
-    let assignment = match algorithm {
-        SearchAlgorithm::Exhaustive => exhaustive::search(&eval)?,
-        SearchAlgorithm::Greedy => greedy::search(&eval)?,
-        SearchAlgorithm::DynamicProgramming => dynprog::search(&eval)?,
+    let rows = cache.rows(config.units, config.disk_share, 0..n)?;
+    let evals_at_start = cache.evaluations();
+
+    // `weightᵢ · Cost(Wᵢ, Rᵢ)` at a cell, memoized unweighted in the
+    // workload's row: the quantity every algorithm minimizes.
+    let cost = |w: usize, cpu_units: u32, mem_units: u32| -> Result<f64, CoreError> {
+        let weight = problem.workloads[w].weight;
+        let row = &rows[w];
+        if let Some(c) = row.get(cpu_units, mem_units) {
+            TM_CACHE_HITS.add(1);
+            return Ok(c * weight);
+        }
+        TM_CACHE_MISSES.add(1);
+        let shares = cell_shares(&config, cpu_units, mem_units)?;
+        // Observation only: the clock is read solely when telemetry is on,
+        // and nothing downstream depends on the measured duration.
+        let t0 = telemetry::is_enabled().then(std::time::Instant::now);
+        let c = model.cost(problem, w, shares)?;
+        if let Some(t0) = t0 {
+            TM_EVAL_US.record_duration(t0.elapsed());
+        }
+        row.insert(cpu_units, mem_units, c);
+        Ok(c * weight)
     };
-    let rec = eval.finish(&assignment, algorithm)?;
+    let assignment = match algorithm {
+        SearchAlgorithm::Exhaustive => exhaustive::search(n, &config, &cost)?,
+        SearchAlgorithm::Greedy => greedy::search(n, &config, &cost)?,
+        SearchAlgorithm::DynamicProgramming => solve_dp(n, &config, &cost)?.assignment,
+    };
+
+    let shares: Vec<ResourceVector> = assignment
+        .iter()
+        .map(|&(c, m)| cell_shares(&config, c, m))
+        .collect::<Result<_, _>>()?;
+    let allocation = AllocationMatrix::new(shares)?;
+    let weighted: Vec<f64> = assignment
+        .iter()
+        .enumerate()
+        .map(|(w, &(c, m))| cost(w, c, m))
+        .collect::<Result<_, _>>()?;
+    let per_workload_costs: Vec<f64> = weighted
+        .iter()
+        .enumerate()
+        .map(|(w, &c)| c / problem.workloads[w].weight)
+        .collect();
+    let rec = Recommendation {
+        allocation,
+        objective: weighted.iter().sum(),
+        total_cost: per_workload_costs.iter().sum(),
+        per_workload_costs,
+        evaluations: cache.evaluations() - evals_at_start,
+        algorithm: algorithm.name(),
+    };
     run_span.set_attr("evaluations", rec.evaluations);
     Ok(rec)
 }
@@ -469,6 +349,18 @@ mod tests {
     use super::tests_support::*;
     use super::*;
     use proptest::prelude::*;
+
+    /// `weightᵢ · Cost(Wᵢ, Rᵢ)` priced straight from `model`: what a
+    /// search's memoizing closure answers, bit for bit, without the cache.
+    fn uncached<'a>(
+        problem: &'a DesignProblem<'a>,
+        model: &'a dyn CostModel,
+        config: SearchConfig,
+    ) -> impl Fn(usize, u32, u32) -> Result<f64, CoreError> + 'a {
+        move |w, c, m| {
+            Ok(model.cost(problem, w, cell_shares(&config, c, m)?)? * problem.workloads[w].weight)
+        }
+    }
 
     #[test]
     fn equal_assignment_distributes_remainder() {
@@ -662,8 +554,7 @@ mod tests {
         let config = SearchConfig::for_workloads(9, 3);
         let greedy = run_search(SearchAlgorithm::Greedy, &problem, &model, config).unwrap();
         let exhaustive = run_search(SearchAlgorithm::Exhaustive, &problem, &model, config).unwrap();
-        let eval = ParallelEvaluator::new(&problem, &model, config);
-        let eq = eval.total(&equal_assignment(3, 9)).unwrap();
+        let eq = total(&equal_assignment(3, 9), &uncached(&problem, &model, config)).unwrap();
         assert!(greedy.total_cost <= eq + 1e-9);
         assert!(greedy.total_cost >= exhaustive.total_cost - 1e-9);
         assert!(
@@ -690,7 +581,6 @@ mod tests {
         // objective recomputed from scratch, bit for bit — the search
         // tracks totals by re-summing cached cells, never by accumulating
         // per-move deltas.
-        let eval = ParallelEvaluator::new(&problem, &model, config);
         let units = config.units as f64;
         let assignment: UnitAssignment = (0..3)
             .map(|w| {
@@ -701,7 +591,7 @@ mod tests {
                 )
             })
             .collect();
-        let exact = eval.total(&assignment).unwrap();
+        let exact = total(&assignment, &uncached(&problem, &model, config)).unwrap();
         assert_eq!(rec.objective.to_bits(), exact.to_bits());
         // Deterministic tie-break: equal-cost moves resolve to the lowest
         // donor, then the lowest recipient, so workload 1 never ends up
@@ -714,79 +604,13 @@ mod tests {
         assert_eq!(rec.allocation.to_string(), again.allocation.to_string());
     }
 
-    /// Asserts two recommendations are identical to the bit.
-    fn assert_bit_identical(a: &Recommendation, b: &Recommendation, context: &str) {
-        assert_eq!(a.algorithm, b.algorithm, "{context}");
-        assert_eq!(a.evaluations, b.evaluations, "{context}: evaluations");
-        assert_eq!(
-            a.total_cost.to_bits(),
-            b.total_cost.to_bits(),
-            "{context}: total_cost {} vs {}",
-            a.total_cost,
-            b.total_cost
-        );
-        assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "{context}");
-        assert_eq!(a.per_workload_costs.len(), b.per_workload_costs.len());
-        for (x, y) in a.per_workload_costs.iter().zip(&b.per_workload_costs) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{context}: per-workload cost");
-        }
-        for w in 0..a.per_workload_costs.len() {
-            let (ra, rb) = (a.allocation.row(w), b.allocation.row(w));
-            assert_eq!(
-                ra.cpu().fraction().to_bits(),
-                rb.cpu().fraction().to_bits(),
-                "{context}: cpu row {w}"
-            );
-            assert_eq!(
-                ra.memory().fraction().to_bits(),
-                rb.memory().fraction().to_bits(),
-                "{context}: mem row {w}"
-            );
-            assert_eq!(
-                ra.disk().fraction().to_bits(),
-                rb.disk().fraction().to_bits(),
-                "{context}: disk row {w}"
-            );
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        #[test]
-        fn parallel_results_are_bit_identical_to_serial(
-            weights in prop::collection::vec((0.05f64..16.0, 0.05f64..16.0), 1..5),
-            units in 6u32..11,
-            threads in 2usize..7,
-        ) {
-            let db = dummy_db();
-            let n = weights.len();
-            let problem = dummy_problem(&db, n);
-            let model = SyntheticModel { weights };
-            let serial_cfg = SearchConfig::for_workloads(units, n);
-            let parallel_cfg = serial_cfg.with_parallelism(threads);
-            for alg in [
-                SearchAlgorithm::Exhaustive,
-                SearchAlgorithm::Greedy,
-                SearchAlgorithm::DynamicProgramming,
-            ] {
-                let serial = run_search(alg, &problem, &model, serial_cfg).unwrap();
-                let parallel = run_search(alg, &problem, &model, parallel_cfg).unwrap();
-                assert_bit_identical(
-                    &serial,
-                    &parallel,
-                    &format!("{} n={n} units={units} threads={threads}", alg.name()),
-                );
-            }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         /// The DP kernel against ground truth: on random separable models
         /// under random SLO weights, floors and sub-budgets it finds the
-        /// exhaustive optimum to the bit, identically at every parallelism
-        /// and when called directly; a floor that does not fit the budget
-        /// is a typed error, not an index out of bounds.
+        /// exhaustive optimum to the bit, through `run_search` and when
+        /// called directly; a floor that does not fit the budget is a typed
+        /// error, not an index out of bounds.
         #[test]
         fn dp_kernel_matches_exhaustive_on_random_separable_models(
             weights in prop::collection::vec((0.05f64..16.0, 0.05f64..16.0), 1..6),
@@ -805,46 +629,29 @@ mod tests {
             let mut cfg = SearchConfig::for_workloads(units, n)
                 .with_budgets(units - cpu_cut, units - mem_cut);
             cfg.min_units = min_units;
-            let dp = |parallelism| run_search(
-                SearchAlgorithm::DynamicProgramming,
-                &problem,
-                &model,
-                cfg.with_parallelism(parallelism),
-            );
-            let eval = ParallelEvaluator::new(&problem, &model, cfg);
-            let by_hand = solve_dp(n, &cfg, |w, c, m| eval.cost(w, c, m));
+            let dp = run_search(SearchAlgorithm::DynamicProgramming, &problem, &model, cfg);
+            let by_hand = solve_dp(n, &cfg, uncached(&problem, &model, cfg));
 
             let floor = min_units * n as u32;
             if floor > cfg.cpu_budget || floor > cfg.mem_budget {
-                for result in [dp(1).map(|_| ()), dp(0).map(|_| ()), by_hand.map(|_| ())] {
+                for result in [dp.map(|_| ()), by_hand.map(|_| ())] {
                     prop_assert!(matches!(result, Err(CoreError::BadProblem { .. })));
                 }
                 continue;
             }
             let context = format!("n={n} units={units} min={min_units} cfg={cfg:?}");
             let exhaustive = run_search(SearchAlgorithm::Exhaustive, &problem, &model, cfg).unwrap();
-            let serial = dp(1).unwrap();
-            assert_eq!(serial.objective.to_bits(), exhaustive.objective.to_bits(), "{context}");
-            assert_eq!(serial.evaluations, exhaustive.evaluations, "{context}");
-            assert_bit_identical(&serial, &dp(0).unwrap(), &context);
+            let dp = dp.unwrap();
+            assert_eq!(dp.objective.to_bits(), exhaustive.objective.to_bits(), "{context}");
+            assert_eq!(dp.evaluations, exhaustive.evaluations, "{context}");
             let solution = by_hand.unwrap();
-            assert_eq!(solution.objective.to_bits(), serial.objective.to_bits(), "{context}");
+            assert_eq!(solution.objective.to_bits(), dp.objective.to_bits(), "{context}");
             for (w, &(c, m)) in solution.assignment.iter().enumerate() {
-                let row = serial.allocation.row(w);
-                assert_eq!(eval.shares(c, m).unwrap().cpu(), row.cpu(), "{context}");
-                assert_eq!(eval.shares(c, m).unwrap().memory(), row.memory(), "{context}");
+                let (row, shares) = (dp.allocation.row(w), cell_shares(&cfg, c, m).unwrap());
+                assert_eq!(shares.cpu(), row.cpu(), "{context}");
+                assert_eq!(shares.memory(), row.memory(), "{context}");
             }
         }
-    }
-
-    #[test]
-    fn auto_parallelism_resolves_to_available_cores() {
-        let auto = SearchConfig::for_workloads(8, 2).with_parallelism(0);
-        let resolved = |c: SearchConfig| workers_for(c.parallelism, usize::MAX);
-        assert!(resolved(auto) >= 1);
-        let fixed = SearchConfig::for_workloads(8, 2).with_parallelism(3);
-        assert_eq!(resolved(fixed), 3);
-        assert_eq!(resolved(SearchConfig::for_workloads(8, 2)), 1);
     }
 
     #[test]
@@ -1015,47 +822,58 @@ mod tests {
         }
     }
 
+    /// A model that fails above half the CPU surfaces its own typed error
+    /// — not a panic, not a swallowed error — for the first failing cell
+    /// in each algorithm's pricing order, through `run_search` and through
+    /// the advisor, whose calibrated model fails off its grid.
     #[test]
-    fn batch_evaluate_reports_the_lowest_failing_cell() {
-        struct FailsAboveCpu(f64);
-        impl CostModel for FailsAboveCpu {
+    fn a_failing_cell_surfaces_the_models_own_error_from_every_path() {
+        struct FailsAboveHalfCpu;
+        impl CostModel for FailsAboveHalfCpu {
             fn cost(
                 &self,
                 _problem: &DesignProblem<'_>,
-                _w: usize,
+                w: usize,
                 shares: ResourceVector,
             ) -> Result<f64, CoreError> {
-                if shares.cpu().fraction() > self.0 {
+                let (cpu, mem) = (shares.cpu().fraction(), shares.memory().fraction());
+                if cpu > 0.5 {
                     return Err(CoreError::BadProblem {
-                        reason: format!("cpu {} too high", shares.cpu().fraction()),
+                        reason: format!("w{w} at cpu {cpu} mem {mem}"),
                     });
                 }
-                Ok(1.0 / shares.cpu().fraction())
+                Ok(1.0 / cpu + 1.0 / mem)
             }
         }
         let db = dummy_db();
         let problem = dummy_problem(&db, 2);
-        let model = FailsAboveCpu(0.5);
-        let config = SearchConfig::for_workloads(8, 2).with_parallelism(4);
-        let eval = ParallelEvaluator::new(&problem, &model, config);
-        let cells = eval.full_table_cells();
-        // The lowest-indexed failing cell is the first with cpu > 4 units.
-        let expected_idx = cells
-            .iter()
-            .position(|&(_, c, _)| c > 4)
-            .expect("some cell fails");
-        let expected = match eval.shares(cells[expected_idx].1, cells[expected_idx].2) {
-            Ok(shares) => format!("cpu {} too high", shares.cpu().fraction()),
-            Err(_) => unreachable!(),
-        };
-        for _ in 0..8 {
-            let fresh = ParallelEvaluator::new(&problem, &model, config);
-            let err = fresh.batch_evaluate(&cells).unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                format!("bad problem: {expected}"),
-                "error must be the lowest failing cell on every run"
-            );
+        let config = SearchConfig::for_workloads(4, 2);
+        let machine = dbvirt_vmm::MachineSpec::paper_testbed();
+        let grid = dbvirt_calibrate::CalibrationGrid::calibrate(
+            machine,
+            vec![0.25, 0.5],
+            vec![0.25, 0.5, 0.75],
+            config.disk_share,
+        )
+        .unwrap();
+        let advisor = crate::VirtualizationAdvisor::from_grid(machine, grid, config);
+        let calibrated = crate::CalibratedCostModel::new(advisor.grid());
+        for (algorithm, (w, c, m)) in [
+            // The DP prices its tables in (workload, cpu, mem) order.
+            (SearchAlgorithm::DynamicProgramming, (0, 3, 1)),
+            // Exhaustive's first candidate is (1, 1), (3, 3).
+            (SearchAlgorithm::Exhaustive, (1, 3, 3)),
+            // Greedy's equal split prices; its first move gives w1 a CPU unit.
+            (SearchAlgorithm::Greedy, (1, 3, 2)),
+        ] {
+            let shares = cell_shares(&config, c, m).unwrap();
+            let own = FailsAboveHalfCpu.cost(&problem, w, shares).unwrap_err();
+            let got = run_search(algorithm, &problem, &FailsAboveHalfCpu, config).unwrap_err();
+            assert_eq!(got, own, "{algorithm:?}");
+            let off_grid = calibrated.cost(&problem, w, shares).unwrap_err();
+            assert!(matches!(off_grid, CoreError::Calibration(_)), "{off_grid}");
+            let refused = advisor.recommend(&problem, algorithm).unwrap_err();
+            assert_eq!(refused, off_grid, "{algorithm:?}");
         }
     }
 }

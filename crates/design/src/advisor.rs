@@ -28,10 +28,9 @@
 //! reaches a fixpoint (detected by state equality) or the iteration cap.
 //!
 //! **Determinism:** every decision is a pure function of the memoized
-//! `(query, config, cell)` price table, which parallel pre-warming fills
-//! identically to a serial run. The whole decision sequence is folded
-//! into an FNV-1a fingerprint; serial and parallel runs — and separate
-//! processes — must produce identical fingerprints.
+//! `(query, config, cell)` price table. The whole decision sequence is
+//! folded into an FNV-1a fingerprint; separate processes must produce
+//! identical fingerprints.
 
 use crate::candidates::{enumerate_candidates, IndexCandidate};
 use crate::lp::{lower_bound, LpBound};
@@ -69,9 +68,6 @@ pub struct DesignConfig {
     pub max_alternations: usize,
     /// Subgradient iterations for the LP bound.
     pub lp_iterations: usize,
-    /// Worker threads for what-if pre-warming: `1` serial, `0` one per
-    /// core. The answer is identical at every setting.
-    pub parallelism: usize,
 }
 
 impl DesignConfig {
@@ -85,14 +81,7 @@ impl DesignConfig {
             max_candidates: 24,
             max_alternations: 6,
             lp_iterations: 300,
-            parallelism: 1,
         }
-    }
-
-    /// Sets the pre-warm parallelism (`0` = one worker per core).
-    pub fn with_parallelism(mut self, parallelism: usize) -> DesignConfig {
-        self.parallelism = parallelism;
-        self
     }
 
     /// Sets the per-VM page budget.
@@ -198,8 +187,8 @@ pub struct JointRecommendation {
     pub optimality_gap: f64,
     /// Distinct what-if prices computed.
     pub evaluations: usize,
-    /// FNV-1a fingerprint of the full decision trace. Serial and parallel
-    /// runs, and separate processes, must agree bit-for-bit.
+    /// FNV-1a fingerprint of the full decision trace. Separate processes
+    /// must agree bit-for-bit.
     pub fingerprint: u64,
     /// Which optimizer produced this (`joint`, `index-only`,
     /// `allocation-only`).
@@ -296,13 +285,13 @@ impl<'g> DesignAdvisor<'g> {
         }
 
         // 2. Pre-warm every (query, config, cell) price this run can
-        //    touch. Parallelism changes wall clock only.
+        //    touch.
         let cells_rect = self.feasible_cells(n);
         let budget = match mode {
             Mode::AllocationOnly => 0,
             _ => cfg.budget_pages,
         };
-        pricer.prewarm(&vms, &cells_rect, cfg.parallelism)?;
+        pricer.prewarm(&vms, &cells_rect)?;
 
         // 3. Alternate coordinate steps from the equal split, no indexes.
         let mut cells: Vec<(u32, u32)> = equal_cells(n, cfg.units);
@@ -324,7 +313,6 @@ impl<'g> DesignAdvisor<'g> {
                     units: cfg.units,
                     disk_share: cfg.disk_share,
                     min_units: cfg.min_units,
-                    parallelism: 1,
                     cpu_budget: cfg.units,
                     mem_budget: cfg.units,
                 };
@@ -639,15 +627,6 @@ mod tests {
         assert!(joint.allocation.num_workloads() == 2);
         assert_eq!(joint.mode, "joint");
         assert_eq!(alloc_only.per_vm.iter().map(|d| d.mask).sum::<u64>(), 0);
-
-        // Serial and parallel pre-warm produce bit-identical answers and
-        // decision-trace fingerprints.
-        let par = DesignAdvisor::new(&grid, cfg.with_parallelism(4))
-            .advise(&problem)
-            .unwrap();
-        assert_eq!(joint.fingerprint, par.fingerprint);
-        assert_eq!(joint.objective.to_bits(), par.objective.to_bits());
-        assert_eq!(joint.cells, par.cells);
     }
 
     #[test]

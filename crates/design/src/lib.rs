@@ -27,7 +27,7 @@
 //!    given the indexes, greedy indexes given the allocation, objective
 //!    provably non-increasing, to a fixpoint. Its full decision trace is
 //!    folded into an FNV-1a fingerprint that must be bit-identical across
-//!    serial and parallel runs and across processes.
+//!    processes.
 //!
 //! [`DriftReadviceHook`] lets the runtime controller's drift detector
 //! trigger index re-advice without coupling this crate to the controller.

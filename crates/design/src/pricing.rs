@@ -18,9 +18,8 @@
 //! `(VM, query, config)` owns one row of the pricer's table, handed to its
 //! [`VmPricer`] at construction, and the cell is the row's `(cpu, mem)`
 //! cell — a price read takes no lock and hashes nothing. Prices are pure
-//! functions of the key, so parallel pre-warming fills the identical
-//! table a serial run would — the foundation of the advisor's
-//! serial-vs-parallel determinism contract.
+//! functions of the key, so the table a run fills — and with it every
+//! decision the advisor takes — is the same in every process.
 
 use crate::candidates::CandidateSet;
 use crate::DesignError;
@@ -29,9 +28,8 @@ use dbvirt_core::search::{CostCache, CostRow};
 use dbvirt_engine::Database;
 use dbvirt_optimizer::{HypoIndex, LogicalPlan, OptError, PreparedQuery};
 use dbvirt_telemetry as telemetry;
-use dbvirt_vmm::kernel::{claim_and_reduce, workers_for, PoolError};
 use dbvirt_vmm::ResourceVector;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 
 /// What-if prices answered from the shared cache.
@@ -89,8 +87,7 @@ pub struct VmPricer<'a> {
     pub menus: Vec<ConfigMenu>,
     /// `prepared[q][k]`: query `q` analysed with config `k` offered as
     /// hypothetical indexes, filled by the first price of the pair — every
-    /// further cell only prices it. A pure function of the pair, so the
-    /// serial and pre-warmed tables stay identical.
+    /// further cell only prices it. A pure function of the pair.
     prepared: Vec<Vec<OnceLock<Result<PreparedQuery, OptError>>>>,
     /// `prices[q][k]`: the pair's row of the pricer's table.
     prices: Vec<Vec<Arc<CostRow>>>,
@@ -150,7 +147,7 @@ pub struct DesignPricer<'g> {
     disk_share: f64,
     cache: CostCache,
     /// Rows of `cache` handed to [`VmPricer`]s so far.
-    rows_used: AtomicUsize,
+    rows_used: Cell<usize>,
 }
 
 impl<'g> DesignPricer<'g> {
@@ -161,18 +158,13 @@ impl<'g> DesignPricer<'g> {
             units,
             disk_share,
             cache: CostCache::new(),
-            rows_used: AtomicUsize::new(0),
+            rows_used: Cell::new(0),
         }
-    }
-
-    /// The underlying price table.
-    pub fn cache(&self) -> &CostCache {
-        &self.cache
     }
 
     /// The next `n` unused rows of the price table.
     fn fresh_rows(&self, n: usize) -> Vec<Arc<CostRow>> {
-        let base = self.rows_used.fetch_add(n, Ordering::Relaxed);
+        let base = self.rows_used.replace(self.rows_used.get() + n);
         (self.cache.rows(self.units, self.disk_share, base..base + n))
             .expect("the pricer asks its table under one discretization")
     }
@@ -247,37 +239,24 @@ impl<'g> DesignPricer<'g> {
     }
 
     /// Fills the cache with every `(query, config, cell)` price for the
-    /// given VMs over the given cells, across `parallelism` workers (`0` =
-    /// one per core). Prices are pure in the key, so any interleaving
-    /// produces the identical table; the error for the lowest-indexed
-    /// failing triple is returned at every worker count.
-    pub fn prewarm(
-        &self,
-        vms: &[VmPricer<'_>],
-        cells: &[(u32, u32)],
-        parallelism: usize,
-    ) -> Result<(), DesignError> {
-        let mut triples: Vec<(usize, usize, usize, u32, u32)> = Vec::new();
-        for (v, vm) in vms.iter().enumerate() {
-            for q in 0..vm.queries.len() {
-                for k in 0..vm.menus[q].configs.len() {
+    /// given VMs over the given cells, in ascending `(VM, query, config,
+    /// cell)` order; the first failing price is the error.
+    pub fn prewarm(&self, vms: &[VmPricer<'_>], cells: &[(u32, u32)]) -> Result<(), DesignError> {
+        let configs: usize = (vms.iter().flat_map(|vm| &vm.menus))
+            .map(|menu| menu.configs.len())
+            .sum();
+        let mut span = telemetry::span("design.whatif");
+        span.set_attr("prices", configs * cells.len());
+        for vm in vms {
+            for (q, menu) in vm.menus.iter().enumerate() {
+                for k in 0..menu.configs.len() {
                     for &(c, m) in cells {
-                        triples.push((v, q, k, c, m));
+                        self.price(vm, q, k, c, m)?;
                     }
                 }
             }
         }
-        let workers = workers_for(parallelism, triples.len());
-        let mut span = telemetry::span("design.whatif");
-        span.set_attr("prices", triples.len());
-        span.set_attr("workers", workers);
-        let price = |_: &mut (), at: usize| {
-            let (v, q, k, c, m) = triples[at];
-            self.price(&vms[v], q, k, c, m).map(drop)
-        };
-        claim_and_reduce(triples.len(), workers, "design.whatif_worker", || (), price)
-            .map(drop)
-            .map_err(PoolError::into_task)
+        Ok(())
     }
 }
 
@@ -390,26 +369,5 @@ mod tests {
             }
         }
         assert_eq!(pricer.evaluations(), priced);
-    }
-
-    #[test]
-    fn prewarm_parallel_fills_the_same_table_as_serial() {
-        let (db, queries) = fixture();
-        let grid = grid();
-        let cells: Vec<(u32, u32)> = (1..=3).flat_map(|c| (1..=3).map(move |m| (c, m))).collect();
-
-        let serial = DesignPricer::new(&grid, 4, 0.5);
-        let cands = enumerate_candidates(&db, &queries, 16);
-        let vm = VmPricer::new(&serial, &db, &queries, cands.clone());
-        serial.prewarm(std::slice::from_ref(&vm), &cells, 1).unwrap();
-
-        let parallel = DesignPricer::new(&grid, 4, 0.5);
-        let vm2 = VmPricer::new(&parallel, &db, &queries, cands);
-        parallel
-            .prewarm(std::slice::from_ref(&vm2), &cells, 4)
-            .unwrap();
-
-        assert_eq!(serial.cache().entries(), parallel.cache().entries());
-        assert_eq!(serial.evaluations(), parallel.evaluations());
     }
 }

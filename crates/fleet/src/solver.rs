@@ -124,7 +124,6 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
             units: self.cfg.units,
             disk_share: self.cfg.disk_share,
             min_units: self.cfg.min_units,
-            parallelism: 1,
             cpu_budget: budget,
             mem_budget: budget,
         };

@@ -223,7 +223,6 @@ fn single_machine_placement_matches_core_dp() {
         units,
         disk_share: 0.25,
         min_units: 1,
-        parallelism: 1,
         cpu_budget: units,
         mem_budget: units,
     };

@@ -1,9 +1,9 @@
 //! The deterministic kernel every advisor tier shares: one worker pool,
 //! one fingerprint hash, one seeded stream.
 //!
-//! Calibration sweeps, what-if batches, design pre-pricing, fleet pre-warm
-//! and fleet simulation all fan independent tasks out to threads and must
-//! return the same bits — and the same error — at any worker count.
+//! Calibration sweeps, fleet pre-warm and fleet simulation all fan
+//! independent tasks out to threads and must return the same bits — and
+//! the same error — at any worker count.
 //! [`claim_and_reduce`] is that fan-out, written once:
 //!
 //! * workers claim ascending task indices off one atomic counter, each

@@ -9,11 +9,12 @@ cargo build --release
 # One of each: the worker pool, the core-count resolver, the fingerprint
 # hash and the seeded stream live in crates/vmm/src/kernel.rs and nowhere
 # else. Library code is what precedes a file's first `#[cfg(test)]`, minus
-# `//` lines.
+# `//` lines; `src/**/tests.rs` files are test modules whose `#[cfg(test)]`
+# sits in their parent (as in scripts/loc.sh).
 kernel=crates/vmm/src/kernel.rs
 lib_code() {
   awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t && !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' \
-    $(find crates/*/src -name '*.rs' ! -path "$kernel")
+    $(find crates/*/src -name '*.rs' ! -name tests.rs ! -path "$kernel")
 }
 for word in 'thread::scope' available_parallelism; do
   if lib_code | grep -F "$word"; then
@@ -40,9 +41,7 @@ fi
 # ...and one execution per distinct plan: outside the engine, library code
 # executes through `Profile::run`, whose runs any configuration can replay.
 # A `run_plan(` is an execution that has to be repeated to be priced again.
-# (`src/**/tests.rs` files are test modules whose `#[cfg(test)]` sits in
-# their parent.)
-if lib_code | grep -v -e '^crates/engine/src/' -e '/tests\.rs: ' | grep -F 'run_plan('; then
+if lib_code | grep -v '^crates/engine/src/' | grep -F 'run_plan('; then
   echo "FAIL: run_plan( in library code outside crates/engine/src" >&2
   exit 1
 fi
@@ -79,6 +78,16 @@ done
 files=$(ls crates/vmm/src/sched | tr '\n' ' ')
 if [[ "$files" != "fluid.rs multi.rs reference.rs walk.rs " ]]; then
   echo "FAIL: crates/vmm/src/sched/ must hold fluid.rs multi.rs reference.rs walk.rs, found: $files" >&2
+  exit 1
+fi
+
+# One thread for a search: the allocation search and the design pre-pricing
+# price their cells on the caller's thread. A worker pool, a batch path or a
+# parallelism knob in their library code would be a second pricing path
+# beside the memoizing loop, slower on every workload measured.
+if lib_code | grep -E '^crates/(core|design)/src/' |
+  grep -E 'ParallelEvaluator|batch_evaluate|workers_for|claim_and_reduce|parallelism'; then
+  echo "FAIL: a parallel pricing path in crates/core/src or crates/design/src" >&2
   exit 1
 fi
 

@@ -1,17 +1,17 @@
 //! Golden search bits: what every path through the what-if cost store
-//! answers, to the bit — the three search algorithms at three parallelism
-//! settings, a shared cache asked cold, re-weighted and under a sub-budget,
-//! a four-phase `run_dynamic` timeline, and the joint design advisor with
-//! both of its marginals.
+//! answers, to the bit — the three search algorithms, a shared cache asked
+//! cold, re-weighted and under a sub-budget, a four-phase `run_dynamic`
+//! timeline, and the joint design advisor with both of its marginals.
 //!
 //! `tests/golden/search_bits.txt` was captured from the commit *before* the
 //! sharded hash memo, the fleet's VM-sharded store and the design tier's
-//! key-punned cache became one dense write-once table
-//! (`GOLDEN_REGENERATE=1` rewrites it). `fleet_bits.txt` pins the DP
-//! and the placement ladder; this file pins everything else that reads a
-//! cost cell: a change that moves one share, one bit of one objective or
-//! per-workload cost, one evaluation, one phase decision, one chosen index
-//! or one decision-trace fingerprint fails here.
+//! key-punned cache became one dense write-once table, and cut to its
+//! serial lines when the search and the design pre-pricing lost their
+//! parallelism knobs (`GOLDEN_REGENERATE=1` rewrites it). `fleet_bits.txt`
+//! pins the DP and the placement ladder; this file pins everything else
+//! that reads a cost cell: a change that moves one share, one bit of one
+//! objective or per-workload cost, one evaluation, one phase decision, one
+//! chosen index or one decision-trace fingerprint fails here.
 
 mod common;
 
@@ -40,7 +40,6 @@ const ALGORITHMS: [SearchAlgorithm; 3] = [
     SearchAlgorithm::Exhaustive,
     SearchAlgorithm::DynamicProgramming,
 ];
-const PARALLELISM: [usize; 3] = [1, 2, 0];
 
 fn allocation_bits(a: &AllocationMatrix) -> String {
     let rows: Vec<String> = a
@@ -76,8 +75,8 @@ fn rec_line(out: &mut String, label: &str, rec: &Recommendation) {
     .expect("write");
 }
 
-/// Every algorithm at every parallelism (exhaustive only where its
-/// candidate count stays small).
+/// Every algorithm (exhaustive only where its candidate count stays
+/// small).
 fn render_algorithms(
     out: &mut String,
     label: &str,
@@ -89,10 +88,8 @@ fn render_algorithms(
         if alg == SearchAlgorithm::Exhaustive && problem.num_workloads() > 4 {
             continue;
         }
-        for p in PARALLELISM {
-            let rec = run_search(alg, problem, model, cfg.with_parallelism(p)).expect("search");
-            rec_line(out, &format!("{label} p={p}"), &rec);
-        }
+        let rec = run_search(alg, problem, model, cfg).expect("search");
+        rec_line(out, label, &rec);
     }
 }
 
@@ -288,33 +285,31 @@ fn render_calibrated(out: &mut String) {
         sweep_problem(&t, &plans, hot(0)),
     ])
     .expect("timeline");
-    for parallelism in [1usize, 2] {
-        let policy = ReconfigPolicy {
-            switch_overhead_seconds: 0.002,
-            min_relative_gain: 0.01,
-            ..ReconfigPolicy::new(cfg(4).with_parallelism(parallelism))
-        };
-        let outcome = run_dynamic(&timeline, &model, policy).expect("run_dynamic");
-        for (i, phase) in outcome.phases.iter().enumerate() {
-            writeln!(
-                out,
-                "dynamic p={parallelism} phase {i} alloc={} cost={:016x} reconfigured={}",
-                allocation_bits(&phase.allocation),
-                phase.cost.to_bits(),
-                phase.reconfigured,
-            )
-            .expect("write");
-        }
+    let policy = ReconfigPolicy {
+        switch_overhead_seconds: 0.002,
+        min_relative_gain: 0.01,
+        ..ReconfigPolicy::new(cfg(4))
+    };
+    let outcome = run_dynamic(&timeline, &model, policy).expect("run_dynamic");
+    for (i, phase) in outcome.phases.iter().enumerate() {
         writeln!(
             out,
-            "dynamic p={parallelism} total={:016x} reconfigurations={} equal={:016x} first={:016x}",
-            outcome.total_cost.to_bits(),
-            outcome.reconfigurations,
-            outcome.static_equal_cost.to_bits(),
-            outcome.static_first_phase_cost.to_bits(),
+            "dynamic phase {i} alloc={} cost={:016x} reconfigured={}",
+            allocation_bits(&phase.allocation),
+            phase.cost.to_bits(),
+            phase.reconfigured,
         )
         .expect("write");
     }
+    writeln!(
+        out,
+        "dynamic total={:016x} reconfigurations={} equal={:016x} first={:016x}",
+        outcome.total_cost.to_bits(),
+        outcome.reconfigurations,
+        outcome.static_equal_cost.to_bits(),
+        outcome.static_first_phase_cost.to_bits(),
+    )
+    .expect("write");
 }
 
 // ---------------------------------------------------------------------
@@ -395,13 +390,8 @@ fn render_design(out: &mut String) {
     )
     .expect("duo");
     let grid = grid_at(4, 0.5);
-    for parallelism in [1usize, 3] {
-        let cfg = DesignConfig::new(4, 2)
-            .with_budget(1024)
-            .with_parallelism(parallelism);
-        let label = format!("design duo p={parallelism}");
-        joint_lines(out, &label, &DesignAdvisor::new(&grid, cfg), &duo);
-    }
+    let cfg = DesignConfig::new(4, 2).with_budget(1024);
+    joint_lines(out, "design duo", &DesignAdvisor::new(&grid, cfg), &duo);
 
     // Three weighted VMs at six units, a tight page budget, two-column
     // predicates (pair configs matter) and a floor of one unit.
