@@ -201,6 +201,7 @@ fn main() {
             format!("{:.4}s", improvement),
             format!("{:.3}s", report.lp.bound),
             format!("{:.1}%", report.optimality_gap * 100.0),
+            format!("{}/{}", report.lp_scan.candidates, report.lp_scan.cells),
             format!(
                 "{}+{}",
                 report.local_search.moves_applied, report.local_search.swaps_applied
@@ -223,6 +224,8 @@ fn main() {
             ("lp_bound_secs", Json::Num(report.lp.bound)),
             ("optimality_gap", Json::Num(report.optimality_gap)),
             ("lp_iterations", Json::Num(report.lp.iterations as f64)),
+            ("lp_cells", Json::Num(report.lp_scan.cells as f64)),
+            ("lp_candidates", Json::Num(report.lp_scan.candidates as f64)),
             ("ls_rounds", Json::Num(report.local_search.rounds as f64)),
             (
                 "ls_moves",
@@ -260,7 +263,7 @@ fn main() {
         "EXT-FLEET: placement ladder (greedy -> local search, LP-certified)",
         &[
             "shape", "vms", "machines", "greedy", "final", "LS gain", "LP bound", "gap",
-            "moves+swaps", "wall",
+            "LP kept/dense", "moves+swaps", "wall",
         ],
         &rows,
     );

@@ -75,3 +75,137 @@ pub fn ascend(relaxation: &mut impl Relaxation, incumbent: f64, max_iterations: 
     }
     lp
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `L` is `value` at every multiplier, with a fixed `‖g‖²`; records
+    /// every step it is asked to take.
+    struct Flat {
+        value: f64,
+        norm_sq: f64,
+        steps: Vec<f64>,
+    }
+
+    impl Flat {
+        fn new(value: f64, norm_sq: f64) -> Flat {
+            Flat {
+                value,
+                norm_sq,
+                steps: Vec::new(),
+            }
+        }
+    }
+
+    impl Relaxation for Flat {
+        fn evaluate(&mut self) -> f64 {
+            self.value
+        }
+        fn subgradient_norm_sq(&self) -> f64 {
+            self.norm_sq
+        }
+        fn step(&mut self, step: f64) {
+            self.steps.push(step);
+        }
+    }
+
+    /// `min x s.t. x ≥ 1, x ∈ {0, 1, 2}` with the row dualized:
+    /// `L(λ) = min_x [x + λ·(1 − x)]`, maximised at `λ = 1` where it meets
+    /// the optimum 1. Strict `<` keeps the first minimiser.
+    struct Cover {
+        lambda: f64,
+        x: f64,
+    }
+
+    impl Relaxation for Cover {
+        fn evaluate(&mut self) -> f64 {
+            let mut best = f64::INFINITY;
+            for x in [0.0, 1.0, 2.0] {
+                let v = x + self.lambda * (1.0 - x);
+                if v < best {
+                    best = v;
+                    self.x = x;
+                }
+            }
+            best
+        }
+        fn subgradient_norm_sq(&self) -> f64 {
+            (1.0 - self.x) * (1.0 - self.x)
+        }
+        fn step(&mut self, step: f64) {
+            self.lambda = (self.lambda + step * (1.0 - self.x)).max(0.0);
+        }
+    }
+
+    #[test]
+    fn a_zero_subgradient_converges() {
+        let mut flat = Flat::new(3.0, 0.0);
+        let lp = ascend(&mut flat, 10.0, 50);
+        assert_eq!(
+            lp,
+            LpBound {
+                bound: 3.0,
+                iterations: 1,
+                converged: true
+            }
+        );
+        assert!(flat.steps.is_empty());
+    }
+
+    #[test]
+    fn a_bound_that_meets_the_incumbent_stops_the_ascent() {
+        // Already there: the first value equals the incumbent.
+        let mut flat = Flat::new(4.0, 1.0);
+        let lp = ascend(&mut flat, 4.0, 50);
+        assert_eq!((lp.bound, lp.iterations, lp.converged), (4.0, 1, false));
+        assert!(flat.steps.is_empty());
+
+        // One full Polyak step (θ = 1, gap 1, ‖g‖² 1) lands on λ = 1,
+        // where the bound is the optimum.
+        let mut cover = Cover {
+            lambda: 0.0,
+            x: 0.0,
+        };
+        let lp = ascend(&mut cover, 1.0, 50);
+        assert_eq!((lp.bound, lp.iterations, lp.converged), (1.0, 2, false));
+        assert_eq!(cover.lambda, 1.0);
+    }
+
+    #[test]
+    fn theta_halves_every_twenty_stalled_iterations_until_it_ends_the_ascent() {
+        // The first iteration improves on −∞; every later one stalls, so
+        // θ halves at iterations 21, 41, …, and its 20th halving
+        // (2⁻²⁰ < 1e-6) at iteration 1 + 20·20 = 401 ends the ascent
+        // before that iteration steps.
+        let mut flat = Flat::new(0.0, 1.0);
+        let lp = ascend(&mut flat, 1.0, 10_000);
+        assert_eq!((lp.bound, lp.iterations, lp.converged), (0.0, 401, false));
+        assert_eq!(flat.steps.len(), 400);
+        for (k, &step) in flat.steps.iter().enumerate() {
+            assert_eq!(step, 0.5f64.powi((k / 20) as i32), "step {k}");
+        }
+
+        // A cap below 401 runs exactly the cap.
+        let lp = ascend(&mut Flat::new(0.0, 1.0), 1.0, 400);
+        assert_eq!(lp.iterations, 400);
+    }
+
+    #[test]
+    fn a_nan_incumbent_neither_panics_nor_lifts_the_bound() {
+        // Every step is NaN; a projected relaxation stays at λ = 0, so the
+        // bound stays the finite L(0) and the stall rule ends the ascent.
+        let mut cover = Cover {
+            lambda: 0.0,
+            x: 0.0,
+        };
+        let lp = ascend(&mut cover, f64::NAN, 1_000);
+        assert_eq!((lp.bound, lp.iterations, lp.converged), (0.0, 401, false));
+        assert_eq!(cover.lambda, 0.0);
+
+        let mut flat = Flat::new(2.5, 1.0);
+        let lp = ascend(&mut flat, f64::NAN, 1_000);
+        assert_eq!(lp.bound, 2.5);
+        assert!(flat.steps.iter().all(|s| s.is_nan()));
+    }
+}

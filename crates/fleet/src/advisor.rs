@@ -32,7 +32,7 @@ use crate::placement::build;
 use crate::solver::{cell_problem, evaluate_cell, FleetSolver};
 use crate::{
     greedy, local_search, lp, CurrentPlacement, FleetConfig, FleetError, FleetProblem,
-    LocalSearchStats, LpBound, MachineClasses, Placement, RebalanceDelta,
+    LocalSearchStats, LpBound, LpScan, MachineClasses, Placement, RebalanceDelta,
 };
 use dbvirt_core::search::{CostCache, CostRow};
 use dbvirt_core::CostModel;
@@ -67,6 +67,8 @@ pub struct FleetReport {
     pub local_search: LocalSearchStats,
     /// The LP lower bound.
     pub lp: LpBound,
+    /// How much of the dense cell grid the bound's scan kept.
+    pub lp_scan: LpScan,
     /// `(steady − bound) / steady`: how far the answer can be from the
     /// true optimum, certified by the LP bound.
     pub optimality_gap: f64,
@@ -256,12 +258,21 @@ impl<'m> FleetAdvisor<'m> {
         TM_MOVES.add(stats.moves_applied as u64);
         TM_SWAPS.add(stats.swaps_applied as u64);
 
-        let lp = {
+        // A bound certifies only a finite answer: a NaN objective would
+        // ascend against a NaN incumbent and report a 0 gap.
+        let objectives = &placement.per_machine_objective;
+        if let Some(machine) = objectives.iter().position(|o| !o.is_finite()) {
+            let objective = objectives[machine];
+            return Err(FleetError::NonFiniteSolve { machine, objective });
+        }
+        let (lp, lp_scan) = {
             let mut lp_span = telemetry::span_with_parent("fleet.lp", span.id());
-            let lp = lp::lower_bound(&solver, rect_hi, placement.steady_objective)?;
+            let (lp, scan) = lp::lower_bound(&solver, rect_hi, placement.steady_objective)?;
             lp_span.set_attr("bound", lp.bound);
             lp_span.set_attr("iterations", lp.iterations);
-            lp
+            lp_span.set_attr("cells", scan.cells);
+            lp_span.set_attr("candidates", scan.candidates);
+            (lp, scan)
         };
         let optimality_gap = if placement.steady_objective > 0.0 {
             ((placement.steady_objective - lp.bound) / placement.steady_objective).max(0.0)
@@ -284,6 +295,7 @@ impl<'m> FleetAdvisor<'m> {
             greedy_placement,
             local_search: stats,
             lp,
+            lp_scan,
             optimality_gap,
             rebalance,
             prewarm_cells,

@@ -23,6 +23,15 @@ pub enum FleetError {
         /// Description of the capacity shortfall.
         reason: String,
     },
+    /// A machine's share split prices at a non-finite objective (the
+    /// class model returned NaN or an infinity for every cell it could
+    /// pick), so the placement has no objective to certify.
+    NonFiniteSolve {
+        /// The machine whose solve is not finite.
+        machine: usize,
+        /// Its weighted steady-state objective.
+        objective: f64,
+    },
 }
 
 impl fmt::Display for FleetError {
@@ -32,6 +41,12 @@ impl fmt::Display for FleetError {
             FleetError::Pricing(e) => write!(f, "pricing: {e}"),
             FleetError::BadFleet { reason } => write!(f, "bad fleet: {reason}"),
             FleetError::Infeasible { reason } => write!(f, "infeasible fleet: {reason}"),
+            FleetError::NonFiniteSolve { machine, objective } => {
+                write!(
+                    f,
+                    "machine {machine}'s solve is not finite (objective {objective})"
+                )
+            }
         }
     }
 }

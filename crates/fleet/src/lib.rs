@@ -45,7 +45,7 @@ pub use config::FleetConfig;
 pub use error::FleetError;
 pub use ledger::{RebalanceDelta, RebalanceLedger};
 pub use local_search::LocalSearchStats;
-pub use lp::LpBound;
+pub use lp::{LpBound, LpScan};
 pub use placement::Placement;
 pub use problem::{CurrentPlacement, FleetProblem, FleetVm, MachineClasses};
 pub use sim::{simulate_placement, FleetSimReport};

@@ -24,6 +24,18 @@
 //! `units − (k−1)·min_units`, and forced minimum occupancy bounds `k`
 //! from below), so restricting the LP to the rectangle keeps it a
 //! relaxation.
+//!
+//! The inner minimisation scans, per `(class, VM)`, a candidate list built
+//! once before the ascent: the rectangle's cells that no other cell
+//! *dominates* (no more CPU, no more memory, a cost no higher), in
+//! `(cpu, mem)` order. Dropping the rest changes no bit of any iterate:
+//!
+//! 1. the projected step keeps every `λ ≥ 0`, and IEEE multiplication and
+//!    addition round monotonically, so a dominated cell never prices
+//!    strictly below the cell that dominates it;
+//! 2. the dominating cell comes earlier in `(cpu, mem)` order, so the
+//!    strict-`<` first minimiser of the full scan is always on the list;
+//! 3. a NaN or `+∞` cost never satisfies `v < min`, so those cells go too.
 
 use crate::solver::FleetSolver;
 use crate::FleetError;
@@ -31,10 +43,55 @@ use dbvirt_core::lagrange::{ascend, Relaxation};
 
 pub use dbvirt_core::lagrange::LpBound;
 
+/// How much of the dense cell grid one bound's scan kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LpScan {
+    /// `(class, VM, cell)` entries of the warm rectangle.
+    pub cells: usize,
+    /// Entries on the candidate lists: the cells no other cell dominates.
+    pub candidates: usize,
+}
+
+/// A cell that can be a VM's first minimiser: its weighted cost and its
+/// unit offsets `(cpu − lo, mem − lo)`.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    cost: f64,
+    c: u32,
+    mu: u32,
+}
+
+/// The cells of one `side × side` block (CPU-major) that no other cell
+/// dominates, in scan order. At cell `(c, mu)`, `seen[mu]` holds the
+/// minimum cost over `cpu < c, mem ≤ mu` and `left` over `cpu ≤ c,
+/// mem < mu`: a cell is kept when it is strictly below both — the one
+/// pass of a 2-D prefix minimum. `f64::min` skips NaN, and a NaN or `+∞`
+/// cost is never strictly below anything.
+fn undominated(block: &[f64], side: usize) -> Vec<Candidate> {
+    let mut seen = vec![f64::INFINITY; side];
+    let mut kept = Vec::new();
+    for (c, row) in block.chunks_exact(side).enumerate() {
+        let mut left = f64::INFINITY;
+        for (mu, (&cost, above)) in row.iter().zip(&mut seen).enumerate() {
+            let earlier = left.min(*above);
+            if cost < earlier {
+                kept.push(Candidate {
+                    cost,
+                    c: c as u32,
+                    mu: mu as u32,
+                });
+            }
+            left = earlier.min(cost);
+            *above = left;
+        }
+    }
+    kept
+}
+
 /// The placement LP with its capacity rows dualized by `lambda[m]`.
 struct CapacityDual<'a> {
-    /// Dense weighted costs: `table[class][i * side² + (c-lo)*side + (m-lo)]`.
-    table: Vec<Vec<f64>>,
+    /// `lists[class * n + i]`: VM `i`'s candidates on machine class `class`.
+    lists: Vec<Vec<Candidate>>,
     classes: &'a [usize],
     n: usize,
     units: f64,
@@ -46,9 +103,33 @@ struct CapacityDual<'a> {
     load: Vec<[f64; 2]>,
 }
 
+impl<'a> CapacityDual<'a> {
+    fn new(
+        lists: Vec<Vec<Candidate>>,
+        classes: &'a [usize],
+        n: usize,
+        units: f64,
+        lo: u32,
+        side: usize,
+    ) -> CapacityDual<'a> {
+        let m_count = classes.len();
+        CapacityDual {
+            lists,
+            classes,
+            n,
+            units,
+            lo,
+            side,
+            lambda: vec![[0.0; 2]; m_count],
+            price: vec![[0.0; 2]; m_count * side],
+            load: vec![[0.0; 2]; m_count],
+        }
+    }
+}
+
 impl Relaxation for CapacityDual<'_> {
     fn evaluate(&mut self) -> f64 {
-        let (lo, side, cells) = (self.lo, self.side, self.side * self.side);
+        let (lo, side) = (self.lo, self.side);
         for (m, lam) in self.lambda.iter().enumerate() {
             for (k, p) in self.price[m * side..][..side].iter_mut().enumerate() {
                 let u = (lo + k as u32) as f64;
@@ -62,24 +143,20 @@ impl Relaxation for CapacityDual<'_> {
         self.load.fill([0.0; 2]);
         for i in 0..self.n {
             let mut min_val = f64::INFINITY;
-            let mut min_at = (0usize, 0usize, 0usize);
+            let mut min_at = (0usize, 0u32, 0u32);
             for (m, &class) in self.classes.iter().enumerate() {
-                let t = &self.table[class][i * cells..][..cells];
                 let prices = &self.price[m * side..][..side];
-                for (c, row) in t.chunks_exact(side).enumerate() {
-                    let cpu_price = prices[c][0];
-                    for (mu, (&cost, p)) in row.iter().zip(prices).enumerate() {
-                        let v = cost + cpu_price + p[1];
-                        if v < min_val {
-                            min_val = v;
-                            min_at = (m, c, mu);
-                        }
+                for cand in &self.lists[class * self.n + i] {
+                    let v = cand.cost + prices[cand.c as usize][0] + prices[cand.mu as usize][1];
+                    if v < min_val {
+                        min_val = v;
+                        min_at = (m, cand.c, cand.mu);
                     }
                 }
             }
             value += min_val;
-            self.load[min_at.0][0] += (lo + min_at.1 as u32) as f64;
-            self.load[min_at.0][1] += (lo + min_at.2 as u32) as f64;
+            self.load[min_at.0][0] += (lo + min_at.1) as f64;
+            self.load[min_at.0][1] += (lo + min_at.2) as f64;
         }
         for lam in &self.lambda {
             value -= (lam[0] + lam[1]) * self.units;
@@ -112,33 +189,274 @@ pub(crate) fn lower_bound(
     solver: &FleetSolver<'_, '_>,
     rect_hi: u32,
     incumbent_steady: f64,
-) -> Result<LpBound, FleetError> {
+) -> Result<(LpBound, LpScan), FleetError> {
     let n = solver.problem.num_vms();
-    let m_count = solver.problem.num_machines();
     let lo = solver.cfg.min_units;
     let side = (rect_hi - lo + 1) as usize;
 
-    let mut table = vec![Vec::new(); solver.classes.num_classes()];
-    for (class, t) in table.iter_mut().enumerate() {
+    let num_classes = solver.classes.num_classes();
+    let mut lists = Vec::with_capacity(num_classes * n);
+    let mut block = Vec::with_capacity(side * side);
+    for class in 0..num_classes {
         for i in 0..n {
             let w = solver.weight(i);
+            block.clear();
             for c in lo..=rect_hi {
                 for mu in lo..=rect_hi {
-                    t.push(w * solver.cell_cost(class, i, c, mu)?);
+                    block.push(w * solver.cell_cost(class, i, c, mu)?);
+                }
+            }
+            lists.push(undominated(&block, side));
+        }
+    }
+    let scan = LpScan {
+        cells: num_classes * n * side * side,
+        candidates: lists.iter().map(Vec::len).sum(),
+    };
+    let units = solver.cfg.units as f64;
+    let mut dual = CapacityDual::new(lists, &solver.classes.class_of, n, units, lo, side);
+    let bound = ascend(&mut dual, incumbent_steady, solver.cfg.lp_iterations);
+    Ok((bound, scan))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// The filter's definition, cell against cell: keep a cell whose cost
+    /// is below `+∞` (so not NaN) unless another cell with no more CPU and
+    /// no more memory costs no more.
+    fn undominated_brute(block: &[f64], side: usize) -> Vec<Candidate> {
+        let at = |c: usize, mu: usize| block[c * side + mu];
+        let mut kept = Vec::new();
+        for c in 0..side {
+            for mu in 0..side {
+                let cost = at(c, mu);
+                let dominated = (0..=c)
+                    .any(|c2| (0..=mu).any(|mu2| (c2, mu2) != (c, mu) && at(c2, mu2) <= cost));
+                if cost < f64::INFINITY && !dominated {
+                    kept.push(Candidate {
+                        cost,
+                        c: c as u32,
+                        mu: mu as u32,
+                    });
                 }
             }
         }
+        kept
     }
-    let mut dual = CapacityDual {
-        table,
-        classes: &solver.classes.class_of,
-        n,
-        units: solver.cfg.units as f64,
-        lo,
-        side,
-        lambda: vec![[0.0; 2]; m_count],
-        price: vec![[0.0; 2]; m_count * side],
-        load: vec![[0.0; 2]; m_count],
-    };
-    Ok(ascend(&mut dual, incumbent_steady, solver.cfg.lp_iterations))
+
+    /// A weighted cost block shaped like a real class model's — cheaper
+    /// with more CPU, flat in memory past a working set — with exact ties
+    /// and NaN, `±∞`, `±0` cells salted in.
+    fn random_block(rng: &mut TestRng, side: usize, specials: bool) -> Vec<f64> {
+        let scale = 1.0 + (rng.next_u64() % 8) as f64 * 0.25;
+        let working_set = (rng.next_u64() % (side as u64 + 1)) as usize;
+        let mut block = Vec::with_capacity(side * side);
+        for c in 0..side {
+            for mu in 0..side {
+                let spill = working_set.saturating_sub(mu) as f64;
+                let mut cost = scale * (6.0 / (c + 1) as f64 + spill);
+                match rng.next_u64() % 16 {
+                    // A small integer: ties across the whole block.
+                    0 | 1 => cost = (rng.next_u64() % 4) as f64,
+                    2 if specials => cost = f64::NAN,
+                    3 if specials => cost = f64::INFINITY,
+                    4 if specials && rng.next_u64().is_multiple_of(4) => cost = f64::NEG_INFINITY,
+                    5 if specials => cost = -0.0,
+                    6 if specials => cost = 0.0,
+                    _ => {}
+                }
+                block.push(cost);
+            }
+        }
+        block
+    }
+
+    #[test]
+    fn undominated_matches_the_pairwise_definition() {
+        for case in 0..400u64 {
+            let mut rng = TestRng::deterministic(0x6c70, case);
+            let side = 1 + (case % 7) as usize;
+            let block = random_block(&mut rng, side, case % 3 != 0);
+            let fast = undominated(&block, side);
+            let brute = undominated_brute(&block, side);
+            let bits = |l: &[Candidate]| {
+                l.iter()
+                    .map(|k| (k.cost.to_bits(), k.c, k.mu))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&fast), bits(&brute), "case {case}: block {block:?}");
+        }
+    }
+
+    #[test]
+    fn memory_plateaus_and_nan_cells_are_dropped() {
+        // 2×3: row c=0 is flat in memory with a NaN at its end; row c=1 is
+        // cheaper, (1, 1) ties (1, 0) exactly and (1, 2) costs more.
+        let block = [5.0, 5.0, f64::NAN, 3.0, 3.0, 5.0];
+        let kept = undominated(&block, 3);
+        let cells: Vec<(u32, u32)> = kept.iter().map(|k| (k.c, k.mu)).collect();
+        assert_eq!(cells, [(0, 0), (1, 0)]);
+        assert!(undominated(&[f64::NAN, f64::INFINITY, f64::NAN, f64::NAN], 2).is_empty());
+    }
+
+    /// The full-scan inner minimisation the candidate lists replace, over
+    /// the dense `table[class][i * side² + (c-lo)*side + (m-lo)]`; the
+    /// multipliers, the subgradient and the step are the dual's own.
+    struct DenseDual<'a> {
+        table: Vec<Vec<f64>>,
+        dual: CapacityDual<'a>,
+    }
+
+    impl Relaxation for DenseDual<'_> {
+        fn evaluate(&mut self) -> f64 {
+            let d = &mut self.dual;
+            let (lo, side, cells) = (d.lo, d.side, d.side * d.side);
+            for (m, lam) in d.lambda.iter().enumerate() {
+                for (k, p) in d.price[m * side..][..side].iter_mut().enumerate() {
+                    let u = (lo + k as u32) as f64;
+                    *p = [lam[0] * u, lam[1] * u];
+                }
+            }
+            let mut value = 0.0f64;
+            d.load.fill([0.0; 2]);
+            for i in 0..d.n {
+                let mut min_val = f64::INFINITY;
+                let mut min_at = (0usize, 0usize, 0usize);
+                for (m, &class) in d.classes.iter().enumerate() {
+                    let t = &self.table[class][i * cells..][..cells];
+                    let prices = &d.price[m * side..][..side];
+                    for (c, row) in t.chunks_exact(side).enumerate() {
+                        let cpu_price = prices[c][0];
+                        for (mu, (&cost, p)) in row.iter().zip(prices).enumerate() {
+                            let v = cost + cpu_price + p[1];
+                            if v < min_val {
+                                min_val = v;
+                                min_at = (m, c, mu);
+                            }
+                        }
+                    }
+                }
+                value += min_val;
+                d.load[min_at.0][0] += (lo + min_at.1 as u32) as f64;
+                d.load[min_at.0][1] += (lo + min_at.2 as u32) as f64;
+            }
+            for lam in &d.lambda {
+                value -= (lam[0] + lam[1]) * d.units;
+            }
+            value
+        }
+
+        fn subgradient_norm_sq(&self) -> f64 {
+            self.dual.subgradient_norm_sq()
+        }
+
+        fn step(&mut self, step: f64) {
+            self.dual.step(step)
+        }
+    }
+
+    /// Every iterate a relaxation produced: `L(λ)` and the load vector,
+    /// as bits.
+    type Trace = Vec<(u64, Vec<[u64; 2]>)>;
+
+    struct Recorded<R> {
+        inner: R,
+        load: fn(&R) -> &[[f64; 2]],
+        trace: Trace,
+    }
+
+    impl<R: Relaxation> Relaxation for Recorded<R> {
+        fn evaluate(&mut self) -> f64 {
+            let value = self.inner.evaluate();
+            let load = (self.load)(&self.inner).iter();
+            let load = load.map(|l| [l[0].to_bits(), l[1].to_bits()]).collect();
+            self.trace.push((value.to_bits(), load));
+            value
+        }
+
+        fn subgradient_norm_sq(&self) -> f64 {
+            self.inner.subgradient_norm_sq()
+        }
+
+        fn step(&mut self, step: f64) {
+            self.inner.step(step)
+        }
+    }
+
+    fn ascend_recorded<R: Relaxation>(
+        inner: R,
+        load: fn(&R) -> &[[f64; 2]],
+        incumbent: f64,
+        iterations: usize,
+    ) -> (LpBound, Trace) {
+        let mut rec = Recorded {
+            inner,
+            load,
+            trace: Vec::new(),
+        };
+        let lp = ascend(&mut rec, incumbent, iterations);
+        (lp, rec.trace)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The pruned scan ascends exactly as the dense one: same bound
+        /// bits, iteration count, convergence flag and every iterate's
+        /// value and load, over random class maps, both the full share
+        /// range and a forced-occupancy rectangle, and VMs with no finite
+        /// cell at all.
+        #[test]
+        fn pruned_ascent_equals_the_dense_scan(
+            (n, m_count, n_classes) in (1usize..7, 1usize..6, 1usize..4),
+            (units, forced) in (2u32..9, prop::bool::ANY),
+            (specials, dead_vm) in (prop::bool::ANY, 0usize..10),
+            seed in 0u64..1_000_000,
+            slack in 0.0f64..0.5,
+        ) {
+            let mut rng = TestRng::deterministic(seed, 0);
+            let classes: Vec<usize> =
+                (0..m_count).map(|_| (rng.next_u64() % n_classes as u64) as usize).collect();
+            let lo = 1u32;
+            let rect_hi = if forced { 1 + (rng.next_u64() % units as u64) as u32 } else { units };
+            let side = (rect_hi - lo + 1) as usize;
+            let table: Vec<Vec<f64>> = (0..n_classes)
+                .map(|_| {
+                    (0..n)
+                        .flat_map(|i| {
+                            let block = random_block(&mut rng, side, specials);
+                            if i == dead_vm {
+                                vec![f64::NAN; block.len()]
+                            } else {
+                                block
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let lists = (0..n_classes)
+                .flat_map(|k| (0..n).map(move |i| (k, i)))
+                .map(|(k, i)| undominated(&table[k][i * side * side..][..side * side], side))
+                .collect();
+            // An incumbent a little above a feasible-looking value.
+            let incumbent = (n as f64) * 3.0 * (1.0 + slack);
+            let units = units as f64;
+
+            let pruned = CapacityDual::new(lists, &classes, n, units, lo, side);
+            let dense = DenseDual {
+                table,
+                dual: CapacityDual::new(Vec::new(), &classes, n, units, lo, side),
+            };
+            let (got, got_trace) = ascend_recorded(pruned, |d| &d.load, incumbent, 300);
+            let (want, want_trace) = ascend_recorded(dense, |d| &d.dual.load, incumbent, 300);
+            prop_assert_eq!(got.bound.to_bits(), want.bound.to_bits());
+            prop_assert_eq!(got.iterations, want.iterations);
+            prop_assert_eq!(got.converged, want.converged);
+            prop_assert_eq!(got_trace, want_trace);
+        }
+    }
 }

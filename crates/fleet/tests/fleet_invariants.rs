@@ -335,6 +335,55 @@ fn a_nan_cell_is_priced_once_per_advisor() {
     assert_eq!(advisor.cache_evaluations(), cold.prewarm_cells);
 }
 
+/// A class model that prices every cell of one VM at NaN leaves that VM's
+/// machine without a finite solve. The request is refused with the
+/// machine named, instead of certifying a NaN objective with a 0 gap.
+#[test]
+fn a_vm_with_no_finite_cell_is_refused_not_certified() {
+    struct NanVm {
+        inner: SyntheticModel,
+        victim: &'static str,
+    }
+    impl CostModel for NanVm {
+        fn cost(
+            &self,
+            problem: &DesignProblem<'_>,
+            w_idx: usize,
+            shares: ResourceVector,
+        ) -> Result<f64, CoreError> {
+            if problem.workloads[w_idx].name == self.victim {
+                return Ok(f64::NAN);
+            }
+            self.inner.cost(problem, w_idx, shares)
+        }
+    }
+    let db = tiny_db();
+    let machines = vec![MachineSpec::tiny(); 3];
+    for victim in ["vm-0", "vm-3"] {
+        let model = NanVm {
+            inner: SyntheticModel { speed: 1.0 },
+            victim,
+        };
+        let cfg = FleetConfig::new(6).with_parallelism(1).with_lp_iterations(40);
+        let advisor =
+            FleetAdvisor::new(machines.clone(), vec![&model as &dyn CostModel], cfg).unwrap();
+        let problem = FleetProblem::new(machines.clone(), vms(&db, 5, &[1.0])).unwrap();
+        let err = match advisor.place(&problem) {
+            Ok(r) => panic!(
+                "{victim}: certified steady {} with bound {} and gap {}",
+                r.placement.steady_objective, r.lp.bound, r.optimality_gap
+            ),
+            Err(err) => err,
+        };
+        let FleetError::NonFiniteSolve { machine, objective } = err else {
+            panic!("{victim}: wrong error {err}");
+        };
+        assert!(objective.is_nan(), "{victim}: {err}");
+        assert!(machine < machines.len());
+        assert!(err.to_string().contains(&format!("machine {machine}")), "{err}");
+    }
+}
+
 /// Pre-warm parallelism must not change a single bit of the answer.
 #[test]
 fn prewarm_parallelism_is_invisible() {
