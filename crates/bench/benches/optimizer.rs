@@ -2,7 +2,7 @@
 //! performs by the dozen must be cheap.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dbvirt_optimizer::{plan_query, whatif, OptimizerParams, PreparedWorkload};
+use dbvirt_optimizer::{plan_query, whatif, OptimizerParams, PreparedQuery, PreparedWorkload};
 use dbvirt_tpch::{TpchConfig, TpchDb, TpchQuery};
 use std::hint::black_box;
 
@@ -46,6 +46,18 @@ fn bench_planner(c: &mut Criterion) {
     let prepared = PreparedWorkload::analyse(&t.db, &workload).unwrap();
     c.bench_function("whatif/prepared_all_nine_queries", |b| {
         b.iter(|| black_box(prepared.estimate_seconds(black_box(&params)).unwrap()));
+    });
+
+    // The per-cell price of the 6-relation DP alone, over the splits
+    // analysis kept.
+    let q5 = PreparedQuery::analyse(&t.db, &q5, &[]).unwrap();
+    let splits = q5.join_splits();
+    println!(
+        "Q5 join DP: {} enumerated -> {} connected ordered splits over {} connected subsets ({} bytes)",
+        splits.enumerated, splits.connected, splits.subsets, splits.bytes
+    );
+    c.bench_function("whatif/prepared_q5_6way", |b| {
+        b.iter(|| black_box(q5.cost_units(black_box(&params)).unwrap()));
     });
 }
 

@@ -13,7 +13,13 @@
 //! | page counts, tuple widths, the query's cache working set | whether a seq scan pays page I/O (cache cutoff) |
 //! | index menus, B+tree geometry, key bounds, residual operator counts | the join order — and through it every intermediate row count and width sum |
 //! | join relations, edges, per-column NDVs | whether the restoring projection is needed |
+//! | which splits connect, each connected subset's step, DP vs greedy | which connected split wins each subset |
 //! | operator counts of filters, projections, aggregates | hash vs sort aggregation; sort and hash-join spills |
+//!
+//! The join DP's subset enumeration is hoisted here ([`SplitTable`]): which
+//! relation subsets are connected, and which of their splits join two
+//! connected halves across at least one edge, depend on the join graph
+//! alone. What stays per `P` is the choice among those splits.
 
 use super::access::{self, PathKind, Residual};
 use super::HypoIndex;
@@ -25,8 +31,9 @@ use dbvirt_storage::{TableStats, PAGE_SIZE};
 /// A query analysed once, ready to be priced under any number of parameter
 /// vectors: per scan the sequential-scan operands and every index
 /// candidate's geometry, selectivity and residual-operator count; per
-/// inner-join tree the relations, edges and per-column NDVs; per
-/// aggregate/filter/project/sort their operator counts and fixed widths.
+/// inner-join tree the relations, edges, per-column NDVs and the splits its
+/// join DP can take; per aggregate/filter/project/sort their operator
+/// counts and fixed widths.
 /// Owned and `P`-free — a pure function of `(db, query, hypothetical
 /// indexes)`, so it can be cached wherever the query lives and shared
 /// across threads.
@@ -101,7 +108,7 @@ pub(super) struct PathCost {
 }
 
 /// A flattened inner-join tree: leaf relations in logical (left-to-right)
-/// order and the equi-join edges between them.
+/// order, the equi-join edges between them, and how pricing orders them.
 #[derive(Debug, Clone)]
 pub(super) struct JoinTree {
     pub relations: Vec<Node>,
@@ -109,6 +116,149 @@ pub(super) struct JoinTree {
     /// tree's logical output.
     pub offsets: Vec<usize>,
     pub edges: Vec<JoinEdge>,
+    pub order: JoinOrder,
+}
+
+/// Past this many relations the exact DP gives way to the greedy order
+/// (never hit by the TPC-H subset, whose widest query joins 6 relations).
+pub(super) const MAX_DP_RELATIONS: usize = 12;
+
+/// How pricing orders a tree's joins, fixed by its join graph.
+#[derive(Debug, Clone)]
+pub(super) enum JoinOrder {
+    /// The Selinger DP over these splits.
+    Dp(SplitTable),
+    /// Greedy with cross joins: more than [`MAX_DP_RELATIONS`] relations,
+    /// more edges than a [`SplitTable`] indexes, or a disconnected graph.
+    Greedy,
+}
+
+/// The splits the join DP can take: for every connected subset of two or
+/// more relations, in ascending bit-mask order, each way of cutting it into
+/// two connected halves with at least one edge between them, in the order
+/// `sub = (sub - 1) & subset` visits them. Both orientations of a cut are
+/// kept — when the halves' row estimates tie, probe and build differ; when
+/// they do not, pricing skips the second one.
+///
+/// Every connected subset gets exactly one join step, in the same order,
+/// so the `k`-th one is step `n + k` (steps `0..n` are the relations) and
+/// the tables hold step indices, not masks to look up.
+#[derive(Debug, Clone, Default)]
+pub(super) struct SplitTable {
+    /// The end in `splits` of each connected subset's run.
+    pub subsets: Vec<u32>,
+    pub splits: Vec<Split>,
+    /// Indices into [`JoinTree::edges`] of the edges running between each
+    /// split's halves, in edge order; a split's run ends at its
+    /// [`Split::edges_end`] and starts where the previous split's ended.
+    pub edges: Vec<u16>,
+}
+
+/// One cut of a connected subset into two connected halves.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Split {
+    /// The relations of the first half, as a bit mask.
+    pub first: u16,
+    /// The join steps of the first half and of the rest.
+    pub steps: [u16; 2],
+    pub edges_end: u32,
+    /// The same cut with its halves swapped (its mirror) came earlier in
+    /// the subset's run.
+    pub mirrored: bool,
+}
+
+/// The join-order search analysis fixed for a query, summed over its
+/// inner-join trees that take the DP ([`PreparedQuery::join_splits`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JoinSplits {
+    /// Splits a subset enumeration visits per pricing pass: every ordered
+    /// cut of every subset of two or more relations.
+    pub enumerated: usize,
+    /// Ordered cuts into two connected halves joined by an edge — what
+    /// pricing walks.
+    pub connected: usize,
+    /// Connected subsets of two or more relations: one join step each.
+    pub subsets: usize,
+    /// Heap bytes the split tables hold.
+    pub bytes: usize,
+}
+
+impl JoinOrder {
+    /// The order for `n` relations joined by `edges`: the DP's split table
+    /// when the DP applies and the graph is connected, else greedy.
+    pub(super) fn of(n: usize, edges: &[JoinEdge]) -> JoinOrder {
+        if n > MAX_DP_RELATIONS || edges.len() > usize::from(u16::MAX) {
+            return JoinOrder::Greedy;
+        }
+        SplitTable::enumerate(n, edges).map_or(JoinOrder::Greedy, JoinOrder::Dp)
+    }
+}
+
+impl SplitTable {
+    /// Enumerates the splits of every connected subset of `n ≤
+    /// MAX_DP_RELATIONS` relations, or `None` when the graph is
+    /// disconnected. A subset is connected exactly when some cut of it
+    /// qualifies, so the enumeration decides connectivity as it goes.
+    fn enumerate(n: usize, edges: &[JoinEdge]) -> Option<SplitTable> {
+        const ABSENT: u16 = u16::MAX;
+        let full: usize = (1 << n) - 1;
+        // The step of each connected subset; ABSENT for the rest.
+        let mut step = vec![ABSENT; full + 1];
+        for i in 0..n {
+            step[1 << i] = i as u16;
+        }
+        let mut table = SplitTable::default();
+        let mut next = n as u16;
+        for subset in 1..=full {
+            if subset.is_power_of_two() {
+                continue;
+            }
+            let start = table.splits.len();
+            let mut sub = (subset - 1) & subset;
+            while sub > 0 {
+                let other = subset & !sub;
+                let steps = [step[sub], step[other]];
+                let run_start = table.edges.len();
+                if !steps.contains(&ABSENT) {
+                    let crosses = |a: usize, b: usize| sub >> a & other >> b & 1 == 1;
+                    table.edges.extend(
+                        edges
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, e)| {
+                                crosses(e.left_rel, e.right_rel) || crosses(e.right_rel, e.left_rel)
+                            })
+                            .map(|(i, _)| i as u16),
+                    );
+                }
+                if table.edges.len() > run_start {
+                    table.splits.push(Split {
+                        first: sub as u16,
+                        steps,
+                        edges_end: table.edges.len() as u32,
+                        mirrored: sub < other,
+                    });
+                }
+                sub = (sub - 1) & subset;
+            }
+            if table.splits.len() > start {
+                step[subset] = next;
+                next += 1;
+                table.subsets.push(table.splits.len() as u32);
+            }
+        }
+        table.subsets.shrink_to_fit();
+        table.splits.shrink_to_fit();
+        table.edges.shrink_to_fit();
+        (step[full] != ABSENT).then_some(table)
+    }
+
+    fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.subsets[..])
+            + size_of_val(&self.splits[..])
+            + size_of_val(&self.edges[..])
+    }
 }
 
 /// One equi-join condition between two relations of a [`JoinTree`].
@@ -286,6 +436,7 @@ impl Analyser<'_> {
             relations: Vec::new(),
             offsets: vec![0],
             edges: Vec::new(),
+            order: JoinOrder::Greedy,
         };
         let mut origins = Origins::new();
         let mut edges = Vec::new();
@@ -304,6 +455,7 @@ impl Analyser<'_> {
                 right_col,
             })
             .collect();
+        tree.order = JoinOrder::of(tree.relations.len(), &tree.edges);
         Ok((Node::InnerJoins(tree), origins))
     }
 
@@ -417,5 +569,40 @@ impl PreparedQuery {
         Ok(PreparedQuery {
             root: analyser.node(plan)?.0,
         })
+    }
+
+    /// The join-order search analysis fixed for this query: how many splits
+    /// a subset enumeration would visit per pricing pass against how many
+    /// pricing walks, and what the split tables hold.
+    pub fn join_splits(&self) -> JoinSplits {
+        let mut total = JoinSplits::default();
+        self.root.add_join_splits(&mut total);
+        total
+    }
+}
+
+impl Node {
+    fn add_join_splits(&self, total: &mut JoinSplits) {
+        match self {
+            Node::Scan(_) => {}
+            Node::InnerJoins(tree) => {
+                if let JoinOrder::Dp(table) = &tree.order {
+                    let n = tree.relations.len() as u32;
+                    // Σ over subsets S of (2^|S| − 2) ordered cuts.
+                    total.enumerated += (3usize.pow(n) + 1) - (2 << n);
+                    total.connected += table.splits.len();
+                    total.subsets += table.subsets.len();
+                    total.bytes += table.bytes();
+                }
+                for relation in &tree.relations {
+                    relation.add_join_splits(total);
+                }
+            }
+            Node::OuterJoin(left, right, ..) => {
+                left.add_join_splits(total);
+                right.add_join_splits(total);
+            }
+            Node::Unary(input, _) => input.add_join_splits(total),
+        }
     }
 }

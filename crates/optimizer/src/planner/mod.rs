@@ -21,10 +21,11 @@
 //! It runs in three stages, split where `P` enters:
 //!
 //! * **analyse** ([`PreparedQuery::analyse`]) — everything that depends
-//!   only on access paths and statistics, once per query;
+//!   only on access paths, statistics and the join graph (which relation
+//!   subsets the join DP can split, and how), once per query;
 //! * **price** ([`PreparedQuery::cost_units`]) — the cost formulas, the
-//!   access-path comparison and the join DP under one `P`, over numbers
-//!   alone: this is all the what-if mode runs per allocation;
+//!   access-path comparison and the join DP's choices under one `P`, over
+//!   numbers alone: this is all the what-if mode runs per allocation;
 //! * **materialise** — the winning choices turned into a
 //!   [`PhysicalPlan`], once, for callers that execute.
 //!
@@ -37,7 +38,7 @@ mod price;
 #[cfg(test)]
 mod tests;
 
-pub use analyse::PreparedQuery;
+pub use analyse::{JoinSplits, PreparedQuery};
 
 use crate::{LogicalPlan, OptError, OptimizerParams};
 use dbvirt_engine::{Database, PhysicalPlan, TableId};

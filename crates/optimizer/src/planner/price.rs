@@ -3,17 +3,20 @@
 //! This is the whole of what the what-if mode runs per allocation cell: the
 //! [`crate::cost`] formulas over the prepared operands, a strict-`<` scan
 //! over each base table's access paths, and the Selinger dynamic program
-//! over each inner-join tree. The join order cannot be hoisted into
-//! analysis: the winning split of a relation subset decides that subset's
-//! row estimate (the `max(1)` clamps and float products differ per split),
-//! its width sum, and whether the logical column order survives. What
-//! pricing never does is build a plan — candidates are three numbers and
-//! two indices. Callers that go on to execute pass a `Vec` to record the
-//! winning [`Choice`]s in, for [`super::materialise`] to turn into a
+//! over each inner-join tree. The DP's enumeration is hoisted into
+//! analysis — which subsets are connected and which of their splits join
+//! two connected halves across an edge is fixed by the join graph, so
+//! pricing walks one [`SplitTable`] list and never a relation subset. The
+//! choice is not hoisted: the winning split of a subset decides that
+//! subset's row estimate (the `max(1)` clamps and float products differ per
+//! split), its width sum, and whether the logical column order survives.
+//! What pricing never does is build a plan — candidates are three numbers
+//! and two indices. Callers that go on to execute pass a `Vec` to record
+//! the winning [`Choice`]s in, for [`super::materialise`] to turn into a
 //! `PhysicalPlan` once.
 
 use super::access::PathKind;
-use super::analyse::{JoinTree, Ndv, Node, Op, PreparedQuery, Scan};
+use super::analyse::{JoinOrder, JoinTree, Ndv, Node, Op, PreparedQuery, Scan, SplitTable};
 use crate::{card, cost, OptimizerParams};
 use dbvirt_engine::JoinType;
 
@@ -50,7 +53,7 @@ pub(super) struct JoinStep {
 }
 
 /// How a step's rows are produced; join operands index the step list.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum StepKind {
     Relation(usize),
     /// `left` probes a hash table built on `right`.
@@ -67,10 +70,6 @@ pub(super) enum StepKind {
 /// Where winning choices are recorded, for callers that materialise.
 type Record<'r, 'q> = Option<&'r mut Vec<Choice<'q>>>;
 
-/// Past this many relations the exact DP gives way to the greedy order
-/// (never hit by the TPC-H subset, whose widest query joins 6 relations).
-const MAX_DP_RELATIONS: usize = 12;
-
 impl PreparedQuery {
     /// Prices the query under `params` (not validated here), recording the
     /// winning choices into `choices` when given.
@@ -83,6 +82,30 @@ impl PreparedQuery {
 fn hash_join_cost(p: &OptimizerParams, l: Priced, r: Priced, out_rows: f64) -> f64 {
     let (l_bytes, r_bytes) = (l.rows * l.width, r.rows * r.width);
     cost::hash_join_cost(p, l.rows, r.rows, out_rows, l_bytes, r_bytes)
+}
+
+/// The step hash-joining step `probe` with step `build` at selectivity
+/// `sel`.
+fn hash_join(
+    p: &OptimizerParams,
+    steps: &[JoinStep],
+    (probe, build): (usize, usize),
+    sel: f64,
+) -> JoinStep {
+    let (l, r) = (steps[probe].priced, steps[build].priced);
+    let out_rows = (l.rows * r.rows * sel).max(1.0);
+    let join_cost = hash_join_cost(p, l, r, out_rows);
+    JoinStep {
+        priced: Priced {
+            rows: out_rows,
+            cost: l.cost + r.cost + join_cost,
+            width: l.width + r.width,
+        },
+        kind: StepKind::Hash {
+            left: probe,
+            right: build,
+        },
+    }
 }
 
 /// `ndv` where analysis found one, else "assume distinct" over `rows`.
@@ -232,10 +255,10 @@ impl Node {
 }
 
 impl JoinTree {
-    /// Prices the relations, orders the joins (Selinger DP over relation
-    /// subsets, greedy with cross joins past [`MAX_DP_RELATIONS`] or when
-    /// the join graph is disconnected) and charges the projection that
-    /// restores the logical column order if the winner permuted it.
+    /// Prices the relations, orders the joins the way analysis chose
+    /// ([`JoinOrder`]: the Selinger DP over the connected splits, or greedy
+    /// with cross joins) and charges the projection that restores the
+    /// logical column order if the winner permuted it.
     fn price<'q>(&'q self, p: &OptimizerParams, mut choices: Record<'_, 'q>) -> Priced {
         let n = self.relations.len();
         let mut steps: Vec<JoinStep> = Vec::with_capacity(2 * n);
@@ -245,16 +268,9 @@ impl JoinTree {
                 kind: StepKind::Relation(i),
             });
         }
-        let root = if n == 1 {
-            0
-        } else if n > MAX_DP_RELATIONS {
-            self.greedy(p, &mut steps)
-        } else {
-            match self.dynamic_program(p, &mut steps) {
-                Some(root) => root,
-                // Disconnected join graph: stitch components with cross joins.
-                None => self.greedy(p, &mut steps),
-            }
+        let root = match &self.order {
+            JoinOrder::Dp(table) => self.dynamic_program(p, table, &mut steps),
+            JoinOrder::Greedy => self.greedy(p, &mut steps),
         };
         let joined = steps[root].priced;
         let priced = if self.keeps_logical_order(&steps, root) {
@@ -278,7 +294,7 @@ impl JoinTree {
     /// The hash join of steps `probe` and `build` on every edge running
     /// between them (`in_probe`/`in_build` tell which relations each side
     /// holds); `None` when no edge does.
-    fn hash_step(
+    pub(super) fn hash_step(
         &self,
         p: &OptimizerParams,
         steps: &[JoinStep],
@@ -300,79 +316,60 @@ impl JoinTree {
             sel /= ndv_or_rows(lndv, l.rows).max(ndv_or_rows(rndv, r.rows));
             connected = true;
         }
-        if !connected {
-            return None;
-        }
-        let out_rows = (l.rows * r.rows * sel).max(1.0);
-        let join_cost = hash_join_cost(p, l, r, out_rows);
-        Some(JoinStep {
-            priced: Priced {
-                rows: out_rows,
-                cost: l.cost + r.cost + join_cost,
-                width: l.width + r.width,
-            },
-            kind: StepKind::Hash {
-                left: probe,
-                right: build,
-            },
-        })
+        connected.then(|| hash_join(p, steps, (probe, build), sel))
     }
 
-    /// Selinger DP over a dense table of relation subsets, each holding the
-    /// step of its cheapest split. Returns the full set's step, or `None`
-    /// when the join graph is disconnected.
-    fn dynamic_program(&self, p: &OptimizerParams, steps: &mut Vec<JoinStep>) -> Option<usize> {
-        const ABSENT: usize = usize::MAX;
-        let n = self.relations.len();
-        let full: usize = (1 << n) - 1;
-        let mut table = vec![ABSENT; full + 1];
-        for i in 0..n {
-            table[1 << i] = i;
-        }
-        for subset in 1..=full {
-            if subset.count_ones() < 2 {
-                continue;
-            }
+    /// Selinger DP over the splits analysis kept: each connected subset,
+    /// in ascending order, gets the step of its cheapest split (the first
+    /// of equals). Returns the full set's step, the last one pushed.
+    fn dynamic_program(
+        &self,
+        p: &OptimizerParams,
+        table: &SplitTable,
+        steps: &mut Vec<JoinStep>,
+    ) -> usize {
+        let (mut split, mut edge) = (0, 0);
+        for &subset_end in &table.subsets {
             let mut best: Option<JoinStep> = None;
-            // Enumerate proper non-empty splits.
-            let mut sub = (subset - 1) & subset;
-            while sub > 0 {
-                let other = subset & !sub;
-                let (a, b) = (table[sub], table[other]);
-                if a != ABSENT && b != ABSENT {
-                    // Build on the smaller side.
-                    let (probe, build, probe_set, build_set) =
-                        if steps[a].priced.rows >= steps[b].priced.rows {
-                            (a, b, sub, other)
-                        } else {
-                            (b, a, other, sub)
-                        };
-                    let candidate = self.hash_step(
-                        p,
-                        steps,
-                        (probe, build),
-                        |rel| probe_set >> rel & 1 == 1,
-                        |rel| build_set >> rel & 1 == 1,
-                    );
-                    if let Some(candidate) = candidate {
-                        if best.is_none_or(|cur| candidate.priced.cost < cur.priced.cost) {
-                            best = Some(candidate);
-                        }
-                    }
+            for cut in &table.splits[split..subset_end as usize] {
+                let [a, b] = cut.steps.map(usize::from);
+                let crossing = &table.edges[edge..cut.edges_end as usize];
+                edge = cut.edges_end as usize;
+                let (a_rows, b_rows) = (steps[a].priced.rows, steps[b].priced.rows);
+                // Unless the halves' rows tie (or one is NaN), a mirrored
+                // cut builds on the same side as its mirror did: the same
+                // candidate bit for bit, which strict `<` never lets win.
+                if cut.mirrored && (a_rows < b_rows || a_rows > b_rows) {
+                    continue;
                 }
-                sub = (sub - 1) & subset;
+                // Build on the smaller side.
+                let first_probes = a_rows >= b_rows;
+                let (probe, build) = if first_probes { (a, b) } else { (b, a) };
+                let (l, r) = (steps[probe].priced, steps[build].priced);
+                let mut sel = 1.0;
+                for &e in crossing {
+                    let e = &self.edges[usize::from(e)];
+                    let (lndv, rndv) = if (cut.first >> e.left_rel & 1 == 1) == first_probes {
+                        (e.left_ndv, e.right_ndv)
+                    } else {
+                        (e.right_ndv, e.left_ndv)
+                    };
+                    sel /= ndv_or_rows(lndv, l.rows).max(ndv_or_rows(rndv, r.rows));
+                }
+                let candidate = hash_join(p, steps, (probe, build), sel);
+                if best.is_none_or(|cur| candidate.priced.cost < cur.priced.cost) {
+                    best = Some(candidate);
+                }
             }
-            if let Some(step) = best {
-                table[subset] = steps.len();
-                steps.push(step);
-            }
+            split = subset_end as usize;
+            steps.extend(best);
         }
-        (table[full] != ABSENT).then_some(table[full])
+        steps.len() - 1
     }
 
     /// Greedy fallback: repeatedly join the pair with the cheapest result,
     /// using a cross nested-loop join when no equi-edge connects a pair.
-    fn greedy(&self, p: &OptimizerParams, steps: &mut Vec<JoinStep>) -> usize {
+    pub(super) fn greedy(&self, p: &OptimizerParams, steps: &mut Vec<JoinStep>) -> usize {
         let n = self.relations.len();
         let mut entries: Vec<usize> = (0..n).collect();
         // The entry (as a step) currently holding each relation.
@@ -444,7 +441,7 @@ impl JoinTree {
     /// True when the join tree under `root` emits the relations' columns in
     /// logical order, i.e. every relation that has columns follows the ones
     /// before it.
-    fn keeps_logical_order(&self, steps: &[JoinStep], root: usize) -> bool {
+    pub(super) fn keeps_logical_order(&self, steps: &[JoinStep], root: usize) -> bool {
         let mut next = 0;
         let mut ordered = true;
         JoinTree::relation_order(steps, root, &mut |rel| {

@@ -1,10 +1,14 @@
 //! Planner behaviour tests: access-path choice, join ordering, execution of
 //! the plans it materialises.
 
+use super::analyse::{JoinEdge, JoinOrder, JoinTree, Node, Scan, MAX_DP_RELATIONS};
+use super::price::{Choice, JoinStep, Priced, StepKind};
 use super::*;
-use crate::JoinCondition;
+use crate::{cost, JoinCondition};
 use dbvirt_engine::{AggExpr, AggFunc, Expr, JoinType};
 use dbvirt_storage::{DataType, Datum, Field, Schema, Tuple};
+use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Two tables: fact(k, v, grp) with 20k rows and an index on k;
 /// dim(k, label) with 100 rows.
@@ -442,4 +446,332 @@ fn estimated_seconds_scale_with_unit() {
     let s1 = planned.est_seconds(&p1);
     p1.unit_seconds *= 2.0;
     assert!((planned.est_seconds(&p1) - 2.0 * s1).abs() < 1e-12);
+}
+
+// The join DP walks the splits analysis enumerated; these tests hold it to
+// the DP that enumerated every split of every subset on each call.
+
+/// The enumerating Selinger DP: a dense table of relation subsets, every
+/// proper split of each tried per call. `None` when the join graph is
+/// disconnected (the steps it pushed are then orphans).
+fn reference_dynamic_program(
+    tree: &JoinTree,
+    p: &OptimizerParams,
+    steps: &mut Vec<JoinStep>,
+) -> Option<usize> {
+    const ABSENT: usize = usize::MAX;
+    let n = tree.relations.len();
+    let full: usize = (1 << n) - 1;
+    let mut table = vec![ABSENT; full + 1];
+    for i in 0..n {
+        table[1 << i] = i;
+    }
+    for subset in 1..=full {
+        if subset.count_ones() < 2 {
+            continue;
+        }
+        let mut best: Option<JoinStep> = None;
+        let mut sub = (subset - 1) & subset;
+        while sub > 0 {
+            let other = subset & !sub;
+            let (a, b) = (table[sub], table[other]);
+            if a != ABSENT && b != ABSENT {
+                let (probe, build, probe_set, build_set) =
+                    if steps[a].priced.rows >= steps[b].priced.rows {
+                        (a, b, sub, other)
+                    } else {
+                        (b, a, other, sub)
+                    };
+                let candidate = tree.hash_step(
+                    p,
+                    steps,
+                    (probe, build),
+                    |rel| probe_set >> rel & 1 == 1,
+                    |rel| build_set >> rel & 1 == 1,
+                );
+                if let Some(candidate) = candidate {
+                    if best.is_none_or(|cur| candidate.priced.cost < cur.priced.cost) {
+                        best = Some(candidate);
+                    }
+                }
+            }
+            sub = (sub - 1) & subset;
+        }
+        if let Some(step) = best {
+            table[subset] = steps.len();
+            steps.push(step);
+        }
+    }
+    (table[full] != ABSENT).then_some(table[full])
+}
+
+/// What pricing an inner-join tree must come to: the enumerating DP, and
+/// greedy from the bare relations when the graph is disconnected or too
+/// wide. Returns the tree's estimate, its steps and its root.
+fn reference_price(tree: &JoinTree, p: &OptimizerParams) -> (Priced, Vec<JoinStep>, usize) {
+    let n = tree.relations.len();
+    let mut steps: Vec<JoinStep> = (tree.relations.iter().enumerate())
+        .map(|(i, relation)| JoinStep {
+            priced: relation.price(p, None),
+            kind: StepKind::Relation(i),
+        })
+        .collect();
+    let dp = (n <= MAX_DP_RELATIONS)
+        .then(|| reference_dynamic_program(tree, p, &mut steps))
+        .flatten();
+    let root = dp.unwrap_or_else(|| {
+        steps.truncate(n);
+        tree.greedy(p, &mut steps)
+    });
+    let joined = steps[root].priced;
+    let priced = if tree.keeps_logical_order(&steps, root) {
+        joined
+    } else {
+        Priced {
+            cost: joined.cost + cost::project_cost(p, joined.rows, 0.0),
+            ..joined
+        }
+    };
+    (priced, steps, root)
+}
+
+/// An inner-join node priced by the planner: its estimate, and the steps
+/// and root it recorded.
+fn planner_price(node: &Node, p: &OptimizerParams) -> (Priced, Vec<JoinStep>, usize) {
+    let mut choices = Vec::new();
+    let priced = node.price(p, Some(&mut choices));
+    match choices.pop() {
+        Some(Choice::JoinOrder { steps, root, .. }) => (priced, steps, root),
+        other => panic!("an inner-join tree records its join order last, not {other:?}"),
+    }
+}
+
+fn bits(p: Priced) -> [u64; 3] {
+    [p.rows.to_bits(), p.cost.to_bits(), p.width.to_bits()]
+}
+
+fn assert_prices_like_reference(
+    node: &Node,
+    p: &OptimizerParams,
+) -> (Priced, Vec<JoinStep>, usize) {
+    let Node::InnerJoins(tree) = node else {
+        panic!("not an inner-join tree");
+    };
+    let (want, want_steps, want_root) = reference_price(tree, p);
+    let (got, got_steps, got_root) = planner_price(node, p);
+    assert_eq!(bits(got), bits(want), "tree estimate under {p:?}");
+    assert_eq!(got_root, want_root);
+    assert_eq!(got_steps.len(), want_steps.len());
+    for (i, (g, w)) in got_steps.iter().zip(&want_steps).enumerate() {
+        assert_eq!(g.kind, w.kind, "step {i}");
+        assert_eq!(bits(g.priced), bits(w.priced), "step {i}");
+    }
+    (got, got_steps, got_root)
+}
+
+/// The steps reachable from `root`.
+fn reachable(steps: &[JoinStep], root: usize) -> usize {
+    match steps[root].kind {
+        StepKind::Relation(_) => 1,
+        StepKind::Hash { left, right } | StepKind::Cross { left, right } => {
+            1 + reachable(steps, left) + reachable(steps, right)
+        }
+    }
+}
+
+#[test]
+fn a_disconnected_join_graph_goes_straight_to_greedy() {
+    let (db, fact, dim) = fixture();
+    let on_k = || {
+        vec![JoinCondition {
+            left_col: 0,
+            right_col: 0,
+        }]
+    };
+    // (fact ⋈ dim) × (dim ⋈ dim): two components, no edge between them.
+    let plan = LogicalPlan::scan(fact)
+        .join(LogicalPlan::scan(dim), on_k())
+        .join(
+            LogicalPlan::scan(dim).join(LogicalPlan::scan(dim), on_k()),
+            vec![],
+        );
+    let p = OptimizerParams::default();
+    let planned = plan_query(&db, &plan, &p).unwrap();
+    let debug_hash = {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        format!("{:?}", planned.physical).hash(&mut h);
+        h.finish()
+    };
+    // Captured from the planner that ran the subset DP first.
+    assert_eq!(planned.est_cost_units.to_bits(), 0x40e3_d6d0_0000_0000);
+    assert_eq!(planned.est_rows.to_bits(), 0x413e_8480_0000_0000);
+    assert_eq!(debug_hash, 0xd0ce_a23a_5727_1f0e);
+
+    let prepared = PreparedQuery::analyse(&db, &plan, &[]).unwrap();
+    assert!(matches!(&prepared.root, Node::InnerJoins(t) if matches!(t.order, JoinOrder::Greedy)));
+    assert_eq!(prepared.join_splits(), JoinSplits::default());
+    // Four relations and three joins: no step the plan does not use.
+    let (_, steps, root) = assert_prices_like_reference(&prepared.root, &p);
+    assert_eq!((steps.len(), root), (7, 6));
+    assert_eq!(reachable(&steps, root), steps.len());
+}
+
+/// Coverage of the random cases: disconnected graphs, a DP candidate whose
+/// halves tie on rows, a join whose build side spills.
+static COVERAGE: [AtomicUsize; 3] = [const { AtomicUsize::new(0) }; 3];
+
+const ROWS: [f64; 4] = [1.0, 10.0, 100.0, 1000.0];
+const WIDTHS: [f64; 3] = [8.0, 64.0, 512.0];
+const NDVS: [Option<f64>; 5] = [None, Some(1.0), Some(10.0), Some(100.0), Some(1000.0)];
+
+/// A join tree over `n` scans, its relations drawn from `relations`
+/// (`(rows, width, columns)` classes) and its edges from `edges`
+/// (`(left, right, left NDV, right NDV)` classes, relations mod `n`), plus
+/// a chain `0 - 1 - … - n-1` first when `chain`.
+fn random_tree(
+    n: usize,
+    relations: &[(usize, usize, usize)],
+    edges: &[(usize, usize, usize, usize)],
+    chain: bool,
+) -> JoinTree {
+    let mut offsets = vec![0];
+    let relations: Vec<Node> = relations[..n]
+        .iter()
+        .map(|&(rows, width, columns)| {
+            offsets.push(offsets[offsets.len() - 1] + columns);
+            let (rows, width) = (ROWS[rows], WIDTHS[width]);
+            Node::Scan(Scan {
+                pages: (rows * width / 8192.0).ceil(),
+                rows,
+                width,
+                out_rows: rows,
+                filter_ops: 0.0,
+                working_set_pages: 100.0,
+                paths: Vec::new(),
+            })
+        })
+        .collect();
+    let backbone = (1..n).filter(|_| chain).map(|i| (i - 1, i, 0, 0));
+    let edges: Vec<JoinEdge> = backbone
+        .chain(edges.iter().copied())
+        .map(|(l, r, lndv, rndv)| JoinEdge {
+            left_rel: l % n,
+            right_rel: r % n,
+            left_ndv: NDVS[lndv],
+            right_ndv: NDVS[rndv],
+            left_col: offsets[l % n],
+            right_col: offsets[r % n],
+        })
+        .collect();
+    JoinTree {
+        order: JoinOrder::of(n, &edges),
+        relations,
+        offsets,
+        edges,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    fn random_trees_price_like_the_enumerating_dp(
+        n in 2usize..10,
+        relations in prop::collection::vec((0usize..4, 0usize..3, 0usize..3), 9..10),
+        edges in prop::collection::vec((0usize..9, 0usize..9, 0usize..5, 0usize..5), 0..16),
+        chain in prop::bool::ANY,
+        (work_mem_log2, tuple, operator, page, cache) in
+            (6.0f64..20.0, 0.001f64..0.1, 0.0005f64..0.01, 0.5f64..2.0, 1.0f64..1e5),
+    ) {
+        let tree = random_tree(n, &relations, &edges, chain);
+        let work_mem = work_mem_log2.exp2();
+        let p = OptimizerParams {
+            work_mem_bytes: work_mem,
+            cpu_tuple_cost: tuple,
+            cpu_operator_cost: operator,
+            seq_page_cost: page,
+            effective_cache_size_pages: cache,
+            ..OptimizerParams::default()
+        };
+        p.validate().unwrap();
+        // One step per relation and per connected subset, or per greedy merge.
+        let (disconnected, want_steps) = match &tree.order {
+            JoinOrder::Dp(table) => (false, n + table.subsets.len()),
+            JoinOrder::Greedy => (true, 2 * n - 1),
+        };
+        let node = Node::InnerJoins(tree);
+        let (_, steps, _) = assert_prices_like_reference(&node, &p);
+        prop_assert_eq!(steps.len(), want_steps);
+        let joins = steps.iter().filter_map(|s| match s.kind {
+            StepKind::Hash { left, right } => Some((steps[left].priced, steps[right].priced)),
+            _ => None,
+        });
+        let (mut tied, mut spilled) = (false, false);
+        for (l, r) in joins {
+            tied |= l.rows == r.rows;
+            spilled |= r.rows * r.width > work_mem;
+        }
+        for (counter, hit) in COVERAGE.iter().zip([disconnected, tied, spilled]) {
+            counter.fetch_add(usize::from(hit), Ordering::Relaxed);
+        }
+    }
+}
+
+#[test]
+fn the_join_dp_over_analysed_splits_matches_the_enumerating_dp() {
+    random_trees_price_like_the_enumerating_dp();
+    let [disconnected, tied, spilled] = COVERAGE.each_ref().map(|c| c.load(Ordering::Relaxed));
+    println!("64 cases: {disconnected} disconnected, {tied} with a tie, {spilled} spilling");
+    assert!(
+        disconnected >= 8 && 64 - disconnected >= 8 && tied >= 8 && spilled >= 8,
+        "64 cases: {disconnected} disconnected, {tied} with a tie, {spilled} spilling"
+    );
+}
+
+/// `count` scans of `dim` (columns `k`, `label`), relation `i` joined on `k`
+/// to each relation `neighbours(i)` names.
+fn self_joins(dim: TableId, count: usize, neighbours: impl Fn(usize) -> Vec<usize>) -> LogicalPlan {
+    (1..count).fold(LogicalPlan::scan(dim), |plan, i| {
+        let on = neighbours(i)
+            .into_iter()
+            .map(|j| JoinCondition {
+                left_col: 2 * j,
+                right_col: 0,
+            })
+            .collect();
+        plan.join(LogicalPlan::scan(dim), on)
+    })
+}
+
+#[test]
+fn a_twelve_relation_clique_stays_bounded_and_prices_like_the_enumerating_dp() {
+    let (db, _, dim) = fixture();
+    let plan = self_joins(dim, MAX_DP_RELATIONS, |i| (0..i).collect());
+    let prepared = PreparedQuery::analyse(&db, &plan, &[]).unwrap();
+    let splits = prepared.join_splits();
+    println!(
+        "{MAX_DP_RELATIONS}-relation clique: {splits:?} = {:.1} MiB of split tables",
+        splits.bytes as f64 / f64::from(1 << 20)
+    );
+    // In a clique every subset is connected and every cut crosses an edge.
+    assert_eq!(splits.enumerated, 3usize.pow(12) + 1 - (2 << 12));
+    assert_eq!(splits.connected, splits.enumerated);
+    assert_eq!(splits.subsets, (1 << 12) - 12 - 1);
+    assert!(splits.bytes < 32 << 20, "{} bytes", splits.bytes);
+    for work_mem_bytes in [(1 << 20) as f64, 4096.0] {
+        let p = OptimizerParams {
+            work_mem_bytes,
+            ..OptimizerParams::default()
+        };
+        assert_prices_like_reference(&prepared.root, &p);
+    }
+}
+
+#[test]
+fn a_thirteen_relation_chain_takes_greedy_and_enumerates_nothing() {
+    let (db, _, dim) = fixture();
+    let plan = self_joins(dim, MAX_DP_RELATIONS + 1, |i| vec![i - 1]);
+    let prepared = PreparedQuery::analyse(&db, &plan, &[]).unwrap();
+    assert!(matches!(&prepared.root, Node::InnerJoins(t) if matches!(t.order, JoinOrder::Greedy)));
+    assert_eq!(prepared.join_splits(), JoinSplits::default());
+    assert_prices_like_reference(&prepared.root, &OptimizerParams::default());
 }

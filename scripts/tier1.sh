@@ -100,6 +100,16 @@ if lib_code | grep -E '^crates/controller/src/' | grep -E 'DesignProblem|CostMod
   exit 1
 fi
 
+# One subset enumeration: which splits of which relation subsets the join
+# DP may take is fixed by the join graph, so analysis enumerates them once
+# (crates/optimizer/src/planner/analyse.rs) and pricing walks its list. A
+# `(x - 1) & x` submask walk anywhere else in library code — above all in
+# price.rs — would be the per-`P` enumeration back.
+if lib_code | grep -v '^crates/optimizer/src/planner/analyse\.rs: ' | grep -E '\((\w+) - 1\) & '; then
+  echo "FAIL: a relation-subset enumeration outside crates/optimizer/src/planner/analyse.rs" >&2
+  exit 1
+fi
+
 cargo test -q
 
 # `cargo test` never builds the `harness = false` Criterion benches, so an
