@@ -3,8 +3,9 @@
 //! controller's epoch shape (8 VMs × 4 queries) and at a fleet machine's
 //! (64 VMs × 16 queries), then `run_controller` and `account_regret` over
 //! 128 epochs of eight VMs on twelve share units — once stationary (quiet
-//! epochs: the hill climb prices every one) and once drifting (re-solves,
-//! and regret replays that leave the controller's trajectory).
+//! epochs: one placement, then only simulation and statistics) and once
+//! drifting (re-solves, and regret replays that leave the controller's
+//! trajectory).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbvirt_controller::{

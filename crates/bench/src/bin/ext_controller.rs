@@ -266,7 +266,6 @@ fn main() {
             ("prediction_hits", Json::Num(h.prediction_hits as f64)),
             ("prediction_misses", Json::Num(h.prediction_misses as f64)),
             ("localized_solves", Json::Num(h.localized_solves as f64)),
-            ("hill_climb_moves", Json::Num(h.hill_climb_moves as f64)),
             ("controller_cost_secs", Json::Num(report.controller_cost)),
             ("oracle_cost_secs", Json::Num(report.oracle_cost)),
             ("never_reconfigure_cost_secs", Json::Num(report.never_cost)),

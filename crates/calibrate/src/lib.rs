@@ -49,5 +49,5 @@ pub use error::CalError;
 pub use grid::{CalibrationGrid, GridHealth};
 pub use probedb::ProbeDb;
 pub use report::{CalibrationReport, ProbeStat};
-pub use runner::{calibrate, Aggregation, Calibration, CalibrationConfig};
+pub use runner::{calibrate, Calibration, CalibrationConfig};
 pub use vmdb::DbVmConfig;

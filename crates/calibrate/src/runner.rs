@@ -30,7 +30,7 @@
 //! [`FaultInjector`] (or a real VM) produces:
 //!
 //! 1. **multi-trial probes** — each probe is measured several times and
-//!    the trials aggregated by median or trimmed mean;
+//!    the trials aggregated by their median;
 //! 2. **bounded retries** — transient failures and timeouts are retried
 //!    up to `max_retries` times per trial before the trial is lost;
 //! 3. **condition diagnostics + ridge** — the weighted normal matrix's
@@ -73,17 +73,14 @@ static TM_PROBE_VIRT_US: telemetry::Histogram =
 /// [`CalibrationReport::clamped_params`].
 pub const RATIO_FLOOR: f64 = 1e-6;
 
-/// How multiple trial measurements of one probe are combined.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Aggregation {
-    /// The median (even counts average the middle two).
-    Median,
-    /// The mean after trimming `trim` of the samples from each end.
-    TrimmedMean {
-        /// Fraction trimmed from each end, in `[0, 0.5)`.
-        trim: f64,
-    },
-}
+/// An equation is an outlier if its relative residual exceeds
+/// `OUTLIER_SIGMAS × 1.4826 × MAD` of all residuals…
+const OUTLIER_SIGMAS: f64 = 4.0;
+/// …and also this absolute floor (so tight clean fits never reject).
+const MIN_OUTLIER_RESIDUAL: f64 = 0.25;
+/// Relative Tikhonov ridge strength of the fallback solve (`λ =
+/// RIDGE_LAMBDA × mean(diag(aᵀa))`).
+const RIDGE_LAMBDA: f64 = 1e-8;
 
 /// Knobs for the robust calibration loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,24 +88,14 @@ pub struct CalibrationConfig {
     /// Fault injection on the measurement path (`None` = clean
     /// measurements).
     pub injector: Option<FaultInjector>,
-    /// Trial measurements per probe.
+    /// Trial measurements per probe, aggregated by their median.
     pub trials: usize,
-    /// Trial aggregation.
-    pub aggregation: Aggregation,
     /// Retries per trial on a transient fault or timeout.
     pub max_retries: usize,
     /// Maximum outlier equations the robust refit may reject.
     pub max_outlier_drops: usize,
-    /// An equation is an outlier if its relative residual exceeds
-    /// `outlier_sigmas × 1.4826 × MAD` of all residuals…
-    pub outlier_sigmas: f64,
-    /// …and also this absolute floor (so tight clean fits never reject).
-    pub min_outlier_residual: f64,
     /// Condition-number limit above which the ridge fallback is used.
     pub condition_limit: f64,
-    /// Relative Tikhonov ridge strength (`λ = ridge_lambda ×
-    /// mean(diag(aᵀa))`).
-    pub ridge_lambda: f64,
 }
 
 impl CalibrationConfig {
@@ -119,13 +106,9 @@ impl CalibrationConfig {
         CalibrationConfig {
             injector: None,
             trials: 1,
-            aggregation: Aggregation::Median,
             max_retries: 0,
             max_outlier_drops: 0,
-            outlier_sigmas: 4.0,
-            min_outlier_residual: 0.25,
             condition_limit: f64::INFINITY,
-            ridge_lambda: 1e-8,
         }
     }
 
@@ -145,12 +128,6 @@ impl CalibrationConfig {
     /// Returns the config with the fault injector installed.
     pub fn with_injector(mut self, injector: FaultInjector) -> CalibrationConfig {
         self.injector = Some(injector);
-        self
-    }
-
-    /// Returns the config with `trials` trial measurements per probe.
-    pub fn with_trials(mut self, trials: usize) -> CalibrationConfig {
-        self.trials = trials.max(1);
         self
     }
 }
@@ -185,28 +162,8 @@ fn share_context(shares: &ResourceVector) -> u64 {
     h
 }
 
-/// Aggregates trial samples. `samples` must be non-empty.
-fn aggregate(samples: &mut [f64], how: Aggregation) -> f64 {
-    debug_assert!(!samples.is_empty());
-    samples.sort_by(f64::total_cmp);
-    let n = samples.len();
-    match how {
-        Aggregation::Median => {
-            if n % 2 == 1 {
-                samples[n / 2]
-            } else {
-                (samples[n / 2 - 1] + samples[n / 2]) / 2.0
-            }
-        }
-        Aggregation::TrimmedMean { trim } => {
-            let cut = ((n as f64) * trim.clamp(0.0, 0.499)) as usize;
-            let kept = &samples[cut..n - cut];
-            kept.iter().sum::<f64>() / kept.len() as f64
-        }
-    }
-}
-
-/// Median of a non-empty slice (copies; used for the MAD outlier scale).
+/// Median of a non-empty slice (even counts average the middle two): the
+/// aggregate of a probe's trials and the MAD outlier scale.
 fn median(values: &[f64]) -> f64 {
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
@@ -409,7 +366,7 @@ fn price_probe(
         probe_span.set_attr("dropped", true);
         return None;
     }
-    let seconds = aggregate(&mut samples, rcfg.aggregation);
+    let seconds = median(&samples);
     telemetry::advance_virtual_secs(seconds);
     TM_PROBE_VIRT_US.record_micros(if seconds.is_finite() && seconds > 0.0 {
         (seconds * 1e6) as u64
@@ -429,8 +386,12 @@ fn robust_fit(
     report: &mut CalibrationReport,
 ) -> Result<Vec<f64>, CalError> {
     let targets = |n: usize| vec![1.0; n];
-    let mut fit =
-        solver::least_squares_diagnosed(&rows, &targets(rows.len()), rcfg.condition_limit, rcfg.ridge_lambda)?;
+    let mut fit = solver::least_squares_diagnosed(
+        &rows,
+        &targets(rows.len()),
+        rcfg.condition_limit,
+        RIDGE_LAMBDA,
+    )?;
     for _ in 0..rcfg.max_outlier_drops {
         if rows.len() <= NUM_UNKNOWNS {
             break;
@@ -445,7 +406,7 @@ fn robust_fit(
             .collect();
         let abs: Vec<f64> = resid.iter().map(|r| r.abs()).collect();
         let scale = 1.4826 * median(&abs);
-        let threshold = (rcfg.outlier_sigmas * scale).max(rcfg.min_outlier_residual);
+        let threshold = (OUTLIER_SIGMAS * scale).max(MIN_OUTLIER_RESIDUAL);
         let worst = abs
             .iter()
             .enumerate()
@@ -462,7 +423,7 @@ fn robust_fit(
             &rows,
             &targets(rows.len()),
             rcfg.condition_limit,
-            rcfg.ridge_lambda,
+            RIDGE_LAMBDA,
         )?;
     }
     report.condition_number = fit.condition;
@@ -896,18 +857,9 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_median_and_trimmed_mean() {
-        let mut v = [5.0, 1.0, 3.0];
-        assert_eq!(aggregate(&mut v, Aggregation::Median), 3.0);
-        let mut v = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(aggregate(&mut v, Aggregation::Median), 2.5);
-        // Trimmed mean drops the 100.0 outlier.
-        let mut v = [1.0, 2.0, 3.0, 4.0, 100.0];
-        let t = aggregate(&mut v, Aggregation::TrimmedMean { trim: 0.2 });
-        assert_eq!(t, 3.0);
-        // trim = 0 is the plain mean.
-        let mut v = [1.0, 3.0];
-        assert_eq!(aggregate(&mut v, Aggregation::TrimmedMean { trim: 0.0 }), 2.0);
+    fn trials_aggregate_by_their_median() {
+        assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
     }
 
     #[test]

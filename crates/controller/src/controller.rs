@@ -20,9 +20,8 @@
 //! 4. apply the recommended allocation only if its predicted benefit over
 //!    the decision horizon clears the modeled reconfiguration cost (memory
 //!    resize = cache flush, charged in virtual time) plus a hysteresis
-//!    margin. On quiet epochs a hill climb tries every one-unit share
-//!    transfer against the same gate, pricing each VM on at most five
-//!    rows rather than every candidate matrix row by row.
+//!    margin. A quiet epoch decides nothing unless the governor pre-switches
+//!    ahead of a predicted phase boundary.
 //!
 //! Every cost the loop compares is a sum of [`price`]s. The loop is fully
 //! deterministic: identical `(scenario, config)` pairs produce
@@ -54,8 +53,6 @@ static TM_VETOES: telemetry::Counter = telemetry::Counter::new("controller.gover
 static TM_PRESWITCHES: telemetry::Counter =
     telemetry::Counter::new("controller.prescheduled_switches");
 static TM_LOCALIZED: telemetry::Counter = telemetry::Counter::new("controller.localized_solves");
-static TM_HILL_CLIMBS: telemetry::Counter =
-    telemetry::Counter::new("controller.hill_climb_moves");
 
 /// What a caller chooses about a controller run: the share lattice its
 /// re-solves search. Every policy value is a constant beside
@@ -63,8 +60,8 @@ static TM_HILL_CLIMBS: telemetry::Counter =
 #[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
     /// Share discretization, per-VM floor, disk share and budgets of every
-    /// re-solve. Its `parallelism` is not read: a re-solve prices a few
-    /// hundred closed-form cells.
+    /// re-solve, each a few hundred closed-form cells priced on the
+    /// caller's thread.
     pub search: SearchConfig,
 }
 
@@ -113,7 +110,7 @@ pub struct ControllerOutcome {
     /// the run got far enough to make one.
     pub placement: Option<AllocationMatrix>,
     /// Diagnostic health report: sensor trouble absorbed, governor
-    /// activity, localization and hill-climb counts. Deliberately **not**
+    /// activity and localized re-solves. Deliberately **not**
     /// part of [`ControllerOutcome::trace_fingerprint`] — it describes the
     /// run, it is not the decision trace.
     pub health: ControllerHealth,
@@ -368,112 +365,6 @@ fn localized_solve(
     Ok(Some((AllocationMatrix::new(rows)?, keep, objective)))
 }
 
-/// Looks for the best single-unit share transfer that strictly improves
-/// the modeled cost of the current profiles — the quiet-epoch hill climb.
-/// Returns the candidate allocation with the current allocation's cost and
-/// the candidate's, or `None` when no transfer improves (including when
-/// the current allocation is off the unit grid); the caller gates it.
-///
-/// The objective is separable: a candidate's cost is a sum of per-VM terms,
-/// and a transfer changes two of them. So each VM is priced on at most
-/// five rows — its unit-derived current row and CPU or memory one unit
-/// down or up ([`CELL_STEPS`]) — built and priced on first use, and every
-/// candidate is the sum, in workload order, of the cells it selects.
-/// Candidates are visited, rows built and cells priced in the order the
-/// whole-matrix enumeration visits them, so the same sums, the same winner
-/// and the same first error come out.
-fn hill_climb_move(
-    machine: MachineSpec,
-    search: &SearchConfig,
-    current: &AllocationMatrix,
-    profiles: &[WorkloadProfile],
-) -> Result<Option<(AllocationMatrix, f64, f64)>, ControllerError> {
-    let units = search.units;
-    let min = search.min_units;
-    let n = current.num_workloads();
-    let mut held = Vec::with_capacity(n);
-    for i in 0..n {
-        let (Some(c), Some(m)) = (
-            share_units(current.row(i).cpu().fraction(), units),
-            share_units(current.row(i).memory().fraction(), units),
-        ) else {
-            return Ok(None);
-        };
-        held.push([i64::from(c), i64::from(m)]);
-    }
-    let mut current_cost = 0.0;
-    for (w, profile) in profiles.iter().enumerate() {
-        current_cost += price(machine, profile, current.row(w))?;
-    }
-
-    // The cell VM `i` contributes to the transfer `resource: donor ->
-    // recipient` (an index into `CELL_STEPS`).
-    let cell_of = |i: usize, donor: usize, recipient: usize, resource: usize| -> usize {
-        if i == donor {
-            1 + 2 * resource
-        } else if i == recipient {
-            2 + 2 * resource
-        } else {
-            0
-        }
-    };
-    let mut rows: Vec<[Option<ResourceVector>; 5]> = vec![[None; 5]; n];
-    let mut costs: Vec<[Option<f64>; 5]> = vec![[None; 5]; n];
-    let mut best: Option<(f64, usize, usize, usize)> = None;
-    for donor in 0..n {
-        for recipient in 0..n {
-            if donor == recipient {
-                continue;
-            }
-            for resource in 0..2usize {
-                if held[donor][resource] <= i64::from(min) {
-                    continue;
-                }
-                for i in 0..n {
-                    let cell = cell_of(i, donor, recipient, resource);
-                    if rows[i][cell].is_none() {
-                        let [dc, dm] = CELL_STEPS[cell];
-                        rows[i][cell] = Some(ResourceVector::from_fractions(
-                            (held[i][0] + dc) as f64 / units as f64,
-                            (held[i][1] + dm) as f64 / units as f64,
-                            current.row(i).disk().fraction(),
-                        )?);
-                    }
-                }
-                let mut cost = 0.0;
-                for w in 0..n {
-                    let cell = cell_of(w, donor, recipient, resource);
-                    cost += match costs[w][cell] {
-                        Some(priced) => priced,
-                        None => {
-                            let row = rows[w][cell].expect("built just above");
-                            *costs[w][cell].insert(price(machine, &profiles[w], row)?)
-                        }
-                    };
-                }
-                // Strict improvement with a deterministic first-best
-                // tie-break (lowest donor, recipient, CPU before memory).
-                if cost < current_cost - 1e-12 && best.is_none_or(|(b, ..)| cost < b) {
-                    best = Some((cost, donor, recipient, resource));
-                }
-            }
-        }
-    }
-    let Some((best_cost, donor, recipient, resource)) = best else {
-        return Ok(None);
-    };
-    let candidate = AllocationMatrix::new(
-        (0..n)
-            .map(|i| rows[i][cell_of(i, donor, recipient, resource)].expect("the winner was built"))
-            .collect(),
-    )?;
-    Ok(Some((candidate, current_cost, best_cost)))
-}
-
-/// `[cpu, memory]` unit steps of the five rows the hill climb prices a VM
-/// on: where it is, CPU one unit down / up, memory one unit down / up.
-const CELL_STEPS: [[i64; 2]; 5] = [[0, 0], [-1, 0], [1, 0], [0, -1], [0, 1]];
-
 /// Page–Hinkley parameters of every VM's drift detector, on log reference
 /// seconds: ~5 % per-query wobble tolerated, fires on a 0.6 cumulative
 /// excursion, never within a VM's first 8 observations.
@@ -562,7 +453,6 @@ pub fn run_controller(
     let mut governor_vetoes = 0usize;
     let mut prescheduled = 0usize;
     let mut localized_solves = 0usize;
-    let mut hill_climb_moves = 0usize;
 
     // Buffer pools of the allocation in force; they move only with it.
     let mut pools = Vec::new();
@@ -656,9 +546,10 @@ pub fn run_controller(
             && (placement.is_none()
                 || verdict.prediction_missed
                 || (drifted && cooled && !veto_hit));
-        let profiles: Option<Vec<WorkloadProfile>> =
-            stats.iter().map(|s| s.profile()).collect();
-        if let (true, Some(profiles)) = (should_decide, &profiles) {
+        let profiles = should_decide
+            .then(|| stats.iter().map(|s| s.profile()).collect::<Option<Vec<_>>>())
+            .flatten();
+        if let Some(profiles) = &profiles {
             let mut decide_span = telemetry::span("controller.decide");
             decide_span.set_attr("epoch", epoch);
             decisions += 1;
@@ -731,38 +622,6 @@ pub fn run_controller(
             // same change is not acted on twice.
             for s in &mut stats {
                 s.reset_detector();
-            }
-        } else if warmed && placement.is_some() && !drifted && cooled {
-            // Quiet epoch: hill-climb one share step against the live
-            // profile estimates. The full switch gate applies, so only
-            // transfers that genuinely pay for their reconfiguration land.
-            // Reserved for genuinely stationary stretches: every VM's
-            // fresh per-epoch mean must quantize into the same bucket as
-            // the long-run estimate the move would be priced against — a
-            // disagreement means the estimate is mid-transient, and
-            // transients are the drift machinery's jurisdiction, not the
-            // hill-climber's.
-            let quiescent = profiles.as_ref().is_some_and(|profiles| {
-                snapshot_keys
-                    .iter()
-                    .zip(profiles)
-                    .all(|(key, p)| *key == Some(p.quantize(QUANTIZATION_REL)))
-            });
-            if let (true, Some(profiles)) = (quiescent, &profiles) {
-                let horizon = governor.governed_horizon(epoch, HORIZON_EPOCHS);
-                let current = &ledger.current;
-                if let Some((candidate, keep, objective)) =
-                    hill_climb_move(machine, &config.search, current, profiles)?
-                {
-                    let switch_cost =
-                        switch_cost_seconds(machine, current, &candidate, SWITCH_BASE_SECONDS)?;
-                    if clears_gate(keep, objective, horizon, switch_cost) {
-                        ledger.apply_switch(epoch, candidate, switch_cost)?;
-                        hill_climb_moves += 1;
-                        TM_HILL_CLIMBS.add(1);
-                        last_decision_epoch = Some(epoch);
-                    }
-                }
             }
         }
 
@@ -848,7 +707,6 @@ pub fn run_controller(
         prediction_hits: governor.prediction_hits(),
         prediction_misses: governor.prediction_misses(),
         localized_solves,
-        hill_climb_moves,
     };
 
     Ok(ControllerOutcome {
@@ -1057,161 +915,6 @@ mod tests {
                 "{refused:?}"
             );
         }
-    }
-
-    /// The whole-matrix enumeration, the oracle of
-    /// [`hill_climb_matches_the_whole_matrix_enumeration`]: every transfer
-    /// builds all `n` rows and prices all `n` of them.
-    fn hill_climb_move_enumerated(
-        machine: MachineSpec,
-        search: &SearchConfig,
-        current: &AllocationMatrix,
-        profiles: &[WorkloadProfile],
-    ) -> Result<Option<(AllocationMatrix, f64, f64)>, ControllerError> {
-        let units = search.units;
-        let min = search.min_units;
-        let n = current.num_workloads();
-        let mut cpu = Vec::with_capacity(n);
-        let mut mem = Vec::with_capacity(n);
-        for i in 0..n {
-            let (Some(c), Some(m)) = (
-                share_units(current.row(i).cpu().fraction(), units),
-                share_units(current.row(i).memory().fraction(), units),
-            ) else {
-                return Ok(None);
-            };
-            cpu.push(c);
-            mem.push(m);
-        }
-        let row = |c: u32, m: u32, disk: f64| -> Result<ResourceVector, ControllerError> {
-            Ok(ResourceVector::from_fractions(
-                c as f64 / units as f64,
-                m as f64 / units as f64,
-                disk,
-            )?)
-        };
-        let cost_of = |rows: &[ResourceVector]| -> Result<f64, ControllerError> {
-            let mut total = 0.0;
-            for (w, r) in rows.iter().enumerate() {
-                total += price(machine, &profiles[w], *r)?;
-            }
-            Ok(total)
-        };
-        let current_rows: Vec<ResourceVector> = (0..n).map(|i| current.row(i)).collect();
-        let current_cost = cost_of(&current_rows)?;
-
-        let mut best: Option<(f64, Vec<ResourceVector>)> = None;
-        for donor in 0..n {
-            for recipient in 0..n {
-                if donor == recipient {
-                    continue;
-                }
-                for resource in 0..2usize {
-                    let pool = if resource == 0 { &cpu } else { &mem };
-                    if pool[donor] <= min {
-                        continue;
-                    }
-                    let mut c = cpu.clone();
-                    let mut m = mem.clone();
-                    if resource == 0 {
-                        c[donor] -= 1;
-                        c[recipient] += 1;
-                    } else {
-                        m[donor] -= 1;
-                        m[recipient] += 1;
-                    }
-                    let mut rows = Vec::with_capacity(n);
-                    for i in 0..n {
-                        rows.push(row(c[i], m[i], current.row(i).disk().fraction())?);
-                    }
-                    let cost = cost_of(&rows)?;
-                    // Strict improvement with a deterministic first-best
-                    // tie-break (lowest donor, recipient, CPU before memory).
-                    if cost < current_cost - 1e-12
-                        && best.as_ref().is_none_or(|(b, _)| cost < *b)
-                    {
-                        best = Some((cost, rows));
-                    }
-                }
-            }
-        }
-        let Some((best_cost, rows)) = best else {
-            return Ok(None);
-        };
-        Ok(Some((AllocationMatrix::new(rows)?, current_cost, best_cost)))
-    }
-
-    #[test]
-    fn hill_climb_matches_the_whole_matrix_enumeration() {
-        use dbvirt_vmm::kernel::SplitMix64;
-        let machine = MachineSpec::tiny();
-        let mut rng = SplitMix64(0x5eed);
-        let mut unit = move || (rng.next() >> 11) as f64 / (1u64 << 53) as f64;
-        let (mut moved, mut held, mut tied) = (0, 0, 0);
-        for case in 0..256usize {
-            let n = 2 + case % 7;
-            let search = SearchConfig::for_workloads(12, n);
-            // A few distinct profiles dealt over the VMs: VMs sharing a
-            // profile and a row make transfers that tie to the bit.
-            let distinct = 1 + case % 3;
-            let pool: Vec<WorkloadProfile> = (0..distinct)
-                .map(|_| cpu_heavy().lerp(&io_heavy(), unit()).scaled(0.5 + unit()))
-                .collect();
-            let profiles: Vec<WorkloadProfile> = (0..n).map(|i| pool[i % distinct]).collect();
-            // An on-lattice allocation: everyone at `min_units`, the rest of
-            // each budget dealt at random (so donors at the floor are common).
-            let mut units = vec![[search.min_units; 2]; n];
-            for resource in [0, 1] {
-                for _ in 0..12 - n as u32 * search.min_units {
-                    units[(unit() * n as f64) as usize % n][resource] += 1;
-                }
-            }
-            let current = AllocationMatrix::new(
-                units
-                    .iter()
-                    .map(|[c, m]| {
-                        ResourceVector::from_fractions(
-                            *c as f64 / 12.0,
-                            *m as f64 / 12.0,
-                            search.disk_share,
-                        )
-                        .unwrap()
-                    })
-                    .collect(),
-            )
-            .unwrap();
-            let bits = |r: Option<(AllocationMatrix, f64, f64)>| {
-                r.map(|(a, keep, cost)| (a, keep.to_bits(), cost.to_bits()))
-            };
-            let fast = bits(hill_climb_move(machine, &search, &current, &profiles).unwrap());
-            let slow =
-                bits(hill_climb_move_enumerated(machine, &search, &current, &profiles).unwrap());
-            assert_eq!(fast, slow, "case {case}: n={n} units={units:?}");
-            match &fast {
-                Some(_) => moved += 1,
-                None => held += 1,
-            }
-            let twins = (0..n).any(|i| {
-                (0..i).any(|j| profiles[i] == profiles[j] && units[i] == units[j])
-            });
-            tied += usize::from(twins && fast.is_some());
-        }
-        // Ungated, every case with an improving transfer compares the
-        // winners themselves; a few random allocations are local optima.
-        assert!(moved >= 128 && held >= 1, "{moved} moved, {held} held");
-        assert!(tied >= 8, "only {tied} winners were picked among tied transfers");
-
-        // An allocation off the unit lattice is `None` from both.
-        let search = config().search;
-        let off = AllocationMatrix::new(vec![
-            ResourceVector::from_fractions(0.3, 0.5, 0.5).unwrap(),
-            ResourceVector::from_fractions(0.7, 0.5, 0.5).unwrap(),
-        ])
-        .unwrap();
-        let profiles = [cpu_heavy(), io_heavy()];
-        assert!(hill_climb_move(machine, &search, &off, &profiles).unwrap().is_none());
-        let slow = hill_climb_move_enumerated(machine, &search, &off, &profiles).unwrap();
-        assert!(slow.is_none());
     }
 
     #[test]

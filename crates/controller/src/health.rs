@@ -40,14 +40,12 @@ pub struct ControllerHealth {
     pub prediction_misses: usize,
     /// Drift re-solves restricted to the drifted VM subset.
     pub localized_solves: usize,
-    /// Quiet-epoch hill-climb share transfers applied.
-    pub hill_climb_moves: usize,
 }
 
 impl ControllerHealth {
     /// True when every observation arrived and every prediction held: no
     /// sensor dropouts, no dropped measurements, no refuted pre-switches.
-    /// Drift detections, vetoes, and hill-climb moves are normal operation
+    /// Drift detections, vetoes and localized solves are normal operation
     /// and do not count against cleanliness.
     pub fn is_clean(&self) -> bool {
         self.dropped_observations == 0
@@ -63,7 +61,7 @@ impl fmt::Display for ControllerHealth {
             "controller health: {} epochs, {} observations ({} dropped, \
              {} dropout vm-epochs, max staleness {}); {} drift detections, \
              {} decisions, {} switches ({} prescheduled, {} vetoed); \
-             predictions {}/{} hit; {} localized solves, {} hill-climb moves",
+             predictions {}/{} hit; {} localized solves",
             self.epochs,
             self.observations,
             self.dropped_observations,
@@ -77,7 +75,6 @@ impl fmt::Display for ControllerHealth {
             self.prediction_hits,
             self.prediction_hits + self.prediction_misses,
             self.localized_solves,
-            self.hill_climb_moves,
         )
     }
 }
@@ -95,7 +92,7 @@ mod tests {
             decisions: 4,
             switches: 2,
             governor_vetoes: 1,
-            hill_climb_moves: 2,
+            localized_solves: 2,
             ..ControllerHealth::default()
         };
         assert!(h.is_clean(), "normal operation is clean");

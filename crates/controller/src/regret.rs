@@ -313,6 +313,32 @@ mod tests {
     }
 
     #[test]
+    fn epoch_counts_that_overflow_usize_are_a_typed_error() {
+        // Summed unchecked, `usize::MAX + 2` epochs panics a debug build
+        // and wraps to a one-epoch run in a release build.
+        let db = tiny_db();
+        let template = template(&db, 2, MachineSpec::tiny());
+        let out = run_controller(&drifting(), &template, &config()).unwrap();
+        let phase = |epochs| crate::ScenarioPhase {
+            profiles: vec![cpu_heavy(), io_heavy()],
+            epochs,
+        };
+        let huge = Scenario::new(
+            "huge",
+            MachineSpec::tiny(),
+            vec![phase(usize::MAX), phase(2)],
+            11,
+        );
+        let ran = run_controller(&huge, &template, &config());
+        assert!(matches!(ran, Err(ControllerError::BadScenario { .. })), "{ran:?}");
+        let accounted = account_regret(&huge, &template, &config(), &out);
+        assert!(
+            matches!(accounted, Err(ControllerError::BadScenario { .. })),
+            "{accounted:?}"
+        );
+    }
+
+    #[test]
     fn reusing_the_controllers_epochs_does_not_move_a_bit() {
         // With every recorded allocation replaced by one no replay asks
         // for, both replays simulate every epoch themselves.

@@ -383,6 +383,12 @@ impl Scenario {
                 profile.validate()?;
             }
         }
+        let total = (self.phases.iter()).try_fold(0usize, |total, p| total.checked_add(p.epochs));
+        if total.is_none() {
+            return Err(ControllerError::BadScenario {
+                reason: "the phases' epoch counts overflow usize".to_string(),
+            });
+        }
         if !(self.variability.is_finite() && (0.0..1.0).contains(&self.variability)) {
             return Err(ControllerError::BadScenario {
                 reason: format!("variability must be in [0, 1), got {}", self.variability),
@@ -396,7 +402,8 @@ impl Scenario {
         self.phases.first().map_or(0, |p| p.profiles.len())
     }
 
-    /// Total epochs across all phases.
+    /// Total epochs across all phases. [`Scenario::validate`] refuses a
+    /// scenario whose total does not fit `usize`.
     pub fn total_epochs(&self) -> usize {
         self.phases.iter().map(|p| p.epochs).sum()
     }

@@ -93,7 +93,7 @@ pub fn co_schedule_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ResourceDemand, ResourceVector};
+    use crate::ResourceDemand;
 
     fn demand(cpu: f64, seq: u64) -> ResourceDemand {
         ResourceDemand {

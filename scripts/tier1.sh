@@ -99,6 +99,14 @@ if lib_code | grep -E '^crates/controller/src/' | grep -E 'DesignProblem|CostMod
   echo "FAIL: the controller reaches the DP through a design problem instead of solve_dp" >&2
   exit 1
 fi
+# ...and one decision path per trigger: drift re-solves, the governor's
+# pre-switch and the first placement. A quiet-epoch hill climb was a fourth
+# that never landed a move. The controller's library code is also the first
+# crate held to zero `unwrap()` / `expect(` sites: every failure is typed.
+if lib_code | grep -E '^crates/controller/src/' | grep -E 'unwrap\(\)|expect\(|hill_climb'; then
+  echo "FAIL: unwrap()/expect( or a hill climb in crates/controller/src library code" >&2
+  exit 1
+fi
 
 # One subset enumeration: which splits of which relation subsets the join
 # DP may take is fixed by the join graph, so analysis enumerates them once

@@ -4,9 +4,10 @@
 //! sensors, eight VMs, twelve share units), on two seeds.
 //!
 //! `tests/golden/controller_bits.txt` was captured from the commit *before*
-//! capped co-scheduling became a per-VM walk, the hill climb a five-cell
-//! table and the regret replays a reuse of the controller's own epochs
-//! (`GOLDEN_REGENERATE=1` rewrites it). `CONTROLLER_REGRET`
+//! capped co-scheduling became a per-VM walk and the regret replays a
+//! reuse of the controller's own epochs, then cut by its last health field
+//! (a quiet-epoch hill climb's move count, 0 on every line) when that
+//! climb was deleted (`GOLDEN_REGENERATE=1` rewrites it). `CONTROLLER_REGRET`
 //! lines carry four decimals; here the oracle and never-reconfigure costs
 //! are pinned to the bit, next to the decision-trace fingerprint and every
 //! health counter.
@@ -148,7 +149,7 @@ fn render_seed(out: &mut String, seed: u64) {
             out,
             "seed={seed} i={i} {} trace={:016x} total={:016x} final_us={} oracle={:016x} \
              never={:016x} oracle_switches={} suboptimal_epochs={} suboptimal_s={:016x} \
-             health={}/{}/{}/{}/{}/{}/{}/{}/{}/{}/{}/{}/{}/{}",
+             health={}/{}/{}/{}/{}/{}/{}/{}/{}/{}/{}/{}/{}",
             scenario.name,
             o.trace_fingerprint(),
             o.total_cost.to_bits(),
@@ -171,7 +172,6 @@ fn render_seed(out: &mut String, seed: u64) {
             h.prediction_hits,
             h.prediction_misses,
             h.localized_solves,
-            h.hill_climb_moves,
         )
         .expect("write to string");
     }
