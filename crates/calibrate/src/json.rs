@@ -264,12 +264,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy everything up to the next quote or escape as one run: both
+        // are ASCII, so the run ends on a character boundary, and only the
+        // run is validated (not the rest of the document).
+        let end = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(bytes.len(), |n| *pos + n);
+        out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+        *pos = end;
         match bytes.get(*pos) {
             None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
             Some(b'\\') => {
                 *pos += 1;
                 match bytes.get(*pos) {
@@ -297,12 +302,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
+            // The closing quote.
             Some(_) => {
-                // Consume one UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                *pos += 1;
+                return Ok(out);
             }
         }
     }
@@ -329,6 +332,7 @@ mod tests {
     fn roundtrip_nested_document() {
         let doc = Json::obj([
             ("name", Json::Str("grid \"x\"\n".to_string())),
+            ("text", Json::Str("naïve ✓ \\ \t \u{1} é".to_string())),
             ("points", Json::Arr(vec![Json::Num(0.25), Json::Num(0.5)])),
             ("count", Json::Num(6.0)),
             ("unit", Json::Num(9.765625e-5)),

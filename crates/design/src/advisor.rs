@@ -51,23 +51,25 @@ static TM_PRUNED: telemetry::Counter = telemetry::Counter::new("design.pruned");
 /// Alternation iterations run.
 static TM_ALTERNATIONS: telemetry::Counter = telemetry::Counter::new("design.alternations");
 
+/// Minimum units of each resource per VM.
+const MIN_UNITS: u32 = 1;
+/// Cap on enumerated candidates per VM (≤ 64: index sets are bitmasks).
+const MAX_CANDIDATES: usize = 24;
+const _: () = assert!(MAX_CANDIDATES <= 64);
+/// Cap on alternation iterations.
+const MAX_ALTERNATIONS: usize = 6;
+/// Subgradient iterations for the LP bound.
+const LP_ITERATIONS: usize = 300;
+
 /// Configuration for the design advisor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignConfig {
     /// Share discretization (same meaning as the allocation search).
     pub units: u32,
-    /// Minimum units of each resource per VM.
-    pub min_units: u32,
     /// Fixed per-VM disk share.
     pub disk_share: f64,
     /// Per-VM index storage budget, in pages.
     pub budget_pages: u64,
-    /// Cap on enumerated candidates per VM (≤ 64: sets are bitmasks).
-    pub max_candidates: usize,
-    /// Cap on alternation iterations.
-    pub max_alternations: usize,
-    /// Subgradient iterations for the LP bound.
-    pub lp_iterations: usize,
 }
 
 impl DesignConfig {
@@ -75,12 +77,8 @@ impl DesignConfig {
     pub fn new(units: u32, n: usize) -> DesignConfig {
         DesignConfig {
             units,
-            min_units: 1,
             disk_share: 1.0 / n as f64,
             budget_pages: 512,
-            max_candidates: 24,
-            max_alternations: 6,
-            lp_iterations: 300,
         }
     }
 
@@ -91,30 +89,17 @@ impl DesignConfig {
     }
 
     fn validate(&self, n: usize) -> Result<(), DesignError> {
-        if self.units == 0 || self.min_units == 0 {
+        if self.units == 0 {
             return Err(DesignError::BadConfig {
-                reason: "units and min_units must be positive".to_string(),
+                reason: "units must be positive".to_string(),
             });
         }
-        if self.min_units as usize * n > self.units as usize {
+        if MIN_UNITS as usize * n > self.units as usize {
             return Err(DesignError::BadConfig {
                 reason: format!(
-                    "{n} VMs x {} min units exceed {} units",
-                    self.min_units, self.units
+                    "{n} VMs x {MIN_UNITS} min units exceed {} units",
+                    self.units
                 ),
-            });
-        }
-        if self.max_candidates == 0 || self.max_candidates > 64 {
-            return Err(DesignError::BadConfig {
-                reason: format!(
-                    "max_candidates {} out of range (1..=64)",
-                    self.max_candidates
-                ),
-            });
-        }
-        if self.max_alternations == 0 {
-            return Err(DesignError::BadConfig {
-                reason: "max_alternations must be positive".to_string(),
             });
         }
         Ok(())
@@ -258,7 +243,7 @@ impl<'g> DesignAdvisor<'g> {
             for w in &problem.workloads {
                 let cap = match mode {
                     Mode::AllocationOnly => 1, // keep menus trivial
-                    _ => cfg.max_candidates,
+                    _ => MAX_CANDIDATES,
                 };
                 let mut cands = enumerate_candidates(w.db, &w.queries, cap);
                 if mode == Mode::AllocationOnly {
@@ -301,7 +286,7 @@ impl<'g> DesignAdvisor<'g> {
         let mut history = vec![objective];
         let mut alternations = 0usize;
 
-        for iter in 0..cfg.max_alternations {
+        for iter in 0..MAX_ALTERNATIONS {
             let mut span = telemetry::span("design.alternate");
             span.set_attr("iteration", iter);
             TM_ALTERNATIONS.add(1);
@@ -312,7 +297,7 @@ impl<'g> DesignAdvisor<'g> {
                 let scfg = SearchConfig {
                     units: cfg.units,
                     disk_share: cfg.disk_share,
-                    min_units: cfg.min_units,
+                    min_units: MIN_UNITS,
                     cpu_budget: cfg.units,
                     mem_budget: cfg.units,
                 };
@@ -382,7 +367,7 @@ impl<'g> DesignAdvisor<'g> {
                 vm.menus.iter().map(|menu| menu.configs.clone()).collect();
             let sizes: Vec<u64> = vm.cands.candidates.iter().map(|cand| cand.pages).collect();
             let cost = pricer.workload_cost(vm, masks[i], c, m)?;
-            let lp = lower_bound(&costs, &members, &sizes, budget, cost, cfg.lp_iterations);
+            let lp = lower_bound(&costs, &members, &sizes, budget, cost, LP_ITERATIONS);
             lp_total += problem.workloads[i].weight * lp.bound;
             fp.f64(lp.bound);
             let chosen: Vec<IndexCandidate> = vm
@@ -463,8 +448,8 @@ impl<'g> DesignAdvisor<'g> {
         if n == 1 {
             return vec![(cfg.units, cfg.units)];
         }
-        let lo = cfg.min_units;
-        let hi = cfg.units - cfg.min_units * (n as u32 - 1);
+        let lo = MIN_UNITS;
+        let hi = cfg.units - MIN_UNITS * (n as u32 - 1);
         let mut cells = Vec::with_capacity(((hi - lo + 1) * (hi - lo + 1)) as usize);
         for c in lo..=hi {
             for m in lo..=hi {
@@ -638,18 +623,12 @@ mod tests {
     #[test]
     fn config_validation_rejects_bad_shapes() {
         let grid_err = |cfg: DesignConfig, n: usize| cfg.validate(n).is_err();
-        let mut cfg = DesignConfig::new(4, 2);
-        assert!(!grid_err(cfg, 2));
-        cfg.max_candidates = 65;
-        assert!(grid_err(cfg, 2));
-        cfg = DesignConfig::new(4, 2);
-        cfg.min_units = 3;
-        assert!(grid_err(cfg, 2), "2 VMs x 3 min units > 4 units");
-        cfg = DesignConfig::new(0, 2);
-        assert!(grid_err(cfg, 2));
-        cfg = DesignConfig::new(4, 2);
-        cfg.max_alternations = 0;
-        assert!(grid_err(cfg, 2));
+        assert!(!grid_err(DesignConfig::new(4, 2), 2));
+        assert!(
+            grid_err(DesignConfig::new(4, 5), 5),
+            "5 VMs x 1 min unit > 4 units"
+        );
+        assert!(grid_err(DesignConfig::new(0, 2), 2));
     }
 
     #[test]

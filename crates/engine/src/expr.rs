@@ -494,36 +494,35 @@ impl Expr {
         }
     }
 
-    /// Returns a copy with every column index shifted by `offset` (used
-    /// when moving predicates above a join).
-    pub fn shift_columns(&self, offset: usize) -> Expr {
+    /// Returns a copy with every column index `i` replaced by `f(i)` (used
+    /// to move a predicate between a join's output and one of its inputs).
+    pub fn map_columns<F: Fn(usize) -> usize>(&self, f: &F) -> Expr {
+        let map = |e: &Expr| Box::new(e.map_columns(f));
         match self {
-            Expr::Column(i) => Expr::Column(i + offset),
+            Expr::Column(i) => Expr::Column(f(*i)),
             Expr::Literal(d) => Expr::Literal(d.clone()),
-            Expr::Cmp { op, lhs, rhs } => {
-                Expr::cmp(*op, lhs.shift_columns(offset), rhs.shift_columns(offset))
-            }
-            Expr::And(l, r) => Expr::and(l.shift_columns(offset), r.shift_columns(offset)),
-            Expr::Or(l, r) => Expr::or(l.shift_columns(offset), r.shift_columns(offset)),
-            Expr::Not(e) => Expr::not(e.shift_columns(offset)),
+            Expr::Cmp { op, lhs, rhs } => Expr::cmp(*op, lhs.map_columns(f), rhs.map_columns(f)),
+            Expr::And(l, r) => Expr::And(map(l), map(r)),
+            Expr::Or(l, r) => Expr::Or(map(l), map(r)),
+            Expr::Not(e) => Expr::Not(map(e)),
             Expr::Arith { op, lhs, rhs } => {
-                Expr::arith(*op, lhs.shift_columns(offset), rhs.shift_columns(offset))
+                Expr::arith(*op, lhs.map_columns(f), rhs.map_columns(f))
             }
             Expr::Like {
                 expr,
                 pattern,
                 negated,
             } => Expr::Like {
-                expr: Box::new(expr.shift_columns(offset)),
+                expr: map(expr),
                 pattern: pattern.clone(),
                 negated: *negated,
             },
             Expr::InList { expr, list } => Expr::InList {
-                expr: Box::new(expr.shift_columns(offset)),
+                expr: map(expr),
                 list: list.clone(),
             },
             Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(expr.shift_columns(offset)),
+                expr: map(expr),
                 negated: *negated,
             },
             Expr::Case {
@@ -532,11 +531,9 @@ impl Expr {
             } => Expr::Case {
                 branches: branches
                     .iter()
-                    .map(|(c, v)| (c.shift_columns(offset), v.shift_columns(offset)))
+                    .map(|(c, v)| (c.map_columns(f), v.map_columns(f)))
                     .collect(),
-                else_expr: else_expr
-                    .as_ref()
-                    .map(|e| Box::new(e.shift_columns(offset))),
+                else_expr: else_expr.as_deref().map(map),
             },
         }
     }
@@ -779,11 +776,26 @@ mod tests {
         e.referenced_columns(&mut cols);
         cols.sort_unstable();
         assert_eq!(cols, vec![0, 2, 5]);
-        let shifted = e.shift_columns(10);
+        let shifted = e.map_columns(&|i| i + 10);
         let mut cols = Vec::new();
         shifted.referenced_columns(&mut cols);
         cols.sort_unstable();
         assert_eq!(cols, vec![10, 12, 15]);
+        // Subtracting the same offset takes the columns back.
+        assert_eq!(shifted.map_columns(&|i| i - 10), e);
+        let case = Expr::Case {
+            branches: vec![(
+                Expr::like(Expr::col(7), "a%"),
+                Expr::in_list(Expr::col(8), vec![]),
+            )],
+            else_expr: Some(Box::new(Expr::IsNull {
+                expr: Box::new(Expr::not(Expr::col(9))),
+                negated: true,
+            })),
+        };
+        let mut cols = Vec::new();
+        case.map_columns(&|i| i - 7).referenced_columns(&mut cols);
+        assert_eq!(cols, vec![0, 1, 2]);
     }
 
     #[test]

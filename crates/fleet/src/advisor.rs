@@ -28,6 +28,7 @@
 //! `(database, queries)` across requests (weights may vary), mirroring the
 //! single-machine cache contract.
 
+use crate::config::MIGRATION_HORIZON_RUNS;
 use crate::placement::build;
 use crate::solver::{cell_problem, evaluate_cell, FleetSolver};
 use crate::{
@@ -366,7 +367,7 @@ impl<'m> FleetAdvisor<'m> {
             steady_before,
             steady_after: placement.steady_objective,
             migration_seconds: placement.migration_seconds,
-            horizon_runs: self.config.migration_horizon_runs,
+            horizon_runs: MIGRATION_HORIZON_RUNS,
         })
     }
 }

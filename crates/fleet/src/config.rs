@@ -2,6 +2,23 @@
 
 use crate::FleetError;
 
+/// Fixed per-migration base charge in seconds (state transfer, connection
+/// draining), on top of the destination pool refill.
+pub(crate) const MIGRATION_BASE_SECONDS: f64 = 1.0;
+
+/// Amortization horizon: a migration's one-time cost is divided by this
+/// many workload executions when weighed against steady-state gain.
+/// Placement churn is never free; it must pay for itself within the
+/// horizon.
+pub(crate) const MIGRATION_HORIZON_RUNS: f64 = 50.0;
+
+/// Swaps are enumerated exhaustively only while `N x M` does not exceed
+/// this budget; beyond it each local-search round *samples* up to this
+/// many swap pairs from a seeded deterministic stream (reported in
+/// [`crate::LocalSearchStats::swaps_enumerated`] and
+/// [`crate::LocalSearchStats::swap_candidates_sampled`], never silently).
+pub(crate) const SWAP_CANDIDATE_BUDGET: usize = 4096;
+
 /// Knobs for the fleet placement solver ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
@@ -24,31 +41,16 @@ pub struct FleetConfig {
     /// Hard cap on VMs per machine (defaults to `units / min_units`, the
     /// most the share discretization can host).
     pub max_vms_per_machine: usize,
-    /// Fixed per-migration base charge in seconds (state transfer,
-    /// connection draining), on top of the destination pool refill.
-    pub migration_base_seconds: f64,
-    /// Amortization horizon: a migration's one-time cost is divided by
-    /// this many workload executions when weighed against steady-state
-    /// gain. Placement churn is never free; it must pay for itself within
-    /// the horizon.
-    pub migration_horizon_runs: f64,
     /// Subgradient iterations for the LP lower bound.
     pub lp_iterations: usize,
     /// Local-search round cap (each round applies at most one move/swap).
     pub max_rounds: usize,
-    /// Swaps are enumerated exhaustively only while `N x M` does not
-    /// exceed this budget; beyond it each round *samples* up to this many
-    /// swap pairs from a seeded deterministic stream (reported in
-    /// [`crate::LocalSearchStats::swaps_enumerated`] and
-    /// [`crate::LocalSearchStats::swap_candidates_sampled`], never
-    /// silently).
-    pub swap_candidate_budget: usize,
 }
 
 impl FleetConfig {
     /// Defaults for a `units`-step discretization: 1-unit floors, disk
-    /// split evenly across the maximum occupancy, serial pre-warm, a
-    /// 1-second migration base amortized over 50 runs, 400 LP iterations.
+    /// split evenly across the maximum occupancy, serial pre-warm, 400 LP
+    /// iterations, 64 local-search rounds.
     pub fn new(units: u32) -> FleetConfig {
         FleetConfig {
             units,
@@ -56,11 +58,8 @@ impl FleetConfig {
             disk_share: 1.0 / units.max(1) as f64,
             parallelism: 1,
             max_vms_per_machine: units.max(1) as usize,
-            migration_base_seconds: 1.0,
-            migration_horizon_runs: 50.0,
             lp_iterations: 400,
             max_rounds: 64,
-            swap_candidate_budget: 4096,
         }
     }
 
@@ -79,13 +78,6 @@ impl FleetConfig {
     /// Sets the per-machine VM cap.
     pub fn with_max_vms_per_machine(mut self, cap: usize) -> FleetConfig {
         self.max_vms_per_machine = cap;
-        self
-    }
-
-    /// Sets the migration pricing knobs.
-    pub fn with_migration(mut self, base_seconds: f64, horizon_runs: f64) -> FleetConfig {
-        self.migration_base_seconds = base_seconds;
-        self.migration_horizon_runs = horizon_runs;
         self
     }
 
@@ -120,18 +112,6 @@ impl FleetConfig {
                 self.max_vms_per_machine, self.units, self.min_units, natural_cap
             ));
         }
-        if !(self.migration_base_seconds.is_finite() && self.migration_base_seconds >= 0.0) {
-            return bad(format!(
-                "migration base {} must be finite and non-negative",
-                self.migration_base_seconds
-            ));
-        }
-        if !(self.migration_horizon_runs.is_finite() && self.migration_horizon_runs > 0.0) {
-            return bad(format!(
-                "migration horizon {} must be positive and finite",
-                self.migration_horizon_runs
-            ));
-        }
         Ok(())
     }
 }
@@ -154,8 +134,6 @@ mod tests {
             .with_max_vms_per_machine(9)
             .validate()
             .is_err());
-        assert!(FleetConfig::new(8).with_migration(f64::NAN, 50.0).validate().is_err());
-        assert!(FleetConfig::new(8).with_migration(1.0, 0.0).validate().is_err());
         let mut c = FleetConfig::new(8);
         c.min_units = 9;
         assert!(c.validate().is_err());

@@ -8,6 +8,7 @@
 //! marginal pricing: every candidate host is re-solved through the warm
 //! cache, so adding a VM re-balances its co-residents' shares.
 
+use crate::config::MIGRATION_HORIZON_RUNS;
 use crate::migrate::vm_migration_seconds;
 use crate::solver::FleetSolver;
 use crate::{CurrentPlacement, FleetError};
@@ -78,7 +79,7 @@ pub(crate) fn seed(
                     i,
                     m,
                     solve.assignment[w],
-                )? / solver.cfg.migration_horizon_runs;
+                )? / MIGRATION_HORIZON_RUNS;
             }
             // Strict `<` keeps the first (lowest-index) machine on ties.
             if best.as_ref().map_or(true, |b| delta < b.0) {

@@ -16,7 +16,7 @@ pub struct RebalanceDelta {
     /// One-time migration bill (seconds) to get there.
     pub migration_seconds: f64,
     /// Executions the bill is amortized over
-    /// ([`crate::FleetConfig::migration_horizon_runs`]).
+    /// (50, `MIGRATION_HORIZON_RUNS`).
     pub horizon_runs: f64,
 }
 

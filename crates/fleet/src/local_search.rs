@@ -1,7 +1,7 @@
 //! Tier 2: best-improvement local search over moves and swaps.
 //!
 //! Each round scans every single-VM relocation (and, within the
-//! [`crate::FleetConfig::swap_candidate_budget`], every cross-machine VM
+//! `SWAP_CANDIDATE_BUDGET` (4 096), every cross-machine VM
 //! swap), re-solving the touched machines through the memoized solver, and
 //! applies the candidate with the lowest priced total. Share *rebalancing*
 //! needs no explicit neighborhood: every candidate re-solves its touched
@@ -9,7 +9,7 @@
 //! always jointly optimal for the assignment being scored.
 //!
 //! Above the budget the swap neighborhood is **sampled**, not skipped: a
-//! seeded splitmix64 stream draws up to `swap_candidate_budget` swap
+//! seeded splitmix64 stream draws up to `SWAP_CANDIDATE_BUDGET` swap
 //! pairs per round, in a fixed deterministic order. This matters at
 //! capacity-forced shapes (every machine full) where moves are
 //! structurally impossible — without sampled swaps, large fleets would do
@@ -22,6 +22,7 @@
 //! [`crate::placement::build`], so candidate-delta float drift never
 //! accumulates into the incumbent.
 
+use crate::config::{MIGRATION_HORIZON_RUNS, SWAP_CANDIDATE_BUDGET};
 use crate::greedy::edit_sorted;
 use crate::migrate::vm_migration_seconds;
 use crate::placement::{build, residents_of, Placement};
@@ -43,7 +44,7 @@ pub struct LocalSearchStats {
     pub candidates_evaluated: usize,
     /// Whether the swap neighborhood was enumerated *exhaustively*.
     /// `false` means `N x M` exceeded
-    /// [`crate::FleetConfig::swap_candidate_budget`] and swaps were
+    /// the swap budget (4 096) and swaps were
     /// sampled instead (see `swap_candidates_sampled`).
     pub swaps_enumerated: bool,
     /// Swap candidates drawn by the seeded sampler, summed over rounds
@@ -97,8 +98,7 @@ pub(crate) fn improve(
     let n = solver.problem.num_vms();
     let m_count = solver.problem.num_machines();
     let cap = solver.cfg.max_vms_per_machine;
-    let horizon = solver.cfg.migration_horizon_runs;
-    let swaps_enumerated = n * m_count <= solver.cfg.swap_candidate_budget;
+    let swaps_enumerated = n * m_count <= SWAP_CANDIDATE_BUDGET;
     let mut stats = LocalSearchStats {
         rounds: 0,
         moves_applied: 0,
@@ -146,7 +146,7 @@ pub(crate) fn improve(
             let mig = total_migration - migration[ma] - migration[mb]
                 + machine_migration(solver, reference, ma, &vms_a, &solve_a.assignment)?
                 + machine_migration(solver, reference, mb, &vms_b, &solve_b.assignment)?;
-            let total = steady + mig / horizon;
+            let total = steady + mig / MIGRATION_HORIZON_RUNS;
             stats.candidates_evaluated += 1;
             if best.as_ref().map_or(incumbent.total_objective > total, |b| total < b.0) {
                 *best = Some((total, step));
@@ -179,7 +179,6 @@ pub(crate) fn improve(
             // shape did no local search at all. The seed depends only on
             // `(n, m_count, round)`, never on wall clock or thread
             // scheduling, so sampled rounds are bit-reproducible.
-            let budget = solver.cfg.swap_candidate_budget;
             let mut rng = SplitMix64(
                 0x5157_4c45_4554_00d5 ^ ((n as u64) << 40) ^ ((m_count as u64) << 20)
                     ^ stats.rounds as u64,
@@ -188,7 +187,7 @@ pub(crate) fn improve(
             let mut attempts = 0;
             // Attempt cap: degenerate fleets (everything on one machine)
             // must not spin forever looking for a cross-machine pair.
-            while sampled < budget && attempts < 4 * budget {
+            while sampled < SWAP_CANDIDATE_BUDGET && attempts < 4 * SWAP_CANDIDATE_BUDGET {
                 attempts += 1;
                 let a = (rng.next() % n as u64) as usize;
                 let b = (rng.next() % n as u64) as usize;

@@ -6,9 +6,10 @@
 //! controller uses for in-place reconfigurations
 //! ([`dbvirt_controller::pool_refill_seconds`]), plus a fixed per-move
 //! base charge for state transfer. The advisor amortizes the total over
-//! [`crate::FleetConfig::migration_horizon_runs`] workload executions when
+//! `MIGRATION_HORIZON_RUNS` (50) workload executions when
 //! comparing placements.
 
+use crate::config::MIGRATION_BASE_SECONDS;
 use crate::{CurrentPlacement, FleetConfig, FleetError};
 use dbvirt_controller::pool_refill_seconds;
 use dbvirt_vmm::{MachineSpec, ResourceVector};
@@ -36,7 +37,7 @@ pub(crate) fn vm_migration_seconds(
         cfg.disk_share,
     )?;
     let refill = pool_refill_seconds(machines[machine], shares)?;
-    Ok(refill + if moved { cfg.migration_base_seconds } else { 0.0 })
+    Ok(refill + if moved { MIGRATION_BASE_SECONDS } else { 0.0 })
 }
 
 #[cfg(test)]
@@ -64,7 +65,7 @@ mod tests {
         let shares = ResourceVector::from_fractions(0.5, 0.5, cfg.disk_share).unwrap();
         let refill = pool_refill_seconds(machines[1], shares).unwrap();
         let moved = vm_migration_seconds(&machines, cfg, &reference, 0, 1, (4, 4)).unwrap();
-        assert_eq!(moved, refill + cfg.migration_base_seconds);
+        assert_eq!(moved, refill + MIGRATION_BASE_SECONDS);
         assert!(moved > resize);
     }
 }

@@ -1,5 +1,6 @@
 //! Placements: a full fleet assignment with its priced objective.
 
+use crate::config::MIGRATION_HORIZON_RUNS;
 use crate::migrate::vm_migration_seconds;
 use crate::solver::FleetSolver;
 use crate::{CurrentPlacement, FleetError};
@@ -114,7 +115,7 @@ pub(crate) fn build(
             )?;
         }
     }
-    let total_objective = steady_objective + migration_seconds / solver.cfg.migration_horizon_runs;
+    let total_objective = steady_objective + migration_seconds / MIGRATION_HORIZON_RUNS;
     Ok(Placement {
         machine_of: machine_of.to_vec(),
         units_of,

@@ -43,7 +43,7 @@ impl<'a> FleetVm<'a> {
 /// A deployed placement: which machine each VM currently runs on and the
 /// integer share units it currently holds. When a [`FleetProblem`] carries
 /// one, migration away from it is priced into the objective (amortized
-/// over [`crate::FleetConfig::migration_horizon_runs`]), so re-placements
+/// over 50 runs, `MIGRATION_HORIZON_RUNS`), so re-placements
 /// must pay for their churn.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CurrentPlacement {

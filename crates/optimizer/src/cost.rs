@@ -237,11 +237,6 @@ pub fn hash_join_cost(
     cpu + io
 }
 
-/// Merge join over pre-sorted inputs: linear passes plus output.
-pub fn merge_join_cost(p: &OptimizerParams, left_rows: f64, right_rows: f64, out_rows: f64) -> f64 {
-    (left_rows + right_rows) * p.cpu_tuple_cost + out_rows * p.cpu_tuple_cost
-}
-
 /// Nested-loop join over a materialized inner: a predicate evaluation per
 /// pair.
 pub fn nl_join_cost(

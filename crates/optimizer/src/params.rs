@@ -80,21 +80,6 @@ impl OptimizerParams {
     pub fn units_to_seconds(&self, units: f64) -> f64 {
         units * self.unit_seconds
     }
-
-    /// The parameters as a fixed-order vector (used by the calibration
-    /// solver). Order: `[unit_seconds, random_page_cost, cpu_tuple_cost,
-    /// cpu_index_tuple_cost, cpu_operator_cost, effective_cache_size_pages]`
-    /// (`seq_page_cost` is pinned at 1 and `work_mem` is set separately).
-    pub fn free_parameters(&self) -> [f64; 6] {
-        [
-            self.unit_seconds,
-            self.random_page_cost,
-            self.cpu_tuple_cost,
-            self.cpu_index_tuple_cost,
-            self.cpu_operator_cost,
-            self.effective_cache_size_pages,
-        ]
-    }
 }
 
 impl Default for OptimizerParams {

@@ -194,37 +194,52 @@ pub struct SelectStmt {
 }
 
 impl ExprAst {
-    /// True if the expression contains an aggregate call anywhere.
-    pub fn contains_aggregate(&self) -> bool {
+    /// Calls `f` on each direct sub-expression, in source order: `lhs`
+    /// before `rhs`, the operand before list items or bounds, `CASE`
+    /// branches (condition, then value) before `ELSE`. A subquery's own
+    /// expressions are a separate scope and are not visited.
+    pub(crate) fn for_each_child<'e>(&'e self, mut f: impl FnMut(&'e ExprAst)) {
         match self {
-            ExprAst::Agg { .. } => true,
             ExprAst::Binary { lhs, rhs, .. } => {
-                lhs.contains_aggregate() || rhs.contains_aggregate()
+                f(lhs);
+                f(rhs);
             }
-            ExprAst::Not(e) | ExprAst::Neg(e) => e.contains_aggregate(),
-            ExprAst::Like { expr, .. } | ExprAst::IsNull { expr, .. } => expr.contains_aggregate(),
+            ExprAst::Not(e)
+            | ExprAst::Neg(e)
+            | ExprAst::Like { expr: e, .. }
+            | ExprAst::IsNull { expr: e, .. }
+            | ExprAst::InSelect { expr: e, .. } => f(e),
             ExprAst::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(ExprAst::contains_aggregate)
+                f(expr);
+                list.iter().for_each(f);
             }
             ExprAst::Between { expr, lo, hi } => {
-                expr.contains_aggregate() || lo.contains_aggregate() || hi.contains_aggregate()
+                f(expr);
+                f(lo);
+                f(hi);
             }
             ExprAst::Case {
                 branches,
                 else_expr,
             } => {
-                branches
-                    .iter()
-                    .any(|(c, v)| c.contains_aggregate() || v.contains_aggregate())
-                    || else_expr
-                        .as_ref()
-                        .is_some_and(|e| e.contains_aggregate())
+                for (c, v) in branches {
+                    f(c);
+                    f(v);
+                }
+                if let Some(e) = else_expr {
+                    f(e);
+                }
             }
-            // Subqueries are separate aggregation scopes.
-            ExprAst::Exists { .. } => false,
-            ExprAst::InSelect { expr, .. } => expr.contains_aggregate(),
-            _ => false,
+            ExprAst::Agg { arg: Some(e), .. } => f(e),
+            _ => {}
         }
+    }
+
+    /// True if the expression contains an aggregate call anywhere.
+    pub fn contains_aggregate(&self) -> bool {
+        let mut found = matches!(self, ExprAst::Agg { .. });
+        self.for_each_child(|c| found = found || c.contains_aggregate());
+        found
     }
 }
 

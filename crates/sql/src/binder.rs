@@ -10,7 +10,15 @@
 //!    the query's meaning);
 //! 3. build the left-deep join tree, attach residual filters;
 //! 4. lower `GROUP BY`/aggregates, `HAVING`, the projection, `ORDER BY`
-//!    (by output name or 1-based position), and `LIMIT`.
+//!    (by output name or 1-based position), and `LIMIT`. `HAVING` and an
+//!    aggregating select list are lowered over the aggregate's output: a
+//!    group column becomes its group position, an aggregate call its slot
+//!    after the group columns.
+//!
+//! Every scalar expression is lowered by one function, `Binder::lower_in`;
+//! its [`Scope`] (the join output or the aggregate output) decides only what
+//! a column and an aggregate call mean, so every other form binds the same
+//! in `WHERE`, `ON`, `HAVING` and the select list.
 
 use crate::ast::{ExprAst, FromItem, JoinKind, OrderKey, SelectItem, SelectStmt};
 use crate::SqlError;
@@ -24,15 +32,60 @@ struct BoundTable {
     table: TableId,
     /// Global column offset of this table in the join output.
     offset: usize,
-    arity: usize,
-    /// True if this table is the nullable side of a LEFT JOIN (no filter
-    /// pushdown, no join-condition hoisting past it).
-    nullable_side: bool,
+    /// `Left` marks the nullable side of a LEFT JOIN (no filter pushdown
+    /// from `WHERE`, no join-condition hoisting past it).
     join_kind: JoinKind,
     /// Bound equality conditions from this table's ON clause.
     on_conditions: Vec<(usize, usize)>, // (prefix global col, this-table global col)
     /// Pushdown filter (table-local column indexes).
     pushdown: Option<Expr>,
+}
+
+impl BoundTable {
+    /// Catalog table `name` as `alias`, its columns starting at global
+    /// column `offset`.
+    fn new(
+        db: &Database,
+        name: &str,
+        alias: &str,
+        offset: usize,
+        join_kind: JoinKind,
+    ) -> Result<BoundTable, SqlError> {
+        let table = db
+            .table_id(name)
+            .ok_or_else(|| SqlError::bind(format!("unknown table {name:?}")))?;
+        Ok(BoundTable {
+            alias: alias.to_string(),
+            table,
+            offset,
+            join_kind,
+            on_conditions: Vec::new(),
+            pushdown: None,
+        })
+    }
+
+    /// ANDs a predicate over global columns (all of this table) into the
+    /// table's scan filter.
+    fn push_down(&mut self, e: &Expr) {
+        let offset = self.offset;
+        and_into(&mut self.pushdown, e.map_columns(&|c| c - offset));
+    }
+
+    /// The table's scan, with its pushed-down filter.
+    fn scan(&self) -> LogicalPlan {
+        LogicalPlan::Scan {
+            table: self.table,
+            filter: self.pushdown.clone(),
+        }
+    }
+}
+
+/// `acc AND e`, or `e` alone when `acc` is empty.
+fn and_into(acc: &mut Option<Expr>, e: Expr) {
+    *acc = Some(match acc.take() {
+        Some(existing) => Expr::and(existing, e),
+        None => e,
+    });
 }
 
 /// Parses `YYYY-MM-DD` into days since the Unix epoch.
@@ -56,6 +109,23 @@ fn parse_date(s: &str) -> Result<i32, SqlError> {
     let doy = (153 * (if m > 2 { m - 3 } else { m + 9 }) + 2) / 5 + day as i64 - 1;
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
     Ok((era as i64 * 146_097 + doe - 719_468) as i32)
+}
+
+/// An aggregate call: its function name and argument (`None` for `*`).
+type AggCall<'e> = (&'e str, Option<&'e ExprAst>);
+
+/// What a column reference and an aggregate call lower to.
+#[derive(Clone, Copy)]
+enum Scope<'s> {
+    /// The join output: a column is its global index; aggregate calls are
+    /// refused.
+    Join,
+    /// The aggregate output: the group columns, then one slot per
+    /// aggregate call. A column must be one of the group columns.
+    Agg {
+        group_cols: &'s [usize],
+        aggs: &'s [AggCall<'s>],
+    },
 }
 
 struct Binder<'a> {
@@ -109,24 +179,44 @@ impl<'a> Binder<'a> {
         })
     }
 
-    /// Lowers a scalar AST expression against the full join schema.
-    /// Aggregates are rejected here (they are handled by the aggregation
-    /// path).
-    fn lower(&self, ast: &ExprAst) -> Result<Expr, SqlError> {
+    /// Lowers a scalar AST expression; `scope` says what its columns and
+    /// aggregate calls refer to.
+    fn lower_in(&self, ast: &ExprAst, scope: Scope<'_>) -> Result<Expr, SqlError> {
+        let lower = |e: &ExprAst| self.lower_in(e, scope);
         match ast {
             ExprAst::Column { qualifier, name } => {
-                Ok(Expr::col(self.resolve_column(qualifier.as_deref(), name)?))
+                let g = self.resolve_column(qualifier.as_deref(), name)?;
+                match scope {
+                    Scope::Join => Ok(Expr::col(g)),
+                    Scope::Agg { group_cols, .. } => group_cols
+                        .iter()
+                        .position(|&c| c == g)
+                        .map(Expr::col)
+                        .ok_or_else(|| {
+                            SqlError::bind(format!(
+                                "column {name:?} must appear in GROUP BY or an aggregate"
+                            ))
+                        }),
+                }
             }
+            ExprAst::Agg { func, arg } => match scope {
+                Scope::Agg { group_cols, aggs } => aggs
+                    .iter()
+                    .position(|&a| a == (func.as_str(), arg.as_deref()))
+                    .map(|slot| Expr::col(group_cols.len() + slot)),
+                Scope::Join => None,
+            }
+            .ok_or_else(|| SqlError::bind("aggregate used where a scalar expression is required")),
             ExprAst::Int(v) => Ok(Expr::int(*v)),
             ExprAst::Float(v) => Ok(Expr::float(*v)),
             ExprAst::Str(s) => Ok(Expr::str(s.clone())),
             ExprAst::Date(s) => Ok(Expr::date(parse_date(s)?)),
             ExprAst::Bool(b) => Ok(Expr::lit(Datum::Bool(*b))),
             ExprAst::Null => Ok(Expr::lit(Datum::Null)),
-            ExprAst::Neg(e) => Ok(Expr::sub(Expr::int(0), self.lower(e)?)),
-            ExprAst::Not(e) => Ok(Expr::not(self.lower(e)?)),
+            ExprAst::Neg(e) => Ok(Expr::sub(Expr::int(0), lower(e)?)),
+            ExprAst::Not(e) => Ok(Expr::not(lower(e)?)),
             ExprAst::Binary { op, lhs, rhs } => {
-                let (l, r) = (self.lower(lhs)?, self.lower(rhs)?);
+                let (l, r) = (lower(lhs)?, lower(rhs)?);
                 Ok(match op.as_str() {
                     "AND" => Expr::and(l, r),
                     "OR" => Expr::or(l, r),
@@ -148,7 +238,7 @@ impl<'a> Binder<'a> {
                 pattern,
                 negated,
             } => {
-                let e = self.lower(expr)?;
+                let e = lower(expr)?;
                 Ok(if *negated {
                     Expr::not_like(e, pattern.clone())
                 } else {
@@ -160,10 +250,10 @@ impl<'a> Binder<'a> {
                 list,
                 negated,
             } => {
-                let e = self.lower(expr)?;
+                let e = lower(expr)?;
                 let items: Vec<Datum> = list
                     .iter()
-                    .map(|item| match self.lower(item)? {
+                    .map(|item| match lower(item)? {
                         Expr::Literal(d) => Ok(d),
                         _ => Err(SqlError::bind("IN list items must be literals")),
                     })
@@ -176,12 +266,12 @@ impl<'a> Binder<'a> {
                 })
             }
             ExprAst::Between { expr, lo, hi } => {
-                let e = self.lower(expr)?;
-                let (lo, hi) = (self.lower(lo)?, self.lower(hi)?);
+                let e = lower(expr)?;
+                let (lo, hi) = (lower(lo)?, lower(hi)?);
                 Ok(Expr::and(Expr::ge(e.clone(), lo), Expr::le(e, hi)))
             }
             ExprAst::IsNull { expr, negated } => Ok(Expr::IsNull {
-                expr: Box::new(self.lower(expr)?),
+                expr: Box::new(lower(expr)?),
                 negated: *negated,
             }),
             ExprAst::Case {
@@ -190,28 +280,25 @@ impl<'a> Binder<'a> {
             } => Ok(Expr::Case {
                 branches: branches
                     .iter()
-                    .map(|(c, v)| Ok((self.lower(c)?, self.lower(v)?)))
+                    .map(|(c, v)| Ok((lower(c)?, lower(v)?)))
                     .collect::<Result<_, SqlError>>()?,
                 else_expr: else_expr
-                    .as_ref()
-                    .map(|e| Ok::<_, SqlError>(Box::new(self.lower(e)?)))
+                    .as_deref()
+                    .map(|e| Ok::<_, SqlError>(Box::new(lower(e)?)))
                     .transpose()?,
             }),
-            ExprAst::Agg { .. } => Err(SqlError::bind(
-                "aggregate used where a scalar expression is required",
-            )),
             ExprAst::Exists { .. } | ExprAst::InSelect { .. } => Err(SqlError::bind(
                 "subqueries are only supported as top-level WHERE conjuncts",
             )),
         }
     }
 
-    /// The table (index into `self.tables`) that owns global column `g`.
+    /// The table (index into `self.tables`) that owns global column `g`:
+    /// the last one whose columns start at or before it.
     fn owner_of(&self, g: usize) -> usize {
         self.tables
-            .iter()
-            .position(|t| g >= t.offset && g < t.offset + t.arity)
-            .expect("global column out of range")
+            .partition_point(|t| t.offset <= g)
+            .saturating_sub(1)
     }
 
     /// Tables referenced by a lowered expression.
@@ -223,6 +310,38 @@ impl<'a> Binder<'a> {
         out.dedup();
         out
     }
+
+    /// An equality between two columns of different tables, as global
+    /// indexes.
+    fn as_equi_edge(&self, e: &Expr) -> Option<(usize, usize)> {
+        let Expr::Cmp {
+            op: CmpOp::Eq,
+            lhs,
+            rhs,
+        } = e
+        else {
+            return None;
+        };
+        match (lhs.as_ref(), rhs.as_ref()) {
+            (Expr::Column(a), Expr::Column(b)) if self.owner_of(*a) != self.owner_of(*b) => {
+                Some((*a, *b))
+            }
+            _ => None,
+        }
+    }
+
+    /// Edge `(a, b)` as `(prefix column, column of table i)` when it joins
+    /// table `i` to an earlier one.
+    fn orient(&self, (a, b): (usize, usize), i: usize) -> Option<(usize, usize)> {
+        let (oa, ob) = (self.owner_of(a), self.owner_of(b));
+        if ob == i && oa < i {
+            Some((a, b))
+        } else if oa == i && ob < i {
+            Some((b, a))
+        } else {
+            None
+        }
+    }
 }
 
 fn split_conjuncts_ast(e: &ExprAst, out: &mut Vec<ExprAst>) {
@@ -233,23 +352,6 @@ fn split_conjuncts_ast(e: &ExprAst, out: &mut Vec<ExprAst>) {
         }
         other => out.push(other.clone()),
     }
-}
-
-/// An equality between two columns of different tables, as global indexes.
-fn as_equi_edge(binder: &Binder<'_>, e: &Expr) -> Option<(usize, usize)> {
-    if let Expr::Cmp {
-        op: CmpOp::Eq,
-        lhs,
-        rhs,
-    } = e
-    {
-        if let (Expr::Column(a), Expr::Column(b)) = (lhs.as_ref(), rhs.as_ref()) {
-            if binder.owner_of(*a) != binder.owner_of(*b) {
-                return Some((*a, *b));
-            }
-        }
-    }
-    None
 }
 
 fn agg_func(name: &str, has_arg: bool) -> Result<AggFunc, SqlError> {
@@ -264,100 +366,26 @@ fn agg_func(name: &str, has_arg: bool) -> Result<AggFunc, SqlError> {
     })
 }
 
-/// Collects every aggregate call in an AST expression.
-fn collect_aggs(e: &ExprAst, out: &mut Vec<ExprAst>) {
-    match e {
-        ExprAst::Agg { .. }
-            if !out.contains(e) => {
-                out.push(e.clone());
-            }
-        ExprAst::Binary { lhs, rhs, .. } => {
-            collect_aggs(lhs, out);
-            collect_aggs(rhs, out);
+/// Collects every distinct aggregate call in an AST expression, in
+/// first-appearance order (the order fixes the aggregate's output slots).
+fn collect_aggs<'e>(e: &'e ExprAst, out: &mut Vec<AggCall<'e>>) {
+    if let ExprAst::Agg { func, arg } = e {
+        let call = (func.as_str(), arg.as_deref());
+        if !out.contains(&call) {
+            out.push(call);
         }
-        ExprAst::Not(x) | ExprAst::Neg(x) => collect_aggs(x, out),
-        ExprAst::Like { expr, .. } | ExprAst::IsNull { expr, .. } => collect_aggs(expr, out),
-        ExprAst::InList { expr, list, .. } => {
-            collect_aggs(expr, out);
-            for item in list {
-                collect_aggs(item, out);
-            }
-        }
-        ExprAst::Between { expr, lo, hi } => {
-            collect_aggs(expr, out);
-            collect_aggs(lo, out);
-            collect_aggs(hi, out);
-        }
-        ExprAst::Case {
-            branches,
-            else_expr,
-        } => {
-            for (c, v) in branches {
-                collect_aggs(c, out);
-                collect_aggs(v, out);
-            }
-            if let Some(e) = else_expr {
-                collect_aggs(e, out);
-            }
-        }
-        _ => {}
+    } else {
+        e.for_each_child(|c| collect_aggs(c, out));
     }
 }
 
-/// Rewrites an AST expression over the aggregate output schema: group
-/// columns map to their group position, aggregate calls to their slot.
-fn lower_over_agg(
-    binder: &Binder<'_>,
-    e: &ExprAst,
-    group_cols: &[usize],
-    aggs: &[ExprAst],
-) -> Result<Expr, SqlError> {
-    if let Some(pos) = aggs.iter().position(|a| a == e) {
-        return Ok(Expr::col(group_cols.len() + pos));
-    }
-    match e {
-        ExprAst::Column { qualifier, name } => {
-            let g = binder.resolve_column(qualifier.as_deref(), name)?;
-            let pos = group_cols.iter().position(|&c| c == g).ok_or_else(|| {
-                SqlError::bind(format!(
-                    "column {name:?} must appear in GROUP BY or an aggregate"
-                ))
-            })?;
-            Ok(Expr::col(pos))
-        }
-        ExprAst::Int(v) => Ok(Expr::int(*v)),
-        ExprAst::Float(v) => Ok(Expr::float(*v)),
-        ExprAst::Str(s) => Ok(Expr::str(s.clone())),
-        ExprAst::Date(s) => Ok(Expr::date(parse_date(s)?)),
-        ExprAst::Bool(b) => Ok(Expr::lit(Datum::Bool(*b))),
-        ExprAst::Null => Ok(Expr::lit(Datum::Null)),
-        ExprAst::Neg(x) => Ok(Expr::sub(
-            Expr::int(0),
-            lower_over_agg(binder, x, group_cols, aggs)?,
-        )),
-        ExprAst::Not(x) => Ok(Expr::not(lower_over_agg(binder, x, group_cols, aggs)?)),
-        ExprAst::Binary { op, lhs, rhs } => {
-            let l = lower_over_agg(binder, lhs, group_cols, aggs)?;
-            let r = lower_over_agg(binder, rhs, group_cols, aggs)?;
-            Ok(match op.as_str() {
-                "AND" => Expr::and(l, r),
-                "OR" => Expr::or(l, r),
-                "=" => Expr::eq(l, r),
-                "<>" => Expr::cmp(CmpOp::Ne, l, r),
-                "<" => Expr::lt(l, r),
-                "<=" => Expr::le(l, r),
-                ">" => Expr::gt(l, r),
-                ">=" => Expr::ge(l, r),
-                "+" => Expr::add(l, r),
-                "-" => Expr::sub(l, r),
-                "*" => Expr::mul(l, r),
-                "/" => Expr::arith(dbvirt_engine::BinOp::Div, l, r),
-                other => return Err(SqlError::bind(format!("unknown operator {other}"))),
-            })
-        }
-        other => Err(SqlError::bind(format!(
-            "unsupported expression over aggregate output: {other:?}"
-        ))),
+/// `EXISTS` / `IN (SELECT ...)` bind to a semi join, their negations to an
+/// anti join.
+fn semi_or_anti(negated: bool) -> JoinType {
+    if negated {
+        JoinType::Anti
+    } else {
+        JoinType::Semi
     }
 }
 
@@ -388,37 +416,20 @@ pub(crate) fn bind_with_names(
     };
     // Set when FROM is a derived table: the bound subquery plan.
     let mut derived_plan: Option<LogicalPlan> = None;
-    let mut offset = 0usize;
-    let mut add_table = |binder: &mut Binder<'_>,
-                         name: &str,
-                         alias: &str,
-                         kind: JoinKind|
-     -> Result<(), SqlError> {
-        let table = db
-            .table_id(name)
-            .ok_or_else(|| SqlError::bind(format!("unknown table {name:?}")))?;
-        if binder.tables.iter().any(|t| t.alias == alias) {
-            return Err(SqlError::bind(format!("duplicate table alias {alias:?}")));
-        }
-        let arity = db.table(table).schema.len();
-        binder.tables.push(BoundTable {
-            alias: alias.to_string(),
-            table,
-            offset,
-            arity,
-            nullable_side: kind == JoinKind::Left,
-            join_kind: kind,
-            on_conditions: Vec::new(),
-            pushdown: None,
-        });
-        offset += arity;
-        Ok(())
-    };
     match &stmt.from {
-        FromItem::Table(t) => {
-            add_table(&mut binder, &t.table, &t.alias, JoinKind::Inner)?;
-            for j in &stmt.joins {
-                add_table(&mut binder, &j.table.table, &j.table.alias, j.kind)?;
+        FromItem::Table(first) => {
+            let joined = stmt.joins.iter().map(|j| (&j.table, j.kind));
+            let mut offset = 0;
+            for (t, kind) in std::iter::once((first, JoinKind::Inner)).chain(joined) {
+                let bound = BoundTable::new(db, &t.table, &t.alias, offset, kind)?;
+                if binder.tables.iter().any(|b| b.alias == t.alias) {
+                    return Err(SqlError::bind(format!(
+                        "duplicate table alias {:?}",
+                        t.alias
+                    )));
+                }
+                offset += db.table(bound.table).schema.len();
+                binder.tables.push(bound);
             }
         }
         FromItem::Derived { query, alias } => {
@@ -443,37 +454,20 @@ pub(crate) fn bind_with_names(
         let mut conjuncts = Vec::new();
         split_conjuncts_ast(on, &mut conjuncts);
         for c in conjuncts {
-            let lowered = binder.lower(&c)?;
-            if let Some((a, b)) = as_equi_edge(&binder, &lowered) {
-                let (oa, ob) = (binder.owner_of(a), binder.owner_of(b));
-                let (prefix_col, new_col) = if ob == table_idx && oa < table_idx {
-                    (a, b)
-                } else if oa == table_idx && ob < table_idx {
-                    (b, a)
-                } else {
-                    return Err(SqlError::bind(
-                        "ON condition must relate the joined table to an earlier one",
-                    ));
-                };
-                binder.tables[table_idx]
-                    .on_conditions
-                    .push((prefix_col, new_col));
-                continue;
+            let lowered = binder.lower_in(&c, Scope::Join)?;
+            if let Some(edge) = binder.as_equi_edge(&lowered) {
+                let oriented = binder.orient(edge, table_idx).ok_or_else(|| {
+                    SqlError::bind("ON condition must relate the joined table to an earlier one")
+                })?;
+                binder.tables[table_idx].on_conditions.push(oriented);
+            } else if binder.tables_of(&lowered).as_slice() == [table_idx] {
+                binder.tables[table_idx].push_down(&lowered);
+            } else {
+                return Err(SqlError::bind(
+                    "ON clauses must be conjunctions of column equalities \
+                     (plus filters on the joined table)",
+                ));
             }
-            let owners = binder.tables_of(&lowered);
-            if owners.as_slice() == [table_idx] {
-                let t = &mut binder.tables[table_idx];
-                let rebased = rebase(&lowered, t.offset);
-                t.pushdown = Some(match t.pushdown.take() {
-                    Some(existing) => Expr::and(existing, rebased),
-                    None => rebased,
-                });
-                continue;
-            }
-            return Err(SqlError::bind(
-                "ON clauses must be conjunctions of column equalities \
-                 (plus filters on the joined table)",
-            ));
         }
         if binder.tables[table_idx].on_conditions.is_empty() {
             return Err(SqlError::bind("JOIN ... ON needs at least one equality"));
@@ -506,25 +500,19 @@ pub(crate) fn bind_with_names(
                 }
                 _ => {}
             }
-            let lowered = binder.lower(&c)?;
+            let lowered = binder.lower_in(&c, Scope::Join)?;
             if binder.derived.is_some() {
                 // Derived-table FROM: no pushdown bookkeeping, just filter.
                 residual.push(lowered);
                 continue;
             }
-            if let Some(edge) = as_equi_edge(&binder, &lowered) {
+            if let Some(edge) = binder.as_equi_edge(&lowered) {
                 where_edges.push(edge);
                 continue;
             }
-            let owners = binder.tables_of(&lowered);
-            match owners.as_slice() {
-                [one] if !binder.tables[*one].nullable_side => {
-                    let t = &mut binder.tables[*one];
-                    let rebased = rebase(&lowered, t.offset);
-                    t.pushdown = Some(match t.pushdown.take() {
-                        Some(existing) => Expr::and(existing, rebased),
-                        None => rebased,
-                    });
+            match binder.tables_of(&lowered).as_slice() {
+                [one] if binder.tables[*one].join_kind != JoinKind::Left => {
+                    binder.tables[*one].push_down(&lowered);
                 }
                 _ => residual.push(lowered),
             }
@@ -535,33 +523,13 @@ pub(crate) fn bind_with_names(
     let mut plan = match derived_plan {
         Some(inner) => inner,
         None => {
-            let mut plan = LogicalPlan::Scan {
-                table: binder.tables[0].table,
-                filter: binder.tables[0].pushdown.clone(),
-            };
-            for i in 1..binder.tables.len() {
-                let t = &binder.tables[i];
-                let scan = LogicalPlan::Scan {
-                    table: t.table,
-                    filter: t.pushdown.clone(),
-                };
+            let mut plan = binder.tables[0].scan();
+            for (i, t) in binder.tables.iter().enumerate().skip(1) {
                 // Conditions: the table's ON edges plus any WHERE edge
                 // touching it and the prefix.
-                let mut conditions: Vec<JoinCondition> = t
-                    .on_conditions
-                    .iter()
-                    .map(|&(p, n)| JoinCondition {
-                        left_col: p,
-                        right_col: n - t.offset,
-                    })
-                    .collect();
-                for &(a, b) in &where_edges {
-                    let (oa, ob) = (binder.owner_of(a), binder.owner_of(b));
-                    let (prefix_col, new_col) = if ob == i && oa < i {
-                        (a, b)
-                    } else if oa == i && ob < i {
-                        (b, a)
-                    } else {
+                let mut edges = t.on_conditions.clone();
+                for &edge in &where_edges {
+                    let Some(oriented) = binder.orient(edge, i) else {
                         continue;
                     };
                     if t.join_kind == JoinKind::Left {
@@ -569,23 +537,27 @@ pub(crate) fn bind_with_names(
                             "LEFT JOIN conditions must be written in the ON clause",
                         ));
                     }
-                    conditions.push(JoinCondition {
-                        left_col: prefix_col,
-                        right_col: new_col - t.offset,
-                    });
+                    edges.push(oriented);
                 }
-                if conditions.is_empty() {
+                if edges.is_empty() {
                     return Err(SqlError::bind(format!(
                         "no join condition relates table {:?} to the preceding tables \
                          (cross joins are not supported)",
                         t.alias
                     )));
                 }
+                let conditions = edges
+                    .into_iter()
+                    .map(|(left_col, new_col)| JoinCondition {
+                        left_col,
+                        right_col: new_col - t.offset,
+                    })
+                    .collect();
                 let join_type = match t.join_kind {
                     JoinKind::Inner => JoinType::Inner,
                     JoinKind::Left => JoinType::Left,
                 };
-                plan = plan.join_as(scan, conditions, join_type);
+                plan = plan.join_as(t.scan(), conditions, join_type);
             }
             plan
         }
@@ -611,18 +583,18 @@ pub(crate) fn bind_with_names(
         .is_some_and(ExprAst::contains_aggregate)
         || !stmt.group_by.is_empty();
 
-    let mut output_names: Vec<String> = Vec::new();
+    let mut group_cols: Vec<usize> = Vec::new();
+    let mut agg_calls: Vec<AggCall<'_>> = Vec::new();
     if has_aggs {
-        if stmt.items.iter().any(|i| {
-            matches!(
-                i,
-                SelectItem::Wildcard | SelectItem::QualifiedWildcard(_)
-            )
-        }) {
+        if stmt
+            .items
+            .iter()
+            .any(|i| matches!(i, SelectItem::Wildcard | SelectItem::QualifiedWildcard(_)))
+        {
             return Err(SqlError::bind("SELECT * cannot be combined with GROUP BY"));
         }
         // Group columns must be plain columns.
-        let group_cols: Vec<usize> = stmt
+        group_cols = stmt
             .group_by
             .iter()
             .map(|g| match g {
@@ -636,116 +608,102 @@ pub(crate) fn bind_with_names(
             .collect::<Result<_, _>>()?;
 
         // Collect aggregates across SELECT, HAVING and ORDER BY.
-        let mut agg_asts: Vec<ExprAst> = Vec::new();
         for item in &stmt.items {
             if let SelectItem::Expr { expr, .. } = item {
-                collect_aggs(expr, &mut agg_asts);
+                collect_aggs(expr, &mut agg_calls);
             }
         }
         if let Some(h) = &stmt.having {
-            collect_aggs(h, &mut agg_asts);
+            collect_aggs(h, &mut agg_calls);
         }
         for k in &stmt.order_by {
-            collect_aggs(&k.expr, &mut agg_asts);
+            collect_aggs(&k.expr, &mut agg_calls);
         }
-        let agg_exprs: Vec<AggExpr> = agg_asts
+        let agg_exprs: Vec<AggExpr> = agg_calls
             .iter()
             .enumerate()
-            .map(|(i, a)| {
-                let ExprAst::Agg { func, arg } = a else {
-                    unreachable!("collect_aggs only yields Agg nodes")
-                };
-                let f = agg_func(func, arg.is_some())?;
-                let lowered_arg = arg.as_ref().map(|e| binder.lower(e)).transpose()?;
+            .map(|(i, &(func, arg))| {
                 Ok(AggExpr {
-                    func: f,
-                    arg: lowered_arg,
+                    func: agg_func(func, arg.is_some())?,
+                    arg: arg.map(|e| binder.lower_in(e, Scope::Join)).transpose()?,
                     name: format!("{}_{i}", func.to_ascii_lowercase()),
                 })
             })
             .collect::<Result<_, SqlError>>()?;
-
         plan = plan.aggregate(group_cols.clone(), agg_exprs);
-
-        if let Some(h) = &stmt.having {
-            let pred = lower_over_agg(&binder, h, &group_cols, &agg_asts)?;
-            plan = plan.filter(pred);
+    }
+    // `HAVING` and the select list read the aggregate's output when there
+    // is one, the join output otherwise. A `HAVING` in a statement with no
+    // aggregation at all is not applied.
+    let scope = if has_aggs {
+        Scope::Agg {
+            group_cols: &group_cols,
+            aggs: &agg_calls,
         }
-
-        // Projection over the aggregate output.
-        let mut proj: Vec<(Expr, String)> = Vec::new();
-        for (i, item) in stmt.items.iter().enumerate() {
-            let SelectItem::Expr { expr, alias } = item else {
-                unreachable!("wildcards rejected above")
-            };
-            let lowered = lower_over_agg(&binder, expr, &group_cols, &agg_asts)?;
-            let name = alias.clone().unwrap_or_else(|| default_name(expr, i));
-            output_names.push(name.clone());
-            proj.push((lowered, name));
-        }
-        plan = plan.project(proj);
     } else {
-        // Plain projection.
-        let wildcard_only = stmt.items.len() == 1 && matches!(stmt.items[0], SelectItem::Wildcard);
-        if wildcard_only {
-            if let Some((_, names)) = &binder.derived {
-                output_names.extend(names.iter().cloned());
-            } else {
-                for t in &binder.tables {
-                    let schema = &db.table(t.table).schema;
-                    for f in schema.fields() {
-                        output_names.push(f.name.clone());
-                    }
-                }
-            }
-        } else {
-            let mut proj: Vec<(Expr, String)> = Vec::new();
-            for (i, item) in stmt.items.iter().enumerate() {
-                match item {
-                    SelectItem::Wildcard => {
-                        return Err(SqlError::bind(
-                            "`*` mixed with other select items is not supported",
-                        ))
-                    }
-                    SelectItem::QualifiedWildcard(q) => {
-                        if let Some((alias, names)) = &binder.derived {
-                            if q != alias {
-                                return Err(SqlError::bind(format!(
-                                    "unknown table alias {q:?}"
-                                )));
-                            }
-                            for (i, n) in names.iter().enumerate() {
-                                output_names.push(n.clone());
-                                proj.push((Expr::col(i), n.clone()));
-                            }
-                            continue;
-                        }
-                        let t = binder
-                            .tables
-                            .iter()
-                            .find(|t| &t.alias == q)
-                            .ok_or_else(|| {
-                                SqlError::bind(format!("unknown table alias {q:?}"))
-                            })?;
-                        let schema = &db.table(t.table).schema;
-                        for (i, f) in schema.fields().iter().enumerate() {
-                            output_names.push(f.name.clone());
-                            proj.push((Expr::col(t.offset + i), f.name.clone()));
-                        }
-                    }
-                    SelectItem::Expr { expr, alias } => {
-                        let lowered = binder.lower(expr)?;
-                        let name = alias.clone().unwrap_or_else(|| default_name(expr, i));
-                        output_names.push(name.clone());
-                        proj.push((lowered, name));
-                    }
-                }
-            }
-            plan = plan.project(proj);
-        }
+        Scope::Join
+    };
+    if let Some(h) = stmt.having.as_ref().filter(|_| has_aggs) {
+        plan = plan.filter(binder.lower_in(h, scope)?);
     }
 
-    // --- 6. ORDER BY (over the output schema) and LIMIT. ---
+    // --- 6. The projection. ---
+    let mut output_names: Vec<String> = Vec::new();
+    let wildcard_only = stmt.items.len() == 1 && matches!(stmt.items[0], SelectItem::Wildcard);
+    if wildcard_only {
+        if let Some((_, names)) = &binder.derived {
+            output_names.extend(names.iter().cloned());
+        } else {
+            for t in &binder.tables {
+                let schema = &db.table(t.table).schema;
+                for f in schema.fields() {
+                    output_names.push(f.name.clone());
+                }
+            }
+        }
+    } else {
+        let mut proj: Vec<(Expr, String)> = Vec::new();
+        for (i, item) in stmt.items.iter().enumerate() {
+            match item {
+                SelectItem::Wildcard => {
+                    return Err(SqlError::bind(
+                        "`*` mixed with other select items is not supported",
+                    ))
+                }
+                SelectItem::QualifiedWildcard(q) => {
+                    if let Some((alias, names)) = &binder.derived {
+                        if q != alias {
+                            return Err(SqlError::bind(format!("unknown table alias {q:?}")));
+                        }
+                        for (i, n) in names.iter().enumerate() {
+                            output_names.push(n.clone());
+                            proj.push((Expr::col(i), n.clone()));
+                        }
+                        continue;
+                    }
+                    let t = binder
+                        .tables
+                        .iter()
+                        .find(|t| &t.alias == q)
+                        .ok_or_else(|| SqlError::bind(format!("unknown table alias {q:?}")))?;
+                    let schema = &db.table(t.table).schema;
+                    for (i, f) in schema.fields().iter().enumerate() {
+                        output_names.push(f.name.clone());
+                        proj.push((Expr::col(t.offset + i), f.name.clone()));
+                    }
+                }
+                SelectItem::Expr { expr, alias } => {
+                    let lowered = binder.lower_in(expr, scope)?;
+                    let name = alias.clone().unwrap_or_else(|| default_name(expr, i));
+                    output_names.push(name.clone());
+                    proj.push((lowered, name));
+                }
+            }
+        }
+        plan = plan.project(proj);
+    }
+
+    // --- 7. ORDER BY (over the output schema) and LIMIT. ---
     if !stmt.order_by.is_empty() {
         let keys = stmt
             .order_by
@@ -779,37 +737,25 @@ fn bind_exists(
             "EXISTS subqueries support a single table with a WHERE clause only",
         ));
     }
-    let table = outer
-        .db
-        .table_id(&tref.table)
-        .ok_or_else(|| SqlError::bind(format!("unknown table {:?}", tref.table)))?;
-    let arity = outer.db.table(table).schema.len();
-    let inner = Binder {
+    let mut inner = Binder {
         db: outer.db,
-        tables: vec![BoundTable {
-            alias: tref.alias.clone(),
-            table,
-            offset: 0,
-            arity,
-            nullable_side: false,
-            join_kind: JoinKind::Inner,
-            on_conditions: Vec::new(),
-            pushdown: None,
-        }],
+        tables: vec![BoundTable::new(
+            outer.db,
+            &tref.table,
+            &tref.alias,
+            0,
+            JoinKind::Inner,
+        )?],
         derived: None,
     };
-    let mut pushdown: Option<Expr> = None;
     let mut conditions: Vec<JoinCondition> = Vec::new();
     if let Some(w) = &query.where_clause {
         let mut conjuncts = Vec::new();
         split_conjuncts_ast(w, &mut conjuncts);
         for c in conjuncts {
             // Inner-only conjunct?
-            if let Ok(lowered) = inner.lower(&c) {
-                pushdown = Some(match pushdown.take() {
-                    Some(existing) => Expr::and(existing, lowered),
-                    None => lowered,
-                });
+            if let Ok(lowered) = inner.lower_in(&c, Scope::Join) {
+                inner.tables[0].push_down(&lowered);
                 continue;
             }
             // Correlation: an equality between an inner and an outer column.
@@ -820,9 +766,7 @@ fn bind_exists(
             };
             let col = |side: &ExprAst| -> Option<(Option<String>, String)> {
                 match side {
-                    ExprAst::Column { qualifier, name } => {
-                        Some((qualifier.clone(), name.clone()))
-                    }
+                    ExprAst::Column { qualifier, name } => Some((qualifier.clone(), name.clone())),
                     _ => None,
                 }
             };
@@ -863,16 +807,9 @@ fn bind_exists(
         ));
     }
     Ok(SemiJoinSpec {
-        plan: LogicalPlan::Scan {
-            table,
-            filter: pushdown,
-        },
+        plan: inner.tables[0].scan(),
         conditions,
-        join_type: if negated {
-            JoinType::Anti
-        } else {
-            JoinType::Semi
-        },
+        join_type: semi_or_anti(negated),
     })
 }
 
@@ -884,8 +821,7 @@ fn bind_in_select(
     query: &SelectStmt,
     negated: bool,
 ) -> Result<SemiJoinSpec, SqlError> {
-    let lowered = outer.lower(expr)?;
-    let Expr::Column(outer_col) = lowered else {
+    let Expr::Column(outer_col) = outer.lower_in(expr, Scope::Join)? else {
         return Err(SqlError::bind(
             "the IN (SELECT ...) operand must be a plain column",
         ));
@@ -903,70 +839,8 @@ fn bind_in_select(
             left_col: outer_col,
             right_col: 0,
         }],
-        join_type: if negated {
-            JoinType::Anti
-        } else {
-            JoinType::Semi
-        },
+        join_type: semi_or_anti(negated),
     })
-}
-
-/// Rebases global column indexes to table-local ones (subtract `offset`).
-fn rebase(e: &Expr, offset: usize) -> Expr {
-    if offset == 0 {
-        return e.clone();
-    }
-    // shift_columns only adds; emulate subtraction by rebuilding through a
-    // map over referenced columns. Since Expr has no generic visitor, we
-    // reuse shift_columns' structure via a local recursion.
-    fn go(e: &Expr, offset: usize) -> Expr {
-        match e {
-            Expr::Column(i) => Expr::Column(i - offset),
-            other => {
-                // Rebuild one level down using shift_columns(0) as a clone
-                // then recurse manually for each variant.
-                match other {
-                    Expr::Literal(d) => Expr::Literal(d.clone()),
-                    Expr::Cmp { op, lhs, rhs } => Expr::cmp(*op, go(lhs, offset), go(rhs, offset)),
-                    Expr::And(l, r) => Expr::and(go(l, offset), go(r, offset)),
-                    Expr::Or(l, r) => Expr::or(go(l, offset), go(r, offset)),
-                    Expr::Not(x) => Expr::not(go(x, offset)),
-                    Expr::Arith { op, lhs, rhs } => {
-                        Expr::arith(*op, go(lhs, offset), go(rhs, offset))
-                    }
-                    Expr::Like {
-                        expr,
-                        pattern,
-                        negated,
-                    } => Expr::Like {
-                        expr: Box::new(go(expr, offset)),
-                        pattern: pattern.clone(),
-                        negated: *negated,
-                    },
-                    Expr::InList { expr, list } => Expr::InList {
-                        expr: Box::new(go(expr, offset)),
-                        list: list.clone(),
-                    },
-                    Expr::IsNull { expr, negated } => Expr::IsNull {
-                        expr: Box::new(go(expr, offset)),
-                        negated: *negated,
-                    },
-                    Expr::Case {
-                        branches,
-                        else_expr,
-                    } => Expr::Case {
-                        branches: branches
-                            .iter()
-                            .map(|(c, v)| (go(c, offset), go(v, offset)))
-                            .collect(),
-                        else_expr: else_expr.as_ref().map(|x| Box::new(go(x, offset))),
-                    },
-                    Expr::Column(_) => unreachable!("handled above"),
-                }
-            }
-        }
-    }
-    go(e, offset)
 }
 
 fn default_name(expr: &ExprAst, position: usize) -> String {
@@ -982,25 +856,26 @@ fn resolve_order_key(
     output_names: &[String],
     items: &[SelectItem],
 ) -> Result<SortKey, SqlError> {
-    let column = match &key.expr {
+    // An output name / alias.
+    let by_name = match &key.expr {
+        ExprAst::Column {
+            qualifier: None,
+            name,
+        } => output_names.iter().position(|n| n == name),
+        _ => None,
+    };
+    let column = match (&key.expr, by_name) {
         // 1-based output position.
-        ExprAst::Int(n) if *n >= 1 && (*n as usize) <= output_names.len() => *n as usize - 1,
-        ExprAst::Int(n) => {
+        (ExprAst::Int(n), _) if *n >= 1 && (*n as usize) <= output_names.len() => *n as usize - 1,
+        (ExprAst::Int(n), _) => {
             return Err(SqlError::bind(format!(
                 "ORDER BY position {n} out of range (1..={})",
                 output_names.len()
             )))
         }
-        // Output name / alias.
-        ExprAst::Column {
-            qualifier: None,
-            name,
-        } if output_names.contains(name) => output_names
-            .iter()
-            .position(|n| n == name)
-            .expect("contains"),
+        (_, Some(position)) => position,
         // An expression textually matching a select item.
-        other => items
+        (other, None) => items
             .iter()
             .position(|i| matches!(i, SelectItem::Expr { expr, .. } if expr == other))
             .ok_or_else(|| {
@@ -1141,6 +1016,60 @@ mod tests {
         assert_eq!(rows.len(), 1);
         let v = rows[0].get(0).as_float().unwrap();
         assert!(v > 2000.0 && v < 4100.0, "centi-average {v}");
+    }
+
+    #[test]
+    fn predicates_over_aggregate_output_match_their_expansions() {
+        // City c's 50 users average 42.2 + c years; its alphabetically
+        // first name is user0, user1, then user102 … user109.
+        let grouped = "SELECT city_id, COUNT(*) AS n FROM users GROUP BY city_id";
+        let matched = "SELECT c.id, MAX(u.age) AS oldest FROM cities c \
+                       LEFT JOIN users u ON c.id = u.city_id AND u.age > 70 GROUP BY c.id";
+        for (query, widened, expanded, groups) in [
+            (
+                grouped,
+                "COUNT(*) BETWEEN 40 AND 60",
+                "COUNT(*) >= 40 AND COUNT(*) <= 60",
+                10,
+            ),
+            (
+                grouped,
+                "AVG(age) BETWEEN 44 AND 48",
+                "AVG(age) >= 44 AND AVG(age) <= 48",
+                4,
+            ),
+            (
+                grouped,
+                "city_id IN (1, 3)",
+                "city_id = 1 OR city_id = 3",
+                2,
+            ),
+            (
+                grouped,
+                "city_id NOT IN (1, 3)",
+                "NOT (city_id = 1 OR city_id = 3)",
+                8,
+            ),
+            (
+                grouped,
+                "MIN(name) LIKE 'user1%'",
+                "MIN(name) >= 'user1' AND MIN(name) < 'user2'",
+                9,
+            ),
+            (
+                grouped,
+                "CASE WHEN city_id < 5 THEN AVG(age) > 44 ELSE FALSE END",
+                "city_id < 5 AND AVG(age) > 44",
+                3,
+            ),
+            (matched, "MAX(u.age) IS NULL", "COUNT(u.age) = 0", 3),
+            (matched, "MAX(u.age) IS NOT NULL", "COUNT(u.age) > 0", 7),
+        ] {
+            let (rows, _) = run(&format!("{query} HAVING {widened} ORDER BY 1"));
+            let (want, _) = run(&format!("{query} HAVING {expanded} ORDER BY 1"));
+            assert_eq!(rows, want, "HAVING {widened}");
+            assert_eq!(rows.len(), groups, "HAVING {widened}");
+        }
     }
 
     #[test]

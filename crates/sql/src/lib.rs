@@ -15,9 +15,16 @@
 //! Supported surface: `SELECT` lists with expressions, aliases and
 //! aggregates (`COUNT(*)`, `COUNT/SUM/AVG/MIN/MAX(expr)`); `FROM` with
 //! comma joins and `[INNER|LEFT] JOIN … ON`; `WHERE` with `AND/OR/NOT`,
-//! comparisons, arithmetic, `LIKE`, `IN (…)`, `BETWEEN`, `IS [NOT] NULL`;
-//! `GROUP BY` / `HAVING`; `ORDER BY … [ASC|DESC]` (by output name or
-//! 1-based position); `LIMIT`.
+//! comparisons, arithmetic, `LIKE`, `IN (…)`, `BETWEEN`, `IS [NOT] NULL`,
+//! `CASE WHEN … THEN … [ELSE …] END`; `GROUP BY` / `HAVING`;
+//! `ORDER BY … [ASC|DESC]` (by output name or 1-based position); `LIMIT`.
+//!
+//! Over aggregate output (`HAVING`, and the select list of a grouped or
+//! aggregating query) the expression grammar is the same as in `WHERE`:
+//! every operator and predicate above may combine group columns,
+//! aggregate calls and literals, e.g. `HAVING COUNT(*) BETWEEN 40 AND 60`
+//! or `HAVING city_id IN (1, 3)`. A column that is neither grouped nor
+//! inside an aggregate is refused.
 //!
 //! ```
 //! use dbvirt_engine::Database;

@@ -271,31 +271,32 @@ fn parse_table_ref(c: &mut Cursor<'_>) -> Result<TableRef, SqlError> {
     Ok(TableRef { table, alias })
 }
 
-/// Full expression: OR-level.
-fn parse_expr(c: &mut Cursor<'_>) -> Result<ExprAst, SqlError> {
-    let mut lhs = parse_and(c)?;
-    while c.eat_kw("OR") {
-        let rhs = parse_and(c)?;
+/// One left-associative binary level: `next (op next)*`, where `eat`
+/// consumes any operator of `ops`.
+fn left_assoc<'a>(
+    c: &mut Cursor<'a>,
+    ops: &[&str],
+    eat: impl Fn(&mut Cursor<'a>, &str) -> bool,
+    next: impl Fn(&mut Cursor<'a>) -> Result<ExprAst, SqlError>,
+) -> Result<ExprAst, SqlError> {
+    let mut lhs = next(c)?;
+    while let Some(op) = ops.iter().find(|op| eat(c, op)) {
         lhs = ExprAst::Binary {
-            op: "OR".into(),
+            op: op.to_string(),
             lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
+            rhs: Box::new(next(c)?),
         };
     }
     Ok(lhs)
 }
 
+/// Full expression: OR-level.
+fn parse_expr(c: &mut Cursor<'_>) -> Result<ExprAst, SqlError> {
+    left_assoc(c, &["OR"], Cursor::eat_kw, parse_and)
+}
+
 fn parse_and(c: &mut Cursor<'_>) -> Result<ExprAst, SqlError> {
-    let mut lhs = parse_not(c)?;
-    while c.eat_kw("AND") {
-        let rhs = parse_not(c)?;
-        lhs = ExprAst::Binary {
-            op: "AND".into(),
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        };
-    }
-    Ok(lhs)
+    left_assoc(c, &["AND"], Cursor::eat_kw, parse_not)
 }
 
 fn parse_not(c: &mut Cursor<'_>) -> Result<ExprAst, SqlError> {
@@ -416,43 +417,11 @@ fn parse_predicate(c: &mut Cursor<'_>) -> Result<ExprAst, SqlError> {
 }
 
 fn parse_additive(c: &mut Cursor<'_>) -> Result<ExprAst, SqlError> {
-    let mut lhs = parse_multiplicative(c)?;
-    loop {
-        let op = if c.eat_sym("+") {
-            "+"
-        } else if c.eat_sym("-") {
-            "-"
-        } else {
-            break;
-        };
-        let rhs = parse_multiplicative(c)?;
-        lhs = ExprAst::Binary {
-            op: op.to_string(),
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        };
-    }
-    Ok(lhs)
+    left_assoc(c, &["+", "-"], Cursor::eat_sym, parse_multiplicative)
 }
 
 fn parse_multiplicative(c: &mut Cursor<'_>) -> Result<ExprAst, SqlError> {
-    let mut lhs = parse_unary(c)?;
-    loop {
-        let op = if c.eat_sym("*") {
-            "*"
-        } else if c.eat_sym("/") {
-            "/"
-        } else {
-            break;
-        };
-        let rhs = parse_unary(c)?;
-        lhs = ExprAst::Binary {
-            op: op.to_string(),
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        };
-    }
-    Ok(lhs)
+    left_assoc(c, &["*", "/"], Cursor::eat_sym, parse_unary)
 }
 
 fn parse_unary(c: &mut Cursor<'_>) -> Result<ExprAst, SqlError> {

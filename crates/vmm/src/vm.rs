@@ -45,11 +45,6 @@ impl VirtualMachine {
         Ok(VirtualMachine { spec, shares })
     }
 
-    /// A VM granted the entire physical machine.
-    pub fn whole_machine(spec: MachineSpec) -> Result<VirtualMachine, VmmError> {
-        VirtualMachine::new(spec, ResourceVector::full_machine())
-    }
-
     /// The underlying physical machine.
     pub fn spec(&self) -> &MachineSpec {
         &self.spec

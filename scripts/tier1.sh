@@ -103,8 +103,10 @@ fi
 # pre-switch and the first placement. A quiet-epoch hill climb was a fourth
 # that never landed a move. The controller's library code is also the first
 # crate held to zero `unwrap()` / `expect(` sites: every failure is typed.
-if lib_code | grep -E '^crates/controller/src/' | grep -E 'unwrap\(\)|expect\(|hill_climb'; then
-  echo "FAIL: unwrap()/expect( or a hill climb in crates/controller/src library code" >&2
+# The SQL front end is the second: hostile statement text ends in a
+# `SqlError`, never a panic.
+if lib_code | grep -E '^crates/(controller|sql)/src/' | grep -E 'unwrap\(\)|expect\(|hill_climb'; then
+  echo "FAIL: unwrap()/expect( in crates/{controller,sql}/src or a hill climb in the controller's library code" >&2
   exit 1
 fi
 
@@ -115,6 +117,16 @@ fi
 # price.rs — would be the per-`P` enumeration back.
 if lib_code | grep -v '^crates/optimizer/src/planner/analyse\.rs: ' | grep -E '\((\w+) - 1\) & '; then
   echo "FAIL: a relation-subset enumeration outside crates/optimizer/src/planner/analyse.rs" >&2
+  exit 1
+fi
+
+# One lowering: the binder lowers every scalar expression through
+# `Binder::lower_in`, whose scope (join output or aggregate output) decides
+# what a column and an aggregate call mean, and moves a predicate between
+# column spaces with `Expr::map_columns`. A second lowering over aggregate
+# output, or a second column-shifting walk, would be a copy of the first.
+if lib_code | grep -E 'lower_over_agg|fn rebase|shift_columns'; then
+  echo "FAIL: a second expression lowering or column remap in library code" >&2
   exit 1
 fi
 
