@@ -9,8 +9,7 @@
 //! the recommended shares (the validation side of the paper's
 //! methodology).
 
-use dbvirt_bench::{cache_counters, experiment_machine, print_table, write_bench_artifact};
-use dbvirt_calibrate::json::Json;
+use dbvirt_bench::{experiment_machine, print_table};
 use dbvirt_core::measure::measure_workload_seconds;
 use dbvirt_core::{
     metrics, CalibratedCostModel, DesignProblem, SearchAlgorithm, VirtualizationAdvisor,
@@ -21,8 +20,6 @@ use dbvirt_tpch::{TpchConfig, TpchDb, TpchQuery, Workload};
 use dbvirt_vmm::{ResourceVector, Share};
 
 fn main() {
-    dbvirt_telemetry::enable();
-    let wall_start = std::time::Instant::now();
     let machine = experiment_machine();
     println!(
         "Generating TPC-H (SF {:.3}) ...",
@@ -50,14 +47,9 @@ fn main() {
     )
     .expect("problem");
 
-    let (hits_before, misses_before) = cache_counters();
-    let search_start = std::time::Instant::now();
     let rec = advisor
         .recommend(&problem, SearchAlgorithm::DynamicProgramming)
         .expect("recommendation");
-    let search_secs = search_start.elapsed().as_secs_f64();
-    let (hits_after, misses_after) = cache_counters();
-    let (hits, misses) = (hits_after - hits_before, misses_after - misses_before);
     let model = CalibratedCostModel::new(advisor.grid());
     let equal_costs = metrics::equal_split_costs(&problem, &model).expect("baseline");
 
@@ -153,48 +145,4 @@ fn main() {
         "Shape check: the advisor's allocation beats the equal split on measured time, and the \
          biggest share skews go to the most resource-skewed workloads."
     );
-
-    let workload_objs: Vec<Json> = mixes
-        .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let shares = rec.allocation.row(i);
-            Json::obj([
-                ("workload", Json::Str(w.name.to_string())),
-                ("cpu_share", Json::Num(shares.cpu().fraction())),
-                ("mem_share", Json::Num(shares.memory().fraction())),
-                ("predicted_rec_secs", Json::Num(rec.per_workload_costs[i])),
-                ("predicted_equal_secs", Json::Num(equal_costs[i])),
-            ])
-        })
-        .collect();
-    let lookups = hits + misses;
-    let bench = Json::obj([
-        ("experiment", Json::Str("ext_consolidation".to_string())),
-        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
-        ("workloads", Json::Num(n as f64)),
-        ("units", Json::Num(units as f64)),
-        ("algorithm", Json::Str(rec.algorithm.to_string())),
-        ("search_secs", Json::Num(search_secs)),
-        ("evaluations", Json::Num(rec.evaluations as f64)),
-        ("cache_hits", Json::Num(hits as f64)),
-        ("cache_misses", Json::Num(misses as f64)),
-        (
-            "cache_hit_rate",
-            Json::Num(if lookups > 0 {
-                hits as f64 / lookups as f64
-            } else {
-                f64::NAN
-            }),
-        ),
-        ("predicted_rec_total_secs", Json::Num(rec.total_cost)),
-        (
-            "predicted_equal_total_secs",
-            Json::Num(equal_costs.iter().sum::<f64>()),
-        ),
-        ("measured_rec_total_secs", Json::Num(measured_rec_total)),
-        ("measured_equal_total_secs", Json::Num(measured_eq_total)),
-        ("per_workload", Json::Arr(workload_objs)),
-    ]);
-    write_bench_artifact("BENCH_consolidation.json", &bench.pretty());
 }

@@ -9,8 +9,7 @@
 //! switch-overhead hysteresis, and is compared against both static
 //! baselines (equal split forever; day-optimal allocation forever).
 
-use dbvirt_bench::{cache_counters, experiment_machine, print_table, write_bench_artifact};
-use dbvirt_calibrate::json::Json;
+use dbvirt_bench::{experiment_machine, print_table};
 use dbvirt_core::dynamic::{run_dynamic, DynamicTimeline, ReconfigPolicy};
 use dbvirt_core::{
     CalibratedCostModel, DesignProblem, SearchConfig, VirtualizationAdvisor, WorkloadSpec,
@@ -18,8 +17,6 @@ use dbvirt_core::{
 use dbvirt_tpch::{TpchConfig, TpchDb, TpchQuery, Workload};
 
 fn main() {
-    dbvirt_telemetry::enable();
-    let wall_start = std::time::Instant::now();
     let machine = experiment_machine();
     println!(
         "Generating TPC-H (SF {:.3}) ...",
@@ -63,12 +60,7 @@ fn main() {
         min_relative_gain: 0.05,
         ..ReconfigPolicy::new(SearchConfig::for_workloads(units, 2))
     };
-    let (hits_before, misses_before) = cache_counters();
-    let dynamic_start = std::time::Instant::now();
     let out = run_dynamic(&timeline, &model, policy).expect("dynamic run");
-    let dynamic_secs = dynamic_start.elapsed().as_secs_f64();
-    let (hits_after, misses_after) = cache_counters();
-    let (hits, misses) = (hits_after - hits_before, misses_after - misses_before);
 
     let mut rows = Vec::new();
     for (i, p) in out.phases.iter().enumerate() {
@@ -108,52 +100,4 @@ fn main() {
          beats both static baselines; with a prohibitive switch overhead it would degrade \
          gracefully to the static day-optimal placement."
     );
-
-    let phase_objs: Vec<Json> = out
-        .phases
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            Json::obj([
-                ("phase", Json::Num(i as f64)),
-                (
-                    "label",
-                    Json::Str((if i % 2 == 0 { "day" } else { "night" }).to_string()),
-                ),
-                ("cost_secs", Json::Num(p.cost)),
-                ("reconfigured", Json::Bool(p.reconfigured)),
-            ])
-        })
-        .collect();
-    let lookups = hits + misses;
-    let bench = Json::obj([
-        ("experiment", Json::Str("ext_dynamic".to_string())),
-        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
-        ("dynamic_run_secs", Json::Num(dynamic_secs)),
-        ("phases", Json::Num(out.phases.len() as f64)),
-        ("reconfigurations", Json::Num(out.reconfigurations as f64)),
-        (
-            "switch_overhead_secs",
-            Json::Num(policy.switch_overhead_seconds),
-        ),
-        ("min_relative_gain", Json::Num(policy.min_relative_gain)),
-        ("dynamic_total_secs", Json::Num(out.total_cost)),
-        ("static_equal_secs", Json::Num(out.static_equal_cost)),
-        (
-            "static_first_phase_secs",
-            Json::Num(out.static_first_phase_cost),
-        ),
-        ("phase_outcomes", Json::Arr(phase_objs)),
-        ("cache_hits", Json::Num(hits as f64)),
-        ("cache_misses", Json::Num(misses as f64)),
-        (
-            "cache_hit_rate",
-            Json::Num(if lookups > 0 {
-                hits as f64 / lookups as f64
-            } else {
-                f64::NAN
-            }),
-        ),
-    ]);
-    write_bench_artifact("BENCH_dynamic.json", &bench.pretty());
 }

@@ -12,8 +12,7 @@
 //! one, on either axis, none: every memory configuration is answered by
 //! replaying the suite's page references. Otherwise the binary panics.
 
-use dbvirt_bench::{experiment_machine, print_table, write_bench_artifact};
-use dbvirt_calibrate::json::Json;
+use dbvirt_bench::{experiment_machine, print_table};
 use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_optimizer::whatif::estimate_query_seconds;
 use dbvirt_tpch::{TpchConfig, TpchDb, TpchQuery};
@@ -88,7 +87,6 @@ fn sweep(
 
 fn main() {
     dbvirt_telemetry::enable();
-    let wall_start = std::time::Instant::now();
     let machine = experiment_machine();
     println!(
         "Generating TPC-H (SF {:.3}) ...",
@@ -117,7 +115,6 @@ fn main() {
         .collect();
 
     let mut rows = Vec::new();
-    let mut bench_grids = Vec::new();
     for coarse_n in [2usize, 3, 5, 9] {
         println!("Calibrating a {coarse_n}-point grid ...");
         let (coarse, cost) = sweep(machine, coarse_n, 1, 0);
@@ -142,18 +139,6 @@ fn main() {
             idx
         };
         let ranking_ok = rank(&estimates) == rank(&reference);
-        bench_grids.push(Json::obj([
-            ("grid_points", Json::Num(coarse_n as f64)),
-            ("probe_runs", Json::Num(cost.probe_runs as f64)),
-            ("engine_runs", Json::Num(cost.engine_runs as f64)),
-            ("wall_ms", Json::Num(cost.wall_ms)),
-            ("max_param_err", Json::Num(max_param_err)),
-            ("max_estimate_err", Json::Num(max_est_err)),
-            (
-                "ranking_preserved",
-                Json::Str((if ranking_ok { "yes" } else { "no" }).to_string()),
-            ),
-        ]));
         rows.push(vec![
             coarse_n.to_string(),
             format!("{:.1}%", max_param_err * 100.0),
@@ -167,17 +152,9 @@ fn main() {
     // 4 MiB floor, its own `work_mem`), none of them an execution.
     let mem_cpu_n = 3;
     let mut mem_rows = Vec::new();
-    let mut bench_mem_grids = Vec::new();
     for mem_n in [1usize, 2, 3, 5, 9] {
         println!("Calibrating a {mem_cpu_n} x {mem_n} grid ...");
         let (_, cost) = sweep(machine, mem_cpu_n, mem_n, 0);
-        bench_mem_grids.push(Json::obj([
-            ("cpu_points", Json::Num(mem_cpu_n as f64)),
-            ("mem_points", Json::Num(mem_n as f64)),
-            ("probe_runs", Json::Num(cost.probe_runs as f64)),
-            ("engine_runs", Json::Num(cost.engine_runs as f64)),
-            ("wall_ms", Json::Num(cost.wall_ms)),
-        ]));
         mem_rows.push(vec![
             mem_n.to_string(),
             (mem_cpu_n * mem_n).to_string(),
@@ -219,27 +196,4 @@ fn main() {
          of its own size, and CPU points are priced from the same demands: a denser grid, or \
          another grid, costs arithmetic on every axis, not experiments."
     );
-
-    let snap = dbvirt_telemetry::snapshot();
-    let bench = Json::obj([
-        ("experiment", Json::Str("ext_grid".to_string())),
-        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
-        ("dense_grid_points", Json::Num(dense_n as f64)),
-        ("dense_probe_runs", Json::Num(dense_cost.probe_runs as f64)),
-        ("grids", Json::Arr(bench_grids)),
-        ("memory_grids", Json::Arr(bench_mem_grids)),
-        (
-            "probe_runs_total",
-            Json::Num(snap.counter("calibrate.probe_runs").unwrap_or(0) as f64),
-        ),
-        (
-            "retries_total",
-            Json::Num(snap.counter("calibrate.retries").unwrap_or(0) as f64),
-        ),
-        (
-            "outliers_dropped_total",
-            Json::Num(snap.counter("calibrate.outliers_dropped").unwrap_or(0) as f64),
-        ),
-    ]);
-    write_bench_artifact("BENCH_grid.json", &bench.pretty());
 }

@@ -7,8 +7,7 @@
 //! workload vs a CPU-bound Q13 workload), comparing solution quality and
 //! the number of distinct what-if cost evaluations each needs.
 
-use dbvirt_bench::{cache_counters, experiment_machine, print_table, write_bench_artifact};
-use dbvirt_calibrate::json::Json;
+use dbvirt_bench::{experiment_machine, print_table};
 use dbvirt_core::measure::measure_workload_seconds;
 use dbvirt_core::{
     metrics, CalibratedCostModel, DesignProblem, SearchAlgorithm, VirtualizationAdvisor,
@@ -18,8 +17,6 @@ use dbvirt_tpch::{TpchConfig, TpchDb, TpchQuery, Workload};
 use dbvirt_vmm::AllocationMatrix;
 
 fn main() {
-    dbvirt_telemetry::enable();
-    let wall_start = std::time::Instant::now();
     let machine = experiment_machine();
     println!(
         "Generating TPC-H (SF {:.3}) ...",
@@ -66,36 +63,13 @@ fn main() {
     let measured_equal = measure_total(&equal_alloc);
 
     let mut rows = Vec::new();
-    let mut bench_algorithms = Vec::new();
     let mut optimum = f64::INFINITY;
     for alg in [
         SearchAlgorithm::Exhaustive,
         SearchAlgorithm::Greedy,
         SearchAlgorithm::DynamicProgramming,
     ] {
-        let (hits_before, misses_before) = cache_counters();
-        let alg_start = std::time::Instant::now();
         let rec = advisor.recommend(&problem, alg).expect("search");
-        let alg_secs = alg_start.elapsed().as_secs_f64();
-        let (hits_after, misses_after) = cache_counters();
-        let (hits, misses) = (hits_after - hits_before, misses_after - misses_before);
-        let lookups = hits + misses;
-        bench_algorithms.push(Json::obj([
-            ("algorithm", Json::Str(rec.algorithm.to_string())),
-            ("wall_secs", Json::Num(alg_secs)),
-            ("predicted_total_secs", Json::Num(rec.total_cost)),
-            ("evaluations", Json::Num(rec.evaluations as f64)),
-            ("cache_hits", Json::Num(hits as f64)),
-            ("cache_misses", Json::Num(misses as f64)),
-            (
-                "cache_hit_rate",
-                Json::Num(if lookups > 0 {
-                    hits as f64 / lookups as f64
-                } else {
-                    f64::NAN
-                }),
-            ),
-        ]));
         optimum = optimum.min(rec.total_cost);
         let measured = measure_total(&rec.allocation);
         let r0 = rec.allocation.row(0);
@@ -146,25 +120,4 @@ fn main() {
          stop at a local optimum when the gain requires crossing a cache threshold several \
          share-units away."
     );
-
-    let (total_hits, total_misses) = cache_counters();
-    let total_lookups = total_hits + total_misses;
-    let bench = Json::obj([
-        ("experiment", Json::Str("ext_search".to_string())),
-        ("wall_secs", Json::Num(wall_start.elapsed().as_secs_f64())),
-        ("units", Json::Num(units as f64)),
-        ("workloads", Json::Num(2 as f64)),
-        ("algorithms", Json::Arr(bench_algorithms)),
-        ("cache_hits_total", Json::Num(total_hits as f64)),
-        ("cache_misses_total", Json::Num(total_misses as f64)),
-        (
-            "cache_hit_rate_total",
-            Json::Num(if total_lookups > 0 {
-                total_hits as f64 / total_lookups as f64
-            } else {
-                f64::NAN
-            }),
-        ),
-    ]);
-    write_bench_artifact("BENCH_search.json", &bench.pretty());
 }

@@ -18,7 +18,7 @@
 //! tier1.sh` runs this binary as the telemetry smoke gate; any failure
 //! here exits non-zero.
 
-use dbvirt_bench::{experiment_machine, write_bench_artifact};
+use dbvirt_bench::experiment_machine;
 use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_core::measure::measure_workload_seconds;
 use dbvirt_core::{
@@ -212,8 +212,13 @@ fn main() {
     println!("Design on/off check OK: telemetry is invisible in the recommendation.");
 
     // --- Artifacts ------------------------------------------------------
-    write_bench_artifact("TRACE_dump.json", &snap.to_json());
-    write_bench_artifact("TRACE_chrome.json", &snap.to_chrome_trace());
+    for (file, json) in [
+        ("TRACE_dump.json", snap.to_json()),
+        ("TRACE_chrome.json", snap.to_chrome_trace()),
+    ] {
+        std::fs::write(file, json + "\n").expect("write trace artifact");
+        println!("Wrote {file}");
+    }
 
     let summary = TelemetrySummary::capture();
     println!(

@@ -1,8 +1,8 @@
 //! # dbvirt-bench — experiment harness
 //!
 //! One binary per paper exhibit plus the extension experiments listed in
-//! `DESIGN.md` (run them with `cargo run --release -p dbvirt-bench --bin
-//! <name>`):
+//! `DESIGN.md` that print tables (run them with `cargo run --release -p
+//! dbvirt-bench --bin <name>`):
 //!
 //! | binary | exhibit |
 //! |---|---|
@@ -15,16 +15,16 @@
 //! | `ext_dynamic` | dynamic reconfiguration controller vs static baselines |
 //! | `ext_ablation` | cost-model ablation: calibrated vs allocation-blind |
 //! | `ext_trace` | telemetry smoke gate: traced consolidation run, writes `TRACE_dump.json` + `TRACE_chrome.json` |
-//! | `ext_controller` | online drift-detecting control loop vs clairvoyant oracle, writes `BENCH_controller.json` |
 //! | `ext_chaos` | calibration pipeline under fault-injection sweeps |
-//! | `ext_sched` | `co_schedule` vs its rescan-loop oracle: 48-config identity + capped-walk speedup sweep, writes `BENCH_sched.json` |
-//! | `ext_fleet` | datacenter placement ladder (greedy → local search → LP bound) from 4 VMs/1 machine to 256 VMs/32 machines, writes `BENCH_fleet.json` |
-//! | `ext_fleetsim` | 1024 VMs placed on 128 machines, then executed by the per-machine co-scheduler in both modes, serial ≡ parallel, writes `BENCH_fleetsim.json` |
-//! | `ext_design` | joint index selection + allocation vs the index-only and allocation-only marginals on three scenarios, writes `BENCH_design.json` |
 //!
-//! This library holds what the binaries share: the experiment machine and
-//! measurement/printing helpers. `BENCH_*.json` artifacts are built with
-//! `dbvirt_calibrate::json::Json`.
+//! The fingerprinted experiments are integration tests of the root
+//! package, each held to a committed golden under `tests/golden/`:
+//! `tests/ext_controller.rs`, `tests/ext_fleet.rs`, `tests/ext_fleetsim.rs`,
+//! `tests/ext_design.rs`, and EXT-SCHED in `tests/sched_wc_golden.rs`.
+//! `cargo test --release --test <name> -- --nocapture` prints their tables.
+//!
+//! This library holds what the binaries and those tests share: the
+//! experiment machine and measurement/printing helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,9 +33,7 @@ use dbvirt_core::measure::workload_demands;
 use dbvirt_core::CoreError;
 use dbvirt_engine::Database;
 use dbvirt_optimizer::LogicalPlan;
-use dbvirt_vmm::kernel::{Fnv1a, SplitMix64};
-use dbvirt_vmm::sched::{VmJob, VmOutcome};
-use dbvirt_vmm::{MachineSpec, ResourceDemand, ResourceVector, VirtualMachine};
+use dbvirt_vmm::{MachineSpec, ResourceVector, VirtualMachine};
 
 /// The machine the experiments run on.
 ///
@@ -55,63 +53,6 @@ pub fn experiment_machine() -> MachineSpec {
         disk_random_iops: 100.0,
         page_size: 8192,
     }
-}
-
-/// The deterministic fleet of `ext_sched`'s sweep: per-VM query streams
-/// mixing CPU-heavy, I/O-heavy, balanced, and zero-demand queries so both
-/// resource classes stay contended and phase kinds alternate (the
-/// work-conserving worst case).
-pub fn sched_sweep_fleet(vms: usize, queries: usize) -> Vec<VmJob> {
-    // No external RNG: the sweep must be pinned byte-for-byte across runs
-    // and machines.
-    let mut mix = SplitMix64((vms as u64) << 32 | queries as u64);
-    (0..vms)
-        .map(|_| {
-            let stream = (0..queries)
-                .map(|_| {
-                    let r = mix.next();
-                    let cpu = (r >> 8) % 2_000_000_000;
-                    let seq = (r >> 40) % 1_200;
-                    let rand = (r >> 50) % 120;
-                    match r % 10 {
-                        0..=3 => ResourceDemand {
-                            cpu_cycles: (cpu + 100_000_000) as f64,
-                            seq_page_reads: 0,
-                            random_page_reads: 0,
-                            page_writes: 0,
-                        },
-                        4..=6 => ResourceDemand {
-                            cpu_cycles: 0.0,
-                            seq_page_reads: seq + 50,
-                            random_page_reads: rand,
-                            page_writes: r % 40,
-                        },
-                        7..=8 => ResourceDemand {
-                            cpu_cycles: (cpu / 2) as f64,
-                            seq_page_reads: seq,
-                            random_page_reads: rand,
-                            page_writes: 0,
-                        },
-                        _ => ResourceDemand::ZERO,
-                    }
-                })
-                .collect();
-            VmJob::new(stream)
-        })
-        .collect()
-}
-
-/// FNV-1a over every reported completion instant, query-by-query: the
-/// value behind a `SCHED_FINGERPRINT` line.
-pub fn completions_fingerprint(outcomes: &[VmOutcome]) -> u64 {
-    let mut h = Fnv1a::new();
-    for o in outcomes {
-        h.u64(o.completion.as_micros());
-        for t in &o.query_completions {
-            h.u64(t.as_micros());
-        }
-    }
-    h.finish()
 }
 
 /// Measures one query's steady-state execution time in a VM at `shares`:
@@ -154,23 +95,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row.clone());
     }
-}
-
-/// Writes a `BENCH_*.json`-style artifact to the working directory and
-/// prints where it went.
-pub fn write_bench_artifact(file_name: &str, json: &str) {
-    std::fs::write(file_name, format!("{json}\n")).expect("write bench artifact");
-    println!("Wrote {file_name}");
-}
-
-/// The `(hits, misses)` of the search cost cache from the global telemetry
-/// registry (zeros while telemetry is disabled).
-pub fn cache_counters() -> (u64, u64) {
-    let snap = dbvirt_telemetry::snapshot();
-    (
-        snap.counter("search.cache.hits").unwrap_or(0),
-        snap.counter("search.cache.misses").unwrap_or(0),
-    )
 }
 
 /// Formats a float with three significant decimals.

@@ -574,13 +574,13 @@ pub(crate) fn bind_with_names(
     }
 
     // --- 5. Aggregation. ---
+    // A `HAVING` makes the statement aggregated even with no aggregate
+    // call and no `GROUP BY` (one group), as in PostgreSQL: a bare column
+    // in it or in the select list then fails as not grouped.
     let has_aggs = stmt.items.iter().any(|i| match i {
         SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
         SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => false,
-    }) || stmt
-        .having
-        .as_ref()
-        .is_some_and(ExprAst::contains_aggregate)
+    }) || stmt.having.is_some()
         || !stmt.group_by.is_empty();
 
     let mut group_cols: Vec<usize> = Vec::new();
@@ -633,8 +633,7 @@ pub(crate) fn bind_with_names(
         plan = plan.aggregate(group_cols.clone(), agg_exprs);
     }
     // `HAVING` and the select list read the aggregate's output when there
-    // is one, the join output otherwise. A `HAVING` in a statement with no
-    // aggregation at all is not applied.
+    // is one, the join output otherwise.
     let scope = if has_aggs {
         Scope::Agg {
             group_cols: &group_cols,
@@ -643,7 +642,7 @@ pub(crate) fn bind_with_names(
     } else {
         Scope::Join
     };
-    if let Some(h) = stmt.having.as_ref().filter(|_| has_aggs) {
+    if let Some(h) = &stmt.having {
         plan = plan.filter(binder.lower_in(h, scope)?);
     }
 
@@ -1236,6 +1235,10 @@ mod tests {
             ("SELECT id FROM users GROUP BY id + 1", "plain columns"),
             (
                 "SELECT name FROM users GROUP BY city_id",
+                "must appear in GROUP BY",
+            ),
+            (
+                "SELECT id FROM users HAVING id > 5",
                 "must appear in GROUP BY",
             ),
             ("SELECT * FROM users GROUP BY city_id", "SELECT *"),

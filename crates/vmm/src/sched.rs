@@ -28,8 +28,9 @@
 //!   event, with no event structure.
 //! * [`co_schedule_reference`] — the same rescan loop in either mode, run
 //!   silently: the oracle the capped walk is pinned **bit-identical** to
-//!   (`tests/sched_differential.rs`, `ext_sched`). Work-conserving has no
-//!   second implementation; `tests/golden/sched_wc_bits.txt`, captured
+//!   (`tests/sched_differential.rs`, `tests/sched_wc_golden.rs`).
+//!   Work-conserving has no second implementation;
+//!   `tests/golden/sched_wc_bits.txt`, captured
 //!   from the event-driven loop this module used to carry, holds its
 //!   completions to the bit.
 //!

@@ -175,7 +175,7 @@ fn check_fleet(spec: MachineSpec, fleet: &Fleet) -> (Vec<VmOutcome>, Vec<VmOutco
 /// Class-flipping adversarial fleets: every VM's queries alternate
 /// between a pure-CPU class and a pure-disk class, so in work-conserving
 /// mode each phase completion changes the membership of *both* resource
-/// classes and re-anchors every VM in them. Same shape as `ext_sched`'s
+/// classes and re-anchors every VM in them. Same shape as EXT-SCHED's
 /// benchmark mix, but with random magnitudes instead of a fixed stream.
 fn arb_flipping_fleet() -> impl Strategy<Value = Fleet> {
     prop::collection::vec(

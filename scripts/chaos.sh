@@ -21,9 +21,9 @@ cargo test -q --test calibration_recovery
 
 # The online control loop under the same injector: noisy observations may
 # cost accuracy (dropped observations, extra switches) but must never
-# panic or wedge the loop. CONTROLLER_CHAOS=1 adds a seeded sweep of
-# three sensor-fault shapes — jittery probes, 30% dropouts, and 40%
-# stale reads up to 4 epochs old — each across 8 seeds, on top of the
-# always-on fault-injected scenario zoo.
-CONTROLLER_CHAOS=1 cargo run --release -p dbvirt-bench --bin ext_controller
+# panic or wedge the loop. EXT-CONTROLLER runs a seeded sweep of three
+# sensor-fault shapes — jittery probes, 30% dropouts, and 40% stale reads
+# up to 4 epochs old — each across 8 seeds, beside its fault-injected
+# scenario zoo.
+cargo test -q --test ext_controller
 cargo test -q --test controller_loop

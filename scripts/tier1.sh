@@ -130,6 +130,20 @@ if lib_code | grep -E 'lower_over_agg|fn rebase|shift_columns'; then
   exit 1
 fi
 
+# One gate: every committed golden is read by a `cargo test` test, and no
+# second mechanism — a script replaying an experiment binary, or a
+# binary's JSON artifact standing in for a check — comes back beside it.
+for golden in tests/golden/*.txt; do
+  if ! grep -qF "$golden" tests/*.rs; then
+    echo "FAIL: $golden is named by no tests/*.rs" >&2
+    exit 1
+  fi
+done
+if grep -rnE 'replay[_]gate|BENCH[_]|write_bench[_]artifact' crates scripts tests; then
+  echo "FAIL: a replay gate or a BENCH artifact writer under crates/, scripts/ or tests/" >&2
+  exit 1
+fi
+
 cargo test -q
 
 # `cargo test` never builds the `harness = false` Criterion benches, so an
@@ -155,21 +169,6 @@ done
 # produce a structurally valid snapshot (zero leaked spans, >= 95% root
 # coverage) and both exporter artifacts (see scripts/trace.sh).
 scripts/trace.sh
-
-# Replay gates: each experiment binary holds its own pins (regret within
-# ±1pp and under the governor's ceiling; co_schedule ≡ the rescan oracle on
-# 48 configurations and the capped walk >= 3x it at 16 VMs; LP-certified
-# gaps <= 25%, M=1 ≡ core DP; >= 1024 VMs executed identically at 1 and
-# per-core workers; joint design strictly beats both marginals) and must
-# replay its fingerprint lines bit-identically across two processes and
-# against the committed golden (see scripts/replay_gate.sh).
-g=tests/golden
-scripts/replay_gate.sh ext_controller CONTROLLER_ $g/controller_fingerprints.txt BENCH_controller.json
-scripts/replay_gate.sh ext_sched SCHED_FINGERPRINT $g/sched_fingerprints.txt BENCH_sched.json
-scripts/replay_gate.sh ext_fleet FLEET_FINGERPRINT $g/fleet_fingerprints.txt BENCH_fleet.json
-scripts/replay_gate.sh ext_fleetsim FLEETSIM_FINGERPRINT $g/fleetsim_fingerprints.txt \
-  BENCH_fleetsim.json fleetsim_trace.json
-scripts/replay_gate.sh ext_design DESIGN_FINGERPRINT $g/design_fingerprints.txt BENCH_design.json
 
 # Opt-in chaos gate: CHAOS=1 additionally replays the calibration pipeline
 # under a sweep of fault-injection seeds/intensities (see scripts/chaos.sh).

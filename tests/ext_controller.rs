@@ -1,0 +1,356 @@
+//! EXT-CONTROLLER — the online counterpart of EXT-DYNAMIC: a
+//! drift-detecting control loop that is *not* told the phase sequence up
+//! front (the paper's Section 7 next step, "monitor the workload ... and
+//! reconfigure the virtual machines on the fly").
+//!
+//! Two scenario families built from TPC-H-derived workload profiles run
+//! through `dbvirt-controller`:
+//!
+//! * four **pinned** clean streams — stationary (the loop must hold
+//!   still), drifting (one mix flip it must catch), bursty (short
+//!   excursions), and adversarial (fast alternation designed to tempt it
+//!   into thrashing; the switch governor must learn the recurrence and
+//!   provision ahead of it);
+//! * a five-scenario production **zoo** — diurnal, flash crowd, noisy
+//!   neighbor (4 VMs), correlated drift, slow ramp — each run under a
+//!   seeded sensor-degradation fault model (dropouts, stale reads,
+//!   corrupt probes) with a pinned regret ceiling.
+//!
+//! Every run is accounted against the clairvoyant per-phase oracle and a
+//! never-reconfigure baseline on the identical query stream. Each
+//! scenario's decision-trace fingerprint and four-decimal regret are held
+//! to `tests/golden/controller_fingerprints.txt`.
+//! `cargo test --release --test ext_controller -- --nocapture` prints the
+//! scenario table.
+
+mod common;
+
+use dbvirt::optimizer::LogicalPlan;
+use dbvirt::tpch::{TpchConfig, TpchDb, TpchQuery, Workload};
+use dbvirt::vmm::fault::{FaultInjector, NoiseModel};
+use dbvirt_bench::{experiment_machine, print_table};
+use dbvirt_controller::{
+    account_regret, profile_from_queries, run_controller, ControllerConfig, ControllerOutcome,
+    ProblemTemplate, RegretReport, Scenario, VmTemplate, WorkloadProfile,
+};
+use dbvirt_core::SearchConfig;
+use std::fmt::Write;
+use std::sync::OnceLock;
+
+const GOLDEN: &str = "tests/golden/controller_fingerprints.txt";
+const SEED: u64 = 11;
+
+/// Pinned regret bands for the clean scenarios (relative to clairvoyant).
+const DRIFTING_REGRET: f64 = 0.052;
+const BURSTY_REGRET: f64 = 0.048;
+const PIN_TOLERANCE: f64 = 0.01;
+/// The adversarial alternation must stay within this ceiling — the switch
+/// governor's contract.
+const ADVERSARIAL_CEILING: f64 = 0.15;
+/// Pinned per-scenario regret ceilings for the zoo (measured under the
+/// seeded fault model, with headroom for the injected degradation).
+const ZOO_CEILINGS: [(&str, f64); 5] = [
+    ("diurnal", 0.09),
+    ("flash-crowd", 0.03),
+    ("noisy-neighbor", 0.15),
+    ("correlated-drift", 0.18),
+    ("slow-ramp", 0.09),
+];
+
+/// Two contrasting mixes profiled the way EXT-CONSOL frames them: a
+/// CPU-bound interactive mix and an I/O-bound batch mix.
+struct Fixture {
+    t: TpchDb,
+    cpu_query: LogicalPlan,
+    io_query: LogicalPlan,
+    cpu_bound: WorkloadProfile,
+    io_bound: WorkloadProfile,
+}
+
+fn fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let machine = experiment_machine();
+        let mut t = TpchDb::generate(TpchConfig::experiment()).unwrap();
+        let cpu_mix = Workload::compose(&t, &[(TpchQuery::Q13, 2)]);
+        let io_mix = Workload::compose(&t, &[(TpchQuery::Q4, 1), (TpchQuery::Q6, 1)]);
+        let cpu_bound =
+            profile_from_queries(&mut t.db, &cpu_mix.queries, machine, 4.0, 2.0).unwrap();
+        let io_bound = profile_from_queries(&mut t.db, &io_mix.queries, machine, 2.0, 3.0).unwrap();
+        Fixture {
+            cpu_query: cpu_mix.queries[0].clone(),
+            io_query: io_mix.queries[0].clone(),
+            t,
+            cpu_bound,
+            io_bound,
+        }
+    })
+}
+
+/// The two-tenant template, or with `wide` the noisy-neighbor stream's
+/// four: the swapping pair plus two steady victims.
+fn template(f: &Fixture, wide: bool) -> ProblemTemplate<'_> {
+    let vm = |i: usize, query: &LogicalPlan| VmTemplate {
+        name: format!("vm{i}"),
+        db: &f.t.db,
+        base_query: query.clone(),
+    };
+    let queries = if wide {
+        vec![&f.io_query, &f.cpu_query, &f.cpu_query, &f.cpu_query]
+    } else {
+        vec![&f.cpu_query, &f.io_query]
+    };
+    ProblemTemplate {
+        machine: experiment_machine(),
+        vms: queries
+            .into_iter()
+            .enumerate()
+            .map(|(i, q)| vm(i, q))
+            .collect(),
+    }
+}
+
+fn config(vms: usize) -> ControllerConfig {
+    ControllerConfig::new(SearchConfig::for_workloads(8, vms))
+}
+
+/// The four pinned clean streams, in golden order.
+fn pinned(f: &Fixture) -> Vec<Scenario> {
+    let machine = experiment_machine();
+    let fwd = vec![f.cpu_bound, f.io_bound];
+    let rev = vec![f.io_bound, f.cpu_bound];
+    vec![
+        Scenario::stationary("stationary", machine, fwd.clone(), 16, SEED),
+        Scenario::drifting("drifting", machine, fwd.clone(), 12, rev.clone(), 12, SEED),
+        Scenario::bursty("bursty", machine, fwd.clone(), rev.clone(), 8, 3, 2, SEED),
+        Scenario::adversarial("adversarial", machine, fwd, rev, 2, 4, SEED),
+    ]
+}
+
+/// The production zoo, in golden order: each stream perturbed by the same
+/// seeded sensor-degradation model (5% dropouts, 5% stale reads up to 2
+/// epochs old, 2% corrupt probes) plus mild per-query size variability.
+/// Only `noisy-neighbor` runs four VMs.
+fn zoo(f: &Fixture) -> Vec<Scenario> {
+    let machine = experiment_machine();
+    let (cpu, io) = (f.cpu_bound, f.io_bound);
+    let (fwd, rev) = (vec![cpu, io], vec![io, cpu]);
+    let streams = [
+        Scenario::diurnal("diurnal", machine, fwd.clone(), rev.clone(), 6, 2, SEED),
+        Scenario::flash_crowd(
+            "flash-crowd",
+            machine,
+            fwd.clone(),
+            1,
+            2.5,
+            6,
+            4,
+            2,
+            2,
+            SEED,
+        ),
+        Scenario::noisy_neighbor(
+            "noisy-neighbor",
+            machine,
+            io,
+            cpu,
+            vec![cpu, cpu],
+            8,
+            2,
+            SEED,
+        ),
+        Scenario::correlated_drift(
+            "correlated-drift",
+            machine,
+            fwd.clone(),
+            rev.clone(),
+            8,
+            SEED,
+        ),
+        Scenario::slow_ramp("slow-ramp", machine, fwd, rev, 4, 4, SEED),
+    ];
+    streams
+        .into_iter()
+        .zip(1..)
+        .map(|(s, salt)| {
+            s.with_variability(0.05).with_noise(FaultInjector::new(
+                NoiseModel::sensor_degraded(0.05, 0.05, 2, 0.02),
+                SEED + salt,
+            ))
+        })
+        .collect()
+}
+
+/// Every pin of the scenario named `name`.
+fn check_pins(name: &str, out: &ControllerOutcome, report: &RegretReport) {
+    let regret = report.relative_regret;
+    match name {
+        "stationary" => assert!(
+            out.switches.is_empty(),
+            "stationary stream must never trigger a reconfiguration, got {}",
+            out.switches.len()
+        ),
+        "drifting" => {
+            assert!(
+                (regret - DRIFTING_REGRET).abs() <= PIN_TOLERANCE,
+                "drifting regret {:.1}% is off the pinned {:.1}% ± 1pp",
+                regret * 100.0,
+                DRIFTING_REGRET * 100.0
+            );
+            assert!(
+                report.controller_cost < report.never_cost,
+                "reconfiguring must beat holding the placement: {:.3}s vs {:.3}s",
+                report.controller_cost,
+                report.never_cost
+            );
+        }
+        "bursty" => assert!(
+            (regret - BURSTY_REGRET).abs() <= PIN_TOLERANCE,
+            "bursty regret {:.1}% is off the pinned {:.1}% ± 1pp",
+            regret * 100.0,
+            BURSTY_REGRET * 100.0
+        ),
+        "adversarial" => {
+            assert!(
+                regret <= ADVERSARIAL_CEILING,
+                "the governor must keep adversarial regret within 15%, got {:.1}%",
+                regret * 100.0
+            );
+            assert!(
+                report.controller_cost <= report.never_cost * 1.05,
+                "thrash guard: adversarial alternation lost more than 5% to the held \
+                 placement: {:.3}s vs {:.3}s",
+                report.controller_cost,
+                report.never_cost
+            );
+            assert!(
+                out.health.prescheduled_switches >= 1 && out.health.prediction_misses == 0,
+                "the alternation must be provisioned ahead without refuted predictions, \
+                 health: {}",
+                out.health
+            );
+        }
+        zoo => {
+            let (_, ceiling) = ZOO_CEILINGS.iter().find(|(n, _)| *n == zoo).unwrap();
+            assert!(
+                out.health.dropped_observations > 0 || out.health.dropout_vm_epochs > 0,
+                "[{zoo}] the sensor-degradation model must actually bite"
+            );
+            assert!(
+                regret <= *ceiling,
+                "[{zoo}] regret ceiling breached: {:.1}% > {:.1}%",
+                regret * 100.0,
+                ceiling * 100.0
+            );
+        }
+    }
+}
+
+#[test]
+fn every_scenario_holds_its_pin_and_replays_the_golden() {
+    let f = fixture();
+    let (two, four) = (template(f, false), template(f, true));
+    let (config2, config4) = (config(2), config(4));
+    let mut rows = Vec::new();
+    let (mut fingerprints, mut regrets) = (String::new(), String::new());
+    for scenario in pinned(f).into_iter().chain(zoo(f)) {
+        let (tmpl, cfg) = if scenario.name == "noisy-neighbor" {
+            (&four, &config4)
+        } else {
+            (&two, &config2)
+        };
+        let out = run_controller(&scenario, tmpl, cfg).unwrap();
+        let report = account_regret(&scenario, tmpl, cfg, &out).unwrap();
+        check_pins(&scenario.name, &out, &report);
+        println!(
+            "  [{}] {} | switch epochs {:?}",
+            scenario.name,
+            out.health,
+            out.switches.iter().map(|s| s.epoch).collect::<Vec<_>>()
+        );
+        rows.push(vec![
+            scenario.name.clone(),
+            format!("{}", scenario.total_epochs()),
+            format!("{}", out.switches.len()),
+            format!("{}", out.drift_detections),
+            format!("{:.3}s", report.controller_cost),
+            format!("{:.3}s", report.oracle_cost),
+            format!("{:.3}s", report.never_cost),
+            format!("{:.1}%", report.relative_regret * 100.0),
+            format!("{}", report.suboptimal_epochs),
+        ]);
+        let name = &scenario.name;
+        writeln!(
+            fingerprints,
+            "CONTROLLER_FINGERPRINT {name}={:016x}",
+            out.trace_fingerprint()
+        )
+        .unwrap();
+        writeln!(
+            regrets,
+            "CONTROLLER_REGRET {name}={:.4}",
+            report.relative_regret
+        )
+        .unwrap();
+    }
+    print_table(
+        "EXT-CONTROLLER: online control loop vs clairvoyant oracle vs never-reconfigure",
+        &[
+            "scenario",
+            "epochs",
+            "switches",
+            "drifts",
+            "controller",
+            "oracle",
+            "never",
+            "regret",
+            "subopt epochs",
+        ],
+        &rows,
+    );
+    let lines = fingerprints + &regrets;
+    print!("{lines}");
+    common::assert_golden(GOLDEN, &lines);
+}
+
+#[test]
+fn drifting_decision_trace_is_identical_on_rerun() {
+    let f = fixture();
+    let (drifting, tmpl, cfg) = (&pinned(f)[1], template(f, false), config(2));
+    let first = run_controller(drifting, &tmpl, &cfg).unwrap();
+    let second = run_controller(drifting, &tmpl, &cfg).unwrap();
+    assert_eq!(first.trace_fingerprint(), second.trace_fingerprint());
+}
+
+/// Degraded sensors may cost accuracy, never the loop: three fault shapes
+/// — jittery probes, heavy dropouts, long staleness — each across 8 seeds
+/// on the drifting stream.
+#[test]
+fn the_loop_survives_degraded_sensors() {
+    let f = fixture();
+    let (tmpl, cfg) = (template(f, false), config(2));
+    let models: [(&str, NoiseModel); 3] = [
+        ("realistic", NoiseModel::realistic(0.05)),
+        ("dropout", NoiseModel::sensor_degraded(0.3, 0.0, 0, 0.05)),
+        ("stale", NoiseModel::sensor_degraded(0.05, 0.4, 4, 0.0)),
+    ];
+    for (label, model) in models {
+        for seed in 0..8u64 {
+            let noisy = pinned(f)
+                .swap_remove(1)
+                .with_variability(0.1)
+                .with_noise(FaultInjector::new(model, seed));
+            let out = run_controller(&noisy, &tmpl, &cfg)
+                .unwrap_or_else(|e| panic!("{label} seed {seed}: {e}"));
+            println!(
+                "  chaos {label} seed {seed}: {} switches, {} dropped, {} dropout vm-epochs, \
+                 max staleness {}, total {:.3}s",
+                out.switches.len(),
+                out.dropped_observations,
+                out.health.dropout_vm_epochs,
+                out.health.max_staleness,
+                out.total_cost
+            );
+        }
+    }
+}

@@ -127,7 +127,7 @@ const MIXES: [&[(TpchQuery, usize)]; 6] = [
     &[(TpchQuery::Q1, 1), (TpchQuery::Q6, 1)],
 ];
 
-/// `dbvirt_bench::experiment_machine()`, and `ext_fleet`'s
+/// `dbvirt_bench::experiment_machine()`, and `tests/ext_fleet.rs`'s
 /// compute-optimized second class derived from it.
 fn machine_classes() -> [MachineSpec; 2] {
     let small = MachineSpec {

@@ -9,23 +9,65 @@
 //! implementation, so this file — not a second implementation — is what
 //! holds it: a change that moves one completion by a microsecond, batches
 //! two instants into one event or re-anchors one VM more or less fails
-//! here. `tests/golden/sched_fingerprints.txt` (the 48 `ext_sched`
-//! configurations, captured earlier still) is replayed too, so both modes
-//! of that sweep are pinned by `cargo test` and not only by the replay
-//! gate.
+//! here. `tests/golden/sched_fingerprints.txt` (EXT-SCHED's 48-configuration
+//! sweep, captured earlier still) is replayed too, so both modes of that
+//! sweep are pinned, and so is the capped walk's speed over the rescan
+//! loop at 16 VMs.
 
 mod common;
 
-use dbvirt::vmm::kernel::SplitMix64;
+use dbvirt::vmm::kernel::{Fnv1a, SplitMix64};
 use dbvirt::vmm::sched::{
-    co_schedule, co_schedule_reference, co_schedule_with_stats, SchedMode, VmJob,
+    co_schedule, co_schedule_reference, co_schedule_with_stats, SchedMode, VmJob, VmOutcome,
 };
 use dbvirt::vmm::{AllocationMatrix, MachineSpec, ResourceDemand, ResourceVector};
-use dbvirt_bench::{completions_fingerprint, experiment_machine, sched_sweep_fleet};
+use dbvirt_bench::experiment_machine;
 use std::fmt::Write;
+use std::time::Instant;
 
 const GOLDEN: &str = "tests/golden/sched_wc_bits.txt";
 const SWEEP_GOLDEN: &str = "tests/golden/sched_fingerprints.txt";
+/// EXT-SCHED's per-VM stream lengths.
+const SWEEP_QUERIES: [usize; 4] = [4, 16, 64, 256];
+
+/// FNV-1a over every reported completion instant, query by query.
+fn completions_fingerprint(outcomes: &[VmOutcome]) -> u64 {
+    let mut h = Fnv1a::new();
+    for o in outcomes {
+        h.u64(o.completion.as_micros());
+        for t in &o.query_completions {
+            h.u64(t.as_micros());
+        }
+    }
+    h.finish()
+}
+
+/// EXT-SCHED's deterministic fleet: per-VM query streams mixing CPU-heavy,
+/// I/O-heavy, balanced and zero-demand queries, so both resource classes
+/// stay contended and phase kinds alternate (the work-conserving worst
+/// case).
+fn sched_sweep_fleet(vms: usize, queries: usize) -> Vec<VmJob> {
+    let mut mix = SplitMix64((vms as u64) << 32 | queries as u64);
+    (0..vms)
+        .map(|_| {
+            let stream = (0..queries)
+                .map(|_| {
+                    let r = mix.next();
+                    let cpu = (r >> 8) % 2_000_000_000;
+                    let seq = (r >> 40) % 1_200;
+                    let rand = (r >> 50) % 120;
+                    match r % 10 {
+                        0..=3 => demand(cpu + 100_000_000, 0, 0, 0),
+                        4..=6 => demand(0, seq + 50, rand, r % 40),
+                        7..=8 => demand(cpu / 2, seq, rand, 0),
+                        _ => ResourceDemand::ZERO,
+                    }
+                })
+                .collect();
+            VmJob::new(stream)
+        })
+        .collect()
+}
 
 fn demand(cpu: u64, seq: u64, rand: u64, writes: u64) -> ResourceDemand {
     ResourceDemand {
@@ -186,7 +228,7 @@ fn every_work_conserving_fleet_completes_at_the_committed_bits() {
     common::assert_golden(GOLDEN, &render());
 }
 
-/// The 48 `SCHED_FINGERPRINT` lines of `ext_sched`, from `co_schedule` and
+/// The 48 `SCHED_FINGERPRINT` lines of EXT-SCHED, from `co_schedule` and
 /// from the oracle.
 #[test]
 fn the_ext_sched_sweep_completes_at_the_committed_fingerprints() {
@@ -195,7 +237,7 @@ fn the_ext_sched_sweep_completes_at_the_committed_fingerprints() {
     let mut lines = golden.lines();
     for vms in [1usize, 2, 4, 8, 16, 32] {
         let alloc = AllocationMatrix::equal_split(vms).unwrap();
-        for queries in [4usize, 16, 64, 256] {
+        for queries in SWEEP_QUERIES {
             let jobs = sched_sweep_fleet(vms, queries);
             for (mode, tag) in [
                 (SchedMode::Capped, "capped"),
@@ -214,4 +256,35 @@ fn the_ext_sched_sweep_completes_at_the_committed_fingerprints() {
         }
     }
     assert_eq!(lines.next(), None);
+}
+
+/// The capped walk is what every controller epoch, regret replay, measured
+/// oracle and `fig5` run. At 16 VMs it must take at most a third of the
+/// rescan loop's wall clock: best of three runs each, summed over the
+/// sweep's four stream lengths.
+#[test]
+fn the_capped_walk_is_at_least_3x_the_rescan_loop_at_16_vms() {
+    let spec = experiment_machine();
+    let alloc = AllocationMatrix::equal_split(16).unwrap();
+    let (mut walk, mut rescan) = (0.0, 0.0);
+    for queries in SWEEP_QUERIES {
+        let jobs = sched_sweep_fleet(16, queries);
+        let (mut best_walk, mut best_rescan) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..3 {
+            let t = Instant::now();
+            co_schedule(spec, &alloc, &jobs, SchedMode::Capped).unwrap();
+            best_walk = best_walk.min(t.elapsed().as_secs_f64());
+            let t = Instant::now();
+            co_schedule_reference(spec, &alloc, &jobs, SchedMode::Capped).unwrap();
+            best_rescan = best_rescan.min(t.elapsed().as_secs_f64());
+        }
+        walk += best_walk;
+        rescan += best_rescan;
+    }
+    let speedup = rescan / walk;
+    println!("capped walk vs rescan at 16 VMs: {speedup:.2}x");
+    assert!(
+        speedup >= 3.0,
+        "the capped walk must be >= 3x the rescan loop at 16 VMs, got {speedup:.2}x"
+    );
 }
