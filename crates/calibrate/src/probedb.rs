@@ -22,11 +22,6 @@ pub const WIDE_ROWS: i64 = 2_000;
 /// Padding bytes per wide row (few rows per 8 KiB page).
 pub const WIDE_PAD: usize = 1000;
 
-/// How often [`ProbeDb::template`] has built the database in this process.
-#[cfg(test)]
-pub(crate) static TEMPLATE_BUILDS: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(0);
-
 /// The calibration database plus the catalog ids probes need.
 #[derive(Debug, Clone)]
 pub struct ProbeDb {
@@ -152,6 +147,11 @@ impl ProbeDb {
         Ok(())
     }
 }
+
+/// How often [`ProbeDb::template`] has built the database in this process.
+#[cfg(test)]
+pub(crate) static TEMPLATE_BUILDS: std::sync::atomic::AtomicUsize =
+    std::sync::atomic::AtomicUsize::new(0);
 
 #[cfg(test)]
 mod tests {

@@ -30,7 +30,7 @@ mod exhaustive;
 mod greedy;
 
 pub use cache::{CellKey, CostCache, CostRow};
-pub use dynprog::{solve as solve_dp, DpSolution};
+pub use dynprog::{solve as solve_dp, value_table, DpSolution, ValueTable};
 
 use crate::{CoreError, CostModel, DesignProblem};
 use dbvirt_telemetry as telemetry;
@@ -197,16 +197,6 @@ pub(crate) fn equal_units(n: usize, units: u32) -> Vec<u32> {
     (0..n).map(|i| base + u32::from(i < extra)).collect()
 }
 
-/// The equal split as a unit assignment (remainder units go to the first
-/// workloads).
-#[cfg(test)]
-pub(crate) fn equal_assignment(n: usize, units: u32) -> UnitAssignment {
-    equal_units(n, units)
-        .into_iter()
-        .zip(equal_units(n, units))
-        .collect()
-}
-
 /// Runs the requested search with a fresh evaluation cache.
 pub fn run_search(
     algorithm: SearchAlgorithm,
@@ -293,6 +283,16 @@ pub fn run_search_cached(
     };
     run_span.set_attr("evaluations", rec.evaluations);
     Ok(rec)
+}
+
+/// The equal split as a unit assignment (remainder units go to the first
+/// workloads).
+#[cfg(test)]
+pub(crate) fn equal_assignment(n: usize, units: u32) -> UnitAssignment {
+    equal_units(n, units)
+        .into_iter()
+        .zip(equal_units(n, units))
+        .collect()
 }
 
 #[cfg(test)]

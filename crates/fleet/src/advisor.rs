@@ -79,7 +79,8 @@ pub struct FleetReport {
     /// Cells this request's pre-warm sweep had to evaluate (0 when the
     /// cache was already warm).
     pub prewarm_cells: usize,
-    /// Distinct per-machine DP solves this request ran.
+    /// Distinct per-machine DP solves this request ran, value-table builds
+    /// for the local search's screen included.
     pub solves: usize,
     /// Solves answered from the subset memo.
     pub memo_hits: usize,
@@ -254,6 +255,7 @@ impl<'m> FleetAdvisor<'m> {
                 local_search::improve(&solver, reference, greedy_placement.clone())?;
             ls_span.set_attr("rounds", stats.rounds);
             ls_span.set_attr("candidates", stats.candidates_evaluated);
+            ls_span.set_attr("priced", stats.candidates_priced);
             (placement, stats)
         };
         TM_MOVES.add(stats.moves_applied as u64);

@@ -71,7 +71,7 @@ pub(crate) fn seed(
             let solve = solver.solve(m, &cand)?;
             let mut delta = solve.objective - objective[m];
             if let Some(reference) = reference {
-                let w = cand.iter().position(|&x| x == i).unwrap();
+                let w = cand.partition_point(|&x| x < i);
                 delta += vm_migration_seconds(
                     &solver.problem.machines,
                     solver.cfg,

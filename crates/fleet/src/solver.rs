@@ -10,10 +10,12 @@
 //! or a span per candidate. Solves are memoized by
 //! `(machine class, VM subset)` — two machines of the same class hosting
 //! the same VMs have identical optimal share splits — and handed out
-//! shared, not cloned.
+//! shared, not cloned. So are the subsets' [`ValueTable`]s, which price a
+//! subset grown by any one VM with a single min-plus step (the local
+//! search's screen).
 
 use crate::{FleetConfig, FleetError, FleetProblem, MachineClasses};
-use dbvirt_core::search::{solve_dp, CostRow, DpSolution, SearchConfig};
+use dbvirt_core::search::{solve_dp, value_table, CostRow, DpSolution, SearchConfig, ValueTable};
 use dbvirt_core::{CostModel, DesignProblem, WorkloadSpec};
 use dbvirt_vmm::ResourceVector;
 use std::cell::{Cell, RefCell};
@@ -38,6 +40,9 @@ pub(crate) struct FleetSolver<'s, 'a> {
     cell_problems: RefCell<HashMap<(usize, usize), DesignProblem<'a>>>,
     /// `memo[class][subset]`.
     memo: RefCell<Vec<HashMap<Vec<usize>, Rc<DpSolution>>>>,
+    /// `tables[class][subset]`: the subset's value table at one more
+    /// resident.
+    tables: RefCell<Vec<HashMap<Vec<usize>, Rc<ValueTable>>>>,
     solves: Cell<usize>,
     memo_hits: Cell<usize>,
 }
@@ -63,6 +68,7 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
             rows,
             cell_problems: RefCell::new(HashMap::new()),
             memo: RefCell::new(vec![HashMap::new(); classes.num_classes()]),
+            tables: RefCell::new(vec![HashMap::new(); classes.num_classes()]),
             solves: Cell::new(0),
             memo_hits: Cell::new(0),
         }
@@ -93,6 +99,17 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
         Ok(cost)
     }
 
+    /// [`FleetSolver::cell_cost`] times the VM's SLO weight: a DP term.
+    fn weighted_cost(
+        &self,
+        class: usize,
+        vm: usize,
+        cpu: u32,
+        mem: u32,
+    ) -> Result<f64, FleetError> {
+        Ok(self.cell_cost(class, vm, cpu, mem)? * self.weight(vm))
+    }
+
     /// The optimal share split for `vms` (ascending global indices) on
     /// machine `machine` — the residents' units parallel to `vms`, and the
     /// machine's weighted steady-state objective — memoized by
@@ -108,31 +125,70 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
             return Ok(Rc::clone(hit));
         }
 
-        // Budget cap: a machine below the forced minimum occupancy (a
-        // transient greedy state — more VMs are still coming) may not hand
-        // any resident more than `rect_hi` units, or its solve would read
-        // cells outside the warm rectangle (and, for narrow calibration
-        // grids, outside the grid). At or above the forced occupancy the
-        // cap resolves to the full machine, so final placements — whose
-        // occupied machines always satisfy it — are solved unchanged.
-        let occ = vms.len() as u32;
+        let scfg = self.search_config(vms.len());
+        let solve = Rc::new(solve_dp(vms.len(), &scfg, |w, c, m| {
+            self.weighted_cost(class, vms[w], c, m)
+        })?);
+        self.solves.set(self.solves.get() + 1);
+        self.memo.borrow_mut()[class].insert(vms.to_vec(), Rc::clone(&solve));
+        Ok(solve)
+    }
+
+    /// The value table of `vms` (ascending global indices) on machine
+    /// `machine` about to host one more VM: the DP at occupancy
+    /// `vms.len() + 1`, one layer short — memoized by `(class, subset)`. A
+    /// build is a DP memo miss and counts in [`FleetSolver::solves`].
+    pub fn value_table(&self, machine: usize, vms: &[usize]) -> Result<Rc<ValueTable>, FleetError> {
+        debug_assert!(vms.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
+        let class = self.classes.class_of[machine];
+        if let Some(hit) = self.tables.borrow()[class].get(vms) {
+            self.memo_hits.set(self.memo_hits.get() + 1);
+            return Ok(Rc::clone(hit));
+        }
+        let scfg = self.search_config(vms.len() + 1);
+        let table = Rc::new(value_table(vms.len(), &scfg, |w, c, m| {
+            self.weighted_cost(class, vms[w], c, m)
+        })?);
+        self.solves.set(self.solves.get() + 1);
+        self.tables.borrow_mut()[class].insert(vms.to_vec(), Rc::clone(&table));
+        Ok(table)
+    }
+
+    /// The screen of `table`'s subset grown by VM `vm` on machine
+    /// `machine`: its solve's objective up to float rounding, or `None`
+    /// when no bound (see [`ValueTable::grow`]).
+    pub fn grow(
+        &self,
+        machine: usize,
+        table: &ValueTable,
+        vm: usize,
+    ) -> Result<Option<f64>, FleetError> {
+        let class = self.classes.class_of[machine];
+        table.grow(|c, m| self.weighted_cost(class, vm, c, m))
+    }
+
+    /// The DP config of a machine hosting `occupancy` VMs.
+    ///
+    /// Budget cap: a machine below the forced minimum occupancy (a
+    /// transient greedy state — more VMs are still coming) may not hand
+    /// any resident more than `rect_hi` units, or its solve would read
+    /// cells outside the warm rectangle (and, for narrow calibration
+    /// grids, outside the grid). At or above the forced occupancy the
+    /// cap resolves to the full machine, so final placements — whose
+    /// occupied machines always satisfy it — are solved unchanged.
+    fn search_config(&self, occupancy: usize) -> SearchConfig {
+        let occ = occupancy as u32;
         let budget = self
             .cfg
             .units
             .min(self.rect_hi + (occ - 1) * self.cfg.min_units);
-        let scfg = SearchConfig {
+        SearchConfig {
             units: self.cfg.units,
             disk_share: self.cfg.disk_share,
             min_units: self.cfg.min_units,
             cpu_budget: budget,
             mem_budget: budget,
-        };
-        let solve = Rc::new(solve_dp(vms.len(), &scfg, |w, c, m| {
-            Ok::<_, FleetError>(self.cell_cost(class, vms[w], c, m)? * self.weight(vms[w]))
-        })?);
-        self.solves.set(self.solves.get() + 1);
-        self.memo.borrow_mut()[class].insert(vms.to_vec(), Rc::clone(&solve));
-        Ok(solve)
+        }
     }
 
     /// Distinct DP solves performed (memo misses).

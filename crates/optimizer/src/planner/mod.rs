@@ -35,8 +35,6 @@ mod access;
 mod analyse;
 mod materialise;
 mod price;
-#[cfg(test)]
-mod tests;
 
 pub use analyse::{JoinSplits, PreparedQuery};
 
@@ -153,3 +151,6 @@ pub fn plan_query_with_indexes(
         uses_hypothetical,
     })
 }
+
+#[cfg(test)]
+mod tests;

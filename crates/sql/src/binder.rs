@@ -213,7 +213,16 @@ impl<'a> Binder<'a> {
             ExprAst::Date(s) => Ok(Expr::date(parse_date(s)?)),
             ExprAst::Bool(b) => Ok(Expr::lit(Datum::Bool(*b))),
             ExprAst::Null => Ok(Expr::lit(Datum::Null)),
-            ExprAst::Neg(e) => Ok(Expr::sub(Expr::int(0), lower(e)?)),
+            // A negated numeric literal is a literal, so `x IN (-1, 2)`
+            // binds; any other operand is `0 - x`.
+            ExprAst::Neg(e) => Ok(match **e {
+                ExprAst::Int(v) => match v.checked_neg() {
+                    Some(v) => Expr::int(v),
+                    None => Expr::sub(Expr::int(0), lower(e)?),
+                },
+                ExprAst::Float(v) => Expr::float(-v),
+                _ => Expr::sub(Expr::int(0), lower(e)?),
+            }),
             ExprAst::Not(e) => Ok(Expr::not(lower(e)?)),
             ExprAst::Binary { op, lhs, rhs } => {
                 let (l, r) = (lower(lhs)?, lower(rhs)?);
@@ -1120,6 +1129,24 @@ mod tests {
         );
         let ids: Vec<i64> = rows.iter().map(|r| r.get(0).as_int().unwrap()).collect();
         assert_eq!(ids, vec![1, 10, 11]);
+    }
+
+    #[test]
+    fn negated_numeric_literals_are_literals() {
+        let ids = |filter: &str| -> Vec<i64> {
+            let (rows, _) = run(&format!("SELECT id FROM users WHERE {filter} ORDER BY id"));
+            rows.iter().map(|r| r.get(0).as_int().unwrap()).collect()
+        };
+        assert_eq!(ids("id - 2 IN (-1, 0, 3)"), [1, 2, 5]);
+        assert_eq!(ids("id NOT IN (-1, 0, 1) AND id < 4"), [2, 3]);
+        assert_eq!(ids("id * 1.5 IN (-1.5, 3.0)"), [2]);
+        // Any other operand is still `0 - x`.
+        assert_eq!(ids("-id > -3"), [0, 1, 2]);
+        assert_eq!(ids("id = -(-4)"), [4]);
+        let database = db();
+        let err = parse_query("SELECT id FROM users WHERE id IN (-id)", &database).unwrap_err();
+        let err = err.to_string();
+        assert!(err.contains("IN list items must be literals"), "{err}");
     }
 
     #[test]

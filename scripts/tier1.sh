@@ -8,14 +8,28 @@ cargo build --release
 
 # One of each: the worker pool, the core-count resolver, the fingerprint
 # hash and the seeded stream live in crates/vmm/src/kernel.rs and nowhere
-# else. Library code is what precedes a file's first `#[cfg(test)]`, minus
-# `//` lines; `src/**/tests.rs` files are test modules whose `#[cfg(test)]`
-# sits in their parent (as in scripts/loc.sh).
+# else. Library code is what precedes a file's first top-level
+# `#[cfg(test)]`, minus `//` lines; `src/**/tests.rs` files are test modules
+# whose `#[cfg(test)]` sits in their parent (as in scripts/loc.sh).
 kernel=crates/vmm/src/kernel.rs
 lib_code() {
-  awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t && !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' \
+  awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t && !/^[[:space:]]*\/\// { print FILENAME ": " $0 }' \
     $(find crates/*/src -name '*.rs' ! -name tests.rs ! -path "$kernel")
 }
+# ...so the guards below see all library code only if none follows that
+# line: every top-level item after a file's first `#[cfg(test)]` must be
+# gated by one of its own.
+late=$(awk '
+  FNR == 1 { t = 0; gated = 0 }
+  /^#\[cfg\(test\)\]/ { t = 1; gated = 1; next }
+  /^#\[/ { next }
+  /^[a-z]/ { if (t && !gated) print FILENAME ":" FNR ": " $0; gated = 0 }
+' $(find crates/*/src -name '*.rs' ! -name tests.rs))
+if [[ -n "$late" ]]; then
+  echo "FAIL: library items after a file's first #[cfg(test)]:" >&2
+  echo "$late" >&2
+  exit 1
+fi
 for word in 'thread::scope' available_parallelism; do
   if lib_code | grep -F "$word"; then
     echo "FAIL: $word outside $kernel" >&2
@@ -104,9 +118,10 @@ fi
 # that never landed a move. The controller's library code is also the first
 # crate held to zero `unwrap()` / `expect(` sites: every failure is typed.
 # The SQL front end is the second: hostile statement text ends in a
-# `SqlError`, never a panic.
-if lib_code | grep -E '^crates/(controller|sql)/src/' | grep -E 'unwrap\(\)|expect\(|hill_climb'; then
-  echo "FAIL: unwrap()/expect( in crates/{controller,sql}/src or a hill climb in the controller's library code" >&2
+# `SqlError`, never a panic. The fleet tier is the third: a placement
+# request fails with a `FleetError`.
+if lib_code | grep -E '^crates/(controller|sql|fleet)/src/' | grep -E 'unwrap\(\)|expect\(|hill_climb'; then
+  echo "FAIL: unwrap()/expect( in crates/{controller,sql,fleet}/src or a hill climb in the controller's library code" >&2
   exit 1
 fi
 

@@ -125,3 +125,18 @@ fn sql_plans_are_whatif_priceable() {
     let b = dbvirt::optimizer::whatif::estimate_query_seconds(&t.db, &parsed, &dear_cpu).unwrap();
     assert!(b > a, "dearer CPU must raise the estimate: {a} vs {b}");
 }
+
+/// A negated numeric literal binds as a literal, so it may stand in an
+/// `IN` list; the filter agrees with its un-negated spelling.
+#[test]
+fn sql_negative_literals_bind_in_lists() {
+    let mut t = TpchDb::generate(TpchConfig::tiny()).unwrap();
+    let count = |t: &mut TpchDb, filter: &str| {
+        let sql = format!("SELECT COUNT(*) AS n FROM nation WHERE {filter}");
+        let parsed = parse_query(&sql, &t.db).unwrap();
+        execute(&mut t.db, &parsed)[0].get(0).as_int().unwrap()
+    };
+    let negated = count(&mut t, "n_regionkey - 2 IN (-2, -1)");
+    assert_eq!(negated, count(&mut t, "n_regionkey IN (0, 1)"));
+    assert!(negated > 0);
+}
