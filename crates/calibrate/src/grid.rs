@@ -421,7 +421,7 @@ impl CalibrationGrid {
     }
 
     /// Number of calibrated grid points.
-    pub fn num_points(&self) -> usize {
+    pub(crate) fn num_points(&self) -> usize {
         self.cpu_points.len() * self.mem_points.len()
     }
 
@@ -582,13 +582,6 @@ impl CalibrationGrid {
             disk_share,
             entries,
             reports,
-        })
-    }
-
-    /// Saves the grid to a file.
-    pub fn save(&self, path: &std::path::Path) -> Result<(), CalError> {
-        std::fs::write(path, self.to_json()?).map_err(|e| CalError::CacheIo {
-            reason: e.to_string(),
         })
     }
 
@@ -1063,22 +1056,6 @@ mod tests {
             template.db.table(template.narrow).stats,
             fresh.db.table(fresh.narrow).stats
         );
-    }
-
-    #[test]
-    fn a_panicking_worker_is_a_typed_error() {
-        // A carrier no buffer pool accepts makes every worker panic on the
-        // storage layer's own assert.
-        let template = ProbeDb::template().unwrap();
-        let probes = crate::probes::build_probes(template);
-        let err = crate::runner::profile_tasks(template, &probes, 0, 2).unwrap_err();
-        match err {
-            CalError::ProbeFailed { probe, reason } => {
-                assert_eq!(probe, "<worker>");
-                assert!(reason.contains("at least one frame"), "{reason}");
-            }
-            other => panic!("expected ProbeFailed, got {other}"),
-        }
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //!
 //! The build environment has no network access, so the grid cache cannot
 //! use serde/serde_json; this module is the small, dependency-free subset
-//! the calibration cache needs. Numbers round-trip exactly: floats are
-//! printed with Rust's shortest-roundtrip formatting and parsed with the
-//! standard library's `f64` parser.
+//! the calibration cache needs. Strings and numbers are written by
+//! `dbvirt-telemetry`'s JSON writer, the one the trace exporters use.
+//! Numbers round-trip exactly: floats are printed with Rust's
+//! shortest-roundtrip formatting and parsed with the standard library's
+//! `f64` parser; non-finite values, which JSON cannot hold, print as
+//! `null`.
 
+use dbvirt_telemetry::{write_json_num, write_json_str};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -85,8 +89,8 @@ impl Json {
             Json::Bool(b) => {
                 let _ = write!(out, "{b}");
             }
-            Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_str(out, s),
+            Json::Num(n) => write_json_num(out, *n),
+            Json::Str(s) => write_json_str(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -117,7 +121,7 @@ impl Json {
                     }
                     out.push('\n');
                     push_indent(out, indent + 1);
-                    write_str(out, k);
+                    write_json_str(out, k);
                     out.push_str(": ");
                     v.write(out, indent + 1);
                 }
@@ -145,36 +149,6 @@ fn push_indent(out: &mut String, levels: usize) {
     for _ in 0..levels {
         out.push_str("  ");
     }
-}
-
-fn write_num(out: &mut String, n: f64) {
-    if !n.is_finite() {
-        // JSON has no NaN/Inf; null is the conventional degradation.
-        out.push_str("null");
-    } else if n == n.trunc() && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        // `{:?}` is Rust's shortest representation that round-trips.
-        let _ = write!(out, "{n:?}");
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -352,6 +326,50 @@ mod tests {
             let back = Json::parse(&text).unwrap();
             assert_eq!(back.as_f64().unwrap().to_bits(), v.to_bits(), "{text}");
         }
+    }
+
+    /// The trace exporter and this serializer share one writer: a span's
+    /// attributes — non-finite, integral and fractional numbers, strings
+    /// with control characters — survive `Json::parse`, non-finite values
+    /// read back as `null`, and every number is spelled exactly as
+    /// `Json`'s own writer spells it.
+    #[test]
+    fn telemetry_exports_parse_and_spell_numbers_as_json_does() {
+        let numbers: [(&'static str, f64); 9] = [
+            ("nan", f64::NAN),
+            ("inf", f64::INFINITY),
+            ("neg_inf", f64::NEG_INFINITY),
+            ("integral", 42.0),
+            ("negative", -7.0),
+            ("fraction", 0.1),
+            ("tiny", 1e-7),
+            ("wide", 2.5e15),
+            ("huge", 1e300),
+        ];
+        let text = "quote \" backslash \\ tab \t nl \n cr \r bell \u{7} nul \u{0}";
+        let reg = dbvirt_telemetry::Registry::new_enabled();
+        {
+            let mut span = reg.span("json.attrs");
+            for (key, v) in numbers {
+                span.set_attr(key, v);
+            }
+            span.set_attr("text", text);
+        }
+        let dump = reg.snapshot().to_json();
+        let doc = Json::parse(&dump).expect("the export parses");
+        let spans = doc.get("spans").and_then(Json::as_arr).unwrap();
+        let attrs = spans[0].get("attrs").unwrap();
+        for (key, v) in numbers {
+            let got = attrs.get(key).unwrap();
+            if v.is_finite() {
+                assert_eq!(got.as_f64().map(f64::to_bits), Some(v.to_bits()), "{key}");
+            } else {
+                assert_eq!(got, &Json::Null, "{key}");
+            }
+            let spelled = format!("\"{key}\":{}", Json::Num(v).pretty());
+            assert!(dump.contains(&spelled), "{spelled} in {dump}");
+        }
+        assert_eq!(attrs.get("text").and_then(Json::as_str), Some(text));
     }
 
     #[test]

@@ -16,11 +16,11 @@ use dbvirt_storage::{DataType, Datum, Field, Schema, StorageError, Tuple};
 use std::sync::OnceLock;
 
 /// Rows in the narrow calibration table.
-pub const NARROW_ROWS: i64 = 40_000;
+pub(crate) const NARROW_ROWS: i64 = 40_000;
 /// Rows in the wide calibration table.
-pub const WIDE_ROWS: i64 = 2_000;
+pub(crate) const WIDE_ROWS: i64 = 2_000;
 /// Padding bytes per wide row (few rows per 8 KiB page).
-pub const WIDE_PAD: usize = 1000;
+pub(crate) const WIDE_PAD: usize = 1000;
 
 /// The calibration database plus the catalog ids probes need.
 #[derive(Debug, Clone)]

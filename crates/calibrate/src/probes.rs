@@ -24,7 +24,7 @@ use dbvirt_storage::Datum;
 use std::ops::Bound;
 
 /// Number of unknown parameters in the calibration system.
-pub const NUM_UNKNOWNS: usize = 5;
+pub(crate) const NUM_UNKNOWNS: usize = 5;
 
 /// Cache regime a probe is measured under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

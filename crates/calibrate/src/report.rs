@@ -58,7 +58,7 @@ pub struct CalibrationReport {
 impl CalibrationReport {
     /// An all-healthy report for `probes` probe measurements (the shape
     /// the single-shot, no-noise path produces).
-    pub fn pristine(probes: Vec<ProbeStat>) -> CalibrationReport {
+    pub(crate) fn pristine(probes: Vec<ProbeStat>) -> CalibrationReport {
         CalibrationReport {
             probes,
             dropped_probes: 0,
@@ -78,7 +78,7 @@ impl CalibrationReport {
     }
 
     /// Total timeout faults across all probes.
-    pub fn total_timeouts(&self) -> usize {
+    pub(crate) fn total_timeouts(&self) -> usize {
         self.probes.iter().map(|p| p.timeouts).sum()
     }
 

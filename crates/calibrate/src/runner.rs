@@ -52,7 +52,6 @@ use dbvirt_engine::{CpuCosts, Profile, CARRIER_PAGES};
 use dbvirt_optimizer::OptimizerParams;
 use dbvirt_storage::BufferPool;
 use dbvirt_telemetry as telemetry;
-use dbvirt_vmm::kernel::{claim_and_reduce, workers_for, PoolError};
 use dbvirt_vmm::{
     FaultInjector, MachineSpec, ProbeFault, ResourceDemand, ResourceVector, VirtualMachine,
 };
@@ -71,7 +70,7 @@ static TM_PROBE_VIRT_US: telemetry::Histogram =
 /// non-positive parameter. A parameter stuck at this floor is
 /// unidentifiable and is reported in
 /// [`CalibrationReport::clamped_params`].
-pub const RATIO_FLOOR: f64 = 1e-6;
+pub(crate) const RATIO_FLOOR: f64 = 1e-6;
 
 /// An equation is an outlier if its relative residual exceeds
 /// `OUTLIER_SIGMAS × 1.4826 × MAD` of all residuals…
@@ -211,32 +210,18 @@ pub(crate) fn profile_probe(
     Ok(profile)
 }
 
-/// Profiles every probe once. The probes are the tasks of one
-/// [`claim_and_reduce`] call, each worker on its own copy of the probe
-/// database; a probe's profile does not depend on which copy ran it, so the
-/// profiles (and the error surfaced, if any) are the same at any worker
-/// count.
+/// Profiles every probe once, in order, on the caller's thread and one copy
+/// of the probe database; the first probe that fails is the error.
 pub(crate) fn profile_tasks(
     pdb: &ProbeDb,
     probes: &[Probe],
     carrier_pages: usize,
-    parallelism: usize,
 ) -> Result<Vec<Profile>, CalError> {
-    claim_and_reduce(
-        probes.len(),
-        workers_for(parallelism, probes.len()),
-        "calibrate.grid_worker",
-        || pdb.clone(),
-        |pdb, at| profile_probe(pdb, &probes[at], carrier_pages),
-    )
-    .map_err(|e| match e {
-        PoolError::Task(e) => e,
-        PoolError::Panicked(payload) => {
-            let message = payload.downcast_ref::<&str>().map(|s| s.to_string());
-            let message = message.or_else(|| payload.downcast_ref::<String>().cloned());
-            CalError::probe_failed("<worker>", message.as_deref().unwrap_or("panicked"))
-        }
-    })
+    let mut pdb = pdb.clone();
+    probes
+        .iter()
+        .map(|probe| profile_probe(&mut pdb, probe, carrier_pages))
+        .collect()
 }
 
 /// A probe database's suite with what executing it did: all that is left of
@@ -249,11 +234,10 @@ pub(crate) struct ProbeSuite {
 }
 
 impl ProbeSuite {
-    /// **Profile**: executes each of `pdb`'s probes once (`parallelism`
-    /// workers, `0` = one per core; it changes nothing about the result).
-    pub(crate) fn profile(pdb: &ProbeDb, parallelism: usize) -> Result<ProbeSuite, CalError> {
+    /// **Profile**: executes each of `pdb`'s probes once.
+    pub(crate) fn profile(pdb: &ProbeDb) -> Result<ProbeSuite, CalError> {
         let probes = build_probes(pdb);
-        let profiles = profile_tasks(pdb, &probes, CARRIER_PAGES, parallelism)?;
+        let profiles = profile_tasks(pdb, &probes, CARRIER_PAGES)?;
         Ok(ProbeSuite { probes, profiles })
     }
 
@@ -264,7 +248,7 @@ impl ProbeSuite {
     pub(crate) fn template() -> Result<&'static ProbeSuite, CalError> {
         static SUITE: OnceLock<Result<ProbeSuite, CalError>> = OnceLock::new();
         SUITE
-            .get_or_init(|| ProbeSuite::profile(ProbeDb::template()?, 0))
+            .get_or_init(|| ProbeSuite::profile(ProbeDb::template()?))
             .as_ref()
             .map_err(Clone::clone)
     }
@@ -441,7 +425,7 @@ pub fn calibrate_with_config(
     shares: ResourceVector,
     rcfg: &CalibrationConfig,
 ) -> Result<Calibration, CalError> {
-    calibrate_from(&ProbeSuite::profile(pdb, 0)?, spec, shares, rcfg)
+    calibrate_from(&ProbeSuite::profile(pdb)?, spec, shares, rcfg)
 }
 
 /// One cell from a profiled suite: replay under its configuration, price,
@@ -634,17 +618,10 @@ mod tests {
         // The carrier's size is irrelevant: smaller than some, larger than
         // other configurations replayed from it.
         let suite = ProbeSuite {
-            profiles: profile_tasks(&pdb, &probes, 64, 1).unwrap(),
+            profiles: profile_tasks(&pdb, &probes, 64).unwrap(),
             probes: probes.clone(),
         };
         let memo = suite.replay(configs.clone()).unwrap();
-        // ...and so is the worker count: more workers than the 8 tasks, and
-        // none at all, are clamped.
-        for workers in [2, 5, 64, 0] {
-            let pooled = ProbeSuite::profile(&pdb, workers).unwrap();
-            let pooled = pooled.replay(configs.clone()).unwrap();
-            assert_eq!(memo.entries, pooled.entries, "{workers} workers");
-        }
         let mut distinct = std::collections::HashSet::new();
         let first = memo.get(&configs[0]).unwrap();
         for cfg in &configs {

@@ -18,7 +18,7 @@ const PIVOT_RTOL: f64 = 1e-12;
 
 /// Solves the square system `a · x = b` in place (Gaussian elimination with
 /// partial pivoting). `a` is row-major `n × n`.
-pub fn solve_square(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<f64>, CalError> {
+pub(crate) fn solve_square(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<f64>, CalError> {
     let n = b.len();
     if a.len() != n || a.iter().any(|row| row.len() != n) {
         return Err(CalError::ShapeMismatch {
@@ -119,7 +119,7 @@ fn normal_equations(a: &[Vec<f64>], b: &[f64], n: usize) -> (Vec<Vec<f64>>, Vec<
 /// 1-norm condition number `κ₁(A) = ‖A‖₁ · ‖A⁻¹‖₁` of a square matrix,
 /// computed by solving for the inverse column by column. Returns
 /// `INFINITY` for singular (or numerically singular) matrices.
-pub fn condition_1norm(a: &[Vec<f64>]) -> f64 {
+pub(crate) fn condition_1norm(a: &[Vec<f64>]) -> f64 {
     let n = a.len();
     if n == 0 {
         return 1.0;
@@ -140,7 +140,7 @@ pub fn condition_1norm(a: &[Vec<f64>]) -> f64 {
 
 /// A diagnosed least-squares fit.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LsFit {
+pub(crate) struct LsFit {
     /// The solution vector.
     pub x: Vec<f64>,
     /// 1-norm condition number of the normal matrix `aᵀa` (`INFINITY` if
@@ -165,7 +165,7 @@ pub struct LsFit {
 /// `λ × mean(diag)` instead, which pins its unidentifiable parameter to
 /// zero in a bounded way; the caller's parameter floor then flags it as
 /// clamped.
-pub fn least_squares_diagnosed(
+pub(crate) fn least_squares_diagnosed(
     a: &[Vec<f64>],
     b: &[f64],
     condition_limit: f64,
@@ -210,7 +210,7 @@ pub fn least_squares(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, CalError> {
 
 /// Root-mean-square residual of a candidate solution (used in tests and
 /// calibration diagnostics).
-pub fn rms_residual(a: &[Vec<f64>], b: &[f64], x: &[f64]) -> f64 {
+pub(crate) fn rms_residual(a: &[Vec<f64>], b: &[f64], x: &[f64]) -> f64 {
     let m = a.len() as f64;
     let ss: f64 = a
         .iter()

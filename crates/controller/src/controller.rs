@@ -28,12 +28,13 @@
 //! bit-identical decision traces, which
 //! [`ControllerOutcome::trace_fingerprint`] pins.
 
+use crate::drift::DriftConfig;
 use crate::governor::SwitchGovernor;
 use crate::health::ControllerHealth;
 use crate::profile::{ProblemTemplate, ProfileKey, WorkloadProfile};
 use crate::scenario::Scenario;
 use crate::stats::VmStats;
-use crate::{ControllerError, DriftConfig};
+use crate::ControllerError;
 use dbvirt_core::search::{solve_dp, CostCache, SearchConfig};
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::kernel::Fnv1a;
@@ -161,7 +162,7 @@ pub fn pool_refill_seconds(
 /// to `to`: a fixed base charge plus, for every VM whose memory share
 /// changes, the sequential refill time of its *new* buffer pool (see
 /// [`pool_refill_seconds`]).
-pub fn switch_cost_seconds(
+pub(crate) fn switch_cost_seconds(
     machine: MachineSpec,
     from: &AllocationMatrix,
     to: &AllocationMatrix,
@@ -522,7 +523,7 @@ pub fn run_controller(
         let verdict = governor.observe_epoch(epoch, regime_snapshot);
 
         let warmed = epoch + 1 >= WARMUP_EPOCHS;
-        let cooled = last_decision_epoch.map_or(true, |d| epoch - d >= COOLDOWN_EPOCHS);
+        let cooled = last_decision_epoch.is_none_or(|d| epoch - d >= COOLDOWN_EPOCHS);
 
         // A confirmed pre-switch prediction explains this epoch's drift:
         // the controller already holds the successor regime's allocation,

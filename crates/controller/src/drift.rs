@@ -10,7 +10,7 @@
 
 /// Page–Hinkley parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftConfig {
+pub(crate) struct DriftConfig {
     /// Tolerated deviation magnitude (in the observed unit — the controller
     /// feeds log-seconds, so `0.05` tolerates ~5% per-query wobble).
     pub delta: f64,
@@ -23,7 +23,7 @@ pub struct DriftConfig {
 
 /// Streaming two-sided Page–Hinkley detector.
 #[derive(Debug, Clone)]
-pub struct PageHinkley {
+pub(crate) struct PageHinkley {
     config: DriftConfig,
     count: u64,
     mean: f64,
@@ -47,15 +47,10 @@ impl PageHinkley {
         }
     }
 
-    /// Number of observations consumed since the last reset.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Feeds one observation; returns `true` when drift is detected.
     /// Non-finite observations are ignored (they are measurement faults,
     /// not workload changes).
-    pub fn observe(&mut self, x: f64) -> bool {
+    pub(crate) fn observe(&mut self, x: f64) -> bool {
         if !x.is_finite() {
             return false;
         }
@@ -159,7 +154,7 @@ mod tests {
             d.observe(2.0);
         }
         d.reset();
-        assert_eq!(d.count(), 0);
+        assert_eq!(d.count, 0);
         for i in 0..50 {
             assert!(!d.observe(2.0), "false positive after reset at {i}");
         }
@@ -171,10 +166,10 @@ mod tests {
         for _ in 0..10 {
             d.observe(1.0);
         }
-        let n = d.count();
+        let n = d.count;
         assert!(!d.observe(f64::NAN));
         assert!(!d.observe(f64::INFINITY));
-        assert_eq!(d.count(), n);
+        assert_eq!(d.count, n);
     }
 
     #[test]
@@ -195,7 +190,7 @@ mod tests {
         for x in [0.0, -1e9, 1e9] {
             let mut d = detector();
             assert!(!d.observe(x));
-            assert_eq!(d.count(), 1);
+            assert_eq!(d.count, 1);
         }
     }
 
@@ -223,6 +218,6 @@ mod tests {
             assert!(!d.observe(f64::NAN));
             assert!(!d.observe(f64::NEG_INFINITY));
         }
-        assert_eq!(d.count(), 0);
+        assert_eq!(d.count, 0);
     }
 }

@@ -61,7 +61,7 @@ use std::collections::BTreeMap;
 /// is enough: a prediction is verified the very next epoch (hit or miss),
 /// so acting on a single measured period risks one bounded mistake while
 /// waiting for a second costs a full unprovisioned phase.
-pub const TRUST_CLOSINGS: usize = 1;
+pub(crate) const TRUST_CLOSINGS: usize = 1;
 
 /// EWMA factor for residence updates (weight of the newest stay).
 const RESIDENCE_ALPHA: f64 = 0.5;
@@ -103,7 +103,7 @@ impl Regime {
 
 /// Outcome of absorbing one epoch's regime key.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EpochVerdict {
+pub(crate) struct EpochVerdict {
     /// A pre-switch prediction was pending and the epoch's regime matched:
     /// the drift the detector is about to report is an anticipated
     /// recurrence the controller has already provisioned for, so the
@@ -118,7 +118,7 @@ pub struct EpochVerdict {
 
 /// A recommended anticipatory switch (see [`SwitchGovernor::predicted_switch`]).
 #[derive(Debug, Clone)]
-pub struct PredictedSwitch {
+pub(crate) struct PredictedSwitch {
     /// The successor regime's key (to confirm or refute next epoch).
     pub key: Vec<ProfileKey>,
     /// Cache namespace for the pair solve: the outgoing regime's key
@@ -137,7 +137,7 @@ pub struct PredictedSwitch {
 
 /// Streaming phase-recurrence learner and switch governor.
 #[derive(Debug, Clone)]
-pub struct SwitchGovernor {
+pub(crate) struct SwitchGovernor {
     regimes: BTreeMap<Vec<ProfileKey>, Regime>,
     /// Current regime key and the epoch it was entered.
     current: Option<(Vec<ProfileKey>, usize)>,
@@ -170,17 +170,12 @@ impl SwitchGovernor {
         self.prediction_misses
     }
 
-    /// Regimes whose residence estimate is currently trusted.
-    pub fn trusted_regimes(&self) -> usize {
-        self.regimes.values().filter(|r| r.trusted()).count()
-    }
-
     /// Absorbs one epoch's quantized regime key and the per-epoch mean
     /// profiles it was derived from. `None` means the epoch produced no
     /// usable snapshot (sensor dropout): the current regime stays open —
     /// missing data is not evidence of change — and any pending
     /// prediction is dropped unconfirmed.
-    pub fn observe_epoch(
+    pub(crate) fn observe_epoch(
         &mut self,
         epoch: usize,
         snapshot: Option<(Vec<ProfileKey>, Vec<WorkloadProfile>)>,
@@ -231,7 +226,7 @@ impl SwitchGovernor {
     /// predicted residence has already broken its own pattern, so the
     /// governor falls back to the configured horizon rather than vetoing
     /// adaptation indefinitely.
-    pub fn governed_horizon(&self, epoch: usize, config_horizon: usize) -> f64 {
+    pub(crate) fn governed_horizon(&self, epoch: usize, config_horizon: usize) -> f64 {
         let full = config_horizon as f64;
         let Some((cur, entry)) = &self.current else {
             return full;
@@ -261,7 +256,7 @@ impl SwitchGovernor {
     /// path already handles. Returns `None` when nothing trustworthy is
     /// predicted, or when the stream ends before any benefit could be
     /// realized.
-    pub fn predicted_switch(
+    pub(crate) fn predicted_switch(
         &self,
         epoch: usize,
         total_epochs: usize,
@@ -300,7 +295,7 @@ impl SwitchGovernor {
 
     /// Marks a pre-switch as applied: the successor prediction is now
     /// pending and the next epoch's key confirms or refutes it.
-    pub fn note_preswitch(&mut self, predicted: Vec<ProfileKey>) {
+    pub(crate) fn note_preswitch(&mut self, predicted: Vec<ProfileKey>) {
         self.pending = Some(predicted);
     }
 }
@@ -314,6 +309,11 @@ impl Default for SwitchGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Regimes whose residence estimate is currently trusted.
+    fn trusted_regimes(g: &SwitchGovernor) -> usize {
+        g.regimes.values().filter(|r| r.trusted()).count()
+    }
 
     fn key(tag: i64) -> Vec<ProfileKey> {
         vec![ProfileKey([tag; 8]), ProfileKey([-tag; 8])]
@@ -352,7 +352,7 @@ mod tests {
         for epoch in 0..100 {
             g.observe_epoch(epoch, snap(1));
         }
-        assert_eq!(g.trusted_regimes(), 0);
+        assert_eq!(trusted_regimes(&g), 0);
         assert_eq!(g.governed_horizon(100, 8), 8.0);
         assert!(g.predicted_switch(100, 200, 8).is_none());
     }
@@ -370,7 +370,7 @@ mod tests {
         for epoch in 12..24 {
             g.observe_epoch(epoch, snap(2));
         }
-        assert_eq!(g.trusted_regimes(), 1);
+        assert_eq!(trusted_regimes(&g), 1);
         assert_eq!(g.governed_horizon(23, 8), 8.0);
         assert!(g.predicted_switch(23, 48, 8).is_none());
     }
@@ -381,7 +381,7 @@ mod tests {
         // trust a verified-next-epoch prediction needs.
         let mut g = SwitchGovernor::new();
         drive(&mut g, 6, 2);
-        assert_eq!(g.trusted_regimes(), 2);
+        assert_eq!(trusted_regimes(&g), 2);
         let p = g.predicted_switch(5, 16, 8).expect("first recurrence");
         assert_eq!(p.key, key(2));
         // One epoch earlier A's stay is not over yet.
@@ -395,7 +395,7 @@ mod tests {
         // not pre-empt it. A longer config horizon re-enables prediction.
         let mut g = SwitchGovernor::new();
         drive(&mut g, 40, 8);
-        assert_eq!(g.trusted_regimes(), 2);
+        assert_eq!(trusted_regimes(&g), 2);
         assert!(g.predicted_switch(39, 64, 8).is_none());
         assert!(g.predicted_switch(39, 64, 9).is_some());
     }
@@ -406,7 +406,7 @@ mod tests {
         // A(0-1) B(2-3) A(4-5) B(6-7) A(8-9): A closes at 2 and 6, B at 4
         // and 8 — both trusted with residence 2 from epoch 8 on.
         drive(&mut g, 10, 2);
-        assert_eq!(g.trusted_regimes(), 2);
+        assert_eq!(trusted_regimes(&g), 2);
         // Decision at the end of epoch 9 would take force at 10 — exactly
         // the predicted flip: horizon 0, switch vetoed.
         assert_eq!(g.governed_horizon(9, 8), 0.0);
@@ -463,7 +463,7 @@ mod tests {
         // measures residence across the gap.
         g.observe_epoch(11, snap(2));
         // No panic, still trusted; pending was consumed without counting.
-        assert_eq!(g.trusted_regimes(), 2);
+        assert_eq!(trusted_regimes(&g), 2);
     }
 
     #[test]

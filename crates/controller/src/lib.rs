@@ -40,17 +40,13 @@ mod scenario;
 mod stats;
 
 pub use controller::{
-    pool_refill_seconds, run_controller, switch_cost_seconds, ControllerConfig,
-    ControllerOutcome, SwitchEvent,
+    pool_refill_seconds, run_controller, ControllerConfig, ControllerOutcome, SwitchEvent,
 };
-pub use drift::{DriftConfig, PageHinkley};
 pub use error::ControllerError;
-pub use governor::{EpochVerdict, PredictedSwitch, SwitchGovernor, TRUST_CLOSINGS};
 pub use health::ControllerHealth;
-pub use profile::{profile_from_queries, ProblemTemplate, ProfileKey, VmTemplate, WorkloadProfile};
+pub use profile::{profile_from_queries, ProblemTemplate, VmTemplate, WorkloadProfile};
 pub use regret::{account_regret, RegretReport};
-pub use scenario::{Scenario, ScenarioPhase, VmEpoch};
-pub use stats::{QueryObservation, VmStats};
+pub use scenario::{Scenario, ScenarioPhase};
 
 #[cfg(test)]
 pub(crate) mod testkit {

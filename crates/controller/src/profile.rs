@@ -70,7 +70,7 @@ impl WorkloadProfile {
 
     /// Buffer-pool hit fraction for the re-access stream under a pool of
     /// `pool_pages` pages (linear working-set model).
-    pub fn hit_fraction(&self, pool_pages: usize) -> f64 {
+    pub(crate) fn hit_fraction(&self, pool_pages: usize) -> f64 {
         if self.working_set_pages <= 0.0 {
             return 1.0;
         }
@@ -80,7 +80,7 @@ impl WorkloadProfile {
     /// The *physical* demand of one query under a buffer pool of
     /// `pool_pages` pages, with all components scaled by `scale`
     /// (per-query size variability).
-    pub fn demand_at(&self, pool_pages: usize, scale: f64) -> ResourceDemand {
+    pub(crate) fn demand_at(&self, pool_pages: usize, scale: f64) -> ResourceDemand {
         let hit = self.hit_fraction(pool_pages);
         let miss = 1.0 - hit;
         ResourceDemand {
@@ -94,25 +94,14 @@ impl WorkloadProfile {
     }
 
     /// Predicted seconds per query on `vm`.
-    pub fn seconds_per_query(&self, vm: &VirtualMachine) -> f64 {
+    pub(crate) fn seconds_per_query(&self, vm: &VirtualMachine) -> f64 {
         vm.demand_seconds(&self.demand_at(vm.buffer_pool_pages(), 1.0))
     }
 
     /// Predicted seconds per control epoch on `vm` (the controller's
     /// per-VM cost unit).
-    pub fn epoch_seconds(&self, vm: &VirtualMachine) -> f64 {
+    pub(crate) fn epoch_seconds(&self, vm: &VirtualMachine) -> f64 {
         self.seconds_per_query(vm) * self.queries_per_epoch
-    }
-
-    /// Allocation-independent per-query reference seconds: the demand
-    /// priced on the whole machine with every re-access charged as a miss.
-    /// Feeding the drift detector this (rather than observed latency) means
-    /// the controller's own share changes cannot self-trigger drift.
-    pub fn reference_seconds(&self, machine: &MachineSpec) -> f64 {
-        self.cpu_cycles / machine.total_cycles_per_sec()
-            + (self.cold_seq_reads + self.reread_seq + self.page_writes)
-                * machine.seq_page_seconds()
-            + (self.cold_random_reads + self.reread_random) * machine.random_page_seconds()
     }
 
     /// This profile with every per-query demand component (and the working
@@ -133,7 +122,7 @@ impl WorkloadProfile {
 
     /// This profile with the arrival rate scaled by `factor` — the same
     /// queries, arriving more (or less) often.
-    pub fn rate_scaled(&self, factor: f64) -> WorkloadProfile {
+    pub(crate) fn rate_scaled(&self, factor: f64) -> WorkloadProfile {
         WorkloadProfile {
             queries_per_epoch: self.queries_per_epoch * factor,
             ..*self
@@ -162,7 +151,7 @@ impl WorkloadProfile {
     /// its warm [`dbvirt_core::CostCache`]s on the quantized vector, so a
     /// recurring phase re-solves against already-paid-for cells while a
     /// genuinely new mix gets a fresh cache.
-    pub fn quantize(&self, rel: f64) -> ProfileKey {
+    pub(crate) fn quantize(&self, rel: f64) -> ProfileKey {
         let width = (1.0 + rel).ln();
         let bucket = |v: f64| -> i64 {
             if !(v.is_finite() && v > 0.0) {
@@ -185,7 +174,7 @@ impl WorkloadProfile {
 
 /// Log-bucketed profile fingerprint (see [`WorkloadProfile::quantize`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ProfileKey(pub [i64; 8]);
+pub(crate) struct ProfileKey(pub [i64; 8]);
 
 /// Identity of one persistent VM: a name plus the catalog/plan skeleton a
 /// static design problem would carry. The controller prices profiles in
@@ -324,16 +313,6 @@ mod tests {
         let comfortable =
             VirtualMachine::new(spec, ResourceVector::uniform(Share::HALF)).unwrap();
         assert!(p.epoch_seconds(&starved) > p.epoch_seconds(&comfortable));
-    }
-
-    #[test]
-    fn reference_seconds_ignore_the_allocation() {
-        let spec = MachineSpec::tiny();
-        let p = cpu_heavy();
-        // Priced on the raw machine: no VM, no pool, so nothing the
-        // controller changes can move it.
-        let x = p.reference_seconds(&spec);
-        assert!(x.is_finite() && x > 0.0);
     }
 
     #[test]

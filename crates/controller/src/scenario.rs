@@ -53,7 +53,7 @@ pub struct Scenario {
 /// per-query observations for the controller (`None` = the measurement
 /// faulted and was lost).
 #[derive(Debug, Clone)]
-pub struct VmEpoch {
+pub(crate) struct VmEpoch {
     /// Clean ground-truth job.
     pub job: VmJob,
     /// What the controller observes for each query, in order.
@@ -409,7 +409,7 @@ impl Scenario {
     }
 
     /// The phase index an epoch falls into.
-    pub fn phase_of_epoch(&self, epoch: usize) -> usize {
+    pub(crate) fn phase_of_epoch(&self, epoch: usize) -> usize {
         let mut remaining = epoch;
         for (i, phase) in self.phases.iter().enumerate() {
             if remaining < phase.epochs {
@@ -429,7 +429,7 @@ impl Scenario {
     /// profile vector defines its ordinal, and later identical phases
     /// reuse it. The regret oracle solves each ordinal once, however often
     /// its phase recurs.
-    pub fn phase_ordinals(&self) -> Vec<usize> {
+    pub(crate) fn phase_ordinals(&self) -> Vec<usize> {
         let mut seen: Vec<&Vec<WorkloadProfile>> = Vec::new();
         self.phases
             .iter()
@@ -445,13 +445,13 @@ impl Scenario {
     }
 
     /// Number of queries `vm` completes in `epoch`.
-    pub fn query_count(&self, vm: usize, epoch: usize) -> usize {
+    pub(crate) fn query_count(&self, vm: usize, epoch: usize) -> usize {
         (self.profile(vm, epoch).queries_per_epoch.round() as usize).max(1)
     }
 
     /// Deterministic per-query size factor in
     /// `[1 - variability, 1 + variability]`.
-    pub fn query_scale(&self, vm: usize, epoch: usize, q: usize) -> f64 {
+    pub(crate) fn query_scale(&self, vm: usize, epoch: usize, q: usize) -> f64 {
         if self.variability <= 0.0 {
             return 1.0;
         }
@@ -504,7 +504,7 @@ impl Scenario {
     /// Materializes `epoch`: clean jobs plus (possibly noisy) per-query
     /// observations. A query's job demand *is* its clean observation's
     /// demand, so each is computed once.
-    pub fn epoch_batch(
+    pub(crate) fn epoch_batch(
         &self,
         epoch: usize,
         pool_pages: &[usize],

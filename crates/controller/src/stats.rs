@@ -16,7 +16,7 @@ use dbvirt_vmm::{MachineSpec, ResourceDemand};
 
 /// What the controller learns from one completed query.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueryObservation {
+pub(crate) struct QueryObservation {
     /// Physical demand served (what the scheduler executed).
     pub demand: ResourceDemand,
     /// Sequential page requests absorbed by the buffer pool.
@@ -33,7 +33,7 @@ type BaseComponents = [f64; 7];
 
 /// Streaming estimator for one VM.
 #[derive(Debug, Clone)]
-pub struct VmStats {
+pub(crate) struct VmStats {
     alpha: f64,
     machine: MachineSpec,
     detector: PageHinkley,
@@ -82,19 +82,13 @@ impl VmStats {
         self.observations
     }
 
-    /// Consecutive epochs (ending now) closed with zero usable
-    /// observations — how stale the carried-over estimate currently is.
-    pub fn staleness(&self) -> usize {
-        self.staleness
-    }
-
     /// The largest consecutive run of observation-free epochs seen.
     pub fn max_staleness(&self) -> usize {
         self.max_staleness
     }
 
     /// Total epochs closed with zero usable observations.
-    pub fn stale_epochs(&self) -> usize {
+    pub(crate) fn stale_epochs(&self) -> usize {
         self.stale_epochs
     }
 
@@ -103,10 +97,14 @@ impl VmStats {
     /// (non-finite or negative fields), which the caller should drop.
     fn invert(&self, obs: &QueryObservation, pool_pages: usize) -> Option<BaseComponents> {
         let ws = obs.touched_pages;
-        if !(ws.is_finite() && ws >= 0.0)
-            || !(obs.seq_hits.is_finite() && obs.seq_hits >= 0.0)
-            || !(obs.random_hits.is_finite() && obs.random_hits >= 0.0)
-            || !(obs.demand.cpu_cycles.is_finite() && obs.demand.cpu_cycles >= 0.0)
+        if !(ws.is_finite()
+            && ws >= 0.0
+            && obs.seq_hits.is_finite()
+            && obs.seq_hits >= 0.0
+            && obs.random_hits.is_finite()
+            && obs.random_hits >= 0.0
+            && obs.demand.cpu_cycles.is_finite()
+            && obs.demand.cpu_cycles >= 0.0)
         {
             return None;
         }
@@ -146,7 +144,7 @@ impl VmStats {
     /// `pool_pages` pages. Returns `Ok(true)` when the drift detector
     /// fires, and `Err(())` when the observation was degenerate and
     /// dropped.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         obs: &QueryObservation,
         pool_pages: usize,
@@ -195,7 +193,7 @@ impl VmStats {
     /// observation-free epoch, in which case the rate and component
     /// estimates are carried over unchanged (bounded-staleness carryover:
     /// a sensor dropout is not evidence the workload stopped).
-    pub fn end_epoch(&mut self) -> Option<WorkloadProfile> {
+    pub(crate) fn end_epoch(&mut self) -> Option<WorkloadProfile> {
         let n = self.epoch_queries as f64;
         self.epoch_queries = 0;
         if n <= 0.0 {
@@ -245,7 +243,7 @@ impl VmStats {
 
     /// Resets the drift detector (after the controller acted on a
     /// detection, so one change is not reported twice).
-    pub fn reset_detector(&mut self) {
+    pub(crate) fn reset_detector(&mut self) {
         self.detector.reset();
         self.fired_since_reset = false;
     }
@@ -413,13 +411,13 @@ mod tests {
         }
         let after = s.profile().unwrap();
         assert_eq!(before, after, "dropouts must not decay the estimate");
-        assert_eq!(s.staleness(), 3);
+        assert_eq!(s.staleness, 3);
         assert_eq!(s.max_staleness(), 3);
         assert_eq!(s.stale_epochs(), 3);
         // A fresh observation clears the consecutive counter.
         s.observe(&clean_observation(&truth, pool), pool).unwrap();
         s.end_epoch().unwrap();
-        assert_eq!(s.staleness(), 0);
+        assert_eq!(s.staleness, 0);
         assert_eq!(s.max_staleness(), 3);
         assert_eq!(s.stale_epochs(), 3);
     }

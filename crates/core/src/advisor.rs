@@ -7,7 +7,7 @@
 
 use crate::search::{run_search, SearchAlgorithm, SearchConfig};
 use crate::{CalibratedCostModel, CoreError, DesignProblem, Recommendation};
-use dbvirt_calibrate::{CalibrationConfig, CalibrationGrid, GridHealth};
+use dbvirt_calibrate::{CalibrationConfig, CalibrationGrid};
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::MachineSpec;
 use std::fmt;
@@ -80,9 +80,9 @@ impl fmt::Display for TelemetrySummary {
 /// A configured advisor: a machine plus its calibration grid.
 #[derive(Debug)]
 pub struct VirtualizationAdvisor {
-    machine: MachineSpec,
-    grid: CalibrationGrid,
-    config: SearchConfig,
+    pub(crate) machine: MachineSpec,
+    pub(crate) grid: CalibrationGrid,
+    pub(crate) config: SearchConfig,
 }
 
 impl VirtualizationAdvisor {
@@ -110,7 +110,7 @@ impl VirtualizationAdvisor {
     /// measurement-robustness knobs (multi-trial probes, retries, outlier
     /// rejection, fault injection). Cells that cannot be calibrated are
     /// interpolated from neighbors rather than failing the advisor; check
-    /// [`VirtualizationAdvisor::calibration_health`] before trusting
+    /// the [`VirtualizationAdvisor::grid`]'s health before trusting
     /// recommendations from a noisy calibration.
     pub fn calibrate_with_config(
         machine: MachineSpec,
@@ -136,20 +136,6 @@ impl VirtualizationAdvisor {
         })
     }
 
-    /// Builds an advisor from a pre-calibrated grid (e.g. loaded from the
-    /// serialized cache).
-    pub fn from_grid(
-        machine: MachineSpec,
-        grid: CalibrationGrid,
-        config: SearchConfig,
-    ) -> VirtualizationAdvisor {
-        VirtualizationAdvisor {
-            machine,
-            grid,
-            config,
-        }
-    }
-
     /// The machine this advisor serves.
     pub fn machine(&self) -> &MachineSpec {
         &self.machine
@@ -158,15 +144,6 @@ impl VirtualizationAdvisor {
     /// The calibration grid (serializable for reuse).
     pub fn grid(&self) -> &CalibrationGrid {
         &self.grid
-    }
-
-    /// Aggregate health of the underlying calibration: retries, rejected
-    /// outliers, ridge fallbacks, degraded cells. A clean health means
-    /// every parameter the advisor searches over was fitted directly from
-    /// probe measurements; degraded cells were interpolated from
-    /// neighbors and their costs carry extra model error.
-    pub fn calibration_health(&self) -> GridHealth {
-        self.grid.health()
     }
 
     /// The search configuration.
@@ -292,7 +269,7 @@ mod tests {
         .unwrap();
 
         let clean = VirtualizationAdvisor::calibrate(MachineSpec::paper_testbed(), 2, 4).unwrap();
-        assert!(clean.calibration_health().is_clean());
+        assert!(clean.grid().health().is_clean());
 
         // Transient failures only: measurements that survive retry are
         // exact, so the noisy advisor must reach the identical
@@ -302,7 +279,7 @@ mod tests {
         let noisy =
             VirtualizationAdvisor::calibrate_with_config(MachineSpec::paper_testbed(), 2, 4, &rcfg)
                 .unwrap();
-        let health = noisy.calibration_health();
+        let health = noisy.grid().health();
         assert!(health.total_retries > 0, "{health}");
         assert_eq!(health.degraded_cells, 0, "{health}");
 

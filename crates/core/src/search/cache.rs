@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// A cell's address: `(row, cpu units, mem units)`.
-pub type CellKey = (usize, u32, u32);
+pub(crate) type CellKey = (usize, u32, u32);
 
 const POISONED: &str = "a thread panicked while holding the row directory";
 

@@ -29,7 +29,8 @@ mod dynprog;
 mod exhaustive;
 mod greedy;
 
-pub use cache::{CellKey, CostCache, CostRow};
+pub(crate) use cache::CellKey;
+pub use cache::{CostCache, CostRow};
 pub use dynprog::{solve as solve_dp, value_table, DpSolution, ValueTable};
 
 use crate::{CoreError, CostModel, DesignProblem};
@@ -856,7 +857,11 @@ mod tests {
             config.disk_share,
         )
         .unwrap();
-        let advisor = crate::VirtualizationAdvisor::from_grid(machine, grid, config);
+        let advisor = crate::VirtualizationAdvisor {
+            machine,
+            grid,
+            config,
+        };
         let calibrated = crate::CalibratedCostModel::new(advisor.grid());
         for (algorithm, (w, c, m)) in [
             // The DP prices its tables in (workload, cpu, mem) order.

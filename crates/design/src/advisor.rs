@@ -261,7 +261,7 @@ impl<'g> DesignAdvisor<'g> {
                     }
                     fp.u64(c.pages);
                 }
-                vms.push(VmPricer::new(&pricer, w.db, &w.queries, cands));
+                vms.push(VmPricer::new(&pricer, w.db, &w.queries, cands)?);
             }
             span.set_attr(
                 "candidates",
@@ -472,58 +472,6 @@ fn equal_cells(n: usize, units: u32) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// A controller-side hook deciding when a drift signal should trigger
-/// index re-advice.
-///
-/// The runtime controller already re-solves *allocations* when its
-/// Page–Hinkley detector fires; re-running the full design advisor is an
-/// order of magnitude more expensive (candidate enumeration + a what-if
-/// sweep), so this hook rate-limits it: re-advise only when drift has
-/// fired in at least `min_detections` distinct epochs since the last
-/// re-advice, and at most once per `cooldown_epochs`. The hook has no
-/// dependency on the controller crate — the controller (or any epoch
-/// loop) feeds it `(epoch, drift_fired)` observations and launches
-/// [`DesignAdvisor::advise`] when it returns `true`.
-#[derive(Debug, Clone)]
-pub struct DriftReadviceHook {
-    /// Drift detections required before re-advising.
-    pub min_detections: usize,
-    /// Minimum epochs between re-advice runs.
-    pub cooldown_epochs: usize,
-    detections_since: usize,
-    last_readvice: Option<usize>,
-}
-
-impl DriftReadviceHook {
-    /// A hook requiring `min_detections` drift firings and at least
-    /// `cooldown_epochs` epochs between re-advice runs.
-    pub fn new(min_detections: usize, cooldown_epochs: usize) -> DriftReadviceHook {
-        DriftReadviceHook {
-            min_detections: min_detections.max(1),
-            cooldown_epochs,
-            detections_since: 0,
-            last_readvice: None,
-        }
-    }
-
-    /// Feeds one epoch's drift observation; `true` means "re-run the
-    /// design advisor now" (and resets the hook's state).
-    pub fn observe(&mut self, epoch: usize, drift_fired: bool) -> bool {
-        if drift_fired {
-            self.detections_since += 1;
-        }
-        let cooled = self
-            .last_readvice
-            .map_or(true, |last| epoch - last >= self.cooldown_epochs);
-        if self.detections_since >= self.min_detections && cooled {
-            self.detections_since = 0;
-            self.last_readvice = Some(epoch);
-            return true;
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,16 +577,5 @@ mod tests {
             "5 VMs x 1 min unit > 4 units"
         );
         assert!(grid_err(DesignConfig::new(0, 2), 2));
-    }
-
-    #[test]
-    fn drift_hook_rate_limits_readvice() {
-        let mut hook = DriftReadviceHook::new(2, 5);
-        assert!(!hook.observe(0, true), "one detection is not enough");
-        assert!(hook.observe(1, true), "second detection fires");
-        assert!(!hook.observe(2, true));
-        assert!(!hook.observe(3, true), "cooldown holds even at threshold");
-        assert!(hook.observe(6, false), "cooldown elapsed, detections banked");
-        assert!(!hook.observe(7, false), "state was reset");
     }
 }

@@ -28,9 +28,6 @@
 //!    provably non-increasing, to a fixpoint. Its full decision trace is
 //!    folded into an FNV-1a fingerprint that must be bit-identical across
 //!    processes.
-//!
-//! [`DriftReadviceHook`] lets the runtime controller's drift detector
-//! trigger index re-advice without coupling this crate to the controller.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,13 +39,11 @@ pub mod lp;
 pub mod pricing;
 pub mod select;
 
-pub use advisor::{
-    DesignAdvisor, DesignConfig, DriftReadviceHook, JointRecommendation, VmDesign,
-};
+pub use advisor::{DesignAdvisor, DesignConfig, JointRecommendation, VmDesign};
 pub use candidates::{enumerate_candidates, CandidateSet, IndexCandidate};
 pub use error::DesignError;
 pub use lp::{lower_bound, LpBound};
-pub use pricing::{config_menus, ConfigMenu, DesignPricer, VmPricer};
+pub use pricing::{ConfigMenu, DesignPricer, VmPricer};
 pub use select::{select_greedy, Decision, SelectionTrace};
 
 /// Shared test fixtures: a memory-constrained machine whose calibrated

@@ -50,7 +50,7 @@ pub struct ConfigMenu {
 
 /// Builds the per-query config menus from a candidate set: `∅`, relevant
 /// singletons, relevant pairs.
-pub fn config_menus(cands: &CandidateSet) -> Vec<ConfigMenu> {
+pub(crate) fn config_menus(cands: &CandidateSet) -> Vec<ConfigMenu> {
     cands
         .relevant
         .iter()
@@ -101,7 +101,7 @@ impl<'a> VmPricer<'a> {
         db: &'a Database,
         queries: &'a [LogicalPlan],
         cands: CandidateSet,
-    ) -> VmPricer<'a> {
+    ) -> Result<VmPricer<'a>, DesignError> {
         let menus = config_menus(&cands);
         let prepared = menus
             .iter()
@@ -109,15 +109,15 @@ impl<'a> VmPricer<'a> {
             .collect();
         let prices = (menus.iter())
             .map(|menu| pricer.fresh_rows(menu.configs.len()))
-            .collect();
-        VmPricer {
+            .collect::<Result<_, _>>()?;
+        Ok(VmPricer {
             db,
             queries,
             cands,
             menus,
             prepared,
             prices,
-        }
+        })
     }
 
     /// Query `q` analysed with exactly config `config`'s candidates offered
@@ -163,10 +163,11 @@ impl<'g> DesignPricer<'g> {
     }
 
     /// The next `n` unused rows of the price table.
-    fn fresh_rows(&self, n: usize) -> Vec<Arc<CostRow>> {
+    fn fresh_rows(&self, n: usize) -> Result<Vec<Arc<CostRow>>, DesignError> {
         let base = self.rows_used.replace(self.rows_used.get() + n);
-        (self.cache.rows(self.units, self.disk_share, base..base + n))
-            .expect("the pricer asks its table under one discretization")
+        Ok(self
+            .cache
+            .rows(self.units, self.disk_share, base..base + n)?)
     }
 
     /// Distinct what-if evaluations performed so far.
@@ -213,7 +214,7 @@ impl<'g> DesignPricer<'g> {
     /// Unweighted workload cost of an index set (as a candidate bitmask)
     /// at a cell: per query, the cheapest config contained in the mask.
     /// Summed in query order — deterministic.
-    pub fn workload_cost(
+    pub(crate) fn workload_cost(
         &self,
         vm: &VmPricer<'_>,
         mask: u64,
@@ -307,7 +308,7 @@ mod tests {
         let grid = grid();
         let cands = enumerate_candidates(&db, &queries, 16);
         let pricer = DesignPricer::new(&grid, 4, 0.5);
-        let vm = VmPricer::new(&pricer, &db, &queries, cands);
+        let vm = VmPricer::new(&pricer, &db, &queries, cands).unwrap();
         // A CPU- and memory-scarce cell: random index I/O is cheaper than
         // grinding 20k tuples through a slow CPU share.
         let empty = pricer.price(&vm, 0, 0, 2, 1).unwrap();
@@ -345,7 +346,7 @@ mod tests {
         let grid = grid();
         let cands = enumerate_candidates(&db, &queries, 16);
         let pricer = DesignPricer::new(&grid, 4, 0.5);
-        let vm = VmPricer::new(&pricer, &db, &queries, cands);
+        let vm = VmPricer::new(&pricer, &db, &queries, cands).unwrap();
         let mut priced = 0;
         for (q, query) in queries.iter().enumerate() {
             assert!(vm.menus[q].configs.len() > 1, "query {q} has no candidate");

@@ -66,7 +66,7 @@ pub fn select_greedy(
             let gain = objective - cost;
             // Strict improvement only; ties break to the lowest index
             // (the `>` keeps the first maximizer).
-            if gain > 0.0 && best.map_or(true, |(_, g, _)| gain > g) {
+            if gain > 0.0 && best.is_none_or(|(_, g, _)| gain > g) {
                 best = Some((c, gain, pages));
             }
         }
@@ -136,7 +136,7 @@ mod tests {
         let cands = enumerate_candidates(&db, &queries, 16);
         let per_index_pages = cands.candidates[0].pages;
         let pricer = DesignPricer::new(&grid, 4, 0.5);
-        let vm = VmPricer::new(&pricer, &db, &queries, cands);
+        let vm = VmPricer::new(&pricer, &db, &queries, cands).unwrap();
 
         let trace = select_greedy(&pricer, &vm, per_index_pages * 8, 2, 1).unwrap();
         assert!(!trace.decisions.is_empty(), "some index must help");
@@ -168,7 +168,7 @@ mod tests {
         let budget = cands.candidates[0].pages * 4;
         let run = || {
             let pricer = DesignPricer::new(&grid, 4, 0.5);
-            let vm = VmPricer::new(&pricer, &db, &queries, cands.clone());
+            let vm = VmPricer::new(&pricer, &db, &queries, cands.clone()).unwrap();
             select_greedy(&pricer, &vm, budget, 2, 1).unwrap()
         };
         let (a, b) = (run(), run());

@@ -61,14 +61,9 @@ impl IndexMeta {
         self.columns[0]
     }
 
-    /// True for multi-column indexes (encoded composite keys).
-    pub fn is_composite(&self) -> bool {
-        self.columns.len() > 1
-    }
-
     /// The B+tree key for one table row: the raw datum for single-column
     /// indexes, the memcomparable encoding for composites.
-    pub fn key_for<R: Row + ?Sized>(&self, row: &R) -> dbvirt_storage::Datum {
+    pub(crate) fn key_for<R: Row + ?Sized>(&self, row: &R) -> dbvirt_storage::Datum {
         if self.columns.len() == 1 {
             row.col(self.columns[0]).to_datum()
         } else {
@@ -220,7 +215,7 @@ impl Database {
     }
 
     /// Number of tables.
-    pub fn num_tables(&self) -> usize {
+    pub(crate) fn num_tables(&self) -> usize {
         self.tables.len()
     }
 
@@ -253,14 +248,6 @@ impl Database {
             .map(IndexId)
     }
 
-    /// Finds an index on exactly `(table, columns)`, if one exists.
-    pub fn index_on_columns(&self, table: TableId, columns: &[usize]) -> Option<IndexId> {
-        self.index_meta
-            .iter()
-            .position(|m| m.table == table && m.columns == columns)
-            .map(IndexId)
-    }
-
     /// Number of indexes in the catalog.
     pub fn num_indexes(&self) -> usize {
         self.index_meta.len()
@@ -286,7 +273,7 @@ impl Database {
 
     /// Split borrow used by the executor: the disk mutably plus the catalog
     /// immutably.
-    pub fn disk_and_catalog(&mut self) -> (&mut DiskManager, &[TableMeta], &[BPlusTree]) {
+    pub(crate) fn disk_and_catalog(&mut self) -> (&mut DiskManager, &[TableMeta], &[BPlusTree]) {
         (&mut self.disk, &self.tables, &self.index_trees)
     }
 
@@ -354,8 +341,7 @@ mod tests {
         let rows = (0..500).map(|i| Tuple::new(vec![Datum::Int(i % 10), Datum::str(format!("v{i}"))]));
         db.insert_rows(t, rows).unwrap();
         let idx = db.create_index_multi("t_id_val", t, &[0, 1]).unwrap();
-        assert!(db.index(idx).is_composite());
-        assert_eq!(db.index_on_columns(t, &[0, 1]), Some(idx));
+        assert_eq!(db.index(idx).columns, vec![0, 1]);
         assert_eq!(db.index_on(t, 0), None, "no single-column index exists");
         // All 50 rows with leading value 3 fall inside the encoded prefix
         // range, and nothing else does.

@@ -68,7 +68,10 @@ fn op_name(plan: &PhysicalPlan) -> &'static str {
 /// Fails with [`EngineError::Plan`] — before any page is read — on a plan
 /// that does not pass [`PhysicalPlan::validate`] or a context without
 /// `work_mem`.
-pub fn execute(ctx: &mut ExecContext<'_>, plan: &PhysicalPlan) -> Result<Vec<Tuple>, EngineError> {
+pub(crate) fn execute(
+    ctx: &mut ExecContext<'_>,
+    plan: &PhysicalPlan,
+) -> Result<Vec<Tuple>, EngineError> {
     plan.validate(ctx.db)?;
     if ctx.work_mem_bytes == 0 {
         return Err(EngineError::Plan("work_mem_bytes must be positive".into()));

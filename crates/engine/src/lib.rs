@@ -36,7 +36,7 @@
 
 pub mod catalog;
 mod cpu;
-pub mod exec;
+mod exec;
 mod expr;
 mod plan;
 mod profile;
@@ -47,4 +47,4 @@ pub use cpu::CpuCosts;
 pub use expr::{AggExpr, AggFunc, BinOp, CmpOp, Expr};
 pub use plan::{IndexArm, JoinType, PhysicalPlan, SortKey};
 pub use profile::{Profile, CARRIER_PAGES};
-pub use runtime::{run_plan, EngineError, ExecContext, QueryOutput, SpillEvent};
+pub use runtime::{run_plan, EngineError, QueryOutput};

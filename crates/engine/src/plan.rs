@@ -482,11 +482,6 @@ impl PhysicalPlan {
         walk(self, 0, &mut out);
         out
     }
-
-    /// Number of operators in the plan tree.
-    pub fn num_nodes(&self) -> usize {
-        1 + self.children().iter().map(|c| c.num_nodes()).sum::<usize>()
-    }
 }
 
 #[cfg(test)]
@@ -604,6 +599,5 @@ mod tests {
         assert!(text.contains("Limit"));
         assert!(text.contains("Sort"));
         assert!(text.contains("SeqScan"));
-        assert_eq!(plan.num_nodes(), 3);
     }
 }

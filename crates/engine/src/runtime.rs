@@ -46,7 +46,7 @@ impl From<StorageError> for EngineError {
 /// an execution that records its events can be priced under any `work_mem`
 /// afterwards; the live charge goes through the same function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpillEvent {
+pub(crate) enum SpillEvent {
     /// A hash join's two kept inputs.
     HashJoin {
         /// Encoded bytes of the build side.
@@ -106,7 +106,7 @@ impl SpillEvent {
 /// Everything an operator needs while executing: the database, the buffer
 /// pool (sized from the VM's memory share), the `work_mem` budget, the CPU
 /// cost constants, and the demand accumulated so far.
-pub struct ExecContext<'a> {
+pub(crate) struct ExecContext<'a> {
     /// The database being queried.
     pub db: &'a mut Database,
     /// Page cache; all heap/index I/O is charged through it.
@@ -124,30 +124,14 @@ pub struct ExecContext<'a> {
 }
 
 impl<'a> ExecContext<'a> {
-    /// Creates a context with default CPU costs.
-    pub fn new(
-        db: &'a mut Database,
-        pool: &'a mut BufferPool,
-        work_mem_bytes: usize,
-    ) -> ExecContext<'a> {
-        ExecContext {
-            db,
-            pool,
-            work_mem_bytes,
-            costs: CpuCosts::default(),
-            demand: ResourceDemand::ZERO,
-            spills: Vec::new(),
-        }
-    }
-
     /// Charges CPU cycles.
-    pub fn charge_cpu(&mut self, cycles: f64) {
+    pub(crate) fn charge_cpu(&mut self, cycles: f64) {
         self.demand.add_cpu(cycles);
     }
 
     /// Records what a sort or hash join held, charging the spill it means
     /// under this context's `work_mem`: each page written once, read once.
-    pub fn record_spill(&mut self, event: SpillEvent) {
+    pub(crate) fn record_spill(&mut self, event: SpillEvent) {
         let pages = event.pages(self.work_mem_bytes);
         self.demand.add_writes(pages);
         self.demand.add_seq_reads(pages);
@@ -292,7 +276,14 @@ pub(crate) mod tests_support {
 
     /// A context over the fixtures with 1 MiB of `work_mem`.
     pub fn context<'a>(db: &'a mut Database, pool: &'a mut BufferPool) -> ExecContext<'a> {
-        ExecContext::new(db, pool, 1 << 20)
+        ExecContext {
+            db,
+            pool,
+            work_mem_bytes: 1 << 20,
+            costs: CpuCosts::default(),
+            demand: ResourceDemand::ZERO,
+            spills: Vec::new(),
+        }
     }
 }
 

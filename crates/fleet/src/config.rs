@@ -75,12 +75,6 @@ impl FleetConfig {
         self
     }
 
-    /// Sets the per-machine VM cap.
-    pub fn with_max_vms_per_machine(mut self, cap: usize) -> FleetConfig {
-        self.max_vms_per_machine = cap;
-        self
-    }
-
     /// Sets the LP iteration budget.
     pub fn with_lp_iterations(mut self, iterations: usize) -> FleetConfig {
         self.lp_iterations = iterations;
@@ -130,10 +124,9 @@ mod tests {
         assert!(FleetConfig::new(0).validate().is_err());
         assert!(FleetConfig::new(8).with_disk_share(0.0).validate().is_err());
         assert!(FleetConfig::new(8).with_disk_share(f64::NAN).validate().is_err());
-        assert!(FleetConfig::new(8)
-            .with_max_vms_per_machine(9)
-            .validate()
-            .is_err());
+        let mut c = FleetConfig::new(8);
+        c.max_vms_per_machine = 9;
+        assert!(c.validate().is_err());
         let mut c = FleetConfig::new(8);
         c.min_units = 9;
         assert!(c.validate().is_err());

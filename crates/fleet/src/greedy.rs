@@ -82,7 +82,7 @@ pub(crate) fn seed(
                 )? / MIGRATION_HORIZON_RUNS;
             }
             // Strict `<` keeps the first (lowest-index) machine on ties.
-            if best.as_ref().map_or(true, |b| delta < b.0) {
+            if best.as_ref().is_none_or(|b| delta < b.0) {
                 best = Some((delta, m, solve.objective));
             }
         }

@@ -22,7 +22,7 @@
 //! runs the ladder over array reads of those same rows, so placements are
 //! bit-identical at every parallelism setting. Re-placements over a
 //! deployed fleet price their churn with the controller's
-//! pool-refill model and account for it in a [`RebalanceLedger`].
+//! pool-refill model and report it as a [`RebalanceDelta`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +43,7 @@ mod solver;
 pub use advisor::{FleetAdvisor, FleetReport};
 pub use config::FleetConfig;
 pub use error::FleetError;
-pub use ledger::{RebalanceDelta, RebalanceLedger};
+pub use ledger::RebalanceDelta;
 pub use local_search::LocalSearchStats;
 pub use lp::{LpBound, LpScan};
 pub use placement::Placement;

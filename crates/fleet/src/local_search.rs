@@ -359,8 +359,8 @@ fn descend(
             Ok(())
         };
         for vm in 0..n {
-            for to in 0..m_count {
-                if to == incumbent.machine_of[vm] || residents[to].len() >= cap {
+            for (to, members) in residents.iter().enumerate() {
+                if to == incumbent.machine_of[vm] || members.len() >= cap {
                     continue;
                 }
                 consider(Step::Move { vm, to }, &mut stats, &mut best)?;
@@ -531,7 +531,8 @@ mod tests {
             };
             problem = problem.with_current(current).unwrap();
         }
-        let mut cfg = FleetConfig::new(units).with_max_vms_per_machine(cap);
+        let mut cfg = FleetConfig::new(units);
+        cfg.max_vms_per_machine = cap;
         if forced {
             cfg.max_rounds = 2;
         }

@@ -239,7 +239,8 @@ mod tests {
                 ])
             })
             .collect();
-        let cfg = FleetConfig::new(units).with_max_vms_per_machine(occupancy.max(1) as usize);
+        let mut cfg = FleetConfig::new(units);
+        cfg.max_vms_per_machine = occupancy.max(1) as usize;
         (problem, placement, jobs, cfg)
     }
 

@@ -84,7 +84,13 @@ impl<'s, 'a> FleetSolver<'s, 'a> {
     /// pre-warmed rectangle — one cost-model call, written back so the
     /// miss is paid once. The returned value is identical on either path —
     /// cell costs are pure in `(class, vm, cell)`.
-    pub fn cell_cost(&self, class: usize, vm: usize, cpu: u32, mem: u32) -> Result<f64, FleetError> {
+    pub(crate) fn cell_cost(
+        &self,
+        class: usize,
+        vm: usize,
+        cpu: u32,
+        mem: u32,
+    ) -> Result<f64, FleetError> {
         let row = &self.rows[class][vm];
         if let Some(cost) = row.get(cpu, mem) {
             return Ok(cost);

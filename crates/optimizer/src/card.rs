@@ -11,13 +11,13 @@ use dbvirt_storage::{Datum, TableStats};
 
 /// Default selectivity for an equality whose operand statistics are
 /// unavailable (PostgreSQL's `DEFAULT_EQ_SEL`).
-pub const DEFAULT_EQ_SEL: f64 = 0.005;
+pub(crate) const DEFAULT_EQ_SEL: f64 = 0.005;
 /// Default selectivity for an inequality without statistics
 /// (PostgreSQL's `DEFAULT_INEQ_SEL`).
-pub const DEFAULT_RANGE_SEL: f64 = 1.0 / 3.0;
+pub(crate) const DEFAULT_RANGE_SEL: f64 = 1.0 / 3.0;
 /// Default selectivity for a `LIKE` pattern match
 /// (PostgreSQL's `DEFAULT_MATCH_SEL`).
-pub const DEFAULT_MATCH_SEL: f64 = 0.005;
+pub(crate) const DEFAULT_MATCH_SEL: f64 = 0.005;
 
 fn clamp01(x: f64) -> f64 {
     x.clamp(0.0, 1.0)
@@ -47,7 +47,7 @@ pub fn like_prefix(pattern: &str) -> Option<(String, bool)> {
 /// The smallest string strictly greater than every string starting with
 /// `prefix` (increment the last character, dropping characters with no
 /// valid successor). `None` when no such string exists.
-pub fn string_prefix_successor(prefix: &str) -> Option<String> {
+pub(crate) fn string_prefix_successor(prefix: &str) -> Option<String> {
     let mut chars: Vec<char> = prefix.chars().collect();
     while let Some(c) = chars.pop() {
         if let Some(next) = char::from_u32(c as u32 + 1) {
@@ -61,7 +61,11 @@ pub fn string_prefix_successor(prefix: &str) -> Option<String> {
 /// Histogram-backed selectivity of a string column falling in
 /// `[prefix, successor(prefix))` — the key range a `LIKE 'prefix%'`
 /// predicate selects.
-pub fn prefix_range_selectivity(stats: &TableStats, col: usize, prefix: &str) -> Option<f64> {
+pub(crate) fn prefix_range_selectivity(
+    stats: &TableStats,
+    col: usize,
+    prefix: &str,
+) -> Option<f64> {
     let cs = stats.columns.get(col)?;
     let h = cs.histogram.as_ref()?;
     let below_lo = h.fraction_below(&Datum::str(prefix));
@@ -203,7 +207,7 @@ pub(crate) fn conjuncts_selectivity(terms: &[&Expr], stats: &TableStats) -> f64 
 
 /// Estimated selectivity of `expr` as a filter over a base table with
 /// statistics `stats`, in `[0, 1]`.
-pub fn filter_selectivity(expr: &Expr, stats: &TableStats) -> f64 {
+pub(crate) fn filter_selectivity(expr: &Expr, stats: &TableStats) -> f64 {
     match expr {
         Expr::Literal(Datum::Bool(true)) => 1.0,
         Expr::Literal(Datum::Bool(false)) => 0.0,
@@ -284,7 +288,7 @@ pub fn filter_selectivity(expr: &Expr, stats: &TableStats) -> f64 {
 /// Inner-join selectivity is `1 / max(ndv_left, ndv_right)` per condition
 /// (PostgreSQL's `eqjoinsel`); semi/anti use the containment assumption
 /// (the fraction of left rows with a match is `min(ndvs)/ndv_left`).
-pub fn join_output_rows(
+pub(crate) fn join_output_rows(
     left_rows: f64,
     right_rows: f64,
     left_ndv: f64,
@@ -313,11 +317,6 @@ pub fn join_output_rows(
 /// Estimated number of groups for a `GROUP BY`: the product of per-column
 /// NDVs, clamped to the input row count (PostgreSQL's
 /// `estimate_num_groups` without correlation knowledge).
-pub fn num_groups(input_rows: f64, ndvs: &[f64]) -> f64 {
-    num_groups_of(input_rows, ndvs.iter().copied())
-}
-
-/// [`num_groups`] over NDVs produced on the fly.
 pub(crate) fn num_groups_of(input_rows: f64, ndvs: impl ExactSizeIterator<Item = f64>) -> f64 {
     if ndvs.len() == 0 {
         return 1.0;
@@ -490,9 +489,9 @@ mod tests {
 
     #[test]
     fn group_estimates_clamp() {
-        assert_eq!(num_groups(100.0, &[]), 1.0);
-        assert!((num_groups(1000.0, &[10.0, 5.0]) - 50.0).abs() < 1e-9);
-        assert_eq!(num_groups(20.0, &[10.0, 5.0]), 20.0);
+        assert_eq!(num_groups_of(100.0, [].into_iter()), 1.0);
+        assert!((num_groups_of(1000.0, [10.0, 5.0].into_iter()) - 50.0).abs() < 1e-9);
+        assert_eq!(num_groups_of(20.0, [10.0, 5.0].into_iter()), 20.0);
     }
 }
 

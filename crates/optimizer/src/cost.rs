@@ -32,7 +32,7 @@ pub fn yao_pages(n_pages: f64, _n_rows: f64, k_tuples: f64) -> f64 {
 /// as it does in the paper's Figure 3. Gating on the working set rather
 /// than the single table keeps the model honest: it cannot claim a cache
 /// win for one table of a query whose total footprint still thrashes.
-pub fn seq_scan_io_pages(p: &OptimizerParams, pages: f64, working_set_pages: f64) -> f64 {
+pub(crate) fn seq_scan_io_pages(p: &OptimizerParams, pages: f64, working_set_pages: f64) -> f64 {
     if working_set_pages.max(pages) <= p.effective_cache_size_pages {
         0.0
     } else {
@@ -44,7 +44,7 @@ pub fn seq_scan_io_pages(p: &OptimizerParams, pages: f64, working_set_pages: f64
 /// every row processed, the filter (with `filter_ops` operator
 /// applications) evaluated per row. `working_set_pages` is the summed page
 /// count of every distinct base table the whole query touches.
-pub fn seq_scan_cost(
+pub(crate) fn seq_scan_cost(
     p: &OptimizerParams,
     pages: f64,
     rows: f64,
@@ -64,7 +64,7 @@ pub fn seq_scan_cost(
 ///   in the effective cache, and cost a full random fetch when it does not
 ///   (linear in between).
 #[allow(clippy::too_many_arguments)]
-pub fn index_scan_cost(
+pub(crate) fn index_scan_cost(
     p: &OptimizerParams,
     index_height: f64,
     index_leaf_pages: f64,
@@ -123,7 +123,7 @@ fn heap_fetch_cost(
 /// Statistics describing one arm of a multi-index scan for costing:
 /// the probed index's geometry plus the arm condition's selectivity.
 #[derive(Debug, Clone, Copy)]
-pub struct ArmStats {
+pub(crate) struct ArmStats {
     /// B+tree height of the probed index.
     pub height: f64,
     /// Total node pages of the probed index.
@@ -158,7 +158,7 @@ fn multi_index_cost(
 /// Index intersection (`IndexAnd`): every arm pays its index side, then
 /// only the intersection (`combined_selectivity`, typically the product of
 /// arm selectivities) is fetched from the heap.
-pub fn index_and_cost(
+pub(crate) fn index_and_cost(
     p: &OptimizerParams,
     arms: &[ArmStats],
     combined_selectivity: f64,
@@ -179,7 +179,7 @@ pub fn index_and_cost(
 /// Index union (`IndexOr`): every arm pays its index side, then the union
 /// (`combined_selectivity`, at most the sum of arm selectivities) is
 /// fetched from the heap.
-pub fn index_or_cost(
+pub(crate) fn index_or_cost(
     p: &OptimizerParams,
     arms: &[ArmStats],
     combined_selectivity: f64,
@@ -200,7 +200,7 @@ pub fn index_or_cost(
 /// Sort: `2 * cpu_operator_cost` per comparison over `n log2 n`
 /// comparisons, plus one spill write+read pass when the input exceeds
 /// `work_mem`.
-pub fn sort_cost(p: &OptimizerParams, rows: f64, avg_width_bytes: f64) -> f64 {
+pub(crate) fn sort_cost(p: &OptimizerParams, rows: f64, avg_width_bytes: f64) -> f64 {
     if rows < 2.0 {
         return rows * p.cpu_operator_cost;
     }
@@ -217,7 +217,7 @@ pub fn sort_cost(p: &OptimizerParams, rows: f64, avg_width_bytes: f64) -> f64 {
 
 /// Hash join: build-side hashing, probe-side hashing, per-output tuple
 /// cost, plus grace-hash spill I/O when the build side exceeds `work_mem`.
-pub fn hash_join_cost(
+pub(crate) fn hash_join_cost(
     p: &OptimizerParams,
     probe_rows: f64,
     build_rows: f64,
@@ -239,7 +239,7 @@ pub fn hash_join_cost(
 
 /// Nested-loop join over a materialized inner: a predicate evaluation per
 /// pair.
-pub fn nl_join_cost(
+pub(crate) fn nl_join_cost(
     p: &OptimizerParams,
     left_rows: f64,
     right_rows: f64,
@@ -253,7 +253,7 @@ pub fn nl_join_cost(
 /// Aggregation: per-row transition work (one operator per aggregate plus
 /// argument evaluation, plus hashing when `hashed`), per-group output
 /// tuples.
-pub fn agg_cost(
+pub(crate) fn agg_cost(
     p: &OptimizerParams,
     rows: f64,
     groups: f64,
@@ -267,12 +267,12 @@ pub fn agg_cost(
 }
 
 /// Standalone filter.
-pub fn filter_cost(p: &OptimizerParams, rows: f64, pred_ops: f64) -> f64 {
+pub(crate) fn filter_cost(p: &OptimizerParams, rows: f64, pred_ops: f64) -> f64 {
     rows * (p.cpu_tuple_cost + pred_ops * p.cpu_operator_cost)
 }
 
 /// Projection.
-pub fn project_cost(p: &OptimizerParams, rows: f64, expr_ops: f64) -> f64 {
+pub(crate) fn project_cost(p: &OptimizerParams, rows: f64, expr_ops: f64) -> f64 {
     rows * (p.cpu_tuple_cost + expr_ops * p.cpu_operator_cost)
 }
 

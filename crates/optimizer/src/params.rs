@@ -77,7 +77,7 @@ impl OptimizerParams {
     }
 
     /// Converts a cost in units into estimated seconds.
-    pub fn units_to_seconds(&self, units: f64) -> f64 {
+    pub(crate) fn units_to_seconds(&self, units: f64) -> f64 {
         units * self.unit_seconds
     }
 }

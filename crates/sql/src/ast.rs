@@ -236,7 +236,7 @@ impl ExprAst {
     }
 
     /// True if the expression contains an aggregate call anywhere.
-    pub fn contains_aggregate(&self) -> bool {
+    pub(crate) fn contains_aggregate(&self) -> bool {
         let mut found = matches!(self, ExprAst::Agg { .. });
         self.for_each_child(|c| found = found || c.contains_aggregate());
         found

@@ -26,18 +26,18 @@ pub enum Token {
 
 impl Token {
     /// True if this token is the given keyword (case-insensitive).
-    pub fn is_kw(&self, kw: &str) -> bool {
+    pub(crate) fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Token::Ident { upper, .. } if upper == kw)
     }
 
     /// True if this token is the given symbol.
-    pub fn is_sym(&self, s: &str) -> bool {
+    pub(crate) fn is_sym(&self, s: &str) -> bool {
         matches!(self, Token::Symbol(sym) if *sym == s)
     }
 }
 
 /// Tokenizes a SQL string.
-pub fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
+pub(crate) fn tokenize(input: &str) -> Result<Vec<Token>, SqlError> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;

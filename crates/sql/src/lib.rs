@@ -61,7 +61,8 @@ mod parser;
 
 pub use binder::bind;
 pub use error::SqlError;
-pub use lexer::{tokenize, Token};
+pub(crate) use lexer::tokenize;
+pub use lexer::Token;
 pub use parser::parse;
 
 use dbvirt_engine::Database;

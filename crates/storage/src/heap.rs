@@ -56,13 +56,13 @@ impl DiskManager {
     }
 
     /// Allocates a new, empty file.
-    pub fn create_file(&mut self) -> FileId {
+    pub(crate) fn create_file(&mut self) -> FileId {
         self.files.push(Vec::new());
         FileId(self.files.len() as u32 - 1)
     }
 
     /// Number of pages in `file`.
-    pub fn file_pages(&self, file: FileId) -> Result<u32, StorageError> {
+    pub(crate) fn file_pages(&self, file: FileId) -> Result<u32, StorageError> {
         self.files
             .get(file.0 as usize)
             .map(|f| f.len() as u32)
@@ -70,7 +70,7 @@ impl DiskManager {
     }
 
     /// Appends an empty page to `file`, returning its id.
-    pub fn append_page(&mut self, file: FileId) -> Result<PageId, StorageError> {
+    pub(crate) fn append_page(&mut self, file: FileId) -> Result<PageId, StorageError> {
         let f = self
             .files
             .get_mut(file.0 as usize)

@@ -34,7 +34,7 @@ use crate::Datum;
 
 /// The byte appended at a column boundary to form an exclusive upper
 /// bound covering every continuation of a key prefix.
-pub const KEY_SENTINEL: u8 = 0xFF;
+pub(crate) const KEY_SENTINEL: u8 = 0xFF;
 
 fn push_bytes(out: &mut Vec<u8>, d: &Datum) {
     match d {

@@ -50,4 +50,5 @@ pub use heap::{DiskManager, FileId, HeapFile, PageId, TupleId};
 pub use page::{Page, PAGE_SIZE};
 pub use stats::{ColumnStats, Histogram, TableStats};
 pub use tuple::{Joined, RecordWriter, Row, RowBuf, Tuple, TupleView};
+
 pub use types::{DataType, Datum, DatumRef, Field, Schema};

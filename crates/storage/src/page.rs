@@ -149,14 +149,14 @@ impl Page {
 
     /// Free bytes available for one more insertion (accounting for the new
     /// slot directory entry).
-    pub fn free_space(&self) -> usize {
+    pub(crate) fn free_space(&self) -> usize {
         let dir_start = PAGE_SIZE - SLOT_SIZE * self.slot_count() as usize;
         let used_end = self.free_off() as usize;
         (dir_start - used_end).saturating_sub(SLOT_SIZE)
     }
 
     /// Largest record that can ever fit in an empty page.
-    pub fn max_record_size() -> usize {
+    pub(crate) fn max_record_size() -> usize {
         PAGE_SIZE - HEADER_SIZE - SLOT_SIZE
     }
 

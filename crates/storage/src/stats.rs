@@ -11,7 +11,7 @@ use crate::{Datum, Tuple};
 use std::collections::HashSet;
 
 /// Number of equi-depth histogram buckets collected by [`analyze`].
-pub const HISTOGRAM_BUCKETS: usize = 50;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 50;
 
 /// An equi-depth histogram: `bounds` has `buckets + 1` entries; each bucket
 /// holds the same number of sampled values.
@@ -63,7 +63,7 @@ impl Histogram {
     }
 
     /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
+    pub(crate) fn num_buckets(&self) -> usize {
         self.bounds.len().saturating_sub(1)
     }
 
@@ -107,14 +107,6 @@ impl Histogram {
             break;
         }
         (frac / nb as f64).clamp(0.0, 1.0)
-    }
-
-    /// Estimated selectivity of `lo <= x <= hi` style ranges; `None` bounds
-    /// are unbounded.
-    pub fn range_selectivity(&self, lo: Option<&Datum>, hi: Option<&Datum>) -> f64 {
-        let below_hi = hi.map_or(1.0, |h| self.fraction_below(h));
-        let below_lo = lo.map_or(0.0, |l| self.fraction_below(l));
-        (below_hi - below_lo).clamp(0.0, 1.0)
     }
 }
 
@@ -292,12 +284,9 @@ mod tests {
     fn histogram_range_selectivity() {
         let values: Vec<Datum> = (0..1000).map(Datum::Int).collect();
         let h = Histogram::build(values, 20).unwrap();
-        let s = h.range_selectivity(Some(&Datum::Int(100)), Some(&Datum::Int(300)));
+        // A range's selectivity is the difference of its bounds' fractions.
+        let s = h.fraction_below(&Datum::Int(300)) - h.fraction_below(&Datum::Int(100));
         assert!((s - 0.2).abs() < 0.05, "got {s}");
-        assert!((h.range_selectivity(None, None) - 1.0).abs() < 1e-12);
-        // Degenerate inverted ranges clamp at zero.
-        let s = h.range_selectivity(Some(&Datum::Int(300)), Some(&Datum::Int(100)));
-        assert_eq!(s, 0.0);
     }
 
     #[test]
@@ -344,12 +333,6 @@ mod tests {
             for p in probes {
                 let f = h.fraction_below(p);
                 assert!(f.is_finite() && (0.0..=1.0).contains(&f), "below {f}");
-            }
-            for lo in probes {
-                for hi in probes {
-                    let s = h.range_selectivity(Some(lo), Some(hi));
-                    assert!(s.is_finite() && (0.0..=1.0).contains(&s), "range {s}");
-                }
             }
         }
     }

@@ -96,14 +96,6 @@ impl Datum {
         }
     }
 
-    /// The date value (days since epoch), if this is a `Date`.
-    pub fn as_date(&self) -> Option<i32> {
-        match self {
-            Datum::Date(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// The boolean value, if this is a `Bool`.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -338,7 +330,6 @@ mod tests {
         assert_eq!(Datum::Int(7).as_float(), Some(7.0));
         assert_eq!(Datum::Float(2.5).as_float(), Some(2.5));
         assert_eq!(Datum::str("x").as_str(), Some("x"));
-        assert_eq!(Datum::Date(10).as_date(), Some(10));
         assert_eq!(Datum::Bool(true).as_bool(), Some(true));
         assert!(Datum::Null.is_null());
         assert_eq!(Datum::Null.data_type(), None);

@@ -4,14 +4,17 @@
 //! The writer is hand-rolled (the crate depends on nothing); the output
 //! is plain JSON that `dbvirt-calibrate::json::parse` — or any JSON
 //! parser — round-trips. Numbers are emitted as integers where exact and
-//! stay far below 2⁵³, so f64-based parsers read them back losslessly.
+//! stay far below 2⁵³, so f64-based parsers read them back losslessly;
+//! non-finite values read back as `null`.
 
 use crate::registry::{AttrValue, Snapshot};
 use crate::SpanRecord;
 use std::fmt::Write as _;
 
-/// Escapes `s` as a JSON string literal (including the quotes).
-fn esc(out: &mut String, s: &str) {
+/// Writes `s` as a JSON string literal (including the quotes). This and
+/// [`write_json_num`] are the workspace's one JSON writer: the exporters
+/// here and `dbvirt-calibrate`'s serializer both call them.
+pub fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -29,21 +32,16 @@ fn esc(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Writes an f64 as a JSON number (non-finite values become strings,
-/// matching `dbvirt-calibrate::json`'s tagged-string convention).
-fn num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 9e15 {
-            let _ = write!(out, "{}", v as i64);
-        } else {
-            let _ = write!(out, "{v}");
-        }
-    } else if v.is_nan() {
-        out.push_str("\"NaN\"");
-    } else if v > 0.0 {
-        out.push_str("\"Infinity\"");
+/// Writes `n` as a JSON number: integral values below 10¹⁵ without a
+/// fraction, others in Rust's shortest round-trip form, and non-finite
+/// values — which JSON cannot represent — as `null`.
+pub fn write_json_num(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n == n.trunc() && n.abs() < 1e15 {
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.push_str("\"-Infinity\"");
+        let _ = write!(out, "{n:?}");
     }
 }
 
@@ -52,11 +50,11 @@ fn attr(out: &mut String, v: &AttrValue) {
         AttrValue::U64(u) => {
             let _ = write!(out, "{u}");
         }
-        AttrValue::F64(f) => num(out, *f),
+        AttrValue::F64(f) => write_json_num(out, *f),
         AttrValue::Bool(b) => {
             let _ = write!(out, "{b}");
         }
-        AttrValue::Str(s) => esc(out, s),
+        AttrValue::Str(s) => write_json_str(out, s),
     }
 }
 
@@ -66,7 +64,7 @@ fn attrs_obj(out: &mut String, attrs: &[(&'static str, AttrValue)]) {
         if i > 0 {
             out.push(',');
         }
-        esc(out, k);
+        write_json_str(out, k);
         out.push(':');
         attr(out, v);
     }
@@ -104,7 +102,7 @@ impl Snapshot {
                 None => o.push_str("null"),
             }
             o.push_str(",\"name\":");
-            esc(&mut o, s.name);
+            write_json_str(&mut o, s.name);
             let _ = write!(
                 o,
                 ",\"tid\":{},\"start_ns\":{},\"end_ns\":{},\"vstart_us\":{},\"vend_us\":{},\"attrs\":",
@@ -118,7 +116,7 @@ impl Snapshot {
             if i > 0 {
                 o.push(',');
             }
-            esc(&mut o, n);
+            write_json_str(&mut o, n);
             let _ = write!(o, ":{v}");
         }
         o.push_str("},\"gauges\":{");
@@ -126,22 +124,22 @@ impl Snapshot {
             if i > 0 {
                 o.push(',');
             }
-            esc(&mut o, n);
+            write_json_str(&mut o, n);
             o.push(':');
-            num(&mut o, *v);
+            write_json_num(&mut o, *v);
         }
         o.push_str("},\"histograms\":{");
         for (i, (n, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 o.push(',');
             }
-            esc(&mut o, n);
+            write_json_str(&mut o, n);
             let _ = write!(
                 o,
                 ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":",
                 h.count, h.sum, h.min, h.max
             );
-            num(&mut o, h.mean());
+            write_json_num(&mut o, h.mean());
             let _ = write!(
                 o,
                 ",\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
@@ -153,7 +151,7 @@ impl Snapshot {
                 if j > 0 {
                     o.push(',');
                 }
-                let _ = write!(o, "[{},{}]", crate::bucket_lower_bound(idx), n);
+                let _ = write!(o, "[{},{}]", crate::hist::bucket_lower_bound(idx), n);
             }
             o.push_str("]}");
         }
@@ -177,7 +175,7 @@ impl Snapshot {
             }
             first = false;
             o.push_str("{\"ph\":\"X\",\"cat\":\"span\",\"name\":");
-            esc(&mut o, s.name);
+            write_json_str(&mut o, s.name);
             let _ = write!(
                 o,
                 ",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":",
@@ -210,7 +208,7 @@ impl Snapshot {
             }
             first = false;
             o.push_str("{\"ph\":\"C\",\"cat\":\"metric\",\"name\":");
-            esc(&mut o, n);
+            write_json_str(&mut o, n);
             let _ = write!(o, ",\"pid\":1,\"tid\":0,\"ts\":{end_ts},\"args\":{{\"value\":{v}}}}}");
         }
         for (n, v) in &self.gauges {
@@ -219,9 +217,9 @@ impl Snapshot {
             }
             first = false;
             o.push_str("{\"ph\":\"C\",\"cat\":\"metric\",\"name\":");
-            esc(&mut o, n);
+            write_json_str(&mut o, n);
             let _ = write!(o, ",\"pid\":1,\"tid\":0,\"ts\":{end_ts},\"args\":{{\"value\":");
-            num(&mut o, *v);
+            write_json_num(&mut o, *v);
             o.push_str("}}");
         }
         o.push_str("]}");
@@ -275,10 +273,10 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_gauges_export_as_tagged_strings() {
+    fn non_finite_gauges_export_as_null() {
         let reg = Registry::new_enabled();
         reg.gauge_cell("bad").set(f64::NAN);
         let json = reg.snapshot().to_json();
-        assert!(json.contains("\"bad\":\"NaN\""));
+        assert!(json.contains("\"bad\":null"));
     }
 }

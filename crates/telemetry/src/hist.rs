@@ -12,7 +12,7 @@ const SUB: usize = 8;
 
 /// Total bucket count: values `0..8` get exact unit buckets, then each of
 /// the remaining 61 octaves (`2^3 ..= 2^63`) contributes [`SUB`] buckets.
-pub const NUM_BUCKETS: usize = SUB + 61 * SUB;
+pub(crate) const NUM_BUCKETS: usize = SUB + 61 * SUB;
 
 /// Maps a value to its bucket index.
 ///
@@ -20,7 +20,7 @@ pub const NUM_BUCKETS: usize = SUB + 61 * SUB;
 /// is `(exp - 2) * 8 + offset` where `exp = floor(log2 v)` and `offset`
 /// is the top three bits below the leading bit.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < SUB as u64 {
         return v as usize;
     }
@@ -30,7 +30,7 @@ pub fn bucket_index(v: u64) -> usize {
 }
 
 /// The smallest value mapping to `index` (inverse of [`bucket_index`]).
-pub fn bucket_lower_bound(index: usize) -> u64 {
+pub(crate) fn bucket_lower_bound(index: usize) -> u64 {
     if index < SUB {
         return index as u64;
     }
@@ -133,7 +133,7 @@ impl HistogramSnapshot {
     /// Approximate quantile `q` in `[0, 1]`: the lower bound of the
     /// bucket containing the `ceil(q * count)`-th value. Within a
     /// bucket's ≤ 12.5% width, this is exact at bucket boundaries.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }

@@ -62,8 +62,10 @@ mod registry;
 mod sink;
 mod span;
 
-pub use hist::{bucket_index, bucket_lower_bound, HistogramSnapshot, NUM_BUCKETS};
-pub use registry::{AttrValue, CounterCell, GaugeCell, HistCell, Registry, Snapshot, SpanRecord};
+pub use export::{write_json_num, write_json_str};
+pub use hist::HistogramSnapshot;
+pub use registry::{AttrValue, Registry, Snapshot, SpanRecord};
+pub(crate) use registry::{CounterCell, GaugeCell, HistCell};
 pub use sink::{SinkConfig, SinkStats};
 pub use span::SpanGuard;
 
@@ -186,12 +188,6 @@ pub fn attach_sink(cfg: SinkConfig) {
 /// stats (`None` if no sink was attached).
 pub fn detach_sink() -> Option<SinkStats> {
     global().detach_sink()
-}
-
-/// Forces a flush of the global registry's sink now (`None` if no sink
-/// is attached).
-pub fn flush_sink() -> Option<SinkStats> {
-    global().flush_sink()
 }
 
 /// A named counter bound to the global registry, cacheable in a `static`

@@ -109,7 +109,7 @@ impl SpanRecord {
 
 /// A shared atomic counter cell (cacheable via [`crate::Counter`]).
 #[derive(Debug, Default)]
-pub struct CounterCell {
+pub(crate) struct CounterCell {
     value: AtomicU64,
 }
 
@@ -132,7 +132,7 @@ impl CounterCell {
 
 /// A shared f64 gauge cell (bits stored in an `AtomicU64`).
 #[derive(Debug)]
-pub struct GaugeCell {
+pub(crate) struct GaugeCell {
     bits: AtomicU64,
 }
 
@@ -161,7 +161,7 @@ impl GaugeCell {
 
 /// A shared histogram cell (cacheable via [`crate::Histogram`]).
 #[derive(Debug)]
-pub struct HistCell {
+pub(crate) struct HistCell {
     hist: Hist,
 }
 
@@ -203,7 +203,7 @@ pub struct Registry {
     /// the unbounded `spans` vector. Lock discipline: the sink mutex is
     /// never held while taking any other registry lock (flushes clone
     /// the ring out first), so no ordering cycle exists.
-    sink: Mutex<Option<SinkState>>,
+    pub(crate) sink: Mutex<Option<SinkState>>,
 }
 
 impl Default for Registry {
@@ -333,7 +333,7 @@ impl Registry {
     /// current counters, gauges, and histograms. Write failures are
     /// recorded in [`SinkStats`], never propagated. Returns the stats
     /// after the attempt, or `None` if no sink is attached.
-    pub fn flush_sink(&self) -> Option<SinkStats> {
+    pub(crate) fn flush_sink(&self) -> Option<SinkStats> {
         let path = self.sink.lock().unwrap().as_ref()?.cfg.path.clone();
         let json = self.snapshot().to_json();
         let result = std::fs::write(&path, json);
@@ -347,11 +347,6 @@ impl Registry {
             }
         }
         Some(state.stats())
-    }
-
-    /// The attached sink's current stats (`None` when no sink).
-    pub fn sink_stats(&self) -> Option<SinkStats> {
-        self.sink.lock().unwrap().as_ref().map(SinkState::stats)
     }
 
     /// Advances the registry's virtual (simulated) clock.
@@ -370,7 +365,7 @@ impl Registry {
     }
 
     /// The shared cell for counter `name`, creating it on first use.
-    pub fn counter_cell(&self, name: &str) -> Arc<CounterCell> {
+    pub(crate) fn counter_cell(&self, name: &str) -> Arc<CounterCell> {
         Arc::clone(
             self.counters
                 .lock()
@@ -381,7 +376,7 @@ impl Registry {
     }
 
     /// The shared cell for gauge `name`, creating it on first use.
-    pub fn gauge_cell(&self, name: &str) -> Arc<GaugeCell> {
+    pub(crate) fn gauge_cell(&self, name: &str) -> Arc<GaugeCell> {
         Arc::clone(
             self.gauges
                 .lock()
@@ -392,7 +387,7 @@ impl Registry {
     }
 
     /// The shared cell for histogram `name`, creating it on first use.
-    pub fn hist_cell(&self, name: &str) -> Arc<HistCell> {
+    pub(crate) fn hist_cell(&self, name: &str) -> Arc<HistCell> {
         Arc::clone(
             self.hists
                 .lock()
@@ -489,14 +484,6 @@ impl Snapshot {
     /// Looks up a counter by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
-    /// Looks up a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
             .iter()
             .find(|(n, _)| n == name)
             .map(|&(_, v)| v)

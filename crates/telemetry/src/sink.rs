@@ -140,6 +140,11 @@ mod tests {
     use crate::Registry;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// The attached sink's current stats (`None` when no sink).
+    fn sink_stats(reg: &Registry) -> Option<SinkStats> {
+        reg.sink.lock().unwrap().as_ref().map(SinkState::stats)
+    }
+
     /// A unique temp path per test invocation (no tempfile dependency).
     fn temp_path(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -196,7 +201,7 @@ mod tests {
         let path = temp_path("bound");
         reg.attach_sink(SinkConfig::new(&path).with_ring_capacity(4).with_flush_every(1_000));
         record_spans(&reg, &["s"; 10]);
-        let stats = reg.sink_stats().unwrap();
+        let stats = sink_stats(&reg).unwrap();
         assert_eq!(stats.spans_retained, 4);
         assert_eq!(stats.spans_dropped, 6);
         // The survivors are the *newest* spans: ids 7..=10.
@@ -211,7 +216,7 @@ mod tests {
         let path = temp_path("flush");
         reg.attach_sink(SinkConfig::new(&path).with_ring_capacity(64).with_flush_every(3));
         record_spans(&reg, &["tick"; 7]);
-        let stats = reg.sink_stats().unwrap();
+        let stats = sink_stats(&reg).unwrap();
         assert_eq!(stats.flushes, 2, "7 spans at flush_every=3");
         assert_eq!(stats.write_errors, 0);
         let doc = std::fs::read_to_string(&path).unwrap();
@@ -234,7 +239,7 @@ mod tests {
         let stats = reg.detach_sink().unwrap();
         assert_eq!(stats.flushes, 1, "detach performs the final flush");
         assert_eq!(stats.spans_retained, 2);
-        assert!(reg.sink_stats().is_none(), "sink is gone");
+        assert!(sink_stats(&reg).is_none(), "sink is gone");
         // Retained spans folded back: still visible after detach, and
         // new spans keep recording into the plain store.
         record_spans(&reg, &["c"]);
@@ -255,7 +260,7 @@ mod tests {
         let path = std::env::temp_dir().join("dbvirt_sink_no_such_dir").join("x.json");
         reg.attach_sink(SinkConfig::new(&path).with_ring_capacity(8).with_flush_every(1));
         record_spans(&reg, &["doomed"]); // triggers a flush that must fail quietly
-        let stats = reg.sink_stats().unwrap();
+        let stats = sink_stats(&reg).unwrap();
         assert_eq!(stats.flushes, 0);
         assert_eq!(stats.write_errors, 1);
         assert!(stats.last_error.unwrap().contains("x.json"));
@@ -268,7 +273,7 @@ mod tests {
         let path = temp_path("zero");
         reg.attach_sink(SinkConfig::new(&path).with_ring_capacity(0).with_flush_every(2));
         record_spans(&reg, &["x", "y"]);
-        let stats = reg.sink_stats().unwrap();
+        let stats = sink_stats(&reg).unwrap();
         assert_eq!(stats.spans_retained, 0);
         assert_eq!(stats.spans_dropped, 2);
         assert_eq!(stats.flushes, 1);

@@ -50,7 +50,7 @@ pub(crate) struct Active<'a> {
 
 impl<'a> SpanGuard<'a> {
     /// An inert guard (what every disabled entry point returns).
-    pub fn noop() -> SpanGuard<'static> {
+    pub(crate) fn noop() -> SpanGuard<'static> {
         SpanGuard { inner: None }
     }
 

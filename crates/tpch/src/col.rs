@@ -7,20 +7,16 @@ pub mod region {
     pub const REGIONKEY: usize = 0;
     /// `r_name`
     pub const NAME: usize = 1;
-    /// `r_comment`
-    pub const COMMENT: usize = 2;
 }
 
 /// `nation(n_nationkey, n_name, n_regionkey, n_comment)`.
 pub mod nation {
     /// `n_nationkey`
-    pub const NATIONKEY: usize = 0;
+    pub(crate) const NATIONKEY: usize = 0;
     /// `n_name`
     pub const NAME: usize = 1;
     /// `n_regionkey`
     pub const REGIONKEY: usize = 2;
-    /// `n_comment`
-    pub const COMMENT: usize = 3;
 }
 
 /// `supplier(s_suppkey, s_name, s_nationkey, s_acctbal)`.
@@ -30,9 +26,7 @@ pub mod supplier {
     /// `s_name`
     pub const NAME: usize = 1;
     /// `s_nationkey`
-    pub const NATIONKEY: usize = 2;
-    /// `s_acctbal`
-    pub const ACCTBAL: usize = 3;
+    pub(crate) const NATIONKEY: usize = 2;
 }
 
 /// `customer(c_custkey, c_name, c_address, c_nationkey, c_phone, c_acctbal,
@@ -42,18 +36,8 @@ pub mod customer {
     pub const CUSTKEY: usize = 0;
     /// `c_name`
     pub const NAME: usize = 1;
-    /// `c_address`
-    pub const ADDRESS: usize = 2;
     /// `c_nationkey`
-    pub const NATIONKEY: usize = 3;
-    /// `c_phone`
-    pub const PHONE: usize = 4;
-    /// `c_acctbal`
-    pub const ACCTBAL: usize = 5;
-    /// `c_mktsegment`
-    pub const MKTSEGMENT: usize = 6;
-    /// `c_comment`
-    pub const COMMENT: usize = 7;
+    pub(crate) const NATIONKEY: usize = 3;
 }
 
 /// `part(p_partkey, p_name, p_brand, p_type, p_size, p_retailprice)`.
@@ -62,14 +46,8 @@ pub mod part {
     pub const PARTKEY: usize = 0;
     /// `p_name`
     pub const NAME: usize = 1;
-    /// `p_brand`
-    pub const BRAND: usize = 2;
-    /// `p_type`
-    pub const TYPE: usize = 3;
     /// `p_size`
     pub const SIZE: usize = 4;
-    /// `p_retailprice`
-    pub const RETAILPRICE: usize = 5;
 }
 
 /// `partsupp(ps_partkey, ps_suppkey, ps_availqty, ps_supplycost)`.
@@ -80,8 +58,6 @@ pub mod partsupp {
     pub const SUPPKEY: usize = 1;
     /// `ps_availqty`
     pub const AVAILQTY: usize = 2;
-    /// `ps_supplycost`
-    pub const SUPPLYCOST: usize = 3;
 }
 
 /// `orders(o_orderkey, o_custkey, o_orderstatus, o_totalprice, o_orderdate,
@@ -96,13 +72,9 @@ pub mod orders {
     /// `o_totalprice`
     pub const TOTALPRICE: usize = 3;
     /// `o_orderdate`
-    pub const ORDERDATE: usize = 4;
+    pub(crate) const ORDERDATE: usize = 4;
     /// `o_orderpriority`
     pub const ORDERPRIORITY: usize = 5;
-    /// `o_shippriority`
-    pub const SHIPPRIORITY: usize = 6;
-    /// `o_comment`
-    pub const COMMENT: usize = 7;
 }
 
 /// `lineitem(l_orderkey, l_partkey, l_suppkey, l_linenumber, l_quantity,
@@ -115,24 +87,16 @@ pub mod lineitem {
     pub const PARTKEY: usize = 1;
     /// `l_suppkey`
     pub const SUPPKEY: usize = 2;
-    /// `l_linenumber`
-    pub const LINENUMBER: usize = 3;
     /// `l_quantity`
     pub const QUANTITY: usize = 4;
     /// `l_extendedprice`
     pub const EXTENDEDPRICE: usize = 5;
     /// `l_discount`
     pub const DISCOUNT: usize = 6;
-    /// `l_tax`
-    pub const TAX: usize = 7;
     /// `l_returnflag`
     pub const RETURNFLAG: usize = 8;
     /// `l_linestatus`
     pub const LINESTATUS: usize = 9;
     /// `l_shipdate`
     pub const SHIPDATE: usize = 10;
-    /// `l_commitdate`
-    pub const COMMITDATE: usize = 11;
-    /// `l_receiptdate`
-    pub const RECEIPTDATE: usize = 12;
 }

@@ -555,7 +555,7 @@ mod tests {
         let plan = dbvirt_engine::PhysicalPlan::SeqScan {
             table: t.orders,
             filter: Some(dbvirt_engine::Expr::like(
-                dbvirt_engine::Expr::col(col::orders::COMMENT),
+                dbvirt_engine::Expr::col(7), // o_comment
                 "%special%requests%",
             )),
         };

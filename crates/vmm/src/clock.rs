@@ -20,31 +20,6 @@ impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// Creates a duration from integer microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us)
-    }
-
-    /// Creates a duration from (non-negative, finite) seconds, rounding to
-    /// the nearest microsecond.
-    ///
-    /// # Panics
-    /// Panics if `secs` is negative, NaN, or too large to represent. Use
-    /// [`SimDuration::try_from_secs_f64`] when the value comes from
-    /// untrusted input (e.g. externally supplied demands).
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "SimDuration requires finite non-negative seconds, got {secs}"
-        );
-        let us = secs * 1e6;
-        assert!(
-            us <= u64::MAX as f64,
-            "SimDuration overflow: {secs} seconds"
-        );
-        SimDuration(us.round() as u64)
-    }
-
     /// Creates a duration from seconds, returning a typed error instead of
     /// panicking when `secs` is negative, NaN, infinite, or larger than the
     /// microsecond counter can hold.
@@ -134,7 +109,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Creates an instant from microseconds since the epoch.
-    pub const fn from_micros(us: u64) -> Self {
+    pub(crate) const fn from_micros(us: u64) -> Self {
         SimTime(us)
     }
 
@@ -160,7 +135,7 @@ impl SimTime {
     ///
     /// # Panics
     /// Panics if `earlier` is later than `self`.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(earlier.0)
@@ -198,33 +173,17 @@ mod tests {
 
     #[test]
     fn duration_roundtrip_micros() {
-        let d = SimDuration::from_micros(1_234_567);
+        let d = SimDuration(1_234_567);
         assert_eq!(d.as_micros(), 1_234_567);
         assert!((d.as_secs_f64() - 1.234_567).abs() < 1e-12);
     }
 
     #[test]
     fn duration_from_secs_rounds() {
-        let d = SimDuration::from_secs_f64(0.000_001_4);
+        let d = SimDuration::try_from_secs_f64(0.000_001_4).unwrap();
         assert_eq!(d.as_micros(), 1);
-        let d = SimDuration::from_secs_f64(0.000_001_6);
+        let d = SimDuration::try_from_secs_f64(0.000_001_6).unwrap();
         assert_eq!(d.as_micros(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite non-negative")]
-    fn duration_rejects_negative() {
-        let _ = SimDuration::from_secs_f64(-1.0);
-    }
-
-    #[test]
-    fn try_from_secs_matches_the_panicking_constructor() {
-        for secs in [0.0, 1e-6, 0.5, 1.0, 1234.567, 1e9] {
-            assert_eq!(
-                SimDuration::try_from_secs_f64(secs).unwrap(),
-                SimDuration::from_secs_f64(secs)
-            );
-        }
     }
 
     #[test]
@@ -246,14 +205,14 @@ mod tests {
     #[test]
     fn checked_add_saturates_to_none_on_overflow() {
         let late = SimTime::from_micros(u64::MAX - 10);
-        assert!(late.checked_add(SimDuration::from_micros(10)).is_some());
-        assert!(late.checked_add(SimDuration::from_micros(11)).is_none());
+        assert!(late.checked_add(SimDuration(10)).is_some());
+        assert!(late.checked_add(SimDuration(11)).is_none());
     }
 
     #[test]
     fn duration_arithmetic() {
-        let a = SimDuration::from_micros(10);
-        let b = SimDuration::from_micros(3);
+        let a = SimDuration(10);
+        let b = SimDuration(3);
         assert_eq!((a + b).as_micros(), 13);
         assert_eq!((a - b).as_micros(), 7);
         assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
@@ -264,16 +223,16 @@ mod tests {
     #[test]
     fn time_advances_and_measures() {
         let mut t = SimTime::ZERO;
-        t += SimDuration::from_micros(500);
-        let t2 = t + SimDuration::from_micros(250);
+        t += SimDuration(500);
+        let t2 = t + SimDuration(250);
         assert_eq!(t2.duration_since(t).as_micros(), 250);
         assert_eq!(t2.as_micros(), 750);
     }
 
     #[test]
     fn display_picks_unit() {
-        assert_eq!(SimDuration::from_micros(12).to_string(), "12us");
-        assert_eq!(SimDuration::from_micros(12_000).to_string(), "12.000ms");
-        assert_eq!(SimDuration::from_micros(2_500_000).to_string(), "2.500s");
+        assert_eq!(SimDuration(12).to_string(), "12us");
+        assert_eq!(SimDuration(12_000).to_string(), "12.000ms");
+        assert_eq!(SimDuration(2_500_000).to_string(), "2.500s");
     }
 }

@@ -171,13 +171,6 @@ impl NoiseModel {
         self
     }
 
-    /// Returns the model with the timeout budget set to `factor ×` the
-    /// clean duration.
-    pub fn with_timeout_factor(mut self, factor: f64) -> NoiseModel {
-        self.timeout_factor = factor;
-        self
-    }
-
     /// A sensor-degradation model on top of an otherwise clean pipeline:
     /// whole readings drop out with probability `dropout`, arrive up to
     /// `stale_max_age` epochs stale with probability `stale`, and have one
@@ -201,7 +194,7 @@ impl NoiseModel {
     /// True if this model can never alter a per-component measurement
     /// value (whole-reading sensor faults — dropout, staleness,
     /// corruption — are drawn separately and do not affect this).
-    pub fn is_measurement_identity(&self) -> bool {
+    pub(crate) fn is_measurement_identity(&self) -> bool {
         self.cpu_jitter == 0.0
             && self.seq_io_jitter == 0.0
             && self.random_io_jitter == 0.0
@@ -209,15 +202,6 @@ impl NoiseModel {
             && self.outlier_prob == 0.0
             && self.failure_prob == 0.0
             && self.timeout_factor.is_infinite()
-    }
-
-    /// True if this model can never alter, drop, delay, or corrupt a
-    /// reading in any way.
-    pub fn is_identity(&self) -> bool {
-        self.is_measurement_identity()
-            && self.dropout_prob == 0.0
-            && self.stale_prob == 0.0
-            && self.corrupt_prob == 0.0
     }
 
     /// Validates that probabilities are in `[0, 1]` and jitters in
@@ -503,9 +487,10 @@ mod tests {
 
     #[test]
     fn timeouts_cut_off_extreme_measurements() {
-        let model = NoiseModel::none()
-            .with_outliers(1.0, 8.0)
-            .with_timeout_factor(4.0);
+        let model = NoiseModel {
+            timeout_factor: 4.0,
+            ..NoiseModel::none().with_outliers(1.0, 8.0)
+        };
         let inj = FaultInjector::new(model, 13);
         // Every measurement spikes ≥8x against a 4x budget: all time out.
         for t in 0..50 {
@@ -550,7 +535,6 @@ mod tests {
     #[test]
     fn sensor_faults_are_deterministic_and_bounded() {
         let model = NoiseModel::sensor_degraded(0.2, 0.2, 3, 0.2);
-        assert!(!model.is_identity());
         assert!(model.is_measurement_identity());
         let inj = FaultInjector::new(model, 21);
         let mut counts = [0usize; 4]; // clean, dropout, stale, corrupt

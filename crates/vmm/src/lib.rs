@@ -57,5 +57,5 @@ pub use demand::ResourceDemand;
 pub use fault::{FaultInjector, NoiseModel, ProbeFault};
 pub use error::VmmError;
 pub use machine::MachineSpec;
-pub use share::{AllocationMatrix, ResourceKind, ResourceVector, Share, RESOURCE_KINDS};
+pub use share::{AllocationMatrix, ResourceKind, ResourceVector, Share};
 pub use vm::VirtualMachine;

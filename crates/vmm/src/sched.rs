@@ -156,9 +156,9 @@ impl VmOutcome {
 /// internally and rounded to the microsecond [`SimTime`] clock only when a
 /// completion is reported, so integrated work equals demand to f64
 /// precision regardless of stream length. With a single VM in
-/// [`SchedMode::Capped`] mode the result matches summing
-/// [`VirtualMachine::demand_duration`] over the job at microsecond
-/// resolution, which is checked by tests.
+/// [`SchedMode::Capped`] mode the result matches the sum of
+/// [`VirtualMachine::demand_seconds`] over the job, rounded to the
+/// microsecond, which is checked by tests.
 ///
 /// This entry point picks the implementation by mode (a per-VM walk for
 /// capped, the rescan loop for work-conserving); see
@@ -442,7 +442,9 @@ mod tests {
 
         let vm = VirtualMachine::new(spec, shares).unwrap();
         let expect_secs: f64 = queries.iter().map(|q| vm.demand_seconds(q)).sum();
-        let expect_us = SimDuration::from_secs_f64(expect_secs).as_micros();
+        let expect_us = SimDuration::try_from_secs_f64(expect_secs)
+            .unwrap()
+            .as_micros();
         let got_us = out[0].completion.as_micros();
         assert!(
             got_us.abs_diff(expect_us) <= 1,

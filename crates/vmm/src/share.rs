@@ -24,7 +24,7 @@ pub enum ResourceKind {
 
 /// All resource kinds, in the canonical column order used by
 /// [`ResourceVector`] and [`AllocationMatrix`].
-pub const RESOURCE_KINDS: [ResourceKind; 3] = [
+pub(crate) const RESOURCE_KINDS: [ResourceKind; 3] = [
     ResourceKind::Cpu,
     ResourceKind::Memory,
     ResourceKind::DiskBandwidth,
@@ -80,11 +80,6 @@ impl Share {
         } else {
             Err(VmmError::InvalidShare { value })
         }
-    }
-
-    /// Creates a share from a percentage in `[0, 100]`.
-    pub fn from_percent(pct: f64) -> Result<Share, VmmError> {
-        Share::new(pct / 100.0)
     }
 
     /// The share as a fraction in `[0, 1]`.
@@ -273,16 +268,6 @@ impl AllocationMatrix {
         self.rows.iter()
     }
 
-    /// Returns a copy with row `i` replaced, re-validating feasibility.
-    pub fn with_row(&self, i: usize, row: ResourceVector) -> Result<AllocationMatrix, VmmError> {
-        if i >= self.rows.len() {
-            return Err(VmmError::EmptyAllocation);
-        }
-        let mut rows = self.rows.clone();
-        rows[i] = row;
-        AllocationMatrix::new(rows)
-    }
-
     /// The column sum for one resource.
     pub fn column_sum(&self, kind: ResourceKind) -> f64 {
         self.rows.iter().map(|r| r.get(kind).fraction()).sum()
@@ -294,31 +279,6 @@ impl AllocationMatrix {
         RESOURCE_KINDS
             .into_iter()
             .all(|k| (self.column_sum(k) - 1.0).abs() <= 1e-6)
-    }
-
-    /// Moves `delta` of resource `kind` from workload `from` to workload
-    /// `to`, clamping at the `[0, 1]` share bounds. This is the elementary
-    /// step used by the greedy search in `dbvirt-core`.
-    pub fn transfer(
-        &self,
-        kind: ResourceKind,
-        from: usize,
-        to: usize,
-        delta: f64,
-    ) -> Result<AllocationMatrix, VmmError> {
-        if from >= self.rows.len() || to >= self.rows.len() {
-            return Err(VmmError::EmptyAllocation);
-        }
-        if !delta.is_finite() || delta < 0.0 {
-            return Err(VmmError::InvalidShare { value: delta });
-        }
-        let avail = self.rows[from].get(kind).fraction();
-        let moved = delta.min(avail);
-        let mut rows = self.rows.clone();
-        rows[from] = rows[from].with(kind, Share::new(avail - moved)?);
-        let new_to = (rows[to].get(kind).fraction() + moved).min(1.0);
-        rows[to] = rows[to].with(kind, Share::new(new_to)?);
-        AllocationMatrix::new(rows)
     }
 }
 
@@ -347,7 +307,7 @@ mod tests {
 
     #[test]
     fn share_percent_conversions() {
-        let s = Share::from_percent(25.0).unwrap();
+        let s = Share::new(0.25).unwrap();
         assert!((s.fraction() - 0.25).abs() < 1e-12);
         assert!((s.percent() - 25.0).abs() < 1e-12);
         assert_eq!(s.to_string(), "25.0%");
@@ -399,71 +359,5 @@ mod tests {
             AllocationMatrix::equal_split(0).unwrap_err(),
             VmmError::EmptyAllocation
         );
-    }
-
-    #[test]
-    fn transfer_moves_share_between_rows() {
-        let m = AllocationMatrix::equal_split(2).unwrap();
-        let m2 = m.transfer(ResourceKind::Cpu, 0, 1, 0.25).unwrap();
-        assert!((m2.row(0).cpu().fraction() - 0.25).abs() < 1e-12);
-        assert!((m2.row(1).cpu().fraction() - 0.75).abs() < 1e-12);
-        // Memory untouched.
-        assert!((m2.row(0).memory().fraction() - 0.5).abs() < 1e-12);
-        assert!(m2.is_fully_utilized());
-    }
-
-    #[test]
-    fn transfer_clamps_at_available_share() {
-        let m = AllocationMatrix::equal_split(2).unwrap();
-        let m2 = m.transfer(ResourceKind::Memory, 0, 1, 2.0).unwrap();
-        assert_eq!(m2.row(0).memory(), Share::ZERO);
-        assert_eq!(m2.row(1).memory(), Share::FULL);
-    }
-
-    #[test]
-    fn with_row_revalidates() {
-        let m = AllocationMatrix::equal_split(2).unwrap();
-        let bad = ResourceVector::uniform(Share::new(0.9).unwrap());
-        assert!(m.with_row(0, bad).is_err());
-        let ok = ResourceVector::uniform(Share::new(0.4).unwrap());
-        assert!(m.with_row(0, ok).is_ok());
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// `transfer` preserves each resource's column sum and feasibility.
-        #[test]
-        fn prop_transfer_preserves_column_sums(
-            n in 2usize..5,
-            from in 0usize..5,
-            to in 0usize..5,
-            delta in 0.0f64..1.0,
-            kind_idx in 0usize..3,
-        ) {
-            let from = from % n;
-            let to = to % n;
-            prop_assume!(from != to);
-            let kind = RESOURCE_KINDS[kind_idx];
-            let m = AllocationMatrix::equal_split(n).unwrap();
-            let before: Vec<f64> = RESOURCE_KINDS.iter().map(|&k| m.column_sum(k)).collect();
-            let m2 = m.transfer(kind, from, to, delta).unwrap();
-            let after: Vec<f64> = RESOURCE_KINDS.iter().map(|&k| m2.column_sum(k)).collect();
-            for (b, a) in before.iter().zip(&after) {
-                prop_assert!((b - a).abs() < 1e-9, "column sum drifted: {b} -> {a}");
-            }
-            // Every share stays a valid fraction.
-            for row in m2.rows() {
-                for s in row.as_array() {
-                    prop_assert!((0.0..=1.0).contains(&s.fraction()));
-                }
-            }
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! The virtual machine model: shares × machine → effective resources.
 
-use crate::{MachineSpec, ResourceDemand, ResourceVector, SimDuration, VmmError};
+use crate::{MachineSpec, ResourceDemand, ResourceVector, VmmError};
 
 /// Fraction of a VM's memory available to the database as page cache
 /// (standing in for `shared_buffers` plus the OS file cache that PostgreSQL
@@ -68,18 +68,18 @@ impl VirtualMachine {
     }
 
     /// CPU cycles per second the VM can consume.
-    pub fn cpu_rate(&self) -> f64 {
+    pub(crate) fn cpu_rate(&self) -> f64 {
         self.spec.total_cycles_per_sec() * self.shares.cpu().fraction()
     }
 
     /// Sequential page reads per second the VM can perform.
-    pub fn seq_page_rate(&self) -> f64 {
+    pub(crate) fn seq_page_rate(&self) -> f64 {
         self.shares.disk().fraction() * self.spec.disk_seq_bytes_per_sec
             / self.spec.page_size as f64
     }
 
     /// Random page reads per second the VM can perform.
-    pub fn random_page_rate(&self) -> f64 {
+    pub(crate) fn random_page_rate(&self) -> f64 {
         self.shares.disk().fraction() * self.spec.disk_random_iops
     }
 
@@ -101,11 +101,6 @@ impl VirtualMachine {
     pub fn demand_seconds(&self, demand: &ResourceDemand) -> f64 {
         let (cpu, seq, rand, writes) = self.demand_seconds_breakdown(demand);
         cpu + seq + rand + writes
-    }
-
-    /// Total simulated time to satisfy `demand` on this VM.
-    pub fn demand_duration(&self, demand: &ResourceDemand) -> SimDuration {
-        SimDuration::from_secs_f64(self.demand_seconds(demand))
     }
 }
 

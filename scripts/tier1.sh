@@ -96,12 +96,13 @@ if [[ "$files" != "fluid.rs multi.rs reference.rs walk.rs " ]]; then
 fi
 
 # One thread for a search: the allocation search and the design pre-pricing
-# price their cells on the caller's thread. A worker pool, a batch path or a
-# parallelism knob in their library code would be a second pricing path
-# beside the memoizing loop, slower on every workload measured.
-if lib_code | grep -E '^crates/(core|design)/src/' |
+# price their cells on the caller's thread, and calibration profiles its
+# probes there too (once per process). A worker pool, a batch path or a
+# parallelism knob in their library code would be a second path beside the
+# plain loop, slower or no faster on every workload measured.
+if lib_code | grep -E '^crates/(core|design|calibrate)/src/' |
   grep -E 'ParallelEvaluator|batch_evaluate|workers_for|claim_and_reduce|parallelism'; then
-  echo "FAIL: a parallel pricing path in crates/core/src or crates/design/src" >&2
+  echo "FAIL: a parallel path in crates/core/src, crates/design/src or crates/calibrate/src" >&2
   exit 1
 fi
 
@@ -119,9 +120,10 @@ fi
 # crate held to zero `unwrap()` / `expect(` sites: every failure is typed.
 # The SQL front end is the second: hostile statement text ends in a
 # `SqlError`, never a panic. The fleet tier is the third: a placement
-# request fails with a `FleetError`.
-if lib_code | grep -E '^crates/(controller|sql|fleet)/src/' | grep -E 'unwrap\(\)|expect\(|hill_climb'; then
-  echo "FAIL: unwrap()/expect( in crates/{controller,sql,fleet}/src or a hill climb in the controller's library code" >&2
+# request fails with a `FleetError`. The design advisor is the fourth: its
+# failures are `DesignError`s.
+if lib_code | grep -E '^crates/(controller|sql|fleet|design)/src/' | grep -E 'unwrap\(\)|expect\(|hill_climb'; then
+  echo "FAIL: unwrap()/expect( in crates/{controller,sql,fleet,design}/src or a hill climb in the controller's library code" >&2
   exit 1
 fi
 

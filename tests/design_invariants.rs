@@ -105,7 +105,7 @@ proptest! {
         let per_index = cands.candidates[0].pages;
         let budget = per_index * budget_indexes;
         let pricer = DesignPricer::new(grid(), 4, 0.5);
-        let vm = VmPricer::new(&pricer, &db, &queries, cands);
+        let vm = VmPricer::new(&pricer, &db, &queries, cands).unwrap();
         let trace = select_greedy(&pricer, &vm, budget, cpu, mem).unwrap();
         prop_assert!(trace.pages_used <= budget, "{} > {budget}", trace.pages_used);
         let recomputed: u64 = vm
