@@ -109,8 +109,7 @@ fn bench_dp_kernel(c: &mut Criterion) {
 fn bench_whatif_dp(c: &mut Criterion) {
     let machine = experiment_machine();
     let t = TpchDb::generate(TpchConfig::experiment()).expect("tpch generation");
-    let advisor =
-        VirtualizationAdvisor::calibrate(machine, 2, 8).expect("advisor calibration");
+    let advisor = VirtualizationAdvisor::calibrate(machine, 2, 8).expect("advisor calibration");
     let model = CalibratedCostModel::new(advisor.grid());
     let w_io = Workload::compose(&t, &[(TpchQuery::Q4, 3)]);
     let w_cpu = Workload::compose(&t, &[(TpchQuery::Q13, 9)]);

@@ -310,7 +310,10 @@ mod tests {
             ("points", Json::Arr(vec![Json::Num(0.25), Json::Num(0.5)])),
             ("count", Json::Num(6.0)),
             ("unit", Json::Num(9.765625e-5)),
-            ("nested", Json::obj([("ok", Json::Bool(true)), ("none", Json::Null)])),
+            (
+                "nested",
+                Json::obj([("ok", Json::Bool(true)), ("none", Json::Null)]),
+            ),
             ("empty_arr", Json::Arr(vec![])),
             ("empty_obj", Json::Obj(Default::default())),
         ]);

@@ -28,10 +28,7 @@ pub(crate) fn solve_square(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<
 
     // The scale of the input matrix anchors the singularity test; it must
     // be captured before elimination rewrites the entries.
-    let scale = a
-        .iter()
-        .flatten()
-        .fold(0.0f64, |acc, &v| acc.max(v.abs()));
+    let scale = a.iter().flatten().fold(0.0f64, |acc, &v| acc.max(v.abs()));
     if n > 0 && !(scale > 0.0 && scale.is_finite()) {
         return Err(CalError::SingularSystem);
     }
@@ -294,7 +291,10 @@ mod tests {
     #[test]
     fn all_zero_matrix_is_singular() {
         let a = vec![vec![0.0, 0.0], vec![0.0, 0.0]];
-        assert_eq!(solve_square(a, vec![0.0, 0.0]), Err(CalError::SingularSystem));
+        assert_eq!(
+            solve_square(a, vec![0.0, 0.0]),
+            Err(CalError::SingularSystem)
+        );
     }
 
     #[test]
@@ -361,7 +361,11 @@ mod tests {
         assert!(!fit.used_ridge);
         assert!(fit.condition.is_finite() && fit.condition >= 1.0);
         for (p, d) in plain.iter().zip(&fit.x) {
-            assert_eq!(p.to_bits(), d.to_bits(), "ridge-free path must be identical");
+            assert_eq!(
+                p.to_bits(),
+                d.to_bits(),
+                "ridge-free path must be identical"
+            );
         }
     }
 
@@ -386,11 +390,7 @@ mod tests {
 
     #[test]
     fn tight_condition_limit_forces_the_ridge_path() {
-        let a = vec![
-            vec![1.0, 0.0],
-            vec![0.0, 1.0],
-            vec![1.0, 1.0],
-        ];
+        let a = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]];
         let b = vec![1.0, 2.0, 3.0];
         let fit = least_squares_diagnosed(&a, &b, 0.5, 1e-10).unwrap();
         assert!(fit.used_ridge);

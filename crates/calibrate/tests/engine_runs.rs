@@ -69,7 +69,11 @@ fn the_engine_runs_ten_times_in_the_first_sweep_and_never_again() {
                 let (cpu, mem) = (cpu_points.clone(), mem_points.clone());
                 CalibrationGrid::calibrate_with_config(machine, cpu, mem, 0.5, rcfg).unwrap();
                 let cells = cpu_points.len() * mem_points.len();
-                let what = format!("{} x {} cells, {rcfg:?}", cpu_points.len(), mem_points.len());
+                let what = format!(
+                    "{} x {} cells, {rcfg:?}",
+                    cpu_points.len(),
+                    mem_points.len()
+                );
                 assert_sweep(0, cells, &what);
             }
         }

@@ -48,8 +48,7 @@ static TM_EPOCHS: telemetry::Counter = telemetry::Counter::new("controller.epoch
 static TM_DRIFTS: telemetry::Counter = telemetry::Counter::new("controller.drift_detections");
 static TM_DECISIONS: telemetry::Counter = telemetry::Counter::new("controller.decisions");
 static TM_SWITCHES: telemetry::Counter = telemetry::Counter::new("controller.switches");
-static TM_DROPPED: telemetry::Counter =
-    telemetry::Counter::new("controller.dropped_observations");
+static TM_DROPPED: telemetry::Counter = telemetry::Counter::new("controller.dropped_observations");
 static TM_VETOES: telemetry::Counter = telemetry::Counter::new("controller.governor_vetoes");
 static TM_PRESWITCHES: telemetry::Counter =
     telemetry::Counter::new("controller.prescheduled_switches");
@@ -182,9 +181,7 @@ pub(crate) fn pool_pages(
     allocation: &AllocationMatrix,
 ) -> Result<Vec<usize>, ControllerError> {
     (0..allocation.num_workloads())
-        .map(|i| {
-            Ok(VirtualMachine::new(machine, allocation.row(i))?.buffer_pool_pages())
-        })
+        .map(|i| Ok(VirtualMachine::new(machine, allocation.row(i))?.buffer_pool_pages()))
         .collect()
 }
 
@@ -200,12 +197,12 @@ struct Ledger {
 impl Ledger {
     /// Advances the virtual clock by `elapsed` and the cost total by `cost`.
     fn charge(&mut self, elapsed: SimDuration, cost: f64) -> Result<(), ControllerError> {
-        self.clock = self
-            .clock
-            .checked_add(elapsed)
-            .ok_or_else(|| ControllerError::BadScenario {
-                reason: "virtual clock overflowed".to_string(),
-            })?;
+        self.clock =
+            self.clock
+                .checked_add(elapsed)
+                .ok_or_else(|| ControllerError::BadScenario {
+                    reason: "virtual clock overflowed".to_string(),
+                })?;
         telemetry::advance_virtual_micros(elapsed.as_micros());
         self.total_cost += cost;
         Ok(())
@@ -242,7 +239,10 @@ type Caches = BTreeMap<Vec<ProfileKey>, CostCache>;
 
 /// The quantized profile vector that keys a warm table.
 fn keys(profiles: &[WorkloadProfile]) -> Vec<ProfileKey> {
-    profiles.iter().map(|p| p.quantize(QUANTIZATION_REL)).collect()
+    profiles
+        .iter()
+        .map(|p| p.quantize(QUANTIZATION_REL))
+        .collect()
 }
 
 /// Predicted seconds per epoch of `profile` on a VM of `shares` — the one
@@ -548,7 +548,12 @@ pub fn run_controller(
                 || verdict.prediction_missed
                 || (drifted && cooled && !veto_hit));
         let profiles = should_decide
-            .then(|| stats.iter().map(|s| s.profile()).collect::<Option<Vec<_>>>())
+            .then(|| {
+                stats
+                    .iter()
+                    .map(|s| s.profile())
+                    .collect::<Option<Vec<_>>>()
+            })
             .flatten();
         if let Some(profiles) = &profiles {
             let mut decide_span = telemetry::span("controller.decide");
@@ -560,22 +565,20 @@ pub fn run_controller(
             // When drift fired on a strict subset of (at least two) VMs,
             // re-solve only that subset with everyone else pinned.
             let drifted_set: Vec<usize> = (0..n).filter(|&vm| fired_vms[vm]).collect();
-            let localized = if placement.is_some()
-                && drifted_set.len() >= 2
-                && drifted_set.len() < n
-            {
-                let current = &ledger.current;
-                localized_solve(
-                    machine,
-                    &config.search,
-                    current,
-                    profiles,
-                    &drifted_set,
-                    &mut caches,
-                )?
-            } else {
-                None
-            };
+            let localized =
+                if placement.is_some() && drifted_set.len() >= 2 && drifted_set.len() < n {
+                    let current = &ledger.current;
+                    localized_solve(
+                        machine,
+                        &config.search,
+                        current,
+                        profiles,
+                        &drifted_set,
+                        &mut caches,
+                    )?
+                } else {
+                    None
+                };
             let (candidate, keep_cost, objective) = match localized {
                 Some(result) => {
                     localized_solves += 1;
@@ -603,12 +606,8 @@ pub fn run_controller(
                 placement = Some(candidate.clone());
                 ledger.current = candidate;
             } else if candidate != ledger.current {
-                let switch_cost = switch_cost_seconds(
-                    machine,
-                    &ledger.current,
-                    &candidate,
-                    SWITCH_BASE_SECONDS,
-                )?;
+                let switch_cost =
+                    switch_cost_seconds(machine, &ledger.current, &candidate, SWITCH_BASE_SECONDS)?;
                 if clears_gate(keep_cost, objective, horizon, switch_cost) {
                     ledger.apply_switch(epoch, candidate, switch_cost)?;
                 } else if horizon < HORIZON_EPOCHS as f64 {
@@ -668,10 +667,11 @@ pub fn run_controller(
                         .map(|w| pair(w, ledger.current.row(w)))
                         .sum::<Result<f64, _>>()?
                         / 2.0;
-                    let objective: f64 = (0..n)
-                        .map(|w| pair(w, allocation.row(w)))
-                        .sum::<Result<f64, _>>()?
-                        / 2.0;
+                    let objective: f64 = (0..n).map(|w| pair(w, allocation.row(w))).sum::<Result<
+                        f64,
+                        _,
+                    >>(
+                    )? / 2.0;
                     let switch_cost = switch_cost_seconds(
                         machine,
                         &ledger.current,
@@ -909,7 +909,10 @@ mod tests {
     fn a_template_for_another_machine_or_vm_count_is_refused() {
         let db = tiny_db();
         let other = MachineSpec::paper_testbed();
-        for template in [template(&db, 2, other), template(&db, 1, MachineSpec::tiny())] {
+        for template in [
+            template(&db, 2, other),
+            template(&db, 1, MachineSpec::tiny()),
+        ] {
             let refused = run_controller(&stationary(), &template, &config());
             assert!(
                 matches!(refused, Err(ControllerError::BadScenario { .. })),

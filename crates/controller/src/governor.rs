@@ -210,10 +210,7 @@ impl SwitchGovernor {
                 self.current = Some((key.clone(), epoch));
             }
         }
-        self.regimes
-            .entry(key)
-            .or_insert_with(Regime::new)
-            .snapshot = Some(profiles);
+        self.regimes.entry(key).or_insert_with(Regime::new).snapshot = Some(profiles);
         verdict
     }
 
@@ -414,7 +411,9 @@ mod tests {
         assert_eq!(g.governed_horizon(8, 8), 1.0);
         // And the pre-switch offers both sides of the boundary for epoch
         // 10, amortized over one full alternation cycle.
-        let p = g.predicted_switch(9, 16, 8).expect("flip must be predicted");
+        let p = g
+            .predicted_switch(9, 16, 8)
+            .expect("flip must be predicted");
         assert_eq!(p.key, key(2));
         assert_eq!(p.pair_key, [key(1), key(2)].concat());
         assert_eq!(p.outgoing_profiles, profiles(1));

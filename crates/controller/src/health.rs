@@ -48,9 +48,7 @@ impl ControllerHealth {
     /// Drift detections, vetoes and localized solves are normal operation
     /// and do not count against cleanliness.
     pub fn is_clean(&self) -> bool {
-        self.dropped_observations == 0
-            && self.dropout_vm_epochs == 0
-            && self.prediction_misses == 0
+        self.dropped_observations == 0 && self.dropout_vm_epochs == 0 && self.prediction_misses == 0
     }
 }
 

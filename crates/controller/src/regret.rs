@@ -239,7 +239,10 @@ mod tests {
             report.never_cost
         );
         assert!(report.relative_regret >= 0.0 && report.relative_regret.is_finite());
-        assert_eq!(report.oracle_switches, 1, "one phase flip, one oracle switch");
+        assert_eq!(
+            report.oracle_switches, 1,
+            "one phase flip, one oracle switch"
+        );
         assert!(report.suboptimal_epochs > 0, "detection lag is not free");
         assert!(report.suboptimal_seconds > 0.0);
         assert_eq!(report.oracle_allocations.len(), 2);
@@ -289,7 +292,10 @@ mod tests {
         let tiny = template(&db, 2, MachineSpec::tiny());
         let out = run_controller(&drifting(), &tiny, &config()).unwrap();
         let other = MachineSpec::paper_testbed();
-        for template in [template(&db, 2, other), template(&db, 3, MachineSpec::tiny())] {
+        for template in [
+            template(&db, 2, other),
+            template(&db, 3, MachineSpec::tiny()),
+        ] {
             let refused = account_regret(&drifting(), &template, &config(), &out);
             assert!(
                 matches!(refused, Err(ControllerError::BadScenario { .. })),
@@ -307,7 +313,10 @@ mod tests {
         let mut out = run_controller(&drifting(), &template, &config()).unwrap();
         out.epoch_costs.pop();
         let err = account_regret(&drifting(), &template, &config(), &out).unwrap_err();
-        assert!(matches!(err, ControllerError::BadScenario { .. }), "{err:?}");
+        assert!(
+            matches!(err, ControllerError::BadScenario { .. }),
+            "{err:?}"
+        );
         out.epoch_costs.clear();
         assert!(account_regret(&drifting(), &template, &config(), &out).is_err());
     }
@@ -330,7 +339,10 @@ mod tests {
             11,
         );
         let ran = run_controller(&huge, &template, &config());
-        assert!(matches!(ran, Err(ControllerError::BadScenario { .. })), "{ran:?}");
+        assert!(
+            matches!(ran, Err(ControllerError::BadScenario { .. })),
+            "{ran:?}"
+        );
         let accounted = account_regret(&huge, &template, &config(), &out);
         assert!(
             matches!(accounted, Err(ControllerError::BadScenario { .. })),
@@ -354,6 +366,9 @@ mod tests {
         assert_eq!(reused.oracle_cost.to_bits(), replayed.oracle_cost.to_bits());
         assert_eq!(reused.never_cost.to_bits(), replayed.never_cost.to_bits());
         assert_eq!(reused.oracle_switches, replayed.oracle_switches);
-        assert!(reused.suboptimal_epochs < out.allocations.len(), "some epochs must be reused");
+        assert!(
+            reused.suboptimal_epochs < out.allocations.len(),
+            "some epochs must be reused"
+        );
     }
 }

@@ -86,7 +86,12 @@ impl Scenario {
         epochs: usize,
         seed: u64,
     ) -> Scenario {
-        Scenario::new(name, machine, vec![ScenarioPhase { profiles, epochs }], seed)
+        Scenario::new(
+            name,
+            machine,
+            vec![ScenarioPhase { profiles, epochs }],
+            seed,
+        )
     }
 
     /// A two-phase drift: `a` for `epochs_a`, then `b` for `epochs_b`.
@@ -327,11 +332,7 @@ impl Scenario {
             .map(|step| {
                 let t = step as f64 / (steps - 1) as f64;
                 ScenarioPhase {
-                    profiles: from
-                        .iter()
-                        .zip(&to)
-                        .map(|(a, b)| a.lerp(b, t))
-                        .collect(),
+                    profiles: from.iter().zip(&to).map(|(a, b)| a.lerp(b, t)).collect(),
                     epochs: epochs_per_step,
                 }
             })
@@ -368,10 +369,7 @@ impl Scenario {
         for (i, phase) in self.phases.iter().enumerate() {
             if phase.profiles.len() != n {
                 return Err(ControllerError::BadScenario {
-                    reason: format!(
-                        "phase {i} has {} VMs, expected {n}",
-                        phase.profiles.len()
-                    ),
+                    reason: format!("phase {i} has {} VMs, expected {n}", phase.profiles.len()),
                 });
             }
             if phase.epochs == 0 {
@@ -469,11 +467,7 @@ impl Scenario {
     fn check_pools(&self, pool_pages: &[usize]) -> Result<(), ControllerError> {
         if pool_pages.len() != self.num_vms() {
             return Err(ControllerError::BadScenario {
-                reason: format!(
-                    "{} pool sizes for {} VMs",
-                    pool_pages.len(),
-                    self.num_vms()
-                ),
+                reason: format!("{} pool sizes for {} VMs", pool_pages.len(), self.num_vms()),
             });
         }
         Ok(())
@@ -529,7 +523,13 @@ impl Scenario {
 
     /// The noiseless observation of query `q` of `vm` in `epoch`, as run
     /// under a pool of `pool` pages.
-    fn clean_observation(&self, vm: usize, epoch: usize, q: usize, pool: usize) -> QueryObservation {
+    fn clean_observation(
+        &self,
+        vm: usize,
+        epoch: usize,
+        q: usize,
+        pool: usize,
+    ) -> QueryObservation {
         let profile = self.profile(vm, epoch);
         let scale = self.query_scale(vm, epoch, q);
         let hit = profile.hit_fraction(pool);
@@ -705,10 +705,7 @@ mod tests {
     #[test]
     fn noise_perturbs_observations_but_never_jobs() {
         let clean = two_vm_drift();
-        let noisy = two_vm_drift().with_noise(FaultInjector::new(
-            NoiseModel::realistic(0.3),
-            99,
-        ));
+        let noisy = two_vm_drift().with_noise(FaultInjector::new(NoiseModel::realistic(0.3), 99));
         let pools = [1000usize, 1000];
         for epoch in 0..12 {
             let a = clean.epoch_batch(epoch, &pools).unwrap();
@@ -717,7 +714,10 @@ mod tests {
                 assert_eq!(x.job.queries, y.job.queries, "ground truth must be clean");
             }
             // The observation streams differ (jitter or dropped probes).
-            let differs = a.iter().zip(&b).any(|(x, y)| x.observations != y.observations);
+            let differs = a
+                .iter()
+                .zip(&b)
+                .any(|(x, y)| x.observations != y.observations);
             assert!(differs, "realistic noise should perturb epoch {epoch}");
         }
     }
@@ -836,7 +836,13 @@ mod tests {
                 for (q, obs) in n.observations.iter().enumerate() {
                     match obs {
                         None => dropouts += 1,
-                        Some(o) if [o.demand.cpu_cycles, o.seq_hits, o.random_hits, o.touched_pages]
+                        Some(o)
+                            if [
+                                o.demand.cpu_cycles,
+                                o.seq_hits,
+                                o.random_hits,
+                                o.touched_pages,
+                            ]
                             .iter()
                             .any(|v| v.is_nan()) =>
                         {
@@ -871,7 +877,10 @@ mod tests {
         for (a, b) in again.iter().zip(&first) {
             // NaN-poisoned readings defeat PartialEq; compare the rendered
             // streams instead.
-            assert_eq!(format!("{:?}", a.observations), format!("{:?}", b.observations));
+            assert_eq!(
+                format!("{:?}", a.observations),
+                format!("{:?}", b.observations)
+            );
         }
     }
 

@@ -125,8 +125,7 @@ impl VmStats {
             let cold = (physical - rereads * miss).max(0.0);
             (cold, rereads)
         };
-        let (cold_seq, reread_seq) =
-            invert_stream(obs.seq_hits, obs.demand.seq_page_reads as f64);
+        let (cold_seq, reread_seq) = invert_stream(obs.seq_hits, obs.demand.seq_page_reads as f64);
         let (cold_random, reread_random) =
             invert_stream(obs.random_hits, obs.demand.random_page_reads as f64);
         Some([
@@ -299,7 +298,9 @@ mod tests {
         let mut large = stats();
         for _ in 0..16 {
             small.observe(&clean_observation(&truth, 800), 800).unwrap();
-            large.observe(&clean_observation(&truth, 4000), 4000).unwrap();
+            large
+                .observe(&clean_observation(&truth, 4000), 4000)
+                .unwrap();
         }
         small.end_epoch();
         large.end_epoch();
@@ -369,7 +370,10 @@ mod tests {
         }
         assert!(fired, "regime shift must fire");
         let seeded = s.est.unwrap();
-        assert_eq!(seeded[0], b.cpu_cycles, "first firing re-seeds the estimate");
+        assert_eq!(
+            seeded[0], b.cpu_cycles,
+            "first firing re-seeds the estimate"
+        );
         let second = clean_observation(&c, pool);
         assert!(
             s.observe(&second, pool).unwrap(),

@@ -118,9 +118,10 @@ pub struct DynamicOutcome {
 fn phases_share_model_inputs(a: &DesignProblem<'_>, b: &DesignProblem<'_>) -> bool {
     a.machine == b.machine
         && a.workloads.len() == b.workloads.len()
-        && a.workloads.iter().zip(&b.workloads).all(|(x, y)| {
-            std::ptr::eq(x.db, y.db) && x.queries == y.queries
-        })
+        && a.workloads
+            .iter()
+            .zip(&b.workloads)
+            .all(|(x, y)| std::ptr::eq(x.db, y.db) && x.queries == y.queries)
 }
 
 /// Cost of running `problem` under a fixed `allocation` (weighted, like
@@ -396,7 +397,12 @@ mod tests {
         let model = SyntheticModel {
             weights: vec![(2.0, 2.0), (2.0, 2.0)],
         };
-        let out = run_dynamic(&timeline, &model, ReconfigPolicy::new(SearchConfig::for_workloads(8, 2))).unwrap();
+        let out = run_dynamic(
+            &timeline,
+            &model,
+            ReconfigPolicy::new(SearchConfig::for_workloads(8, 2)),
+        )
+        .unwrap();
         assert_eq!(out.phases.len(), 1);
         assert_eq!(out.reconfigurations, 0);
         assert!(!out.phases[0].reconfigured);
@@ -422,7 +428,12 @@ mod tests {
         let model = SyntheticModel {
             weights: vec![(3.0, 1.0), (1.0, 3.0)],
         };
-        let out = run_dynamic(&timeline, &model, ReconfigPolicy::new(SearchConfig::for_workloads(8, 2))).unwrap();
+        let out = run_dynamic(
+            &timeline,
+            &model,
+            ReconfigPolicy::new(SearchConfig::for_workloads(8, 2)),
+        )
+        .unwrap();
         assert_eq!(out.reconfigurations, 0);
         assert!(out.phases.iter().all(|p| !p.reconfigured));
         let per_phase = out.phases[0].cost;
@@ -453,9 +464,21 @@ mod tests {
         let config = SearchConfig::for_workloads(8, 2);
 
         // Reproduce the controller's own arithmetic for phase 1.
-        let first = run_search(SearchAlgorithm::DynamicProgramming, &phase_a, &model, config).unwrap();
+        let first = run_search(
+            SearchAlgorithm::DynamicProgramming,
+            &phase_a,
+            &model,
+            config,
+        )
+        .unwrap();
         let keep = phase_cost(&phase_b, &model, &first.allocation).unwrap();
-        let rec = run_search(SearchAlgorithm::DynamicProgramming, &phase_b, &model, config).unwrap();
+        let rec = run_search(
+            SearchAlgorithm::DynamicProgramming,
+            &phase_b,
+            &model,
+            config,
+        )
+        .unwrap();
         let boundary_overhead = keep - rec.objective;
         assert!(boundary_overhead > 0.0, "the flip must promise a gain");
 
@@ -470,11 +493,17 @@ mod tests {
                 switch_overhead_seconds: overhead,
                 min_relative_gain: gain,
             };
-            run_dynamic(&timeline, &model, policy).unwrap().reconfigurations
+            run_dynamic(&timeline, &model, policy)
+                .unwrap()
+                .reconfigurations
         };
 
         // gain == 0.0 exactly: strict `>` must hold the allocation.
-        assert_eq!(run(boundary_overhead, 0.0), 0, "gain of exactly zero must not switch");
+        assert_eq!(
+            run(boundary_overhead, 0.0),
+            0,
+            "gain of exactly zero must not switch"
+        );
         // One ULP below the boundary: gain becomes positive, must switch.
         assert_eq!(run(boundary_overhead.next_down(), 0.0), 1);
 

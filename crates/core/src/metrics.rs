@@ -39,7 +39,11 @@ pub fn speedup(baseline: f64, candidate: f64) -> f64 {
         return f64::NAN;
     }
     if candidate == 0.0 {
-        return if baseline > 0.0 { f64::INFINITY } else { f64::NAN };
+        return if baseline > 0.0 {
+            f64::INFINITY
+        } else {
+            f64::NAN
+        };
     }
     baseline / candidate
 }

@@ -127,7 +127,9 @@ impl CostCache {
     /// not exist.
     pub fn insert(&self, (w, cpu, mem): CellKey, cost: f64) -> bool {
         let directory = self.rows.read().expect(POISONED);
-        directory.get(&w).is_some_and(|row| row.insert(cpu, mem, cost))
+        directory
+            .get(&w)
+            .is_some_and(|row| row.insert(cpu, mem, cost))
     }
 
     /// Number of distinct cells evaluated into this table so far.
@@ -221,7 +223,13 @@ mod tests {
         assert_eq!(big.get(&(1, 0, 3)), None); // cold on this class
         assert_eq!(small.get(&(1, 2, 1)), None); // never written
         assert_eq!(small.get(&(2, 1, 2)), None); // nothing in this row
-        let outside = [(4, 1), (1, 4), (u32::MAX, 1), (1, u32::MAX), (u32::MAX, u32::MAX)];
+        let outside = [
+            (4, 1),
+            (1, 4),
+            (u32::MAX, 1),
+            (1, u32::MAX),
+            (u32::MAX, u32::MAX),
+        ];
         for (cpu, mem) in outside {
             assert_eq!(small.get(&(1, cpu, mem)), None);
             assert!(!small.insert((1, cpu, mem), 7.0));

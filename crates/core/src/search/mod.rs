@@ -205,7 +205,13 @@ pub fn run_search(
     model: &dyn CostModel,
     config: SearchConfig,
 ) -> Result<Recommendation, CoreError> {
-    run_search_cached(algorithm, problem, model, config, &Arc::new(CostCache::new()))
+    run_search_cached(
+        algorithm,
+        problem,
+        model,
+        config,
+        &Arc::new(CostCache::new()),
+    )
 }
 
 /// Runs the requested search against a caller-owned [`CostCache`], so
@@ -499,8 +505,14 @@ mod tests {
             let mem_units: f64 = (0..2)
                 .map(|w| rec.allocation.row(w).memory().fraction() * units)
                 .sum();
-            assert!((cpu_units - 5.0).abs() < 1e-9, "{alg:?} spent {cpu_units} cpu units");
-            assert!((mem_units - 6.0).abs() < 1e-9, "{alg:?} spent {mem_units} mem units");
+            assert!(
+                (cpu_units - 5.0).abs() < 1e-9,
+                "{alg:?} spent {cpu_units} cpu units"
+            );
+            assert!(
+                (mem_units - 6.0).abs() < 1e-9,
+                "{alg:?} spent {mem_units} mem units"
+            );
             recs.push(rec);
         }
         // DP is exact on the restricted space too.
@@ -698,7 +710,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(third.evaluations, 0);
-        assert!((third.objective - 7.5 * third.per_workload_costs[0] - third.per_workload_costs[1]).abs() < 1e-9);
+        assert!(
+            (third.objective - 7.5 * third.per_workload_costs[0] - third.per_workload_costs[1])
+                .abs()
+                < 1e-9
+        );
     }
 
     /// Cell `(w, 2, 2)` is a 25 % share at 8 units and 50 % at 4, and every
@@ -719,7 +735,10 @@ mod tests {
         other_disk.disk_share = 0.25;
         for cfg in [SearchConfig::for_workloads(4, 2), other_disk] {
             let refused = run_search_cached(dp, &problem, &model, cfg, &cache);
-            assert!(matches!(refused, Err(CoreError::BadProblem { .. })), "{cfg:?}");
+            assert!(
+                matches!(refused, Err(CoreError::BadProblem { .. })),
+                "{cfg:?}"
+            );
             // Asked on a cache of its own, the same config is fine.
             run_search(dp, &problem, &model, cfg).unwrap();
         }
@@ -805,8 +824,16 @@ mod tests {
                 (ha.join().unwrap(), hb.join().unwrap())
             });
             for (seq, par, label) in [(&seq_a, &par_a, "A"), (&seq_b, &par_b, "B")] {
-                assert_eq!(seq.objective.to_bits(), par.objective.to_bits(), "round {round} {label}");
-                assert_eq!(seq.total_cost.to_bits(), par.total_cost.to_bits(), "round {round} {label}");
+                assert_eq!(
+                    seq.objective.to_bits(),
+                    par.objective.to_bits(),
+                    "round {round} {label}"
+                );
+                assert_eq!(
+                    seq.total_cost.to_bits(),
+                    par.total_cost.to_bits(),
+                    "round {round} {label}"
+                );
                 assert_eq!(
                     seq.allocation.to_string(),
                     par.allocation.to_string(),
@@ -818,7 +845,11 @@ mod tests {
             }
             // The distinct-cell population of the shared cache is exact
             // under any interleaving.
-            assert_eq!(shared.evaluations(), seq_cache.evaluations(), "round {round}");
+            assert_eq!(
+                shared.evaluations(),
+                seq_cache.evaluations(),
+                "round {round}"
+            );
             assert_eq!(shared.entries(), seq_cache.entries(), "round {round}");
         }
     }

@@ -167,7 +167,10 @@ mod tests {
         let n = sizes.len();
         let mut best = f64::INFINITY;
         for mask in 0u64..(1 << n) {
-            let pages: u64 = (0..n).filter(|&c| mask & (1 << c) != 0).map(|c| sizes[c]).sum();
+            let pages: u64 = (0..n)
+                .filter(|&c| mask & (1 << c) != 0)
+                .map(|c| sizes[c])
+                .sum();
             if pages > budget {
                 continue;
             }

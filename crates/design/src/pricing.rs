@@ -364,7 +364,11 @@ mod tests {
                         .unwrap()
                         .est_seconds(&params);
                     let got = pricer.price(&vm, q, k, cpu, mem).unwrap();
-                    assert_eq!(got.to_bits(), fresh.to_bits(), "q{q} config {k} cell ({cpu},{mem})");
+                    assert_eq!(
+                        got.to_bits(),
+                        fresh.to_bits(),
+                        "q{q} config {k} cell ({cpu},{mem})"
+                    );
                     priced += 1;
                 }
             }

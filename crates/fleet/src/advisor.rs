@@ -322,7 +322,10 @@ impl<'m> FleetAdvisor<'m> {
         let before = self.cache_evaluations();
         let lo = self.config.min_units;
         // One task per (class, VM), class-major.
-        let (n_vms, n_tasks) = (problem.num_vms(), self.classes.num_classes() * problem.num_vms());
+        let (n_vms, n_tasks) = (
+            problem.num_vms(),
+            self.classes.num_classes() * problem.num_vms(),
+        );
         let workers = workers_for(self.config.parallelism, n_tasks);
         span.set_attr("workers", workers);
 

@@ -123,7 +123,10 @@ mod tests {
     fn hostile_configs_are_rejected() {
         assert!(FleetConfig::new(0).validate().is_err());
         assert!(FleetConfig::new(8).with_disk_share(0.0).validate().is_err());
-        assert!(FleetConfig::new(8).with_disk_share(f64::NAN).validate().is_err());
+        assert!(FleetConfig::new(8)
+            .with_disk_share(f64::NAN)
+            .validate()
+            .is_err());
         let mut c = FleetConfig::new(8);
         c.max_vms_per_machine = 9;
         assert!(c.validate().is_err());

@@ -77,10 +77,7 @@ mod tests {
 
     #[test]
     fn conversions_and_display() {
-        let e: FleetError = CoreError::BadProblem {
-            reason: "x".into(),
-        }
-        .into();
+        let e: FleetError = CoreError::BadProblem { reason: "x".into() }.into();
         assert!(e.to_string().contains("core"));
         let e: FleetError = VmmError::InvalidShare { value: -1.0 }.into();
         assert!(matches!(e, FleetError::Core(CoreError::Vmm(_))));

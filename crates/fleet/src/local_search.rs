@@ -295,7 +295,8 @@ fn descend(
         let mut total_migration = 0.0;
         for m in 0..m_count {
             let solve = solver.solve(m, &residents[m])?;
-            migration[m] = machine_migration(solver, reference, m, &residents[m], &solve.assignment)?;
+            migration[m] =
+                machine_migration(solver, reference, m, &residents[m], &solve.assignment)?;
             total_migration += migration[m];
         }
         let screen = match screened {
@@ -384,7 +385,9 @@ fn descend(
             // `(n, m_count, round)`, never on wall clock or thread
             // scheduling, so sampled rounds are bit-reproducible.
             let mut rng = SplitMix64(
-                0x5157_4c45_4554_00d5 ^ ((n as u64) << 40) ^ ((m_count as u64) << 20)
+                0x5157_4c45_4554_00d5
+                    ^ ((n as u64) << 40)
+                    ^ ((m_count as u64) << 20)
                     ^ stats.rounds as u64,
             );
             let mut sampled = 0;

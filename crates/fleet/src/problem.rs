@@ -24,7 +24,11 @@ pub struct FleetVm<'a> {
 
 impl<'a> FleetVm<'a> {
     /// Creates a VM spec with the default weight of 1.
-    pub fn new(name: impl Into<String>, db: &'a Database, queries: Vec<LogicalPlan>) -> FleetVm<'a> {
+    pub fn new(
+        name: impl Into<String>,
+        db: &'a Database,
+        queries: Vec<LogicalPlan>,
+    ) -> FleetVm<'a> {
         FleetVm {
             name: name.into(),
             db,
@@ -111,7 +115,10 @@ impl<'a> FleetProblem<'a> {
     /// Attaches the currently deployed placement (validated against this
     /// problem's shape; unit bounds are checked by the advisor against its
     /// own discretization).
-    pub fn with_current(mut self, current: CurrentPlacement) -> Result<FleetProblem<'a>, FleetError> {
+    pub fn with_current(
+        mut self,
+        current: CurrentPlacement,
+    ) -> Result<FleetProblem<'a>, FleetError> {
         if current.machine_of.len() != self.vms.len() || current.units_of.len() != self.vms.len() {
             return Err(FleetError::BadFleet {
                 reason: format!(
@@ -207,10 +214,11 @@ mod tests {
         assert!(FleetProblem::new(vec![], vec![vm("a")]).is_err());
         assert!(FleetProblem::new(vec![MachineSpec::tiny()], vec![]).is_err());
         // Empty workload.
-        assert!(
-            FleetProblem::new(vec![MachineSpec::tiny()], vec![FleetVm::new("a", &db, vec![])])
-                .is_err()
-        );
+        assert!(FleetProblem::new(
+            vec![MachineSpec::tiny()],
+            vec![FleetVm::new("a", &db, vec![])]
+        )
+        .is_err());
         // Hostile weight.
         assert!(FleetProblem::new(
             vec![MachineSpec::tiny()],

@@ -16,8 +16,8 @@
 
 use crate::placement::residents_of;
 use crate::{FleetConfig, FleetError, FleetProblem, Placement};
-use dbvirt_vmm::sched::{co_schedule_fleet, MachineSim, SchedMode, SchedStats, VmJob, VmOutcome};
 use dbvirt_vmm::kernel::Fnv1a;
+use dbvirt_vmm::sched::{co_schedule_fleet, MachineSim, SchedMode, SchedStats, VmJob, VmOutcome};
 use dbvirt_vmm::{AllocationMatrix, ResourceVector};
 
 use dbvirt_telemetry as telemetry;
@@ -159,10 +159,11 @@ pub fn simulate_placement(
             outcomes[vm] = run.outcomes[slot].clone();
         }
     }
-    let vm_seconds: Vec<f64> = outcomes.iter().map(|o| o.makespan().as_secs_f64()).collect();
-    let simulated_total: f64 = (0..n)
-        .map(|i| problem.vms[i].weight * vm_seconds[i])
-        .sum();
+    let vm_seconds: Vec<f64> = outcomes
+        .iter()
+        .map(|o| o.makespan().as_secs_f64())
+        .collect();
+    let simulated_total: f64 = (0..n).map(|i| problem.vms[i].weight * vm_seconds[i]).sum();
 
     span.set_attr("machines_occupied", sims.len());
     Ok(FleetSimReport {
@@ -272,8 +273,13 @@ mod tests {
             .map(|_| ResourceVector::from_fractions(0.25, 0.25, cfg.disk_share).unwrap())
             .collect();
         let alloc = AllocationMatrix::new(rows).unwrap();
-        let direct =
-            co_schedule(MachineSpec::paper_testbed(), &alloc, &jobs, SchedMode::Capped).unwrap();
+        let direct = co_schedule(
+            MachineSpec::paper_testbed(),
+            &alloc,
+            &jobs,
+            SchedMode::Capped,
+        )
+        .unwrap();
         assert_eq!(report.outcomes, direct);
         // Weighted total is summed in ascending VM order.
         let expect: f64 = direct

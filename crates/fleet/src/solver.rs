@@ -220,7 +220,11 @@ pub(crate) fn cell_problem<'a>(
     let spec = &problem.vms[vm];
     Ok(DesignProblem::new(
         classes.specs[class],
-        vec![WorkloadSpec::new(spec.name.clone(), spec.db, spec.queries.clone())],
+        vec![WorkloadSpec::new(
+            spec.name.clone(),
+            spec.db,
+            spec.queries.clone(),
+        )],
     )?)
 }
 
@@ -237,10 +241,7 @@ pub(crate) fn evaluate_cell(
     mem: u32,
 ) -> Result<f64, FleetError> {
     let units = cfg.units as f64;
-    let shares = ResourceVector::from_fractions(
-        cpu as f64 / units,
-        mem as f64 / units,
-        cfg.disk_share,
-    )?;
+    let shares =
+        ResourceVector::from_fractions(cpu as f64 / units, mem as f64 / units, cfg.disk_share)?;
     Ok(model.cost(cell_problem, 0, shares)?)
 }

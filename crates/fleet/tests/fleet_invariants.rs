@@ -6,8 +6,7 @@ use dbvirt_core::search::{run_search, SearchAlgorithm, SearchConfig};
 use dbvirt_core::{CoreError, CostModel, DesignProblem};
 use dbvirt_engine::Database;
 use dbvirt_fleet::{
-    CurrentPlacement, FleetAdvisor, FleetConfig, FleetError, FleetProblem, FleetVm,
-    MachineClasses,
+    CurrentPlacement, FleetAdvisor, FleetConfig, FleetError, FleetProblem, FleetVm, MachineClasses,
 };
 use dbvirt_optimizer::LogicalPlan;
 use dbvirt_storage::{DataType, Datum, Field, Schema, Tuple};
@@ -138,9 +137,7 @@ fn check_invariants(
                 cfg.units
             );
         }
-        for (m, residents) in (0..machines.len())
-            .map(|m| (m, p.residents(m)))
-        {
+        for (m, residents) in (0..machines.len()).map(|m| (m, p.residents(m))) {
             assert!(
                 residents.len() <= cfg.max_vms_per_machine,
                 "machine {m} hosts {} VMs over the {} cap",
@@ -249,7 +246,9 @@ fn concurrent_requests_share_the_cache_deterministically() {
     let db = tiny_db();
     let n = 5;
     let machines_proto = fleet_setup(2, true);
-    let cfg = FleetConfig::new(6).with_parallelism(1).with_lp_iterations(80);
+    let cfg = FleetConfig::new(6)
+        .with_parallelism(1)
+        .with_lp_iterations(80);
     let weights_a: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.3).collect();
     let weights_b: Vec<f64> = (0..n).map(|i| 2.5 - i as f64 * 0.2).collect();
 
@@ -261,7 +260,11 @@ fn concurrent_requests_share_the_cache_deterministically() {
         let pb = FleetProblem::new(machines.clone(), vms(&db, n, &weights_b)).unwrap();
         let ra = advisor.place(&pa).unwrap();
         let rb = advisor.place(&pb).unwrap();
-        (ra.fingerprint(), rb.fingerprint(), advisor.cache_evaluations())
+        (
+            ra.fingerprint(),
+            rb.fingerprint(),
+            advisor.cache_evaluations(),
+        )
     };
     let (fp_a, fp_b, evals) = serve_sequential();
     // Sanity: the two requests genuinely differ.
@@ -321,7 +324,9 @@ fn a_nan_cell_is_priced_once_per_advisor() {
         inner: SyntheticModel { speed: 1.0 },
         calls: AtomicUsize::new(0),
     };
-    let cfg = FleetConfig::new(6).with_parallelism(2).with_lp_iterations(40);
+    let cfg = FleetConfig::new(6)
+        .with_parallelism(2)
+        .with_lp_iterations(40);
     let advisor = FleetAdvisor::new(machines.clone(), vec![&model as &dyn CostModel], cfg).unwrap();
     let first = FleetProblem::new(machines.clone(), vms(&db, n, &[1.0, 2.0])).unwrap();
     let cold = advisor.place(&first).unwrap();
@@ -364,7 +369,9 @@ fn a_vm_with_no_finite_cell_is_refused_not_certified() {
             inner: SyntheticModel { speed: 1.0 },
             victim,
         };
-        let cfg = FleetConfig::new(6).with_parallelism(1).with_lp_iterations(40);
+        let cfg = FleetConfig::new(6)
+            .with_parallelism(1)
+            .with_lp_iterations(40);
         let advisor =
             FleetAdvisor::new(machines.clone(), vec![&model as &dyn CostModel], cfg).unwrap();
         let problem = FleetProblem::new(machines.clone(), vms(&db, 5, &[1.0])).unwrap();
@@ -380,7 +387,10 @@ fn a_vm_with_no_finite_cell_is_refused_not_certified() {
         };
         assert!(objective.is_nan(), "{victim}: {err}");
         assert!(machine < machines.len());
-        assert!(err.to_string().contains(&format!("machine {machine}")), "{err}");
+        assert!(
+            err.to_string().contains(&format!("machine {machine}")),
+            "{err}"
+        );
     }
 }
 
@@ -475,7 +485,9 @@ fn rebalance_is_priced_against_the_deployed_placement() {
     let weights = [1.0, 1.0, 3.0, 1.0];
     let (machines, models) = fleet_setup(2, false);
     let model_refs: Vec<&dyn CostModel> = models.iter().map(|m| m as &dyn CostModel).collect();
-    let cfg = FleetConfig::new(8).with_parallelism(1).with_lp_iterations(80);
+    let cfg = FleetConfig::new(8)
+        .with_parallelism(1)
+        .with_lp_iterations(80);
     let advisor = FleetAdvisor::new(machines.clone(), model_refs, cfg).unwrap();
 
     // Everything crammed onto machine 0 with minimal shares.

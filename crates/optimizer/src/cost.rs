@@ -139,7 +139,8 @@ pub(crate) struct ArmStats {
 fn arm_cost(p: &OptimizerParams, a: &ArmStats) -> f64 {
     let sel = a.selectivity.clamp(0.0, 1.0);
     let index_pages = a.height + sel * a.pages;
-    index_pages * p.random_page_cost + sel * a.entries * (p.cpu_index_tuple_cost + p.cpu_operator_cost)
+    index_pages * p.random_page_cost
+        + sel * a.entries * (p.cpu_index_tuple_cost + p.cpu_operator_cost)
 }
 
 fn multi_index_cost(

@@ -17,12 +17,16 @@ pub struct Bytes {
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Bytes {
-        Bytes { data: Arc::from(&[][..]) }
+        Bytes {
+            data: Arc::from(&[][..]),
+        }
     }
 
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes { data: Arc::from(data) }
+        Bytes {
+            data: Arc::from(data),
+        }
     }
 
     /// Length in bytes.
@@ -51,7 +55,9 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes { data: Arc::from(v.into_boxed_slice()) }
+        Bytes {
+            data: Arc::from(v.into_boxed_slice()),
+        }
     }
 }
 
@@ -75,7 +81,9 @@ impl BytesMut {
 
     /// An empty builder with `cap` bytes reserved.
     pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut { data: Vec::with_capacity(cap) }
+        BytesMut {
+            data: Vec::with_capacity(cap),
+        }
     }
 
     /// Length in bytes.

@@ -101,8 +101,7 @@ impl Bencher {
             for _ in 0..batch {
                 black_box(f());
             }
-            self.samples
-                .push(t0.elapsed().as_secs_f64() / batch as f64);
+            self.samples.push(t0.elapsed().as_secs_f64() / batch as f64);
         }
     }
 

@@ -51,8 +51,7 @@ fn unit_f64(bits: u64) -> f64 {
 /// A type that can be drawn uniformly from a range.
 pub trait SampleUniform: Sized {
     /// Uniform sample from `[lo, hi)` (or `[lo, hi]` when `inclusive`).
-    fn sample_range<G: RngCore + ?Sized>(lo: Self, hi: Self, inclusive: bool, rng: &mut G)
-        -> Self;
+    fn sample_range<G: RngCore + ?Sized>(lo: Self, hi: Self, inclusive: bool, rng: &mut G) -> Self;
 }
 
 /// A range that can be sampled uniformly. The single generic impl per
@@ -134,16 +133,15 @@ pub mod rngs {
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
                 z ^ (z >> 31)
             };
-            StdRng { s: [next(), next(), next(), next()] }
+            StdRng {
+                s: [next(), next(), next(), next()],
+            }
         }
     }
 
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
-            let result = self.s[1]
-                .wrapping_mul(5)
-                .rotate_left(7)
-                .wrapping_mul(9);
+            let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
             let t = self.s[1] << 17;
             self.s[2] ^= self.s[0];
             self.s[3] ^= self.s[1];

@@ -1,6 +1,8 @@
 //! Recursive-descent `SELECT` parser.
 
-use crate::ast::{ExprAst, FromItem, JoinClause, JoinKind, OrderKey, SelectItem, SelectStmt, TableRef};
+use crate::ast::{
+    ExprAst, FromItem, JoinClause, JoinKind, OrderKey, SelectItem, SelectStmt, TableRef,
+};
 use crate::lexer::Token;
 use crate::SqlError;
 

@@ -144,8 +144,8 @@ mod tests {
                 // fixture avoids; within each comparable group the
                 // encoded order must match exactly.
                 if a.data_type() == b.data_type() || a.is_null() || b.is_null() {
-                    let enc = enc_str(std::slice::from_ref(a))
-                        .cmp(&enc_str(std::slice::from_ref(b)));
+                    let enc =
+                        enc_str(std::slice::from_ref(a)).cmp(&enc_str(std::slice::from_ref(b)));
                     assert_eq!(enc, raw, "{a:?} vs {b:?}");
                 }
             }

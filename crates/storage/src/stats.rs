@@ -396,15 +396,20 @@ mod tests {
             Datum::Float(f64::NEG_INFINITY),
         ] {
             let f = h.fraction_below(&p);
-            assert!(f.is_finite() && (0.0..=1.0).contains(&f), "got {f} for {p:?}");
+            assert!(
+                f.is_finite() && (0.0..=1.0).contains(&f),
+                "got {f} for {p:?}"
+            );
         }
     }
 
     #[test]
     fn float_distinct_counting_uses_bits() {
-        let tuples = [Tuple::new(vec![Datum::Float(1.0)]),
+        let tuples = [
             Tuple::new(vec![Datum::Float(1.0)]),
-            Tuple::new(vec![Datum::Float(2.0)])];
+            Tuple::new(vec![Datum::Float(1.0)]),
+            Tuple::new(vec![Datum::Float(2.0)]),
+        ];
         let stats = analyze(tuples.iter(), 1, 1);
         assert_eq!(stats.columns[0].n_distinct, 2);
     }

@@ -357,12 +357,14 @@ mod tests {
 
     #[test]
     fn total_cmp_is_total_and_sorts_nulls_first() {
-        let mut v = [Datum::str("b"),
+        let mut v = [
+            Datum::str("b"),
             Datum::Null,
             Datum::Int(3),
             Datum::Float(1.5),
             Datum::Bool(false),
-            Datum::Date(100)];
+            Datum::Date(100),
+        ];
         v.sort_by(|a, b| a.total_cmp(b));
         assert_eq!(v[0], Datum::Null);
         assert_eq!(v[1], Datum::Bool(false));

@@ -209,7 +209,10 @@ impl Snapshot {
             first = false;
             o.push_str("{\"ph\":\"C\",\"cat\":\"metric\",\"name\":");
             write_json_str(&mut o, n);
-            let _ = write!(o, ",\"pid\":1,\"tid\":0,\"ts\":{end_ts},\"args\":{{\"value\":{v}}}}}");
+            let _ = write!(
+                o,
+                ",\"pid\":1,\"tid\":0,\"ts\":{end_ts},\"args\":{{\"value\":{v}}}}}"
+            );
         }
         for (n, v) in &self.gauges {
             if !first {
@@ -218,7 +221,10 @@ impl Snapshot {
             first = false;
             o.push_str("{\"ph\":\"C\",\"cat\":\"metric\",\"name\":");
             write_json_str(&mut o, n);
-            let _ = write!(o, ",\"pid\":1,\"tid\":0,\"ts\":{end_ts},\"args\":{{\"value\":");
+            let _ = write!(
+                o,
+                ",\"pid\":1,\"tid\":0,\"ts\":{end_ts},\"args\":{{\"value\":"
+            );
             write_json_num(&mut o, *v);
             o.push_str("}}");
         }

@@ -518,7 +518,9 @@ impl Snapshot {
             .iter()
             .filter(|s| s.parent == Some(parent_id))
             .map(|s| {
-                s.end_ns.min(parent.end_ns).saturating_sub(s.start_ns.max(parent.start_ns))
+                s.end_ns
+                    .min(parent.end_ns)
+                    .saturating_sub(s.start_ns.max(parent.start_ns))
             })
             .sum();
         covered as f64 / dur as f64
@@ -533,7 +535,10 @@ impl Snapshot {
     /// * every child's wall interval nests inside its parent's.
     pub fn validate(&self) -> Result<(), String> {
         if self.open_spans != 0 {
-            return Err(format!("{} span(s) still open (leaked guards)", self.open_spans));
+            return Err(format!(
+                "{} span(s) still open (leaked guards)",
+                self.open_spans
+            ));
         }
         let mut by_id = BTreeMap::new();
         for s in &self.spans {
@@ -619,7 +624,10 @@ mod tests {
         }
         for leaf in snap.spans.iter().filter(|s| s.name == "leaf") {
             let p = leaf.parent.unwrap();
-            assert!(workers.iter().any(|w| w.id == p), "leaf parented to a worker");
+            assert!(
+                workers.iter().any(|w| w.id == p),
+                "leaf parented to a worker"
+            );
         }
     }
 

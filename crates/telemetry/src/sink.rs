@@ -172,7 +172,11 @@ mod tests {
         let plain = Registry::new_enabled();
         let sinked = Registry::new_enabled();
         let path = temp_path("identity");
-        sinked.attach_sink(SinkConfig::new(&path).with_ring_capacity(64).with_flush_every(2));
+        sinked.attach_sink(
+            SinkConfig::new(&path)
+                .with_ring_capacity(64)
+                .with_flush_every(2),
+        );
         for reg in [&plain, &sinked] {
             reg.add("work.items", 3);
             let outer = reg.span("outer");
@@ -199,14 +203,21 @@ mod tests {
     fn ring_bound_evicts_oldest_and_counts_drops() {
         let reg = Registry::new_enabled();
         let path = temp_path("bound");
-        reg.attach_sink(SinkConfig::new(&path).with_ring_capacity(4).with_flush_every(1_000));
+        reg.attach_sink(
+            SinkConfig::new(&path)
+                .with_ring_capacity(4)
+                .with_flush_every(1_000),
+        );
         record_spans(&reg, &["s"; 10]);
         let stats = sink_stats(&reg).unwrap();
         assert_eq!(stats.spans_retained, 4);
         assert_eq!(stats.spans_dropped, 6);
         // The survivors are the *newest* spans: ids 7..=10.
         let snap = reg.snapshot();
-        assert_eq!(snap.spans.iter().map(|s| s.id).collect::<Vec<_>>(), vec![7, 8, 9, 10]);
+        assert_eq!(
+            snap.spans.iter().map(|s| s.id).collect::<Vec<_>>(),
+            vec![7, 8, 9, 10]
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -214,13 +225,20 @@ mod tests {
     fn periodic_flush_writes_version1_json() {
         let reg = Registry::new_enabled();
         let path = temp_path("flush");
-        reg.attach_sink(SinkConfig::new(&path).with_ring_capacity(64).with_flush_every(3));
+        reg.attach_sink(
+            SinkConfig::new(&path)
+                .with_ring_capacity(64)
+                .with_flush_every(3),
+        );
         record_spans(&reg, &["tick"; 7]);
         let stats = sink_stats(&reg).unwrap();
         assert_eq!(stats.flushes, 2, "7 spans at flush_every=3");
         assert_eq!(stats.write_errors, 0);
         let doc = std::fs::read_to_string(&path).unwrap();
-        assert!(doc.starts_with("{\"version\":1,"), "existing on-disk format: {doc:.40}");
+        assert!(
+            doc.starts_with("{\"version\":1,"),
+            "existing on-disk format: {doc:.40}"
+        );
         assert!(doc.contains("\"tick\""));
         // A forced flush rewrites the file with the latest state.
         record_spans(&reg, &["late"]);
@@ -234,7 +252,11 @@ mod tests {
     fn detach_final_flushes_and_keeps_retained_spans() {
         let reg = Registry::new_enabled();
         let path = temp_path("detach");
-        reg.attach_sink(SinkConfig::new(&path).with_ring_capacity(64).with_flush_every(1_000));
+        reg.attach_sink(
+            SinkConfig::new(&path)
+                .with_ring_capacity(64)
+                .with_flush_every(1_000),
+        );
         record_spans(&reg, &["a", "b"]);
         let stats = reg.detach_sink().unwrap();
         assert_eq!(stats.flushes, 1, "detach performs the final flush");
@@ -257,8 +279,14 @@ mod tests {
     #[test]
     fn write_failures_are_counted_not_propagated() {
         let reg = Registry::new_enabled();
-        let path = std::env::temp_dir().join("dbvirt_sink_no_such_dir").join("x.json");
-        reg.attach_sink(SinkConfig::new(&path).with_ring_capacity(8).with_flush_every(1));
+        let path = std::env::temp_dir()
+            .join("dbvirt_sink_no_such_dir")
+            .join("x.json");
+        reg.attach_sink(
+            SinkConfig::new(&path)
+                .with_ring_capacity(8)
+                .with_flush_every(1),
+        );
         record_spans(&reg, &["doomed"]); // triggers a flush that must fail quietly
         let stats = sink_stats(&reg).unwrap();
         assert_eq!(stats.flushes, 0);
@@ -271,7 +299,11 @@ mod tests {
     fn zero_capacity_ring_drops_everything_but_still_flushes() {
         let reg = Registry::new_enabled();
         let path = temp_path("zero");
-        reg.attach_sink(SinkConfig::new(&path).with_ring_capacity(0).with_flush_every(2));
+        reg.attach_sink(
+            SinkConfig::new(&path)
+                .with_ring_capacity(0)
+                .with_flush_every(2),
+        );
         record_spans(&reg, &["x", "y"]);
         let stats = sink_stats(&reg).unwrap();
         assert_eq!(stats.spans_retained, 0);

@@ -64,7 +64,10 @@ impl std::fmt::Display for ProbeFault {
             ProbeFault::Timeout {
                 seconds,
                 limit_seconds,
-            } => write!(f, "probe timed out ({seconds:.3}s > {limit_seconds:.3}s budget)"),
+            } => write!(
+                f,
+                "probe timed out ({seconds:.3}s > {limit_seconds:.3}s budget)"
+            ),
         }
     }
 }
@@ -370,8 +373,7 @@ impl FaultInjector {
             return SensorFault::Clean;
         }
         const SENSOR_SALT: u64 = 0x5E2_50E5_EED5;
-        let mut rng =
-            StdRng::seed_from_u64(mix(self.seed ^ SENSOR_SALT, context, probe, trial, 0));
+        let mut rng = StdRng::seed_from_u64(mix(self.seed ^ SENSOR_SALT, context, probe, trial, 0));
         let u: f64 = rng.gen_range(0.0..1.0);
         if u < m.dropout_prob {
             TM_DROPOUTS.add(1);
@@ -527,9 +529,15 @@ mod tests {
         m.timeout_factor = 0.5;
         assert!(m.validate().is_err());
         // Sensor-fault probabilities partition [0, 1); stale needs an age.
-        assert!(NoiseModel::sensor_degraded(0.1, 0.1, 3, 0.1).validate().is_ok());
-        assert!(NoiseModel::sensor_degraded(0.6, 0.5, 3, 0.0).validate().is_err());
-        assert!(NoiseModel::sensor_degraded(0.0, 0.2, 0, 0.0).validate().is_err());
+        assert!(NoiseModel::sensor_degraded(0.1, 0.1, 3, 0.1)
+            .validate()
+            .is_ok());
+        assert!(NoiseModel::sensor_degraded(0.6, 0.5, 3, 0.0)
+            .validate()
+            .is_err());
+        assert!(NoiseModel::sensor_degraded(0.0, 0.2, 0, 0.0)
+            .validate()
+            .is_err());
     }
 
     #[test]

@@ -312,14 +312,19 @@ mod tests {
     fn a_panicking_task_comes_back_as_its_payload() {
         for workers in [1, 2, 5] {
             let finished = AtomicUsize::new(0);
-            let got: Result<Vec<String>, PoolError<()>> =
-                claim_and_reduce(40, workers, "test.worker", || (), |_, i| {
+            let got: Result<Vec<String>, PoolError<()>> = claim_and_reduce(
+                40,
+                workers,
+                "test.worker",
+                || (),
+                |_, i| {
                     if i == 7 {
                         panic!("task seven exploded");
                     }
                     finished.fetch_add(1, Ordering::SeqCst);
                     Ok(format!("result {i}"))
-                });
+                },
+            );
             match got {
                 Err(PoolError::Panicked(payload)) => {
                     assert_eq!(payload.downcast_ref::<&str>(), Some(&"task seven exploded"));

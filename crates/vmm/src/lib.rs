@@ -54,8 +54,8 @@ mod vm;
 
 pub use clock::{SimDuration, SimTime};
 pub use demand::ResourceDemand;
-pub use fault::{FaultInjector, NoiseModel, ProbeFault};
 pub use error::VmmError;
+pub use fault::{FaultInjector, NoiseModel, ProbeFault};
 pub use machine::MachineSpec;
 pub use share::{AllocationMatrix, ResourceKind, ResourceVector, Share};
 pub use vm::VirtualMachine;

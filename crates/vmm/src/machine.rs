@@ -195,7 +195,9 @@ mod tests {
             },
         ];
         for (i, m) in hostile.iter().enumerate() {
-            let err = m.validate().expect_err(&format!("spec {i} must be rejected"));
+            let err = m
+                .validate()
+                .expect_err(&format!("spec {i} must be rejected"));
             assert!(
                 matches!(err, VmmError::InvalidMachine { .. }),
                 "spec {i}: wrong error {err:?}"
@@ -203,7 +205,10 @@ mod tests {
             // And the layers above propagate the same typed error instead
             // of panicking.
             let vm = crate::VirtualMachine::new(*m, crate::ResourceVector::full_machine());
-            assert!(matches!(vm, Err(VmmError::InvalidMachine { .. })), "spec {i}");
+            assert!(
+                matches!(vm, Err(VmmError::InvalidMachine { .. })),
+                "spec {i}"
+            );
         }
     }
 

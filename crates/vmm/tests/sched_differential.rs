@@ -382,14 +382,22 @@ fn hand_cases_hold_both_contracts() {
     }
     // Only empty jobs: nothing to schedule at all.
     let idle = Fleet {
-        rows: AllocationMatrix::equal_split(3).unwrap().rows().copied().collect(),
+        rows: AllocationMatrix::equal_split(3)
+            .unwrap()
+            .rows()
+            .copied()
+            .collect(),
         jobs: vec![VmJob::new(vec![]); 3],
     };
     check_fleet(spec, &idle);
     // 24 identical VMs: every phase boundary is one 24-way simultaneous batch.
     for stream in &streams {
         let same = Fleet {
-            rows: AllocationMatrix::equal_split(24).unwrap().rows().copied().collect(),
+            rows: AllocationMatrix::equal_split(24)
+                .unwrap()
+                .rows()
+                .copied()
+                .collect(),
             jobs: vec![VmJob::new(stream.clone()); 24],
         };
         let (capped, wc) = check_fleet(spec, &same);
@@ -426,5 +434,8 @@ fn capped_clock_overflow_is_the_same_variant_everywhere() {
     ));
     let only_vm1 = [jobs[0].clone(), jobs[1].clone(), jobs[0].clone()];
     let alone = reason(co_schedule(spec, &alloc, &only_vm1, SchedMode::Capped));
-    assert_eq!(walk, alone, "the walk must report VM 1, the lowest-indexed offender");
+    assert_eq!(
+        walk, alone,
+        "the walk must report VM 1, the lowest-indexed offender"
+    );
 }

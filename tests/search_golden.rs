@@ -57,7 +57,10 @@ fn allocation_bits(a: &AllocationMatrix) -> String {
 }
 
 fn bits(values: &[f64]) -> String {
-    let hex: Vec<String> = values.iter().map(|v| format!("{:016x}", v.to_bits())).collect();
+    let hex: Vec<String> = values
+        .iter()
+        .map(|v| format!("{:016x}", v.to_bits()))
+        .collect();
     hex.join(",")
 }
 
@@ -112,7 +115,10 @@ fn render_shared_cache(
     rec_line(out, &format!("{label} shared reweighted"), &reask);
     let sub = cfg.with_budgets(cfg.units - 2, cfg.units - 1);
     let budgeted = run_search_cached(dp, reweighted, model, sub, &cache).expect("sub-budget");
-    assert_eq!(budgeted.evaluations, 0, "a sub-budget is a subset of the warm cells");
+    assert_eq!(
+        budgeted.evaluations, 0,
+        "a sub-budget is a subset of the warm cells"
+    );
     rec_line(out, &format!("{label} shared sub-budget"), &budgeted);
     let greedy =
         run_search_cached(SearchAlgorithm::Greedy, asked, model, cfg, &cache).expect("greedy");
@@ -187,7 +193,14 @@ fn render_ripple(out: &mut String) {
         render_algorithms(out, &label, &problem(n, 0), &Ripple, cfg);
     }
     let cfg = SearchConfig::for_workloads(10, 4);
-    render_shared_cache(out, "ripple n=4", &problem(4, 0), &problem(4, 1), &Ripple, cfg);
+    render_shared_cache(
+        out,
+        "ripple n=4",
+        &problem(4, 0),
+        &problem(4, 1),
+        &Ripple,
+        cfg,
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -332,7 +345,10 @@ fn design_machine() -> MachineSpec {
 fn joint_lines(out: &mut String, label: &str, advisor: &DesignAdvisor<'_>, p: &DesignProblem<'_>) {
     let runs: [(&str, JointRecommendation); 3] = [
         ("joint", advisor.advise(p).expect("advise")),
-        ("index-only", advisor.advise_index_only(p).expect("index-only")),
+        (
+            "index-only",
+            advisor.advise_index_only(p).expect("index-only"),
+        ),
         (
             "allocation-only",
             advisor.advise_allocation_only(p).expect("allocation-only"),
