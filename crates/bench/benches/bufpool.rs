@@ -22,7 +22,7 @@ fn loaded(rows: i64) -> (DiskManager, HeapFile) {
 }
 
 fn bench_bufpool(c: &mut Criterion) {
-    let (mut disk, heap) = loaded(20_000);
+    let (disk, heap) = loaded(20_000);
     let n_pages = heap.num_pages(&disk);
 
     c.bench_function("bufpool/hit", |b| {
@@ -31,12 +31,9 @@ fn bench_bufpool(c: &mut Criterion) {
             file: heap.file_id(),
             page_no: 0,
         };
-        pool.fetch(&mut disk, pid, AccessPattern::Sequential)
-            .unwrap();
+        pool.fetch(&disk, pid, AccessPattern::Sequential).unwrap();
         b.iter(|| {
-            let page = pool
-                .fetch(&mut disk, pid, AccessPattern::Sequential)
-                .unwrap();
+            let page = pool.fetch(&disk, pid, AccessPattern::Sequential).unwrap();
             black_box(page.slot_count());
         });
     });
@@ -52,9 +49,7 @@ fn bench_bufpool(c: &mut Criterion) {
                 page_no,
             };
             page_no = (page_no + 1) % n_pages;
-            let page = pool
-                .fetch(&mut disk, pid, AccessPattern::Sequential)
-                .unwrap();
+            let page = pool.fetch(&disk, pid, AccessPattern::Sequential).unwrap();
             black_box(page.slot_count());
         });
     });
@@ -63,7 +58,7 @@ fn bench_bufpool(c: &mut Criterion) {
         let mut pool = BufferPool::new(n_pages as usize + 1);
         b.iter(|| {
             let page = heap
-                .fetch_page(&mut disk, &mut pool, 0, AccessPattern::Sequential)
+                .fetch_page(&disk, &mut pool, 0, AccessPattern::Sequential)
                 .unwrap();
             let tuples: Vec<Tuple> = page
                 .records()
@@ -95,7 +90,7 @@ fn bench_btree(c: &mut Criterion) {
         b.iter(|| {
             key = (key + 7919) % 100_000;
             let hits = tree
-                .lookup_metered(&mut disk, &mut pool, &Datum::Int(key))
+                .lookup_metered(&disk, &mut pool, &Datum::Int(key))
                 .unwrap();
             black_box(hits.len());
         });

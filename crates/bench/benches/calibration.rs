@@ -44,10 +44,10 @@ fn bench_calibration(c: &mut Criterion) {
     });
 
     group.bench_function("one_allocation", |b| {
-        let mut pdb = ProbeDb::build().unwrap();
+        let pdb = ProbeDb::build().unwrap();
         b.iter(|| {
             let cal = calibrate_with(
-                &mut pdb,
+                &pdb,
                 MachineSpec::paper_testbed(),
                 ResourceVector::uniform(Share::HALF),
             )

@@ -35,7 +35,7 @@ fn build_db(rows: i64) -> Database {
     db
 }
 
-fn execute(db: &mut Database, plan: &PhysicalPlan) -> usize {
+fn execute(db: &Database, plan: &PhysicalPlan) -> usize {
     let mut pool = BufferPool::new(8192);
     run_plan(db, &mut pool, plan, 8 << 20, CpuCosts::default())
         .unwrap()
@@ -44,7 +44,7 @@ fn execute(db: &mut Database, plan: &PhysicalPlan) -> usize {
 }
 
 fn bench_operators(c: &mut Criterion) {
-    let mut db = build_db(50_000);
+    let db = build_db(50_000);
     let t = TableId(0);
     let scan = || {
         Box::new(PhysicalPlan::SeqScan {
@@ -58,7 +58,7 @@ fn bench_operators(c: &mut Criterion) {
             table: t,
             filter: None,
         };
-        b.iter(|| black_box(execute(&mut db, &plan)));
+        b.iter(|| black_box(execute(&db, &plan)));
     });
 
     c.bench_function("exec/filtered_scan_50k", |b| {
@@ -69,7 +69,7 @@ fn bench_operators(c: &mut Criterion) {
                 Expr::eq(Expr::col(2), Expr::str("x")),
             )),
         };
-        b.iter(|| black_box(execute(&mut db, &plan)));
+        b.iter(|| black_box(execute(&db, &plan)));
     });
 
     // The three shapes a borrowing consumer is built for: a filter that
@@ -81,7 +81,7 @@ fn bench_operators(c: &mut Criterion) {
             table: t,
             filter: Some(Expr::lt(Expr::col(0), Expr::int(0))),
         };
-        b.iter(|| black_box(execute(&mut db, &plan)));
+        b.iter(|| black_box(execute(&db, &plan)));
     });
 
     c.bench_function("exec/global_agg_over_scan_50k", |b| {
@@ -90,7 +90,7 @@ fn bench_operators(c: &mut Criterion) {
             group_by: vec![],
             aggs: vec![AggExpr::count_star("n")],
         };
-        b.iter(|| black_box(execute(&mut db, &plan)));
+        b.iter(|| black_box(execute(&db, &plan)));
     });
 
     c.bench_function("exec/hash_join_50k_x_50k_keys", |b| {
@@ -101,7 +101,7 @@ fn bench_operators(c: &mut Criterion) {
             right_keys: vec![1],
             join_type: JoinType::Semi,
         };
-        b.iter(|| black_box(execute(&mut db, &plan)));
+        b.iter(|| black_box(execute(&db, &plan)));
     });
 
     // The joins' consumers: one that keeps the padded pairs (the root
@@ -115,7 +115,7 @@ fn bench_operators(c: &mut Criterion) {
             right_keys: vec![1],
             join_type: JoinType::Left,
         };
-        b.iter(|| black_box(execute(&mut db, &plan)));
+        b.iter(|| black_box(execute(&db, &plan)));
     });
 
     c.bench_function("exec/agg_over_hash_join_50k", |b| {
@@ -131,7 +131,7 @@ fn bench_operators(c: &mut Criterion) {
             group_by: vec![2],
             aggs: vec![AggExpr::new(AggFunc::Sum, Expr::col(3), "s")],
         };
-        b.iter(|| black_box(execute(&mut db, &plan)));
+        b.iter(|| black_box(execute(&db, &plan)));
     });
 
     c.bench_function("exec/grouped_agg_over_scan_50k", |b| {
@@ -144,7 +144,7 @@ fn bench_operators(c: &mut Criterion) {
                 AggExpr::new(AggFunc::Avg, Expr::col(1), "m"),
             ],
         };
-        b.iter(|| black_box(execute(&mut db, &plan)));
+        b.iter(|| black_box(execute(&db, &plan)));
     });
 
     c.bench_function("exec/sort_50k", |b| {
@@ -152,14 +152,14 @@ fn bench_operators(c: &mut Criterion) {
             input: scan(),
             keys: vec![SortKey::desc(1), SortKey::asc(0)],
         };
-        b.iter(|| black_box(execute(&mut db, &plan)));
+        b.iter(|| black_box(execute(&db, &plan)));
     });
 }
 
 /// The two join queries of the paper's Figures 4 and 5, planned under
 /// default parameters at the scale `perf/`'s `cold_advise` executes them.
 fn bench_tpch_joins(c: &mut Criterion) {
-    let mut t = TpchDb::generate(TpchConfig {
+    let t = TpchDb::generate(TpchConfig {
         scale: 0.005,
         seed: 42,
         with_indexes: true,
@@ -172,7 +172,7 @@ fn bench_tpch_joins(c: &mut Criterion) {
         let planned = plan_query(&t.db, &query.plan(&t), &OptimizerParams::default())
             .expect("benchmark query plans");
         c.bench_function(name, |b| {
-            b.iter(|| black_box(execute(&mut t.db, &planned.physical)));
+            b.iter(|| black_box(execute(&t.db, &planned.physical)));
         });
     }
 }

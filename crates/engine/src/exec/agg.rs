@@ -303,7 +303,7 @@ mod tests {
     fn run(op: AggOp, input: Vec<Tuple>, group_by: &[usize], aggs: &[AggExpr]) -> Vec<Tuple> {
         let (mut db, mut pool) = small_db(1);
         let input = scan_of(&mut db, input);
-        let mut ctx = context(&mut db, &mut pool);
+        let mut ctx = context(&db, &mut pool);
         let mut out = Vec::new();
         let pushed = op(&mut ctx, &input, group_by, aggs, &mut |row| {
             out.push(row.to_tuple())

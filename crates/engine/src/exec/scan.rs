@@ -64,12 +64,7 @@ fn seq_scan(
     let heap = ctx.db.table(table).heap;
     let n_pages = heap.num_pages(ctx.db.disk());
     for page_no in 0..n_pages {
-        let page = heap.fetch_page(
-            ctx.db.disk_mut(),
-            ctx.pool,
-            page_no,
-            AccessPattern::Sequential,
-        )?;
+        let page = heap.fetch_page(ctx.db.disk(), ctx.pool, page_no, AccessPattern::Sequential)?;
         cpu += costs.per_page;
         for (_, row) in page.rows()? {
             cpu += costs.per_tuple + filter_ops * costs.per_operator;
@@ -98,7 +93,7 @@ fn fetch_tids(
     let filter_ops = filter.map_or(0.0, |f| f.num_operators() as f64);
     let mut rows_out = 0;
     for tid in tids {
-        let row = heap.fetch(ctx.db.disk_mut(), ctx.pool, tid)?;
+        let row = heap.fetch(ctx.db.disk(), ctx.pool, tid)?;
         cpu += costs.per_tuple + filter_ops * costs.per_operator;
         if filter.is_none_or(|f| f.eval_bool(&row) == Some(true)) {
             rows_out += 1;
@@ -123,10 +118,8 @@ fn index_scan(
     sink: &mut RowSink<'_>,
 ) -> Result<usize, EngineError> {
     let heap = ctx.db.table(table).heap;
-    let entries = {
-        let (disk, _, trees) = ctx.db.disk_and_catalog();
-        trees[index.0].range_metered(disk, ctx.pool, lo.as_ref(), hi.as_ref())?
-    };
+    let tree = ctx.db.index_tree(index);
+    let entries = tree.range_metered(ctx.db.disk(), ctx.pool, lo.as_ref(), hi.as_ref())?;
     let mut tids: Vec<TupleId> = entries.iter().map(|(_, tid)| *tid).collect();
     tids.sort_unstable();
     let cpu = entries.len() as f64 * ctx.costs.per_index_tuple;
@@ -186,10 +179,9 @@ fn multi_index_scan(
     let mut tids: Option<Vec<TupleId>> = None;
     let mut cpu = 0.0;
     for arm in arms {
-        let entries = {
-            let (disk, _, trees) = ctx.db.disk_and_catalog();
-            trees[arm.index.0].range_metered(disk, ctx.pool, arm.lo.as_ref(), arm.hi.as_ref())?
-        };
+        let tree = ctx.db.index_tree(arm.index);
+        let entries =
+            tree.range_metered(ctx.db.disk(), ctx.pool, arm.lo.as_ref(), arm.hi.as_ref())?;
         cpu += entries.len() as f64 * costs.per_index_tuple;
         let mut arm_tids: Vec<TupleId> = entries.into_iter().map(|(_key, tid)| tid).collect();
         arm_tids.sort_unstable();
@@ -276,8 +268,8 @@ mod tests {
 
     #[test]
     fn seq_scan_reads_every_row_and_charges_io() {
-        let (mut db, mut pool) = small_db(1000);
-        let mut ctx = context(&mut db, &mut pool);
+        let (db, mut pool) = small_db(1000);
+        let mut ctx = context(&db, &mut pool);
         let rows = seq_scan(&mut ctx, TableId(0), None).unwrap();
         assert_eq!(rows.len(), 1000);
         let io = ctx.pool.demand();
@@ -288,18 +280,18 @@ mod tests {
 
     #[test]
     fn seq_scan_filter_reduces_output_but_not_io() {
-        let (mut db, mut pool) = small_db(1000);
+        let (db, mut pool) = small_db(1000);
         let filter = Expr::lt(Expr::col(0), Expr::int(100));
         let io_all;
         {
-            let mut ctx = context(&mut db, &mut pool);
+            let mut ctx = context(&db, &mut pool);
             let rows = seq_scan(&mut ctx, TableId(0), Some(&filter)).unwrap();
             assert_eq!(rows.len(), 100);
             io_all = ctx.pool.demand().seq_page_reads;
         }
         // Fresh pool: same physical reads regardless of selectivity.
         let mut pool2 = dbvirt_storage::BufferPool::new(pool.capacity());
-        let mut ctx = context(&mut db, &mut pool2);
+        let mut ctx = context(&db, &mut pool2);
         let rows = seq_scan(&mut ctx, TableId(0), None).unwrap();
         assert_eq!(rows.len(), 1000);
         assert_eq!(ctx.pool.demand().seq_page_reads, io_all);
@@ -311,7 +303,7 @@ mod tests {
         let idx = db.create_index("t_a", TableId(0), 0).unwrap();
         let lo = Bound::Included(Datum::Int(500));
         let hi = Bound::Excluded(Datum::Int(600));
-        let mut ctx = context(&mut db, &mut pool);
+        let mut ctx = context(&db, &mut pool);
         let mut via_index = index_scan(&mut ctx, TableId(0), idx, &lo, &hi, None).unwrap();
         let filter = Expr::and(
             Expr::ge(Expr::col(0), Expr::int(500)),
@@ -352,7 +344,7 @@ mod tests {
             Expr::ge(Expr::col(1), Expr::str("row-1")),
             Expr::lt(Expr::col(1), Expr::str("row-2")),
         );
-        let mut ctx = context(&mut db, &mut pool);
+        let mut ctx = context(&db, &mut pool);
 
         let arms = vec![arm_a.clone(), arm_b.clone()];
         let both = Expr::and(pred_a.clone(), pred_b.clone());
@@ -405,7 +397,7 @@ mod tests {
                 reason: reason.to_string(),
             };
 
-            let mut ctx = context(&mut db, &mut pool);
+            let mut ctx = context(&db, &mut pool);
             let mut delivered = 0;
             let plan = PhysicalPlan::SeqScan {
                 table,
@@ -429,7 +421,7 @@ mod tests {
     fn index_scan_with_residual_filter() {
         let (mut db, mut pool) = small_db(500);
         let idx = db.create_index("t_a", TableId(0), 0).unwrap();
-        let mut ctx = context(&mut db, &mut pool);
+        let mut ctx = context(&db, &mut pool);
         // Ids ending in 0, within [100, 200): 100, 110, ..., 190.
         let residual = Expr::like(Expr::col(1), "%0");
         let rows = index_scan(

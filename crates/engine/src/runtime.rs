@@ -108,7 +108,7 @@ impl SpillEvent {
 /// cost constants, and the demand accumulated so far.
 pub(crate) struct ExecContext<'a> {
     /// The database being queried.
-    pub db: &'a mut Database,
+    pub db: &'a Database,
     /// Page cache; all heap/index I/O is charged through it.
     pub pool: &'a mut BufferPool,
     /// Memory budget for sorts and hash tables, in bytes.
@@ -158,7 +158,7 @@ pub struct QueryOutput {
 /// A plan that fails [`PhysicalPlan::validate`] against `db`, or a zero
 /// `work_mem_bytes`, is an [`EngineError::Plan`], not a panic.
 pub fn run_plan(
-    db: &mut Database,
+    db: &Database,
     pool: &mut BufferPool,
     plan: &PhysicalPlan,
     work_mem_bytes: usize,
@@ -169,7 +169,7 @@ pub fn run_plan(
 
 /// [`run_plan`], also returning the spill events the execution recorded.
 pub(crate) fn run_metered(
-    db: &mut Database,
+    db: &Database,
     pool: &mut BufferPool,
     plan: &PhysicalPlan,
     work_mem_bytes: usize,
@@ -268,14 +268,14 @@ pub(crate) mod tests_support {
     ) -> (Vec<Tuple>, ResourceDemand) {
         let (mut db, mut pool) = small_db(1);
         let plan = build(inputs.map(|rows| Box::new(scan_of(&mut db, rows))));
-        let mut ctx = context(&mut db, &mut pool);
+        let mut ctx = context(&db, &mut pool);
         ctx.work_mem_bytes = work_mem_bytes;
         let out = exec::execute(&mut ctx, &plan).unwrap();
         (out, ctx.demand)
     }
 
     /// A context over the fixtures with 1 MiB of `work_mem`.
-    pub fn context<'a>(db: &'a mut Database, pool: &'a mut BufferPool) -> ExecContext<'a> {
+    pub fn context<'a>(db: &'a Database, pool: &'a mut BufferPool) -> ExecContext<'a> {
         ExecContext {
             db,
             pool,
@@ -295,7 +295,7 @@ mod tests {
 
     #[test]
     fn run_plan_end_to_end() {
-        let (mut db, mut pool) = small_db(500);
+        let (db, mut pool) = small_db(500);
         let plan = PhysicalPlan::Sort {
             input: Box::new(PhysicalPlan::HashAgg {
                 input: Box::new(PhysicalPlan::SeqScan {
@@ -307,7 +307,7 @@ mod tests {
             }),
             keys: vec![SortKey::asc(0)],
         };
-        let out = run_plan(&mut db, &mut pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
+        let out = run_plan(&db, &mut pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
         assert_eq!(out.rows.len(), 1);
         assert_eq!(out.rows[0].get(0).as_int(), Some(100));
         assert!(out.demand.cpu_cycles > 0.0);
@@ -317,13 +317,13 @@ mod tests {
 
     #[test]
     fn demand_is_per_query_delta() {
-        let (mut db, mut pool) = small_db(500);
+        let (db, mut pool) = small_db(500);
         let plan = PhysicalPlan::SeqScan {
             table: TableId(0),
             filter: None,
         };
-        let first = run_plan(&mut db, &mut pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
-        let second = run_plan(&mut db, &mut pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
+        let first = run_plan(&db, &mut pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
+        let second = run_plan(&db, &mut pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
         assert!(first.demand.seq_page_reads > 0);
         // The table fits in the 64-page pool, so the second run is all hits.
         assert_eq!(
@@ -335,7 +335,7 @@ mod tests {
 
     #[test]
     fn warm_vs_cold_depends_on_pool_size() {
-        let (mut db, _) = small_db(20_000);
+        let (db, _) = small_db(20_000);
         let n_pages = db.table(TableId(0)).heap.num_pages(db.disk());
         assert!(n_pages > 64);
         let plan = PhysicalPlan::SeqScan {
@@ -344,27 +344,13 @@ mod tests {
         };
         // Tiny pool: every scan is cold.
         let mut small_pool = BufferPool::new(8);
-        run_plan(
-            &mut db,
-            &mut small_pool,
-            &plan,
-            1 << 20,
-            CpuCosts::default(),
-        )
-        .unwrap();
-        let rescan = run_plan(
-            &mut db,
-            &mut small_pool,
-            &plan,
-            1 << 20,
-            CpuCosts::default(),
-        )
-        .unwrap();
+        run_plan(&db, &mut small_pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
+        let rescan = run_plan(&db, &mut small_pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
         assert_eq!(rescan.demand.seq_page_reads as u32, n_pages);
         // Big pool: rescan is warm.
         let mut big_pool = BufferPool::new(n_pages as usize + 8);
-        run_plan(&mut db, &mut big_pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
-        let rescan = run_plan(&mut db, &mut big_pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
+        run_plan(&db, &mut big_pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
+        let rescan = run_plan(&db, &mut big_pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
         assert_eq!(rescan.demand.seq_page_reads, 0);
     }
 

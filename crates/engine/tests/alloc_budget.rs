@@ -115,7 +115,7 @@ fn counting<T>(work: impl FnOnce() -> T) -> (T, u64) {
 
 /// Runs `plan` on a cold pool, returning its rows and the allocations the
 /// run made on this thread.
-fn allocations_of(db: &mut Database, plan: &PhysicalPlan) -> (Vec<Tuple>, u64) {
+fn allocations_of(db: &Database, plan: &PhysicalPlan) -> (Vec<Tuple>, u64) {
     let mut pool = BufferPool::new(16);
     let (out, allocations) =
         counting(|| run_plan(db, &mut pool, plan, 8 << 20, CpuCosts::default()).unwrap());
@@ -124,18 +124,18 @@ fn allocations_of(db: &mut Database, plan: &PhysicalPlan) -> (Vec<Tuple>, u64) {
 
 /// [`build_db`] with every image checked, as after any first scan.
 fn build_checked_db() -> Database {
-    let mut db = build_db();
+    let db = build_db();
     let scan = PhysicalPlan::SeqScan {
         table: TableId(0),
         filter: Some(Expr::lt(Expr::col(0), Expr::int(0))),
     };
-    allocations_of(&mut db, &scan);
+    allocations_of(&db, &scan);
     db
 }
 
 #[test]
 fn images_are_checked_by_their_first_scan_and_by_no_later_one() {
-    let mut db = build_db();
+    let db = build_db();
     let t = TableId(0);
     let pages = u64::from(db.table(t).heap.num_pages(db.disk()));
     assert!(
@@ -146,7 +146,7 @@ fn images_are_checked_by_their_first_scan_and_by_no_later_one() {
         table: t,
         filter: Some(Expr::lt(Expr::col(0), Expr::int(0))),
     };
-    let (rows, first) = allocations_of(&mut db, &reject_all);
+    let (rows, first) = allocations_of(&db, &reject_all);
     assert!(rows.is_empty());
     assert!(
         (pages..=SCAN_BUDGET + LAYOUT_BUDGET * pages).contains(&first),
@@ -154,7 +154,7 @@ fn images_are_checked_by_their_first_scan_and_by_no_later_one() {
     );
     // The same images through a fresh pool, and through a copy of the
     // database: nothing is left to check.
-    for db in [&mut db.clone(), &mut db] {
+    for db in [&db.clone(), &db] {
         let (_, again) = allocations_of(db, &reject_all);
         assert!(
             again <= SCAN_BUDGET,
@@ -192,14 +192,14 @@ fn loading_keeps_no_layout_up_row_by_row() {
         group_by: vec![],
         aggs: vec![AggExpr::count_star("n")],
     };
-    let (counted, allocations) = allocations_of(&mut db, &count_star);
+    let (counted, allocations) = allocations_of(&db, &count_star);
     assert_eq!(counted[0].get(0), &Datum::Int(2 * ROWS));
     assert!(allocations <= SCAN_BUDGET + LAYOUT_BUDGET * (appended + 1));
 }
 
 #[test]
 fn borrowing_consumers_allocate_per_page_and_group_not_per_row() {
-    let mut db = build_checked_db();
+    let db = build_checked_db();
     let t = TableId(0);
     let pages = u64::from(db.table(t).heap.num_pages(db.disk()));
     // Small change only: the pool's map and frame vector growing, the
@@ -211,7 +211,7 @@ fn borrowing_consumers_allocate_per_page_and_group_not_per_row() {
         group_by: vec![],
         aggs: vec![AggExpr::count_star("n")],
     };
-    let (rows, allocations) = allocations_of(&mut db, &count_star);
+    let (rows, allocations) = allocations_of(&db, &count_star);
     assert_eq!(rows[0].get(0), &Datum::Int(ROWS));
     assert!(
         allocations <= SCAN_BUDGET,
@@ -223,7 +223,7 @@ fn borrowing_consumers_allocate_per_page_and_group_not_per_row() {
         group_by: vec![2],
         aggs: vec![AggExpr::new(AggFunc::Sum, Expr::col(0), "s")],
     };
-    let (rows, allocations) = allocations_of(&mut db, &grouped_sum);
+    let (rows, allocations) = allocations_of(&db, &grouped_sum);
     assert_eq!(rows.len(), GROUPS.len());
     let total: i64 = rows.iter().map(|r| r.get(1).as_int().unwrap()).sum();
     assert_eq!(total, ROWS * (ROWS - 1) / 2);
@@ -243,7 +243,7 @@ const PER_ROW_BUF: u64 = 3 * 25;
 
 #[test]
 fn keeping_operators_allocate_per_buffer_doubling_not_per_row() {
-    let mut db = build_checked_db();
+    let db = build_checked_db();
     let t = TableId(0);
     let pages = u64::from(db.table(t).heap.num_pages(db.disk()));
     let scan = || {
@@ -270,7 +270,7 @@ fn keeping_operators_allocate_per_buffer_doubling_not_per_row() {
     let join_budget = 2 * (SCAN_BUDGET + PER_ROW_BUF);
 
     for join_type in [JoinType::Inner, JoinType::Left, JoinType::Semi] {
-        let (rows, allocations) = allocations_of(&mut db, &count_star(join(join_type)));
+        let (rows, allocations) = allocations_of(&db, &count_star(join(join_type)));
         assert_eq!(rows[0].get(0), &Datum::Int(ROWS));
         assert!(
             allocations <= join_budget,
@@ -286,7 +286,7 @@ fn keeping_operators_allocate_per_buffer_doubling_not_per_row() {
         group_by: vec![2],
         aggs: vec![AggExpr::new(AggFunc::Sum, Expr::col(3), "s")],
     };
-    let (rows, allocations) = allocations_of(&mut db, &grouped_sum);
+    let (rows, allocations) = allocations_of(&db, &grouped_sum);
     assert_eq!(rows.len(), GROUPS.len());
     let total: i64 = rows.iter().map(|r| r.get(1).as_int().unwrap()).sum();
     assert_eq!(total, ROWS * (ROWS - 1) / 2);
@@ -301,14 +301,14 @@ fn keeping_operators_allocate_per_buffer_doubling_not_per_row() {
         input: scan(),
         keys: vec![SortKey::desc(1), SortKey::asc(0)],
     };
-    let (rows, allocations) = allocations_of(&mut db, &count_star(sort()));
+    let (rows, allocations) = allocations_of(&db, &count_star(sort()));
     assert_eq!(rows[0].get(0), &Datum::Int(ROWS));
     assert!(
         allocations <= SCAN_BUDGET + PER_ROW_BUF,
         "counting {ROWS} sorted rows over {pages} pages allocated {allocations} times"
     );
     // At the root each of its rows is decoded: a vector and `g`'s string.
-    let (rows, allocations) = allocations_of(&mut db, &sort());
+    let (rows, allocations) = allocations_of(&db, &sort());
     assert_eq!(rows.len(), ROWS as usize);
     assert_eq!(rows[0].get(1), &Datum::Int(ROWS - 1));
     assert!(

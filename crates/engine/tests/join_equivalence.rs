@@ -64,7 +64,7 @@ fn load(db: &mut Database, name: &str, rows: &[Tuple]) -> TableId {
 }
 
 /// Output rows as encoded bytes: equal means equal kinds and bits, in order.
-fn run(db: &mut Database, plan: &PhysicalPlan) -> Vec<Vec<u8>> {
+fn run(db: &Database, plan: &PhysicalPlan) -> Vec<Vec<u8>> {
     let mut pool = BufferPool::new(16);
     let out = run_plan(db, &mut pool, plan, 1 << 20, CpuCosts::default()).unwrap();
     out.rows.iter().map(|row| row.encode().to_vec()).collect()
@@ -106,8 +106,8 @@ proptest! {
                     join_type,
                 };
                 prop_assert_eq!(
-                    run(&mut db, &hashed),
-                    run(&mut db, &looped),
+                    run(&db, &hashed),
+                    run(&db, &looped),
                     "{:?} on {:?}", join_type, keys
                 );
             }
@@ -130,6 +130,6 @@ proptest! {
             right_keys: vec![0],
             join_type: JoinType::Inner,
         };
-        prop_assert_eq!(run(&mut db, &merged), run(&mut db, &hashed));
+        prop_assert_eq!(run(&db, &merged), run(&db, &hashed));
     }
 }

@@ -39,7 +39,7 @@ fn checks() -> u64 {
 }
 
 /// `plan`'s rows through a cold pool of 8 frames.
-fn run(db: &mut Database, plan: &PhysicalPlan) -> Vec<Tuple> {
+fn run(db: &Database, plan: &PhysicalPlan) -> Vec<Tuple> {
     let mut pool = BufferPool::new(8);
     let out = run_plan(db, &mut pool, plan, 1 << 20, CpuCosts::default());
     out.unwrap().rows
@@ -57,8 +57,8 @@ fn an_image_is_walked_by_its_first_reader_only() {
     let n_pages = pages(&db);
     assert!(n_pages > 8, "more pages than the pool holds");
     assert_eq!(checks(), 0, "loading reads nothing");
-    assert_eq!(run(&mut db, &scan).len(), ROWS as usize);
-    assert_eq!(run(&mut db, &scan).len(), ROWS as usize);
+    assert_eq!(run(&db, &scan).len(), ROWS as usize);
+    assert_eq!(run(&db, &scan).len(), ROWS as usize);
     assert_eq!(checks(), n_pages, "two scans, each image walked once");
 
     // Every other reader finds the images checked, copies of the database
@@ -72,7 +72,7 @@ fn an_image_is_walked_by_its_first_reader_only() {
         hi: Bound::Included(Datum::Int(ROWS - 17)),
         filter: None,
     };
-    assert_eq!(run(&mut db.clone(), &lookup).len(), ROWS as usize - 33);
+    assert_eq!(run(&db.clone(), &lookup).len(), ROWS as usize - 33);
     assert_eq!(checks(), n_pages);
 
     // A load rewrites the last image and appends new ones: those are walked
@@ -80,7 +80,7 @@ fn an_image_is_walked_by_its_first_reader_only() {
     db.insert_rows(T, (ROWS..2 * ROWS).map(row)).unwrap();
     assert_eq!(checks(), n_pages);
     let appended = pages(&db) - n_pages;
-    assert_eq!(run(&mut db, &scan).len(), 2 * ROWS as usize);
+    assert_eq!(run(&db, &scan).len(), 2 * ROWS as usize);
     assert_eq!(checks(), n_pages + 1 + appended);
 
     // Two threads, each with its own copy of one cold database, scanning at
@@ -116,7 +116,7 @@ fn an_image_is_walked_by_its_first_reader_only() {
     let before = checks();
     let mut pool = BufferPool::new(8);
     let failures: Vec<_> = (0..3)
-        .map(|_| run_plan(&mut db, &mut pool, &scan, 1 << 20, CpuCosts::default()).unwrap_err())
+        .map(|_| run_plan(&db, &mut pool, &scan, 1 << 20, CpuCosts::default()).unwrap_err())
         .collect();
     assert!(failures[0].to_string().contains("unknown tag 99"));
     assert!(failures.iter().all(|e| *e == failures[0]));

@@ -56,15 +56,9 @@ fn hash_join(left_keys: Vec<usize>, right_keys: Vec<usize>) -> PhysicalPlan {
 
 /// Runs `plan`, which must be refused as a bad plan; returns the reason.
 fn refused(plan: &PhysicalPlan, work_mem_bytes: usize) -> String {
-    let (mut db, ..) = db();
+    let (db, ..) = db();
     let mut pool = BufferPool::new(16);
-    match run_plan(
-        &mut db,
-        &mut pool,
-        plan,
-        work_mem_bytes,
-        CpuCosts::default(),
-    ) {
+    match run_plan(&db, &mut pool, plan, work_mem_bytes, CpuCosts::default()) {
         Err(EngineError::Plan(reason)) => {
             assert_eq!(pool.demand().total_pages(), 0, "refused before any I/O");
             reason
@@ -75,11 +69,11 @@ fn refused(plan: &PhysicalPlan, work_mem_bytes: usize) -> String {
 
 #[test]
 fn a_valid_plan_still_runs() {
-    let (mut db, ..) = db();
+    let (db, ..) = db();
     let mut pool = BufferPool::new(16);
     let plan = hash_join(vec![0], vec![0]);
     assert_eq!(plan.validate(&db), Ok(()));
-    let out = run_plan(&mut db, &mut pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
+    let out = run_plan(&db, &mut pool, &plan, 1 << 20, CpuCosts::default()).unwrap();
     assert_eq!(out.rows.len(), 10);
 }
 

@@ -199,7 +199,7 @@ fn composite_index_scan_executes_and_matches_seq_scan() {
         PhysicalPlan::IndexScan { index, .. } => assert_eq!(*index, idx),
         other => panic!("expected composite IndexScan, got {}", other.node_name()),
     }
-    let run = |db: &mut Database, plan: &PhysicalPlan| {
+    let run = |db: &Database, plan: &PhysicalPlan| {
         let mut pool = dbvirt_storage::BufferPool::new(256);
         dbvirt_engine::run_plan(
             db,
@@ -211,9 +211,9 @@ fn composite_index_scan_executes_and_matches_seq_scan() {
         .unwrap()
         .rows
     };
-    let via_index = run(&mut db, &planned.physical);
+    let via_index = run(&db, &planned.physical);
     let via_scan = run(
-        &mut db,
+        &db,
         &PhysicalPlan::SeqScan {
             table: fact,
             filter: Some(filter),
@@ -251,7 +251,7 @@ fn like_prefix_is_sargable_on_string_index() {
     assert_eq!(planned.physical.node_name(), "IndexScan");
     let mut pool = dbvirt_storage::BufferPool::new(256);
     let out = dbvirt_engine::run_plan(
-        &mut db,
+        &db,
         &mut pool,
         &planned.physical,
         1 << 20,
@@ -288,7 +288,7 @@ fn index_and_path_chosen_for_two_selective_arms() {
     assert_eq!(planned.physical.node_name(), "IndexAnd");
     let mut pool = dbvirt_storage::BufferPool::new(256);
     let out = dbvirt_engine::run_plan(
-        &mut db,
+        &db,
         &mut pool,
         &planned.physical,
         1 << 20,
@@ -319,7 +319,7 @@ fn index_or_path_covers_disjunction() {
     assert_eq!(planned.physical.node_name(), "IndexOr");
     let mut pool = dbvirt_storage::BufferPool::new(256);
     let out = dbvirt_engine::run_plan(
-        &mut db,
+        &db,
         &mut pool,
         &planned.physical,
         1 << 20,
@@ -383,10 +383,10 @@ fn three_way_join_dp_produces_executable_plan() {
     let planned = plan_query(&db, &q, &OptimizerParams::default()).unwrap();
     assert!(planned.est_cost_units > 0.0);
     // Execute it and verify output arity = 3 + 2 + 2.
-    let mut db = db;
+    let db = db;
     let mut pool = dbvirt_storage::BufferPool::new(256);
     let out = dbvirt_engine::run_plan(
-        &mut db,
+        &db,
         &mut pool,
         &planned.physical,
         1 << 20,
@@ -423,10 +423,10 @@ fn semi_join_keeps_left_schema() {
         JoinType::Semi,
     );
     let planned = plan_query(&db, &q, &OptimizerParams::default()).unwrap();
-    let mut db = db;
+    let db = db;
     let mut pool = dbvirt_storage::BufferPool::new(256);
     let out = dbvirt_engine::run_plan(
-        &mut db,
+        &db,
         &mut pool,
         &planned.physical,
         1 << 20,

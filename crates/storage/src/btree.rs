@@ -225,7 +225,7 @@ impl BPlusTree {
     /// cost model for index pages).
     pub fn range_metered(
         &self,
-        disk: &mut DiskManager,
+        disk: &DiskManager,
         pool: &mut BufferPool,
         lo: Bound<&Datum>,
         hi: Bound<&Datum>,
@@ -271,7 +271,7 @@ impl BPlusTree {
     /// Equality lookup: all tuple ids whose key equals `key`.
     pub fn lookup_metered(
         &self,
-        disk: &mut DiskManager,
+        disk: &DiskManager,
         pool: &mut BufferPool,
         key: &Datum,
     ) -> Result<Vec<TupleId>, StorageError> {
@@ -373,11 +373,11 @@ mod tests {
 
     #[test]
     fn metered_scan_charges_node_visits() {
-        let (mut disk, tree) = build(10_000);
+        let (disk, tree) = build(10_000);
         let mut pool = BufferPool::new(256);
         let r = tree
             .range_metered(
-                &mut disk,
+                &disk,
                 &mut pool,
                 Bound::Included(&Datum::Int(0)),
                 Bound::Included(&Datum::Int(999)),
@@ -391,7 +391,7 @@ mod tests {
         // A repeat scan hits the cache.
         let misses = m.misses;
         tree.range_metered(
-            &mut disk,
+            &disk,
             &mut pool,
             Bound::Included(&Datum::Int(0)),
             Bound::Included(&Datum::Int(999)),
@@ -402,14 +402,14 @@ mod tests {
 
     #[test]
     fn lookup_metered_finds_exact_matches() {
-        let (mut disk, tree) = build(1000);
+        let (disk, tree) = build(1000);
         let mut pool = BufferPool::new(64);
         let tids = tree
-            .lookup_metered(&mut disk, &mut pool, &Datum::Int(42))
+            .lookup_metered(&disk, &mut pool, &Datum::Int(42))
             .unwrap();
         assert_eq!(tids, vec![tid(42)]);
         let none = tree
-            .lookup_metered(&mut disk, &mut pool, &Datum::Int(5000))
+            .lookup_metered(&disk, &mut pool, &Datum::Int(5000))
             .unwrap();
         assert!(none.is_empty());
     }

@@ -170,7 +170,7 @@ impl HeapFile {
     /// scan can look at its rows in place.
     pub fn fetch_page<'p>(
         &self,
-        disk: &mut DiskManager,
+        disk: &DiskManager,
         pool: &'p mut BufferPool,
         page_no: u32,
         pattern: crate::AccessPattern,
@@ -191,7 +191,7 @@ impl HeapFile {
     /// record in that slot.
     pub fn fetch<'p>(
         &self,
-        disk: &mut DiskManager,
+        disk: &DiskManager,
         pool: &'p mut BufferPool,
         tid: TupleId,
     ) -> Result<TupleView<'p, u16>, StorageError> {
@@ -239,7 +239,7 @@ mod tests {
         let mut seen = Vec::new();
         for page_no in 0..heap.num_pages(&disk) {
             let page = heap
-                .fetch_page(&mut disk, &mut pool, page_no, AccessPattern::Sequential)
+                .fetch_page(&disk, &mut pool, page_no, AccessPattern::Sequential)
                 .unwrap();
             for (_, row) in page.rows().unwrap() {
                 seen.push(row.get(0).to_datum().as_int().unwrap());
@@ -256,7 +256,7 @@ mod tests {
             .map(|i| heap.insert(&mut disk, &tuple(i)).unwrap())
             .collect();
         let mut pool = BufferPool::new(8);
-        let row = heap.fetch(&mut disk, &mut pool, tids[123]).unwrap();
+        let row = heap.fetch(&disk, &mut pool, tids[123]).unwrap();
         assert_eq!(row.get(0), DatumRef::Int(123));
         // Missing slot.
         let bogus = TupleId {
@@ -264,7 +264,7 @@ mod tests {
             slot: 999,
         };
         assert!(matches!(
-            heap.fetch(&mut disk, &mut pool, bogus),
+            heap.fetch(&disk, &mut pool, bogus),
             Err(StorageError::TupleNotFound { slot: 999, .. })
         ));
     }

@@ -44,8 +44,8 @@ fn only_the_live_pool_ticks_the_process_wide_counters() {
         } else {
             AccessPattern::Sequential
         };
-        pool.fetch(&mut disk, pid, pattern).unwrap();
-        pool.touch(&mut disk, pid, AccessPattern::Random).unwrap();
+        pool.fetch(&disk, pid, pattern).unwrap();
+        pool.touch(&disk, pid, AccessPattern::Random).unwrap();
     }
     let log = pool.close_log();
     let live = counters();

@@ -550,7 +550,7 @@ mod tests {
         let t = TpchDb::generate(TpchConfig::tiny()).unwrap();
         // Count via a metered-free path: read stats? Simplest: scan pages
         // through the catalog's disk directly is private; use an executor.
-        let mut db = t.db;
+        let db = t.db;
         let mut pool = dbvirt_storage::BufferPool::new(1024);
         let plan = dbvirt_engine::PhysicalPlan::SeqScan {
             table: t.orders,
@@ -560,7 +560,7 @@ mod tests {
             )),
         };
         let out = dbvirt_engine::run_plan(
-            &mut db,
+            &db,
             &mut pool,
             &plan,
             1 << 20,

@@ -181,12 +181,12 @@ mod tests {
     use dbvirt_storage::BufferPool;
 
     fn run(q: TpchQuery) -> dbvirt_engine::QueryOutput {
-        let mut t = TpchDb::generate(TpchConfig::tiny()).unwrap();
+        let t = TpchDb::generate(TpchConfig::tiny()).unwrap();
         let logical = q.plan(&t);
         let planned = plan_query(&t.db, &logical, &OptimizerParams::default()).unwrap();
         let mut pool = BufferPool::new(4096);
         run_plan(
-            &mut t.db,
+            &t.db,
             &mut pool,
             &planned.physical,
             4 << 20,
@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn all_queries_plan_and_execute() {
-        let mut t = TpchDb::generate(TpchConfig::tiny()).unwrap();
+        let t = TpchDb::generate(TpchConfig::tiny()).unwrap();
         let params = OptimizerParams::default();
         for q in TpchQuery::all() {
             let logical = q.plan(&t);
@@ -344,7 +344,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{q} failed to plan: {e}"));
             let mut pool = BufferPool::new(4096);
             let out = run_plan(
-                &mut t.db,
+                &t.db,
                 &mut pool,
                 &planned.physical,
                 4 << 20,
@@ -361,12 +361,12 @@ mod tests {
     #[test]
     fn indexed_results_bit_identical_to_scan_only() {
         let run_on = |cfg: TpchConfig, q: TpchQuery| {
-            let mut t = TpchDb::generate(cfg).unwrap();
+            let t = TpchDb::generate(cfg).unwrap();
             let logical = q.plan(&t);
             let planned = plan_query(&t.db, &logical, &OptimizerParams::default()).unwrap();
             let mut pool = BufferPool::new(4096);
             let out = run_plan(
-                &mut t.db,
+                &t.db,
                 &mut pool,
                 &planned.physical,
                 4 << 20,

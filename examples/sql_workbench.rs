@@ -44,7 +44,7 @@ const QUERIES: &[(&str, &str)] = &[
 
 fn main() {
     println!("Generating TPC-H ...");
-    let mut t = TpchDb::generate(TpchConfig::tiny()).expect("generation");
+    let t = TpchDb::generate(TpchConfig::tiny()).expect("generation");
     let machine = MachineSpec::paper_testbed();
 
     println!("Calibrating P(R) at two candidate allocations ...");
@@ -59,7 +59,7 @@ fn main() {
         let planned = plan_query(&t.db, &logical, &OptimizerParams::default()).expect("planning");
         let mut pool = BufferPool::new(4096);
         let out = run_plan(
-            &mut t.db,
+            &t.db,
             &mut pool,
             &planned.physical,
             4 << 20,

@@ -108,7 +108,7 @@ fn probe_stats(report: &CalibrationReport) -> String {
 
 fn render() -> String {
     let mut out = String::new();
-    let mut pdb = ProbeDb::template().expect("probe database").clone();
+    let pdb = ProbeDb::template().expect("probe database");
     for (machine_name, machine) in [
         ("paper", MachineSpec::paper_testbed()),
         ("small", small_machine()),
@@ -147,7 +147,7 @@ fn render() -> String {
             for (cpu, mem, disk) in CELLS {
                 let shares = ResourceVector::from_fractions(cpu, mem, disk).expect("shares");
                 let cell = format!("{machine_name} {noise} cell={cpu}/{mem}/{disk}");
-                match calibrate_with_config(&mut pdb, machine, shares, &rcfg) {
+                match calibrate_with_config(pdb, machine, shares, &rcfg) {
                     Ok(cal) => writeln!(
                         out,
                         "{cell} params={} rms={:016x} probes={}",

@@ -114,7 +114,7 @@ fn scenarios(seed: u64, cpu: WorkloadProfile, io: WorkloadProfile) -> Vec<Scenar
 }
 
 fn render_seed(out: &mut String, seed: u64) {
-    let mut t = TpchDb::generate(TpchConfig {
+    let t = TpchDb::generate(TpchConfig {
         scale: SCALE,
         seed,
         with_indexes: true,
@@ -128,8 +128,8 @@ fn render_seed(out: &mut String, seed: u64) {
     };
     let cpu_mix = plans(&t, &[TpchQuery::Q13, TpchQuery::Q13]);
     let io_mix = plans(&t, &[TpchQuery::Q4, TpchQuery::Q6]);
-    let cpu = profile_from_queries(&mut t.db, &cpu_mix, machine(), 4.0, 2.0).expect("cpu profile");
-    let io = profile_from_queries(&mut t.db, &io_mix, machine(), 2.0, 3.0).expect("io profile");
+    let cpu = profile_from_queries(&t.db, &cpu_mix, machine(), 4.0, 2.0).expect("cpu profile");
+    let io = profile_from_queries(&t.db, &io_mix, machine(), 2.0, 3.0).expect("io profile");
     let template = ProblemTemplate {
         machine: machine(),
         vms: (0..VMS)

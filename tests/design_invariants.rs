@@ -253,7 +253,7 @@ proptest! {
             ),
             Expr::eq(Expr::col(1), Expr::int(eq_key)),
         ] {
-            let plan = |db: &mut Database, t, params: &OptimizerParams| {
+            let plan = |db: &Database, t, params: &OptimizerParams| {
                 let planned =
                     plan_query(db, &LogicalPlan::scan_filtered(t, pred.clone()), params).unwrap();
                 let mut pool = BufferPool::new(256);
@@ -267,10 +267,10 @@ proptest! {
                 });
                 rows
             };
-            let (mut db_scan, t_scan) = build(false);
-            let (mut db_idx, t_idx) = build(true);
-            let scan_rows = plan(&mut db_scan, t_scan, &OptimizerParams::default());
-            let idx_rows = plan(&mut db_idx, t_idx, &index_params);
+            let (db_scan, t_scan) = build(false);
+            let (db_idx, t_idx) = build(true);
+            let scan_rows = plan(&db_scan, t_scan, &OptimizerParams::default());
+            let idx_rows = plan(&db_idx, t_idx, &index_params);
             prop_assert_eq!(&scan_rows, &idx_rows);
         }
     }

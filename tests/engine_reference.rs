@@ -41,7 +41,7 @@ fn reference_filter(rows: &[(i64, i64, String)], pred: &Expr) -> Vec<(i64, i64, 
         .collect()
 }
 
-fn run(db: &mut Database, plan: &LogicalPlan, pool_pages: usize) -> Vec<Tuple> {
+fn run(db: &Database, plan: &LogicalPlan, pool_pages: usize) -> Vec<Tuple> {
     let planned = plan_query(db, plan, &OptimizerParams::default()).unwrap();
     let mut pool = BufferPool::new(pool_pages);
     run_plan(
@@ -62,7 +62,7 @@ fn filtered_scan_matches_reference_for_every_pool_size() {
         .collect();
     let borrowed: Vec<(i64, i64, &str)> =
         rows.iter().map(|(a, b, s)| (*a, *b, s.as_str())).collect();
-    let mut db = build_db(&borrowed);
+    let db = build_db(&borrowed);
     let t = db.table_id("t1").unwrap();
 
     let pred = Expr::and(
@@ -73,7 +73,7 @@ fn filtered_scan_matches_reference_for_every_pool_size() {
 
     for pool_pages in [1, 4, 64, 4096] {
         let got = run(
-            &mut db,
+            &db,
             &LogicalPlan::scan_filtered(t, pred.clone()),
             pool_pages,
         );
@@ -117,7 +117,7 @@ fn a_scan_after_a_second_load_reads_the_old_rows_and_the_new() {
         db.analyze_all().unwrap();
         let expect = reference_filter(&rows[..upto], &pred);
         for pool_pages in [1, 64] {
-            assert_rows(&run(&mut db, &query, pool_pages), &expect, pool_pages);
+            assert_rows(&run(&db, &query, pool_pages), &expect, pool_pages);
         }
     }
 }
@@ -175,7 +175,7 @@ fn join_matches_nested_loop_reference() {
             right_col: 0,
         }],
     );
-    let mut got: Vec<(i64, i64, i64, i64)> = run(&mut db, &plan, 64)
+    let mut got: Vec<(i64, i64, i64, i64)> = run(&db, &plan, 64)
         .into_iter()
         .map(|t| {
             (
@@ -209,7 +209,7 @@ fn semi_join_counts_match_reference() {
         }],
         JoinType::Semi,
     );
-    let got = run(&mut db, &plan, 64);
+    let got = run(&db, &plan, 64);
     // Left keys 0..100; right keys 0..30 -> 30 matches, each emitted once.
     assert_eq!(got.len(), 30);
 }
@@ -221,7 +221,7 @@ fn aggregate_matches_hand_computation() {
         .collect();
     let borrowed: Vec<(i64, i64, &str)> =
         rows.iter().map(|(a, b, s)| (*a, *b, s.as_str())).collect();
-    let mut db = build_db(&borrowed);
+    let db = build_db(&borrowed);
     let t = db.table_id("t1").unwrap();
 
     let plan = LogicalPlan::scan(t).aggregate(
@@ -233,7 +233,7 @@ fn aggregate_matches_hand_computation() {
             AggExpr::new(AggFunc::Max, Expr::col(0), "max_a"),
         ],
     );
-    let mut got = run(&mut db, &plan, 64);
+    let mut got = run(&db, &plan, 64);
     got.sort_by(|x, y| x.get(0).total_cmp(y.get(0)));
     assert_eq!(got.len(), 4);
     for (g, tuple) in got.iter().enumerate() {
@@ -264,15 +264,15 @@ proptest! {
             .collect();
         let borrowed: Vec<(i64, i64, &str)> =
             rows.iter().map(|(a, b, s)| (*a, *b, s.as_str())).collect();
-        let mut db = build_db(&borrowed);
+        let db = build_db(&borrowed);
         let t = db.table_id("t1").unwrap();
         let pred = Expr::and(
             Expr::ge(Expr::col(1), Expr::int(lo)),
             Expr::lt(Expr::col(1), Expr::int(lo + span)),
         );
         let expect = reference_filter(&rows, &pred);
-        let got_small = run(&mut db, &LogicalPlan::scan_filtered(t, pred.clone()), 2);
-        let got_large = run(&mut db, &LogicalPlan::scan_filtered(t, pred), 1024);
+        let got_small = run(&db, &LogicalPlan::scan_filtered(t, pred.clone()), 2);
+        let got_large = run(&db, &LogicalPlan::scan_filtered(t, pred), 1024);
         // Sort both sides (index scans return in key order, seq in heap order).
         let key = |t: &Tuple| {
             (
@@ -353,10 +353,10 @@ proptest! {
                 t.get(2).as_str().unwrap().to_string(),
             )
         };
-        let mut execute = |plan: &LogicalPlan| {
+        let execute = |plan: &LogicalPlan| {
             let planned = plan_query(&db, plan, &params).unwrap();
             let mut pool = BufferPool::new(64);
-            run_plan(&mut db, &mut pool, &planned.physical, 1 << 16, CpuCosts::default())
+            run_plan(&db, &mut pool, &planned.physical, 1 << 16, CpuCosts::default())
                 .unwrap()
                 .rows
         };

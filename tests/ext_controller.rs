@@ -71,12 +71,11 @@ fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let machine = experiment_machine();
-        let mut t = TpchDb::generate(TpchConfig::experiment()).unwrap();
+        let t = TpchDb::generate(TpchConfig::experiment()).unwrap();
         let cpu_mix = Workload::compose(&t, &[(TpchQuery::Q13, 2)]);
         let io_mix = Workload::compose(&t, &[(TpchQuery::Q4, 1), (TpchQuery::Q6, 1)]);
-        let cpu_bound =
-            profile_from_queries(&mut t.db, &cpu_mix.queries, machine, 4.0, 2.0).unwrap();
-        let io_bound = profile_from_queries(&mut t.db, &io_mix.queries, machine, 2.0, 3.0).unwrap();
+        let cpu_bound = profile_from_queries(&t.db, &cpu_mix.queries, machine, 4.0, 2.0).unwrap();
+        let io_bound = profile_from_queries(&t.db, &io_mix.queries, machine, 2.0, 3.0).unwrap();
         Fixture {
             cpu_query: cpu_mix.queries[0].clone(),
             io_query: io_mix.queries[0].clone(),

@@ -77,7 +77,7 @@ fn a_1024_vm_fleet_places_and_simulates_identically_at_every_parallelism() {
             .with_ring_capacity(8192)
             .with_flush_every(4096),
     );
-    let mut t = TpchDb::generate(TpchConfig::tiny()).unwrap();
+    let t = TpchDb::generate(TpchConfig::tiny()).unwrap();
     let mixes = common::fleet_mixes(&t);
 
     let cfg = {
@@ -101,8 +101,7 @@ fn a_1024_vm_fleet_places_and_simulates_identically_at_every_parallelism() {
             mixes
                 .iter()
                 .map(|mix| {
-                    let one =
-                        workload_demands(&mut t.db, &mix.queries, class, floor_share).unwrap();
+                    let one = workload_demands(&t.db, &mix.queries, class, floor_share).unwrap();
                     VmJob::new(one.repeat(STREAM_REPEATS))
                 })
                 .collect()

@@ -8,7 +8,7 @@ use dbvirt::sql::parse_query;
 use dbvirt::storage::{BufferPool, Tuple};
 use dbvirt::tpch::{TpchConfig, TpchDb, TpchQuery};
 
-fn execute(db: &mut Database, plan: &LogicalPlan) -> Vec<Tuple> {
+fn execute(db: &Database, plan: &LogicalPlan) -> Vec<Tuple> {
     let planned = plan_query(db, plan, &OptimizerParams::default()).unwrap();
     let mut pool = BufferPool::new(4096);
     run_plan(
@@ -25,16 +25,16 @@ fn execute(db: &mut Database, plan: &LogicalPlan) -> Vec<Tuple> {
 /// TPC-H Q6 written as SQL must agree with the hand-built plan.
 #[test]
 fn sql_q6_matches_handbuilt_plan() {
-    let mut t = TpchDb::generate(TpchConfig::tiny()).unwrap();
+    let t = TpchDb::generate(TpchConfig::tiny()).unwrap();
     let hand = TpchQuery::Q6.plan(&t);
-    let hand_result = execute(&mut t.db, &hand);
+    let hand_result = execute(&t.db, &hand);
 
     let sql = "SELECT SUM(l_extendedprice * l_discount) AS revenue \
                FROM lineitem \
                WHERE l_shipdate >= DATE '1994-01-01' AND l_shipdate < DATE '1995-01-01' \
                  AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24";
     let parsed = parse_query(sql, &t.db).unwrap();
-    let sql_result = execute(&mut t.db, &parsed);
+    let sql_result = execute(&t.db, &parsed);
 
     assert_eq!(hand_result.len(), 1);
     assert_eq!(sql_result.len(), 1);
@@ -51,16 +51,16 @@ fn sql_q6_matches_handbuilt_plan() {
 /// TPC-H Q1's grouping written as SQL: same groups, same sums.
 #[test]
 fn sql_q1_style_aggregation_matches() {
-    let mut t = TpchDb::generate(TpchConfig::tiny()).unwrap();
+    let t = TpchDb::generate(TpchConfig::tiny()).unwrap();
     let sql = "SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty, COUNT(*) AS n \
                FROM lineitem WHERE l_shipdate <= DATE '1998-09-02' \
                GROUP BY l_returnflag, l_linestatus \
                ORDER BY l_returnflag, l_linestatus";
     let parsed = parse_query(sql, &t.db).unwrap();
-    let via_sql = execute(&mut t.db, &parsed);
+    let via_sql = execute(&t.db, &parsed);
 
     let hand = TpchQuery::Q1.plan(&t);
-    let via_hand = execute(&mut t.db, &hand);
+    let via_hand = execute(&t.db, &hand);
     assert_eq!(via_sql.len(), via_hand.len(), "same group count");
     for (s, h) in via_sql.iter().zip(&via_hand) {
         assert_eq!(s.get(0), h.get(0), "returnflag");
@@ -76,12 +76,12 @@ fn sql_q1_style_aggregation_matches() {
 /// the left-join semantics (every customer is counted somewhere).
 #[test]
 fn sql_left_join_distribution() {
-    let mut t = TpchDb::generate(TpchConfig::tiny()).unwrap();
+    let t = TpchDb::generate(TpchConfig::tiny()).unwrap();
     let sql = "SELECT c.c_custkey, COUNT(o.o_orderkey) AS c_count \
                FROM customer c LEFT JOIN orders o ON c.c_custkey = o.o_custkey \
                GROUP BY c.c_custkey";
     let parsed = parse_query(sql, &t.db).unwrap();
-    let rows = execute(&mut t.db, &parsed);
+    let rows = execute(&t.db, &parsed);
     let n_customers = t.db.table(t.customer).stats.as_ref().unwrap().n_rows;
     assert_eq!(rows.len() as u64, n_customers);
     let total_orders: i64 = rows.iter().map(|r| r.get(1).as_int().unwrap()).sum();
@@ -92,7 +92,7 @@ fn sql_left_join_distribution() {
 /// Semi-join-free SQL subset still covers a four-table join.
 #[test]
 fn sql_multi_join_executes() {
-    let mut t = TpchDb::generate(TpchConfig::tiny()).unwrap();
+    let t = TpchDb::generate(TpchConfig::tiny()).unwrap();
     let sql = "SELECT n.n_name, COUNT(*) AS orders \
                FROM customer c \
                JOIN orders o ON c.c_custkey = o.o_custkey \
@@ -101,7 +101,7 @@ fn sql_multi_join_executes() {
                WHERE r.r_name = 'ASIA' \
                GROUP BY n.n_name ORDER BY orders DESC";
     let parsed = parse_query(sql, &t.db).unwrap();
-    let rows = execute(&mut t.db, &parsed);
+    let rows = execute(&t.db, &parsed);
     assert!(!rows.is_empty());
     assert!(rows.len() <= 5, "at most the five ASIA nations");
     let counts: Vec<i64> = rows.iter().map(|r| r.get(1).as_int().unwrap()).collect();
@@ -134,7 +134,7 @@ fn sql_negative_literals_bind_in_lists() {
     let count = |t: &mut TpchDb, filter: &str| {
         let sql = format!("SELECT COUNT(*) AS n FROM nation WHERE {filter}");
         let parsed = parse_query(&sql, &t.db).unwrap();
-        execute(&mut t.db, &parsed)[0].get(0).as_int().unwrap()
+        execute(&t.db, &parsed)[0].get(0).as_int().unwrap()
     };
     let negated = count(&mut t, "n_regionkey - 2 IN (-2, -1)");
     assert_eq!(negated, count(&mut t, "n_regionkey IN (0, 1)"));
