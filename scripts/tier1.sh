@@ -5,6 +5,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# One layout: the workspace is rustfmt-clean (perf/ is a workspace of its
+# own and formats separately).
+cargo fmt --check
 
 # One of each: the worker pool, the core-count resolver, the fingerprint
 # hash and the seeded stream live in crates/vmm/src/kernel.rs and nowhere
@@ -160,6 +163,14 @@ if grep -rnE 'replay[_]gate|BENCH[_]|write_bench[_]artifact' crates scripts test
   echo "FAIL: a replay gate or a BENCH artifact writer under crates/, scripts/ or tests/" >&2
   exit 1
 fi
+# ...and every exhibit is a test: no experiment binary, and no script that
+# runs one, stands beside `cargo test`.
+for path in crates/bench/src/bin scripts/trace.sh scripts/chaos.sh; do
+  if [[ -e "$path" ]]; then
+    echo "FAIL: $path exists; exhibits and gates are tests under tests/" >&2
+    exit 1
+  fi
+done
 
 cargo test -q
 
@@ -182,13 +193,9 @@ for workload in cold_advise whatif_sweep fleet_place control_loop joint_design; 
   perf/run.sh --workload "$workload" --seconds 1 --trace 0 > /dev/null
 done
 
-# Telemetry smoke gate: the instrumented consolidation scenario must
-# produce a structurally valid snapshot (zero leaked spans, >= 95% root
-# coverage) and both exporter artifacts (see scripts/trace.sh).
-scripts/trace.sh
-
-# Opt-in chaos gate: CHAOS=1 additionally replays the calibration pipeline
-# under a sweep of fault-injection seeds/intensities (see scripts/chaos.sh).
+# Opt-in chaos gate: CHAOS=1 additionally runs the calibration pipeline
+# under a sweep of fault-injection seeds and intensities (the ignored test
+# in tests/calibration_recovery.rs).
 if [[ "${CHAOS:-0}" == "1" ]]; then
-  scripts/chaos.sh
+  cargo test --release --test calibration_recovery -- --ignored
 fi
