@@ -26,8 +26,8 @@ fn main() {
     // formulation ("a sequence of SQL statements against a separate
     // database").
     println!("Generating the two servers' databases ...");
-    let mut fulfilment = TpchDb::generate(TpchConfig::tiny()).expect("generation");
-    let mut marketing = TpchDb::generate(TpchConfig {
+    let fulfilment = TpchDb::generate(TpchConfig::tiny()).expect("generation");
+    let marketing = TpchDb::generate(TpchConfig {
         seed: 7,
         ..TpchConfig::tiny()
     })
@@ -61,7 +61,7 @@ fn main() {
     );
     for (name, alloc) in &candidates {
         let times = measure_concurrent_seconds(
-            &mut [&mut fulfilment.db, &mut marketing.db],
+            &[&fulfilment.db, &marketing.db],
             &[&w_fulfilment.queries, &w_marketing.queries],
             machine,
             alloc,

@@ -22,10 +22,9 @@ fn machine() -> MachineSpec {
 #[test]
 fn figure5_scenario_shape_holds() {
     let machine = machine();
-    let mut t1 = TpchDb::generate(TpchConfig::tiny()).unwrap();
-    let mut t2 = TpchDb::generate(TpchConfig::tiny()).unwrap();
-    let w1 = Workload::compose(&t1, &[(TpchQuery::Q4, 1)]);
-    let w2 = Workload::compose(&t2, &[(TpchQuery::Q13, 8)]);
+    let t = TpchDb::generate(TpchConfig::tiny()).unwrap();
+    let w1 = Workload::compose(&t, &[(TpchQuery::Q4, 1)]);
+    let w2 = Workload::compose(&t, &[(TpchQuery::Q13, 8)]);
 
     let default_alloc = AllocationMatrix::equal_split(2).unwrap();
     let skewed = AllocationMatrix::new(vec![
@@ -34,9 +33,9 @@ fn figure5_scenario_shape_holds() {
     ])
     .unwrap();
 
-    let run = |t1: &mut TpchDb, t2: &mut TpchDb, alloc: &AllocationMatrix| {
+    let run = |alloc: &AllocationMatrix| {
         measure_concurrent_seconds(
-            &mut [&mut t1.db, &mut t2.db],
+            &[&t.db, &t.db],
             &[&w1.queries, &w2.queries],
             machine,
             alloc,
@@ -44,8 +43,8 @@ fn figure5_scenario_shape_holds() {
         )
         .unwrap()
     };
-    let base = run(&mut t1, &mut t2, &default_alloc);
-    let skew = run(&mut t1, &mut t2, &skewed);
+    let base = run(&default_alloc);
+    let skew = run(&skewed);
 
     // The CPU-bound workload improves noticeably...
     let q13_improvement = 1.0 - skew[1] / base[1];
