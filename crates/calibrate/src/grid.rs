@@ -20,13 +20,12 @@
 //! sorts and joins spill. And the probes run over the process-wide
 //! [`crate::ProbeDb::template`], which no machine, axis or robustness
 //! setting reaches. So the suite is **profiled** once per process — 10
-//! engine runs, shared out to one worker per core as claimable tasks on
-//! copies of the template — and a sweep only **replays** those profiles
-//! under each distinct memory configuration, then **prices** and fits all
-//! `C × M` cells from the demands. A sweep is arithmetic: every axis of the
-//! grid is as free as a cell, and so is the next grid. Fault injection is
-//! untouched: noise is drawn per cell from the priced seconds, never from
-//! the execution.
+//! engine runs, on the caller's thread over the shared template — and a
+//! sweep only **replays** those profiles under each distinct memory
+//! configuration, then **prices** and fits all `C × M` cells from the
+//! demands. A sweep is arithmetic: every axis of the grid is as free as a
+//! cell, and so is the next grid. Fault injection is untouched: noise is
+//! drawn per cell from the priced seconds, never from the execution.
 //!
 //! ## Graceful degradation
 //!

@@ -354,7 +354,9 @@ mod tests {
         ) {
             prop_assert!(!xs.is_empty() && xs.len() < 5);
             prop_assert!(xs.iter().all(|&x| (0..10).contains(&x)));
-            prop_assert_eq!(flag || !flag, true);
+            // The bool binding reaches the body with the other bindings.
+            let kept = xs.iter().filter(|_| flag).count();
+            prop_assert_eq!(kept, if flag { xs.len() } else { 0 });
             prop_assert!(a < 4 && (0.0..1.0).contains(&b));
         }
     }

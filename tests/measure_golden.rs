@@ -9,11 +9,12 @@
 //! testbed only under the 2 % memory share that reaches the same floor.
 //!
 //! Per machine × allocation × tenant: every query's `ResourceDemand` from
-//! `workload_demands` (CPU-cycle bits and the three page counts) and the
-//! bits of `measure_workload_seconds` (under two of the allocations); per
-//! machine × allocation matrix the bits of `measure_concurrent_seconds`
-//! (capped, and once work-conserving); per machine ×
-//! allocation × query the bits of `measure_query_warm`.
+//! the machine's one `WorkloadProfile` of the tenant (`demands_under`, what
+//! `workload_demands` answers one-shot: CPU-cycle bits and the three page
+//! counts) and the bits of `measure_workload_seconds` (under two of the
+//! allocations); per machine × allocation matrix the bits of
+//! `measure_concurrent_seconds` (capped, and once work-conserving); per
+//! machine × allocation × query the bits of `measure_query_warm`.
 //! `tests/golden/measure_bits.txt` was captured from the commit *before* the
 //! oracle stopped executing every query of a workload under every
 //! configuration (`GOLDEN_REGENERATE=1` rewrites it): executing each
@@ -23,7 +24,7 @@
 mod common;
 
 use dbvirt::core::measure::{
-    measure_concurrent_seconds, measure_workload_seconds, workload_demands,
+    measure_concurrent_seconds, measure_workload_seconds, WorkloadProfile,
 };
 use dbvirt::optimizer::LogicalPlan;
 use dbvirt::sql::parse_query;
@@ -161,11 +162,18 @@ fn render() -> String {
         ("paper", MachineSpec::paper_testbed()),
         ("small", small_machine()),
     ] {
+        // One profile per tenant answers every allocation: each distinct
+        // plan executes once, whichever allocation meets it first.
+        let mut profiles: Vec<WorkloadProfile<'_>> = tenants
+            .iter()
+            .map(|(_, queries)| WorkloadProfile::new(&t.db, queries))
+            .collect();
         for alloc in ALLOCATIONS {
             let (cpu, mem, disk) = alloc;
             let at = format!("{machine_name} {cpu}/{mem}/{disk}");
-            for (name, queries) in &tenants {
-                let demands = workload_demands(&t.db, queries, machine, shares(alloc))
+            for ((name, queries), profile) in tenants.iter().zip(&mut profiles) {
+                let demands = profile
+                    .demands_under(machine, shares(alloc))
                     .expect("workload executes");
                 for (q, d) in demands.iter().enumerate() {
                     writeln!(
