@@ -32,7 +32,7 @@
 //! folded into an FNV-1a fingerprint; separate processes must produce
 //! identical fingerprints.
 
-use crate::candidates::{enumerate_candidates, IndexCandidate};
+use crate::candidates::{enumerate_candidates, CandidateSet, IndexCandidate};
 use crate::lp::{lower_bound, LpBound};
 use crate::pricing::{DesignPricer, VmPricer};
 use crate::select::{select_greedy, SelectionTrace};
@@ -237,7 +237,7 @@ impl<'g> DesignAdvisor<'g> {
 
         // 1. Enumerate candidates per VM (empty in allocation-only mode:
         //    the budget is zero, nothing could ever be chosen).
-        let mut vms: Vec<VmPricer<'_>> = Vec::with_capacity(n);
+        let mut cand_sets = Vec::with_capacity(n);
         {
             let mut span = telemetry::span("design.enumerate");
             for w in &problem.workloads {
@@ -261,22 +261,26 @@ impl<'g> DesignAdvisor<'g> {
                     }
                     fp.u64(c.pages);
                 }
-                vms.push(VmPricer::new(&pricer, w.db, &w.queries, cands)?);
+                cand_sets.push(cands);
             }
             span.set_attr(
                 "candidates",
-                vms.iter().map(|v| v.cands.len()).sum::<usize>(),
+                cand_sets.iter().map(CandidateSet::len).sum::<usize>(),
             );
         }
 
-        // 2. Pre-warm every (query, config, cell) price this run can
-        //    touch.
-        let cells_rect = self.feasible_cells(n);
+        // 2. Analyse every (query, config) once; each price is computed
+        //    from its analysis on its first read.
+        let vms = {
+            let _span = telemetry::span("design.whatif");
+            (problem.workloads.iter().zip(cand_sets))
+                .map(|(w, cands)| VmPricer::new(&pricer, w.db, &w.queries, cands))
+                .collect::<Result<Vec<_>, _>>()?
+        };
         let budget = match mode {
             Mode::AllocationOnly => 0,
             _ => cfg.budget_pages,
         };
-        pricer.prewarm(&vms, &cells_rect)?;
 
         // 3. Alternate coordinate steps from the equal split, no indexes.
         let mut cells: Vec<(u32, u32)> = equal_cells(n, cfg.units);
@@ -292,7 +296,7 @@ impl<'g> DesignAdvisor<'g> {
             TM_ALTERNATIONS.add(1);
             let prev_state = (cells.clone(), masks.clone());
 
-            // Shares given indexes: exact DP over the warm price table.
+            // Shares given indexes: exact DP over the price table.
             if mode != Mode::IndexOnly {
                 let scfg = SearchConfig {
                     units: cfg.units,
@@ -438,25 +442,6 @@ impl<'g> DesignAdvisor<'g> {
             total += problem.workloads[i].weight * pricer.workload_cost(vm, masks[i], c, m)?;
         }
         Ok(total)
-    }
-
-    /// Every cell any feasible assignment can give one VM: the rectangle
-    /// `[min_units, units − (n−1)·min_units]²` (the single whole-machine
-    /// cell when `n == 1`).
-    fn feasible_cells(&self, n: usize) -> Vec<(u32, u32)> {
-        let cfg = self.config;
-        if n == 1 {
-            return vec![(cfg.units, cfg.units)];
-        }
-        let lo = MIN_UNITS;
-        let hi = cfg.units - MIN_UNITS * (n as u32 - 1);
-        let mut cells = Vec::with_capacity(((hi - lo + 1) * (hi - lo + 1)) as usize);
-        for c in lo..=hi {
-            for m in lo..=hi {
-                cells.push((c, m));
-            }
-        }
-        cells
     }
 }
 

@@ -13,28 +13,37 @@
 //! ≤ 2 is what makes the companion LP relaxation ([`crate::lp`]) an exact
 //! relaxation of this objective, so the reported optimality gap is sound.
 //!
-//! Every `(query, config, cell)` price is memoized in the same dense
+//! The work splits the way INUM splits it inside CoPhy. A [`VmPricer`]
+//! analyses each query once with no hypothetical index, and derives each
+//! config's analysis from that one by re-deriving only the access paths of
+//! the scans the config's indexes cover ([`PreparedQuery::offering`]) —
+//! every `(query, config)` up front, since the advisor's final LP bound
+//! prices every config anyway. A `(query, config, cell)` price is then one
+//! pricing pass of that analysis under the cell's `P(R)`, which the
+//! [`DesignPricer`] looks up and validates once per cell.
+//!
+//! A price is computed on its first read and memoized in the same dense
 //! write-once [`CostCache`] the allocation search uses: each
 //! `(VM, query, config)` owns one row of the pricer's table, handed to its
 //! [`VmPricer`] at construction, and the cell is the row's `(cpu, mem)`
 //! cell — a price read takes no lock and hashes nothing. Prices are pure
-//! functions of the key, so the table a run fills — and with it every
-//! decision the advisor takes — is the same in every process.
+//! functions of the key, so every decision the advisor takes reads the same
+//! bits in every process, whichever cells it happens to read first.
 
 use crate::candidates::CandidateSet;
 use crate::DesignError;
 use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_core::search::{CostCache, CostRow};
 use dbvirt_engine::Database;
-use dbvirt_optimizer::{HypoIndex, LogicalPlan, OptError, PreparedQuery};
+use dbvirt_optimizer::{HypoIndex, LogicalPlan, OptError, OptimizerParams, PreparedQuery};
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::ResourceVector;
-use std::cell::Cell;
-use std::sync::{Arc, OnceLock};
+use std::cell::{Cell, OnceCell};
+use std::sync::Arc;
 
 /// What-if prices answered from the shared cache.
 static TM_CACHE_HITS: telemetry::Counter = telemetry::Counter::new("design.cache_hits");
-/// What-if prices that had to run the planner.
+/// What-if prices computed: one pricing pass each.
 static TM_WHATIF_CALLS: telemetry::Counter = telemetry::Counter::new("design.whatif_calls");
 
 /// One query's priced configuration menu: `configs[k]` is the candidate
@@ -86,16 +95,16 @@ pub struct VmPricer<'a> {
     /// Per-query config menus.
     pub menus: Vec<ConfigMenu>,
     /// `prepared[q][k]`: query `q` analysed with config `k` offered as
-    /// hypothetical indexes, filled by the first price of the pair — every
-    /// further cell only prices it. A pure function of the pair.
-    prepared: Vec<Vec<OnceLock<Result<PreparedQuery, OptError>>>>,
+    /// hypothetical indexes — every cell only prices it.
+    prepared: Vec<Vec<PreparedQuery>>,
     /// `prices[q][k]`: the pair's row of the pricer's table.
     prices: Vec<Vec<Arc<CostRow>>>,
 }
 
 impl<'a> VmPricer<'a> {
     /// Builds a pricer from an already-enumerated candidate set, priced
-    /// into the next unused rows of `pricer`'s table.
+    /// into the next unused rows of `pricer`'s table: analyses every query
+    /// once, and offers that analysis each of its configs.
     pub fn new(
         pricer: &DesignPricer<'_>,
         db: &'a Database,
@@ -103,10 +112,17 @@ impl<'a> VmPricer<'a> {
         cands: CandidateSet,
     ) -> Result<VmPricer<'a>, DesignError> {
         let menus = config_menus(&cands);
-        let prepared = menus
-            .iter()
-            .map(|menu| menu.configs.iter().map(|_| OnceLock::new()).collect())
-            .collect();
+        let prepared = (queries.iter().zip(&menus))
+            .map(|(query, menu)| {
+                let bare = PreparedQuery::analyse(db, query, &[])?;
+                (menu.configs.iter())
+                    .map(|config| match config[..] {
+                        [] => Ok(bare.clone()),
+                        _ => bare.offering(db, query, &hypo_indexes(&cands, config)),
+                    })
+                    .collect::<Result<Vec<_>, OptError>>()
+            })
+            .collect::<Result<_, _>>()?;
         let prices = (menus.iter())
             .map(|menu| pricer.fresh_rows(menu.configs.len()))
             .collect::<Result<_, _>>()?;
@@ -119,24 +135,16 @@ impl<'a> VmPricer<'a> {
             prices,
         })
     }
+}
 
-    /// Query `q` analysed with exactly config `config`'s candidates offered
-    /// as hypothetical indexes.
-    fn prepared(&self, q: usize, config: usize) -> Result<&PreparedQuery, OptError> {
-        self.prepared[q][config]
-            .get_or_init(|| {
-                let hypo: Vec<HypoIndex> = self.menus[q].configs[config]
-                    .iter()
-                    .map(|&c| HypoIndex {
-                        table: self.cands.candidates[c].table,
-                        columns: self.cands.candidates[c].columns.clone(),
-                    })
-                    .collect();
-                PreparedQuery::analyse(self.db, &self.queries[q], &hypo)
-            })
-            .as_ref()
-            .map_err(Clone::clone)
-    }
+/// The hypothetical indexes a config offers: its candidates, in order.
+fn hypo_indexes(cands: &CandidateSet, config: &[usize]) -> Vec<HypoIndex> {
+    (config.iter())
+        .map(|&c| HypoIndex {
+            table: cands.candidates[c].table,
+            columns: cands.candidates[c].columns.clone(),
+        })
+        .collect()
 }
 
 /// Shared pricing state: the calibration grid mapping cells to `P(R)`,
@@ -145,6 +153,9 @@ pub struct DesignPricer<'g> {
     grid: &'g CalibrationGrid,
     units: u32,
     disk_share: f64,
+    /// The validated `P(R)` of cell `(cpu, mem)` at `cpu * (units + 1) +
+    /// mem`, looked up on the cell's first price.
+    params: Vec<OnceCell<OptimizerParams>>,
     cache: CostCache,
     /// Rows of `cache` handed to [`VmPricer`]s so far.
     rows_used: Cell<usize>,
@@ -153,10 +164,12 @@ pub struct DesignPricer<'g> {
 impl<'g> DesignPricer<'g> {
     /// A pricer over a fresh cache.
     pub fn new(grid: &'g CalibrationGrid, units: u32, disk_share: f64) -> DesignPricer<'g> {
+        let side = units as usize + 1;
         DesignPricer {
             grid,
             units,
             disk_share,
+            params: vec![OnceCell::new(); side * side],
             cache: CostCache::new(),
             rows_used: Cell::new(0),
         }
@@ -187,6 +200,26 @@ impl<'g> DesignPricer<'g> {
         })
     }
 
+    /// The validated `P(R)` of cell `(cpu, mem)`, memoized per cell of the
+    /// lattice.
+    fn params(&self, cpu: u32, mem: u32) -> Result<&OptimizerParams, DesignError> {
+        let side = self.units as usize + 1;
+        let slot =
+            (cpu.max(mem) <= self.units).then(|| &self.params[cpu as usize * side + mem as usize]);
+        if let Some(params) = slot.and_then(OnceCell::get) {
+            return Ok(params);
+        }
+        let params = self.grid.params_for(self.shares(cpu, mem)?)?;
+        params.validate()?;
+        slot.map(|slot| slot.get_or_init(|| params))
+            .ok_or_else(|| DesignError::BadConfig {
+                reason: format!(
+                    "cell ({cpu}, {mem}) lies off the {}-unit lattice",
+                    self.units
+                ),
+            })
+    }
+
     /// Price of `(query, config, cell)`: the what-if estimate with exactly
     /// the config's candidates offered as hypothetical indexes under the
     /// calibrated `P(R)` of the cell. Memoized; pure in the key.
@@ -204,9 +237,7 @@ impl<'g> DesignPricer<'g> {
             return Ok(c);
         }
         TM_WHATIF_CALLS.add(1);
-        let params = self.grid.params_for(self.shares(cpu, mem)?)?;
-        params.validate()?;
-        let cost = vm.prepared(q, config)?.est_seconds(&params)?;
+        let cost = vm.prepared[q][config].est_seconds(self.params(cpu, mem)?)?;
         row.insert(cpu, mem, cost);
         Ok(cost)
     }
@@ -237,27 +268,6 @@ impl<'g> DesignPricer<'g> {
             total += best;
         }
         Ok(total)
-    }
-
-    /// Fills the cache with every `(query, config, cell)` price for the
-    /// given VMs over the given cells, in ascending `(VM, query, config,
-    /// cell)` order; the first failing price is the error.
-    pub fn prewarm(&self, vms: &[VmPricer<'_>], cells: &[(u32, u32)]) -> Result<(), DesignError> {
-        let configs: usize = (vms.iter().flat_map(|vm| &vm.menus))
-            .map(|menu| menu.configs.len())
-            .sum();
-        let mut span = telemetry::span("design.whatif");
-        span.set_attr("prices", configs * cells.len());
-        for vm in vms {
-            for (q, menu) in vm.menus.iter().enumerate() {
-                for k in 0..menu.configs.len() {
-                    for &(c, m) in cells {
-                        self.price(vm, q, k, c, m)?;
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 }
 

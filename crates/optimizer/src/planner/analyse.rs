@@ -20,6 +20,12 @@
 //! relation subsets are connected, and which of their splits join two
 //! connected halves across at least one edge, depend on the join graph
 //! alone. What stays per `P` is the choice among those splits.
+//!
+//! Of all this, the hypothetical indexes reach one thing only: the access
+//! paths of the scans on the tables they index. So an index-configuration
+//! search, as INUM does inside CoPhy, analyses each query once with none
+//! and derives every configuration from that analysis by re-deriving those
+//! scans' paths ([`PreparedQuery::offering`]).
 
 use super::access::{self, PathKind, Residual};
 use super::HypoIndex;
@@ -86,6 +92,7 @@ pub(super) enum Op {
 /// index access path, in comparison order.
 #[derive(Debug, Clone)]
 pub(super) struct Scan {
+    pub table: TableId,
     pub pages: f64,
     pub rows: f64,
     pub width: f64,
@@ -297,29 +304,20 @@ pub(super) fn table_stats(db: &Database, table: TableId) -> Result<&TableStats, 
 }
 
 /// Summed heap pages of every distinct base table a plan touches — the
-/// query's steady-state cache working set.
-fn working_set_pages(db: &Database, plan: &LogicalPlan, seen: &mut Vec<TableId>) -> f64 {
-    match plan {
-        LogicalPlan::Scan { table, .. } => {
-            if seen.contains(table) {
-                0.0
-            } else {
-                seen.push(*table);
-                db.table(*table)
-                    .stats
-                    .as_ref()
-                    .map_or(0.0, |s| s.n_pages as f64)
-            }
+/// query's steady-state cache working set. (Whole page counts: the sum is
+/// exact in any order.)
+fn working_set_pages(db: &Database, plan: &LogicalPlan) -> f64 {
+    let mut scans = Vec::new();
+    plan_scans(plan, &mut scans);
+    let mut seen = Vec::new();
+    let mut pages = 0.0;
+    for (table, _) in scans {
+        if !seen.contains(&table) {
+            seen.push(table);
+            pages += (db.table(table).stats.as_ref()).map_or(0.0, |s| s.n_pages as f64);
         }
-        LogicalPlan::Join { left, right, .. } => {
-            working_set_pages(db, left, seen) + working_set_pages(db, right, seen)
-        }
-        LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => working_set_pages(db, input, seen),
     }
+    pages
 }
 
 /// The leaf relations of an inner-join tree, in logical order.
@@ -335,6 +333,51 @@ pub(super) fn join_leaves<'p>(plan: &'p LogicalPlan, out: &mut Vec<&'p LogicalPl
             join_leaves(right, out);
         }
         leaf => out.push(leaf),
+    }
+}
+
+/// The costing operands of every index access path `filter` can drive on
+/// `table` with `hypo` offered beside the real indexes, in comparison order
+/// ([`Scan::paths`]). `filter_ops` is the whole filter's operator count.
+fn scan_paths(
+    db: &Database,
+    hypo: &[HypoIndex],
+    table: TableId,
+    stats: &TableStats,
+    filter: &Option<Expr>,
+    filter_ops: f64,
+) -> Vec<PathCost> {
+    let Some(filter) = filter else {
+        return Vec::new();
+    };
+    access::access_paths(db, hypo, table, stats, filter)
+        .into_iter()
+        .map(|path| PathCost {
+            kind: path.kind,
+            arms: path.probes.iter().map(|probe| probe.stats).collect(),
+            combined: path.combined,
+            residual_ops: match path.residual {
+                Residual::Terms(terms) => terms.iter().map(|e| e.num_operators() as f64).sum(),
+                Residual::WholeFilter => filter_ops,
+            },
+        })
+        .collect()
+}
+
+/// The base-table scans of `plan`, in the order analysis meets them: depth
+/// first, left before right.
+fn plan_scans<'p>(plan: &'p LogicalPlan, out: &mut Vec<(TableId, &'p Option<Expr>)>) {
+    match plan {
+        LogicalPlan::Scan { table, filter } => out.push((*table, filter)),
+        LogicalPlan::Join { left, right, .. } => {
+            plan_scans(left, out);
+            plan_scans(right, out);
+        }
+        LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => plan_scans(input, out),
     }
 }
 
@@ -365,25 +408,11 @@ impl Analyser<'_> {
             .as_ref()
             .map_or(1.0, |f| card::filter_selectivity(f, stats));
         let filter_ops = filter.as_ref().map_or(0.0, |f| f.num_operators() as f64);
-
-        let candidates = filter.as_ref().map_or(Vec::new(), |filter| {
-            access::access_paths(self.db, self.hypo, table, stats, filter)
-        });
-        let paths = candidates
-            .into_iter()
-            .map(|path| PathCost {
-                kind: path.kind,
-                arms: path.probes.iter().map(|probe| probe.stats).collect(),
-                combined: path.combined,
-                residual_ops: match path.residual {
-                    Residual::Terms(terms) => terms.iter().map(|e| e.num_operators() as f64).sum(),
-                    Residual::WholeFilter => filter_ops,
-                },
-            })
-            .collect();
+        let paths = scan_paths(self.db, self.hypo, table, stats, filter, filter_ops);
         let arity = self.db.table(table).schema.len();
         Ok((
             Node::Scan(Scan {
+                table,
                 pages,
                 rows,
                 width,
@@ -564,11 +593,46 @@ impl PreparedQuery {
         let analyser = Analyser {
             db,
             hypo,
-            working_set_pages: working_set_pages(db, plan, &mut Vec::new()),
+            working_set_pages: working_set_pages(db, plan),
         };
         Ok(PreparedQuery {
             root: analyser.node(plan)?.0,
         })
+    }
+
+    /// This analysis — of `plan` against `db` with no hypothetical index —
+    /// with `hypo` offered instead: bit for bit what
+    /// [`PreparedQuery::analyse`]`(db, plan, hypo)` returns. Only the scans
+    /// on tables some index of `hypo` covers have their access paths
+    /// re-derived; the rest of the analysis is copied.
+    ///
+    /// Fails with [`OptError::BadPlan`] when `plan`'s scans are not the
+    /// ones analysed.
+    pub fn offering(
+        &self,
+        db: &Database,
+        plan: &LogicalPlan,
+        hypo: &[HypoIndex],
+    ) -> Result<PreparedQuery, OptError> {
+        let mut planned = Vec::new();
+        plan_scans(plan, &mut planned);
+        let mut offered = self.clone();
+        let mut analysed = Vec::new();
+        offered.root.scans_mut(&mut analysed);
+        let same_scans = analysed.len() == planned.len()
+            && (analysed.iter().zip(&planned)).all(|(scan, &(table, _))| scan.table == table);
+        if !same_scans {
+            return Err(OptError::BadPlan {
+                reason: "offered indexes to an analysis of another plan".to_string(),
+            });
+        }
+        for (scan, (table, filter)) in analysed.into_iter().zip(planned) {
+            if hypo.iter().any(|h| h.table == table) {
+                let stats = table_stats(db, table)?;
+                scan.paths = scan_paths(db, hypo, table, stats, filter, scan.filter_ops);
+            }
+        }
+        Ok(offered)
     }
 
     /// The join-order search analysis fixed for this query: how many splits
@@ -582,6 +646,23 @@ impl PreparedQuery {
 }
 
 impl Node {
+    /// Every scan, in the order analysis built them.
+    fn scans_mut<'n>(&'n mut self, out: &mut Vec<&'n mut Scan>) {
+        match self {
+            Node::Scan(scan) => out.push(scan),
+            Node::InnerJoins(tree) => {
+                for relation in &mut tree.relations {
+                    relation.scans_mut(out);
+                }
+            }
+            Node::OuterJoin(left, right, ..) => {
+                left.scans_mut(out);
+                right.scans_mut(out);
+            }
+            Node::Unary(input, _) => input.scans_mut(out),
+        }
+    }
+
     fn add_join_splits(&self, total: &mut JoinSplits) {
         match self {
             Node::Scan(_) => {}

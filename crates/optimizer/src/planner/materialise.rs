@@ -4,7 +4,9 @@
 //! the what-if path never gets here.
 //!
 //! The logical plan is walked in the order pricing recorded its choices in,
-//! so only the winners' expressions, key bounds and join keys are built.
+//! so only the winners' expressions, key bounds and join keys are built. A
+//! plan whose walk does not meet the choices recorded — another plan than
+//! the one analysed — materialises to `None`.
 
 use super::access::{self, PathKind, Probe, Residual};
 use super::analyse::{join_leaves, table_stats, JoinTree};
@@ -28,26 +30,26 @@ fn arm(probe: &Probe) -> IndexArm {
 }
 
 impl Materialiser<'_, '_> {
-    fn boxed(&mut self, plan: &LogicalPlan) -> Box<PhysicalPlan> {
-        Box::new(self.plan(plan))
+    fn boxed(&mut self, plan: &LogicalPlan) -> Option<Box<PhysicalPlan>> {
+        self.plan(plan).map(Box::new)
     }
 
     /// The plan for `plan`, consuming the choices its pricing recorded.
-    pub(super) fn plan(&mut self, plan: &LogicalPlan) -> PhysicalPlan {
-        match plan {
-            LogicalPlan::Scan { table, filter } => self.scan(*table, filter),
+    pub(super) fn plan(&mut self, plan: &LogicalPlan) -> Option<PhysicalPlan> {
+        Some(match plan {
+            LogicalPlan::Scan { table, filter } => self.scan(*table, filter)?,
             LogicalPlan::Join {
                 join_type: JoinType::Inner,
                 ..
-            } => self.inner_joins(plan),
+            } => self.inner_joins(plan)?,
             LogicalPlan::Join {
                 left,
                 right,
                 on,
                 join_type,
             } => PhysicalPlan::HashJoin {
-                left: self.boxed(left),
-                right: self.boxed(right),
+                left: self.boxed(left)?,
+                right: self.boxed(right)?,
                 left_keys: on.iter().map(|c| c.left_col).collect(),
                 right_keys: on.iter().map(|c| c.right_col).collect(),
                 join_type: *join_type,
@@ -57,15 +59,15 @@ impl Materialiser<'_, '_> {
                 group_by,
                 aggs,
             } => {
-                let input = self.boxed(input);
+                let input = self.boxed(input)?;
                 let (group_by, aggs) = (group_by.clone(), aggs.clone());
-                match self.choices.next() {
-                    Some(Choice::HashAgg(true)) => PhysicalPlan::HashAgg {
+                match self.choices.next()? {
+                    Choice::HashAgg(true) => PhysicalPlan::HashAgg {
                         input,
                         group_by,
                         aggs,
                     },
-                    Some(Choice::HashAgg(false)) => PhysicalPlan::SortAgg {
+                    Choice::HashAgg(false) => PhysicalPlan::SortAgg {
                         input: Box::new(PhysicalPlan::Sort {
                             input,
                             keys: group_by.iter().map(|&c| SortKey::asc(c)).collect(),
@@ -73,48 +75,48 @@ impl Materialiser<'_, '_> {
                         group_by,
                         aggs,
                     },
-                    other => unreachable!("an aggregate records hash-vs-sort, not {other:?}"),
+                    _ => return None,
                 }
             }
             LogicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-                input: self.boxed(input),
+                input: self.boxed(input)?,
                 predicate: predicate.clone(),
             },
             LogicalPlan::Project { input, exprs } => PhysicalPlan::Project {
-                input: self.boxed(input),
+                input: self.boxed(input)?,
                 exprs: exprs.clone(),
             },
             LogicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-                input: self.boxed(input),
+                input: self.boxed(input)?,
                 keys: keys.clone(),
             },
             LogicalPlan::Limit { input, limit } => PhysicalPlan::Limit {
-                input: self.boxed(input),
+                input: self.boxed(input)?,
                 limit: *limit,
             },
-        }
+        })
     }
 
-    fn scan(&mut self, table: TableId, filter: &Option<Expr>) -> PhysicalPlan {
-        let Some(Choice::Access(choice)) = self.choices.next() else {
-            unreachable!("a scan records its access path");
+    fn scan(&mut self, table: TableId, filter: &Option<Expr>) -> Option<PhysicalPlan> {
+        let Choice::Access(choice) = self.choices.next()? else {
+            return None;
         };
         let Some((filter, winner)) = filter.as_ref().zip(choice.checked_sub(1)) else {
-            return PhysicalPlan::SeqScan {
+            return Some(PhysicalPlan::SeqScan {
                 table,
                 filter: filter.clone(),
-            };
+            });
         };
-        let stats = table_stats(self.db, table).expect("analysis read these statistics");
-        let path =
-            access::access_paths(self.db, self.hypo, table, stats, filter).swap_remove(winner);
+        let stats = table_stats(self.db, table).ok()?;
+        let mut paths = access::access_paths(self.db, self.hypo, table, stats, filter);
+        let path = (winner < paths.len()).then(|| paths.swap_remove(winner))?;
         let residual = match path.residual {
             Residual::Terms(terms) if terms.is_empty() => None,
             Residual::Terms(terms) => Some(Expr::and_all(terms.into_iter().cloned().collect())),
             Residual::WholeFilter => Some(filter.clone()),
         };
         let mut arms: Vec<IndexArm> = path.probes.iter().map(arm).collect();
-        match path.kind {
+        Some(match path.kind {
             PathKind::Index => {
                 let IndexArm { index, lo, hi } = arms.swap_remove(0);
                 PhysicalPlan::IndexScan {
@@ -135,39 +137,39 @@ impl Materialiser<'_, '_> {
                 arms,
                 filter: residual,
             },
-        }
+        })
     }
 
     /// Plans the tree's relations in logical order (as pricing did), then
     /// assembles them along the recorded join order and restores the
     /// logical column order with a projection if the order permuted it.
-    fn inner_joins(&mut self, plan: &LogicalPlan) -> PhysicalPlan {
+    fn inner_joins(&mut self, plan: &LogicalPlan) -> Option<PhysicalPlan> {
         let mut leaves = Vec::new();
         join_leaves(plan, &mut leaves);
         let mut relations: Vec<Option<PhysicalPlan>> = leaves
             .into_iter()
-            .map(|leaf| Some(self.plan(leaf)))
-            .collect();
-        let Some(Choice::JoinOrder { tree, steps, root }) = self.choices.next() else {
-            unreachable!("an inner-join tree records its join order");
+            .map(|leaf| self.plan(leaf).map(Some))
+            .collect::<Option<_>>()?;
+        let Choice::JoinOrder { tree, steps, root } = self.choices.next()? else {
+            return None;
         };
-        let (joined, layout) = assemble(tree, &steps, root, &mut relations);
+        if tree.relations.len() != relations.len() {
+            return None;
+        }
+        let (joined, layout) = assemble(tree, &steps, root, &mut relations)?;
         if layout.iter().copied().eq(0..layout.len()) {
-            return joined;
+            return Some(joined);
         }
         let exprs = (0..layout.len())
             .map(|g| {
-                let pos = layout
-                    .iter()
-                    .position(|&x| x == g)
-                    .expect("inner joins preserve all columns");
-                (Expr::col(pos), format!("c{g}"))
+                let pos = layout.iter().position(|&x| x == g)?;
+                Some((Expr::col(pos), format!("c{g}")))
             })
-            .collect();
-        PhysicalPlan::Project {
+            .collect::<Option<_>>()?;
+        Some(PhysicalPlan::Project {
             input: Box::new(joined),
             exprs,
-        }
+        })
     }
 }
 
@@ -178,16 +180,16 @@ fn assemble(
     steps: &[JoinStep],
     step: usize,
     relations: &mut [Option<PhysicalPlan>],
-) -> (PhysicalPlan, Vec<usize>) {
+) -> Option<(PhysicalPlan, Vec<usize>)> {
     let (left, right) = match steps[step].kind {
         StepKind::Relation(rel) => {
-            let plan = relations[rel].take().expect("each relation joins once");
-            return (plan, (tree.offsets[rel]..tree.offsets[rel + 1]).collect());
+            let plan = relations[rel].take()?;
+            return Some((plan, (tree.offsets[rel]..tree.offsets[rel + 1]).collect()));
         }
         StepKind::Hash { left, right } | StepKind::Cross { left, right } => (left, right),
     };
-    let (left_plan, mut layout) = assemble(tree, steps, left, relations);
-    let (right_plan, right_layout) = assemble(tree, steps, right, relations);
+    let (left_plan, mut layout) = assemble(tree, steps, left, relations)?;
+    let (right_plan, right_layout) = assemble(tree, steps, right, relations)?;
     let (left, right) = (Box::new(left_plan), Box::new(right_plan));
     let join_type = JoinType::Inner;
     let plan = if let StepKind::Cross { .. } = steps[step].kind {
@@ -217,5 +219,5 @@ fn assemble(
         }
     };
     layout.extend(right_layout);
-    (plan, layout)
+    Some((plan, layout))
 }

@@ -642,6 +642,7 @@ fn random_tree(
             offsets.push(offsets[offsets.len() - 1] + columns);
             let (rows, width) = (ROWS[rows], WIDTHS[width]);
             Node::Scan(Scan {
+                table: TableId(0),
                 pages: (rows * width / 8192.0).ceil(),
                 rows,
                 width,

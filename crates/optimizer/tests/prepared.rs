@@ -1,13 +1,23 @@
 //! The prepared what-if path against the planning path: a query analysed
 //! once and priced under many parameter vectors must report, bit for bit,
-//! what planning it afresh under each vector reports.
+//! what planning it afresh under each vector reports — and an analysis
+//! without hypothetical indexes, offered a configuration, must price and
+//! plan exactly like an analysis with that configuration.
 
+#[path = "../../../tests/common/lookups.rs"]
+mod lookups;
+
+use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_engine::{AggExpr, AggFunc, Database, Expr, JoinType, TableId};
 use dbvirt_optimizer::{
     estimate_query_seconds, estimate_workload_seconds, plan_query, plan_query_with_indexes,
-    HypoIndex, JoinCondition, LogicalPlan, OptimizerParams, PreparedQuery, PreparedWorkload,
+    HypoIndex, JoinCondition, LogicalPlan, OptError, OptimizerParams, PreparedQuery,
+    PreparedWorkload,
 };
 use dbvirt_storage::{DataType, Datum, Field, Schema, Tuple};
+use dbvirt_tpch::{TpchConfig, TpchDb, TpchQuery};
+use dbvirt_vmm::kernel::SplitMix64;
+use dbvirt_vmm::{MachineSpec, ResourceVector};
 use proptest::prelude::*;
 
 struct Fixture {
@@ -322,4 +332,177 @@ fn errors_keep_their_order_and_hostile_plans_do_not_panic() {
     assert!(matches!(err, dbvirt_optimizer::OptError::BadPlan { .. }));
     let prepared = PreparedQuery::analyse(&f.db, &dangling, &[]).unwrap();
     assert!(prepared.cost_units(&bad_params).is_err());
+}
+
+/// Parameter vectors on both sides of the cache cutoff and one with cheap
+/// random I/O, plus the calibrated `P(R)` of three cells of a small
+/// machine's grid.
+fn tpch_params() -> Vec<OptimizerParams> {
+    let d = OptimizerParams::default();
+    let machine = MachineSpec {
+        cores: 2,
+        cycles_per_sec: 2.8e9,
+        memory_bytes: 8 * 1024 * 1024,
+        disk_seq_bytes_per_sec: 25.0 * 1024.0 * 1024.0,
+        disk_random_iops: 100.0,
+        page_size: 8192,
+    };
+    let points = vec![0.25, 0.5, 0.75, 1.0];
+    let grid = CalibrationGrid::calibrate(machine, points.clone(), points, 0.5).unwrap();
+    let cell = |cpu, mem| {
+        let shares = ResourceVector::from_fractions(cpu, mem, 0.5).unwrap();
+        grid.params_for(shares).unwrap()
+    };
+    vec![
+        OptimizerParams {
+            effective_cache_size_pages: 1.0,
+            random_page_cost: 40.0,
+            ..d
+        },
+        OptimizerParams {
+            effective_cache_size_pages: 1e6,
+            ..d
+        },
+        OptimizerParams {
+            effective_cache_size_pages: 1e6,
+            random_page_cost: 1.0,
+            ..d
+        },
+        cell(0.25, 0.25),
+        cell(0.5, 0.75),
+        cell(1.0, 1.0),
+    ]
+}
+
+/// Hypothetical indexes over TPC-H, as `(table, key columns)`:
+/// single-column and composite ones on the columns the statements filter,
+/// and some on tables most of them never scan.
+const TPCH_HYPO_POOL: [(&str, &[&str]); 13] = [
+    ("lineitem", &["l_partkey"]),
+    ("lineitem", &["l_suppkey"]),
+    ("lineitem", &["l_shipdate"]),
+    ("lineitem", &["l_quantity"]),
+    ("lineitem", &["l_partkey", "l_quantity"]),
+    ("lineitem", &["l_discount", "l_quantity"]),
+    ("orders", &["o_custkey"]),
+    ("orders", &["o_orderdate"]),
+    ("orders", &["o_orderstatus", "o_orderdate"]),
+    ("customer", &["c_mktsegment"]),
+    ("part", &["p_size"]),
+    ("region", &["r_name"]),
+    ("nation", &["n_regionkey"]),
+];
+
+/// `offering` against a fresh analysis with the same indexes, over the nine
+/// TPC-H queries and the eight lookup shapes: eight seeded configurations
+/// of one or two pool indexes per statement — every other one drawn from
+/// the indexes whose columns the statement names — each priced to the same
+/// bits and materialised to the same physical plan as
+/// `plan_query_with_indexes`.
+#[test]
+fn an_offered_analysis_prices_and_plans_like_a_fresh_one() {
+    let t = TpchDb::generate(TpchConfig {
+        scale: 0.005,
+        seed: 42,
+        with_indexes: true,
+    })
+    .unwrap();
+    let texts = TpchQuery::all().map(|q| q.sql());
+    let pool: Vec<(HypoIndex, &[&str])> = TPCH_HYPO_POOL
+        .iter()
+        .map(|&(table, names)| {
+            let table = t.db.table_id(table).unwrap();
+            let schema = &t.db.table(table).schema;
+            let columns = names.iter().map(|n| schema.index_of(n).unwrap()).collect();
+            (HypoIndex { table, columns }, names)
+        })
+        .collect();
+    let vectors = tpch_params();
+    let mut r = SplitMix64(51);
+    let (mut configs, mut moved) = (0, 0);
+    for sql in texts.iter().chain(&lookups::LOOKUPS) {
+        let q = dbvirt_sql::parse_query(sql, &t.db).unwrap();
+        let bare = PreparedQuery::analyse(&t.db, &q, &[]).unwrap();
+        let named: Vec<&HypoIndex> = (pool.iter())
+            .filter(|(_, names)| names.iter().all(|n| sql.contains(n)))
+            .map(|(h, _)| h)
+            .collect();
+        let everything: Vec<&HypoIndex> = pool.iter().map(|(h, _)| h).collect();
+        for k in 0..8 {
+            let from = if k % 2 == 0 && !named.is_empty() {
+                &named
+            } else {
+                &everything
+            };
+            let hypo: Vec<HypoIndex> = (0..1 + k / 4)
+                .map(|_| from[(r.next() % from.len() as u64) as usize].clone())
+                .collect();
+            let offered = bare.offering(&t.db, &q, &hypo).unwrap();
+            let fresh = PreparedQuery::analyse(&t.db, &q, &hypo).unwrap();
+            let mut changed = false;
+            for p in &vectors {
+                let planned = plan_query_with_indexes(&t.db, &q, p, &hypo).unwrap();
+                let cost = offered.cost_units(p).unwrap();
+                let what = format!("{sql} with {hypo:?} under {p}");
+                assert_eq!(
+                    cost.to_bits(),
+                    fresh.cost_units(p).unwrap().to_bits(),
+                    "{what}"
+                );
+                assert_eq!(cost.to_bits(), planned.est_cost_units.to_bits(), "{what}");
+                let materialised = offered.plan(&t.db, &q, p, &hypo).unwrap();
+                assert_eq!(materialised.physical, planned.physical, "{what}");
+                assert_eq!(materialised.est_rows.to_bits(), planned.est_rows.to_bits());
+                assert_eq!(materialised.uses_hypothetical, planned.uses_hypothetical);
+                changed |= cost != bare.cost_units(p).unwrap();
+            }
+            configs += 1;
+            moved += usize::from(changed);
+        }
+    }
+    // Only a configuration whose index wins some scan under some vector
+    // can tell a re-derived path from a copied one: there must be some.
+    assert_eq!(configs, 17 * 8);
+    assert!(
+        (5..configs / 2).contains(&moved),
+        "{moved} of {configs} configurations moved a price"
+    );
+}
+
+/// `offering` refuses a plan whose scans are not the analysed plan's, and
+/// materialising an analysis for another plan fails without a panic.
+#[test]
+fn an_analysis_refuses_a_plan_it_did_not_analyse() {
+    let f = fixture();
+    let plans = queries(&f);
+    let hypo = hypo_pool(&f);
+    let p = OptimizerParams::default();
+    // Each query's scanned tables, in analysis order.
+    let scans = [
+        &[f.fact][..],
+        &[f.fact],
+        &[f.fact],
+        &[f.fact],
+        &[f.mid],
+        &[f.fact, f.mid, f.dim],
+        &[f.fact, f.dim],
+        &[f.mid, f.fact],
+    ];
+    for (i, analysed) in plans.iter().enumerate() {
+        let prepared = PreparedQuery::analyse(&f.db, analysed, &[]).unwrap();
+        for (j, other) in plans.iter().enumerate() {
+            let offered = prepared.offering(&f.db, other, &hypo);
+            if scans[i] == scans[j] {
+                assert!(offered.is_ok(), "query {i} refused query {j}'s scans");
+            } else {
+                assert!(
+                    matches!(offered, Err(OptError::BadPlan { .. })),
+                    "query {i} offered indexes to query {j}"
+                );
+            }
+            if let Err(e) = prepared.plan(&f.db, other, &p, &[]) {
+                assert!(matches!(e, OptError::BadPlan { .. }), "{e}");
+            }
+        }
+    }
 }
