@@ -6,15 +6,15 @@
 //!
 //! | test | exhibit |
 //! |---|---|
-//! | `paper_exhibits` | Figures 3–5, EXT-SEARCH, EXT-CONSOL, EXT-DYNAMIC, EXT-ABLATION (golden `tests/golden/exhibits.txt`) |
+//! | `paper_exhibits` | Figures 3–5, EXT-SEARCH, EXT-CONSOL, EXT-DYNAMIC, EXT-ABLATION, EXT-RESOLUTION (golden `tests/golden/exhibits.txt`) |
 //! | `ext_grid` | calibration-grid density vs interpolation fidelity; one probe-suite execution per process |
 //! | `telemetry_pipeline` | EXT-TRACE: a traced consolidation run's root span coverage |
 //! | `calibration_recovery` | the chaos sweep (`--ignored`): calibration under fault injection |
 //! | `ext_controller`, `ext_fleet`, `ext_fleetsim`, `ext_design`, `sched_wc_golden` | the fingerprinted experiments, each against its golden |
 //!
-//! This library holds what those tests, the Criterion benches under
-//! `benches/` and the `perf/` pipeline benchmark share: the experiment
-//! machine and measurement/printing helpers.
+//! This library holds what those tests and the `perf/` pipeline benchmark
+//! (the only benchmark) share: the experiment machine and
+//! measurement/printing helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -81,7 +81,7 @@ const SCAN_BUDGET: u64 = 32;
 const LAYOUT_BUDGET: u64 = 8;
 const GROUPS: [&str; 3] = ["x", "y", "z"];
 
-/// `t(a INT, b INT, g STR)`, the table of `benches/executor.rs`.
+/// `t(a INT, b INT, g STR)`, the operator table EXPERIMENTS.md's EXT-EXEC timings used.
 fn build_db() -> Database {
     let mut db = Database::new();
     let t = db.create_table(

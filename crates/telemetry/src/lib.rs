@@ -17,11 +17,10 @@
 //! * **exporters** ([`Snapshot::to_json`], [`Snapshot::to_chrome_trace`])
 //!   — a self-contained JSON dump and the Chrome `chrome://tracing` /
 //!   Perfetto trace-event format, plus [`Snapshot::validate`], the
-//!   structural validator the CI smoke gate runs;
-//! * **persistent sink** ([`SinkConfig`], [`Registry::attach_sink`]) —
-//!   bounded ring-buffer span retention with periodic whole-file flushes
-//!   in the same JSON format, so day-long simulation runs stay
-//!   profilable after the fact without unbounded memory; off by default.
+//!   structural validator the CI smoke gate runs.
+//!
+//! Finished spans are kept in one place, the registry's span list:
+//! [`snapshot`] copies it and [`reset`] clears it.
 //!
 //! ## The zero-cost disabled contract
 //!
@@ -30,9 +29,7 @@
 //! allocation, no locking, no clock reads. Since instrumentation never
 //! feeds back into computation, behavior with telemetry disabled is
 //! bit-identical to a build without it; the workspace pins this with
-//! recommendation-determinism regression tests. Building with the `off`
-//! feature turns the enabled check into a compile-time `false`, making
-//! the no-op path checkable by the optimizer itself.
+//! recommendation-determinism regression tests.
 //!
 //! ## Threading model
 //!
@@ -59,14 +56,12 @@
 mod export;
 mod hist;
 mod registry;
-mod sink;
 mod span;
 
 pub use export::{write_json_num, write_json_str};
 pub use hist::HistogramSnapshot;
 pub use registry::{AttrValue, Registry, Snapshot, SpanRecord};
 pub(crate) use registry::{CounterCell, GaugeCell, HistCell};
-pub use sink::{SinkConfig, SinkStats};
 pub use span::SpanGuard;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,23 +80,13 @@ pub fn global() -> &'static Registry {
 /// True if global telemetry collection is on.
 #[inline(always)]
 pub fn is_enabled() -> bool {
-    #[cfg(feature = "off")]
-    {
-        false
-    }
-    #[cfg(not(feature = "off"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns global telemetry collection on. No-op under the `off` feature.
+/// Turns global telemetry collection on.
 pub fn enable() {
-    #[cfg(not(feature = "off"))]
-    {
-        global(); // materialize the registry (and its epoch) first
-        ENABLED.store(true, Ordering::SeqCst);
-    }
+    global(); // materialize the registry (and its epoch) first
+    ENABLED.store(true, Ordering::SeqCst);
 }
 
 /// Turns global telemetry collection off. Already-open spans still record
@@ -174,20 +159,6 @@ pub fn advance_virtual_secs(secs: f64) {
 /// Takes a consistent snapshot of the global registry.
 pub fn snapshot() -> Snapshot {
     global().snapshot()
-}
-
-/// Attaches a persistent sink to the global registry (see
-/// [`Registry::attach_sink`]). Independent of the enable switch: the
-/// sink only sees spans that are recorded at all, so while disabled it
-/// simply stays empty.
-pub fn attach_sink(cfg: SinkConfig) {
-    global().attach_sink(cfg);
-}
-
-/// Final-flushes and detaches the global registry's sink, returning its
-/// stats (`None` if no sink was attached).
-pub fn detach_sink() -> Option<SinkStats> {
-    global().detach_sink()
 }
 
 /// A named counter bound to the global registry, cacheable in a `static`

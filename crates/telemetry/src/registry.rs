@@ -1,11 +1,10 @@
 //! The thread-safe telemetry registry and its snapshot type.
 
 use crate::hist::{Hist, HistogramSnapshot};
-use crate::sink::{SinkConfig, SinkState, SinkStats};
 use crate::span::{self, Active, SpanGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Distinguishes registries on the per-thread parent stack.
@@ -21,6 +20,15 @@ thread_local! {
 
 fn current_tid() -> u64 {
     TID.with(|t| *t)
+}
+
+/// Locks one of the registry's stores, taking the guard back from a
+/// poisoned lock. Every critical section below leaves its data whole (a
+/// push, a clear, a clone, an insert), so a panic elsewhere while one was
+/// held tore nothing; and telemetry must never take down the run it
+/// watches.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// An attribute value attached to a span.
@@ -198,12 +206,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Arc<CounterCell>>>,
     gauges: Mutex<BTreeMap<String, Arc<GaugeCell>>>,
     hists: Mutex<BTreeMap<String, Arc<HistCell>>>,
-    /// Optional persistent sink (see [`crate::SinkConfig`]). While
-    /// attached, finished spans route into its bounded ring instead of
-    /// the unbounded `spans` vector. Lock discipline: the sink mutex is
-    /// never held while taking any other registry lock (flushes clone
-    /// the ring out first), so no ordering cycle exists.
-    pub(crate) sink: Mutex<Option<SinkState>>,
 }
 
 impl Default for Registry {
@@ -225,7 +227,6 @@ impl Registry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             hists: Mutex::new(BTreeMap::new()),
-            sink: Mutex::new(None),
         }
     }
 
@@ -281,72 +282,8 @@ impl Registry {
     pub(crate) fn finish_span(&self, mut rec: SpanRecord) {
         rec.end_ns = self.now_ns().max(rec.start_ns);
         rec.vend_us = self.vclock_us.load(Ordering::Relaxed).max(rec.vstart_us);
-        let flush_due = {
-            let mut sink = self.sink.lock().unwrap();
-            match sink.as_mut() {
-                Some(state) => {
-                    let due = state.push(rec);
-                    if due {
-                        // Claim the flush under the lock so concurrent
-                        // finishers don't all write the same period.
-                        state.since_flush = 0;
-                    }
-                    due
-                }
-                None => {
-                    drop(sink);
-                    self.spans.lock().unwrap().push(rec);
-                    false
-                }
-            }
-        };
+        lock(&self.spans).push(rec);
         self.open_spans.fetch_sub(1, Ordering::Relaxed);
-        if flush_due {
-            self.flush_sink();
-        }
-    }
-
-    /// Attaches a persistent sink: from now on finished spans are
-    /// retained in a bounded ring and flushed periodically to
-    /// `cfg.path` as a version-1 snapshot JSON document. Spans already
-    /// recorded stay where they are and appear in every flush and
-    /// snapshot alongside the ring. Replaces any previously attached
-    /// sink (without a final flush of the old one).
-    pub fn attach_sink(&self, cfg: SinkConfig) {
-        *self.sink.lock().unwrap() = Some(SinkState::new(cfg));
-    }
-
-    /// Detaches the sink after one final flush, folding the retained
-    /// ring back into the registry's span store — snapshots keep every
-    /// span that survived retention. Returns the sink's final stats, or
-    /// `None` if no sink was attached.
-    pub fn detach_sink(&self) -> Option<SinkStats> {
-        self.flush_sink()?;
-        let state = self.sink.lock().unwrap().take()?;
-        let stats = state.stats();
-        self.spans.lock().unwrap().extend(state.ring);
-        Some(stats)
-    }
-
-    /// Forces a flush now (also used for the periodic flushes). The
-    /// document is a full [`Snapshot::to_json`]: retained spans plus
-    /// current counters, gauges, and histograms. Write failures are
-    /// recorded in [`SinkStats`], never propagated. Returns the stats
-    /// after the attempt, or `None` if no sink is attached.
-    pub(crate) fn flush_sink(&self) -> Option<SinkStats> {
-        let path = self.sink.lock().unwrap().as_ref()?.cfg.path.clone();
-        let json = self.snapshot().to_json();
-        let result = std::fs::write(&path, json);
-        let mut sink = self.sink.lock().unwrap();
-        let state = sink.as_mut()?;
-        match result {
-            Ok(()) => state.flushes += 1,
-            Err(e) => {
-                state.write_errors += 1;
-                state.last_error = Some(format!("{}: {e}", path.display()));
-            }
-        }
-        Some(state.stats())
     }
 
     /// Advances the registry's virtual (simulated) clock.
@@ -366,21 +303,13 @@ impl Registry {
 
     /// The shared cell for counter `name`, creating it on first use.
     pub(crate) fn counter_cell(&self, name: &str) -> Arc<CounterCell> {
-        Arc::clone(
-            self.counters
-                .lock()
-                .unwrap()
-                .entry(name.to_string())
-                .or_default(),
-        )
+        Arc::clone(lock(&self.counters).entry(name.to_string()).or_default())
     }
 
     /// The shared cell for gauge `name`, creating it on first use.
     pub(crate) fn gauge_cell(&self, name: &str) -> Arc<GaugeCell> {
         Arc::clone(
-            self.gauges
-                .lock()
-                .unwrap()
+            lock(&self.gauges)
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(GaugeCell::new())),
         )
@@ -389,9 +318,7 @@ impl Registry {
     /// The shared cell for histogram `name`, creating it on first use.
     pub(crate) fn hist_cell(&self, name: &str) -> Arc<HistCell> {
         Arc::clone(
-            self.hists
-                .lock()
-                .unwrap()
+            lock(&self.hists)
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(HistCell::new())),
         )
@@ -406,18 +333,14 @@ impl Registry {
     /// cached by callers stay valid), and rewinds the virtual clock.
     /// Open-span and id counters are preserved.
     pub fn reset(&self) {
-        self.spans.lock().unwrap().clear();
-        if let Some(state) = self.sink.lock().unwrap().as_mut() {
-            state.ring.clear();
-            state.since_flush = 0;
-        }
-        for c in self.counters.lock().unwrap().values() {
+        lock(&self.spans).clear();
+        for c in lock(&self.counters).values() {
             c.reset();
         }
-        for g in self.gauges.lock().unwrap().values() {
+        for g in lock(&self.gauges).values() {
             g.reset();
         }
-        for h in self.hists.lock().unwrap().values() {
+        for h in lock(&self.hists).values() {
             h.hist.reset();
         }
         self.vclock_us.store(0, Ordering::Relaxed);
@@ -426,29 +349,17 @@ impl Registry {
     /// Takes a consistent point-in-time snapshot (open spans are not
     /// included; [`Snapshot::open_spans`] reports how many are missing).
     pub fn snapshot(&self) -> Snapshot {
-        let mut spans = self.spans.lock().unwrap().clone();
-        if let Some(state) = self.sink.lock().unwrap().as_ref() {
-            spans.extend(state.ring.iter().cloned());
-        }
+        let mut spans = lock(&self.spans).clone();
         spans.sort_by_key(|s| s.id);
-        let counters = self
-            .counters
-            .lock()
-            .unwrap()
+        let counters = lock(&self.counters)
             .iter()
             .map(|(n, c)| (n.clone(), c.value()))
             .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .unwrap()
+        let gauges = lock(&self.gauges)
             .iter()
             .map(|(n, g)| (n.clone(), g.value()))
             .collect();
-        let histograms = self
-            .hists
-            .lock()
-            .unwrap()
+        let histograms = lock(&self.hists)
             .iter()
             .map(|(n, h)| (n.clone(), h.snapshot()))
             .collect();
@@ -685,6 +596,26 @@ mod tests {
         let cov = snap.child_coverage(rid);
         assert!(cov > 0.5, "children should dominate the root: {cov}");
         assert!(cov <= 1.0 + 1e-9);
+    }
+
+    #[test]
+    fn a_poisoned_store_still_records() {
+        let reg = Registry::new();
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _spans = reg.spans.lock().unwrap();
+                panic!("poison the span store");
+            })
+            .join()
+        });
+        assert!(holder.is_err() && reg.spans.is_poisoned());
+        drop(reg.span("after"));
+        reg.add("after", 1);
+        let snap = reg.snapshot();
+        assert!(snap.last_span("after").is_some());
+        assert_eq!(snap.counter("after"), Some(1));
+        reg.reset();
+        assert!(reg.snapshot().spans.is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The paper's exhibits — Figures 3, 4 and 5 — and the extension
 //! experiments run on the same machine and database: EXT-SEARCH,
-//! EXT-CONSOL, EXT-DYNAMIC and EXT-ABLATION.
+//! EXT-CONSOL, EXT-DYNAMIC, EXT-ABLATION and EXT-RESOLUTION.
 //!
 //! Claims, on every `cargo test`:
 //!
@@ -19,6 +19,10 @@
 //! * **EXT-DYNAMIC:** reconfiguring beats both static baselines.
 //! * **EXT-ABLATION:** calibrated parameters rank allocations better than
 //!   PostgreSQL's defaults and find the measured-best one.
+//! * **EXT-RESOLUTION:** on EXT-SEARCH, EXT-CONSOL and Figure 5's pair, the
+//!   DP's advice on a 16-unit lattice measures no worse than on the 8-unit
+//!   one; the pair's 8-unit advice is the paper's 75/25 CPU split, and its
+//!   16-unit advice beats that split on both workloads.
 //!
 //! Every exhibit's rows, the figures the claims read included, are compared
 //! with `tests/golden/exhibits.txt`. Each exhibit is computed once per
@@ -55,17 +59,59 @@ fn tpch() -> &'static TpchDb {
     TPCH.get_or_init(|| TpchDb::generate(TpchConfig::experiment()).expect("TPC-H generation"))
 }
 
-/// The advisor for `n` workloads at 8 units per resource, calibrated once
-/// per process: EXT-SEARCH and EXT-DYNAMIC share the two-workload one.
-fn advisor(n: usize) -> &'static VirtualizationAdvisor {
-    static TWO: OnceLock<VirtualizationAdvisor> = OnceLock::new();
-    static FOUR: OnceLock<VirtualizationAdvisor> = OnceLock::new();
-    let cell = match n {
-        2 => &TWO,
-        4 => &FOUR,
+/// The lattices EXT-RESOLUTION compares, in units per resource; every
+/// other exhibit searches the first.
+const RESOLUTIONS: [u32; 3] = [8, 16, 32];
+
+/// The advisor for `n` workloads at `units` units per resource, calibrated
+/// once per process on a grid whose axes are that lattice's points, so no
+/// cell is interpolated: EXT-SEARCH, EXT-DYNAMIC and EXT-RESOLUTION's pair
+/// share the two-workload ones.
+fn advisor(n: usize, units: u32) -> &'static VirtualizationAdvisor {
+    static ADVISORS: [OnceLock<VirtualizationAdvisor>; 6] = [const { OnceLock::new() }; 6];
+    let row = match n {
+        2 => 0,
+        4 => 1,
         _ => unreachable!("no exhibit consolidates {n} workloads"),
     };
-    cell.get_or_init(|| VirtualizationAdvisor::calibrate(experiment_machine(), n, 8).unwrap())
+    let Some(col) = RESOLUTIONS.iter().position(|&u| u == units) else {
+        unreachable!("no exhibit searches {units} units")
+    };
+    ADVISORS[row * RESOLUTIONS.len() + col]
+        .get_or_init(|| VirtualizationAdvisor::calibrate(experiment_machine(), n, units).unwrap())
+}
+
+/// One VM per workload, all over the one database.
+fn design_problem(mixes: &[Workload]) -> DesignProblem<'static> {
+    let specs = mixes
+        .iter()
+        .map(|w| WorkloadSpec::new(w.name.clone(), &tpch().db, w.queries.clone()))
+        .collect();
+    DesignProblem::new(experiment_machine(), specs).unwrap()
+}
+
+/// Each workload run alone under its row of `alloc`: the model's
+/// `Cost(W, R)`, one entry per workload.
+fn measure_solo(mixes: &[Workload], alloc: &AllocationMatrix) -> Vec<f64> {
+    let (machine, t) = (experiment_machine(), tpch());
+    mixes
+        .iter()
+        .enumerate()
+        .map(|(i, w)| measure_workload_seconds(&t.db, &w.queries, machine, alloc.row(i)).unwrap())
+        .collect()
+}
+
+/// How an exhibit measures an allocation: [`measure_solo`] or
+/// [`measure_corun`].
+type Measure = fn(&[Workload], &AllocationMatrix) -> Vec<f64>;
+
+/// The workloads co-run on one machine under capped shares, each in its
+/// own VM: the completion time of each.
+fn measure_corun(mixes: &[Workload], alloc: &AllocationMatrix) -> Vec<f64> {
+    let (machine, t) = (experiment_machine(), tpch());
+    let dbs = vec![&t.db; mixes.len()];
+    let queries: Vec<&[LogicalPlan]> = mixes.iter().map(|w| &w.queries[..]).collect();
+    measure_concurrent_seconds(&dbs, &queries, machine, alloc, SchedMode::Capped).unwrap()
 }
 
 fn shares(cpu: f64, mem: f64, disk: f64) -> ResourceVector {
@@ -487,6 +533,10 @@ fn memory_share_matters_to_both_views_for_a_cacheable_workload() {
 // Figure 5 — two co-scheduled workloads, equal split vs 75 % CPU to Q13.
 
 struct Fig5 {
+    /// W1 (3×Q4) and W2 (Q13, as many copies as balance W1 at 50/50).
+    mixes: [Workload; 2],
+    /// W1's and W2's co-run completion times at the paper's 75/25 split.
+    paper_split: Vec<f64>,
     /// `1 - W2(75/25) / W2(50/50)`.
     q13_improvement: f64,
     /// `W1(75/25) / W1(50/50) - 1`.
@@ -529,17 +579,10 @@ fn fig5() -> &'static Fig5 {
             "Figure 5: co-scheduled workload completion times",
             &["allocation", &w1_header, &w2_header],
         );
-        // Each workload in its own VM, both over the one database.
+        let mixes = [w1, w2];
         let mut times = Vec::new();
         for (label, alloc) in [("default 50/50", &equal), ("75% CPU to Q13", &skewed)] {
-            let run = measure_concurrent_seconds(
-                &[&t.db, &t.db],
-                &[&w1.queries, &w2.queries],
-                machine,
-                alloc,
-                SchedMode::Capped,
-            )
-            .unwrap();
+            let run = measure_corun(&mixes, alloc);
             runs.rows
                 .push(vec![label.to_string(), secs(run[0]), secs(run[1])]);
             times.push(run);
@@ -555,6 +598,8 @@ fn fig5() -> &'static Fig5 {
             .rows
             .push(vec![fmt_pct(q13_improvement), fmt_pct(q4_change)]);
         Fig5 {
+            paper_split: times.swap_remove(1),
+            mixes,
             q13_improvement,
             q4_change,
             tables: vec![balance, runs, shape],
@@ -590,34 +635,29 @@ struct ExtSearch {
     tables: Vec<Table>,
 }
 
+/// EXT-SEARCH's workloads: I/O-bound 3×Q4 against CPU-bound 9×Q13.
+fn search_mixes() -> [Workload; 2] {
+    let t = tpch();
+    [
+        Workload::compose(t, &[(TpchQuery::Q4, 3)]),
+        Workload::compose(t, &[(TpchQuery::Q13, 9)]),
+    ]
+}
+
 fn ext_search() -> &'static ExtSearch {
     static SEARCH: OnceLock<ExtSearch> = OnceLock::new();
     SEARCH.get_or_init(|| {
-        let (machine, t) = (experiment_machine(), tpch());
-        let advisor = advisor(2);
-        let w_io = Workload::compose(t, &[(TpchQuery::Q4, 3)]);
-        let w_cpu = Workload::compose(t, &[(TpchQuery::Q13, 9)]);
-        let problem = DesignProblem::new(
-            machine,
-            vec![
-                WorkloadSpec::new(w_io.name.clone(), &t.db, w_io.queries.clone()),
-                WorkloadSpec::new(w_cpu.name.clone(), &t.db, w_cpu.queries.clone()),
-            ],
-        )
-        .unwrap();
+        let advisor = advisor(2, RESOLUTIONS[0]);
+        let mixes = search_mixes();
+        let [w_io, w_cpu] = &mixes;
+        let problem = design_problem(&mixes);
         let model = CalibratedCostModel::new(advisor.grid());
         let equal_total: f64 = equal_split_costs(&problem, &model).unwrap().iter().sum();
 
         // Measured validation: each workload solo under its shares, summed
         // (the model's Cost(W, R)).
-        let queries: [&[LogicalPlan]; 2] = [&w_io.queries, &w_cpu.queries];
-        let measure_total = |alloc: &AllocationMatrix| -> f64 {
-            (0..2)
-                .map(|i| {
-                    measure_workload_seconds(&t.db, queries[i], machine, alloc.row(i)).unwrap()
-                })
-                .sum()
-        };
+        let measure_total =
+            |alloc: &AllocationMatrix| -> f64 { measure_solo(&mixes, alloc).into_iter().sum() };
         let equal = AllocationMatrix::equal_split(2).unwrap();
         let measured_equal = measure_total(&equal);
 
@@ -705,26 +745,25 @@ struct ExtConsol {
     tables: Vec<Table>,
 }
 
+/// EXT-CONSOL's four heterogeneous workloads.
+fn consol_mixes() -> [Workload; 4] {
+    let t = tpch();
+    [
+        Workload::compose(t, &[(TpchQuery::Q4, 2)]), // I/O-bound
+        Workload::compose(t, &[(TpchQuery::Q13, 15)]), // CPU-bound
+        Workload::compose(t, &[(TpchQuery::Q1, 1), (TpchQuery::Q6, 2)]), // mixed scan
+        Workload::compose(t, &[(TpchQuery::Q3, 1), (TpchQuery::Q14, 1)]), // mixed join
+    ]
+}
+
 fn ext_consol() -> &'static ExtConsol {
     static CONSOL: OnceLock<ExtConsol> = OnceLock::new();
     CONSOL.get_or_init(|| {
         let (machine, t) = (experiment_machine(), tpch());
-        let (n, units) = (4, 8);
-        let advisor = advisor(n);
-        let mixes = [
-            Workload::compose(t, &[(TpchQuery::Q4, 2)]), // I/O-bound
-            Workload::compose(t, &[(TpchQuery::Q13, 15)]), // CPU-bound
-            Workload::compose(t, &[(TpchQuery::Q1, 1), (TpchQuery::Q6, 2)]), // mixed scan
-            Workload::compose(t, &[(TpchQuery::Q3, 1), (TpchQuery::Q14, 1)]), // mixed join
-        ];
-        let problem = DesignProblem::new(
-            machine,
-            mixes
-                .iter()
-                .map(|w| WorkloadSpec::new(w.name.clone(), &t.db, w.queries.clone()))
-                .collect(),
-        )
-        .unwrap();
+        let (n, units) = (4, RESOLUTIONS[0]);
+        let advisor = advisor(n, units);
+        let mixes = consol_mixes();
+        let problem = design_problem(&mixes);
         let rec = advisor
             .recommend(&problem, SearchAlgorithm::DynamicProgramming)
             .unwrap();
@@ -838,8 +877,8 @@ struct ExtDynamic {
 fn ext_dynamic() -> &'static ExtDynamic {
     static DYNAMIC: OnceLock<ExtDynamic> = OnceLock::new();
     DYNAMIC.get_or_init(|| {
-        let (machine, t) = (experiment_machine(), tpch());
-        let model = CalibratedCostModel::new(advisor(2).grid());
+        let t = tpch();
+        let model = CalibratedCostModel::new(advisor(2, RESOLUTIONS[0]).grid());
         // Day: VM 1 serves a CPU-bound Q13 mix, VM 2 light scans; at night
         // VM 2 runs heavy batch reports.
         let day = [
@@ -850,17 +889,14 @@ fn ext_dynamic() -> &'static ExtDynamic {
             Workload::compose(t, &[(TpchQuery::Q6, 1)]),
             Workload::compose(t, &[(TpchQuery::Q1, 2), (TpchQuery::Q13, 8)]),
         ];
-        let phase = |ws: &[Workload; 2]| {
-            let specs = ws
-                .iter()
-                .map(|w| WorkloadSpec::new(w.name.clone(), &t.db, w.queries.clone()))
-                .collect();
-            DesignProblem::new(machine, specs).unwrap()
-        };
         // Two days of day/night alternation.
-        let timeline =
-            DynamicTimeline::new(vec![phase(&day), phase(&night), phase(&day), phase(&night)])
-                .unwrap();
+        let timeline = DynamicTimeline::new(
+            [&day, &night, &day, &night]
+                .iter()
+                .map(|ws| design_problem(&ws[..]))
+                .collect(),
+        )
+        .unwrap();
         let policy = ReconfigPolicy {
             switch_overhead_seconds: 0.5,
             min_relative_gain: 0.05,
@@ -1060,10 +1096,139 @@ fn ext_ablation_calibration_ranks_allocations_and_defaults_cannot() {
 }
 
 // ---------------------------------------------------------------------------
+// EXT-RESOLUTION — what the allocation lattice costs: the DP's advice at 8,
+// 16 and 32 units per resource, measured.
+
+/// One problem's DP advice at every resolution, in `RESOLUTIONS` order.
+struct Lattice {
+    name: &'static str,
+    advice: Vec<AllocationMatrix>,
+    /// Measured seconds of each advice, one entry per workload.
+    measured: Vec<Vec<f64>>,
+}
+
+impl Lattice {
+    fn measured_total(&self, resolution: usize) -> f64 {
+        self.measured[resolution].iter().sum()
+    }
+}
+
+struct ExtResolution {
+    /// EXT-SEARCH, EXT-CONSOL and Figure 5's pair.
+    problems: [Lattice; 3],
+    tables: Vec<Table>,
+}
+
+fn ext_resolution() -> &'static ExtResolution {
+    static RESOLUTION: OnceLock<ExtResolution> = OnceLock::new();
+    RESOLUTION.get_or_init(|| {
+        let mut table = Table::new(
+            "resolution",
+            "EXT-RESOLUTION: the DP's advice per lattice (solo runs summed; Figure 5's pair co-run, capped)",
+            &[
+                "problem",
+                "units",
+                "cpu split",
+                "mem split",
+                "evaluations",
+                "predicted total",
+                "measured",
+                "measured total",
+                "vs 8 units",
+            ],
+        );
+        // EXT-SEARCH and EXT-CONSOL are validated as the model prices them,
+        // each workload alone; Figure 5's pair as the paper runs it.
+        let cases: [(&str, Vec<Workload>, Measure); 3] = [
+            ("EXT-SEARCH", search_mixes().to_vec(), measure_solo),
+            ("EXT-CONSOL", consol_mixes().to_vec(), measure_solo),
+            ("FIG5-PAIR", fig5().mixes.to_vec(), measure_corun),
+        ];
+        let problems = cases.map(|(name, mixes, measure)| {
+            let problem = design_problem(&mixes);
+            let mut lattice = Lattice {
+                name,
+                advice: Vec::new(),
+                measured: Vec::new(),
+            };
+            for units in RESOLUTIONS {
+                let rec = advisor(mixes.len(), units)
+                    .recommend(&problem, SearchAlgorithm::DynamicProgramming)
+                    .unwrap();
+                let measured = measure(&mixes, &rec.allocation);
+                let total: f64 = measured.iter().sum();
+                let base = lattice.measured.first().map_or(total, |m| m.iter().sum());
+                table.rows.push(vec![
+                    name.to_string(),
+                    units.to_string(),
+                    cpu_split(&rec.allocation),
+                    mem_split(&rec.allocation),
+                    rec.evaluations.to_string(),
+                    secs(rec.total_cost),
+                    measured.iter().map(|&m| secs(m)).collect::<Vec<_>>().join(" / "),
+                    secs(total),
+                    format!("{:.2}x", base / total),
+                ]);
+                lattice.advice.push(rec.allocation);
+                lattice.measured.push(measured);
+            }
+            lattice
+        });
+        ExtResolution {
+            problems,
+            tables: vec![table],
+        }
+    })
+}
+
+#[test]
+fn ext_resolution_a_finer_lattice_measures_no_worse() {
+    let r = ext_resolution();
+    print_all(&r.tables);
+    for p in &r.problems {
+        assert!(
+            p.measured_total(1) <= p.measured_total(0),
+            "{}: the {}-unit advice measures {:.3}s, the {}-unit advice {:.3}s",
+            p.name,
+            RESOLUTIONS[1],
+            p.measured_total(1),
+            RESOLUTIONS[0],
+            p.measured_total(0)
+        );
+    }
+}
+
+/// The paper hand-picks Figure 5's 75/25 CPU split; on the 8-unit lattice
+/// the method finds it, and on the 16-unit one it finds better.
+#[test]
+fn ext_resolution_the_pair_finds_the_papers_split_then_beats_it() {
+    let pair = &ext_resolution().problems[2];
+    let cpu: Vec<f64> = pair.advice[0]
+        .rows()
+        .map(|row| row.cpu().fraction())
+        .collect();
+    assert_eq!(
+        cpu,
+        [0.25, 0.75],
+        "the {}-unit advice is not the paper's 75/25 CPU split",
+        RESOLUTIONS[0]
+    );
+    let paper = &fig5().paper_split;
+    for (i, (advised, split)) in pair.measured[1].iter().zip(paper).enumerate() {
+        assert!(
+            advised < split,
+            "W{}: the {}-unit advice co-runs in {advised:.3}s, the 75/25 split in {split:.3}s",
+            i + 1,
+            RESOLUTIONS[1]
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 
 #[test]
 fn exhibits_replay_the_golden() {
-    let exhibits: [&[Table]; 8] = [
+    let exhibits: [&[Table]; 9] = [
         &fig3().tables,
         &fig4().tables,
         &memory_axis().tables,
@@ -1072,6 +1237,7 @@ fn exhibits_replay_the_golden() {
         &ext_consol().tables,
         &ext_dynamic().tables,
         &ext_ablation().tables,
+        &ext_resolution().tables,
     ];
     let mut out = String::new();
     for table in exhibits.into_iter().flatten() {
