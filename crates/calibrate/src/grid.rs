@@ -583,14 +583,6 @@ impl CalibrationGrid {
             reports,
         })
     }
-
-    /// Loads a grid from a file.
-    pub fn load(path: &std::path::Path) -> Result<CalibrationGrid, CalError> {
-        let json = std::fs::read_to_string(path).map_err(|e| CalError::CacheIo {
-            reason: e.to_string(),
-        })?;
-        CalibrationGrid::from_json(&json)
-    }
 }
 
 fn get_num(obj: &Json, key: &str) -> Result<f64, CalError> {

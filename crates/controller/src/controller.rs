@@ -35,7 +35,7 @@ use crate::profile::{ProblemTemplate, ProfileKey, WorkloadProfile};
 use crate::scenario::Scenario;
 use crate::stats::VmStats;
 use crate::ControllerError;
-use dbvirt_core::search::{solve_dp, CostCache, SearchConfig};
+use dbvirt_core::search::{cell_shares, solve_dp, CostCache, SearchConfig};
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::kernel::Fnv1a;
 use dbvirt_vmm::sched::{co_schedule, SchedMode, VmJob};
@@ -267,10 +267,7 @@ pub(crate) fn solve(
     cost: impl Fn(usize, ResourceVector) -> Result<f64, ControllerError>,
 ) -> Result<(AllocationMatrix, f64), ControllerError> {
     let rows = table.rows(search.units, search.disk_share, 0..n)?;
-    let units = search.units as f64;
-    let shares = |c: u32, m: u32| {
-        ResourceVector::from_fractions(c as f64 / units, m as f64 / units, search.disk_share)
-    };
+    let shares = |c: u32, m: u32| cell_shares(search.units, search.disk_share, c, m);
     let solution = solve_dp(n, search, |w, c, m| {
         if let Some(cached) = rows[w].get(c, m) {
             return Ok(cached);
@@ -411,17 +408,7 @@ pub fn run_controller(
     run_span.set_attr("scenario", scenario.name.clone());
     run_span.set_attr("epochs", scenario.total_epochs());
 
-    let initial = AllocationMatrix::new(
-        (0..n)
-            .map(|_| {
-                ResourceVector::from_fractions(
-                    1.0 / n as f64,
-                    1.0 / n as f64,
-                    config.search.disk_share,
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    )?;
+    let initial = config.search.equal_split(n)?;
     let mut ledger = Ledger {
         clock: SimTime::ZERO,
         total_cost: 0.0,

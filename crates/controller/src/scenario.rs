@@ -124,6 +124,9 @@ impl Scenario {
     /// A bursty stream: a long baseline phase interrupted by `bursts`
     /// short excursions to `burst` profiles, returning to baseline after
     /// each.
+    // Positional: perf/'s control_loop calls it so; a parameter struct
+    // rides with the next benchmark change (ROADMAP 1(b)).
+    #[allow(clippy::too_many_arguments)]
     pub fn bursty(
         name: impl Into<String>,
         machine: MachineSpec,
@@ -198,6 +201,9 @@ impl Scenario {
     /// A flash crowd: a steady baseline, then VM `crowd_vm`'s arrival rate
     /// spikes by `spike`×, decays stepwise back over `decay_steps` phases,
     /// and returns to baseline.
+    // Positional: perf/'s control_loop calls it so; a parameter struct
+    // rides with the next benchmark change (ROADMAP 1(b)).
+    #[allow(clippy::too_many_arguments)]
     pub fn flash_crowd(
         name: impl Into<String>,
         machine: MachineSpec,
@@ -253,6 +259,9 @@ impl Scenario {
     /// while the remaining `victims` VMs run steady — so drift always
     /// fires on exactly that tenant pair and a localizing controller can
     /// re-solve the pair with the victims' shares pinned.
+    // Positional: perf/'s control_loop calls it so; a parameter struct
+    // rides with the next benchmark change (ROADMAP 1(b)).
+    #[allow(clippy::too_many_arguments)]
     pub fn noisy_neighbor(
         name: impl Into<String>,
         machine: MachineSpec,

@@ -10,72 +10,6 @@ use crate::{CalibratedCostModel, CoreError, DesignProblem, Recommendation};
 use dbvirt_calibrate::{CalibrationConfig, CalibrationGrid};
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::MachineSpec;
-use std::fmt;
-
-/// A condensed, human-readable view of the global telemetry after advisor
-/// activity — the headline numbers without walking the raw [`Snapshot`]
-/// (`dbvirt_telemetry::Snapshot`).
-///
-/// All fields are zero / `None` while telemetry is disabled.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TelemetrySummary {
-    /// Whether global telemetry collection was on when the summary was
-    /// taken.
-    pub enabled: bool,
-    /// Wall-clock milliseconds of the most recent `advisor.recommend`
-    /// span, if any completed.
-    pub recommend_wall_ms: Option<f64>,
-    /// What-if evaluations answered from the cost cache.
-    pub cache_hits: u64,
-    /// What-if evaluations that called the cost model.
-    pub cache_misses: u64,
-    /// `hits / (hits + misses)`, or `None` before any evaluation.
-    pub cache_hit_rate: Option<f64>,
-    /// Cost-model calls with a measured latency (the `search.eval_us`
-    /// histogram's count).
-    pub evaluations_measured: u64,
-    /// Spans opened but not yet closed at snapshot time (should be 0
-    /// between recommendations).
-    pub open_spans: u64,
-}
-
-impl TelemetrySummary {
-    /// Builds the summary from the current global telemetry snapshot.
-    pub fn capture() -> TelemetrySummary {
-        let enabled = telemetry::is_enabled();
-        let snap = telemetry::snapshot();
-        let cache_hits = snap.counter("search.cache.hits").unwrap_or(0);
-        let cache_misses = snap.counter("search.cache.misses").unwrap_or(0);
-        let total = cache_hits + cache_misses;
-        TelemetrySummary {
-            enabled,
-            recommend_wall_ms: snap
-                .last_span("advisor.recommend")
-                .map(|s| s.duration_ns() as f64 / 1e6),
-            cache_hits,
-            cache_misses,
-            cache_hit_rate: (total > 0).then(|| cache_hits as f64 / total as f64),
-            evaluations_measured: snap.histogram("search.eval_us").map_or(0, |h| h.count),
-            open_spans: snap.open_spans,
-        }
-    }
-}
-
-impl fmt::Display for TelemetrySummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "telemetry[enabled={} recommend_ms={:?} cache={}h/{}m rate={:?} measured={} open={}]",
-            self.enabled,
-            self.recommend_wall_ms,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate,
-            self.evaluations_measured,
-            self.open_spans,
-        )
-    }
-}
 
 /// A configured advisor: a machine plus its calibration grid.
 #[derive(Debug)]
@@ -175,12 +109,6 @@ impl VirtualizationAdvisor {
         root_span.set_attr("evaluations", rec.evaluations);
         root_span.set_attr("objective", rec.objective);
         Ok(rec)
-    }
-
-    /// A condensed view of the global telemetry (cache hit rates, last
-    /// recommendation wall clock). See [`TelemetrySummary`].
-    pub fn telemetry_summary(&self) -> TelemetrySummary {
-        TelemetrySummary::capture()
     }
 }
 

@@ -14,10 +14,9 @@
 //! time — switching is not free, so a sensible controller doesn't chase
 //! noise).
 
-use crate::search::{run_search_cached, CostCache, SearchAlgorithm, SearchConfig};
+use crate::search::{run_search, SearchAlgorithm, SearchConfig};
 use crate::{CoreError, CostModel, DesignProblem};
 use dbvirt_vmm::AllocationMatrix;
-use std::sync::Arc;
 
 /// A sequence of workload phases over the same `N` virtual machines.
 #[derive(Debug)]
@@ -111,19 +110,6 @@ pub struct DynamicOutcome {
     pub static_first_phase_cost: f64,
 }
 
-/// True if two phases describe the same what-if inputs per VM — same
-/// machine, same database instances, same query plans — differing at most
-/// in workload weights. Cached cell costs are unweighted, so such phases
-/// can share one [`CostCache`] and re-solve against warm entries.
-fn phases_share_model_inputs(a: &DesignProblem<'_>, b: &DesignProblem<'_>) -> bool {
-    a.machine == b.machine
-        && a.workloads.len() == b.workloads.len()
-        && a.workloads
-            .iter()
-            .zip(&b.workloads)
-            .all(|(x, y)| std::ptr::eq(x.db, y.db) && x.queries == y.queries)
-}
-
 /// Cost of running `problem` under a fixed `allocation` (weighted, like
 /// the search objective).
 fn phase_cost(
@@ -160,27 +146,12 @@ pub fn run_dynamic(
     let dp = SearchAlgorithm::DynamicProgramming;
 
     // Baseline allocations.
-    let equal = AllocationMatrix::new(
-        (0..n)
-            .map(|_| {
-                dbvirt_vmm::ResourceVector::from_fractions(
-                    1.0 / n as f64,
-                    1.0 / n as f64,
-                    policy.config.disk_share,
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    )?;
+    let equal = policy.config.equal_split(n)?;
 
-    // One warm what-if cache for the whole timeline: consecutive phases
-    // usually re-price the same databases and queries (only the mix of
-    // weights shifts), so later re-solves mostly hit cells phase 0
-    // already paid for. Phases with genuinely different inputs get a
-    // fresh cache.
-    let base_cache = Arc::new(CostCache::new());
-
-    // Phase 0: initial placement (not counted as a reconfiguration).
-    let first_rec = run_search_cached(dp, &timeline.phases[0], model, policy.config, &base_cache)?;
+    // Phase 0: initial placement (not counted as a reconfiguration). Every
+    // phase is solved on a table of its own: the DP's answer does not
+    // depend on which cells a table already holds.
+    let first_rec = run_search(dp, &timeline.phases[0], model, policy.config)?;
     let mut current = first_rec.allocation.clone();
 
     let mut phases = Vec::with_capacity(timeline.phases.len());
@@ -197,12 +168,7 @@ pub fn run_dynamic(
         let (allocation, cost, reconfigured) = if i == 0 {
             (current.clone(), keep_cost, false)
         } else {
-            let cache = if phases_share_model_inputs(problem, &timeline.phases[0]) {
-                Arc::clone(&base_cache)
-            } else {
-                Arc::new(CostCache::new())
-            };
-            let rec = run_search_cached(dp, problem, model, policy.config, &cache)?;
+            let rec = run_search(dp, problem, model, policy.config)?;
             let gain = keep_cost - rec.objective - policy.switch_overhead_seconds;
             if gain > policy.min_relative_gain * keep_cost {
                 reconfigurations += 1;
@@ -236,7 +202,6 @@ pub fn run_dynamic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::run_search;
     use crate::search::tests_support::{dummy_db, dummy_problem, SyntheticModel};
     use dbvirt_vmm::ResourceVector;
 

@@ -46,7 +46,7 @@ pub mod metrics;
 mod problem;
 pub mod search;
 
-pub use advisor::{TelemetrySummary, VirtualizationAdvisor};
+pub use advisor::VirtualizationAdvisor;
 pub use cost_model::{CalibratedCostModel, CostModel};
 pub use error::CoreError;
 pub use problem::{DesignProblem, WorkloadSpec};

@@ -29,9 +29,8 @@
 //!
 //! The table stores **unweighted** model costs (no SLO weight folded in).
 //! That makes cells reusable across design problems that differ only in
-//! workload weights — in particular across the phases of a
-//! [`crate::dynamic::DynamicTimeline`], which share databases and queries
-//! but shift service-level objectives.
+//! workload weights: a re-weighted re-solve reads the cells the first
+//! solve paid for.
 
 use crate::CoreError;
 use std::collections::BTreeMap;

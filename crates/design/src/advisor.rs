@@ -38,7 +38,7 @@ use crate::pricing::{DesignPricer, VmPricer};
 use crate::select::{select_greedy, SelectionTrace};
 use crate::DesignError;
 use dbvirt_calibrate::CalibrationGrid;
-use dbvirt_core::search::{solve_dp, SearchConfig};
+use dbvirt_core::search::{cell_shares, equal_units, solve_dp, SearchConfig};
 use dbvirt_core::DesignProblem;
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::kernel::Fnv1a;
@@ -283,7 +283,10 @@ impl<'g> DesignAdvisor<'g> {
         };
 
         // 3. Alternate coordinate steps from the equal split, no indexes.
-        let mut cells: Vec<(u32, u32)> = equal_cells(n, cfg.units);
+        let mut cells: Vec<(u32, u32)> = equal_units(n, cfg.units)
+            .into_iter()
+            .map(|u| (u, u))
+            .collect();
         let mut masks = vec![0u64; n];
         let mut traces: Vec<Option<SelectionTrace>> = vec![None; n];
         let mut objective = self.objective(problem, &pricer, &vms, &masks, &cells)?;
@@ -404,7 +407,7 @@ impl<'g> DesignAdvisor<'g> {
 
         let rows: Vec<ResourceVector> = cells
             .iter()
-            .map(|&(c, m)| pricer.shares(c, m))
+            .map(|&(c, m)| cell_shares(cfg.units, cfg.disk_share, c, m))
             .collect::<Result<_, _>>()?;
         let allocation = AllocationMatrix::new(rows).map_err(|e| DesignError::BadConfig {
             reason: format!("allocation rows: {e}"),
@@ -443,18 +446,6 @@ impl<'g> DesignAdvisor<'g> {
         }
         Ok(total)
     }
-}
-
-/// The equal split of `units` into `n` cells (remainder to the first VMs).
-fn equal_cells(n: usize, units: u32) -> Vec<(u32, u32)> {
-    let base = units / n as u32;
-    let extra = units as usize % n;
-    (0..n)
-        .map(|i| {
-            let u = base + u32::from(i < extra);
-            (u, u)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -545,12 +536,6 @@ mod tests {
         assert!(joint.allocation.num_workloads() == 2);
         assert_eq!(joint.mode, "joint");
         assert_eq!(alloc_only.per_vm.iter().map(|d| d.mask).sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn equal_cells_distribute_remainder() {
-        assert_eq!(equal_cells(2, 8), vec![(4, 4), (4, 4)]);
-        assert_eq!(equal_cells(3, 8), vec![(3, 3), (3, 3), (2, 2)]);
     }
 
     #[test]

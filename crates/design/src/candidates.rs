@@ -313,7 +313,7 @@ mod tests {
                 Expr::lt(Expr::col(1), Expr::int(5)),
             ),
         );
-        let set = enumerate_candidates(&db, &[q.clone()], 16);
+        let set = enumerate_candidates(&db, std::slice::from_ref(&q), 16);
         let cols: Vec<Vec<usize>> = set.candidates.iter().map(|c| c.columns.clone()).collect();
         assert_eq!(cols, vec![vec![0, 1], vec![1]], "single [0] exists already");
 

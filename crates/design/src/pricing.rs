@@ -33,11 +33,10 @@
 use crate::candidates::CandidateSet;
 use crate::DesignError;
 use dbvirt_calibrate::CalibrationGrid;
-use dbvirt_core::search::{CostCache, CostRow};
+use dbvirt_core::search::{cell_shares, CostCache, CostRow};
 use dbvirt_engine::Database;
 use dbvirt_optimizer::{HypoIndex, LogicalPlan, OptError, OptimizerParams, PreparedQuery};
 use dbvirt_telemetry as telemetry;
-use dbvirt_vmm::ResourceVector;
 use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 
@@ -188,36 +187,26 @@ impl<'g> DesignPricer<'g> {
         self.cache.evaluations()
     }
 
-    /// The resource shares a cell denotes.
-    pub fn shares(&self, cpu: u32, mem: u32) -> Result<ResourceVector, DesignError> {
-        ResourceVector::from_fractions(
-            cpu as f64 / self.units as f64,
-            mem as f64 / self.units as f64,
-            self.disk_share,
-        )
-        .map_err(|e| DesignError::BadConfig {
-            reason: format!("cell ({cpu}, {mem}) of {} units: {e}", self.units),
-        })
-    }
-
     /// The validated `P(R)` of cell `(cpu, mem)`, memoized per cell of the
     /// lattice.
     fn params(&self, cpu: u32, mem: u32) -> Result<&OptimizerParams, DesignError> {
         let side = self.units as usize + 1;
-        let slot =
-            (cpu.max(mem) <= self.units).then(|| &self.params[cpu as usize * side + mem as usize]);
-        if let Some(params) = slot.and_then(OnceCell::get) {
-            return Ok(params);
-        }
-        let params = self.grid.params_for(self.shares(cpu, mem)?)?;
-        params.validate()?;
-        slot.map(|slot| slot.get_or_init(|| params))
+        let slot = (cpu.max(mem) <= self.units)
+            .then(|| &self.params[cpu as usize * side + mem as usize])
             .ok_or_else(|| DesignError::BadConfig {
                 reason: format!(
                     "cell ({cpu}, {mem}) lies off the {}-unit lattice",
                     self.units
                 ),
-            })
+            })?;
+        if let Some(params) = slot.get() {
+            return Ok(params);
+        }
+        let params = self
+            .grid
+            .params_for(cell_shares(self.units, self.disk_share, cpu, mem)?)?;
+        params.validate()?;
+        Ok(slot.get_or_init(|| params))
     }
 
     /// Price of `(query, config, cell)`: the what-if estimate with exactly
@@ -369,7 +358,9 @@ mod tests {
                     })
                     .collect();
                 for (cpu, mem) in [(1, 1), (2, 1), (1, 3), (3, 3)] {
-                    let params = grid.params_for(pricer.shares(cpu, mem).unwrap()).unwrap();
+                    let params = grid
+                        .params_for(cell_shares(4, 0.5, cpu, mem).unwrap())
+                        .unwrap();
                     let fresh = plan_query_with_indexes(&db, query, &params, &hypo)
                         .unwrap()
                         .est_seconds(&params);

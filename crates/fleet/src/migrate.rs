@@ -12,7 +12,8 @@
 use crate::config::MIGRATION_BASE_SECONDS;
 use crate::{CurrentPlacement, FleetConfig, FleetError};
 use dbvirt_controller::pool_refill_seconds;
-use dbvirt_vmm::{MachineSpec, ResourceVector};
+use dbvirt_core::search::cell_shares;
+use dbvirt_vmm::MachineSpec;
 
 /// One-time cost (seconds) of bringing VM `vm` from its reference state to
 /// `(machine, units)`. Zero when neither the machine nor the memory share
@@ -30,12 +31,7 @@ pub(crate) fn vm_migration_seconds(
     if !moved && !resized {
         return Ok(0.0);
     }
-    let total = cfg.units as f64;
-    let shares = ResourceVector::from_fractions(
-        units.0 as f64 / total,
-        units.1 as f64 / total,
-        cfg.disk_share,
-    )?;
+    let shares = cell_shares(cfg.units, cfg.disk_share, units.0, units.1)?;
     let refill = pool_refill_seconds(machines[machine], shares)?;
     Ok(refill + if moved { MIGRATION_BASE_SECONDS } else { 0.0 })
 }
@@ -43,6 +39,7 @@ pub(crate) fn vm_migration_seconds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbvirt_vmm::ResourceVector;
 
     #[test]
     fn only_moves_and_resizes_pay() {

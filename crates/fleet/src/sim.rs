@@ -16,9 +16,10 @@
 
 use crate::placement::residents_of;
 use crate::{FleetConfig, FleetError, FleetProblem, Placement};
+use dbvirt_core::search::cell_shares;
 use dbvirt_vmm::kernel::Fnv1a;
 use dbvirt_vmm::sched::{co_schedule_fleet, MachineSim, SchedMode, SchedStats, VmJob, VmOutcome};
-use dbvirt_vmm::{AllocationMatrix, ResourceVector};
+use dbvirt_vmm::AllocationMatrix;
 
 use dbvirt_telemetry as telemetry;
 
@@ -118,7 +119,6 @@ pub fn simulate_placement(
     // residents ascend within each machine, so (machine, slot) → global
     // VM is a deterministic bijection.
     let residents = residents_of(&placement.machine_of, m);
-    let units = cfg.units as f64;
     let mut sims = Vec::new();
     let mut sim_vms: Vec<&[usize]> = Vec::new();
     for (mm, vms) in residents.iter().enumerate() {
@@ -129,8 +129,7 @@ pub fn simulate_placement(
             .iter()
             .map(|&i| {
                 let (cu, mu) = placement.units_of[i];
-                ResourceVector::from_fractions(cu as f64 / units, mu as f64 / units, cfg.disk_share)
-                    .map_err(FleetError::from)
+                cell_shares(cfg.units, cfg.disk_share, cu, mu)
             })
             .collect::<Result<Vec<_>, _>>()?;
         let allocation = AllocationMatrix::new(rows)?;
@@ -183,7 +182,7 @@ mod tests {
     use dbvirt_optimizer::LogicalPlan;
     use dbvirt_storage::{DataType, Datum, Field, Schema, Tuple};
     use dbvirt_vmm::sched::co_schedule;
-    use dbvirt_vmm::{MachineSpec, ResourceDemand};
+    use dbvirt_vmm::{MachineSpec, ResourceDemand, ResourceVector};
 
     fn tiny_db() -> Database {
         let mut db = Database::new();

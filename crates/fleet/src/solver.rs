@@ -15,9 +15,10 @@
 //! search's screen).
 
 use crate::{FleetConfig, FleetError, FleetProblem, MachineClasses};
-use dbvirt_core::search::{solve_dp, value_table, CostRow, DpSolution, SearchConfig, ValueTable};
+use dbvirt_core::search::{
+    cell_shares, solve_dp, value_table, CostRow, DpSolution, SearchConfig, ValueTable,
+};
 use dbvirt_core::{CostModel, DesignProblem, WorkloadSpec};
-use dbvirt_vmm::ResourceVector;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::{Entry, HashMap};
 use std::rc::Rc;
@@ -240,8 +241,6 @@ pub(crate) fn evaluate_cell(
     cpu: u32,
     mem: u32,
 ) -> Result<f64, FleetError> {
-    let units = cfg.units as f64;
-    let shares =
-        ResourceVector::from_fractions(cpu as f64 / units, mem as f64 / units, cfg.disk_share)?;
+    let shares = cell_shares(cfg.units, cfg.disk_share, cpu, mem)?;
     Ok(model.cost(cell_problem, 0, shares)?)
 }

@@ -339,7 +339,11 @@ impl JoinTree {
                 // Unless the halves' rows tie (or one is NaN), a mirrored
                 // cut builds on the same side as its mirror did: the same
                 // candidate bit for bit, which strict `<` never lets win.
-                if cut.mirrored && (a_rows < b_rows || a_rows > b_rows) {
+                // Not `a_rows != b_rows`: that holds for a NaN half too,
+                // and a NaN half must not skip its mirrored cut.
+                #[allow(clippy::double_comparisons)]
+                let ordered = a_rows < b_rows || a_rows > b_rows;
+                if cut.mirrored && ordered {
                     continue;
                 }
                 // Build on the smaller side.

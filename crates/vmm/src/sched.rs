@@ -384,7 +384,8 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
             let job = VmJob::new(vec![demand(bad, 10, 0)]);
             for schedule in [co_schedule, co_schedule_reference] {
-                let err = schedule(spec, &alloc, &[job.clone()], SchedMode::Capped).unwrap_err();
+                let err = schedule(spec, &alloc, std::slice::from_ref(&job), SchedMode::Capped)
+                    .unwrap_err();
                 match err {
                     VmmError::InvalidSchedule { reason } => {
                         assert!(reason.contains("cpu_cycles"), "unexpected reason: {reason}")
@@ -403,7 +404,8 @@ mod tests {
         let alloc = AllocationMatrix::new(vec![ResourceVector::uniform(Share::HALF)]).unwrap();
         let job = VmJob::new(vec![demand(1e300, 0, 0)]);
         for schedule in [co_schedule, co_schedule_reference] {
-            let err = schedule(spec, &alloc, &[job.clone()], SchedMode::Capped).unwrap_err();
+            let err =
+                schedule(spec, &alloc, std::slice::from_ref(&job), SchedMode::Capped).unwrap_err();
             assert!(matches!(err, VmmError::InvalidSchedule { .. }));
         }
     }

@@ -8,6 +8,8 @@ cargo build --release
 # One layout: the workspace is rustfmt-clean (perf/ is a workspace of its
 # own and formats separately).
 cargo fmt --check
+# One lint bar: clippy over every target, tests included, prints nothing.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # One of each: the worker pool, the core-count resolver, the fingerprint
 # hash and the seeded stream live in crates/vmm/src/kernel.rs and nowhere
@@ -79,6 +81,19 @@ fi
 # beside it.
 if lib_code | grep -E '^crates/(core|fleet|design)/src/' | grep -e 'Mutex<HashMap' -e 'HashMap<CellKey'; then
   echo "FAIL: a hash-map cell store outside crates/core/src/search/cache.rs's table" >&2
+  exit 1
+fi
+
+# One lattice: what a `(cpu, mem)` cell of the share lattice, and the equal
+# split, mean as resource shares is decided in crates/core/src/search/mod.rs
+# (`cell_shares`, `SearchConfig::equal_split`), and the search, the
+# controller, the fleet and the design advisor all convert through it.
+# Beyond that file, library code builds shares from raw fractions only where
+# they are defined (crates/vmm/src/share.rs) and where calibration turns
+# grid points, not cells, into shares (crates/calibrate/src/grid.rs).
+if lib_code | grep -vE '^crates/(vmm/src/share|core/src/search/mod|calibrate/src/grid)\.rs: ' |
+  grep -F 'from_fractions('; then
+  echo "FAIL: from_fractions( in library code outside crates/core/src/search/mod.rs, crates/vmm/src/share.rs and crates/calibrate/src/grid.rs" >&2
   exit 1
 fi
 

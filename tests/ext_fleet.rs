@@ -101,9 +101,8 @@ fn every_shape_is_lp_certified_and_replays_the_golden() {
     let mut rows = Vec::new();
     let mut lines = String::new();
     for shape in SHAPES {
-        let machines: Vec<MachineSpec> = std::iter::repeat(small)
-            .take(shape.small_machines)
-            .chain(std::iter::repeat(big).take(shape.big_machines))
+        let machines: Vec<MachineSpec> = std::iter::repeat_n(small, shape.small_machines)
+            .chain(std::iter::repeat_n(big, shape.big_machines))
             .collect();
         let models: Vec<&dyn CostModel> = if shape.big_machines == 0 {
             vec![&model_small]

@@ -104,9 +104,8 @@ fn a_1024_vm_fleet_places_and_simulates_identically_at_every_parallelism() {
     let model_big = CalibratedCostModel::new(&grids[1]);
     let models: Vec<&dyn CostModel> = vec![&model_small, &model_big];
 
-    let machines: Vec<MachineSpec> = std::iter::repeat(classes[0])
-        .take(SMALL_MACHINES)
-        .chain(std::iter::repeat(classes[1]).take(BIG_MACHINES))
+    let machines: Vec<MachineSpec> = std::iter::repeat_n(classes[0], SMALL_MACHINES)
+        .chain(std::iter::repeat_n(classes[1], BIG_MACHINES))
         .collect();
     assert!(
         VMS >= 1024 && machines.len() >= 32,

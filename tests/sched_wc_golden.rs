@@ -101,7 +101,7 @@ fn mixed_job(rng: &mut SplitMix64) -> VmJob {
     let queries = (0..rng.next() % 7)
         .map(|_| {
             let r = rng.next();
-            if r % 10 == 0 {
+            if r.is_multiple_of(10) {
                 ResourceDemand::ZERO
             } else {
                 demand(

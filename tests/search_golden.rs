@@ -235,7 +235,7 @@ fn tenant_plans(t: &TpchDb, d: usize, n: usize) -> Vec<Vec<LogicalPlan>> {
             (0..STATEMENT_COUNTS[(tenant + d) % 8])
                 .map(|_| {
                     next += 1;
-                    let sql = if next % 2 == 0 {
+                    let sql = if next.is_multiple_of(2) {
                         queries[next / 2 % queries.len()].sql()
                     } else {
                         LOOKUPS[next / 2 % LOOKUPS.len()]
