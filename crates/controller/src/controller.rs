@@ -14,17 +14,18 @@
 //!    Page–Hinkley drift detector on an allocation-invariant reference
 //!    stream;
 //! 3. when drift is detected (and the cooldown has elapsed), re-solve the
-//!    allocation from the estimated profiles with [`solve_dp`] over a
-//!    [`CostCache`] keyed by the quantized profile vector, so a recurring
-//!    workload mix re-solves against cells it already paid for;
+//!    allocation from the estimated profiles with [`solve_dp`], every cell
+//!    priced once by [`price`] under the profiles of this solve — no table
+//!    outlives a solve, so no cell priced for an earlier estimate is read;
 //! 4. apply the recommended allocation only if its predicted benefit over
 //!    the decision horizon clears the modeled reconfiguration cost (memory
 //!    resize = cache flush, charged in virtual time) plus a hysteresis
 //!    margin. A quiet epoch decides nothing unless the governor pre-switches
 //!    ahead of a predicted phase boundary.
 //!
-//! Every cost the loop compares is a sum of [`price`]s. The loop is fully
-//! deterministic: identical `(scenario, config)` pairs produce
+//! Every cost the loop compares — both sides of every gate, and the regret
+//! oracle's too — is a sum of [`price`]s of the profiles at hand. The loop
+//! is fully deterministic: identical `(scenario, config)` pairs produce
 //! bit-identical decision traces, which
 //! [`ControllerOutcome::trace_fingerprint`] pins.
 
@@ -35,14 +36,13 @@ use crate::profile::{ProblemTemplate, ProfileKey, WorkloadProfile};
 use crate::scenario::Scenario;
 use crate::stats::VmStats;
 use crate::ControllerError;
-use dbvirt_core::search::{cell_shares, solve_dp, CostCache, SearchConfig};
+use dbvirt_core::search::{cell_shares, solve_dp, SearchConfig};
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::kernel::Fnv1a;
 use dbvirt_vmm::sched::{co_schedule, SchedMode, VmJob};
 use dbvirt_vmm::{
     AllocationMatrix, MachineSpec, ResourceVector, SimDuration, SimTime, VirtualMachine,
 };
-use std::collections::BTreeMap;
 
 static TM_EPOCHS: telemetry::Counter = telemetry::Counter::new("controller.epochs");
 static TM_DRIFTS: telemetry::Counter = telemetry::Counter::new("controller.drift_detections");
@@ -234,17 +234,6 @@ impl Ledger {
     }
 }
 
-/// Warm what-if tables keyed by quantized profile vector.
-type Caches = BTreeMap<Vec<ProfileKey>, CostCache>;
-
-/// The quantized profile vector that keys a warm table.
-fn keys(profiles: &[WorkloadProfile]) -> Vec<ProfileKey> {
-    profiles
-        .iter()
-        .map(|p| p.quantize(QUANTIZATION_REL))
-        .collect()
-}
-
 /// Predicted seconds per epoch of `profile` on a VM of `shares` — the one
 /// price every cost the controller and its regret oracle compare is summed
 /// from.
@@ -256,26 +245,17 @@ pub(crate) fn price(
     Ok(profile.epoch_seconds(&VirtualMachine::new(machine, shares)?))
 }
 
-/// One [`solve_dp`] over `n` VMs on `search`'s lattice and budgets: a cell
-/// `table` already holds is read, any other is priced as `cost(vm,
-/// shares)` and written back. Returns the optimal allocation and its
-/// objective.
+/// One [`solve_dp`] over `n` VMs on `search`'s lattice and budgets, each
+/// cell priced once as `cost(vm, shares)`. Returns the optimal allocation
+/// and its objective: the sum, in VM order, of `cost` at the allocation's
+/// rows.
 pub(crate) fn solve(
-    table: &CostCache,
     search: &SearchConfig,
     n: usize,
     cost: impl Fn(usize, ResourceVector) -> Result<f64, ControllerError>,
 ) -> Result<(AllocationMatrix, f64), ControllerError> {
-    let rows = table.rows(search.units, search.disk_share, 0..n)?;
     let shares = |c: u32, m: u32| cell_shares(search.units, search.disk_share, c, m);
-    let solution = solve_dp(n, search, |w, c, m| {
-        if let Some(cached) = rows[w].get(c, m) {
-            return Ok(cached);
-        }
-        let priced = cost(w, shares(c, m)?)?;
-        rows[w].insert(c, m, priced);
-        Ok::<_, ControllerError>(priced)
-    })?;
+    let solution = solve_dp(n, search, |w, c, m| cost(w, shares(c, m)?))?;
     let allocation = (solution.assignment.iter())
         .map(|&(c, m)| shares(c, m))
         .collect::<Result<_, _>>()?;
@@ -313,7 +293,6 @@ fn localized_solve(
     current: &AllocationMatrix,
     profiles: &[WorkloadProfile],
     drifted: &[usize],
-    caches: &mut Caches,
 ) -> Result<Option<(AllocationMatrix, f64, f64)>, ControllerError> {
     let units = search.units;
     let n = current.num_workloads();
@@ -339,17 +318,10 @@ fn localized_solve(
         return Ok(None);
     }
 
-    let sub: Vec<WorkloadProfile> = drifted.iter().map(|&i| profiles[i]).collect();
-    // Subset table keys never collide with full-solve keys: the key is the
-    // quantized profile vector and a subset is strictly shorter. Two
-    // different subsets with the same quantized profiles soundly share a
-    // table — cell costs depend only on the profile and the shares, never
-    // on the budgets.
     let (solved, objective) = solve(
-        caches.entry(keys(&sub)).or_default(),
         &search.with_budgets(cpu_budget, mem_budget),
         drifted.len(),
-        |j, shares| price(machine, &sub[j], shares),
+        |j, shares| price(machine, &profiles[drifted[j]], shares),
     )?;
 
     let keep: f64 = drifted
@@ -374,8 +346,9 @@ pub(crate) const DRIFT: DriftConfig = DriftConfig {
 /// EWMA factor for the streaming statistics (weight of the newest
 /// observation).
 const EWMA_ALPHA: f64 = 0.25;
-/// Relative width of the profile-quantization buckets that key warm cost
-/// tables (see [`WorkloadProfile::quantize`]).
+/// Relative width of the profile-quantization buckets whose keys name the
+/// governor's regimes (see [`WorkloadProfile::quantize`]). Keys decide
+/// which regime an epoch belongs to, never what a cell costs.
 const QUANTIZATION_REL: f64 = 0.2;
 /// Hysteresis: the predicted gain must additionally exceed this fraction
 /// of the keep-cost over the horizon before switching.
@@ -419,17 +392,6 @@ pub fn run_controller(
     let mut stats: Vec<VmStats> = (0..n)
         .map(|_| VmStats::new(EWMA_ALPHA, machine, DRIFT))
         .collect();
-    // Warm what-if tables, one per quantized profile vector: a recurring
-    // workload mix maps to the same key and re-solves against cells an
-    // earlier decision already evaluated.
-    let mut caches = Caches::new();
-    // Pre-switch solves price pairs of regime-pure snapshot profiles, not
-    // the blended EWMA estimate. Cached cell costs carry no model
-    // identity, so the two families must never share a table — the pair
-    // keys are twice the length of the reactive keys, which makes
-    // collision impossible by construction.
-    let mut snapshot_caches = Caches::new();
-
     let mut allocations = Vec::with_capacity(scenario.total_epochs());
     let mut epoch_costs = Vec::with_capacity(scenario.total_epochs());
     let mut decisions = 0usize;
@@ -555,14 +517,7 @@ pub fn run_controller(
             let localized =
                 if placement.is_some() && drifted_set.len() >= 2 && drifted_set.len() < n {
                     let current = &ledger.current;
-                    localized_solve(
-                        machine,
-                        &config.search,
-                        current,
-                        profiles,
-                        &drifted_set,
-                        &mut caches,
-                    )?
+                    localized_solve(machine, &config.search, current, profiles, &drifted_set)?
                 } else {
                     None
                 };
@@ -574,12 +529,9 @@ pub fn run_controller(
                     result
                 }
                 None => {
-                    let (allocation, objective) = solve(
-                        caches.entry(keys(profiles)).or_default(),
-                        &config.search,
-                        n,
-                        |w, shares| price(machine, &profiles[w], shares),
-                    )?;
+                    let (allocation, objective) = solve(&config.search, n, |w, shares| {
+                        price(machine, &profiles[w], shares)
+                    })?;
                     let keep: f64 = (0..n)
                         .map(|w| price(machine, &profiles[w], ledger.current.row(w)))
                         .sum::<Result<f64, _>>()?;
@@ -632,12 +584,7 @@ pub fn run_controller(
                             + price(machine, &p.incoming_profiles[w], shares)?,
                     )
                 };
-                let (allocation, _) = solve(
-                    snapshot_caches.entry(p.pair_key.clone()).or_default(),
-                    &config.search,
-                    n,
-                    pair,
-                )?;
+                let (allocation, pair_objective) = solve(&config.search, n, pair)?;
                 if allocation == ledger.current {
                     // Already provisioned; just arm the prediction so the
                     // anticipated drift does not trigger a re-solve.
@@ -645,20 +592,13 @@ pub fn run_controller(
                 } else {
                     // Pair costs cover one epoch of *each* regime; halve
                     // them so the gate compares per-epoch quantities over
-                    // the cycle horizon. Both sides are priced directly
-                    // under the live pair — the solve's objective may rest
-                    // on cached cells from a within-bucket neighbor, and a
-                    // gate must never compare costs from two different
-                    // pricings.
+                    // the cycle horizon. Both sides are sums of `pair`
+                    // under the live snapshots.
                     let keep: f64 = (0..n)
                         .map(|w| pair(w, ledger.current.row(w)))
                         .sum::<Result<f64, _>>()?
                         / 2.0;
-                    let objective: f64 = (0..n).map(|w| pair(w, allocation.row(w))).sum::<Result<
-                        f64,
-                        _,
-                    >>(
-                    )? / 2.0;
+                    let objective = pair_objective / 2.0;
                     let switch_cost = switch_cost_seconds(
                         machine,
                         &ledger.current,
@@ -788,6 +728,33 @@ mod tests {
         assert_eq!(out.trace_fingerprint(), base.trace_fingerprint());
         assert_eq!(out.total_cost.to_bits(), base.total_cost.to_bits());
         assert_eq!(out.final_time, base.final_time);
+    }
+
+    #[test]
+    fn every_solve_prices_its_own_profiles() {
+        // Two estimates in one quantization bucket — one governor regime —
+        // solved back to back: each objective is the sum of `price` under
+        // its own profiles at the allocation it returns, so a gate compares
+        // it with a keep cost priced the same way.
+        let machine = MachineSpec::tiny();
+        let search = config().search;
+        let first = vec![cpu_heavy(), io_heavy()];
+        let second: Vec<WorkloadProfile> = first.iter().map(|p| p.scaled(1.02)).collect();
+        let key = |profiles: &[WorkloadProfile]| {
+            (profiles.iter())
+                .map(|p| p.quantize(QUANTIZATION_REL))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(key(&first), key(&second), "one regime");
+        assert_ne!(first, second);
+        for profiles in [&first, &second] {
+            let (allocation, objective) =
+                solve(&search, 2, |w, shares| price(machine, &profiles[w], shares)).unwrap();
+            let priced: f64 = (0..2)
+                .map(|w| price(machine, &profiles[w], allocation.row(w)).unwrap())
+                .sum();
+            assert_eq!(objective.to_bits(), priced.to_bits());
+        }
     }
 
     #[test]

@@ -121,10 +121,6 @@ pub(crate) struct EpochVerdict {
 pub(crate) struct PredictedSwitch {
     /// The successor regime's key (to confirm or refute next epoch).
     pub key: Vec<ProfileKey>,
-    /// Cache namespace for the pair solve: the outgoing regime's key
-    /// concatenated with the successor's. Twice the length of a reactive
-    /// solve's key, so the two families can never collide.
-    pub pair_key: Vec<ProfileKey>,
     /// The outgoing (current) regime's snapshot profiles.
     pub outgoing_profiles: Vec<WorkloadProfile>,
     /// The incoming (successor) regime's snapshot profiles.
@@ -279,11 +275,8 @@ impl SwitchGovernor {
             return None;
         }
         let cycle = succ.residence_epochs() + regime.residence_epochs();
-        let mut pair_key = cur.clone();
-        pair_key.extend(succ_key.iter().cloned());
         Some(PredictedSwitch {
             key: succ_key.clone(),
-            pair_key,
             outgoing_profiles: outgoing.clone(),
             incoming_profiles: incoming.clone(),
             horizon_epochs: cycle.min(remaining) as f64,
@@ -415,7 +408,6 @@ mod tests {
             .predicted_switch(9, 16, 8)
             .expect("flip must be predicted");
         assert_eq!(p.key, key(2));
-        assert_eq!(p.pair_key, [key(1), key(2)].concat());
         assert_eq!(p.outgoing_profiles, profiles(1));
         assert_eq!(p.incoming_profiles, profiles(2));
         assert_eq!(p.horizon_epochs, 4.0);

@@ -145,11 +145,11 @@ impl WorkloadProfile {
     }
 
     /// Quantizes the profile into logarithmic buckets of relative width
-    /// `rel` (e.g. `0.2` = 20%). Two profiles with the same key are
-    /// "the same workload" for cache-reuse purposes: the controller keys
-    /// its warm [`dbvirt_core::CostCache`]s on the quantized vector, so a
-    /// recurring phase re-solves against already-paid-for cells while a
-    /// genuinely new mix gets a fresh cache.
+    /// `rel` (e.g. `0.2` = 20%). Two profiles with the same key are "the
+    /// same workload" to the switch governor: an epoch's key vector names
+    /// its regime, so a recurring phase is recognized as one. A key never
+    /// stands in for a profile in pricing — every solve prices the
+    /// profiles themselves.
     pub(crate) fn quantize(&self, rel: f64) -> ProfileKey {
         let width = (1.0 + rel).ln();
         let bucket = |v: f64| -> i64 {

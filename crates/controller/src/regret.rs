@@ -18,7 +18,6 @@ use crate::controller::{
 use crate::profile::ProblemTemplate;
 use crate::scenario::Scenario;
 use crate::ControllerError;
-use dbvirt_core::search::CostCache;
 use dbvirt_vmm::sched::{co_schedule, SchedMode};
 use dbvirt_vmm::AllocationMatrix;
 
@@ -131,7 +130,7 @@ pub fn account_regret(
     }
     let optima = (truth.iter())
         .map(|profiles| {
-            solve(&CostCache::new(), &config.search, n, |w, shares| {
+            solve(&config.search, n, |w, shares| {
                 price(machine, &profiles[w], shares)
             })
         })
