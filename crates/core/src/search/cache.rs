@@ -116,38 +116,9 @@ impl CostCache {
         Ok(rows.into_iter().map(handle).collect())
     }
 
-    /// The unweighted cost of a cell, if present.
-    pub fn get(&self, &(w, cpu, mem): &CellKey) -> Option<f64> {
-        self.rows.read().expect(POISONED).get(&w)?.get(cpu, mem)
-    }
-
-    /// Writes one cell of a row [`CostCache::rows`] has created. `false`
-    /// if the cell was present, lies outside the extent, or the row does
-    /// not exist.
-    pub fn insert(&self, (w, cpu, mem): CellKey, cost: f64) -> bool {
-        let directory = self.rows.read().expect(POISONED);
-        directory
-            .get(&w)
-            .is_some_and(|row| row.insert(cpu, mem, cost))
-    }
-
     /// Number of distinct cells evaluated into this table so far.
     pub fn evaluations(&self) -> usize {
         self.evals.load(Ordering::Relaxed)
-    }
-
-    /// A snapshot of every written cell, in key order. Not atomic across
-    /// cells — concurrent inserts may or may not appear.
-    pub fn entries(&self) -> Vec<(CellKey, f64)> {
-        let directory = self.rows.read().expect(POISONED);
-        let mut all = Vec::new();
-        for (&w, row) in directory.iter() {
-            for (at, cell) in row.cells.iter().enumerate() {
-                let key = (w, (at / row.side) as u32, (at % row.side) as u32);
-                all.extend(cell.get().map(|&cost| (key, cost)));
-            }
-        }
-        all
     }
 }
 
@@ -157,43 +128,31 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    /// A table asked at `units` share steps, with rows `0..rows`.
-    fn table(units: u32, rows: usize) -> CostCache {
+    /// Handles on rows `0..rows` of a fresh table asked at `units` share
+    /// steps.
+    fn table(units: u32, rows: usize) -> (CostCache, Vec<Arc<CostRow>>) {
         let cache = CostCache::new();
-        cache.rows(units, 1.0, 0..rows).unwrap();
-        cache
+        let handles = cache.rows(units, 1.0, 0..rows).unwrap();
+        (cache, handles)
     }
 
     #[test]
     fn insert_counts_distinct_cells_only() {
-        let cache = table(2, 2);
-        assert!(cache.insert((0, 1, 2), 1.5));
-        assert!(!cache.insert((0, 1, 2), 1.5));
-        assert!(cache.insert((1, 1, 2), 2.5));
+        let (cache, rows) = table(2, 2);
+        assert!(rows[0].insert(1, 2, 1.5));
+        assert!(!rows[0].insert(1, 2, 1.5));
+        assert!(rows[1].insert(1, 2, 2.5));
         assert_eq!(cache.evaluations(), 2);
-        assert_eq!(cache.entries().len(), 2);
-        assert_eq!(cache.get(&(0, 1, 2)), Some(1.5));
-        assert_eq!(cache.get(&(2, 1, 2)), None);
-    }
-
-    #[test]
-    fn entries_are_sorted_and_complete() {
-        let cache = table(9, 2);
-        cache.insert((1, 2, 3), 0.5);
-        cache.insert((0, 9, 1), 1.5);
-        cache.insert((0, 2, 7), 2.5);
-        assert_eq!(
-            cache.entries(),
-            vec![((0, 2, 7), 2.5), ((0, 9, 1), 1.5), ((1, 2, 3), 0.5)]
-        );
+        assert_eq!(rows[0].get(1, 2), Some(1.5));
+        assert_eq!(rows[1].get(1, 2), Some(2.5));
+        assert_eq!(rows[0].get(2, 1), None);
+        // A row resolved later starts cold.
+        assert_eq!(cache.rows(2, 1.0, [2]).unwrap()[0].get(1, 2), None);
     }
 
     #[test]
     fn the_first_use_fixes_the_lattice() {
         let cache = CostCache::new();
-        // Not asked yet: no row to write into.
-        assert!(!cache.insert((0, 1, 1), 1.0));
-        assert_eq!(cache.get(&(0, 1, 1)), None);
         let rows = cache.rows(8, 0.5, 0..2).unwrap();
         assert!(rows[1].insert(2, 2, 4.0));
         // The same lattice again resolves the same rows.
@@ -208,20 +167,20 @@ mod tests {
     /// What the fleet's per-class stores used to check of their dense
     /// copies: one table per machine class, so another class never leaks;
     /// a never-written cell is cold; a cell outside the extent, or of a row
-    /// nobody resolved, is a miss — never a wrong neighbour, an index out
-    /// of bounds or an allocation the size of the key.
+    /// resolved late, is a miss — never a wrong neighbour, an index out of
+    /// bounds or an allocation the size of the key.
     #[test]
     fn cold_outside_and_other_table_cells_all_miss() {
-        let (small, big) = (table(3, 3), table(3, 3));
-        assert!(small.insert((1, 1, 2), 10.0));
-        assert!(small.insert((1, 0, 3), 8.0));
-        assert!(big.insert((1, 1, 2), 99.0));
-        assert_eq!(small.get(&(1, 1, 2)), Some(10.0));
-        assert_eq!(small.get(&(1, 0, 3)), Some(8.0));
-        assert_eq!(big.get(&(1, 1, 2)), Some(99.0));
-        assert_eq!(big.get(&(1, 0, 3)), None); // cold on this class
-        assert_eq!(small.get(&(1, 2, 1)), None); // never written
-        assert_eq!(small.get(&(2, 1, 2)), None); // nothing in this row
+        let ((small, s), (big, b)) = (table(3, 3), table(3, 3));
+        assert!(s[1].insert(1, 2, 10.0));
+        assert!(s[1].insert(0, 3, 8.0));
+        assert!(b[1].insert(1, 2, 99.0));
+        assert_eq!(s[1].get(1, 2), Some(10.0));
+        assert_eq!(s[1].get(0, 3), Some(8.0));
+        assert_eq!(b[1].get(1, 2), Some(99.0));
+        assert_eq!(b[1].get(0, 3), None); // cold on this class
+        assert_eq!(s[1].get(2, 1), None); // never written
+        assert_eq!(s[2].get(1, 2), None); // nothing in this row
         let outside = [
             (4, 1),
             (1, 4),
@@ -230,17 +189,18 @@ mod tests {
             (u32::MAX, u32::MAX),
         ];
         for (cpu, mem) in outside {
-            assert_eq!(small.get(&(1, cpu, mem)), None);
-            assert!(!small.insert((1, cpu, mem), 7.0));
+            assert_eq!(s[1].get(cpu, mem), None);
+            assert!(!s[1].insert(cpu, mem, 7.0));
         }
+        // A row far past the last is one more row, not a directory that
+        // long, and it starts cold.
         for row in [3, 1 << 40, usize::MAX] {
-            assert_eq!(small.get(&(row, 1, 1)), None);
-            assert!(!small.insert((row, 1, 1), 7.0));
+            assert_eq!(small.rows(3, 1.0, [row]).unwrap()[0].get(1, 1), None);
         }
-        // A row far past the last is one more row, not a directory that long.
         let far = &small.rows(3, 1.0, [usize::MAX]).unwrap()[0];
         assert!(far.insert(1, 1, 3.0));
-        assert_eq!(small.get(&(usize::MAX, 1, 1)), Some(3.0));
+        let again = &small.rows(3, 1.0, [usize::MAX]).unwrap()[0];
+        assert_eq!(again.get(1, 1), Some(3.0));
         assert_eq!((small.evaluations(), big.evaluations()), (3, 1));
     }
 
@@ -248,9 +208,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// The table against a `HashMap` under random interleavings of
         /// reads and writes — cells inside and outside the extent, rows
-        /// that exist (near and far) and rows that do not: first write
-        /// wins, a NaN is stored once and read back as NaN, the count is
-        /// the number of distinct keys.
+        /// resolved up front (near and far) and rows resolved on first use:
+        /// first write wins, a NaN is stored once and read back as NaN, the
+        /// count is the number of distinct keys, and every cell of every
+        /// row touched reads what the map holds.
         #[test]
         fn the_table_answers_as_a_hash_map_does(
             units in 1u32..6,
@@ -259,36 +220,40 @@ mod tests {
                 1..200,
             ),
         ) {
-            let cache = table(units, 3);
+            let (cache, _) = table(units, 3);
             cache.rows(units, 1.0, [usize::MAX]).unwrap();
             let mut reference: HashMap<CellKey, f64> = HashMap::new();
+            let mut touched = Vec::new();
             for (write, w, cpu, mem, v) in ops {
-                let (row, exists) = match w {
-                    3 => (usize::MAX, true),
-                    4 => (usize::MAX - 1 - cpu as usize, false),
-                    _ => (w, true),
+                let row = match w {
+                    3 => usize::MAX,
+                    4 => usize::MAX - 1 - cpu as usize,
+                    _ => w,
                 };
+                touched.push(row);
+                let handle = &cache.rows(units, 1.0, [row]).unwrap()[0];
                 let cpu = if v == 4 { u32::MAX - cpu } else { cpu };
                 let key = (row, cpu, mem);
                 if write {
                     let cost = if v == 0 { f64::NAN } else { v as f64 + mem as f64 };
-                    let inside = exists && cpu <= units && mem <= units;
+                    let inside = cpu <= units && mem <= units;
                     let first = inside && !reference.contains_key(&key);
-                    prop_assert_eq!(cache.insert(key, cost), first, "{:?}", key);
+                    prop_assert_eq!(handle.insert(cpu, mem, cost), first, "{:?}", key);
                     if first {
                         reference.insert(key, cost);
                     }
                 } else {
                     let expected = reference.get(&key).map(|c| c.to_bits());
-                    prop_assert_eq!(cache.get(&key).map(f64::to_bits), expected, "{:?}", key);
+                    prop_assert_eq!(handle.get(cpu, mem).map(f64::to_bits), expected, "{:?}", key);
                 }
             }
             prop_assert_eq!(cache.evaluations(), reference.len());
-            let mut expected: Vec<_> = reference.iter().map(|(k, v)| (*k, v.to_bits())).collect();
-            expected.sort_unstable();
-            let entries = cache.entries();
-            let got: Vec<_> = entries.iter().map(|(k, v)| (*k, v.to_bits())).collect();
-            prop_assert_eq!(got, expected);
+            for (row, handle) in touched.iter().zip(cache.rows(units, 1.0, touched.clone()).unwrap()) {
+                for (cpu, mem) in (0..=units).flat_map(|c| (0..=units).map(move |m| (c, m))) {
+                    let expected = reference.get(&(*row, cpu, mem)).map(|c| c.to_bits());
+                    prop_assert_eq!(handle.get(cpu, mem).map(f64::to_bits), expected);
+                }
+            }
         }
     }
 
@@ -297,33 +262,41 @@ mod tests {
         // Many threads racing over an overlapping key set: every key must
         // end up present exactly once, with the evaluation count equal to
         // the number of distinct keys regardless of interleaving.
-        let cache = Arc::new(table(499, 9));
+        let units = 499;
+        let (cache, _) = table(units, 9);
         let n_threads = 8;
         let keys_per_thread = 500usize;
         std::thread::scope(|scope| {
             for t in 0..n_threads {
-                let cache = Arc::clone(&cache);
+                let rows = cache.rows(units, 1.0, 0..9).unwrap();
                 scope.spawn(move || {
                     for i in 0..keys_per_thread {
                         // Overlap: every thread also writes the shared
                         // stripe (workload 0), plus its own stripe.
-                        let shared = (0usize, (i % 50) as u32, (i / 50) as u32);
-                        cache.insert(shared, (i % 50) as f64);
-                        let own = (t + 1, i as u32, (t * 31) as u32);
-                        cache.insert(own, i as f64);
+                        rows[0].insert((i % 50) as u32, (i / 50) as u32, (i % 50) as f64);
+                        rows[t + 1].insert(i as u32, (t * 31) as u32, i as f64);
                     }
                 });
             }
         });
         let distinct_shared = 50 * (keys_per_thread / 50);
         let distinct_own = n_threads * keys_per_thread;
-        assert_eq!(cache.entries().len(), distinct_shared + distinct_own);
         assert_eq!(cache.evaluations(), distinct_shared + distinct_own);
-        // Values are the deterministic function of the key, not of the
-        // winning thread.
-        for i in 0..keys_per_thread {
-            let key = (0usize, (i % 50) as u32, (i / 50) as u32);
-            assert_eq!(cache.get(&key), Some((i % 50) as f64));
+        // Cell by cell over the extent: exactly the keys written are
+        // present, and each holds the deterministic function of its key,
+        // not of the winning thread.
+        let rows = cache.rows(units, 1.0, 0..9).unwrap();
+        let mut present = 0;
+        for (w, row) in rows.iter().enumerate() {
+            for (cpu, mem) in (0..=units).flat_map(|c| (0..=units).map(move |m| (c, m))) {
+                let expected = match w {
+                    0 => (cpu < 50 && mem < 10).then_some(cpu as f64),
+                    _ => (mem == ((w - 1) * 31) as u32).then_some(cpu as f64),
+                };
+                assert_eq!(row.get(cpu, mem), expected, "({w}, {cpu}, {mem})");
+                present += usize::from(expected.is_some());
+            }
         }
+        assert_eq!(present, distinct_shared + distinct_own);
     }
 }

@@ -896,7 +896,15 @@ mod tests {
                 seq_cache.evaluations(),
                 "round {round}"
             );
-            assert_eq!(shared.entries(), seq_cache.entries(), "round {round}");
+            // ...and so is every cell, compared over the whole extent.
+            let (units, disk_share) = (cfg_a.units, cfg_a.disk_share);
+            let rows = |cache: &CostCache| cache.rows(units, disk_share, 0..3).unwrap();
+            for (w, (got, want)) in rows(&shared).iter().zip(rows(&seq_cache)).enumerate() {
+                for (c, m) in (0..=units).flat_map(|c| (0..=units).map(move |m| (c, m))) {
+                    let bits = |row: &CostRow| row.get(c, m).map(f64::to_bits);
+                    assert_eq!(bits(got), bits(&want), "round {round} ({w}, {c}, {m})");
+                }
+            }
         }
     }
 
