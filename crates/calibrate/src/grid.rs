@@ -510,9 +510,9 @@ impl CalibrationGrid {
         Ok(doc.pretty())
     }
 
-    /// Deserializes a grid from JSON. Caches written before health
-    /// reporting existed (no `"reports"` key) load with empty pristine
-    /// reports.
+    /// Deserializes a grid from JSON, as [`CalibrationGrid::to_json`] wrote
+    /// it: a document missing a field, `"reports"` included, is a
+    /// [`CalError::CacheIo`].
     pub fn from_json(json: &str) -> Result<CalibrationGrid, CalError> {
         let bad = |reason: String| CalError::CacheIo { reason };
         let doc = Json::parse(json).map_err(bad)?;
@@ -529,33 +529,27 @@ impl CalibrationGrid {
                     .collect::<Result<Vec<_>, _>>()
             })
             .collect::<Result<Vec<Vec<_>>, _>>()?;
-        let reports = match doc.get("reports") {
-            None | Some(Json::Null) => entries
-                .iter()
-                .map(|row| vec![CalibrationReport::pristine(Vec::new()); row.len()])
-                .collect(),
-            Some(v) => {
-                let rows = v
-                    .as_arr()
-                    .ok_or_else(|| bad("reports is not an array".to_string()))?;
-                let parsed = rows
+        let reports = doc
+            .get("reports")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| bad("missing reports".to_string()))?
+            .iter()
+            .map(|row| {
+                row.as_arr()
+                    .ok_or_else(|| bad("reports row is not an array".to_string()))?
                     .iter()
-                    .map(|row| {
-                        row.as_arr()
-                            .ok_or_else(|| bad("reports row is not an array".to_string()))?
-                            .iter()
-                            .map(report_from_json)
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                    .collect::<Result<Vec<Vec<_>>, _>>()?;
-                let shape_ok = parsed.len() == entries.len()
-                    && parsed.iter().zip(&entries).all(|(r, e)| r.len() == e.len());
-                if !shape_ok {
-                    return Err(bad("reports shape does not match entries".to_string()));
-                }
-                parsed
-            }
-        };
+                    .map(report_from_json)
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .collect::<Result<Vec<Vec<_>>, _>>()?;
+        let shape_ok = reports.len() == entries.len()
+            && reports
+                .iter()
+                .zip(&entries)
+                .all(|(r, e)| r.len() == e.len());
+        if !shape_ok {
+            return Err(bad("reports shape does not match entries".to_string()));
+        }
         // A cache is only as trustworthy as its file: hold it to the same
         // axis rules as a sweep, and the matrices to the axes, so lookups
         // can index without checking.
@@ -910,23 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn old_cache_without_reports_still_loads() {
-        let grid = small_grid();
-        let json = grid.to_json().unwrap();
-        // Simulate a pre-health cache by deleting the reports field from
-        // the parsed document.
-        let mut doc = Json::parse(&json).unwrap();
-        if let Json::Obj(m) = &mut doc {
-            m.remove("reports");
-        }
-        let back = CalibrationGrid::from_json(&doc.pretty()).unwrap();
-        assert_eq!(back.at_point(1, 1), grid.at_point(1, 1));
-        // Loaded reports are pristine placeholders.
-        assert!(back.report_at(0, 0).probes.is_empty());
-        assert!(!back.report_at(0, 0).degraded);
-    }
-
-    #[test]
     fn invalid_axes_are_rejected() {
         let m = MachineSpec::tiny();
         for (cpu, mem, disk) in [
@@ -969,6 +946,7 @@ mod tests {
             ("entries", Json::Arr(short)),
             ("entries", Json::Arr(ragged)),
             ("reports", Json::Arr(short_reports)),
+            ("reports", Json::Null),
             // Unsorted, longer than `entries`, empty, out of range.
             ("cpu_points", nums(&[0.5, 0.25, 0.75])),
             ("mem_points", nums(&[0.25, 0.5, 0.75])),
@@ -982,6 +960,16 @@ mod tests {
                 matches!(err, CalError::CacheIo { .. }),
                 "{field} = {shown}: {err}"
             );
+        }
+        // A field the writer always writes, removed — `reports` too, which
+        // no writer has left out since per-cell health reporting exists.
+        for field in ["reports", "entries", "cpu_points", "machine"] {
+            let mut doc = doc.clone();
+            if let Json::Obj(m) = &mut doc {
+                m.remove(field);
+            }
+            let err = CalibrationGrid::from_json(&doc.pretty()).unwrap_err();
+            assert!(matches!(err, CalError::CacheIo { .. }), "no {field}: {err}");
         }
     }
 
