@@ -25,6 +25,7 @@
 //! pool-refill model and report it as a [`RebalanceDelta`].
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 
 mod advisor;
