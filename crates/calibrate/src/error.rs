@@ -1,5 +1,6 @@
 //! Calibration error type.
 
+use dbvirt_optimizer::{CheckedParams, OptError, OptimizerParams};
 use std::error::Error;
 use std::fmt;
 
@@ -57,6 +58,15 @@ pub enum CalError {
 }
 
 impl CalError {
+    /// `params` checked; the field the check refuses is a non-physical
+    /// [`CalError::BadParameter`].
+    pub(crate) fn checked(params: OptimizerParams) -> Result<CheckedParams, CalError> {
+        CheckedParams::new(params).map_err(|e| match e {
+            OptError::InvalidParams { name, value } => CalError::BadParameter { name, value },
+            other => CalError::probe_failed("<params>", other),
+        })
+    }
+
     /// `probe` — or a `<stage>` of calibration that is not a probe — failed.
     pub(crate) fn probe_failed(probe: &str, reason: impl ToString) -> CalError {
         CalError::ProbeFailed {

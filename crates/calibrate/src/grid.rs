@@ -54,7 +54,7 @@ use crate::report::CalibrationReport;
 use crate::runner::{calibrate_cell, vm_and_config, CalibrationConfig, ProbeSuite};
 use crate::vmdb::DbVmConfig;
 use crate::CalError;
-use dbvirt_optimizer::OptimizerParams;
+use dbvirt_optimizer::{CheckedParams, OptimizerParams};
 use dbvirt_vmm::{MachineSpec, ResourceVector};
 use std::fmt;
 
@@ -162,7 +162,7 @@ pub struct CalibrationGrid {
     disk_share: f64,
     /// `entries[ci][mi]` is the calibration at `(cpu_points[ci],
     /// mem_points[mi])`.
-    entries: Vec<Vec<OptimizerParams>>,
+    entries: Vec<Vec<CheckedParams>>,
     /// `reports[ci][mi]` is the health report for the same cell.
     reports: Vec<Vec<CalibrationReport>>,
 }
@@ -305,7 +305,7 @@ impl CalibrationGrid {
         let memo = suite.replay(configs)?;
 
         // Price and fit: pure arithmetic per cell, in row-major order.
-        let default = OptimizerParams::postgres_defaults();
+        let default = CalError::checked(OptimizerParams::postgres_defaults())?;
         let mut entries = vec![vec![default; mem_points.len()]; cpu_points.len()];
         let mut reports =
             vec![vec![CalibrationReport::pristine(Vec::new()); mem_points.len()]; cpu_points.len()];
@@ -356,7 +356,9 @@ impl CalibrationGrid {
                     .map(|&(dc, dm)| get_param(&entries[dc][dm], &name))
                     .sum::<f64>()
                     / nearest.len() as f64;
-                set_param(&mut entries[c][m], &name, mean);
+                let mut p = *entries[c][m];
+                set_param(&mut p, &name, mean);
+                entries[c][m] = CalError::checked(p)?;
                 reports[c][m].degraded_params.push(name);
             }
         }
@@ -380,7 +382,7 @@ impl CalibrationGrid {
             let (_, cfg) = vm_and_config(machine, shares)?;
             p.effective_cache_size_pages = cfg.effective_cache_pages as f64;
             p.work_mem_bytes = cfg.work_mem_bytes as f64;
-            entries[c][m] = p;
+            entries[c][m] = CalError::checked(p)?;
             reports[c][m] = CalibrationReport {
                 probes: Vec::new(),
                 dropped_probes: 0,
@@ -427,8 +429,10 @@ impl CalibrationGrid {
     /// The calibrated `P` for allocation `shares`, with bilinear
     /// interpolation between grid points. The disk share of `shares` is
     /// accepted if it matches the grid's policy (within 1e-6); otherwise
-    /// an [`CalError::OutOfGrid`] is returned.
-    pub fn params_for(&self, shares: ResourceVector) -> Result<OptimizerParams, CalError> {
+    /// an [`CalError::OutOfGrid`] is returned. The interpolant is checked:
+    /// a blend of two valid points can round a field to 0, which is a
+    /// [`CalError::BadParameter`].
+    pub fn params_for(&self, shares: ResourceVector) -> Result<CheckedParams, CalError> {
         if (shares.disk().fraction() - self.disk_share).abs() > 1e-6 {
             return Err(CalError::OutOfGrid {
                 value: shares.disk().fraction(),
@@ -441,11 +445,11 @@ impl CalibrationGrid {
         let mi2 = (mi + 1).min(self.mem_points.len() - 1);
         let low = lerp_params(&self.entries[ci][mi], &self.entries[ci][mi2], mt);
         let high = lerp_params(&self.entries[ci2][mi], &self.entries[ci2][mi2], mt);
-        Ok(lerp_params(&low, &high, ct))
+        CalError::checked(lerp_params(&low, &high, ct))
     }
 
     /// The exact calibrated parameters at a grid point (no interpolation).
-    pub fn at_point(&self, cpu_idx: usize, mem_idx: usize) -> &OptimizerParams {
+    pub fn at_point(&self, cpu_idx: usize, mem_idx: usize) -> &CheckedParams {
         &self.entries[cpu_idx][mem_idx]
     }
 
@@ -773,7 +777,7 @@ fn machine_from_json(doc: &Json) -> Result<MachineSpec, CalError> {
     })
 }
 
-fn params_to_json(p: &OptimizerParams) -> Json {
+fn params_to_json(p: &CheckedParams) -> Json {
     Json::obj([
         ("unit_seconds", Json::Num(p.unit_seconds)),
         ("seq_page_cost", Json::Num(p.seq_page_cost)),
@@ -789,8 +793,11 @@ fn params_to_json(p: &OptimizerParams) -> Json {
     ])
 }
 
-fn params_from_json(doc: &Json) -> Result<OptimizerParams, CalError> {
-    Ok(OptimizerParams {
+/// One cache entry, held to the check a calibrated `P` passes: a field that
+/// is not finite and positive is a [`CalError::CacheIo`] here, not an
+/// [`dbvirt_optimizer::OptError::InvalidParams`] at some later price.
+fn params_from_json(doc: &Json) -> Result<CheckedParams, CalError> {
+    let params = OptimizerParams {
         unit_seconds: get_num(doc, "unit_seconds")?,
         seq_page_cost: get_num(doc, "seq_page_cost")?,
         random_page_cost: get_num(doc, "random_page_cost")?,
@@ -799,6 +806,9 @@ fn params_from_json(doc: &Json) -> Result<OptimizerParams, CalError> {
         cpu_operator_cost: get_num(doc, "cpu_operator_cost")?,
         effective_cache_size_pages: get_num(doc, "effective_cache_size_pages")?,
         work_mem_bytes: get_num(doc, "work_mem_bytes")?,
+    };
+    CheckedParams::new(params).map_err(|e| CalError::CacheIo {
+        reason: e.to_string(),
     })
 }
 
@@ -942,7 +952,23 @@ mod tests {
         // `reports` must follow the axes too, not just `entries`.
         let mut short_reports = rows("reports");
         short_reports.pop();
+        // One entry's parameter set to `v`: a cache holding a `P` that
+        // pricing would refuse is refused at load.
+        let entry_with = |key: &str, v: f64| {
+            let mut entries = rows("entries");
+            if let Json::Arr(row) = &mut entries[1] {
+                if let Json::Obj(m) = &mut row[0] {
+                    m.insert(key.to_string(), Json::Num(v));
+                }
+            }
+            Json::Arr(entries)
+        };
         for (field, value) in [
+            ("entries", entry_with("cpu_tuple_cost", 0.0)),
+            ("entries", entry_with("unit_seconds", -1e-4)),
+            ("entries", entry_with("work_mem_bytes", f64::NAN)),
+            // A placeholder the text below turns into an infinite literal.
+            ("entries", entry_with("random_page_cost", 12345.5)),
             ("entries", Json::Arr(short)),
             ("entries", Json::Arr(ragged)),
             ("reports", Json::Arr(short_reports)),
@@ -955,7 +981,8 @@ mod tests {
             ("disk_share", Json::Num(0.0)),
         ] {
             let shown = value.pretty();
-            let err = CalibrationGrid::from_json(&tampered(field, value)).unwrap_err();
+            let text = tampered(field, value).replace("12345.5", "1e999");
+            let err = CalibrationGrid::from_json(&text).unwrap_err();
             assert!(
                 matches!(err, CalError::CacheIo { .. }),
                 "{field} = {shown}: {err}"
@@ -1124,12 +1151,11 @@ mod tests {
         let report = grid.report_at(c, m);
         assert!(report.failure.is_some(), "{report}");
         assert_eq!(report.degraded_params.len(), MEASURED_PARAMS.len());
-        // The interpolated cell carries physical, validated parameters.
+        // The interpolated cell carries physical parameters, checked when
+        // the fill made them, and they lie within the envelope of the
+        // healthy cells they were averaged from.
         let p = grid.at_point(c, m);
-        p.validate().unwrap();
-        // And they lie within the envelope of the healthy cells they were
-        // averaged from.
-        let healthy: Vec<&OptimizerParams> = (0..3)
+        let healthy: Vec<&CheckedParams> = (0..3)
             .flat_map(|hc| (0..2).map(move |hm| (hc, hm)))
             .filter(|&(hc, hm)| !grid.report_at(hc, hm).degraded)
             .map(|(hc, hm)| grid.at_point(hc, hm))

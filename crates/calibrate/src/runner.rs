@@ -49,7 +49,7 @@ use crate::probes::{build_probes, CacheState, Probe, NUM_UNKNOWNS};
 use crate::report::{CalibrationReport, ProbeStat};
 use crate::{solver, CalError, DbVmConfig, ProbeDb};
 use dbvirt_engine::{CpuCosts, Profile, CARRIER_PAGES};
-use dbvirt_optimizer::OptimizerParams;
+use dbvirt_optimizer::{CheckedParams, OptimizerParams};
 use dbvirt_storage::BufferPool;
 use dbvirt_telemetry as telemetry;
 use dbvirt_vmm::{
@@ -139,8 +139,8 @@ impl Default for CalibrationConfig {
 /// Calibration result with diagnostics.
 #[derive(Debug, Clone)]
 pub struct Calibration {
-    /// The recovered parameter vector.
-    pub params: OptimizerParams,
+    /// The recovered parameter vector, checked.
+    pub params: CheckedParams,
     /// Root-mean-square residual of the fit, in seconds.
     pub rms_residual_seconds: f64,
     /// Per-probe measured (aggregated) seconds for probes that
@@ -548,12 +548,8 @@ pub(crate) fn calibrate_cell(
         work_mem_bytes: cfg.work_mem_bytes as f64,
     };
     report.clamped_params = clamped;
-    params.validate().map_err(|_| CalError::BadParameter {
-        name: "params",
-        value: f64::NAN,
-    })?;
     Ok(Calibration {
-        params,
+        params: CalError::checked(params)?,
         rms_residual_seconds: rms,
         measured_seconds: measured,
         report,
@@ -572,7 +568,7 @@ pub fn calibrate_with(
 }
 
 /// Calibrates `P` for one allocation from the process-wide probe suite.
-pub fn calibrate(spec: MachineSpec, shares: ResourceVector) -> Result<OptimizerParams, CalError> {
+pub fn calibrate(spec: MachineSpec, shares: ResourceVector) -> Result<CheckedParams, CalError> {
     let rcfg = CalibrationConfig::default();
     Ok(calibrate_from(ProbeSuite::template()?, spec, shares, &rcfg)?.params)
 }
@@ -801,7 +797,7 @@ mod tests {
             ResourceVector::uniform(Share::HALF),
         )
         .unwrap();
-        p.validate().unwrap();
+        assert!(p.unit_seconds > 0.0 && p.cpu_tuple_cost > 0.0, "{p}");
     }
 
     #[test]

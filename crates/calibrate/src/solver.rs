@@ -196,15 +196,6 @@ pub(crate) fn least_squares_diagnosed(
     })
 }
 
-/// Solves the overdetermined system `a · x ≈ b` in the least-squares sense
-/// via the normal equations `aᵀa · x = aᵀb`. `a` is row-major `m × n` with
-/// `m ≥ n`. Shape problems and underdetermined systems are [`CalError`]s.
-pub fn least_squares(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, CalError> {
-    let (_, n) = check_shape(a, b)?;
-    let (ata, atb) = normal_equations(a, b, n);
-    solve_square(ata, atb)
-}
-
 /// Root-mean-square residual of a candidate solution (used in tests and
 /// calibration diagnostics).
 pub(crate) fn rms_residual(a: &[Vec<f64>], b: &[f64], x: &[f64]) -> f64 {
@@ -223,6 +214,18 @@ pub(crate) fn rms_residual(a: &[Vec<f64>], b: &[f64], x: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fit with no ridge to fall back on and no condition limit: the
+    /// normal equations solved as they stand.
+    fn fit(a: &[Vec<f64>], b: &[f64]) -> Result<Vec<f64>, CalError> {
+        least_squares_diagnosed(a, b, f64::INFINITY, 0.0).map(|fit| fit.x)
+    }
+
+    /// The normal equations of a well-shaped `a`, solved directly.
+    fn plain(a: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
+        let (ata, atb) = normal_equations(a, b, a[0].len());
+        solve_square(ata, atb).unwrap()
+    }
 
     #[test]
     fn solves_known_square_system() {
@@ -274,17 +277,17 @@ mod tests {
         // solve_square: non-square.
         let e = solve_square(vec![vec![1.0, 2.0]], vec![1.0]).unwrap_err();
         assert!(matches!(e, CalError::ShapeMismatch { .. }));
-        // least_squares: empty.
-        let e = least_squares(&[], &[]).unwrap_err();
+        // The fit: empty.
+        let e = fit(&[], &[]).unwrap_err();
         assert_eq!(e, CalError::InsufficientProbes { kept: 0, needed: 1 });
-        // least_squares: row-count mismatch.
-        let e = least_squares(&[vec![1.0]], &[1.0, 2.0]).unwrap_err();
+        // The fit: row-count mismatch.
+        let e = fit(&[vec![1.0]], &[1.0, 2.0]).unwrap_err();
         assert!(matches!(e, CalError::ShapeMismatch { .. }));
-        // least_squares: ragged.
-        let e = least_squares(&[vec![1.0, 2.0], vec![1.0]], &[1.0, 2.0]).unwrap_err();
+        // The fit: ragged.
+        let e = fit(&[vec![1.0, 2.0], vec![1.0]], &[1.0, 2.0]).unwrap_err();
         assert!(matches!(e, CalError::ShapeMismatch { .. }));
-        // least_squares: underdetermined.
-        let e = least_squares(&[vec![1.0, 2.0]], &[1.0]).unwrap_err();
+        // The fit: underdetermined.
+        let e = fit(&[vec![1.0, 2.0]], &[1.0]).unwrap_err();
         assert_eq!(e, CalError::InsufficientProbes { kept: 1, needed: 2 });
     }
 
@@ -311,7 +314,7 @@ mod tests {
             .iter()
             .map(|r| r[0] * x_true[0] + r[1] * x_true[1])
             .collect();
-        let x = least_squares(&a, &b).unwrap();
+        let x = fit(&a, &b).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-10);
         assert!((x[1] + 2.0).abs() < 1e-10);
         assert!(rms_residual(&a, &b, &x) < 1e-10);
@@ -328,7 +331,7 @@ mod tests {
             .zip(noise)
             .map(|(&t, n)| 2.0 * t + 1.0 + n)
             .collect();
-        let x = least_squares(&a, &b).unwrap();
+        let x = fit(&a, &b).unwrap();
         assert!((x[0] - 2.0).abs() < 0.05, "slope {x:?}");
         assert!((x[1] - 1.0).abs() < 0.1, "intercept {x:?}");
     }
@@ -356,7 +359,7 @@ mod tests {
             vec![2.0, 1.0],
         ];
         let b = vec![3.0, -2.0, 1.0, 4.0];
-        let plain = least_squares(&a, &b).unwrap();
+        let plain = plain(&a, &b);
         let fit = least_squares_diagnosed(&a, &b, 1e12, 1e-8).unwrap();
         assert!(!fit.used_ridge);
         assert!(fit.condition.is_finite() && fit.condition >= 1.0);
@@ -376,7 +379,7 @@ mod tests {
         // finite symmetric split.
         let a = vec![vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]];
         let b = vec![2.0, 4.0, 6.0];
-        assert_eq!(least_squares(&a, &b), Err(CalError::SingularSystem));
+        assert_eq!(fit(&a, &b), Err(CalError::SingularSystem));
         let fit = least_squares_diagnosed(&a, &b, 1e12, 1e-8).unwrap();
         assert!(fit.used_ridge);
         assert!(fit.condition.is_infinite());
@@ -396,7 +399,7 @@ mod tests {
         assert!(fit.used_ridge);
         // λ is tiny relative to the diagonal, so the answer is close to
         // the plain one.
-        let plain = least_squares(&a, &b).unwrap();
+        let plain = plain(&a, &b);
         for (p, r) in plain.iter().zip(&fit.x) {
             assert!((p - r).abs() < 1e-6);
         }

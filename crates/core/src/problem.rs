@@ -2,13 +2,14 @@
 
 use crate::CoreError;
 use dbvirt_engine::Database;
-use dbvirt_optimizer::{LogicalPlan, OptError, OptimizerParams, PreparedWorkload};
+use dbvirt_optimizer::{CheckedParams, LogicalPlan, OptError, PreparedQuery};
 use dbvirt_vmm::MachineSpec;
 use std::sync::OnceLock;
 
 /// One workload: a name, the database it runs against, and its query
 /// sequence (the paper's `Wᵢ`, "a sequence of SQL statements against a
-/// separate database").
+/// separate database"). The fleet tier places the same thing and calls it
+/// a `FleetVm`; there the name is the VM's identity.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec<'a> {
     /// Display name.
@@ -16,18 +17,18 @@ pub struct WorkloadSpec<'a> {
     /// The database the workload queries (what-if planning needs its
     /// catalog and statistics only).
     pub db: &'a Database,
-    /// The workload's queries. Fixed once the spec has been priced: the
-    /// analysis [`WorkloadSpec::estimate_seconds`] caches is of the queries
-    /// as they were then. To price other queries, build another spec.
+    /// The workload's queries. Fixed once the spec has been analysed: the
+    /// analysis [`WorkloadSpec::analysed`] caches is of the queries as they
+    /// were then. To price other queries, build another spec.
     pub queries: Vec<LogicalPlan>,
     /// Service-level weight in the design objective (the paper's Section 7
     /// "different service-level objectives" extension): the search
     /// minimizes `Σᵢ weightᵢ · Cost(Wᵢ, Rᵢ)`. Default 1.0.
     pub weight: f64,
-    /// The queries analysed against `db`, filled by the first pricing. A
-    /// pure function of `(db, queries)`, so whichever thread fills it
-    /// stores the same thing.
-    prepared: OnceLock<Result<PreparedWorkload, OptError>>,
+    /// The queries analysed against `db`, in order, filled by the first
+    /// [`WorkloadSpec::analysed`]. A pure function of `(db, queries)`, so
+    /// whichever thread fills it stores the same thing.
+    prepared: OnceLock<Result<Vec<PreparedQuery>, OptError>>,
 }
 
 impl<'a> WorkloadSpec<'a> {
@@ -53,19 +54,24 @@ impl<'a> WorkloadSpec<'a> {
         self
     }
 
-    /// The what-if estimate of this workload under `params`: exactly
-    /// `dbvirt_optimizer::estimate_workload_seconds(db, &queries, params)`,
-    /// with the queries analysed on the first call and only priced on
-    /// every later one — the search prices one workload under many `P(R)`.
-    pub fn estimate_seconds(&self, params: &OptimizerParams) -> Result<f64, OptError> {
-        let prepared = self
-            .prepared
-            .get_or_init(|| PreparedWorkload::analyse(self.db, &self.queries));
-        match prepared {
-            Ok(prepared) => prepared.estimate_seconds(params),
-            // Bad parameters are reported before anything about the queries.
-            Err(e) => Err(params.validate().err().unwrap_or_else(|| e.clone())),
-        }
+    /// Every query analysed against `db` with no hypothetical index, in
+    /// order: analysed on the first call, lent on every later one. The
+    /// search prices these under many `P(R)`, and the design advisor offers
+    /// them its index configurations — one analysis per query per problem.
+    pub fn analysed(&self) -> Result<&[PreparedQuery], OptError> {
+        let prepared = self.prepared.get_or_init(|| {
+            (self.queries.iter())
+                .map(|q| PreparedQuery::analyse(self.db, q, &[]))
+                .collect()
+        });
+        prepared.as_deref().map_err(Clone::clone)
+    }
+
+    /// The what-if estimate of this workload under `params`: the per-query
+    /// estimates of [`WorkloadSpec::analysed`], summed in query order — bit
+    /// for bit the sum of `plan_query(db, q, params)?.est_seconds(params)`.
+    pub fn estimate_seconds(&self, params: &CheckedParams) -> Result<f64, OptError> {
+        Ok(self.analysed()?.iter().map(|q| q.est_seconds(params)).sum())
     }
 }
 
@@ -118,6 +124,7 @@ impl<'a> DesignProblem<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbvirt_optimizer::OptimizerParams;
 
     #[test]
     fn rejects_empty_problems() {
@@ -166,29 +173,34 @@ mod tests {
     }
 
     /// Parameter vectors on both sides of the index/seq-scan flip.
-    fn param_vectors() -> Vec<OptimizerParams> {
+    fn param_vectors() -> Vec<CheckedParams> {
         let d = OptimizerParams::default();
         (0..12)
-            .map(|i| OptimizerParams {
-                effective_cache_size_pages: 10f64.powi(i % 4 * 2),
-                random_page_cost: [1.0, 4.0, 40.0][i as usize % 3],
-                cpu_tuple_cost: d.cpu_tuple_cost * (1.0 + i as f64 / 7.0),
-                ..d
+            .map(|i| {
+                CheckedParams::new(OptimizerParams {
+                    effective_cache_size_pages: 10f64.powi(i % 4 * 2),
+                    random_page_cost: [1.0, 4.0, 40.0][i as usize % 3],
+                    cpu_tuple_cost: d.cpu_tuple_cost * (1.0 + i as f64 / 7.0),
+                    ..d
+                })
+                .unwrap()
             })
             .collect()
     }
 
     #[test]
     fn a_spec_priced_from_eight_threads_gives_the_serial_bits() {
-        use dbvirt_optimizer::estimate_workload_seconds;
+        use dbvirt_optimizer::plan_query;
         use std::sync::Barrier;
         let (db, queries) = priced_fixture();
         let vectors = param_vectors();
+        // Each query planned afresh under each vector, summed in order.
         let reference: Vec<u64> = vectors
             .iter()
             .map(|p| {
-                estimate_workload_seconds(&db, &queries, p)
-                    .unwrap()
+                (queries.iter())
+                    .map(|q| plan_query(&db, q, p).unwrap().est_seconds(p))
+                    .sum::<f64>()
                     .to_bits()
             })
             .collect();
@@ -236,18 +248,13 @@ mod tests {
         let mut db = Database::new();
         let t = db.create_table("t", Schema::new(vec![Field::new("a", DataType::Int)]));
         let spec = WorkloadSpec::new("w", &db, vec![LogicalPlan::scan(t)]);
+        let p = CheckedParams::new(OptimizerParams::default()).unwrap();
         for _ in 0..2 {
-            let err = spec
-                .estimate_seconds(&OptimizerParams::default())
-                .unwrap_err();
+            let err = spec.estimate_seconds(&p).unwrap_err();
+            assert!(matches!(err, OptError::MissingStats { .. }), "{err:?}");
+            let err = spec.analysed().unwrap_err();
             assert!(matches!(err, OptError::MissingStats { .. }), "{err:?}");
         }
-        let bad = OptimizerParams {
-            work_mem_bytes: -1.0,
-            ..OptimizerParams::default()
-        };
-        let err = spec.estimate_seconds(&bad).unwrap_err();
-        assert!(matches!(err, OptError::InvalidParams { .. }), "{err:?}");
     }
 
     #[test]

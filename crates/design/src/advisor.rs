@@ -269,12 +269,13 @@ impl<'g> DesignAdvisor<'g> {
             );
         }
 
-        // 2. Analyse every (query, config) once; each price is computed
-        //    from its analysis on its first read.
+        // 2. Offer each workload's one analysis (the problem's, shared by
+        //    every advise run over it) every config once; each price is
+        //    computed from its analysis on its first read.
         let vms = {
             let _span = telemetry::span("design.whatif");
             (problem.workloads.iter().zip(cand_sets))
-                .map(|(w, cands)| VmPricer::new(&pricer, w.db, &w.queries, cands))
+                .map(|(w, cands)| VmPricer::new(&pricer, w, cands))
                 .collect::<Result<Vec<_>, _>>()?
         };
         let budget = match mode {

@@ -13,14 +13,16 @@
 //! ≤ 2 is what makes the companion LP relaxation ([`crate::lp`]) an exact
 //! relaxation of this objective, so the reported optimality gap is sound.
 //!
-//! The work splits the way INUM splits it inside CoPhy. A [`VmPricer`]
-//! analyses each query once with no hypothetical index, and derives each
-//! config's analysis from that one by re-deriving only the access paths of
-//! the scans the config's indexes cover ([`PreparedQuery::offering`]) —
-//! every `(query, config)` up front, since the advisor's final LP bound
-//! prices every config anyway. A `(query, config, cell)` price is then one
-//! pricing pass of that analysis under the cell's `P(R)`, which the
-//! [`DesignPricer`] looks up and validates once per cell.
+//! The work splits the way INUM splits it inside CoPhy. Each query is
+//! analysed once with no hypothetical index, by the workload's
+//! [`WorkloadSpec::analysed`] — once per problem, however many advise runs
+//! read it. A [`VmPricer`] borrows that analysis and derives each config's
+//! from it by re-deriving only the access paths of the scans the config's
+//! indexes cover ([`PreparedQuery::offering`]) — every `(query, config)` up
+//! front, since the advisor's final LP bound prices every config anyway. A
+//! `(query, config, cell)` price is then one pricing pass of that analysis
+//! under the cell's checked `P(R)`, which the [`DesignPricer`] looks up
+//! once per cell.
 //!
 //! A price is computed on its first read and memoized in the same dense
 //! write-once [`CostCache`] the allocation search uses: each
@@ -34,8 +36,9 @@ use crate::candidates::CandidateSet;
 use crate::DesignError;
 use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_core::search::{cell_shares, CostCache, CostRow};
+use dbvirt_core::WorkloadSpec;
 use dbvirt_engine::Database;
-use dbvirt_optimizer::{HypoIndex, LogicalPlan, OptError, OptimizerParams, PreparedQuery};
+use dbvirt_optimizer::{CheckedParams, HypoIndex, LogicalPlan, OptError, PreparedQuery};
 use dbvirt_telemetry as telemetry;
 use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
@@ -82,8 +85,8 @@ pub(crate) fn config_menus(cands: &CandidateSet) -> Vec<ConfigMenu> {
 }
 
 /// The pricing context for one workload (one VM): its database, queries,
-/// candidates, config menus, and its rows of one [`DesignPricer`]'s price
-/// table.
+/// candidates, config menus, its analyses, and its rows of one
+/// [`DesignPricer`]'s price table.
 pub struct VmPricer<'a> {
     /// The workload's database (catalog + statistics only).
     pub db: &'a Database,
@@ -93,31 +96,37 @@ pub struct VmPricer<'a> {
     pub cands: CandidateSet,
     /// Per-query config menus.
     pub menus: Vec<ConfigMenu>,
-    /// `prepared[q][k]`: query `q` analysed with config `k` offered as
-    /// hypothetical indexes — every cell only prices it.
-    prepared: Vec<Vec<PreparedQuery>>,
+    /// `analysed[q]`: query `q` analysed with no hypothetical index, lent by
+    /// the workload.
+    analysed: &'a [PreparedQuery],
+    /// `offered[q][k]`: that analysis offered config `k` as hypothetical
+    /// indexes, `None` for the empty config — every cell only prices it.
+    offered: Vec<Vec<Option<PreparedQuery>>>,
     /// `prices[q][k]`: the pair's row of the pricer's table.
     prices: Vec<Vec<Arc<CostRow>>>,
 }
 
 impl<'a> VmPricer<'a> {
-    /// Builds a pricer from an already-enumerated candidate set, priced
-    /// into the next unused rows of `pricer`'s table: analyses every query
-    /// once, and offers that analysis each of its configs.
+    /// Builds a pricer for `workload` from an already-enumerated candidate
+    /// set, priced into the next unused rows of `pricer`'s table: borrows
+    /// the workload's analysis of every query, and offers it each of the
+    /// query's configs.
     pub fn new(
         pricer: &DesignPricer<'_>,
-        db: &'a Database,
-        queries: &'a [LogicalPlan],
+        workload: &'a WorkloadSpec<'_>,
         cands: CandidateSet,
     ) -> Result<VmPricer<'a>, DesignError> {
+        let (db, queries) = (workload.db, &workload.queries[..]);
+        let analysed = workload.analysed()?;
         let menus = config_menus(&cands);
-        let prepared = (queries.iter().zip(&menus))
-            .map(|(query, menu)| {
-                let bare = PreparedQuery::analyse(db, query, &[])?;
+        let offered = (queries.iter().zip(analysed).zip(&menus))
+            .map(|((query, bare), menu)| {
                 (menu.configs.iter())
                     .map(|config| match config[..] {
-                        [] => Ok(bare.clone()),
-                        _ => bare.offering(db, query, &hypo_indexes(&cands, config)),
+                        [] => Ok(None),
+                        _ => bare
+                            .offering(db, query, &hypo_indexes(&cands, config))
+                            .map(Some),
                     })
                     .collect::<Result<Vec<_>, OptError>>()
             })
@@ -130,9 +139,15 @@ impl<'a> VmPricer<'a> {
             queries,
             cands,
             menus,
-            prepared,
+            analysed,
+            offered,
             prices,
         })
+    }
+
+    /// The analysis config `k` of query `q` is priced from.
+    fn analysis(&self, q: usize, k: usize) -> &PreparedQuery {
+        self.offered[q][k].as_ref().unwrap_or(&self.analysed[q])
     }
 }
 
@@ -152,9 +167,9 @@ pub struct DesignPricer<'g> {
     grid: &'g CalibrationGrid,
     units: u32,
     disk_share: f64,
-    /// The validated `P(R)` of cell `(cpu, mem)` at `cpu * (units + 1) +
+    /// The checked `P(R)` of cell `(cpu, mem)` at `cpu * (units + 1) +
     /// mem`, looked up on the cell's first price.
-    params: Vec<OnceCell<OptimizerParams>>,
+    params: Vec<OnceCell<CheckedParams>>,
     cache: CostCache,
     /// Rows of `cache` handed to [`VmPricer`]s so far.
     rows_used: Cell<usize>,
@@ -187,9 +202,9 @@ impl<'g> DesignPricer<'g> {
         self.cache.evaluations()
     }
 
-    /// The validated `P(R)` of cell `(cpu, mem)`, memoized per cell of the
+    /// The checked `P(R)` of cell `(cpu, mem)`, memoized per cell of the
     /// lattice.
-    fn params(&self, cpu: u32, mem: u32) -> Result<&OptimizerParams, DesignError> {
+    fn params(&self, cpu: u32, mem: u32) -> Result<&CheckedParams, DesignError> {
         let side = self.units as usize + 1;
         let slot = (cpu.max(mem) <= self.units)
             .then(|| &self.params[cpu as usize * side + mem as usize])
@@ -205,7 +220,6 @@ impl<'g> DesignPricer<'g> {
         let params = self
             .grid
             .params_for(cell_shares(self.units, self.disk_share, cpu, mem)?)?;
-        params.validate()?;
         Ok(slot.get_or_init(|| params))
     }
 
@@ -226,7 +240,7 @@ impl<'g> DesignPricer<'g> {
             return Ok(c);
         }
         TM_WHATIF_CALLS.add(1);
-        let cost = vm.prepared[q][config].est_seconds(self.params(cpu, mem)?)?;
+        let cost = vm.analysis(q, config).est_seconds(self.params(cpu, mem)?);
         row.insert(cpu, mem, cost);
         Ok(cost)
     }
@@ -307,7 +321,8 @@ mod tests {
         let grid = grid();
         let cands = enumerate_candidates(&db, &queries, 16);
         let pricer = DesignPricer::new(&grid, 4, 0.5);
-        let vm = VmPricer::new(&pricer, &db, &queries, cands).unwrap();
+        let spec = WorkloadSpec::new("w", &db, queries.clone());
+        let vm = VmPricer::new(&pricer, &spec, cands).unwrap();
         // A CPU- and memory-scarce cell: random index I/O is cheaper than
         // grinding 20k tuples through a slow CPU share.
         let empty = pricer.price(&vm, 0, 0, 2, 1).unwrap();
@@ -345,7 +360,8 @@ mod tests {
         let grid = grid();
         let cands = enumerate_candidates(&db, &queries, 16);
         let pricer = DesignPricer::new(&grid, 4, 0.5);
-        let vm = VmPricer::new(&pricer, &db, &queries, cands).unwrap();
+        let spec = WorkloadSpec::new("w", &db, queries.clone());
+        let vm = VmPricer::new(&pricer, &spec, cands).unwrap();
         let mut priced = 0;
         for (q, query) in queries.iter().enumerate() {
             assert!(vm.menus[q].configs.len() > 1, "query {q} has no candidate");

@@ -99,6 +99,7 @@ mod tests {
     use crate::candidates::enumerate_candidates;
     use crate::testutil::small_grid;
     use dbvirt_calibrate::CalibrationGrid;
+    use dbvirt_core::WorkloadSpec;
     use dbvirt_engine::{Database, Expr};
     use dbvirt_optimizer::LogicalPlan;
     use dbvirt_storage::{DataType, Datum, Field, Schema, Tuple};
@@ -136,7 +137,8 @@ mod tests {
         let cands = enumerate_candidates(&db, &queries, 16);
         let per_index_pages = cands.candidates[0].pages;
         let pricer = DesignPricer::new(&grid, 4, 0.5);
-        let vm = VmPricer::new(&pricer, &db, &queries, cands).unwrap();
+        let spec = WorkloadSpec::new("w", &db, queries.clone());
+        let vm = VmPricer::new(&pricer, &spec, cands).unwrap();
 
         let trace = select_greedy(&pricer, &vm, per_index_pages * 8, 2, 1).unwrap();
         assert!(!trace.decisions.is_empty(), "some index must help");
@@ -168,7 +170,8 @@ mod tests {
         let budget = cands.candidates[0].pages * 4;
         let run = || {
             let pricer = DesignPricer::new(&grid, 4, 0.5);
-            let vm = VmPricer::new(&pricer, &db, &queries, cands.clone()).unwrap();
+            let spec = WorkloadSpec::new("w", &db, queries.clone());
+            let vm = VmPricer::new(&pricer, &spec, cands.clone()).unwrap();
             select_greedy(&pricer, &vm, budget, 2, 1).unwrap()
         };
         let (a, b) = (run(), run());

@@ -1,48 +1,15 @@
 //! The fleet placement problem: `N` VMs over `M` heterogeneous machines.
 
 use crate::FleetError;
-use dbvirt_engine::Database;
-use dbvirt_optimizer::LogicalPlan;
 use dbvirt_vmm::MachineSpec;
 
-/// One virtual machine to place: a named workload (the single-machine
-/// problem's `WorkloadSpec`, lifted to fleet scope). The name is the VM's
-/// *identity* — per-machine solves pass it through to the generated
-/// `WorkloadSpec`s, so cost models (and the shared cost cache) can price a
-/// VM consistently no matter which machine subset it appears in.
-#[derive(Debug)]
-pub struct FleetVm<'a> {
-    /// Display name and cache identity.
-    pub name: String,
-    /// The database the VM's workload queries.
-    pub db: &'a Database,
-    /// The workload's queries.
-    pub queries: Vec<LogicalPlan>,
-    /// Service-level weight in the placement objective.
-    pub weight: f64,
-}
-
-impl<'a> FleetVm<'a> {
-    /// Creates a VM spec with the default weight of 1.
-    pub fn new(
-        name: impl Into<String>,
-        db: &'a Database,
-        queries: Vec<LogicalPlan>,
-    ) -> FleetVm<'a> {
-        FleetVm {
-            name: name.into(),
-            db,
-            queries,
-            weight: 1.0,
-        }
-    }
-
-    /// Sets the service-level weight (validated by [`FleetProblem::new`]).
-    pub fn with_weight(mut self, weight: f64) -> FleetVm<'a> {
-        self.weight = weight;
-        self
-    }
-}
+/// One virtual machine to place: a named workload, the single-machine
+/// problem's [`dbvirt_core::WorkloadSpec`] under the name the fleet tier
+/// (and the `perf/` benchmark) gives it. The name is the VM's *identity* —
+/// per-machine solves pass it through to the generated `WorkloadSpec`s, so
+/// cost models (and the shared cost cache) can price a VM consistently no
+/// matter which machine subset it appears in.
+pub use dbvirt_core::WorkloadSpec as FleetVm;
 
 /// A deployed placement: which machine each VM currently runs on and the
 /// integer share units it currently holds. When a [`FleetProblem`] carries
@@ -194,6 +161,8 @@ impl MachineClasses {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbvirt_engine::Database;
+    use dbvirt_optimizer::LogicalPlan;
     use dbvirt_storage::{DataType, Datum, Field, Schema, Tuple};
 
     pub(crate) fn tiny_db() -> Database {

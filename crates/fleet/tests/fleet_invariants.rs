@@ -207,14 +207,9 @@ fn single_machine_placement_matches_core_dp() {
     let problem = FleetProblem::new(machines, vms(&db, n, &weights)).unwrap();
     let report = advisor.place(&problem).unwrap();
 
-    let workloads = problem
-        .vms
-        .iter()
-        .map(|vm| {
-            dbvirt_core::WorkloadSpec::new(vm.name.clone(), vm.db, vm.queries.clone())
-                .with_weight(vm.weight)
-        })
-        .collect();
+    // A fleet VM is a workload spec: the fleet's VMs are the problem's
+    // workloads as they stand.
+    let workloads = problem.vms.clone();
     let dp = DesignProblem::new(MachineSpec::tiny(), workloads).unwrap();
     let scfg = SearchConfig {
         units,

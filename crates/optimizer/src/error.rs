@@ -16,10 +16,13 @@ pub enum OptError {
         /// Description of the problem.
         reason: String,
     },
-    /// A parameter vector failed validation.
+    /// A parameter vector failed the check: a field is not finite and
+    /// positive.
     InvalidParams {
-        /// Description of the problem.
-        reason: String,
+        /// The first failing field.
+        name: &'static str,
+        /// Its value.
+        value: f64,
     },
 }
 
@@ -30,7 +33,12 @@ impl fmt::Display for OptError {
                 write!(f, "table {table:?} has no statistics; run ANALYZE first")
             }
             OptError::BadPlan { reason } => write!(f, "bad logical plan: {reason}"),
-            OptError::InvalidParams { reason } => write!(f, "invalid parameters: {reason}"),
+            OptError::InvalidParams { name, value } => {
+                write!(
+                    f,
+                    "invalid parameters: {name} must be positive and finite, got {value}"
+                )
+            }
         }
     }
 }

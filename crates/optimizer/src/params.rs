@@ -9,7 +9,9 @@
 //! so workload cost estimates come out in seconds, which is what the
 //! virtualization design problem minimizes.
 
+use crate::OptError;
 use std::fmt;
+use std::ops::Deref;
 
 /// The parameter vector `P`: everything the cost model knows about the
 /// physical environment. One `P` per calibrated resource allocation `R`.
@@ -51,8 +53,9 @@ impl OptimizerParams {
         }
     }
 
-    /// Validates that every parameter is finite and positive.
-    pub fn validate(&self) -> Result<(), crate::OptError> {
+    /// The one check of `P`: every parameter finite and positive. Private,
+    /// so that [`CheckedParams::new`] is the only way it runs.
+    fn validate(&self) -> Result<(), OptError> {
         let fields = [
             ("unit_seconds", self.unit_seconds),
             ("seq_page_cost", self.seq_page_cost),
@@ -66,11 +69,9 @@ impl OptimizerParams {
             ),
             ("work_mem_bytes", self.work_mem_bytes),
         ];
-        for (name, v) in fields {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(crate::OptError::InvalidParams {
-                    reason: format!("{name} must be positive and finite, got {v}"),
-                });
+        for (name, value) in fields {
+            if !(value.is_finite() && value > 0.0) {
+                return Err(OptError::InvalidParams { name, value });
             }
         }
         Ok(())
@@ -104,23 +105,60 @@ impl fmt::Display for OptimizerParams {
     }
 }
 
+/// A parameter vector that passed the check — every field finite and
+/// positive — when it was made. Pricing takes this type, so it never checks
+/// `P` again and cannot fail on it: a `P(R)` is checked once, where it is
+/// calibrated, interpolated or loaded, and carried from there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CheckedParams(OptimizerParams);
+
+impl CheckedParams {
+    /// Checks `params`; [`OptError::InvalidParams`] names the first field
+    /// that is not finite and positive.
+    pub fn new(params: OptimizerParams) -> Result<CheckedParams, OptError> {
+        params.validate()?;
+        Ok(CheckedParams(params))
+    }
+}
+
+impl Deref for CheckedParams {
+    type Target = OptimizerParams;
+
+    fn deref(&self) -> &OptimizerParams {
+        &self.0
+    }
+}
+
+impl fmt::Display for CheckedParams {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn defaults_validate() {
-        OptimizerParams::postgres_defaults().validate().unwrap();
+        let p = OptimizerParams::postgres_defaults();
+        assert_eq!(*CheckedParams::new(p).unwrap(), p);
     }
 
     #[test]
     fn invalid_params_are_rejected() {
         let mut p = OptimizerParams::postgres_defaults();
         p.cpu_tuple_cost = 0.0;
-        assert!(p.validate().is_err());
+        assert!(matches!(
+            CheckedParams::new(p),
+            Err(OptError::InvalidParams {
+                name: "cpu_tuple_cost",
+                ..
+            })
+        ));
         let mut p = OptimizerParams::postgres_defaults();
         p.unit_seconds = f64::NAN;
-        assert!(p.validate().is_err());
+        assert!(CheckedParams::new(p).is_err());
     }
 
     #[test]

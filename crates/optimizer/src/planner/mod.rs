@@ -23,7 +23,7 @@
 //! * **analyse** ([`PreparedQuery::analyse`]) — everything that depends
 //!   only on access paths, statistics and the join graph (which relation
 //!   subsets the join DP can split, and how), once per query;
-//! * **price** ([`PreparedQuery::cost_units`]) — the cost formulas, the
+//! * **price** ([`PreparedQuery::est_seconds`]) — the cost formulas, the
 //!   access-path comparison and the join DP's choices under one `P`, over
 //!   numbers alone: this is all the what-if mode runs per allocation;
 //! * **materialise** — the winning choices turned into a
@@ -38,7 +38,7 @@ mod price;
 
 pub use analyse::{JoinSplits, PreparedQuery};
 
-use crate::{LogicalPlan, OptError, OptimizerParams};
+use crate::{CheckedParams, LogicalPlan, OptError, OptimizerParams};
 use dbvirt_engine::{Database, PhysicalPlan, TableId};
 
 /// A hypothetical ("what-if") index over `columns` of `table`, priced by
@@ -79,22 +79,12 @@ impl PlannedQuery {
 }
 
 impl PreparedQuery {
-    /// Estimated total cost under `params`, in optimizer units — exactly
-    /// the [`PlannedQuery::est_cost_units`] that planning the analysed
-    /// query under `params` reports, without building the plan.
-    pub fn cost_units(&self, params: &OptimizerParams) -> Result<f64, OptError> {
-        params.validate()?;
-        Ok(self.cost_units_unchecked(params))
-    }
-
-    /// [`PreparedQuery::cost_units`] for `params` the caller has validated.
-    pub(crate) fn cost_units_unchecked(&self, params: &OptimizerParams) -> f64 {
-        self.price(params, None).cost
-    }
-
-    /// Estimated execution time under `params`, in seconds.
-    pub fn est_seconds(&self, params: &OptimizerParams) -> Result<f64, OptError> {
-        Ok(params.units_to_seconds(self.cost_units(params)?))
+    /// Estimated execution time under `params`, in seconds: exactly the
+    /// [`PlannedQuery::est_seconds`] of planning the analysed query under
+    /// `params`, without building the plan. This is all the what-if mode
+    /// runs per allocation.
+    pub fn est_seconds(&self, params: &CheckedParams) -> f64 {
+        params.units_to_seconds(self.price(params, None).cost)
     }
 
     /// The physical plan this analysis — of `plan` against `db`, with
@@ -105,10 +95,9 @@ impl PreparedQuery {
         &self,
         db: &Database,
         plan: &LogicalPlan,
-        params: &OptimizerParams,
+        params: &CheckedParams,
         hypo: &[HypoIndex],
     ) -> Result<PlannedQuery, OptError> {
-        params.validate()?;
         let mut choices = Vec::new();
         let priced = self.price(params, Some(&mut choices));
         let mut materialiser = materialise::Materialiser {
@@ -133,7 +122,10 @@ impl PreparedQuery {
 
 /// Plans `plan` against `db` under `params`, returning the physical plan
 /// and its cost estimates. This is both the regular optimizer (default
-/// `params`) and the paper's what-if optimizer (calibrated `params`).
+/// `params`) and the paper's what-if optimizer (calibrated `params`):
+/// `plan_query(db, q, &p)?.est_seconds(&p)` is the one-shot what-if
+/// estimate of `q` under `p`. Fails with [`OptError::InvalidParams`] before
+/// looking at `plan` when `params` does not pass [`CheckedParams::new`].
 pub fn plan_query(
     db: &Database,
     plan: &LogicalPlan,
@@ -166,8 +158,8 @@ pub fn plan_query_with_indexes(
     params: &OptimizerParams,
     hypo: &[HypoIndex],
 ) -> Result<PlannedQuery, OptError> {
-    params.validate()?;
-    PreparedQuery::analyse(db, plan, hypo)?.plan(db, plan, params, hypo)
+    let params = CheckedParams::new(*params)?;
+    PreparedQuery::analyse(db, plan, hypo)?.plan(db, plan, &params, hypo)
 }
 
 #[cfg(test)]

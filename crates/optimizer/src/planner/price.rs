@@ -17,7 +17,7 @@
 
 use super::access::PathKind;
 use super::analyse::{JoinOrder, JoinTree, Ndv, Node, Op, PreparedQuery, Scan, SplitTable};
-use crate::{card, cost, OptimizerParams};
+use crate::{card, cost, CheckedParams, OptimizerParams};
 use dbvirt_engine::JoinType;
 
 /// The estimates of one (sub)plan under one `P`.
@@ -71,9 +71,9 @@ pub(super) enum StepKind {
 type Record<'r, 'q> = Option<&'r mut Vec<Choice<'q>>>;
 
 impl PreparedQuery {
-    /// Prices the query under `params` (not validated here), recording the
-    /// winning choices into `choices` when given.
-    pub(super) fn price<'q>(&'q self, params: &OptimizerParams, choices: Record<'_, 'q>) -> Priced {
+    /// Prices the query under `params`, recording the winning choices into
+    /// `choices` when given.
+    pub(super) fn price<'q>(&'q self, params: &CheckedParams, choices: Record<'_, 'q>) -> Priced {
         self.root.price(params, choices)
     }
 }
@@ -416,7 +416,8 @@ impl JoinTree {
                     }
                 }
             }
-            let (i, j, merged) = best.expect("at least two entries");
+            // Two or more entries, so the scan above saw a pair.
+            let Some((i, j, merged)) = best else { break };
             let (a, b) = (entries[i], entries[j]);
             entries.swap_remove(i.max(j));
             entries.swap_remove(i.min(j));

@@ -448,6 +448,52 @@ fn estimated_seconds_scale_with_unit() {
     assert!((planned.est_seconds(&p1) - 2.0 * s1).abs() < 1e-12);
 }
 
+/// The paper's what-if mode in miniature: growing the CPU cost terms of `P`
+/// raises a CPU-bound query's estimate more than an I/O-bound one's.
+#[test]
+fn cpu_heavier_params_raise_cpu_bound_estimates_more() {
+    let mut db = Database::new();
+    let t = db.create_table(
+        "t",
+        Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Int),
+        ]),
+    );
+    db.insert_rows(
+        t,
+        (0..10_000).map(|i| Tuple::new(vec![Datum::Int(i), Datum::Int(i * 2)])),
+    )
+    .unwrap();
+    db.analyze_all().unwrap();
+    // CPU-bound: heavy predicate over every row.
+    let heavy_pred = Expr::and_all(
+        (0..8)
+            .map(|i| Expr::ge(Expr::add(Expr::col(0), Expr::int(i)), Expr::int(0)))
+            .collect(),
+    );
+    let cpu_q = LogicalPlan::scan_filtered(t, heavy_pred);
+    // I/O-bound: bare scan.
+    let io_q = LogicalPlan::scan(t);
+    // A small cache so the bare scan really pays page I/O.
+    let base = OptimizerParams {
+        effective_cache_size_pages: 1.0,
+        ..OptimizerParams::default()
+    };
+    let mut slow_cpu = base;
+    slow_cpu.cpu_tuple_cost *= 3.0;
+    slow_cpu.cpu_operator_cost *= 3.0;
+    let est = |q: &LogicalPlan, p: &OptimizerParams| plan_query(&db, q, p).unwrap().est_seconds(p);
+
+    let cpu_ratio = est(&cpu_q, &slow_cpu) / est(&cpu_q, &base);
+    let io_ratio = est(&io_q, &slow_cpu) / est(&io_q, &base);
+    assert!(
+        cpu_ratio > io_ratio,
+        "CPU-bound queries must be more sensitive to CPU-cost growth \
+         ({cpu_ratio:.3} vs {io_ratio:.3})"
+    );
+}
+
 // The join DP walks the splits analysis enumerated; these tests hold it to
 // the DP that enumerated every split of every subset on each call.
 
@@ -693,7 +739,7 @@ proptest! {
             effective_cache_size_pages: cache,
             ..OptimizerParams::default()
         };
-        p.validate().unwrap();
+        let p = CheckedParams::new(p).unwrap();
         // One step per relation and per connected subset, or per greedy merge.
         let (disconnected, want_steps) = match &tree.order {
             JoinOrder::Dp(table) => (false, n + table.subsets.len()),

@@ -1,8 +1,10 @@
 //! The prepared what-if path against the planning path: a query analysed
 //! once and priced under many parameter vectors must report, bit for bit,
-//! what planning it afresh under each vector reports — and an analysis
-//! without hypothetical indexes, offered a configuration, must price and
-//! plan exactly like an analysis with that configuration.
+//! what planning it afresh under each vector reports — so
+//! `plan_query(..).est_seconds(..)` is the one-shot form of the what-if
+//! estimate — and an analysis without hypothetical indexes, offered a
+//! configuration, must price and plan exactly like an analysis with that
+//! configuration.
 
 #[path = "../../../tests/common/lookups.rs"]
 mod lookups;
@@ -10,9 +12,8 @@ mod lookups;
 use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_engine::{AggExpr, AggFunc, Database, Expr, JoinType, TableId};
 use dbvirt_optimizer::{
-    estimate_query_seconds, estimate_workload_seconds, plan_query, plan_query_with_indexes,
-    HypoIndex, JoinCondition, LogicalPlan, OptError, OptimizerParams, PreparedQuery,
-    PreparedWorkload,
+    plan_query, plan_query_with_indexes, CheckedParams, HypoIndex, JoinCondition, LogicalPlan,
+    OptError, OptimizerParams, PreparedQuery,
 };
 use dbvirt_storage::{DataType, Datum, Field, Schema, Tuple};
 use dbvirt_tpch::{TpchConfig, TpchDb, TpchQuery};
@@ -166,7 +167,7 @@ fn hypo_pool(f: &Fixture) -> Vec<HypoIndex> {
 /// field ranges over both sides of every cutoff the cost model has on this
 /// fixture: page costs 0.1–400, CPU costs ÷10–×10, cache 1–10⁶ pages,
 /// `work_mem` 1 KiB–100 MiB.
-fn params(draws: &[f64]) -> OptimizerParams {
+fn params(draws: &[f64]) -> CheckedParams {
     const EXPONENTS: [(f64, f64); 7] = [
         (-1.0, 2.6),
         (-1.0, 2.6),
@@ -184,7 +185,7 @@ fn params(draws: &[f64]) -> OptimizerParams {
     let [seq, random, tuple, index, op, cache, mem] = scaled[..] else {
         panic!("seven draws make a parameter vector");
     };
-    OptimizerParams {
+    checked(OptimizerParams {
         seq_page_cost: seq,
         random_page_cost: random,
         cpu_tuple_cost: 0.01 * tuple,
@@ -193,14 +194,19 @@ fn params(draws: &[f64]) -> OptimizerParams {
         effective_cache_size_pages: cache,
         work_mem_bytes: 1024.0 * mem,
         ..OptimizerParams::default()
-    }
+    })
+}
+
+fn checked(p: OptimizerParams) -> CheckedParams {
+    CheckedParams::new(p).unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// One analysis priced under three vectors, the first of them twice,
-    /// equals four fresh plannings — cost bits through every entry point.
+    /// equals four fresh plannings — seconds through pricing, cost units
+    /// and the plan through materialising.
     #[test]
     fn prop_one_analysis_prices_like_fresh_planning(
         subset in 0usize..32,
@@ -217,21 +223,23 @@ proptest! {
         let vectors = [
             params(&a),
             params(&b),
-            OptimizerParams::default(),
+            checked(OptimizerParams::default()),
         ];
         for q in queries(&f) {
             let prepared = PreparedQuery::analyse(&f.db, &q, &hypo).unwrap();
             for p in [&vectors[0], &vectors[1], &vectors[2], &vectors[0]] {
                 let fresh = plan_query_with_indexes(&f.db, &q, p, &hypo).unwrap();
                 prop_assert_eq!(
-                    prepared.cost_units(p).unwrap().to_bits(),
-                    fresh.est_cost_units.to_bits(),
+                    prepared.est_seconds(p).to_bits(),
+                    fresh.est_seconds(p).to_bits(),
                     "{q:?} under {p}"
                 );
+                let planned = prepared.plan(&f.db, &q, p, &hypo).unwrap();
                 prop_assert_eq!(
-                    prepared.est_seconds(p).unwrap().to_bits(),
-                    fresh.est_seconds(p).to_bits()
+                    planned.est_cost_units.to_bits(),
+                    fresh.est_cost_units.to_bits()
                 );
+                prop_assert_eq!(&planned.physical, &fresh.physical);
             }
         }
     }
@@ -241,19 +249,19 @@ proptest! {
 /// `work_mem` while `mid` alone does, with page I/O dear enough for the
 /// spill to outweigh the larger intermediate result of joining `dim` to
 /// `fact` first.
-fn spill_params() -> OptimizerParams {
-    OptimizerParams {
+fn spill_params() -> CheckedParams {
+    checked(OptimizerParams {
         work_mem_bytes: 96.0 * 1024.0,
         seq_page_cost: 400.0,
         ..OptimizerParams::default()
-    }
+    })
 }
 
 #[test]
 fn a_join_order_flip_prices_identically_through_both_entry_points() {
     let f = fixture();
     let q = star(&f);
-    let roomy = OptimizerParams::default();
+    let roomy = checked(OptimizerParams::default());
     let tight = spill_params();
 
     // `fact ⋈ (mid ⋈ dim)` keeps the logical column order; `(fact ⋈ dim) ⋈
@@ -275,13 +283,15 @@ fn a_join_order_flip_prices_identically_through_both_entry_points() {
         (&roomy, &roomy_plan),
     ] {
         assert_eq!(
-            prepared.cost_units(p).unwrap().to_bits(),
-            planned.est_cost_units.to_bits()
-        );
-        assert_eq!(
-            estimate_query_seconds(&f.db, &q, p).unwrap().to_bits(),
+            prepared.est_seconds(p).to_bits(),
             planned.est_seconds(p).to_bits()
         );
+        let materialised = prepared.plan(&f.db, &q, p, &[]).unwrap();
+        assert_eq!(
+            materialised.est_cost_units.to_bits(),
+            planned.est_cost_units.to_bits()
+        );
+        assert_eq!(materialised.physical, planned.physical);
     }
 }
 
@@ -289,18 +299,16 @@ fn a_join_order_flip_prices_identically_through_both_entry_points() {
 fn a_prepared_workload_sums_like_the_per_query_estimates() {
     let f = fixture();
     let workload = queries(&f);
-    let prepared = PreparedWorkload::analyse(&f.db, &workload).unwrap();
-    for p in [OptimizerParams::default(), spill_params()] {
-        let fresh = estimate_workload_seconds(&f.db, &workload, &p).unwrap();
-        assert_eq!(
-            prepared.estimate_seconds(&p).unwrap().to_bits(),
-            fresh.to_bits()
-        );
+    let prepared: Vec<PreparedQuery> = (workload.iter())
+        .map(|q| PreparedQuery::analyse(&f.db, q, &[]).unwrap())
+        .collect();
+    for p in [checked(OptimizerParams::default()), spill_params()] {
+        let analysed_once: f64 = prepared.iter().map(|q| q.est_seconds(&p)).sum();
         let by_query: f64 = workload
             .iter()
             .map(|q| plan_query(&f.db, q, &p).unwrap().est_seconds(&p))
             .sum();
-        assert_eq!(fresh.to_bits(), by_query.to_bits());
+        assert_eq!(analysed_once.to_bits(), by_query.to_bits());
     }
 }
 
@@ -323,21 +331,25 @@ fn errors_keep_their_order_and_hostile_plans_do_not_panic() {
         err,
         dbvirt_optimizer::OptError::InvalidParams { .. }
     ));
-    let err = estimate_query_seconds(&f.db, &conditionless, &bad_params).unwrap_err();
+    let hypo = hypo_pool(&f);
+    let err = plan_query_with_indexes(&f.db, &conditionless, &bad_params, &hypo).unwrap_err();
     assert!(matches!(
         err,
-        dbvirt_optimizer::OptError::InvalidParams { .. }
+        dbvirt_optimizer::OptError::InvalidParams {
+            name: "cpu_tuple_cost",
+            ..
+        }
     ));
     let err = plan_query(&f.db, &conditionless, &OptimizerParams::default()).unwrap_err();
     assert!(matches!(err, dbvirt_optimizer::OptError::BadPlan { .. }));
-    let prepared = PreparedQuery::analyse(&f.db, &dangling, &[]).unwrap();
-    assert!(prepared.cost_units(&bad_params).is_err());
+    // And no analysis can be priced under them: they never become checked.
+    assert!(CheckedParams::new(bad_params).is_err());
 }
 
 /// Parameter vectors on both sides of the cache cutoff and one with cheap
 /// random I/O, plus the calibrated `P(R)` of three cells of a small
 /// machine's grid.
-fn tpch_params() -> Vec<OptimizerParams> {
+fn tpch_params() -> Vec<CheckedParams> {
     let d = OptimizerParams::default();
     let machine = MachineSpec {
         cores: 2,
@@ -354,20 +366,20 @@ fn tpch_params() -> Vec<OptimizerParams> {
         grid.params_for(shares).unwrap()
     };
     vec![
-        OptimizerParams {
+        checked(OptimizerParams {
             effective_cache_size_pages: 1.0,
             random_page_cost: 40.0,
             ..d
-        },
-        OptimizerParams {
+        }),
+        checked(OptimizerParams {
             effective_cache_size_pages: 1e6,
             ..d
-        },
-        OptimizerParams {
+        }),
+        checked(OptimizerParams {
             effective_cache_size_pages: 1e6,
             random_page_cost: 1.0,
             ..d
-        },
+        }),
         cell(0.25, 0.25),
         cell(0.5, 0.75),
         cell(1.0, 1.0),
@@ -442,19 +454,20 @@ fn an_offered_analysis_prices_and_plans_like_a_fresh_one() {
             let mut changed = false;
             for p in &vectors {
                 let planned = plan_query_with_indexes(&t.db, &q, p, &hypo).unwrap();
-                let cost = offered.cost_units(p).unwrap();
+                let cost = offered.est_seconds(p);
                 let what = format!("{sql} with {hypo:?} under {p}");
+                assert_eq!(cost.to_bits(), fresh.est_seconds(p).to_bits(), "{what}");
+                assert_eq!(cost.to_bits(), planned.est_seconds(p).to_bits(), "{what}");
+                let materialised = offered.plan(&t.db, &q, p, &hypo).unwrap();
                 assert_eq!(
-                    cost.to_bits(),
-                    fresh.cost_units(p).unwrap().to_bits(),
+                    materialised.est_cost_units.to_bits(),
+                    planned.est_cost_units.to_bits(),
                     "{what}"
                 );
-                assert_eq!(cost.to_bits(), planned.est_cost_units.to_bits(), "{what}");
-                let materialised = offered.plan(&t.db, &q, p, &hypo).unwrap();
                 assert_eq!(materialised.physical, planned.physical, "{what}");
                 assert_eq!(materialised.est_rows.to_bits(), planned.est_rows.to_bits());
                 assert_eq!(materialised.uses_hypothetical, planned.uses_hypothetical);
-                changed |= cost != bare.cost_units(p).unwrap();
+                changed |= cost != bare.est_seconds(p);
             }
             configs += 1;
             moved += usize::from(changed);
@@ -476,7 +489,7 @@ fn an_analysis_refuses_a_plan_it_did_not_analyse() {
     let f = fixture();
     let plans = queries(&f);
     let hypo = hypo_pool(&f);
-    let p = OptimizerParams::default();
+    let p = checked(OptimizerParams::default());
     // Each query's scanned tables, in analysis order.
     let scans = [
         &[f.fact][..],

@@ -13,7 +13,7 @@
 
 use dbvirt::calibrate::calibrate;
 use dbvirt::engine::{run_plan, CpuCosts};
-use dbvirt::optimizer::{plan_query, whatif, OptimizerParams};
+use dbvirt::optimizer::{plan_query, OptimizerParams, PreparedQuery};
 use dbvirt::sql::parse_query;
 use dbvirt::storage::BufferPool;
 use dbvirt::tpch::{TpchConfig, TpchDb};
@@ -79,9 +79,11 @@ fn main() {
             println!("   {}", cells.join(" | "));
         }
 
-        // Price the same query at both allocations with the what-if model.
-        let est_q = whatif::estimate_query_seconds(&t.db, &logical, &p_quarter).unwrap();
-        let est_t = whatif::estimate_query_seconds(&t.db, &logical, &p_threequarter).unwrap();
+        // Price the same query at both allocations with the what-if model:
+        // analysed once, priced under each calibrated (checked) `P(R)`.
+        let prepared = PreparedQuery::analyse(&t.db, &logical, &[]).unwrap();
+        let est_q = prepared.est_seconds(&p_quarter);
+        let est_t = prepared.est_seconds(&p_threequarter);
         println!(
             "   what-if: {est_q:.4}s at 25% CPU vs {est_t:.4}s at 75% CPU  (x{:.2} speedup)",
             est_q / est_t

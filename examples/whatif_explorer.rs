@@ -13,7 +13,7 @@
 
 use dbvirt::calibrate::calibrate;
 use dbvirt::engine::{Database, Expr};
-use dbvirt::optimizer::{plan_query, LogicalPlan};
+use dbvirt::optimizer::{LogicalPlan, PreparedQuery};
 use dbvirt::storage::{DataType, Datum, Field, Schema, Tuple};
 use dbvirt::vmm::{MachineSpec, ResourceVector};
 
@@ -62,6 +62,8 @@ fn main() {
         ),
     );
 
+    // Statistics and access paths do not move with `R`: analyse once.
+    let prepared = PreparedQuery::analyse(&db, &query, &[]).expect("analysis");
     println!(
         "\n{:<28} {:>12} {:>12}  plan",
         "allocation (cpu/mem/disk)", "est. time", "cpu_tuple"
@@ -69,9 +71,10 @@ fn main() {
     for (cpu, mem) in [(0.75, 0.75), (0.75, 0.125), (0.25, 0.75), (0.25, 0.125)] {
         let shares = ResourceVector::from_fractions(cpu, mem, 0.5).expect("shares");
         // Calibrate P for this allocation (the paper does this off-line,
-        // once per machine and R).
+        // once per machine and R); it comes back checked, so planning the
+        // analysed query under it cannot fail on `P`.
         let params = calibrate(machine, shares).expect("calibration");
-        let planned = plan_query(&db, &query, &params).expect("planning");
+        let planned = prepared.plan(&db, &query, &params, &[]).expect("planning");
         println!(
             "{:<28} {:>11.3}s {:>12.5}  {}",
             format!("{:.0}% / {:.0}% / 50%", cpu * 100.0, mem * 100.0),

@@ -16,7 +16,8 @@ cargo fmt --check
 # statement text ends in a `SqlError`, never a panic); the fleet tier the
 # third (a placement request fails with a `FleetError`); the design advisor
 # the fourth (`DesignError`); telemetry the fifth (it has no failure to
-# report, and a poisoned store lock is taken back, not unwrapped).
+# report, and a poisoned store lock is taken back, not unwrapped); the
+# optimizer the sixth (an `OptError`, and pricing a checked `P` cannot fail).
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # One of each: the worker pool, the core-count resolver, the fingerprint
@@ -158,6 +159,28 @@ fi
 # price.rs — would be the per-`P` enumeration back.
 if lib_code | grep -v '^crates/optimizer/src/planner/analyse\.rs: ' | grep -E '\((\w+) - 1\) & '; then
   echo "FAIL: a relation-subset enumeration outside crates/optimizer/src/planner/analyse.rs" >&2
+  exit 1
+fi
+
+# One analysis per workload: a query is analysed where planning starts
+# (crates/optimizer/src/planner/mod.rs) and where a workload keeps its
+# queries' analyses for every `P(R)` and index configuration it is priced
+# under (crates/core/src/problem.rs), once each. A third call would analyse
+# again what a problem already holds.
+sites=$(lib_code | grep -F 'PreparedQuery::analyse(' | cut -d: -f1 | sort | tr '\n' ' ')
+if [[ "$sites" != "crates/core/src/problem.rs crates/optimizer/src/planner/mod.rs " ]]; then
+  echo "FAIL: PreparedQuery::analyse( must be called once in crates/core/src/problem.rs and once in crates/optimizer/src/planner/mod.rs, found in: $sites" >&2
+  exit 1
+fi
+
+# One check of `P`: `OptimizerParams`' check is private to
+# crates/optimizer/src/params.rs and runs once there, in `CheckedParams::new`;
+# everything that prices takes a `CheckedParams`, so nothing checks again.
+checks=$(lib_code | grep '^crates/optimizer/src/params\.rs: ' | grep -cF '.validate()' || true)
+if grep -nE 'pub(\([a-z]+\))? fn validate' crates/optimizer/src/params.rs ||
+  lib_code | grep '^crates/optimizer/src/' | grep -v '^crates/optimizer/src/params\.rs: ' |
+  grep -F '.validate()' || [[ "$checks" != 1 ]]; then
+  echo "FAIL: the check of OptimizerParams must be private and run once, in crates/optimizer/src/params.rs ($checks calls there)" >&2
   exit 1
 fi
 

@@ -21,7 +21,7 @@ mod common;
 
 use dbvirt::calibrate::CalibrationGrid;
 use dbvirt::core::search::{run_search, SearchAlgorithm, SearchConfig};
-use dbvirt::core::{CalibratedCostModel, CostModel, DesignProblem, WorkloadSpec};
+use dbvirt::core::{CalibratedCostModel, CostModel, DesignProblem};
 use dbvirt::fleet::{FleetAdvisor, FleetConfig, FleetProblem, FleetReport, FleetVm};
 use dbvirt::tpch::{TpchConfig, TpchDb, Workload};
 use dbvirt::vmm::MachineSpec;
@@ -208,13 +208,9 @@ fn assert_m1_matches_core_dp(
     model: &CalibratedCostModel<'_>,
     cfg: FleetConfig,
 ) {
-    let workloads = problem
-        .vms
-        .iter()
-        .map(|vm| {
-            WorkloadSpec::new(vm.name.clone(), vm.db, vm.queries.clone()).with_weight(vm.weight)
-        })
-        .collect();
+    // A fleet VM is a workload spec: the fleet's VMs are the problem's
+    // workloads as they stand.
+    let workloads = problem.vms.clone();
     let dp = DesignProblem::new(problem.machines[0], workloads).unwrap();
     let scfg = SearchConfig {
         units: cfg.units,

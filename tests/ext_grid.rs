@@ -20,7 +20,7 @@
 //! `cargo test --release --test ext_grid -- --nocapture` prints the tables.
 
 use dbvirt::calibrate::CalibrationGrid;
-use dbvirt::optimizer::whatif::estimate_query_seconds;
+use dbvirt::optimizer::plan_query;
 use dbvirt::tpch::{TpchConfig, TpchDb, TpchQuery};
 use dbvirt::vmm::{MachineSpec, ResourceVector};
 use dbvirt_bench::{experiment_machine, print_table};
@@ -94,7 +94,7 @@ fn coarse_grids_rank_as_the_dense_one_and_no_sweep_executes_twice() {
         let p = grid.params_for(shares).unwrap();
         (
             p.cpu_tuple_cost,
-            estimate_query_seconds(&t.db, &q13, &p).unwrap(),
+            plan_query(&t.db, &q13, &p).unwrap().est_seconds(&p),
         )
     };
 

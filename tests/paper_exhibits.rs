@@ -40,9 +40,9 @@ use dbvirt::core::{
     CalibratedCostModel, DesignProblem, SearchAlgorithm, SearchConfig, VirtualizationAdvisor,
     WorkloadSpec,
 };
+use dbvirt::engine::Database;
 use dbvirt::fleet::{FleetAdvisor, FleetConfig, FleetProblem, FleetVm};
-use dbvirt::optimizer::whatif::{estimate_query_seconds, estimate_workload_seconds};
-use dbvirt::optimizer::{LogicalPlan, OptimizerParams};
+use dbvirt::optimizer::{plan_query, LogicalPlan, OptimizerParams};
 use dbvirt::tpch::{TpchConfig, TpchDb, TpchQuery, Workload};
 use dbvirt::vmm::sched::SchedMode;
 use dbvirt::vmm::{AllocationMatrix, ResourceVector, Share};
@@ -112,6 +112,14 @@ fn measure_corun(mixes: &[Workload], alloc: &AllocationMatrix) -> Vec<f64> {
     let dbs = vec![&t.db; mixes.len()];
     let queries: Vec<&[LogicalPlan]> = mixes.iter().map(|w| &w.queries[..]).collect();
     measure_concurrent_seconds(&dbs, &queries, machine, alloc, SchedMode::Capped).unwrap()
+}
+
+/// The paper's what-if estimate of `workload` under `p`: each query
+/// re-optimized under `p`, the estimates summed in order.
+fn estimate_seconds(db: &Database, workload: &[LogicalPlan], p: &OptimizerParams) -> f64 {
+    (workload.iter())
+        .map(|q| plan_query(db, q, p).unwrap().est_seconds(p))
+        .sum()
 }
 
 fn shares(cpu: f64, mem: f64, disk: f64) -> ResourceVector {
@@ -341,11 +349,10 @@ fn fig4() -> &'static Fig4 {
                 let shares = shares(cpu, 0.5, 0.5);
                 let params = grid.params_for(shares).unwrap();
                 q.estimated
-                    .push(estimate_query_seconds(&t.db, &logical, &params).unwrap());
+                    .push(plan_query(&t.db, &logical, &params).unwrap().est_seconds(&params));
                 q.actual
                     .push(measure_query_warm(&t.db, &logical, machine, shares).unwrap());
-                q.pair_est
-                    .push(estimate_workload_seconds(&t.db, &pair, &params).unwrap());
+                q.pair_est.push(estimate_seconds(&t.db, &pair, &params));
                 q.pair_act
                     .push(measure_workload_seconds(&t.db, &pair, machine, shares).unwrap());
             }
@@ -496,7 +503,7 @@ fn memory_axis() -> &'static MemoryAxis {
         for (i, mem) in mem_points.into_iter().enumerate() {
             let shares = shares(0.5, mem, 0.5);
             let params = grid.params_for(shares).unwrap();
-            estimated[i] = estimate_workload_seconds(&t.db, &workload, &params).unwrap();
+            estimated[i] = estimate_seconds(&t.db, &workload, &params);
             measured[i] = measure_workload_seconds(&t.db, &workload, machine, shares).unwrap();
             table.rows.push(vec![
                 format!("{:.1}%", mem * 100.0),
@@ -1016,7 +1023,7 @@ fn ext_ablation() -> &'static ExtAblation {
         for query in [TpchQuery::Q4, TpchQuery::Q13, TpchQuery::Q1] {
             let logical = query.plan(t);
             let estimate =
-                |p: &OptimizerParams| estimate_query_seconds(&t.db, &logical, p).unwrap();
+                |p: &OptimizerParams| plan_query(&t.db, &logical, p).unwrap().est_seconds(p);
             let measured: Vec<f64> = candidates
                 .iter()
                 .map(|&s| measure_query_warm(&t.db, &logical, machine, s).unwrap())
@@ -1031,7 +1038,7 @@ fn ext_ablation() -> &'static ExtAblation {
             let no_cache: Vec<f64> = candidates
                 .iter()
                 .map(|&s| {
-                    let mut p = grid.params_for(s).unwrap();
+                    let mut p = *grid.params_for(s).unwrap();
                     p.effective_cache_size_pages = 1.0;
                     estimate(&p)
                 })
