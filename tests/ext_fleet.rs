@@ -6,7 +6,7 @@
 //!
 //! Pins, on every `cargo test`:
 //!
-//! * the LP optimality gap is ≤ 25% on every configuration;
+//! * the LP optimality gap is ≤ 2% on every configuration;
 //! * local search strictly improves the greedy seed on the 64-VM /
 //!   8-machine `large` fleet;
 //! * the M=1 placement equals the single-machine DP recommendation;
@@ -126,8 +126,8 @@ fn every_shape_is_lp_certified_and_replays_the_golden() {
             shape.name
         );
         assert!(
-            report.optimality_gap <= 0.25,
-            "{}: optimality gap {:.1}% exceeds the 25% pin",
+            report.optimality_gap <= 0.02,
+            "{}: optimality gap {:.1}% exceeds the 2% pin",
             shape.name,
             report.optimality_gap * 100.0
         );
