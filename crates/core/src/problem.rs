@@ -69,7 +69,7 @@ impl<'a> WorkloadSpec<'a> {
 
     /// The what-if estimate of this workload under `params`: the per-query
     /// estimates of [`WorkloadSpec::analysed`], summed in query order — bit
-    /// for bit the sum of `plan_query(db, q, params)?.est_seconds(params)`.
+    /// for bit the sum of `plan_query(db, q, params)?.est_seconds()`.
     pub fn estimate_seconds(&self, params: &CheckedParams) -> Result<f64, OptError> {
         Ok(self.analysed()?.iter().map(|q| q.est_seconds(params)).sum())
     }
@@ -199,7 +199,7 @@ mod tests {
             .iter()
             .map(|p| {
                 (queries.iter())
-                    .map(|q| plan_query(&db, q, p).unwrap().est_seconds(p))
+                    .map(|q| plan_query(&db, q, p).unwrap().est_seconds())
                     .sum::<f64>()
                     .to_bits()
             })

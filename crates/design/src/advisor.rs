@@ -362,7 +362,7 @@ impl<'g> DesignAdvisor<'g> {
         let mut lp_total = 0.0f64;
         for (i, vm) in vms.iter().enumerate() {
             let (c, m) = cells[i];
-            let nq = vm.queries.len();
+            let nq = vm.workload.queries.len();
             let mut costs = Vec::with_capacity(nq);
             for q in 0..nq {
                 let mut qcosts = Vec::with_capacity(vm.menus[q].configs.len());

@@ -37,8 +37,7 @@ use crate::DesignError;
 use dbvirt_calibrate::CalibrationGrid;
 use dbvirt_core::search::{cell_shares, CostCache, CostRow};
 use dbvirt_core::WorkloadSpec;
-use dbvirt_engine::Database;
-use dbvirt_optimizer::{CheckedParams, HypoIndex, LogicalPlan, OptError, PreparedQuery};
+use dbvirt_optimizer::{CheckedParams, HypoIndex, OptError, PreparedQuery};
 use dbvirt_telemetry as telemetry;
 use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
@@ -84,14 +83,13 @@ pub(crate) fn config_menus(cands: &CandidateSet) -> Vec<ConfigMenu> {
         .collect()
 }
 
-/// The pricing context for one workload (one VM): its database, queries,
+/// The pricing context for one workload (one VM): the workload, its
 /// candidates, config menus, its analyses, and its rows of one
 /// [`DesignPricer`]'s price table.
 pub struct VmPricer<'a> {
-    /// The workload's database (catalog + statistics only).
-    pub db: &'a Database,
-    /// The workload's queries.
-    pub queries: &'a [LogicalPlan],
+    /// The workload priced: its database (catalog + statistics only) and
+    /// queries.
+    pub(crate) workload: &'a WorkloadSpec<'a>,
     /// Enumerated candidates.
     pub cands: CandidateSet,
     /// Per-query config menus.
@@ -113,19 +111,18 @@ impl<'a> VmPricer<'a> {
     /// query's configs.
     pub fn new(
         pricer: &DesignPricer<'_>,
-        workload: &'a WorkloadSpec<'_>,
+        workload: &'a WorkloadSpec<'a>,
         cands: CandidateSet,
     ) -> Result<VmPricer<'a>, DesignError> {
-        let (db, queries) = (workload.db, &workload.queries[..]);
         let analysed = workload.analysed()?;
         let menus = config_menus(&cands);
-        let offered = (queries.iter().zip(analysed).zip(&menus))
+        let offered = (workload.queries.iter().zip(analysed).zip(&menus))
             .map(|((query, bare), menu)| {
                 (menu.configs.iter())
                     .map(|config| match config[..] {
                         [] => Ok(None),
                         _ => bare
-                            .offering(db, query, &hypo_indexes(&cands, config))
+                            .offering(workload.db, query, &hypo_indexes(&cands, config))
                             .map(Some),
                     })
                     .collect::<Result<Vec<_>, OptError>>()
@@ -135,8 +132,7 @@ impl<'a> VmPricer<'a> {
             .map(|menu| pricer.fresh_rows(menu.configs.len()))
             .collect::<Result<_, _>>()?;
         Ok(VmPricer {
-            db,
-            queries,
+            workload,
             cands,
             menus,
             analysed,
@@ -256,7 +252,7 @@ impl<'g> DesignPricer<'g> {
         mem: u32,
     ) -> Result<f64, DesignError> {
         let mut total = 0.0;
-        for q in 0..vm.queries.len() {
+        for q in 0..vm.workload.queries.len() {
             let menu = &vm.menus[q];
             let mut best = f64::INFINITY;
             for (k, &kmask) in menu.masks.iter().enumerate() {
@@ -279,7 +275,8 @@ mod tests {
     use super::*;
     use crate::candidates::enumerate_candidates;
     use crate::testutil::small_grid;
-    use dbvirt_engine::Expr;
+    use dbvirt_engine::{Database, Expr};
+    use dbvirt_optimizer::LogicalPlan;
     use dbvirt_storage::{DataType, Datum, Field, Schema, Tuple};
 
     fn fixture() -> (Database, Vec<LogicalPlan>) {
@@ -379,7 +376,7 @@ mod tests {
                         .unwrap();
                     let fresh = plan_query_with_indexes(&db, query, &params, &hypo)
                         .unwrap()
-                        .est_seconds(&params);
+                        .est_seconds();
                     let got = pricer.price(&vm, q, k, cpu, mem).unwrap();
                     assert_eq!(
                         got.to_bits(),

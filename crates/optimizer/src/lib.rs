@@ -16,7 +16,7 @@
 //! executed), and sum the estimated execution times. Here that is
 //! [`PreparedQuery::analyse`] once per query and
 //! [`PreparedQuery::est_seconds`] once per query and `P` — or, one-shot,
-//! `plan_query(db, q, &p)?.est_seconds(&p)`, bit for bit the same number.
+//! `plan_query(db, q, &p)?.est_seconds()`, bit for bit the same number.
 //! Pricing takes a [`CheckedParams`], a `P` checked once where it is made,
 //! so no estimate re-checks it.
 //!

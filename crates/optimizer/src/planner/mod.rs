@@ -68,13 +68,15 @@ pub struct PlannedQuery {
     /// planning via [`plan_query_with_indexes`]); such plans cost-estimate
     /// but must not be executed.
     pub uses_hypothetical: bool,
+    /// Seconds per cost unit of the `P` the query was planned under.
+    unit_seconds: f64,
 }
 
 impl PlannedQuery {
-    /// Estimated execution time in seconds under the parameters used for
-    /// planning.
-    pub fn est_seconds(&self, params: &OptimizerParams) -> f64 {
-        params.units_to_seconds(self.est_cost_units)
+    /// Estimated execution time in seconds under the parameters the query
+    /// was planned under.
+    pub fn est_seconds(&self) -> f64 {
+        self.est_cost_units * self.unit_seconds
     }
 }
 
@@ -116,6 +118,7 @@ impl PreparedQuery {
             est_rows: priced.rows,
             est_cost_units: priced.cost,
             uses_hypothetical,
+            unit_seconds: params.unit_seconds,
         })
     }
 }
@@ -123,7 +126,7 @@ impl PreparedQuery {
 /// Plans `plan` against `db` under `params`, returning the physical plan
 /// and its cost estimates. This is both the regular optimizer (default
 /// `params`) and the paper's what-if optimizer (calibrated `params`):
-/// `plan_query(db, q, &p)?.est_seconds(&p)` is the one-shot what-if
+/// `plan_query(db, q, &p)?.est_seconds()` is the one-shot what-if
 /// estimate of `q` under `p`. Fails with [`OptError::InvalidParams`] before
 /// looking at `plan` when `params` does not pass [`CheckedParams::new`].
 pub fn plan_query(

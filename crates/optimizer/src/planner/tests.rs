@@ -441,11 +441,12 @@ fn semi_join_keeps_left_schema() {
 fn estimated_seconds_scale_with_unit() {
     let (db, fact, _) = fixture();
     let q = LogicalPlan::scan(fact);
-    let mut p1 = OptimizerParams::default();
-    let planned = plan_query(&db, &q, &p1).unwrap();
-    let s1 = planned.est_seconds(&p1);
-    p1.unit_seconds *= 2.0;
-    assert!((planned.est_seconds(&p1) - 2.0 * s1).abs() < 1e-12);
+    let p1 = OptimizerParams::default();
+    let mut p2 = p1;
+    p2.unit_seconds *= 2.0;
+    let s1 = plan_query(&db, &q, &p1).unwrap().est_seconds();
+    let s2 = plan_query(&db, &q, &p2).unwrap().est_seconds();
+    assert!((s2 - 2.0 * s1).abs() < 1e-12);
 }
 
 /// The paper's what-if mode in miniature: growing the CPU cost terms of `P`
@@ -483,7 +484,7 @@ fn cpu_heavier_params_raise_cpu_bound_estimates_more() {
     let mut slow_cpu = base;
     slow_cpu.cpu_tuple_cost *= 3.0;
     slow_cpu.cpu_operator_cost *= 3.0;
-    let est = |q: &LogicalPlan, p: &OptimizerParams| plan_query(&db, q, p).unwrap().est_seconds(p);
+    let est = |q: &LogicalPlan, p: &OptimizerParams| plan_query(&db, q, p).unwrap().est_seconds();
 
     let cpu_ratio = est(&cpu_q, &slow_cpu) / est(&cpu_q, &base);
     let io_ratio = est(&io_q, &slow_cpu) / est(&io_q, &base);

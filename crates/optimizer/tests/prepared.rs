@@ -1,7 +1,7 @@
 //! The prepared what-if path against the planning path: a query analysed
 //! once and priced under many parameter vectors must report, bit for bit,
 //! what planning it afresh under each vector reports — so
-//! `plan_query(..).est_seconds(..)` is the one-shot form of the what-if
+//! `plan_query(..).est_seconds()` is the one-shot form of the what-if
 //! estimate — and an analysis without hypothetical indexes, offered a
 //! configuration, must price and plan exactly like an analysis with that
 //! configuration.
@@ -231,7 +231,7 @@ proptest! {
                 let fresh = plan_query_with_indexes(&f.db, &q, p, &hypo).unwrap();
                 prop_assert_eq!(
                     prepared.est_seconds(p).to_bits(),
-                    fresh.est_seconds(p).to_bits(),
+                    fresh.est_seconds().to_bits(),
                     "{q:?} under {p}"
                 );
                 let planned = prepared.plan(&f.db, &q, p, &hypo).unwrap();
@@ -284,7 +284,7 @@ fn a_join_order_flip_prices_identically_through_both_entry_points() {
     ] {
         assert_eq!(
             prepared.est_seconds(p).to_bits(),
-            planned.est_seconds(p).to_bits()
+            planned.est_seconds().to_bits()
         );
         let materialised = prepared.plan(&f.db, &q, p, &[]).unwrap();
         assert_eq!(
@@ -306,7 +306,7 @@ fn a_prepared_workload_sums_like_the_per_query_estimates() {
         let analysed_once: f64 = prepared.iter().map(|q| q.est_seconds(&p)).sum();
         let by_query: f64 = workload
             .iter()
-            .map(|q| plan_query(&f.db, q, &p).unwrap().est_seconds(&p))
+            .map(|q| plan_query(&f.db, q, &p).unwrap().est_seconds())
             .sum();
         assert_eq!(analysed_once.to_bits(), by_query.to_bits());
     }
@@ -457,7 +457,7 @@ fn an_offered_analysis_prices_and_plans_like_a_fresh_one() {
                 let cost = offered.est_seconds(p);
                 let what = format!("{sql} with {hypo:?} under {p}");
                 assert_eq!(cost.to_bits(), fresh.est_seconds(p).to_bits(), "{what}");
-                assert_eq!(cost.to_bits(), planned.est_seconds(p).to_bits(), "{what}");
+                assert_eq!(cost.to_bits(), planned.est_seconds().to_bits(), "{what}");
                 let materialised = offered.plan(&t.db, &q, p, &hypo).unwrap();
                 assert_eq!(
                     materialised.est_cost_units.to_bits(),

@@ -78,7 +78,7 @@ fn main() {
         println!(
             "{:<28} {:>11.3}s {:>12.5}  {}",
             format!("{:.0}% / {:.0}% / 50%", cpu * 100.0, mem * 100.0),
-            planned.est_seconds(&params),
+            planned.est_seconds(),
             params.cpu_tuple_cost,
             planned.physical.node_name(),
         );

@@ -94,7 +94,7 @@ fn coarse_grids_rank_as_the_dense_one_and_no_sweep_executes_twice() {
         let p = grid.params_for(shares).unwrap();
         (
             p.cpu_tuple_cost,
-            plan_query(&t.db, &q13, &p).unwrap().est_seconds(&p),
+            plan_query(&t.db, &q13, &p).unwrap().est_seconds(),
         )
     };
 

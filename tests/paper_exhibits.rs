@@ -118,7 +118,7 @@ fn measure_corun(mixes: &[Workload], alloc: &AllocationMatrix) -> Vec<f64> {
 /// re-optimized under `p`, the estimates summed in order.
 fn estimate_seconds(db: &Database, workload: &[LogicalPlan], p: &OptimizerParams) -> f64 {
     (workload.iter())
-        .map(|q| plan_query(db, q, p).unwrap().est_seconds(p))
+        .map(|q| plan_query(db, q, p).unwrap().est_seconds())
         .sum()
 }
 
@@ -349,7 +349,7 @@ fn fig4() -> &'static Fig4 {
                 let shares = shares(cpu, 0.5, 0.5);
                 let params = grid.params_for(shares).unwrap();
                 q.estimated
-                    .push(plan_query(&t.db, &logical, &params).unwrap().est_seconds(&params));
+                    .push(plan_query(&t.db, &logical, &params).unwrap().est_seconds());
                 q.actual
                     .push(measure_query_warm(&t.db, &logical, machine, shares).unwrap());
                 q.pair_est.push(estimate_seconds(&t.db, &pair, &params));
@@ -1023,7 +1023,7 @@ fn ext_ablation() -> &'static ExtAblation {
         for query in [TpchQuery::Q4, TpchQuery::Q13, TpchQuery::Q1] {
             let logical = query.plan(t);
             let estimate =
-                |p: &OptimizerParams| plan_query(&t.db, &logical, p).unwrap().est_seconds(p);
+                |p: &OptimizerParams| plan_query(&t.db, &logical, p).unwrap().est_seconds();
             let measured: Vec<f64> = candidates
                 .iter()
                 .map(|&s| measure_query_warm(&t.db, &logical, machine, s).unwrap())

@@ -121,7 +121,7 @@ fn sql_plans_are_whatif_priceable() {
     dear_cpu.cpu_operator_cost *= 4.0;
     cheap_cpu.effective_cache_size_pages = 1.0;
     dear_cpu.effective_cache_size_pages = 1.0;
-    let est = |p: &OptimizerParams| plan_query(&t.db, &parsed, p).unwrap().est_seconds(p);
+    let est = |p: &OptimizerParams| plan_query(&t.db, &parsed, p).unwrap().est_seconds();
     let (a, b) = (est(&cheap_cpu), est(&dear_cpu));
     assert!(b > a, "dearer CPU must raise the estimate: {a} vs {b}");
 }
