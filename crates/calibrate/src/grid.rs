@@ -330,7 +330,9 @@ impl CalibrationGrid {
             let (_, _, _, e) = failed
                 .into_iter()
                 .next()
-                .expect("a non-empty grid has at least one cell");
+                .ok_or_else(|| CalError::InvalidGrid {
+                    reason: "the grid has no cells".to_string(),
+                })?;
             return Err(e);
         }
 

@@ -17,7 +17,7 @@
 //! whose time is a weighted sum of per-page, per-tuple, and per-operator
 //! costs.
 
-use crate::ProbeDb;
+use crate::{CalError, ProbeDb};
 use dbvirt_engine::{AggExpr, AggFunc, Expr, PhysicalPlan};
 use dbvirt_optimizer::cost::yao_pages;
 use dbvirt_storage::Datum;
@@ -76,20 +76,14 @@ fn n_op_filter(n: usize) -> Expr {
 ///
 /// The suite is overdetermined (six equations, five unknowns) and spans two
 /// very different pages-per-row ratios plus two index-range sizes, which is
-/// what makes every parameter identifiable.
-pub fn build_probes(pdb: &ProbeDb) -> Vec<Probe> {
-    let narrow_stats = pdb
-        .db
-        .table(pdb.narrow)
-        .stats
-        .as_ref()
-        .expect("probe db is analyzed");
-    let wide_stats = pdb
-        .db
-        .table(pdb.wide)
-        .stats
-        .as_ref()
-        .expect("probe db is analyzed");
+/// what makes every parameter identifiable. Fails with
+/// [`CalError::ProbeFailed`] when `pdb`'s tables carry no statistics.
+pub fn build_probes(pdb: &ProbeDb) -> Result<Vec<Probe>, CalError> {
+    let stats = |table| {
+        (pdb.db.table(table).stats.as_ref())
+            .ok_or_else(|| CalError::probe_failed("<build>", "the probe database is not analyzed"))
+    };
+    let (narrow_stats, wide_stats) = (stats(pdb.narrow)?, stats(pdb.wide)?);
     let (n_pages, n_rows) = (narrow_stats.n_pages as f64, narrow_stats.n_rows as f64);
     let (w_pages, w_rows) = (wide_stats.n_pages as f64, wide_stats.n_rows as f64);
 
@@ -195,7 +189,7 @@ pub fn build_probes(pdb: &ProbeDb) -> Vec<Probe> {
         });
     }
 
-    probes
+    Ok(probes)
 }
 
 #[cfg(test)]
@@ -214,7 +208,7 @@ mod tests {
     #[test]
     fn suite_is_overdetermined_and_spans_all_unknowns() {
         let pdb = ProbeDb::build().unwrap();
-        let probes = build_probes(&pdb);
+        let probes = build_probes(&pdb).unwrap();
         assert!(probes.len() > NUM_UNKNOWNS);
         for j in 0..NUM_UNKNOWNS {
             assert!(
@@ -232,7 +226,7 @@ mod tests {
     #[test]
     fn filter_coefficient_counts_match_plan_filters() {
         let pdb = ProbeDb::build().unwrap();
-        let probes = build_probes(&pdb);
+        let probes = build_probes(&pdb).unwrap();
         let light = probes
             .iter()
             .find(|p| p.name == "filter_scan_light")

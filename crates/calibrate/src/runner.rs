@@ -234,7 +234,7 @@ pub(crate) struct ProbeSuite {
 impl ProbeSuite {
     /// **Profile**: executes each of `pdb`'s probes once.
     pub(crate) fn profile(pdb: &ProbeDb) -> Result<ProbeSuite, CalError> {
-        let probes = build_probes(pdb);
+        let probes = build_probes(pdb)?;
         let profiles = profile_tasks(pdb, &probes, CARRIER_PAGES)?;
         Ok(ProbeSuite { probes, profiles })
     }
@@ -268,7 +268,8 @@ impl ProbeSuite {
                     let runs = profile
                         .demand_under(cfg.buffer_pool_pages, cfg.work_mem_bytes)
                         .map_err(|e| CalError::probe_failed(probe.name, e))?;
-                    Ok(*runs.last().expect("a profiled probe has a measured run"))
+                    (runs.last().copied())
+                        .ok_or_else(|| CalError::probe_failed(probe.name, "no measured run"))
                 });
             Ok((cfg, measured.collect::<Result<_, CalError>>()?))
         };
@@ -394,12 +395,13 @@ fn robust_fit(
         let abs: Vec<f64> = resid.iter().map(|r| r.abs()).collect();
         let scale = 1.4826 * median(&abs);
         let threshold = (OUTLIER_SIGMAS * scale).max(MIN_OUTLIER_RESIDUAL);
-        let worst = abs
-            .iter()
-            .enumerate()
+        // More rows than unknowns, so there is a worst residual.
+        let Some(worst) = (abs.iter().enumerate())
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
-            .expect("non-empty residuals");
+        else {
+            break;
+        };
         if abs[worst] <= threshold {
             break;
         }
@@ -601,7 +603,7 @@ mod tests {
     #[test]
     fn replayed_demands_are_what_executing_under_each_configuration_charges() {
         let pdb = ProbeDb::build().unwrap();
-        let probes = build_probes(&pdb);
+        let probes = build_probes(&pdb).unwrap();
         let total_pages = pdb.db.total_pages();
         // From a pool one scan thrashes to one that holds the database, and
         // past it; `work_mem` from nothing to plenty.

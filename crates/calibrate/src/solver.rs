@@ -34,10 +34,10 @@ pub(crate) fn solve_square(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Result<Vec<
     }
 
     for col in 0..n {
-        // Partial pivot.
+        // Partial pivot; `col < n`, so the range is never empty.
         let pivot_row = (col..n)
             .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
-            .expect("non-empty range");
+            .unwrap_or(col);
         if a[pivot_row][col].abs() < PIVOT_RTOL * scale {
             return Err(CalError::SingularSystem);
         }

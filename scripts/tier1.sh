@@ -9,15 +9,16 @@ cargo build --release
 # own and formats separately).
 cargo fmt --check
 # One lint bar: clippy over every target, tests included, prints nothing.
-# The library code of controller, sql, fleet, design and telemetry denies
-# `clippy::unwrap_used` / `expect_used` in its lib.rs (tests may unwrap, by
-# the root clippy.toml): every failure there is typed. The controller is
-# the first crate held to that; the SQL front end the second (hostile
-# statement text ends in a `SqlError`, never a panic); the fleet tier the
-# third (a placement request fails with a `FleetError`); the design advisor
-# the fourth (`DesignError`); telemetry the fifth (it has no failure to
-# report, and a poisoned store lock is taken back, not unwrapped); the
-# optimizer the sixth (an `OptError`, and pricing a checked `P` cannot fail).
+# The library code of controller, sql, fleet, design, telemetry, the
+# optimizer and calibrate denies `clippy::unwrap_used` / `expect_used` in its
+# lib.rs (tests may unwrap, by the root clippy.toml): every failure there is
+# typed. The controller is the first crate held to that; the SQL front end
+# the second (hostile statement text ends in a `SqlError`, never a panic);
+# the fleet tier the third (a placement request fails with a `FleetError`);
+# the design advisor the fourth (`DesignError`); telemetry the fifth (it has
+# no failure to report, and a poisoned store lock is taken back, not
+# unwrapped); the optimizer the sixth (an `OptError`, and pricing a checked
+# `P` cannot fail); calibrate the seventh (a `CalError`).
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # One of each: the worker pool, the core-count resolver, the fingerprint

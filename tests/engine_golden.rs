@@ -444,7 +444,7 @@ fn render(via: Via) -> String {
     }
 
     let pdb = ProbeDb::template().expect("probe database");
-    for probe in build_probes(pdb) {
+    for probe in build_probes(pdb).expect("probe suite") {
         render_case(
             &mut out,
             &pdb.db,
